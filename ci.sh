@@ -39,15 +39,15 @@ echo "== scale_smoke: sparse data plane at 1k hosts / 10k tasks (13 simulated ho
 # lands inside the wall-clock budget. A second run must reproduce the
 # identical fingerprint counters or the gate fails. The full-size run
 # (10k hosts / 120k tasks / 24 h, the default flags) is manual.
-./target/release/scale_soak --hosts 1000 --jobs 1000 --hours 13 --max-wall-secs 300
+./target/release/scale_soak --hosts 1000 --jobs 1000 --hours 13 --max-wall-secs 60
 fp_a=$(grep -o '"counters": \[[^]]*\]' BENCH_scale.json)
-./target/release/scale_soak --hosts 1000 --jobs 1000 --hours 13 --max-wall-secs 300 > /dev/null
+./target/release/scale_soak --hosts 1000 --jobs 1000 --hours 13 --max-wall-secs 60 > /dev/null
 fp_b=$(grep -o '"counters": \[[^]]*\]' BENCH_scale.json)
 [ -n "$fp_a" ] && [ "$fp_a" = "$fp_b" ] \
     || { echo "scale_smoke fingerprint not deterministic: '$fp_a' vs '$fp_b'"; exit 1; }
 echo "scale_smoke fingerprint reproducible: $fp_a"
 
-echo "== sched_soak (event-driven scheduler speedup) =="
+echo "== sched_soak (event-driven scheduler: same fingerprint, >= 3x fewer ticks) =="
 ./target/release/sched_soak
 
 echo "== trace_soak (decision-trace overhead + determinism gate) =="

@@ -10,7 +10,7 @@
 use crate::runner::drive_scenario;
 use crate::scenario::Scenario;
 use std::fmt::Write as _;
-use turbine::Turbine;
+use turbine::{MetricKey, Turbine};
 use turbine_types::JobId;
 
 /// Output format for `turbinesim metrics`.
@@ -105,6 +105,20 @@ pub fn top_frame(scenario: &Scenario, turbine: &Turbine, minute: u64) -> String 
             status.backlog_bytes / 1.0e6,
         );
     }
+    // Jobs the data-plane tick still walks, as last sampled by the
+    // metrics round.
+    if let Some(active) = turbine
+        .ods_registry()
+        .series_by_key(&MetricKey::platform("engine_active_jobs"))
+        .and_then(|series| series.last())
+    {
+        let total = turbine.job_ids().len();
+        let _ = writeln!(
+            out,
+            "engine: {active:.0} of {total} jobs active, {:.0} settled",
+            (total as f64 - active).max(0.0),
+        );
+    }
     out.push('\n');
     out.push_str(&turbine::fleet_health(turbine).render());
     out
@@ -170,6 +184,7 @@ mod tests {
         assert!(last.contains("turbinesim top"), "{last}");
         assert!(last.contains("job"), "{last}");
         assert!(last.lines().any(|l| l.starts_with("a ")), "{last}");
+        assert!(last.contains("engine: 2 of 2 jobs active"), "{last}");
         assert!(last.contains("fleet:"), "{last}");
     }
 }

@@ -63,6 +63,11 @@ pub struct Cluster {
     containers: BTreeMap<ContainerId, Container>,
     next_host: u64,
     next_container: u64,
+    /// Bumped by every successful mutation, so a consumer can cache
+    /// anything derived from the cluster and revalidate it in O(1). Not
+    /// part of the snapshot: a restored cluster starts over at zero, and
+    /// caches keyed on it must not survive a restore either.
+    generation: u64,
 }
 
 impl Cluster {
@@ -71,10 +76,18 @@ impl Cluster {
         Self::default()
     }
 
+    /// The mutation generation: two reads returning the same value
+    /// bracket a span in which no host or container was added, removed,
+    /// failed or recovered.
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
     /// Add one healthy host with the given capacity.
     pub fn add_host(&mut self, capacity: Resources) -> HostId {
         let id = HostId(self.next_host);
         self.next_host += 1;
+        self.generation += 1;
         self.hosts.insert(
             id,
             Host {
@@ -107,6 +120,7 @@ impl Cluster {
         }
         let id = ContainerId(self.next_container);
         self.next_container += 1;
+        self.generation += 1;
         h.allocated += capacity;
         h.containers.push(id);
         self.containers.insert(id, Container { host, capacity });
@@ -140,6 +154,7 @@ impl Cluster {
             .containers
             .remove(&container)
             .ok_or(ClusterError::UnknownContainer(container))?;
+        self.generation += 1;
         if let Some(h) = self.hosts.get_mut(&c.host) {
             h.allocated -= c.capacity;
             h.containers.retain(|&x| x != container);
@@ -150,18 +165,22 @@ impl Cluster {
     /// Mark a host failed (maintenance, crash, disconnect). Its containers
     /// stop heart-beating; the Shard Manager will fail their shards over.
     pub fn fail_host(&mut self, host: HostId) -> Result<(), ClusterError> {
-        self.hosts
-            .get_mut(&host)
-            .map(|h| h.healthy = false)
-            .ok_or(ClusterError::UnknownHost(host))
+        self.set_host_health(host, false)
     }
 
     /// Bring a failed host back.
     pub fn recover_host(&mut self, host: HostId) -> Result<(), ClusterError> {
-        self.hosts
+        self.set_host_health(host, true)
+    }
+
+    fn set_host_health(&mut self, host: HostId, healthy: bool) -> Result<(), ClusterError> {
+        let h = self
+            .hosts
             .get_mut(&host)
-            .map(|h| h.healthy = true)
-            .ok_or(ClusterError::UnknownHost(host))
+            .ok_or(ClusterError::UnknownHost(host))?;
+        h.healthy = healthy;
+        self.generation += 1;
+        Ok(())
     }
 
     /// Permanently remove a host and all containers on it. Returns the
@@ -171,6 +190,7 @@ impl Cluster {
             .hosts
             .remove(&host)
             .ok_or(ClusterError::UnknownHost(host))?;
+        self.generation += 1;
         for c in &h.containers {
             self.containers.remove(c);
         }
@@ -311,6 +331,7 @@ impl turbine_types::Snap for Cluster {
             containers: r.get()?,
             next_host: r.u64("Cluster.next_host")?,
             next_container: r.u64("Cluster.next_container")?,
+            generation: 0,
         })
     }
 }
@@ -394,6 +415,38 @@ mod tests {
         let total = cluster.total_healthy_capacity();
         assert_eq!(total.cpu, 20.0);
         assert_eq!(cluster.healthy_hosts().len(), 2);
+    }
+
+    #[test]
+    fn generation_moves_with_every_mutation_and_only_then() {
+        let mut cluster = Cluster::new();
+        let mut last = cluster.generation();
+        let mut moved = |cluster: &Cluster| {
+            let now = cluster.generation();
+            let moved = now != last;
+            last = now;
+            moved
+        };
+        let h = cluster.add_host(scuba_host());
+        assert!(moved(&cluster));
+        let c = cluster
+            .allocate_container(h, Resources::cpu_mem(1.0, 1.0))
+            .expect("fits");
+        assert!(moved(&cluster));
+        cluster.fail_host(h).expect("fail");
+        assert!(moved(&cluster));
+        cluster.recover_host(h).expect("recover");
+        assert!(moved(&cluster));
+        // Reads and failed mutations leave it alone.
+        let _ = cluster.healthy_containers();
+        assert!(cluster.fail_host(HostId(9)).is_err());
+        assert!(cluster.release_container(ContainerId(9)).is_err());
+        assert!(cluster.remove_host(HostId(9)).is_err());
+        assert!(!moved(&cluster));
+        cluster.release_container(c).expect("release");
+        assert!(moved(&cluster));
+        cluster.remove_host(h).expect("remove");
+        assert!(moved(&cluster));
     }
 
     #[test]

@@ -17,6 +17,13 @@
 //! fleet-wide down-task counter, per-job undrained-partition counters, and
 //! per-job durability epochs — so quiescence checks and durability syncs
 //! cost O(jobs touched) instead of O(fleet).
+//!
+//! Idle time is skipped at two granularities. Per job, [`Engine::tick`]
+//! walks only the tasks of *active* jobs: a job whose walk changed nothing
+//! settles and is left out until a mutation or its own inputs can change it
+//! again, so a tick costs O(jobs + tasks of busy jobs). Fleet-wide, the
+//! drive loop may jump the clock over a whole window when
+//! [`Engine::is_quiescent_through`] holds for every job at once.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use turbine_config::MemoryEnforcement;
@@ -123,6 +130,29 @@ pub struct ActiveTask {
     pub cpu_usage: f64,
 }
 
+impl ActiveTask {
+    /// Memory model: the footprint follows the processed rate (read back
+    /// from `cpu_usage`), plus state for stateful jobs.
+    fn footprint_mb(&self, rt: &JobRuntime) -> f64 {
+        let rate = self.cpu_usage * rt.true_per_thread_rate;
+        let mut usage = task_usage(rate, rt.avg_message_bytes, rt.true_per_thread_rate).memory_mb;
+        if rt.stateful {
+            let tasks_of_job =
+                self.partitions.len().max(1) as f64 / rt.partitions.len().max(1) as f64;
+            usage += rt.key_cardinality * tasks_of_job * 1.0e-3;
+        }
+        usage
+    }
+
+    /// Would a footprint of `usage_mb` get the task OOM-killed?
+    fn over_limit(&self, usage_mb: f64) -> bool {
+        matches!(
+            self.enforcement,
+            MemoryEnforcement::Cgroup | MemoryEnforcement::Jvm
+        ) && usage_mb > self.reserved.memory_mb
+    }
+}
+
 /// Arena storage for active tasks: bodies live in stable u32-addressed
 /// slots, the ordered `index` maps ids to slots (so iteration order — and
 /// every floating-point reduction order derived from it — matches the
@@ -133,6 +163,11 @@ struct TaskArena {
     slots: Vec<Option<ActiveTask>>,
     index: BTreeMap<TaskId, u32>,
     free: Vec<u32>,
+}
+
+/// Every possible task id of `job`: its range in the ordered index.
+fn job_range(job: JobId) -> std::ops::RangeInclusive<TaskId> {
+    TaskId::new(job, 0)..=TaskId::new(job, u32::MAX)
 }
 
 impl TaskArena {
@@ -184,14 +219,12 @@ impl TaskArena {
     }
 
     fn range_of_job(&self, job: JobId) -> impl Iterator<Item = (&TaskId, &ActiveTask)> {
-        self.index
-            .range(TaskId::new(job, 0)..=TaskId::new(job, u32::MAX))
-            .map(|(id, &slot)| {
-                (
-                    id,
-                    self.slots[slot as usize].as_ref().expect("indexed slot"),
-                )
-            })
+        self.index.range(job_range(job)).map(|(id, &slot)| {
+            (
+                id,
+                self.slots[slot as usize].as_ref().expect("indexed slot"),
+            )
+        })
     }
 }
 
@@ -226,12 +259,28 @@ pub struct Engine {
     /// Jobs whose observable data-plane state (task set, usage, backlog,
     /// partition ownership) changed since the last [`Engine::take_dirty`].
     dirty: BTreeSet<JobId>,
+    /// Jobs (keyed on the task's job id, so tasks without a `JobRuntime`
+    /// count too) whose tasks [`Engine::tick`] still walks. Every other
+    /// job is *settled*: a tick found it with no arrivals, no backlog, no
+    /// restart in flight, not halted, and every task already holding
+    /// exactly what the tick computes for it — and nothing has touched it
+    /// since. A derived cache — not part of the snapshot; a restored
+    /// engine starts with every job active and re-settles on its first
+    /// tick.
+    active: BTreeSet<JobId>,
 }
 
 impl Engine {
     /// An engine with no jobs.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A mutation touched `job`: its observable state changed, and its
+    /// next tick may no longer be a no-op, so it is walked again.
+    fn touch(&mut self, job: JobId) {
+        self.dirty.insert(job);
+        self.active.insert(job);
     }
 
     /// Register a job's data plane.
@@ -268,7 +317,7 @@ impl Engine {
                 window_ooms: 0,
             },
         );
-        self.dirty.insert(job);
+        self.touch(job);
     }
 
     /// Remove a job's data plane entirely.
@@ -277,7 +326,7 @@ impl Engine {
         let ids: Vec<TaskId> = self
             .tasks
             .index
-            .range(TaskId::new(job, 0)..=TaskId::new(job, u32::MAX))
+            .range(job_range(job))
             .map(|(&id, _)| id)
             .collect();
         for id in ids {
@@ -287,13 +336,13 @@ impl Engine {
                 }
             }
         }
-        self.dirty.insert(job);
+        self.touch(job);
     }
 
     /// Access a job's runtime (e.g. to mutate its traffic model or skew
     /// its partition weights mid-experiment).
     pub fn job_mut(&mut self, job: JobId) -> Option<&mut JobRuntime> {
-        self.dirty.insert(job);
+        self.touch(job);
         self.jobs.get_mut(&job)
     }
 
@@ -333,7 +382,7 @@ impl Engine {
         if replaced.is_none_or(|t| t.down_until.is_none()) {
             self.down_count += 1;
         }
-        self.dirty.insert(spec.id.job);
+        self.touch(spec.id.job);
     }
 
     /// Degrade (or restore) one task's throughput — models a sick host
@@ -343,7 +392,7 @@ impl Engine {
         assert!(factor > 0.0);
         if let Some(t) = self.tasks.get_mut(task) {
             t.degradation = factor;
-            self.dirty.insert(task.job);
+            self.touch(task.job);
         }
     }
 
@@ -362,7 +411,7 @@ impl Engine {
                     self.down_count -= 1;
                 }
             }
-            self.dirty.insert(task.job);
+            self.touch(task.job);
         }
     }
 
@@ -400,13 +449,15 @@ impl Engine {
     }
 
     /// True when the data plane would be a no-op at every instant in
-    /// `(after, through]`: no task is mid-restart, every partition is
-    /// fully drained (a full drain takes the exact `share == 1.0` path in
-    /// [`Engine::tick`], so a drained partition has `appended ==
-    /// consumed` bit-for-bit), and no job's traffic model delivers
+    /// `(after, through]` for *every* job: no task is mid-restart, every
+    /// partition is fully drained (a full drain takes the exact `share ==
+    /// 1.0` path in [`Engine::tick`], so a drained partition has `appended
+    /// == consumed` bit-for-bit), and no job's traffic model delivers
     /// arrivals anywhere in the window. The event-driven scheduler uses
-    /// this quiescence signal to jump the clock to the next due control
-    /// event instead of dense-ticking through idle time.
+    /// this fleet-wide signal to jump the clock to the next due control
+    /// event instead of dense-ticking through idle time. It is the coarser
+    /// of the two skips: one busy job defeats it, and then the ticks that
+    /// do execute still skip every settled job (see [`Engine::tick`]).
     ///
     /// Restart markers and drained partitions are answered from exact
     /// counters (`down_count`, per-job `undrained`) maintained at every
@@ -436,8 +487,30 @@ impl Engine {
                 self.down_count += 1;
             }
             t.down_until = Some(until);
-            self.dirty.insert(task.job);
+            self.touch(task.job);
         }
+    }
+
+    /// Number of jobs [`Engine::tick`] currently walks (the rest are
+    /// settled). Meaningful after a tick: mutations and a restore only
+    /// ever add to it, and the next tick settles whatever it can.
+    pub fn active_jobs(&self) -> usize {
+        self.active.len()
+    }
+
+    /// Every job id the engine knows: registered runtimes plus the jobs of
+    /// tasks that have none.
+    fn all_job_ids(&self) -> BTreeSet<JobId> {
+        let mut ids: BTreeSet<JobId> = self.jobs.keys().copied().collect();
+        ids.extend(self.tasks.index.keys().map(|id| id.job));
+        ids
+    }
+
+    /// Forget every settlement, forcing the next tick to walk the whole
+    /// fleet — the full-walk oracle the skip is tested against.
+    #[cfg(test)]
+    fn unsettle_all(&mut self) {
+        self.active = self.all_job_ids();
     }
 
     /// Drain the set of jobs whose observable data-plane state changed
@@ -449,9 +522,22 @@ impl Engine {
         std::mem::take(&mut self.dirty)
     }
 
-    /// Advance the data plane by `dt`. `container_cpu` supplies the CPU
-    /// capacity of each healthy container (tasks on missing containers do
-    /// not run); `paused` jobs receive arrivals but process nothing.
+    /// Advance the data plane by `dt` (positive). `container_cpu` supplies
+    /// the CPU capacity of each healthy container (tasks on missing
+    /// containers do not run); `paused` jobs receive arrivals but process
+    /// nothing.
+    ///
+    /// Only the tasks of active jobs are walked. Skipping a settled job is
+    /// exact: it has no arrivals, no backlog, and no task mid-restart, so
+    /// each of its tasks would add `+ 0.0` to its container's demand (the
+    /// sum's bits do not move) and recompute the `cpu_usage` and
+    /// `memory_usage_mb` it already holds — both are functions of task and
+    /// job fields only a mutation API can change, and those re-activate the
+    /// job. A dead container cannot disturb it either: that path only
+    /// zeroes a `cpu_usage` that is already zero. Active jobs are visited
+    /// in `JobId` order and their tasks by index range, i.e. in `TaskId`
+    /// order, so every f64 reduction sees its terms in the order of a full
+    /// walk.
     pub fn tick(
         &mut self,
         now: SimTime,
@@ -465,8 +551,14 @@ impl Engine {
             tasks,
             down_count,
             dirty,
+            active,
         } = self;
-        // Phase 1: arrivals.
+        // Phase 1: arrivals. The same O(jobs) pass re-activates any settled
+        // job whose own inputs make this tick more than a no-op: traffic
+        // arriving, or processing halted (paused / consumer disabled, which
+        // pins memory at the idle floor). `held` lists those jobs, in id
+        // order, with whether they are halted.
+        let mut held: Vec<(JobId, bool)> = Vec::new();
         for (&job, rt) in jobs.iter_mut() {
             let rate = rt.traffic.arrival_rate(now);
             if rate > 0.0 {
@@ -482,64 +574,98 @@ impl Engine {
                 rt.durable_epoch += 1;
                 dirty.insert(job);
             }
+            let halted = paused(job) || rt.traffic.consumer_disabled(now);
+            if rate > 0.0 || halted {
+                active.insert(job);
+                held.push((job, halted));
+            }
         }
 
         // Phase 2: per-task desired work and per-container CPU demand.
         struct Work {
             id: TaskId,
+            slot: u32,
+            /// Index of the task's job in `walked`.
+            walk: u32,
             desired: f64, // bytes the task wants to process this tick
         }
         let TaskArena { slots, index, .. } = tasks;
-        let mut works: Vec<Work> = Vec::with_capacity(index.len());
+        // Per walked job: did every task take the normal processing path
+        // with nothing changed (so far)?
+        let mut walked: Vec<(JobId, bool)> = Vec::with_capacity(active.len());
+        let mut works: Vec<Work> = Vec::new();
         let mut demand: HashMap<ContainerId, f64> = HashMap::new();
-        for (&id, &slot) in index.iter() {
-            let task = slots[slot as usize].as_mut().expect("indexed slot");
-            if task.down_until.is_some_and(|until| now < until) {
-                if task.cpu_usage != 0.0 {
-                    task.cpu_usage = 0.0;
-                    dirty.insert(id.job);
+        let mut held = held.into_iter().peekable();
+        for &job in active.iter() {
+            // `held` is a subset of `active` and both ascend, so a held job
+            // is at the front of `held` exactly when the walk reaches it.
+            let input = held.next_if(|&(j, _)| j == job);
+            let halted = matches!(input, Some((_, true)));
+            let mut quiet = input.is_none();
+            let rt = jobs.get(&job);
+            for (&id, &slot) in index.range(job_range(job)) {
+                let task = slots[slot as usize].as_mut().expect("indexed slot");
+                if task.down_until.is_some_and(|until| now < until) {
+                    if task.cpu_usage != 0.0 {
+                        task.cpu_usage = 0.0;
+                        dirty.insert(job);
+                    }
+                    quiet = false;
+                    continue;
                 }
-                continue;
-            }
-            if task.down_until.take().is_some() {
-                *down_count -= 1;
-                dirty.insert(id.job);
-            }
-            let Some(rt) = jobs.get(&id.job) else {
-                continue;
-            };
-            if paused(id.job) || rt.traffic.consumer_disabled(now) {
-                let memory = task.memory_usage_mb.max(400.0);
-                if task.cpu_usage != 0.0 || task.memory_usage_mb != memory {
-                    task.cpu_usage = 0.0;
-                    task.memory_usage_mb = memory;
-                    dirty.insert(id.job);
+                if task.down_until.take().is_some() {
+                    *down_count -= 1;
+                    dirty.insert(job);
+                    quiet = false;
                 }
-                continue;
-            }
-            if !container_cpu.contains_key(&task.container) {
-                // Host dead: task is effectively down.
-                if task.cpu_usage != 0.0 {
-                    task.cpu_usage = 0.0;
-                    dirty.insert(id.job);
+                let Some(rt) = rt else {
+                    continue;
+                };
+                if halted {
+                    let memory = task.memory_usage_mb.max(400.0);
+                    if task.cpu_usage != 0.0 || task.memory_usage_mb != memory {
+                        task.cpu_usage = 0.0;
+                        task.memory_usage_mb = memory;
+                        dirty.insert(job);
+                    }
+                    continue;
                 }
-                continue;
+                if !container_cpu.contains_key(&task.container) {
+                    // Host dead: task is effectively down. Hosts return
+                    // without an engine call, so the task is at rest only
+                    // if the normal path would then find nothing to
+                    // rewrite and nothing to kill.
+                    if task.cpu_usage != 0.0 {
+                        task.cpu_usage = 0.0;
+                        dirty.insert(job);
+                        quiet = false;
+                    } else {
+                        let usage = task.footprint_mb(rt);
+                        quiet &= task.memory_usage_mb == usage && !task.over_limit(usage);
+                    }
+                    continue;
+                }
+                let capacity =
+                    rt.true_per_thread_rate * task.threads as f64 * dt_secs * task.degradation;
+                let backlog: f64 = task
+                    .partitions
+                    .iter()
+                    .map(|p| {
+                        let ps = &rt.partitions[p.raw() as usize];
+                        ps.appended - ps.consumed
+                    })
+                    .sum();
+                let desired = backlog.min(capacity);
+                let cpu_cores = desired / (rt.true_per_thread_rate * dt_secs);
+                *demand.entry(task.container).or_default() += cpu_cores;
+                works.push(Work {
+                    id,
+                    slot,
+                    walk: walked.len() as u32,
+                    desired,
+                });
             }
-            let capacity =
-                rt.true_per_thread_rate * task.threads as f64 * dt_secs * task.degradation;
-            let backlog: f64 = task
-                .partitions
-                .iter()
-                .map(|p| {
-                    let ps = &rt.partitions[p.raw() as usize];
-                    ps.appended - ps.consumed
-                })
-                .sum();
-            let desired = backlog.min(capacity);
-            let cpu_cores = desired / (rt.true_per_thread_rate * dt_secs);
-            *demand.entry(task.container).or_default() += cpu_cores;
-            let _ = capacity;
-            works.push(Work { id, desired });
+            walked.push((job, quiet));
         }
 
         // Phase 3: contention factors per container.
@@ -554,15 +680,15 @@ impl Engine {
         // Phase 4: processing + memory + OOM.
         let mut outcome = TickOutcome::default();
         for work in works {
-            let slot = *index.get(&work.id).expect("collected above");
-            let task = slots[slot as usize].as_mut().expect("collected above");
+            let task = slots[work.slot as usize].as_mut().expect("collected above");
             let rt = jobs.get_mut(&work.id.job).expect("collected above");
             let f = factor.get(&task.container).copied().unwrap_or(1.0);
             let mut to_process = work.desired * f;
             let cpu_usage = to_process / (rt.true_per_thread_rate * dt_secs);
+            let mut changed = false;
             if task.cpu_usage != cpu_usage {
                 task.cpu_usage = cpu_usage;
-                dirty.insert(work.id.job);
+                changed = true;
             }
             if to_process > 0.0 {
                 // Consume proportionally to per-partition backlog.
@@ -588,30 +714,32 @@ impl Engine {
                     rt.window_processed += to_process;
                     *rt.window_per_task.entry(work.id).or_default() += to_process;
                     rt.durable_epoch += 1;
-                    dirty.insert(work.id.job);
+                    changed = true;
                 }
             }
-            // Memory model: footprint follows the processed rate, plus
-            // state for stateful jobs.
-            let rate = task.cpu_usage * rt.true_per_thread_rate;
-            let mut usage =
-                task_usage(rate, rt.avg_message_bytes, rt.true_per_thread_rate).memory_mb;
-            if rt.stateful {
-                let tasks_of_job =
-                    task.partitions.len().max(1) as f64 / rt.partitions.len().max(1) as f64;
-                usage += rt.key_cardinality * tasks_of_job * 1.0e-3;
-            }
+            let usage = task.footprint_mb(rt);
             if task.memory_usage_mb != usage {
                 task.memory_usage_mb = usage;
+                changed = true;
+            }
+            if changed {
                 dirty.insert(work.id.job);
             }
-            let enforced = matches!(
-                task.enforcement,
-                MemoryEnforcement::Cgroup | MemoryEnforcement::Jvm
-            );
-            if enforced && usage > task.reserved.memory_mb {
+            let oom = task.over_limit(usage);
+            if oom {
                 outcome.oom_kills.push(work.id);
                 rt.window_ooms += 1;
+            }
+            if changed || oom {
+                walked[work.walk as usize].1 = false;
+            }
+        }
+
+        // Settle every walked job that came through untouched and has
+        // nothing left to drain.
+        for (job, quiet) in walked {
+            if quiet && jobs.get(&job).is_none_or(|rt| rt.undrained == 0) {
+                active.remove(&job);
             }
         }
         outcome
@@ -848,14 +976,22 @@ impl Snap for Engine {
                 return Err(SnapError::Value("Engine duplicate task id"));
             }
         }
-        Ok(Engine {
+        let mut engine = Engine {
             jobs,
             tasks,
             down_count,
             dirty: r.get()?,
-        })
+            active: BTreeSet::new(),
+        };
+        // Settlements are not captured: walk everything once and let the
+        // first tick re-derive them.
+        engine.active = engine.all_job_ids();
+        Ok(engine)
     }
 }
+
+#[cfg(test)]
+mod settle_tests;
 
 #[cfg(test)]
 mod tests {

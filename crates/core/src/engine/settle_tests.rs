@@ -1,0 +1,288 @@
+//! The settled-job skip in [`Engine::tick`] against its oracle: the same
+//! engine forced (through `unsettle_all`) to walk every task on every
+//! tick, which is what the tick did before jobs could settle.
+
+use super::*;
+use proptest::prelude::*;
+use turbine_config::JobConfig;
+use turbine_taskmgr::TaskService;
+use turbine_workloads::{TrafficEvent, TrafficEventKind};
+
+const DT: Duration = Duration::from_secs(10);
+/// Registered jobs are `JobId(0..JOBS)`; `ORPHAN` only ever has tasks.
+const JOBS: u64 = 4;
+const ORPHAN: JobId = JobId(9);
+const CONTAINERS: u64 = 3;
+const PARTITIONS: u32 = 8;
+
+fn specs_of(job: JobId) -> Vec<TaskSpec> {
+    let mut config = JobConfig::stateless("settle", 1 + (job.raw() % 3) as u32, PARTITIONS);
+    if job.raw() == 1 {
+        // Busy tasks of this job outgrow their reservation and OOM.
+        config.memory_enforcement = MemoryEnforcement::Cgroup;
+        config.task_resources = Resources::cpu_mem(2.0, 405.0);
+    }
+    TaskService::generate_specs(job, &config)
+}
+
+/// One of the traffic shapes a job can be switched to at `now`. The
+/// windowed ones open and close between ticks with no engine call at
+/// either edge, so only the per-tick input check can catch them.
+fn traffic(shape: u8, now: SimTime) -> TrafficModel {
+    let window = |kind| TrafficEvent {
+        start: now + DT.mul(2),
+        end: now + DT.mul(9),
+        kind,
+    };
+    match shape % 5 {
+        0 => TrafficModel::flat(0.0),
+        1 => TrafficModel::flat(1.5e6),
+        2 => TrafficModel::diurnal(1.0e6, 0.4, 7),
+        3 => TrafficModel::flat(1.5e6).with_event(window(TrafficEventKind::InputOutage)),
+        _ => TrafficModel::flat(0.0).with_event(window(TrafficEventKind::ConsumerDisabled)),
+    }
+}
+
+fn encoded(engine: &Engine) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    w.put(engine);
+    w.into_bytes()
+}
+
+/// The skipping engine and its full-walk twin, driven in lockstep.
+struct Pair {
+    skip: Engine,
+    full: Engine,
+    now: SimTime,
+    paused: BTreeSet<JobId>,
+    container_cpu: HashMap<ContainerId, f64>,
+}
+
+impl Pair {
+    fn new(shapes: &[u8]) -> Pair {
+        let mut pair = Pair {
+            skip: Engine::new(),
+            full: Engine::new(),
+            now: SimTime::ZERO,
+            paused: BTreeSet::new(),
+            // Two cores per container: a few busy tasks contend.
+            container_cpu: (0..CONTAINERS).map(|c| (ContainerId(c), 2.0)).collect(),
+        };
+        for j in 0..JOBS {
+            let model = traffic(shapes[j as usize], SimTime::ZERO);
+            pair.both(|e| {
+                e.add_job(
+                    JobId(j),
+                    model.clone(),
+                    1.0e6,
+                    4096.0,
+                    PARTITIONS,
+                    j == 2,
+                    5.0e4,
+                )
+            });
+            for spec in specs_of(JobId(j)) {
+                let container = ContainerId((j + spec.id.index as u64) % CONTAINERS);
+                pair.both(|e| e.task_started(&spec, container, SimTime::ZERO, DT));
+            }
+        }
+        pair
+    }
+
+    fn both(&mut self, f: impl Fn(&mut Engine)) {
+        f(&mut self.skip);
+        f(&mut self.full);
+    }
+
+    /// The `b`-th task (mod count) `a`'s job would have, running or not.
+    fn spec(a: u8, b: u8) -> TaskSpec {
+        let job = if a as u64 % (JOBS + 1) == JOBS {
+            ORPHAN
+        } else {
+            JobId(a as u64 % JOBS)
+        };
+        let specs = specs_of(job);
+        specs[b as usize % specs.len()].clone()
+    }
+
+    fn apply(&mut self, (kind, a, b): (u8, u8, u8)) {
+        let now = self.now;
+        let job = JobId(a as u64 % JOBS);
+        let spec = Pair::spec(a, b);
+        let task = spec.id;
+        match kind {
+            0 => {
+                let was_paused = self.paused.remove(&job);
+                if !was_paused {
+                    self.paused.insert(job);
+                }
+            }
+            1 => {
+                let container = ContainerId(a as u64 % CONTAINERS);
+                let was_alive = self.container_cpu.remove(&container).is_some();
+                if !was_alive {
+                    self.container_cpu.insert(container, 2.0);
+                }
+            }
+            2 => self.both(|e| e.knock_down_task(task, now + DT.mul(b as u64 + 1))),
+            3 => self.both(|e| e.degrade_task(task, 0.25 * (b as f64 + 1.0))),
+            4 => self.both(|e| {
+                if let Some(rt) = e.job_mut(job) {
+                    let mut weights = vec![0.0; PARTITIONS as usize];
+                    weights[b as usize % PARTITIONS as usize] = 1.0;
+                    rt.partition_weights = weights;
+                }
+            }),
+            5 => {
+                if let Some(container) = self.skip.task(task).map(|t| t.container) {
+                    self.both(|e| e.task_stopped(task, container));
+                }
+            }
+            6 => {
+                let container = ContainerId(b as u64 % CONTAINERS);
+                self.both(|e| e.task_started(&spec, container, now, DT.mul(b as u64 % 3)));
+            }
+            7 => self.both(|e| {
+                if let Some(rt) = e.job_mut(job) {
+                    rt.traffic = traffic(b, now);
+                }
+            }),
+            8 if b == 0 => self.both(|e| e.remove_job(job)),
+            9 => self.both(|e| {
+                e.drain_window(job);
+            }),
+            _ => {}
+        }
+    }
+
+    /// Tick both engines and hold every observable output equal.
+    fn tick(&mut self) -> Result<(), TestCaseError> {
+        self.now += DT;
+        let paused = &self.paused;
+        let paused = |job: JobId| paused.contains(&job);
+        self.full.unsettle_all();
+        let skip = self.skip.tick(self.now, DT, &self.container_cpu, &paused);
+        let full = self.full.tick(self.now, DT, &self.container_cpu, &paused);
+        prop_assert_eq!(&skip.oom_kills, &full.oom_kills);
+        // OOM kills restart the way the platform restarts them.
+        let until = self.now + DT.mul(2);
+        for task in skip.oom_kills {
+            self.both(|e| e.knock_down_task(task, until));
+        }
+        prop_assert_eq!(self.skip.take_dirty(), self.full.take_dirty());
+        prop_assert!(
+            encoded(&self.skip) == encoded(&self.full),
+            "snapshot encodings diverged at {}",
+            self.now
+        );
+        prop_assert_eq!(self.skip.active_jobs(), self.full.active_jobs());
+        Ok(())
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Any interleaving of traffic shapes and windows, pauses, container
+    /// death and revival, knock-downs, degradation, weight edits and
+    /// start/stop churn: tick by tick, the skipping engine and the
+    /// full-walk engine return the same outcome, dirty the same jobs and
+    /// encode to the same bytes.
+    #[test]
+    fn skipping_settled_jobs_equals_walking_everything(
+        shapes in prop::collection::vec(0u8..5, JOBS as usize..JOBS as usize + 1),
+        // Two thirds of the steps only tick, so jobs get to settle between
+        // disturbances.
+        steps in prop::collection::vec((0u8..30, 0u8..10, 0u8..10), 60..160),
+    ) {
+        let mut pair = Pair::new(&shapes);
+        for step in steps {
+            pair.apply(step);
+            pair.tick()?;
+        }
+    }
+}
+
+fn quiet_tick(engine: &mut Engine, now: &mut SimTime) {
+    *now += DT;
+    let caps = HashMap::from([(ContainerId(0), 8.0)]);
+    engine.tick(*now, DT, &caps, &|_| false);
+}
+
+#[test]
+fn quiet_job_settles_until_a_mutation_or_its_own_traffic_wakes_it() {
+    let job = JobId(1);
+    let mut engine = Engine::new();
+    let mut now = SimTime::ZERO;
+    // Busy for the first 100 s only: the outage outlasts the test.
+    let outage = TrafficEvent {
+        start: SimTime::ZERO + DT.mul(10),
+        end: SimTime::ZERO + DT.mul(20),
+        kind: TrafficEventKind::InputOutage,
+    };
+    engine.add_job(
+        job,
+        TrafficModel::flat(1.0e6).with_event(outage),
+        1.0e6,
+        256.0,
+        PARTITIONS,
+        false,
+        0.0,
+    );
+    for spec in TaskService::generate_specs(job, &JobConfig::stateless("q", 2, PARTITIONS)) {
+        engine.task_started(&spec, ContainerId(0), now, Duration::ZERO);
+    }
+    for _ in 0..9 {
+        quiet_tick(&mut engine, &mut now);
+        assert_eq!(engine.active_jobs(), 1, "arrivals keep the job active");
+    }
+    // Outage: the backlog drains, usage falls to idle, then nothing moves.
+    for _ in 0..5 {
+        quiet_tick(&mut engine, &mut now);
+    }
+    assert_eq!(engine.active_jobs(), 0, "drained and idle: settled");
+    engine.take_dirty();
+    quiet_tick(&mut engine, &mut now);
+    assert!(engine.take_dirty().is_empty());
+    // A mutation re-activates it; with nothing to do it settles again.
+    engine.degrade_task(TaskId::new(job, 0), 0.5);
+    assert_eq!(engine.active_jobs(), 1);
+    quiet_tick(&mut engine, &mut now);
+    assert_eq!(engine.active_jobs(), 0);
+    // The outage ends between two ticks with no engine call: the per-tick
+    // rate check alone must wake the job.
+    while now < outage.end {
+        assert_eq!(engine.active_jobs(), 0);
+        quiet_tick(&mut engine, &mut now);
+    }
+    assert_eq!(engine.active_jobs(), 1, "traffic resumed");
+    assert!(engine.job(job).expect("job").total_arrived() > 9.0e7);
+    assert!(engine.take_dirty().contains(&job));
+}
+
+#[test]
+fn orphan_tasks_clear_their_restart_marker_and_then_settle() {
+    // Tasks whose job has no runtime (started before `add_job`, or left
+    // behind by a racing delete) are keyed into the active set by their
+    // own job id, so the walk still ends their restart.
+    let mut engine = Engine::new();
+    let mut now = SimTime::ZERO;
+    for spec in TaskService::generate_specs(ORPHAN, &JobConfig::stateless("o", 2, PARTITIONS)) {
+        engine.task_started(&spec, ContainerId(0), now, DT.mul(2));
+    }
+    assert_eq!(engine.down_count, 2);
+    assert!(!engine.is_quiescent_through(now, now + DT.mul(60)));
+    quiet_tick(&mut engine, &mut now);
+    assert_eq!(engine.down_count, 2, "still inside the restart delay");
+    quiet_tick(&mut engine, &mut now);
+    assert_eq!(engine.down_count, 0);
+    assert!(engine.is_quiescent_through(now, now + DT.mul(60)));
+    assert_eq!(engine.active_jobs(), 1, "the clearing tick changed state");
+    quiet_tick(&mut engine, &mut now);
+    assert_eq!(engine.active_jobs(), 0, "nothing left to change: settled");
+    // A new restart marker on a settled orphan is still honoured.
+    engine.knock_down_task(TaskId::new(ORPHAN, 1), now + DT);
+    assert_eq!((engine.down_count, engine.active_jobs()), (1, 1));
+    quiet_tick(&mut engine, &mut now);
+    assert_eq!(engine.down_count, 0);
+}

@@ -288,6 +288,10 @@ pub struct Turbine {
     pub(crate) capacity: CapacityManager,
     pub(crate) checkpoints: CheckpointStore,
     pub(crate) engine: Engine,
+    /// CPU capacity of every healthy container, as the engine tick takes
+    /// it, with the [`Cluster::generation`] it was built at. A derived
+    /// cache (not in the snapshot): rebuilt when the generation moves.
+    pub(crate) container_cpu: Option<(u64, HashMap<ContainerId, f64>)>,
     pub(crate) paused: BTreeSet<JobId>,
     pub(crate) capacity_stopped: BTreeSet<JobId>,
     /// In-flight state moves for stateful complex syncs: job → completion
@@ -381,6 +385,7 @@ impl Turbine {
             capacity,
             checkpoints: CheckpointStore::new(),
             engine: Engine::new(),
+            container_cpu: None,
             paused: BTreeSet::new(),
             capacity_stopped: BTreeSet::new(),
             state_moves: HashMap::new(),
@@ -1111,6 +1116,7 @@ impl Snap for Turbine {
             capacity: r.get()?,
             checkpoints: r.get()?,
             engine: r.get()?,
+            container_cpu: None,
             paused: r.get()?,
             capacity_stopped: r.get()?,
             state_moves: unsnap_hash(r)?,

@@ -157,6 +157,14 @@ impl Turbine {
             now,
             self.engine.total_tasks() as f64,
         );
+        // How many jobs the data-plane tick still walks (the rest are
+        // settled). Sampled after this instant's tick, so a restored run
+        // (which restarts with every job active) has re-settled by now.
+        ods.registry.publish_key(
+            MetricKey::platform("engine_active_jobs"),
+            now,
+            self.engine.active_jobs() as f64,
+        );
         ods.registry.publish_key(
             MetricKey::platform("total_backlog_bytes"),
             now,

@@ -10,6 +10,9 @@
 //! `config.tick`) while any job has backlog, a task is mid-restart, a
 //! fault is active, or crash injection is armed — and sparse-jumping the
 //! clock straight to the next due event when the fleet is quiescent.
+//! That jump is the coarse skip; the ticks that do execute skip every
+//! settled job on their own (see [`Engine::tick`]), so one busy job no
+//! longer makes the whole fleet pay for each of them.
 //!
 //! # Determinism contract
 //!
@@ -480,40 +483,49 @@ impl Turbine {
 
         // Data plane. Jobs whose input category is stalled receive
         // arrivals but process nothing — the dependency-failure shape the
-        // root-causer must recognize.
-        let stalled: BTreeSet<JobId> = self
-            .categories
-            .iter()
-            .filter(|(_, cat)| self.faults.is_active(&Fault::ScribeStall((*cat).clone())))
-            .map(|(&job, _)| job)
-            .collect();
-        let container_cpu: std::collections::HashMap<ContainerId, f64> = self
-            .cluster
-            .healthy_containers()
-            .into_iter()
-            .filter_map(|c| {
-                self.cluster
-                    .container_capacity(c)
-                    .ok()
-                    .map(|cap| (c, cap.cpu))
+        // root-causer must recognize. Built from the active stalls, so it
+        // costs nothing while no fault is active.
+        let stalled_categories: Vec<&str> = self
+            .faults
+            .active()
+            .filter_map(|fault| match fault {
+                Fault::ScribeStall(category) => Some(category.as_str()),
+                _ => None,
             })
             .collect();
+        let stalled: BTreeSet<JobId> = if stalled_categories.is_empty() {
+            BTreeSet::new()
+        } else {
+            self.categories
+                .iter()
+                .filter(|(_, category)| stalled_categories.contains(&category.as_str()))
+                .map(|(&job, _)| job)
+                .collect()
+        };
+        let generation = self.cluster.generation();
+        let container_cpu = match &mut self.container_cpu {
+            Some((built_at, map)) if *built_at == generation => &*map,
+            cache => {
+                let cluster = &self.cluster;
+                let map = cluster
+                    .healthy_containers()
+                    .into_iter()
+                    .filter_map(|c| cluster.container_capacity(c).ok().map(|cap| (c, cap.cpu)))
+                    .collect();
+                &cache.insert((generation, map)).1
+            }
+        };
         let paused = &self.paused;
         let stopped = &self.capacity_stopped;
         let outcome = self
             .engine
-            .tick(now, self.config.tick, &container_cpu, &|job| {
+            .tick(now, self.config.tick, container_cpu, &|job| {
                 paused.contains(&job) || stopped.contains(&job) || stalled.contains(&job)
             });
         for task in outcome.oom_kills {
             self.metrics.oom_kills.incr();
             self.metrics.task_restarts.incr();
-            if let Some((_, t)) = self
-                .engine
-                .tasks_of_job(task.job)
-                .find(|(&id, _)| id == task)
-            {
-                let container = t.container;
+            if let Some(container) = self.engine.task(task).map(|t| t.container) {
                 self.trace
                     .emit(now, TraceData::OomRestart { task, container });
             }

@@ -137,6 +137,62 @@ fn restore_mid_fault_window_matches_uninterrupted() {
     assert_restore_equivalence(30, 130, DriveMode::DenseTick);
 }
 
+/// Settled jobs are a derived cache the snapshot leaves out: a restore
+/// taken while a job is settled re-walks it once, settles it again, and
+/// from then on skips it exactly where the uninterrupted run does — across
+/// a host flap and the traffic edit that finally wakes the job.
+#[test]
+fn restore_mid_quiescence_then_wake_matches_uninterrupted() {
+    let quiet = JobId(4);
+    let series = turbine::MetricKey::platform("engine_active_jobs");
+    for mode in [DriveMode::EventDriven, DriveMode::DenseTick] {
+        let mut original = build();
+        original
+            .provision_job(
+                quiet,
+                JobConfig::stateless("snap_quiet", 3, 8),
+                TrafficModel::flat(0.0),
+                1.0e6,
+                256.0,
+            )
+            .expect("provision");
+        drive_to(&mut original, 20, mode);
+        assert_eq!(
+            original.engine().active_jobs(),
+            3,
+            "the drained job settled, the three busy ones never do"
+        );
+        let sick = original.cluster.hosts()[2];
+        original.fail_host(sick).expect("fail");
+        drive_to(&mut original, 25, mode);
+
+        let mut restored = Snapshot::capture(&original).restore().expect("restore");
+        assert_eq!(
+            restored.engine().active_jobs(),
+            4,
+            "restore forgets settlements"
+        );
+        for t in [&mut original, &mut restored] {
+            drive_to(t, 35, mode);
+            t.recover_host(sick).expect("recover");
+            drive_to(t, 45, mode);
+            t.with_job_traffic(quiet, |traffic| *traffic = TrafficModel::flat(2.0e6));
+            drive_to(t, 60, mode);
+            assert!(t.engine().job(quiet).expect("job").total_arrived() > 0.0);
+        }
+        assert_eq!(observe(&original), observe(&restored), "mode {mode:?}");
+        let gauge = |t: &Turbine| {
+            t.ods_registry()
+                .series_by_key(&series)
+                .expect("published every metrics round")
+                .points()
+                .to_vec()
+        };
+        assert_eq!(gauge(&original), gauge(&restored), "mode {mode:?}");
+        assert!(gauge(&original).iter().any(|&(_, active)| active == 3.0));
+    }
+}
+
 /// A snapshot round-trips through its on-disk blob form unchanged, and
 /// the blob carries its scenario context.
 #[test]
