@@ -97,4 +97,18 @@ echo "$fuzz_out" | tail -1
 echo "$fuzz_out" | grep -q "fuzz campaign: 200 cases, 0 oracle violations" \
     || { echo "fuzz smoke found oracle violations"; exit 1; }
 
+echo "== benchmark harness: self-tests + one short run per workload =="
+# benchmark/ is a package of its own that calls the product crates through
+# benchmark/src/adapter/; building and running it here makes an API change
+# that breaks the adapter fail CI, not the next performance change. The
+# runs are too short to measure anything: only `failed 0` is gated.
+cargo test -q --manifest-path benchmark/Cargo.toml
+cargo build --release --quiet --manifest-path benchmark/Cargo.toml
+for workload in steady_fleet quiet_fleet release_storm chaos_audit fuzz_sweep; do
+    ./benchmark/target/release/turbine-benchmark \
+        --workload "$workload" --seed 1 --seconds 2 --trace 0 \
+        | grep -E '^checks attempted [0-9]+ failed 0$' \
+        || { echo "benchmark workload $workload: failed checks (or did not run)"; exit 1; }
+done
+
 echo "CI OK"

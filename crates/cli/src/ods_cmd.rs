@@ -119,6 +119,15 @@ pub fn top_frame(scenario: &Scenario, turbine: &Turbine, minute: u64) -> String 
             (total as f64 - active).max(0.0),
         );
     }
+    // What the change-proportional control rounds did do, since the start
+    // of the run (or the restore it resumed from).
+    let _ = writeln!(
+        out,
+        "control: {} jobs rendered, {} managers reconciled, {} standbys examined",
+        turbine.tm_jobs_rendered(),
+        turbine.tm_managers_reconciled(),
+        turbine.standbys_examined(),
+    );
     out.push('\n');
     out.push_str(&turbine::fleet_health(turbine).render());
     out
@@ -185,6 +194,10 @@ mod tests {
         assert!(last.contains("job"), "{last}");
         assert!(last.lines().any(|l| l.starts_with("a ")), "{last}");
         assert!(last.contains("engine: 2 of 2 jobs active"), "{last}");
+        assert!(
+            last.contains(" managers reconciled, 0 standbys examined"),
+            "{last}"
+        );
         assert!(last.contains("fleet:"), "{last}");
     }
 }

@@ -471,15 +471,6 @@ impl Engine {
                 .all(|rt| rt.undrained == 0 && rt.traffic.idle_through(after, through))
     }
 
-    /// Last-tick resource usage of every task (for load aggregation and
-    /// utilization metrics).
-    pub fn task_usage_map(&self) -> HashMap<TaskId, Resources> {
-        self.tasks
-            .iter()
-            .map(|(&id, t)| (id, Resources::cpu_mem(t.cpu_usage, t.memory_usage_mb)))
-            .collect()
-    }
-
     /// Force a task into restart (crash injection, container reboot).
     pub fn knock_down_task(&mut self, task: TaskId, until: SimTime) {
         if let Some(t) = self.tasks.get_mut(task) {

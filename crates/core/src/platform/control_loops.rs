@@ -11,9 +11,10 @@ use crate::metrics::DiagnosisRecord;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use turbine_autoscaler::{DiagnosisInput, JobMetrics, Mitigation, ScalingAction};
 use turbine_config::{ConfigLevel, JobConfig, ResiliencyClass};
+use turbine_jobstore::{JobService, MemWal};
 use turbine_shardmgr::{ContainerStatus, ShardMovement};
 use turbine_statesyncer::{Redistribute, SyncEnvironment};
-use turbine_taskmgr::{LocalTaskManager, TaskEvent, TaskService};
+use turbine_taskmgr::{LocalTaskManager, RunningJobs, TaskEvent, TaskService};
 use turbine_trace::TraceData;
 use turbine_types::{ContainerId, Duration, JobId, PartitionId, Resources, SimTime};
 
@@ -21,8 +22,6 @@ impl Turbine {
     /// Heartbeats + proactive reboot of disconnected containers.
     pub(crate) fn heartbeat_round(&mut self) {
         let now = self.now;
-        let healthy: BTreeSet<ContainerId> =
-            self.cluster.healthy_containers().into_iter().collect();
         // Proactive reboots first.
         let due_reboot: Vec<ContainerId> = self
             .severed
@@ -65,7 +64,7 @@ impl Turbine {
         }
         let containers: Vec<ContainerId> = self.task_managers.keys().copied().collect();
         for container in containers {
-            if healthy.contains(&container)
+            if self.cluster.is_container_healthy(container)
                 && !self.severed.contains_key(&container)
                 && self.shard_manager.heartbeat(container, now)
             {
@@ -242,12 +241,22 @@ impl Turbine {
         if registrations.is_empty() && critical.is_empty() {
             return;
         }
-        let mut tasks_on: BTreeMap<ContainerId, usize> = BTreeMap::new();
+        // Primary tasks and owned shards per container. Neither the
+        // engine's tasks nor the shard map move inside this round (it only
+        // edits standby registrations), so one walk of each serves every
+        // job examined below.
+        let mut load_on: BTreeMap<ContainerId, (usize, usize)> = BTreeMap::new();
         for (_, task) in self.engine.tasks() {
-            *tasks_on.entry(task.container).or_insert(0) += 1;
+            load_on.entry(task.container).or_default().0 += 1;
         }
+        for &container in self.shard_manager.assignment().values() {
+            load_on.entry(container).or_default().1 += 1;
+        }
+        let tasks_on = |c: ContainerId| load_on.get(&c).map_or(0, |&(tasks, _)| tasks);
         for (job, standby) in registrations {
-            let mut valid = critical.contains(&job)
+            self.standbys_examined += 1;
+            // `critical` is in job order (it was read off an ordered map).
+            let mut valid = critical.binary_search(&job).is_ok()
                 && self.shard_manager.status(standby) == Some(ContainerStatus::Alive)
                 && self.cluster.is_container_healthy(standby)
                 && !self.severed.contains_key(&standby)
@@ -256,9 +265,9 @@ impl Turbine {
             // once an idle container is available: co-residency couples
             // the standby's fate to other jobs' faults. With no idle
             // candidate the busy placement stands — better than none.
-            if valid && tasks_on.get(&standby).copied().unwrap_or(0) > 0 {
-                if let Some(better) = self.pick_standby(job) {
-                    if tasks_on.get(&better).copied().unwrap_or(0) == 0 {
+            if valid && tasks_on(standby) > 0 {
+                if let Some(better) = self.pick_standby(job, &load_on) {
+                    if tasks_on(better) == 0 {
                         valid = false;
                     }
                 }
@@ -287,7 +296,8 @@ impl Turbine {
             {
                 continue;
             }
-            if let Some(container) = self.pick_standby(job) {
+            self.standbys_examined += 1;
+            if let Some(container) = self.pick_standby(job, &load_on) {
                 self.shard_manager.set_standby(job, container);
                 self.pending_dirty.standby = true;
                 self.trace
@@ -312,22 +322,21 @@ impl Turbine {
     /// running the fewest primary tasks (across all jobs) win — an idle
     /// container keeps the standby's failure domain decoupled from other
     /// jobs' faults — then fewest owned shards, then the lowest id.
-    fn pick_standby(&self, job: JobId) -> Option<ContainerId> {
-        let healthy: BTreeSet<ContainerId> =
-            self.cluster.healthy_containers().into_iter().collect();
+    /// `load_on` holds both counts per container.
+    fn pick_standby(
+        &self,
+        job: JobId,
+        load_on: &BTreeMap<ContainerId, (usize, usize)>,
+    ) -> Option<ContainerId> {
         let mut primary_hosts = BTreeSet::new();
         for (_, task) in self.engine.tasks_of_job(job) {
             if let Ok(host) = self.cluster.host_of(task.container) {
                 primary_hosts.insert(host);
             }
         }
-        let mut tasks_on: BTreeMap<ContainerId, usize> = BTreeMap::new();
-        for (_, task) in self.engine.tasks() {
-            *tasks_on.entry(task.container).or_insert(0) += 1;
-        }
         let mut best: Option<((usize, usize), ContainerId)> = None;
         for &container in self.task_managers.keys() {
-            if !healthy.contains(&container)
+            if !self.cluster.is_container_healthy(container)
                 || self.severed.contains_key(&container)
                 || self.shard_manager.status(container) != Some(ContainerStatus::Alive)
             {
@@ -339,10 +348,7 @@ impl Turbine {
             if primary_hosts.contains(&host) {
                 continue;
             }
-            let load = (
-                tasks_on.get(&container).copied().unwrap_or(0),
-                self.shard_manager.shards_of(container).len(),
-            );
+            let load = load_on.get(&container).copied().unwrap_or_default();
             let better = match best {
                 None => true,
                 Some((best_load, best_id)) => {
@@ -365,8 +371,6 @@ impl Turbine {
             return;
         }
         let now = self.now;
-        let healthy: BTreeSet<ContainerId> =
-            self.cluster.healthy_containers().into_iter().collect();
         let open: Vec<JobId> = self.outages.keys().copied().collect();
         for job in open {
             if self.engine.job(job).is_none() {
@@ -381,13 +385,12 @@ impl Turbine {
                 continue;
             };
             let want = config.task_count as usize;
-            let severed = &self.severed;
             let up = self
                 .engine
                 .tasks_of_job(job)
                 .filter(|(_, t)| {
-                    healthy.contains(&t.container)
-                        && !severed.contains_key(&t.container)
+                    self.cluster.is_container_healthy(t.container)
+                        && !self.severed.contains_key(&t.container)
                         && t.down_until.is_none_or(|u| now >= u)
                 })
                 .count();
@@ -411,29 +414,57 @@ impl Turbine {
         }
     }
 
-    /// Task Manager snapshot refresh from the Task Service.
+    /// Task Manager snapshot refresh from the Task Service. The service
+    /// follows the Job Store change log, so an expiry that finds nothing
+    /// changed hands back the snapshot the managers already hold, and a
+    /// manager holding it has nothing to reconcile: the round then costs
+    /// one identity test per container.
     pub(crate) fn tm_refresh_round(&mut self) {
-        let now = self.now;
+        /// The Job Store's running table as the Task Service reads it.
+        struct Running<'a> {
+            jobs: &'a JobService<MemWal>,
+            paused: &'a BTreeSet<JobId>,
+            stopped: &'a BTreeSet<JobId>,
+        }
+        impl RunningJobs for Running<'_> {
+            fn changelog_len(&self) -> u64 {
+                self.jobs.store().changelog_len()
+            }
+            fn changed_since(&self, cursor: u64) -> &[JobId] {
+                self.jobs.store().changed_since(cursor)
+            }
+            fn running_jobs(&self) -> Vec<JobId> {
+                self.jobs.store().running_jobs()
+            }
+            fn running_token(&self, job: JobId) -> u64 {
+                self.jobs.store().running_token(job)
+            }
+            fn running_config(&self, job: JobId) -> Option<JobConfig> {
+                self.jobs.running_typed(job)
+            }
+            fn excluded(&self) -> BTreeSet<JobId> {
+                self.paused.union(self.stopped).copied().collect()
+            }
+        }
         // Snapshot (cached and indexed inside the Task Service for its
         // TTL; Task Managers share it by reference).
-        let jobs = &self.jobs;
-        let paused = &self.paused;
-        let stopped = &self.capacity_stopped;
-        let snapshot = self.task_service.snapshot(now, || {
-            jobs.store()
-                .running_jobs()
-                .into_iter()
-                .filter(|j| !paused.contains(j) && !stopped.contains(j))
-                .filter_map(|j| jobs.running_typed(j).map(|c| (j, c)))
-                .collect()
-        });
-        let healthy: BTreeSet<ContainerId> =
-            self.cluster.healthy_containers().into_iter().collect();
-        let containers: Vec<ContainerId> = self.task_managers.keys().copied().collect();
-        for container in containers {
-            if !healthy.contains(&container) {
-                continue;
-            }
+        let snapshot = self.task_service.snapshot(
+            self.now,
+            &Running {
+                jobs: &self.jobs,
+                paused: &self.paused,
+                stopped: &self.capacity_stopped,
+            },
+        );
+        // In container-id order, as ever: the order of the task events.
+        let due: Vec<ContainerId> = self
+            .task_managers
+            .iter()
+            .filter(|(&c, tm)| !tm.holds(&snapshot) && self.cluster.is_container_healthy(c))
+            .map(|(&c, _)| c)
+            .collect();
+        self.tm_managers_reconciled += due.len() as u64;
+        for container in due {
             let events = self
                 .task_managers
                 .get_mut(&container)
@@ -587,7 +618,6 @@ impl Turbine {
             }
             return;
         }
-        let usage = self.engine.task_usage_map();
         for job in self.engine.job_ids() {
             if self.paused.contains(&job)
                 || self.capacity_stopped.contains(&job)
@@ -676,8 +706,6 @@ impl Turbine {
             let mut action = decision.action;
             let mut diagnose = false;
             if lagging {
-                let window = now.since(self.last_scaler_drain).as_secs_f64().max(1.0);
-                let _ = window;
                 // Hardware diagnosis needs a *stable* measurement window:
                 // a task (re)started mid-window shows a near-zero rate and
                 // would be misdiagnosed as a sick host.
@@ -739,7 +767,6 @@ impl Turbine {
                 self.trace.pop_cause();
             }
         }
-        let _ = usage;
     }
 
     /// Per-task processing rates over the last scaler window.
@@ -889,12 +916,17 @@ impl Turbine {
     /// Shard Manager sees the same load map either way.
     pub(crate) fn load_report_round(&mut self) {
         self.drain_engine_dirty();
-        let usage = self.engine.task_usage_map();
+        let engine = &self.engine;
+        let usage = |id| {
+            engine
+                .task(id)
+                .map(|t| Resources::cpu_mem(t.cpu_usage, t.memory_usage_mb))
+        };
         if self.config.sparse_data_plane {
             let jobs = std::mem::take(&mut self.load_dirty_jobs);
             let mut containers = std::mem::take(&mut self.load_dirty_containers);
             for job in jobs {
-                for (_, task) in self.engine.tasks_of_job(job) {
+                for (_, task) in engine.tasks_of_job(job) {
                     containers.insert(task.container);
                 }
             }
@@ -903,7 +935,7 @@ impl Turbine {
                 let Some(tm) = self.task_managers.get(&container) else {
                     continue;
                 };
-                for (shard, load) in tm.aggregate_shard_loads(&usage) {
+                for (shard, load) in tm.aggregate_shard_loads(usage) {
                     self.shard_manager.report_load(shard, load);
                 }
             }
@@ -912,7 +944,7 @@ impl Turbine {
                 .load_reports_sent
                 .add(self.task_managers.len() as u64);
             for tm in self.task_managers.values() {
-                for (shard, load) in tm.aggregate_shard_loads(&usage) {
+                for (shard, load) in tm.aggregate_shard_loads(usage) {
                     self.shard_manager.report_load(shard, load);
                 }
             }
@@ -935,14 +967,6 @@ impl Turbine {
 
     /// One Capacity Manager evaluation round.
     pub(crate) fn capacity_round(&mut self) {
-        let total_reserved: Resources = self
-            .jobs
-            .store()
-            .running_jobs()
-            .into_iter()
-            .filter_map(|j| self.jobs.running_typed(j))
-            .map(|c| c.task_resources.scale(c.task_count as f64))
-            .sum();
         let job_list: Vec<(JobId, turbine_types::Priority, Resources)> = self
             .jobs
             .store()
@@ -954,6 +978,7 @@ impl Turbine {
                     .map(|c| (j, c.priority, c.task_resources.scale(c.task_count as f64)))
             })
             .collect();
+        let total_reserved: Resources = job_list.iter().map(|&(_, _, reserved)| reserved).sum();
         self.capacity
             .register_cluster("primary", self.cluster.total_healthy_capacity());
         let directive = self.capacity.evaluate("primary", total_reserved, &job_list);
@@ -1029,11 +1054,10 @@ impl Turbine {
             .record(now, self.engine.total_tasks() as f64);
 
         // Host utilization bands.
-        let usage = self.engine.task_usage_map();
         let mut per_container: HashMap<ContainerId, Resources> = HashMap::new();
-        for (id, task) in self.engine.tasks() {
-            let u = usage.get(id).copied().unwrap_or(Resources::ZERO);
-            *per_container.entry(task.container).or_default() += u;
+        for (_, task) in self.engine.tasks() {
+            *per_container.entry(task.container).or_default() +=
+                Resources::cpu_mem(task.cpu_usage, task.memory_usage_mb);
         }
         let mut cpu_samples = Vec::new();
         let mut mem_samples = Vec::new();

@@ -127,9 +127,10 @@ impl Turbine {
             }
             FaultTransition::Cleared(Fault::TaskServiceDown)
             | FaultTransition::Cleared(Fault::JobStoreDown) => {
-                // Force the next refresh to rebuild a fresh snapshot
-                // instead of serving the stale cached one.
-                self.task_service.invalidate();
+                // The service comes back having kept nothing: the next
+                // refresh builds a fresh snapshot in full instead of
+                // serving (or patching) the stale cached one.
+                self.task_service.restart();
             }
             _ => {}
         }

@@ -344,6 +344,17 @@ pub struct Turbine {
     pub(crate) resiliency_cache: BTreeMap<JobId, ResiliencyClass>,
     /// How much of the changelog the resiliency cache has consumed.
     pub(crate) resiliency_cursor: u64,
+    /// Task Managers that reconciled in a refresh round (the rest were
+    /// handed the snapshot they already held). This and
+    /// `standbys_examined` count work, not state: the first refresh after
+    /// a restore reconciles everyone, so a restored run counts more than
+    /// an uninterrupted one. They are therefore kept out of the snapshot,
+    /// the fingerprint and the ODS registry, and start from zero after a
+    /// restore.
+    pub(crate) tm_managers_reconciled: u64,
+    /// Standby registrations checked plus placements attempted by the
+    /// fail-over check's standby upkeep.
+    pub(crate) standbys_examined: u64,
     /// The control-plane schedule: per-component cadences plus the event
     /// queue the event-driven drive loop runs on.
     pub(crate) sched: ControlSchedule,
@@ -414,6 +425,8 @@ impl Turbine {
             load_dirty_containers: BTreeSet::new(),
             resiliency_cache: BTreeMap::new(),
             resiliency_cursor: 0,
+            tm_managers_reconciled: 0,
+            standbys_examined: 0,
             sched: ControlSchedule::new(&config),
             last_scaler_drain: SimTime::ZERO,
             ods: ods::OdsState::default(),
@@ -449,6 +462,28 @@ impl Turbine {
     /// Read access to the data-plane engine.
     pub fn engine(&self) -> &Engine {
         &self.engine
+    }
+
+    /// Task Managers that had to reconcile in a refresh round, summed
+    /// since construction or restore. A converged fleet adds nothing: every
+    /// manager is handed the snapshot it already holds. This and the two
+    /// counters below measure work done, so a restored run and an
+    /// uninterrupted one disagree on them; they are in neither the
+    /// snapshot, the fingerprint nor the ODS registry.
+    pub fn tm_managers_reconciled(&self) -> u64 {
+        self.tm_managers_reconciled
+    }
+
+    /// Jobs the Task Service rendered specs for: the whole fleet on a full
+    /// build, only the changed jobs afterwards.
+    pub fn tm_jobs_rendered(&self) -> u64 {
+        self.task_service.jobs_rendered()
+    }
+
+    /// Standby registrations checked plus placements attempted by the
+    /// fail-over check.
+    pub fn standbys_examined(&self) -> u64 {
+        self.standbys_examined
     }
 
     /// Jobs currently paused for a complex synchronization.
@@ -1141,6 +1176,8 @@ impl Snap for Turbine {
             load_dirty_containers: r.get()?,
             resiliency_cache: r.get()?,
             resiliency_cursor: r.u64("Turbine.resiliency_cursor")?,
+            tm_managers_reconciled: 0,
+            standbys_examined: 0,
             sched: r.get()?,
             last_scaler_drain: r.get()?,
             ods: r.get()?,

@@ -585,13 +585,11 @@ impl Turbine {
         // Containers whose local state is authoritative: healthy host
         // and an intact Shard Manager connection. A dead or partitioned
         // container legitimately holds stale state until it rejoins.
-        let healthy: BTreeSet<ContainerId> =
-            self.cluster.healthy_containers().into_iter().collect();
         let live_containers: BTreeSet<ContainerId> = self
             .task_managers
             .keys()
             .copied()
-            .filter(|c| healthy.contains(c) && !self.severed.contains_key(c))
+            .filter(|&c| self.cluster.is_container_healthy(c) && !self.severed.contains_key(&c))
             .collect();
         let quiet_since = (!self.faults.any_active())
             .then(|| self.faults.last_transition().unwrap_or(SimTime::ZERO));

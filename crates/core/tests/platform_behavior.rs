@@ -542,3 +542,51 @@ fn root_causer_moves_a_task_off_a_sick_host() {
         "job must recover after the move: {status:?}"
     );
 }
+
+/// Task Manager refresh costs what changed, not the fleet: once a fleet
+/// has converged, a hundred refresh rounds render no job and reconcile no
+/// manager, and one oncall write renders exactly the job it names. A
+/// critical job's standby is still examined every fail-over check.
+#[test]
+fn converged_fleet_refreshes_without_rendering_or_reconciling() {
+    let mut config = TurbineConfig::default();
+    config.scaler_enabled = false;
+    let mut t = Turbine::new(config);
+    t.add_hosts(6, host_caps());
+    for j in 1..=8u64 {
+        let mut job = JobConfig::stateless(&format!("steady_{j}"), 3, 16);
+        if j == 8 {
+            job.resiliency = turbine_config::ResiliencyClass::Critical;
+        }
+        t.provision_job(JobId(j), job, TrafficModel::flat(1.0e6), 1.0e6, 256.0)
+            .expect("provision");
+    }
+    // First sync, first full build, everyone reconciles, standby placed.
+    t.run_for(Duration::from_mins(5));
+    assert_eq!(t.tm_jobs_rendered(), 8, "one full build of eight jobs");
+    assert_eq!(t.tm_managers_reconciled(), 6, "each manager once");
+    assert!(t.standby_of(JobId(8)).is_some());
+
+    let examined = t.standbys_examined();
+    t.run_for(Duration::from_mins(100));
+    assert_eq!(t.tm_jobs_rendered(), 8, "100 rounds, nothing rendered");
+    assert_eq!(
+        t.tm_managers_reconciled(),
+        6,
+        "100 rounds, nobody reconciled"
+    );
+    assert_eq!(
+        t.standbys_examined() - examined,
+        600,
+        "one registration, every 10 s fail-over check"
+    );
+
+    // Pin one job's package version: the syncer commits it, the next
+    // fetch renders that job alone, and every manager sees a new snapshot.
+    t.oncall_set(JobId(3), "package.version", ConfigValue::Int(7))
+        .expect("oncall");
+    t.run_for(Duration::from_mins(5));
+    assert_eq!(t.tm_jobs_rendered(), 9, "exactly the job that changed");
+    assert_eq!(t.tm_managers_reconciled(), 12, "one new snapshot");
+    assert_eq!(t.metrics.task_restarts.get(), 3, "its three tasks");
+}

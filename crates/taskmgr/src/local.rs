@@ -3,7 +3,7 @@
 
 use crate::snapshot::TaskSnapshot;
 use crate::spec::TaskSpec;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use turbine_types::{ContainerId, Resources, ShardId, TaskId};
 
@@ -93,11 +93,28 @@ impl LocalTaskManager {
             .is_some()
     }
 
+    /// True if `snapshot` is the very snapshot this manager holds (the
+    /// same allocation, not an equal one), in which case
+    /// [`LocalTaskManager::refresh`] with it does nothing.
+    pub fn holds(&self, snapshot: &Arc<TaskSnapshot>) -> bool {
+        Arc::ptr_eq(&self.snapshot, snapshot)
+    }
+
     /// Periodic refresh (production: every 60 s): absorb the latest full
     /// snapshot from the Task Service and reconcile the tasks this
     /// container should run. Returns the lifecycle events performed.
+    ///
+    /// `add_shard` and `drop_shard` reconcile on the spot, so the manager
+    /// is always reconciled against the snapshot it holds and the shards
+    /// it owns. Being handed the snapshot it already holds therefore
+    /// changes nothing, and is answered without walking anything. A
+    /// snapshot is immutable, so identity is a sound test; a restored
+    /// manager decodes a copy of its own and reconciles in full once.
     pub fn refresh(&mut self, snapshot: Arc<TaskSnapshot>) -> Vec<TaskEvent> {
         debug_assert_eq!(snapshot.shard_count(), self.shard_count);
+        if self.holds(&snapshot) {
+            return Vec::new();
+        }
         self.snapshot = snapshot;
         self.reconcile()
     }
@@ -166,12 +183,13 @@ impl LocalTaskManager {
     }
 
     /// The load-aggregator thread's output: per-owned-shard sums of the
-    /// supplied per-task resource usage (reported to the Shard Manager
-    /// every ~10 min). Tasks without a usage sample contribute their
-    /// reservation, so new tasks are not invisible to balancing.
+    /// per-task resource usage `task_usage` looks up (reported to the
+    /// Shard Manager every ~10 min). Tasks without a usage sample
+    /// contribute their reservation, so new tasks are not invisible to
+    /// balancing.
     pub fn aggregate_shard_loads(
         &self,
-        task_usage: &HashMap<TaskId, Resources>,
+        task_usage: impl Fn(TaskId) -> Option<Resources>,
     ) -> Vec<(ShardId, Resources)> {
         let mut loads: BTreeMap<ShardId, Resources> = self
             .owned_shards
@@ -179,7 +197,7 @@ impl LocalTaskManager {
             .map(|&s| (s, Resources::ZERO))
             .collect();
         for (id, (shard, spec)) in &self.running {
-            let usage = task_usage.get(id).copied().unwrap_or(spec.reserved);
+            let usage = task_usage(*id).unwrap_or(spec.reserved);
             if let Some(slot) = loads.get_mut(shard) {
                 *slot += usage;
             }
@@ -234,6 +252,7 @@ mod tests {
     use super::*;
     use crate::mapping::shard_of_task;
     use crate::service::TaskService;
+    use std::collections::HashMap;
     use turbine_config::JobConfig;
     use turbine_types::JobId;
 
@@ -363,8 +382,59 @@ mod tests {
         let mut tm = LocalTaskManager::new(ContainerId(0), SHARDS);
         all_shards(&mut tm);
         tm.refresh(snap.clone());
+        assert!(tm.holds(&snap));
         let events = tm.refresh(snap);
         assert!(events.is_empty(), "no churn without changes: {events:?}");
+        // An equal snapshot in another allocation is not the one held: it
+        // is reconciled against, and that finds nothing to do either.
+        let equal = snapshot_for(&[(1, 4)]);
+        assert!(!tm.holds(&equal));
+        assert!(tm.refresh(equal).is_empty());
+    }
+
+    /// The identity skip against a twin that always reconciles (it is
+    /// handed an equal snapshot in a fresh allocation every time): across
+    /// shard moves, repeated refreshes and snapshot changes the two
+    /// perform the same events and run the same tasks.
+    #[test]
+    fn skipping_by_identity_equals_always_reconciling() {
+        let shapes: [&[(u64, u32)]; 4] = [
+            &[(1, 4), (2, 3)],
+            &[(1, 4), (2, 3), (3, 5)],
+            &[(1, 2), (3, 5)],
+            &[],
+        ];
+        let running = |tm: &LocalTaskManager| -> Vec<(TaskId, Arc<TaskSpec>)> {
+            tm.running_tasks().map(|(id, s)| (*id, s.clone())).collect()
+        };
+        let mut skip = LocalTaskManager::new(ContainerId(0), SHARDS);
+        let mut twin = LocalTaskManager::new(ContainerId(0), SHARDS);
+        let mut shape = shapes[0];
+        let mut served = snapshot_for(shape);
+        let mut skipped = 0;
+        // A fixed walk through every kind of step, long enough to meet
+        // each snapshot with several shard sets.
+        for step in 0..240u64 {
+            let shard = ShardId(step * 7 % SHARDS);
+            let (a, b) = match step % 6 {
+                0 | 1 => (skip.add_shard(shard), twin.add_shard(shard)),
+                2 => (skip.drop_shard(shard), twin.drop_shard(shard)),
+                _ => {
+                    if step % 6 == 3 && step % 4 == 1 {
+                        shape = shapes[(step / 12 % 4) as usize];
+                        served = snapshot_for(shape);
+                    }
+                    skipped += skip.holds(&served) as u32;
+                    (
+                        skip.refresh(served.clone()),
+                        twin.refresh(snapshot_for(shape)),
+                    )
+                }
+            };
+            assert_eq!(a, b, "events diverged at step {step}");
+            assert_eq!(running(&skip), running(&twin), "tasks at step {step}");
+        }
+        assert!(skipped > 60, "the walk takes the skip ({skipped} times)");
     }
 
     #[test]
@@ -432,7 +502,7 @@ mod tests {
         let mut usage = HashMap::new();
         let sampled_task = *tm.running_tasks().next().expect("task").0;
         usage.insert(sampled_task, Resources::cpu_mem(2.0, 100.0));
-        let loads = tm.aggregate_shard_loads(&usage);
+        let loads = tm.aggregate_shard_loads(|id| usage.get(&id).copied());
         assert_eq!(loads.len(), SHARDS as usize);
         let total_cpu: f64 = loads.iter().map(|(_, r)| r.cpu).sum();
         // 7 tasks fall back to their 1.0-cpu reservation + 1 sampled at 2.0.

@@ -1,20 +1,68 @@
 //! The Task Service (paper §IV): expands running job configurations into
 //! task specs and serves cached, indexed snapshots of the full list.
+//!
+//! A fetch (cache expiry or [`TaskService::invalidate`]) does work in
+//! proportion to what changed since the fetch before it. The service
+//! remembers the change-log position, the exclusion set and the per-job
+//! running tokens its cached snapshot was built from, and renders again
+//! only the jobs that differ; every other job keeps its `Arc<TaskSpec>`s.
+//! When nothing differs it hands out the *same* `Arc<TaskSnapshot>`, which
+//! is what lets a Task Manager skip its reconcile by identity. One full
+//! build remains as the fallback: the first fetch, a fetch after a restore
+//! or [`TaskService::restart`], and a change-log cursor that cannot bound a
+//! delta.
 
 use crate::snapshot::TaskSnapshot;
 use crate::spec::TaskSpec;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use turbine_config::JobConfig;
 use turbine_types::{Duration, JobId, ShardId, SimTime, TaskId};
 
-/// The Task Service. Holds no job state of its own — it reads the Job
-/// Store's *running* table (supplied by the caller, keeping the dependency
-/// direction clean) and caches the generated snapshot for its TTL
-/// (production: 90 s). The cache TTL is one term of the paper's end-to-end
-/// scheduling latency: cache expiry (≤90 s) + State Syncer round (≤30 s) +
-/// Task Manager refresh (≤60 s) ⇒ 1–2 minutes on average for a cluster-wide
-/// update.
+/// What a fetch reads of the running job table. The Task Service holds no
+/// job state of its own and does not know the Job Store: the caller
+/// presents the store's *running* table through this view (keeping the
+/// dependency direction clean), together with the jobs that must not run
+/// although they have a running configuration.
+pub trait RunningJobs {
+    /// Length of the table's change log now: the cursor a reader holds
+    /// once it has consumed everything so far.
+    fn changelog_len(&self) -> u64;
+    /// Jobs whose rows changed since `cursor`; a job may repeat.
+    fn changed_since(&self, cursor: u64) -> &[JobId];
+    /// Every job with a running configuration, ascending.
+    fn running_jobs(&self) -> Vec<JobId>;
+    /// Change token of a job's running row: moves on every commit or
+    /// clear of that row and on nothing else.
+    fn running_token(&self, job: JobId) -> u64;
+    /// The running (not expected!) configuration of a job — tasks always
+    /// run what the State Syncer committed. `None` if the row is absent or
+    /// does not decode.
+    fn running_config(&self, job: JobId) -> Option<JobConfig>;
+    /// Jobs whose tasks must be absent from the snapshot for now (paused
+    /// for a complex synchronization, stopped for capacity).
+    fn excluded(&self) -> BTreeSet<JobId>;
+}
+
+/// What the cached snapshot was built from. Derived, never snapshotted:
+/// without it the next fetch is a full build.
+#[derive(Debug)]
+struct Basis {
+    /// Change-log position the cached snapshot is current to.
+    cursor: u64,
+    /// The exclusion set it was built with.
+    excluded: BTreeSet<JobId>,
+    /// Per job with specs in it: the running token they were rendered
+    /// from, and how many there are.
+    rendered: HashMap<JobId, (u64, u32)>,
+}
+
+/// The Task Service. Holds no job state of its own — it reads the running
+/// job table through [`RunningJobs`] and caches the generated snapshot for
+/// its TTL (production: 90 s). The cache TTL is one term of the paper's
+/// end-to-end scheduling latency: cache expiry (≤90 s) + State Syncer round
+/// (≤30 s) + Task Manager refresh (≤60 s) ⇒ 1–2 minutes on average for a
+/// cluster-wide update.
 #[derive(Debug)]
 pub struct TaskService {
     ttl: Duration,
@@ -23,6 +71,12 @@ pub struct TaskService {
     cached_at: Option<SimTime>,
     /// Permanent MD5 task→shard memo (task identity never changes).
     shard_cache: HashMap<TaskId, ShardId>,
+    basis: Option<Basis>,
+    /// Jobs rendered since construction or restore. A cost counter, not
+    /// state: it differs between a restored and an uninterrupted run (the
+    /// first fetch after a restore is a full build), so it is not
+    /// snapshotted.
+    jobs_rendered: u64,
 }
 
 impl TaskService {
@@ -39,41 +93,147 @@ impl TaskService {
             cached: Arc::new(TaskSnapshot::default()),
             cached_at: None,
             shard_cache: HashMap::new(),
+            basis: None,
+            jobs_rendered: 0,
         }
     }
 
-    /// The full indexed snapshot at `now`. `fetch_running_jobs` is invoked
-    /// only when the cache has expired; it should return the running (not
-    /// expected!) configuration of every job — tasks always run what the
-    /// State Syncer committed.
-    pub fn snapshot(
-        &mut self,
-        now: SimTime,
-        fetch_running_jobs: impl FnOnce() -> Vec<(JobId, JobConfig)>,
-    ) -> Arc<TaskSnapshot> {
+    /// The full indexed snapshot at `now`. `jobs` is read only when the
+    /// cache has expired, so a change made between two fetches stays
+    /// invisible until the next one. A fetch that finds nothing changed
+    /// returns the `Arc` it returned before.
+    pub fn snapshot(&mut self, now: SimTime, jobs: &impl RunningJobs) -> Arc<TaskSnapshot> {
         let stale = match self.cached_at {
             None => true,
             Some(at) => now.since(at) >= self.ttl,
         };
         if stale {
-            let mut specs = Vec::new();
-            for (job, config) in fetch_running_jobs() {
-                specs.extend(Self::generate_specs(job, &config));
-            }
-            self.cached = Arc::new(TaskSnapshot::build(
-                specs,
-                self.shard_count,
-                &mut self.shard_cache,
-            ));
+            self.refetch(jobs);
             self.cached_at = Some(now);
         }
         self.cached.clone()
     }
 
     /// Drop the cache so the next snapshot refetches (used after State
-    /// Syncer commits and by the degraded-mode recovery path).
+    /// Syncer commits and capacity decisions). The refetch itself still
+    /// follows the change log.
     pub fn invalidate(&mut self) {
         self.cached_at = None;
+    }
+
+    /// The service process came back (degraded-mode recovery): refetch at
+    /// the next call, and with a full build, as a process that kept
+    /// nothing would.
+    pub fn restart(&mut self) {
+        self.cached_at = None;
+        self.basis = None;
+    }
+
+    /// Jobs rendered since construction or restore.
+    pub fn jobs_rendered(&self) -> u64 {
+        self.jobs_rendered
+    }
+
+    /// Forget what the cached snapshot was built from, leaving the TTL
+    /// phase alone: the twin of the equivalence test calls this before
+    /// every fetch, so every one of its fetches is a full build.
+    #[cfg(test)]
+    pub(crate) fn forget_basis(&mut self) {
+        self.basis = None;
+    }
+
+    fn refetch(&mut self, jobs: &impl RunningJobs) {
+        let cursor = jobs.changelog_len();
+        let excluded = jobs.excluded();
+        // A cursor of zero has consumed nothing and one past the end
+        // belongs to another log: neither bounds a delta.
+        let basis = self
+            .basis
+            .take()
+            .filter(|b| b.cursor != 0 && b.cursor <= cursor);
+        let rendered = match basis {
+            Some(basis) => self.follow(jobs, basis, &excluded),
+            None => self.build_full(jobs, &excluded),
+        };
+        self.basis = Some(Basis {
+            cursor,
+            excluded,
+            rendered,
+        });
+    }
+
+    /// Render every running job that is not excluded and index the lot.
+    fn build_full(
+        &mut self,
+        jobs: &impl RunningJobs,
+        excluded: &BTreeSet<JobId>,
+    ) -> HashMap<JobId, (u64, u32)> {
+        let mut rendered = HashMap::new();
+        let mut specs = Vec::new();
+        for job in jobs.running_jobs() {
+            if excluded.contains(&job) {
+                continue;
+            }
+            let Some(config) = jobs.running_config(job) else {
+                continue;
+            };
+            rendered.insert(job, (jobs.running_token(job), config.task_count));
+            specs.extend(Self::generate_specs(job, &config));
+        }
+        self.jobs_rendered += rendered.len() as u64;
+        self.cached = Arc::new(TaskSnapshot::build(
+            specs,
+            self.shard_count,
+            &mut self.shard_cache,
+        ));
+        rendered
+    }
+
+    /// Bring the cached snapshot up to date from `basis`: only jobs named
+    /// by the change log since its cursor, or that entered or left the
+    /// exclusion set, are looked at, and only those whose running token
+    /// moved (or that appear or disappear) are rendered. `cached` is
+    /// replaced only if some task changed.
+    fn follow(
+        &mut self,
+        jobs: &impl RunningJobs,
+        basis: Basis,
+        excluded: &BTreeSet<JobId>,
+    ) -> HashMap<JobId, (u64, u32)> {
+        let mut rendered = basis.rendered;
+        let mut candidates: BTreeSet<JobId> =
+            jobs.changed_since(basis.cursor).iter().copied().collect();
+        candidates.extend(excluded.symmetric_difference(&basis.excluded));
+        let mut dropped = Vec::new();
+        let mut specs = Vec::new();
+        for job in candidates {
+            let shown = !excluded.contains(&job);
+            let token = jobs.running_token(job);
+            let held = rendered.get(&job).copied();
+            // An expected-level write logs the job without touching its
+            // running row: same token, same specs.
+            if shown && held.is_some_and(|(t, _)| t == token) {
+                continue;
+            }
+            if let Some((_, count)) = held {
+                rendered.remove(&job);
+                dropped.extend((0..count).map(|index| TaskId::new(job, index)));
+            }
+            let config = if shown {
+                jobs.running_config(job)
+            } else {
+                None
+            };
+            if let Some(config) = config {
+                rendered.insert(job, (token, config.task_count));
+                specs.extend(Self::generate_specs(job, &config));
+                self.jobs_rendered += 1;
+            }
+        }
+        if !dropped.is_empty() || !specs.is_empty() {
+            self.cached = Arc::new(self.cached.patched(dropped, specs, &mut self.shard_cache));
+        }
+        rendered
     }
 
     /// Expand one job into its task specs: one spec per task index, with
@@ -131,12 +291,20 @@ impl turbine_types::Snap for TaskService {
             cached: Arc::new(r.get()?),
             cached_at: r.get()?,
             shard_cache: HashMap::new(),
+            // Everything below is derived: the first fetch after a
+            // restore is a full build.
+            basis: None,
+            jobs_rendered: 0,
         })
     }
 }
 
 #[cfg(test)]
+mod follow_tests;
+
+#[cfg(test)]
 mod tests {
+    use super::follow_tests::FakeTable;
     use super::*;
 
     fn t(s: u64) -> SimTime {
@@ -160,8 +328,8 @@ mod tests {
     #[test]
     fn snapshot_caches_until_ttl() {
         let mut svc = TaskService::with_ttl(Duration::from_secs(90), 16);
-        let config = JobConfig::stateless("tailer", 2, 8);
-        let mut fetches = 0;
+        let mut table = FakeTable::default();
+        table.commit(JobId(1), JobConfig::stateless("tailer", 2, 8));
 
         for (now, expect_fetch) in [
             (0u64, true),
@@ -170,14 +338,11 @@ mod tests {
             (90, true),
             (150, false),
         ] {
-            let before = fetches;
-            let snap = svc.snapshot(t(now), || {
-                fetches += 1;
-                vec![(JobId(1), config.clone())]
-            });
+            let before = table.fetches.get();
+            let snap = svc.snapshot(t(now), &table);
             assert_eq!(snap.len(), 2);
             assert_eq!(
-                fetches > before,
+                table.fetches.get() > before,
                 expect_fetch,
                 "unexpected fetch behaviour at t={now}"
             );
@@ -187,15 +352,56 @@ mod tests {
     #[test]
     fn invalidate_forces_refetch() {
         let mut svc = TaskService::new(16);
-        let config = JobConfig::stateless("tailer", 1, 2);
-        svc.snapshot(t(0), || vec![(JobId(1), config.clone())]);
+        let mut table = FakeTable::default();
+        table.commit(JobId(1), JobConfig::stateless("tailer", 1, 2));
+        assert_eq!(svc.snapshot(t(0), &table).len(), 1);
+        table.clear(JobId(1));
+        assert_eq!(svc.snapshot(t(1), &table).len(), 1, "cached until expiry");
         svc.invalidate();
-        let mut refetched = false;
-        svc.snapshot(t(1), || {
-            refetched = true;
-            vec![]
-        });
-        assert!(refetched);
+        assert!(svc.snapshot(t(2), &table).is_empty());
+    }
+
+    #[test]
+    fn a_fetch_that_finds_nothing_changed_returns_the_same_snapshot() {
+        let mut svc = TaskService::with_ttl(Duration::from_secs(90), 16);
+        let mut table = FakeTable::default();
+        for j in 1..=3 {
+            table.commit(JobId(j), JobConfig::stateless("tailer", 2, 8));
+        }
+        let first = svc.snapshot(t(0), &table);
+        assert_eq!(svc.jobs_rendered(), 3);
+        // An expected-level write logs the job; its running row is as it was.
+        table.touch(JobId(2));
+        let second = svc.snapshot(t(90), &table);
+        assert!(Arc::ptr_eq(&first, &second));
+        assert_eq!(svc.jobs_rendered(), 3);
+
+        // One job released: that job is rendered, the others keep their specs.
+        let mut released = JobConfig::stateless("tailer", 2, 8);
+        released.package.version = 2;
+        table.commit(JobId(2), released);
+        let third = svc.snapshot(t(180), &table);
+        assert!(!Arc::ptr_eq(&second, &third));
+        assert_eq!(svc.jobs_rendered(), 4);
+        let kept = TaskId::new(JobId(1), 0);
+        assert!(Arc::ptr_eq(
+            second.spec(kept).expect("spec"),
+            third.spec(kept).expect("spec")
+        ));
+        assert_eq!(
+            third
+                .spec(TaskId::new(JobId(2), 1))
+                .expect("spec")
+                .package_version,
+            2
+        );
+
+        // The process restarts: one full build, then deltas again.
+        svc.restart();
+        let fourth = svc.snapshot(t(181), &table);
+        assert!(!Arc::ptr_eq(&third, &fourth));
+        assert_eq!(svc.jobs_rendered(), 7);
+        assert!(Arc::ptr_eq(&fourth, &svc.snapshot(t(271), &table)));
     }
 
     #[test]

@@ -38,14 +38,52 @@ impl TaskSnapshot {
         let mut by_shard: HashMap<ShardId, Vec<TaskId>> = HashMap::new();
         for spec in specs {
             let id = spec.id;
-            let shard = *shard_cache
-                .entry(id)
-                .or_insert_with(|| shard_of_task(id, shard_count));
+            let shard = memo_shard(shard_cache, id, shard_count);
             by_shard.entry(shard).or_default().push(id);
             by_task.insert(id, Arc::new(spec));
         }
         for tasks in by_shard.values_mut() {
             tasks.sort_unstable();
+        }
+        TaskSnapshot {
+            shard_count,
+            by_task,
+            by_shard,
+        }
+    }
+
+    /// A copy of this snapshot without the tasks in `dropped` (all of
+    /// which it holds) and with `specs` (none of which it then holds)
+    /// added. Every other task shares its `Arc<TaskSpec>` with `self`; the
+    /// result is what [`TaskSnapshot::build`] makes of the same list of
+    /// specs. This is how the Task Service follows a change to a few jobs
+    /// without rendering the fleet again.
+    pub(crate) fn patched(
+        &self,
+        dropped: Vec<TaskId>,
+        specs: Vec<TaskSpec>,
+        shard_cache: &mut HashMap<TaskId, ShardId>,
+    ) -> TaskSnapshot {
+        let shard_count = self.shard_count;
+        let mut by_task = self.by_task.clone();
+        let mut by_shard = self.by_shard.clone();
+        for id in dropped {
+            by_task.remove(&id);
+            let shard = memo_shard(shard_cache, id, shard_count);
+            let tasks = by_shard.get_mut(&shard).expect("held task is indexed");
+            tasks.retain(|&t| t != id);
+            if tasks.is_empty() {
+                by_shard.remove(&shard);
+            }
+        }
+        for spec in specs {
+            let id = spec.id;
+            let tasks = by_shard
+                .entry(memo_shard(shard_cache, id, shard_count))
+                .or_default();
+            tasks.insert(tasks.partition_point(|&t| t < id), id);
+            let replaced = by_task.insert(id, Arc::new(spec));
+            debug_assert!(replaced.is_none(), "{id} added while still held");
         }
         TaskSnapshot {
             shard_count,
@@ -83,6 +121,13 @@ impl TaskSnapshot {
     pub fn task_ids(&self) -> impl Iterator<Item = &TaskId> {
         self.by_task.keys()
     }
+}
+
+/// The shard `id` hashes onto, computed once per task.
+fn memo_shard(cache: &mut HashMap<TaskId, ShardId>, id: TaskId, shard_count: u64) -> ShardId {
+    *cache
+        .entry(id)
+        .or_insert_with(|| shard_of_task(id, shard_count))
 }
 
 impl turbine_types::Snap for TaskSnapshot {

@@ -193,6 +193,75 @@ fn restore_mid_quiescence_then_wake_matches_uninterrupted() {
     }
 }
 
+/// What the Task Service's cached snapshot was built from, and which
+/// snapshot each Task Manager holds by identity, are derived and left out
+/// of the capture: a restore taken between two refresh rounds builds in
+/// full and reconciles every manager once, to no effect, and from then on
+/// follows the change log exactly as the uninterrupted run does — through
+/// a release and a host flap.
+#[test]
+fn restore_between_refresh_rounds_then_release_and_flap_matches_uninterrupted() {
+    let task_events = |t: &Turbine| {
+        (
+            t.metrics.task_starts.get(),
+            t.metrics.task_stops.get(),
+            t.metrics.task_restarts.get(),
+        )
+    };
+    for mode in [DriveMode::EventDriven, DriveMode::DenseTick] {
+        let mut original = build();
+        drive_to(&mut original, 20, mode);
+        // Refresh rounds fire on the minute.
+        original.drive_for(Duration::from_secs(30), mode);
+        let (rendered, reconciled) = (
+            original.tm_jobs_rendered(),
+            original.tm_managers_reconciled(),
+        );
+
+        let mut restored = Snapshot::capture(&original).restore().expect("restore");
+        assert_eq!(restored.tm_jobs_rendered(), 0, "cost counters restart");
+        let sick = original.cluster.hosts()[3];
+        for t in [&mut original, &mut restored] {
+            t.drive_for(Duration::from_secs(90), mode);
+            t.job_service_mut()
+                .set_level_field(
+                    JobId(2),
+                    turbine_config::ConfigLevel::Provisioner,
+                    "package.version",
+                    turbine_config::ConfigValue::Int(2),
+                )
+                .expect("release");
+            drive_to(t, 30, mode);
+            t.fail_host(sick).expect("fail");
+            drive_to(t, 40, mode);
+            t.recover_host(sick).expect("recover");
+            drive_to(t, 55, mode);
+        }
+        assert_eq!(observe(&original), observe(&restored), "mode {mode:?}");
+        assert_eq!(
+            task_events(&original),
+            task_events(&restored),
+            "mode {mode:?}"
+        );
+        // The restored run paid for one full round more than the other
+        // paid after the capture; that is all the counters may differ by.
+        assert!(
+            original.tm_jobs_rendered() > rendered,
+            "the release rendered"
+        );
+        assert_eq!(
+            restored.tm_jobs_rendered(),
+            original.tm_jobs_rendered() - rendered + 3,
+            "mode {mode:?}: one full build of three jobs, then the same deltas"
+        );
+        assert_eq!(
+            restored.tm_managers_reconciled(),
+            original.tm_managers_reconciled() - reconciled + 5,
+            "mode {mode:?}: every manager once more"
+        );
+    }
+}
+
 /// A snapshot round-trips through its on-disk blob form unchanged, and
 /// the blob carries its scenario context.
 #[test]
