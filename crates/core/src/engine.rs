@@ -24,13 +24,21 @@
 //! again, so a tick costs O(jobs + tasks of busy jobs). Fleet-wide, the
 //! drive loop may jump the clock over a whole window when
 //! [`Engine::is_quiescent_through`] holds for every job at once.
+//!
+//! A busy job cannot be skipped, so what it pays per tick is kept to a few
+//! memory reads. The tick never looks a job or a task up: runtimes, active
+//! set, task index and collected work all ascend by id and are walked in
+//! step (see [`Engine::tick`]). What repeats is remembered beside the
+//! runtime as derived state that no snapshot holds and any restore may
+//! forget: a hint that the job is already in the dirty set, and the
+//! current minute's noise factor of its traffic model.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use turbine_config::MemoryEnforcement;
 use turbine_scribe::{CheckpointStore, Scribe};
 use turbine_taskmgr::TaskSpec;
 use turbine_types::{ContainerId, Duration, JobId, PartitionId, Resources, SimTime, TaskId};
-use turbine_workloads::{fleet::task_usage, TrafficModel};
+use turbine_workloads::{fleet::task_usage, NoiseMemo, TrafficModel};
 
 /// Per-partition byte accounting (kept compact: the hot loop touches every
 /// partition of every job each tick).
@@ -82,6 +90,18 @@ pub struct JobRuntime {
     window_processed: f64,
     window_per_task: BTreeMap<TaskId, f64>,
     window_ooms: u32,
+    /// Hint that saves [`Engine::tick`] a set insert: above the engine's
+    /// count of dirty-set drains exactly when the tick has put this job
+    /// into the dirty set since the last drain. Below it the job may or
+    /// may not be a member (mutation APIs insert without marking, and a
+    /// restored runtime starts unmarked), which only costs the insert.
+    /// Derived — not part of the snapshot.
+    dirty_mark: u64,
+    /// This minute's noise factor of `traffic`, which the tick evaluates
+    /// six times a minute. Keyed on the model's noise parameters, so an
+    /// edit through [`Engine::job_mut`] cannot read a stale factor.
+    /// Derived — not part of the snapshot.
+    noise: NoiseMemo,
 }
 
 impl JobRuntime {
@@ -98,9 +118,29 @@ impl JobRuntime {
         self.partitions.iter().map(|p| p.appended).sum()
     }
 
+    /// The arrival rate of the job's input at `now`, bytes/sec:
+    /// `traffic.arrival_rate(now)`, without a fresh noise draw when the
+    /// tick has already made this minute's.
+    pub fn arrival_rate(&self, now: SimTime) -> f64 {
+        let mut noise = self.noise;
+        self.traffic.arrival_rate_memo(now, &mut noise)
+    }
+
     /// Number of input partitions the job reads.
     pub fn partition_count(&self) -> usize {
         self.partitions.len()
+    }
+
+    /// Unconsumed bytes across a task's partition slice, summed in slice
+    /// order.
+    fn slice_backlog(&self, slice: &[PartitionId]) -> f64 {
+        slice
+            .iter()
+            .map(|p| {
+                let ps = &self.partitions[p.raw() as usize];
+                ps.appended - ps.consumed
+            })
+            .sum()
     }
 }
 
@@ -144,6 +184,21 @@ impl ActiveTask {
         usage
     }
 
+    /// Head of a task's walk in [`Engine::tick`]: read the restart marker,
+    /// clearing it once it has expired.
+    fn restart(&mut self, now: SimTime) -> Restart {
+        if self.down_until.is_some_and(|until| now < until) {
+            let zeroed = self.cpu_usage != 0.0;
+            if zeroed {
+                self.cpu_usage = 0.0;
+            }
+            return Restart::Down { zeroed };
+        }
+        Restart::Up {
+            cleared: self.down_until.take().is_some(),
+        }
+    }
+
     /// Would a footprint of `usage_mb` get the task OOM-killed?
     fn over_limit(&self, usage_mb: f64) -> bool {
         matches!(
@@ -151,6 +206,15 @@ impl ActiveTask {
             MemoryEnforcement::Cgroup | MemoryEnforcement::Jvm
         ) && usage_mb > self.reserved.memory_mb
     }
+}
+
+/// What a task's restart marker says at the head of its walk.
+enum Restart {
+    /// Still inside the restart delay: the task does nothing this tick.
+    /// `zeroed`: it held a CPU reading, now cleared.
+    Down { zeroed: bool },
+    /// Running. `cleared`: the marker expired on this very walk.
+    Up { cleared: bool },
 }
 
 /// Arena storage for active tasks: bodies live in stable u32-addressed
@@ -228,6 +292,38 @@ impl TaskArena {
     }
 }
 
+/// The tick's walk of a job that has tasks but no runtime (started before
+/// `add_job`, or left behind by a racing delete): nothing is processed, but
+/// restart markers still expire. Returns whether the walk changed nothing.
+fn walk_orphan(
+    index: &BTreeMap<TaskId, u32>,
+    slots: &mut [Option<ActiveTask>],
+    job: JobId,
+    now: SimTime,
+    down_count: &mut usize,
+    dirty: &mut BTreeSet<JobId>,
+) -> bool {
+    let mut quiet = true;
+    for &slot in index.range(job_range(job)).map(|(_, slot)| slot) {
+        let task = slots[slot as usize].as_mut().expect("indexed slot");
+        match task.restart(now) {
+            Restart::Down { zeroed } => {
+                if zeroed {
+                    dirty.insert(job);
+                }
+                quiet = false;
+            }
+            Restart::Up { cleared: true } => {
+                *down_count -= 1;
+                dirty.insert(job);
+                quiet = false;
+            }
+            Restart::Up { cleared: false } => {}
+        }
+    }
+    quiet
+}
+
 /// Stats drained by the scaler each round.
 #[derive(Debug, Clone, Default)]
 pub struct WindowStats {
@@ -249,6 +345,101 @@ pub struct TickOutcome {
     pub oom_kills: Vec<TaskId>,
 }
 
+/// The dirty set as [`Engine::tick`] writes it: through each runtime's
+/// `dirty_mark`, so a job that changes every tick is inserted once per
+/// drain, not twice per tick.
+struct DirtyJobs<'a> {
+    set: &'a mut BTreeSet<JobId>,
+    /// `Engine::dirty_drains` for the length of the tick.
+    drains: u64,
+}
+
+impl DirtyJobs<'_> {
+    /// `job` changed; `mark` is its runtime's hint.
+    fn mark(&mut self, job: JobId, mark: &mut u64) {
+        if *mark <= self.drains {
+            self.set.insert(job);
+            *mark = self.drains + 1;
+        }
+    }
+}
+
+/// Hasher for the tick's container table. Container ids are dense integers
+/// the platform itself hands out, never outside input, so a multiplicative
+/// hash is safe and the SipHash round per probe is not worth paying three
+/// times per task.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl std::hash::Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Per-container state of one tick: capacity, and the CPU demand of the
+/// tasks walked, which becomes the contention factor between the passes.
+/// A container gets a dense index the first time a task on it is walked
+/// (the only probe of the caller's map for it), and tasks carry that index
+/// into the second pass. Nothing reads the table in iteration order.
+struct ContainerLoads<'a> {
+    container_cpu: &'a HashMap<ContainerId, f64>,
+    /// `None`: seen, and not a healthy container.
+    index: HashMap<ContainerId, Option<u32>, std::hash::BuildHasherDefault<IdHasher>>,
+    /// `(capacity, demand or factor)` per healthy container seen.
+    loads: Vec<(f64, f64)>,
+}
+
+impl<'a> ContainerLoads<'a> {
+    fn new(container_cpu: &'a HashMap<ContainerId, f64>) -> Self {
+        ContainerLoads {
+            container_cpu,
+            index: HashMap::default(),
+            loads: Vec::new(),
+        }
+    }
+
+    /// The container's index, if it is healthy.
+    fn index_of(&mut self, container: ContainerId) -> Option<u32> {
+        *self.index.entry(container).or_insert_with(|| {
+            let capacity = *self.container_cpu.get(&container)?;
+            self.loads.push((capacity, 0.0));
+            Some((self.loads.len() - 1) as u32)
+        })
+    }
+
+    /// Add a task's demand, in cores, to its container's sum.
+    fn demand(&mut self, load: u32, cores: f64) {
+        self.loads[load as usize].1 += cores;
+    }
+
+    /// Replace each container's demand by its contention factor.
+    fn demand_to_factor(&mut self) {
+        for (capacity, load) in &mut self.loads {
+            let demand = *load;
+            *load = if demand > *capacity && demand > 0.0 {
+                *capacity / demand
+            } else {
+                1.0
+            };
+        }
+    }
+
+    fn factor(&self, load: u32) -> f64 {
+        self.loads[load as usize].1
+    }
+}
+
 /// The data-plane engine.
 #[derive(Debug, Default)]
 pub struct Engine {
@@ -259,6 +450,10 @@ pub struct Engine {
     /// Jobs whose observable data-plane state (task set, usage, backlog,
     /// partition ownership) changed since the last [`Engine::take_dirty`].
     dirty: BTreeSet<JobId>,
+    /// How many times [`Engine::take_dirty`] has drained `dirty`: what the
+    /// runtimes' `dirty_mark` hints are compared with, so one increment
+    /// clears them all. Derived — not part of the snapshot.
+    dirty_drains: u64,
     /// Jobs (keyed on the task's job id, so tasks without a `JobRuntime`
     /// count too) whose tasks [`Engine::tick`] still walks. Every other
     /// job is *settled*: a tick found it with no arrivals, no backlog, no
@@ -315,6 +510,8 @@ impl Engine {
                 window_processed: 0.0,
                 window_per_task: BTreeMap::new(),
                 window_ooms: 0,
+                dirty_mark: 0,
+                noise: NoiseMemo::default(),
             },
         );
         self.touch(job);
@@ -354,6 +551,11 @@ impl Engine {
     /// All jobs registered.
     pub fn job_ids(&self) -> Vec<JobId> {
         self.jobs.keys().copied().collect()
+    }
+
+    /// Every registered job with its runtime, ascending by id.
+    pub fn jobs(&self) -> impl Iterator<Item = (JobId, &JobRuntime)> {
+        self.jobs.iter().map(|(&job, rt)| (job, rt))
     }
 
     /// A task started (or restarted) on a container.
@@ -497,11 +699,17 @@ impl Engine {
         ids
     }
 
-    /// Forget every settlement, forcing the next tick to walk the whole
-    /// fleet — the full-walk oracle the skip is tested against.
+    /// Forget everything derived — settlements, dirty hints, noise memos —
+    /// forcing the next tick to walk the whole fleet, insert every job it
+    /// dirties and draw every noise factor: the oracle the short cuts are
+    /// tested against.
     #[cfg(test)]
-    fn unsettle_all(&mut self) {
+    fn forget_derived(&mut self) {
         self.active = self.all_job_ids();
+        for rt in self.jobs.values_mut() {
+            rt.dirty_mark = 0;
+            rt.noise = NoiseMemo::default();
+        }
     }
 
     /// Drain the set of jobs whose observable data-plane state changed
@@ -510,6 +718,7 @@ impl Engine {
     /// guarantees every job's task set, usage, and backlog are
     /// bit-identical to the last drain.
     pub fn take_dirty(&mut self) -> BTreeSet<JobId> {
+        self.dirty_drains += 1;
         std::mem::take(&mut self.dirty)
     }
 
@@ -525,10 +734,21 @@ impl Engine {
     /// `memory_usage_mb` it already holds — both are functions of task and
     /// job fields only a mutation API can change, and those re-activate the
     /// job. A dead container cannot disturb it either: that path only
-    /// zeroes a `cpu_usage` that is already zero. Active jobs are visited
-    /// in `JobId` order and their tasks by index range, i.e. in `TaskId`
-    /// order, so every f64 reduction sees its terms in the order of a full
-    /// walk.
+    /// zeroes a `cpu_usage` that is already zero.
+    ///
+    /// Two ordered passes, no per-job look-up. The first walks the
+    /// runtimes in step with the active set, both ascending by `JobId`: a
+    /// job takes its arrivals and, if it is active or its own inputs hold
+    /// it (traffic arriving, or processing halted), has its tasks walked by
+    /// index range, i.e. in `TaskId` order. An active id with no runtime
+    /// (orphan tasks) is walked where the runtimes step over it, so it
+    /// keeps its place in that order. One job's
+    /// arrivals touch nothing another job's walk reads, so doing them job
+    /// by job instead of fleet-wide first changes no value. The second pass
+    /// takes the collected work, still ascending by job, against a second
+    /// cursor over the runtimes. Every f64 reduction (per-container demand,
+    /// per-task backlog) therefore sees its terms in the order of a full
+    /// `TaskId`-ordered walk.
     pub fn tick(
         &mut self,
         now: SimTime,
@@ -542,16 +762,52 @@ impl Engine {
             tasks,
             down_count,
             dirty,
+            dirty_drains,
             active,
         } = self;
-        // Phase 1: arrivals. The same O(jobs) pass re-activates any settled
-        // job whose own inputs make this tick more than a no-op: traffic
-        // arriving, or processing halted (paused / consumer disabled, which
-        // pins memory at the idle floor). `held` lists those jobs, in id
-        // order, with whether they are halted.
-        let mut held: Vec<(JobId, bool)> = Vec::new();
+        let mut dirty = DirtyJobs {
+            set: dirty,
+            drains: *dirty_drains,
+        };
+
+        // Pass 1: arrivals, then per-task desired work and per-container
+        // CPU demand.
+        struct Work {
+            id: TaskId,
+            slot: u32,
+            /// Index of the task's job in `walked`.
+            walk: u32,
+            /// Index of the task's container in `loads`.
+            load: u32,
+            desired: f64, // bytes the task wants to process this tick
+        }
+        // Per walked job: did every task take the normal processing path
+        // with nothing changed (so far)?
+        let mut walked: Vec<(JobId, bool)> = Vec::with_capacity(active.len());
+        let mut works: Vec<Work> = Vec::new();
+        let mut loads = ContainerLoads::new(container_cpu);
+        // Settled jobs this tick's inputs re-activate; they join `active`
+        // once it is no longer being iterated.
+        let mut woken: Vec<JobId> = Vec::new();
+        let mut listed = active.iter().copied().peekable();
+        let TaskArena { slots, index, .. } = tasks;
+        // One cursor over the task index serves every walked job: while
+        // consecutive jobs are walked it runs straight on, and only tasks
+        // of settled jobs in between cost a new descent.
+        let mut cursor = index.range(..).peekable();
         for (&job, rt) in jobs.iter_mut() {
-            let rate = rt.traffic.arrival_rate(now);
+            // Active ids the runtimes step over are orphans.
+            while let Some(&orphan) = listed.peek().filter(|&&id| id < job) {
+                let quiet = walk_orphan(index, slots, orphan, now, down_count, dirty.set);
+                walked.push((orphan, quiet));
+                listed.next();
+            }
+            let was_active = listed.peek() == Some(&job);
+            if was_active {
+                listed.next();
+            }
+            let rate = rt.traffic.arrival_rate_memo(now, &mut rt.noise);
+            let mut dirtied = false;
             if rate > 0.0 {
                 let amount = rate * dt_secs;
                 rt.window_arrived += amount;
@@ -563,118 +819,99 @@ impl Engine {
                     }
                 }
                 rt.durable_epoch += 1;
-                dirty.insert(job);
+                dirtied = true;
             }
+            // Processing halted (paused / consumer disabled) pins memory at
+            // the idle floor, so it holds the job as arrivals do.
             let halted = paused(job) || rt.traffic.consumer_disabled(now);
-            if rate > 0.0 || halted {
-                active.insert(job);
-                held.push((job, halted));
+            let mut quiet = !(rate > 0.0 || halted);
+            if !was_active {
+                if quiet {
+                    continue; // settled, and nothing of its own wakes it
+                }
+                woken.push(job);
             }
-        }
-
-        // Phase 2: per-task desired work and per-container CPU demand.
-        struct Work {
-            id: TaskId,
-            slot: u32,
-            /// Index of the task's job in `walked`.
-            walk: u32,
-            desired: f64, // bytes the task wants to process this tick
-        }
-        let TaskArena { slots, index, .. } = tasks;
-        // Per walked job: did every task take the normal processing path
-        // with nothing changed (so far)?
-        let mut walked: Vec<(JobId, bool)> = Vec::with_capacity(active.len());
-        let mut works: Vec<Work> = Vec::new();
-        let mut demand: HashMap<ContainerId, f64> = HashMap::new();
-        let mut held = held.into_iter().peekable();
-        for &job in active.iter() {
-            // `held` is a subset of `active` and both ascend, so a held job
-            // is at the front of `held` exactly when the walk reaches it.
-            let input = held.next_if(|&(j, _)| j == job);
-            let halted = matches!(input, Some((_, true)));
-            let mut quiet = input.is_none();
-            let rt = jobs.get(&job);
-            for (&id, &slot) in index.range(job_range(job)) {
+            if cursor.peek().is_some_and(|(id, _)| id.job < job) {
+                cursor = index.range(TaskId::new(job, 0)..).peekable();
+            }
+            while let Some((&id, &slot)) = cursor.next_if(|(id, _)| id.job == job) {
                 let task = slots[slot as usize].as_mut().expect("indexed slot");
-                if task.down_until.is_some_and(|until| now < until) {
-                    if task.cpu_usage != 0.0 {
-                        task.cpu_usage = 0.0;
-                        dirty.insert(job);
+                match task.restart(now) {
+                    Restart::Down { zeroed } => {
+                        dirtied |= zeroed;
+                        quiet = false;
+                        continue;
                     }
-                    quiet = false;
-                    continue;
+                    Restart::Up { cleared: true } => {
+                        *down_count -= 1;
+                        dirtied = true;
+                        quiet = false;
+                    }
+                    Restart::Up { cleared: false } => {}
                 }
-                if task.down_until.take().is_some() {
-                    *down_count -= 1;
-                    dirty.insert(job);
-                    quiet = false;
-                }
-                let Some(rt) = rt else {
-                    continue;
-                };
                 if halted {
                     let memory = task.memory_usage_mb.max(400.0);
                     if task.cpu_usage != 0.0 || task.memory_usage_mb != memory {
                         task.cpu_usage = 0.0;
                         task.memory_usage_mb = memory;
-                        dirty.insert(job);
+                        dirtied = true;
                     }
                     continue;
                 }
-                if !container_cpu.contains_key(&task.container) {
+                let Some(load) = loads.index_of(task.container) else {
                     // Host dead: task is effectively down. Hosts return
                     // without an engine call, so the task is at rest only
                     // if the normal path would then find nothing to
                     // rewrite and nothing to kill.
                     if task.cpu_usage != 0.0 {
                         task.cpu_usage = 0.0;
-                        dirty.insert(job);
+                        dirtied = true;
                         quiet = false;
                     } else {
                         let usage = task.footprint_mb(rt);
                         quiet &= task.memory_usage_mb == usage && !task.over_limit(usage);
                     }
                     continue;
-                }
+                };
                 let capacity =
                     rt.true_per_thread_rate * task.threads as f64 * dt_secs * task.degradation;
-                let backlog: f64 = task
-                    .partitions
-                    .iter()
-                    .map(|p| {
-                        let ps = &rt.partitions[p.raw() as usize];
-                        ps.appended - ps.consumed
-                    })
-                    .sum();
-                let desired = backlog.min(capacity);
-                let cpu_cores = desired / (rt.true_per_thread_rate * dt_secs);
-                *demand.entry(task.container).or_default() += cpu_cores;
+                let desired = rt.slice_backlog(&task.partitions).min(capacity);
+                loads.demand(load, desired / (rt.true_per_thread_rate * dt_secs));
                 works.push(Work {
                     id,
                     slot,
                     walk: walked.len() as u32,
+                    load,
                     desired,
                 });
             }
+            if dirtied {
+                dirty.mark(job, &mut rt.dirty_mark);
+            }
             walked.push((job, quiet));
         }
+        for orphan in listed {
+            let quiet = walk_orphan(index, slots, orphan, now, down_count, dirty.set);
+            walked.push((orphan, quiet));
+        }
+        active.extend(woken);
 
-        // Phase 3: contention factors per container.
-        let factor: HashMap<ContainerId, f64> = demand
-            .iter()
-            .map(|(&c, &d)| {
-                let cap = container_cpu.get(&c).copied().unwrap_or(0.0);
-                (c, if d > cap && d > 0.0 { cap / d } else { 1.0 })
-            })
-            .collect();
+        // Contention factors per container.
+        loads.demand_to_factor();
 
-        // Phase 4: processing + memory + OOM.
+        // Pass 2: processing + memory + OOM. `works` ascends by job, and
+        // every job in it has a runtime.
         let mut outcome = TickOutcome::default();
+        let mut runtimes = jobs.iter_mut();
+        let mut current = runtimes.next();
         for work in works {
+            let job = work.id.job;
+            while current.as_ref().is_some_and(|entry| *entry.0 != job) {
+                current = runtimes.next();
+            }
+            let rt = &mut *current.as_mut().expect("collected above").1;
             let task = slots[work.slot as usize].as_mut().expect("collected above");
-            let rt = jobs.get_mut(&work.id.job).expect("collected above");
-            let f = factor.get(&task.container).copied().unwrap_or(1.0);
-            let mut to_process = work.desired * f;
+            let mut to_process = work.desired * loads.factor(work.load);
             let cpu_usage = to_process / (rt.true_per_thread_rate * dt_secs);
             let mut changed = false;
             if task.cpu_usage != cpu_usage {
@@ -682,15 +919,12 @@ impl Engine {
                 changed = true;
             }
             if to_process > 0.0 {
-                // Consume proportionally to per-partition backlog.
-                let slice_backlog: f64 = task
-                    .partitions
-                    .iter()
-                    .map(|p| {
-                        let ps = &rt.partitions[p.raw() as usize];
-                        ps.appended - ps.consumed
-                    })
-                    .sum();
+                // Consume proportionally to per-partition backlog. The
+                // slice is summed again rather than carried over from pass
+                // 1: an earlier task of the job may have consumed from a
+                // shared partition since (overlap is reported by the
+                // invariant checker, not prevented).
+                let slice_backlog = rt.slice_backlog(&task.partitions);
                 if slice_backlog > 0.0 {
                     to_process = to_process.min(slice_backlog);
                     let share = to_process / slice_backlog;
@@ -714,7 +948,7 @@ impl Engine {
                 changed = true;
             }
             if changed {
-                dirty.insert(work.id.job);
+                dirty.mark(job, &mut rt.dirty_mark);
             }
             let oom = task.over_limit(usage);
             if oom {
@@ -769,21 +1003,21 @@ impl Engine {
     /// only lowers the tail, which lowers the commit target below the
     /// persisted checkpoint — also a no-op. The full per-partition path
     /// remains the crash-recovery oracle and runs whenever in doubt.
-    pub fn sync_durable(
+    pub fn sync_durable<'c>(
         &mut self,
         now: SimTime,
         scribe: &mut Scribe,
         checkpoints: &mut CheckpointStore,
-        category_of: &dyn Fn(JobId) -> String,
+        category_of: &dyn Fn(JobId) -> &'c str,
     ) {
         for (&job, rt) in &mut self.jobs {
-            let category = category_of(job);
             let epoch_clean = rt.last_durable_epoch == rt.durable_epoch;
-            match scribe.category_view(&category) {
+            match scribe.category_view(category_of(job)) {
                 Ok(mut view) => {
                     if epoch_clean && rt.last_category_appended == Some(view.total_appended()) {
                         continue;
                     }
+                    let mut offsets = checkpoints.job_mut(job);
                     for (i, p) in rt.partitions.iter_mut().enumerate() {
                         let partition = PartitionId(i as u64);
                         let delta = p.appended - p.scribe_synced;
@@ -801,8 +1035,8 @@ impl Engine {
                         // re-advance it past the tail.
                         let tail = view.tail_offset(partition).unwrap_or(0);
                         let target = (p.consumed as u64).min(tail);
-                        if target >= checkpoints.get(job, partition) {
-                            checkpoints.commit(job, partition, target);
+                        if target >= offsets.get(partition) {
+                            offsets.commit(partition, target);
                         }
                     }
                     rt.last_category_appended = Some(view.total_appended());
@@ -814,14 +1048,15 @@ impl Engine {
                     if epoch_clean && rt.last_category_appended.is_none() {
                         continue;
                     }
+                    let mut offsets = checkpoints.job_mut(job);
                     for (i, p) in rt.partitions.iter_mut().enumerate() {
                         let partition = PartitionId(i as u64);
                         let delta = p.appended - p.scribe_synced;
                         if delta >= 1.0 {
                             p.scribe_synced += delta.floor();
                         }
-                        if checkpoints.get(job, partition) == 0 {
-                            checkpoints.commit(job, partition, 0);
+                        if offsets.get(partition) == 0 {
+                            offsets.commit(partition, 0);
                         }
                     }
                     rt.last_category_appended = None;
@@ -905,6 +1140,8 @@ impl Snap for JobRuntime {
             window_processed: r.get()?,
             window_per_task: r.get()?,
             window_ooms: r.u32("JobRuntime.window_ooms")?,
+            dirty_mark: 0,
+            noise: NoiseMemo::default(),
         })
     }
 }
@@ -972,6 +1209,7 @@ impl Snap for Engine {
             tasks,
             down_count,
             dirty: r.get()?,
+            dirty_drains: 0,
             active: BTreeSet::new(),
         };
         // Settlements are not captured: walk everything once and let the
@@ -1148,7 +1386,7 @@ mod tests {
         let mut scribe = Scribe::new();
         scribe.create_category("cat", 16).expect("create");
         let mut checkpoints = CheckpointStore::new();
-        engine.sync_durable(now, &mut scribe, &mut checkpoints, &|_| "cat".to_string());
+        engine.sync_durable(now, &mut scribe, &mut checkpoints, &|_| "cat");
         let total: u64 = (0..16)
             .map(|p| scribe.tail_offset("cat", PartitionId(p)).expect("tail"))
             .sum();
@@ -1165,7 +1403,7 @@ mod tests {
         let mut scribe = Scribe::new();
         scribe.create_category("cat", 16).expect("create");
         let mut checkpoints = CheckpointStore::new();
-        let cat = |_| "cat".to_string();
+        let cat = |_| "cat";
         engine.sync_durable(now, &mut scribe, &mut checkpoints, &cat);
         let tails: Vec<u64> = (0..16)
             .map(|p| scribe.tail_offset("cat", PartitionId(p)).expect("tail"))

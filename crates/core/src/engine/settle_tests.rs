@@ -1,6 +1,8 @@
-//! The settled-job skip in [`Engine::tick`] against its oracle: the same
-//! engine forced (through `unsettle_all`) to walk every task on every
-//! tick, which is what the tick did before jobs could settle.
+//! The short cuts of [`Engine::tick`] (the settled-job skip, the dirty
+//! hint, the noise memo) against their oracle: the same engine made to
+//! forget all three (through `forget_derived`) before every tick, so that
+//! it walks every task, inserts every job it dirties and draws every noise
+//! factor, which is what the tick did before it had them.
 
 use super::*;
 use proptest::prelude::*;
@@ -155,12 +157,15 @@ impl Pair {
         }
     }
 
-    /// Tick both engines and hold every observable output equal.
-    fn tick(&mut self) -> Result<(), TestCaseError> {
+    /// Tick both engines and hold every observable output equal. The
+    /// dirty sets are compared every tick (they are in the encoding) but
+    /// only drained when `drain` says so, as the platform drains them once
+    /// per load-report round and not once per tick.
+    fn tick(&mut self, drain: bool) -> Result<(), TestCaseError> {
         self.now += DT;
         let paused = &self.paused;
         let paused = |job: JobId| paused.contains(&job);
-        self.full.unsettle_all();
+        self.full.forget_derived();
         let skip = self.skip.tick(self.now, DT, &self.container_cpu, &paused);
         let full = self.full.tick(self.now, DT, &self.container_cpu, &paused);
         prop_assert_eq!(&skip.oom_kills, &full.oom_kills);
@@ -169,7 +174,9 @@ impl Pair {
         for task in skip.oom_kills {
             self.both(|e| e.knock_down_task(task, until));
         }
-        prop_assert_eq!(self.skip.take_dirty(), self.full.take_dirty());
+        if drain {
+            prop_assert_eq!(self.skip.take_dirty(), self.full.take_dirty());
+        }
         prop_assert!(
             encoded(&self.skip) == encoded(&self.full),
             "snapshot encodings diverged at {}",
@@ -185,9 +192,10 @@ proptest! {
 
     /// Any interleaving of traffic shapes and windows, pauses, container
     /// death and revival, knock-downs, degradation, weight edits and
-    /// start/stop churn: tick by tick, the skipping engine and the
-    /// full-walk engine return the same outcome, dirty the same jobs and
-    /// encode to the same bytes.
+    /// start/stop churn, with the dirty set drained after runs of ticks of
+    /// any length: tick by tick, the engine with its short cuts and the one
+    /// without return the same outcome, hold and drain the same dirty jobs
+    /// and encode to the same bytes.
     #[test]
     fn skipping_settled_jobs_equals_walking_everything(
         shapes in prop::collection::vec(0u8..5, JOBS as usize..JOBS as usize + 1),
@@ -198,8 +206,10 @@ proptest! {
         let mut pair = Pair::new(&shapes);
         for step in steps {
             pair.apply(step);
-            pair.tick()?;
+            // A quarter of the ticks drain: runs of 1 to 20 without.
+            pair.tick((step.1 + 2 * step.2) % 4 == 0)?;
         }
+        pair.tick(true)?;
     }
 }
 
@@ -285,4 +295,99 @@ fn orphan_tasks_clear_their_restart_marker_and_then_settle() {
     assert_eq!((engine.down_count, engine.active_jobs()), (1, 1));
     quiet_tick(&mut engine, &mut now);
     assert_eq!(engine.down_count, 0);
+}
+
+#[test]
+fn orphans_keep_their_place_and_a_woken_job_is_walked_in_the_tick_that_wakes_it() {
+    // Registered jobs 2 (always busy, OOMs whenever it processes) and 5
+    // (input outage until the fourth tick); orphan tasks whose job ids sit
+    // before, between and after them, restarting for two ticks.
+    let (busy, windowed) = (JobId(2), JobId(5));
+    let orphans = [JobId(1), JobId(3), JobId(9)];
+    let mut engine = Engine::new();
+    let mut now = SimTime::ZERO;
+    engine.add_job(
+        busy,
+        TrafficModel::flat(4.0e6),
+        1.0e6,
+        4096.0,
+        4,
+        false,
+        0.0,
+    );
+    let mut tight = JobConfig::stateless("busy", 1, 4);
+    tight.memory_enforcement = MemoryEnforcement::Cgroup;
+    tight.task_resources = Resources::cpu_mem(8.0, 410.0);
+    let outage = TrafficEvent {
+        start: SimTime::ZERO,
+        end: SimTime::ZERO + DT.mul(4),
+        kind: TrafficEventKind::InputOutage,
+    };
+    engine.add_job(
+        windowed,
+        TrafficModel::flat(1.5e6).with_event(outage),
+        1.0e6,
+        256.0,
+        PARTITIONS,
+        false,
+        0.0,
+    );
+    let roomy = JobConfig::stateless("roomy", 1, PARTITIONS);
+    for (job, config, delay) in [
+        (busy, &tight, Duration::ZERO),
+        (windowed, &roomy, Duration::ZERO),
+        (orphans[0], &roomy, DT.mul(2)),
+        (orphans[1], &roomy, DT.mul(2)),
+        (orphans[2], &roomy, DT.mul(2)),
+    ] {
+        for spec in TaskService::generate_specs(job, config) {
+            engine.task_started(&spec, ContainerId(0), now, delay);
+        }
+    }
+    let all: BTreeSet<JobId> = orphans.into_iter().chain([busy, windowed]).collect();
+    assert_eq!(engine.take_dirty(), all);
+    assert_eq!((engine.active_jobs(), engine.down_count), (5, 5));
+
+    let caps = HashMap::from([(ContainerId(0), 8.0)]);
+    let mut tick = |engine: &mut Engine| {
+        now += DT;
+        engine.tick(now, DT, &caps, &|_| false).oom_kills
+    };
+    let busy_task = vec![TaskId::new(busy, 0)];
+    let set = |jobs: &[JobId]| jobs.iter().copied().collect::<BTreeSet<_>>();
+
+    // Tick 1: both registered tasks leave their (zero) restart delay; the
+    // busy one processes and OOMs at once. The orphans are still down:
+    // walked, unchanged, but not at rest.
+    assert_eq!(tick(&mut engine), busy_task);
+    assert_eq!(engine.take_dirty(), set(&[busy, windowed]));
+    assert_eq!((engine.active_jobs(), engine.down_count), (5, 3));
+
+    // Tick 2: the orphans' markers expire, each at its place in the walk.
+    // The windowed job came through untouched and settles.
+    assert_eq!(tick(&mut engine), busy_task);
+    assert_eq!(
+        engine.take_dirty(),
+        set(&[orphans[0], busy, orphans[1], orphans[2]])
+    );
+    assert_eq!((engine.active_jobs(), engine.down_count), (4, 0));
+
+    // Tick 3: nothing left for the orphans to change; they settle too.
+    assert_eq!(tick(&mut engine), busy_task);
+    assert_eq!(engine.active_jobs(), 1);
+
+    // Tick 4, no drain in between: the outage ends with no engine call, the
+    // windowed job takes its arrivals and is walked in this very tick.
+    assert_eq!(tick(&mut engine), busy_task);
+    assert_eq!(engine.take_dirty(), set(&[busy, windowed]));
+    assert_eq!(engine.active_jobs(), 2);
+    let woken = engine.job(windowed).expect("registered");
+    assert_eq!(woken.total_arrived(), 1.5e7, "one tick of arrivals");
+    // One thread at 1 MB/s for 10 s, processed on the tick that woke it.
+    assert!((woken.backlog() - 0.5e7).abs() < 1.0, "{}", woken.backlog());
+    let stats = engine.drain_window(windowed);
+    assert_eq!(stats.per_task.len(), 1);
+    assert!((stats.processed - 1.0e7).abs() < 1.0);
+    // And the busy job's every tick was counted.
+    assert_eq!(engine.drain_window(busy).ooms, 4);
 }

@@ -6,9 +6,10 @@
 //! they are invoked.
 
 use super::{OutageState, Turbine};
-use crate::engine::Engine;
+use crate::engine::{ActiveTask, Engine};
 use crate::metrics::DiagnosisRecord;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 use turbine_autoscaler::{DiagnosisInput, JobMetrics, Mitigation, ScalingAction};
 use turbine_config::{ConfigLevel, JobConfig, ResiliencyClass};
 use turbine_jobstore::{JobService, MemWal};
@@ -16,7 +17,26 @@ use turbine_shardmgr::{ContainerStatus, ShardMovement};
 use turbine_statesyncer::{Redistribute, SyncEnvironment};
 use turbine_taskmgr::{LocalTaskManager, RunningJobs, TaskEvent, TaskService};
 use turbine_trace::TraceData;
-use turbine_types::{ContainerId, Duration, JobId, PartitionId, Resources, SimTime};
+use turbine_types::{ContainerId, Duration, JobId, PartitionId, Resources, SimTime, TaskId};
+
+/// The running tasks of `job` in `TaskId` order, each with the bytes it
+/// processed over a drained scaler window (zero for a task the window does
+/// not list). `per_task_window` ascends by `TaskId` as well
+/// ([`Engine::drain_window`]), so the two are walked in step.
+fn tasks_with_window<'a>(
+    engine: &'a Engine,
+    job: JobId,
+    per_task_window: &'a [(TaskId, f64)],
+) -> impl Iterator<Item = (TaskId, &'a ActiveTask, f64)> {
+    let mut window = per_task_window.iter().peekable();
+    engine.tasks_of_job(job).map(move |(&id, task)| {
+        while window.next_if(|(listed, _)| *listed < id).is_some() {}
+        let processed = window
+            .next_if(|(listed, _)| *listed == id)
+            .map_or(0.0, |&(_, bytes)| bytes);
+        (id, task, processed)
+    })
+}
 
 impl Turbine {
     /// Heartbeats + proactive reboot of disconnected containers.
@@ -434,12 +454,12 @@ impl Turbine {
                 self.jobs.store().changed_since(cursor)
             }
             fn running_jobs(&self) -> Vec<JobId> {
-                self.jobs.store().running_jobs()
+                self.jobs.store().running_jobs().collect()
             }
             fn running_token(&self, job: JobId) -> u64 {
                 self.jobs.store().running_token(job)
             }
-            fn running_config(&self, job: JobId) -> Option<JobConfig> {
+            fn running_config(&self, job: JobId) -> Option<Arc<JobConfig>> {
                 self.jobs.running_typed(job)
             }
             fn excluded(&self) -> BTreeSet<JobId> {
@@ -639,13 +659,7 @@ impl Turbine {
             let key_cardinality = runtime.stateful.then_some(runtime.key_cardinality);
             let mut per_task_rates = Vec::new();
             let mut per_task_memory = Vec::new();
-            for (id, task) in self.engine.tasks_of_job(job) {
-                let processed = stats
-                    .per_task
-                    .iter()
-                    .find(|(t, _)| t == id)
-                    .map(|(_, v)| *v)
-                    .unwrap_or(0.0);
+            for (_, task, processed) in tasks_with_window(&self.engine, job, &stats.per_task) {
                 per_task_rates.push(processed / window);
                 per_task_memory.push(task.memory_usage_mb);
             }
@@ -770,22 +784,10 @@ impl Turbine {
     }
 
     /// Per-task processing rates over the last scaler window.
-    fn per_task_rates(
-        &self,
-        job: JobId,
-        per_task_window: &[(turbine_types::TaskId, f64)],
-    ) -> Vec<(turbine_types::TaskId, f64)> {
+    fn per_task_rates(&self, job: JobId, per_task_window: &[(TaskId, f64)]) -> Vec<(TaskId, f64)> {
         let window = self.config.scaler_interval.as_secs_f64();
-        self.engine
-            .tasks_of_job(job)
-            .map(|(&id, _)| {
-                let processed = per_task_window
-                    .iter()
-                    .find(|(t, _)| *t == id)
-                    .map(|(_, v)| *v)
-                    .unwrap_or(0.0);
-                (id, processed / window)
-            })
+        tasks_with_window(&self.engine, job, per_task_window)
+            .map(|(id, _, processed)| (id, processed / window))
             .collect()
     }
 
@@ -796,7 +798,7 @@ impl Turbine {
         &mut self,
         job: JobId,
         metrics: &JobMetrics,
-        per_task_window: &[(turbine_types::TaskId, f64)],
+        per_task_window: &[(TaskId, f64)],
         now: SimTime,
     ) {
         let per_task_rates = self.per_task_rates(job, per_task_window);
@@ -839,7 +841,7 @@ impl Turbine {
 
     /// Move one task's shard to a different alive container (root-causer
     /// mitigation for hardware issues).
-    fn move_task_shard(&mut self, task: turbine_types::TaskId) {
+    fn move_task_shard(&mut self, task: TaskId) {
         let shard = turbine_taskmgr::shard_of_task(task, self.config.shard_count);
         let from = self.shard_manager.container_of(shard);
         let target = self
@@ -969,14 +971,8 @@ impl Turbine {
     pub(crate) fn capacity_round(&mut self) {
         let job_list: Vec<(JobId, turbine_types::Priority, Resources)> = self
             .jobs
-            .store()
-            .running_jobs()
-            .into_iter()
-            .filter_map(|j| {
-                self.jobs
-                    .running_typed(j)
-                    .map(|c| (j, c.priority, c.task_resources.scale(c.task_count as f64)))
-            })
+            .running_typed_jobs()
+            .map(|(j, c)| (j, c.priority, c.task_resources.scale(c.task_count as f64)))
             .collect();
         let total_reserved: Resources = job_list.iter().map(|&(_, _, reserved)| reserved).sum();
         self.capacity
@@ -1006,8 +1002,7 @@ impl Turbine {
     /// job's input alongside the primary but never write the checkpoint
     /// store.
     pub(crate) fn checkpoint_round(&mut self) {
-        // Destructure so the category lookup borrows the map in place —
-        // no per-round clone of every category name.
+        // Destructure so the category lookup borrows the names in place.
         let Turbine {
             engine,
             scribe,
@@ -1016,7 +1011,7 @@ impl Turbine {
             now,
             ..
         } = self;
-        let lookup = |job: JobId| categories.get(&job).cloned().unwrap_or_default();
+        let lookup = |job: JobId| categories.get(&job).map_or("", String::as_str);
         engine.sync_durable(*now, scribe, checkpoints, &lookup);
         let shadowed: Vec<JobId> = self.shard_manager.standbys().map(|(job, _)| job).collect();
         for job in shadowed {
@@ -1040,14 +1035,14 @@ impl Turbine {
     /// One metric-sampling round.
     pub(crate) fn metrics_round(&mut self) {
         let now = self.now;
-        // Cluster traffic (pure function of the models: cheap).
-        let traffic: f64 = self
+        // Each job's arrival rate, evaluated once: summed here into the
+        // cluster traffic, and the denominator of the job's lag below.
+        let rates: Vec<f64> = self
             .engine
-            .job_ids()
-            .iter()
-            .filter_map(|&j| self.engine.job(j))
-            .map(|rt| rt.traffic.arrival_rate(now))
-            .sum();
+            .jobs()
+            .map(|(_, rt)| rt.arrival_rate(now))
+            .collect();
+        let traffic: f64 = rates.iter().sum();
         self.metrics.cluster_traffic.record(now, traffic);
         self.metrics
             .task_count
@@ -1087,11 +1082,7 @@ impl Turbine {
         let mut total = 0usize;
         let mut total_backlog = 0.0;
         let mut ods_jobs: Vec<super::ods::JobSample> = Vec::new();
-        let watched: Vec<JobId> = self.metrics.watched_job_lag.keys().copied().collect();
-        for job in self.engine.job_ids() {
-            let Some(rt) = self.engine.job(job) else {
-                continue;
-            };
+        for ((job, rt), rate) in self.engine.jobs().zip(rates) {
             let backlog = rt.backlog();
             total_backlog += backlog;
             let Ok(config) = self.jobs.expected_typed(job) else {
@@ -1099,8 +1090,7 @@ impl Turbine {
             };
             // Lag relative to sustained processing capability: use the
             // arrival rate as the denominator when the job keeps up.
-            let rate = rt.traffic.arrival_rate(now).max(1.0);
-            let lag_secs = backlog / rate;
+            let lag_secs = backlog / rate.max(1.0);
             total += 1;
             if lag_secs <= config.slo_lag_secs {
                 ok += 1;
@@ -1113,12 +1103,8 @@ impl Turbine {
                     running_tasks: self.engine.running_tasks_of(job),
                 });
             }
-            if watched.contains(&job) {
-                self.metrics
-                    .watched_job_lag
-                    .get_mut(&job)
-                    .expect("watched")
-                    .record(now, lag_secs);
+            if let Some(lag) = self.metrics.watched_job_lag.get_mut(&job) {
+                lag.record(now, lag_secs);
                 self.metrics
                     .watched_job_tasks
                     .get_mut(&job)
@@ -1135,11 +1121,9 @@ impl Turbine {
         // Reserved footprint (Fig. 10).
         let mut reserved_cpu = 0.0;
         let mut reserved_mem = 0.0;
-        for job in self.jobs.store().running_jobs() {
-            if let Some(c) = self.jobs.running_typed(job) {
-                reserved_cpu += c.task_resources.cpu * c.task_count as f64;
-                reserved_mem += c.task_resources.memory_mb * c.task_count as f64;
-            }
+        for (_, c) in self.jobs.running_typed_jobs() {
+            reserved_cpu += c.task_resources.cpu * c.task_count as f64;
+            reserved_mem += c.task_resources.memory_mb * c.task_count as f64;
         }
         self.metrics.reserved_cpu.record(now, reserved_cpu);
         self.metrics.reserved_memory_mb.record(now, reserved_mem);

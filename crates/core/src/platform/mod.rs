@@ -661,9 +661,7 @@ impl Turbine {
 
     /// Current arrival rate of a job's input, bytes/sec.
     pub fn job_arrival_rate(&self, job: JobId) -> Option<f64> {
-        self.engine
-            .job(job)
-            .map(|rt| rt.traffic.arrival_rate(self.now))
+        self.engine.job(job).map(|rt| rt.arrival_rate(self.now))
     }
 
     /// Mutate a job's traffic model mid-experiment (storms, spikes).
@@ -769,6 +767,11 @@ impl Turbine {
             .tasks()
             .find(|(&id, _)| id == task)
             .map(|(_, t)| t.container)
+    }
+
+    /// The durable per-(job, partition) read offsets (tests, tooling).
+    pub fn checkpoints(&self) -> &CheckpointStore {
+        &self.checkpoints
     }
 
     /// The shadow cursors of warm standbys (tests, invariant checks).
@@ -936,13 +939,8 @@ impl Turbine {
             ],
             jobs: self
                 .engine
-                .job_ids()
-                .into_iter()
-                .filter_map(|j| {
-                    self.engine
-                        .job(j)
-                        .map(|rt| (j.0, self.engine.running_tasks_of(j), rt.backlog().to_bits()))
-                })
+                .jobs()
+                .map(|(j, rt)| (j.0, self.engine.running_tasks_of(j), rt.backlog().to_bits()))
                 .collect(),
             fault_digest: self.faults.log_digest(),
             fault_transitions: self.faults.log().len(),

@@ -116,6 +116,14 @@ impl OdsState {
     }
 }
 
+/// The key of a category's append-rate series.
+fn scribe_series_key(category: &str) -> MetricKey {
+    MetricKey::new(
+        Scope::Component("scribe".to_string()),
+        format!("{category}_appends_per_sec"),
+    )
+}
+
 /// One job's sample for the metrics-round publication.
 pub(crate) struct JobSample {
     pub(crate) job: JobId,
@@ -223,32 +231,33 @@ impl Turbine {
             }
         }
         // Scribe append rates: delta of each category's cumulative append
-        // count over the sampling interval.
+        // count over the sampling interval. The bus and the series cache
+        // are both in name order, so they are walked in step; a category
+        // seen for the first time gets its series after the walk, still in
+        // name order (series ids follow registration order).
         let interval_secs = self.config.metrics_interval.as_secs_f64().max(1.0);
-        let categories: Vec<String> = self
-            .scribe
-            .category_names()
-            .into_iter()
-            .map(str::to_string)
-            .collect();
-        for category in categories {
-            let Ok(stats) = self.scribe.stats(&category) else {
-                continue;
-            };
-            let entry = match ods.scribe_series.get_mut(&category) {
-                Some(entry) => entry,
-                None => {
-                    let id = ods.registry.series_id(MetricKey::new(
-                        Scope::Component("scribe".to_string()),
-                        format!("{category}_appends_per_sec"),
-                    ));
-                    ods.scribe_series.entry(category).or_insert((id, 0))
+        let mut known = ods.scribe_series.iter_mut().peekable();
+        let mut fresh: Vec<(&str, u64)> = Vec::new();
+        for (category, stats) in self.scribe.categories() {
+            while known
+                .next_if(|(name, _)| name.as_str() < category)
+                .is_some()
+            {}
+            match known.next_if(|(name, _)| name.as_str() == category) {
+                Some((_, (id, last))) => {
+                    let delta = stats.total_appended.saturating_sub(*last);
+                    *last = stats.total_appended;
+                    ods.registry.publish(*id, now, delta as f64 / interval_secs);
                 }
-            };
-            let (id, last) = *entry;
-            let delta = stats.total_appended.saturating_sub(last);
-            entry.1 = stats.total_appended;
-            ods.registry.publish(id, now, delta as f64 / interval_secs);
+                None => fresh.push((category, stats.total_appended)),
+            }
+        }
+        for (category, total_appended) in fresh {
+            let id = ods.registry.series_id(scribe_series_key(category));
+            ods.scribe_series
+                .insert(category.to_string(), (id, total_appended));
+            ods.registry
+                .publish(id, now, total_appended as f64 / interval_secs);
         }
         // Control-round wall-clock latency summaries. These are host-time
         // observations (excluded from every digest), surfaced for the
@@ -420,10 +429,7 @@ impl turbine_types::Snap for OdsState {
         for _ in 0..count {
             let category: String = r.get()?;
             let last = r.u64("OdsState.scribe_watermark")?;
-            let id = registry.series_id(MetricKey::new(
-                Scope::Component("scribe".to_string()),
-                format!("{category}_appends_per_sec"),
-            ));
+            let id = registry.series_id(scribe_series_key(&category));
             scribe_series.insert(category, (id, last));
         }
         Ok(OdsState {

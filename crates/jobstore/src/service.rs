@@ -11,6 +11,7 @@ use crate::store::{JobStore, JobStoreError};
 use crate::wal::WalStorage;
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::sync::Arc;
 use turbine_config::{ConfigLevel, ConfigValue, JobConfig};
 use turbine_types::JobId;
 
@@ -20,16 +21,19 @@ use turbine_types::JobId;
 /// surfaced as the final conflict error.
 const MAX_RMW_RETRIES: usize = 8;
 
+/// Per job: the change token a typed view was decoded at, and the view.
+type TypedCache<T> = RefCell<HashMap<JobId, (u64, T)>>;
+
 /// The Job Service, owning the Job Store.
 pub struct JobService<W: WalStorage> {
     store: JobStore<W>,
     /// Typed-decode cache keyed by the store's per-job change token. The
     /// scaler and metrics loops read the typed view of every job every
-    /// round; decoding only on change keeps those loops cheap at fleet
-    /// scale.
-    typed_cache: RefCell<HashMap<JobId, (u64, JobConfig)>>,
+    /// round; decoding only on change and handing out the shared decode
+    /// (never a clone of it) keeps those loops cheap at fleet scale.
+    typed_cache: TypedCache<Arc<JobConfig>>,
     /// Same caching for the running table's typed view.
-    running_cache: RefCell<HashMap<JobId, (u64, Option<JobConfig>)>>,
+    running_cache: TypedCache<Option<Arc<JobConfig>>>,
 }
 
 impl<W: WalStorage> JobService<W> {
@@ -107,8 +111,9 @@ impl<W: WalStorage> JobService<W> {
     }
 
     /// The merged expected configuration decoded into the typed schema.
-    /// Cached per job until the next level write.
-    pub fn expected_typed(&self, job: JobId) -> Result<JobConfig, ExpectedConfigError> {
+    /// Cached per job until the next level write: reads in between share
+    /// one decode.
+    pub fn expected_typed(&self, job: JobId) -> Result<Arc<JobConfig>, ExpectedConfigError> {
         let token = self
             .store
             .expected_token(job)
@@ -122,7 +127,7 @@ impl<W: WalStorage> JobService<W> {
             .store
             .expected_merged_ref(job)
             .map_err(ExpectedConfigError::Store)?;
-        let config = JobConfig::from_value(merged).map_err(ExpectedConfigError::Invalid)?;
+        let config = Arc::new(JobConfig::from_value(merged).map_err(ExpectedConfigError::Invalid)?);
         self.typed_cache
             .borrow_mut()
             .insert(job, (token, config.clone()));
@@ -131,7 +136,7 @@ impl<W: WalStorage> JobService<W> {
 
     /// The running configuration decoded into the typed schema, if present
     /// and well-formed. Cached per job until the next commit/clear.
-    pub fn running_typed(&self, job: JobId) -> Option<JobConfig> {
+    pub fn running_typed(&self, job: JobId) -> Option<Arc<JobConfig>> {
         let token = self.store.running_token(job);
         if let Some((cached_token, config)) = self.running_cache.borrow().get(&job) {
             if *cached_token == token {
@@ -141,11 +146,20 @@ impl<W: WalStorage> JobService<W> {
         let config = self
             .store
             .running(job)
-            .and_then(|v| JobConfig::from_value(v).ok());
+            .and_then(|v| JobConfig::from_value(v).ok())
+            .map(Arc::new);
         self.running_cache
             .borrow_mut()
             .insert(job, (token, config.clone()));
         config
+    }
+
+    /// Every job whose running configuration is present and well-formed,
+    /// ascending, with its typed view.
+    pub fn running_typed_jobs(&self) -> impl Iterator<Item = (JobId, Arc<JobConfig>)> + '_ {
+        self.store
+            .running_jobs()
+            .filter_map(|job| Some((job, self.running_typed(job)?)))
     }
 
     /// Borrow the underlying store (State Syncer reads both tables).
@@ -316,5 +330,65 @@ mod tests {
         let merged = svc.store().expected_merged(JOB).expect("merge");
         svc.store_mut().commit_running(JOB, merged).expect("commit");
         assert_eq!(svc.running_typed(JOB).expect("typed").task_count, 4);
+    }
+
+    #[test]
+    fn typed_reads_share_one_decode_until_the_row_changes() {
+        let mut svc = service_with_job();
+        let first = svc.expected_typed(JOB).expect("typed");
+        assert!(Arc::ptr_eq(
+            &first,
+            &svc.expected_typed(JOB).expect("typed")
+        ));
+        // Any level write or clear: a new decode with the new content, and
+        // the old handle keeps what it saw.
+        svc.set_level_field(JOB, ConfigLevel::Scaler, "task_count", 12u32.into())
+            .expect("scaler");
+        let scaled = svc.expected_typed(JOB).expect("typed");
+        assert!(!Arc::ptr_eq(&first, &scaled));
+        assert_eq!((first.task_count, scaled.task_count), (4, 12));
+        svc.set_level_field(JOB, ConfigLevel::Oncall, "task_count", 20u32.into())
+            .expect("oncall");
+        let pinned = svc.expected_typed(JOB).expect("typed");
+        assert!(!Arc::ptr_eq(&scaled, &pinned));
+        assert_eq!(pinned.task_count, 20);
+        svc.clear_level(JOB, ConfigLevel::Oncall).expect("clear");
+        let cleared = svc.expected_typed(JOB).expect("typed");
+        assert!(!Arc::ptr_eq(&pinned, &cleared));
+        assert_eq!(cleared.task_count, 12);
+        assert!(Arc::ptr_eq(
+            &cleared,
+            &svc.expected_typed(JOB).expect("typed")
+        ));
+
+        // The running view likewise: shared between commits, new after one,
+        // gone after a clear. Expected-level writes do not touch it.
+        let merged = svc.store().expected_merged(JOB).expect("merge");
+        svc.store_mut().commit_running(JOB, merged).expect("commit");
+        let running = svc.running_typed(JOB).expect("running");
+        assert!(Arc::ptr_eq(
+            &running,
+            &svc.running_typed(JOB).expect("running")
+        ));
+        svc.set_level_field(JOB, ConfigLevel::Scaler, "task_count", 16u32.into())
+            .expect("scaler");
+        assert!(Arc::ptr_eq(
+            &running,
+            &svc.running_typed(JOB).expect("running")
+        ));
+        let merged = svc.store().expected_merged(JOB).expect("merge");
+        svc.store_mut().commit_running(JOB, merged).expect("commit");
+        let recommitted = svc.running_typed(JOB).expect("running");
+        assert!(!Arc::ptr_eq(&running, &recommitted));
+        assert_eq!((running.task_count, recommitted.task_count), (12, 16));
+        assert_eq!(
+            svc.running_typed_jobs()
+                .map(|(job, config)| (job, config.task_count))
+                .collect::<Vec<_>>(),
+            [(JOB, 16)]
+        );
+        svc.store_mut().clear_running(JOB).expect("clear");
+        assert!(svc.running_typed(JOB).is_none());
+        assert_eq!(svc.running_typed_jobs().count(), 0);
     }
 }

@@ -371,9 +371,9 @@ impl<W: WalStorage> JobStore<W> {
         self.running.get(&job)
     }
 
-    /// All jobs present in the running table.
-    pub fn running_jobs(&self) -> Vec<JobId> {
-        self.running.keys().copied().collect()
+    /// All jobs present in the running table, ascending.
+    pub fn running_jobs(&self) -> impl Iterator<Item = JobId> + '_ {
+        self.running.keys().copied()
     }
 
     /// Commit a running configuration. Only the State Syncer calls this,

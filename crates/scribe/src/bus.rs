@@ -72,6 +72,16 @@ struct Category {
     last_append_at: SimTime,
 }
 
+impl Category {
+    fn stats(&self) -> CategoryStats {
+        CategoryStats {
+            partitions: self.partitions.len(),
+            total_appended: self.total_appended,
+            last_append_at: self.last_append_at,
+        }
+    }
+}
+
 /// Aggregate statistics of one category.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CategoryStats {
@@ -332,30 +342,24 @@ impl Scribe {
 
     /// Mutable single-category view: one name lookup amortized across the
     /// many per-partition operations of a durable-sync pass.
-    pub fn category_view(&mut self, name: &str) -> Result<CategoryView<'_>, ScribeError> {
+    pub fn category_view<'a>(&'a mut self, name: &'a str) -> Result<CategoryView<'a>, ScribeError> {
         let cat = self
             .categories
             .get_mut(name)
             .ok_or_else(|| ScribeError::UnknownCategory(name.to_string()))?;
-        Ok(CategoryView {
-            name: name.to_string(),
-            cat,
-        })
+        Ok(CategoryView { name, cat })
     }
 
     /// Aggregate statistics of a category.
     pub fn stats(&self, category: &str) -> Result<CategoryStats, ScribeError> {
-        let cat = self.category(category)?;
-        Ok(CategoryStats {
-            partitions: cat.partitions.len(),
-            total_appended: cat.total_appended,
-            last_append_at: cat.last_append_at,
-        })
+        Ok(self.category(category)?.stats())
     }
 
-    /// Names of all categories, sorted.
-    pub fn category_names(&self) -> Vec<&str> {
-        self.categories.keys().map(String::as_str).collect()
+    /// Every category with its aggregate statistics, in name order.
+    pub fn categories(&self) -> impl Iterator<Item = (&str, CategoryStats)> {
+        self.categories
+            .iter()
+            .map(|(name, cat)| (name.as_str(), cat.stats()))
     }
 }
 
@@ -364,7 +368,8 @@ impl Scribe {
 /// viewed category, minus the repeated name lookup.
 #[derive(Debug)]
 pub struct CategoryView<'a> {
-    name: String,
+    /// Only ever copied into an error.
+    name: &'a str,
     cat: &'a mut Category,
 }
 
@@ -383,7 +388,7 @@ impl CategoryView<'_> {
 
     /// Tail offset of a partition (see [`Scribe::tail_offset`]).
     pub fn tail_offset(&self, partition: PartitionId) -> Result<u64, ScribeError> {
-        let idx = partition_index(&self.name, &self.cat.partitions, partition)?;
+        let idx = partition_index(self.name, &self.cat.partitions, partition)?;
         Ok(self.cat.partitions[idx].appended)
     }
 
@@ -394,7 +399,7 @@ impl CategoryView<'_> {
         bytes: u64,
         at: SimTime,
     ) -> Result<(), ScribeError> {
-        let idx = partition_index(&self.name, &self.cat.partitions, partition)?;
+        let idx = partition_index(self.name, &self.cat.partitions, partition)?;
         self.cat.partitions[idx].appended += bytes;
         self.cat.total_appended += bytes;
         self.cat.last_append_at = self.cat.last_append_at.max(at);

@@ -19,5 +19,5 @@ pub mod checkpoint;
 pub mod shadow;
 
 pub use bus::{CategoryStats, Record, Scribe, ScribeError};
-pub use checkpoint::CheckpointStore;
+pub use checkpoint::{CheckpointStore, JobCheckpoints};
 pub use shadow::ShadowCursor;

@@ -371,8 +371,8 @@ impl StateSyncer {
             }
         };
         let running = service.running_typed(job);
-        let kind = classify(running.as_ref(), &expected);
-        let plan = build_plan(job, kind, running.as_ref(), &expected);
+        let kind = classify(running.as_deref(), &expected);
+        let plan = build_plan(job, kind, running.as_deref(), &expected);
         let done = self.run_actions(job, &plan, Some(&merged_value), service, env, report);
         if done {
             match kind {

@@ -37,8 +37,8 @@ pub trait RunningJobs {
     fn running_token(&self, job: JobId) -> u64;
     /// The running (not expected!) configuration of a job — tasks always
     /// run what the State Syncer committed. `None` if the row is absent or
-    /// does not decode.
-    fn running_config(&self, job: JobId) -> Option<JobConfig>;
+    /// does not decode. Shared, not copied: the table keeps its decode.
+    fn running_config(&self, job: JobId) -> Option<Arc<JobConfig>>;
     /// Jobs whose tasks must be absent from the snapshot for now (paused
     /// for a complex synchronization, stopped for capacity).
     fn excluded(&self) -> BTreeSet<JobId>;

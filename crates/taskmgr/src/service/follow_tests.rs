@@ -73,8 +73,8 @@ impl RunningJobs for FakeTable {
         self.tokens.get(&job).copied().unwrap_or(0)
     }
 
-    fn running_config(&self, job: JobId) -> Option<JobConfig> {
-        self.running.get(&job).cloned()
+    fn running_config(&self, job: JobId) -> Option<Arc<JobConfig>> {
+        self.running.get(&job).cloned().map(Arc::new)
     }
 
     fn excluded(&self) -> BTreeSet<JobId> {

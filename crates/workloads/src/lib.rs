@@ -19,4 +19,4 @@ pub mod fleet;
 pub mod traffic;
 
 pub use fleet::{synthesize_fleet, FleetConfig, SyntheticJob};
-pub use traffic::{TrafficEvent, TrafficEventKind, TrafficModel};
+pub use traffic::{NoiseMemo, TrafficEvent, TrafficEventKind, TrafficModel};

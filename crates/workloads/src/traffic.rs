@@ -43,6 +43,16 @@ pub enum TrafficEventKind {
     InputOutage,
 }
 
+/// The last per-minute noise factor drawn for a model (see
+/// [`TrafficModel::arrival_rate_memo`]). Derived from the model and the
+/// time alone, so it is never state: an empty memo only costs a draw.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NoiseMemo {
+    /// `(seed, noise sigma bits, minute)` the factor was drawn for.
+    drawn_for: Option<(u64, u64, u64)>,
+    factor: f64,
+}
+
 /// A deterministic traffic model for one job.
 #[derive(Debug, Clone)]
 pub struct TrafficModel {
@@ -106,6 +116,16 @@ impl TrafficModel {
     /// The *arrival* rate at `at`, bytes/sec. Zero during input outages;
     /// unaffected by `ConsumerDisabled` (data still arrives and backs up).
     pub fn arrival_rate(&self, at: SimTime) -> f64 {
+        self.arrival_rate_memo(at, &mut NoiseMemo::default())
+    }
+
+    /// [`arrival_rate`](Self::arrival_rate) for a caller that evaluates one
+    /// model many times a minute: the minute's noise factor (a seeded
+    /// generator and a log-normal draw, most of an evaluation) is kept in
+    /// `memo` and drawn again only when the minute or the model's noise
+    /// parameters differ from the ones it was drawn for. The value returned
+    /// is bit-for-bit the unmemoised one.
+    pub fn arrival_rate_memo(&self, at: SimTime, memo: &mut NoiseMemo) -> f64 {
         if self
             .events
             .iter()
@@ -128,9 +148,18 @@ impl TrafficModel {
         }
         // Deterministic per-minute noise.
         if self.noise_sigma > 0.0 {
-            let minute = at.as_millis() / 60_000;
-            let mut rng = SimRng::seeded(self.seed ^ minute.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            rate *= rng.log_normal(0.0, self.noise_sigma);
+            let drawn_for = (
+                self.seed,
+                self.noise_sigma.to_bits(),
+                at.as_millis() / 60_000,
+            );
+            if memo.drawn_for != Some(drawn_for) {
+                let (seed, _, minute) = drawn_for;
+                let mut rng = SimRng::seeded(seed ^ minute.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                memo.factor = rng.log_normal(0.0, self.noise_sigma);
+                memo.drawn_for = Some(drawn_for);
+            }
+            rate *= memo.factor;
         }
         // Multiplier events (storms, spikes) stack multiplicatively.
         for e in &self.events {
@@ -279,6 +308,31 @@ mod tests {
         let m = TrafficModel::diurnal(1000.0, 0.4, 42);
         for h in [0, 5, 13, 23] {
             assert_eq!(m.arrival_rate(t(h)), m.arrival_rate(t(h)));
+        }
+    }
+
+    #[test]
+    fn memoised_rate_equals_the_pure_one_across_minutes_and_model_edits() {
+        let mut model = TrafficModel::diurnal(1000.0, 0.4, 42).with_growth(0.002);
+        let mut memo = NoiseMemo::default();
+        let mut at = SimTime::ZERO;
+        for step in 0..600 {
+            at += Duration::from_secs(7);
+            // Edits the memo's key must catch: another seed, another sigma
+            // (0 switches noise off), and back.
+            match step % 50 {
+                10 => model.seed += 1,
+                20 => model.noise_sigma = 0.0,
+                30 => model.noise_sigma = 0.05,
+                40 => model.base_rate *= 1.1,
+                _ => {}
+            }
+            let pure = model.arrival_rate(at);
+            assert_eq!(
+                model.arrival_rate_memo(at, &mut memo).to_bits(),
+                pure.to_bits(),
+                "step {step}"
+            );
         }
     }
 

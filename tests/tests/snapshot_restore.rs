@@ -262,6 +262,49 @@ fn restore_between_refresh_rounds_then_release_and_flap_matches_uninterrupted() 
     }
 }
 
+/// The checkpoint store's per-job rows are a layout the blob does not show,
+/// and the engine's dirty hints and noise memos are derived and left out of
+/// it: a restore taken between a checkpoint round and the next tick, with
+/// every job busy, holds the same offsets and from then on commits, dirties
+/// and draws exactly as the uninterrupted run does.
+#[test]
+fn restore_between_checkpoint_round_and_next_tick_matches_uninterrupted() {
+    let durable = |t: &Turbine| {
+        (1..=3)
+            .map(|job| {
+                let job = JobId(job);
+                (t.checkpoints().job_checkpoints(job), t.durable_backlog(job))
+            })
+            .collect::<Vec<_>>()
+    };
+    for mode in [DriveMode::EventDriven, DriveMode::DenseTick] {
+        let mut original = build();
+        // Checkpoint rounds fire on the minute, after that instant's tick:
+        // the platform stops right behind one.
+        drive_to(&mut original, 20, mode);
+        let committed = original.checkpoints().len();
+        assert_eq!(committed, 16 + 16 + 8, "every partition has its offset");
+        assert!(original.checkpoints().job_total_ingested(JobId(1)) > 0);
+
+        let mut restored = Snapshot::capture(&original).restore().expect("restore");
+        assert_eq!(durable(&original), durable(&restored), "mode {mode:?}");
+        for t in [&mut original, &mut restored] {
+            // The next tick, then on through twenty more rounds.
+            t.drive_for(Duration::from_secs(10), mode);
+            drive_to(t, 40, mode);
+        }
+        assert_eq!(observe(&original), observe(&restored), "mode {mode:?}");
+        assert_eq!(durable(&original), durable(&restored), "mode {mode:?}");
+        assert_eq!(original.checkpoints().len(), committed);
+        assert!(
+            durable(&original)
+                .iter()
+                .all(|(_, backlog)| backlog.is_ok()),
+            "every checkpoint is readable"
+        );
+    }
+}
+
 /// A snapshot round-trips through its on-disk blob form unchanged, and
 /// the blob carries its scenario context.
 #[test]
