@@ -12,8 +12,15 @@
 //!   (most Facebook streaming workloads are diurnal within ~1 % on
 //!   aggregate), and to detect anomalies (storms, incidents) during which
 //!   pattern-based decisions are disabled.
+//!
+//! A job's history behaves as a ring of `history_days × buckets_per_day`
+//! slots indexed by `bucket mod slots`, but `JobHistory` stores only the
+//! slots that were written: nothing before the first sample, sixteen bytes
+//! per ten recorded minutes after it. A run of a few simulated hours
+//! holds a few dozen entries per job where the ring it replaces held
+//! 2 016 slots from the first round on, resident and in every snapshot.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use turbine_types::{Duration, JobId, SimTime};
 
 /// Adaptive estimate of `P`, the maximum stable processing rate of a
@@ -107,22 +114,126 @@ impl Default for PatternConfig {
     }
 }
 
-/// Ring buffer of workload buckets for one job. Each slot remembers which
-/// absolute bucket wrote it, so stale data from a previous ring cycle is
-/// never misread as current history.
-#[derive(Debug, Clone)]
+/// Workload buckets recorded for one job: what a ring of `total` slots
+/// indexed by `bucket % total` would hold, stored as its occupied slots
+/// only. Entries ascend strictly by absolute bucket and no two share a
+/// slot, so `entries.len()` is the number of occupied slots.
+#[derive(Debug, Clone, Default)]
 struct JobHistory {
-    /// `history_days * buckets_per_day` slots.
-    buckets: Vec<f64>,
-    /// Absolute bucket index that last wrote each slot; `u64::MAX` = never.
-    slot_bucket: Vec<u64>,
+    entries: VecDeque<(u64, f64)>,
 }
 
 impl JobHistory {
-    fn value_at_abs(&self, abs: u64) -> Option<f64> {
-        let slot = (abs % self.buckets.len() as u64) as usize;
-        (self.slot_bucket[slot] == abs).then(|| self.buckets[slot])
+    /// Where bucket `abs` is stored (`Ok`) or would be inserted (`Err`).
+    /// A history without gaps is indexed directly.
+    fn position(&self, abs: u64) -> Result<usize, usize> {
+        let (Some(&(first, _)), Some(&(last, _))) = (self.entries.front(), self.entries.back())
+        else {
+            return Err(0);
+        };
+        if abs > last {
+            return Err(self.entries.len());
+        }
+        if abs < first {
+            return Err(0);
+        }
+        if last - first == self.entries.len() as u64 - 1 {
+            return Ok((abs - first) as usize);
+        }
+        self.entries
+            .binary_search_by_key(&abs, |&(bucket, _)| bucket)
     }
+
+    /// The value of bucket `abs`, if it was written and no later write
+    /// landed on its slot.
+    fn value_at_abs(&self, abs: u64) -> Option<f64> {
+        self.position(abs).ok().map(|i| self.entries[i].1)
+    }
+
+    /// The entry occupying the slot bucket `abs` maps to, whichever cycle
+    /// wrote it.
+    fn slot_holder(&self, abs: u64, total: u64) -> Option<usize> {
+        let (first, last) = (self.entries.front()?.0, self.entries.back()?.0);
+        let slot = abs % total;
+        // More cycles between the ends than entries: look at the entries.
+        if (last - first) / total >= self.entries.len() as u64 {
+            return self.entries.iter().position(|&(b, _)| b % total == slot);
+        }
+        // Otherwise at the few buckets in range that share the slot.
+        let mut bucket = first.checked_add((slot + total - first % total) % total)?;
+        while bucket <= last {
+            if let Ok(i) = self.position(bucket) {
+                return Some(i);
+            }
+            bucket = bucket.checked_add(total)?;
+        }
+        None
+    }
+
+    /// Write `value` to bucket `abs` of a ring of `total` slots: the
+    /// maximum wins within a bucket, and a write evicts whatever bucket
+    /// held its slot, earlier or later, however many cycles away.
+    fn record(&mut self, abs: u64, value: f64, total: u64) {
+        let mut at = match self.position(abs) {
+            Ok(i) => {
+                let held = &mut self.entries[i].1;
+                *held = held.max(value);
+                return;
+            }
+            Err(at) => at,
+        };
+        if let Some(evicted) = self.slot_holder(abs, total) {
+            self.entries.remove(evicted);
+            at -= (evicted < at) as usize;
+        }
+        self.entries.insert(at, (abs, value));
+    }
+
+    fn snap(&self, w: &mut turbine_types::SnapWriter) {
+        w.put(&self.entries);
+    }
+
+    /// Decode the entries of a ring of `total` slots, checking what the
+    /// layout relies on: ascending buckets, one entry per slot.
+    fn unsnap(
+        r: &mut turbine_types::SnapReader<'_>,
+        total: u64,
+    ) -> Result<Self, turbine_types::SnapError> {
+        let entries: VecDeque<(u64, f64)> = r.get()?;
+        if entries.len() as u64 > total {
+            return Err(turbine_types::SnapError::Value(
+                "JobHistory holds more entries than slots",
+            ));
+        }
+        if entries
+            .iter()
+            .zip(entries.iter().skip(1))
+            .any(|(a, b)| a.0 >= b.0)
+        {
+            return Err(turbine_types::SnapError::Value(
+                "JobHistory buckets not ascending",
+            ));
+        }
+        let mut slots: Vec<u64> = entries.iter().map(|&(b, _)| b % total).collect();
+        slots.sort_unstable();
+        if slots.windows(2).any(|pair| pair[0] == pair[1]) {
+            return Err(turbine_types::SnapError::Value(
+                "JobHistory has two entries on one slot",
+            ));
+        }
+        Ok(JobHistory { entries })
+    }
+}
+
+/// Buckets per day and ring slots of `config`, or `None` when it describes
+/// no ring: a bucket longer than a day, no days of history, or a slot
+/// count that overflows.
+fn ring_shape(config: &PatternConfig) -> Option<(u64, u64)> {
+    let buckets_per_day = Duration::from_days(1)
+        .as_millis()
+        .checked_div(config.bucket.as_millis())?;
+    let total = buckets_per_day.checked_mul(u64::try_from(config.history_days).ok()?)?;
+    (total > 0 && usize::try_from(total).is_ok()).then_some((buckets_per_day, total))
 }
 
 /// The Pattern Analyzer.
@@ -130,17 +241,20 @@ impl JobHistory {
 pub struct PatternAnalyzer {
     config: PatternConfig,
     buckets_per_day: u64,
+    /// Slots of every job's ring: `history_days × buckets_per_day`.
+    total_slots: u64,
     history: HashMap<JobId, JobHistory>,
 }
 
 impl PatternAnalyzer {
     /// An analyzer with the given tunables.
     pub fn new(config: PatternConfig) -> Self {
-        let buckets_per_day = Duration::from_days(1).as_millis() / config.bucket.as_millis();
-        assert!(buckets_per_day > 0, "bucket must divide a day");
+        let (buckets_per_day, total_slots) = ring_shape(&config)
+            .expect("bucket must divide a day and history_days must be positive");
         PatternAnalyzer {
             config,
             buckets_per_day,
+            total_slots,
             history: HashMap::new(),
         }
     }
@@ -154,27 +268,20 @@ impl PatternAnalyzer {
         at.as_millis() / self.config.bucket.as_millis()
     }
 
-    fn total_slots(&self) -> usize {
-        (self.buckets_per_day * self.config.history_days as u64) as usize
-    }
-
     /// Record a workload sample (input rate) for `job` at `at`. Within a
     /// bucket the maximum is kept — sustainability must hold at peak, not
     /// on average.
     pub fn record(&mut self, job: JobId, at: SimTime, input_rate: f64) {
-        let total = self.total_slots();
         let abs = self.abs_bucket(at);
-        let entry = self.history.entry(job).or_insert_with(|| JobHistory {
-            buckets: vec![0.0; total],
-            slot_bucket: vec![u64::MAX; total],
-        });
-        let slot = (abs % total as u64) as usize;
-        if entry.slot_bucket[slot] == abs {
-            entry.buckets[slot] = entry.buckets[slot].max(input_rate);
-        } else {
-            entry.buckets[slot] = input_rate;
-            entry.slot_bucket[slot] = abs;
-        }
+        self.history
+            .entry(job)
+            .or_default()
+            .record(abs, input_rate, self.total_slots);
+    }
+
+    /// Drop everything recorded for `job`.
+    pub fn forget(&mut self, job: JobId) {
+        self.history.remove(&job);
     }
 
     /// Days of history available for `job` (approximate: written slots
@@ -183,8 +290,8 @@ impl PatternAnalyzer {
         match self.history.get(&job) {
             None => 0,
             Some(h) => {
-                let written = h.slot_bucket.iter().filter(|&&b| b != u64::MAX).count() as u64;
-                ((written / self.buckets_per_day.max(1)) as usize).min(now.as_days_f64() as usize)
+                let written = h.entries.len() as u64;
+                ((written / self.buckets_per_day) as usize).min(now.as_days_f64() as usize)
             }
         }
     }
@@ -340,34 +447,12 @@ impl turbine_types::Snap for PatternConfig {
             anomaly_threshold: r.get()?,
             min_history_days: r.get()?,
         };
-        if config.bucket.is_zero()
-            || Duration::from_days(1).as_millis() / config.bucket.as_millis() == 0
-        {
+        if ring_shape(&config).is_none() {
             return Err(turbine_types::SnapError::Value(
-                "PatternConfig.bucket does not divide a day",
+                "PatternConfig describes no history ring",
             ));
         }
         Ok(config)
-    }
-}
-
-impl turbine_types::Snap for JobHistory {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        w.put(&self.buckets);
-        w.put(&self.slot_bucket);
-    }
-
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        let history = JobHistory {
-            buckets: r.get()?,
-            slot_bucket: r.get()?,
-        };
-        if history.buckets.len() != history.slot_bucket.len() || history.buckets.is_empty() {
-            return Err(turbine_types::SnapError::Value(
-                "JobHistory ring length mismatch",
-            ));
-        }
-        Ok(history)
     }
 }
 
@@ -379,22 +464,25 @@ impl turbine_types::Snap for PatternAnalyzer {
         w.u64(sorted.len() as u64);
         for (job, history) in sorted {
             w.put(&job);
-            w.put(history);
+            history.snap(w);
         }
     }
 
     fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
         let config: PatternConfig = r.get()?;
-        let buckets_per_day = Duration::from_days(1).as_millis() / config.bucket.as_millis();
+        let (buckets_per_day, total_slots) = ring_shape(&config).ok_or(
+            turbine_types::SnapError::Value("PatternConfig describes no history ring"),
+        )?;
         let len = r.len_prefix("PatternAnalyzer.history")?;
         let mut history = HashMap::with_capacity(len);
         for _ in 0..len {
             let job: JobId = r.get()?;
-            history.insert(job, r.get::<JobHistory>()?);
+            history.insert(job, JobHistory::unsnap(r, total_slots)?);
         }
         Ok(PatternAnalyzer {
             config,
             buckets_per_day,
+            total_slots,
             history,
         })
     }
@@ -521,5 +609,327 @@ mod tests {
         assert_eq!(pa.is_anomalous(JOB, t(4, 0, 0)), Some(false));
         assert_eq!(pa.downscale_is_safe(JOB, t(4, 0, 0), 200.0), Some(false));
         assert_eq!(pa.downscale_is_safe(JOB, t(4, 0, 0), 600.0), Some(true));
+    }
+
+    #[test]
+    fn nothing_is_held_before_the_first_record() {
+        let mut pa = PatternAnalyzer::new(PatternConfig::default());
+        assert!(pa.history.is_empty());
+        pa.record(JOB, t(0, 0, 0), 1.0);
+        pa.record(JOB, t(0, 0, 2), 3.0);
+        pa.record(JOB, t(0, 0, 4), 2.0);
+        // Three samples in one ten-minute bucket: one entry, the maximum.
+        assert_eq!(pa.history[&JOB].entries, [(0, 3.0)]);
+        pa.forget(JOB);
+        assert!(pa.history.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "history_days must be positive")]
+    fn an_analyzer_without_history_days_is_refused() {
+        PatternAnalyzer::new(PatternConfig {
+            history_days: 0,
+            ..PatternConfig::default()
+        });
+    }
+
+    fn encoded<T: turbine_types::Snap>(v: &T) -> Vec<u8> {
+        let mut w = turbine_types::SnapWriter::new();
+        w.put(v);
+        w.into_bytes()
+    }
+
+    fn decoded<T: turbine_types::Snap>(bytes: &[u8]) -> Result<T, turbine_types::SnapError> {
+        let mut r = turbine_types::SnapReader::new(bytes);
+        let v = r.get()?;
+        r.expect_end()?;
+        Ok(v)
+    }
+
+    #[test]
+    fn a_config_that_describes_no_ring_does_not_decode() {
+        use turbine_types::SnapError;
+        let bad = |config: PatternConfig| decoded::<PatternConfig>(&encoded(&config));
+        let ok = PatternConfig::default();
+        assert!(bad(ok).is_ok());
+        for config in [
+            // `record` would compute `bucket % 0`.
+            PatternConfig {
+                history_days: 0,
+                ..ok
+            },
+            // days x buckets per day overflows.
+            PatternConfig {
+                history_days: usize::MAX,
+                ..ok
+            },
+            PatternConfig {
+                bucket: Duration::ZERO,
+                ..ok
+            },
+            PatternConfig {
+                bucket: Duration::from_days(2),
+                ..ok
+            },
+        ] {
+            assert!(
+                matches!(bad(config), Err(SnapError::Value(_))),
+                "{config:?}"
+            );
+        }
+    }
+
+    /// An analyzer over a three-slot ring (one day of eight-hour buckets)
+    /// whose one job holds `entries`, as a blob.
+    fn blob_with_entries(entries: &[(u64, f64)]) -> Vec<u8> {
+        let mut w = turbine_types::SnapWriter::new();
+        w.put(&PatternConfig {
+            history_days: 1,
+            bucket: Duration::from_hours(8),
+            ..PatternConfig::default()
+        });
+        w.u64(1);
+        w.put(&JOB);
+        w.put(&entries.to_vec());
+        w.into_bytes()
+    }
+
+    #[test]
+    fn hostile_history_entries_are_typed_errors() {
+        use turbine_types::SnapError;
+        let decode =
+            |entries: &[(u64, f64)]| decoded::<PatternAnalyzer>(&blob_with_entries(entries));
+        let pa = decode(&[(3, 1.0), (4, 2.0), (8, 3.0)]).expect("a valid history decodes");
+        assert_eq!(pa.history[&JOB].value_at_abs(8), Some(3.0));
+        for (entries, why) in [
+            (&[(4, 1.0), (3, 2.0)][..], "unsorted"),
+            (&[(3, 1.0), (3, 2.0)][..], "a bucket twice"),
+            (&[(1, 1.0), (4, 2.0)][..], "two buckets on slot 1"),
+            (
+                &[(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)][..],
+                "four entries, three slots",
+            ),
+        ] {
+            assert!(matches!(decode(entries), Err(SnapError::Value(_))), "{why}");
+        }
+        // A length no blob of this size can hold is refused before anything
+        // is allocated for it, and a cut anywhere is an error, not a panic.
+        let mut huge = blob_with_entries(&[]);
+        let at = huge.len() - 8;
+        huge[at..].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(
+            decoded::<PatternAnalyzer>(&huge),
+            Err(SnapError::Eof(_))
+        ));
+        let whole = blob_with_entries(&[(3, 1.0), (4, 2.0)]);
+        for cut in 0..whole.len() {
+            assert!(
+                decoded::<PatternAnalyzer>(&whole[..cut]).is_err(),
+                "cut {cut}"
+            );
+        }
+    }
+
+    /// The dense ring the sparse history replaces, kept as the model:
+    /// two eagerly allocated vectors and the read paths as they were.
+    mod dense {
+        use super::super::{PatternConfig, PatternVerdict};
+        use turbine_types::{Duration, SimTime};
+
+        pub struct DenseAnalyzer {
+            config: PatternConfig,
+            buckets_per_day: u64,
+            buckets: Vec<f64>,
+            slot_bucket: Vec<u64>,
+        }
+
+        impl DenseAnalyzer {
+            pub fn new(config: PatternConfig) -> Self {
+                let buckets_per_day =
+                    Duration::from_days(1).as_millis() / config.bucket.as_millis();
+                let total = (buckets_per_day * config.history_days as u64) as usize;
+                DenseAnalyzer {
+                    config,
+                    buckets_per_day,
+                    buckets: vec![0.0; total],
+                    slot_bucket: vec![u64::MAX; total],
+                }
+            }
+
+            fn abs_bucket(&self, at: SimTime) -> u64 {
+                at.as_millis() / self.config.bucket.as_millis()
+            }
+
+            pub fn value_at_abs(&self, abs: u64) -> Option<f64> {
+                let slot = (abs % self.buckets.len() as u64) as usize;
+                (self.slot_bucket[slot] == abs).then(|| self.buckets[slot])
+            }
+
+            pub fn record(&mut self, at: SimTime, input_rate: f64) {
+                let abs = self.abs_bucket(at);
+                let slot = (abs % self.buckets.len() as u64) as usize;
+                if self.slot_bucket[slot] == abs {
+                    self.buckets[slot] = self.buckets[slot].max(input_rate);
+                } else {
+                    self.buckets[slot] = input_rate;
+                    self.slot_bucket[slot] = abs;
+                }
+            }
+
+            pub fn days_recorded(&self, now: SimTime) -> usize {
+                let written = self.slot_bucket.iter().filter(|&&b| b != u64::MAX).count() as u64;
+                ((written / self.buckets_per_day) as usize).min(now.as_days_f64() as usize)
+            }
+
+            pub fn check_downscale(&self, now: SimTime, sustainable_rate: f64) -> PatternVerdict {
+                if self.days_recorded(now) < self.config.min_history_days {
+                    return PatternVerdict::InsufficientHistory;
+                }
+                match self.is_anomalous(now) {
+                    None => return PatternVerdict::InsufficientHistory,
+                    Some(true) => return PatternVerdict::Anomalous,
+                    Some(false) => {}
+                }
+                let start = self.abs_bucket(now);
+                let horizon =
+                    (self.config.lookahead.as_millis() / self.config.bucket.as_millis()).max(1);
+                for day in 1..self.config.history_days as u64 {
+                    let day_offset = day * self.buckets_per_day;
+                    if day_offset > start {
+                        break;
+                    }
+                    for b in 0..horizon {
+                        if let Some(observed) = self.value_at_abs(start + b - day_offset) {
+                            if observed > sustainable_rate {
+                                return PatternVerdict::Unsafe;
+                            }
+                        }
+                    }
+                }
+                PatternVerdict::Safe
+            }
+
+            pub fn is_anomalous(&self, now: SimTime) -> Option<bool> {
+                if self.days_recorded(now) < self.config.min_history_days {
+                    return None;
+                }
+                let window =
+                    (self.config.recent_window.as_millis() / self.config.bucket.as_millis()).max(1);
+                let end = self.abs_bucket(now);
+                let start = end.saturating_sub(window - 1);
+                let (mut recent_sum, mut recent_n) = (0.0, 0usize);
+                for abs in start..=end {
+                    if let Some(v) = self.value_at_abs(abs) {
+                        recent_sum += v;
+                        recent_n += 1;
+                    }
+                }
+                let (mut hist_sum, mut hist_n) = (0.0, 0usize);
+                for day in 1..self.config.history_days as u64 {
+                    let day_offset = day * self.buckets_per_day;
+                    if day_offset > start {
+                        break;
+                    }
+                    for abs in start..=end {
+                        if let Some(v) = self.value_at_abs(abs - day_offset) {
+                            hist_sum += v;
+                            hist_n += 1;
+                        }
+                    }
+                }
+                if recent_n == 0 || hist_n == 0 {
+                    return None;
+                }
+                let recent = recent_sum / recent_n as f64;
+                let historical = hist_sum / hist_n as f64;
+                if historical <= 0.0 {
+                    return Some(recent > 0.0);
+                }
+                let ratio = recent / historical;
+                Some(
+                    ratio > 1.0 + self.config.anomaly_threshold
+                        || ratio < 1.0 / (1.0 + self.config.anomaly_threshold),
+                )
+            }
+        }
+    }
+
+    mod against_the_dense_ring {
+        use super::dense::DenseAnalyzer;
+        use super::*;
+        use proptest::prelude::*;
+
+        /// One `record`: how the clock moves (in buckets, from the last
+        /// recorded time) and the sample. Moves repeat the bucket, step
+        /// on, leave a gap, leap past one or several whole cycles, or go
+        /// back in time.
+        fn arb_step() -> impl Strategy<Value = (i64, f64)> {
+            let movement = prop_oneof![
+                Just(0i64),
+                Just(1i64),
+                1i64..4,
+                4i64..30,
+                30i64..120,
+                -20i64..0,
+            ];
+            (movement, 0.0f64..400.0)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn sparse_history_is_the_ring(
+                history_days in 1usize..=3,
+                bucket_hours in prop::sample::select(vec![4u64, 6, 8, 12]),
+                min_history_days in 0usize..3,
+                lookahead_buckets in 1u64..8,
+                window_buckets in 1u64..4,
+                start_bucket in 0u64..40,
+                steps in prop::collection::vec(arb_step(), 1..60),
+                probes in prop::collection::vec((-30i64..30, 0.0f64..400.0), 60..61),
+            ) {
+                let bucket = Duration::from_hours(bucket_hours);
+                let config = PatternConfig {
+                    history_days,
+                    bucket,
+                    lookahead: Duration::from_millis(bucket.as_millis() * lookahead_buckets),
+                    recent_window: Duration::from_millis(bucket.as_millis() * window_buckets),
+                    anomaly_threshold: 0.5,
+                    min_history_days,
+                };
+                let mut sparse = PatternAnalyzer::new(config);
+                let mut dense = DenseAnalyzer::new(config);
+                let total = sparse.total_slots;
+                let at_bucket = |b: i64| SimTime::from_millis(b.max(0) as u64 * bucket.as_millis() + 7);
+                let mut clock = start_bucket as i64;
+                for (step, &(movement, rate)) in steps.iter().enumerate() {
+                    clock = (clock + movement).max(0);
+                    sparse.record(JOB, at_bucket(clock), rate);
+                    dense.record(at_bucket(clock), rate);
+
+                    let history = &sparse.history[&JOB];
+                    let (first, last) = (history.entries[0].0, history.entries[history.entries.len() - 1].0);
+                    for abs in first.saturating_sub(total + 1)..=last + total + 1 {
+                        prop_assert_eq!(
+                            history.value_at_abs(abs).map(f64::to_bits),
+                            dense.value_at_abs(abs).map(f64::to_bits),
+                            "bucket {} after step {}", abs, step
+                        );
+                    }
+                    let (offset, sustainable) = probes[step];
+                    let now = at_bucket(clock + offset);
+                    prop_assert_eq!(sparse.days_recorded(JOB, now), dense.days_recorded(now));
+                    prop_assert_eq!(sparse.is_anomalous(JOB, now), dense.is_anomalous(now));
+                    prop_assert_eq!(
+                        sparse.check_downscale(JOB, now, sustainable),
+                        dense.check_downscale(now, sustainable)
+                    );
+                }
+                let blob = encoded(&sparse);
+                let back: PatternAnalyzer = decoded(&blob).expect("own encoding decodes");
+                prop_assert_eq!(encoded(&back), blob);
+            }
+        }
     }
 }

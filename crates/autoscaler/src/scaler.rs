@@ -202,10 +202,12 @@ impl AutoScaler {
         self.priority_floor = floor;
     }
 
-    /// Direct access to the Pattern Analyzer (for recording workload
-    /// samples outside evaluation rounds).
-    pub fn patterns_mut(&mut self) -> &mut PatternAnalyzer {
-        &mut self.patterns
+    /// Drop everything kept for `job`: its scaling state and its workload
+    /// history. For deleted jobs; ids are never reused, so nothing the
+    /// scaler decides later depends on what is dropped.
+    pub fn forget(&mut self, job: JobId) {
+        self.states.remove(&job);
+        self.patterns.forget(job);
     }
 
     /// Run one scaling evaluation for `job`.

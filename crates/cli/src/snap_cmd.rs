@@ -15,9 +15,13 @@ use crate::runner::{
 use crate::scenario::Scenario;
 use turbine_snap::{Snapshot, SnapshotMeta};
 
+/// Stream fields the capture report lists by name; the rest share a line.
+const FIELDS_LISTED: usize = 12;
+
 /// Run `scenario` to minute `at_mins` and capture the platform into a
-/// snapshot blob embedding the scenario text. Returns the snapshot and a
-/// one-line capture report.
+/// snapshot blob embedding the scenario text. Returns the snapshot and the
+/// capture report: one summary line, then where the stream's bytes are,
+/// field by field, largest first.
 pub fn snapshot_scenario(
     scenario: &Scenario,
     scenario_text: &str,
@@ -40,12 +44,27 @@ pub fn snapshot_scenario(
             at_mins: Some(at_mins),
         },
     );
-    let report = format!(
+    let mut report = format!(
         "captured minute {at_mins}/{total}: {} chunks ({} unique), {} KiB platform stream\n",
         snapshot.chunk_count(),
         snapshot.unique_chunk_count(),
         snapshot.stream_len() / 1024,
     );
+    let fields = turbine_snap::field_bytes(&turbine);
+    let (largest, rest) = fields.split_at(fields.len().min(FIELDS_LISTED));
+    let mut line = |name: &str, bytes: usize| {
+        let percent = 100.0 * bytes as f64 / snapshot.stream_len().max(1) as f64;
+        report += &format!("  {name:<22} {bytes:>10} B  {percent:5.1} %\n");
+    };
+    for &(name, bytes) in largest {
+        line(name, bytes);
+    }
+    if !rest.is_empty() {
+        line(
+            &format!("{} smaller fields", rest.len()),
+            rest.iter().map(|&(_, bytes)| bytes).sum(),
+        );
+    }
     Ok((snapshot, report))
 }
 
@@ -134,6 +153,27 @@ mod tests {
         assert_eq!(resumed.counters, full.counters);
         assert_eq!(resumed.jobs, full.jobs);
         assert_eq!(resumed.fault_log, full.fault_log);
+    }
+
+    #[test]
+    fn capture_report_lists_where_the_bytes_are() {
+        let scenario = Scenario::parse(SCENARIO).expect("parse");
+        let (snapshot, report) = snapshot_scenario(&scenario, SCENARIO, 15).expect("capture");
+        let mut lines = report.lines();
+        assert!(lines
+            .next()
+            .expect("summary")
+            .starts_with("captured minute 15/60"));
+        // "  name   bytes B   share %", largest first, adding up to the stream.
+        let sizes: Vec<u64> = lines
+            .map(|l| {
+                let fields: Vec<&str> = l.split_whitespace().collect();
+                fields[fields.len() - 4].parse().expect("bytes column")
+            })
+            .collect();
+        assert_eq!(sizes.len(), FIELDS_LISTED + 1);
+        assert!(sizes[..FIELDS_LISTED].windows(2).all(|w| w[0] >= w[1]));
+        assert_eq!(sizes.iter().sum::<u64>(), snapshot.stream_len());
     }
 
     #[test]

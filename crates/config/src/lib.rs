@@ -22,4 +22,4 @@ pub use job::{JobConfig, MemoryEnforcement, PackageSpec, ResiliencyClass, Valida
 pub use level::ConfigLevel;
 pub use merge::{layer_all, layer_configs};
 pub use text::{parse, to_text, ParseError};
-pub use value::ConfigValue;
+pub use value::{ConfigMap, ConfigValue};

@@ -30,21 +30,11 @@ use crate::value::ConfigValue;
 /// neither input is modified.
 pub fn layer_configs(bottom: &ConfigValue, top: &ConfigValue) -> ConfigValue {
     match (bottom, top) {
+        // Both sides are maps: recurse into the keys they share, per
+        // Algorithm 1 line 5; everything else the top layer has overrides
+        // (line 8), inside `layer_configs` again.
         (ConfigValue::Map(bottom_map), ConfigValue::Map(top_map)) => {
-            let mut layered = bottom_map.clone();
-            for (key, top_value) in top_map {
-                match (bottom_map.get(key), top_value) {
-                    // Both sides are maps: recurse, per Algorithm 1 line 5.
-                    (Some(bottom_value @ ConfigValue::Map(_)), ConfigValue::Map(_)) => {
-                        layered.insert(key.clone(), layer_configs(bottom_value, top_value));
-                    }
-                    // Otherwise the top layer overrides (line 8).
-                    _ => {
-                        layered.insert(key.clone(), top_value.clone());
-                    }
-                }
-            }
-            ConfigValue::Map(layered)
+            ConfigValue::Map(bottom_map.layered(top_map, layer_configs))
         }
         // A non-map top layer replaces the bottom wholesale.
         _ => top.clone(),

@@ -7,7 +7,6 @@
 //! which is what the Job Store's write-ahead log relies on for recovery.
 
 use crate::value::ConfigValue;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Error produced when parsing malformed configuration text.
@@ -32,7 +31,7 @@ impl fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 /// Serialize a value to compact JSON text. Map keys appear in sorted order
-/// (guaranteed by the `BTreeMap` representation), so output is
+/// (guaranteed by the [`crate::ConfigMap`] representation), so output is
 /// deterministic: equal values serialize to equal strings.
 pub fn to_text(value: &ConfigValue) -> String {
     let mut out = String::new();
@@ -179,11 +178,11 @@ impl<'a> Parser<'a> {
 
     fn parse_map(&mut self) -> Result<ConfigValue, ParseError> {
         self.expect(b'{')?;
-        let mut map = BTreeMap::new();
+        let mut entries = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(ConfigValue::Map(map));
+            return Ok(ConfigValue::empty_map());
         }
         loop {
             self.skip_ws();
@@ -192,11 +191,12 @@ impl<'a> Parser<'a> {
             self.expect(b':')?;
             self.skip_ws();
             let value = self.parse_value()?;
-            map.insert(key, value);
+            entries.push((key, value));
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
-                Some(b'}') => return Ok(ConfigValue::Map(map)),
+                // Sorted here; a key given twice keeps its last value.
+                Some(b'}') => return Ok(ConfigValue::Map(entries.into_iter().collect())),
                 _ => return Err(self.err("expected ',' or '}' in object")),
             }
         }

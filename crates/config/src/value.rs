@@ -2,11 +2,175 @@
 //!
 //! Turbine serializes Thrift-typed configurations to JSON and layers them
 //! with a generic merge (paper §III-A). [`ConfigValue`] is that JSON model.
-//! Maps are ordered (`BTreeMap`) so serialization — and therefore the WAL
-//! and all test expectations — is deterministic.
+//! Maps are ordered by key ([`ConfigMap`]) so serialization — and therefore
+//! the WAL and all test expectations — is deterministic.
 
-use std::collections::BTreeMap;
 use std::fmt;
+
+/// A JSON object: its entries in one vector, sorted by key, no key twice.
+/// Iteration, equality, text and snapshot bytes are those of a
+/// `BTreeMap<String, ConfigValue>`; what differs is the footprint. Job
+/// configs are a dozen keys with two or three nested objects, held three
+/// times per job: as B-tree nodes that is six 600–700 B allocations per
+/// config, as sorted vectors one exact-sized allocation per object, and a
+/// look-up is a binary search over one cache-resident run.
+#[derive(Clone, PartialEq, Default)]
+pub struct ConfigMap {
+    entries: Vec<(String, ConfigValue)>,
+}
+
+impl ConfigMap {
+    /// An empty map. Allocates nothing.
+    pub fn new() -> Self {
+        ConfigMap::default()
+    }
+
+    fn search(&self, key: &str) -> Result<usize, usize> {
+        self.entries.binary_search_by(|(k, _)| k.as_str().cmp(key))
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// True if the map has no entries.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Value at `key`.
+    pub fn get(&self, key: &str) -> Option<&ConfigValue> {
+        self.search(key).ok().map(|i| &self.entries[i].1)
+    }
+
+    /// Mutable value at `key`.
+    pub fn get_mut(&mut self, key: &str) -> Option<&mut ConfigValue> {
+        self.search(key).ok().map(|i| &mut self.entries[i].1)
+    }
+
+    /// True if `key` is present.
+    pub fn contains_key(&self, key: &str) -> bool {
+        self.search(key).is_ok()
+    }
+
+    /// Set `key` to `value`; returns the value it replaced, if any.
+    pub fn insert(&mut self, key: String, value: ConfigValue) -> Option<ConfigValue> {
+        match self.search(&key) {
+            Ok(i) => Some(std::mem::replace(&mut self.entries[i].1, value)),
+            Err(i) => {
+                self.entries.insert(i, (key, value));
+                None
+            }
+        }
+    }
+
+    /// The value at `key`, which is set to `default()` first if absent.
+    pub fn get_or_insert_with(
+        &mut self,
+        key: &str,
+        default: impl FnOnce() -> ConfigValue,
+    ) -> &mut ConfigValue {
+        let i = match self.search(key) {
+            Ok(i) => i,
+            Err(i) => {
+                self.entries.insert(i, (key.to_string(), default()));
+                i
+            }
+        };
+        &mut self.entries[i].1
+    }
+
+    /// Remove `key`; returns its value, if it was present.
+    pub fn remove(&mut self, key: &str) -> Option<ConfigValue> {
+        self.search(key).ok().map(|i| self.entries.remove(i).1)
+    }
+
+    /// Entries in key order.
+    pub fn iter(&self) -> <&ConfigMap as IntoIterator>::IntoIter {
+        self.into_iter()
+    }
+
+    /// Keys, ascending.
+    pub fn keys(&self) -> impl ExactSizeIterator<Item = &String> {
+        self.entries.iter().map(|(k, _)| k)
+    }
+
+    /// `top` layered over `self`: one pass over the two sorted runs. A key
+    /// on one side only keeps its value; where both sides have it,
+    /// `both(bottom, top)` decides.
+    pub fn layered(
+        &self,
+        top: &ConfigMap,
+        both: impl Fn(&ConfigValue, &ConfigValue) -> ConfigValue,
+    ) -> ConfigMap {
+        use std::cmp::Ordering;
+        let mut entries = Vec::with_capacity(self.len().max(top.len()));
+        let (mut below, mut above) = (
+            self.entries.iter().peekable(),
+            top.entries.iter().peekable(),
+        );
+        loop {
+            let order = match (below.peek(), above.peek()) {
+                (Some(b), Some(t)) => b.0.cmp(&t.0),
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                (None, None) => break,
+            };
+            entries.push(match order {
+                Ordering::Less => below.next().expect("peeked").clone(),
+                Ordering::Greater => above.next().expect("peeked").clone(),
+                Ordering::Equal => {
+                    let ((key, b), (_, t)) =
+                        (below.next().expect("peeked"), above.next().expect("peeked"));
+                    (key.clone(), both(b, t))
+                }
+            });
+        }
+        // Merged configs stay resident: keys the sides did not share grew
+        // the vector past its reservation, and the slack goes back.
+        entries.shrink_to_fit();
+        ConfigMap { entries }
+    }
+}
+
+/// As a `BTreeMap` prints: `{"key": value, ..}`.
+impl fmt::Debug for ConfigMap {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+impl<'a> IntoIterator for &'a ConfigMap {
+    type Item = (&'a String, &'a ConfigValue);
+    type IntoIter = std::iter::Map<
+        std::slice::Iter<'a, (String, ConfigValue)>,
+        fn(&'a (String, ConfigValue)) -> (&'a String, &'a ConfigValue),
+    >;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.entries.iter().map(|(k, v)| (k, v))
+    }
+}
+
+/// Any order, any repeats: entries are sorted and the last value given for
+/// a key wins, as inserting them one by one would have it.
+impl FromIterator<(String, ConfigValue)> for ConfigMap {
+    fn from_iter<I: IntoIterator<Item = (String, ConfigValue)>>(iter: I) -> Self {
+        let mut entries: Vec<(String, ConfigValue)> = iter.into_iter().collect();
+        if !entries.windows(2).all(|pair| pair[0].0 < pair[1].0) {
+            entries.sort_by(|a, b| a.0.cmp(&b.0));
+            entries.dedup_by(|later, earlier| {
+                let repeat = later.0 == earlier.0;
+                if repeat {
+                    std::mem::swap(later, earlier);
+                }
+                repeat
+            });
+        }
+        ConfigMap { entries }
+    }
+}
 
 /// A JSON-like configuration value.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -25,13 +189,13 @@ pub enum ConfigValue {
     /// JSON array.
     Array(Vec<ConfigValue>),
     /// JSON object with deterministic (sorted) key order.
-    Map(BTreeMap<String, ConfigValue>),
+    Map(ConfigMap),
 }
 
 impl ConfigValue {
     /// An empty map — the starting point for building configs.
     pub fn empty_map() -> ConfigValue {
-        ConfigValue::Map(BTreeMap::new())
+        ConfigValue::Map(ConfigMap::new())
     }
 
     /// True if this value is a map (the only values Algorithm 1 recurses
@@ -41,7 +205,7 @@ impl ConfigValue {
     }
 
     /// Borrow as a map, if it is one.
-    pub fn as_map(&self) -> Option<&BTreeMap<String, ConfigValue>> {
+    pub fn as_map(&self) -> Option<&ConfigMap> {
         match self {
             ConfigValue::Map(m) => Some(m),
             _ => None,
@@ -49,7 +213,7 @@ impl ConfigValue {
     }
 
     /// Mutably borrow as a map, if it is one.
-    pub fn as_map_mut(&mut self) -> Option<&mut BTreeMap<String, ConfigValue>> {
+    pub fn as_map_mut(&mut self) -> Option<&mut ConfigMap> {
         match self {
             ConfigValue::Map(m) => Some(m),
             _ => None,
@@ -141,9 +305,7 @@ impl ConfigValue {
                 map.insert((*seg).to_string(), value);
                 return;
             }
-            cur = map
-                .entry((*seg).to_string())
-                .or_insert_with(ConfigValue::empty_map);
+            cur = map.get_or_insert_with(seg, ConfigValue::empty_map);
         }
     }
 
@@ -225,7 +387,11 @@ impl turbine_types::Snap for ConfigValue {
             }
             ConfigValue::Map(map) => {
                 w.u8(6);
-                w.put(map);
+                w.u64(map.len() as u64);
+                for (key, value) in map {
+                    w.put(key);
+                    w.put(value);
+                }
             }
         }
     }
@@ -238,7 +404,16 @@ impl turbine_types::Snap for ConfigValue {
             3 => Ok(ConfigValue::Float(r.get()?)),
             4 => Ok(ConfigValue::Str(r.get()?)),
             5 => Ok(ConfigValue::Array(r.get()?)),
-            6 => Ok(ConfigValue::Map(r.get()?)),
+            6 => {
+                let len = r.len_prefix("ConfigValue.map")?;
+                // An entry is nine bytes at least (key length, value tag):
+                // a hostile length reserves no more than the blob could fill.
+                let mut entries = Vec::with_capacity(len.min(r.remaining() / 9));
+                for _ in 0..len {
+                    entries.push((r.get()?, r.get()?));
+                }
+                Ok(ConfigValue::Map(entries.into_iter().collect()))
+            }
             tag => Err(turbine_types::SnapError::Tag("ConfigValue", tag as u64)),
         }
     }

@@ -1,9 +1,15 @@
 //! Property-based tests for the configuration model: parser/printer
-//! round-trip and the algebraic laws of Algorithm 1 layering.
+//! round-trip, the algebraic laws of Algorithm 1 layering, and the flat
+//! [`ConfigMap`] against the `BTreeMap` it replaced.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use turbine_config::{layer_configs, parse, to_text, ConfigValue};
+use turbine_config::{layer_configs, parse, to_text, ConfigMap, ConfigValue};
+
+/// A map value from generated entries.
+fn map_value(entries: BTreeMap<String, ConfigValue>) -> ConfigValue {
+    ConfigValue::Map(entries.into_iter().collect())
+}
 
 /// Strategy generating arbitrary configuration values up to a bounded
 /// depth/size, covering every variant.
@@ -21,14 +27,26 @@ fn arb_value() -> impl Strategy<Value = ConfigValue> {
     leaf.prop_recursive(3, 24, 4, |inner| {
         prop_oneof![
             prop::collection::vec(inner.clone(), 0..4).prop_map(ConfigValue::Array),
-            prop::collection::btree_map("[a-z]{1,6}", inner, 0..4).prop_map(ConfigValue::Map),
+            prop::collection::btree_map("[a-z]{1,6}", inner, 0..4).prop_map(map_value),
         ]
     })
 }
 
 /// Maps-only strategy (layering operates on map roots in practice).
 fn arb_map() -> impl Strategy<Value = ConfigValue> {
-    prop::collection::btree_map("[a-z]{1,4}", arb_value(), 0..5).prop_map(ConfigValue::Map)
+    prop::collection::btree_map("[a-z]{1,4}", arb_value(), 0..5).prop_map(map_value)
+}
+
+/// A map over three keys whose values are scalars or such maps again,
+/// three deep: two of these share keys, and maps under shared keys, often
+/// enough that layering them recurses.
+fn arb_overlapping_map() -> impl Strategy<Value = ConfigValue> {
+    let layer = |inner| prop::collection::btree_map("[a-c]{1}", inner, 1..4).prop_map(map_value);
+    let leaf = prop_oneof![
+        Just(ConfigValue::Null),
+        any::<i64>().prop_map(ConfigValue::Int),
+    ];
+    layer(leaf.prop_recursive(2, 24, 4, layer))
 }
 
 /// Structural equality that treats `Float(x)` and `Int(x)` as distinct but
@@ -120,5 +138,73 @@ proptest! {
         let merged_keys: Vec<&String> = merged.as_map().expect("map").keys().collect();
         let expected_keys: Vec<&String> = expected.keys().copied().collect();
         prop_assert_eq!(merged_keys, expected_keys);
+    }
+
+    /// Any run of inserts, removes and look-ups leaves the flat map holding
+    /// what a `BTreeMap` holds, in the same order, answering the same.
+    #[test]
+    fn flat_map_is_a_btree_map(
+        ops in prop::collection::vec((0u8..4, "[a-e]{1,2}", arb_value()), 0..60),
+    ) {
+        let mut flat = ConfigMap::new();
+        let mut model: BTreeMap<String, ConfigValue> = BTreeMap::new();
+        for (op, key, value) in ops {
+            match op {
+                0 | 1 => prop_assert_eq!(
+                    flat.insert(key.clone(), value.clone()),
+                    model.insert(key, value)
+                ),
+                2 => prop_assert_eq!(flat.remove(&key), model.remove(&key)),
+                _ => {
+                    prop_assert_eq!(flat.get(&key), model.get(&key));
+                    prop_assert_eq!(flat.contains_key(&key), model.contains_key(&key));
+                    prop_assert_eq!(flat.get_mut(&key), model.get_mut(&key));
+                }
+            }
+            prop_assert_eq!(flat.len(), model.len());
+            prop_assert_eq!(flat.is_empty(), model.is_empty());
+            prop_assert!(flat.iter().eq(model.iter()));
+            prop_assert!(flat.keys().eq(model.keys()));
+            prop_assert_eq!(format!("{flat:?}"), format!("{model:?}"));
+        }
+        // Collected from any order with repeats: sorted, last value wins.
+        let shuffled: Vec<(String, ConfigValue)> = model
+            .iter()
+            .rev()
+            .map(|(k, _)| (k.clone(), ConfigValue::Null))
+            .chain(model.iter().rev().map(|(k, v)| (k.clone(), v.clone())))
+            .collect();
+        prop_assert_eq!(shuffled.into_iter().collect::<ConfigMap>(), flat);
+    }
+
+    /// Layering as one merge of two sorted runs is Algorithm 1 as it was
+    /// written first: clone the bottom, then insert the top key by key.
+    #[test]
+    fn layering_equals_clone_then_insert(
+        bottom in arb_overlapping_map(),
+        top in arb_overlapping_map(),
+    ) {
+        fn clone_then_insert(bottom: &ConfigValue, top: &ConfigValue) -> ConfigValue {
+            match (bottom, top) {
+                (ConfigValue::Map(bottom_map), ConfigValue::Map(top_map)) => {
+                    let mut layered: BTreeMap<String, ConfigValue> =
+                        bottom_map.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+                    for (key, top_value) in top_map {
+                        match (bottom_map.get(key), top_value) {
+                            (Some(bottom_value @ ConfigValue::Map(_)), ConfigValue::Map(_)) => {
+                                layered.insert(key.clone(), clone_then_insert(bottom_value, top_value));
+                            }
+                            _ => {
+                                layered.insert(key.clone(), top_value.clone());
+                            }
+                        }
+                    }
+                    map_value(layered)
+                }
+                _ => top.clone(),
+            }
+        }
+        let merged = layer_configs(&bottom, &top);
+        prop_assert!(eq_bits(&merged, &clone_then_insert(&bottom, &top)));
     }
 }

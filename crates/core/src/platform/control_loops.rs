@@ -617,6 +617,7 @@ impl Turbine {
             self.shard_manager.clear_standby(job);
             self.shadow.remove_job(job);
             self.outages.remove(&job);
+            self.scaler.forget(job);
             self.pending_dirty.standby = true;
             invalidate = true;
         }

@@ -39,7 +39,7 @@ use turbine_scribe::{CheckpointStore, Scribe, ShadowCursor};
 use turbine_shardmgr::{ShardManager, ShardManagerConfig};
 use turbine_sim::{FaultInjector, SimRng};
 use turbine_statesyncer::{StateSyncer, SyncerConfig};
-use turbine_taskmgr::{LocalTaskManager, TaskService};
+use turbine_taskmgr::{LocalTaskManager, SnapshotTable, TaskService};
 use turbine_trace::TraceBuffer;
 use turbine_types::{ContainerId, Duration, HostId, JobId, Resources, SimTime};
 use turbine_workloads::TrafficModel;
@@ -462,6 +462,11 @@ impl Turbine {
     /// Read access to the data-plane engine.
     pub fn engine(&self) -> &Engine {
         &self.engine
+    }
+
+    /// Read access to the Auto Scaler.
+    pub fn auto_scaler(&self) -> &AutoScaler {
+        &self.scaler
     }
 
     /// Task Managers that had to reconcile in a refresh round, summed
@@ -1088,63 +1093,124 @@ fn unsnap_hash<K: Ord + Copy + Snap + std::hash::Hash, V: Snap>(
     Ok(sorted.into_iter().collect())
 }
 
+impl Turbine {
+    /// Encode every snapshotted field in stream order, telling `field` each
+    /// one's name and encoded size. This is the one list of what a blob
+    /// holds: [`Snap::snap`] drops the sizes, [`Turbine::snap_field_bytes`]
+    /// keeps them. The Task Service and the Task Managers share task
+    /// snapshots, so those are written once, ahead of their holders, and
+    /// the holders write indices (see [`SnapshotTable`]).
+    fn snap_fields(&self, w: &mut SnapWriter, mut field: impl FnMut(&'static str, usize)) {
+        macro_rules! put {
+            ($field:ident) => {
+                put!(stringify!($field), w.put(&self.$field))
+            };
+            ($field:ident, sorted) => {
+                put!(stringify!($field), snap_sorted(w, &self.$field))
+            };
+            ($name:expr, $encode:expr) => {{
+                let before = w.len();
+                $encode;
+                field($name, w.len() - before);
+            }};
+        }
+        let mut snapshots = SnapshotTable::default();
+        self.task_service.offer_snapshot(&mut snapshots);
+        for manager in self.task_managers.values() {
+            manager.offer_snapshot(&mut snapshots);
+        }
+        put!(config);
+        put!(now);
+        put!(cluster);
+        put!(scribe);
+        put!(metrics);
+        put!(jobs);
+        put!(syncer);
+        put!("task_snapshots", w.put(&snapshots));
+        put!("task_service", self.task_service.snap_shared(w, &snapshots));
+        put!(shard_manager);
+        put!("task_managers", {
+            w.u64(self.task_managers.len() as u64);
+            for manager in self.task_managers.values() {
+                manager.snap_shared(w, &snapshots);
+            }
+        });
+        put!(scaler);
+        put!(capacity);
+        put!(checkpoints);
+        put!(engine);
+        put!(paused);
+        put!(capacity_stopped);
+        put!(state_moves, sorted);
+        put!(crash_mtbf);
+        put!(rng);
+        put!(root_causer);
+        put!(releases, sorted);
+        put!(lag_since, sorted);
+        put!(last_diagnosis, sorted);
+        put!(severed, sorted);
+        put!(categories);
+        put!(shadow);
+        put!(outages);
+        put!(container_down_since);
+        put!(fresh_promotions);
+        put!(fresh_revivals);
+        put!(faults);
+        put!(trace);
+        put!(invariants);
+        put!(pending_dirty);
+        put!(load_dirty_jobs);
+        put!(load_dirty_containers);
+        put!(resiliency_cache);
+        put!(resiliency_cursor);
+        put!(sched);
+        put!(last_scaler_drain);
+        put!(ods);
+    }
+
+    /// Encoded size of every field of this platform's snapshot stream, in
+    /// stream order: where a blob's bytes are.
+    pub fn snap_field_bytes(&self) -> Vec<(&'static str, usize)> {
+        let mut table = Vec::new();
+        self.snap_fields(&mut SnapWriter::new(), |name, bytes| {
+            table.push((name, bytes))
+        });
+        table
+    }
+}
+
 impl Snap for Turbine {
     fn snap(&self, w: &mut SnapWriter) {
-        w.put(&self.config);
-        w.put(&self.now);
-        w.put(&self.cluster);
-        w.put(&self.scribe);
-        w.put(&self.metrics);
-        w.put(&self.jobs);
-        w.put(&self.syncer);
-        w.put(&self.task_service);
-        w.put(&self.shard_manager);
-        w.put(&self.task_managers);
-        w.put(&self.scaler);
-        w.put(&self.capacity);
-        w.put(&self.checkpoints);
-        w.put(&self.engine);
-        w.put(&self.paused);
-        w.put(&self.capacity_stopped);
-        snap_sorted(w, &self.state_moves);
-        w.put(&self.crash_mtbf);
-        w.put(&self.rng);
-        w.put(&self.root_causer);
-        snap_sorted(w, &self.releases);
-        snap_sorted(w, &self.lag_since);
-        snap_sorted(w, &self.last_diagnosis);
-        snap_sorted(w, &self.severed);
-        w.put(&self.categories);
-        w.put(&self.shadow);
-        w.put(&self.outages);
-        w.put(&self.container_down_since);
-        w.put(&self.fresh_promotions);
-        w.put(&self.fresh_revivals);
-        w.put(&self.faults);
-        w.put(&self.trace);
-        w.put(&self.invariants);
-        w.put(&self.pending_dirty);
-        w.put(&self.load_dirty_jobs);
-        w.put(&self.load_dirty_containers);
-        w.put(&self.resiliency_cache);
-        w.u64(self.resiliency_cursor);
-        w.put(&self.sched);
-        w.put(&self.last_scaler_drain);
-        w.put(&self.ods);
+        self.snap_fields(w, |_, _| {});
     }
 
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let config = r.get()?;
+        let now = r.get()?;
+        let cluster = r.get()?;
+        let scribe = r.get()?;
+        let metrics = r.get()?;
+        let jobs = r.get()?;
+        let syncer = r.get()?;
+        let snapshots: SnapshotTable = r.get()?;
+        let task_service = TaskService::unsnap_shared(r, &snapshots)?;
+        let shard_manager = r.get()?;
+        let mut task_managers = BTreeMap::new();
+        for _ in 0..r.len_prefix("Turbine.task_managers")? {
+            let manager = LocalTaskManager::unsnap_shared(r, &snapshots)?;
+            task_managers.insert(manager.container(), manager);
+        }
         Ok(Turbine {
-            config: r.get()?,
-            now: r.get()?,
-            cluster: r.get()?,
-            scribe: r.get()?,
-            metrics: r.get()?,
-            jobs: r.get()?,
-            syncer: r.get()?,
-            task_service: r.get()?,
-            shard_manager: r.get()?,
-            task_managers: r.get()?,
+            config,
+            now,
+            cluster,
+            scribe,
+            metrics,
+            jobs,
+            syncer,
+            task_service,
+            shard_manager,
+            task_managers,
             scaler: r.get()?,
             capacity: r.get()?,
             checkpoints: r.get()?,

@@ -26,8 +26,10 @@ use turbine_types::{Snap, SnapError, SnapReader, SnapWriter};
 pub const SNAP_MAGIC: [u8; 8] = *b"TRBNSNAP";
 
 /// Blob format version. Bump on any encoding change: restore refuses
-/// mismatched versions instead of misdecoding.
-pub const SNAP_VERSION: u32 = 1;
+/// mismatched versions instead of misdecoding. Version 2 stores only the
+/// written buckets of a job's workload history and each distinct task
+/// snapshot once (`tests/golden/snap_format.txt` pins the bytes).
+pub const SNAP_VERSION: u32 = 2;
 
 /// Chunk size of the content-addressed store. Small enough that an idle
 /// region of the platform dedupes across consecutive captures, large
@@ -105,7 +107,11 @@ impl Snapshot {
     pub fn capture_with_meta(platform: &Turbine, meta: SnapshotMeta) -> Snapshot {
         let mut w = SnapWriter::new();
         w.put(platform);
-        let stream = w.into_bytes();
+        Self::from_stream(meta, &w.into_bytes())
+    }
+
+    /// Split an encoded platform stream into content-addressed chunks.
+    fn from_stream(meta: SnapshotMeta, stream: &[u8]) -> Snapshot {
         let mut manifest = Vec::with_capacity(stream.len().div_ceil(CHUNK_SIZE));
         let mut chunks = BTreeMap::new();
         for chunk in stream.chunks(CHUNK_SIZE) {
@@ -197,9 +203,10 @@ impl Snapshot {
         }
         let version = r.u32("Snapshot.version")?;
         if version != SNAP_VERSION {
-            return Err(SnapError::Corrupt(format!(
-                "snapshot format version {version}, this build reads {SNAP_VERSION}"
-            )));
+            return Err(SnapError::Version {
+                found: version,
+                supported: SNAP_VERSION,
+            });
         }
         let snapshot = Snapshot {
             meta: r.get()?,
@@ -210,6 +217,15 @@ impl Snapshot {
         r.expect_end()?;
         Ok(snapshot)
     }
+}
+
+/// Where a platform's snapshot bytes are: the encoded size of every field
+/// of its stream, largest first (ties in stream order). The sizes add up
+/// to [`Snapshot::stream_len`] of a capture taken at the same moment.
+pub fn field_bytes(platform: &Turbine) -> Vec<(&'static str, usize)> {
+    let mut table = platform.snap_field_bytes();
+    table.sort_by_key(|&(_, bytes)| std::cmp::Reverse(bytes));
+    table
 }
 
 /// How many chunks two snapshots share — the cross-snapshot dedup a
@@ -268,10 +284,23 @@ mod tests {
     #[test]
     fn consecutive_snapshots_share_chunks() {
         let mut t = small_platform();
+        // Enough jobs that the Job Store spans several chunks: nothing is
+        // written to it in 30 s, and every field ahead of it keeps its size.
+        for j in 2..10 {
+            t.provision_job(
+                JobId(j),
+                turbine_config::JobConfig::stateless(&format!("idle_{j}"), 1, 4),
+                turbine_workloads::TrafficModel::flat(0.0),
+                1.0e6,
+                512.0,
+            )
+            .expect("provision");
+        }
+        t.run_for(Duration::from_mins(5));
         let a = Snapshot::capture(&t);
         t.run_for(Duration::from_secs(30));
         let b = Snapshot::capture(&t);
-        // A 30 s step leaves most of the platform stream untouched.
+        // A 30 s step leaves that part of the platform stream untouched.
         assert!(shared_chunks(&a, &b) > 0);
     }
 
@@ -299,5 +328,113 @@ mod tests {
         let blob = Snapshot::capture(&t).to_bytes();
         assert!(Snapshot::from_bytes(&blob[..blob.len() / 2]).is_err());
         assert!(Snapshot::from_bytes(b"not a snapshot").is_err());
+    }
+
+    #[test]
+    fn a_version_1_blob_is_refused_by_version() {
+        let mut blob = Snapshot::capture(&small_platform()).to_bytes();
+        // Length-prefixed magic, then the version field.
+        let at = 8 + SNAP_MAGIC.len();
+        assert_eq!(blob[at..at + 4], SNAP_VERSION.to_le_bytes());
+        blob[at..at + 4].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(
+            Snapshot::from_bytes(&blob),
+            Err(SnapError::Version {
+                found: 1,
+                supported: SNAP_VERSION
+            })
+        );
+    }
+
+    /// `hosts` hosts running the same 24 jobs, converged: every manager
+    /// holds the fleet's one task snapshot.
+    fn fleet(hosts: usize) -> Turbine {
+        let mut config = TurbineConfig::default();
+        config.shard_count = 256;
+        let mut t = Turbine::new(config);
+        t.add_hosts(hosts, Resources::new(56.0, 256.0 * 1024.0, 1.0e6, 1000.0));
+        for j in 1..=24 {
+            t.provision_job(
+                JobId(j),
+                turbine_config::JobConfig::stateless(&format!("fleet_{j}"), 4, 8),
+                turbine_workloads::TrafficModel::flat(1.0e6),
+                1.0e6,
+                512.0,
+            )
+            .expect("provision");
+        }
+        t.run_for(Duration::from_mins(5));
+        t
+    }
+
+    fn field(platform: &Turbine, name: &str) -> usize {
+        let fields = field_bytes(platform);
+        fields.iter().find(|f| f.0 == name).expect("a field").1
+    }
+
+    #[test]
+    fn field_table_adds_up_and_leads_with_the_largest() {
+        let t = small_platform();
+        let fields = field_bytes(&t);
+        assert_eq!(
+            fields.iter().map(|f| f.1).sum::<usize>() as u64,
+            Snapshot::capture(&t).stream_len()
+        );
+        assert!(fields.windows(2).all(|w| w[0].1 >= w[1].1));
+        assert!(field(&t, "task_snapshots") > 0);
+    }
+
+    #[test]
+    fn more_hosts_do_not_add_task_snapshot_copies() {
+        let (small, large) = (fleet(16), fleet(64));
+        let one_snapshot = field(&small, "task_snapshots");
+        assert_eq!(one_snapshot, field(&large, "task_snapshots"), "same jobs");
+        let added = Snapshot::capture(&large).stream_len() - Snapshot::capture(&small).stream_len();
+        assert!(
+            added < 48 * one_snapshot as u64 / 4,
+            "48 more hosts added {added} B; one task snapshot is {one_snapshot} B"
+        );
+    }
+
+    /// Byte offset of a field in the platform stream.
+    fn offset_of(platform: &Turbine, name: &str) -> usize {
+        let fields = platform.snap_field_bytes();
+        let at = fields.iter().position(|f| f.0 == name).expect("a field");
+        fields[..at].iter().map(|f| f.1).sum()
+    }
+
+    #[test]
+    fn hostile_snapshot_tables_are_typed_errors() {
+        let t = small_platform();
+        let stream = Snapshot::capture(&t).verified_stream().expect("stream");
+        let restore =
+            |stream: &[u8]| Snapshot::from_stream(SnapshotMeta::default(), stream).restore();
+        assert!(restore(&stream).is_ok());
+
+        // The Task Service names an entry the table does not have: its
+        // index follows the TTL and the shard count.
+        let index_at = offset_of(&t, "task_service") + 16;
+        assert_eq!(stream[index_at..index_at + 8], 0u64.to_le_bytes());
+        let mut past = stream.clone();
+        past[index_at..index_at + 8].copy_from_slice(&1u64.to_le_bytes());
+        assert!(matches!(restore(&past), Err(SnapError::Value(_))));
+        past[index_at..index_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(restore(&past), Err(SnapError::Value(_))));
+
+        // The table announces more snapshots than it holds: the decoder
+        // runs on into the Task Service's bytes and fails there.
+        let table_at = offset_of(&t, "task_snapshots");
+        assert_eq!(stream[table_at..table_at + 8], 1u64.to_le_bytes());
+        let mut long = stream.clone();
+        long[table_at..table_at + 8].copy_from_slice(&2u64.to_le_bytes());
+        assert!(restore(&long).is_err());
+        // And a stream cut anywhere inside the table is an error.
+        let table_end = offset_of(&t, "task_service");
+        for cut in (table_at..table_end).step_by(7) {
+            assert!(
+                matches!(restore(&stream[..cut]), Err(SnapError::Eof(_))),
+                "cut {cut}"
+            );
+        }
     }
 }

@@ -26,5 +26,5 @@ pub mod spec;
 pub use local::{LocalTaskManager, TaskEvent};
 pub use mapping::{shard_of_task, task_partitions};
 pub use service::{RunningJobs, TaskService};
-pub use snapshot::TaskSnapshot;
+pub use snapshot::{SnapshotTable, TaskSnapshot};
 pub use spec::TaskSpec;

@@ -1,7 +1,17 @@
 //! The local Task Manager running inside every Turbine container
 //! (paper §IV-A1, §IV-A2).
+//!
+//! Every manager holds the *full* task snapshot, which is what keeps shard
+//! movement and fail-over working while the Task Service is down (§IV-D).
+//! In memory that is one `Arc<TaskSnapshot>` the fleet shares, handed out
+//! by the Task Service; a manager on an unreachable container keeps the one
+//! it had. A platform blob keeps that shape: the distinct snapshots are
+//! written once into a [`SnapshotTable`] and each manager encodes the index
+//! of the one it holds ([`LocalTaskManager::snap_shared`]), so a blob grows
+//! with the hosts' own state, not with hosts × tasks, and managers that
+//! shared a snapshot before a capture share one after the restore.
 
-use crate::snapshot::TaskSnapshot;
+use crate::snapshot::{SnapshotTable, TaskSnapshot};
 use crate::spec::TaskSpec;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -108,8 +118,8 @@ impl LocalTaskManager {
     /// is always reconciled against the snapshot it holds and the shards
     /// it owns. Being handed the snapshot it already holds therefore
     /// changes nothing, and is answered without walking anything. A
-    /// snapshot is immutable, so identity is a sound test; a restored
-    /// manager decodes a copy of its own and reconciles in full once.
+    /// snapshot is immutable, so identity is a sound test; restored
+    /// managers share what the captured ones shared.
     pub fn refresh(&mut self, snapshot: Arc<TaskSnapshot>) -> Vec<TaskEvent> {
         debug_assert_eq!(snapshot.shard_count(), self.shard_count);
         if self.holds(&snapshot) {
@@ -206,21 +216,36 @@ impl LocalTaskManager {
     }
 }
 
-impl turbine_types::Snap for LocalTaskManager {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
+// A manager is encoded against the blob's `SnapshotTable`: it writes which
+// entry it holds, not the entry.
+impl LocalTaskManager {
+    /// Add the snapshot this manager holds to `table`.
+    pub fn offer_snapshot(&self, table: &mut SnapshotTable) {
+        table.offer(&self.snapshot);
+    }
+
+    /// Encode, with the held snapshot as its index in `table`.
+    pub fn snap_shared(&self, w: &mut turbine_types::SnapWriter, table: &SnapshotTable) {
         w.put(&self.container);
         w.u64(self.shard_count);
         w.put(&self.owned_shards);
+        table.put_index(w, &self.snapshot);
         w.u64(self.running.len() as u64);
         for (task, (shard, spec)) in &self.running {
             w.put(task);
             w.put(shard);
             w.put(spec.as_ref());
         }
-        w.put(self.snapshot.as_ref());
     }
 
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
+    /// Decode, taking the held snapshot from `table`. A running task whose
+    /// spec equals the one that snapshot has for it shares the snapshot's
+    /// `Arc<TaskSpec>`, as it does in a manager that started the task from
+    /// that snapshot.
+    pub fn unsnap_shared(
+        r: &mut turbine_types::SnapReader<'_>,
+        table: &SnapshotTable,
+    ) -> Result<Self, turbine_types::SnapError> {
         let container = r.get()?;
         let shard_count = r.u64("LocalTaskManager.shard_count")?;
         if shard_count == 0 {
@@ -229,20 +254,25 @@ impl turbine_types::Snap for LocalTaskManager {
             ));
         }
         let owned_shards = r.get()?;
+        let snapshot = table.get_indexed(r, "LocalTaskManager.snapshot index")?;
         let len = r.len_prefix("LocalTaskManager.running")?;
         let mut running = BTreeMap::new();
         for _ in 0..len {
             let task: TaskId = r.get()?;
             let shard: ShardId = r.get()?;
             let spec: TaskSpec = r.get()?;
-            running.insert(task, (shard, Arc::new(spec)));
+            let spec = match snapshot.spec(task) {
+                Some(shared) if **shared == spec => shared.clone(),
+                _ => Arc::new(spec),
+            };
+            running.insert(task, (shard, spec));
         }
         Ok(LocalTaskManager {
             container,
             shard_count,
             owned_shards,
             running,
-            snapshot: Arc::new(r.get()?),
+            snapshot,
         })
     }
 }
@@ -507,5 +537,117 @@ mod tests {
         let total_cpu: f64 = loads.iter().map(|(_, r)| r.cpu).sum();
         // 7 tasks fall back to their 1.0-cpu reservation + 1 sampled at 2.0.
         assert!((total_cpu - 9.0).abs() < 1e-9, "total {total_cpu}");
+    }
+
+    fn encoded(tm: &LocalTaskManager, table: &SnapshotTable) -> Vec<u8> {
+        let mut w = turbine_types::SnapWriter::new();
+        tm.snap_shared(&mut w, table);
+        w.into_bytes()
+    }
+
+    /// Through bytes and back: the table first, as a blob has it.
+    fn decoded_table(table: &SnapshotTable) -> SnapshotTable {
+        let mut w = turbine_types::SnapWriter::new();
+        w.put(table);
+        turbine_types::SnapReader::new(&w.into_bytes())
+            .get()
+            .expect("table decodes")
+    }
+
+    #[test]
+    fn managers_that_shared_a_snapshot_share_it_again_after_decode() {
+        let (current, older) = (snapshot_for(&[(1, 4), (2, 2)]), snapshot_for(&[(1, 4)]));
+        let mut managers = Vec::new();
+        for (c, snapshot) in [(0, &current), (1, &current), (2, &older)] {
+            let mut tm = LocalTaskManager::new(ContainerId(c), SHARDS);
+            all_shards(&mut tm);
+            tm.refresh(snapshot.clone());
+            managers.push(tm);
+        }
+        let mut table = SnapshotTable::default();
+        for tm in &managers {
+            tm.offer_snapshot(&mut table);
+        }
+        assert_eq!(table.len(), 2, "three holders, two allocations");
+        // An equal snapshot elsewhere in memory is another entry.
+        let mut with_twin = SnapshotTable::default();
+        with_twin.offer(&current);
+        with_twin.offer(&snapshot_for(&[(1, 4), (2, 2)]));
+        assert_eq!(with_twin.len(), 2);
+
+        let restored_table = decoded_table(&table);
+        let restored: Vec<LocalTaskManager> = managers
+            .iter()
+            .map(|tm| {
+                let bytes = encoded(tm, &table);
+                let mut r = turbine_types::SnapReader::new(&bytes);
+                let back =
+                    LocalTaskManager::unsnap_shared(&mut r, &restored_table).expect("decodes");
+                r.expect_end().expect("fully consumed");
+                assert_eq!(
+                    encoded(&back, &restored_table),
+                    bytes,
+                    "re-encodes to the same bytes"
+                );
+                back
+            })
+            .collect();
+        assert!(Arc::ptr_eq(&restored[0].snapshot, &restored[1].snapshot));
+        assert!(!Arc::ptr_eq(&restored[0].snapshot, &restored[2].snapshot));
+        assert_eq!(restored[2].snapshot.len(), 4);
+        // Running tasks share their spec with the snapshot they came from.
+        for tm in &restored {
+            for (id, spec) in tm.running_tasks() {
+                assert!(Arc::ptr_eq(spec, tm.snapshot.spec(*id).expect("held")));
+            }
+        }
+    }
+
+    #[test]
+    fn a_spec_the_snapshot_has_moved_past_stays_private_after_decode() {
+        let mut tm = LocalTaskManager::new(ContainerId(0), SHARDS);
+        all_shards(&mut tm);
+        tm.refresh(snapshot_for(&[(1, 2), (2, 1)]));
+        // The container is unreachable: its shards are gone, the tasks it
+        // was last told about are not, and the snapshot it holds is old.
+        let mut table = SnapshotTable::default();
+        tm.offer_snapshot(&mut table);
+        let mut bytes = encoded(&tm, &table);
+        // Decoded against a table whose snapshot renders job 1 anew and
+        // has dropped job 2: nothing to share, nothing lost.
+        let mut other = SnapshotTable::default();
+        let mut released = JobConfig::stateless("tailer", 2, 64);
+        released.package.version = 9;
+        let mut cache = HashMap::new();
+        other.offer(&Arc::new(TaskSnapshot::build(
+            TaskService::generate_specs(JobId(1), &released),
+            SHARDS,
+            &mut cache,
+        )));
+        let back =
+            LocalTaskManager::unsnap_shared(&mut turbine_types::SnapReader::new(&bytes), &other)
+                .expect("decodes");
+        assert_eq!(back.task_count(), 3);
+        for (id, spec) in back.running_tasks() {
+            assert_eq!(
+                spec.package_version, 1,
+                "{id} runs what it was started with"
+            );
+        }
+
+        // An index past the table is refused, whatever it is.
+        let index_at = 8 + 8 + 8 + SHARDS as usize * 8;
+        assert_eq!(bytes[index_at..index_at + 8], 0u64.to_le_bytes());
+        for index in [1u64, 2, u64::MAX] {
+            bytes[index_at..index_at + 8].copy_from_slice(&index.to_le_bytes());
+            let outcome = LocalTaskManager::unsnap_shared(
+                &mut turbine_types::SnapReader::new(&bytes),
+                &table,
+            );
+            assert!(
+                matches!(outcome, Err(turbine_types::SnapError::Value(_))),
+                "index {index}"
+            );
+        }
     }
 }

@@ -12,7 +12,7 @@
 //! or [`TaskService::restart`], and a change-log cursor that cannot bound a
 //! delta.
 
-use crate::snapshot::TaskSnapshot;
+use crate::snapshot::{SnapshotTable, TaskSnapshot};
 use crate::spec::TaskSpec;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -274,21 +274,34 @@ impl TaskService {
     }
 }
 
-impl turbine_types::Snap for TaskService {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
+// The service is encoded against the blob's `SnapshotTable`, like the
+// managers it serves: the cached snapshot is an index, and the managers
+// that hold the same allocation hold it again after a restore.
+impl TaskService {
+    /// Add the cached snapshot to `table`.
+    pub fn offer_snapshot(&self, table: &mut SnapshotTable) {
+        table.offer(&self.cached);
+    }
+
+    /// Encode, with the cached snapshot as its index in `table`.
+    pub fn snap_shared(&self, w: &mut turbine_types::SnapWriter, table: &SnapshotTable) {
         w.put(&self.ttl);
         w.u64(self.shard_count);
-        w.put(self.cached.as_ref());
+        table.put_index(w, &self.cached);
         w.put(&self.cached_at);
         // shard_cache is a pure memo of the MD5 task→shard map; it refills
         // on demand after restore.
     }
 
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
+    /// Decode, taking the cached snapshot from `table`.
+    pub fn unsnap_shared(
+        r: &mut turbine_types::SnapReader<'_>,
+        table: &SnapshotTable,
+    ) -> Result<Self, turbine_types::SnapError> {
         Ok(TaskService {
             ttl: r.get()?,
             shard_count: r.u64("TaskService.shard_count")?,
-            cached: Arc::new(r.get()?),
+            cached: table.get_indexed(r, "TaskService.cached index")?,
             cached_at: r.get()?,
             shard_cache: HashMap::new(),
             // Everything below is derived: the first fetch after a

@@ -164,6 +164,92 @@ impl turbine_types::Snap for TaskSnapshot {
     }
 }
 
+/// The distinct task snapshots of one blob. The Task Service and every
+/// Task Manager hold an `Arc<TaskSnapshot>`; on a converged fleet it is
+/// the same allocation everywhere, and a manager whose container was down
+/// still holds an older one. A blob stores each distinct allocation once,
+/// in the order it was first offered, and each holder stores an index into
+/// this table. "Distinct" means another allocation, not another value:
+/// identity is what [`crate::LocalTaskManager::refresh`] skips by, so
+/// holders that shared a snapshot before the capture share one after the
+/// restore, and the restored platform weighs what the captured one did.
+#[derive(Debug, Default)]
+pub struct SnapshotTable {
+    entries: Vec<Arc<TaskSnapshot>>,
+}
+
+impl SnapshotTable {
+    /// Add `snapshot` unless that very allocation is in the table already.
+    /// The table stays as short as the fleet has snapshot generations in
+    /// use (one, plus one per batch of unreachable containers), so the
+    /// search is a handful of pointer compares.
+    pub fn offer(&mut self, snapshot: &Arc<TaskSnapshot>) {
+        if self.index_of(snapshot).is_none() {
+            self.entries.push(snapshot.clone());
+        }
+    }
+
+    fn index_of(&self, snapshot: &Arc<TaskSnapshot>) -> Option<usize> {
+        self.entries
+            .iter()
+            .position(|held| Arc::ptr_eq(held, snapshot))
+    }
+
+    /// Number of distinct snapshots offered.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// True if nothing was offered.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Write the index of `snapshot`, which must have been offered.
+    pub(crate) fn put_index(
+        &self,
+        w: &mut turbine_types::SnapWriter,
+        snapshot: &Arc<TaskSnapshot>,
+    ) {
+        let index = self
+            .index_of(snapshot)
+            .expect("every holder's snapshot is offered before it is encoded");
+        w.u64(index as u64);
+    }
+
+    /// Read an index and hand out that entry.
+    pub(crate) fn get_indexed(
+        &self,
+        r: &mut turbine_types::SnapReader<'_>,
+        what: &'static str,
+    ) -> Result<Arc<TaskSnapshot>, turbine_types::SnapError> {
+        let index = r.u64(what)?;
+        usize::try_from(index)
+            .ok()
+            .and_then(|i| self.entries.get(i))
+            .cloned()
+            .ok_or(turbine_types::SnapError::Value(what))
+    }
+}
+
+impl turbine_types::Snap for SnapshotTable {
+    fn snap(&self, w: &mut turbine_types::SnapWriter) {
+        w.u64(self.entries.len() as u64);
+        for snapshot in &self.entries {
+            w.put(snapshot.as_ref());
+        }
+    }
+
+    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
+        let len = r.len_prefix("SnapshotTable.entries")?;
+        let mut entries = Vec::with_capacity(len);
+        for _ in 0..len {
+            entries.push(Arc::new(r.get::<TaskSnapshot>()?));
+        }
+        Ok(SnapshotTable { entries })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

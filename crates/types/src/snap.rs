@@ -29,6 +29,14 @@ pub enum SnapError {
     /// Blob-level corruption: bad magic, chunk digest mismatch, manifest
     /// inconsistency. The string names the mismatch.
     Corrupt(String),
+    /// The blob was written in another format version than this build
+    /// reads. Nothing past the version field was looked at.
+    Version {
+        /// The version the blob declares.
+        found: u32,
+        /// The one version this build encodes and decodes.
+        supported: u32,
+    },
 }
 
 impl fmt::Display for SnapError {
@@ -40,6 +48,10 @@ impl fmt::Display for SnapError {
             }
             SnapError::Value(what) => write!(f, "snapshot holds an invalid value for {what}"),
             SnapError::Corrupt(detail) => write!(f, "snapshot corrupt: {detail}"),
+            SnapError::Version { found, supported } => write!(
+                f,
+                "snapshot format version {found}, this build reads {supported}"
+            ),
         }
     }
 }

@@ -18,8 +18,14 @@ fn host_shape() -> Resources {
 /// A busy little platform: two stateless pipelines (one diurnal), one
 /// stateful job, default alert rules, invariant checking on.
 fn build() -> Turbine {
+    build_with(|_| {})
+}
+
+/// [`build`] with the configuration adjusted first.
+fn build_with(adjust: impl FnOnce(&mut TurbineConfig)) -> Turbine {
     let mut config = TurbineConfig::default();
     config.shard_count = 256;
+    adjust(&mut config);
     let mut t = Turbine::new(config);
     t.add_hosts(5, host_shape());
     t.enable_invariant_checks(InvariantConfig::default());
@@ -193,12 +199,11 @@ fn restore_mid_quiescence_then_wake_matches_uninterrupted() {
     }
 }
 
-/// What the Task Service's cached snapshot was built from, and which
-/// snapshot each Task Manager holds by identity, are derived and left out
-/// of the capture: a restore taken between two refresh rounds builds in
-/// full and reconciles every manager once, to no effect, and from then on
-/// follows the change log exactly as the uninterrupted run does — through
-/// a release and a host flap.
+/// What the Task Service's cached snapshot was built from is derived and
+/// left out of the capture: a restore taken between two refresh rounds
+/// builds in full and reconciles every manager once, to no effect, and
+/// from then on follows the change log exactly as the uninterrupted run
+/// does — through a release and a host flap.
 #[test]
 fn restore_between_refresh_rounds_then_release_and_flap_matches_uninterrupted() {
     let task_events = |t: &Turbine| {
@@ -262,6 +267,93 @@ fn restore_between_refresh_rounds_then_release_and_flap_matches_uninterrupted() 
     }
 }
 
+/// Distinct task snapshots held across the fleet's Task Managers.
+fn snapshots_held(t: &Turbine) -> usize {
+    let mut table = turbine_taskmgr::SnapshotTable::default();
+    for manager in t.task_managers().values() {
+        manager.offer_snapshot(&mut table);
+    }
+    table.len()
+}
+
+/// A blob holds each task snapshot once and every holder's index: managers
+/// that shared one before the capture share one after the restore, and a
+/// manager on a failed host, which missed a release and still holds the
+/// snapshot from before it, gets that older one back — then picks up where
+/// the uninterrupted run does when its host returns.
+#[test]
+fn restore_while_a_down_container_holds_an_older_snapshot_matches_uninterrupted() {
+    for mode in [DriveMode::EventDriven, DriveMode::DenseTick] {
+        let mut original = build();
+        drive_to(&mut original, 20, mode);
+        assert_eq!(snapshots_held(&original), 1, "a converged fleet shares one");
+        let converged = Snapshot::capture(&original).restore().expect("restore");
+        assert_eq!(snapshots_held(&converged), 1, "and shares one again");
+
+        let sick = original.cluster.hosts()[2];
+        original.fail_host(sick).expect("fail");
+        original
+            .job_service_mut()
+            .set_level_field(
+                JobId(2),
+                turbine_config::ConfigLevel::Provisioner,
+                "package.version",
+                turbine_config::ConfigValue::Int(2),
+            )
+            .expect("release");
+        drive_to(&mut original, 25, mode);
+        assert_eq!(
+            snapshots_held(&original),
+            2,
+            "the failed host missed the release"
+        );
+
+        let snapshot = Snapshot::capture(&original);
+        let mut restored = snapshot.restore().expect("restore");
+        assert_eq!(snapshots_held(&restored), 2, "mode {mode:?}");
+        assert_eq!(
+            Snapshot::capture(&restored).to_bytes(),
+            snapshot.to_bytes(),
+            "re-capture is byte-identical"
+        );
+        for t in [&mut original, &mut restored] {
+            drive_to(t, 32, mode);
+            t.recover_host(sick).expect("recover");
+            drive_to(t, 50, mode);
+            assert_eq!(snapshots_held(t), 1, "the returned host caught up");
+        }
+        assert_eq!(observe(&original), observe(&restored), "mode {mode:?}");
+    }
+}
+
+/// A deleted job leaves the Auto Scaler with the rest of its state: its
+/// throughput estimate and workload history are neither resident nor in
+/// any later snapshot.
+#[test]
+fn a_deleted_job_leaves_the_scaler_and_the_next_capture() {
+    let scaler_bytes = |t: &Turbine| {
+        let fields = turbine_snap::field_bytes(t);
+        fields.iter().find(|f| f.0 == "scaler").expect("field").1
+    };
+    let mut t = build();
+    drive_to(&mut t, 15, DriveMode::EventDriven);
+    assert!(t.auto_scaler().throughput_estimate(JobId(2)).is_some());
+    let before = scaler_bytes(&t);
+    t.delete_job(JobId(2)).expect("delete");
+    drive_to(&mut t, 25, DriveMode::EventDriven);
+    assert!(t.engine().job(JobId(2)).is_none(), "wound down");
+    assert_eq!(t.auto_scaler().throughput_estimate(JobId(2)), None);
+    assert!(t.auto_scaler().throughput_estimate(JobId(1)).is_some());
+    let after = scaler_bytes(&t);
+    assert!(
+        after < before,
+        "scaler state {before} B -> {after} B: ten more minutes of history for \
+         two jobs weigh less than all of the third's"
+    );
+    let restored = Snapshot::capture(&t).restore().expect("restore");
+    assert_eq!(restored.auto_scaler().throughput_estimate(JobId(2)), None);
+}
+
 /// The checkpoint store's per-job rows are a layout the blob does not show,
 /// and the engine's dirty hints and noise memos are derived and left out of
 /// it: a restore taken between a checkpoint round and the next tick, with
@@ -323,4 +415,41 @@ fn blob_meta_carries_scenario_context() {
     assert_eq!(back.meta.at_mins, Some(10));
     assert_eq!(back.meta.scenario.as_deref(), Some("{\"hosts\": 5}"));
     assert_eq!(observe(&back.restore().expect("restore")), observe(&t));
+}
+
+/// The blob encoding is pinned: `tests/golden/snap_format.txt` holds
+/// `SNAP_VERSION` and the FNV-1a of the blobs of two fixed small platforms.
+/// Any change to what a blob's bytes are — a field added, reordered or
+/// encoded differently — lands here, so it cannot go out under the old
+/// version number. Two platforms, because a blob of the default one is
+/// not a function of the run alone: with tracing *and* ODS on, the
+/// registry holds the control rounds' wall-clock latencies. One platform
+/// runs without the trace (a full registry, no host time in it), the
+/// other without ODS (a full trace ring).
+#[test]
+fn blob_bytes_match_the_golden_for_this_format_version() {
+    let digest = |adjust: fn(&mut TurbineConfig)| {
+        let mut t = build_with(adjust);
+        schedule_chaos(&mut t);
+        drive_to(&mut t, 30, DriveMode::EventDriven);
+        turbine_snap::fnv1a(&Snapshot::capture(&t).to_bytes())
+    };
+    let current = format!(
+        "version {}\nfnv1a trace_off {:#018x}\nfnv1a ods_off {:#018x}\n",
+        turbine_snap::SNAP_VERSION,
+        digest(|config| config.trace_enabled = false),
+        digest(|config| config.ods_enabled = false),
+    );
+    let golden: String = include_str!("../golden/snap_format.txt")
+        .lines()
+        .filter(|line| !line.starts_with('#'))
+        .map(|line| format!("{line}\n"))
+        .collect();
+    assert_eq!(
+        golden, current,
+        "the blobs of the fixed platforms changed. If the encoding changed: bump \
+         `SNAP_VERSION` and regenerate tests/golden/snap_format.txt with the lines on the \
+         right. If only behaviour moved (the same encoding of a different state), \
+         regenerate without a bump and say in CHANGES.md what moved."
+    );
 }
