@@ -10,9 +10,10 @@
 //! cargo run --release -p turbine-bench --bin ablation_scaler_generations
 //! ```
 
+use std::process::ExitCode;
 use turbine::{Turbine, TurbineConfig};
 use turbine_autoscaler::ScalerMode;
-use turbine_bench::{scuba_host, verdict};
+use turbine_bench::{exit_code, scuba_host, verdict};
 use turbine_config::JobConfig;
 use turbine_types::{Duration, JobId};
 use turbine_workloads::TrafficModel;
@@ -28,7 +29,8 @@ fn platform(mode: ScalerMode) -> Turbine {
     t
 }
 
-fn main() {
+fn main() -> ExitCode {
+    let mut holds = true;
     // --- Flaw 1: convergence speed on an undersized job.
     let mut times = Vec::new();
     for mode in [ScalerMode::Reactive, ScalerMode::Full] {
@@ -51,7 +53,7 @@ fn main() {
     }
     let (_, reactive_time, reactive_actions) = times[0];
     let (_, full_time, full_actions) = times[1];
-    verdict(
+    holds &= verdict(
         "gen-2 converges an undersized job faster",
         "reactive doubling takes many rounds; estimates size it at once",
         &format!(
@@ -82,7 +84,7 @@ fn main() {
         }
         violations.push((mode, slo_violation_minutes));
     }
-    verdict(
+    holds &= verdict(
         "gen-2 never downscales a healthy job into unhealthiness",
         "reactive blind shrink causes backlog on a previously healthy job",
         &format!(
@@ -115,7 +117,7 @@ fn main() {
     }
     let (_, _, reactive_after, _) = grew[0];
     let (_, full_before, full_after, full_alerts) = grew[1];
-    verdict(
+    holds &= verdict(
         "gen-2 alerts instead of scaling on untriaged problems",
         "no unnecessary and potentially harmful scaling; operator alert fired",
         &format!(
@@ -123,4 +125,5 @@ fn main() {
         ),
         full_alerts > 0 && reactive_after >= full_after * 3,
     );
+    exit_code(holds)
 }

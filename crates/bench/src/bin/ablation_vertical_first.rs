@@ -12,8 +12,9 @@
 //! cargo run --release -p turbine-bench --bin ablation_vertical_first
 //! ```
 
+use std::process::ExitCode;
 use turbine::{Turbine, TurbineConfig};
-use turbine_bench::{scuba_host, verdict};
+use turbine_bench::{exit_code, scuba_host, verdict};
 use turbine_config::JobConfig;
 use turbine_types::{Duration, JobId, SimTime};
 use turbine_workloads::{TrafficEvent, TrafficEventKind, TrafficModel};
@@ -77,7 +78,8 @@ fn run(vertical_cpu_limit: f64) -> Outcome {
     }
 }
 
-fn main() {
+fn main() -> ExitCode {
+    let mut holds = true;
     // Horizontal-only: 1-core tasks, every capacity change is a complex
     // sync. Vertical-first: tasks may grow to 8 cores before splitting.
     let horizontal = run(1.0);
@@ -95,7 +97,7 @@ fn main() {
     }
     println!();
 
-    verdict(
+    holds &= verdict(
         "vertical-first needs fewer task stops (no complex syncs)",
         "parallelism changes require stopping all tasks first; vertical does not",
         &format!(
@@ -104,7 +106,7 @@ fn main() {
         ),
         vertical.stops < horizontal.stops,
     );
-    verdict(
+    holds &= verdict(
         "vertical-first tracks a 4x ramp with less SLO damage",
         "simple syncs keep the job processing through every resize",
         &format!(
@@ -113,7 +115,7 @@ fn main() {
         ),
         vertical.violation_minutes <= horizontal.violation_minutes,
     );
-    verdict(
+    holds &= verdict(
         "vertical-first keeps the task count small",
         "tasks stay fine-grained but fewer of them move around",
         &format!(
@@ -125,4 +127,5 @@ fn main() {
         ),
         vertical.final_tasks < horizontal.final_tasks && vertical.final_threads > 1,
     );
+    exit_code(holds)
 }

@@ -8,9 +8,11 @@
 //! convergence can be asserted. The timeline is executed three times:
 //! once under the dense-tick reference stepper, then twice under the
 //! event-driven scheduler from the same seed. The event-driven platform
-//! fingerprint AND decision-trace digest must match the dense reference
-//! bit-for-bit, the replay must reproduce itself bit-for-bit, and zero
-//! invariants may fire — any miss is a non-zero exit.
+//! fingerprint, decision-trace digest AND incident log must match the
+//! dense reference bit-for-bit, the replay must reproduce itself
+//! bit-for-bit, and zero invariants may fire — any miss is a non-zero
+//! exit. This is the determinism gate for the trace and the metrics plane
+//! too: both are always on, so there is no unobserved run to compare with.
 //!
 //! On top of the determinism gates the soak enforces the per-tier SLO
 //! contract: every resiliency tier that recovered must land its p99
@@ -23,8 +25,7 @@
 //! Pass `--slo PATH` to emit the per-tier report as JSON
 //! (`BENCH_slo.json` in CI).
 //!
-//! The scenario itself lives in [`turbine_bench::soak`], shared with the
-//! `trace_soak` overhead benchmark.
+//! The scenario itself lives in [`turbine_bench::soak`].
 //!
 //! ```sh
 //! cargo run --release -p turbine-bench --bin chaos_soak            # 48 h soak
@@ -33,7 +34,7 @@
 //! cargo run --release -p turbine-bench --bin chaos_soak -- --mins 30 --slo BENCH_slo.json
 //! ```
 
-use turbine::{tier_slo_table, DriveMode, PlatformFingerprint, TierSlo};
+use turbine::{tier_slo_table, DriveMode, Incident, PlatformFingerprint, TierSlo};
 use turbine_bench::soak::{run_soak, SoakParams};
 use turbine_config::ResiliencyClass;
 use turbine_types::{Duration, SimTime};
@@ -43,6 +44,8 @@ struct SoakOutcome {
     digest: u64,
     trace_digest: u64,
     trace_records: u64,
+    /// The alerting engine's incident log.
+    incidents: Vec<Incident>,
     violations: Vec<String>,
     total_violations: u64,
     ticks_checked: u64,
@@ -51,20 +54,14 @@ struct SoakOutcome {
 }
 
 fn soak(total: Duration, seed: u64, mode: DriveMode) -> SoakOutcome {
-    let turbine = run_soak(&SoakParams {
-        total,
-        seed,
-        mode,
-        trace_enabled: true,
-        ods: true,
-        invariants: true,
-    });
+    let turbine = run_soak(&SoakParams { total, seed, mode });
     let checker = turbine.invariant_checker().expect("checker enabled");
     SoakOutcome {
         fault_log: turbine.fault_injector().log().to_vec(),
         digest: turbine.fault_injector().log_digest(),
         trace_digest: turbine.trace().digest(),
         trace_records: turbine.trace().total_recorded(),
+        incidents: turbine.incidents().to_vec(),
         violations: turbine
             .invariant_violations()
             .iter()
@@ -179,13 +176,16 @@ fn main() {
             first.ticks_checked
         );
     }
-    if dense.fingerprint == first.fingerprint && dense.fault_log == first.fault_log {
+    if dense.fingerprint == first.fingerprint
+        && dense.fault_log == first.fault_log
+        && dense.incidents == first.incidents
+    {
         println!("[OK] event-driven run matches the dense-tick reference bit-for-bit");
     } else {
         failed = true;
         eprintln!(
-            "SCHEDULER DIVERGENCE: dense fingerprint {:?} vs event {:?}",
-            dense.fingerprint, first.fingerprint
+            "SCHEDULER DIVERGENCE: dense fingerprint {:?} incidents {:?} vs event {:?} incidents {:?}",
+            dense.fingerprint, dense.incidents, first.fingerprint, first.incidents
         );
     }
     if dense.trace_digest == first.trace_digest {
@@ -216,13 +216,22 @@ fn main() {
             second.fault_log.len()
         );
     }
-    if first.fingerprint == second.fingerprint && first.trace_digest == second.trace_digest {
+    if first.fingerprint == second.fingerprint
+        && first.trace_digest == second.trace_digest
+        && first.incidents == second.incidents
+    {
         println!("[OK] identical platform fingerprint and trace digest on replay");
     } else {
         failed = true;
         eprintln!(
-            "NON-DETERMINISTIC REPLAY: fingerprint {:?} (trace {:#018x}) vs {:?} (trace {:#018x})",
-            first.fingerprint, first.trace_digest, second.fingerprint, second.trace_digest
+            "NON-DETERMINISTIC REPLAY: fingerprint {:?} (trace {:#018x}) incidents {:?} vs \
+             {:?} (trace {:#018x}) incidents {:?}",
+            first.fingerprint,
+            first.trace_digest,
+            first.incidents,
+            second.fingerprint,
+            second.trace_digest,
+            second.incidents
         );
     }
 

@@ -13,14 +13,16 @@
 //! cargo run --release -p turbine-bench --bin fig10_efficiency
 //! ```
 
+use std::process::ExitCode;
 use turbine::Turbine;
 use turbine_bench::{
-    downsample, experiment_config, print_table, provision_fleet, scuba_host, verdict,
+    downsample, exit_code, experiment_config, print_table, provision_fleet, scuba_host, verdict,
 };
 use turbine_types::Duration;
 use turbine_workloads::{synthesize_fleet, FleetConfig};
 
-fn main() {
+fn main() -> ExitCode {
+    let mut holds = true;
     let mut config = experiment_config();
     // Single-threaded tailers: reclaim happens via task count + memory.
     config.scaler.vertical_limit.cpu = 1.0;
@@ -94,25 +96,25 @@ fn main() {
     let task_drop = tasks_before / tasks_after.max(1.0);
     let cpu_saving = (1.0 - cpu_after / cpu_before) * 100.0;
     let mem_saving = (1.0 - mem_after / mem_before) * 100.0;
-    verdict(
+    holds &= verdict(
         "task count drops sharply after rollout",
         "~120K -> ~43K (2.8x fewer)",
         &format!("{tasks_before:.0} -> {tasks_after:.0} ({task_drop:.1}x fewer)"),
         task_drop > 1.8,
     );
-    verdict(
+    holds &= verdict(
         "CPU reservation saving",
         "~22%",
         &format!("{cpu_saving:.0}%"),
         (10.0..60.0).contains(&cpu_saving),
     );
-    verdict(
+    holds &= verdict(
         "memory reservation saving",
         "~51%",
         &format!("{mem_saving:.0}%"),
         (30.0..70.0).contains(&mem_saving),
     );
-    verdict(
+    holds &= verdict(
         "jobs stay healthy after the reclaim",
         "SLOs maintained",
         &format!(
@@ -121,4 +123,5 @@ fn main() {
         ),
         turbine.metrics.slo_ok_fraction.last().unwrap_or(0.0) > 0.97,
     );
+    exit_code(holds)
 }

@@ -11,12 +11,14 @@
 //! cargo run --release -p turbine-bench --bin fig1_growth
 //! ```
 
+use std::process::ExitCode;
 use turbine::Turbine;
 use turbine_bench::{experiment_config, provision_fleet, scuba_host};
 use turbine_types::Duration;
 use turbine_workloads::{synthesize_fleet, FleetConfig};
 
-fn main() {
+fn main() -> ExitCode {
+    let mut holds = true;
     let growth_per_day = 2f64.ln() / 365.0; // doubles in a year
     println!("{:>6}  {:>16}  {:>10}", "month", "traffic_gb_s", "tasks");
 
@@ -74,16 +76,17 @@ fn main() {
     let traffic_ratio = last.0 / t0;
     let task_ratio = last.1 / n0;
     println!();
-    turbine_bench::verdict(
+    holds &= turbine_bench::verdict(
         "traffic doubles over the year",
         "~2x",
         &format!("{traffic_ratio:.2}x"),
         (1.7..2.4).contains(&traffic_ratio),
     );
-    turbine_bench::verdict(
+    holds &= turbine_bench::verdict(
         "task count tracks traffic growth",
         "task count grows alongside traffic (Fig. 1)",
         &format!("{task_ratio:.2}x tasks for {traffic_ratio:.2}x traffic"),
         task_ratio > 1.3 && task_ratio < traffic_ratio * 1.5,
     );
+    turbine_bench::exit_code(holds)
 }

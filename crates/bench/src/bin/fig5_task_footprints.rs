@@ -8,10 +8,12 @@
 //! cargo run --release -p turbine-bench --bin fig5_task_footprints
 //! ```
 
+use std::process::ExitCode;
 use turbine_types::Cdf;
 use turbine_workloads::{synthesize_fleet, FleetConfig};
 
-fn main() {
+fn main() -> ExitCode {
+    let mut holds = true;
     // Enough jobs to reach the paper's ~120 K task scale.
     let fleet = synthesize_fleet(&FleetConfig {
         jobs: 60_000,
@@ -55,28 +57,29 @@ fn main() {
     let over_four = 1.0 - cpu_cdf.fraction_at_or_below(4.0);
     let mem_floor = mem_cdf.quantile(0.001).unwrap_or(0.0);
     let under_2gb = mem_cdf.fraction_at_or_below(2048.0);
-    turbine_bench::verdict(
+    holds &= turbine_bench::verdict(
         "tasks under one CPU",
         "> 80%",
         &format!("{:.1}%", under_one * 100.0),
         under_one > 0.8,
     );
-    turbine_bench::verdict(
+    holds &= turbine_bench::verdict(
         "tasks over four CPUs",
         "a small percentage",
         &format!("{:.2}%", over_four * 100.0),
         over_four > 0.0 && over_four < 0.05,
     );
-    turbine_bench::verdict(
+    holds &= turbine_bench::verdict(
         "per-task memory floor",
         "~400 MB (binary + metric sidecar)",
         &format!("{mem_floor:.0} MB"),
         mem_floor >= 390.0,
     );
-    turbine_bench::verdict(
+    holds &= turbine_bench::verdict(
         "tasks under 2 GB memory",
         "over 99%",
         &format!("{:.2}%", under_2gb * 100.0),
         under_2gb > 0.99,
     );
+    turbine_bench::exit_code(holds)
 }

@@ -15,9 +15,10 @@
 //! ```
 
 use std::collections::HashMap;
+use std::process::ExitCode;
 use turbine::Turbine;
 use turbine_bench::{
-    downsample, experiment_config, print_table, provision_fleet, scuba_host, verdict,
+    downsample, exit_code, experiment_config, print_table, provision_fleet, scuba_host, verdict,
 };
 use turbine_types::{ContainerId, Duration};
 use turbine_workloads::{synthesize_fleet, FleetConfig};
@@ -31,7 +32,8 @@ fn arg(name: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-fn main() {
+fn main() -> ExitCode {
+    let mut holds = true;
     let hosts = arg("--hosts", 36) as usize;
     let days = arg("--days", 2);
     // ~180 tasks per host, mostly single-task jobs (Fig. 5 shape).
@@ -97,30 +99,31 @@ fn main() {
     let cpu_p95 = turbine.metrics.host_cpu.p95.last().unwrap_or(0.0);
     let mem_p5 = turbine.metrics.host_memory.p5.last().unwrap_or(0.0);
     let mem_p95 = turbine.metrics.host_memory.p95.last().unwrap_or(0.0);
-    verdict(
+    holds &= verdict(
         "CPU utilization very close across hosts",
         "p5..p95 band is narrow all week",
         &format!("p5 = {cpu_p5:.3}, p95 = {cpu_p95:.3}"),
         cpu_p95 - cpu_p5 < 0.15,
     );
-    verdict(
+    holds &= verdict(
         "memory utilization very close across hosts",
         "p5..p95 band is narrow all week",
         &format!("p5 = {mem_p5:.3}, p95 = {mem_p95:.3}"),
         mem_p95 - mem_p5 < 0.15,
     );
-    verdict(
+    holds &= verdict(
         "headroom kept for absorbing spikes",
         "utilization deliberately below saturation",
         &format!("p95 cpu = {cpu_p95:.3}"),
         cpu_p95 < 0.85,
     );
-    verdict(
+    holds &= verdict(
         "tasks per host within a small range",
         "~150-230 per host (load, not count, is balanced)",
         &format!("{min}..{max} (mean {mean:.0})"),
         min as f64 > mean * 0.55 && (max as f64) < mean * 1.6,
     );
+    exit_code(holds)
 }
 
 /// Task → container pairs from the platform's public surface.

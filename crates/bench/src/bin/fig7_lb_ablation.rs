@@ -11,14 +11,16 @@
 //! cargo run --release -p turbine-bench --bin fig7_lb_ablation
 //! ```
 
+use std::process::ExitCode;
 use turbine::Turbine;
 use turbine_bench::{
-    downsample, experiment_config, print_table, provision_fleet, scuba_host, verdict,
+    downsample, exit_code, experiment_config, print_table, provision_fleet, scuba_host, verdict,
 };
 use turbine_types::{Duration, SimTime};
 use turbine_workloads::{synthesize_fleet, FleetConfig, TrafficEvent, TrafficEventKind};
 
-fn main() {
+fn main() -> ExitCode {
+    let mut holds = true;
     let hosts = 24usize;
     let jobs = hosts * 110;
     let mut config = experiment_config();
@@ -97,7 +99,7 @@ fn main() {
         ],
     );
 
-    verdict(
+    holds &= verdict(
         "without LB, spikes + failover imbalance the cluster",
         "p95 CPU pulls away from p50 after hour 6/14",
         &format!(
@@ -105,10 +107,11 @@ fn main() {
         ),
         spread_during_outage > spread_before_disable * 1.8,
     );
-    verdict(
+    holds &= verdict(
         "re-enabling LB restores balance quickly",
         "host utilization back to normal levels",
         &format!("p95-p50 spread {spread_after_reenable:.3} by hour 24"),
         spread_after_reenable < spread_during_outage * 0.65,
     );
+    exit_code(holds)
 }

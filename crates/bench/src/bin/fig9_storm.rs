@@ -12,13 +12,15 @@
 //! cargo run --release -p turbine-bench --bin fig9_storm
 //! ```
 
+use std::process::ExitCode;
 use turbine::Turbine;
-use turbine_bench::{downsample, experiment_config, print_table, scuba_host, verdict};
+use turbine_bench::{downsample, exit_code, experiment_config, print_table, scuba_host, verdict};
 use turbine_config::JobConfig;
 use turbine_types::{Duration, JobId, SimTime};
 use turbine_workloads::{TrafficEvent, TrafficEventKind, TrafficModel};
 
-fn main() {
+fn main() -> ExitCode {
+    let mut holds = true;
     let mut config = experiment_config();
     config.scaler.vertical_limit.cpu = 2.0;
     // Preactive suppression needs history covering the diurnal cycle;
@@ -109,25 +111,25 @@ fn main() {
 
     let traffic_growth = (day2_peak.0 / day1_peak.0 - 1.0) * 100.0;
     let task_growth = (day2_peak.1 / day1_peak.1 - 1.0) * 100.0;
-    verdict(
+    holds &= verdict(
         "storm raises peak traffic",
         "~+16% over the previous day's peak",
         &format!("+{traffic_growth:.1}%"),
         (10.0..25.0).contains(&traffic_growth),
     );
-    verdict(
+    holds &= verdict(
         "task count grows by much less than traffic",
         "~+8% tasks for +16% traffic (vertical-first + headroom)",
         &format!("+{task_growth:.1}% tasks"),
         task_growth > 0.0 && task_growth < traffic_growth,
     );
-    verdict(
+    holds &= verdict(
         "jobs stay within SLO through the storm",
         "~99.9% of jobs in SLO",
         &format!("worst in-storm SLO fraction = {slo_worst_during_storm:.3}"),
         slo_worst_during_storm > 0.95,
     );
-    verdict(
+    holds &= verdict(
         "task count returns toward normal after the storm",
         "total task count dropped to a normal level",
         &format!(
@@ -136,4 +138,5 @@ fn main() {
         ),
         post_storm_tasks <= day2_peak.1,
     );
+    exit_code(holds)
 }

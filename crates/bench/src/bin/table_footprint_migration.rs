@@ -16,7 +16,8 @@
 //! cargo run --release -p turbine-bench --bin table_footprint_migration
 //! ```
 
-use turbine_bench::verdict;
+use std::process::ExitCode;
+use turbine_bench::{exit_code, verdict};
 use turbine_types::Resources;
 use turbine_workloads::{synthesize_fleet, FleetConfig};
 
@@ -32,7 +33,7 @@ fn round_up(v: f64, quantum: f64) -> f64 {
     (v / quantum).ceil() * quantum
 }
 
-fn main() {
+fn main() -> ExitCode {
     let fleet = synthesize_fleet(&FleetConfig {
         jobs: 40_000,
         seed: 0xF1611,
@@ -86,10 +87,10 @@ fn main() {
         (turbine_footprint.cpu / host.cpu).max(turbine_footprint.memory_mb / host.memory_mb);
     let reduction = (1.0 - hosts_turbine / hosts_standalone) * 100.0;
     println!("hosts needed: {hosts_standalone:.0} standalone vs {hosts_turbine:.0} under Turbine");
-    verdict(
+    exit_code(verdict(
         "footprint reduction from the Turbine migration",
         "~33%",
         &format!("{reduction:.0}%"),
         (20.0..50.0).contains(&reduction),
-    );
+    ))
 }

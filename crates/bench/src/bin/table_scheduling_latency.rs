@@ -15,9 +15,10 @@
 //! ```
 
 use std::collections::HashMap;
+use std::process::ExitCode;
 use std::time::Instant;
 use turbine::{Turbine, TurbineConfig};
-use turbine_bench::{scuba_host, verdict};
+use turbine_bench::{exit_code, scuba_host, verdict};
 use turbine_config::{ConfigLevel, ConfigValue, JobConfig};
 use turbine_jobstore::{JobService, JobStore, MemWal};
 use turbine_shardmgr::{compute_placement, PlacementConfig, PlacementInput};
@@ -41,7 +42,8 @@ impl SyncEnvironment for NoopEnv {
     }
 }
 
-fn main() {
+fn main() -> ExitCode {
+    let mut holds = true;
     // ---- 1. Placement of 100K shards onto 3000 containers (wall clock).
     let shards: Vec<(ShardId, Resources)> = (0..100_000u64)
         .map(|i| {
@@ -74,7 +76,7 @@ fn main() {
         PlacementConfig::default(),
     );
     let warm_elapsed = start.elapsed();
-    verdict(
+    holds &= verdict(
         "placement of 100K shards onto 3000 containers",
         "< 2 s",
         &format!(
@@ -109,7 +111,7 @@ fn main() {
     let start = Instant::now();
     let report = syncer.run_round(&mut service, &mut NoopEnv);
     let sync_elapsed = start.elapsed();
-    verdict(
+    holds &= verdict(
         "simple sync of 50K jobs (global package release)",
         "tens of thousands of jobs within seconds",
         &format!(
@@ -157,7 +159,7 @@ fn main() {
         }
     }
     let scheduled_in = scheduled_in.expect("job must schedule");
-    verdict(
+    holds &= verdict(
         "end-to-end scheduling of a new job",
         "1-2 minutes on average",
         &format!("{scheduled_in}"),
@@ -188,7 +190,7 @@ fn main() {
         }
     }
     let pushed_in = pushed_in.expect("push must complete");
-    verdict(
+    holds &= verdict(
         "global engine push (restart every task)",
         "within 5 minutes",
         &format!("{} tasks in {pushed_in}", total_tasks - 4),
@@ -224,10 +226,11 @@ fn main() {
         }
     }
     let recovered_in = recovered_in.expect("failover must recover");
-    verdict(
+    holds &= verdict(
         "task downtime after host failure",
         "fail-over starts after 60 s; average downtime < 2 min",
         &format!("all tasks back after {recovered_in}"),
         recovered_in <= Duration::from_mins(3),
     );
+    exit_code(holds)
 }

@@ -2,13 +2,15 @@
 //! table and figure of the paper's evaluation (see EXPERIMENTS.md for the
 //! index and DESIGN.md for the substitutions).
 //!
-//! Each figure has its own binary under `src/bin/`; micro-benchmarks with
-//! statistical rigor live under `benches/` (Criterion). The binaries print
+//! Each figure has its own binary under `src/bin/`. The binaries print
 //! the same rows/series the paper reports, plus a `paper vs measured`
-//! summary line per headline claim.
+//! summary line per headline claim, and exit non-zero if any claim
+//! diverged. Per-layer timings are the repo benchmark's probes
+//! (`benchmark/`).
 
 pub mod soak;
 
+use std::process::ExitCode;
 use turbine::{Turbine, TurbineConfig};
 use turbine_config::JobConfig;
 use turbine_types::{Duration, JobId, Resources, TimeSeries};
@@ -50,12 +52,16 @@ pub fn provision_fleet(
         .collect()
 }
 
-/// Down-sample a time series to one value per `every` (last sample wins),
-/// returning (hours, value) pairs — the rows the figures print.
+/// Down-sample a time series to one value per `every` (first sample of a
+/// slot wins), returning (hours, value) pairs — the rows the figures
+/// print. Covers the whole run: history a long series has compacted is
+/// read from its buckets (a bucket's last value at its end), the exact
+/// tail after it.
 pub fn downsample(series: &TimeSeries, every: Duration) -> Vec<(f64, f64)> {
     let mut rows = Vec::new();
     let mut next_slot = 0u64;
-    for &(at, value) in series.points() {
+    let compacted = series.buckets().iter().map(|b| (b.end, b.last));
+    for (at, value) in compacted.chain(series.points().iter().copied()) {
         let slot = at.as_millis() / every.as_millis();
         if slot >= next_slot {
             rows.push((at.as_hours_f64(), value));
@@ -88,12 +94,25 @@ pub fn print_table(title: &str, columns: &[(&str, Vec<(f64, f64)>)]) {
     println!();
 }
 
-/// Print one `paper vs measured` conclusion row.
-pub fn verdict(claim: &str, paper: &str, measured: &str, holds: bool) {
+/// Print one `paper vs measured` conclusion row and hand `holds` back, so
+/// a binary can fold its verdicts into its exit status.
+#[must_use]
+pub fn verdict(claim: &str, paper: &str, measured: &str, holds: bool) -> bool {
     println!(
         "[{}] {claim}: paper = {paper}, measured = {measured}",
         if holds { "OK" } else { "DIVERGES" }
     );
+    holds
+}
+
+/// The exit status of a figure binary: failure if any verdict diverged
+/// (what `ci.sh` gates on; the measured values carry wall-clock).
+pub fn exit_code(all_verdicts_hold: bool) -> ExitCode {
+    if all_verdicts_hold {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }
 
 /// A platform config tuned for fleet-scale experiment runs: identical
@@ -121,6 +140,24 @@ mod tests {
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].1, 0.0);
         assert_eq!(rows[1].1, 60.0);
+
+        // A series long enough to have compacted its older half still
+        // yields a row for every slot, from the first hour on.
+        let mut long = TimeSeries::new();
+        let hours = 2 * turbine_types::DEFAULT_SERIES_CAPACITY as u64 / 60;
+        for m in 0..hours * 60 {
+            long.record(SimTime::ZERO + Duration::from_mins(m), m as f64);
+        }
+        assert!(!long.buckets().is_empty(), "compacted");
+        let rows = downsample(&long, Duration::from_hours(1));
+        assert_eq!(rows.len() as u64, hours);
+        for (slot, &(hour, value)) in rows.iter().enumerate() {
+            assert_eq!(hour.floor(), slot as f64, "one row per hour, in order");
+            assert!(
+                (value / 60.0).floor() == slot as f64,
+                "a value of that hour"
+            );
+        }
     }
 
     #[test]

@@ -1,10 +1,9 @@
-//! The shared chaos-soak scenario: a seeded multi-fault timeline against
-//! the whole platform, used by both the `chaos_soak` correctness gate and
-//! the `trace_soak` tracing-overhead benchmark (same workload, different
-//! assertions — the timeline must not drift between them).
+//! The chaos-soak scenario: a seeded multi-fault timeline against the
+//! whole platform, with the default alert rules installed and the
+//! invariant checker on every tick. `chaos_soak` is its gate.
 
-use crate::scuba_host;
-use turbine::{DriveMode, Fault, FaultPlan, InvariantConfig, Turbine, TurbineConfig};
+use crate::{experiment_config, scuba_host};
+use turbine::{DriveMode, Fault, FaultPlan, InvariantConfig, Turbine};
 use turbine_config::{JobConfig, ResiliencyClass};
 use turbine_sim::SimRng;
 use turbine_types::{Duration, HostId, JobId, SimTime, TaskId};
@@ -29,13 +28,6 @@ pub struct SoakParams {
     pub seed: u64,
     /// Drive mode (dense reference or event-driven).
     pub mode: DriveMode,
-    /// Whether the causal decision trace is recorded.
-    pub trace_enabled: bool,
-    /// Whether the ODS metrics registry and alerting engine run (with the
-    /// default per-critical-job lag rules installed).
-    pub ods: bool,
-    /// Whether the invariant checker runs on every tick.
-    pub invariants: bool,
 }
 
 /// Build the soak platform: eight hosts, three stateless pipelines, and
@@ -45,12 +37,8 @@ pub struct SoakParams {
 /// soak exercises the warm-standby fast path next to the standard one:
 /// `soak_counters` and the stateful `soak_sessions` are critical,
 /// `soak_events` standard, `soak_metrics` best-effort.
-pub fn build_platform(trace_enabled: bool, ods_enabled: bool) -> (Turbine, Vec<HostId>) {
-    let mut config = TurbineConfig::default();
-    config.scaler.downscale_stability = Duration::from_hours(4);
-    config.trace_enabled = trace_enabled;
-    config.ods_enabled = ods_enabled;
-    let mut turbine = Turbine::new(config);
+pub fn build_platform() -> (Turbine, Vec<HostId>) {
+    let mut turbine = Turbine::new(experiment_config());
     let hosts = turbine.add_hosts(8, scuba_host());
     for (i, &(name, tasks, rate, swing, seed, tier)) in [
         (
@@ -180,16 +168,12 @@ pub fn flap_schedule(total: Duration, hosts: usize, rng: &mut SimRng) -> Vec<Hos
 
 /// Run the full soak scenario and return the driven platform; callers
 /// pull whatever they assert on (fingerprint, fault log, trace digest,
-/// invariant checker) from it.
+/// incident log, invariant checker) from it.
 pub fn run_soak(params: &SoakParams) -> Turbine {
     let mut rng = SimRng::seeded(params.seed);
-    let (mut turbine, hosts) = build_platform(params.trace_enabled, params.ods);
-    if params.ods {
-        turbine.install_default_alert_rules();
-    }
-    if params.invariants {
-        turbine.enable_invariant_checks(InvariantConfig::default());
-    }
+    let (mut turbine, hosts) = build_platform();
+    turbine.install_default_alert_rules();
+    turbine.enable_invariant_checks(InvariantConfig::default());
     // Settle before chaos.
     turbine.drive_for(Duration::from_mins(5).min(params.total), params.mode);
     schedule_faults(&mut turbine, params.total);

@@ -162,6 +162,12 @@ mod tests {
         for line in report.lines() {
             assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
         }
+        // The registry holds simulated state only, so a second run of the
+        // same scenario reports the same text.
+        assert!(
+            report == metrics_report(&tiny(), MetricsFormat::Jsonl),
+            "two runs of one scenario reported different metrics"
+        );
     }
 
     #[test]

@@ -202,7 +202,6 @@ pub fn provision_scenario(scenario: &Scenario) -> (Turbine, BTreeMap<String, Job
     let mut config = TurbineConfig::default();
     config.scaler_enabled = scenario.scaler_enabled;
     config.load_balancing_enabled = scenario.load_balancing;
-    config.ods_enabled = scenario.ods_enabled;
     let mut turbine = Turbine::new(config);
     turbine.add_hosts(
         scenario.hosts,
@@ -236,10 +235,8 @@ pub fn provision_scenario(scenario: &Scenario) -> (Turbine, BTreeMap<String, Job
 
     // Arm the alerting engine: the platform's default per-critical-job lag
     // rules, then whatever the scenario's "alerts" section adds.
-    if scenario.ods_enabled {
-        turbine.install_default_alert_rules();
-        turbine.install_alert_rules(scenario.alert_rules.iter().cloned());
-    }
+    turbine.install_default_alert_rules();
+    turbine.install_alert_rules(scenario.alert_rules.iter().cloned());
 
     // Pre-register storm windows on every job's traffic model (they are
     // pure functions of time, so this is equivalent to firing them live).

@@ -154,8 +154,6 @@ pub struct Scenario {
     pub scaler_enabled: bool,
     /// Whether the load balancer runs.
     pub load_balancing: bool,
-    /// Whether the ODS metrics registry and alerting engine run.
-    pub ods_enabled: bool,
     /// The jobs to provision at time zero.
     pub jobs: Vec<ScenarioJob>,
     /// Timeline events, sorted by firing time.
@@ -207,14 +205,13 @@ fn get_str(v: &ConfigValue, path: &str) -> Result<String, ScenarioError> {
 /// Every key the scenario root object understands. Anything else is a
 /// typo (e.g. `duration_hour`) and fails loudly instead of silently
 /// falling back to a default.
-const ROOT_KEYS: [&str; 10] = [
+const ROOT_KEYS: [&str; 9] = [
     "hosts",
     "host",
     "duration_hours",
     "report_every_mins",
     "scaler_enabled",
     "load_balancing",
-    "ods_enabled",
     "jobs",
     "events",
     "alerts",
@@ -420,10 +417,6 @@ impl Scenario {
                 .get_path("load_balancing")
                 .and_then(|v| v.as_bool())
                 .unwrap_or(true),
-            ods_enabled: root
-                .get_path("ods_enabled")
-                .and_then(|v| v.as_bool())
-                .unwrap_or(true),
             jobs,
             events,
             alert_rules,
@@ -594,7 +587,6 @@ mod tests {
         assert_eq!(s.alert_rules[0].name, "lag-high");
         // "billing" is the second job, so it resolves to JobId 2's raw id.
         assert_eq!(s.alert_rules[0].metric.to_string(), "job/2/lag_secs");
-        assert!(s.ods_enabled, "ODS defaults on");
     }
 
     #[test]
@@ -658,6 +650,11 @@ mod tests {
         let e = Scenario::parse(r#"{"jobs": [{"name": "j"}], "duration_hour": 2.0}"#)
             .expect_err("root typo");
         assert!(e.to_string().contains("unknown key 'duration_hour'"), "{e}");
+        // The metrics plane is part of the platform: its former off-switch
+        // is an unknown key like any other.
+        let e = Scenario::parse(r#"{"jobs": [{"name": "j"}], "ods_enabled": false}"#)
+            .expect_err("removed key");
+        assert!(e.to_string().contains("unknown key 'ods_enabled'"), "{e}");
         let e = Scenario::parse(r#"{"jobs": [{"name": "j", "resilency": "critical"}]}"#)
             .expect_err("job typo");
         assert!(e.to_string().contains("unknown key 'resilency'"), "{e}");

@@ -166,7 +166,7 @@ fn explain(run: &TracedRun, job: &str) -> Result<String, String> {
     let id = resolve_job(run, job)?;
     let Some(decision) = run.trace.last_decision_for(id) else {
         return Ok(format!(
-            "no retained decision about job '{job}' (is tracing enabled? did the run reach it?)\n"
+            "no retained decision about job '{job}' (did the run reach it?)\n"
         ));
     };
     let mut chain = run.trace.chain(decision.id);

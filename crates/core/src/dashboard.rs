@@ -100,12 +100,12 @@ pub struct FleetHealth {
     pub unhealthy: Vec<(JobId, Vec<HealthIssue>)>,
     /// Per unhealthy job: the most recent decisions the control plane took
     /// about it, newest first, rendered from the causal trace ("what has
-    /// the platform already tried?"). Empty when tracing is disabled.
+    /// the platform already tried?").
     pub recent_decisions: Vec<(JobId, Vec<String>)>,
     /// Per-tier SLO accounting, in tier order (best-effort → critical).
     pub tier_slo: Vec<TierSlo>,
     /// Active (unresolved) ODS alert incidents, rendered one per line as
-    /// `[severity] rule: message`. Empty when alerting is quiet or off.
+    /// `[severity] rule: message`. Empty when alerting is quiet.
     pub active_incidents: Vec<String>,
 }
 

@@ -43,8 +43,8 @@ impl BandSeries {
 
 /// One root-cause diagnosis, as recorded by the platform: the typed
 /// cause and mitigation from the root-causer, plus the link into the
-/// decision trace (when tracing is enabled) so the rationale joins the
-/// causal chain behind the mitigation it triggered.
+/// decision trace so the rationale joins the causal chain behind the
+/// mitigation it triggered.
 #[derive(Debug, Clone)]
 pub struct DiagnosisRecord {
     /// When the diagnosis was made.
@@ -57,8 +57,8 @@ pub struct DiagnosisRecord {
     pub mitigation: Mitigation,
     /// One-line rationale for the runbook.
     pub rationale: String,
-    /// The diagnosis record in the decision trace, when tracing is on.
-    pub trace: Option<TraceId>,
+    /// The diagnosis record in the decision trace.
+    pub trace: TraceId,
 }
 
 /// The recovery-time budget a resiliency tier promises (the per-tier SLO
@@ -149,9 +149,9 @@ pub struct PlatformMetrics {
     tier_recovery_sorted: BTreeMap<ResiliencyClass, Vec<u64>>,
 
     /// Alerting incidents opened by the ODS pipeline. Deliberately *not*
-    /// part of the platform fingerprint: the alerting layer is
-    /// observational, and folding its counter into the fingerprint would
-    /// make "ODS on vs off" runs trivially unequal.
+    /// part of the platform fingerprint: the alerting layer only observes,
+    /// and a platform with no rules installed must fingerprint like one
+    /// with rules. Gates that care compare the incident log itself.
     pub incidents: Counter,
 
     /// Jobs examined across State Syncer rounds. Sparse rounds examine

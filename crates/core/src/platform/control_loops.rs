@@ -233,7 +233,7 @@ impl Turbine {
                 .entry(job)
                 .and_modify(|o| o.fast = true)
                 .or_insert(OutageState { since, fast: true });
-            self.apply_promotion(&moves);
+            self.apply_movements_delayed(&moves, Duration::ZERO);
         }
     }
 
@@ -664,21 +664,17 @@ impl Turbine {
                 per_task_rates.push(processed / window);
                 per_task_memory.push(task.memory_usage_mb);
             }
-            // Symptom inputs flow through the ODS registry when it is on:
-            // publish, then read the identical `f64`s back — every scaler
-            // decision is driven by the same uniform metrics plane the
-            // operator console reads, at zero behavioral drift.
-            let (input_rate, processing_rate, total_bytes_lagged) = if self.config.ods_enabled {
-                self.ods_scaler_roundtrip(
-                    job,
-                    now,
-                    stats.arrived / window,
-                    stats.processed / window,
-                    backlog,
-                )
-            } else {
-                (stats.arrived / window, stats.processed / window, backlog)
-            };
+            // Symptom inputs flow through the ODS registry: publish, then
+            // read the identical `f64`s back — every scaler decision is
+            // driven by the same uniform metrics plane the operator
+            // console reads.
+            let (input_rate, processing_rate, total_bytes_lagged) = self.ods_scaler_roundtrip(
+                job,
+                now,
+                stats.arrived / window,
+                stats.processed / window,
+                backlog,
+            );
             let metrics = JobMetrics {
                 input_rate,
                 processing_rate,
@@ -755,14 +751,16 @@ impl Turbine {
             let symptom_id = if (action.is_some() || diagnose) && !decision.symptoms.is_empty() {
                 let description = decision.symptoms[0].describe();
                 let data = TraceData::Symptom { job, description };
-                match self
-                    .categories
-                    .get(&job)
-                    .and_then(|cat| self.trace.fault_cause(&format!("scribe_stall({cat})")))
-                {
-                    Some(root) => self.trace.emit_caused(now, data, Some(root)),
-                    None => self.trace.emit(now, data),
-                }
+                Some(
+                    match self
+                        .categories
+                        .get(&job)
+                        .and_then(|cat| self.trace.fault_cause(&format!("scribe_stall({cat})")))
+                    {
+                        Some(root) => self.trace.emit_caused(now, data, Some(root)),
+                        None => self.trace.emit(now, data),
+                    },
+                )
             } else {
                 None
             };
@@ -822,13 +820,9 @@ impl Turbine {
         );
         if let Mitigation::MoveTask(task) = diagnosis.mitigation {
             // The move's cause is the diagnosis that mandated it.
-            if let Some(id) = trace_id {
-                self.trace.push_cause(id);
-            }
+            self.trace.push_cause(trace_id);
             self.move_task_shard(task);
-            if trace_id.is_some() {
-                self.trace.pop_cause();
-            }
+            self.trace.pop_cause();
         }
         self.metrics.diagnoses.push(DiagnosisRecord {
             at: now,
@@ -1096,14 +1090,12 @@ impl Turbine {
             if lag_secs <= config.slo_lag_secs {
                 ok += 1;
             }
-            if self.config.ods_enabled {
-                ods_jobs.push(super::ods::JobSample {
-                    job,
-                    lag_secs,
-                    backlog_bytes: backlog,
-                    running_tasks: self.engine.running_tasks_of(job),
-                });
-            }
+            ods_jobs.push(super::ods::JobSample {
+                job,
+                lag_secs,
+                backlog_bytes: backlog,
+                running_tasks: self.engine.running_tasks_of(job),
+            });
             if let Some(lag) = self.metrics.watched_job_lag.get_mut(&job) {
                 lag.record(now, lag_secs);
                 self.metrics
@@ -1132,25 +1124,30 @@ impl Turbine {
         // ODS publication + alert evaluation last: the registry sees this
         // round's observations, then rules are evaluated against them on
         // the same grid instant in every drive mode.
-        if self.config.ods_enabled {
-            self.ods_metrics_publish(
-                now,
-                super::ods::MetricsRoundSample {
-                    traffic,
-                    cpu_samples: &cpu_samples,
-                    mem_samples: &mem_samples,
-                    jobs: &ods_jobs,
-                    total_backlog,
-                    slo_ok_fraction: slo_frac,
-                },
-            );
-            self.ods_evaluate_alerts(now);
-        }
+        self.ods_metrics_publish(
+            now,
+            super::ods::MetricsRoundSample {
+                traffic,
+                cpu_samples: &cpu_samples,
+                mem_samples: &mem_samples,
+                jobs: &ods_jobs,
+                total_backlog,
+                slo_ok_fraction: slo_frac,
+            },
+        );
+        self.ods_evaluate_alerts(now);
     }
 
     /// Apply shard movements: DROP_SHARD on the source before ADD_SHARD on
     /// the destination — a shard must never run in two containers at once.
     pub(crate) fn apply_movements(&mut self, moves: &[ShardMovement]) {
+        self.apply_movements_delayed(moves, self.config.restart_delay);
+    }
+
+    /// [`Self::apply_movements`] with the downtime of the tasks that start
+    /// on the destination given. A promotion passes zero: the standby was
+    /// already shadow-consuming the job's input, so its tasks resume warm.
+    fn apply_movements_delayed(&mut self, moves: &[ShardMovement], restart_delay: Duration) {
         for m in moves {
             self.metrics.shard_moves.incr();
             // Ownership changes even when no tasks move (empty shards):
@@ -1174,36 +1171,7 @@ impl Turbine {
                 .get_mut(&m.to)
                 .map(|tm| tm.add_shard(m.shard))
                 .unwrap_or_default();
-            self.handle_task_events(m.to, &events);
-        }
-    }
-
-    /// Apply a promotion's shard movements. Same DROP-before-ADD protocol
-    /// as [`Self::apply_movements`], but tasks landing on the standby start
-    /// without the cold restart delay: the standby was already
-    /// shadow-consuming the job's input, so its tasks resume warm.
-    pub(crate) fn apply_promotion(&mut self, moves: &[ShardMovement]) {
-        for m in moves {
-            self.metrics.shard_moves.incr();
-            self.pending_dirty.distributed = true;
-            if let Some(from) = m.from {
-                self.load_dirty_containers.insert(from);
-            }
-            self.load_dirty_containers.insert(m.to);
-            if let Some(from) = m.from {
-                let events = self
-                    .task_managers
-                    .get_mut(&from)
-                    .map(|tm| tm.drop_shard(m.shard))
-                    .unwrap_or_default();
-                self.handle_task_events(from, &events);
-            }
-            let events = self
-                .task_managers
-                .get_mut(&m.to)
-                .map(|tm| tm.add_shard(m.shard))
-                .unwrap_or_default();
-            self.handle_task_events_delayed(m.to, &events, Duration::ZERO);
+            self.handle_task_events_delayed(m.to, &events, restart_delay);
         }
     }
 

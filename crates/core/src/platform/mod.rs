@@ -41,7 +41,7 @@ use turbine_sim::{FaultInjector, SimRng};
 use turbine_statesyncer::{StateSyncer, SyncerConfig};
 use turbine_taskmgr::{LocalTaskManager, SnapshotTable, TaskService};
 use turbine_trace::TraceBuffer;
-use turbine_types::{ContainerId, Duration, HostId, JobId, Resources, SimTime};
+use turbine_types::{ContainerId, Duration, Fnv1a, HostId, JobId, Resources, SimTime};
 use turbine_workloads::TrafficModel;
 
 /// Platform configuration. Defaults are the paper's production values.
@@ -97,10 +97,6 @@ pub struct TurbineConfig {
     /// Master switch for load-balancing rebalances (ablations; fail-over
     /// stays on).
     pub load_balancing_enabled: bool,
-    /// Master switch for causal decision tracing. Tracing is purely
-    /// observational — turning it off changes no simulation outcome, only
-    /// whether the why-chain behind each decision is recorded.
-    pub trace_enabled: bool,
     /// Ring capacity of the decision trace (records retained; the digest
     /// covers evicted records too).
     pub trace_capacity: usize,
@@ -110,12 +106,11 @@ pub struct TurbineConfig {
     /// checks walk only dirty scopes, and load reports skip containers
     /// whose loads cannot have moved. Observably identical to the dense
     /// paths (periodic audits compare them); off forces full scans.
+    ///
+    /// A reference selector, not a deployment option: `false` runs the
+    /// full-scan implementations that the equivalence tests, `scale_soak`
+    /// and the fuzz harness compare the sparse path against.
     pub sparse_data_plane: bool,
-    /// Master switch for the ODS metrics plane (registry publication and
-    /// alert evaluation). Like tracing, the pipeline is observational:
-    /// turning it off changes no simulation outcome, only whether the
-    /// uniform time-series registry is populated and alert rules fire.
-    pub ods_enabled: bool,
 }
 
 impl Default for TurbineConfig {
@@ -143,10 +138,8 @@ impl Default for TurbineConfig {
             capacity: CapacityManagerConfig::default(),
             scaler_enabled: true,
             load_balancing_enabled: true,
-            trace_enabled: true,
             trace_capacity: turbine_trace::DEFAULT_TRACE_CAPACITY,
             sparse_data_plane: true,
-            ods_enabled: true,
         }
     }
 }
@@ -325,7 +318,7 @@ pub struct Turbine {
     pub(crate) fresh_revivals: Vec<(ContainerId, usize)>,
     /// The chaos engine: scheduled/active cross-component faults.
     pub(crate) faults: FaultInjector,
-    /// The causal decision trace (inert when tracing is disabled).
+    /// The causal decision trace.
     pub(crate) trace: TraceBuffer,
     /// Continuous invariant checking (enabled for chaos runs).
     pub(crate) invariants: Option<InvariantChecker>,
@@ -359,8 +352,7 @@ pub struct Turbine {
     /// queue the event-driven drive loop runs on.
     pub(crate) sched: ControlSchedule,
     pub(crate) last_scaler_drain: SimTime,
-    /// The ODS metrics plane: registry, alert engine, and id caches
-    /// (inert while [`TurbineConfig::ods_enabled`] is off).
+    /// The ODS metrics plane: registry, alert engine, and id caches.
     pub(crate) ods: ods::OdsState,
 }
 
@@ -414,11 +406,7 @@ impl Turbine {
             fresh_promotions: Vec::new(),
             fresh_revivals: Vec::new(),
             faults: FaultInjector::new(),
-            trace: if config.trace_enabled {
-                TraceBuffer::new(config.trace_capacity)
-            } else {
-                TraceBuffer::disabled()
-            },
+            trace: TraceBuffer::new(config.trace_capacity),
             invariants: None,
             pending_dirty: PendingDirty::all([]),
             load_dirty_jobs: BTreeSet::new(),
@@ -739,8 +727,7 @@ impl Turbine {
 
     /// The causal decision trace: every consequential control-plane
     /// decision of this run, with cause links back to the span or event
-    /// that triggered it. Inert (empty, disabled) when
-    /// [`TurbineConfig::trace_enabled`] is off.
+    /// that triggered it.
     pub fn trace(&self) -> &TraceBuffer {
         &self.trace
     }
@@ -768,10 +755,7 @@ impl Turbine {
 
     /// The container a task currently runs in, if it is active.
     pub fn task_container(&self, task: turbine_types::TaskId) -> Option<ContainerId> {
-        self.engine
-            .tasks()
-            .find(|(&id, _)| id == task)
-            .map(|(_, t)| t.container)
+        self.engine.task(task).map(|t| t.container)
     }
 
     /// The durable per-(job, partition) read offsets (tests, tooling).
@@ -915,19 +899,13 @@ impl Turbine {
     /// job running tasks and backlog bits, and the fault-timeline digest.
     /// Two runs of the same scenario match iff their fingerprints do.
     pub fn fingerprint(&self) -> PlatformFingerprint {
-        fn fnv1a(digest: &mut u64, bytes: &[u8]) {
-            for &b in bytes {
-                *digest ^= b as u64;
-                *digest = digest.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        }
-        let mut slo_digest = 0xCBF2_9CE4_8422_2325u64;
+        let mut slo_digest = Fnv1a::new();
         for r in &self.metrics.recoveries {
-            fnv1a(&mut slo_digest, &r.at.as_millis().to_le_bytes());
-            fnv1a(&mut slo_digest, &r.job.0.to_le_bytes());
-            fnv1a(&mut slo_digest, r.tier.as_str().as_bytes());
-            fnv1a(&mut slo_digest, &r.ms.to_le_bytes());
-            fnv1a(&mut slo_digest, &[r.fast as u8]);
+            slo_digest.write(&r.at.as_millis().to_le_bytes());
+            slo_digest.write(&r.job.0.to_le_bytes());
+            slo_digest.write(r.tier.as_str().as_bytes());
+            slo_digest.write(&r.ms.to_le_bytes());
+            slo_digest.write(&[r.fast as u8]);
         }
         PlatformFingerprint {
             now_ms: self.now.as_millis(),
@@ -949,7 +927,7 @@ impl Turbine {
                 .collect(),
             fault_digest: self.faults.log_digest(),
             fault_transitions: self.faults.log().len(),
-            slo_digest,
+            slo_digest: slo_digest.finish(),
             recoveries: self.metrics.recoveries.len(),
         }
     }
@@ -985,10 +963,8 @@ impl Snap for TurbineConfig {
         w.put(&self.capacity);
         w.put(&self.scaler_enabled);
         w.put(&self.load_balancing_enabled);
-        w.put(&self.trace_enabled);
         w.put(&self.trace_capacity);
         w.put(&self.sparse_data_plane);
-        w.put(&self.ods_enabled);
     }
 
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
@@ -1015,10 +991,8 @@ impl Snap for TurbineConfig {
             capacity: r.get()?,
             scaler_enabled: r.get()?,
             load_balancing_enabled: r.get()?,
-            trace_enabled: r.get()?,
             trace_capacity: r.get()?,
             sparse_data_plane: r.get()?,
-            ods_enabled: r.get()?,
         };
         // The same tick-vs-cadence rules enforced at construction apply to
         // decoded configs: a corrupt blob must not yield a platform that

@@ -145,9 +145,11 @@ pub(crate) struct MetricsRoundSample<'a> {
 impl Turbine {
     /// Publish the metrics round's observations into the registry: fleet
     /// aggregates, host utilization percentiles, per-job series, per-tier
-    /// SLO accounting, Scribe append rates, and control-round latency
-    /// summaries. Called at the end of [`Turbine::metrics_round`] when ODS
-    /// is enabled.
+    /// SLO accounting and Scribe append rates. Called at the end of
+    /// [`Turbine::metrics_round`]. Everything published is simulated state:
+    /// the registry is snapshotted, so host time (the control rounds'
+    /// wall-clock latencies, which live in [`Turbine::trace`]'s histograms)
+    /// stays out of it.
     pub(crate) fn ods_metrics_publish(&mut self, now: SimTime, sample: MetricsRoundSample<'_>) {
         let MetricsRoundSample {
             traffic,
@@ -258,24 +260,6 @@ impl Turbine {
                 .insert(category.to_string(), (id, total_appended));
             ods.registry
                 .publish(id, now, total_appended as f64 / interval_secs);
-        }
-        // Control-round wall-clock latency summaries. These are host-time
-        // observations (excluded from every digest), surfaced for the
-        // operator console and exports; alert rules must not target them.
-        for (component, hist) in self.trace.latencies() {
-            if hist.count == 0 {
-                continue;
-            }
-            let scope = Scope::Component(component.name().to_string());
-            ods.registry.publish_key(
-                MetricKey::new(scope.clone(), "round_mean_ns"),
-                now,
-                hist.mean_ns() as f64,
-            );
-            if let Some(p99) = hist.quantile_ns(0.99) {
-                ods.registry
-                    .publish_key(MetricKey::new(scope, "round_p99_ns"), now, p99 as f64);
-            }
         }
     }
 

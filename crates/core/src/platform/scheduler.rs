@@ -87,7 +87,8 @@ pub enum DriveMode {
     EventDriven,
     /// The pre-refactor reference: one `fire_if_due` poll of every
     /// component per dense tick. Kept as the equivalence oracle for tests
-    /// and scheduler benchmarks.
+    /// and scheduler benchmarks: a reference selector, not a deployment
+    /// option.
     DenseTick,
 }
 
@@ -451,16 +452,14 @@ impl Turbine {
     /// the round was reached by a dense poll or a queued event. The span
     /// is lazy — an uneventful round leaves no trace record — while the
     /// wall-clock cost of every round feeds the component's latency
-    /// histogram (tracing enabled only; latencies never enter the digest).
+    /// histogram (latencies never enter the digest).
     fn dispatch_component(&mut self, i: usize) {
         let component = &COMPONENTS[i];
-        let timer = self.trace.enabled().then(std::time::Instant::now);
+        let timer = std::time::Instant::now();
         self.trace.begin_round(self.now, component.trace);
         (component.run)(self);
-        self.trace.end_round(
-            component.trace,
-            timer.map(|t| t.elapsed().as_nanos() as u64),
-        );
+        self.trace
+            .end_round(component.trace, timer.elapsed().as_nanos() as u64);
     }
 
     /// One data-plane tick at `self.now`: fault-window edges first, then
@@ -470,7 +469,7 @@ impl Turbine {
     fn data_plane_tick(&mut self, schedule_wakes: bool) {
         let now = self.now;
         self.metrics.ticks_executed.incr();
-        let timer = self.trace.enabled().then(std::time::Instant::now);
+        let timer = std::time::Instant::now();
         self.trace.begin_round(now, TraceComponent::DataPlane);
 
         // Chaos engine first: cross the edges of any scheduled fault
@@ -558,10 +557,8 @@ impl Turbine {
                 }
             }
         }
-        self.trace.end_round(
-            TraceComponent::DataPlane,
-            timer.map(|t| t.elapsed().as_nanos() as u64),
-        );
+        self.trace
+            .end_round(TraceComponent::DataPlane, timer.elapsed().as_nanos() as u64);
     }
 
     /// Evaluate the continuous invariants over the current state (no-op

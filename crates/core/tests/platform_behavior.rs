@@ -520,7 +520,10 @@ fn root_causer_moves_a_task_off_a_sick_host() {
         diagnosis.rationale
     );
     assert!(
-        diagnosis.trace.is_some(),
+        matches!(
+            t.trace().get(diagnosis.trace).map(|e| &e.data),
+            Some(turbine::TraceData::Diagnosis { .. })
+        ),
         "diagnosis must link into the decision trace"
     );
     let container_after = t

@@ -112,7 +112,6 @@ pub fn build_platform(s: &FuzzScenario) -> Result<(Turbine, Vec<HostId>), String
     let mut config = TurbineConfig::default();
     config.tick = Duration::from_secs(s.tick_secs as u64);
     config.scaler_enabled = s.scaler_enabled;
-    config.trace_enabled = true;
     config.shardmgr.placement.headroom = s.headroom;
     config.shardmgr.placement.band = s.band;
     let mut turbine = Turbine::try_new(config)?;

@@ -17,9 +17,10 @@
 //! * [`export`] — JSONL and Prometheus text exports of the registry and
 //!   incident log (`turbinesim metrics --jsonl|--prom`).
 //!
-//! Like the trace crate, the whole pipeline is **observational**: nothing
-//! in it feeds back into the simulation, so enabling it leaves every
-//! platform fingerprint bit-for-bit unchanged.
+//! Like the trace crate, the whole pipeline only observes: the platform
+//! publishes into it and evaluates rules every metrics round, and the one
+//! value that comes back out toward a control decision (the Auto Scaler's
+//! inputs) is a bit-exact store and load.
 
 mod alert;
 mod registry;

@@ -199,19 +199,13 @@ impl FaultInjector {
     /// FNV-1a digest of the event log — two runs produced the identical
     /// fault timeline iff their digests match.
     pub fn log_digest(&self) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                hash ^= b as u64;
-                hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
+        let mut digest = turbine_types::Fnv1a::new();
         for (at, entry) in &self.log {
-            eat(&at.as_secs_f64().to_bits().to_le_bytes());
-            eat(entry.as_bytes());
-            eat(b"\n");
+            digest.write(&at.as_secs_f64().to_bits().to_le_bytes());
+            digest.write(entry.as_bytes());
+            digest.write(b"\n");
         }
-        hash
+        digest.finish()
     }
 
     fn record(&mut self, now: SimTime, verb: &str, fault: &Fault) {

@@ -20,16 +20,18 @@
 
 use std::collections::BTreeMap;
 use turbine::Turbine;
-use turbine_types::{Snap, SnapError, SnapReader, SnapWriter};
+use turbine_types::{Fnv1a, Snap, SnapError, SnapReader, SnapWriter};
 
 /// File magic for serialized snapshot blobs.
 pub const SNAP_MAGIC: [u8; 8] = *b"TRBNSNAP";
 
 /// Blob format version. Bump on any encoding change: restore refuses
-/// mismatched versions instead of misdecoding. Version 2 stores only the
+/// mismatched versions instead of misdecoding. Version 2 stored only the
 /// written buckets of a job's workload history and each distinct task
-/// snapshot once (`tests/golden/snap_format.txt` pins the bytes).
-pub const SNAP_VERSION: u32 = 2;
+/// snapshot once; version 3 has no trace/ODS switches in it and no host
+/// time, so a blob is a function of the run
+/// (`tests/golden/snap_format.txt` pins the bytes).
+pub const SNAP_VERSION: u32 = 3;
 
 /// Chunk size of the content-addressed store. Small enough that an idle
 /// region of the platform dedupes across consecutive captures, large
@@ -38,12 +40,9 @@ pub const CHUNK_SIZE: usize = 4096;
 
 /// FNV-1a over a byte slice — the chunk content address.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        digest ^= b as u64;
-        digest = digest.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    digest
+    let mut digest = Fnv1a::new();
+    digest.write(bytes);
+    digest.finish()
 }
 
 /// Capture-time context carried alongside the platform bytes, so a blob
@@ -336,14 +335,16 @@ mod tests {
         // Length-prefixed magic, then the version field.
         let at = 8 + SNAP_MAGIC.len();
         assert_eq!(blob[at..at + 4], SNAP_VERSION.to_le_bytes());
-        blob[at..at + 4].copy_from_slice(&1u32.to_le_bytes());
-        assert_eq!(
-            Snapshot::from_bytes(&blob),
-            Err(SnapError::Version {
-                found: 1,
-                supported: SNAP_VERSION
-            })
-        );
+        for older in [1u32, 2] {
+            blob[at..at + 4].copy_from_slice(&older.to_le_bytes());
+            assert_eq!(
+                Snapshot::from_bytes(&blob),
+                Err(SnapError::Version {
+                    found: older,
+                    supported: SNAP_VERSION
+                })
+            );
+        }
     }
 
     /// `hosts` hosts running the same 24 jobs, converged: every manager

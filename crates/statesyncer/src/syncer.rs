@@ -211,7 +211,9 @@ impl StateSyncer {
     }
 
     /// Run one synchronization round (production cadence: every 30 s) over
-    /// every job in the union of the expected and running tables.
+    /// every job in the union of the expected and running tables. This is
+    /// the full-scan reference [`Self::run_round_sparse`] is compared
+    /// against (and the benchmark times), not a deployment option.
     pub fn run_round<W: WalStorage>(
         &mut self,
         service: &mut JobService<W>,

@@ -4,7 +4,7 @@
 use crate::event::{Component, TraceData, TraceEvent, TraceId, COMPONENTS};
 use crate::latency::LatencyHistogram;
 use std::collections::{BTreeMap, VecDeque};
-use turbine_types::{JobId, SimTime};
+use turbine_types::{Fnv1a, JobId, SimTime};
 
 /// Default ring capacity: enough to keep every consequential record of a
 /// 48-hour soak while bounding memory on any horizon.
@@ -15,9 +15,8 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 8192;
 /// The buffer is a ring: records past `capacity` evict the oldest, but
 /// record ids are a monotone sequence and the [`digest`](Self::digest)
 /// covers every record ever pushed, so two runs can be compared bit-for-
-/// bit regardless of eviction. Recording is purely observational — the
-/// buffer never feeds back into the simulation, so tracing on vs off
-/// cannot change platform state.
+/// bit regardless of eviction. Recording is purely observational: the
+/// buffer never feeds back into the simulation.
 ///
 /// # Spans and cause links
 ///
@@ -29,11 +28,10 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 8192;
 /// ([`push_cause`](Self::push_cause)), falling back to the current span.
 #[derive(Debug, Clone)]
 pub struct TraceBuffer {
-    enabled: bool,
     capacity: usize,
     next_id: u64,
     events: VecDeque<TraceEvent>,
-    digest: u64,
+    digest: Fnv1a,
     pending_span: Option<(SimTime, Component)>,
     current_span: Option<TraceId>,
     context: Vec<TraceId>,
@@ -42,14 +40,13 @@ pub struct TraceBuffer {
 }
 
 impl TraceBuffer {
-    /// An enabled buffer with the given ring capacity (min 16).
+    /// An empty buffer with the given ring capacity (min 16).
     pub fn new(capacity: usize) -> Self {
         TraceBuffer {
-            enabled: true,
             capacity: capacity.max(16),
             next_id: 0,
             events: VecDeque::new(),
-            digest: 0xcbf2_9ce4_8422_2325, // FNV-1a offset basis
+            digest: Fnv1a::new(),
             pending_span: None,
             current_span: None,
             context: Vec::new(),
@@ -58,24 +55,9 @@ impl TraceBuffer {
         }
     }
 
-    /// A disabled buffer: every recording call is a cheap no-op.
-    pub fn disabled() -> Self {
-        let mut buffer = Self::new(16);
-        buffer.enabled = false;
-        buffer
-    }
-
-    /// Whether recording is on.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Open the dispatch span for a component round. The span is only
     /// committed if the round emits a record.
     pub fn begin_round(&mut self, at: SimTime, component: Component) {
-        if !self.enabled {
-            return;
-        }
         debug_assert!(
             self.context.is_empty(),
             "cause context leaked across rounds"
@@ -84,12 +66,10 @@ impl TraceBuffer {
         self.current_span = None;
     }
 
-    /// Close the dispatch span. `wall_ns`, when measured, feeds the
-    /// component's wall-clock latency histogram (never the digest).
-    pub fn end_round(&mut self, component: Component, wall_ns: Option<u64>) {
-        if let Some(ns) = wall_ns {
-            self.latency[component.index()].record(ns);
-        }
+    /// Close the dispatch span. `wall_ns` feeds the component's wall-clock
+    /// latency histogram (never the digest).
+    pub fn end_round(&mut self, component: Component, wall_ns: u64) {
+        self.latency[component.index()].record(wall_ns);
         self.pending_span = None;
         self.current_span = None;
         self.context.clear();
@@ -97,9 +77,7 @@ impl TraceBuffer {
 
     /// Push an explicit cause for subsequent records (innermost wins).
     pub fn push_cause(&mut self, cause: TraceId) {
-        if self.enabled {
-            self.context.push(cause);
-        }
+        self.context.push(cause);
     }
 
     /// Pop the innermost explicit cause.
@@ -111,44 +89,25 @@ impl TraceBuffer {
     /// falling back to the current round's span. The span commits on the
     /// first record of the round regardless of which cause wins, so every
     /// in-round record is attributable to its round. Returns the record
-    /// id, or `None` when disabled.
-    pub fn emit(&mut self, at: SimTime, data: TraceData) -> Option<TraceId> {
-        if !self.enabled {
-            return None;
-        }
+    /// id.
+    pub fn emit(&mut self, at: SimTime, data: TraceData) -> TraceId {
         let span = self.commit_span();
         let cause = self.context.last().copied().or(span);
-        Some(self.push(at, cause, data))
+        self.push(at, cause, data)
     }
 
     /// Record an event with an explicit cause (or an explicit root). The
     /// round's span still commits — the stream stays self-describing (every
     /// record is attributable to the round that emitted it) even when the
     /// chain links elsewhere.
-    pub fn emit_caused(
-        &mut self,
-        at: SimTime,
-        data: TraceData,
-        cause: Option<TraceId>,
-    ) -> Option<TraceId> {
-        if !self.enabled {
-            return None;
-        }
+    pub fn emit_caused(&mut self, at: SimTime, data: TraceData, cause: Option<TraceId>) -> TraceId {
         self.commit_span();
-        Some(self.push(at, cause, data))
+        self.push(at, cause, data)
     }
 
     /// Record a chaos-engine fault edge. Activations are chain roots;
     /// clearances link back to their activation. Returns the record id.
-    pub fn note_fault_edge(
-        &mut self,
-        at: SimTime,
-        label: &str,
-        activated: bool,
-    ) -> Option<TraceId> {
-        if !self.enabled {
-            return None;
-        }
+    pub fn note_fault_edge(&mut self, at: SimTime, label: &str, activated: bool) -> TraceId {
         let cause = if activated {
             None
         } else {
@@ -165,7 +124,7 @@ impl TraceBuffer {
         if activated {
             self.active_faults.insert(label.to_string(), id);
         }
-        Some(id)
+        id
     }
 
     /// The activation record of a currently-active fault, by label — the
@@ -199,26 +158,19 @@ impl TraceBuffer {
     }
 
     fn digest_event(&mut self, id: TraceId, at: SimTime, cause: Option<TraceId>, data: &TraceData) {
-        let mut hash = self.digest;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                hash ^= b as u64;
-                hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
-        eat(&id.0.to_le_bytes());
-        eat(&at.as_millis().to_le_bytes());
-        eat(&cause.map_or(u64::MAX, |c| c.0).to_le_bytes());
-        data.digest_into(&mut eat);
-        eat(b"\n");
-        self.digest = hash;
+        let digest = &mut self.digest;
+        digest.write(&id.0.to_le_bytes());
+        digest.write(&at.as_millis().to_le_bytes());
+        digest.write(&cause.map_or(u64::MAX, |c| c.0).to_le_bytes());
+        data.digest_into(&mut |bytes| digest.write(bytes));
+        digest.write(b"\n");
     }
 
     /// FNV-1a digest over every record ever pushed (including evicted
     /// ones). Two runs produced the identical decision trace iff their
     /// digests match. Wall-clock latencies are excluded by construction.
     pub fn digest(&self) -> u64 {
-        self.digest
+        self.digest.finish()
     }
 
     /// Records currently retained, oldest first.
@@ -324,20 +276,18 @@ impl Default for TraceBuffer {
 
 impl turbine_types::Snap for TraceBuffer {
     fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        w.put(&self.enabled);
         w.put(&self.capacity);
         w.u64(self.next_id);
         w.put(&self.events);
-        w.u64(self.digest);
+        w.u64(self.digest.finish());
         w.put(&self.active_faults);
     }
 
     fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        let enabled = r.get()?;
         let capacity: usize = r.get()?;
         let next_id = r.u64("TraceBuffer.next_id")?;
         let events: VecDeque<TraceEvent> = r.get()?;
-        let digest = r.u64("TraceBuffer.digest")?;
+        let digest = Fnv1a::resume(r.u64("TraceBuffer.digest")?);
         let active_faults = r.get()?;
         if capacity < 16 {
             return Err(turbine_types::SnapError::Value(
@@ -353,7 +303,6 @@ impl turbine_types::Snap for TraceBuffer {
         // snapshot boundary: captures happen between rounds, and latencies
         // are observational (excluded from the digest by construction).
         Ok(TraceBuffer {
-            enabled,
             capacity,
             next_id,
             events,
@@ -387,7 +336,7 @@ mod tests {
     fn empty_rounds_leave_no_span() {
         let mut tb = TraceBuffer::new(64);
         tb.begin_round(t(10), Component::Heartbeat);
-        tb.end_round(Component::Heartbeat, Some(500));
+        tb.end_round(Component::Heartbeat, 500);
         assert!(tb.is_empty());
         // Latency still recorded for the empty round.
         let (_, h) = tb
@@ -401,8 +350,8 @@ mod tests {
     fn first_emission_commits_the_span_as_cause() {
         let mut tb = TraceBuffer::new(64);
         tb.begin_round(t(30), Component::AutoScaler);
-        let id = tb.emit(t(30), symptom(1)).expect("enabled");
-        tb.end_round(Component::AutoScaler, None);
+        let id = tb.emit(t(30), symptom(1));
+        tb.end_round(Component::AutoScaler, 0);
         assert_eq!(tb.len(), 2, "span + symptom");
         let event = tb.get(id).expect("retained");
         let span = tb.get(event.cause.expect("caused")).expect("retained");
@@ -419,19 +368,17 @@ mod tests {
     fn explicit_cause_stack_wins_over_span() {
         let mut tb = TraceBuffer::new(64);
         tb.begin_round(t(30), Component::AutoScaler);
-        let symptom_id = tb.emit(t(30), symptom(1)).expect("id");
+        let symptom_id = tb.emit(t(30), symptom(1));
         tb.push_cause(symptom_id);
-        let action = tb
-            .emit(
-                t(30),
-                TraceData::ScalingAction {
-                    job: JobId(1),
-                    action: "horizontal(tasks=8)".into(),
-                },
-            )
-            .expect("id");
+        let action = tb.emit(
+            t(30),
+            TraceData::ScalingAction {
+                job: JobId(1),
+                action: "horizontal(tasks=8)".into(),
+            },
+        );
         tb.pop_cause();
-        tb.end_round(Component::AutoScaler, None);
+        tb.end_round(Component::AutoScaler, 0);
         assert_eq!(tb.get(action).expect("retained").cause, Some(symptom_id));
         // Chain: action -> symptom -> span.
         let chain = tb.chain(action);
@@ -442,13 +389,9 @@ mod tests {
     #[test]
     fn fault_clearance_links_to_activation() {
         let mut tb = TraceBuffer::new(64);
-        let up = tb
-            .note_fault_edge(t(10), "job_store_down", true)
-            .expect("id");
+        let up = tb.note_fault_edge(t(10), "job_store_down", true);
         assert_eq!(tb.fault_cause("job_store_down"), Some(up));
-        let down = tb
-            .note_fault_edge(t(20), "job_store_down", false)
-            .expect("id");
+        let down = tb.note_fault_edge(t(20), "job_store_down", false);
         assert_eq!(tb.get(down).expect("retained").cause, Some(up));
         assert_eq!(tb.fault_cause("job_store_down"), None);
     }
@@ -486,34 +429,18 @@ mod tests {
     }
 
     #[test]
-    fn disabled_buffer_is_inert() {
-        let mut tb = TraceBuffer::disabled();
-        assert!(!tb.enabled());
-        tb.begin_round(t(10), Component::Heartbeat);
-        assert_eq!(tb.emit(t(10), symptom(1)), None);
-        assert_eq!(tb.note_fault_edge(t(10), "f", true), None);
-        tb.end_round(Component::Heartbeat, None);
-        assert!(tb.is_empty());
-        assert_eq!(tb.total_recorded(), 0);
-    }
-
-    #[test]
     fn decision_queries_find_the_latest_per_job() {
         let mut tb = TraceBuffer::new(64);
         tb.emit_caused(t(10), symptom(1), None); // not a decision
-        let first = tb
-            .emit_caused(
-                t(20),
-                TraceData::ScalingAction {
-                    job: JobId(1),
-                    action: "vertical(threads=4)".into(),
-                },
-                None,
-            )
-            .expect("id");
-        let second = tb
-            .emit_caused(t(30), TraceData::Quarantine { job: JobId(1) }, None)
-            .expect("id");
+        let first = tb.emit_caused(
+            t(20),
+            TraceData::ScalingAction {
+                job: JobId(1),
+                action: "vertical(threads=4)".into(),
+            },
+            None,
+        );
+        let second = tb.emit_caused(t(30), TraceData::Quarantine { job: JobId(1) }, None);
         tb.emit_caused(t(40), TraceData::Quarantine { job: JobId(2) }, None);
         assert_eq!(tb.last_decision_for(JobId(1)).expect("found").id, second);
         let decisions = tb.decisions_for(JobId(1), 10);

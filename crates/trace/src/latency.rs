@@ -1,11 +1,11 @@
 //! Wall-clock round-latency histograms.
 //!
 //! These measure the *host* cost of each control-component dispatch —
-//! real nanoseconds, not simulated time — so they feed the tracing
-//! overhead bench (`BENCH_trace.json`) and operator profiling. They are
-//! deliberately kept out of the trace digest: wall-clock readings differ
-//! across runs and machines, while the digest must be bit-for-bit
-//! reproducible.
+//! real nanoseconds, not simulated time — so they feed the benchmark
+//! harness's per-layer busy table and operator profiling. They are
+//! deliberately kept out of the trace digest, out of snapshots and out of
+//! the metrics registry: wall-clock readings differ across runs and
+//! machines, while all three must be bit-for-bit reproducible.
 
 /// Number of power-of-two buckets. Bucket `i` counts samples in
 /// `[2^i, 2^(i+1))` ns; the last bucket absorbs everything larger

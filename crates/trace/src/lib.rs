@@ -23,11 +23,12 @@
 //!   engine's `FaultInjector::log_digest`), so two runs with the same
 //!   seed produce bit-for-bit identical digests — even though the ring
 //!   may have evicted different windows by the time you compare.
-//! - **Observational**: the buffer never feeds back into the simulation;
-//!   tracing on vs off leaves the platform fingerprint unchanged.
-//! - **Cheap**: wall-clock round latencies land in per-component
-//!   [`LatencyHistogram`]s (excluded from the digest — they are host
-//!   noise), and the overhead bench budgets tracing at <5% of a soak.
+//! - **Observational**: the buffer never feeds back into the simulation.
+//!   It is part of the platform, not an option on it: there is no
+//!   untraced mode to compare against.
+//! - **Host time stays out**: wall-clock round latencies land in
+//!   per-component [`LatencyHistogram`]s, which are excluded from the
+//!   digest and from snapshots — they are host noise.
 
 mod buffer;
 mod event;

@@ -6,6 +6,7 @@
 //! the cluster manager, the shard manager) and the control plane can share
 //! vocabulary without coupling.
 
+pub mod fnv;
 pub mod ids;
 pub mod metrics;
 pub mod priority;
@@ -13,10 +14,11 @@ pub mod resources;
 pub mod snap;
 pub mod time;
 
+pub use fnv::Fnv1a;
 pub use ids::{ContainerId, HostId, JobId, PartitionId, ShardId, TaskId};
 pub use metrics::{
-    nearest_rank, nearest_rank_index, nearest_rank_u64, Cdf, Counter, Gauge, Percentiles,
-    SeriesBucket, TimeSeries, DEFAULT_SERIES_CAPACITY,
+    nearest_rank, nearest_rank_index, nearest_rank_u64, Cdf, Counter, Percentiles, SeriesBucket,
+    TimeSeries, DEFAULT_SERIES_CAPACITY,
 };
 pub use priority::Priority;
 pub use resources::{ResourceKind, Resources};

@@ -34,22 +34,6 @@ impl Counter {
     }
 }
 
-/// A point-in-time measured value.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Gauge(f64);
-
-impl Gauge {
-    /// Replace the current value.
-    pub fn set(&mut self, v: f64) {
-        self.0 = v;
-    }
-
-    /// Current value.
-    pub fn get(self) -> f64 {
-        self.0
-    }
-}
-
 /// One compacted span of downsampled history: the aggregate of a run of
 /// consecutive samples that have been evicted from the exact tail.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -440,22 +424,6 @@ impl Cdf {
     pub fn is_empty(&self) -> bool {
         self.sorted.is_empty()
     }
-
-    /// Evaluate the CDF at evenly spaced x positions between the min and
-    /// max sample — the series the figure-generation binaries print.
-    pub fn curve(&self, steps: usize) -> Vec<(f64, f64)> {
-        if self.sorted.is_empty() || steps == 0 {
-            return Vec::new();
-        }
-        let lo = self.sorted[0];
-        let hi = *self.sorted.last().expect("non-empty");
-        (0..=steps)
-            .map(|i| {
-                let x = lo + (hi - lo) * i as f64 / steps as f64;
-                (x, self.fraction_at_or_below(x))
-            })
-            .collect()
-    }
 }
 
 impl Snap for Counter {
@@ -464,15 +432,6 @@ impl Snap for Counter {
     }
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok(Counter(r.u64("Counter")?))
-    }
-}
-
-impl Snap for Gauge {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put(&self.0);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Gauge(r.get()?))
     }
 }
 
@@ -545,9 +504,6 @@ mod tests {
         c.incr();
         c.add(4);
         assert_eq!(c.get(), 5);
-        let mut g = Gauge::default();
-        g.set(3.5);
-        assert_eq!(g.get(), 3.5);
     }
 
     #[test]
@@ -696,10 +652,6 @@ mod tests {
         assert_eq!(cdf.fraction_at_or_below(0.0), 0.0);
         assert_eq!(cdf.fraction_at_or_below(100.0), 1.0);
         assert_eq!(cdf.quantile(0.5), Some(5.0));
-        let curve = cdf.curve(9);
-        assert_eq!(curve.len(), 10);
-        assert_eq!(curve[0].0, 1.0);
-        assert_eq!(curve[9], (10.0, 1.0));
     }
 
     #[test]
@@ -708,6 +660,5 @@ mod tests {
         assert!(cdf.is_empty());
         assert_eq!(cdf.quantile(0.5), None);
         assert_eq!(cdf.fraction_at_or_below(1.0), 0.0);
-        assert!(cdf.curve(10).is_empty());
     }
 }

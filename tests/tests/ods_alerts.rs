@@ -1,7 +1,7 @@
 //! End-to-end tests for the ODS metrics registry and alerting engine on a
 //! real platform: absence detection, incident deduplication under flap
-//! suppression, cause-linked incident trace events, determinism across
-//! drive modes and replay, and observational invariance (ODS on vs off).
+//! suppression, cause-linked incident trace events, and determinism
+//! across drive modes and replay.
 
 use turbine::{DriveMode, Fault, Turbine, TurbineConfig};
 use turbine_config::{JobConfig, ResiliencyClass};
@@ -9,10 +9,8 @@ use turbine_ods::{AlertRule, MetricKey, RuleKind, Scope, Severity, ThresholdOp};
 use turbine_types::{Duration, JobId, Resources};
 use turbine_workloads::TrafficModel;
 
-fn platform(ods_enabled: bool) -> Turbine {
-    let mut config = TurbineConfig::default();
-    config.ods_enabled = ods_enabled;
-    let mut t = Turbine::new(config);
+fn platform() -> Turbine {
+    let mut t = Turbine::new(TurbineConfig::default());
     t.add_hosts(4, Resources::new(56.0, 256.0 * 1024.0, 1.0e6, 1000.0));
     t
 }
@@ -35,7 +33,7 @@ fn critical_job(t: &mut Turbine, id: u64) {
 /// window passes; a threshold rule on a healthy platform stays quiet.
 #[test]
 fn absence_rule_fires_for_a_silent_metric_and_healthy_rules_stay_quiet() {
-    let mut t = platform(true);
+    let mut t = platform();
     critical_job(&mut t, 1);
     t.install_alert_rules([
         AlertRule {
@@ -71,7 +69,7 @@ fn absence_rule_fires_for_a_silent_metric_and_healthy_rules_stay_quiet() {
 /// clears, and its trace event is cause-linked to the fault edge.
 #[test]
 fn scribe_stall_raises_one_deduplicated_cause_linked_incident() {
-    let mut t = platform(true);
+    let mut t = platform();
     critical_job(&mut t, 1);
     t.install_default_alert_rules();
     t.run_for(Duration::from_mins(10));
@@ -104,7 +102,7 @@ fn scribe_stall_raises_one_deduplicated_cause_linked_incident() {
 #[test]
 fn incidents_are_deterministic_across_drive_modes_and_replay() {
     let run = |mode: DriveMode| {
-        let mut t = platform(true);
+        let mut t = platform();
         critical_job(&mut t, 1);
         critical_job(&mut t, 2);
         t.install_default_alert_rules();
@@ -130,33 +128,4 @@ fn incidents_are_deterministic_across_drive_modes_and_replay() {
     assert!(!event.0.is_empty(), "the stall must raise an incident");
     assert_eq!(dense, event, "dense vs event");
     assert_eq!(event, replay, "replay");
-}
-
-/// ODS on vs off leaves the platform fingerprint bit-for-bit unchanged
-/// even while rules fire, and with ODS off no registry state accrues.
-#[test]
-fn ods_is_observational_on_a_faulted_run() {
-    let run = |ods: bool| {
-        let mut t = platform(ods);
-        critical_job(&mut t, 1);
-        if ods {
-            t.install_default_alert_rules();
-        }
-        t.run_for(Duration::from_mins(10));
-        let category = t.job_category(JobId(1)).expect("category").to_string();
-        t.inject_fault(Fault::ScribeStall(category), Some(Duration::from_mins(8)));
-        t.run_for(Duration::from_mins(30));
-        t
-    };
-    let with_ods = run(true);
-    let without = run(false);
-    assert_eq!(with_ods.fingerprint(), without.fingerprint());
-    assert!(!with_ods.incidents().is_empty(), "rules fired with ODS on");
-    assert!(!with_ods.ods_registry().is_empty(), "registry populated");
-    assert_eq!(
-        without.ods_registry().len(),
-        0,
-        "registry idle with ODS off"
-    );
-    assert!(without.incidents().is_empty());
 }

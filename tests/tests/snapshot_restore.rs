@@ -18,14 +18,8 @@ fn host_shape() -> Resources {
 /// A busy little platform: two stateless pipelines (one diurnal), one
 /// stateful job, default alert rules, invariant checking on.
 fn build() -> Turbine {
-    build_with(|_| {})
-}
-
-/// [`build`] with the configuration adjusted first.
-fn build_with(adjust: impl FnOnce(&mut TurbineConfig)) -> Turbine {
     let mut config = TurbineConfig::default();
     config.shard_count = 256;
-    adjust(&mut config);
     let mut t = Turbine::new(config);
     t.add_hosts(5, host_shape());
     t.enable_invariant_checks(InvariantConfig::default());
@@ -418,27 +412,30 @@ fn blob_meta_carries_scenario_context() {
 }
 
 /// The blob encoding is pinned: `tests/golden/snap_format.txt` holds
-/// `SNAP_VERSION` and the FNV-1a of the blobs of two fixed small platforms.
+/// `SNAP_VERSION` and the FNV-1a of the blob of one fixed small platform.
 /// Any change to what a blob's bytes are — a field added, reordered or
 /// encoded differently — lands here, so it cannot go out under the old
-/// version number. Two platforms, because a blob of the default one is
-/// not a function of the run alone: with tracing *and* ODS on, the
-/// registry holds the control rounds' wall-clock latencies. One platform
-/// runs without the trace (a full registry, no host time in it), the
-/// other without ODS (a full trace ring).
+/// version number. A blob is a function of the run (no host time reaches
+/// snapshotted state), so two identically driven platforms must first
+/// agree byte for byte with each other.
 #[test]
 fn blob_bytes_match_the_golden_for_this_format_version() {
-    let digest = |adjust: fn(&mut TurbineConfig)| {
-        let mut t = build_with(adjust);
+    let blob = || {
+        let mut t = build();
         schedule_chaos(&mut t);
         drive_to(&mut t, 30, DriveMode::EventDriven);
-        turbine_snap::fnv1a(&Snapshot::capture(&t).to_bytes())
+        Snapshot::capture(&t).to_bytes()
     };
+    let (first, second) = (blob(), blob());
+    assert!(
+        first == second,
+        "two identically driven platforms captured different blobs: something that is \
+         not a function of the run (host time, map iteration order) is in the snapshot"
+    );
     let current = format!(
-        "version {}\nfnv1a trace_off {:#018x}\nfnv1a ods_off {:#018x}\n",
+        "version {}\nfnv1a default {:#018x}\n",
         turbine_snap::SNAP_VERSION,
-        digest(|config| config.trace_enabled = false),
-        digest(|config| config.ods_enabled = false),
+        turbine_snap::fnv1a(&first),
     );
     let golden: String = include_str!("../golden/snap_format.txt")
         .lines()
@@ -447,7 +444,7 @@ fn blob_bytes_match_the_golden_for_this_format_version() {
         .collect();
     assert_eq!(
         golden, current,
-        "the blobs of the fixed platforms changed. If the encoding changed: bump \
+        "the blob of the fixed platform changed. If the encoding changed: bump \
          `SNAP_VERSION` and regenerate tests/golden/snap_format.txt with the lines on the \
          right. If only behaviour moved (the same encoding of a different state), \
          regenerate without a bump and say in CHANGES.md what moved."

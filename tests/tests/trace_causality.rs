@@ -1,8 +1,6 @@
 //! Causal decision tracing, end to end: `turbinesim trace --explain`
 //! reconstructs multi-hop fault → symptom → decision chains; identical
-//! runs produce identical trace digests; and tracing is observational —
-//! enabling or disabling it leaves the platform fingerprint bit-for-bit
-//! unchanged in both drive modes.
+//! runs produce identical trace digests, in both drive modes.
 
 use turbine::{DriveMode, Fault, FaultPlan, TraceData, Turbine, TurbineConfig};
 use turbine_cli::{run_scenario_traced, trace_report, Scenario, TraceQuery};
@@ -88,10 +86,8 @@ fn identical_runs_produce_identical_trace_digests() {
 }
 
 /// Build the fault-ridden platform used by the invariance checks.
-fn build(trace_enabled: bool) -> Turbine {
-    let mut config = TurbineConfig::default();
-    config.trace_enabled = trace_enabled;
-    let mut turbine = Turbine::new(config);
+fn build() -> Turbine {
+    let mut turbine = Turbine::new(TurbineConfig::default());
     turbine.add_hosts(4, Resources::new(56.0, 256.0 * 1024.0, 1.0e6, 1000.0));
     turbine
         .provision_job(
@@ -129,30 +125,9 @@ fn build(trace_enabled: bool) -> Turbine {
 }
 
 #[test]
-fn tracing_is_observational_in_both_drive_modes() {
-    for mode in [DriveMode::EventDriven, DriveMode::DenseTick] {
-        let mut on = build(true);
-        let mut off = build(false);
-        on.drive_for(Duration::from_hours(3), mode);
-        off.drive_for(Duration::from_hours(3), mode);
-        assert_eq!(
-            on.fingerprint(),
-            off.fingerprint(),
-            "tracing changed platform state under {mode:?}"
-        );
-        assert!(on.trace().total_recorded() > 0);
-        assert_eq!(
-            off.trace().total_recorded(),
-            0,
-            "disabled trace stays empty"
-        );
-    }
-}
-
-#[test]
 fn dense_and_event_modes_produce_the_same_trace_digest() {
-    let mut dense = build(true);
-    let mut event = build(true);
+    let mut dense = build();
+    let mut event = build();
     dense.drive_for(Duration::from_hours(3), DriveMode::DenseTick);
     event.drive_for(Duration::from_hours(3), DriveMode::EventDriven);
     assert_eq!(dense.fingerprint(), event.fingerprint());
