@@ -43,14 +43,16 @@ echo "== scale_smoke: sparse data plane at 1k hosts / 10k tasks (13 simulated ho
 # snapshot blob at hour 12 and finishes on the restored platform, so the
 # fingerprint gate is also restore == uninterrupted at 1000 hosts; the
 # blob must stay under 100 MB and the round trip under 2 s (ROADMAP item
-# 2's targets). A second run must reproduce the identical fingerprint
-# counters or the gate fails. The full-size run (10k hosts / 120k tasks /
-# 24 h, the default flags) is manual.
+# 2's targets), and the process's peak RSS (the round trip's: blob and two
+# platforms at once; `VmHWM`, written on Linux) under 105 MB. A second run
+# must reproduce the identical fingerprint counters or the gate fails. The
+# full-size run (10k hosts / 120k tasks / 24 h, the default flags) is manual.
 ./target/release/scale_soak --hosts 1000 --jobs 1000 --hours 13 --max-wall-secs 60
 awk -F': *|,' '/"snapshot_mb"/ { mb = $2 } /"snapshot_roundtrip_s"/ { s = $2 }
-    END { if (mb == "" || s == "" || mb >= 100 || s >= 2) {
-              print "scale_smoke snapshot over budget: " mb " MB, " s " s"; exit 1 }
-          print "scale_smoke snapshot: " mb " MB, " s " s round trip" }' BENCH_scale.json
+    /"peak_rss_mb"/ { rss = $2 }
+    END { if (mb == "" || s == "" || mb >= 100 || s >= 2 || (rss != "" && rss >= 105)) {
+              print "scale_smoke over budget: " mb " MB blob, " s " s, " rss " MB peak RSS"; exit 1 }
+          print "scale_smoke snapshot: " mb " MB, " s " s round trip, " rss " MB peak RSS" }' BENCH_scale.json
 fp_a=$(grep -o '"counters": \[[^]]*\]' BENCH_scale.json)
 ./target/release/scale_soak --hosts 1000 --jobs 1000 --hours 13 --max-wall-secs 60 > /dev/null
 fp_b=$(grep -o '"counters": \[[^]]*\]' BENCH_scale.json)

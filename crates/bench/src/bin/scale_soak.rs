@@ -59,8 +59,26 @@ struct RunResult {
     wall_secs: f64,
     sync_jobs_examined: u64,
     load_reports_sent: u64,
-    /// Blob bytes and wall seconds of the hour-12 round trip (sparse leg).
-    snapshot: Option<(usize, f64)>,
+    /// The hour-12 round trip (sparse leg).
+    snapshot: Option<RoundTrip>,
+}
+
+#[derive(Clone, Copy)]
+struct RoundTrip {
+    blob_bytes: usize,
+    wall_secs: f64,
+    /// Peak RSS when the capture starts: what the running platform needs,
+    /// before the blob and the second platform are resident beside it.
+    steady_rss_mb: Option<f64>,
+}
+
+/// This process's peak resident set so far (`VmHWM`), in MB; `None` where
+/// there is no `/proc/self/status`.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kb: f64 = line.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kb / 1024.0)
 }
 
 fn build_platform(p: &Params, sparse: bool) -> Turbine {
@@ -123,12 +141,17 @@ fn run(p: &Params, sparse: bool) -> RunResult {
     // Hour 12, sparse leg: through a blob and back, then on with the copy.
     let mut snapshot = None;
     if sparse {
+        let steady_rss_mb = peak_rss_mb();
         let round_trip = Instant::now();
         let blob = Snapshot::capture(&t).to_bytes();
         t = Snapshot::from_bytes(&blob)
             .and_then(|s| s.restore())
             .expect("own blob restores");
-        snapshot = Some((blob.len(), round_trip.elapsed().as_secs_f64()));
+        snapshot = Some(RoundTrip {
+            blob_bytes: blob.len(),
+            wall_secs: round_trip.elapsed().as_secs_f64(),
+            steady_rss_mb,
+        });
     }
     // Hour 12: a host flap — fail-over, standby churn, and cluster-scope
     // dirt, then 11.5 quiet hours of tail.
@@ -140,7 +163,7 @@ fn run(p: &Params, sparse: bool) -> RunResult {
         Duration::from_hours(p.hours.saturating_sub(12)) - Duration::from_mins(30),
         DriveMode::EventDriven,
     );
-    let round_trip_secs = snapshot.map_or(0.0, |(_, secs)| secs);
+    let round_trip_secs = snapshot.map_or(0.0, |trip| trip.wall_secs);
     RunResult {
         fingerprint: t.fingerprint(),
         wall_secs: started.elapsed().as_secs_f64() - round_trip_secs,
@@ -195,8 +218,9 @@ fn main() {
         "  {:.1}s wall, {} jobs examined, {} load reports",
         sparse.wall_secs, sparse.sync_jobs_examined, sparse.load_reports_sent
     );
-    let (blob_bytes, snapshot_roundtrip_s) = sparse.snapshot.expect("the sparse leg round-trips");
-    let snapshot_mb = blob_bytes as f64 / (1024.0 * 1024.0);
+    let trip = sparse.snapshot.expect("the sparse leg round-trips");
+    let snapshot_roundtrip_s = trip.wall_secs;
+    let snapshot_mb = trip.blob_bytes as f64 / (1024.0 * 1024.0);
     eprintln!("full-scan reference...");
     let full = run(&p, false);
     eprintln!(
@@ -227,6 +251,15 @@ fn main() {
         "  snapshot    : {snapshot_mb:.2} MB blob at hour 12, {snapshot_roundtrip_s:.2}s through \
          bytes and back (not in the sparse wall clock)"
     );
+    // Both legs are done: the process's peak is the round trip's (the blob
+    // and two platforms at once). Omitted where the OS does not say.
+    let rss_json = match (trip.steady_rss_mb, peak_rss_mb()) {
+        (Some(steady), Some(peak)) => {
+            println!("  memory      : {steady:.1} MB peak RSS before the round trip, {peak:.1} MB at exit");
+            format!("  \"steady_rss_mb\": {steady:.1},\n  \"peak_rss_mb\": {peak:.1},\n")
+        }
+        _ => String::new(),
+    };
     println!(
         "  fingerprint : now_ms {} counters {:?} fault 0x{:016x} slo 0x{:016x}",
         sparse.fingerprint.now_ms,
@@ -239,7 +272,8 @@ fn main() {
         "{{\n  \"bench\": \"scale_soak\",\n  \"hosts\": {},\n  \"jobs\": {},\n  \
          \"tasks\": {tasks},\n  \"sim_hours\": {},\n  \"seed\": {},\n  \
          \"sparse_wall_secs\": {:.3},\n  \"full_wall_secs\": {:.3},\n  \
-         \"snapshot_mb\": {snapshot_mb:.3},\n  \"snapshot_roundtrip_s\": {snapshot_roundtrip_s:.3},\n  \
+         \"snapshot_mb\": {snapshot_mb:.3},\n  \"snapshot_roundtrip_s\": {snapshot_roundtrip_s:.3},\n\
+         {rss_json}  \
          \"sparse_sync_jobs_examined\": {},\n  \"full_sync_jobs_examined\": {},\n  \
          \"sync_work_ratio\": {sync_ratio:.3},\n  \
          \"sparse_load_reports\": {},\n  \"full_load_reports\": {},\n  \

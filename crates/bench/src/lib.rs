@@ -61,7 +61,7 @@ pub fn downsample(series: &TimeSeries, every: Duration) -> Vec<(f64, f64)> {
     let mut rows = Vec::new();
     let mut next_slot = 0u64;
     let compacted = series.buckets().iter().map(|b| (b.end, b.last));
-    for (at, value) in compacted.chain(series.points().iter().copied()) {
+    for (at, value) in compacted.chain(series.points()) {
         let slot = at.as_millis() / every.as_millis();
         if slot >= next_slot {
             rows.push((at.as_hours_f64(), value));

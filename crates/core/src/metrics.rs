@@ -394,7 +394,7 @@ mod tests {
         band.record(SimTime::ZERO + Duration::from_mins(2), &[0.7]);
         assert_eq!(band.p50.len(), 2);
         assert!(
-            band.p50.points().iter().all(|(_, v)| v.is_finite()),
+            band.p50.points().all(|(_, v)| v.is_finite()),
             "no NaN in the series"
         );
     }

@@ -9,10 +9,10 @@
 //! suppressed for `suppress_for` — a flapping signal produces exactly one
 //! incident per suppression window instead of a page storm.
 
-use crate::registry::{MetricKey, Registry, Scope};
+use crate::registry::{MetricId, MetricKey, Registry, Scope};
 use std::fmt;
 use turbine_config::ConfigValue;
-use turbine_types::{Duration, SimTime};
+use turbine_types::{Duration, SimTime, TimeSeries};
 
 /// How urgent a firing rule is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -153,6 +153,11 @@ struct RuleState {
     active: Option<usize>,
     /// No new incident opens before this instant.
     suppressed_until: Option<SimTime>,
+    /// The rule's series in the registry the engine is evaluated against,
+    /// once it is registered (series are registered lazily, so a miss is
+    /// looked up again next round). Derived: not in `Snap`, refilled by
+    /// the first evaluation after a restore.
+    series: Option<MetricId>,
 }
 
 /// The alerting engine: rules, per-rule state, and the incident log.
@@ -200,12 +205,15 @@ impl AlertEngine {
     /// Evaluate every rule against the registry at `now`. Returns the
     /// indices (into [`Self::incidents`]) of incidents opened by this
     /// evaluation, in rule order — the caller emits trace events and
-    /// counters from them.
+    /// counters from them. Each rule resolves its series id once, so an
+    /// engine must always be evaluated against the same registry.
     pub fn evaluate(&mut self, registry: &Registry, now: SimTime) -> Vec<usize> {
         let mut opened = Vec::new();
         for (i, rule) in self.rules.iter().enumerate() {
             let state = &mut self.states[i];
-            let observed = condition(rule, registry, now);
+            state.series = state.series.or_else(|| registry.lookup(&rule.metric));
+            let series = state.series.map(|id| registry.series(id));
+            let observed = condition(rule, series, now);
             match observed {
                 Some(value) => {
                     let since = *state.pending_since.get_or_insert(now);
@@ -239,9 +247,9 @@ impl AlertEngine {
     }
 }
 
-/// Evaluate a rule's raw condition: `Some(observed_value)` when it holds.
-fn condition(rule: &AlertRule, registry: &Registry, now: SimTime) -> Option<f64> {
-    let series = registry.series_by_key(&rule.metric);
+/// Evaluate a rule's raw condition on its series (`None` while nothing has
+/// registered it): `Some(observed_value)` when it holds.
+fn condition(rule: &AlertRule, series: Option<&TimeSeries>, now: SimTime) -> Option<f64> {
     match &rule.kind {
         RuleKind::Threshold { op, value } => {
             let v = series?.last()?;
@@ -453,6 +461,7 @@ impl Snap for RuleState {
             pending_since: r.get()?,
             active: r.get()?,
             suppressed_until: r.get()?,
+            series: None,
         })
     }
 }
@@ -762,6 +771,39 @@ mod tests {
         let opened = engine.evaluate(&registry, t(120));
         assert_eq!(opened.len(), 1);
         assert_eq!(engine.incidents()[0].severity, Severity::Warning);
+    }
+
+    #[test]
+    fn a_rule_finds_a_series_registered_after_it_and_again_after_a_restore() {
+        let mut registry = Registry::new();
+        // Other series first, so the watched one's dense id is not 0.
+        registry.series_id(MetricKey::platform("task_count"));
+        let mut engine = AlertEngine::new();
+        engine.install(lag_rule(0, 0));
+        // Nothing has registered the series yet: quiet, and the miss is
+        // not remembered.
+        assert!(engine.evaluate(&registry, t(0)).is_empty());
+        let id = registry.series_id(MetricKey::job(1, "lag_secs"));
+        registry.publish(id, t(60), 120.0);
+        assert_eq!(engine.evaluate(&registry, t(60)).len(), 1);
+        assert_eq!(engine.states[0].series, Some(id));
+        // The resolved id is derived state: a restored engine carries none
+        // and resolves it again.
+        let mut w = SnapWriter::new();
+        engine.snap(&mut w);
+        let blob = w.into_bytes();
+        let mut restored = AlertEngine::unsnap(&mut SnapReader::new(&blob)).expect("decodes");
+        assert_eq!(restored.states[0].series, None);
+        for engine in [&mut engine, &mut restored] {
+            registry.publish(id, t(120), 10.0);
+            engine.evaluate(&registry, t(120));
+            assert_eq!(engine.incidents()[0].resolved_at, Some(t(120)));
+        }
+        let mut again = SnapWriter::new();
+        restored.snap(&mut again);
+        let mut original = SnapWriter::new();
+        engine.snap(&mut original);
+        assert_eq!(again.into_bytes(), original.into_bytes());
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! * [`Registry`] — a typed time-series registry. Every series is
 //!   identified by a [`MetricKey`] (an entity [`Scope`] × metric name),
 //!   interned once into a dense [`MetricId`] so steady-state publishing is
-//!   an index plus a bounded ring push ([`turbine_types::TimeSeries`]
-//!   downsamples deterministically past its capacity).
+//!   an index plus a run-encoded append ([`turbine_types::TimeSeries`]
+//!   stores a repeated value as a count and downsamples deterministically
+//!   past its capacity).
 //! * [`AlertEngine`] — declarative, JSON-configurable alerting rules
 //!   (threshold, absence, rate-of-change, SLO burn-rate) with
 //!   `for`-durations, severities, and flap suppression, firing

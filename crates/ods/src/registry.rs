@@ -3,8 +3,9 @@
 //!
 //! Registration (a `BTreeMap` lookup plus a string key) happens once per
 //! series; publishers cache the returned [`MetricId`] and every subsequent
-//! publish is a dense `Vec` index plus a bounded ring push. That keeps the
-//! registry safe to leave on by default even at scale-soak fleet sizes.
+//! publish is a dense `Vec` index plus an append to a run-encoded
+//! [`TimeSeries`]: a count bumped when the cadence and the value repeat,
+//! 12 B when the value moved. Each key is stored once, in the index.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -86,17 +87,27 @@ impl MetricId {
     }
 }
 
-/// Exact-tail capacity of each registry series. Alert windows span
-/// minutes, so they always hit the exact tail; older history downsamples
-/// deterministically, bounding a 12k-job fleet's registry to tens of
-/// megabytes.
+/// Exact-tail capacity of each registry series, in samples. Alert windows
+/// span minutes, so they always hit the exact tail; older history
+/// downsamples deterministically into at most 256 buckets of 56 B.
+///
+/// What a series costs follows what changed in it. Measured (struct plus
+/// `Vec` capacities): a settled job's series is 160 B at any length of
+/// exact tail, one whose value moves every round 1.6 KB at 110 samples
+/// and 6.3 KB at 512 (16 B a sample before: 2.1 KB and 8.3 KB for
+/// either). From the first compaction on (sample 513, ≈ 8.5 simulated
+/// hours at a one-minute cadence) the bucket head adds 7–14 KB to both,
+/// and is then the whole cost of a settled series: 7.3–14.5 KB settled,
+/// 13.4–20.6 KB busy, against 15.4–22.6 KB before. A 12k-job fleet at
+/// seven series a job saturates near 1.2 GB settled and 1.7 GB busy
+/// (1.9 GB before), so the head is what a long run pays for (ROADMAP
+/// item 3).
 pub const REGISTRY_SERIES_CAPACITY: usize = 512;
 
 /// The uniform time-series registry every layer publishes into.
 #[derive(Debug, Default)]
 pub struct Registry {
     index: BTreeMap<MetricKey, MetricId>,
-    keys: Vec<MetricKey>,
     series: Vec<TimeSeries>,
 }
 
@@ -113,15 +124,14 @@ impl Registry {
             return id;
         }
         let id = MetricId(self.series.len() as u32);
-        self.index.insert(key.clone(), id);
-        self.keys.push(key);
+        self.index.insert(key, id);
         self.series
             .push(TimeSeries::with_capacity(REGISTRY_SERIES_CAPACITY));
         id
     }
 
     /// Append a sample to a registered series — the hot path: a `Vec`
-    /// index plus a bounded ring push.
+    /// index plus a run-encoded append.
     pub fn publish(&mut self, id: MetricId, at: SimTime, value: f64) {
         self.series[id.index()].record(at, value);
     }
@@ -146,11 +156,6 @@ impl Registry {
     /// A series by key, if registered.
     pub fn series_by_key(&self, key: &MetricKey) -> Option<&TimeSeries> {
         self.lookup(key).map(|id| self.series(id))
-    }
-
-    /// The key a series was registered under.
-    pub fn key(&self, id: MetricId) -> &MetricKey {
-        &self.keys[id.index()]
     }
 
     /// Number of registered series.
@@ -222,8 +227,15 @@ impl turbine_types::Snap for MetricKey {
 impl turbine_types::Snap for Registry {
     fn snap(&self, w: &mut turbine_types::SnapWriter) {
         // Keys in dense-id order carry the full identity map; the index is
-        // rebuilt by re-interning them in the same order on restore.
-        w.put(&self.keys);
+        // rebuilt by re-interning them in the same order on restore. The
+        // index is the only holder of the keys, so invert it here.
+        let mut by_id: Vec<(&MetricKey, MetricId)> =
+            self.index.iter().map(|(key, &id)| (key, id)).collect();
+        by_id.sort_unstable_by_key(|&(_, id)| id);
+        w.u64(by_id.len() as u64);
+        for (key, _) in by_id {
+            w.put(key);
+        }
         w.put(&self.series);
     }
 
@@ -310,6 +322,63 @@ mod tests {
         r2.series_id(MetricKey::job(2, "b"));
         let order2: Vec<String> = r2.iter().map(|(k, _)| k.to_string()).collect();
         assert_eq!(order, order2);
+    }
+
+    #[test]
+    fn a_round_trip_restores_the_dense_ids() {
+        use turbine_types::{Snap, SnapError, SnapReader, SnapWriter};
+        // Interned in non-key order: id order and key order disagree, and
+        // the stream is the only carrier of the former.
+        let mut r = Registry::new();
+        let keys = [
+            MetricKey::job(9, "lag_secs"),
+            MetricKey::platform("task_count"),
+            MetricKey::job(2, "lag_secs"),
+            MetricKey::new(Scope::Tier("critical".into()), "downtime_ms"),
+        ];
+        for (i, key) in keys.iter().enumerate() {
+            let id = r.series_id(key.clone());
+            r.publish(id, t(60), i as f64);
+        }
+        let mut w = SnapWriter::new();
+        r.snap(&mut w);
+        let blob = w.into_bytes();
+        let back = Registry::unsnap(&mut SnapReader::new(&blob)).expect("own encoding decodes");
+        for (i, key) in keys.iter().enumerate() {
+            let id = back.lookup(key).expect("restored");
+            assert_eq!(id.index(), i, "{key}");
+            assert_eq!(back.series(id).last(), Some(i as f64));
+        }
+        let mut again = SnapWriter::new();
+        back.snap(&mut again);
+        assert_eq!(again.into_bytes(), blob);
+
+        // The same key twice, or fewer series than keys: typed errors.
+        let key = MetricKey::job(1, "lag_secs");
+        let stream = |keys: &[&MetricKey], series: usize| {
+            let mut w = SnapWriter::new();
+            w.u64(keys.len() as u64);
+            for key in keys {
+                w.put(*key);
+            }
+            w.put(&vec![
+                TimeSeries::with_capacity(REGISTRY_SERIES_CAPACITY);
+                series
+            ]);
+            w.into_bytes()
+        };
+        for (blob, why) in [
+            (stream(&[&key, &key], 2), "duplicate key"),
+            (stream(&[&key, &keys[0]], 1), "length mismatch"),
+        ] {
+            assert!(
+                matches!(
+                    Registry::unsnap(&mut SnapReader::new(&blob)),
+                    Err(SnapError::Value(_))
+                ),
+                "{why}"
+            );
+        }
     }
 
     #[test]

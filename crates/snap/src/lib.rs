@@ -30,8 +30,11 @@ pub const SNAP_MAGIC: [u8; 8] = *b"TRBNSNAP";
 /// written buckets of a job's workload history and each distinct task
 /// snapshot once; version 3 has no trace/ODS switches in it and no host
 /// time, so a blob is a function of the run
-/// (`tests/golden/snap_format.txt` pins the bytes).
-pub const SNAP_VERSION: u32 = 3;
+/// (`tests/golden/snap_format.txt` pins the bytes); version 4 writes a
+/// `TimeSeries` as memory holds it — regular time stretches and value
+/// runs, not a `(time, value)` pair per sample — and validates it on the
+/// way back in.
+pub const SNAP_VERSION: u32 = 4;
 
 /// Chunk size of the content-addressed store. Small enough that an idle
 /// region of the platform dedupes across consecutive captures, large
@@ -335,7 +338,7 @@ mod tests {
         // Length-prefixed magic, then the version field.
         let at = 8 + SNAP_MAGIC.len();
         assert_eq!(blob[at..at + 4], SNAP_VERSION.to_le_bytes());
-        for older in [1u32, 2] {
+        for older in [1u32, 2, 3] {
             blob[at..at + 4].copy_from_slice(&older.to_le_bytes());
             assert_eq!(
                 Snapshot::from_bytes(&blob),

@@ -96,6 +96,102 @@ pub const DEFAULT_SERIES_CAPACITY: usize = 4096;
 /// older half in pairs, which needs a few points to be meaningful).
 const MIN_SERIES_CAPACITY: usize = 8;
 
+/// A regular stretch of the exact tail's time axis: `count` samples, the
+/// `i`-th at `start + step_ms * i`. A one-sample stretch has step 0 and
+/// takes whatever step its second sample gives it.
+#[derive(Debug, Clone, Copy)]
+struct Stretch {
+    start: SimTime,
+    step_ms: u64,
+    count: u32,
+}
+
+impl Stretch {
+    const EMPTY: Stretch = Stretch {
+        start: SimTime::ZERO,
+        step_ms: 0,
+        count: 0,
+    };
+
+    fn single(at: SimTime) -> Self {
+        Stretch {
+            start: at,
+            step_ms: 0,
+            count: 1,
+        }
+    }
+
+    /// Instant of sample `i`.
+    fn at(&self, i: u32) -> SimTime {
+        SimTime::from_millis(self.start.as_millis() + self.step_ms * u64::from(i))
+    }
+
+    /// Take `at` as the next sample if it falls on the stretch's cadence.
+    fn try_extend(&mut self, at: SimTime) -> bool {
+        let Some(gap) = at.as_millis().checked_sub(self.start.as_millis()) else {
+            return false;
+        };
+        if self.count == 1 {
+            self.step_ms = gap;
+        } else if self.step_ms.checked_mul(u64::from(self.count)) != Some(gap) {
+            return false;
+        }
+        self.count += 1;
+        true
+    }
+
+    /// Drop the oldest `n <= count` samples. What is left of a stretch cut
+    /// down to one sample has no step again.
+    fn trim_front(&mut self, n: u32) {
+        *self = match self.count - n {
+            0 => Stretch::EMPTY,
+            1 => Stretch::single(self.at(n)),
+            count => Stretch {
+                start: self.at(n),
+                count,
+                ..*self
+            },
+        };
+    }
+
+    /// Number of samples at or before `t`.
+    fn samples_through(&self, t: SimTime) -> u32 {
+        match t.as_millis().checked_sub(self.start.as_millis()) {
+            None => 0,
+            Some(_) if self.step_ms == 0 => self.count,
+            Some(span) => (span / self.step_ms)
+                .saturating_add(1)
+                .min(u64::from(self.count)) as u32,
+        }
+    }
+}
+
+/// A run of bit-equal consecutive samples of the exact tail: the value's
+/// bit pattern, in two halves so that a run is 12 B and not 16, and the
+/// run's end as a sample index into the tail (exclusive, cumulative).
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    bits: [u32; 2],
+    end: u32,
+}
+
+impl Run {
+    fn new(bits: u64, end: u32) -> Self {
+        Run {
+            bits: [bits as u32, (bits >> 32) as u32],
+            end,
+        }
+    }
+
+    fn bits(&self) -> u64 {
+        u64::from(self.bits[1]) << 32 | u64::from(self.bits[0])
+    }
+
+    fn value(&self) -> f64 {
+        f64::from_bits(self.bits())
+    }
+}
+
 /// A bounded series of timestamped samples: an exact recent tail plus a
 /// deterministically downsampled head.
 ///
@@ -106,16 +202,28 @@ const MIN_SERIES_CAPACITY: usize = 8;
 /// pair-merged (doubling their span). The compaction schedule depends only
 /// on the sample sequence, so two identical runs produce identical series.
 ///
+/// The exact tail is run-encoded, so a series costs what changed in it:
+/// its time axis is a list of regular stretches (one per unbroken cadence,
+/// 24 B each however many samples they span) and its values are runs of
+/// bit-equal samples (12 B a run). The capacity still counts samples, so
+/// the encoding changes what a series costs and nothing it answers.
+///
 /// Window queries are exact over the tail; over compacted history they
 /// count a bucket iff it lies entirely inside the window (bucket
 /// granularity, conservative). Full-range queries are exact for mean and
 /// max because sums/counts/maxima are preserved under merging.
 #[derive(Debug, Clone)]
 pub struct TimeSeries {
-    raw: Vec<(SimTime, f64)>,
+    /// The tail's first stretch, inline (`count` 0 while the tail is
+    /// empty): a series sampled by one cadence never allocates for time.
+    first: Stretch,
+    /// The stretches after a skipped round, a cadence change or a restore.
+    more: Vec<Stretch>,
+    /// The tail's values, one entry per run of bit-equal consecutive
+    /// samples; the last run's end is the tail's length.
+    runs: Vec<Run>,
     head: Vec<SeriesBucket>,
-    raw_capacity: usize,
-    head_capacity: usize,
+    raw_capacity: u32,
     total: u64,
 }
 
@@ -136,27 +244,67 @@ impl TimeSeries {
     /// `capacity / 2` aggregate buckets. Memory stays proportional to
     /// `capacity` no matter how many samples are recorded.
     pub fn with_capacity(capacity: usize) -> Self {
-        let raw_capacity = capacity.max(MIN_SERIES_CAPACITY);
         TimeSeries {
-            raw: Vec::new(),
+            first: Stretch::EMPTY,
+            more: Vec::new(),
+            runs: Vec::new(),
             head: Vec::new(),
-            raw_capacity,
-            head_capacity: (raw_capacity / 2).max(1),
+            raw_capacity: capacity.clamp(MIN_SERIES_CAPACITY, u32::MAX as usize) as u32,
             total: 0,
         }
+    }
+
+    /// Most buckets the head may hold before it pair-merges.
+    fn head_capacity(&self) -> usize {
+        (self.raw_capacity as usize / 2).max(1)
+    }
+
+    /// Number of samples in the exact tail.
+    fn tail_len(&self) -> u32 {
+        self.runs.last().map_or(0, |run| run.end)
+    }
+
+    /// The tail's stretches in time order. Only the inline first one can
+    /// be empty (an empty tail), and then there are none.
+    fn stretches(&self) -> impl Iterator<Item = &Stretch> {
+        let first = (self.first.count > 0).then_some(&self.first);
+        first.into_iter().chain(&self.more)
+    }
+
+    /// Number of tail samples at or before `t`.
+    fn tail_through(&self, t: SimTime) -> u32 {
+        self.stretches().map(|s| s.samples_through(t)).sum()
+    }
+
+    /// Number of tail samples strictly before `t`.
+    fn tail_before(&self, t: SimTime) -> u32 {
+        t.as_millis()
+            .checked_sub(1)
+            .map_or(0, |ms| self.tail_through(SimTime::from_millis(ms)))
     }
 
     /// Append a sample. Samples should arrive in non-decreasing time order
     /// (the simulator guarantees this); queries assume it.
     pub fn record(&mut self, at: SimTime, value: f64) {
         debug_assert!(
-            self.raw.last().is_none_or(|&(t, _)| t <= at),
+            self.tail_len() == 0 || self.last_at().is_some_and(|t| t <= at),
             "samples must be appended in time order"
         );
-        if self.raw.len() >= self.raw_capacity {
+        if self.tail_len() >= self.raw_capacity {
             self.compact();
         }
-        self.raw.push((at, value));
+        let len = self.tail_len();
+        let newest = self.more.last_mut().unwrap_or(&mut self.first);
+        if len == 0 {
+            self.first = Stretch::single(at);
+        } else if !newest.try_extend(at) {
+            self.more.push(Stretch::single(at));
+        }
+        // Bit equality, not `==`: `-0.0` and `0.0` stay distinct samples.
+        match self.runs.last_mut() {
+            Some(run) if run.bits() == value.to_bits() => run.end += 1,
+            _ => self.runs.push(Run::new(value.to_bits(), len + 1)),
+        }
         self.total += 1;
     }
 
@@ -164,17 +312,19 @@ impl TimeSeries {
     /// pair-merge the bucket head (doubling bucket spans) until it fits.
     fn compact(&mut self) {
         let drain_n = (self.raw_capacity / 2).max(2) & !1;
-        for pair in self.raw[..drain_n].chunks(2) {
-            let mut bucket = SeriesBucket::from_point(pair[0].0, pair[0].1);
-            if let Some(&(t, v)) = pair.get(1) {
+        let mut head = std::mem::take(&mut self.head);
+        let mut oldest = self.points().take(drain_n as usize);
+        while let Some((at, v)) = oldest.next() {
+            let mut bucket = SeriesBucket::from_point(at, v);
+            if let Some((t, v)) = oldest.next() {
                 bucket.absorb_point(t, v);
             }
-            self.head.push(bucket);
+            head.push(bucket);
         }
-        self.raw.drain(..drain_n);
-        while self.head.len() > self.head_capacity {
-            let merged: Vec<SeriesBucket> = self
-                .head
+        drop(oldest);
+        self.drop_oldest(drain_n);
+        while head.len() > self.head_capacity() {
+            head = head
                 .chunks(2)
                 .map(|pair| {
                     let mut b = pair[0];
@@ -184,15 +334,69 @@ impl TimeSeries {
                     b
                 })
                 .collect();
-            self.head = merged;
+        }
+        self.head = head;
+    }
+
+    /// Drop the oldest `n <= tail_len` samples from the stretches and the
+    /// runs, rebasing the run ends onto the new first sample.
+    fn drop_oldest(&mut self, n: u32) {
+        let mut left = n;
+        loop {
+            let cut = self.first.count.min(left);
+            self.first.trim_front(cut);
+            left -= cut;
+            if self.first.count > 0 || self.more.is_empty() {
+                break;
+            }
+            self.first = self.more.remove(0);
+        }
+        let gone = self.runs.partition_point(|run| run.end <= n);
+        self.runs.drain(..gone);
+        for run in &mut self.runs {
+            run.end -= n;
         }
     }
 
     /// The exact recent samples still retained, in time order. Until the
     /// series exceeds its capacity this is every sample ever recorded;
     /// afterwards older history lives in [`Self::buckets`].
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.raw
+    pub fn points(&self) -> impl Iterator<Item = (SimTime, f64)> + '_ {
+        let mut run = 0;
+        self.stretches()
+            .flat_map(|s| (0..s.count).map(move |i| s.at(i)))
+            .zip(0u32..)
+            .map(move |(at, i)| {
+                while self.runs[run].end <= i {
+                    run += 1;
+                }
+                (at, self.runs[run].value())
+            })
+    }
+
+    /// The value runs of the tail samples with `start <= t < end`, newest
+    /// first, each with how many of its samples fall in the window.
+    fn runs_in_window(
+        &self,
+        start: SimTime,
+        end: SimTime,
+    ) -> impl Iterator<Item = (f64, u32)> + '_ {
+        // Times ascend, so the window is the sample-index range `lo..hi`.
+        let (lo, hi) = (self.tail_before(start), self.tail_before(end));
+        let runs = if lo < hi {
+            // From the run holding sample `lo` to the one holding `hi - 1`.
+            self.runs.partition_point(|run| run.end <= lo)
+                ..self.runs.partition_point(|run| run.end < hi) + 1
+        } else {
+            0..0
+        };
+        runs.rev().map(move |r| {
+            let from = if r == 0 { 0 } else { self.runs[r - 1].end };
+            (
+                self.runs[r].value(),
+                self.runs[r].end.min(hi) - from.max(lo),
+            )
+        })
     }
 
     /// The downsampled aggregate buckets covering history older than the
@@ -213,18 +417,19 @@ impl TimeSeries {
 
     /// Most recent sample value, if any.
     pub fn last(&self) -> Option<f64> {
-        self.raw
+        self.runs
             .last()
-            .map(|&(_, v)| v)
+            .map(Run::value)
             .or_else(|| self.head.last().map(|b| b.last))
     }
 
     /// Time of the most recent sample, if any.
     pub fn last_at(&self) -> Option<SimTime> {
-        self.raw
-            .last()
-            .map(|&(t, _)| t)
-            .or_else(|| self.head.last().map(|b| b.end))
+        let newest = self.more.last().unwrap_or(&self.first);
+        match newest.count {
+            0 => self.head.last().map(|b| b.end),
+            n => Some(newest.at(n - 1)),
+        }
     }
 
     /// Mean of samples with `start <= t < end`; `None` if the window is
@@ -234,15 +439,13 @@ impl TimeSeries {
     pub fn mean_in_window(&self, start: SimTime, end: SimTime) -> Option<f64> {
         let mut sum = 0.0;
         let mut n = 0u64;
-        for &(t, v) in self.raw.iter().rev() {
-            if t >= end {
-                continue;
+        for (v, repeats) in self.runs_in_window(start, end) {
+            // One addition per sample, newest first: the sum is the one a
+            // sample-by-sample walk gives, bit for bit.
+            for _ in 0..repeats {
+                sum += v;
             }
-            if t < start {
-                break;
-            }
-            sum += v;
-            n += 1;
+            n += u64::from(repeats);
         }
         for b in self.head.iter().rev() {
             if b.end >= end {
@@ -262,13 +465,7 @@ impl TimeSeries {
     /// the window.
     pub fn max_in_window(&self, start: SimTime, end: SimTime) -> Option<f64> {
         let mut max: Option<f64> = None;
-        for &(t, v) in self.raw.iter().rev() {
-            if t >= end {
-                continue;
-            }
-            if t < start {
-                break;
-            }
+        for (v, _) in self.runs_in_window(start, end) {
             max = Some(max.map_or(v, |m: f64| m.max(v)));
         }
         for b in self.head.iter().rev() {
@@ -287,14 +484,10 @@ impl TimeSeries {
     /// retained tail; in compacted history the resolution degrades to
     /// bucket granularity (the containing bucket's last value).
     pub fn value_at(&self, at: SimTime) -> Option<f64> {
-        if let Some(&(t0, _)) = self.raw.first() {
-            if at >= t0 {
-                return match self.raw.binary_search_by_key(&at, |&(t, _)| t) {
-                    Ok(i) => Some(self.raw[i].1),
-                    Err(0) => None,
-                    Err(i) => Some(self.raw[i - 1].1),
-                };
-            }
+        let through = self.tail_through(at);
+        if through > 0 {
+            let run = self.runs.partition_point(|run| run.end < through);
+            return Some(self.runs[run].value());
         }
         let i = self.head.partition_point(|b| b.start <= at);
         (i > 0).then(|| self.head[i - 1].last)
@@ -458,22 +651,108 @@ impl Snap for SeriesBucket {
     }
 }
 
+impl Snap for Stretch {
+    fn snap(&self, w: &mut SnapWriter) {
+        w.put(&self.start);
+        w.u64(self.step_ms);
+        w.u32(self.count);
+    }
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let stretch = Stretch {
+            start: r.get()?,
+            step_ms: r.u64("Stretch.step_ms")?,
+            count: r.u32("Stretch.count")?,
+        };
+        // Not empty, a lone sample without a step (the form `record` and
+        // `trim_front` keep), and a last instant that exists.
+        let valid = match stretch.count {
+            0 => false,
+            1 => stretch.step_ms == 0,
+            n => stretch
+                .step_ms
+                .checked_mul(u64::from(n - 1))
+                .and_then(|span| stretch.start.as_millis().checked_add(span))
+                .is_some(),
+        };
+        if valid {
+            Ok(stretch)
+        } else {
+            Err(SnapError::Value("Stretch"))
+        }
+    }
+}
+
+/// The stream holds what memory holds: the tail's stretches, its runs as
+/// (value bits, run length), the head buckets, the capacity and the total.
+/// Decoding checks every bound `record` and `compact` rely on, so a blob
+/// with valid chunk hashes cannot restore a series that hangs or panics.
 impl Snap for TimeSeries {
     fn snap(&self, w: &mut SnapWriter) {
-        w.put(&self.raw);
+        w.u64(self.stretches().count() as u64);
+        for stretch in self.stretches() {
+            w.put(stretch);
+        }
+        w.u64(self.runs.len() as u64);
+        let mut from = 0;
+        for run in &self.runs {
+            w.u64(run.bits());
+            w.u32(run.end - from);
+            from = run.end;
+        }
         w.put(&self.head);
-        w.put(&self.raw_capacity);
-        w.put(&self.head_capacity);
+        w.u32(self.raw_capacity);
         w.u64(self.total);
     }
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(TimeSeries {
-            raw: r.get()?,
-            head: r.get()?,
-            raw_capacity: r.get()?,
-            head_capacity: r.get()?,
-            total: r.u64("TimeSeries.total")?,
-        })
+        let stretches = r.len_prefix("TimeSeries.stretches")?;
+        let first = match stretches {
+            0 => Stretch::EMPTY,
+            _ => r.get()?,
+        };
+        let more = (1..stretches)
+            .map(|_| r.get())
+            .collect::<Result<Vec<Stretch>, _>>()?;
+        let run_count = r.len_prefix("TimeSeries.runs")?;
+        let mut runs = Vec::with_capacity(run_count);
+        let mut tail_len = 0u32;
+        for _ in 0..run_count {
+            let bits = r.u64("TimeSeries.run value")?;
+            let repeats = r.u32("TimeSeries.run length")?;
+            tail_len = match tail_len.checked_add(repeats) {
+                Some(end) if repeats > 0 => end,
+                _ => return Err(SnapError::Value("TimeSeries run length")),
+            };
+            runs.push(Run::new(bits, tail_len));
+        }
+        let head: Vec<SeriesBucket> = r.get()?;
+        let raw_capacity = r.u32("TimeSeries.raw_capacity")?;
+        let total = r.u64("TimeSeries.total")?;
+        let series = TimeSeries {
+            first,
+            more,
+            runs,
+            head,
+            raw_capacity,
+            total,
+        };
+        let timed = series
+            .stretches()
+            .try_fold(0u32, |sum, s| sum.checked_add(s.count));
+        let recorded = series
+            .head
+            .iter()
+            .try_fold(u64::from(tail_len), |sum, b| sum.checked_add(b.count));
+        if (raw_capacity as usize) < MIN_SERIES_CAPACITY {
+            Err(SnapError::Value("TimeSeries.raw_capacity"))
+        } else if series.head.len() > series.head_capacity() {
+            Err(SnapError::Value("TimeSeries head over capacity"))
+        } else if timed != Some(tail_len) || tail_len > raw_capacity {
+            Err(SnapError::Value("TimeSeries tail length"))
+        } else if recorded.is_none_or(|n| n > total) {
+            Err(SnapError::Value("TimeSeries.total"))
+        } else {
+            Ok(series)
+        }
     }
 }
 
@@ -536,7 +815,7 @@ mod tests {
             ts.record(t(i * 10), i as f64);
         }
         // Bounded storage, full logical length.
-        assert!(ts.points().len() <= 16);
+        assert!(ts.points().count() <= 16);
         assert!(ts.buckets().len() <= 8);
         assert_eq!(ts.len(), 100);
         assert_eq!(ts.last(), Some(99.0));
@@ -560,10 +839,166 @@ mod tests {
             ts.record(t(i), 1.0);
         }
         assert_eq!(ts.len(), 10_000);
-        let retained_raw = ts.points().len() as u64;
+        let retained_raw = ts.points().count() as u64;
         let bucketed: u64 = ts.buckets().iter().map(|b| b.count).sum();
         assert_eq!(retained_raw + bucketed, 10_000);
         assert!(ts.buckets().len() <= 4);
+    }
+
+    /// A `TimeSeries` stream written by hand: stretches as `(start_ms,
+    /// step_ms, count)`, runs as `(value, length)`.
+    fn series_stream(
+        stretches: &[(u64, u64, u32)],
+        runs: &[(f64, u32)],
+        head: &[SeriesBucket],
+        raw_capacity: u32,
+        total: u64,
+    ) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.u64(stretches.len() as u64);
+        for &(start, step_ms, count) in stretches {
+            w.u64(start);
+            w.u64(step_ms);
+            w.u32(count);
+        }
+        w.u64(runs.len() as u64);
+        for &(v, len) in runs {
+            w.put(&v);
+            w.u32(len);
+        }
+        w.put(&head.to_vec());
+        w.u32(raw_capacity);
+        w.u64(total);
+        w.into_bytes()
+    }
+
+    fn decode_series(bytes: &[u8]) -> Result<TimeSeries, SnapError> {
+        let mut r = SnapReader::new(bytes);
+        let series = TimeSeries::unsnap(&mut r)?;
+        r.expect_end()?;
+        Ok(series)
+    }
+
+    #[test]
+    fn hostile_series_streams_are_typed_errors() {
+        let bucket = |count| SeriesBucket {
+            count,
+            ..SeriesBucket::from_point(t(0), 1.0)
+        };
+        // Two stretches, three runs, a full tail under the smallest
+        // capacity: the next `record` compacts.
+        let stretches = [(60_000, 60_000, 5), (400_000, 0, 1), (400_000, 1_000, 2)];
+        let runs = [(1.0, 4), (-0.0, 1), (0.0, 3)];
+        let whole = series_stream(&stretches, &runs, &[bucket(2)], 8, 10);
+        let mut series = decode_series(&whole).expect("a valid series decodes");
+        assert_eq!(series.points().count(), 8);
+        assert_eq!(
+            series.value_at(t(400)).map(f64::to_bits),
+            Some(0f64.to_bits())
+        );
+        assert_eq!(
+            series.value_at(t(399)).map(f64::to_bits),
+            Some((-0f64).to_bits())
+        );
+        series.record(t(500), 2.0);
+        assert_eq!((series.points().count(), series.buckets().len()), (5, 3));
+        assert_eq!(series.len(), 11);
+
+        let many = [bucket(1); 5];
+        for (stream, why) in [
+            (
+                series_stream(&stretches, &runs, &[], 7, 8),
+                "capacity under the minimum",
+            ),
+            (series_stream(&[], &[], &[], 0, 0), "capacity 0"),
+            (
+                series_stream(&[], &[], &many, 8, 5),
+                "head longer than capacity / 2",
+            ),
+            (
+                series_stream(&[(0, 0, 0)], &[], &[], 8, 0),
+                "an empty stretch",
+            ),
+            (
+                series_stream(&[(0, 60_000, 1)], &[(1.0, 1)], &[], 8, 1),
+                "a lone sample with a step",
+            ),
+            (
+                series_stream(&[(u64::MAX - 5, 3, 3)], &[(1.0, 3)], &[], 8, 3),
+                "a stretch past the end of time",
+            ),
+            (
+                series_stream(&[(0, u64::MAX, 3)], &[(1.0, 3)], &[], 8, 3),
+                "a step that overflows",
+            ),
+            (
+                series_stream(&[(0, 1, 3)], &[(1.0, 3), (2.0, 0)], &[], 8, 3),
+                "an empty run",
+            ),
+            (
+                series_stream(&[(0, 1, 3)], &[(1.0, u32::MAX), (2.0, 4)], &[], 8, 3),
+                "run lengths that overflow",
+            ),
+            (
+                series_stream(&[(0, 1, 3)], &[(1.0, 2)], &[], 8, 3),
+                "fewer values than instants",
+            ),
+            (
+                series_stream(&[(0, 1, 3)], &[(1.0, 4)], &[], 8, 4),
+                "more values than instants",
+            ),
+            (
+                series_stream(&[(0, 1, 9)], &[(1.0, 9)], &[], 8, 9),
+                "a tail over capacity",
+            ),
+            (
+                series_stream(&stretches, &runs, &[bucket(2)], 8, 9),
+                "a total under what is held",
+            ),
+            (
+                series_stream(&stretches, &runs, &[bucket(u64::MAX), bucket(9)], 8, 20),
+                "bucket counts that overflow",
+            ),
+        ] {
+            assert!(
+                matches!(decode_series(&stream), Err(SnapError::Value(_))),
+                "{why}: {:?}",
+                decode_series(&stream).map(|s| s.len())
+            );
+        }
+        // A length no stream of this size can hold is refused before
+        // anything is allocated for it, and a cut anywhere is an error.
+        for at in [0, 8 + 3 * 20] {
+            let mut huge = whole.clone();
+            huge[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            assert!(
+                matches!(decode_series(&huge), Err(SnapError::Eof(_))),
+                "length at {at}"
+            );
+        }
+        for cut in 0..whole.len() {
+            assert!(decode_series(&whole[..cut]).is_err(), "cut {cut}");
+        }
+    }
+
+    #[test]
+    fn a_series_sampled_by_one_cadence_is_one_stretch() {
+        let mut ts = TimeSeries::with_capacity(16);
+        for i in 0..100u64 {
+            ts.record(t(i * 60), (i / 10) as f64);
+        }
+        // Through eleven compactions: still the inline stretch, a run per
+        // distinct value.
+        assert!(ts.more.is_empty());
+        assert_eq!(ts.first.count, ts.tail_len());
+        assert_eq!(ts.runs.len(), 2);
+        assert_eq!(std::mem::size_of::<Run>(), 12);
+        // A skipped round opens a second stretch; a repeated instant is a
+        // step of zero, not a third.
+        ts.record(t(100 * 60 + 60), 9.0);
+        ts.record(t(100 * 60 + 60), 9.0);
+        assert_eq!(ts.more.len(), 1);
+        assert_eq!((ts.more[0].step_ms, ts.more[0].count), (0, 2));
     }
 
     #[test]

@@ -79,10 +79,10 @@ proptest! {
     #[test]
     fn storage_is_bounded(stream in arb_stream(), cap in 8usize..64) {
         let (series, oracle) = build(&stream, cap);
-        prop_assert!(series.points().len() <= cap.max(8));
+        prop_assert!(series.points().count() <= cap.max(8));
         prop_assert!(series.buckets().len() <= (cap.max(8) / 2).max(1));
         prop_assert_eq!(series.len(), oracle.points.len());
-        let retained = series.points().len() as u64
+        let retained = series.points().count() as u64
             + series.buckets().iter().map(|b| b.count).sum::<u64>();
         prop_assert_eq!(retained, oracle.points.len() as u64);
     }
@@ -108,7 +108,7 @@ proptest! {
     #[test]
     fn tail_window_queries_are_exact(stream in arb_stream(), cap in 8usize..64) {
         let (series, oracle) = build(&stream, cap);
-        let Some(&(tail_start, _)) = series.points().first() else {
+        let Some((tail_start, _)) = series.points().next() else {
             return Ok(());
         };
         let end = t(1_000_000);
@@ -121,7 +121,7 @@ proptest! {
             prop_assert!((mean - oracle_mean).abs() < 1e-9 * oracle_mean.abs().max(1.0));
         }
         // Point lookups inside the tail are exact.
-        for &(at, _) in series.points() {
+        for (at, _) in series.points() {
             prop_assert_eq!(series.value_at(at), oracle.value_at(at));
         }
     }
@@ -158,7 +158,7 @@ proptest! {
     #[test]
     fn uncompacted_series_is_bit_exact(stream in arb_stream()) {
         let (series, oracle) = build(&stream, 1024);
-        prop_assert_eq!(series.points().len(), oracle.points.len());
+        prop_assert_eq!(series.points().count(), oracle.points.len());
         prop_assert!(series.buckets().is_empty());
         for probe in [0u64, 17, 500, 5_000, 50_000] {
             prop_assert_eq!(series.value_at(t(probe)), oracle.value_at(t(probe)));

@@ -186,7 +186,7 @@ fn restore_mid_quiescence_then_wake_matches_uninterrupted() {
                 .series_by_key(&series)
                 .expect("published every metrics round")
                 .points()
-                .to_vec()
+                .collect::<Vec<_>>()
         };
         assert_eq!(gauge(&original), gauge(&restored), "mode {mode:?}");
         assert!(gauge(&original).iter().any(|&(_, active)| active == 3.0));
