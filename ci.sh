@@ -100,6 +100,23 @@ resumed=$(./target/release/turbinesim restore /tmp/drill.at30.tsnap \
 [ -n "$full" ] && [ "$full" = "$resumed" ] \
     || { echo "snap_smoke: restored run diverged from the uninterrupted run"; exit 1; }
 echo "snap_smoke: restored drill matches the uninterrupted run"
+# A damaged blob on the command line is an error message, not a crash: the
+# first half of the blob and a copy with one byte flipped mid-file must
+# each exit 1 (the CLI's error status; a panic is 101, an abort 134) and
+# say `snapshot` on stderr.
+size=$(wc -c < /tmp/drill.at30.tsnap)
+head -c $((size / 2)) /tmp/drill.at30.tsnap > /tmp/drill.half.tsnap
+cp /tmp/drill.at30.tsnap /tmp/drill.flip.tsnap
+printf '\377' | dd of=/tmp/drill.flip.tsnap bs=1 seek=$((size / 2)) conv=notrunc status=none
+cmp -s /tmp/drill.at30.tsnap /tmp/drill.flip.tsnap \
+    && printf '\000' | dd of=/tmp/drill.flip.tsnap bs=1 seek=$((size / 2)) conv=notrunc status=none
+for damaged in /tmp/drill.half.tsnap /tmp/drill.flip.tsnap; do
+    status=0
+    ./target/release/turbinesim restore "$damaged" > /dev/null 2> /tmp/drill.damaged.err || status=$?
+    [ "$status" = "1" ] && grep -q snapshot /tmp/drill.damaged.err \
+        || { echo "snap_smoke: restore of $damaged exited $status: $(cat /tmp/drill.damaged.err)"; exit 1; }
+done
+echo "snap_smoke: a truncated and a bit-flipped blob are refused with an error message"
 
 echo "== snap_soak: restore-divergence gate + digest-divergence bisection speedup =="
 # snap_soak exits non-zero if any auto-snapshot restore diverges from the

@@ -160,35 +160,13 @@ impl Default for CapacityManager {
     }
 }
 
-impl turbine_types::Snap for CapacityManagerConfig {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        w.put(&self.pressure_threshold);
-        w.put(&self.critical_threshold);
-        w.put(&self.pressure_floor);
-    }
+turbine_types::snap_struct!(CapacityManagerConfig {
+    pressure_threshold,
+    critical_threshold,
+    pressure_floor
+});
 
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        Ok(CapacityManagerConfig {
-            pressure_threshold: r.get()?,
-            critical_threshold: r.get()?,
-            pressure_floor: r.get()?,
-        })
-    }
-}
-
-impl turbine_types::Snap for CapacityManager {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        w.put(&self.config);
-        w.put(&self.clusters);
-    }
-
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        Ok(CapacityManager {
-            config: r.get()?,
-            clusters: r.get()?,
-        })
-    }
-}
+turbine_types::snap_struct!(CapacityManager { config, clusters });
 
 #[cfg(test)]
 mod tests {

@@ -188,25 +188,13 @@ impl ResourceEstimator {
     }
 }
 
-impl turbine_types::Snap for ResourceEstimator {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        w.put(&self.base_memory_mb);
-        w.put(&self.memory_per_rate);
-        w.put(&self.memory_per_key_mb);
-        w.put(&self.disk_per_key_mb);
-        w.put(&self.recovery_time);
-    }
-
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        Ok(ResourceEstimator {
-            base_memory_mb: r.get()?,
-            memory_per_rate: r.get()?,
-            memory_per_key_mb: r.get()?,
-            disk_per_key_mb: r.get()?,
-            recovery_time: r.get()?,
-        })
-    }
-}
+turbine_types::snap_struct!(ResourceEstimator {
+    base_memory_mb,
+    memory_per_rate,
+    memory_per_key_mb,
+    disk_per_key_mb,
+    recovery_time
+});
 
 #[cfg(test)]
 mod tests {

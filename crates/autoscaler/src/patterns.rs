@@ -412,50 +412,15 @@ impl PatternAnalyzer {
     }
 }
 
-impl turbine_types::Snap for ThroughputModel {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        w.put(&self.p);
-    }
+turbine_types::snap_struct!(ThroughputModel { p }
+    check |m| m.p.is_finite() && m.p > 0.0 => "ThroughputModel.p not positive");
 
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        let p: f64 = r.get()?;
-        if !p.is_finite() || p <= 0.0 {
-            return Err(turbine_types::SnapError::Value(
-                "ThroughputModel.p not positive",
-            ));
-        }
-        Ok(ThroughputModel { p })
-    }
-}
+turbine_types::snap_struct!(PatternConfig {
+    history_days, bucket, lookahead, recent_window, anomaly_threshold, min_history_days
+} check |c| ring_shape(c).is_some() => "PatternConfig describes no history ring");
 
-impl turbine_types::Snap for PatternConfig {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        w.put(&self.history_days);
-        w.put(&self.bucket);
-        w.put(&self.lookahead);
-        w.put(&self.recent_window);
-        w.put(&self.anomaly_threshold);
-        w.put(&self.min_history_days);
-    }
-
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        let config = PatternConfig {
-            history_days: r.get()?,
-            bucket: r.get()?,
-            lookahead: r.get()?,
-            recent_window: r.get()?,
-            anomaly_threshold: r.get()?,
-            min_history_days: r.get()?,
-        };
-        if ring_shape(&config).is_none() {
-            return Err(turbine_types::SnapError::Value(
-                "PatternConfig describes no history ring",
-            ));
-        }
-        Ok(config)
-    }
-}
-
+// By hand: a job's history is validated against the ring shape its
+// analyzer's config describes, so its decoder takes that as context.
 impl turbine_types::Snap for PatternAnalyzer {
     fn snap(&self, w: &mut turbine_types::SnapWriter) {
         w.put(&self.config);
@@ -474,7 +439,7 @@ impl turbine_types::Snap for PatternAnalyzer {
             turbine_types::SnapError::Value("PatternConfig describes no history ring"),
         )?;
         let len = r.len_prefix("PatternAnalyzer.history")?;
-        let mut history = HashMap::with_capacity(len);
+        let mut history = HashMap::with_capacity(r.prealloc::<(JobId, JobHistory)>(len));
         for _ in 0..len {
             let job: JobId = r.get()?;
             history.insert(job, JobHistory::unsnap(r, total_slots)?);

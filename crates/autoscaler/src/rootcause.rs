@@ -233,90 +233,22 @@ impl RootCauser {
     }
 }
 
-impl turbine_types::Snap for RootCause {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        match self {
-            RootCause::HardwareIssue { task } => {
-                w.u8(0);
-                w.put(task);
-            }
-            RootCause::BadUserUpdate {
-                suspect_version,
-                previous_version,
-            } => {
-                w.u8(1);
-                w.u64(*suspect_version);
-                w.u64(*previous_version);
-            }
-            RootCause::DependencyFailure => w.u8(2),
-            RootCause::Unknown => w.u8(3),
-        }
-    }
+turbine_types::snap_enum!(RootCause {
+    0 => HardwareIssue { task },
+    1 => BadUserUpdate { suspect_version, previous_version },
+    2 => DependencyFailure,
+    3 => Unknown,
+});
 
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        match r.u8("RootCause.tag")? {
-            0 => Ok(RootCause::HardwareIssue { task: r.get()? }),
-            1 => Ok(RootCause::BadUserUpdate {
-                suspect_version: r.u64("RootCause.suspect_version")?,
-                previous_version: r.u64("RootCause.previous_version")?,
-            }),
-            2 => Ok(RootCause::DependencyFailure),
-            3 => Ok(RootCause::Unknown),
-            tag => Err(turbine_types::SnapError::Tag("RootCause", tag as u64)),
-        }
-    }
-}
+turbine_types::snap_enum!(Mitigation { 0 => MoveTask(task), 1 => RecommendRollback(version), 2 => AlertAndWait });
 
-impl turbine_types::Snap for Mitigation {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        match self {
-            Mitigation::MoveTask(task) => {
-                w.u8(0);
-                w.put(task);
-            }
-            Mitigation::RecommendRollback(version) => {
-                w.u8(1);
-                w.u64(*version);
-            }
-            Mitigation::AlertAndWait => w.u8(2),
-        }
-    }
+turbine_types::snap_struct!(RootCauserConfig {
+    anomaly_ratio,
+    update_window,
+    collapse_ratio
+});
 
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        match r.u8("Mitigation.tag")? {
-            0 => Ok(Mitigation::MoveTask(r.get()?)),
-            1 => Ok(Mitigation::RecommendRollback(r.u64("Mitigation.version")?)),
-            2 => Ok(Mitigation::AlertAndWait),
-            tag => Err(turbine_types::SnapError::Tag("Mitigation", tag as u64)),
-        }
-    }
-}
-
-impl turbine_types::Snap for RootCauserConfig {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        w.put(&self.anomaly_ratio);
-        w.put(&self.update_window);
-        w.put(&self.collapse_ratio);
-    }
-
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        Ok(RootCauserConfig {
-            anomaly_ratio: r.get()?,
-            update_window: r.get()?,
-            collapse_ratio: r.get()?,
-        })
-    }
-}
-
-impl turbine_types::Snap for RootCauser {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        w.put(&self.config);
-    }
-
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        Ok(RootCauser { config: r.get()? })
-    }
-}
+turbine_types::snap_struct!(RootCauser { config });
 
 #[cfg(test)]
 mod tests {

@@ -775,108 +775,37 @@ fn plan_scale_up(
     None
 }
 
-impl turbine_types::Snap for ScalerMode {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        w.u8(match self {
-            ScalerMode::Reactive => 0,
-            ScalerMode::Full => 1,
-        });
-    }
+turbine_types::snap_enum!(ScalerMode { 0 => Reactive, 1 => Full });
 
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        match r.u8("ScalerMode.tag")? {
-            0 => Ok(ScalerMode::Reactive),
-            1 => Ok(ScalerMode::Full),
-            tag => Err(turbine_types::SnapError::Tag("ScalerMode", tag as u64)),
-        }
-    }
-}
+turbine_types::snap_struct!(ScalerConfig {
+    mode,
+    symptoms,
+    estimator,
+    patterns,
+    downscale_stability,
+    min_action_gap,
+    vertical_limit,
+    oom_memory_factor,
+    overestimate_window,
+    bootstrap_p,
+    preemptive_units,
+    target_units
+});
 
-impl turbine_types::Snap for ScalerConfig {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        w.put(&self.mode);
-        w.put(&self.symptoms);
-        w.put(&self.estimator);
-        w.put(&self.patterns);
-        w.put(&self.downscale_stability);
-        w.put(&self.min_action_gap);
-        w.put(&self.vertical_limit);
-        w.put(&self.oom_memory_factor);
-        w.put(&self.overestimate_window);
-        w.put(&self.bootstrap_p);
-        w.put(&self.preemptive_units);
-        w.put(&self.target_units);
-    }
+turbine_types::snap_struct!(JobState {
+    throughput,
+    healthy_since,
+    last_action_at,
+    last_downscale_at,
+    lag_rounds
+});
 
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        Ok(ScalerConfig {
-            mode: r.get()?,
-            symptoms: r.get()?,
-            estimator: r.get()?,
-            patterns: r.get()?,
-            downscale_stability: r.get()?,
-            min_action_gap: r.get()?,
-            vertical_limit: r.get()?,
-            oom_memory_factor: r.get()?,
-            overestimate_window: r.get()?,
-            bootstrap_p: r.get()?,
-            preemptive_units: r.get()?,
-            target_units: r.get()?,
-        })
-    }
-}
-
-impl turbine_types::Snap for JobState {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        w.put(&self.throughput);
-        w.put(&self.healthy_since);
-        w.put(&self.last_action_at);
-        w.put(&self.last_downscale_at);
-        w.u32(self.lag_rounds);
-    }
-
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        Ok(JobState {
-            throughput: r.get()?,
-            healthy_since: r.get()?,
-            last_action_at: r.get()?,
-            last_downscale_at: r.get()?,
-            lag_rounds: r.u32("JobState.lag_rounds")?,
-        })
-    }
-}
-
-impl turbine_types::Snap for AutoScaler {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        w.put(&self.config);
-        w.put(&self.patterns);
-        let sorted: std::collections::BTreeMap<JobId, &JobState> =
-            self.states.iter().map(|(j, s)| (*j, s)).collect();
-        w.u64(sorted.len() as u64);
-        for (job, state) in sorted {
-            w.put(&job);
-            w.put(state);
-        }
-        w.put(&self.priority_floor);
-    }
-
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        let config = r.get()?;
-        let patterns = r.get()?;
-        let len = r.len_prefix("AutoScaler.states")?;
-        let mut states = HashMap::with_capacity(len);
-        for _ in 0..len {
-            let job: JobId = r.get()?;
-            states.insert(job, r.get::<JobState>()?);
-        }
-        Ok(AutoScaler {
-            config,
-            patterns,
-            states,
-            priority_floor: r.get()?,
-        })
-    }
-}
+turbine_types::snap_struct!(AutoScaler {
+    config,
+    patterns,
+    states,
+    priority_floor
+});
 
 #[cfg(test)]
 mod tests {

@@ -180,21 +180,11 @@ pub fn detect(metrics: &JobMetrics, slo_secs: f64, config: &SymptomConfig) -> Ve
     symptoms
 }
 
-impl turbine_types::Snap for SymptomConfig {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        w.put(&self.slo_multiplier);
-        w.put(&self.imbalance_cv_threshold);
-        w.put(&self.soft_memory_fraction);
-    }
-
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        Ok(SymptomConfig {
-            slo_multiplier: r.get()?,
-            imbalance_cv_threshold: r.get()?,
-            soft_memory_fraction: r.get()?,
-        })
-    }
-}
+turbine_types::snap_struct!(SymptomConfig {
+    slo_multiplier,
+    imbalance_cv_threshold,
+    soft_memory_fraction
+});
 
 #[cfg(test)]
 mod tests {

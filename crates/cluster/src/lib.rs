@@ -285,56 +285,16 @@ impl Cluster {
     }
 }
 
-impl turbine_types::Snap for Host {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        w.put(&self.capacity);
-        w.put(&self.allocated);
-        w.put(&self.healthy);
-        w.put(&self.containers);
-    }
+turbine_types::snap_struct!(Host {
+    capacity,
+    allocated,
+    healthy,
+    containers
+});
 
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        Ok(Host {
-            capacity: r.get()?,
-            allocated: r.get()?,
-            healthy: r.get()?,
-            containers: r.get()?,
-        })
-    }
-}
+turbine_types::snap_struct!(Container { host, capacity });
 
-impl turbine_types::Snap for Container {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        w.put(&self.host);
-        w.put(&self.capacity);
-    }
-
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        Ok(Container {
-            host: r.get()?,
-            capacity: r.get()?,
-        })
-    }
-}
-
-impl turbine_types::Snap for Cluster {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        w.put(&self.hosts);
-        w.put(&self.containers);
-        w.u64(self.next_host);
-        w.u64(self.next_container);
-    }
-
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        Ok(Cluster {
-            hosts: r.get()?,
-            containers: r.get()?,
-            next_host: r.u64("Cluster.next_host")?,
-            next_container: r.u64("Cluster.next_container")?,
-            generation: 0,
-        })
-    }
-}
+turbine_types::snap_struct!(Cluster { hosts, containers, next_host, next_container } derived { generation: 0 });
 
 #[cfg(test)]
 mod tests {

@@ -377,98 +377,28 @@ impl fmt::Display for ValidationError {
 
 impl std::error::Error for ValidationError {}
 
-impl turbine_types::Snap for PackageSpec {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        w.put(&self.name);
-        w.u64(self.version);
-    }
+turbine_types::snap_struct!(PackageSpec { name, version });
 
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        Ok(PackageSpec {
-            name: r.get()?,
-            version: r.u64("PackageSpec.version")?,
-        })
-    }
-}
+turbine_types::snap_enum!(MemoryEnforcement { 0 => Cgroup, 1 => Jvm, 2 => SoftLimit });
 
-impl turbine_types::Snap for MemoryEnforcement {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        w.u8(match self {
-            MemoryEnforcement::Cgroup => 0,
-            MemoryEnforcement::Jvm => 1,
-            MemoryEnforcement::SoftLimit => 2,
-        });
-    }
+turbine_types::snap_enum!(ResiliencyClass { 0 => BestEffort, 1 => Standard, 2 => Critical });
 
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        match r.u8("MemoryEnforcement.tag")? {
-            0 => Ok(MemoryEnforcement::Cgroup),
-            1 => Ok(MemoryEnforcement::Jvm),
-            2 => Ok(MemoryEnforcement::SoftLimit),
-            tag => Err(turbine_types::SnapError::Tag(
-                "MemoryEnforcement",
-                tag as u64,
-            )),
-        }
-    }
-}
-
-impl turbine_types::Snap for ResiliencyClass {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        w.u8(match self {
-            ResiliencyClass::BestEffort => 0,
-            ResiliencyClass::Standard => 1,
-            ResiliencyClass::Critical => 2,
-        });
-    }
-
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        match r.u8("ResiliencyClass.tag")? {
-            0 => Ok(ResiliencyClass::BestEffort),
-            1 => Ok(ResiliencyClass::Standard),
-            2 => Ok(ResiliencyClass::Critical),
-            tag => Err(turbine_types::SnapError::Tag("ResiliencyClass", tag as u64)),
-        }
-    }
-}
-
-impl turbine_types::Snap for JobConfig {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        w.put(&self.package);
-        w.put(&self.args);
-        w.u32(self.task_count);
-        w.u32(self.threads_per_task);
-        w.put(&self.task_resources);
-        w.put(&self.checkpoint_dir);
-        w.put(&self.input_category);
-        w.u32(self.input_partitions);
-        w.put(&self.stateful);
-        w.put(&self.priority);
-        w.put(&self.slo_lag_secs);
-        w.put(&self.memory_enforcement);
-        w.u32(self.max_task_count);
-        w.put(&self.resiliency);
-    }
-
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        Ok(JobConfig {
-            package: r.get()?,
-            args: r.get()?,
-            task_count: r.u32("JobConfig.task_count")?,
-            threads_per_task: r.u32("JobConfig.threads_per_task")?,
-            task_resources: r.get()?,
-            checkpoint_dir: r.get()?,
-            input_category: r.get()?,
-            input_partitions: r.u32("JobConfig.input_partitions")?,
-            stateful: r.get()?,
-            priority: r.get()?,
-            slo_lag_secs: r.get()?,
-            memory_enforcement: r.get()?,
-            max_task_count: r.u32("JobConfig.max_task_count")?,
-            resiliency: r.get()?,
-        })
-    }
-}
+turbine_types::snap_struct!(JobConfig {
+    package,
+    args,
+    task_count,
+    threads_per_task,
+    task_resources,
+    checkpoint_dir,
+    input_category,
+    input_partitions,
+    stateful,
+    priority,
+    slo_lag_secs,
+    memory_enforcement,
+    max_task_count,
+    resiliency
+});
 
 #[cfg(test)]
 mod tests {

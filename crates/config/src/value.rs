@@ -361,63 +361,27 @@ impl fmt::Display for ConfigValue {
     }
 }
 
-impl turbine_types::Snap for ConfigValue {
+// By hand: the decoded pairs go back through `FromIterator`, which accepts
+// them in any order and lets a repeated key's last value win.
+impl turbine_types::Snap for ConfigMap {
     fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        match self {
-            ConfigValue::Null => w.u8(0),
-            ConfigValue::Bool(b) => {
-                w.u8(1);
-                w.put(b);
-            }
-            ConfigValue::Int(i) => {
-                w.u8(2);
-                w.put(i);
-            }
-            ConfigValue::Float(f) => {
-                w.u8(3);
-                w.put(f);
-            }
-            ConfigValue::Str(s) => {
-                w.u8(4);
-                w.put(s);
-            }
-            ConfigValue::Array(items) => {
-                w.u8(5);
-                w.put(items);
-            }
-            ConfigValue::Map(map) => {
-                w.u8(6);
-                w.u64(map.len() as u64);
-                for (key, value) in map {
-                    w.put(key);
-                    w.put(value);
-                }
-            }
-        }
+        w.put(&self.entries);
     }
 
     fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        match r.u8("ConfigValue.tag")? {
-            0 => Ok(ConfigValue::Null),
-            1 => Ok(ConfigValue::Bool(r.get()?)),
-            2 => Ok(ConfigValue::Int(r.get()?)),
-            3 => Ok(ConfigValue::Float(r.get()?)),
-            4 => Ok(ConfigValue::Str(r.get()?)),
-            5 => Ok(ConfigValue::Array(r.get()?)),
-            6 => {
-                let len = r.len_prefix("ConfigValue.map")?;
-                // An entry is nine bytes at least (key length, value tag):
-                // a hostile length reserves no more than the blob could fill.
-                let mut entries = Vec::with_capacity(len.min(r.remaining() / 9));
-                for _ in 0..len {
-                    entries.push((r.get()?, r.get()?));
-                }
-                Ok(ConfigValue::Map(entries.into_iter().collect()))
-            }
-            tag => Err(turbine_types::SnapError::Tag("ConfigValue", tag as u64)),
-        }
+        Ok(r.get::<Vec<(String, ConfigValue)>>()?.into_iter().collect())
     }
 }
+
+turbine_types::snap_enum!(ConfigValue {
+    0 => Null,
+    1 => Bool(b),
+    2 => Int(i),
+    3 => Float(f),
+    4 => Str(s),
+    5 => Array(items),
+    6 => Map(map),
+});
 
 #[cfg(test)]
 mod tests {

@@ -1067,120 +1067,49 @@ impl Engine {
     }
 }
 
-use turbine_types::{Snap, SnapError, SnapReader, SnapWriter};
+use turbine_types::{snap_struct, Snap, SnapError, SnapReader, SnapWriter};
 
-impl Snap for PartitionState {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put(&self.appended);
-        w.put(&self.consumed);
-        w.put(&self.scribe_synced);
-    }
+snap_struct!(PartitionState {
+    appended,
+    consumed,
+    scribe_synced
+});
 
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(PartitionState {
-            appended: r.get()?,
-            consumed: r.get()?,
-            scribe_synced: r.get()?,
-        })
-    }
+snap_struct!(JobRuntime {
+    traffic, true_per_thread_rate, avg_message_bytes, stateful, key_cardinality,
+    partition_weights, partitions: Vec<PartitionState>, durable_epoch, last_durable_epoch,
+    last_category_appended, window_arrived, window_processed, window_per_task, window_ooms
+} derived {
+    // The exact count of partitions with `appended != consumed`; f64
+    // round-trips are bit-exact, so recomputing it reproduces the
+    // maintained counter.
+    undrained: partitions.iter().filter(|p| p.appended != p.consumed).count(),
+    dirty_mark: 0,
+    noise: NoiseMemo::default(),
 }
+check |rt| !rt.partitions.is_empty() && rt.partition_weights.len() == rt.partitions.len()
+    => "JobRuntime partition shape mismatch"
+check |rt| rt.true_per_thread_rate.is_finite() && rt.true_per_thread_rate > 0.0
+    => "JobRuntime per-thread rate not positive");
 
-impl Snap for JobRuntime {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put(&self.traffic);
-        w.put(&self.true_per_thread_rate);
-        w.put(&self.avg_message_bytes);
-        w.put(&self.stateful);
-        w.put(&self.key_cardinality);
-        w.put(&self.partition_weights);
-        w.put(&self.partitions);
-        w.u64(self.durable_epoch);
-        w.u64(self.last_durable_epoch);
-        w.put(&self.last_category_appended);
-        w.put(&self.window_arrived);
-        w.put(&self.window_processed);
-        w.put(&self.window_per_task);
-        w.u32(self.window_ooms);
-    }
+snap_struct!(ActiveTask {
+    container,
+    threads,
+    reserved,
+    partitions,
+    enforcement,
+    started_at,
+    down_until,
+    degradation,
+    memory_usage_mb,
+    cpu_usage
+});
 
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let traffic = r.get()?;
-        let true_per_thread_rate: f64 = r.get()?;
-        let avg_message_bytes = r.get()?;
-        let stateful = r.get()?;
-        let key_cardinality = r.get()?;
-        let partition_weights: Vec<f64> = r.get()?;
-        let partitions: Vec<PartitionState> = r.get()?;
-        if partitions.is_empty() || partition_weights.len() != partitions.len() {
-            return Err(SnapError::Value("JobRuntime partition shape mismatch"));
-        }
-        if !true_per_thread_rate.is_finite() || true_per_thread_rate <= 0.0 {
-            return Err(SnapError::Value("JobRuntime per-thread rate not positive"));
-        }
-        // `undrained` is the exact count of partitions with `appended !=
-        // consumed`; f64 round-trips are bit-exact, so recomputing it here
-        // reproduces the maintained counter.
-        let undrained = partitions
-            .iter()
-            .filter(|p| p.appended != p.consumed)
-            .count();
-        Ok(JobRuntime {
-            traffic,
-            true_per_thread_rate,
-            avg_message_bytes,
-            stateful,
-            key_cardinality,
-            partition_weights,
-            partitions,
-            undrained,
-            durable_epoch: r.u64("JobRuntime.durable_epoch")?,
-            last_durable_epoch: r.u64("JobRuntime.last_durable_epoch")?,
-            last_category_appended: r.get()?,
-            window_arrived: r.get()?,
-            window_processed: r.get()?,
-            window_per_task: r.get()?,
-            window_ooms: r.u32("JobRuntime.window_ooms")?,
-            dirty_mark: 0,
-            noise: NoiseMemo::default(),
-        })
-    }
-}
-
-impl Snap for ActiveTask {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put(&self.container);
-        w.u32(self.threads);
-        w.put(&self.reserved);
-        w.put(&self.partitions);
-        w.put(&self.enforcement);
-        w.put(&self.started_at);
-        w.put(&self.down_until);
-        w.put(&self.degradation);
-        w.put(&self.memory_usage_mb);
-        w.put(&self.cpu_usage);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(ActiveTask {
-            container: r.get()?,
-            threads: r.u32("ActiveTask.threads")?,
-            reserved: r.get()?,
-            partitions: r.get()?,
-            enforcement: r.get()?,
-            started_at: r.get()?,
-            down_until: r.get()?,
-            degradation: r.get()?,
-            memory_usage_mb: r.get()?,
-            cpu_usage: r.get()?,
-        })
-    }
-}
-
+// By hand: the task arena is written as ordered (id, task) pairs and
+// rebuilt densely, and the down count and active set are recounted.
 impl Snap for Engine {
     fn snap(&self, w: &mut SnapWriter) {
         w.put(&self.jobs);
-        // The arena serializes as ordered (id, task) pairs; slot layout is
-        // an implementation detail the restore rebuilds densely.
         w.u64(self.tasks.len() as u64);
         for (id, task) in self.tasks.iter() {
             w.put(id);

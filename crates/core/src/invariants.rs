@@ -864,7 +864,7 @@ fn describe_divergence(view: &InvariantView<'_>, job: JobId) -> String {
     )
 }
 
-use turbine_types::{Snap, SnapError, SnapReader, SnapWriter};
+use turbine_types::{snap_struct, Snap, SnapError, SnapReader, SnapWriter};
 
 /// Every invariant name a [`Violation`] can carry; decode re-interns the
 /// stored string into this table so the restored record keeps the same
@@ -882,22 +882,14 @@ const INVARIANT_NAMES: [&str; 10] = [
     "post-fault-convergence",
 ];
 
-impl Snap for InvariantConfig {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put(&self.convergence_window);
-        w.put(&self.max_recorded);
-        w.u64(self.audit_interval);
-    }
+snap_struct!(InvariantConfig {
+    convergence_window,
+    max_recorded,
+    audit_interval
+});
 
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(InvariantConfig {
-            convergence_window: r.get()?,
-            max_recorded: r.get()?,
-            audit_interval: r.u64("InvariantConfig.audit_interval")?,
-        })
-    }
-}
-
+// By hand: `invariant` is a `&'static str`, written as text and interned
+// back against `INVARIANT_NAMES`.
 impl Snap for Violation {
     fn snap(&self, w: &mut SnapWriter) {
         w.put(&self.at);
@@ -921,62 +913,28 @@ impl Snap for Violation {
     }
 }
 
-impl Snap for ScopedKeys {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put(&self.partition);
-        w.put(&self.distributed);
-        w.put(&self.overcommit);
-        w.put(&self.quarantine);
-        w.put(&self.standby);
-        w.put(&self.shadow);
-        w.put(&self.promotion);
-        w.put(&self.revival);
-    }
+snap_struct!(ScopedKeys {
+    partition,
+    distributed,
+    overcommit,
+    quarantine,
+    standby,
+    shadow,
+    promotion,
+    revival
+});
 
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(ScopedKeys {
-            partition: r.get()?,
-            distributed: r.get()?,
-            overcommit: r.get()?,
-            quarantine: r.get()?,
-            standby: r.get()?,
-            shadow: r.get()?,
-            promotion: r.get()?,
-            revival: r.get()?,
-        })
-    }
-}
-
-impl Snap for InvariantChecker {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put(&self.config);
-        w.put(&self.violations);
-        w.u64(self.total);
-        w.put(&self.active);
-        w.put(&self.convergence_jobs);
-        w.u64(self.changelog_cursor);
-        w.put(&self.diverged_since);
-        w.put(&self.convergence_flagged);
-        w.u64(self.ticks_checked);
-        w.u64(self.sparse_checks);
-        w.u64(self.audit_rounds);
-        w.u64(self.audit_mismatches);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(InvariantChecker {
-            config: r.get()?,
-            violations: r.get()?,
-            total: r.u64("InvariantChecker.total")?,
-            active: r.get()?,
-            convergence_jobs: r.get()?,
-            changelog_cursor: r.u64("InvariantChecker.changelog_cursor")?,
-            diverged_since: r.get()?,
-            convergence_flagged: r.get()?,
-            ticks_checked: r.u64("InvariantChecker.ticks_checked")?,
-            sparse_checks: r.u64("InvariantChecker.sparse_checks")?,
-            audit_rounds: r.u64("InvariantChecker.audit_rounds")?,
-            audit_mismatches: r.u64("InvariantChecker.audit_mismatches")?,
-        })
-    }
-}
+snap_struct!(InvariantChecker {
+    config,
+    violations,
+    total,
+    active,
+    convergence_jobs,
+    changelog_cursor,
+    diverged_since,
+    convergence_flagged,
+    ticks_checked,
+    sparse_checks,
+    audit_rounds,
+    audit_mismatches
+});

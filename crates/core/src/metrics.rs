@@ -230,140 +230,46 @@ impl PlatformMetrics {
     }
 }
 
-use turbine_types::{Snap, SnapError, SnapReader, SnapWriter};
+use turbine_types::snap_struct;
 
-impl Snap for BandSeries {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put(&self.p5);
-        w.put(&self.p50);
-        w.put(&self.p95);
-        w.put(&self.mean);
-    }
+snap_struct!(BandSeries { p5, p50, p95, mean });
 
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(BandSeries {
-            p5: r.get()?,
-            p50: r.get()?,
-            p95: r.get()?,
-            mean: r.get()?,
-        })
+snap_struct!(DiagnosisRecord {
+    at,
+    job,
+    cause,
+    mitigation,
+    rationale,
+    trace
+});
+
+snap_struct!(RecoveryRecord {
+    at,
+    job,
+    tier,
+    ms,
+    fast
+});
+
+/// The sorted-per-tier index is a pure function of the recovery log:
+/// rebuilding it from the log reproduces the insert-maintained state.
+fn sorted_by_tier(recoveries: &[RecoveryRecord]) -> BTreeMap<ResiliencyClass, Vec<u64>> {
+    let mut by_tier: BTreeMap<ResiliencyClass, Vec<u64>> = BTreeMap::new();
+    for record in recoveries {
+        by_tier.entry(record.tier).or_default().push(record.ms);
     }
+    by_tier.values_mut().for_each(|ms| ms.sort_unstable());
+    by_tier
 }
 
-impl Snap for DiagnosisRecord {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put(&self.at);
-        w.put(&self.job);
-        w.put(&self.cause);
-        w.put(&self.mitigation);
-        w.put(&self.rationale);
-        w.put(&self.trace);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(DiagnosisRecord {
-            at: r.get()?,
-            job: r.get()?,
-            cause: r.get()?,
-            mitigation: r.get()?,
-            rationale: r.get()?,
-            trace: r.get()?,
-        })
-    }
-}
-
-impl Snap for RecoveryRecord {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put(&self.at);
-        w.put(&self.job);
-        w.put(&self.tier);
-        w.u64(self.ms);
-        w.put(&self.fast);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(RecoveryRecord {
-            at: r.get()?,
-            job: r.get()?,
-            tier: r.get()?,
-            ms: r.u64("RecoveryRecord.ms")?,
-            fast: r.get()?,
-        })
-    }
-}
-
-impl Snap for PlatformMetrics {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put(&self.cluster_traffic);
-        w.put(&self.task_count);
-        w.put(&self.host_cpu);
-        w.put(&self.host_memory);
-        w.put(&self.slo_ok_fraction);
-        w.put(&self.total_backlog);
-        w.put(&self.watched_job_lag);
-        w.put(&self.watched_job_tasks);
-        w.put(&self.reserved_cpu);
-        w.put(&self.reserved_memory_mb);
-        w.put(&self.task_starts);
-        w.put(&self.task_stops);
-        w.put(&self.task_restarts);
-        w.put(&self.shard_moves);
-        w.put(&self.failovers);
-        w.put(&self.oom_kills);
-        w.put(&self.scaling_actions);
-        w.put(&self.alerts);
-        w.put(&self.ticks_executed);
-        w.put(&self.standby_promotions);
-        w.put(&self.container_revivals);
-        w.put(&self.diagnoses);
-        w.put(&self.recoveries);
-        w.put(&self.tier_downtime_ms);
-        w.put(&self.incidents);
-        w.put(&self.sync_jobs_examined);
-        w.put(&self.load_reports_sent);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let mut metrics = PlatformMetrics {
-            cluster_traffic: r.get()?,
-            task_count: r.get()?,
-            host_cpu: r.get()?,
-            host_memory: r.get()?,
-            slo_ok_fraction: r.get()?,
-            total_backlog: r.get()?,
-            watched_job_lag: r.get()?,
-            watched_job_tasks: r.get()?,
-            reserved_cpu: r.get()?,
-            reserved_memory_mb: r.get()?,
-            task_starts: r.get()?,
-            task_stops: r.get()?,
-            task_restarts: r.get()?,
-            shard_moves: r.get()?,
-            failovers: r.get()?,
-            oom_kills: r.get()?,
-            scaling_actions: r.get()?,
-            alerts: r.get()?,
-            ticks_executed: r.get()?,
-            standby_promotions: r.get()?,
-            container_revivals: r.get()?,
-            diagnoses: r.get()?,
-            recoveries: r.get()?,
-            tier_downtime_ms: r.get()?,
-            tier_recovery_sorted: BTreeMap::new(),
-            incidents: r.get()?,
-            sync_jobs_examined: r.get()?,
-            load_reports_sent: r.get()?,
-        };
-        // The sorted-per-tier index is a pure function of the recovery log;
-        // rebuilding it from the log reproduces the insert-maintained state.
-        for record in &metrics.recoveries {
-            let sorted = metrics.tier_recovery_sorted.entry(record.tier).or_default();
-            let at_rank = sorted.partition_point(|&v| v <= record.ms);
-            sorted.insert(at_rank, record.ms);
-        }
-        Ok(metrics)
-    }
-}
+snap_struct!(PlatformMetrics {
+    cluster_traffic, task_count, host_cpu, host_memory, slo_ok_fraction, total_backlog,
+    watched_job_lag, watched_job_tasks, reserved_cpu, reserved_memory_mb, task_starts,
+    task_stops, task_restarts, shard_moves, failovers, oom_kills, scaling_actions, alerts,
+    ticks_executed, standby_promotions, container_revivals, diagnoses,
+    recoveries: Vec<RecoveryRecord>, tier_downtime_ms, incidents, sync_jobs_examined,
+    load_reports_sent
+} derived { tier_recovery_sorted: sorted_by_tier(&recoveries) });
 
 #[cfg(test)]
 mod tests {

@@ -937,211 +937,143 @@ impl Turbine {
 // Snapshot support: bit-exact serialization of the whole platform.
 // ---------------------------------------------------------------------------
 
-use turbine_types::{Snap, SnapError, SnapReader, SnapWriter};
+use turbine_types::{snap_struct, Snap, SnapError, SnapReader, SnapWriter};
 
-impl Snap for TurbineConfig {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put(&self.tick);
-        w.u64(self.shard_count);
-        w.put(&self.container_fraction);
-        w.put(&self.sync_interval);
-        w.put(&self.tm_refresh_interval);
-        w.put(&self.task_service_ttl);
-        w.put(&self.heartbeat_interval);
-        w.put(&self.connection_timeout);
-        w.put(&self.load_report_interval);
-        w.put(&self.rebalance_interval);
-        w.put(&self.scaler_interval);
-        w.put(&self.capacity_interval);
-        w.put(&self.metrics_interval);
-        w.put(&self.checkpoint_interval);
-        w.put(&self.restart_delay);
-        w.put(&self.state_move_bandwidth);
-        w.put(&self.syncer);
-        w.put(&self.scaler);
-        w.put(&self.shardmgr);
-        w.put(&self.capacity);
-        w.put(&self.scaler_enabled);
-        w.put(&self.load_balancing_enabled);
-        w.put(&self.trace_capacity);
-        w.put(&self.sparse_data_plane);
-    }
+snap_struct!(TurbineConfig {
+    tick, shard_count, container_fraction, sync_interval, tm_refresh_interval,
+    task_service_ttl, heartbeat_interval, connection_timeout, load_report_interval,
+    rebalance_interval, scaler_interval, capacity_interval, metrics_interval,
+    checkpoint_interval, restart_delay, state_move_bandwidth, syncer, scaler, shardmgr,
+    capacity, scaler_enabled, load_balancing_enabled, trace_capacity, sparse_data_plane
+}
+// The tick-vs-cadence rules enforced at construction apply to decoded
+// configs too: a corrupt blob must not yield a platform that silently
+// skips control rounds.
+check |c| c.validate().is_ok() => "TurbineConfig failed validation");
 
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let config = TurbineConfig {
-            tick: r.get()?,
-            shard_count: r.u64("TurbineConfig.shard_count")?,
-            container_fraction: r.get()?,
-            sync_interval: r.get()?,
-            tm_refresh_interval: r.get()?,
-            task_service_ttl: r.get()?,
-            heartbeat_interval: r.get()?,
-            connection_timeout: r.get()?,
-            load_report_interval: r.get()?,
-            rebalance_interval: r.get()?,
-            scaler_interval: r.get()?,
-            capacity_interval: r.get()?,
-            metrics_interval: r.get()?,
-            checkpoint_interval: r.get()?,
-            restart_delay: r.get()?,
-            state_move_bandwidth: r.get()?,
-            syncer: r.get()?,
-            scaler: r.get()?,
-            shardmgr: r.get()?,
-            capacity: r.get()?,
-            scaler_enabled: r.get()?,
-            load_balancing_enabled: r.get()?,
-            trace_capacity: r.get()?,
-            sparse_data_plane: r.get()?,
-        };
-        // The same tick-vs-cadence rules enforced at construction apply to
-        // decoded configs: a corrupt blob must not yield a platform that
-        // silently skips control rounds.
-        config
-            .validate()
-            .map_err(|_| SnapError::Value("TurbineConfig failed validation"))?;
-        Ok(config)
+snap_struct!(PendingDirty {
+    jobs,
+    distributed,
+    cluster,
+    quarantine,
+    standby
+});
+
+snap_struct!(SeveredState { at, rebooted });
+
+snap_struct!(OutageState { since, fast });
+
+/// Write one field of the platform stream: itself, or through the
+/// function its list entry names.
+macro_rules! put_field {
+    ($w:ident, $table:ident, $value:expr) => {
+        $w.put($value)
+    };
+    ($w:ident, $table:ident, $value:expr, $put:path) => {
+        $put($value, $w, &$table)
+    };
+}
+
+macro_rules! get_field {
+    ($r:ident, $table:ident) => {
+        $r.get()?
+    };
+    ($r:ident, $table:ident, $get:path) => {
+        $get($r, &$table)?
+    };
+}
+
+/// [`turbine_types::snap_struct!`] for the platform: the one list of what
+/// a blob holds, in stream order, drives the encoder, the per-field size
+/// table, the decoder and the derived defaults. Two things the general
+/// form has no place for: every field's encoded size is reported under its
+/// name, and the Task Service and the Task Managers share task snapshots,
+/// so the blob's [`SnapshotTable`] is written once at `table`, ahead of its
+/// holders, and a `via (encode, decode)` field goes through functions that
+/// take it (the holders write indices into it).
+macro_rules! turbine_stream {
+    (
+        $($head:ident),* ;
+        table $table_name:ident ;
+        $($tail:ident $(via ($put:path, $get:path))?),* ;
+        derived { $($derived:ident : $rebuild:expr),* $(,)? }
+    ) => {
+        impl Turbine {
+            /// Encode every snapshotted field in stream order, telling
+            /// `field` each one's name and encoded size.
+            fn snap_fields(&self, w: &mut SnapWriter, mut field: impl FnMut(&'static str, usize)) {
+                // Exhaustive: a field the list does not name stops the build.
+                let Turbine { $($head: _,)* $($tail: _,)* $($derived: _,)* } = self;
+                let mut table = SnapshotTable::default();
+                self.task_service.offer_snapshot(&mut table);
+                for manager in self.task_managers.values() {
+                    manager.offer_snapshot(&mut table);
+                }
+                let mut from = w.len();
+                let mut done = |w: &SnapWriter, name| {
+                    field(name, w.len() - from);
+                    from = w.len();
+                };
+                $(w.put(&self.$head); done(w, stringify!($head));)*
+                w.put(&table);
+                done(w, stringify!($table_name));
+                $(put_field!(w, table, &self.$tail $(, $put)?); done(w, stringify!($tail));)*
+            }
+        }
+
+        impl Snap for Turbine {
+            fn snap(&self, w: &mut SnapWriter) {
+                self.snap_fields(w, |_, _| {});
+            }
+
+            fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+                $(let $head = r.get()?;)*
+                let table: SnapshotTable = r.get()?;
+                $(let $tail = get_field!(r, table $(, $get)?);)*
+                $(let $derived = $rebuild;)*
+                Ok(Turbine { $($head,)* $($tail,)* $($derived,)* })
+            }
+        }
+    };
+}
+
+turbine_stream! {
+    config, now, cluster, scribe, metrics, jobs, syncer;
+    table task_snapshots;
+    task_service via (TaskService::snap_shared, TaskService::unsnap_shared),
+    shard_manager,
+    task_managers via (snap_managers, unsnap_managers),
+    scaler, capacity, checkpoints, engine, paused, capacity_stopped, state_moves, crash_mtbf,
+    rng, root_causer, releases, lag_since, last_diagnosis, severed, categories, shadow,
+    outages, container_down_since, fresh_promotions, fresh_revivals, faults, trace,
+    invariants, pending_dirty, load_dirty_jobs, load_dirty_containers, resiliency_cache,
+    resiliency_cursor, sched, last_scaler_drain, ods;
+    // Caches and cost counters: rebuilt or restarted, never stored.
+    derived { container_cpu: None, tm_managers_reconciled: 0, standbys_examined: 0 }
+}
+
+type TaskManagers = BTreeMap<ContainerId, LocalTaskManager>;
+
+fn snap_managers(managers: &TaskManagers, w: &mut SnapWriter, table: &SnapshotTable) {
+    w.u64(managers.len() as u64);
+    for manager in managers.values() {
+        manager.snap_shared(w, table);
     }
 }
 
-impl Snap for PendingDirty {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put(&self.jobs);
-        w.put(&self.distributed);
-        w.put(&self.cluster);
-        w.put(&self.quarantine);
-        w.put(&self.standby);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(PendingDirty {
-            jobs: r.get()?,
-            distributed: r.get()?,
-            cluster: r.get()?,
-            quarantine: r.get()?,
-            standby: r.get()?,
-        })
-    }
-}
-
-impl Snap for SeveredState {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put(&self.at);
-        w.put(&self.rebooted);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(SeveredState {
-            at: r.get()?,
-            rebooted: r.get()?,
-        })
-    }
-}
-
-impl Snap for OutageState {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put(&self.since);
-        w.put(&self.fast);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(OutageState {
-            since: r.get()?,
-            fast: r.get()?,
-        })
-    }
-}
-
-/// Encode an unordered map deterministically: sorted by key. Two captures
-/// of identical platform state must produce identical bytes, so every
-/// `HashMap` field goes through this.
-fn snap_sorted<K: Ord + Copy + Snap, V: Snap + Clone>(w: &mut SnapWriter, map: &HashMap<K, V>) {
-    let sorted: BTreeMap<K, V> = map.iter().map(|(k, v)| (*k, v.clone())).collect();
-    w.put(&sorted);
-}
-
-fn unsnap_hash<K: Ord + Copy + Snap + std::hash::Hash, V: Snap>(
+fn unsnap_managers(
     r: &mut SnapReader<'_>,
-) -> Result<HashMap<K, V>, SnapError> {
-    let sorted: BTreeMap<K, V> = r.get()?;
-    Ok(sorted.into_iter().collect())
+    table: &SnapshotTable,
+) -> Result<TaskManagers, SnapError> {
+    let mut managers = BTreeMap::new();
+    for _ in 0..r.len_prefix("Turbine.task_managers")? {
+        let manager = LocalTaskManager::unsnap_shared(r, table)?;
+        managers.insert(manager.container(), manager);
+    }
+    Ok(managers)
 }
 
 impl Turbine {
-    /// Encode every snapshotted field in stream order, telling `field` each
-    /// one's name and encoded size. This is the one list of what a blob
-    /// holds: [`Snap::snap`] drops the sizes, [`Turbine::snap_field_bytes`]
-    /// keeps them. The Task Service and the Task Managers share task
-    /// snapshots, so those are written once, ahead of their holders, and
-    /// the holders write indices (see [`SnapshotTable`]).
-    fn snap_fields(&self, w: &mut SnapWriter, mut field: impl FnMut(&'static str, usize)) {
-        macro_rules! put {
-            ($field:ident) => {
-                put!(stringify!($field), w.put(&self.$field))
-            };
-            ($field:ident, sorted) => {
-                put!(stringify!($field), snap_sorted(w, &self.$field))
-            };
-            ($name:expr, $encode:expr) => {{
-                let before = w.len();
-                $encode;
-                field($name, w.len() - before);
-            }};
-        }
-        let mut snapshots = SnapshotTable::default();
-        self.task_service.offer_snapshot(&mut snapshots);
-        for manager in self.task_managers.values() {
-            manager.offer_snapshot(&mut snapshots);
-        }
-        put!(config);
-        put!(now);
-        put!(cluster);
-        put!(scribe);
-        put!(metrics);
-        put!(jobs);
-        put!(syncer);
-        put!("task_snapshots", w.put(&snapshots));
-        put!("task_service", self.task_service.snap_shared(w, &snapshots));
-        put!(shard_manager);
-        put!("task_managers", {
-            w.u64(self.task_managers.len() as u64);
-            for manager in self.task_managers.values() {
-                manager.snap_shared(w, &snapshots);
-            }
-        });
-        put!(scaler);
-        put!(capacity);
-        put!(checkpoints);
-        put!(engine);
-        put!(paused);
-        put!(capacity_stopped);
-        put!(state_moves, sorted);
-        put!(crash_mtbf);
-        put!(rng);
-        put!(root_causer);
-        put!(releases, sorted);
-        put!(lag_since, sorted);
-        put!(last_diagnosis, sorted);
-        put!(severed, sorted);
-        put!(categories);
-        put!(shadow);
-        put!(outages);
-        put!(container_down_since);
-        put!(fresh_promotions);
-        put!(fresh_revivals);
-        put!(faults);
-        put!(trace);
-        put!(invariants);
-        put!(pending_dirty);
-        put!(load_dirty_jobs);
-        put!(load_dirty_containers);
-        put!(resiliency_cache);
-        put!(resiliency_cursor);
-        put!(sched);
-        put!(last_scaler_drain);
-        put!(ods);
-    }
-
     /// Encoded size of every field of this platform's snapshot stream, in
     /// stream order: where a blob's bytes are.
     pub fn snap_field_bytes(&self) -> Vec<(&'static str, usize)> {
@@ -1150,75 +1082,5 @@ impl Turbine {
             table.push((name, bytes))
         });
         table
-    }
-}
-
-impl Snap for Turbine {
-    fn snap(&self, w: &mut SnapWriter) {
-        self.snap_fields(w, |_, _| {});
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let config = r.get()?;
-        let now = r.get()?;
-        let cluster = r.get()?;
-        let scribe = r.get()?;
-        let metrics = r.get()?;
-        let jobs = r.get()?;
-        let syncer = r.get()?;
-        let snapshots: SnapshotTable = r.get()?;
-        let task_service = TaskService::unsnap_shared(r, &snapshots)?;
-        let shard_manager = r.get()?;
-        let mut task_managers = BTreeMap::new();
-        for _ in 0..r.len_prefix("Turbine.task_managers")? {
-            let manager = LocalTaskManager::unsnap_shared(r, &snapshots)?;
-            task_managers.insert(manager.container(), manager);
-        }
-        Ok(Turbine {
-            config,
-            now,
-            cluster,
-            scribe,
-            metrics,
-            jobs,
-            syncer,
-            task_service,
-            shard_manager,
-            task_managers,
-            scaler: r.get()?,
-            capacity: r.get()?,
-            checkpoints: r.get()?,
-            engine: r.get()?,
-            container_cpu: None,
-            paused: r.get()?,
-            capacity_stopped: r.get()?,
-            state_moves: unsnap_hash(r)?,
-            crash_mtbf: r.get()?,
-            rng: r.get()?,
-            root_causer: r.get()?,
-            releases: unsnap_hash(r)?,
-            lag_since: unsnap_hash(r)?,
-            last_diagnosis: unsnap_hash(r)?,
-            severed: unsnap_hash(r)?,
-            categories: r.get()?,
-            shadow: r.get()?,
-            outages: r.get()?,
-            container_down_since: r.get()?,
-            fresh_promotions: r.get()?,
-            fresh_revivals: r.get()?,
-            faults: r.get()?,
-            trace: r.get()?,
-            invariants: r.get()?,
-            pending_dirty: r.get()?,
-            load_dirty_jobs: r.get()?,
-            load_dirty_containers: r.get()?,
-            resiliency_cache: r.get()?,
-            resiliency_cursor: r.u64("Turbine.resiliency_cursor")?,
-            tm_managers_reconciled: 0,
-            standbys_examined: 0,
-            sched: r.get()?,
-            last_scaler_drain: r.get()?,
-            ods: r.get()?,
-        })
     }
 }

@@ -386,6 +386,8 @@ impl Turbine {
     }
 }
 
+// By hand: only the Scribe watermarks of the id caches are stored, and
+// their series ids are re-interned from the registry decoded before them.
 impl turbine_types::Snap for OdsState {
     fn snap(&self, w: &mut turbine_types::SnapWriter) {
         w.put(&self.registry);

@@ -617,61 +617,14 @@ impl Turbine {
     }
 }
 
-use turbine_types::{Snap, SnapError, SnapReader, SnapWriter};
+use turbine_types::{snap_enum, snap_struct};
 
-impl Snap for ControlEvent {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u8(match self {
-            ControlEvent::Heartbeat => 0,
-            ControlEvent::TmRefresh => 1,
-            ControlEvent::SyncRound => 2,
-            ControlEvent::ScalerRound => 3,
-            ControlEvent::LoadReport => 4,
-            ControlEvent::Rebalance => 5,
-            ControlEvent::CapacityRound => 6,
-            ControlEvent::Checkpoint => 7,
-            ControlEvent::MetricsSample => 8,
-            ControlEvent::FaultEdge => 9,
-            ControlEvent::TaskRestartDue => 10,
-        });
-    }
+snap_enum!(ControlEvent {
+    0 => Heartbeat, 1 => TmRefresh, 2 => SyncRound, 3 => ScalerRound, 4 => LoadReport,
+    5 => Rebalance, 6 => CapacityRound, 7 => Checkpoint, 8 => MetricsSample, 9 => FaultEdge,
+    10 => TaskRestartDue,
+});
 
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.u8("ControlEvent.tag")? {
-            0 => Ok(ControlEvent::Heartbeat),
-            1 => Ok(ControlEvent::TmRefresh),
-            2 => Ok(ControlEvent::SyncRound),
-            3 => Ok(ControlEvent::ScalerRound),
-            4 => Ok(ControlEvent::LoadReport),
-            5 => Ok(ControlEvent::Rebalance),
-            6 => Ok(ControlEvent::CapacityRound),
-            7 => Ok(ControlEvent::Checkpoint),
-            8 => Ok(ControlEvent::MetricsSample),
-            9 => Ok(ControlEvent::FaultEdge),
-            10 => Ok(ControlEvent::TaskRestartDue),
-            tag => Err(SnapError::Tag("ControlEvent", tag as u64)),
-        }
-    }
-}
-
-impl Snap for ControlSchedule {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put(&self.queue);
-        w.put(&self.periodics);
-        w.put(&self.queued);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let queue = r.get()?;
-        let periodics: Vec<Periodic> = r.get()?;
-        let queued: Vec<Option<SimTime>> = r.get()?;
-        if periodics.len() != COMPONENTS.len() || queued.len() != COMPONENTS.len() {
-            return Err(SnapError::Value("ControlSchedule component count mismatch"));
-        }
-        Ok(ControlSchedule {
-            queue,
-            periodics,
-            queued,
-        })
-    }
-}
+snap_struct!(ControlSchedule { queue, periodics, queued }
+    check |s| s.periodics.len() == COMPONENTS.len() && s.queued.len() == COMPONENTS.len()
+        => "ControlSchedule component count mismatch");

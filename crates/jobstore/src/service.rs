@@ -215,17 +215,10 @@ impl std::fmt::Display for ExpectedConfigError {
 
 impl std::error::Error for ExpectedConfigError {}
 
-impl<W: WalStorage + turbine_types::Snap> turbine_types::Snap for JobService<W> {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        // The typed-decode caches are pure derivations of store rows keyed
-        // by change tokens; they refill lazily after restore.
-        w.put(&self.store);
-    }
-
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        Ok(JobService::new(r.get()?))
-    }
-}
+turbine_types::snap_struct!(JobService<W: WalStorage> { store }
+    // The typed-decode caches are pure derivations of store rows keyed by
+    // change tokens; they refill lazily after restore.
+    derived { typed_cache: RefCell::default(), running_cache: RefCell::default() });
 
 #[cfg(test)]
 mod tests {

@@ -485,71 +485,23 @@ fn level_from_str(s: &str) -> Result<ConfigLevel, String> {
     }
 }
 
-impl turbine_types::Snap for ExpectedRow {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        for level in &self.levels {
-            w.put(level);
-        }
-        for version in &self.versions {
-            w.u64(*version);
-        }
-        w.put(&self.merged);
-        w.u64(self.token);
-    }
+turbine_types::snap_struct!(ExpectedRow {
+    levels,
+    versions,
+    merged,
+    token
+});
 
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        let mut row = ExpectedRow::default();
-        for level in &mut row.levels {
-            *level = r.get()?;
-        }
-        for version in &mut row.versions {
-            *version = r.u64("ExpectedRow.version")?;
-        }
-        row.merged = r.get()?;
-        row.token = r.u64("ExpectedRow.token")?;
-        Ok(row)
-    }
-}
+turbine_types::snap_struct!(WalSalvage {
+    kept,
+    discarded,
+    first_bad,
+    message
+});
 
-impl turbine_types::Snap for WalSalvage {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        w.put(&self.kept);
-        w.put(&self.discarded);
-        w.put(&self.first_bad);
-        w.put(&self.message);
-    }
-
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        Ok(WalSalvage {
-            kept: r.get()?,
-            discarded: r.get()?,
-            first_bad: r.get()?,
-            message: r.get()?,
-        })
-    }
-}
-
-impl<W: WalStorage + turbine_types::Snap> turbine_types::Snap for JobStore<W> {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        w.put(&self.expected);
-        w.put(&self.running);
-        w.put(&self.running_tokens);
-        w.put(&self.changelog);
-        w.put(&self.wal);
-        w.put(&self.salvage);
-    }
-
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        Ok(JobStore {
-            expected: r.get()?,
-            running: r.get()?,
-            running_tokens: r.get()?,
-            changelog: r.get()?,
-            wal: r.get()?,
-            salvage: r.get()?,
-        })
-    }
-}
+turbine_types::snap_struct!(JobStore<W: WalStorage> {
+    expected, running, running_tokens, changelog, wal, salvage
+});
 
 #[cfg(test)]
 mod tests {

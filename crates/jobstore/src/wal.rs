@@ -102,15 +102,7 @@ impl WalStorage for MemWal {
     }
 }
 
-impl turbine_types::Snap for MemWal {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        w.put(&self.records);
-    }
-
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        Ok(MemWal { records: r.get()? })
-    }
-}
+turbine_types::snap_struct!(MemWal { records });
 
 /// File-backed log with line-per-record framing and fsync on append.
 #[derive(Debug)]

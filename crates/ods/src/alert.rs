@@ -318,183 +318,44 @@ fn describe(rule: &AlertRule, value: f64) -> String {
     }
 }
 
-use turbine_types::{Snap, SnapError, SnapReader, SnapWriter};
+use turbine_types::{snap_enum, snap_struct};
 
-impl Snap for Severity {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u8(match self {
-            Severity::Info => 0,
-            Severity::Warning => 1,
-            Severity::Critical => 2,
-        });
-    }
+snap_enum!(Severity { 0 => Info, 1 => Warning, 2 => Critical });
 
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.u8("Severity.tag")? {
-            0 => Ok(Severity::Info),
-            1 => Ok(Severity::Warning),
-            2 => Ok(Severity::Critical),
-            tag => Err(SnapError::Tag("Severity", tag as u64)),
-        }
-    }
-}
+snap_enum!(ThresholdOp { 0 => Above, 1 => Below });
 
-impl Snap for ThresholdOp {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u8(match self {
-            ThresholdOp::Above => 0,
-            ThresholdOp::Below => 1,
-        });
-    }
+snap_enum!(RuleKind {
+    0 => Threshold { op, value },
+    1 => Absence { stale_for },
+    2 => RateOfChange { window, per_sec },
+    3 => BurnRate { window, budget_ms },
+});
 
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.u8("ThresholdOp.tag")? {
-            0 => Ok(ThresholdOp::Above),
-            1 => Ok(ThresholdOp::Below),
-            tag => Err(SnapError::Tag("ThresholdOp", tag as u64)),
-        }
-    }
-}
+snap_struct!(AlertRule {
+    name,
+    metric,
+    kind,
+    for_duration,
+    severity,
+    suppress_for
+});
 
-impl Snap for RuleKind {
-    fn snap(&self, w: &mut SnapWriter) {
-        match self {
-            RuleKind::Threshold { op, value } => {
-                w.u8(0);
-                w.put(op);
-                w.put(value);
-            }
-            RuleKind::Absence { stale_for } => {
-                w.u8(1);
-                w.put(stale_for);
-            }
-            RuleKind::RateOfChange { window, per_sec } => {
-                w.u8(2);
-                w.put(window);
-                w.put(per_sec);
-            }
-            RuleKind::BurnRate { window, budget_ms } => {
-                w.u8(3);
-                w.put(window);
-                w.put(budget_ms);
-            }
-        }
-    }
+snap_struct!(Incident {
+    rule,
+    severity,
+    metric,
+    opened_at,
+    resolved_at,
+    value,
+    message
+});
 
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.u8("RuleKind.tag")? {
-            0 => Ok(RuleKind::Threshold {
-                op: r.get()?,
-                value: r.get()?,
-            }),
-            1 => Ok(RuleKind::Absence {
-                stale_for: r.get()?,
-            }),
-            2 => Ok(RuleKind::RateOfChange {
-                window: r.get()?,
-                per_sec: r.get()?,
-            }),
-            3 => Ok(RuleKind::BurnRate {
-                window: r.get()?,
-                budget_ms: r.get()?,
-            }),
-            tag => Err(SnapError::Tag("RuleKind", tag as u64)),
-        }
-    }
-}
+snap_struct!(RuleState { pending_since, active, suppressed_until } derived { series: None });
 
-impl Snap for AlertRule {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put(&self.name);
-        w.put(&self.metric);
-        w.put(&self.kind);
-        w.put(&self.for_duration);
-        w.put(&self.severity);
-        w.put(&self.suppress_for);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(AlertRule {
-            name: r.get()?,
-            metric: r.get()?,
-            kind: r.get()?,
-            for_duration: r.get()?,
-            severity: r.get()?,
-            suppress_for: r.get()?,
-        })
-    }
-}
-
-impl Snap for Incident {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put(&self.rule);
-        w.put(&self.severity);
-        w.put(&self.metric);
-        w.put(&self.opened_at);
-        w.put(&self.resolved_at);
-        w.put(&self.value);
-        w.put(&self.message);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Incident {
-            rule: r.get()?,
-            severity: r.get()?,
-            metric: r.get()?,
-            opened_at: r.get()?,
-            resolved_at: r.get()?,
-            value: r.get()?,
-            message: r.get()?,
-        })
-    }
-}
-
-impl Snap for RuleState {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put(&self.pending_since);
-        w.put(&self.active);
-        w.put(&self.suppressed_until);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(RuleState {
-            pending_since: r.get()?,
-            active: r.get()?,
-            suppressed_until: r.get()?,
-            series: None,
-        })
-    }
-}
-
-impl Snap for AlertEngine {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put(&self.rules);
-        w.put(&self.states);
-        w.put(&self.incidents);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let rules: Vec<AlertRule> = r.get()?;
-        let states: Vec<RuleState> = r.get()?;
-        let incidents: Vec<Incident> = r.get()?;
-        if rules.len() != states.len() {
-            return Err(SnapError::Value("AlertEngine rule/state length mismatch"));
-        }
-        if states
-            .iter()
-            .any(|s| s.active.is_some_and(|idx| idx >= incidents.len()))
-        {
-            return Err(SnapError::Value(
-                "AlertEngine active incident index out of range",
-            ));
-        }
-        Ok(AlertEngine {
-            rules,
-            states,
-            incidents,
-        })
-    }
-}
+snap_struct!(AlertEngine { rules, states, incidents }
+    check |e| e.rules.len() == e.states.len() => "AlertEngine rule/state length mismatch"
+    check |e| e.states.iter().all(|s| s.active.is_none_or(|idx| idx < e.incidents.len()))
+        => "AlertEngine active incident index out of range");
 
 fn perr(msg: impl Into<String>) -> String {
     format!("invalid alert rule: {}", msg.into())
@@ -684,6 +545,7 @@ pub fn parse_rules(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use turbine_types::{Snap, SnapReader, SnapWriter};
 
     fn t(secs: u64) -> SimTime {
         SimTime::ZERO + Duration::from_secs(secs)

@@ -8,24 +8,7 @@
 use crate::alert::Incident;
 use crate::registry::Registry;
 use std::fmt::Write as _;
-
-/// Escape a string for embedding in a JSON (or Prometheus label) literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+use turbine_types::json_escape;
 
 /// Render a float the way the rest of the workspace serialises JSON
 /// numbers: shortest round-trip via `{}` — `1024` stays `1024`, `0.5`
@@ -53,9 +36,9 @@ pub fn to_jsonl(registry: &Registry, incidents: &[Incident]) -> String {
         let _ = writeln!(
             out,
             "{{\"kind\":\"series\",\"key\":\"{}\",\"scope\":\"{}\",\"name\":\"{}\",\"samples\":{},\"last\":{},\"last_at_ms\":{}}}",
-            escape(&key.to_string()),
-            escape(&key.scope.to_string()),
-            escape(&key.name),
+            json_escape(&key.to_string()),
+            json_escape(&key.scope.to_string()),
+            json_escape(&key.name),
             series.len(),
             last,
             last_at,
@@ -69,13 +52,13 @@ pub fn to_jsonl(registry: &Registry, incidents: &[Incident]) -> String {
         let _ = writeln!(
             out,
             "{{\"kind\":\"incident\",\"rule\":\"{}\",\"severity\":\"{}\",\"metric\":\"{}\",\"opened_at_ms\":{},\"resolved_at_ms\":{},\"value\":{},\"message\":\"{}\"}}",
-            escape(&incident.rule),
+            json_escape(&incident.rule),
             incident.severity,
-            escape(&incident.metric.to_string()),
+            json_escape(&incident.metric.to_string()),
             incident.opened_at.as_millis(),
             resolved,
             num(incident.value),
-            escape(&incident.message),
+            json_escape(&incident.message),
         );
     }
     out
@@ -108,10 +91,10 @@ pub fn to_prom(registry: &Registry, incidents: &[Incident]) -> String {
         };
         let labels = match &key.scope {
             Scope::Platform => String::new(),
-            Scope::Component(c) => format!("{{component=\"{}\"}}", escape(c)),
+            Scope::Component(c) => format!("{{component=\"{}\"}}", json_escape(c)),
             Scope::Job(id) => format!("{{job=\"{id}\"}}"),
             Scope::Host(id) => format!("{{host=\"{id}\"}}"),
-            Scope::Tier(t) => format!("{{tier=\"{}\"}}", escape(t)),
+            Scope::Tier(t) => format!("{{tier=\"{}\"}}", json_escape(t)),
         };
         let _ = writeln!(
             out,

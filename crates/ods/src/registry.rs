@@ -175,55 +175,12 @@ impl Registry {
     }
 }
 
-impl turbine_types::Snap for Scope {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        match self {
-            Scope::Platform => w.u8(0),
-            Scope::Component(name) => {
-                w.u8(1);
-                w.put(name);
-            }
-            Scope::Job(id) => {
-                w.u8(2);
-                w.u64(*id);
-            }
-            Scope::Host(id) => {
-                w.u8(3);
-                w.u64(*id);
-            }
-            Scope::Tier(name) => {
-                w.u8(4);
-                w.put(name);
-            }
-        }
-    }
+turbine_types::snap_enum!(Scope { 0 => Platform, 1 => Component(name), 2 => Job(id), 3 => Host(id), 4 => Tier(name) });
 
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        match r.u8("Scope.tag")? {
-            0 => Ok(Scope::Platform),
-            1 => Ok(Scope::Component(r.get()?)),
-            2 => Ok(Scope::Job(r.u64("Scope.job")?)),
-            3 => Ok(Scope::Host(r.u64("Scope.host")?)),
-            4 => Ok(Scope::Tier(r.get()?)),
-            tag => Err(turbine_types::SnapError::Tag("Scope", tag as u64)),
-        }
-    }
-}
+turbine_types::snap_struct!(MetricKey { scope, name });
 
-impl turbine_types::Snap for MetricKey {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        w.put(&self.scope);
-        w.put(&self.name);
-    }
-
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        Ok(MetricKey {
-            scope: r.get()?,
-            name: r.get()?,
-        })
-    }
-}
-
+// By hand: the key index is written inverted (keys in dense-id order) and
+// rebuilt by re-interning, which also checks the keys are distinct.
 impl turbine_types::Snap for Registry {
     fn snap(&self, w: &mut turbine_types::SnapWriter) {
         // Keys in dense-id order carry the full identity map; the index is

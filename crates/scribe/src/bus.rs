@@ -422,65 +422,22 @@ fn partition_index(
         .ok_or_else(|| ScribeError::UnknownPartition(category.to_string(), partition))
 }
 
-impl turbine_types::Snap for Record {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        w.u64(self.offset);
-        w.bytes(&self.payload);
-    }
+turbine_types::snap_struct!(Record { offset, payload });
 
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        Ok(Record {
-            offset: r.u64("Record.offset")?,
-            payload: r.bytes("Record.payload")?.to_vec(),
-        })
-    }
-}
+turbine_types::snap_struct!(Partition {
+    appended,
+    trimmed,
+    records
+});
 
-impl turbine_types::Snap for Partition {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        w.u64(self.appended);
-        w.u64(self.trimmed);
-        w.put(&self.records);
-    }
+turbine_types::snap_struct!(Category {
+    partitions,
+    retain_payloads,
+    total_appended,
+    last_append_at
+});
 
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        Ok(Partition {
-            appended: r.u64("Partition.appended")?,
-            trimmed: r.u64("Partition.trimmed")?,
-            records: r.get()?,
-        })
-    }
-}
-
-impl turbine_types::Snap for Category {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        w.put(&self.partitions);
-        w.put(&self.retain_payloads);
-        w.u64(self.total_appended);
-        w.put(&self.last_append_at);
-    }
-
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        Ok(Category {
-            partitions: r.get()?,
-            retain_payloads: r.get()?,
-            total_appended: r.u64("Category.total_appended")?,
-            last_append_at: r.get()?,
-        })
-    }
-}
-
-impl turbine_types::Snap for Scribe {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        w.put(&self.categories);
-    }
-
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        Ok(Scribe {
-            categories: r.get()?,
-        })
-    }
-}
+turbine_types::snap_struct!(Scribe { categories });
 
 #[cfg(test)]
 mod tests {

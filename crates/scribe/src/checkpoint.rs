@@ -169,6 +169,8 @@ impl CheckpointStore {
     }
 }
 
+// By hand: the per-job rows are written as one flat `((job, partition),
+// offset)` map, the stream of the `BTreeMap` this store once was.
 impl turbine_types::Snap for CheckpointStore {
     /// The flat map's stream: the pair count, then `((job, partition),
     /// offset)` in key order.

@@ -81,19 +81,10 @@ impl ShadowCursor {
     }
 }
 
-impl turbine_types::Snap for ShadowCursor {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        w.put(&self.observed);
-        w.u64(self.illegal_commits);
-    }
-
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        Ok(ShadowCursor {
-            observed: r.get()?,
-            illegal_commits: r.u64("ShadowCursor.illegal_commits")?,
-        })
-    }
-}
+turbine_types::snap_struct!(ShadowCursor {
+    observed,
+    illegal_commits
+});
 
 #[cfg(test)]
 mod tests {

@@ -344,102 +344,29 @@ impl ShardManager {
     }
 }
 
-impl turbine_types::Snap for PlacementConfig {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        w.put(&self.band);
-        w.put(&self.headroom);
-    }
+turbine_types::snap_struct!(PlacementConfig { band, headroom });
 
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        Ok(PlacementConfig {
-            band: r.get()?,
-            headroom: r.get()?,
-        })
-    }
-}
+turbine_types::snap_struct!(ShardManagerConfig {
+    failover_interval,
+    standby_grace,
+    placement
+});
 
-impl turbine_types::Snap for ShardManagerConfig {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        w.put(&self.failover_interval);
-        w.put(&self.standby_grace);
-        w.put(&self.placement);
-    }
+turbine_types::snap_enum!(ContainerStatus { 0 => Alive, 1 => Dead });
 
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        Ok(ShardManagerConfig {
-            failover_interval: r.get()?,
-            standby_grace: r.get()?,
-            placement: r.get()?,
-        })
-    }
-}
+turbine_types::snap_struct!(ContainerEntry {
+    capacity,
+    last_heartbeat,
+    status
+});
 
-impl turbine_types::Snap for ContainerStatus {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        w.u8(match self {
-            ContainerStatus::Alive => 0,
-            ContainerStatus::Dead => 1,
-        });
-    }
-
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        match r.u8("ContainerStatus.tag")? {
-            0 => Ok(ContainerStatus::Alive),
-            1 => Ok(ContainerStatus::Dead),
-            tag => Err(turbine_types::SnapError::Tag("ContainerStatus", tag as u64)),
-        }
-    }
-}
-
-impl turbine_types::Snap for ContainerEntry {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        w.put(&self.capacity);
-        w.put(&self.last_heartbeat);
-        w.put(&self.status);
-    }
-
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        Ok(ContainerEntry {
-            capacity: r.get()?,
-            last_heartbeat: r.get()?,
-            status: r.get()?,
-        })
-    }
-}
-
-impl turbine_types::Snap for ShardManager {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        w.put(&self.config);
-        w.put(&self.shard_loads);
-        w.put(&self.containers);
-        // HashMap iteration order is arbitrary; sort through a BTreeMap so
-        // equal assignments always serialize to equal bytes.
-        let sorted: BTreeMap<ShardId, ContainerId> =
-            self.assignment.iter().map(|(s, c)| (*s, *c)).collect();
-        w.put(&sorted);
-        w.put(&self.standbys);
-        // Placement scratch and input buffers carry no state between
-        // rounds; they are rebuilt empty on restore.
-    }
-
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        let config = r.get()?;
-        let shard_loads = r.get()?;
-        let containers = r.get()?;
-        let sorted: BTreeMap<ShardId, ContainerId> = r.get()?;
-        let standbys = r.get()?;
-        Ok(ShardManager {
-            config,
-            shard_loads,
-            containers,
-            assignment: sorted.into_iter().collect(),
-            standbys,
-            scratch: PlacementScratch::default(),
-            shard_input: Vec::new(),
-            container_input: Vec::new(),
-        })
-    }
-}
+turbine_types::snap_struct!(ShardManager { config, shard_loads, containers, assignment, standbys }
+// Placement scratch and input buffers carry no state between rounds.
+derived {
+    scratch: PlacementScratch::default(),
+    shard_input: Vec::new(),
+    container_input: Vec::new(),
+});
 
 #[cfg(test)]
 mod tests {

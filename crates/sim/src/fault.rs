@@ -214,68 +214,22 @@ impl FaultInjector {
     }
 }
 
-impl turbine_types::Snap for Fault {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        match self {
-            Fault::TaskServiceDown => w.u8(0),
-            Fault::JobStoreDown => w.u8(1),
-            Fault::HeartbeatLoss(c) => {
-                w.u8(2);
-                w.put(c);
-            }
-            Fault::SyncerCrash => w.u8(3),
-            Fault::ScribeStall(cat) => {
-                w.u8(4);
-                w.put(cat);
-            }
-        }
-    }
+turbine_types::snap_enum!(Fault {
+    0 => TaskServiceDown,
+    1 => JobStoreDown,
+    2 => HeartbeatLoss(container),
+    3 => SyncerCrash,
+    4 => ScribeStall(category),
+});
 
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        match r.u8("Fault.tag")? {
-            0 => Ok(Fault::TaskServiceDown),
-            1 => Ok(Fault::JobStoreDown),
-            2 => Ok(Fault::HeartbeatLoss(r.get()?)),
-            3 => Ok(Fault::SyncerCrash),
-            4 => Ok(Fault::ScribeStall(r.get()?)),
-            tag => Err(turbine_types::SnapError::Tag("Fault", tag as u64)),
-        }
-    }
-}
+turbine_types::snap_struct!(FaultPlan { fault, from, until });
 
-impl turbine_types::Snap for FaultPlan {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        w.put(&self.fault);
-        w.put(&self.from);
-        w.put(&self.until);
-    }
-
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        Ok(FaultPlan {
-            fault: r.get()?,
-            from: r.get()?,
-            until: r.get()?,
-        })
-    }
-}
-
-impl turbine_types::Snap for FaultInjector {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        w.put(&self.scheduled);
-        w.put(&self.active);
-        w.put(&self.log);
-        w.put(&self.last_transition);
-    }
-
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        Ok(FaultInjector {
-            scheduled: r.get()?,
-            active: r.get()?,
-            log: r.get()?,
-            last_transition: r.get()?,
-        })
-    }
-}
+turbine_types::snap_struct!(FaultInjector {
+    scheduled,
+    active,
+    log,
+    last_transition
+});
 
 #[cfg(test)]
 mod tests {

@@ -108,6 +108,9 @@ impl<E> EventQueue<E> {
     }
 }
 
+// By hand: a heap has no stable iteration order, so entries are written
+// sorted by (time, sequence), and each sequence is checked against
+// `next_seq` as it is read.
 impl<E: turbine_types::Snap> turbine_types::Snap for EventQueue<E> {
     fn snap(&self, w: &mut turbine_types::SnapWriter) {
         w.put(&self.now);
@@ -129,7 +132,7 @@ impl<E: turbine_types::Snap> turbine_types::Snap for EventQueue<E> {
         let now = r.get()?;
         let next_seq = r.u64("EventQueue.next_seq")?;
         let len = r.len_prefix("EventQueue.entries")?;
-        let mut heap = BinaryHeap::with_capacity(len);
+        let mut heap = BinaryHeap::with_capacity(r.prealloc::<Reverse<Entry<E>>>(len));
         for _ in 0..len {
             let at = r.get()?;
             let seq = r.u64("EventQueue.entry.seq")?;

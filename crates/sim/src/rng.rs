@@ -169,29 +169,8 @@ impl SimRng {
     }
 }
 
-impl turbine_types::Snap for SimRng {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        for word in &self.inner.s {
-            w.u64(*word);
-        }
-        w.put(&self.gauss_spare);
-    }
-
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        let mut s = [0u64; 4];
-        for word in &mut s {
-            *word = r.u64("SimRng.state")?;
-        }
-        if s == [0, 0, 0, 0] {
-            return Err(turbine_types::SnapError::Value("SimRng.state all-zero"));
-        }
-        let gauss_spare = r.get()?;
-        Ok(SimRng {
-            inner: Xoshiro256 { s },
-            gauss_spare,
-        })
-    }
-}
+turbine_types::snap_struct!(Xoshiro256 { s } check |x| x.s != [0; 4] => "SimRng.state all-zero");
+turbine_types::snap_struct!(SimRng { inner, gauss_spare });
 
 #[cfg(test)]
 mod tests {

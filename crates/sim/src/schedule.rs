@@ -64,23 +64,8 @@ impl Periodic {
     }
 }
 
-impl turbine_types::Snap for Periodic {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        w.put(&self.interval);
-        w.put(&self.next_due);
-    }
-
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        let interval: Duration = r.get()?;
-        if interval.is_zero() {
-            return Err(turbine_types::SnapError::Value("Periodic.interval zero"));
-        }
-        Ok(Periodic {
-            interval,
-            next_due: r.get()?,
-        })
-    }
-}
+turbine_types::snap_struct!(Periodic { interval, next_due }
+    check |p| !p.interval.is_zero() => "Periodic.interval zero");
 
 #[cfg(test)]
 mod tests {

@@ -20,7 +20,7 @@
 
 use std::collections::BTreeMap;
 use turbine::Turbine;
-use turbine_types::{Fnv1a, Snap, SnapError, SnapReader, SnapWriter};
+use turbine_types::{Fnv1a, SnapError, SnapReader, SnapWriter};
 
 /// File magic for serialized snapshot blobs.
 pub const SNAP_MAGIC: [u8; 8] = *b"TRBNSNAP";
@@ -62,21 +62,11 @@ pub struct SnapshotMeta {
     pub at_mins: Option<u64>,
 }
 
-impl Snap for SnapshotMeta {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u64(self.captured_at_ms);
-        w.put(&self.scenario);
-        w.put(&self.at_mins);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(SnapshotMeta {
-            captured_at_ms: r.u64("SnapshotMeta.captured_at_ms")?,
-            scenario: r.get()?,
-            at_mins: r.get()?,
-        })
-    }
-}
+turbine_types::snap_struct!(SnapshotMeta {
+    captured_at_ms,
+    scenario,
+    at_mins
+});
 
 /// A complete platform snapshot: manifest of chunk digests plus the
 /// deduplicated chunk store.
@@ -132,6 +122,17 @@ impl Snapshot {
     /// Reassemble and verify the platform stream: every chunk is
     /// re-hashed against its manifest digest before use.
     fn verified_stream(&self) -> Result<Vec<u8>, SnapError> {
+        // `total_len` comes straight from the blob and no chunk hash covers
+        // it: it sizes nothing until it agrees with the manifest, whose
+        // every chunk is full but the last (an empty stream has none).
+        let chunks = self.manifest.len() as u64;
+        let most = chunks.saturating_mul(CHUNK_SIZE as u64);
+        if self.total_len > most || most - self.total_len >= CHUNK_SIZE as u64 {
+            return Err(SnapError::Corrupt(format!(
+                "stream length {} does not fit a manifest of {chunks} chunks",
+                self.total_len
+            )));
+        }
         let mut stream = Vec::with_capacity(self.total_len as usize);
         for (i, &digest) in self.manifest.iter().enumerate() {
             let chunk = self.chunks.get(&digest).ok_or_else(|| {
@@ -405,6 +406,48 @@ mod tests {
         let fields = platform.snap_field_bytes();
         let at = fields.iter().position(|f| f.0 == name).expect("a field");
         fields[..at].iter().map(|f| f.1).sum()
+    }
+
+    #[test]
+    fn a_lying_stream_length_is_corrupt_before_it_is_an_allocation() {
+        // An empty platform: no chunk hash covers the blob's `total_len`.
+        let t = Turbine::new(TurbineConfig::default());
+        let snap = Snapshot::capture(&t);
+        let blob = snap.to_bytes();
+        // Magic (length-prefixed), version, a scenario-less meta, the
+        // manifest, then the eight bytes in question.
+        let at = (8 + SNAP_MAGIC.len()) + 4 + (8 + 1 + 1) + (8 + 8 * snap.chunk_count());
+        assert_eq!(blob[at..at + 8], snap.stream_len().to_le_bytes());
+        let restore_with = |len: u64| {
+            let mut blob = blob.clone();
+            blob[at..at + 8].copy_from_slice(&len.to_le_bytes());
+            Snapshot::from_bytes(&blob).expect("parse").restore()
+        };
+        assert!(restore_with(snap.stream_len()).is_ok());
+        let full = (snap.chunk_count() * CHUNK_SIZE) as u64;
+        for lie in [u64::MAX, 1 << 40, full + 1, full - CHUNK_SIZE as u64, 0] {
+            assert!(
+                matches!(restore_with(lie), Err(SnapError::Corrupt(_))),
+                "total_len {lie}"
+            );
+        }
+        // In range but wrong: caught against the reassembled stream.
+        assert!(matches!(restore_with(full), Err(SnapError::Corrupt(_))));
+    }
+
+    #[test]
+    fn a_lying_trace_ring_length_runs_off_the_end() {
+        let t = small_platform();
+        let stream = Snapshot::capture(&t).verified_stream().expect("stream");
+        // The trace ring's length follows its capacity and next id. Claim
+        // one event per byte left, the most `len_prefix` lets through:
+        // events are ~120 B in memory, so reserving that many would ask
+        // for 120x the stream.
+        let at = offset_of(&t, "trace") + 16;
+        let mut lying = stream.clone();
+        lying[at..at + 8].copy_from_slice(&((stream.len() - at - 8) as u64).to_le_bytes());
+        let restored = Snapshot::from_stream(SnapshotMeta::default(), &lying).restore();
+        assert!(matches!(restored.err(), Some(SnapError::Eof(_))));
     }
 
     #[test]

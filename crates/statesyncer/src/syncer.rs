@@ -506,55 +506,21 @@ impl Default for StateSyncer {
     }
 }
 
-impl turbine_types::Snap for SyncerConfig {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        w.u32(self.max_failures);
-        w.u32(self.max_inflight_rounds);
-        w.u64(self.backoff_seed);
-    }
+turbine_types::snap_struct!(SyncerConfig { max_failures, max_inflight_rounds, backoff_seed }
+    check |c| c.validate().is_ok() => "SyncerConfig invalid");
 
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        let config = SyncerConfig {
-            max_failures: r.u32("SyncerConfig.max_failures")?,
-            max_inflight_rounds: r.u32("SyncerConfig.max_inflight_rounds")?,
-            backoff_seed: r.u64("SyncerConfig.backoff_seed")?,
-        };
-        if config.validate().is_err() {
-            return Err(turbine_types::SnapError::Value("SyncerConfig invalid"));
-        }
-        Ok(config)
-    }
-}
-
-impl turbine_types::Snap for StateSyncer {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        w.put(&self.config);
-        w.put(&self.failure_counts);
-        w.put(&self.inflight_rounds);
-        w.put(&self.quarantined);
-        w.u64(self.round);
-        w.put(&self.resume_round);
-        w.put(&self.rng);
-        w.put(&self.warm_handoffs);
-        w.put(&self.attention);
-        w.u64(self.changelog_cursor);
-    }
-
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        Ok(StateSyncer {
-            config: r.get()?,
-            failure_counts: r.get()?,
-            inflight_rounds: r.get()?,
-            quarantined: r.get()?,
-            round: r.u64("StateSyncer.round")?,
-            resume_round: r.get()?,
-            rng: r.get()?,
-            warm_handoffs: r.get()?,
-            attention: r.get()?,
-            changelog_cursor: r.u64("StateSyncer.changelog_cursor")?,
-        })
-    }
-}
+turbine_types::snap_struct!(StateSyncer {
+    config,
+    failure_counts,
+    inflight_rounds,
+    quarantined,
+    round,
+    resume_round,
+    rng,
+    warm_handoffs,
+    attention,
+    changelog_cursor
+});
 
 #[cfg(test)]
 mod tests {

@@ -130,6 +130,8 @@ fn memo_shard(cache: &mut HashMap<TaskId, ShardId>, id: TaskId, shard_count: u64
         .or_insert_with(|| shard_of_task(id, shard_count))
 }
 
+// By hand: only the specs are stored; the by-task and by-shard indexes
+// are rebuilt from them through `TaskSnapshot::build`.
 impl turbine_types::Snap for TaskSnapshot {
     fn snap(&self, w: &mut turbine_types::SnapWriter) {
         w.u64(self.shard_count);
@@ -155,7 +157,7 @@ impl turbine_types::Snap for TaskSnapshot {
             }
             return Ok(TaskSnapshot::default());
         }
-        let mut specs = Vec::with_capacity(len);
+        let mut specs = Vec::with_capacity(r.prealloc::<TaskSpec>(len));
         for _ in 0..len {
             specs.push(r.get::<TaskSpec>()?);
         }
@@ -232,6 +234,8 @@ impl SnapshotTable {
     }
 }
 
+// By hand: entries are shared allocations, written through the `Arc` and
+// read back into fresh ones that the holders then share by index.
 impl turbine_types::Snap for SnapshotTable {
     fn snap(&self, w: &mut turbine_types::SnapWriter) {
         w.u64(self.entries.len() as u64);
@@ -242,7 +246,7 @@ impl turbine_types::Snap for SnapshotTable {
 
     fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
         let len = r.len_prefix("SnapshotTable.entries")?;
-        let mut entries = Vec::with_capacity(len);
+        let mut entries = Vec::with_capacity(r.prealloc::<Arc<TaskSnapshot>>(len));
         for _ in 0..len {
             entries.push(Arc::new(r.get::<TaskSnapshot>()?));
         }

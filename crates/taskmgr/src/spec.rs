@@ -49,34 +49,16 @@ impl TaskSpec {
     }
 }
 
-impl turbine_types::Snap for TaskSpec {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        w.put(&self.id);
-        w.put(&self.package_name);
-        w.u64(self.package_version);
-        w.put(&self.args);
-        w.u32(self.threads);
-        w.put(&self.reserved);
-        w.put(&self.checkpoint_dir);
-        w.put(&self.input_category);
-        w.put(&self.partitions);
-        w.put(&self.stateful);
-        w.put(&self.memory_enforcement);
-    }
-
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        Ok(TaskSpec {
-            id: r.get()?,
-            package_name: r.get()?,
-            package_version: r.u64("TaskSpec.package_version")?,
-            args: r.get()?,
-            threads: r.u32("TaskSpec.threads")?,
-            reserved: r.get()?,
-            checkpoint_dir: r.get()?,
-            input_category: r.get()?,
-            partitions: r.get()?,
-            stateful: r.get()?,
-            memory_enforcement: r.get()?,
-        })
-    }
-}
+turbine_types::snap_struct!(TaskSpec {
+    id,
+    package_name,
+    package_version,
+    args,
+    threads,
+    reserved,
+    checkpoint_dir,
+    input_category,
+    partitions,
+    stateful,
+    memory_enforcement
+});

@@ -274,47 +274,19 @@ impl Default for TraceBuffer {
     }
 }
 
-impl turbine_types::Snap for TraceBuffer {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        w.put(&self.capacity);
-        w.u64(self.next_id);
-        w.put(&self.events);
-        w.u64(self.digest.finish());
-        w.put(&self.active_faults);
+turbine_types::snap_struct!(TraceBuffer { capacity, next_id, events, digest, active_faults }
+    // Spans, cause context, and wall-clock latency never carry across a
+    // snapshot boundary: captures happen between rounds, and latencies are
+    // observational (excluded from the digest by construction).
+    derived {
+        pending_span: None,
+        current_span: None,
+        context: Vec::new(),
+        latency: vec![LatencyHistogram::default(); COMPONENTS.len()],
     }
-
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        let capacity: usize = r.get()?;
-        let next_id = r.u64("TraceBuffer.next_id")?;
-        let events: VecDeque<TraceEvent> = r.get()?;
-        let digest = Fnv1a::resume(r.u64("TraceBuffer.digest")?);
-        let active_faults = r.get()?;
-        if capacity < 16 {
-            return Err(turbine_types::SnapError::Value(
-                "TraceBuffer capacity below minimum",
-            ));
-        }
-        if events.len() > capacity || events.len() as u64 > next_id {
-            return Err(turbine_types::SnapError::Value(
-                "TraceBuffer retained events exceed capacity or id sequence",
-            ));
-        }
-        // Spans, cause context, and wall-clock latency never carry across a
-        // snapshot boundary: captures happen between rounds, and latencies
-        // are observational (excluded from the digest by construction).
-        Ok(TraceBuffer {
-            capacity,
-            next_id,
-            events,
-            digest,
-            pending_span: None,
-            current_span: None,
-            context: Vec::new(),
-            active_faults,
-            latency: vec![LatencyHistogram::default(); COMPONENTS.len()],
-        })
-    }
-}
+    check |t| t.capacity >= 16 => "TraceBuffer capacity below minimum"
+    check |t| t.events.len() <= t.capacity && t.events.len() as u64 <= t.next_id
+        => "TraceBuffer retained events exceed capacity or id sequence");
 
 #[cfg(test)]
 mod tests {

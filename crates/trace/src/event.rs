@@ -2,7 +2,7 @@
 //! serializations (digest bytes, JSON) every record carries.
 
 use std::fmt;
-use turbine_types::{ContainerId, JobId, ShardId, SimTime, TaskId};
+use turbine_types::{json_escape, ContainerId, JobId, ShardId, SimTime, TaskId};
 
 /// Stable identifier of one trace record. Ids are a monotone sequence per
 /// buffer; an id stays valid as a cause link even after the ring buffer
@@ -597,47 +597,15 @@ impl TraceEvent {
     }
 }
 
-/// Escape a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+use turbine_types::{snap_enum, snap_struct, Snap, SnapError, SnapReader, SnapWriter};
 
-use turbine_types::{Snap, SnapError, SnapReader, SnapWriter};
+snap_struct!(TraceId(raw));
 
-impl Snap for TraceId {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u64(self.0);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(TraceId(r.u64("TraceId")?))
-    }
-}
-
-impl Snap for Component {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u8(self.index() as u8);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let tag = r.u8("Component.tag")?;
-        COMPONENTS
-            .get(tag as usize)
-            .copied()
-            .ok_or(SnapError::Tag("Component", tag as u64))
-    }
-}
+snap_enum!(Component {
+    0 => Heartbeat, 1 => TmRefresh, 2 => StateSyncer, 3 => AutoScaler, 4 => LoadReport,
+    5 => Rebalance, 6 => CapacityManager, 7 => Checkpoint, 8 => Metrics, 9 => DataPlane,
+    10 => ChaosEngine,
+});
 
 /// Intern a decoded string back to the `&'static str` vocabulary a trace
 /// field draws from. Restore must reproduce pointer-free static strings, so
@@ -658,6 +626,11 @@ const SYNC_OUTCOMES: [&str; 4] = ["started", "simple", "complex_completed", "del
 const SLO_TIERS: [&str; 3] = ["best_effort", "standard", "critical"];
 const SEVERITIES: [&str; 3] = ["info", "warning", "critical"];
 
+// By hand: three variants carry a `&'static str` drawn from a per-field
+// vocabulary (`SYNC_OUTCOMES`, `SLO_TIERS`, `SEVERITIES`). They are written
+// as text and interned back against their own table, which `snap_enum!`'s
+// type-directed `get` cannot do without changing the public field types or
+// accepting one field's words in another. `snap_tags.rs` pins every tag.
 impl Snap for TraceData {
     fn snap(&self, w: &mut SnapWriter) {
         match self {
@@ -855,23 +828,12 @@ impl Snap for TraceData {
     }
 }
 
-impl Snap for TraceEvent {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put(&self.id);
-        w.put(&self.at);
-        w.put(&self.cause);
-        w.put(&self.data);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(TraceEvent {
-            id: r.get()?,
-            at: r.get()?,
-            cause: r.get()?,
-            data: r.get()?,
-        })
-    }
-}
+snap_struct!(TraceEvent {
+    id,
+    at,
+    cause,
+    data
+});
 
 #[cfg(test)]
 mod tests {

@@ -35,5 +35,6 @@ mod event;
 mod latency;
 
 pub use buffer::{TraceBuffer, DEFAULT_TRACE_CAPACITY};
-pub use event::{json_escape, Component, TraceData, TraceEvent, TraceId, COMPONENTS};
+pub use event::{Component, TraceData, TraceEvent, TraceId, COMPONENTS};
 pub use latency::{LatencyHistogram, LATENCY_BUCKETS};
+pub use turbine_types::json_escape;

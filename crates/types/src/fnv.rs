@@ -34,6 +34,8 @@ impl Fnv1a {
     }
 }
 
+crate::snap_struct!(Fnv1a(state));
+
 impl Default for Fnv1a {
     fn default() -> Self {
         Self::new()

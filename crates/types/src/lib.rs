@@ -8,6 +8,7 @@
 
 pub mod fnv;
 pub mod ids;
+pub mod json;
 pub mod metrics;
 pub mod priority;
 pub mod resources;
@@ -16,6 +17,7 @@ pub mod time;
 
 pub use fnv::Fnv1a;
 pub use ids::{ContainerId, HostId, JobId, PartitionId, ShardId, TaskId};
+pub use json::{json_escape, json_escape_into};
 pub use metrics::{
     nearest_rank, nearest_rank_index, nearest_rank_u64, Cdf, Counter, Percentiles, SeriesBucket,
     TimeSeries, DEFAULT_SERIES_CAPACITY,

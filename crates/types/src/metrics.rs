@@ -11,6 +11,7 @@
 //! one series per metric per job) cannot grow memory without bound.
 
 use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use crate::snap_struct;
 use crate::time::SimTime;
 
 /// A monotonically increasing event counter.
@@ -619,73 +620,35 @@ impl Cdf {
     }
 }
 
-impl Snap for Counter {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u64(self.0);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Counter(r.u64("Counter")?))
-    }
-}
+snap_struct!(Counter(count));
 
-impl Snap for SeriesBucket {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put(&self.start);
-        w.put(&self.end);
-        w.put(&self.sum);
-        w.u64(self.count);
-        w.put(&self.min);
-        w.put(&self.max);
-        w.put(&self.last);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(SeriesBucket {
-            start: r.get()?,
-            end: r.get()?,
-            sum: r.get()?,
-            count: r.u64("SeriesBucket.count")?,
-            min: r.get()?,
-            max: r.get()?,
-            last: r.get()?,
-        })
-    }
-}
+snap_struct!(SeriesBucket {
+    start,
+    end,
+    sum,
+    count,
+    min,
+    max,
+    last
+});
 
-impl Snap for Stretch {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put(&self.start);
-        w.u64(self.step_ms);
-        w.u32(self.count);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let stretch = Stretch {
-            start: r.get()?,
-            step_ms: r.u64("Stretch.step_ms")?,
-            count: r.u32("Stretch.count")?,
-        };
-        // Not empty, a lone sample without a step (the form `record` and
-        // `trim_front` keep), and a last instant that exists.
-        let valid = match stretch.count {
-            0 => false,
-            1 => stretch.step_ms == 0,
-            n => stretch
-                .step_ms
-                .checked_mul(u64::from(n - 1))
-                .and_then(|span| stretch.start.as_millis().checked_add(span))
-                .is_some(),
-        };
-        if valid {
-            Ok(stretch)
-        } else {
-            Err(SnapError::Value("Stretch"))
-        }
-    }
-}
+snap_struct!(Stretch { start, step_ms, count }
+    // Not empty, a lone sample without a step (the form `record` and
+    // `trim_front` keep), and a last instant that exists.
+    check |s| match s.count {
+        0 => false,
+        1 => s.step_ms == 0,
+        n => s.step_ms.checked_mul(u64::from(n - 1))
+            .is_some_and(|span| s.start.as_millis().checked_add(span).is_some()),
+    } => "Stretch");
 
 /// The stream holds what memory holds: the tail's stretches, its runs as
 /// (value bits, run length), the head buckets, the capacity and the total.
 /// Decoding checks every bound `record` and `compact` rely on, so a blob
 /// with valid chunk hashes cannot restore a series that hangs or panics.
+///
+/// By hand: the first stretch lives inline and the runs are stored as
+/// cumulative ends, so neither is a field written as it is held.
 impl Snap for TimeSeries {
     fn snap(&self, w: &mut SnapWriter) {
         w.u64(self.stretches().count() as u64);
@@ -713,7 +676,7 @@ impl Snap for TimeSeries {
             .map(|_| r.get())
             .collect::<Result<Vec<Stretch>, _>>()?;
         let run_count = r.len_prefix("TimeSeries.runs")?;
-        let mut runs = Vec::with_capacity(run_count);
+        let mut runs = Vec::with_capacity(r.prealloc::<Run>(run_count));
         let mut tail_len = 0u32;
         for _ in 0..run_count {
             let bits = r.u64("TimeSeries.run value")?;

@@ -6,15 +6,38 @@
 //! digest as an uninterrupted run. The format is deliberately simple —
 //! fixed-width little-endian scalars, length-prefixed collections, one
 //! tag byte per enum variant — because simplicity is what makes "did we
-//! capture everything?" auditable. There is no versioning or skipping:
-//! a snapshot is only ever read by the binary that wrote it.
+//! capture everything?" auditable. Nothing in a stream is skippable or
+//! self-describing: the blob around it carries one format version
+//! (`SNAP_VERSION` in `turbine-snap`), a reader refuses any other with
+//! [`SnapError::Version`], and any change to what a type writes bumps it.
 //!
-//! Decoding is total: every read is bounds-checked and every tag is
-//! matched exhaustively, so a truncated or bit-flipped blob surfaces as a
-//! typed [`SnapError`], never a panic.
+//! **A type's bytes are written once.** A struct's layout is one field
+//! list given to [`snap_struct!`](crate::snap_struct), an enum's one
+//! `tag => Variant` table given to [`snap_enum!`](crate::snap_enum); each
+//! generates the encoder and the decoder from that list, binds the value
+//! exhaustively, and so stops compiling when a field or variant is named
+//! nowhere. Fields that are deliberately not in the stream are named in
+//! the list's `derived` clause with the expression that rebuilds them. A
+//! `HashMap` sorts itself by key on the way out, so equal maps always give
+//! equal bytes.
+//!
+//! What stays written by hand, each with a line saying why: the
+//! primitives, tuples and collections below; decoders that need context
+//! or rebuild an index from what they read (`TimeSeries`, `Registry`,
+//! `Engine`, `EventQueue`, the shared task-snapshot table, …); and values
+//! whose stream form is not their fields (`&'static str` vocabularies,
+//! flat maps).
+//!
+//! Decoding is total: every read is bounds-checked, every tag is matched
+//! exhaustively and every length is bounded by the bytes that remain
+//! before anything is allocated for it ([`SnapReader::prealloc`]), so a
+//! truncated, bit-flipped or hostile blob surfaces as a typed
+//! [`SnapError`], never a panic and never an allocation larger than the
+//! input.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
+use std::hash::{BuildHasher, Hash};
 
 /// A failed snapshot decode. Carries the field being decoded so a corrupt
 /// blob points at the layer that rejected it.
@@ -175,15 +198,25 @@ impl<'a> SnapReader<'a> {
         self.take(len, what)
     }
 
-    /// Read a collection length prefix, bounds-checked against the bytes
-    /// actually remaining so a corrupt length cannot trigger a huge
-    /// allocation.
+    /// Read a collection length prefix. An element takes at least one byte,
+    /// so a length past the bytes remaining is a truncated blob. The bound
+    /// is in *elements*: size an allocation with [`Self::prealloc`], never
+    /// with the length itself.
     pub fn len_prefix(&mut self, what: &'static str) -> Result<usize, SnapError> {
         let len = self.u64(what)?;
         if len > self.remaining() as u64 {
             return Err(SnapError::Eof(what));
         }
         Ok(len as usize)
+    }
+
+    /// How many `T`s to reserve ahead of decoding `len` of them: `len`,
+    /// capped so the reservation is never more bytes than the blob still
+    /// holds. A lying length then costs no more memory than the input
+    /// already does; an honest collection whose elements are larger in
+    /// memory than on the wire grows the rest of the way as it fills.
+    pub fn prealloc<T>(&self, len: usize) -> usize {
+        len.min(self.remaining() / std::mem::size_of::<T>().max(1))
     }
 
     /// Decode any [`Snap`] value.
@@ -200,6 +233,157 @@ pub trait Snap: Sized {
     fn snap(&self, w: &mut SnapWriter);
     /// Decode a value; total (never panics on corrupt input).
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError>;
+}
+
+/// Implement [`Snap`] for a struct from **one** field list: the fields are
+/// written in the order listed and read back in the same order.
+///
+/// `snap` binds `self` by exhaustive destructuring, so a field of the
+/// struct that the invocation names nowhere does not compile — a snapshot
+/// cannot silently omit it. The clauses after the list are optional:
+///
+/// * `derived { field: expr, .. }` names the fields deliberately *not* in
+///   the stream and how each is rebuilt. The decoder binds every listed
+///   field to a local of its own name first, so a `derived` expression may
+///   read them; give such a field its type in the list (`items: Vec<u64>`)
+///   so the expression type-checks.
+/// * `check |v| cond => "what"` (any number) validates the decoded value:
+///   when `cond` is false for `v: &Self` the decoder returns
+///   [`SnapError::Value`]`("what")`.
+///
+/// A generic container names its parameters with one bound each
+/// (`Store<W: Storage> { .. }`); every parameter must itself be [`Snap`].
+///
+/// ```
+/// use turbine_types::{snap_enum, snap_struct, Snap, SnapReader, SnapWriter};
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Shape {
+///     Point,
+///     Circle(u64),
+///     Rect { w: u64, h: u64 },
+/// }
+/// snap_enum!(Shape { 0 => Point, 1 => Circle(radius), 2 => Rect { w, h } });
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Canvas {
+///     shapes: Vec<Shape>,
+///     zoom: f64,
+///     /// A cache: rebuilt, never stored.
+///     count: usize,
+/// }
+/// snap_struct!(Canvas { shapes: Vec<Shape>, zoom }
+///     derived { count: shapes.len() }
+///     check |c| c.zoom > 0.0 => "Canvas.zoom not positive");
+///
+/// let canvas = Canvas { shapes: vec![Shape::Circle(3), Shape::Point], zoom: 2.0, count: 2 };
+/// let mut w = SnapWriter::new();
+/// w.put(&canvas);
+/// let bytes = w.into_bytes();
+/// assert_eq!(bytes.len(), 8 + (1 + 8) + 1 + 8);
+/// assert_eq!(SnapReader::new(&bytes).get::<Canvas>(), Ok(canvas));
+/// ```
+///
+/// A field in neither the list nor `derived` is a compile error:
+///
+/// ```compile_fail
+/// struct Host { id: u64, healthy: bool, load: f64 }
+/// turbine_types::snap_struct!(Host { id, healthy });
+/// ```
+#[macro_export]
+macro_rules! snap_struct {
+    (
+        $ty:ident $(<$($g:ident: $bound:path),+>)? { $($field:ident $(: $fty:ty)?),* $(,)? }
+        $(derived { $($derived:ident : $rebuild:expr),* $(,)? })?
+        $(check |$v:ident| $ok:expr => $what:literal)*
+    ) => {
+        impl $(<$($g: $bound + $crate::Snap),+>)? $crate::Snap for $ty $(<$($g),+>)? {
+            fn snap(&self, w: &mut $crate::SnapWriter) {
+                let $ty { $($field,)* $($($derived: _,)*)? } = self;
+                $(w.put($field);)*
+            }
+            fn unsnap(r: &mut $crate::SnapReader<'_>) -> Result<Self, $crate::SnapError> {
+                $(let $field $(: $fty)? = r.get()?;)*
+                $($(let $derived = $rebuild;)*)?
+                let value = $ty { $($field,)* $($($derived,)*)? };
+                $(
+                    let $v = &value;
+                    if !($ok) {
+                        return Err($crate::SnapError::Value($what));
+                    }
+                )*
+                Ok(value)
+            }
+        }
+    };
+    // A tuple struct: the names are only binders.
+    ($ty:ident ( $($t:ident),+ $(,)? )) => {
+        impl $crate::Snap for $ty {
+            fn snap(&self, w: &mut $crate::SnapWriter) {
+                let $ty($($t),+) = self;
+                $(w.put($t);)+
+            }
+            fn unsnap(r: &mut $crate::SnapReader<'_>) -> Result<Self, $crate::SnapError> {
+                $(let $t = r.get()?;)+
+                Ok($ty($($t),+))
+            }
+        }
+    };
+}
+
+/// Implement [`Snap`] for an enum from **one** `tag => Variant` table: one
+/// tag byte, then the variant's fields in the order listed. Unit, tuple
+/// (`Variant(a, b)`, the names are only binders) and struct
+/// (`Variant { a, b }`) variants are all covered; see [`snap_struct!`] for
+/// a worked example.
+///
+/// Tags are written out, never inferred from declaration order, so
+/// reordering the enum's variants cannot change a blob. The encoder's
+/// `match` is exhaustive — a variant the table does not name is a compile
+/// error — and an unknown tag decodes to [`SnapError::Tag`] with the
+/// enum's name.
+///
+/// ```compile_fail
+/// enum Light { Red, Amber, Green }
+/// turbine_types::snap_enum!(Light { 0 => Red, 1 => Green });
+/// ```
+///
+/// Two variants cannot share a tag:
+///
+/// ```compile_fail
+/// enum Light { Red, Green }
+/// turbine_types::snap_enum!(Light { 0 => Red, 0 => Green });
+/// ```
+#[macro_export]
+macro_rules! snap_enum {
+    ($ty:ident { $(
+        $tag:literal => $variant:ident
+            $(( $($t:ident),+ $(,)? ))?
+            $({ $($f:ident),+ $(,)? })?
+    ),+ $(,)? }) => {
+        impl $crate::Snap for $ty {
+            fn snap(&self, w: &mut $crate::SnapWriter) {
+                match self {$(
+                    $ty::$variant $(( $($t),+ ))? $({ $($f),+ })? => {
+                        w.u8($tag);
+                        $($(w.put($t);)+)?
+                        $($(w.put($f);)+)?
+                    }
+                )+}
+            }
+            #[deny(unreachable_patterns)]
+            fn unsnap(r: &mut $crate::SnapReader<'_>) -> Result<Self, $crate::SnapError> {
+                match r.u8(stringify!($ty))? {
+                    $($tag => {
+                        $($(let $t = r.get()?;)+)?
+                        $($(let $f = r.get()?;)+)?
+                        Ok($ty::$variant $(( $($t),+ ))? $({ $($f),+ })?)
+                    })+
+                    tag => Err($crate::SnapError::Tag(stringify!($ty), u64::from(tag))),
+                }
+            }
+        }
+    };
 }
 
 impl Snap for u8 {
@@ -310,11 +494,31 @@ impl<T: Snap> Snap for Vec<T> {
     }
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let len = r.len_prefix("vec length")?;
-        let mut out = Vec::with_capacity(len);
+        let mut out = Vec::with_capacity(r.prealloc::<T>(len));
         for _ in 0..len {
             out.push(T::unsnap(r)?);
         }
         Ok(out)
+    }
+}
+
+/// A fixed-size array is its elements in order, with no length prefix.
+impl<T: Snap, const N: usize> Snap for [T; N] {
+    fn snap(&self, w: &mut SnapWriter) {
+        for item in self {
+            item.snap(w);
+        }
+    }
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let mut failed = None;
+        let items: [Option<T>; N] = std::array::from_fn(|_| match failed {
+            None => T::unsnap(r).map_err(|e| failed = Some(e)).ok(),
+            Some(_) => None,
+        });
+        match failed {
+            Some(e) => Err(e),
+            None => Ok(items.map(|item| item.expect("decoded without an error"))),
+        }
     }
 }
 
@@ -327,7 +531,7 @@ impl<T: Snap> Snap for VecDeque<T> {
     }
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let len = r.len_prefix("deque length")?;
-        let mut out = VecDeque::with_capacity(len);
+        let mut out = VecDeque::with_capacity(r.prealloc::<T>(len));
         for _ in 0..len {
             out.push_back(T::unsnap(r)?);
         }
@@ -346,6 +550,30 @@ impl<K: Snap + Ord, V: Snap> Snap for BTreeMap<K, V> {
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let len = r.len_prefix("map length")?;
         let mut out = BTreeMap::new();
+        for _ in 0..len {
+            let k = K::unsnap(r)?;
+            let v = V::unsnap(r)?;
+            out.insert(k, v);
+        }
+        Ok(out)
+    }
+}
+
+/// Written as a [`BTreeMap`] of the same pairs: sorted by key, so equal
+/// maps give equal bytes whatever their iteration order.
+impl<K: Snap + Ord + Hash + Eq, V: Snap, S: BuildHasher + Default> Snap for HashMap<K, V, S> {
+    fn snap(&self, w: &mut SnapWriter) {
+        let mut pairs: Vec<(&K, &V)> = self.iter().collect();
+        pairs.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        w.u64(pairs.len() as u64);
+        for (k, v) in pairs {
+            k.snap(w);
+            v.snap(w);
+        }
+    }
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let len = r.len_prefix("map length")?;
+        let mut out = HashMap::with_capacity_and_hasher(r.prealloc::<(K, V)>(len), S::default());
         for _ in 0..len {
             let k = K::unsnap(r)?;
             let v = V::unsnap(r)?;
@@ -405,89 +633,21 @@ impl<A: Snap, B: Snap, C: Snap, D: Snap> Snap for (A, B, C, D) {
     }
 }
 
-impl Snap for crate::SimTime {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u64(self.as_millis());
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(crate::SimTime::from_millis(r.u64("SimTime")?))
-    }
-}
+use crate::{ContainerId, HostId, JobId, PartitionId, Priority, Resources, ShardId, TaskId};
 
-impl Snap for crate::Duration {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u64(self.as_millis());
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(crate::Duration::from_millis(r.u64("Duration")?))
-    }
-}
-
-macro_rules! snap_raw_id {
-    ($($id:ident),*) => {$(
-        impl Snap for crate::$id {
-            fn snap(&self, w: &mut SnapWriter) {
-                w.u64(self.0);
-            }
-            fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-                Ok(crate::$id(r.u64(stringify!($id))?))
-            }
-        }
-    )*};
-}
-
-snap_raw_id!(JobId, ShardId, ContainerId, HostId, PartitionId);
-
-impl Snap for crate::TaskId {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.u64(self.job.0);
-        w.u32(self.index);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(crate::TaskId {
-            job: crate::JobId(r.u64("TaskId.job")?),
-            index: r.u32("TaskId.index")?,
-        })
-    }
-}
-
-impl Snap for crate::Priority {
-    fn snap(&self, w: &mut SnapWriter) {
-        let tag = match self {
-            crate::Priority::Low => 0u8,
-            crate::Priority::Normal => 1,
-            crate::Priority::High => 2,
-            crate::Priority::Privileged => 3,
-        };
-        w.u8(tag);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.u8("Priority")? {
-            0 => Ok(crate::Priority::Low),
-            1 => Ok(crate::Priority::Normal),
-            2 => Ok(crate::Priority::High),
-            3 => Ok(crate::Priority::Privileged),
-            tag => Err(SnapError::Tag("Priority", tag as u64)),
-        }
-    }
-}
-
-impl Snap for crate::Resources {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put(&self.cpu);
-        w.put(&self.memory_mb);
-        w.put(&self.disk_mb);
-        w.put(&self.network_mbps);
-    }
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(crate::Resources {
-            cpu: r.get()?,
-            memory_mb: r.get()?,
-            disk_mb: r.get()?,
-            network_mbps: r.get()?,
-        })
-    }
-}
+snap_struct!(JobId(raw));
+snap_struct!(ShardId(raw));
+snap_struct!(ContainerId(raw));
+snap_struct!(HostId(raw));
+snap_struct!(PartitionId(raw));
+snap_struct!(TaskId { job, index });
+snap_enum!(Priority { 0 => Low, 1 => Normal, 2 => High, 3 => Privileged });
+snap_struct!(Resources {
+    cpu,
+    memory_mb,
+    disk_mb,
+    network_mbps
+});
 
 #[cfg(test)]
 mod tests {

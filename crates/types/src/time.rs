@@ -13,6 +13,8 @@ use std::ops::{Add, AddAssign, Sub};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Duration(u64);
 
+crate::snap_struct!(Duration(millis));
+
 impl Duration {
     /// Zero-length span.
     pub const ZERO: Duration = Duration(0);
@@ -106,6 +108,8 @@ impl fmt::Display for Duration {
 /// An instant on the simulated clock (milliseconds since simulation start).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
+
+crate::snap_struct!(SimTime(millis));
 
 impl SimTime {
     /// The simulation epoch.

@@ -214,79 +214,24 @@ impl TrafficModel {
     }
 }
 
-impl turbine_types::Snap for TrafficEventKind {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        match self {
-            TrafficEventKind::Multiplier(m) => {
-                w.u8(0);
-                w.put(m);
-            }
-            TrafficEventKind::RampedMultiplier { peak, ramp_mins } => {
-                w.u8(1);
-                w.put(peak);
-                w.u64(*ramp_mins);
-            }
-            TrafficEventKind::ConsumerDisabled => w.u8(2),
-            TrafficEventKind::InputOutage => w.u8(3),
-        }
-    }
+turbine_types::snap_enum!(TrafficEventKind {
+    0 => Multiplier(factor),
+    1 => RampedMultiplier { peak, ramp_mins },
+    2 => ConsumerDisabled,
+    3 => InputOutage,
+});
 
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        match r.u8("TrafficEventKind.tag")? {
-            0 => Ok(TrafficEventKind::Multiplier(r.get()?)),
-            1 => Ok(TrafficEventKind::RampedMultiplier {
-                peak: r.get()?,
-                ramp_mins: r.u64("TrafficEventKind.ramp_mins")?,
-            }),
-            2 => Ok(TrafficEventKind::ConsumerDisabled),
-            3 => Ok(TrafficEventKind::InputOutage),
-            tag => Err(turbine_types::SnapError::Tag(
-                "TrafficEventKind",
-                tag as u64,
-            )),
-        }
-    }
-}
+turbine_types::snap_struct!(TrafficEvent { start, end, kind });
 
-impl turbine_types::Snap for TrafficEvent {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        w.put(&self.start);
-        w.put(&self.end);
-        w.put(&self.kind);
-    }
-
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        Ok(TrafficEvent {
-            start: r.get()?,
-            end: r.get()?,
-            kind: r.get()?,
-        })
-    }
-}
-
-impl turbine_types::Snap for TrafficModel {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        w.put(&self.base_rate);
-        w.put(&self.diurnal_fraction);
-        w.put(&self.peak_time_of_day);
-        w.put(&self.noise_sigma);
-        w.put(&self.growth_per_day);
-        w.put(&self.events);
-        w.u64(self.seed);
-    }
-
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        Ok(TrafficModel {
-            base_rate: r.get()?,
-            diurnal_fraction: r.get()?,
-            peak_time_of_day: r.get()?,
-            noise_sigma: r.get()?,
-            growth_per_day: r.get()?,
-            events: r.get()?,
-            seed: r.u64("TrafficModel.seed")?,
-        })
-    }
-}
+turbine_types::snap_struct!(TrafficModel {
+    base_rate,
+    diurnal_fraction,
+    peak_time_of_day,
+    noise_sigma,
+    growth_per_day,
+    events,
+    seed
+});
 
 #[cfg(test)]
 mod tests {
