@@ -26,7 +26,7 @@ pub fn snapshot_scenario(
     scenario: &Scenario,
     scenario_text: &str,
     at_mins: u64,
-) -> Result<(Snapshot, String), String> {
+) -> Result<(Snapshot<'static>, String), String> {
     let total = scenario.total_mins();
     if at_mins == 0 || at_mins >= total {
         return Err(format!(

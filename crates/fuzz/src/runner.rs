@@ -228,7 +228,7 @@ pub struct Checkpoint {
     /// Full-history trace digest at the edge.
     pub trace_digest: u64,
     /// Whole-platform snapshot to restore the run from this edge.
-    pub snapshot: Snapshot,
+    pub snapshot: Snapshot<'static>,
 }
 
 /// A drive plus the periodic auto-snapshots recorded along the way.

@@ -4,12 +4,14 @@
 //! arenas and dirty sets, Scribe partitions/checkpoints/shadow cursors,
 //! Job Store and WAL, shard map and standby registry, the control event
 //! queue, fault injector, RNG streams, trace ring, and the ODS registry —
-//! as one deterministic byte stream, split into fixed-size chunks keyed by
-//! their FNV-1a digest. Identical chunks are stored once (consecutive
-//! snapshots of a mostly-idle fleet share most of their bytes), and every
-//! restore re-verifies each chunk against its digest, so a flipped bit
-//! anywhere in a blob is a clean [`SnapError::Corrupt`] — never a panic
-//! and never a silently wrong simulation.
+//! as one deterministic byte stream, held whole, plus a manifest of the
+//! FNV-1a digests of its fixed-size chunks in stream order. A captured
+//! snapshot owns its stream; one read back with [`Snapshot::from_bytes`]
+//! borrows it from the blob, so a restore decodes the bytes where they
+//! lie. Every restore re-verifies each chunk against its digest, so a
+//! flipped bit anywhere in a blob is a clean [`SnapError::Corrupt`] naming
+//! the chunk — never a panic and never a silently wrong simulation — and
+//! two snapshots compare manifests to find the chunks they share.
 //!
 //! The contract that makes snapshots useful for divergence bisection:
 //! restore-then-drive is bit-for-bit identical (platform fingerprint,
@@ -18,7 +20,8 @@
 //! restore-divergence, which turns hidden-state bugs into mechanically
 //! findable ones.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::collections::BTreeSet;
 use turbine::Turbine;
 use turbine_types::{Fnv1a, SnapError, SnapReader, SnapWriter};
 
@@ -33,12 +36,16 @@ pub const SNAP_MAGIC: [u8; 8] = *b"TRBNSNAP";
 /// (`tests/golden/snap_format.txt` pins the bytes); version 4 writes a
 /// `TimeSeries` as memory holds it — regular time stretches and value
 /// runs, not a `(time, value)` pair per sample — and validates it on the
-/// way back in.
-pub const SNAP_VERSION: u32 = 4;
+/// way back in; version 5 stores the platform stream whole, as one
+/// length-prefixed byte string after the manifest, not as a digest-keyed
+/// map of chunks.
+pub const SNAP_VERSION: u32 = 5;
 
-/// Chunk size of the content-addressed store. Small enough that an idle
-/// region of the platform dedupes across consecutive captures, large
-/// enough that the manifest stays a few hundred entries per snapshot.
+/// Chunk size of the manifest: one digest per 4 KiB of stream, verified
+/// on every restore and compared across snapshots. Small enough that an
+/// unchanged region of the platform matches across consecutive captures,
+/// large enough that the manifest stays a few hundred entries per
+/// snapshot. Since v5 chunks are not stored apart: the stream is kept whole.
 pub const CHUNK_SIZE: usize = 4096;
 
 /// FNV-1a over a byte slice — the chunk content address.
@@ -68,23 +75,22 @@ turbine_types::snap_struct!(SnapshotMeta {
     at_mins
 });
 
-/// A complete platform snapshot: manifest of chunk digests plus the
-/// deduplicated chunk store.
+/// A complete platform snapshot: the platform stream, owned after a
+/// capture and borrowed from the blob after [`Snapshot::from_bytes`], and
+/// the digest of each of its chunks.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Snapshot {
+pub struct Snapshot<'a> {
     /// Capture-time context (scenario text, capture minute).
     pub meta: SnapshotMeta,
-    /// Chunk digests in stream order — the recipe for reassembly.
+    /// FNV-1a of each [`CHUNK_SIZE`] chunk of `stream`, in stream order.
     manifest: Vec<u64>,
-    /// Total platform-stream length; the final chunk is usually short.
-    total_len: u64,
-    /// Content-addressed chunks: digest → bytes, stored once each.
-    chunks: BTreeMap<u64, Vec<u8>>,
+    /// The encoded platform.
+    stream: Cow<'a, [u8]>,
 }
 
-impl Snapshot {
+impl Snapshot<'static> {
     /// Capture the complete platform state.
-    pub fn capture(platform: &Turbine) -> Snapshot {
+    pub fn capture(platform: &Turbine) -> Self {
         Self::capture_with_meta(
             platform,
             SnapshotMeta {
@@ -96,70 +102,41 @@ impl Snapshot {
     }
 
     /// Capture with explicit capture-time context (scenario runners).
-    pub fn capture_with_meta(platform: &Turbine, meta: SnapshotMeta) -> Snapshot {
+    pub fn capture_with_meta(platform: &Turbine, meta: SnapshotMeta) -> Self {
         let mut w = SnapWriter::new();
         w.put(platform);
-        Self::from_stream(meta, &w.into_bytes())
+        let mut stream = w.into_bytes();
+        // A snapshot that is kept (the fuzz harness keeps eight a run)
+        // would otherwise hold on to the writer's doubling slack.
+        stream.shrink_to_fit();
+        Snapshot::from_stream(meta, Cow::Owned(stream))
     }
+}
 
-    /// Split an encoded platform stream into content-addressed chunks.
-    fn from_stream(meta: SnapshotMeta, stream: &[u8]) -> Snapshot {
-        let mut manifest = Vec::with_capacity(stream.len().div_ceil(CHUNK_SIZE));
-        let mut chunks = BTreeMap::new();
-        for chunk in stream.chunks(CHUNK_SIZE) {
-            let digest = fnv1a(chunk);
-            manifest.push(digest);
-            chunks.entry(digest).or_insert_with(|| chunk.to_vec());
-        }
+impl<'a> Snapshot<'a> {
+    /// Hash the manifest of an encoded platform stream.
+    fn from_stream(meta: SnapshotMeta, stream: Cow<'a, [u8]>) -> Self {
+        let manifest = stream.chunks(CHUNK_SIZE).map(fnv1a).collect();
         Snapshot {
             meta,
             manifest,
-            total_len: stream.len() as u64,
-            chunks,
+            stream,
         }
     }
 
-    /// Reassemble and verify the platform stream: every chunk is
-    /// re-hashed against its manifest digest before use.
-    fn verified_stream(&self) -> Result<Vec<u8>, SnapError> {
-        // `total_len` comes straight from the blob and no chunk hash covers
-        // it: it sizes nothing until it agrees with the manifest, whose
-        // every chunk is full but the last (an empty stream has none).
-        let chunks = self.manifest.len() as u64;
-        let most = chunks.saturating_mul(CHUNK_SIZE as u64);
-        if self.total_len > most || most - self.total_len >= CHUNK_SIZE as u64 {
-            return Err(SnapError::Corrupt(format!(
-                "stream length {} does not fit a manifest of {chunks} chunks",
-                self.total_len
-            )));
-        }
-        let mut stream = Vec::with_capacity(self.total_len as usize);
-        for (i, &digest) in self.manifest.iter().enumerate() {
-            let chunk = self.chunks.get(&digest).ok_or_else(|| {
-                SnapError::Corrupt(format!("manifest chunk {i} ({digest:#018x}) missing"))
-            })?;
+    /// Restore the platform. Every chunk is re-hashed against its manifest
+    /// digest, then the stream is decoded in place; any corruption or
+    /// truncation is a clean error.
+    pub fn restore(&self) -> Result<Turbine, SnapError> {
+        let chunks = self.stream.chunks(CHUNK_SIZE).zip(&self.manifest);
+        for (i, (chunk, &digest)) in chunks.enumerate() {
             if fnv1a(chunk) != digest {
                 return Err(SnapError::Corrupt(format!(
                     "chunk {i} content does not match digest {digest:#018x}"
                 )));
             }
-            stream.extend_from_slice(chunk);
         }
-        if stream.len() as u64 != self.total_len {
-            return Err(SnapError::Corrupt(format!(
-                "reassembled stream is {} bytes, manifest says {}",
-                stream.len(),
-                self.total_len
-            )));
-        }
-        Ok(stream)
-    }
-
-    /// Restore the platform. Verifies every chunk digest, then decodes;
-    /// any corruption or truncation is a clean error.
-    pub fn restore(&self) -> Result<Turbine, SnapError> {
-        let stream = self.verified_stream()?;
-        let mut r = SnapReader::new(&stream);
+        let mut r = SnapReader::new(&self.stream);
         let platform: Turbine = r.get()?;
         r.expect_end()?;
         Ok(platform)
@@ -170,33 +147,39 @@ impl Snapshot {
         self.manifest.len()
     }
 
-    /// Number of distinct stored chunks (≤ [`Self::chunk_count`]; the
-    /// difference is intra-snapshot dedup).
+    /// Number of distinct chunk digests (≤ [`Self::chunk_count`]; the
+    /// difference is chunks that repeat within the stream).
     pub fn unique_chunk_count(&self) -> usize {
-        self.chunks.len()
+        self.digests().len()
+    }
+
+    /// The distinct chunk digests of the manifest.
+    fn digests(&self) -> BTreeSet<u64> {
+        self.manifest.iter().copied().collect()
     }
 
     /// Total platform-stream bytes this snapshot represents.
     pub fn stream_len(&self) -> u64 {
-        self.total_len
+        self.stream.len() as u64
     }
 
     /// Serialize to the on-disk blob format (magic, version, meta,
-    /// manifest, chunk store).
+    /// manifest, stream), allocating the blob once.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
         w.bytes(&SNAP_MAGIC);
         w.u32(SNAP_VERSION);
         w.put(&self.meta);
         w.put(&self.manifest);
-        w.u64(self.total_len);
-        w.put(&self.chunks);
+        w.reserve(8 + self.stream.len());
+        w.bytes(&self.stream);
         w.into_bytes()
     }
 
-    /// Deserialize a blob, validating magic and version. Chunk digests are
+    /// Read a blob, validating magic, version and the manifest's length;
+    /// the stream is borrowed from `data`, not copied. Chunk digests are
     /// verified later, at [`Self::restore`] time.
-    pub fn from_bytes(data: &[u8]) -> Result<Snapshot, SnapError> {
+    pub fn from_bytes(data: &'a [u8]) -> Result<Self, SnapError> {
         let mut r = SnapReader::new(data);
         let magic = r.bytes("Snapshot.magic")?;
         if magic != SNAP_MAGIC {
@@ -211,14 +194,23 @@ impl Snapshot {
                 supported: SNAP_VERSION,
             });
         }
-        let snapshot = Snapshot {
-            meta: r.get()?,
-            manifest: r.get()?,
-            total_len: r.u64("Snapshot.total_len")?,
-            chunks: r.get()?,
-        };
+        let meta = r.get()?;
+        let manifest: Vec<u64> = r.get()?;
+        let stream = r.bytes("Snapshot.stream")?;
         r.expect_end()?;
-        Ok(snapshot)
+        let chunks = stream.len().div_ceil(CHUNK_SIZE);
+        if manifest.len() != chunks {
+            return Err(SnapError::Corrupt(format!(
+                "a {} B stream is {chunks} chunks, the manifest lists {}",
+                stream.len(),
+                manifest.len()
+            )));
+        }
+        Ok(Snapshot {
+            meta,
+            manifest,
+            stream: Cow::Borrowed(stream),
+        })
     }
 }
 
@@ -233,9 +225,9 @@ pub fn field_bytes(platform: &Turbine) -> Vec<(&'static str, usize)> {
 
 /// How many chunks two snapshots share — the cross-snapshot dedup a
 /// periodic capture cadence gets for free. Counts distinct digests
-/// present in both stores.
-pub fn shared_chunks(a: &Snapshot, b: &Snapshot) -> usize {
-    a.chunks.keys().filter(|d| b.chunks.contains_key(d)).count()
+/// present in both manifests.
+pub fn shared_chunks(a: &Snapshot<'_>, b: &Snapshot<'_>) -> usize {
+    a.digests().intersection(&b.digests()).count()
 }
 
 #[cfg(test)]
@@ -269,7 +261,7 @@ mod tests {
         // Byte-identical re-capture: nothing was lost or reordered.
         let again = Snapshot::capture(&restored);
         assert_eq!(snap.manifest, again.manifest);
-        assert_eq!(snap.total_len, again.total_len);
+        assert_eq!(snap.stream, again.stream);
         assert_eq!(t.fingerprint(), restored.fingerprint());
     }
 
@@ -281,7 +273,9 @@ mod tests {
         let back = Snapshot::from_bytes(&blob).expect("parse");
         assert_eq!(snap, back);
         assert!(back.unique_chunk_count() <= back.chunk_count());
-        assert_eq!(back.restore().expect("restore").now(), t.now());
+        let restored = back.restore().expect("restore");
+        assert_eq!(restored.now(), t.now());
+        assert_eq!(Snapshot::capture(&restored).to_bytes(), blob);
     }
 
     #[test]
@@ -312,7 +306,7 @@ mod tests {
         let t = small_platform();
         let snap = Snapshot::capture(&t);
         let mut blob = snap.to_bytes();
-        // Flip one bit in the middle of the chunk store.
+        // Flip one bit in the middle of the stream.
         let target = blob.len() / 2;
         blob[target] ^= 0x10;
         // Either the container fails to parse or the chunk digest check
@@ -339,7 +333,7 @@ mod tests {
         // Length-prefixed magic, then the version field.
         let at = 8 + SNAP_MAGIC.len();
         assert_eq!(blob[at..at + 4], SNAP_VERSION.to_le_bytes());
-        for older in [1u32, 2, 3] {
+        for older in [1u32, 2, 3, 4] {
             blob[at..at + 4].copy_from_slice(&older.to_le_bytes());
             assert_eq!(
                 Snapshot::from_bytes(&blob),
@@ -410,35 +404,78 @@ mod tests {
 
     #[test]
     fn a_lying_stream_length_is_corrupt_before_it_is_an_allocation() {
-        // An empty platform: no chunk hash covers the blob's `total_len`.
+        // An empty platform: a blob of a few chunks.
         let t = Turbine::new(TurbineConfig::default());
         let snap = Snapshot::capture(&t);
         let blob = snap.to_bytes();
+        let (chunks, len) = (snap.chunk_count(), snap.stream_len());
+        assert!(chunks >= 2);
         // Magic (length-prefixed), version, a scenario-less meta, the
-        // manifest, then the eight bytes in question.
-        let at = (8 + SNAP_MAGIC.len()) + 4 + (8 + 1 + 1) + (8 + 8 * snap.chunk_count());
-        assert_eq!(blob[at..at + 8], snap.stream_len().to_le_bytes());
-        let restore_with = |len: u64| {
+        // manifest, then the stream's length prefix and the stream.
+        let manifest_at = (8 + SNAP_MAGIC.len()) + 4 + (8 + 1 + 1);
+        let at = manifest_at + 8 + 8 * chunks;
+        assert_eq!(blob[at..at + 8], len.to_le_bytes());
+        assert_eq!(blob.len() as u64, at as u64 + 8 + len);
+        let parse = |blob: &[u8]| Snapshot::from_bytes(blob).map(|_| ());
+        assert_eq!(parse(&blob), Ok(()));
+
+        // The length prefix is bounded by the bytes left, and the stream
+        // must end the blob.
+        let with_len = |lie: u64| {
             let mut blob = blob.clone();
-            blob[at..at + 8].copy_from_slice(&len.to_le_bytes());
-            Snapshot::from_bytes(&blob).expect("parse").restore()
+            blob[at..at + 8].copy_from_slice(&lie.to_le_bytes());
+            parse(&blob)
         };
-        assert!(restore_with(snap.stream_len()).is_ok());
-        let full = (snap.chunk_count() * CHUNK_SIZE) as u64;
-        for lie in [u64::MAX, 1 << 40, full + 1, full - CHUNK_SIZE as u64, 0] {
+        for lie in [u64::MAX, 1 << 40, len + 1] {
+            assert_eq!(with_len(lie), Err(SnapError::Eof("Snapshot.stream")));
+        }
+        for lie in [len - CHUNK_SIZE as u64, 0] {
             assert!(
-                matches!(restore_with(lie), Err(SnapError::Corrupt(_))),
-                "total_len {lie}"
+                matches!(with_len(lie), Err(SnapError::Corrupt(_))),
+                "stream length {lie}"
             );
         }
-        // In range but wrong: caught against the reassembled stream.
-        assert!(matches!(restore_with(full), Err(SnapError::Corrupt(_))));
+        let mut trailing = blob.clone();
+        trailing.push(0);
+        assert!(matches!(parse(&trailing), Err(SnapError::Corrupt(_))));
+
+        // The manifest has one digest per chunk, no more and no fewer.
+        let digests = &blob[manifest_at + 8..at];
+        let with_entries = |entries: usize| {
+            let mut lying = blob[..manifest_at].to_vec();
+            lying.extend_from_slice(&(entries as u64).to_le_bytes());
+            for i in 0..entries {
+                lying.extend_from_slice(&digests[(i % chunks) * 8..][..8]);
+            }
+            lying.extend_from_slice(&blob[at..]);
+            parse(&lying)
+        };
+        assert_eq!(with_entries(chunks), Ok(()));
+        for entries in [chunks - 1, chunks + 1] {
+            assert!(
+                matches!(with_entries(entries), Err(SnapError::Corrupt(_))),
+                "{entries} manifest entries"
+            );
+        }
+
+        // A flipped byte mid-stream parses, and restore names its chunk.
+        let mid = len as usize / 2;
+        let mut flipped = blob.clone();
+        flipped[at + 8 + mid] ^= 0x01;
+        let parsed = Snapshot::from_bytes(&flipped).expect("parse");
+        match parsed.restore() {
+            Err(SnapError::Corrupt(detail)) => assert!(
+                detail.starts_with(&format!("chunk {} ", mid / CHUNK_SIZE)),
+                "{detail}"
+            ),
+            other => panic!("a flipped byte restored: {:?}", other.err()),
+        }
     }
 
     #[test]
     fn a_lying_trace_ring_length_runs_off_the_end() {
         let t = small_platform();
-        let stream = Snapshot::capture(&t).verified_stream().expect("stream");
+        let stream = Snapshot::capture(&t).stream.into_owned();
         // The trace ring's length follows its capacity and next id. Claim
         // one event per byte left, the most `len_prefix` lets through:
         // events are ~120 B in memory, so reserving that many would ask
@@ -446,16 +483,18 @@ mod tests {
         let at = offset_of(&t, "trace") + 16;
         let mut lying = stream.clone();
         lying[at..at + 8].copy_from_slice(&((stream.len() - at - 8) as u64).to_le_bytes());
-        let restored = Snapshot::from_stream(SnapshotMeta::default(), &lying).restore();
+        let restored =
+            Snapshot::from_stream(SnapshotMeta::default(), Cow::Borrowed(&lying)).restore();
         assert!(matches!(restored.err(), Some(SnapError::Eof(_))));
     }
 
     #[test]
     fn hostile_snapshot_tables_are_typed_errors() {
         let t = small_platform();
-        let stream = Snapshot::capture(&t).verified_stream().expect("stream");
-        let restore =
-            |stream: &[u8]| Snapshot::from_stream(SnapshotMeta::default(), stream).restore();
+        let stream = Snapshot::capture(&t).stream.into_owned();
+        let restore = |stream: &[u8]| {
+            Snapshot::from_stream(SnapshotMeta::default(), Cow::Borrowed(stream)).restore()
+        };
         assert!(restore(&stream).is_ok());
 
         // The Task Service names an entry the table does not have: its

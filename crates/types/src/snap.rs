@@ -123,6 +123,12 @@ impl SnapWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    /// Make room for exactly `additional` more bytes, so a writer whose
+    /// final length is known grows once rather than by doubling.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve_exact(additional);
+    }
+
     /// Write raw bytes with a length prefix.
     pub fn bytes(&mut self, v: &[u8]) {
         self.u64(v.len() as u64);

@@ -405,7 +405,8 @@ fn blob_meta_carries_scenario_context() {
             at_mins: Some(10),
         },
     );
-    let back = Snapshot::from_bytes(&snap.to_bytes()).expect("parse");
+    let blob = snap.to_bytes();
+    let back = Snapshot::from_bytes(&blob).expect("parse");
     assert_eq!(back.meta.at_mins, Some(10));
     assert_eq!(back.meta.scenario.as_deref(), Some("{\"hosts\": 5}"));
     assert_eq!(observe(&back.restore().expect("restore")), observe(&t));
