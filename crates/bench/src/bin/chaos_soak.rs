@@ -10,8 +10,10 @@
 //! event-driven scheduler from the same seed. The event-driven platform
 //! fingerprint, decision-trace digest AND incident log must match the
 //! dense reference bit-for-bit, the replay must reproduce itself
-//! bit-for-bit, and zero invariants may fire — any miss is a non-zero
-//! exit. This is the determinism gate for the trace and the metrics plane
+//! bit-for-bit, zero invariants may fire, and each of the three runs must
+//! have made at least one full-scan audit of its sparse checks and found
+//! no mismatch — any miss is a non-zero exit. This is the determinism gate
+//! for the trace and the metrics plane
 //! too: both are always on, so there is no unobserved run to compare with.
 //!
 //! On top of the determinism gates the soak enforces the per-tier SLO
@@ -49,6 +51,8 @@ struct SoakOutcome {
     violations: Vec<String>,
     total_violations: u64,
     ticks_checked: u64,
+    audit_rounds: u64,
+    audit_mismatches: u64,
     fingerprint: PlatformFingerprint,
     tier_slo: Vec<TierSlo>,
 }
@@ -76,6 +80,8 @@ fn soak(total: Duration, seed: u64, mode: DriveMode) -> SoakOutcome {
             .collect(),
         total_violations: checker.total_violations(),
         ticks_checked: checker.ticks_checked(),
+        audit_rounds: checker.audit_rounds(),
+        audit_mismatches: checker.audit_mismatches(),
         fingerprint: turbine.fingerprint(),
         tier_slo: tier_slo_table(&turbine),
     }
@@ -152,9 +158,12 @@ fn main() {
         println!("  [{:>9.2} h] {entry}", at.as_hours_f64());
     }
     println!(
-        "## {} fault transitions, {} ticks checked, digest {:#018x}",
+        "## {} fault transitions, {} ticks checked, {} audit_rounds, {} audit_mismatches, \
+         digest {:#018x}",
         first.fault_log.len(),
         first.ticks_checked,
+        first.audit_rounds,
+        first.audit_mismatches,
         first.digest
     );
     println!(
@@ -174,6 +183,25 @@ fn main() {
         println!(
             "[OK] zero invariant violations across {} ticks",
             first.ticks_checked
+        );
+    }
+    let mut audited = true;
+    for (name, run) in [("dense", &dense), ("event", &first), ("replay", &second)] {
+        if run.audit_rounds == 0 || run.audit_mismatches > 0 {
+            audited = false;
+            eprintln!(
+                "AUDIT GATE: {name} run made {} full-scan audits with {} mismatches \
+                 (need at least one audit and none)",
+                run.audit_rounds, run.audit_mismatches
+            );
+        }
+    }
+    if !audited {
+        failed = true;
+    } else {
+        println!(
+            "[OK] sparse checks agree with every full-scan audit ({} per run, 0 mismatches)",
+            first.audit_rounds
         );
     }
     if dense.fingerprint == first.fingerprint

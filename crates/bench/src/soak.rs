@@ -20,6 +20,11 @@ pub struct HostFlap {
     pub recover_at: SimTime,
 }
 
+/// Sparse checks between two full-scan audits: a 30-minute smoke checks
+/// 180 instants, so it audits 11 times. The audit is pure, so its cadence
+/// moves no digest.
+const AUDIT_INTERVAL: u64 = 16;
+
 /// How a soak run is driven.
 pub struct SoakParams {
     /// Total simulated time.
@@ -173,7 +178,10 @@ pub fn run_soak(params: &SoakParams) -> Turbine {
     let mut rng = SimRng::seeded(params.seed);
     let (mut turbine, hosts) = build_platform();
     turbine.install_default_alert_rules();
-    turbine.enable_invariant_checks(InvariantConfig::default());
+    turbine.enable_invariant_checks(InvariantConfig {
+        audit_interval: AUDIT_INTERVAL,
+        ..InvariantConfig::default()
+    });
     // Settle before chaos.
     turbine.drive_for(Duration::from_mins(5).min(params.total), params.mode);
     schedule_faults(&mut turbine, params.total);

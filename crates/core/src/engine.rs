@@ -13,10 +13,15 @@
 //! u32 indices, with an ordered id → slot index on the side. Iteration
 //! order (and therefore every floating-point reduction order in the tick)
 //! is identical to the previous `BTreeMap<TaskId, ActiveTask>` layout.
-//! The engine also keeps sparse-space bookkeeping — a dirty-job set, a
-//! fleet-wide down-task counter, per-job undrained-partition counters, and
-//! per-job durability epochs — so quiescence checks and durability syncs
-//! cost O(jobs touched) instead of O(fleet).
+//! The engine also keeps sparse-space bookkeeping — two changed-job sets,
+//! one per consumer, a fleet-wide down-task counter, per-job
+//! undrained-partition counters, and per-job durability epochs — so
+//! quiescence checks, durability syncs, load reports and invariant checks
+//! cost O(jobs touched) instead of O(fleet). The *dirty* set (usage,
+//! backlog or task set moved; the tick and every mutation mark it) feeds
+//! load reports; the *reshaped* set (task set, placement or partition
+//! slices moved; only mutations mark it) feeds the invariant checker,
+//! which reads nothing a tick writes.
 //!
 //! Idle time is skipped at two granularities. Per job, [`Engine::tick`]
 //! walks only the tasks of *active* jobs: a job whose walk changed nothing
@@ -447,9 +452,14 @@ pub struct Engine {
     tasks: TaskArena,
     /// Tasks currently holding a `down_until` marker (exact counter).
     down_count: usize,
-    /// Jobs whose observable data-plane state (task set, usage, backlog,
-    /// partition ownership) changed since the last [`Engine::take_dirty`].
+    /// Jobs whose task usage, backlog or task set changed since the last
+    /// [`Engine::take_dirty`]: what a load report must re-read.
     dirty: BTreeSet<JobId>,
+    /// Jobs a mutation API touched since the last [`Engine::take_reshaped`]:
+    /// the only way a job's task set, task containers or partition slices
+    /// change. The tick never marks it. Derived — not part of the snapshot;
+    /// a restored engine starts with every job in it.
+    reshaped: BTreeSet<JobId>,
     /// How many times [`Engine::take_dirty`] has drained `dirty`: what the
     /// runtimes' `dirty_mark` hints are compared with, so one increment
     /// clears them all. Derived — not part of the snapshot.
@@ -475,6 +485,7 @@ impl Engine {
     /// next tick may no longer be a no-op, so it is walked again.
     fn touch(&mut self, job: JobId) {
         self.dirty.insert(job);
+        self.reshaped.insert(job);
         self.active.insert(job);
     }
 
@@ -712,14 +723,21 @@ impl Engine {
         }
     }
 
-    /// Drain the set of jobs whose observable data-plane state changed
-    /// since the last call. Consumers (invariant checker, dashboard, load
-    /// reports) fold this into their own pending sets; an empty result
-    /// guarantees every job's task set, usage, and backlog are
+    /// Drain the set of jobs whose usage, backlog or task set changed since
+    /// the last call. Its one consumer is the load-report round; an empty
+    /// result guarantees every job's task set, usage, and backlog are
     /// bit-identical to the last drain.
     pub fn take_dirty(&mut self) -> BTreeSet<JobId> {
         self.dirty_drains += 1;
         std::mem::take(&mut self.dirty)
+    }
+
+    /// Drain the set of jobs a mutation API touched since the last call.
+    /// Its one consumer is the invariant checker: a job left out has the
+    /// same task set, task containers and partition slices as at the last
+    /// drain, whatever the ticks in between did to its usage and backlog.
+    pub fn take_reshaped(&mut self) -> BTreeSet<JobId> {
+        std::mem::take(&mut self.reshaped)
     }
 
     /// Advance the data plane by `dt` (positive). `container_cpu` supplies
@@ -763,6 +781,7 @@ impl Engine {
             down_count,
             dirty,
             dirty_drains,
+            reshaped: _,
             active,
         } = self;
         let mut dirty = DirtyJobs {
@@ -1106,7 +1125,8 @@ snap_struct!(ActiveTask {
 });
 
 // By hand: the task arena is written as ordered (id, task) pairs and
-// rebuilt densely, and the down count and active set are recounted.
+// rebuilt densely, and the down count, active and reshaped sets are
+// recounted.
 impl Snap for Engine {
     fn snap(&self, w: &mut SnapWriter) {
         w.put(&self.jobs);
@@ -1139,11 +1159,14 @@ impl Snap for Engine {
             down_count,
             dirty: r.get()?,
             dirty_drains: 0,
+            reshaped: BTreeSet::new(),
             active: BTreeSet::new(),
         };
-        // Settlements are not captured: walk everything once and let the
-        // first tick re-derive them.
+        // Settlements and reshapes are not captured: walk everything once,
+        // let the first tick re-derive the settlements and the first
+        // invariant check rescan every job.
         engine.active = engine.all_job_ids();
+        engine.reshaped = engine.active.clone();
         Ok(engine)
     }
 }
@@ -1381,6 +1404,55 @@ mod tests {
         // Explicit mutations mark again.
         engine.knock_down_task(specs[0].id, now + dt);
         assert!(engine.take_dirty().contains(&JOB));
+    }
+
+    #[test]
+    fn only_mutations_reshape_a_job() {
+        // 4 MB/s into two 1 MB/s tasks: backlog and usage move every tick.
+        let (mut engine, specs) = engine_with_job(4.0e6, 2);
+        let reshaped = |engine: &mut Engine| engine.take_reshaped().into_iter().collect::<Vec<_>>();
+        assert_eq!(reshaped(&mut engine), [JOB]);
+        let dt = Duration::from_secs(10);
+        let mut now = SimTime::ZERO;
+        for _ in 0..5 {
+            now += dt;
+            engine.tick(now, dt, &caps(64.0), &|_| false);
+            assert!(
+                engine.take_dirty().contains(&JOB),
+                "backlog and usage moved"
+            );
+            assert!(reshaped(&mut engine).is_empty(), "a tick reshapes nothing");
+        }
+        let other = JobId(2);
+        engine.add_job(
+            other,
+            TrafficModel::flat(1.0e6),
+            1.0e6,
+            256.0,
+            4,
+            false,
+            0.0,
+        );
+        assert_eq!(reshaped(&mut engine), [other]);
+        engine.job_mut(JOB).expect("job").partition_weights[0] = 0.0;
+        assert_eq!(reshaped(&mut engine), [JOB]);
+        engine.degrade_task(specs[0].id, 0.5);
+        assert_eq!(reshaped(&mut engine), [JOB]);
+        engine.knock_down_task(specs[0].id, now + dt);
+        assert_eq!(reshaped(&mut engine), [JOB]);
+        // A stale stop from a container that does not own the task is no
+        // mutation.
+        engine.task_stopped(specs[1].id, ContainerId(9));
+        assert!(reshaped(&mut engine).is_empty());
+        engine.task_stopped(specs[1].id, C0);
+        assert_eq!(reshaped(&mut engine), [JOB]);
+        engine.task_started(&specs[1], ContainerId(3), now, dt);
+        assert_eq!(reshaped(&mut engine), [JOB]);
+        engine.remove_job(other);
+        assert_eq!(reshaped(&mut engine), [other]);
+        now += dt;
+        engine.tick(now, dt, &caps(64.0), &|_| false);
+        assert!(reshaped(&mut engine).is_empty());
     }
 
     #[test]

@@ -43,8 +43,12 @@
 //! [`InvariantChecker::check_sparse`] evaluates the same invariants but
 //! scopes each scan to the inputs that actually changed since the last
 //! tick, described by a [`DirtyInput`] the platform assembles from the
-//! engine's dirty-job set, the Job Store changelog, and change flags for
-//! the cluster / distributed / quarantine / standby state. A scope whose
+//! jobs the engine's mutation APIs reshaped
+//! ([`Engine::take_reshaped`]), the jobs the control loops marked, the
+//! Job Store changelog, and change flags for the cluster / distributed /
+//! quarantine / standby state. A tick that only moves a job's backlog
+//! and usage changes nothing the checker reads, so a busy job costs no
+//! per-job work ([`InvariantChecker::jobs_examined`]). A scope whose
 //! inputs did not change keeps its previous violating-key set — since the
 //! scans are pure functions of those inputs, the skipped result is exactly
 //! what a full scan would have produced. The convergence universe
@@ -102,13 +106,13 @@ pub struct Violation {
 }
 
 /// What changed since the last check — the platform assembles this from
-/// the engine dirty set, component change flags, and set diffs. Every
+/// the engine's reshaped jobs, component change flags, and set diffs. Every
 /// flag must be *conservatively* complete: claiming something unchanged
 /// when it changed breaks the sparse/full equivalence (the audit exists
 /// to catch exactly that).
 pub struct DirtyInput<'a> {
-    /// Jobs whose engine state, pause/quarantine/capacity membership, or
-    /// store rows changed since the last check.
+    /// Jobs whose engine task set, pause/quarantine/capacity membership,
+    /// or store rows changed since the last check.
     pub jobs: &'a BTreeSet<JobId>,
     /// Task-manager ownership or the live-container set changed.
     pub distributed_changed: bool,
@@ -219,6 +223,10 @@ pub struct InvariantChecker {
     sparse_checks: u64,
     audit_rounds: u64,
     audit_mismatches: u64,
+    /// Per-job partition scans plus divergence updates, audits aside. A
+    /// cost counter, not state: a restored checker starts from zero and
+    /// rescans every job once. Derived — not part of the snapshot.
+    jobs_examined: u64,
 }
 
 impl InvariantChecker {
@@ -255,6 +263,21 @@ impl InvariantChecker {
     /// from the full-scan oracle.
     pub fn audit_mismatches(&self) -> u64 {
         self.audit_mismatches
+    }
+
+    /// Jobs examined since construction or restore: one per job whose
+    /// partition ownership was scanned, one per job whose divergence was
+    /// re-evaluated. The periodic audit is not counted. On a fleet where
+    /// nothing is reshaped this grows with what changed, not with jobs ×
+    /// checks.
+    pub fn jobs_examined(&self) -> u64 {
+        self.jobs_examined
+    }
+
+    /// Start of `job`'s current divergence episode, if it is in one.
+    #[cfg(test)]
+    pub(crate) fn diverged_since(&self, job: JobId) -> Option<SimTime> {
+        self.diverged_since.get(&job).copied()
     }
 
     /// Evaluate every invariant against one tick's state (full scan).
@@ -296,7 +319,7 @@ impl InvariantChecker {
         let mut rising: Vec<(&'static str, String)> = Vec::new();
 
         // Invariant 1: only jobs whose task/partition state changed. A
-        // removed job is marked dirty by the engine, scans to an empty
+        // removed job is reshaped by the engine, scans to an empty
         // key set, and drops its entry.
         for &job in dirty.jobs {
             self.settle_partition_scope(view, job, &mut rising);
@@ -348,6 +371,7 @@ impl InvariantChecker {
         job: JobId,
         rising: &mut Vec<(&'static str, String)>,
     ) {
+        self.jobs_examined += 1;
         let mut seen = BTreeSet::new();
         let mut fresh = Vec::new();
         scan_partition_ownership(view, job, &mut fresh, &mut seen);
@@ -512,6 +536,7 @@ impl InvariantChecker {
 
     /// Bring one job's divergence-episode bookkeeping up to date.
     fn update_divergence(&mut self, view: &InvariantView<'_>, job: JobId, now: SimTime) {
+        self.jobs_examined += 1;
         let eligible = self.convergence_jobs.contains(&job)
             && !view.syncer.is_quarantined(job)
             && !view.capacity_stopped.contains(&job);
@@ -937,4 +962,6 @@ snap_struct!(InvariantChecker {
     sparse_checks,
     audit_rounds,
     audit_mismatches
+} derived {
+    jobs_examined: 0,
 });

@@ -910,9 +910,10 @@ impl Turbine {
     /// ownership or task set changed, plus every container hosting a task
     /// of a job whose engine state changed. A skipped container's previous
     /// report is still current (`report_load` is a pure overwrite), so the
-    /// Shard Manager sees the same load map either way.
+    /// Shard Manager sees the same load map either way. The engine's dirty
+    /// set is drained in both modes, so it stays bounded.
     pub(crate) fn load_report_round(&mut self) {
-        self.drain_engine_dirty();
+        let jobs = self.engine.take_dirty();
         let engine = &self.engine;
         let usage = |id| {
             engine
@@ -920,7 +921,6 @@ impl Turbine {
                 .map(|t| Resources::cpu_mem(t.cpu_usage, t.memory_usage_mb))
         };
         if self.config.sparse_data_plane {
-            let jobs = std::mem::take(&mut self.load_dirty_jobs);
             let mut containers = std::mem::take(&mut self.load_dirty_containers);
             for job in jobs {
                 for (_, task) in engine.tasks_of_job(job) {

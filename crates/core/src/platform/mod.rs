@@ -19,6 +19,8 @@
 
 mod control_loops;
 mod faults;
+#[cfg(test)]
+mod invariant_tests;
 mod ods;
 mod scheduler;
 
@@ -216,8 +218,9 @@ pub struct PlatformFingerprint {
 /// flag (the safe direction is a wasted rescan, never a missed one).
 #[derive(Debug, Default)]
 pub(crate) struct PendingDirty {
-    /// Jobs whose checker-visible state (engine tasks, pause/stop marks,
-    /// quarantine membership, store rows) may have changed.
+    /// Jobs whose checker-visible state (pause/stop marks, quarantine
+    /// membership, store rows) may have changed. The jobs whose engine
+    /// tasks changed join at the check, from [`Engine::take_reshaped`].
     pub(crate) jobs: BTreeSet<JobId>,
     /// Task-manager ownership or the live-container set may have changed.
     pub(crate) distributed: bool,
@@ -323,11 +326,8 @@ pub struct Turbine {
     /// Continuous invariant checking (enabled for chaos runs).
     pub(crate) invariants: Option<InvariantChecker>,
     /// Change scopes accumulated since the last invariant check (sparse
-    /// data plane).
+    /// data plane). The engine keeps its own: the jobs it reshaped.
     pub(crate) pending_dirty: PendingDirty,
-    /// Jobs whose engine state changed since the last load-report round;
-    /// their containers must re-report shard loads.
-    pub(crate) load_dirty_jobs: BTreeSet<JobId>,
     /// Containers whose ownership or task set changed since the last
     /// load-report round.
     pub(crate) load_dirty_containers: BTreeSet<ContainerId>,
@@ -409,7 +409,6 @@ impl Turbine {
             trace: TraceBuffer::new(config.trace_capacity),
             invariants: None,
             pending_dirty: PendingDirty::all([]),
-            load_dirty_jobs: BTreeSet::new(),
             load_dirty_containers: BTreeSet::new(),
             resiliency_cache: BTreeMap::new(),
             resiliency_cursor: 0,
@@ -850,19 +849,6 @@ impl Turbine {
         self.resiliency_cursor = log_len;
     }
 
-    /// Fold the engine's freshly dirtied jobs into every per-consumer
-    /// pending set. `Engine::take_dirty` is destructive, so each consumer
-    /// (sparse invariant checks, sparse load reports) reads its own
-    /// accumulator instead of the engine's set directly.
-    pub(crate) fn drain_engine_dirty(&mut self) {
-        let fresh = self.engine.take_dirty();
-        if fresh.is_empty() {
-            return;
-        }
-        self.load_dirty_jobs.extend(fresh.iter().copied());
-        self.pending_dirty.jobs.extend(fresh);
-    }
-
     /// Violations recorded so far (empty when checking is disabled).
     pub fn invariant_violations(&self) -> &[Violation] {
         self.invariants
@@ -1046,8 +1032,8 @@ turbine_stream! {
     scaler, capacity, checkpoints, engine, paused, capacity_stopped, state_moves, crash_mtbf,
     rng, root_causer, releases, lag_since, last_diagnosis, severed, categories, shadow,
     outages, container_down_since, fresh_promotions, fresh_revivals, faults, trace,
-    invariants, pending_dirty, load_dirty_jobs, load_dirty_containers, resiliency_cache,
-    resiliency_cursor, sched, last_scaler_drain, ods;
+    invariants, pending_dirty, load_dirty_containers, resiliency_cache, resiliency_cursor,
+    sched, last_scaler_drain, ods;
     // Caches and cost counters: rebuilt or restarted, never stored.
     derived { container_cpu: None, tm_managers_reconciled: 0, standbys_examined: 0 }
 }

@@ -564,14 +564,16 @@ impl Turbine {
     /// Evaluate the continuous invariants over the current state (no-op
     /// unless enabled). Runs at every executed instant in both modes.
     fn check_invariants(&mut self) {
+        // Taken with checking off too, so the engine's set stays bounded.
+        let reshaped = self.engine.take_reshaped();
         let Some(mut checker) = self.invariants.take() else {
             return;
         };
         // Drain the accumulated change scopes before borrowing the world:
         // the sparse check walks only these, the full check ignores them
         // (either way they are consumed, so the set stays bounded).
-        self.drain_engine_dirty();
-        let dirty_jobs = std::mem::take(&mut self.pending_dirty.jobs);
+        let mut dirty_jobs = std::mem::take(&mut self.pending_dirty.jobs);
+        dirty_jobs.extend(reshaped);
         let dirty = crate::invariants::DirtyInput {
             jobs: &dirty_jobs,
             distributed_changed: std::mem::take(&mut self.pending_dirty.distributed),

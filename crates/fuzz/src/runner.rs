@@ -6,7 +6,8 @@
 //! campaign. Four oracles judge the runs:
 //!
 //! 1. **Invariant checker** — the per-tick safety/convergence invariants
-//!    must record zero violations in every mode.
+//!    must record zero violations in every mode, and every full-scan
+//!    audit of the sparse checks must agree with them.
 //! 2. **Mode equivalence** — dense-tick and event-driven fingerprints must
 //!    match bit-for-bit (the PR 3 equivalence contract).
 //! 3. **Replay determinism** — re-running event-driven must reproduce both
@@ -35,6 +36,8 @@ pub struct RunArtifacts {
     pub trace_digest: u64,
     /// Rendered invariant violations (empty on a clean run).
     pub invariant_violations: Vec<String>,
+    /// Disagreements between the sparse checks and their full-scan audits.
+    pub audit_mismatches: u64,
     /// Jobs whose checkpoints were unreadable at the end.
     pub durable_errors: Vec<String>,
 }
@@ -56,6 +59,13 @@ pub enum OracleFailure {
         /// Rendered violations (capped upstream).
         violations: Vec<String>,
     },
+    /// A full-scan audit disagreed with the sparse invariant checks.
+    Audit {
+        /// Which run.
+        mode: &'static str,
+        /// Disagreements counted.
+        mismatches: u64,
+    },
     /// Dense-tick and event-driven fingerprints differ.
     ModeDivergence,
     /// An event-driven replay did not reproduce the first event run.
@@ -75,6 +85,9 @@ impl std::fmt::Display for OracleFailure {
             OracleFailure::Panic { mode, message } => write!(f, "panic[{mode}]: {message}"),
             OracleFailure::Invariant { mode, violations } => {
                 write!(f, "invariant[{mode}]: {}", violations.join("; "))
+            }
+            OracleFailure::Audit { mode, mismatches } => {
+                write!(f, "audit[{mode}]: {mismatches} sparse-vs-full mismatches")
             }
             OracleFailure::ModeDivergence => write!(f, "dense/event fingerprint divergence"),
             OracleFailure::ReplayDivergence => write!(f, "event replay divergence"),
@@ -326,6 +339,9 @@ fn end_of_run_artifacts(turbine: &Turbine, s: &FuzzScenario) -> RunArtifacts {
         fingerprint: turbine.fingerprint(),
         trace_digest: turbine.trace().digest(),
         invariant_violations,
+        audit_mismatches: turbine
+            .invariant_checker()
+            .map_or(0, |c| c.audit_mismatches()),
         durable_errors,
     }
 }
@@ -503,6 +519,12 @@ pub fn run_case(s: &FuzzScenario) -> CaseReport {
                 failures.push(OracleFailure::Invariant {
                     mode,
                     violations: recorded.artifacts.invariant_violations.clone(),
+                });
+            }
+            if recorded.artifacts.audit_mismatches > 0 {
+                failures.push(OracleFailure::Audit {
+                    mode,
+                    mismatches: recorded.artifacts.audit_mismatches,
                 });
             }
             if !recorded.artifacts.durable_errors.is_empty() {

@@ -38,8 +38,10 @@ pub const SNAP_MAGIC: [u8; 8] = *b"TRBNSNAP";
 /// runs, not a `(time, value)` pair per sample — and validates it on the
 /// way back in; version 5 stores the platform stream whole, as one
 /// length-prefixed byte string after the manifest, not as a digest-keyed
-/// map of chunks.
-pub const SNAP_VERSION: u32 = 5;
+/// map of chunks; version 6 drops the platform's load-report copy of the
+/// engine's dirty jobs (the load-report round drains the engine's set
+/// itself).
+pub const SNAP_VERSION: u32 = 6;
 
 /// Chunk size of the manifest: one digest per 4 KiB of stream, verified
 /// on every restore and compared across snapshots. Small enough that an
@@ -333,7 +335,7 @@ mod tests {
         // Length-prefixed magic, then the version field.
         let at = 8 + SNAP_MAGIC.len();
         assert_eq!(blob[at..at + 4], SNAP_VERSION.to_le_bytes());
-        for older in [1u32, 2, 3, 4] {
+        for older in 1..SNAP_VERSION {
             blob[at..at + 4].copy_from_slice(&older.to_le_bytes());
             assert_eq!(
                 Snapshot::from_bytes(&blob),

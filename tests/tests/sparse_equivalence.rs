@@ -1,11 +1,13 @@
 //! Sparse-data-plane equivalence: with `sparse_data_plane` on, syncer
 //! rounds walk only the attention set plus the Job Store changelog delta,
-//! invariant checks walk only dirty scopes, and load reports skip
-//! unchanged containers — yet every observable outcome (fingerprints,
-//! violations, SLO records) must match the full-scan paths bit for bit.
-//! The checker's built-in audit re-runs a full scan every N sparse checks
-//! and counts disagreements; any mismatch means a dirty-marking site is
-//! missing.
+//! invariant checks walk only dirty scopes (per job: the jobs the engine
+//! reshaped plus those the control loops marked, never those a tick only
+//! moved backlog or usage in), and load reports skip unchanged
+//! containers — yet every observable outcome (fingerprints, violations,
+//! SLO records) must match the full-scan paths bit for bit. The checker's
+//! built-in audit re-runs a full scan every N sparse checks and counts
+//! disagreements; any mismatch means a dirty-marking site is missing.
+//! Work counters, not clocks, show the sparse paths' cost follows change.
 
 use proptest::prelude::*;
 use turbine::{Fault, FaultPlan, InvariantConfig, Turbine, TurbineConfig, Violation};
@@ -167,4 +169,61 @@ fn quiescent_sparse_rounds_do_no_per_job_work() {
          converged: sparse examined {s_delta}, full examined {f_delta}"
     );
     assert_eq!(full.fingerprint(), sparse.fingerprint());
+}
+
+/// `jobs` flat-traffic jobs, each busy at every tick, on one host per
+/// job, the scaler off; converged. Returns the checker's work and its
+/// check count over the next 30 minutes, in which nothing intervenes.
+fn busy_window(jobs: u64) -> (u64, u64) {
+    let mut t = Turbine::new(TurbineConfig {
+        scaler_enabled: false,
+        ..TurbineConfig::default()
+    });
+    t.add_hosts(jobs as usize, host());
+    for j in 1..=jobs {
+        t.provision_job(
+            JobId(j),
+            JobConfig::stateless(&format!("busy_{j}"), 2, 8),
+            TrafficModel::flat(1.5e6),
+            1.0e6,
+            256.0,
+        )
+        .expect("provision");
+    }
+    t.enable_invariant_checks(InvariantConfig::default());
+    t.run_for(Duration::from_mins(30));
+    for j in 1..=jobs {
+        let status = t.job_status(JobId(j)).expect("provisioned");
+        assert_eq!(status.running_tasks, 2, "converged");
+    }
+    assert_eq!(t.engine().active_jobs(), jobs as usize, "every job busy");
+    let checker = t.invariant_checker().expect("enabled");
+    let (work, checks) = (checker.jobs_examined(), checker.ticks_checked());
+    t.run_for(Duration::from_mins(30));
+    let checker = t.invariant_checker().expect("enabled");
+    assert_eq!(checker.audit_mismatches(), 0);
+    (
+        checker.jobs_examined() - work,
+        checker.ticks_checked() - checks,
+    )
+}
+
+/// The checker's work is a function of what changed, not of fleet size:
+/// on a converged fleet whose every job moves backlog and usage at every
+/// tick but none is reshaped, four times the jobs cost at most 10 % more
+/// checker work, and less than one job per check. A checker fed the
+/// tick's dirt would examine every busy job at every check (4×).
+#[test]
+fn invariant_work_grows_with_change_not_with_the_fleet() {
+    let (small, small_checks) = busy_window(4);
+    let (large, large_checks) = busy_window(16);
+    assert_eq!(small_checks, large_checks, "both spans check every instant");
+    assert!(
+        large * 10 <= small * 11,
+        "4x the jobs cost {large} examined vs {small}: work grew with the fleet"
+    );
+    assert!(
+        large < large_checks,
+        "{large} jobs examined over {large_checks} checks: not below one per check"
+    );
 }
