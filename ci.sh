@@ -60,6 +60,12 @@ fp_b=$(grep -o '"counters": \[[^]]*\]' BENCH_scale.json)
 [ -n "$fp_a" ] && [ "$fp_a" = "$fp_b" ] \
     || { echo "scale_smoke fingerprint not deterministic: '$fp_a' vs '$fp_b'"; exit 1; }
 echo "scale_smoke fingerprint reproducible: $fp_a"
+# Work, not wall: the full-scan leg sends a report from every container at
+# every round, the sparse leg only from containers whose ownership or task
+# usage moved. A tick that dirtied jobs for backlog alone reads ≈2.5 here.
+awk -F': *|,' '/"load_report_ratio"/ { r = $2 }
+    END { if (r == "" || r < 20) { print "scale_smoke load_report_ratio " r " < 20"; exit 1 }
+          print "scale_smoke load_report_ratio " r " (>= 20)" }' BENCH_scale.json
 
 echo "== sched_soak (event-driven scheduler: same fingerprint, >= 3x fewer ticks) =="
 ./target/release/sched_soak

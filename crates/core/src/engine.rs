@@ -17,11 +17,14 @@
 //! one per consumer, a fleet-wide down-task counter, per-job
 //! undrained-partition counters, and per-job durability epochs — so
 //! quiescence checks, durability syncs, load reports and invariant checks
-//! cost O(jobs touched) instead of O(fleet). The *dirty* set (usage,
-//! backlog or task set moved; the tick and every mutation mark it) feeds
-//! load reports; the *reshaped* set (task set, placement or partition
-//! slices moved; only mutations mark it) feeds the invariant checker,
-//! which reads nothing a tick writes.
+//! cost O(jobs touched) instead of O(fleet). The *dirty* set (task set or
+//! task usage moved; every mutation marks it, and the tick marks it only
+//! where a task's `cpu_usage` or `memory_usage_mb` changed) feeds load
+//! reports, which read nothing else of a job; the *reshaped* set (task
+//! set, placement or partition slices moved; only mutations mark it)
+//! feeds the invariant checker, which reads nothing a tick writes.
+//! Arrivals and consumption mark neither: they move backlog, which no
+//! consumer of either set reads.
 //!
 //! Idle time is skipped at two granularities. Per job, [`Engine::tick`]
 //! walks only the tasks of *active* jobs: a job whose walk changed nothing
@@ -39,6 +42,7 @@
 //! current minute's noise factor of its traffic model.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::{BuildHasher, BuildHasherDefault};
 use turbine_config::MemoryEnforcement;
 use turbine_scribe::{CheckpointStore, Scribe};
 use turbine_taskmgr::TaskSpec;
@@ -300,6 +304,8 @@ impl TaskArena {
 /// The tick's walk of a job that has tasks but no runtime (started before
 /// `add_job`, or left behind by a racing delete): nothing is processed, but
 /// restart markers still expire. Returns whether the walk changed nothing.
+/// Only a zeroed `cpu_usage` dirties the job: an expiring marker moves no
+/// usage.
 fn walk_orphan(
     index: &BTreeMap<TaskId, u32>,
     slots: &mut [Option<ActiveTask>],
@@ -320,7 +326,6 @@ fn walk_orphan(
             }
             Restart::Up { cleared: true } => {
                 *down_count -= 1;
-                dirty.insert(job);
                 quiet = false;
             }
             Restart::Up { cleared: false } => {}
@@ -369,12 +374,19 @@ impl DirtyJobs<'_> {
     }
 }
 
-/// Hasher for the tick's container table. Container ids are dense integers
-/// the platform itself hands out, never outside input, so a multiplicative
-/// hash is safe and the SipHash round per probe is not worth paying three
-/// times per task.
+/// Hasher for container-keyed tables. Container ids are dense integers the
+/// platform itself hands out, never outside input, so a multiplicative
+/// hash is safe and a SipHash round on every probe is not worth paying.
 #[derive(Default)]
-struct IdHasher(u64);
+pub(crate) struct IdHasher(u64);
+
+/// A container-keyed table hashed with [`IdHasher`].
+pub(crate) type ContainerMap<V> = HashMap<ContainerId, V, BuildHasherDefault<IdHasher>>;
+
+/// An empty [`ContainerMap`] with room for `containers` entries.
+pub(crate) fn container_map<V>(containers: usize) -> ContainerMap<V> {
+    HashMap::with_capacity_and_hasher(containers, BuildHasherDefault::default())
+}
 
 impl std::hash::Hasher for IdHasher {
     fn write(&mut self, bytes: &[u8]) {
@@ -396,20 +408,23 @@ impl std::hash::Hasher for IdHasher {
 /// tasks walked, which becomes the contention factor between the passes.
 /// A container gets a dense index the first time a task on it is walked
 /// (the only probe of the caller's map for it), and tasks carry that index
-/// into the second pass. Nothing reads the table in iteration order.
+/// into the second pass. Nothing reads the table in iteration order. The
+/// index starts with room for every healthy container, so a tick does not
+/// grow it probe by probe.
 struct ContainerLoads<'a> {
-    container_cpu: &'a HashMap<ContainerId, f64>,
+    /// The caller's capacity map, `None` for a container not in it.
+    container_cpu: &'a dyn Fn(ContainerId) -> Option<f64>,
     /// `None`: seen, and not a healthy container.
-    index: HashMap<ContainerId, Option<u32>, std::hash::BuildHasherDefault<IdHasher>>,
+    index: ContainerMap<Option<u32>>,
     /// `(capacity, demand or factor)` per healthy container seen.
     loads: Vec<(f64, f64)>,
 }
 
 impl<'a> ContainerLoads<'a> {
-    fn new(container_cpu: &'a HashMap<ContainerId, f64>) -> Self {
+    fn new(container_cpu: &'a dyn Fn(ContainerId) -> Option<f64>, healthy: usize) -> Self {
         ContainerLoads {
             container_cpu,
-            index: HashMap::default(),
+            index: container_map(healthy),
             loads: Vec::new(),
         }
     }
@@ -417,7 +432,7 @@ impl<'a> ContainerLoads<'a> {
     /// The container's index, if it is healthy.
     fn index_of(&mut self, container: ContainerId) -> Option<u32> {
         *self.index.entry(container).or_insert_with(|| {
-            let capacity = *self.container_cpu.get(&container)?;
+            let capacity = (self.container_cpu)(container)?;
             self.loads.push((capacity, 0.0));
             Some((self.loads.len() - 1) as u32)
         })
@@ -452,8 +467,10 @@ pub struct Engine {
     tasks: TaskArena,
     /// Tasks currently holding a `down_until` marker (exact counter).
     down_count: usize,
-    /// Jobs whose task usage, backlog or task set changed since the last
-    /// [`Engine::take_dirty`]: what a load report must re-read.
+    /// Jobs whose task set or task usage (`cpu_usage`, `memory_usage_mb`)
+    /// changed since the last [`Engine::take_dirty`]: what a load report
+    /// must re-read. Mutations mark it; the tick marks it only where it
+    /// rewrote a usage reading, never for arrivals or consumption.
     dirty: BTreeSet<JobId>,
     /// Jobs a mutation API touched since the last [`Engine::take_reshaped`]:
     /// the only way a job's task set, task containers or partition slices
@@ -723,10 +740,11 @@ impl Engine {
         }
     }
 
-    /// Drain the set of jobs whose usage, backlog or task set changed since
+    /// Drain the set of jobs whose task set or task usage changed since
     /// the last call. Its one consumer is the load-report round; an empty
-    /// result guarantees every job's task set, usage, and backlog are
-    /// bit-identical to the last drain.
+    /// result guarantees every job's task set and every task's `cpu_usage`
+    /// and `memory_usage_mb` are bit-identical to the last drain. Backlog
+    /// is not covered: a tick that only moves bytes marks nothing.
     pub fn take_dirty(&mut self) -> BTreeSet<JobId> {
         self.dirty_drains += 1;
         std::mem::take(&mut self.dirty)
@@ -767,11 +785,31 @@ impl Engine {
     /// cursor over the runtimes. Every f64 reduction (per-container demand,
     /// per-task backlog) therefore sees its terms in the order of a full
     /// `TaskId`-ordered walk.
-    pub fn tick(
+    ///
+    /// A job joins the dirty set only where the tick rewrites a task's
+    /// `cpu_usage` or `memory_usage_mb` with a different value (the
+    /// processing, halted, restart and dead-container paths alike). Its
+    /// arrivals and consumption move backlog alone and mark nothing.
+    pub fn tick<S: BuildHasher>(
         &mut self,
         now: SimTime,
         dt: Duration,
-        container_cpu: &HashMap<ContainerId, f64>,
+        container_cpu: &HashMap<ContainerId, f64, S>,
+        paused: &dyn Fn(JobId) -> bool,
+    ) -> TickOutcome {
+        let capacity = |container| container_cpu.get(&container).copied();
+        self.tick_with(now, dt, &capacity, container_cpu.len(), paused)
+    }
+
+    /// [`Engine::tick`] against a capacity lookup over `healthy`
+    /// containers. Not generic, so it is compiled once, beside the helpers
+    /// its per-task loops inline, whatever map type the caller holds.
+    fn tick_with(
+        &mut self,
+        now: SimTime,
+        dt: Duration,
+        container_cpu: &dyn Fn(ContainerId) -> Option<f64>,
+        healthy: usize,
         paused: &dyn Fn(JobId) -> bool,
     ) -> TickOutcome {
         let dt_secs = dt.as_secs_f64();
@@ -804,7 +842,7 @@ impl Engine {
         // with nothing changed (so far)?
         let mut walked: Vec<(JobId, bool)> = Vec::with_capacity(active.len());
         let mut works: Vec<Work> = Vec::new();
-        let mut loads = ContainerLoads::new(container_cpu);
+        let mut loads = ContainerLoads::new(container_cpu, healthy);
         // Settled jobs this tick's inputs re-activate; they join `active`
         // once it is no longer being iterated.
         let mut woken: Vec<JobId> = Vec::new();
@@ -826,6 +864,7 @@ impl Engine {
                 listed.next();
             }
             let rate = rt.traffic.arrival_rate_memo(now, &mut rt.noise);
+            // Did a task's usage reading move in this pass?
             let mut dirtied = false;
             if rate > 0.0 {
                 let amount = rate * dt_secs;
@@ -838,7 +877,6 @@ impl Engine {
                     }
                 }
                 rt.durable_epoch += 1;
-                dirtied = true;
             }
             // Processing halted (paused / consumer disabled) pins memory at
             // the idle floor, so it holds the job as arrivals do.
@@ -863,7 +901,6 @@ impl Engine {
                     }
                     Restart::Up { cleared: true } => {
                         *down_count -= 1;
-                        dirtied = true;
                         quiet = false;
                     }
                     Restart::Up { cleared: false } => {}
@@ -932,10 +969,13 @@ impl Engine {
             let task = slots[work.slot as usize].as_mut().expect("collected above");
             let mut to_process = work.desired * loads.factor(work.load);
             let cpu_usage = to_process / (rt.true_per_thread_rate * dt_secs);
-            let mut changed = false;
+            // `usage_moved` dirties the job; `consumed` only keeps it
+            // awake.
+            let mut usage_moved = false;
+            let mut consumed = false;
             if task.cpu_usage != cpu_usage {
                 task.cpu_usage = cpu_usage;
-                changed = true;
+                usage_moved = true;
             }
             if to_process > 0.0 {
                 // Consume proportionally to per-partition backlog. The
@@ -958,15 +998,15 @@ impl Engine {
                     rt.window_processed += to_process;
                     *rt.window_per_task.entry(work.id).or_default() += to_process;
                     rt.durable_epoch += 1;
-                    changed = true;
+                    consumed = true;
                 }
             }
             let usage = task.footprint_mb(rt);
             if task.memory_usage_mb != usage {
                 task.memory_usage_mb = usage;
-                changed = true;
+                usage_moved = true;
             }
-            if changed {
+            if usage_moved {
                 dirty.mark(job, &mut rt.dirty_mark);
             }
             let oom = task.over_limit(usage);
@@ -974,7 +1014,7 @@ impl Engine {
                 outcome.oom_kills.push(work.id);
                 rt.window_ooms += 1;
             }
-            if changed || oom {
+            if usage_moved || consumed || oom {
                 walked[work.walk as usize].1 = false;
             }
         }
@@ -1394,7 +1434,8 @@ mod tests {
         let dt = Duration::from_secs(10);
         let mut now = SimTime::ZERO;
         now += dt;
-        // First tick clears restart markers: dirty.
+        // First tick: the restarted tasks' memory readings rise from zero
+        // to the idle footprint — dirty.
         engine.tick(now, dt, &caps(64.0), &|_| false);
         assert!(engine.take_dirty().contains(&JOB));
         // Zero-rate traffic, settled usage: subsequent ticks are clean.
@@ -1407,19 +1448,55 @@ mod tests {
     }
 
     #[test]
+    fn backlog_alone_leaves_the_dirty_set_empty() {
+        // 4 MB/s into two 1 MB/s tasks: the backlog grows every tick.
+        let (mut engine, specs) = engine_with_job(4.0e6, 2);
+        let dirty = |engine: &mut Engine| engine.take_dirty().into_iter().collect::<Vec<_>>();
+        assert_eq!(dirty(&mut engine), [JOB], "the task starts");
+        let dt = Duration::from_secs(10);
+        let mut now = SimTime::ZERO;
+        let mut tick = |engine: &mut Engine, cpu: f64| {
+            now += dt;
+            engine.tick(now, dt, &caps(cpu), &|_| false);
+        };
+        tick(&mut engine, 64.0);
+        assert_eq!(dirty(&mut engine), [JOB], "both tasks start processing");
+        for _ in 0..3 {
+            let backlog = engine.job(JOB).expect("job").backlog();
+            tick(&mut engine, 64.0);
+            assert!(engine.job(JOB).expect("job").backlog() > backlog);
+            assert!(dirty(&mut engine).is_empty(), "usage held: not dirty");
+            assert_eq!(engine.active_jobs(), 1, "yet still walked");
+        }
+        // One core for two busy tasks halves each one's usage: no mutation,
+        // and the job is dirty once, then holds again.
+        tick(&mut engine, 1.0);
+        assert_eq!(dirty(&mut engine), [JOB], "contention moved usage");
+        tick(&mut engine, 1.0);
+        assert!(dirty(&mut engine).is_empty());
+        engine.degrade_task(specs[0].id, 0.5);
+        assert_eq!(dirty(&mut engine), [JOB], "a mutation marks it");
+    }
+
+    #[test]
     fn only_mutations_reshape_a_job() {
-        // 4 MB/s into two 1 MB/s tasks: backlog and usage move every tick.
+        // 4 MB/s into two 1 MB/s tasks: the backlog grows every tick, and
+        // usage moves on the first tick only (the tasks start processing at
+        // capacity and stay there). The dirty set follows usage, not
+        // backlog, so it holds the job after the first tick and not after
+        // the others; the reshaped set never does.
         let (mut engine, specs) = engine_with_job(4.0e6, 2);
         let reshaped = |engine: &mut Engine| engine.take_reshaped().into_iter().collect::<Vec<_>>();
         assert_eq!(reshaped(&mut engine), [JOB]);
         let dt = Duration::from_secs(10);
         let mut now = SimTime::ZERO;
-        for _ in 0..5 {
+        for i in 0..5 {
             now += dt;
             engine.tick(now, dt, &caps(64.0), &|_| false);
-            assert!(
+            assert_eq!(
                 engine.take_dirty().contains(&JOB),
-                "backlog and usage moved"
+                i == 0,
+                "dirty exactly when usage moved (tick {i})"
             );
             assert!(reshaped(&mut engine).is_empty(), "a tick reshapes nothing");
         }

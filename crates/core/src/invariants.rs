@@ -144,11 +144,12 @@ pub struct InvariantView<'a> {
     pub paused: &'a BTreeSet<JobId>,
     /// Jobs stopped by the Capacity Manager.
     pub capacity_stopped: &'a BTreeSet<JobId>,
-    /// Containers whose local state is authoritative: healthy host, not
-    /// severed from the Shard Manager, not declared dead. Distributed-state
-    /// invariants (2, 3) only consider these — a crashed host's Task
-    /// Manager legitimately holds stale state until it rejoins.
-    pub live_containers: &'a BTreeSet<ContainerId>,
+    /// Containers whose local state is authoritative, ascending: a Task
+    /// Manager on a healthy host, not severed from the Shard Manager — the
+    /// containers that heartbeat. Distributed-state invariants (2, 3) only
+    /// consider these — a crashed host's Task Manager legitimately holds
+    /// stale state until it rejoins.
+    pub live_containers: &'a [ContainerId],
     /// When the system last became fault-free (`None` while any fault is
     /// active). `Some(SimTime::ZERO)` if no fault was ever injected.
     pub quiet_since: Option<SimTime>,
@@ -657,7 +658,7 @@ fn scan_task_and_shard_ownership(
     let mut task_owner: BTreeMap<TaskId, ContainerId> = BTreeMap::new();
     let mut shard_owner: BTreeMap<ShardId, ContainerId> = BTreeMap::new();
     for (&container, tm) in view.task_managers {
-        if !view.live_containers.contains(&container) {
+        if view.live_containers.binary_search(&container).is_err() {
             continue;
         }
         for (&task, _) in tm.running_tasks() {
@@ -812,7 +813,7 @@ fn scan_promotion_single_owner(
             .filter(|t| t.job == job)
             .collect();
         for (&container, other) in view.task_managers {
-            if container == to || !view.live_containers.contains(&container) {
+            if container == to || view.live_containers.binary_search(&container).is_err() {
                 continue;
             }
             for (&task, _) in other.running_tasks() {

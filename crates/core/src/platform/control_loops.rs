@@ -39,7 +39,10 @@ fn tasks_with_window<'a>(
 }
 
 impl Turbine {
-    /// Heartbeats + proactive reboot of disconnected containers.
+    /// Heartbeats + proactive reboot of disconnected containers. The live
+    /// containers beat in one ordered walk of the Shard Manager's table;
+    /// the list itself is re-derived only when the cluster or a connection
+    /// changed.
     pub(crate) fn heartbeat_round(&mut self) {
         let now = self.now;
         // Proactive reboots first.
@@ -82,29 +85,49 @@ impl Turbine {
             self.load_dirty_containers.insert(container);
             self.handle_task_events(container, &all_events);
         }
-        let containers: Vec<ContainerId> = self.task_managers.keys().copied().collect();
-        for container in containers {
-            if self.cluster.is_container_healthy(container)
-                && !self.severed.contains_key(&container)
-                && self.shard_manager.heartbeat(container, now)
-            {
-                // A container we declared dead (and failed over) came
-                // back. Its shards must already live elsewhere — the
-                // revival is surfaced rather than silently absorbed.
-                let stale_shards = self.shard_manager.shards_of(container).len();
-                self.metrics.container_revivals.incr();
-                self.trace.emit(
-                    now,
-                    TraceData::ContainerRevived {
-                        container,
-                        stale_shards,
-                    },
-                );
-                if self.invariants.is_some() {
-                    self.fresh_revivals.push((container, stale_shards));
-                }
+        self.refresh_live_containers();
+        let live = &self.live_containers.as_ref().expect("refreshed").1;
+        for container in self.shard_manager.heartbeat_all(live, now) {
+            // A container we declared dead (and failed over) came back.
+            // Its shards must already live elsewhere — the revival is
+            // surfaced rather than silently absorbed. A beat moves no
+            // shard, so surfacing the revivals after the whole round sees
+            // what surfacing each after its own beat would.
+            let stale_shards = self.shard_manager.shards_of(container).len();
+            self.metrics.container_revivals.incr();
+            self.trace.emit(
+                now,
+                TraceData::ContainerRevived {
+                    container,
+                    stale_shards,
+                },
+            );
+            if self.invariants.is_some() {
+                self.fresh_revivals.push((container, stale_shards));
             }
         }
+    }
+
+    /// Bring `live_containers` up to date: re-derived only when the
+    /// cluster's generation moved or a connection was severed or restored
+    /// since it was built.
+    pub(crate) fn refresh_live_containers(&mut self) {
+        let generation = self.cluster.generation();
+        if self
+            .live_containers
+            .as_ref()
+            .is_some_and(|&(built_at, _)| built_at == generation)
+        {
+            return;
+        }
+        self.heartbeat_filtered += self.task_managers.len() as u64;
+        let live = self
+            .task_managers
+            .keys()
+            .copied()
+            .filter(|&c| self.cluster.is_container_healthy(c) && !self.severed.contains_key(&c))
+            .collect();
+        self.live_containers = Some((generation, live));
     }
 
     /// Shard Manager fail-over check (piggybacks the heartbeat cadence).
@@ -908,10 +931,13 @@ impl Turbine {
     /// Task Manager load reports to the Shard Manager. In sparse mode only
     /// containers whose reports could have moved re-report: those whose
     /// ownership or task set changed, plus every container hosting a task
-    /// of a job whose engine state changed. A skipped container's previous
-    /// report is still current (`report_load` is a pure overwrite), so the
-    /// Shard Manager sees the same load map either way. The engine's dirty
-    /// set is drained in both modes, so it stays bounded.
+    /// of a job in the engine's dirty set — a job whose task set changed or
+    /// one of whose tasks' `cpu_usage` or `memory_usage_mb` moved, the only
+    /// engine state a report reads. A job whose backlog alone moved is not
+    /// in it. A skipped container's previous report is still current
+    /// (`report_load` is a pure overwrite), so the Shard Manager sees the
+    /// same load map either way. The engine's dirty set is drained in both
+    /// modes, so it stays bounded.
     pub(crate) fn load_report_round(&mut self) {
         let jobs = self.engine.take_dirty();
         let engine = &self.engine;
@@ -1043,10 +1069,13 @@ impl Turbine {
             .task_count
             .record(now, self.engine.total_tasks() as f64);
 
-        // Host utilization bands.
-        let mut per_container: HashMap<ContainerId, Resources> = HashMap::new();
+        // Host utilization bands. Each container's sum is read by key, never
+        // in table order.
+        let mut per_container = crate::engine::container_map(self.cluster.container_count());
         for (_, task) in self.engine.tasks() {
-            *per_container.entry(task.container).or_default() +=
+            *per_container
+                .entry(task.container)
+                .or_insert(Resources::ZERO) +=
                 Resources::cpu_mem(task.cpu_usage, task.memory_usage_mb);
         }
         let mut cpu_samples = Vec::new();

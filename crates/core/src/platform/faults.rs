@@ -18,8 +18,9 @@ impl Turbine {
             .entry(container)
             .or_insert(self.now);
         // Severing shrinks the live-container set the distributed
-        // invariant scope checks against.
+        // invariant scope checks against, and the set that heartbeats.
         self.pending_dirty.distributed = true;
+        self.live_containers = None;
         self.severed.entry(container).or_insert(SeveredState {
             at: self.now,
             rebooted: false,
@@ -35,6 +36,7 @@ impl Turbine {
             return;
         };
         self.pending_dirty.distributed = true;
+        self.live_containers = None;
         self.load_dirty_containers.insert(container);
         if state.rebooted {
             use turbine_shardmgr::ContainerStatus;

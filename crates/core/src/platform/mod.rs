@@ -26,7 +26,7 @@ mod scheduler;
 
 pub use scheduler::{ControlEvent, DriveMode};
 
-use crate::engine::Engine;
+use crate::engine::{ContainerMap, Engine};
 use crate::invariants::{InvariantChecker, InvariantConfig, Violation};
 use crate::metrics::PlatformMetrics;
 use scheduler::ControlSchedule;
@@ -287,7 +287,14 @@ pub struct Turbine {
     /// CPU capacity of every healthy container, as the engine tick takes
     /// it, with the [`Cluster::generation`] it was built at. A derived
     /// cache (not in the snapshot): rebuilt when the generation moves.
-    pub(crate) container_cpu: Option<(u64, HashMap<ContainerId, f64>)>,
+    pub(crate) container_cpu: Option<(u64, ContainerMap<f64>)>,
+    /// The containers that heartbeat and whose local state the invariant
+    /// checker trusts, ascending: a Task Manager, a healthy host, no
+    /// severed connection. Built at the [`Cluster::generation`] it carries
+    /// and dropped whenever a connection is severed or restored; a derived
+    /// cache (not in the snapshot). Task Managers are only ever added in
+    /// [`Turbine::add_hosts`], which moves the generation.
+    pub(crate) live_containers: Option<(u64, Vec<ContainerId>)>,
     pub(crate) paused: BTreeSet<JobId>,
     pub(crate) capacity_stopped: BTreeSet<JobId>,
     /// In-flight state moves for stateful complex syncs: job → completion
@@ -348,6 +355,9 @@ pub struct Turbine {
     /// Standby registrations checked plus placements attempted by the
     /// fail-over check's standby upkeep.
     pub(crate) standbys_examined: u64,
+    /// Containers the heartbeat filter examined while rebuilding
+    /// `live_containers`.
+    pub(crate) heartbeat_filtered: u64,
     /// The control-plane schedule: per-component cadences plus the event
     /// queue the event-driven drive loop runs on.
     pub(crate) sched: ControlSchedule,
@@ -389,6 +399,7 @@ impl Turbine {
             checkpoints: CheckpointStore::new(),
             engine: Engine::new(),
             container_cpu: None,
+            live_containers: None,
             paused: BTreeSet::new(),
             capacity_stopped: BTreeSet::new(),
             state_moves: HashMap::new(),
@@ -414,6 +425,7 @@ impl Turbine {
             resiliency_cursor: 0,
             tm_managers_reconciled: 0,
             standbys_examined: 0,
+            heartbeat_filtered: 0,
             sched: ControlSchedule::new(&config),
             last_scaler_drain: SimTime::ZERO,
             ods: ods::OdsState::default(),
@@ -476,6 +488,15 @@ impl Turbine {
     /// fail-over check.
     pub fn standbys_examined(&self) -> u64 {
         self.standbys_examined
+    }
+
+    /// Containers the heartbeat filter (Task Manager, healthy host,
+    /// connection intact) examined, summed since construction or restore.
+    /// The heartbeat round and the invariant checker share its list, which
+    /// is re-derived over the whole fleet after a cluster mutation or a
+    /// severed or restored connection, and not otherwise.
+    pub fn heartbeat_containers_filtered(&self) -> u64 {
+        self.heartbeat_filtered
     }
 
     /// Jobs currently paused for a complex synchronization.
@@ -1035,7 +1056,13 @@ turbine_stream! {
     invariants, pending_dirty, load_dirty_containers, resiliency_cache, resiliency_cursor,
     sched, last_scaler_drain, ods;
     // Caches and cost counters: rebuilt or restarted, never stored.
-    derived { container_cpu: None, tm_managers_reconciled: 0, standbys_examined: 0 }
+    derived {
+        container_cpu: None,
+        live_containers: None,
+        tm_managers_reconciled: 0,
+        standbys_examined: 0,
+        heartbeat_filtered: 0,
+    }
 }
 
 type TaskManagers = BTreeMap<ContainerId, LocalTaskManager>;

@@ -42,7 +42,7 @@ use crate::invariants::InvariantView;
 use std::collections::BTreeSet;
 use turbine_sim::{EventQueue, Fault, Periodic};
 use turbine_trace::{Component as TraceComponent, TraceData};
-use turbine_types::{ContainerId, Duration, JobId, SimTime};
+use turbine_types::{Duration, JobId, SimTime};
 
 /// A typed control-plane event. Periodic component rounds carry no
 /// payload — the component table maps each variant to its handler —
@@ -502,18 +502,19 @@ impl Turbine {
                 .collect()
         };
         let generation = self.cluster.generation();
-        let container_cpu = match &mut self.container_cpu {
-            Some((built_at, map)) if *built_at == generation => &*map,
-            cache => {
-                let cluster = &self.cluster;
-                let map = cluster
-                    .healthy_containers()
-                    .into_iter()
-                    .filter_map(|c| cluster.container_capacity(c).ok().map(|cap| (c, cap.cpu)))
-                    .collect();
-                &cache.insert((generation, map)).1
-            }
-        };
+        let container_cpu =
+            match &mut self.container_cpu {
+                Some((built_at, map)) if *built_at == generation => &*map,
+                cache => {
+                    let cluster = &self.cluster;
+                    let healthy = cluster.healthy_containers();
+                    let mut map = crate::engine::container_map(healthy.len());
+                    map.extend(healthy.into_iter().filter_map(|c| {
+                        cluster.container_capacity(c).ok().map(|cap| (c, cap.cpu))
+                    }));
+                    &cache.insert((generation, map)).1
+                }
+            };
         let paused = &self.paused;
         let stopped = &self.capacity_stopped;
         let outcome = self
@@ -584,12 +585,8 @@ impl Turbine {
         // Containers whose local state is authoritative: healthy host
         // and an intact Shard Manager connection. A dead or partitioned
         // container legitimately holds stale state until it rejoins.
-        let live_containers: BTreeSet<ContainerId> = self
-            .task_managers
-            .keys()
-            .copied()
-            .filter(|&c| self.cluster.is_container_healthy(c) && !self.severed.contains_key(&c))
-            .collect();
+        self.refresh_live_containers();
+        let live_containers = &self.live_containers.as_ref().expect("refreshed").1;
         let quiet_since = (!self.faults.any_active())
             .then(|| self.faults.last_transition().unwrap_or(SimTime::ZERO));
         let view = InvariantView {
@@ -602,7 +599,7 @@ impl Turbine {
             syncer: &self.syncer,
             paused: &self.paused,
             capacity_stopped: &self.capacity_stopped,
-            live_containers: &live_containers,
+            live_containers,
             quiet_since,
             shadow: &self.shadow,
             fresh_promotions: &self.fresh_promotions,

@@ -50,6 +50,16 @@ struct ContainerEntry {
     status: ContainerStatus,
 }
 
+impl ContainerEntry {
+    /// Record a heartbeat; `true` if it revived a dead container.
+    fn beat(&mut self, now: SimTime) -> bool {
+        let revived = self.status == ContainerStatus::Dead;
+        self.last_heartbeat = now;
+        self.status = ContainerStatus::Alive;
+        revived
+    }
+}
+
 /// The Shard Manager.
 #[derive(Debug)]
 pub struct ShardManager {
@@ -132,14 +142,27 @@ impl ShardManager {
     /// must surface the revival (trace event, invariant check) rather than
     /// let stale ownership resurrect silently.
     pub fn heartbeat(&mut self, id: ContainerId, now: SimTime) -> bool {
-        if let Some(entry) = self.containers.get_mut(&id) {
-            let revived = entry.status == ContainerStatus::Dead;
-            entry.last_heartbeat = now;
-            entry.status = ContainerStatus::Alive;
-            revived
-        } else {
-            false
+        self.containers
+            .get_mut(&id)
+            .is_some_and(|entry| entry.beat(now))
+    }
+
+    /// [`Self::heartbeat`] for every container of `ids` (ascending), in
+    /// one ordered walk of the container table. Returns the containers the
+    /// round revived, ascending; unregistered ids are ignored.
+    pub fn heartbeat_all(&mut self, ids: &[ContainerId], now: SimTime) -> Vec<ContainerId> {
+        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids ascend");
+        let mut revived = Vec::new();
+        let mut entries = self.containers.iter_mut().peekable();
+        for &id in ids {
+            while entries.next_if(|(&c, _)| c < id).is_some() {}
+            if let Some((_, entry)) = entries.next_if(|(&c, _)| c == id) {
+                if entry.beat(now) {
+                    revived.push(id);
+                }
+            }
         }
+        revived
     }
 
     /// True when an alive container has missed heartbeats for at least the
@@ -536,6 +559,31 @@ mod tests {
         );
         assert!(!mgr.heartbeat(ContainerId(0), t(100)), "now ordinary");
         assert!(!mgr.heartbeat(ContainerId(99), t(100)), "unregistered");
+    }
+
+    #[test]
+    fn heartbeat_all_beats_each_listed_container_and_reports_revivals() {
+        let mut mgr = manager_with(4, 8);
+        mgr.rebalance();
+        // Containers 1 and 3 go silent and die.
+        let (live, silent) = ([ContainerId(0), ContainerId(2)], [1, 3].map(ContainerId));
+        for s in (10..70).step_by(10) {
+            assert!(mgr.heartbeat_all(&live, t(s)).is_empty(), "alive beats");
+        }
+        mgr.check_failover(t(61));
+        assert!(silent
+            .iter()
+            .all(|&c| mgr.status(c) == Some(ContainerStatus::Dead)));
+        // One round over everyone plus an unregistered id: both dead ones
+        // revive, in ascending order, and every listed container is fresh.
+        let all = [0, 1, 2, 3, 99].map(ContainerId);
+        assert_eq!(mgr.heartbeat_all(&all, t(90)), silent);
+        assert!(mgr.heartbeat_all(&all, t(100)).is_empty(), "now ordinary");
+        assert!((0..4).all(|c| !mgr.is_suspect(ContainerId(c), t(110))));
+        // A container left out of the list misses its beat.
+        mgr.heartbeat_all(&all[1..], t(120));
+        assert!(mgr.is_suspect(ContainerId(0), t(120)));
+        assert!(!mgr.is_suspect(ContainerId(1), t(120)));
     }
 
     #[test]

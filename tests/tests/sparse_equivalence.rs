@@ -12,7 +12,7 @@
 use proptest::prelude::*;
 use turbine::{Fault, FaultPlan, InvariantConfig, Turbine, TurbineConfig, Violation};
 use turbine_config::{ConfigValue, JobConfig};
-use turbine_types::{Duration, JobId, Resources, SimTime};
+use turbine_types::{ContainerId, Duration, JobId, Resources, SimTime, SnapWriter};
 use turbine_workloads::TrafficModel;
 
 fn host() -> Resources {
@@ -60,10 +60,11 @@ fn build(sparse: bool) -> Turbine {
     t
 }
 
-/// Everything the sparse/full comparison must agree on. Shard-load-map
-/// equivalence is covered transitively: rebalance decisions read the
-/// loads, and their moves land in the fingerprint's counters and
-/// placements.
+/// Everything the sparse/full comparison must agree on. The shard loads
+/// the load reports write are not in it: a rebalance reads them, but one
+/// that moves nothing either way hides a wrong load. They are compared
+/// directly in
+/// `sparse_and_full_load_reports_leave_byte_equal_shard_managers`.
 #[derive(Debug, PartialEq)]
 struct Observed {
     fingerprint: turbine::PlatformFingerprint,
@@ -131,7 +132,7 @@ proptest! {
             0 => Fault::TaskServiceDown,
             1 => Fault::JobStoreDown,
             2 => Fault::SyncerCrash,
-            _ => Fault::HeartbeatLoss(turbine_types::ContainerId(2)),
+            _ => Fault::HeartbeatLoss(ContainerId(2)),
         };
         let from = SimTime::ZERO + Duration::from_mins(fault_from_mins);
         let plan = vec![FaultPlan {
@@ -143,6 +144,58 @@ proptest! {
         let sparse = drive(true, &plan, flap_minute, scale_to);
         prop_assert_eq!(full, sparse);
     }
+}
+
+/// The Shard Manager's bytes — shard loads, assignment, liveness, standby
+/// registrations — after every load report, with the sparse report (only
+/// containers whose ownership or task usage moved) against the full one
+/// (every container), through an oncall scale, a host flap and a severed
+/// connection.
+#[test]
+fn sparse_and_full_load_reports_leave_byte_equal_shard_managers() {
+    let mut twins = [build(false), build(true)];
+    let from = SimTime::ZERO + Duration::from_mins(65);
+    for t in &mut twins {
+        t.schedule_fault(FaultPlan {
+            fault: Fault::HeartbeatLoss(ContainerId(2)),
+            from,
+            until: Some(from + Duration::from_mins(15)),
+        });
+    }
+    let encoded = |t: &Turbine| {
+        let mut w = SnapWriter::new();
+        w.put(t.shard_manager());
+        w.into_bytes()
+    };
+    let victim = twins[0].cluster.hosts()[4];
+    // Ten-minute steps land on every load report (cadence 10 minutes).
+    for step in 1..=18u64 {
+        for t in &mut twins {
+            match step {
+                3 => t
+                    .oncall_set(JobId(1), "task_count", ConfigValue::Int(6))
+                    .expect("store up"),
+                5 => t.fail_host(victim).expect("fail"),
+                8 => t.recover_host(victim).expect("recover"),
+                _ => {}
+            }
+            t.run_for(Duration::from_mins(10));
+        }
+        assert!(
+            encoded(&twins[0]) == encoded(&twins[1]),
+            "shard managers diverged at minute {}",
+            step * 10
+        );
+    }
+    let [full, sparse] = &twins;
+    assert_eq!(full.fingerprint(), sparse.fingerprint());
+    let sent = |t: &Turbine| t.metrics.load_reports_sent.get();
+    assert!(
+        sent(sparse) < sent(full),
+        "the sparse round must skip something: {} vs {}",
+        sent(sparse),
+        sent(full)
+    );
 }
 
 /// A quiescent fleet settles: after convergence, sparse syncer rounds
@@ -171,10 +224,22 @@ fn quiescent_sparse_rounds_do_no_per_job_work() {
     assert_eq!(full.fingerprint(), sparse.fingerprint());
 }
 
+/// Work counters over a quiet window; see [`busy_window`].
+struct WindowWork {
+    /// Jobs the invariant checker examined.
+    checker_jobs: u64,
+    /// Invariant checks run.
+    checks: u64,
+    /// Containers that sent a load report.
+    load_reports: u64,
+    /// Containers the heartbeat filter re-derived.
+    heartbeat_filtered: u64,
+}
+
 /// `jobs` flat-traffic jobs, each busy at every tick, on one host per
-/// job, the scaler off; converged. Returns the checker's work and its
-/// check count over the next 30 minutes, in which nothing intervenes.
-fn busy_window(jobs: u64) -> (u64, u64) {
+/// job, the scaler off; converged. Returns the work counters' growth over
+/// the next 30 minutes, in which nothing intervenes.
+fn busy_window(jobs: u64) -> WindowWork {
     let mut t = Turbine::new(TurbineConfig {
         scaler_enabled: false,
         ..TurbineConfig::default()
@@ -197,33 +262,76 @@ fn busy_window(jobs: u64) -> (u64, u64) {
         assert_eq!(status.running_tasks, 2, "converged");
     }
     assert_eq!(t.engine().active_jobs(), jobs as usize, "every job busy");
-    let checker = t.invariant_checker().expect("enabled");
-    let (work, checks) = (checker.jobs_examined(), checker.ticks_checked());
+    let counters = |t: &Turbine| {
+        let checker = t.invariant_checker().expect("enabled");
+        WindowWork {
+            checker_jobs: checker.jobs_examined(),
+            checks: checker.ticks_checked(),
+            load_reports: t.metrics.load_reports_sent.get(),
+            heartbeat_filtered: t.heartbeat_containers_filtered(),
+        }
+    };
+    let before = counters(&t);
     t.run_for(Duration::from_mins(30));
-    let checker = t.invariant_checker().expect("enabled");
-    assert_eq!(checker.audit_mismatches(), 0);
-    (
-        checker.jobs_examined() - work,
-        checker.ticks_checked() - checks,
-    )
+    assert_eq!(
+        t.invariant_checker().expect("enabled").audit_mismatches(),
+        0
+    );
+    let after = counters(&t);
+    WindowWork {
+        checker_jobs: after.checker_jobs - before.checker_jobs,
+        checks: after.checks - before.checks,
+        load_reports: after.load_reports - before.load_reports,
+        heartbeat_filtered: after.heartbeat_filtered - before.heartbeat_filtered,
+    }
 }
 
 /// The checker's work is a function of what changed, not of fleet size:
-/// on a converged fleet whose every job moves backlog and usage at every
-/// tick but none is reshaped, four times the jobs cost at most 10 % more
-/// checker work, and less than one job per check. A checker fed the
-/// tick's dirt would examine every busy job at every check (4×).
+/// on a converged fleet whose every job moves backlog at every tick but
+/// none is reshaped, four times the jobs cost at most 10 % more checker
+/// work, and less than one job per check. A checker fed the tick's dirt
+/// would examine every busy job at every check (4×).
 #[test]
 fn invariant_work_grows_with_change_not_with_the_fleet() {
-    let (small, small_checks) = busy_window(4);
-    let (large, large_checks) = busy_window(16);
-    assert_eq!(small_checks, large_checks, "both spans check every instant");
+    let (small, large) = (busy_window(4), busy_window(16));
+    assert_eq!(small.checks, large.checks, "both spans check every instant");
+    let (small, large, checks) = (small.checker_jobs, large.checker_jobs, large.checks);
     assert!(
         large * 10 <= small * 11,
         "4x the jobs cost {large} examined vs {small}: work grew with the fleet"
     );
     assert!(
-        large < large_checks,
-        "{large} jobs examined over {large_checks} checks: not below one per check"
+        large < checks,
+        "{large} jobs examined over {checks} checks: not below one per check"
     );
+}
+
+/// The per-container rounds cost what changed, not the fleet: on the same
+/// converged busy fleet, whose tasks' usage holds while their backlog
+/// moves, four times the containers send no more load reports and
+/// re-derive no more heartbeat targets — none at either size. Load reports
+/// that followed backlog would grow 4× (every busy job's containers at
+/// every round); a heartbeat filter re-run each round would cost the
+/// whole fleet every 10 s.
+#[test]
+fn per_container_rounds_grow_with_change_not_with_the_fleet() {
+    let (small, large) = (busy_window(4), busy_window(16));
+    for (name, small, large) in [
+        ("load reports", small.load_reports, large.load_reports),
+        (
+            "heartbeat filter",
+            small.heartbeat_filtered,
+            large.heartbeat_filtered,
+        ),
+    ] {
+        assert!(
+            large * 10 <= small * 11,
+            "{name}: 4x the fleet cost {large} vs {small}"
+        );
+        assert_eq!(
+            (small, large),
+            (0, 0),
+            "{name}: a quiet window costs nothing"
+        );
+    }
 }
