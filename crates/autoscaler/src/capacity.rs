@@ -8,28 +8,16 @@
 use std::collections::BTreeMap;
 use turbine_types::{JobId, Priority, Resources};
 
-/// Capacity Manager tunables.
-#[derive(Debug, Clone, Copy)]
-pub struct CapacityManagerConfig {
-    /// Remaining-capacity fraction below which the Auto Scaler is told to
-    /// prioritize scale-ups of privileged/high jobs.
-    pub pressure_threshold: f64,
-    /// Remaining-capacity fraction below which low-priority jobs are
-    /// stopped to free capacity.
-    pub critical_threshold: f64,
-    /// Priority floor imposed under pressure.
-    pub pressure_floor: Priority,
-}
+/// Remaining-capacity fraction below which the Auto Scaler is told to
+/// prioritize scale-ups of privileged/high jobs.
+const PRESSURE_THRESHOLD: f64 = 0.15;
 
-impl Default for CapacityManagerConfig {
-    fn default() -> Self {
-        CapacityManagerConfig {
-            pressure_threshold: 0.15,
-            critical_threshold: 0.05,
-            pressure_floor: Priority::High,
-        }
-    }
-}
+/// Remaining-capacity fraction below which low-priority jobs are stopped to
+/// free capacity.
+const CRITICAL_THRESHOLD: f64 = 0.05;
+
+/// Priority floor imposed under pressure.
+const PRESSURE_FLOOR: Priority = Priority::High;
 
 /// What the Capacity Manager tells the rest of the system after one
 /// evaluation.
@@ -48,21 +36,12 @@ pub struct CapacityDirective {
 
 /// The Capacity Manager: tracks registered clusters and produces
 /// directives.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct CapacityManager {
-    config: CapacityManagerConfig,
     clusters: BTreeMap<String, Resources>,
 }
 
 impl CapacityManager {
-    /// A manager with the given tunables and no clusters yet.
-    pub fn new(config: CapacityManagerConfig) -> Self {
-        CapacityManager {
-            config,
-            clusters: BTreeMap::new(),
-        }
-    }
-
     /// Register (or resize) a cluster's total capacity.
     pub fn register_cluster(&mut self, name: &str, total: Resources) {
         self.clusters.insert(name.to_string(), total);
@@ -120,16 +99,16 @@ impl CapacityManager {
             priority_floor: None,
             jobs_to_stop: Vec::new(),
         };
-        if remaining_fraction < self.config.pressure_threshold {
-            directive.priority_floor = Some(self.config.pressure_floor);
+        if remaining_fraction < PRESSURE_THRESHOLD {
+            directive.priority_floor = Some(PRESSURE_FLOOR);
         }
-        if remaining_fraction < self.config.critical_threshold {
+        if remaining_fraction < CRITICAL_THRESHOLD {
             // Stop lowest-priority jobs (largest first within a priority,
             // to free the most capacity with the fewest stops) until the
             // projection clears the pressure threshold.
             let mut candidates: Vec<&(JobId, Priority, Resources)> = jobs
                 .iter()
-                .filter(|(_, p, _)| *p < self.config.pressure_floor)
+                .filter(|(_, p, _)| *p < PRESSURE_FLOOR)
                 .collect();
             candidates.sort_by(|a, b| {
                 a.1.cmp(&b.1)
@@ -142,8 +121,7 @@ impl CapacityManager {
             });
             let mut projected = reserved;
             for (job, _, r) in candidates {
-                if (1.0 - projected.dominant_utilization(&total)) >= self.config.pressure_threshold
-                {
+                if (1.0 - projected.dominant_utilization(&total)) >= PRESSURE_THRESHOLD {
                     break;
                 }
                 projected -= *r;
@@ -154,19 +132,7 @@ impl CapacityManager {
     }
 }
 
-impl Default for CapacityManager {
-    fn default() -> Self {
-        Self::new(CapacityManagerConfig::default())
-    }
-}
-
-turbine_types::snap_struct!(CapacityManagerConfig {
-    pressure_threshold,
-    critical_threshold,
-    pressure_floor
-});
-
-turbine_types::snap_struct!(CapacityManager { config, clusters });
+turbine_types::snap_struct!(CapacityManager { clusters });
 
 #[cfg(test)]
 mod tests {

@@ -109,92 +109,70 @@ pub struct ResourceEstimate {
     pub per_task: Resources,
 }
 
-/// Configurable estimator combining the CPU model with memory/disk models
-/// for stateful jobs.
-#[derive(Debug, Clone, Copy)]
-pub struct ResourceEstimator {
-    /// Baseline memory every task consumes regardless of traffic (the
-    /// paper observes ~400 MB for every Scuba tailer task: binary +
-    /// metric-collection sidecar).
-    pub base_memory_mb: f64,
-    /// Memory per byte/sec of per-task input rate (buffering a few seconds
-    /// of in-flight data).
-    pub memory_per_rate: f64,
-    /// Memory per state key for stateful jobs (aggregation tables).
-    pub memory_per_key_mb: f64,
-    /// Disk per state key for stateful jobs (spilling joins/aggregations).
-    pub disk_per_key_mb: f64,
-    /// Backlog recovery target used for Eq. 3.
-    pub recovery_time: Duration,
-}
+/// Baseline memory every task consumes regardless of traffic (the paper
+/// observes ~400 MB for every Scuba tailer task: binary + metric-collection
+/// sidecar).
+pub(crate) const BASE_MEMORY_MB: f64 = 400.0;
 
-impl Default for ResourceEstimator {
-    fn default() -> Self {
-        ResourceEstimator {
-            base_memory_mb: 400.0,
-            memory_per_rate: 8.0e-6, // ≈8 s of buffered data, in MB per B/s
-            memory_per_key_mb: 1.0e-3,
-            disk_per_key_mb: 4.0e-3,
-            recovery_time: Duration::from_mins(10),
-        }
+/// Memory per byte/sec of per-task input rate (buffering a few seconds of
+/// in-flight data): ≈8 s of buffered data, in MB per B/s.
+const MEMORY_PER_RATE: f64 = 8.0e-6;
+
+/// Memory per state key for stateful jobs (aggregation tables).
+const MEMORY_PER_KEY_MB: f64 = 1.0e-3;
+
+/// Disk per state key for stateful jobs (spilling joins/aggregations).
+const DISK_PER_KEY_MB: f64 = 4.0e-3;
+
+/// Backlog recovery target used for Eq. 3.
+pub(crate) const RECOVERY_TIME: Duration = Duration::from_mins(10);
+
+/// Estimate the resources a job needs given its metrics, the current
+/// per-thread throughput estimate `p`, and whether it keeps state: the CPU
+/// model combined with memory/disk models for stateful jobs.
+pub fn estimate_resources(metrics: &JobMetrics, p: f64, stateful: bool) -> ResourceEstimate {
+    let k = metrics.threads_per_task.max(1);
+    let input_rate = if metrics.input_rate.is_finite() {
+        metrics.input_rate.max(0.0)
+    } else {
+        0.0
+    };
+    let min_task_count = required_task_count(input_rate, p, k, 0.0, None);
+    let recovery_task_count = required_task_count(
+        input_rate,
+        p,
+        k,
+        metrics.total_bytes_lagged,
+        Some(RECOVERY_TIME),
+    );
+
+    let n = recovery_task_count.max(1) as f64;
+    let per_task_rate = input_rate / n;
+    let mut memory_mb = BASE_MEMORY_MB + per_task_rate * MEMORY_PER_RATE;
+    let mut disk_mb = 0.0;
+    if stateful {
+        // Aggregation/join state is partitioned across tasks: memory and
+        // disk per task shrink as the task count grows — the "correlated
+        // adjustment" the Plan Generator exploits.
+        let keys = metrics.key_cardinality.unwrap_or(0.0) / n;
+        memory_mb += keys * MEMORY_PER_KEY_MB;
+        disk_mb += keys * DISK_PER_KEY_MB;
+    }
+    // CPU per task: enough to run its share at the target rate, with Eq. 3
+    // headroom folded in via the recovery task count. With no usable
+    // throughput estimate (bootstrap `P = 0`) fall back to the floor — the
+    // same no-evidence rule the task counts use.
+    let cpu = if p.is_finite() && p > 0.0 {
+        (per_task_rate / p).max(0.1)
+    } else {
+        0.1
+    };
+    ResourceEstimate {
+        min_task_count,
+        recovery_task_count,
+        per_task: Resources::new(cpu, memory_mb, disk_mb, per_task_rate / 1.0e6),
     }
 }
-
-impl ResourceEstimator {
-    /// Estimate the resources a job needs given its metrics, the current
-    /// per-thread throughput estimate `p`, and whether it keeps state.
-    pub fn estimate(&self, metrics: &JobMetrics, p: f64, stateful: bool) -> ResourceEstimate {
-        let k = metrics.threads_per_task.max(1);
-        let input_rate = if metrics.input_rate.is_finite() {
-            metrics.input_rate.max(0.0)
-        } else {
-            0.0
-        };
-        let min_task_count = required_task_count(input_rate, p, k, 0.0, None);
-        let recovery_task_count = required_task_count(
-            input_rate,
-            p,
-            k,
-            metrics.total_bytes_lagged,
-            Some(self.recovery_time),
-        );
-
-        let n = recovery_task_count.max(1) as f64;
-        let per_task_rate = input_rate / n;
-        let mut memory_mb = self.base_memory_mb + per_task_rate * self.memory_per_rate;
-        let mut disk_mb = 0.0;
-        if stateful {
-            // Aggregation/join state is partitioned across tasks: memory
-            // and disk per task shrink as the task count grows — the
-            // "correlated adjustment" the Plan Generator exploits.
-            let keys = metrics.key_cardinality.unwrap_or(0.0) / n;
-            memory_mb += keys * self.memory_per_key_mb;
-            disk_mb += keys * self.disk_per_key_mb;
-        }
-        // CPU per task: enough to run its share at the target rate, with
-        // Eq. 3 headroom folded in via the recovery task count. With no
-        // usable throughput estimate (bootstrap `P = 0`) fall back to the
-        // floor — the same no-evidence rule the task counts use.
-        let cpu = if p.is_finite() && p > 0.0 {
-            (per_task_rate / p).max(0.1)
-        } else {
-            0.1
-        };
-        ResourceEstimate {
-            min_task_count,
-            recovery_task_count,
-            per_task: Resources::new(cpu, memory_mb, disk_mb, per_task_rate / 1.0e6),
-        }
-    }
-}
-
-turbine_types::snap_struct!(ResourceEstimator {
-    base_memory_mb,
-    memory_per_rate,
-    memory_per_key_mb,
-    disk_per_key_mb,
-    recovery_time
-});
 
 #[cfg(test)]
 mod tests {
@@ -228,7 +206,6 @@ mod tests {
 
     #[test]
     fn estimate_scales_with_backlog() {
-        let estimator = ResourceEstimator::default();
         let mut metrics = JobMetrics {
             input_rate: 1.0e6,
             threads_per_task: 1,
@@ -236,12 +213,12 @@ mod tests {
             ..Default::default()
         };
         let p = 2.0e5; // 200 KB/s per thread
-        let idle = estimator.estimate(&metrics, p, false);
+        let idle = estimate_resources(&metrics, p, false);
         assert_eq!(idle.min_task_count, 5);
         assert_eq!(idle.recovery_task_count, 5);
 
         metrics.total_bytes_lagged = 1.8e9; // 1.8 GB backlog
-        let backed_up = estimator.estimate(&metrics, p, false);
+        let backed_up = estimate_resources(&metrics, p, false);
         assert_eq!(backed_up.min_task_count, 5);
         assert!(
             backed_up.recovery_task_count > idle.recovery_task_count,
@@ -251,30 +228,28 @@ mod tests {
 
     #[test]
     fn stateful_memory_shrinks_with_more_tasks() {
-        let estimator = ResourceEstimator::default();
         let metrics_small = JobMetrics {
             input_rate: 1.0e6,
             threads_per_task: 1,
             key_cardinality: Some(1.0e7),
             ..Default::default()
         };
-        let est_small = estimator.estimate(&metrics_small, 1.0e5, true);
+        let est_small = estimate_resources(&metrics_small, 1.0e5, true);
         // Same job at double throughput estimate (half the tasks): more
         // memory per task.
-        let est_fewer_tasks = estimator.estimate(&metrics_small, 2.0e5, true);
+        let est_fewer_tasks = estimate_resources(&metrics_small, 2.0e5, true);
         assert!(est_fewer_tasks.recovery_task_count < est_small.recovery_task_count);
         assert!(est_fewer_tasks.per_task.memory_mb > est_small.per_task.memory_mb);
     }
 
     #[test]
     fn every_task_gets_the_memory_floor() {
-        let estimator = ResourceEstimator::default();
         let metrics = JobMetrics {
             input_rate: 1.0, // almost no traffic
             threads_per_task: 1,
             ..Default::default()
         };
-        let est = estimator.estimate(&metrics, 1.0e5, false);
+        let est = estimate_resources(&metrics, 1.0e5, false);
         assert!(est.per_task.memory_mb >= 400.0, "fig. 5's ~400 MB floor");
     }
 
@@ -288,7 +263,7 @@ mod tests {
         assert_eq!(cpu_units_needed(1.0, 100.0, 0, 1, 0.0, None), 0.0);
         assert_eq!(cpu_units_needed(1.0, 100.0, 1, 0, 0.0, None), 0.0);
         assert_eq!(required_task_count(1.0, 100.0, 0, 0.0, None), 1);
-        let est = ResourceEstimator::default().estimate(
+        let est = estimate_resources(
             &JobMetrics {
                 input_rate: 1.0e6,
                 threads_per_task: 1,

@@ -28,14 +28,12 @@ pub mod rootcause;
 pub mod scaler;
 pub mod symptoms;
 
-pub use capacity::{CapacityDirective, CapacityManager, CapacityManagerConfig};
+pub use capacity::{CapacityDirective, CapacityManager};
 pub use estimator::{
-    cpu_units_needed, required_task_count, ResourceEstimate, ResourceEstimator, MAX_CPU_UNITS,
+    cpu_units_needed, estimate_resources, required_task_count, ResourceEstimate, MAX_CPU_UNITS,
     MAX_ESTIMATED_TASKS,
 };
 pub use patterns::{PatternAnalyzer, PatternConfig, PatternVerdict, ThroughputModel};
-pub use rootcause::{
-    Diagnosis, DiagnosisInput, Mitigation, RootCause, RootCauser, RootCauserConfig,
-};
+pub use rootcause::{diagnose, hardware_anomaly, Diagnosis, DiagnosisInput, Mitigation, RootCause};
 pub use scaler::{AutoScaler, ScalerConfig, ScalerMode, ScalingAction, ScalingDecision};
-pub use symptoms::{detect, JobMetrics, Symptom, SymptomConfig};
+pub use symptoms::{detect, JobMetrics, Symptom};

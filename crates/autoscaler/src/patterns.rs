@@ -13,8 +13,8 @@
 //!   aggregate), and to detect anomalies (storms, incidents) during which
 //!   pattern-based decisions are disabled.
 //!
-//! A job's history behaves as a ring of `history_days × buckets_per_day`
-//! slots indexed by `bucket mod slots`, but `JobHistory` stores only the
+//! A job's history behaves as a ring of 14 days × 144 ten-minute buckets
+//! indexed by `bucket mod slots`, but `JobHistory` stores only the
 //! slots that were written: nothing before the first sample, sixteen bytes
 //! per ten recorded minutes after it. A run of a few simulated hours
 //! holds a few dozen entries per job where the ring it replaces held
@@ -79,24 +79,34 @@ pub enum PatternVerdict {
     Anomalous,
 }
 
+/// Days of history kept (paper: 14).
+const HISTORY_DAYS: u64 = 14;
+
+/// Bucket width for the per-minute workload record. The paper records per
+/// minute; 10-minute buckets keep memory modest with the same decision
+/// quality at our horizons.
+const BUCKET: Duration = Duration::from_mins(10);
+
+/// Recent window compared against the same window in prior days for
+/// anomaly detection (paper: last 30 minutes).
+const RECENT_WINDOW: Duration = Duration::from_mins(30);
+
+/// Relative difference beyond which the recent workload counts as
+/// "significantly different" and pattern decisions are disabled.
+const ANOMALY_THRESHOLD: f64 = 0.5;
+
+/// Buckets per day of history.
+const BUCKETS_PER_DAY: u64 = Duration::from_days(1).as_millis() / BUCKET.as_millis();
+
+/// Slots of every job's ring: `HISTORY_DAYS × BUCKETS_PER_DAY`.
+const TOTAL_SLOTS: u64 = HISTORY_DAYS * BUCKETS_PER_DAY;
+
 /// Pattern Analyzer tunables.
 #[derive(Debug, Clone, Copy)]
 pub struct PatternConfig {
-    /// Days of history kept (paper: 14).
-    pub history_days: usize,
-    /// Bucket width for the per-minute workload record. The paper records
-    /// per minute; 10-minute buckets keep memory modest with the same
-    /// decision quality at our horizons.
-    pub bucket: Duration,
     /// How far ahead a downscale must be historically sustainable
     /// ("the next x hours", configurable).
     pub lookahead: Duration,
-    /// Recent window compared against the same window in prior days for
-    /// anomaly detection (paper: last 30 minutes).
-    pub recent_window: Duration,
-    /// Relative difference beyond which the recent workload counts as
-    /// "significantly different" and pattern decisions are disabled.
-    pub anomaly_threshold: f64,
     /// Minimum full days of history before pattern checks activate.
     pub min_history_days: usize,
 }
@@ -104,20 +114,16 @@ pub struct PatternConfig {
 impl Default for PatternConfig {
     fn default() -> Self {
         PatternConfig {
-            history_days: 14,
-            bucket: Duration::from_mins(10),
             lookahead: Duration::from_hours(4),
-            recent_window: Duration::from_mins(30),
-            anomaly_threshold: 0.5,
             min_history_days: 2,
         }
     }
 }
 
-/// Workload buckets recorded for one job: what a ring of `total` slots
-/// indexed by `bucket % total` would hold, stored as its occupied slots
-/// only. Entries ascend strictly by absolute bucket and no two share a
-/// slot, so `entries.len()` is the number of occupied slots.
+/// Workload buckets recorded for one job: what a ring of `TOTAL_SLOTS`
+/// slots indexed by `bucket % TOTAL_SLOTS` would hold, stored as its
+/// occupied slots only. Entries ascend strictly by absolute bucket and no
+/// two share a slot, so `entries.len()` is the number of occupied slots.
 #[derive(Debug, Clone, Default)]
 struct JobHistory {
     entries: VecDeque<(u64, f64)>,
@@ -152,28 +158,32 @@ impl JobHistory {
 
     /// The entry occupying the slot bucket `abs` maps to, whichever cycle
     /// wrote it.
-    fn slot_holder(&self, abs: u64, total: u64) -> Option<usize> {
+    fn slot_holder(&self, abs: u64) -> Option<usize> {
         let (first, last) = (self.entries.front()?.0, self.entries.back()?.0);
-        let slot = abs % total;
+        let slot = abs % TOTAL_SLOTS;
         // More cycles between the ends than entries: look at the entries.
-        if (last - first) / total >= self.entries.len() as u64 {
-            return self.entries.iter().position(|&(b, _)| b % total == slot);
+        if (last - first) / TOTAL_SLOTS >= self.entries.len() as u64 {
+            return self
+                .entries
+                .iter()
+                .position(|&(b, _)| b % TOTAL_SLOTS == slot);
         }
         // Otherwise at the few buckets in range that share the slot.
-        let mut bucket = first.checked_add((slot + total - first % total) % total)?;
+        let mut bucket =
+            first.checked_add((slot + TOTAL_SLOTS - first % TOTAL_SLOTS) % TOTAL_SLOTS)?;
         while bucket <= last {
             if let Ok(i) = self.position(bucket) {
                 return Some(i);
             }
-            bucket = bucket.checked_add(total)?;
+            bucket = bucket.checked_add(TOTAL_SLOTS)?;
         }
         None
     }
 
-    /// Write `value` to bucket `abs` of a ring of `total` slots: the
-    /// maximum wins within a bucket, and a write evicts whatever bucket
-    /// held its slot, earlier or later, however many cycles away.
-    fn record(&mut self, abs: u64, value: f64, total: u64) {
+    /// Write `value` to bucket `abs`: the maximum wins within a bucket, and
+    /// a write evicts whatever bucket held its slot, earlier or later,
+    /// however many cycles away.
+    fn record(&mut self, abs: u64, value: f64) {
         let mut at = match self.position(abs) {
             Ok(i) => {
                 let held = &mut self.entries[i].1;
@@ -182,79 +192,37 @@ impl JobHistory {
             }
             Err(at) => at,
         };
-        if let Some(evicted) = self.slot_holder(abs, total) {
+        if let Some(evicted) = self.slot_holder(abs) {
             self.entries.remove(evicted);
             at -= (evicted < at) as usize;
         }
         self.entries.insert(at, (abs, value));
     }
 
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        w.put(&self.entries);
-    }
-
-    /// Decode the entries of a ring of `total` slots, checking what the
-    /// layout relies on: ascending buckets, one entry per slot.
-    fn unsnap(
-        r: &mut turbine_types::SnapReader<'_>,
-        total: u64,
-    ) -> Result<Self, turbine_types::SnapError> {
-        let entries: VecDeque<(u64, f64)> = r.get()?;
-        if entries.len() as u64 > total {
-            return Err(turbine_types::SnapError::Value(
-                "JobHistory holds more entries than slots",
-            ));
-        }
-        if entries
-            .iter()
-            .zip(entries.iter().skip(1))
-            .any(|(a, b)| a.0 >= b.0)
-        {
-            return Err(turbine_types::SnapError::Value(
-                "JobHistory buckets not ascending",
-            ));
-        }
-        let mut slots: Vec<u64> = entries.iter().map(|&(b, _)| b % total).collect();
+    /// No two entries on one slot of the ring.
+    fn one_entry_per_slot(&self) -> bool {
+        let mut slots: Vec<u64> = self.entries.iter().map(|&(b, _)| b % TOTAL_SLOTS).collect();
         slots.sort_unstable();
-        if slots.windows(2).any(|pair| pair[0] == pair[1]) {
-            return Err(turbine_types::SnapError::Value(
-                "JobHistory has two entries on one slot",
-            ));
-        }
-        Ok(JobHistory { entries })
+        slots.windows(2).all(|pair| pair[0] != pair[1])
     }
-}
-
-/// Buckets per day and ring slots of `config`, or `None` when it describes
-/// no ring: a bucket longer than a day, no days of history, or a slot
-/// count that overflows.
-fn ring_shape(config: &PatternConfig) -> Option<(u64, u64)> {
-    let buckets_per_day = Duration::from_days(1)
-        .as_millis()
-        .checked_div(config.bucket.as_millis())?;
-    let total = buckets_per_day.checked_mul(u64::try_from(config.history_days).ok()?)?;
-    (total > 0 && usize::try_from(total).is_ok()).then_some((buckets_per_day, total))
 }
 
 /// The Pattern Analyzer.
 #[derive(Debug)]
 pub struct PatternAnalyzer {
     config: PatternConfig,
-    buckets_per_day: u64,
-    /// Slots of every job's ring: `history_days × buckets_per_day`.
-    total_slots: u64,
     history: HashMap<JobId, JobHistory>,
+}
+
+fn abs_bucket(at: SimTime) -> u64 {
+    at.as_millis() / BUCKET.as_millis()
 }
 
 impl PatternAnalyzer {
     /// An analyzer with the given tunables.
     pub fn new(config: PatternConfig) -> Self {
-        let (buckets_per_day, total_slots) = ring_shape(&config)
-            .expect("bucket must divide a day and history_days must be positive");
         PatternAnalyzer {
             config,
-            buckets_per_day,
-            total_slots,
             history: HashMap::new(),
         }
     }
@@ -264,19 +232,14 @@ impl PatternAnalyzer {
         &self.config
     }
 
-    fn abs_bucket(&self, at: SimTime) -> u64 {
-        at.as_millis() / self.config.bucket.as_millis()
-    }
-
     /// Record a workload sample (input rate) for `job` at `at`. Within a
     /// bucket the maximum is kept — sustainability must hold at peak, not
     /// on average.
     pub fn record(&mut self, job: JobId, at: SimTime, input_rate: f64) {
-        let abs = self.abs_bucket(at);
         self.history
             .entry(job)
             .or_default()
-            .record(abs, input_rate, self.total_slots);
+            .record(abs_bucket(at), input_rate);
     }
 
     /// Drop everything recorded for `job`.
@@ -291,7 +254,7 @@ impl PatternAnalyzer {
             None => 0,
             Some(h) => {
                 let written = h.entries.len() as u64;
-                ((written / self.buckets_per_day) as usize).min(now.as_days_f64() as usize)
+                ((written / BUCKETS_PER_DAY) as usize).min(now.as_days_f64() as usize)
             }
         }
     }
@@ -342,11 +305,11 @@ impl PatternAnalyzer {
         sustainable_rate: f64,
     ) -> Option<bool> {
         let history = self.history.get(&job)?;
-        let start = self.abs_bucket(now);
-        let horizon = (self.config.lookahead.as_millis() / self.config.bucket.as_millis()).max(1);
+        let start = abs_bucket(now);
+        let horizon = (self.config.lookahead.as_millis() / BUCKET.as_millis()).max(1);
         // For each prior day, scan the same time-of-day window.
-        for day in 1..self.config.history_days as u64 {
-            let day_offset = day * self.buckets_per_day;
+        for day in 1..HISTORY_DAYS {
+            let day_offset = day * BUCKETS_PER_DAY;
             if day_offset > start {
                 break; // before the simulation began
             }
@@ -369,9 +332,8 @@ impl PatternAnalyzer {
             return None;
         }
         let history = self.history.get(&job)?;
-        let window =
-            (self.config.recent_window.as_millis() / self.config.bucket.as_millis()).max(1);
-        let end = self.abs_bucket(now);
+        let window = (RECENT_WINDOW.as_millis() / BUCKET.as_millis()).max(1);
+        let end = abs_bucket(now);
         let start = end.saturating_sub(window - 1);
 
         let mut recent_sum = 0.0;
@@ -384,8 +346,8 @@ impl PatternAnalyzer {
         }
         let mut hist_sum = 0.0;
         let mut hist_n = 0usize;
-        for day in 1..self.config.history_days as u64 {
-            let day_offset = day * self.buckets_per_day;
+        for day in 1..HISTORY_DAYS {
+            let day_offset = day * BUCKETS_PER_DAY;
             if day_offset > start {
                 break;
             }
@@ -404,11 +366,10 @@ impl PatternAnalyzer {
         if historical <= 0.0 {
             return Some(recent > 0.0);
         }
-        let ratio = recent / historical;
-        Some(
-            ratio > 1.0 + self.config.anomaly_threshold
-                || ratio < 1.0 / (1.0 + self.config.anomaly_threshold),
-        )
+        // Written as two comparisons, not a range: a NaN ratio is not
+        // anomalous.
+        let (ratio, band) = (recent / historical, 1.0 + ANOMALY_THRESHOLD);
+        Some(ratio > band || ratio < 1.0 / band)
     }
 }
 
@@ -416,42 +377,19 @@ turbine_types::snap_struct!(ThroughputModel { p }
     check |m| m.p.is_finite() && m.p > 0.0 => "ThroughputModel.p not positive");
 
 turbine_types::snap_struct!(PatternConfig {
-    history_days, bucket, lookahead, recent_window, anomaly_threshold, min_history_days
-} check |c| ring_shape(c).is_some() => "PatternConfig describes no history ring");
+    lookahead,
+    min_history_days
+});
 
-// By hand: a job's history is validated against the ring shape its
-// analyzer's config describes, so its decoder takes that as context.
-impl turbine_types::Snap for PatternAnalyzer {
-    fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        w.put(&self.config);
-        let sorted: std::collections::BTreeMap<JobId, &JobHistory> =
-            self.history.iter().map(|(j, h)| (*j, h)).collect();
-        w.u64(sorted.len() as u64);
-        for (job, history) in sorted {
-            w.put(&job);
-            history.snap(w);
-        }
-    }
+// The checks are what the ring layout relies on: at most one entry per
+// slot, ascending buckets.
+turbine_types::snap_struct!(JobHistory { entries }
+    check |h| h.entries.len() as u64 <= TOTAL_SLOTS => "JobHistory holds more entries than slots"
+    check |h| h.entries.iter().zip(h.entries.iter().skip(1)).all(|(a, b)| a.0 < b.0)
+        => "JobHistory buckets not ascending"
+    check |h| h.one_entry_per_slot() => "JobHistory has two entries on one slot");
 
-    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        let config: PatternConfig = r.get()?;
-        let (buckets_per_day, total_slots) = ring_shape(&config).ok_or(
-            turbine_types::SnapError::Value("PatternConfig describes no history ring"),
-        )?;
-        let len = r.len_prefix("PatternAnalyzer.history")?;
-        let mut history = HashMap::with_capacity(r.prealloc::<(JobId, JobHistory)>(len));
-        for _ in 0..len {
-            let job: JobId = r.get()?;
-            history.insert(job, JobHistory::unsnap(r, total_slots)?);
-        }
-        Ok(PatternAnalyzer {
-            config,
-            buckets_per_day,
-            total_slots,
-            history,
-        })
-    }
-}
+turbine_types::snap_struct!(PatternAnalyzer { config, history });
 
 #[cfg(test)]
 mod tests {
@@ -550,30 +488,32 @@ mod tests {
 
     #[test]
     fn ring_overwrites_after_full_cycle() {
-        // With 14-day history, day 15's data lands on day 1's slots.
-        let mut pa = PatternAnalyzer::new(PatternConfig {
-            history_days: 2,
-            min_history_days: 1,
-            ..PatternConfig::default()
-        });
-        // Days 0-1: constant 100. Days 2-3 overwrite the 2-day ring with
-        // a sustained 500 — after which 100-era data must be gone.
+        // With 14-day history, day 14's data lands on day 0's slots.
+        let mut pa = PatternAnalyzer::new(PatternConfig::default());
+        // Days 0-13: constant 100. Days 14-27 overwrite the 14-day ring
+        // with a sustained 500 — after which 100-era data must be gone.
         let step = Duration::from_mins(10);
         let mut at = SimTime::ZERO;
-        while at < t(2, 0, 0) {
+        while at < t(HISTORY_DAYS, 0, 0) {
             pa.record(JOB, at, 100.0);
             at += step;
         }
-        while at < t(4, 0, 0) {
+        while at < t(2 * HISTORY_DAYS, 0, 0) {
             pa.record(JOB, at, 500.0);
             at += step;
         }
-        // At day 4 the recent traffic (500) matches history (500): not
+        let history = &pa.history[&JOB];
+        assert_eq!(history.entries.len() as u64, TOTAL_SLOTS);
+        assert!(history.entries.iter().all(|&(_, rate)| rate == 500.0));
+        assert_eq!(history.value_at_abs(0), None);
+        assert_eq!(history.value_at_abs(TOTAL_SLOTS), Some(500.0));
+        // At day 28 the recent traffic (500) matches history (500): not
         // anomalous, and capacity 200 is unsafe because the ring now holds
         // the 500-rate days, not the stale 100-rate ones.
-        assert_eq!(pa.is_anomalous(JOB, t(4, 0, 0)), Some(false));
-        assert_eq!(pa.downscale_is_safe(JOB, t(4, 0, 0), 200.0), Some(false));
-        assert_eq!(pa.downscale_is_safe(JOB, t(4, 0, 0), 600.0), Some(true));
+        let now = t(2 * HISTORY_DAYS, 0, 0);
+        assert_eq!(pa.is_anomalous(JOB, now), Some(false));
+        assert_eq!(pa.downscale_is_safe(JOB, now, 200.0), Some(false));
+        assert_eq!(pa.downscale_is_safe(JOB, now, 600.0), Some(true));
     }
 
     #[test]
@@ -589,15 +529,6 @@ mod tests {
         assert!(pa.history.is_empty());
     }
 
-    #[test]
-    #[should_panic(expected = "history_days must be positive")]
-    fn an_analyzer_without_history_days_is_refused() {
-        PatternAnalyzer::new(PatternConfig {
-            history_days: 0,
-            ..PatternConfig::default()
-        });
-    }
-
     fn encoded<T: turbine_types::Snap>(v: &T) -> Vec<u8> {
         let mut w = turbine_types::SnapWriter::new();
         w.put(v);
@@ -611,48 +542,11 @@ mod tests {
         Ok(v)
     }
 
-    #[test]
-    fn a_config_that_describes_no_ring_does_not_decode() {
-        use turbine_types::SnapError;
-        let bad = |config: PatternConfig| decoded::<PatternConfig>(&encoded(&config));
-        let ok = PatternConfig::default();
-        assert!(bad(ok).is_ok());
-        for config in [
-            // `record` would compute `bucket % 0`.
-            PatternConfig {
-                history_days: 0,
-                ..ok
-            },
-            // days x buckets per day overflows.
-            PatternConfig {
-                history_days: usize::MAX,
-                ..ok
-            },
-            PatternConfig {
-                bucket: Duration::ZERO,
-                ..ok
-            },
-            PatternConfig {
-                bucket: Duration::from_days(2),
-                ..ok
-            },
-        ] {
-            assert!(
-                matches!(bad(config), Err(SnapError::Value(_))),
-                "{config:?}"
-            );
-        }
-    }
-
-    /// An analyzer over a three-slot ring (one day of eight-hour buckets)
-    /// whose one job holds `entries`, as a blob.
+    /// An analyzer over the 14-day ring whose one job holds `entries`, as
+    /// a blob.
     fn blob_with_entries(entries: &[(u64, f64)]) -> Vec<u8> {
         let mut w = turbine_types::SnapWriter::new();
-        w.put(&PatternConfig {
-            history_days: 1,
-            bucket: Duration::from_hours(8),
-            ..PatternConfig::default()
-        });
+        w.put(&PatternConfig::default());
         w.u64(1);
         w.put(&JOB);
         w.put(&entries.to_vec());
@@ -666,14 +560,15 @@ mod tests {
             |entries: &[(u64, f64)]| decoded::<PatternAnalyzer>(&blob_with_entries(entries));
         let pa = decode(&[(3, 1.0), (4, 2.0), (8, 3.0)]).expect("a valid history decodes");
         assert_eq!(pa.history[&JOB].value_at_abs(8), Some(3.0));
+        let one_too_many: Vec<(u64, f64)> = (0..=TOTAL_SLOTS).map(|b| (b, 1.0)).collect();
         for (entries, why) in [
             (&[(4, 1.0), (3, 2.0)][..], "unsorted"),
             (&[(3, 1.0), (3, 2.0)][..], "a bucket twice"),
-            (&[(1, 1.0), (4, 2.0)][..], "two buckets on slot 1"),
             (
-                &[(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)][..],
-                "four entries, three slots",
+                &[(1, 1.0), (1 + TOTAL_SLOTS, 2.0)][..],
+                "two buckets on slot 1",
             ),
+            (&one_too_many[..], "one more entry than slots"),
         ] {
             assert!(matches!(decode(entries), Err(SnapError::Value(_))), "{why}");
         }
@@ -698,36 +593,47 @@ mod tests {
     /// The dense ring the sparse history replaces, kept as the model:
     /// two eagerly allocated vectors and the read paths as they were.
     mod dense {
-        use super::super::{PatternConfig, PatternVerdict};
-        use turbine_types::{Duration, SimTime};
+        use super::super::{
+            PatternConfig, PatternVerdict, ANOMALY_THRESHOLD, BUCKET, BUCKETS_PER_DAY,
+            HISTORY_DAYS, RECENT_WINDOW, TOTAL_SLOTS,
+        };
+        use turbine_types::SimTime;
 
         pub struct DenseAnalyzer {
             config: PatternConfig,
-            buckets_per_day: u64,
             buckets: Vec<f64>,
             slot_bucket: Vec<u64>,
         }
 
         impl DenseAnalyzer {
             pub fn new(config: PatternConfig) -> Self {
-                let buckets_per_day =
-                    Duration::from_days(1).as_millis() / config.bucket.as_millis();
-                let total = (buckets_per_day * config.history_days as u64) as usize;
                 DenseAnalyzer {
                     config,
-                    buckets_per_day,
-                    buckets: vec![0.0; total],
-                    slot_bucket: vec![u64::MAX; total],
+                    buckets: vec![0.0; TOTAL_SLOTS as usize],
+                    slot_bucket: vec![u64::MAX; TOTAL_SLOTS as usize],
                 }
             }
 
             fn abs_bucket(&self, at: SimTime) -> u64 {
-                at.as_millis() / self.config.bucket.as_millis()
+                at.as_millis() / BUCKET.as_millis()
             }
 
             pub fn value_at_abs(&self, abs: u64) -> Option<f64> {
                 let slot = (abs % self.buckets.len() as u64) as usize;
                 (self.slot_bucket[slot] == abs).then(|| self.buckets[slot])
+            }
+
+            /// Every written bucket with its value, ascending.
+            pub fn written(&self) -> Vec<(u64, f64)> {
+                let mut written: Vec<(u64, f64)> = self
+                    .slot_bucket
+                    .iter()
+                    .zip(&self.buckets)
+                    .filter(|&(&b, _)| b != u64::MAX)
+                    .map(|(&b, &v)| (b, v))
+                    .collect();
+                written.sort_unstable_by_key(|&(b, _)| b);
+                written
             }
 
             pub fn record(&mut self, at: SimTime, input_rate: f64) {
@@ -743,7 +649,7 @@ mod tests {
 
             pub fn days_recorded(&self, now: SimTime) -> usize {
                 let written = self.slot_bucket.iter().filter(|&&b| b != u64::MAX).count() as u64;
-                ((written / self.buckets_per_day) as usize).min(now.as_days_f64() as usize)
+                ((written / BUCKETS_PER_DAY) as usize).min(now.as_days_f64() as usize)
             }
 
             pub fn check_downscale(&self, now: SimTime, sustainable_rate: f64) -> PatternVerdict {
@@ -756,10 +662,9 @@ mod tests {
                     Some(false) => {}
                 }
                 let start = self.abs_bucket(now);
-                let horizon =
-                    (self.config.lookahead.as_millis() / self.config.bucket.as_millis()).max(1);
-                for day in 1..self.config.history_days as u64 {
-                    let day_offset = day * self.buckets_per_day;
+                let horizon = (self.config.lookahead.as_millis() / BUCKET.as_millis()).max(1);
+                for day in 1..HISTORY_DAYS {
+                    let day_offset = day * BUCKETS_PER_DAY;
                     if day_offset > start {
                         break;
                     }
@@ -778,8 +683,7 @@ mod tests {
                 if self.days_recorded(now) < self.config.min_history_days {
                     return None;
                 }
-                let window =
-                    (self.config.recent_window.as_millis() / self.config.bucket.as_millis()).max(1);
+                let window = (RECENT_WINDOW.as_millis() / BUCKET.as_millis()).max(1);
                 let end = self.abs_bucket(now);
                 let start = end.saturating_sub(window - 1);
                 let (mut recent_sum, mut recent_n) = (0.0, 0usize);
@@ -790,8 +694,8 @@ mod tests {
                     }
                 }
                 let (mut hist_sum, mut hist_n) = (0.0, 0usize);
-                for day in 1..self.config.history_days as u64 {
-                    let day_offset = day * self.buckets_per_day;
+                for day in 1..HISTORY_DAYS {
+                    let day_offset = day * BUCKETS_PER_DAY;
                     if day_offset > start {
                         break;
                     }
@@ -810,11 +714,8 @@ mod tests {
                 if historical <= 0.0 {
                     return Some(recent > 0.0);
                 }
-                let ratio = recent / historical;
-                Some(
-                    ratio > 1.0 + self.config.anomaly_threshold
-                        || ratio < 1.0 / (1.0 + self.config.anomaly_threshold),
-                )
+                let (ratio, band) = (recent / historical, 1.0 + ANOMALY_THRESHOLD);
+                Some(ratio > band || ratio < 1.0 / band)
             }
         }
     }
@@ -826,16 +727,21 @@ mod tests {
 
         /// One `record`: how the clock moves (in buckets, from the last
         /// recorded time) and the sample. Moves repeat the bucket, step
-        /// on, leave a gap, leap past one or several whole cycles, or go
-        /// back in time.
+        /// on, leave a gap, skip days, land just short of, on or past one
+        /// whole cycle, leap several cycles, or go back in time, a little
+        /// or about a cycle (onto a slot a later bucket holds).
         fn arb_step() -> impl Strategy<Value = (i64, f64)> {
+            let (day, cycle) = (BUCKETS_PER_DAY as i64, TOTAL_SLOTS as i64);
             let movement = prop_oneof![
                 Just(0i64),
                 Just(1i64),
                 1i64..4,
                 4i64..30,
-                30i64..120,
+                30i64..2 * day,
+                cycle - 3..cycle + 3,
+                cycle + 3..4 * cycle,
                 -20i64..0,
+                -cycle - 3..-cycle + 3,
             ];
             (movement, 0.0f64..400.0)
         }
@@ -845,37 +751,52 @@ mod tests {
 
             #[test]
             fn sparse_history_is_the_ring(
-                history_days in 1usize..=3,
-                bucket_hours in prop::sample::select(vec![4u64, 6, 8, 12]),
                 min_history_days in 0usize..3,
                 lookahead_buckets in 1u64..8,
-                window_buckets in 1u64..4,
+                prefill_days in 0u64..4,
+                prefill_seed in 0u64..400,
                 start_bucket in 0u64..40,
                 steps in prop::collection::vec(arb_step(), 1..60),
                 probes in prop::collection::vec((-30i64..30, 0.0f64..400.0), 60..61),
             ) {
-                let bucket = Duration::from_hours(bucket_hours);
                 let config = PatternConfig {
-                    history_days,
-                    bucket,
-                    lookahead: Duration::from_millis(bucket.as_millis() * lookahead_buckets),
-                    recent_window: Duration::from_millis(bucket.as_millis() * window_buckets),
-                    anomaly_threshold: 0.5,
+                    lookahead: Duration::from_millis(BUCKET.as_millis() * lookahead_buckets),
                     min_history_days,
                 };
                 let mut sparse = PatternAnalyzer::new(config);
                 let mut dense = DenseAnalyzer::new(config);
-                let total = sparse.total_slots;
-                let at_bucket = |b: i64| SimTime::from_millis(b.max(0) as u64 * bucket.as_millis() + 7);
+                let at_bucket = |b: i64| SimTime::from_millis(b.max(0) as u64 * BUCKET.as_millis() + 7);
+                // Whole days without a gap first, so the verdicts have
+                // history to work on.
                 let mut clock = start_bucket as i64;
+                for b in 0..prefill_days * BUCKETS_PER_DAY {
+                    let rate = ((b * 37 + prefill_seed) % 400) as f64;
+                    sparse.record(JOB, at_bucket(clock), rate);
+                    dense.record(at_bucket(clock), rate);
+                    clock += 1;
+                }
                 for (step, &(movement, rate)) in steps.iter().enumerate() {
                     clock = (clock + movement).max(0);
                     sparse.record(JOB, at_bucket(clock), rate);
                     dense.record(at_bucket(clock), rate);
 
+                    // The same buckets are held, with the same values...
                     let history = &sparse.history[&JOB];
-                    let (first, last) = (history.entries[0].0, history.entries[history.entries.len() - 1].0);
-                    for abs in first.saturating_sub(total + 1)..=last + total + 1 {
+                    let held: Vec<(u64, u64)> =
+                        history.entries.iter().map(|&(b, v)| (b, v.to_bits())).collect();
+                    let written: Vec<(u64, u64)> =
+                        dense.written().into_iter().map(|(b, v)| (b, v.to_bits())).collect();
+                    prop_assert_eq!(&held, &written, "after step {}", step);
+                    // ...and found by lookup: the clock's bucket, the last
+                    // and a spread of held ones, each with its neighbours and the
+                    // buckets sharing its slot one cycle either side.
+                    let spread = held.iter().step_by(held.len() / 16 + 1).map(|&(b, _)| b);
+                    let around = spread
+                        .chain(held.last().map(|&(b, _)| b))
+                        .chain([clock as u64])
+                        .flat_map(|b| [b.saturating_sub(TOTAL_SLOTS), b, b + TOTAL_SLOTS])
+                        .flat_map(|b| [b.saturating_sub(1), b, b + 1]);
+                    for abs in around {
                         prop_assert_eq!(
                             history.value_at_abs(abs).map(f64::to_bits),
                             dense.value_at_abs(abs).map(f64::to_bits),

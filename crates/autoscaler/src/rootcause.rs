@@ -74,28 +74,16 @@ impl Mitigation {
     }
 }
 
-/// Root-causer thresholds.
-#[derive(Debug, Clone, Copy)]
-pub struct RootCauserConfig {
-    /// A task counts as anomalous when its rate is below this fraction of
-    /// the median sibling rate.
-    pub anomaly_ratio: f64,
-    /// A release within this window before the lag began is a suspect.
-    pub update_window: Duration,
-    /// Fleet-wide collapse: observed per-thread throughput below this
-    /// fraction of the expected `P`.
-    pub collapse_ratio: f64,
-}
+/// A task counts as anomalous when its rate is below this fraction of the
+/// median sibling rate.
+const ANOMALY_RATIO: f64 = 0.2;
 
-impl Default for RootCauserConfig {
-    fn default() -> Self {
-        RootCauserConfig {
-            anomaly_ratio: 0.2,
-            update_window: Duration::from_mins(30),
-            collapse_ratio: 0.5,
-        }
-    }
-}
+/// A release within this window before the lag began is a suspect.
+const UPDATE_WINDOW: Duration = Duration::from_mins(30);
+
+/// Fleet-wide collapse: observed per-thread throughput below this fraction
+/// of the expected `P`.
+const COLLAPSE_RATIO: f64 = 0.5;
 
 /// Everything the root-causer looks at for one diagnosis.
 #[derive(Debug, Clone)]
@@ -125,111 +113,93 @@ pub struct Diagnosis {
     pub rationale: String,
 }
 
-/// The root-causer service.
-#[derive(Debug, Default)]
-pub struct RootCauser {
-    config: RootCauserConfig,
+/// Rule 1 in isolation — exposed so the platform can check for a hardware
+/// anomaly on *every* lagging job (the paper's root-causer is an
+/// independent service watching symptoms, not a fallback of the scaler):
+/// exactly one task far below the median of its siblings, with the siblings
+/// healthy. A single dead task itself raises the rate CV somewhat, so the
+/// gate is generous (0.8); truly imbalanced *input* (one task receiving
+/// most of the data) produces a much higher CV and stays the scaler's
+/// RebalanceInput territory.
+pub fn hardware_anomaly(metrics: &JobMetrics, per_task_rates: &[(TaskId, f64)]) -> Option<TaskId> {
+    if per_task_rates.len() < 3 || metrics.imbalance_cv() >= 0.8 {
+        return None;
+    }
+    let mut rates: Vec<f64> = per_task_rates.iter().map(|&(_, r)| r).collect();
+    rates.sort_by(|a, b| a.partial_cmp(b).expect("rates are not NaN"));
+    let median = rates[rates.len() / 2];
+    if median <= 0.0 {
+        return None;
+    }
+    let anomalous: Vec<TaskId> = per_task_rates
+        .iter()
+        .filter(|&&(_, r)| r < median * ANOMALY_RATIO)
+        .map(|&(t, _)| t)
+        .collect();
+    (anomalous.len() == 1).then(|| anomalous[0])
 }
 
-impl RootCauser {
-    /// A root-causer with the given thresholds.
-    pub fn new(config: RootCauserConfig) -> Self {
-        RootCauser { config }
+/// Classify one untriaged lag.
+pub fn diagnose(input: &DiagnosisInput<'_>) -> Diagnosis {
+    // Rule 1 — hardware issue.
+    if let Some(task) = hardware_anomaly(input.metrics, input.per_task_rates) {
+        return Diagnosis {
+            cause: RootCause::HardwareIssue { task },
+            mitigation: Mitigation::MoveTask(task),
+            rationale: format!(
+                "{task} processes <{:.0}% of the sibling median with balanced input: likely a bad host; moving it usually resolves this",
+                ANOMALY_RATIO * 100.0
+            ),
+        };
     }
 
-    /// Rule 1 in isolation — exposed so the platform can check for a
-    /// hardware anomaly on *every* lagging job (the paper's root-causer is
-    /// an independent service watching symptoms, not a fallback of the
-    /// scaler): exactly one task far below the median of its siblings,
-    /// with the siblings healthy. A single dead task itself raises the
-    /// rate CV somewhat, so the gate is generous (0.8); truly imbalanced
-    /// *input* (one task receiving most of the data) produces a much
-    /// higher CV and stays the scaler's RebalanceInput territory.
-    pub fn hardware_anomaly(
-        &self,
-        metrics: &JobMetrics,
-        per_task_rates: &[(TaskId, f64)],
-    ) -> Option<TaskId> {
-        if per_task_rates.len() < 3 || metrics.imbalance_cv() >= 0.8 {
-            return None;
-        }
-        let mut rates: Vec<f64> = per_task_rates.iter().map(|&(_, r)| r).collect();
-        rates.sort_by(|a, b| a.partial_cmp(b).expect("rates are not NaN"));
-        let median = rates[rates.len() / 2];
-        if median <= 0.0 {
-            return None;
-        }
-        let anomalous: Vec<TaskId> = per_task_rates
-            .iter()
-            .filter(|&&(_, r)| r < median * self.config.anomaly_ratio)
-            .map(|&(t, _)| t)
-            .collect();
-        (anomalous.len() == 1).then(|| anomalous[0])
-    }
-
-    /// Classify one untriaged lag.
-    pub fn diagnose(&self, input: &DiagnosisInput<'_>) -> Diagnosis {
-        // Rule 1 — hardware issue.
-        if let Some(task) = self.hardware_anomaly(input.metrics, input.per_task_rates) {
+    // Rule 2 — bad user update: the lag began within the window after a
+    // release.
+    if let (Some((version, previous, released_at)), Some(lag_since)) =
+        (input.last_release, input.lag_since)
+    {
+        if lag_since >= released_at && lag_since.since(released_at) <= UPDATE_WINDOW {
             return Diagnosis {
-                cause: RootCause::HardwareIssue { task },
-                mitigation: Mitigation::MoveTask(task),
+                cause: RootCause::BadUserUpdate {
+                    suspect_version: version,
+                    previous_version: previous,
+                },
+                mitigation: Mitigation::RecommendRollback(previous),
                 rationale: format!(
-                    "{task} processes <{:.0}% of the sibling median with balanced input: likely a bad host; moving it usually resolves this",
-                    self.config.anomaly_ratio * 100.0
+                    "lag began {} after the v{version} release: suspect the update; more resources may help temporarily, rollback to v{previous} if not",
+                    lag_since.since(released_at)
                 ),
             };
         }
+    }
 
-        // Rule 2 — bad user update: the lag began within the window after
-        // a release.
-        if let (Some((version, previous, released_at)), Some(lag_since)) =
-            (input.last_release, input.lag_since)
-        {
-            if lag_since >= released_at && lag_since.since(released_at) <= self.config.update_window
-            {
-                return Diagnosis {
-                    cause: RootCause::BadUserUpdate {
-                        suspect_version: version,
-                        previous_version: previous,
-                    },
-                    mitigation: Mitigation::RecommendRollback(previous),
-                    rationale: format!(
-                        "lag began {} after the v{version} release: suspect the update; more resources may help temporarily, rollback to v{previous} if not",
-                        lag_since.since(released_at)
-                    ),
-                };
-            }
-        }
-
-        // Rule 3 — dependency failure: everyone is slow relative to the
-        // known max throughput, and nothing changed. A *complete* stall
-        // (zero processing while input keeps arriving — e.g. the input
-        // Scribe category stops serving reads) is the extreme of the same
-        // shape; zero throughput with zero input is just an idle job.
-        let n = input.metrics.task_count.max(1) as f64;
-        let k = input.metrics.threads_per_task.max(1) as f64;
-        let observed_per_thread = input.metrics.processing_rate / (n * k);
-        let total_stall = input.metrics.processing_rate <= 0.0 && input.metrics.input_rate > 0.0;
-        if input.expected_per_thread > 0.0
-            && observed_per_thread < input.expected_per_thread * self.config.collapse_ratio
-            && (input.metrics.processing_rate > 0.0 || total_stall)
-        {
-            return Diagnosis {
-                cause: RootCause::DependencyFailure,
-                mitigation: Mitigation::AlertAndWait,
-                rationale: format!(
-                    "all tasks process at {:.0}% of the known per-thread max with no recent change: dependency failure or system bug; scaling would amplify downstream load",
-                    observed_per_thread / input.expected_per_thread * 100.0
-                ),
-            };
-        }
-
-        Diagnosis {
-            cause: RootCause::Unknown,
+    // Rule 3 — dependency failure: everyone is slow relative to the known
+    // max throughput, and nothing changed. A *complete* stall (zero
+    // processing while input keeps arriving — e.g. the input Scribe
+    // category stops serving reads) is the extreme of the same shape; zero
+    // throughput with zero input is just an idle job.
+    let n = input.metrics.task_count.max(1) as f64;
+    let k = input.metrics.threads_per_task.max(1) as f64;
+    let observed_per_thread = input.metrics.processing_rate / (n * k);
+    let total_stall = input.metrics.processing_rate <= 0.0 && input.metrics.input_rate > 0.0;
+    if input.expected_per_thread > 0.0
+        && observed_per_thread < input.expected_per_thread * COLLAPSE_RATIO
+        && (input.metrics.processing_rate > 0.0 || total_stall)
+    {
+        return Diagnosis {
+            cause: RootCause::DependencyFailure,
             mitigation: Mitigation::AlertAndWait,
-            rationale: "no rule matched; operator investigation required".to_string(),
-        }
+            rationale: format!(
+                "all tasks process at {:.0}% of the known per-thread max with no recent change: dependency failure or system bug; scaling would amplify downstream load",
+                observed_per_thread / input.expected_per_thread * 100.0
+            ),
+        };
+    }
+
+    Diagnosis {
+        cause: RootCause::Unknown,
+        mitigation: Mitigation::AlertAndWait,
+        rationale: "no rule matched; operator investigation required".to_string(),
     }
 }
 
@@ -241,14 +211,6 @@ turbine_types::snap_enum!(RootCause {
 });
 
 turbine_types::snap_enum!(Mitigation { 0 => MoveTask(task), 1 => RecommendRollback(version), 2 => AlertAndWait });
-
-turbine_types::snap_struct!(RootCauserConfig {
-    anomaly_ratio,
-    update_window,
-    collapse_ratio
-});
-
-turbine_types::snap_struct!(RootCauser { config });
 
 #[cfg(test)]
 mod tests {
@@ -288,7 +250,7 @@ mod tests {
             .enumerate()
             .map(|(i, &r)| (task(i as u32), r))
             .collect();
-        let d = RootCauser::default().diagnose(&DiagnosisInput {
+        let d = diagnose(&DiagnosisInput {
             metrics: &metrics,
             per_task_rates: &rates,
             expected_per_thread: 1.0e6,
@@ -304,7 +266,7 @@ mod tests {
     fn lag_after_release_blames_the_update() {
         let metrics = base_metrics(4);
         let rates: Vec<(TaskId, f64)> = (0..4).map(|i| (task(i), 0.75e6)).collect();
-        let d = RootCauser::default().diagnose(&DiagnosisInput {
+        let d = diagnose(&DiagnosisInput {
             metrics: &metrics,
             per_task_rates: &rates,
             expected_per_thread: 1.0e6,
@@ -327,7 +289,7 @@ mod tests {
         let mut metrics = base_metrics(4);
         metrics.processing_rate = 1.0e6; // collapse: 0.25 per thread
         let rates: Vec<(TaskId, f64)> = (0..4).map(|i| (task(i), 0.25e6)).collect();
-        let d = RootCauser::default().diagnose(&DiagnosisInput {
+        let d = diagnose(&DiagnosisInput {
             metrics: &metrics,
             per_task_rates: &rates,
             expected_per_thread: 1.0e6,
@@ -344,7 +306,7 @@ mod tests {
         let mut metrics = base_metrics(8);
         metrics.processing_rate = 1.6e6; // 0.2 per thread vs P = 1.0
         let rates: Vec<(TaskId, f64)> = (0..8).map(|i| (task(i), 0.2e6)).collect();
-        let d = RootCauser::default().diagnose(&DiagnosisInput {
+        let d = diagnose(&DiagnosisInput {
             metrics: &metrics,
             per_task_rates: &rates,
             expected_per_thread: 1.0e6,
@@ -362,7 +324,7 @@ mod tests {
         let mut metrics = base_metrics(4);
         metrics.processing_rate = 0.0;
         let rates: Vec<(TaskId, f64)> = (0..4).map(|i| (task(i), 0.0)).collect();
-        let d = RootCauser::default().diagnose(&DiagnosisInput {
+        let d = diagnose(&DiagnosisInput {
             metrics: &metrics,
             per_task_rates: &rates,
             expected_per_thread: 1.0e6,
@@ -378,7 +340,7 @@ mod tests {
     fn healthy_looking_lag_is_unknown() {
         let metrics = base_metrics(4); // processing 0.75/thread: above collapse
         let rates: Vec<(TaskId, f64)> = (0..4).map(|i| (task(i), 0.75e6)).collect();
-        let d = RootCauser::default().diagnose(&DiagnosisInput {
+        let d = diagnose(&DiagnosisInput {
             metrics: &metrics,
             per_task_rates: &rates,
             expected_per_thread: 1.0e6,
@@ -401,7 +363,7 @@ mod tests {
             .enumerate()
             .map(|(i, &r)| (task(i as u32), r))
             .collect();
-        let d = RootCauser::default().diagnose(&DiagnosisInput {
+        let d = diagnose(&DiagnosisInput {
             metrics: &metrics,
             per_task_rates: &rates,
             expected_per_thread: 1.0e6,
@@ -423,7 +385,7 @@ mod tests {
             .enumerate()
             .map(|(i, &r)| (task(i as u32), r))
             .collect();
-        let d = RootCauser::default().diagnose(&DiagnosisInput {
+        let d = diagnose(&DiagnosisInput {
             metrics: &metrics,
             per_task_rates: &rates,
             expected_per_thread: 1.0e6,

@@ -16,9 +16,9 @@
 //! kicks in (§V-E). [`ScalerMode::Reactive`] reproduces the first
 //! generation (Dhalion-like) behaviour as the ablation baseline.
 
-use crate::estimator::{required_task_count, ResourceEstimator};
+use crate::estimator::{estimate_resources, required_task_count, BASE_MEMORY_MB, RECOVERY_TIME};
 use crate::patterns::{PatternAnalyzer, PatternConfig, ThroughputModel};
-use crate::symptoms::{detect, JobMetrics, Symptom, SymptomConfig};
+use crate::symptoms::{detect, JobMetrics, Symptom};
 use std::collections::HashMap;
 use turbine_config::JobConfig;
 use turbine_types::{Duration, JobId, Priority, Resources, SimTime};
@@ -33,15 +33,22 @@ pub enum ScalerMode {
     Full,
 }
 
+/// Memory growth factor applied on OOM.
+const OOM_MEMORY_FACTOR: f64 = 1.5;
+
+/// Window after a downscale during which an SLO violation is attributed to
+/// an overestimated `P`.
+const OVERESTIMATE_WINDOW: Duration = Duration::from_hours(1);
+
+/// Bootstrap per-thread throughput used until staging/observation provides
+/// a better value (bytes/sec).
+const BOOTSTRAP_P: f64 = 1.0e6;
+
 /// Scaler tunables.
 #[derive(Debug, Clone, Copy)]
 pub struct ScalerConfig {
     /// Generation selector.
     pub mode: ScalerMode,
-    /// Symptom thresholds.
-    pub symptoms: SymptomConfig,
-    /// Resource estimation model.
-    pub estimator: ResourceEstimator,
     /// Pattern analyzer settings.
     pub patterns: PatternConfig,
     /// How long a job must stay symptom-free before downscaling is
@@ -52,14 +59,6 @@ pub struct ScalerConfig {
     /// Per-task resource ceiling for vertical scaling — typically 1/5 of a
     /// Turbine container, keeping tasks fine-grained enough to move.
     pub vertical_limit: Resources,
-    /// Memory growth factor applied on OOM.
-    pub oom_memory_factor: f64,
-    /// Window after a downscale during which an SLO violation is
-    /// attributed to an overestimated `P`.
-    pub overestimate_window: Duration,
-    /// Bootstrap per-thread throughput used until staging/observation
-    /// provides a better value (bytes/sec).
-    pub bootstrap_p: f64,
     /// Proactive pre-emptive upscale trigger: when the estimated CPU
     /// units (Eq. 2) exceed this fraction of capacity, scale up *before*
     /// lag appears. This is what keeps jobs inside their SLOs through
@@ -75,15 +74,10 @@ impl Default for ScalerConfig {
     fn default() -> Self {
         ScalerConfig {
             mode: ScalerMode::Full,
-            symptoms: SymptomConfig::default(),
-            estimator: ResourceEstimator::default(),
             patterns: PatternConfig::default(),
             downscale_stability: Duration::from_hours(24),
             min_action_gap: Duration::from_mins(5),
             vertical_limit: Resources::new(8.0, 10_240.0, 102_400.0, 200.0),
-            oom_memory_factor: 1.5,
-            overestimate_window: Duration::from_hours(1),
-            bootstrap_p: 1.0e6,
             preemptive_units: 0.85,
             target_units: 0.7,
         }
@@ -219,9 +213,8 @@ impl AutoScaler {
         now: SimTime,
     ) -> ScalingDecision {
         self.patterns.record(job, now, metrics.input_rate);
-        let bootstrap_p = self.config.bootstrap_p;
         let state = self.states.entry(job).or_insert_with(|| JobState {
-            throughput: ThroughputModel::new(bootstrap_p),
+            throughput: ThroughputModel::new(BOOTSTRAP_P),
             healthy_since: Some(now),
             last_action_at: None,
             last_downscale_at: None,
@@ -237,7 +230,7 @@ impl AutoScaler {
             state.throughput.record_underestimate(observed_per_thread);
         }
 
-        let symptoms = detect(metrics, config.slo_lag_secs, &self.config.symptoms);
+        let symptoms = detect(metrics, config.slo_lag_secs);
         let lagging = symptoms
             .iter()
             .any(|s| matches!(s, Symptom::Lagging { .. }));
@@ -341,7 +334,7 @@ impl AutoScaler {
         }
         if oom {
             let mut per_task = config.task_resources;
-            per_task.memory_mb *= self.config.oom_memory_factor;
+            per_task.memory_mb *= OOM_MEMORY_FACTOR;
             return ScalingDecision {
                 job,
                 action: Some(ScalingAction::Vertical {
@@ -402,14 +395,14 @@ impl AutoScaler {
         let p = state.throughput.p();
         let k = config.threads_per_task.max(1);
         let n = config.task_count.max(1);
-        let estimate = self.config.estimator.estimate(metrics, p, config.stateful);
+        let estimate = estimate_resources(metrics, p, config.stateful);
 
         if lagging {
             // An SLO violation shortly after a downscale indicts the P
             // estimate (§V-C): pull P down toward the observed rate.
             if state
                 .last_downscale_at
-                .is_some_and(|at| now.since(at) <= self.config.overestimate_window)
+                .is_some_and(|at| now.since(at) <= OVERESTIMATE_WINDOW)
             {
                 let observed_per_thread = metrics.input_rate / (n as f64 * k as f64);
                 state.throughput.record_overestimate(observed_per_thread);
@@ -433,12 +426,12 @@ impl AutoScaler {
             // created and the job creeps up in many small (pausing!)
             // steps.
             let resize_pause_secs = 240.0;
-            let needed = crate::estimator::required_task_count(
+            let needed = required_task_count(
                 metrics.input_rate,
                 p,
                 k,
                 metrics.total_bytes_lagged + metrics.input_rate * resize_pause_secs,
-                Some(self.config.estimator.recovery_time),
+                Some(RECOVERY_TIME),
             )
             .max(estimate.recovery_task_count);
             // Recovery-in-progress guard: if capacity already exceeds the
@@ -450,8 +443,7 @@ impl AutoScaler {
             let capacity_rate = n as f64 * k as f64 * p;
             let surplus = capacity_rate - metrics.input_rate;
             let drain_within_target = surplus > 0.0
-                && metrics.total_bytes_lagged / surplus
-                    <= self.config.estimator.recovery_time.as_secs_f64() * 1.5;
+                && metrics.total_bytes_lagged / surplus <= RECOVERY_TIME.as_secs_f64() * 1.5;
             if n >= estimate.min_task_count
                 && metrics.processing_rate > metrics.input_rate
                 && drain_within_target
@@ -520,8 +512,7 @@ impl AutoScaler {
         if oom {
             let peak = metrics.peak_task_memory_mb();
             let mut per_task = config.task_resources;
-            per_task.memory_mb =
-                (per_task.memory_mb * self.config.oom_memory_factor).max(peak * 1.2);
+            per_task.memory_mb = (per_task.memory_mb * OOM_MEMORY_FACTOR).max(peak * 1.2);
             if per_task.memory_mb <= self.config.vertical_limit.memory_mb {
                 return ScalingDecision {
                     job,
@@ -548,8 +539,8 @@ impl AutoScaler {
             let target = (n * 2).min(config.max_task_count);
             if target > n {
                 let mut per_task = config.task_resources;
-                per_task.memory_mb = (per_task.memory_mb * n as f64 / target as f64)
-                    .max(self.config.estimator.base_memory_mb);
+                per_task.memory_mb =
+                    (per_task.memory_mb * n as f64 / target as f64).max(BASE_MEMORY_MB);
                 return ScalingDecision {
                     job,
                     action: Some(ScalingAction::Horizontal {
@@ -686,7 +677,7 @@ impl AutoScaler {
             }
             // Vertical reclaim: memory reserved far above observed peak.
             let peak = metrics.peak_task_memory_mb();
-            let floor = self.config.estimator.base_memory_mb;
+            let floor = BASE_MEMORY_MB;
             if peak > 0.0 && config.task_resources.memory_mb > (peak * 1.5).max(floor) {
                 let mut per_task = config.task_resources;
                 per_task.memory_mb = (peak * 1.3).max(floor);
@@ -779,15 +770,10 @@ turbine_types::snap_enum!(ScalerMode { 0 => Reactive, 1 => Full });
 
 turbine_types::snap_struct!(ScalerConfig {
     mode,
-    symptoms,
-    estimator,
     patterns,
     downscale_stability,
     min_action_gap,
     vertical_limit,
-    oom_memory_factor,
-    overestimate_window,
-    bootstrap_p,
     preemptive_units,
     target_units
 });
@@ -815,7 +801,6 @@ mod tests {
 
     fn scaler() -> AutoScaler {
         let mut cfg = ScalerConfig::default();
-        cfg.bootstrap_p = 1.0e6; // 1 MB/s per thread
         cfg.downscale_stability = Duration::from_hours(1);
         cfg.min_action_gap = Duration::ZERO;
         AutoScaler::new(cfg)
@@ -878,7 +863,6 @@ mod tests {
     #[test]
     fn vertical_is_preferred_until_the_limit() {
         let mut cfg = ScalerConfig::default();
-        cfg.bootstrap_p = 1.0e6;
         cfg.min_action_gap = Duration::ZERO;
         cfg.vertical_limit = Resources::new(4.0, 10_240.0, 102_400.0, 200.0);
         let mut s = AutoScaler::new(cfg);
@@ -1025,7 +1009,6 @@ mod tests {
     #[test]
     fn cooldown_suppresses_rapid_consecutive_actions() {
         let mut cfg = ScalerConfig::default();
-        cfg.bootstrap_p = 1.0e6;
         cfg.min_action_gap = Duration::from_mins(5);
         let mut s = AutoScaler::new(cfg);
         let mut m = healthy_metrics(1, 64.0e6);

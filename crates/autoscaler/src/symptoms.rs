@@ -76,29 +76,12 @@ impl JobMetrics {
     }
 }
 
-/// Detection thresholds.
-#[derive(Debug, Clone, Copy)]
-pub struct SymptomConfig {
-    /// `time_lagged` above the job's SLO threshold ⇒ lagging.
-    /// (The SLO itself comes from the job config; this is a multiplier
-    /// applied to it, normally 1.0.)
-    pub slo_multiplier: f64,
-    /// Imbalance CV above this ⇒ imbalanced input.
-    pub imbalance_cv_threshold: f64,
-    /// Memory usage above this fraction of the soft limit ⇒ pressure
-    /// (tasks without hard enforcement).
-    pub soft_memory_fraction: f64,
-}
+/// Imbalance CV above this ⇒ imbalanced input.
+const IMBALANCE_CV_THRESHOLD: f64 = 0.5;
 
-impl Default for SymptomConfig {
-    fn default() -> Self {
-        SymptomConfig {
-            slo_multiplier: 1.0,
-            imbalance_cv_threshold: 0.5,
-            soft_memory_fraction: 0.9,
-        }
-    }
-}
+/// Memory usage above this fraction of the soft limit ⇒ pressure (tasks
+/// without hard enforcement).
+const SOFT_MEMORY_FRACTION: f64 = 0.9;
 
 /// A detected misbehaviour symptom.
 #[derive(Debug, Clone, PartialEq)]
@@ -150,18 +133,18 @@ impl Symptom {
 }
 
 /// Run all detectors over one job's metrics. `slo_secs` is the job's
-/// configured `time_lagged` SLO.
-pub fn detect(metrics: &JobMetrics, slo_secs: f64, config: &SymptomConfig) -> Vec<Symptom> {
+/// configured `time_lagged` SLO: a `time_lagged` above it ⇒ lagging.
+pub fn detect(metrics: &JobMetrics, slo_secs: f64) -> Vec<Symptom> {
     let mut symptoms = Vec::new();
     let lag = metrics.time_lagged_secs();
-    if lag > slo_secs * config.slo_multiplier {
+    if lag > slo_secs {
         symptoms.push(Symptom::Lagging {
             time_lagged_secs: lag,
             slo_secs,
         });
     }
     let cv = metrics.imbalance_cv();
-    if cv > config.imbalance_cv_threshold {
+    if cv > IMBALANCE_CV_THRESHOLD {
         symptoms.push(Symptom::ImbalancedInput { cv });
     }
     if metrics.oom_events > 0 {
@@ -171,7 +154,7 @@ pub fn detect(metrics: &JobMetrics, slo_secs: f64, config: &SymptomConfig) -> Ve
     }
     let soft_limit = metrics.reserved.memory_mb;
     let peak = metrics.peak_task_memory_mb();
-    if soft_limit > 0.0 && peak > soft_limit * config.soft_memory_fraction {
+    if soft_limit > 0.0 && peak > soft_limit * SOFT_MEMORY_FRACTION {
         symptoms.push(Symptom::MemoryPressure {
             peak_mb: peak,
             soft_limit_mb: soft_limit,
@@ -179,12 +162,6 @@ pub fn detect(metrics: &JobMetrics, slo_secs: f64, config: &SymptomConfig) -> Ve
     }
     symptoms
 }
-
-turbine_types::snap_struct!(SymptomConfig {
-    slo_multiplier,
-    imbalance_cv_threshold,
-    soft_memory_fraction
-});
 
 #[cfg(test)]
 mod tests {
@@ -207,7 +184,7 @@ mod tests {
 
     #[test]
     fn healthy_job_has_no_symptoms() {
-        assert!(detect(&healthy(), 90.0, &SymptomConfig::default()).is_empty());
+        assert!(detect(&healthy(), 90.0).is_empty());
     }
 
     #[test]
@@ -226,11 +203,11 @@ mod tests {
     fn lag_beyond_slo_is_detected() {
         let mut m = healthy();
         m.total_bytes_lagged = 100.0 * 91.0; // 91 s of backlog at rate 100
-        let symptoms = detect(&m, 90.0, &SymptomConfig::default());
+        let symptoms = detect(&m, 90.0);
         assert!(matches!(symptoms[0], Symptom::Lagging { .. }));
         // Just inside the SLO: clean.
         m.total_bytes_lagged = 100.0 * 89.0;
-        assert!(detect(&m, 90.0, &SymptomConfig::default()).is_empty());
+        assert!(detect(&m, 90.0).is_empty());
     }
 
     #[test]
@@ -238,7 +215,7 @@ mod tests {
         let mut m = healthy();
         m.per_task_rates = vec![97.0, 1.0, 1.0, 1.0];
         assert!(m.imbalance_cv() > 1.0);
-        let symptoms = detect(&m, 90.0, &SymptomConfig::default());
+        let symptoms = detect(&m, 90.0);
         assert!(symptoms
             .iter()
             .any(|s| matches!(s, Symptom::ImbalancedInput { .. })));
@@ -251,12 +228,12 @@ mod tests {
     fn oom_and_memory_pressure_detected() {
         let mut m = healthy();
         m.oom_events = 2;
-        let symptoms = detect(&m, 90.0, &SymptomConfig::default());
+        let symptoms = detect(&m, 90.0);
         assert!(symptoms.contains(&Symptom::OutOfMemory { events: 2 }));
 
         let mut m = healthy();
         m.per_task_memory_mb = vec![400.0, 790.0];
-        let symptoms = detect(&m, 90.0, &SymptomConfig::default());
+        let symptoms = detect(&m, 90.0);
         assert!(symptoms
             .iter()
             .any(|s| matches!(s, Symptom::MemoryPressure { .. })));

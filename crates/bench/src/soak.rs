@@ -180,7 +180,6 @@ pub fn run_soak(params: &SoakParams) -> Turbine {
     turbine.install_default_alert_rules();
     turbine.enable_invariant_checks(InvariantConfig {
         audit_interval: AUDIT_INTERVAL,
-        ..InvariantConfig::default()
     });
     // Settle before chaos.
     turbine.drive_for(Duration::from_mins(5).min(params.total), params.mode);

@@ -69,16 +69,18 @@ use turbine_statesyncer::StateSyncer;
 use turbine_taskmgr::LocalTaskManager;
 use turbine_types::{ContainerId, Duration, JobId, PartitionId, ShardId, SimTime, TaskId};
 
+/// How long a job may stay diverged (expected ≠ running, or configured
+/// tasks not all running) after the later of: the last fault clearing and
+/// the divergence starting. Must comfortably exceed the sync cadence times
+/// the syncer's in-flight budget.
+const CONVERGENCE_WINDOW: Duration = Duration::from_mins(30);
+
+/// Cap on stored violations (a counter keeps the true total).
+const MAX_RECORDED: usize = 64;
+
 /// Invariant-checker tunables.
 #[derive(Debug, Clone, Copy)]
 pub struct InvariantConfig {
-    /// How long a job may stay diverged (expected ≠ running, or configured
-    /// tasks not all running) after the later of: the last fault clearing
-    /// and the divergence starting. Must comfortably exceed the sync
-    /// cadence times the syncer's in-flight budget.
-    pub convergence_window: Duration,
-    /// Cap on stored violations (a counter keeps the true total).
-    pub max_recorded: usize,
     /// Every this many sparse checks, a full-scan audit cross-checks the
     /// incrementally maintained state (0 disables the audit).
     pub audit_interval: u64,
@@ -87,8 +89,6 @@ pub struct InvariantConfig {
 impl Default for InvariantConfig {
     fn default() -> Self {
         InvariantConfig {
-            convergence_window: Duration::from_mins(30),
-            max_recorded: 64,
             audit_interval: 256,
         }
     }
@@ -239,7 +239,7 @@ impl InvariantChecker {
         }
     }
 
-    /// Recorded violations (capped at `max_recorded`).
+    /// Recorded violations (capped at 64).
     pub fn violations(&self) -> &[Violation] {
         &self.violations
     }
@@ -523,9 +523,7 @@ impl InvariantChecker {
             .diverged_since
             .iter()
             .filter(|(job, _)| !self.convergence_flagged.contains(job))
-            .filter(|&(_, &start)| {
-                now.since(start.max(quiet_since)) > self.config.convergence_window
-            })
+            .filter(|&(_, &start)| now.since(start.max(quiet_since)) > CONVERGENCE_WINDOW)
             .map(|(&job, _)| job)
             .collect();
         for job in flagged {
@@ -612,7 +610,7 @@ impl InvariantChecker {
 
     fn record(&mut self, at: SimTime, invariant: &'static str, detail: String) {
         self.total += 1;
-        if self.violations.len() < self.config.max_recorded {
+        if self.violations.len() < MAX_RECORDED {
             self.violations.push(Violation {
                 at,
                 invariant,
@@ -908,11 +906,7 @@ const INVARIANT_NAMES: [&str; 10] = [
     "post-fault-convergence",
 ];
 
-snap_struct!(InvariantConfig {
-    convergence_window,
-    max_recorded,
-    audit_interval
-});
+snap_struct!(InvariantConfig { audit_interval });
 
 // By hand: `invariant` is a `&'static str`, written as text and interned
 // back against `INVARIANT_NAMES`.

@@ -5,7 +5,7 @@
 //! component table — these bodies only do the round's work at the instant
 //! they are invoked.
 
-use super::{OutageState, Turbine};
+use super::{OutageState, Turbine, CONNECTION_TIMEOUT, RESTART_DELAY};
 use crate::engine::{ActiveTask, Engine};
 use crate::metrics::DiagnosisRecord;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -49,7 +49,7 @@ impl Turbine {
         let due_reboot: Vec<ContainerId> = self
             .severed
             .iter()
-            .filter(|(_, s)| !s.rebooted && now.since(s.at) >= self.config.connection_timeout)
+            .filter(|(_, s)| !s.rebooted && now.since(s.at) >= CONNECTION_TIMEOUT)
             .map(|(&c, _)| c)
             .collect();
         for container in due_reboot {
@@ -750,7 +750,7 @@ impl Turbine {
                     .all(|(_, t)| t.started_at <= window_start);
                 let hardware = if stable_window {
                     let per_task_rates = self.per_task_rates(job, &stats.per_task);
-                    self.root_causer.hardware_anomaly(&metrics, &per_task_rates)
+                    turbine_autoscaler::hardware_anomaly(&metrics, &per_task_rates)
                 } else {
                     None
                 };
@@ -824,7 +824,7 @@ impl Turbine {
         now: SimTime,
     ) {
         let per_task_rates = self.per_task_rates(job, per_task_window);
-        let diagnosis = self.root_causer.diagnose(&DiagnosisInput {
+        let diagnosis = turbine_autoscaler::diagnose(&DiagnosisInput {
             metrics,
             per_task_rates: &per_task_rates,
             expected_per_thread: self.scaler.throughput_estimate(job).unwrap_or(0.0),
@@ -1170,7 +1170,7 @@ impl Turbine {
     /// Apply shard movements: DROP_SHARD on the source before ADD_SHARD on
     /// the destination — a shard must never run in two containers at once.
     pub(crate) fn apply_movements(&mut self, moves: &[ShardMovement]) {
-        self.apply_movements_delayed(moves, self.config.restart_delay);
+        self.apply_movements_delayed(moves, RESTART_DELAY);
     }
 
     /// [`Self::apply_movements`] with the downtime of the tasks that start
@@ -1207,7 +1207,7 @@ impl Turbine {
     /// Record task lifecycle events from a Task Manager into the engine
     /// and the platform counters.
     pub(crate) fn handle_task_events(&mut self, container: ContainerId, events: &[TaskEvent]) {
-        self.handle_task_events_delayed(container, events, self.config.restart_delay);
+        self.handle_task_events_delayed(container, events, RESTART_DELAY);
     }
 
     fn handle_task_events_delayed(

@@ -21,10 +21,7 @@ fn converged(sparse: bool) -> Turbine {
         t.provision_job(JobId(j), config(j), TrafficModel::flat(1.0e6), 1.0e6, 256.0)
             .expect("provision");
     }
-    t.enable_invariant_checks(InvariantConfig {
-        audit_interval: 1,
-        ..InvariantConfig::default()
-    });
+    t.enable_invariant_checks(InvariantConfig { audit_interval: 1 });
     t.run_for(Duration::from_mins(10));
     for j in 1..=2 {
         assert_eq!(t.engine.running_tasks_of(JobId(j)), 2, "converged");
@@ -67,7 +64,7 @@ fn a_violation_planted_through_the_engine_is_caught_at_its_instant() {
         planted.id = TaskId::new(job, 7);
         planted.partitions = specs[0].partitions.clone();
         t.engine
-            .task_started(&planted, sibling, t.now, t.config.restart_delay);
+            .task_started(&planted, sibling, t.now, RESTART_DELAY);
         let mut copy = restored(&t);
         for p in [&mut t, &mut copy] {
             let at = p.now + p.config.tick;

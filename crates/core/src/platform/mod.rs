@@ -2,9 +2,23 @@
 //! driven in simulated time.
 //!
 //! Production cadences (paper values) are the defaults: State Syncer every
-//! 30 s, Task Manager refresh every 60 s with a 90 s Task Service cache,
-//! heartbeats with a 40 s proactive connection timeout and 60 s fail-over,
-//! load reports every 10 min, cluster-wide rebalance every 30 min.
+//! 30 s, Task Manager refresh every 60 s, load reports every 10 min,
+//! cluster-wide rebalance every 30 min.
+//!
+//! The protocol values no deployment varies are constants, each beside the
+//! code that reads it:
+//!
+//! * `TASK_SERVICE_TTL` — the Task Service snapshot cache lives 90 s
+//!   (paper);
+//! * `CONNECTION_TIMEOUT` — a container whose connection to the Shard
+//!   Manager is lost reboots itself after 40 s, before the Shard Manager's
+//!   60 s fail-over ([`turbine_shardmgr::FAILOVER_INTERVAL`]) hands its
+//!   shards to another container (paper; checked at compile time);
+//! * `CONTAINER_FRACTION` — each host hands 80 % of its resources to its
+//!   Turbine container;
+//! * `RESTART_DELAY` — a (re)started task is down for 10 s;
+//! * the decision trace keeps [`turbine_trace::DEFAULT_TRACE_CAPACITY`]
+//!   records (its digest covers evicted records too).
 //!
 //! The platform is organised as focused submodules:
 //!
@@ -31,20 +45,33 @@ use crate::invariants::{InvariantChecker, InvariantConfig, Violation};
 use crate::metrics::PlatformMetrics;
 use scheduler::ControlSchedule;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use turbine_autoscaler::{
-    AutoScaler, CapacityManager, CapacityManagerConfig, RootCauser, ScalerConfig,
-};
+use turbine_autoscaler::{AutoScaler, CapacityManager, ScalerConfig};
 use turbine_cluster::Cluster;
 use turbine_config::{ConfigLevel, ConfigValue, JobConfig, ResiliencyClass};
 use turbine_jobstore::{JobService, JobStore, MemWal};
 use turbine_scribe::{CheckpointStore, Scribe, ShadowCursor};
-use turbine_shardmgr::{ShardManager, ShardManagerConfig};
+use turbine_shardmgr::{ShardManager, ShardManagerConfig, FAILOVER_INTERVAL};
 use turbine_sim::{FaultInjector, SimRng};
 use turbine_statesyncer::{StateSyncer, SyncerConfig};
 use turbine_taskmgr::{LocalTaskManager, SnapshotTable, TaskService};
 use turbine_trace::TraceBuffer;
 use turbine_types::{ContainerId, Duration, Fnv1a, HostId, JobId, Resources, SimTime};
 use turbine_workloads::TrafficModel;
+
+/// Fraction of each host handed to its Turbine container.
+const CONTAINER_FRACTION: f64 = 0.8;
+
+/// Task Service snapshot cache TTL (paper: 90 s).
+const TASK_SERVICE_TTL: Duration = Duration::from_secs(90);
+
+/// Proactive connection timeout after which a disconnected container
+/// reboots itself (paper: 40 s — before the 60 s fail-over).
+pub(crate) const CONNECTION_TIMEOUT: Duration = Duration::from_secs(40);
+
+const _: () = assert!(CONNECTION_TIMEOUT.as_millis() < FAILOVER_INTERVAL.as_millis());
+
+/// Downtime a task suffers when (re)started.
+pub(crate) const RESTART_DELAY: Duration = Duration::from_secs(10);
 
 /// Platform configuration. Defaults are the paper's production values.
 #[derive(Debug, Clone)]
@@ -55,19 +82,12 @@ pub struct TurbineConfig {
     pub tick: Duration,
     /// Shards in the tier.
     pub shard_count: u64,
-    /// Fraction of each host handed to its Turbine container.
-    pub container_fraction: f64,
     /// State Syncer round interval (paper: 30 s).
     pub sync_interval: Duration,
     /// Task Manager snapshot refresh interval (paper: 60 s).
     pub tm_refresh_interval: Duration,
-    /// Task Service snapshot cache TTL (paper: 90 s).
-    pub task_service_ttl: Duration,
     /// Heartbeat interval from Task Managers to the Shard Manager.
     pub heartbeat_interval: Duration,
-    /// Proactive connection timeout after which a disconnected container
-    /// reboots itself (paper: 40 s — before the 60 s fail-over).
-    pub connection_timeout: Duration,
     /// Load-report interval from Task Managers (paper: every 10 min).
     pub load_report_interval: Duration,
     /// Shard Manager rebalance interval (paper: 30 min for most tiers).
@@ -80,8 +100,6 @@ pub struct TurbineConfig {
     pub metrics_interval: Duration,
     /// Checkpoint/Scribe durability sync interval.
     pub checkpoint_interval: Duration,
-    /// Downtime a task suffers when (re)started.
-    pub restart_delay: Duration,
     /// Bandwidth at which stateful jobs' state is moved during complex
     /// synchronizations, bytes/sec. Stateless jobs redistribute instantly
     /// (checkpoints are per-partition; nothing moves).
@@ -92,16 +110,11 @@ pub struct TurbineConfig {
     pub scaler: ScalerConfig,
     /// Shard Manager tunables.
     pub shardmgr: ShardManagerConfig,
-    /// Capacity Manager tunables.
-    pub capacity: CapacityManagerConfig,
     /// Master switch for the Auto Scaler (ablations).
     pub scaler_enabled: bool,
     /// Master switch for load-balancing rebalances (ablations; fail-over
     /// stays on).
     pub load_balancing_enabled: bool,
-    /// Ring capacity of the decision trace (records retained; the digest
-    /// covers evicted records too).
-    pub trace_capacity: usize,
     /// Sparse data plane: per-round control-plane work proportional to
     /// what changed rather than fleet size. State Syncer rounds walk only
     /// the attention set plus the Job Store changelog delta, invariant
@@ -120,27 +133,21 @@ impl Default for TurbineConfig {
         TurbineConfig {
             tick: Duration::from_secs(10),
             shard_count: 1024,
-            container_fraction: 0.8,
             sync_interval: Duration::from_secs(30),
             tm_refresh_interval: Duration::from_secs(60),
-            task_service_ttl: Duration::from_secs(90),
             heartbeat_interval: Duration::from_secs(10),
-            connection_timeout: Duration::from_secs(40),
             load_report_interval: Duration::from_mins(10),
             rebalance_interval: Duration::from_mins(30),
             scaler_interval: Duration::from_mins(2),
             capacity_interval: Duration::from_mins(5),
             metrics_interval: Duration::from_mins(1),
             checkpoint_interval: Duration::from_secs(60),
-            restart_delay: Duration::from_secs(10),
             state_move_bandwidth: 256.0e6,
             syncer: SyncerConfig::default(),
             scaler: ScalerConfig::default(),
             shardmgr: ShardManagerConfig::default(),
-            capacity: CapacityManagerConfig::default(),
             scaler_enabled: true,
             load_balancing_enabled: true,
-            trace_capacity: turbine_trace::DEFAULT_TRACE_CAPACITY,
             sparse_data_plane: true,
         }
     }
@@ -151,8 +158,10 @@ impl TurbineConfig {
     /// events execute: a tick longer than a component's cadence would
     /// silently skip rounds (the `Periodic` scheduler collapses missed
     /// slots into a single firing), so every cadence must be at least one
-    /// tick long.
+    /// tick long. The State Syncer's tunables are checked by
+    /// [`SyncerConfig::validate`].
     pub fn validate(&self) -> Result<(), String> {
+        self.syncer.validate()?;
         if self.tick.is_zero() {
             return Err("tick must be positive".to_string());
         }
@@ -303,7 +312,6 @@ pub struct Turbine {
     /// Mean time between random task crashes; `None` disables injection.
     pub(crate) crash_mtbf: Option<Duration>,
     pub(crate) rng: SimRng,
-    pub(crate) root_causer: RootCauser,
     /// Per-job release tracking for the root-causer:
     /// (current version, previous version, changed at).
     pub(crate) releases: HashMap<JobId, (u64, u64, SimTime)>,
@@ -378,11 +386,11 @@ impl Turbine {
     /// cadence, which would silently skip rounds).
     pub fn try_new(config: TurbineConfig) -> Result<Self, String> {
         config.validate()?;
-        let mut task_service = TaskService::with_ttl(config.task_service_ttl, config.shard_count);
+        let mut task_service = TaskService::with_ttl(TASK_SERVICE_TTL, config.shard_count);
         task_service.invalidate();
         let mut shard_manager = ShardManager::new(config.shardmgr);
         shard_manager.ensure_shards(config.shard_count);
-        let mut capacity = CapacityManager::new(config.capacity);
+        let mut capacity = CapacityManager::default();
         capacity.register_cluster("primary", Resources::ZERO);
         Ok(Turbine {
             now: SimTime::ZERO,
@@ -405,7 +413,6 @@ impl Turbine {
             state_moves: HashMap::new(),
             crash_mtbf: None,
             rng: SimRng::seeded(0x0C2A_54E5),
-            root_causer: RootCauser::default(),
             releases: HashMap::new(),
             lag_since: HashMap::new(),
             last_diagnosis: HashMap::new(),
@@ -417,7 +424,7 @@ impl Turbine {
             fresh_promotions: Vec::new(),
             fresh_revivals: Vec::new(),
             faults: FaultInjector::new(),
-            trace: TraceBuffer::new(config.trace_capacity),
+            trace: TraceBuffer::default(),
             invariants: None,
             pending_dirty: PendingDirty::all([]),
             load_dirty_containers: BTreeSet::new(),
@@ -510,7 +517,7 @@ impl Turbine {
     pub fn add_hosts(&mut self, n: usize, capacity: Resources) -> Vec<HostId> {
         let hosts = self.cluster.add_hosts(n, capacity);
         for &host in &hosts {
-            let cap = capacity.scale(self.config.container_fraction);
+            let cap = capacity.scale(CONTAINER_FRACTION);
             let container = self
                 .cluster
                 .allocate_container(host, cap)
@@ -947,11 +954,10 @@ impl Turbine {
 use turbine_types::{snap_struct, Snap, SnapError, SnapReader, SnapWriter};
 
 snap_struct!(TurbineConfig {
-    tick, shard_count, container_fraction, sync_interval, tm_refresh_interval,
-    task_service_ttl, heartbeat_interval, connection_timeout, load_report_interval,
-    rebalance_interval, scaler_interval, capacity_interval, metrics_interval,
-    checkpoint_interval, restart_delay, state_move_bandwidth, syncer, scaler, shardmgr,
-    capacity, scaler_enabled, load_balancing_enabled, trace_capacity, sparse_data_plane
+    tick, shard_count, sync_interval, tm_refresh_interval, heartbeat_interval,
+    load_report_interval, rebalance_interval, scaler_interval, capacity_interval,
+    metrics_interval, checkpoint_interval, state_move_bandwidth, syncer, scaler, shardmgr,
+    scaler_enabled, load_balancing_enabled, sparse_data_plane
 }
 // The tick-vs-cadence rules enforced at construction apply to decoded
 // configs too: a corrupt blob must not yield a platform that silently
@@ -1051,7 +1057,7 @@ turbine_stream! {
     shard_manager,
     task_managers via (snap_managers, unsnap_managers),
     scaler, capacity, checkpoints, engine, paused, capacity_stopped, state_moves, crash_mtbf,
-    rng, root_causer, releases, lag_since, last_diagnosis, severed, categories, shadow,
+    rng, releases, lag_since, last_diagnosis, severed, categories, shadow,
     outages, container_down_since, fresh_promotions, fresh_revivals, faults, trace,
     invariants, pending_dirty, load_dirty_containers, resiliency_cache, resiliency_cursor,
     sched, last_scaler_drain, ods;

@@ -37,7 +37,7 @@
 //!   while crash injection is armed (every dense tick draws from the RNG
 //!   stream) or any fault is active.
 
-use super::{Turbine, TurbineConfig};
+use super::{Turbine, TurbineConfig, RESTART_DELAY};
 use crate::invariants::InvariantView;
 use std::collections::BTreeSet;
 use turbine_sim::{EventQueue, Fault, Periodic};
@@ -529,7 +529,7 @@ impl Turbine {
                 self.trace
                     .emit(now, TraceData::OomRestart { task, container });
             }
-            let until = now + self.config.restart_delay;
+            let until = now + RESTART_DELAY;
             self.engine.knock_down_task(task, until);
             if schedule_wakes {
                 self.schedule_restart_wake(until);
@@ -553,7 +553,7 @@ impl Turbine {
                 if let Some(event) = event {
                     self.handle_task_events(container, &[event]);
                     if schedule_wakes {
-                        self.schedule_restart_wake(now + self.config.restart_delay);
+                        self.schedule_restart_wake(now + RESTART_DELAY);
                     }
                 }
             }

@@ -144,7 +144,6 @@ fn parallelism_change_runs_complex_sync_with_bounded_downtime() {
 fn scaler_rescues_an_undersized_job() {
     let mut config = TurbineConfig::default();
     config.scaler.min_action_gap = Duration::from_mins(2);
-    config.scaler.bootstrap_p = 1.0e6;
     let mut t = Turbine::new(config);
     t.add_hosts(8, host_caps());
     let job = JobId(1);

@@ -20,6 +20,6 @@ pub mod manager;
 pub mod movement;
 pub mod placement;
 
-pub use manager::{ContainerStatus, ShardManager, ShardManagerConfig};
+pub use manager::{ContainerStatus, ShardManager, ShardManagerConfig, FAILOVER_INTERVAL};
 pub use movement::ShardMovement;
 pub use placement::{compute_placement, PlacementConfig, PlacementInput, PlacementResult};

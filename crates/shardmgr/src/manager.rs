@@ -8,30 +8,24 @@ use crate::placement::{
 use std::collections::{BTreeMap, HashMap};
 use turbine_types::{ContainerId, Duration, JobId, Resources, ShardId, SimTime};
 
+/// Missing heartbeats for this long ⇒ the container is declared dead and
+/// its shards fail over (paper: 60 s).
+pub const FAILOVER_INTERVAL: Duration = Duration::from_secs(60);
+
+/// Missing heartbeats for this long ⇒ a critical job's primary is
+/// *suspect* and its warm standby is promoted, well before the full
+/// fail-over interval declares the container dead. Two missed beats at the
+/// default 10 s heartbeat cadence. Must not exceed [`FAILOVER_INTERVAL`]
+/// (the standard path would win the race).
+const STANDBY_GRACE: Duration = Duration::from_secs(20);
+
+const _: () = assert!(STANDBY_GRACE.as_millis() < FAILOVER_INTERVAL.as_millis());
+
 /// Shard Manager tunables, defaulting to the paper's production values.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ShardManagerConfig {
-    /// Missing heartbeats for this long ⇒ the container is declared dead
-    /// and its shards fail over (paper default: 60 s).
-    pub failover_interval: Duration,
-    /// Missing heartbeats for this long ⇒ a critical job's primary is
-    /// *suspect* and its warm standby is promoted, well before the full
-    /// fail-over interval declares the container dead. Two missed beats at
-    /// the default 10 s heartbeat cadence. Must not exceed
-    /// `failover_interval` (the standard path would win the race).
-    pub standby_grace: Duration,
     /// Placement tunables.
     pub placement: PlacementConfig,
-}
-
-impl Default for ShardManagerConfig {
-    fn default() -> Self {
-        ShardManagerConfig {
-            failover_interval: Duration::from_secs(60),
-            standby_grace: Duration::from_secs(20),
-            placement: PlacementConfig::default(),
-        }
-    }
 }
 
 /// Liveness of a registered container, as the Shard Manager sees it.
@@ -171,8 +165,7 @@ impl ShardManager {
     /// connection and a dead host (heartbeats stop either way).
     pub fn is_suspect(&self, id: ContainerId, now: SimTime) -> bool {
         self.containers.get(&id).is_some_and(|e| {
-            e.status == ContainerStatus::Alive
-                && now.since(e.last_heartbeat) >= self.config.standby_grace
+            e.status == ContainerStatus::Alive && now.since(e.last_heartbeat) >= STANDBY_GRACE
         })
     }
 
@@ -288,7 +281,7 @@ impl ShardManager {
         let mut newly_dead = false;
         for entry in self.containers.values_mut() {
             if entry.status == ContainerStatus::Alive
-                && now.since(entry.last_heartbeat) >= self.config.failover_interval
+                && now.since(entry.last_heartbeat) >= FAILOVER_INTERVAL
             {
                 entry.status = ContainerStatus::Dead;
                 newly_dead = true;
@@ -369,11 +362,7 @@ impl ShardManager {
 
 turbine_types::snap_struct!(PlacementConfig { band, headroom });
 
-turbine_types::snap_struct!(ShardManagerConfig {
-    failover_interval,
-    standby_grace,
-    placement
-});
+turbine_types::snap_struct!(ShardManagerConfig { placement });
 
 turbine_types::snap_enum!(ContainerStatus { 0 => Alive, 1 => Dead });
 

@@ -40,8 +40,9 @@ pub const SNAP_MAGIC: [u8; 8] = *b"TRBNSNAP";
 /// length-prefixed byte string after the manifest, not as a digest-keyed
 /// map of chunks; version 6 drops the platform's load-report copy of the
 /// engine's dirty jobs (the load-report round drains the engine's set
-/// itself).
-pub const SNAP_VERSION: u32 = 6;
+/// itself); version 7 drops the configuration values that became
+/// constants and the root-causer's (stateless) entry.
+pub const SNAP_VERSION: u32 = 7;
 
 /// Chunk size of the manifest: one digest per 4 KiB of stream, verified
 /// on every restore and compared across snapshots. Small enough that an

@@ -18,10 +18,11 @@ pub struct SyncerConfig {
     /// to stop) before it is treated as a failure. At the 30 s round
     /// cadence the default of 20 rounds ≈ 10 minutes.
     pub max_inflight_rounds: u32,
-    /// Seed for the backoff jitter, so retry spacing is deterministic per
-    /// syncer instance yet decorrelated across failing jobs.
-    pub backoff_seed: u64,
 }
+
+/// Seed for the backoff jitter, so retry spacing is deterministic per
+/// syncer instance yet decorrelated across failing jobs.
+const BACKOFF_SEED: u64 = 0x5EED_BACC;
 
 impl SyncerConfig {
     /// Validate the configuration. `max_failures == 0` would quarantine a
@@ -39,7 +40,6 @@ impl Default for SyncerConfig {
         SyncerConfig {
             max_failures: 3,
             max_inflight_rounds: 20,
-            backoff_seed: 0x5EED_BACC,
         }
     }
 }
@@ -126,8 +126,8 @@ pub struct StateSyncer {
     round: u64,
     /// Earliest round at which a previously-failed job may retry.
     resume_round: BTreeMap<JobId, u64>,
-    /// Jitter source for backoff spacing, seeded from the config so two
-    /// syncers with the same seed produce the same retry schedule.
+    /// Jitter source for backoff spacing, seeded from `BACKOFF_SEED` so
+    /// two syncers produce the same retry schedule.
     rng: SimRng,
     /// One-shot warm-handoff grants from fast-path promotions: the
     /// promoted standby shadow-consumed the input, so the job's next
@@ -156,7 +156,7 @@ impl StateSyncer {
             quarantined: BTreeSet::new(),
             round: 0,
             resume_round: BTreeMap::new(),
-            rng: SimRng::seeded(config.backoff_seed),
+            rng: SimRng::seeded(BACKOFF_SEED),
             warm_handoffs: BTreeSet::new(),
             attention: BTreeSet::new(),
             changelog_cursor: 0,
@@ -506,7 +506,7 @@ impl Default for StateSyncer {
     }
 }
 
-turbine_types::snap_struct!(SyncerConfig { max_failures, max_inflight_rounds, backoff_seed }
+turbine_types::snap_struct!(SyncerConfig { max_failures, max_inflight_rounds }
     check |c| c.validate().is_ok() => "SyncerConfig invalid");
 
 turbine_types::snap_struct!(StateSyncer {
@@ -852,7 +852,6 @@ mod tests {
         let mut syncer = StateSyncer::new(SyncerConfig {
             max_failures: 2,
             max_inflight_rounds: 3,
-            ..Default::default()
         });
         syncer.run_round(&mut svc, &mut env);
         svc.set_level_field(JOB, ConfigLevel::Scaler, "task_count", 8u32.into())

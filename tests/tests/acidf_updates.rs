@@ -237,7 +237,6 @@ fn quarantine_is_per_job_not_global() {
     let mut syncer = StateSyncer::new(SyncerConfig {
         max_failures: 2,
         max_inflight_rounds: 5,
-        ..Default::default()
     });
     syncer.run_round(&mut svc, &mut InstantEnv);
     // Poison: a type-broken oncall write that can never decode.

@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use turbine_autoscaler::{
-    cpu_units_needed, required_task_count, JobMetrics, ResourceEstimator, MAX_CPU_UNITS,
+    cpu_units_needed, estimate_resources, required_task_count, JobMetrics, MAX_CPU_UNITS,
     MAX_ESTIMATED_TASKS,
 };
 use turbine_types::{Duration, Resources};
@@ -110,7 +110,7 @@ proptest! {
         p in prop_oneof![Just(0.0), Just(f64::INFINITY), Just(f64::NAN), arb_rate()],
         stateful in any::<bool>(),
     ) {
-        let estimate = ResourceEstimator::default().estimate(&metrics, p, stateful);
+        let estimate = estimate_resources(&metrics, p, stateful);
         prop_assert!((1..=MAX_ESTIMATED_TASKS).contains(&estimate.min_task_count));
         prop_assert!((1..=MAX_ESTIMATED_TASKS).contains(&estimate.recovery_task_count));
         prop_assert!(

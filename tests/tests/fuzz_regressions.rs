@@ -23,7 +23,8 @@ fn check_repro(name: &str, json: &str) {
     // `run_case` already compares the event run against its own replay;
     // also pin canonical serialization so the repro file stays stable.
     assert_eq!(
-        FuzzScenario::from_json(&scenario.to_json()).unwrap(),
+        FuzzScenario::from_json(&scenario.to_json())
+            .unwrap_or_else(|e| panic!("{name}: canonical JSON does not parse: {e}")),
         scenario,
         "{name}: repro JSON is not canonical"
     );

@@ -184,6 +184,19 @@ fn zero_tick_is_rejected() {
 }
 
 #[test]
+fn zero_syncer_max_failures_is_rejected_not_a_panic() {
+    let mut config = TurbineConfig::default();
+    config.syncer.max_failures = 0;
+    let Err(err) = Turbine::try_new(config) else {
+        panic!("a syncer that quarantines before its first sync must be rejected");
+    };
+    assert!(
+        err.contains("max_failures"),
+        "error must name the field: {err}"
+    );
+}
+
+#[test]
 #[should_panic(expected = "invalid TurbineConfig")]
 fn new_panics_on_invalid_config() {
     let mut config = TurbineConfig::default();
