@@ -72,14 +72,19 @@ echo "== sched_soak (event-driven scheduler: same fingerprint, >= 3x fewer ticks
 
 echo "== paper fidelity: the seven figure/table binaries that finish in seconds =="
 # Each binary exits non-zero if any of its paper-vs-measured verdicts
-# printed [DIVERGES]. Only the exit codes are gated: the measured values
-# carry wall-clock and are not diffed against results/. The slow four
+# printed [DIVERGES]. Six are deterministic, so their whole stdout is
+# also diffed against results/. table_scheduling_latency's measured values
+# carry wall-clock, so only its exit code is gated. The slow four
 # (fig6_load_balance, fig7_lb_ablation, fig9_storm, fig10_efficiency)
 # stay manual.
 for figure in fig5_task_footprints table_footprint_migration ablation_scaler_generations \
     ablation_vertical_first fig8_backlog_recovery table_scheduling_latency fig1_growth; do
     ./target/release/"$figure" > /tmp/figure.out \
         || { grep -F '[DIVERGES]' /tmp/figure.out; echo "$figure exited non-zero"; exit 1; }
+    if [ "$figure" != table_scheduling_latency ]; then
+        diff results/"$figure".txt /tmp/figure.out \
+            || { echo "$figure output moved (left: results/, right: this build)"; exit 1; }
+    fi
     echo "$figure: $(grep -c '^\[OK\]' /tmp/figure.out) verdict(s) hold"
 done
 

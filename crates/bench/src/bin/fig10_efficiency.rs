@@ -16,7 +16,8 @@
 use std::process::ExitCode;
 use turbine::Turbine;
 use turbine_bench::{
-    downsample, exit_code, experiment_config, print_table, provision_fleet, scuba_host, verdict,
+    exit_code, experiment_config, platform_latest, platform_rows, print_table, provision_fleet,
+    scuba_host, verdict,
 };
 use turbine_types::Duration;
 use turbine_workloads::{synthesize_fleet, FleetConfig};
@@ -59,37 +60,34 @@ fn main() -> ExitCode {
 
     eprintln!("day 0-1: running over-provisioned, scaler disabled...");
     turbine.run_for(Duration::from_days(1));
-    let tasks_before = turbine.metrics.task_count.last().unwrap_or(0.0);
-    let cpu_before = turbine.metrics.reserved_cpu.last().unwrap_or(0.0);
-    let mem_before = turbine.metrics.reserved_memory_mb.last().unwrap_or(0.0);
+    let tasks_before = platform_latest(&turbine, "task_count");
+    let cpu_before = platform_latest(&turbine, "reserved_cpu_cores");
+    let mem_before = platform_latest(&turbine, "reserved_memory_mb");
 
     eprintln!("day 1: auto scaler rollout...");
     turbine.set_scaler_enabled(true);
     turbine.run_for(Duration::from_days(2));
-    let tasks_after = turbine.metrics.task_count.last().unwrap_or(0.0);
-    let cpu_after = turbine.metrics.reserved_cpu.last().unwrap_or(0.0);
-    let mem_after = turbine.metrics.reserved_memory_mb.last().unwrap_or(0.0);
+    let tasks_after = platform_latest(&turbine, "task_count");
+    let cpu_after = platform_latest(&turbine, "reserved_cpu_cores");
+    let mem_after = platform_latest(&turbine, "reserved_memory_mb");
 
     let every = Duration::from_hours(4);
     print_table(
         "Fig 10: fleet footprint through the scaler rollout (at day 1)",
         &[
-            ("task_count", downsample(&turbine.metrics.task_count, every)),
+            ("task_count", platform_rows(&turbine, "task_count", every)),
             (
                 "reserved_cpu",
-                downsample(&turbine.metrics.reserved_cpu, every),
+                platform_rows(&turbine, "reserved_cpu_cores", every),
             ),
             (
                 "reserved_mem_gb",
-                downsample(&turbine.metrics.reserved_memory_mb, every)
+                platform_rows(&turbine, "reserved_memory_mb", every)
                     .into_iter()
                     .map(|(h, v)| (h, v / 1024.0))
                     .collect(),
             ),
-            (
-                "slo_ok",
-                downsample(&turbine.metrics.slo_ok_fraction, every),
-            ),
+            ("slo_ok", platform_rows(&turbine, "slo_ok_fraction", every)),
         ],
     );
 
@@ -119,9 +117,9 @@ fn main() -> ExitCode {
         "SLOs maintained",
         &format!(
             "slo_ok = {:.3}",
-            turbine.metrics.slo_ok_fraction.last().unwrap_or(0.0)
+            platform_latest(&turbine, "slo_ok_fraction")
         ),
-        turbine.metrics.slo_ok_fraction.last().unwrap_or(0.0) > 0.97,
+        platform_latest(&turbine, "slo_ok_fraction") > 0.97,
     );
     exit_code(holds)
 }

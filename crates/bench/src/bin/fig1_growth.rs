@@ -13,7 +13,7 @@
 
 use std::process::ExitCode;
 use turbine::Turbine;
-use turbine_bench::{experiment_config, provision_fleet, scuba_host};
+use turbine_bench::{experiment_config, platform_latest, provision_fleet, scuba_host};
 use turbine_types::Duration;
 use turbine_workloads::{synthesize_fleet, FleetConfig};
 
@@ -63,8 +63,8 @@ fn main() -> ExitCode {
         // Let the platform settle into steady state for this month.
         turbine.run_for(Duration::from_hours(4));
 
-        let traffic = turbine.metrics.cluster_traffic.last().unwrap_or(0.0) / 1.0e9;
-        let tasks = turbine.metrics.task_count.last().unwrap_or(0.0);
+        let traffic = platform_latest(&turbine, "cluster_traffic_bps") / 1.0e9;
+        let tasks = platform_latest(&turbine, "task_count");
         println!("{month:>6}  {traffic:>16.3}  {tasks:>10.0}");
         if first.is_none() {
             first = Some((traffic, tasks));

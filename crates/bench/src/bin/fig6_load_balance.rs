@@ -18,7 +18,8 @@ use std::collections::HashMap;
 use std::process::ExitCode;
 use turbine::Turbine;
 use turbine_bench::{
-    downsample, exit_code, experiment_config, print_table, provision_fleet, scuba_host, verdict,
+    exit_code, experiment_config, platform_latest, platform_rows, print_table, provision_fleet,
+    scuba_host, verdict,
 };
 use turbine_types::{ContainerId, Duration};
 use turbine_workloads::{synthesize_fleet, FleetConfig};
@@ -57,23 +58,17 @@ fn main() -> ExitCode {
     print_table(
         "Fig 6(a): host CPU utilization band (fraction)",
         &[
-            ("cpu_p5", downsample(&turbine.metrics.host_cpu.p5, every)),
-            ("cpu_p50", downsample(&turbine.metrics.host_cpu.p50, every)),
-            ("cpu_p95", downsample(&turbine.metrics.host_cpu.p95, every)),
+            ("cpu_p5", platform_rows(&turbine, "host_cpu_p5", every)),
+            ("cpu_p50", platform_rows(&turbine, "host_cpu_p50", every)),
+            ("cpu_p95", platform_rows(&turbine, "host_cpu_p95", every)),
         ],
     );
     print_table(
         "Fig 6(b): host memory utilization band (fraction)",
         &[
-            ("mem_p5", downsample(&turbine.metrics.host_memory.p5, every)),
-            (
-                "mem_p50",
-                downsample(&turbine.metrics.host_memory.p50, every),
-            ),
-            (
-                "mem_p95",
-                downsample(&turbine.metrics.host_memory.p95, every),
-            ),
+            ("mem_p5", platform_rows(&turbine, "host_memory_p5", every)),
+            ("mem_p50", platform_rows(&turbine, "host_memory_p50", every)),
+            ("mem_p95", platform_rows(&turbine, "host_memory_p95", every)),
         ],
     );
 
@@ -95,10 +90,10 @@ fn main() -> ExitCode {
     println!("min = {min}, mean = {mean:.0}, max = {max}\n");
 
     // Verdicts: band tightness + headroom + count spread.
-    let cpu_p5 = turbine.metrics.host_cpu.p5.last().unwrap_or(0.0);
-    let cpu_p95 = turbine.metrics.host_cpu.p95.last().unwrap_or(0.0);
-    let mem_p5 = turbine.metrics.host_memory.p5.last().unwrap_or(0.0);
-    let mem_p95 = turbine.metrics.host_memory.p95.last().unwrap_or(0.0);
+    let cpu_p5 = platform_latest(&turbine, "host_cpu_p5");
+    let cpu_p95 = platform_latest(&turbine, "host_cpu_p95");
+    let mem_p5 = platform_latest(&turbine, "host_memory_p5");
+    let mem_p95 = platform_latest(&turbine, "host_memory_p95");
     holds &= verdict(
         "CPU utilization very close across hosts",
         "p5..p95 band is narrow all week",

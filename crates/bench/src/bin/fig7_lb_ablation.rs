@@ -14,7 +14,8 @@
 use std::process::ExitCode;
 use turbine::Turbine;
 use turbine_bench::{
-    downsample, exit_code, experiment_config, print_table, provision_fleet, scuba_host, verdict,
+    exit_code, experiment_config, platform_latest, platform_rows, print_table, provision_fleet,
+    scuba_host, verdict,
 };
 use turbine_types::{Duration, SimTime};
 use turbine_workloads::{synthesize_fleet, FleetConfig, TrafficEvent, TrafficEventKind};
@@ -54,8 +55,8 @@ fn main() -> ExitCode {
     let mut spread_after_reenable = 0.0;
     for hour in 1..=24u64 {
         turbine.run_for(Duration::from_hours(1));
-        let p95 = turbine.metrics.host_cpu.p95.last().unwrap_or(0.0);
-        let p50 = turbine.metrics.host_cpu.p50.last().unwrap_or(0.0);
+        let p95 = platform_latest(&turbine, "host_cpu_p95");
+        let p50 = platform_latest(&turbine, "host_cpu_p50");
         match hour {
             6 => {
                 spread_before_disable = p95 - p50;
@@ -93,9 +94,9 @@ fn main() -> ExitCode {
     print_table(
         "Fig 7: host CPU utilization (fraction) through the ablation",
         &[
-            ("cpu_p5", downsample(&turbine.metrics.host_cpu.p5, every)),
-            ("cpu_p50", downsample(&turbine.metrics.host_cpu.p50, every)),
-            ("cpu_p95", downsample(&turbine.metrics.host_cpu.p95, every)),
+            ("cpu_p5", platform_rows(&turbine, "host_cpu_p5", every)),
+            ("cpu_p50", platform_rows(&turbine, "host_cpu_p50", every)),
+            ("cpu_p95", platform_rows(&turbine, "host_cpu_p95", every)),
         ],
     );
 

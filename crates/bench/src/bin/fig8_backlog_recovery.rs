@@ -13,10 +13,10 @@
 //! ```
 
 use std::process::ExitCode;
-use turbine::{Turbine, TurbineConfig};
+use turbine::{MetricKey, Turbine, TurbineConfig};
 use turbine_bench::{downsample, exit_code, print_table, scuba_host, verdict};
 use turbine_config::{ConfigValue, JobConfig};
-use turbine_types::{Duration, JobId, SimTime};
+use turbine_types::{Duration, JobId, SimTime, TimeSeries};
 use turbine_workloads::{TrafficEvent, TrafficEventKind, TrafficModel};
 
 const RATE: f64 = 8.0e6; // 8 MB/s input
@@ -48,8 +48,15 @@ fn platform(scaler_enabled: bool) -> (Turbine, JobId) {
         256.0,
     )
     .expect("provision");
-    t.metrics.watch_job(job);
+    t.watch_job(job);
     (t, job)
+}
+
+/// One of a watched job's registry series.
+fn job_series<'t>(t: &'t Turbine, job: JobId, name: &str) -> &'t TimeSeries {
+    t.ods_registry()
+        .series_by_key(&MetricKey::job(job.raw(), name))
+        .expect("registered by the watch")
 }
 
 fn main() -> ExitCode {
@@ -112,7 +119,7 @@ fn main() -> ExitCode {
 
     let every = Duration::from_hours(6);
     let lag_tb = |t: &Turbine, job: JobId| {
-        downsample(&t.metrics.watched_job_lag[&job], every)
+        downsample(job_series(t, job, "lag_secs"), every)
             .into_iter()
             .map(|(h, lag_secs)| (h, lag_secs * RATE / 1.0e12))
             .collect::<Vec<_>>()
@@ -124,11 +131,11 @@ fn main() -> ExitCode {
             ("cluster2_wo_as", lag_tb(&cluster2, job2)),
             (
                 "c1_tasks",
-                downsample(&cluster1.metrics.watched_job_tasks[&job1], every),
+                downsample(job_series(&cluster1, job1, "running_tasks"), every),
             ),
             (
                 "c2_tasks",
-                downsample(&cluster2.metrics.watched_job_tasks[&job2], every),
+                downsample(job_series(&cluster2, job2, "running_tasks"), every),
             ),
         ],
     );
@@ -149,7 +156,7 @@ fn main() -> ExitCode {
         t2v / t1v > 3.0,
     );
     // Over the whole run: the maximum survives the series' compaction.
-    let peak_tasks1 = cluster1.metrics.watched_job_tasks[&job1]
+    let peak_tasks1 = job_series(&cluster1, job1, "running_tasks")
         .max_in_window(SimTime::ZERO, cluster1.now() + Duration::from_secs(1))
         .unwrap_or(0.0);
     holds &= verdict(

@@ -14,7 +14,9 @@
 
 use std::process::ExitCode;
 use turbine::Turbine;
-use turbine_bench::{downsample, exit_code, experiment_config, print_table, scuba_host, verdict};
+use turbine_bench::{
+    exit_code, experiment_config, platform_latest, platform_rows, print_table, scuba_host, verdict,
+};
 use turbine_config::JobConfig;
 use turbine_types::{Duration, JobId, SimTime};
 use turbine_workloads::{TrafficEvent, TrafficEventKind, TrafficModel};
@@ -75,15 +77,15 @@ fn main() -> ExitCode {
     let mut post_storm_tasks = 0.0;
     for hour in 1..=68u64 {
         turbine.run_for(Duration::from_hours(1));
-        let traffic = turbine.metrics.cluster_traffic.last().unwrap_or(0.0);
-        let tasks = turbine.metrics.task_count.last().unwrap_or(0.0);
+        let traffic = platform_latest(&turbine, "cluster_traffic_bps");
+        let tasks = platform_latest(&turbine, "task_count");
         if (34..48).contains(&hour) {
             day1_peak = (day1_peak.0.max(traffic), day1_peak.1.max(tasks));
         }
         if (56..68).contains(&hour) {
             day2_peak = (day2_peak.0.max(traffic), day2_peak.1.max(tasks));
             slo_worst_during_storm =
-                slo_worst_during_storm.min(turbine.metrics.slo_ok_fraction.last().unwrap_or(0.0));
+                slo_worst_during_storm.min(platform_latest(&turbine, "slo_ok_fraction"));
         }
         if hour == 68 {
             post_storm_tasks = tasks;
@@ -96,16 +98,13 @@ fn main() -> ExitCode {
         &[
             (
                 "traffic_gb_s",
-                downsample(&turbine.metrics.cluster_traffic, every)
+                platform_rows(&turbine, "cluster_traffic_bps", every)
                     .into_iter()
                     .map(|(h, v)| (h, v / 1.0e9))
                     .collect(),
             ),
-            ("task_count", downsample(&turbine.metrics.task_count, every)),
-            (
-                "slo_ok",
-                downsample(&turbine.metrics.slo_ok_fraction, every),
-            ),
+            ("task_count", platform_rows(&turbine, "task_count", every)),
+            ("slo_ok", platform_rows(&turbine, "slo_ok_fraction", every)),
         ],
     );
 

@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use std::process::ExitCode;
 use std::time::Instant;
 use turbine::{Turbine, TurbineConfig};
-use turbine_bench::{exit_code, scuba_host, verdict};
+use turbine_bench::{exit_code, platform_latest, scuba_host, verdict};
 use turbine_config::{ConfigLevel, ConfigValue, JobConfig};
 use turbine_jobstore::{JobService, JobStore, MemWal};
 use turbine_shardmgr::{compute_placement, PlacementConfig, PlacementInput};
@@ -168,7 +168,7 @@ fn main() -> ExitCode {
 
     // 4. Global engine push: bump every job's package version.
     let restarts_before = turbine.metrics.task_restarts.get();
-    let total_tasks = turbine.metrics.task_count.last().unwrap_or(0.0) as u64;
+    let total_tasks = platform_latest(&turbine, "task_count") as u64;
     for i in 0..40u64 {
         turbine
             .job_service_mut()

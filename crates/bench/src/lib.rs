@@ -11,7 +11,7 @@
 pub mod soak;
 
 use std::process::ExitCode;
-use turbine::{Turbine, TurbineConfig};
+use turbine::{MetricKey, Turbine, TurbineConfig};
 use turbine_config::JobConfig;
 use turbine_types::{Duration, JobId, Resources, TimeSeries};
 use turbine_workloads::SyntheticJob;
@@ -50,6 +50,25 @@ pub fn provision_fleet(
             id
         })
         .collect()
+}
+
+/// A platform series of the metrics registry (`platform/<name>`). Panics
+/// if the metrics round never published it.
+fn platform_series<'t>(turbine: &'t Turbine, name: &str) -> &'t TimeSeries {
+    turbine
+        .ods_registry()
+        .series_by_key(&MetricKey::platform(name))
+        .unwrap_or_else(|| panic!("platform/{name} was never published"))
+}
+
+/// The latest sample of a platform series.
+pub fn platform_latest(turbine: &Turbine, name: &str) -> f64 {
+    platform_series(turbine, name).last().unwrap_or(0.0)
+}
+
+/// A platform series as figure rows (see [`downsample`]).
+pub fn platform_rows(turbine: &Turbine, name: &str, every: Duration) -> Vec<(f64, f64)> {
+    downsample(platform_series(turbine, name), every)
 }
 
 /// Down-sample a time series to one value per `every` (first sample of a
@@ -106,7 +125,8 @@ pub fn verdict(claim: &str, paper: &str, measured: &str, holds: bool) -> bool {
 }
 
 /// The exit status of a figure binary: failure if any verdict diverged
-/// (what `ci.sh` gates on; the measured values carry wall-clock).
+/// (what `ci.sh` gates on, beside diffing the deterministic binaries'
+/// stdout against `results/`).
 pub fn exit_code(all_verdicts_hold: bool) -> ExitCode {
     if all_verdicts_hold {
         ExitCode::SUCCESS

@@ -2,9 +2,9 @@
 
 use crate::scenario::{Scenario, ScenarioEvent};
 use std::collections::BTreeMap;
-use turbine::{Fault, Turbine, TurbineConfig};
+use turbine::{Fault, MetricKey, Turbine, TurbineConfig};
 use turbine_config::{ConfigValue, JobConfig};
-use turbine_types::{Duration, HostId, JobId, Resources, SimTime};
+use turbine_types::{Duration, HostId, JobId, Resources, SimTime, TimeSeries};
 use turbine_workloads::{TrafficEvent, TrafficEventKind, TrafficModel};
 
 /// Outcome of a scenario run: the report rows plus final aggregates.
@@ -96,12 +96,19 @@ pub fn report_row_observer<'a>(
     let total_mins = scenario.total_mins();
     move |turbine, minute| {
         if minute % scenario.report_every_mins == 0 || minute == total_mins {
+            let latest = |name: &str| {
+                turbine
+                    .ods_registry()
+                    .series_by_key(&MetricKey::platform(name))
+                    .and_then(TimeSeries::last)
+                    .unwrap_or(0.0)
+            };
             rows.push((
                 turbine.now().as_hours_f64(),
-                turbine.metrics.cluster_traffic.last().unwrap_or(0.0) / 1.0e6,
-                turbine.metrics.task_count.last().unwrap_or(0.0),
-                turbine.metrics.slo_ok_fraction.last().unwrap_or(0.0),
-                turbine.metrics.total_backlog.last().unwrap_or(0.0) / 1.0e6,
+                latest("cluster_traffic_bps") / 1.0e6,
+                latest("task_count"),
+                latest("slo_ok_fraction"),
+                latest("total_backlog_bytes") / 1.0e6,
             ));
         }
     }

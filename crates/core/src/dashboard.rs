@@ -210,12 +210,7 @@ pub fn tier_slo_table(turbine: &Turbine) -> Vec<TierSlo> {
                     .metrics
                     .tier_recovery_quantile(tier, 0.99)
                     .unwrap_or(0),
-                downtime_ms: turbine
-                    .metrics
-                    .tier_downtime_ms
-                    .get(&tier)
-                    .copied()
-                    .unwrap_or(0),
+                downtime_ms: turbine.metrics.tier_downtime_ms(tier).unwrap_or(0),
                 budget_ms: recovery_budget(tier).as_millis(),
             }
         })

@@ -1,45 +1,18 @@
-//! Cluster- and job-level metric recording for experiments.
+//! Platform counters, the recovery and diagnosis logs, and two series.
 //!
-//! Every figure in the paper's evaluation is a time series of something:
-//! traffic volume and task count (Fig. 1, 9), host utilization percentile
-//! bands (Fig. 6, 7), job lag (Fig. 8), fleet footprints (Fig. 5, 10).
-//! [`PlatformMetrics`] records all of them on a fixed sampling cadence.
+//! Every time series the platform samples (fleet traffic, host utilization
+//! bands, backlog, reserved footprint, per-job lag and tasks) lives in the
+//! ODS registry ([`crate::Turbine::ods_registry`]); the figures read it
+//! there. [`PlatformMetrics`] keeps what is not a series: lifecycle and
+//! cost counters, the diagnosis log and the recovery log with its per-tier
+//! index. Its two series, `task_count` and `slo_ok_fraction`, are copies
+//! of registry series kept only because the benchmark adapter reads them.
 
 use std::collections::BTreeMap;
 use turbine_autoscaler::{Mitigation, RootCause};
 use turbine_config::ResiliencyClass;
 use turbine_trace::TraceId;
-use turbine_types::{Counter, Duration, JobId, Percentiles, SimTime, TimeSeries};
-
-/// One percentile band series (p5/p50/p95 + mean over hosts).
-#[derive(Debug, Default, Clone)]
-pub struct BandSeries {
-    /// 5th percentile over hosts at each sample.
-    pub p5: TimeSeries,
-    /// Median over hosts.
-    pub p50: TimeSeries,
-    /// 95th percentile over hosts.
-    pub p95: TimeSeries,
-    /// Mean over hosts.
-    pub mean: TimeSeries,
-}
-
-impl BandSeries {
-    /// Record one snapshot of per-host samples. An empty snapshot (no
-    /// healthy hosts this instant) records nothing: there is no meaningful
-    /// percentile of zero samples, and a placeholder would fabricate a
-    /// zero-utilization dip in the band.
-    pub fn record(&mut self, at: SimTime, samples: &[f64]) {
-        if samples.is_empty() {
-            return;
-        }
-        let p = Percentiles::from_samples(samples);
-        self.p5.record(at, p.p5);
-        self.p50.record(at, p.p50);
-        self.p95.record(at, p.p95);
-        self.mean.record(at, p.mean);
-    }
-}
+use turbine_types::{Counter, Duration, JobId, SimTime, TimeSeries};
 
 /// One root-cause diagnosis, as recorded by the platform: the typed
 /// cause and mitigation from the root-causer, plus the link into the
@@ -92,26 +65,14 @@ pub struct RecoveryRecord {
 /// All platform metrics captured during a run.
 #[derive(Debug, Default)]
 pub struct PlatformMetrics {
-    /// Total input traffic across jobs, bytes/sec.
-    pub cluster_traffic: TimeSeries,
-    /// Total running task count.
+    /// Total running task count: the registry's `platform/task_count`,
+    /// kept here only for the benchmark adapter until ROADMAP item 1 has
+    /// it read the registry. No other code reads it.
     pub task_count: TimeSeries,
-    /// Host CPU utilization band (fraction of capacity).
-    pub host_cpu: BandSeries,
-    /// Host memory utilization band (fraction of capacity).
-    pub host_memory: BandSeries,
-    /// Fraction of jobs within their lag SLO.
+    /// Fraction of jobs within their lag SLO: the registry's
+    /// `platform/slo_ok_fraction`, kept here only for the benchmark adapter
+    /// until ROADMAP item 1 has it read the registry. No other code reads it.
     pub slo_ok_fraction: TimeSeries,
-    /// Total backlog across all jobs, bytes.
-    pub total_backlog: TimeSeries,
-    /// Per-job lag (seconds) for explicitly watched jobs.
-    pub watched_job_lag: BTreeMap<JobId, TimeSeries>,
-    /// Per-job task count for explicitly watched jobs.
-    pub watched_job_tasks: BTreeMap<JobId, TimeSeries>,
-    /// Total reserved CPU across running tasks (cores).
-    pub reserved_cpu: TimeSeries,
-    /// Total reserved memory across running tasks (MB).
-    pub reserved_memory_mb: TimeSeries,
 
     /// Lifecycle counters.
     pub task_starts: Counter,
@@ -141,8 +102,6 @@ pub struct PlatformMetrics {
     pub diagnoses: Vec<DiagnosisRecord>,
     /// Every fault-attributed outage that closed, in recovery order.
     pub recoveries: Vec<RecoveryRecord>,
-    /// Accumulated fault-attributed downtime per resiliency tier, ms.
-    pub tier_downtime_ms: BTreeMap<ResiliencyClass, u64>,
     /// Per-tier recovery durations kept sorted ascending, maintained
     /// incrementally by [`Self::record_recovery`] so dashboard percentile
     /// reads cost a rank lookup instead of a per-render sort.
@@ -165,19 +124,8 @@ pub struct PlatformMetrics {
 }
 
 impl PlatformMetrics {
-    /// Start watching a job's lag/task series.
-    pub fn watch_job(&mut self, job: JobId) {
-        self.watched_job_lag.entry(job).or_default();
-        self.watched_job_tasks.entry(job).or_default();
-    }
-
-    /// True if the job is being watched.
-    pub fn is_watched(&self, job: JobId) -> bool {
-        self.watched_job_lag.contains_key(&job)
-    }
-
     /// Close one fault-attributed outage: append the recovery sample and
-    /// charge the downtime to the job's tier.
+    /// file its duration under the job's tier.
     pub fn record_recovery(
         &mut self,
         at: SimTime,
@@ -186,7 +134,6 @@ impl PlatformMetrics {
         ms: u64,
         fast: bool,
     ) {
-        *self.tier_downtime_ms.entry(tier).or_insert(0) += ms;
         let sorted = self.tier_recovery_sorted.entry(tier).or_default();
         let at_rank = sorted.partition_point(|&v| v <= ms);
         sorted.insert(at_rank, ms);
@@ -199,13 +146,12 @@ impl PlatformMetrics {
         });
     }
 
-    /// Recovery durations (ms) sampled for one tier, in recovery order.
-    pub fn tier_recovery_ms(&self, tier: ResiliencyClass) -> Vec<u64> {
-        self.recoveries
-            .iter()
-            .filter(|r| r.tier == tier)
-            .map(|r| r.ms)
-            .collect()
+    /// A tier's accumulated fault-attributed downtime, ms; `None` until the
+    /// tier has its first recovery.
+    pub fn tier_downtime_ms(&self, tier: ResiliencyClass) -> Option<u64> {
+        self.tier_recovery_sorted
+            .get(&tier)
+            .map(|sorted| sorted.iter().sum())
     }
 
     /// A tier's recovery durations sorted ascending (no per-call work —
@@ -231,8 +177,6 @@ impl PlatformMetrics {
 }
 
 use turbine_types::snap_struct;
-
-snap_struct!(BandSeries { p5, p50, p95, mean });
 
 snap_struct!(DiagnosisRecord {
     at,
@@ -263,47 +207,15 @@ fn sorted_by_tier(recoveries: &[RecoveryRecord]) -> BTreeMap<ResiliencyClass, Ve
 }
 
 snap_struct!(PlatformMetrics {
-    cluster_traffic, task_count, host_cpu, host_memory, slo_ok_fraction, total_backlog,
-    watched_job_lag, watched_job_tasks, reserved_cpu, reserved_memory_mb, task_starts,
-    task_stops, task_restarts, shard_moves, failovers, oom_kills, scaling_actions, alerts,
-    ticks_executed, standby_promotions, container_revivals, diagnoses,
-    recoveries: Vec<RecoveryRecord>, tier_downtime_ms, incidents, sync_jobs_examined,
-    load_reports_sent
+    task_count, slo_ok_fraction, task_starts, task_stops, task_restarts, shard_moves,
+    failovers, oom_kills, scaling_actions, alerts, ticks_executed, standby_promotions,
+    container_revivals, diagnoses, recoveries: Vec<RecoveryRecord>, incidents,
+    sync_jobs_examined, load_reports_sent
 } derived { tier_recovery_sorted: sorted_by_tier(&recoveries) });
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use turbine_types::Duration;
-
-    #[test]
-    fn band_series_tracks_percentiles() {
-        let mut band = BandSeries::default();
-        let samples: Vec<f64> = (1..=100).map(|i| i as f64 / 100.0).collect();
-        band.record(SimTime::ZERO, &samples);
-        band.record(SimTime::ZERO + Duration::from_mins(1), &samples);
-        assert_eq!(band.p5.last(), Some(0.05));
-        assert_eq!(band.p50.last(), Some(0.5));
-        assert_eq!(band.p95.last(), Some(0.95));
-        assert_eq!(band.p5.len(), 2);
-    }
-
-    #[test]
-    fn empty_snapshot_records_nothing() {
-        let mut band = BandSeries::default();
-        band.record(SimTime::ZERO, &[0.5]);
-        // No healthy hosts this instant: the bands must not grow, and in
-        // particular must not record a fabricated zero or NaN sample.
-        band.record(SimTime::ZERO + Duration::from_mins(1), &[]);
-        assert_eq!(band.p50.len(), 1);
-        assert_eq!(band.mean.len(), 1);
-        band.record(SimTime::ZERO + Duration::from_mins(2), &[0.7]);
-        assert_eq!(band.p50.len(), 2);
-        assert!(
-            band.p50.points().all(|(_, v)| v.is_finite()),
-            "no NaN in the series"
-        );
-    }
 
     #[test]
     fn recoveries_accumulate_per_tier() {
@@ -330,12 +242,15 @@ mod tests {
             true,
         );
         assert_eq!(
-            m.tier_recovery_ms(ResiliencyClass::Critical),
-            vec![20_000, 10_000]
+            m.tier_recovery_sorted(ResiliencyClass::Critical),
+            &[10_000, 20_000]
         );
-        assert_eq!(m.tier_downtime_ms[&ResiliencyClass::Critical], 30_000);
-        assert_eq!(m.tier_downtime_ms[&ResiliencyClass::Standard], 70_000);
-        assert!(m.tier_recovery_ms(ResiliencyClass::BestEffort).is_empty());
+        assert_eq!(m.tier_downtime_ms(ResiliencyClass::Critical), Some(30_000));
+        assert_eq!(m.tier_downtime_ms(ResiliencyClass::Standard), Some(70_000));
+        assert!(m
+            .tier_recovery_sorted(ResiliencyClass::BestEffort)
+            .is_empty());
+        assert_eq!(m.tier_downtime_ms(ResiliencyClass::BestEffort), None);
         assert!(
             recovery_budget(ResiliencyClass::Critical) < recovery_budget(ResiliencyClass::Standard)
         );
@@ -372,18 +287,5 @@ mod tests {
             m.tier_recovery_sorted(ResiliencyClass::Standard),
             &[1, 5_000, 7_000, 7_000, 33_000, 90_000, 120_000]
         );
-    }
-
-    #[test]
-    fn watch_registers_series() {
-        let mut m = PlatformMetrics::default();
-        assert!(!m.is_watched(JobId(1)));
-        m.watch_job(JobId(1));
-        assert!(m.is_watched(JobId(1)));
-        m.watched_job_lag
-            .get_mut(&JobId(1))
-            .expect("series")
-            .record(SimTime::ZERO, 12.0);
-        assert_eq!(m.watched_job_lag[&JobId(1)].last(), Some(12.0));
     }
 }

@@ -1064,7 +1064,6 @@ impl Turbine {
             .map(|(_, rt)| rt.arrival_rate(now))
             .collect();
         let traffic: f64 = rates.iter().sum();
-        self.metrics.cluster_traffic.record(now, traffic);
         self.metrics
             .task_count
             .record(now, self.engine.total_tasks() as f64);
@@ -1096,10 +1095,6 @@ impl Turbine {
                 mem_samples.push((used.memory_mb / cap.memory_mb).min(1.0));
             }
         }
-        if !cpu_samples.is_empty() {
-            self.metrics.host_cpu.record(now, &cpu_samples);
-            self.metrics.host_memory.record(now, &mem_samples);
-        }
 
         // Per-job lag + SLO compliance.
         let mut ok = 0usize;
@@ -1125,30 +1120,18 @@ impl Turbine {
                 backlog_bytes: backlog,
                 running_tasks: self.engine.running_tasks_of(job),
             });
-            if let Some(lag) = self.metrics.watched_job_lag.get_mut(&job) {
-                lag.record(now, lag_secs);
-                self.metrics
-                    .watched_job_tasks
-                    .get_mut(&job)
-                    .expect("watched")
-                    .record(now, self.engine.running_tasks_of(job) as f64);
-            }
         }
         let slo_frac = (total > 0).then(|| ok as f64 / total as f64);
         if let Some(frac) = slo_frac {
             self.metrics.slo_ok_fraction.record(now, frac);
         }
-        self.metrics.total_backlog.record(now, total_backlog);
 
         // Reserved footprint (Fig. 10).
-        let mut reserved_cpu = 0.0;
-        let mut reserved_mem = 0.0;
-        for (_, c) in self.jobs.running_typed_jobs() {
-            reserved_cpu += c.task_resources.cpu * c.task_count as f64;
-            reserved_mem += c.task_resources.memory_mb * c.task_count as f64;
-        }
-        self.metrics.reserved_cpu.record(now, reserved_cpu);
-        self.metrics.reserved_memory_mb.record(now, reserved_mem);
+        let reserved: Resources = self
+            .jobs
+            .running_typed_jobs()
+            .map(|(_, c)| c.task_resources.scale(c.task_count as f64))
+            .sum();
 
         // ODS publication + alert evaluation last: the registry sees this
         // round's observations, then rules are evaluated against them on
@@ -1162,6 +1145,7 @@ impl Turbine {
                 jobs: &ods_jobs,
                 total_backlog,
                 slo_ok_fraction: slo_frac,
+                reserved,
             },
         );
         self.ods_evaluate_alerts(now);

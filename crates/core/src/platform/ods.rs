@@ -16,7 +16,7 @@ use turbine_ods::{
     AlertEngine, AlertRule, MetricId, MetricKey, Registry, RuleKind, Scope, Severity, ThresholdOp,
 };
 use turbine_trace::TraceData;
-use turbine_types::{Duration, JobId, Percentiles, SimTime};
+use turbine_types::{Duration, JobId, Percentiles, Resources, SimTime};
 
 /// Cached per-job series ids for the metrics round (lag/backlog/tasks).
 #[derive(Debug, Clone, Copy)]
@@ -140,12 +140,14 @@ pub(crate) struct MetricsRoundSample<'a> {
     pub(crate) jobs: &'a [JobSample],
     pub(crate) total_backlog: f64,
     pub(crate) slo_ok_fraction: Option<f64>,
+    pub(crate) reserved: Resources,
 }
 
 impl Turbine {
-    /// Publish the metrics round's observations into the registry: fleet
-    /// aggregates, host utilization percentiles, per-job series, per-tier
-    /// SLO accounting and Scribe append rates. Called at the end of
+    /// Publish the metrics round's observations into the registry, the
+    /// platform's one store of series: fleet aggregates, host utilization
+    /// percentiles, the reserved footprint, per-job series, per-tier SLO
+    /// accounting and Scribe append rates. Called at the end of
     /// [`Turbine::metrics_round`]. Everything published is simulated state:
     /// the registry is snapshotted, so host time (the control rounds'
     /// wall-clock latencies, which live in [`Turbine::trace`]'s histograms)
@@ -158,53 +160,42 @@ impl Turbine {
             jobs,
             total_backlog,
             slo_ok_fraction,
+            reserved,
         } = sample;
         let ods = &mut self.ods;
-        ods.registry
-            .publish_key(MetricKey::platform("cluster_traffic_bps"), now, traffic);
-        ods.registry.publish_key(
-            MetricKey::platform("task_count"),
-            now,
-            self.engine.total_tasks() as f64,
-        );
-        // How many jobs the data-plane tick still walks (the rest are
-        // settled). Sampled after this instant's tick, so a restored run
-        // (which restarts with every job active) has re-settled by now.
-        ods.registry.publish_key(
-            MetricKey::platform("engine_active_jobs"),
-            now,
-            self.engine.active_jobs() as f64,
-        );
-        ods.registry.publish_key(
-            MetricKey::platform("total_backlog_bytes"),
-            now,
-            total_backlog,
-        );
-        if let Some(frac) = slo_ok_fraction {
+        // Fleet gauges. `engine_active_jobs` is how many jobs the data-plane
+        // tick still walks (the rest are settled), sampled after this
+        // instant's tick, so a restored run (which restarts with every job
+        // active) has re-settled by now.
+        let gauges = [
+            ("cluster_traffic_bps", traffic),
+            ("task_count", self.engine.total_tasks() as f64),
+            ("engine_active_jobs", self.engine.active_jobs() as f64),
+            ("total_backlog_bytes", total_backlog),
+            ("control_queue_depth", self.sched.queue_depth() as f64),
+            (
+                "sync_jobs_examined",
+                self.metrics.sync_jobs_examined.get() as f64,
+            ),
+            ("reserved_cpu_cores", reserved.cpu),
+            ("reserved_memory_mb", reserved.memory_mb),
+        ];
+        let slo = slo_ok_fraction.map(|frac| ("slo_ok_fraction", frac));
+        for (name, value) in gauges.into_iter().chain(slo) {
             ods.registry
-                .publish_key(MetricKey::platform("slo_ok_fraction"), now, frac);
+                .publish_key(MetricKey::platform(name), now, value);
         }
-        ods.registry.publish_key(
-            MetricKey::platform("control_queue_depth"),
-            now,
-            self.sched.queue_depth() as f64,
-        );
-        ods.registry.publish_key(
-            MetricKey::platform("sync_jobs_examined"),
-            now,
-            self.metrics.sync_jobs_examined.get() as f64,
-        );
-        if !cpu_samples.is_empty() {
-            let cpu = Percentiles::from_samples(cpu_samples);
-            let mem = Percentiles::from_samples(mem_samples);
-            ods.registry
-                .publish_key(MetricKey::platform("host_cpu_p50"), now, cpu.p50);
-            ods.registry
-                .publish_key(MetricKey::platform("host_cpu_p95"), now, cpu.p95);
-            ods.registry
-                .publish_key(MetricKey::platform("host_memory_p50"), now, mem.p50);
-            ods.registry
-                .publish_key(MetricKey::platform("host_memory_p95"), now, mem.p95);
+        // Each band from its own samples: there is no percentile of zero
+        // hosts, and a placeholder would record a dip no host reported.
+        for (band, samples) in [("host_cpu", cpu_samples), ("host_memory", mem_samples)] {
+            if samples.is_empty() {
+                continue;
+            }
+            let p = Percentiles::from_samples(samples);
+            for (rank, value) in [("p5", p.p5), ("p50", p.p50), ("p95", p.p95)] {
+                ods.registry
+                    .publish_key(MetricKey::platform(format!("{band}_{rank}")), now, value);
+            }
         }
         for sample in jobs {
             let ids = ods.job_series(sample.job);
@@ -218,19 +209,18 @@ impl Turbine {
             ResiliencyClass::Standard,
             ResiliencyClass::Critical,
         ] {
-            let downtime = self.metrics.tier_downtime_ms.get(&tier).copied();
-            let p50 = self.metrics.tier_recovery_quantile(tier, 0.50);
-            let p99 = self.metrics.tier_recovery_quantile(tier, 0.99);
-            if downtime.is_none() && p99.is_none() {
+            // All three exist from the tier's first recovery on.
+            let (Some(downtime), Some(p50), Some(p99)) = (
+                self.metrics.tier_downtime_ms(tier),
+                self.metrics.tier_recovery_quantile(tier, 0.50),
+                self.metrics.tier_recovery_quantile(tier, 0.99),
+            ) else {
                 continue;
-            }
+            };
             let ids = ods.tier_series(tier);
-            ods.registry
-                .publish(ids.downtime, now, downtime.unwrap_or(0) as f64);
-            if let (Some(p50), Some(p99)) = (p50, p99) {
-                ods.registry.publish(ids.p50, now, p50 as f64);
-                ods.registry.publish(ids.p99, now, p99 as f64);
-            }
+            ods.registry.publish(ids.downtime, now, downtime as f64);
+            ods.registry.publish(ids.p50, now, p50 as f64);
+            ods.registry.publish(ids.p99, now, p99 as f64);
         }
         // Scribe append rates: delta of each category's cumulative append
         // count over the sampling interval. The bus and the series cache
@@ -367,6 +357,18 @@ impl Turbine {
                 severity: Severity::Critical,
                 suppress_for: Duration::from_mins(30),
             });
+        }
+    }
+
+    /// Keep a job's whole `lag_secs` and `running_tasks` history exact, as
+    /// platform series are, for a figure that plots the job over days (a
+    /// job series otherwise compacts after `REGISTRY_SERIES_CAPACITY`
+    /// samples).
+    pub fn watch_job(&mut self, job: JobId) {
+        for name in ["lag_secs", "running_tasks"] {
+            self.ods
+                .registry
+                .keep_history(MetricKey::job(job.raw(), name));
         }
     }
 

@@ -2,13 +2,24 @@
 //! update propagation, scaling, fail-over, and the §IV-C connection
 //! protocol, all at production cadences in simulated time.
 
-use turbine::{Turbine, TurbineConfig};
+use turbine::{MetricKey, Turbine, TurbineConfig};
 use turbine_config::{ConfigValue, JobConfig};
-use turbine_types::{Duration, JobId, Resources};
+use turbine_ods::REGISTRY_SERIES_CAPACITY;
+use turbine_types::{Duration, JobId, Resources, TimeSeries};
 use turbine_workloads::TrafficModel;
 
 fn host_caps() -> Resources {
     Resources::new(56.0, 256.0 * 1024.0, 1.0e6, 1000.0)
+}
+
+/// A series of the metrics registry, if it was ever published.
+fn series(t: &Turbine, key: MetricKey) -> Option<&TimeSeries> {
+    t.ods_registry().series_by_key(&key)
+}
+
+/// The latest sample of a platform series.
+fn latest(t: &Turbine, name: &str) -> Option<f64> {
+    series(t, MetricKey::platform(name)).and_then(TimeSeries::last)
 }
 
 fn small_platform() -> Turbine {
@@ -58,7 +69,7 @@ fn healthy_job_keeps_up_and_meets_slo() {
         "backlog {}",
         status.backlog_bytes
     );
-    assert_eq!(t.metrics.slo_ok_fraction.last(), Some(1.0));
+    assert_eq!(latest(&t, "slo_ok_fraction"), Some(1.0));
 }
 
 #[test]
@@ -277,11 +288,7 @@ fn deleted_job_winds_down_completely() {
     t.delete_job(job).expect("delete");
     t.run_for(Duration::from_mins(5));
     assert!(t.job_status(job).is_none(), "engine state cleared");
-    assert_eq!(
-        t.metrics.task_count.last(),
-        Some(0.0),
-        "no tasks left running"
-    );
+    assert_eq!(latest(&t, "task_count"), Some(0.0), "no tasks left running");
 }
 
 #[test]
@@ -591,4 +598,47 @@ fn converged_fleet_refreshes_without_rendering_or_reconciling() {
     assert_eq!(t.tm_jobs_rendered(), 9, "exactly the job that changed");
     assert_eq!(t.tm_managers_reconciled(), 12, "one new snapshot");
     assert_eq!(t.metrics.task_restarts.get(), 3, "its three tasks");
+}
+
+/// A host band is published from its own samples only: hosts that report
+/// no memory capacity give a CPU band and no memory band, not a memory
+/// band of zeros that no host reported.
+#[test]
+fn a_band_without_samples_records_nothing() {
+    let mut t = Turbine::new(TurbineConfig::default());
+    t.add_hosts(2, Resources::new(56.0, 0.0, 1e6, 1000.0));
+    t.run_for(Duration::from_mins(3));
+    let samples = |name: &str| series(&t, MetricKey::platform(name)).map_or(0, TimeSeries::len);
+    assert!(samples("host_cpu_p50") > 0);
+    assert_eq!(samples("host_memory_p50"), 0);
+}
+
+/// The registry keeps the history the figures plot: platform series stay
+/// exact past the registry capacity (and equal the copy the benchmark
+/// adapter reads), a watched job's series too, and only an unwatched job's
+/// series compacts.
+#[test]
+fn the_registry_keeps_the_history_the_figures_read() {
+    let mut t = small_platform();
+    let (watched, unwatched) = (JobId(1), JobId(2));
+    for job in [watched, unwatched] {
+        t.provision_job(
+            job,
+            JobConfig::stateless(&format!("flat_{}", job.raw()), 2, 8),
+            TrafficModel::flat(1.0e6),
+            1.0e6,
+            256.0,
+        )
+        .expect("provision");
+    }
+    t.watch_job(watched);
+    t.run_for(Duration::from_mins(REGISTRY_SERIES_CAPACITY as u64 + 20));
+
+    let registry = series(&t, MetricKey::platform("task_count")).expect("published");
+    assert!(registry.len() > REGISTRY_SERIES_CAPACITY);
+    assert!(registry.points().eq(t.metrics.task_count.points()));
+    assert_eq!(registry.buckets(), t.metrics.task_count.buckets());
+    let lag = |job: JobId| series(&t, MetricKey::job(job.raw(), "lag_secs")).expect("published");
+    assert!(lag(watched).buckets().is_empty(), "watched: exact");
+    assert!(!lag(unwatched).buckets().is_empty(), "unwatched: compacted");
 }

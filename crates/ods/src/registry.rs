@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use turbine_types::{SimTime, TimeSeries};
+use turbine_types::{SimTime, TimeSeries, DEFAULT_SERIES_CAPACITY};
 
 /// The entity a metric is about — the "component/job/host" axis of the
 /// ODS identity tuple.
@@ -87,9 +87,18 @@ impl MetricId {
     }
 }
 
-/// Exact-tail capacity of each registry series, in samples. Alert windows
-/// span minutes, so they always hit the exact tail; older history
-/// downsamples deterministically into at most 256 buckets of 56 B.
+/// Exact-tail capacity of each registry series outside the platform scope,
+/// in samples. Alert windows span minutes, so they always hit the exact
+/// tail; older history downsamples deterministically into at most 256
+/// buckets of 56 B.
+///
+/// The scope decides the capacity. Job, host, tier and component series
+/// grow with the fleet (component scope too: the Scribe append rates are
+/// one `component/scribe/<category>_…` series per category), so they keep
+/// this many. Platform series are a fixed set of about sixteen whatever
+/// the fleet, and the figures plot them over days, so they keep
+/// `DEFAULT_SERIES_CAPACITY` (4 096, 68 simulated hours at a one-minute
+/// cadence). [`Registry::keep_history`] raises one job's series to that.
 ///
 /// What a series costs follows what changed in it. Measured (struct plus
 /// `Vec` capacities): a settled job's series is 160 B at any length of
@@ -123,10 +132,23 @@ impl Registry {
         if let Some(&id) = self.index.get(&key) {
             return id;
         }
+        let capacity = match key.scope {
+            Scope::Platform => DEFAULT_SERIES_CAPACITY,
+            _ => REGISTRY_SERIES_CAPACITY,
+        };
         let id = MetricId(self.series.len() as u32);
         self.index.insert(key, id);
-        self.series
-            .push(TimeSeries::with_capacity(REGISTRY_SERIES_CAPACITY));
+        self.series.push(TimeSeries::with_capacity(capacity));
+        id
+    }
+
+    /// Intern a key (see [`Self::series_id`]) and keep its series at
+    /// `DEFAULT_SERIES_CAPACITY` exact samples, as platform series are —
+    /// for a series a figure reads over days. Raising an already-published
+    /// series keeps what it holds: it compacts only at a full tail.
+    pub fn keep_history(&mut self, key: MetricKey) -> MetricId {
+        let id = self.series_id(key);
+        self.series[id.index()].raise_capacity(DEFAULT_SERIES_CAPACITY);
         id
     }
 
@@ -260,6 +282,41 @@ mod tests {
         let v = 0.1 + 0.2;
         r.publish(id, t(180), v);
         assert_eq!(r.series(id).last().map(f64::to_bits), Some(v.to_bits()));
+    }
+
+    #[test]
+    fn watch_registers_series() {
+        // Platform series keep the figures' history; every scope that
+        // grows with the fleet compacts at the registry capacity, and a
+        // watched job's series keep as much as platform series do.
+        let mut r = Registry::new();
+        let platform = r.series_id(MetricKey::platform("task_count"));
+        let job = r.series_id(MetricKey::job(1, "lag_secs"));
+        let scribe = r.series_id(MetricKey::new(
+            Scope::Component("scribe".into()),
+            "events_appends_per_sec",
+        ));
+        let watched = r.series_id(MetricKey::job(2, "lag_secs"));
+        let samples = REGISTRY_SERIES_CAPACITY as u64 + 100;
+        for i in 0..samples {
+            if i == 100 {
+                // Raised after it has published: nothing it holds moves.
+                let held: Vec<_> = r.series(watched).points().collect();
+                assert_eq!(r.keep_history(MetricKey::job(2, "lag_secs")), watched);
+                assert!(r.series(watched).points().eq(held));
+            }
+            for id in [platform, job, scribe, watched] {
+                r.publish(id, t(60 * i), i as f64);
+            }
+        }
+        let compacted = |id| !r.series(id).buckets().is_empty();
+        assert!(compacted(job) && compacted(scribe));
+        assert!(!compacted(platform) && !compacted(watched));
+        assert_eq!(r.series(watched).points().count() as u64, samples);
+
+        // A watch before the first publish registers the series.
+        let fresh = r.keep_history(MetricKey::job(3, "running_tasks"));
+        assert_eq!((fresh.index(), r.len()), (4, 5));
     }
 
     #[test]

@@ -41,8 +41,10 @@ pub const SNAP_MAGIC: [u8; 8] = *b"TRBNSNAP";
 /// map of chunks; version 6 drops the platform's load-report copy of the
 /// engine's dirty jobs (the load-report round drains the engine's set
 /// itself); version 7 drops the configuration values that became
-/// constants and the root-causer's (stateless) entry.
-pub const SNAP_VERSION: u32 = 7;
+/// constants and the root-causer's (stateless) entry; version 8 drops
+/// `PlatformMetrics`' copies of the registry's series (all but two), its
+/// watched-job maps and its per-tier downtime totals.
+pub const SNAP_VERSION: u32 = 8;
 
 /// Chunk size of the manifest: one digest per 4 KiB of stream, verified
 /// on every restore and compared across snapshots. Small enough that an

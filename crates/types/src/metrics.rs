@@ -255,6 +255,14 @@ impl TimeSeries {
         }
     }
 
+    /// Retain at least `capacity` exact samples from now on. Nothing
+    /// recorded moves: the tail compacts only once it is full, and a larger
+    /// capacity only postpones that.
+    pub fn raise_capacity(&mut self, capacity: usize) {
+        let capacity = capacity.clamp(MIN_SERIES_CAPACITY, u32::MAX as usize) as u32;
+        self.raw_capacity = self.raw_capacity.max(capacity);
+    }
+
     /// Most buckets the head may hold before it pair-merges.
     fn head_capacity(&self) -> usize {
         (self.raw_capacity as usize / 2).max(1)

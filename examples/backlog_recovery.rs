@@ -41,7 +41,6 @@ fn main() {
             256.0,
         )
         .expect("provision");
-    turbine.metrics.watch_job(job);
 
     println!("hour  tasks  backlog_gb");
     let mut lifted = false;

@@ -5,7 +5,7 @@
 //! cargo run --release -p turbine-examples --bin quickstart
 //! ```
 
-use turbine::{Turbine, TurbineConfig};
+use turbine::{MetricKey, Turbine, TurbineConfig};
 use turbine_config::JobConfig;
 use turbine_types::{Duration, JobId, Resources};
 use turbine_workloads::TrafficModel;
@@ -28,7 +28,6 @@ fn main() {
             256.0, // average message size in bytes
         )
         .expect("provision");
-    turbine.metrics.watch_job(job);
 
     println!("minute  running_tasks  backlog_mb  lag_s");
     for minute in 1..=15u64 {
@@ -48,7 +47,11 @@ fn main() {
         "after 15 minutes: {} tasks running, {:.1} MB backlog, SLO ok = {}",
         status.running_tasks,
         status.backlog_bytes / 1.0e6,
-        turbine.metrics.slo_ok_fraction.last() == Some(1.0),
+        turbine
+            .ods_registry()
+            .series_by_key(&MetricKey::platform("slo_ok_fraction"))
+            .and_then(|series| series.last())
+            == Some(1.0),
     );
     println!(
         "lifecycle: {} task starts, {} shard moves, {} scaling actions",

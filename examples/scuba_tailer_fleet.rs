@@ -7,9 +7,9 @@
 //! cargo run --release -p turbine-examples --bin scuba_tailer_fleet
 //! ```
 
-use turbine::{Turbine, TurbineConfig};
+use turbine::{MetricKey, Turbine, TurbineConfig};
 use turbine_config::JobConfig;
-use turbine_types::{Duration, JobId, Resources};
+use turbine_types::{Duration, JobId, Resources, TimeSeries};
 use turbine_workloads::{synthesize_fleet, FleetConfig};
 
 fn main() {
@@ -38,16 +38,23 @@ fn main() {
             .expect("provision");
     }
 
+    // The latest sample of a platform series in the metrics registry.
+    let latest = |turbine: &Turbine, name: &str| {
+        turbine
+            .ods_registry()
+            .series_by_key(&MetricKey::platform(name))
+            .and_then(TimeSeries::last)
+            .unwrap_or(0.0)
+    };
     println!("hour  cpu_p5  cpu_p50  cpu_p95  slo_ok");
     for hour in 1..=6u64 {
         turbine.run_for(Duration::from_hours(1));
-        let m = &turbine.metrics;
         println!(
             "{hour:>4}  {:>6.3}  {:>7.3}  {:>7.3}  {:>6.3}",
-            m.host_cpu.p5.last().unwrap_or(0.0),
-            m.host_cpu.p50.last().unwrap_or(0.0),
-            m.host_cpu.p95.last().unwrap_or(0.0),
-            m.slo_ok_fraction.last().unwrap_or(0.0),
+            latest(&turbine, "host_cpu_p5"),
+            latest(&turbine, "host_cpu_p50"),
+            latest(&turbine, "host_cpu_p95"),
+            latest(&turbine, "slo_ok_fraction"),
         );
     }
 
@@ -58,7 +65,7 @@ fn main() {
         per_container.insert(c, 0);
     }
     // Count tasks per container via the shard ownership of each manager.
-    let total_tasks = turbine.metrics.task_count.last().unwrap_or(0.0);
+    let total_tasks = latest(&turbine, "task_count");
     println!();
     println!(
         "fleet: {} jobs, {:.0} running tasks across {} hosts",

@@ -8,9 +8,9 @@
 //! cargo run --release -p turbine-examples --bin storm_drill
 //! ```
 
-use turbine::{Turbine, TurbineConfig};
+use turbine::{MetricKey, Turbine, TurbineConfig};
 use turbine_config::JobConfig;
-use turbine_types::{Duration, JobId, Resources, SimTime};
+use turbine_types::{Duration, JobId, Resources, SimTime, TimeSeries};
 use turbine_workloads::{TrafficEvent, TrafficEventKind, TrafficModel};
 
 fn main() {
@@ -54,6 +54,14 @@ fn main() {
             .expect("provision");
     }
 
+    // The latest sample of a platform series in the metrics registry.
+    let latest = |turbine: &Turbine, name: &str| {
+        turbine
+            .ods_registry()
+            .series_by_key(&MetricKey::platform(name))
+            .and_then(TimeSeries::last)
+            .unwrap_or(0.0)
+    };
     println!("hour  traffic_mb_s  tasks  slo_ok");
     let mut day1_peak_tasks = 0.0f64;
     let mut day2_peak_tasks = 0.0f64;
@@ -61,8 +69,8 @@ fn main() {
     let mut day2_peak_traffic = 0.0f64;
     for hour in 1..=68u64 {
         turbine.run_for(Duration::from_hours(1));
-        let traffic = turbine.metrics.cluster_traffic.last().unwrap_or(0.0) / 1.0e6;
-        let tasks = turbine.metrics.task_count.last().unwrap_or(0.0);
+        let traffic = latest(&turbine, "cluster_traffic_bps") / 1.0e6;
+        let tasks = latest(&turbine, "task_count");
         if (34..48).contains(&hour) {
             day1_peak_tasks = day1_peak_tasks.max(tasks);
             day1_peak_traffic = day1_peak_traffic.max(traffic);
@@ -74,7 +82,7 @@ fn main() {
         if hour > 24 {
             println!(
                 "{hour:>4}  {traffic:>12.1}  {tasks:>5.0}  {:>6.3}",
-                turbine.metrics.slo_ok_fraction.last().unwrap_or(0.0)
+                latest(&turbine, "slo_ok_fraction")
             );
         }
     }
