@@ -42,8 +42,8 @@ echo "== scale_smoke: sparse data plane at 1k hosts / 10k tasks (13 simulated ho
 # lands inside the wall-clock budget. The sparse leg goes through a
 # snapshot blob at hour 12 and finishes on the restored platform, so the
 # fingerprint gate is also restore == uninterrupted at 1000 hosts; the
-# blob must stay under 100 MB and the round trip under 2 s (ROADMAP item
-# 2's targets), and the process's peak RSS (the round trip's: blob and two
+# blob must stay under 100 MB and the round trip under 2 s (the smoke
+# shape's snapshot targets), and the process's peak RSS (the round trip's: blob and two
 # platforms at once, the stream decoded where it lies in the blob; `VmHWM`,
 # written on Linux) under 75 MB. A second run
 # must reproduce the identical fingerprint counters or the gate fails. The

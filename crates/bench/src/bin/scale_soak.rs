@@ -4,7 +4,7 @@
 //! 120k+ tasks (12k jobs x 10 tasks), where at any instant the
 //! overwhelming majority of the fleet is converged and quiet. A dense
 //! control plane pays O(fleet) every round regardless; the sparse data
-//! plane (attention sets + changelog cursors + dirty-set bookkeeping)
+//! plane (attention sets + change feeds + dirty-scope bookkeeping)
 //! must pay only for what changed. Two bursts punctuate 24 quiet
 //! simulated hours: an oncall scale-up wave at hour 6 and a host flap at
 //! hour 12.
@@ -127,7 +127,7 @@ fn run(p: &Params, sparse: bool) -> RunResult {
     // Hours 0-6: converge, then sit quiet.
     t.drive_for(Duration::from_hours(6), DriveMode::EventDriven);
     // Hour 6: an oncall scale-up wave across a handful of live jobs — a
-    // changelog burst the sparse syncer must pick up via its cursor.
+    // burst of store changes the sparse syncer must pick up from its feed.
     for wave in 0..5u64 {
         let job = JobId(wave * ACTIVE_EVERY + 1);
         t.oncall_set(

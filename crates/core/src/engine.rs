@@ -13,18 +13,19 @@
 //! u32 indices, with an ordered id → slot index on the side. Iteration
 //! order (and therefore every floating-point reduction order in the tick)
 //! is identical to the previous `BTreeMap<TaskId, ActiveTask>` layout.
-//! The engine also keeps sparse-space bookkeeping — two changed-job sets,
-//! one per consumer, a fleet-wide down-task counter, per-job
-//! undrained-partition counters, and per-job durability epochs — so
+//! The engine also keeps sparse-space bookkeeping — a change feed with one
+//! reader per consumer ([`EngineFeed`]), a fleet-wide down-task counter,
+//! per-job undrained-partition counters, and per-job durability epochs — so
 //! quiescence checks, durability syncs, load reports and invariant checks
-//! cost O(jobs touched) instead of O(fleet). The *dirty* set (task set or
-//! task usage moved; every mutation marks it, and the tick marks it only
-//! where a task's `cpu_usage` or `memory_usage_mb` changed) feeds load
-//! reports, which read nothing else of a job; the *reshaped* set (task
-//! set, placement or partition slices moved; only mutations mark it)
-//! feeds the invariant checker, which reads nothing a tick writes.
-//! Arrivals and consumption mark neither: they move backlog, which no
-//! consumer of either set reads.
+//! cost O(jobs touched) instead of O(fleet). Every mutation marks a job for
+//! both readers. The tick marks the *load-report* reader alone, and only
+//! where it rewrote a task's `cpu_usage` or `memory_usage_mb`: load reports
+//! read nothing else of a job. The *checker* reader (task set, placement or
+//! partition slices moved) is marked by mutations only, since the invariant
+//! checker reads nothing a tick writes. Arrivals and consumption mark
+//! neither: they move backlog, which neither consumer reads. The feed is
+//! stored in a snapshot like the rest of the engine, so a restored engine
+//! owes each consumer what the uninterrupted one does.
 //!
 //! Idle time is skipped at two granularities. Per job, [`Engine::tick`]
 //! walks only the tasks of *active* jobs: a job whose walk changed nothing
@@ -38,7 +39,7 @@
 //! set, task index and collected work all ascend by id and are walked in
 //! step (see [`Engine::tick`]). What repeats is remembered beside the
 //! runtime as derived state that no snapshot holds and any restore may
-//! forget: a hint that the job is already in the dirty set, and the
+//! forget: a hint that the job is already marked for load reports, and the
 //! current minute's noise factor of its traffic model.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -100,9 +101,9 @@ pub struct JobRuntime {
     window_per_task: BTreeMap<TaskId, f64>,
     window_ooms: u32,
     /// Hint that saves [`Engine::tick`] a set insert: above the engine's
-    /// count of dirty-set drains exactly when the tick has put this job
-    /// into the dirty set since the last drain. Below it the job may or
-    /// may not be a member (mutation APIs insert without marking, and a
+    /// count of load-report drains exactly when the tick has marked this
+    /// job for load reports since the last drain. Below it the job may or
+    /// may not be marked (mutation APIs mark without the hint, and a
     /// restored runtime starts unmarked), which only costs the insert.
     /// Derived — not part of the snapshot.
     dirty_mark: u64,
@@ -304,15 +305,15 @@ impl TaskArena {
 /// The tick's walk of a job that has tasks but no runtime (started before
 /// `add_job`, or left behind by a racing delete): nothing is processed, but
 /// restart markers still expire. Returns whether the walk changed nothing.
-/// Only a zeroed `cpu_usage` dirties the job: an expiring marker moves no
-/// usage.
+/// Only a zeroed `cpu_usage` marks the job for load reports: an expiring
+/// marker moves no usage.
 fn walk_orphan(
     index: &BTreeMap<TaskId, u32>,
     slots: &mut [Option<ActiveTask>],
     job: JobId,
     now: SimTime,
     down_count: &mut usize,
-    dirty: &mut BTreeSet<JobId>,
+    feed: &mut EngineFeed,
 ) -> bool {
     let mut quiet = true;
     for &slot in index.range(job_range(job)).map(|(_, slot)| slot) {
@@ -320,7 +321,7 @@ fn walk_orphan(
         match task.restart(now) {
             Restart::Down { zeroed } => {
                 if zeroed {
-                    dirty.insert(job);
+                    feed.mark_for(EngineReader::LoadReport, job);
                 }
                 quiet = false;
             }
@@ -355,11 +356,24 @@ pub struct TickOutcome {
     pub oom_kills: Vec<TaskId>,
 }
 
-/// The dirty set as [`Engine::tick`] writes it: through each runtime's
-/// `dirty_mark`, so a job that changes every tick is inserted once per
-/// drain, not twice per tick.
+turbine_types::change_feed! {
+    /// The jobs whose engine state a consumer reads changed since that
+    /// consumer's last [`Engine::drain_changes`].
+    pub struct EngineFeed<JobId> for EngineReader {
+        /// Load reports: the job's task set or a task's `cpu_usage` or
+        /// `memory_usage_mb` moved (not its backlog).
+        LoadReport => load_report,
+        /// The invariant checker: the job's task set, task containers or
+        /// partition slices moved, which only mutation APIs do.
+        Checker => checker,
+    }
+}
+
+/// The load-report reader as [`Engine::tick`] marks it: through each
+/// runtime's `dirty_mark`, so a job that changes every tick is inserted
+/// once per drain, not twice per tick.
 struct DirtyJobs<'a> {
-    set: &'a mut BTreeSet<JobId>,
+    feed: &'a mut EngineFeed,
     /// `Engine::dirty_drains` for the length of the tick.
     drains: u64,
 }
@@ -368,7 +382,7 @@ impl DirtyJobs<'_> {
     /// `job` changed; `mark` is its runtime's hint.
     fn mark(&mut self, job: JobId, mark: &mut u64) {
         if *mark <= self.drains {
-            self.set.insert(job);
+            self.feed.mark_for(EngineReader::LoadReport, job);
             *mark = self.drains + 1;
         }
     }
@@ -467,19 +481,11 @@ pub struct Engine {
     tasks: TaskArena,
     /// Tasks currently holding a `down_until` marker (exact counter).
     down_count: usize,
-    /// Jobs whose task set or task usage (`cpu_usage`, `memory_usage_mb`)
-    /// changed since the last [`Engine::take_dirty`]: what a load report
-    /// must re-read. Mutations mark it; the tick marks it only where it
-    /// rewrote a usage reading, never for arrivals or consumption.
-    dirty: BTreeSet<JobId>,
-    /// Jobs a mutation API touched since the last [`Engine::take_reshaped`]:
-    /// the only way a job's task set, task containers or partition slices
-    /// change. The tick never marks it. Derived — not part of the snapshot;
-    /// a restored engine starts with every job in it.
-    reshaped: BTreeSet<JobId>,
-    /// How many times [`Engine::take_dirty`] has drained `dirty`: what the
-    /// runtimes' `dirty_mark` hints are compared with, so one increment
-    /// clears them all. Derived — not part of the snapshot.
+    /// What changed, per consumer: load reports and the invariant checker.
+    changes: EngineFeed,
+    /// How many times [`Engine::drain_changes`] has drained the load-report
+    /// reader: what the runtimes' `dirty_mark` hints are compared with, so
+    /// one increment clears them all. Derived — not part of the snapshot.
     dirty_drains: u64,
     /// Jobs (keyed on the task's job id, so tasks without a `JobRuntime`
     /// count too) whose tasks [`Engine::tick`] still walks. Every other
@@ -501,8 +507,7 @@ impl Engine {
     /// A mutation touched `job`: its observable state changed, and its
     /// next tick may no longer be a no-op, so it is walked again.
     fn touch(&mut self, job: JobId) {
-        self.dirty.insert(job);
-        self.reshaped.insert(job);
+        self.changes.mark(job);
         self.active.insert(job);
     }
 
@@ -740,22 +745,13 @@ impl Engine {
         }
     }
 
-    /// Drain the set of jobs whose task set or task usage changed since
-    /// the last call. Its one consumer is the load-report round; an empty
-    /// result guarantees every job's task set and every task's `cpu_usage`
-    /// and `memory_usage_mb` are bit-identical to the last drain. Backlog
-    /// is not covered: a tick that only moves bytes marks nothing.
-    pub fn take_dirty(&mut self) -> BTreeSet<JobId> {
-        self.dirty_drains += 1;
-        std::mem::take(&mut self.dirty)
-    }
-
-    /// Drain the set of jobs a mutation API touched since the last call.
-    /// Its one consumer is the invariant checker: a job left out has the
-    /// same task set, task containers and partition slices as at the last
-    /// drain, whatever the ticks in between did to its usage and backlog.
-    pub fn take_reshaped(&mut self) -> BTreeSet<JobId> {
-        std::mem::take(&mut self.reshaped)
+    /// Take the jobs marked for `reader` since its last drain; see
+    /// [`EngineReader`] for what each reader's marks cover.
+    pub fn drain_changes(&mut self, reader: EngineReader) -> BTreeSet<JobId> {
+        if reader == EngineReader::LoadReport {
+            self.dirty_drains += 1;
+        }
+        self.changes.drain(reader)
     }
 
     /// Advance the data plane by `dt` (positive). `container_cpu` supplies
@@ -786,8 +782,8 @@ impl Engine {
     /// per-task backlog) therefore sees its terms in the order of a full
     /// `TaskId`-ordered walk.
     ///
-    /// A job joins the dirty set only where the tick rewrites a task's
-    /// `cpu_usage` or `memory_usage_mb` with a different value (the
+    /// A job is marked for load reports only where the tick rewrites a
+    /// task's `cpu_usage` or `memory_usage_mb` with a different value (the
     /// processing, halted, restart and dead-container paths alike). Its
     /// arrivals and consumption move backlog alone and mark nothing.
     pub fn tick<S: BuildHasher>(
@@ -817,13 +813,12 @@ impl Engine {
             jobs,
             tasks,
             down_count,
-            dirty,
+            changes,
             dirty_drains,
-            reshaped: _,
             active,
         } = self;
         let mut dirty = DirtyJobs {
-            set: dirty,
+            feed: changes,
             drains: *dirty_drains,
         };
 
@@ -855,7 +850,7 @@ impl Engine {
         for (&job, rt) in jobs.iter_mut() {
             // Active ids the runtimes step over are orphans.
             while let Some(&orphan) = listed.peek().filter(|&&id| id < job) {
-                let quiet = walk_orphan(index, slots, orphan, now, down_count, dirty.set);
+                let quiet = walk_orphan(index, slots, orphan, now, down_count, dirty.feed);
                 walked.push((orphan, quiet));
                 listed.next();
             }
@@ -947,7 +942,7 @@ impl Engine {
             walked.push((job, quiet));
         }
         for orphan in listed {
-            let quiet = walk_orphan(index, slots, orphan, now, down_count, dirty.set);
+            let quiet = walk_orphan(index, slots, orphan, now, down_count, dirty.feed);
             walked.push((orphan, quiet));
         }
         active.extend(woken);
@@ -1165,8 +1160,7 @@ snap_struct!(ActiveTask {
 });
 
 // By hand: the task arena is written as ordered (id, task) pairs and
-// rebuilt densely, and the down count, active and reshaped sets are
-// recounted.
+// rebuilt densely, and the down count and active set are recounted.
 impl Snap for Engine {
     fn snap(&self, w: &mut SnapWriter) {
         w.put(&self.jobs);
@@ -1175,7 +1169,7 @@ impl Snap for Engine {
             w.put(id);
             w.put(task);
         }
-        w.put(&self.dirty);
+        w.put(&self.changes);
     }
 
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
@@ -1197,16 +1191,13 @@ impl Snap for Engine {
             jobs,
             tasks,
             down_count,
-            dirty: r.get()?,
+            changes: r.get()?,
             dirty_drains: 0,
-            reshaped: BTreeSet::new(),
             active: BTreeSet::new(),
         };
-        // Settlements and reshapes are not captured: walk everything once,
-        // let the first tick re-derive the settlements and the first
-        // invariant check rescan every job.
+        // Settlements are not captured: walk everything once and let the
+        // first tick re-derive them.
         engine.active = engine.all_job_ids();
-        engine.reshaped = engine.active.clone();
         Ok(engine)
     }
 }
@@ -1429,29 +1420,44 @@ mod tests {
     #[test]
     fn dirty_set_tracks_mutations_and_settles_when_quiet() {
         let (mut engine, specs) = engine_with_job(0.0, 2);
-        assert_eq!(engine.take_dirty().into_iter().collect::<Vec<_>>(), [JOB]);
-        assert!(engine.take_dirty().is_empty());
+        assert_eq!(
+            engine
+                .drain_changes(EngineReader::LoadReport)
+                .into_iter()
+                .collect::<Vec<_>>(),
+            [JOB]
+        );
+        assert!(engine.drain_changes(EngineReader::LoadReport).is_empty());
         let dt = Duration::from_secs(10);
         let mut now = SimTime::ZERO;
         now += dt;
         // First tick: the restarted tasks' memory readings rise from zero
         // to the idle footprint — dirty.
         engine.tick(now, dt, &caps(64.0), &|_| false);
-        assert!(engine.take_dirty().contains(&JOB));
+        assert!(engine
+            .drain_changes(EngineReader::LoadReport)
+            .contains(&JOB));
         // Zero-rate traffic, settled usage: subsequent ticks are clean.
         now += dt;
         engine.tick(now, dt, &caps(64.0), &|_| false);
-        assert!(engine.take_dirty().is_empty());
+        assert!(engine.drain_changes(EngineReader::LoadReport).is_empty());
         // Explicit mutations mark again.
         engine.knock_down_task(specs[0].id, now + dt);
-        assert!(engine.take_dirty().contains(&JOB));
+        assert!(engine
+            .drain_changes(EngineReader::LoadReport)
+            .contains(&JOB));
     }
 
     #[test]
     fn backlog_alone_leaves_the_dirty_set_empty() {
         // 4 MB/s into two 1 MB/s tasks: the backlog grows every tick.
         let (mut engine, specs) = engine_with_job(4.0e6, 2);
-        let dirty = |engine: &mut Engine| engine.take_dirty().into_iter().collect::<Vec<_>>();
+        let dirty = |engine: &mut Engine| {
+            engine
+                .drain_changes(EngineReader::LoadReport)
+                .into_iter()
+                .collect::<Vec<_>>()
+        };
         assert_eq!(dirty(&mut engine), [JOB], "the task starts");
         let dt = Duration::from_secs(10);
         let mut now = SimTime::ZERO;
@@ -1484,21 +1490,31 @@ mod tests {
         // usage moves on the first tick only (the tasks start processing at
         // capacity and stay there). The dirty set follows usage, not
         // backlog, so it holds the job after the first tick and not after
-        // the others; the reshaped set never does.
+        // the others; the checker's reader never does.
         let (mut engine, specs) = engine_with_job(4.0e6, 2);
-        let reshaped = |engine: &mut Engine| engine.take_reshaped().into_iter().collect::<Vec<_>>();
-        assert_eq!(reshaped(&mut engine), [JOB]);
+        let for_checker = |engine: &mut Engine| {
+            engine
+                .drain_changes(EngineReader::Checker)
+                .into_iter()
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(for_checker(&mut engine), [JOB]);
         let dt = Duration::from_secs(10);
         let mut now = SimTime::ZERO;
         for i in 0..5 {
             now += dt;
             engine.tick(now, dt, &caps(64.0), &|_| false);
             assert_eq!(
-                engine.take_dirty().contains(&JOB),
+                engine
+                    .drain_changes(EngineReader::LoadReport)
+                    .contains(&JOB),
                 i == 0,
                 "dirty exactly when usage moved (tick {i})"
             );
-            assert!(reshaped(&mut engine).is_empty(), "a tick reshapes nothing");
+            assert!(
+                for_checker(&mut engine).is_empty(),
+                "a tick reshapes nothing"
+            );
         }
         let other = JobId(2);
         engine.add_job(
@@ -1510,26 +1526,26 @@ mod tests {
             false,
             0.0,
         );
-        assert_eq!(reshaped(&mut engine), [other]);
+        assert_eq!(for_checker(&mut engine), [other]);
         engine.job_mut(JOB).expect("job").partition_weights[0] = 0.0;
-        assert_eq!(reshaped(&mut engine), [JOB]);
+        assert_eq!(for_checker(&mut engine), [JOB]);
         engine.degrade_task(specs[0].id, 0.5);
-        assert_eq!(reshaped(&mut engine), [JOB]);
+        assert_eq!(for_checker(&mut engine), [JOB]);
         engine.knock_down_task(specs[0].id, now + dt);
-        assert_eq!(reshaped(&mut engine), [JOB]);
+        assert_eq!(for_checker(&mut engine), [JOB]);
         // A stale stop from a container that does not own the task is no
         // mutation.
         engine.task_stopped(specs[1].id, ContainerId(9));
-        assert!(reshaped(&mut engine).is_empty());
+        assert!(for_checker(&mut engine).is_empty());
         engine.task_stopped(specs[1].id, C0);
-        assert_eq!(reshaped(&mut engine), [JOB]);
+        assert_eq!(for_checker(&mut engine), [JOB]);
         engine.task_started(&specs[1], ContainerId(3), now, dt);
-        assert_eq!(reshaped(&mut engine), [JOB]);
+        assert_eq!(for_checker(&mut engine), [JOB]);
         engine.remove_job(other);
-        assert_eq!(reshaped(&mut engine), [other]);
+        assert_eq!(for_checker(&mut engine), [other]);
         now += dt;
         engine.tick(now, dt, &caps(64.0), &|_| false);
-        assert!(reshaped(&mut engine).is_empty());
+        assert!(for_checker(&mut engine).is_empty());
     }
 
     #[test]

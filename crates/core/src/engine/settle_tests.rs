@@ -175,7 +175,10 @@ impl Pair {
             self.both(|e| e.knock_down_task(task, until));
         }
         if drain {
-            prop_assert_eq!(self.skip.take_dirty(), self.full.take_dirty());
+            prop_assert_eq!(
+                self.skip.drain_changes(EngineReader::LoadReport),
+                self.full.drain_changes(EngineReader::LoadReport)
+            );
         }
         prop_assert!(
             encoded(&self.skip) == encoded(&self.full),
@@ -251,9 +254,9 @@ fn quiet_job_settles_until_a_mutation_or_its_own_traffic_wakes_it() {
         quiet_tick(&mut engine, &mut now);
     }
     assert_eq!(engine.active_jobs(), 0, "drained and idle: settled");
-    engine.take_dirty();
+    engine.drain_changes(EngineReader::LoadReport);
     quiet_tick(&mut engine, &mut now);
-    assert!(engine.take_dirty().is_empty());
+    assert!(engine.drain_changes(EngineReader::LoadReport).is_empty());
     // A mutation re-activates it; with nothing to do it settles again.
     engine.degrade_task(TaskId::new(job, 0), 0.5);
     assert_eq!(engine.active_jobs(), 1);
@@ -267,7 +270,9 @@ fn quiet_job_settles_until_a_mutation_or_its_own_traffic_wakes_it() {
     }
     assert_eq!(engine.active_jobs(), 1, "traffic resumed");
     assert!(engine.job(job).expect("job").total_arrived() > 9.0e7);
-    assert!(engine.take_dirty().contains(&job));
+    assert!(engine
+        .drain_changes(EngineReader::LoadReport)
+        .contains(&job));
 }
 
 #[test]
@@ -345,7 +350,7 @@ fn orphans_keep_their_place_and_a_woken_job_is_walked_in_the_tick_that_wakes_it(
         }
     }
     let all: BTreeSet<JobId> = orphans.into_iter().chain([busy, windowed]).collect();
-    assert_eq!(engine.take_dirty(), all);
+    assert_eq!(engine.drain_changes(EngineReader::LoadReport), all);
     assert_eq!((engine.active_jobs(), engine.down_count), (5, 5));
 
     let caps = HashMap::from([(ContainerId(0), 8.0)]);
@@ -360,7 +365,10 @@ fn orphans_keep_their_place_and_a_woken_job_is_walked_in_the_tick_that_wakes_it(
     // busy one processes and OOMs at once. The orphans are still down:
     // walked, unchanged, but not at rest.
     assert_eq!(tick(&mut engine), busy_task);
-    assert_eq!(engine.take_dirty(), set(&[busy, windowed]));
+    assert_eq!(
+        engine.drain_changes(EngineReader::LoadReport),
+        set(&[busy, windowed])
+    );
     assert_eq!((engine.active_jobs(), engine.down_count), (5, 3));
 
     // Tick 2: the orphans' markers expire, each at its place in the walk.
@@ -369,7 +377,7 @@ fn orphans_keep_their_place_and_a_woken_job_is_walked_in_the_tick_that_wakes_it(
     // processes at the same capacity as on tick 1 — its backlog grows, but
     // the dirty set follows usage only.
     assert_eq!(tick(&mut engine), busy_task);
-    assert!(engine.take_dirty().is_empty());
+    assert!(engine.drain_changes(EngineReader::LoadReport).is_empty());
     assert_eq!((engine.active_jobs(), engine.down_count), (4, 0));
 
     // Tick 3: nothing left for the orphans to change; they settle too.
@@ -381,7 +389,10 @@ fn orphans_keep_their_place_and_a_woken_job_is_walked_in_the_tick_that_wakes_it(
     // task starts using CPU, so it is dirty; the busy job's usage still
     // holds, so it is not.
     assert_eq!(tick(&mut engine), busy_task);
-    assert_eq!(engine.take_dirty(), set(&[windowed]));
+    assert_eq!(
+        engine.drain_changes(EngineReader::LoadReport),
+        set(&[windowed])
+    );
     assert_eq!(engine.active_jobs(), 2);
     let woken = engine.job(windowed).expect("registered");
     assert_eq!(woken.total_arrived(), 1.5e7, "one tick of arrivals");

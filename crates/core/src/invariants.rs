@@ -42,18 +42,18 @@
 //!
 //! [`InvariantChecker::check_sparse`] evaluates the same invariants but
 //! scopes each scan to the inputs that actually changed since the last
-//! tick, described by a [`DirtyInput`] the platform assembles from the
-//! jobs the engine's mutation APIs reshaped
-//! ([`Engine::take_reshaped`]), the jobs the control loops marked, the
-//! Job Store changelog, and change flags for the cluster / distributed /
-//! quarantine / standby state. A tick that only moves a job's backlog
-//! and usage changes nothing the checker reads, so a busy job costs no
-//! per-job work ([`InvariantChecker::jobs_examined`]). A scope whose
-//! inputs did not change keeps its previous violating-key set — since the
-//! scans are pure functions of those inputs, the skipped result is exactly
-//! what a full scan would have produced. The convergence universe
-//! (expected ∪ running jobs) is maintained incrementally off the store
-//! changelog instead of being rebuilt every tick, in both modes. Every
+//! tick, described by a [`DirtyInput`] the platform assembles: one job
+//! set — the jobs the control loops marked plus what the engine's and the
+//! Job Store's change feeds hold for the checker — and change flags for
+//! the cluster / distributed / quarantine / standby state. A tick that
+//! only moves a job's backlog and usage changes nothing the checker reads,
+//! so a busy job costs no per-job work
+//! ([`InvariantChecker::jobs_examined`]). A scope whose inputs did not
+//! change keeps its previous violating-key set — since the scans are pure
+//! functions of those inputs, the skipped result is exactly what a full
+//! scan would have produced, and scanning a job that did not change costs
+//! work, never correctness. The convergence universe (expected ∪ running
+//! jobs) is maintained incrementally off the same job set. Every
 //! `audit_interval` sparse ticks a full recomputation cross-checks the
 //! incrementally maintained state and counts any disagreement in
 //! [`InvariantChecker::audit_mismatches`] — the equivalence oracle for the
@@ -106,7 +106,7 @@ pub struct Violation {
 }
 
 /// What changed since the last check — the platform assembles this from
-/// the engine's reshaped jobs, component change flags, and set diffs. Every
+/// the change feeds, component change flags, and set diffs. Every
 /// flag must be *conservatively* complete: claiming something unchanged
 /// when it changed breaks the sparse/full equivalence (the audit exists
 /// to catch exactly that).
@@ -211,11 +211,8 @@ pub struct InvariantChecker {
     /// violation (so a persisting condition records once, not per tick).
     active: ScopedKeys,
     /// The expected ∪ running job universe, maintained incrementally off
-    /// the Job Store changelog (never rebuilt per tick).
+    /// the sparse check's job set (rebuilt only by a full check).
     convergence_jobs: BTreeSet<JobId>,
-    /// How much of the store changelog has been folded into
-    /// `convergence_jobs`.
-    changelog_cursor: u64,
     /// Start of each job's current divergence episode.
     diverged_since: BTreeMap<JobId, SimTime>,
     /// Jobs already reported for their current divergence episode.
@@ -225,8 +222,8 @@ pub struct InvariantChecker {
     audit_rounds: u64,
     audit_mismatches: u64,
     /// Per-job partition scans plus divergence updates, audits aside. A
-    /// cost counter, not state: a restored checker starts from zero and
-    /// rescans every job once. Derived — not part of the snapshot.
+    /// cost counter, not state: a restored checker starts from zero.
+    /// Derived — not part of the snapshot.
     jobs_examined: u64,
 }
 
@@ -268,9 +265,9 @@ impl InvariantChecker {
 
     /// Jobs examined since construction or restore: one per job whose
     /// partition ownership was scanned, one per job whose divergence was
-    /// re-evaluated. The periodic audit is not counted. On a fleet where
-    /// nothing is reshaped this grows with what changed, not with jobs ×
-    /// checks.
+    /// re-evaluated. The periodic audit is not counted. On a fleet that no
+    /// mutation or write touches this grows with what changed, not with
+    /// jobs × checks.
     pub fn jobs_examined(&self) -> u64 {
         self.jobs_examined
     }
@@ -319,9 +316,9 @@ impl InvariantChecker {
         self.sparse_checks += 1;
         let mut rising: Vec<(&'static str, String)> = Vec::new();
 
-        // Invariant 1: only jobs whose task/partition state changed. A
-        // removed job is reshaped by the engine, scans to an empty
-        // key set, and drops its entry.
+        // Invariant 1: only jobs whose task/partition state may have
+        // changed. A removed job is marked by the engine, scans to an
+        // empty key set, and drops its entry.
         for &job in dirty.jobs {
             self.settle_partition_scope(view, job, &mut rising);
         }
@@ -458,12 +455,13 @@ impl InvariantChecker {
     /// invariant only when it outlives the convergence window after both
     /// the divergence started and the last fault cleared.
     ///
-    /// With `candidates: Some(..)`, only the given jobs plus jobs in the
-    /// changelog slice are re-evaluated — every input of the divergence
-    /// predicate (store rows, pause/quarantine/capacity membership, engine
-    /// task counts) routes through one of those two sets, so untouched
-    /// jobs keep their status. The window-expiry pass always walks the
-    /// (small) diverged set: it is time-dependent.
+    /// With `candidates: Some(..)`, only the given jobs are re-evaluated:
+    /// every input of the divergence predicate (store rows,
+    /// pause/quarantine/capacity membership, engine task counts) marks the
+    /// job in that set, so untouched jobs keep their status and their
+    /// place in the universe. With `None`, every job in the store and
+    /// every job that left the universe is. The window-expiry pass always
+    /// walks the (small) diverged set: it is time-dependent.
     fn check_convergence(
         &mut self,
         view: &InvariantView<'_>,
@@ -471,49 +469,24 @@ impl InvariantChecker {
     ) {
         let now = view.now;
         let store = view.jobs.store();
-        // Fold the changelog into the expected ∪ running universe.
-        let log_len = store.changelog_len();
-        let mut full_rescan = candidates.is_none();
-        if self.changelog_cursor > log_len {
-            // The store was rebuilt underneath us: resynchronize.
-            self.convergence_jobs = store.expected_jobs().into_iter().collect();
-            self.convergence_jobs.extend(store.running_jobs());
-            full_rescan = true;
-        } else {
-            for &job in store.changed_since(self.changelog_cursor) {
-                if store.running(job).is_some() || store.expected_merged_ref(job).is_ok() {
-                    self.convergence_jobs.insert(job);
-                } else {
-                    self.convergence_jobs.remove(&job);
-                }
+        let everything: BTreeSet<JobId>;
+        let candidates = match candidates {
+            Some(candidates) => candidates,
+            None => {
+                everything = (self.convergence_jobs.iter().copied())
+                    .chain(store.expected_jobs())
+                    .chain(store.running_jobs())
+                    .collect();
+                &everything
             }
-        }
-        let changed: Vec<JobId> = if full_rescan {
-            Vec::new()
-        } else {
-            store.changed_since(self.changelog_cursor).to_vec()
         };
-        self.changelog_cursor = log_len;
-
-        if full_rescan {
-            // Jobs that left the universe can no longer be diverged.
-            let universe = &self.convergence_jobs;
-            self.diverged_since.retain(|j, _| universe.contains(j));
-            self.convergence_flagged.retain(|j| universe.contains(j));
-            let jobs: Vec<JobId> = self.convergence_jobs.iter().copied().collect();
-            for job in jobs {
-                self.update_divergence(view, job, now);
+        for &job in candidates {
+            if store.running(job).is_some() || store.has_job(job) {
+                self.convergence_jobs.insert(job);
+            } else {
+                self.convergence_jobs.remove(&job);
             }
-        } else {
-            let candidates = candidates.expect("sparse path");
-            for &job in candidates {
-                self.update_divergence(view, job, now);
-            }
-            for job in changed {
-                if !candidates.contains(&job) {
-                    self.update_divergence(view, job, now);
-                }
-            }
+            self.update_divergence(view, job, now);
         }
 
         let Some(quiet_since) = view.quiet_since else {
@@ -950,7 +923,6 @@ snap_struct!(InvariantChecker {
     total,
     active,
     convergence_jobs,
-    changelog_cursor,
     diverged_since,
     convergence_flagged,
     ticks_checked,

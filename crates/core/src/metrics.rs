@@ -114,9 +114,9 @@ pub struct PlatformMetrics {
     pub incidents: Counter,
 
     /// Jobs examined across State Syncer rounds. Sparse rounds examine
-    /// only the attention set plus the changelog delta, so on a quiescent
-    /// fleet this grows far slower than rounds × jobs — the scale gate's
-    /// per-round work measure.
+    /// only the attention set plus the jobs the store fed them, so on a
+    /// quiescent fleet this grows far slower than rounds × jobs — the
+    /// scale gate's per-round work measure.
     pub sync_jobs_examined: Counter,
     /// Containers that produced a load report (sparse load reporting
     /// skips containers whose loads cannot have moved).

@@ -6,13 +6,13 @@
 //! they are invoked.
 
 use super::{OutageState, Turbine, CONNECTION_TIMEOUT, RESTART_DELAY};
-use crate::engine::{ActiveTask, Engine};
+use crate::engine::{ActiveTask, Engine, EngineReader};
 use crate::metrics::DiagnosisRecord;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 use turbine_autoscaler::{DiagnosisInput, JobMetrics, Mitigation, ScalingAction};
 use turbine_config::{ConfigLevel, JobConfig, ResiliencyClass};
-use turbine_jobstore::{JobService, MemWal};
+use turbine_jobstore::{JobService, MemWal, StoreReader};
 use turbine_shardmgr::{ContainerStatus, ShardMovement};
 use turbine_statesyncer::{Redistribute, SyncEnvironment};
 use turbine_taskmgr::{LocalTaskManager, RunningJobs, TaskEvent, TaskService};
@@ -266,9 +266,9 @@ impl Turbine {
     /// a standby for any critical job lacking one.
     fn ensure_standbys(&mut self) {
         let now = self.now;
-        // Critical jobs come from the changelog-maintained resiliency
-        // cache: the round costs O(critical + changelog delta), not a
-        // re-decode of every job config in the fleet.
+        // Critical jobs come from the feed-maintained resiliency cache:
+        // the round costs O(critical + jobs changed), not a re-decode of
+        // every job config in the fleet.
         self.refresh_resiliency_cache();
         let critical: Vec<JobId> = self
             .resiliency_cache
@@ -458,23 +458,22 @@ impl Turbine {
     }
 
     /// Task Manager snapshot refresh from the Task Service. The service
-    /// follows the Job Store change log, so an expiry that finds nothing
+    /// follows the Job Store's changes, so an expiry that finds nothing
     /// changed hands back the snapshot the managers already hold, and a
     /// manager holding it has nothing to reconcile: the round then costs
     /// one identity test per container.
     pub(crate) fn tm_refresh_round(&mut self) {
         /// The Job Store's running table as the Task Service reads it.
         struct Running<'a> {
-            jobs: &'a JobService<MemWal>,
+            jobs: &'a mut JobService<MemWal>,
             paused: &'a BTreeSet<JobId>,
             stopped: &'a BTreeSet<JobId>,
         }
         impl RunningJobs for Running<'_> {
-            fn changelog_len(&self) -> u64 {
-                self.jobs.store().changelog_len()
-            }
-            fn changed_since(&self, cursor: u64) -> &[JobId] {
-                self.jobs.store().changed_since(cursor)
+            fn take_changed(&mut self) -> BTreeSet<JobId> {
+                self.jobs
+                    .store_mut()
+                    .drain_changes(StoreReader::TaskService)
             }
             fn running_jobs(&self) -> Vec<JobId> {
                 self.jobs.store().running_jobs().collect()
@@ -493,8 +492,8 @@ impl Turbine {
         // TTL; Task Managers share it by reference).
         let snapshot = self.task_service.snapshot(
             self.now,
-            &Running {
-                jobs: &self.jobs,
+            &mut Running {
+                jobs: &mut self.jobs,
                 paused: &self.paused,
                 stopped: &self.capacity_stopped,
             },
@@ -931,15 +930,15 @@ impl Turbine {
     /// Task Manager load reports to the Shard Manager. In sparse mode only
     /// containers whose reports could have moved re-report: those whose
     /// ownership or task set changed, plus every container hosting a task
-    /// of a job in the engine's dirty set — a job whose task set changed or
-    /// one of whose tasks' `cpu_usage` or `memory_usage_mb` moved, the only
-    /// engine state a report reads. A job whose backlog alone moved is not
-    /// in it. A skipped container's previous report is still current
-    /// (`report_load` is a pure overwrite), so the Shard Manager sees the
-    /// same load map either way. The engine's dirty set is drained in both
-    /// modes, so it stays bounded.
+    /// of a job the engine marked for load reports — a job whose task set
+    /// changed or one of whose tasks' `cpu_usage` or `memory_usage_mb`
+    /// moved, the only engine state a report reads. A job whose backlog
+    /// alone moved is not marked. A skipped container's previous report is
+    /// still current (`report_load` is a pure overwrite), so the Shard
+    /// Manager sees the same load map either way. The reader is drained in
+    /// both modes, so it stays bounded.
     pub(crate) fn load_report_round(&mut self) {
-        let jobs = self.engine.take_dirty();
+        let jobs = self.engine.drain_changes(EngineReader::LoadReport);
         let engine = &self.engine;
         let usage = |id| {
             engine

@@ -5,6 +5,7 @@
 //! event-driven loop executes the grid instants where the edges land.
 
 use super::{SeveredState, Turbine};
+use turbine_jobstore::StoreReader;
 use turbine_sim::{Fault, FaultInjector, FaultPlan, FaultTransition};
 use turbine_statesyncer::StateSyncer;
 use turbine_types::{ContainerId, Duration, HostId};
@@ -117,14 +118,15 @@ impl Turbine {
                 // is the recovery log — the next round resumes exactly the
                 // syncs that were in flight (§III-B fault tolerance). The
                 // restart also empties the quarantine set, so every
-                // formerly quarantined job must be re-examined; the fresh
-                // syncer's changelog cursor of zero already makes its
-                // first sparse round a full-coverage one.
+                // formerly quarantined job must be re-examined, and the
+                // fresh syncer knows nothing: its first sparse round visits
+                // every job in the store.
                 self.pending_dirty.quarantine = true;
                 self.pending_dirty
                     .jobs
                     .extend(self.syncer.quarantined_jobs());
                 self.syncer = StateSyncer::new(self.config.syncer);
+                self.jobs.store_mut().refeed(StoreReader::Syncer);
                 self.clamp_recovered_checkpoints();
             }
             FaultTransition::Cleared(Fault::TaskServiceDown)

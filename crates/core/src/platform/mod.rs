@@ -48,7 +48,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use turbine_autoscaler::{AutoScaler, CapacityManager, ScalerConfig};
 use turbine_cluster::Cluster;
 use turbine_config::{ConfigLevel, ConfigValue, JobConfig, ResiliencyClass};
-use turbine_jobstore::{JobService, JobStore, MemWal};
+use turbine_jobstore::{JobService, JobStore, MemWal, StoreReader};
 use turbine_scribe::{CheckpointStore, Scribe, ShadowCursor};
 use turbine_shardmgr::{ShardManager, ShardManagerConfig, FAILOVER_INTERVAL};
 use turbine_sim::{FaultInjector, SimRng};
@@ -117,7 +117,7 @@ pub struct TurbineConfig {
     pub load_balancing_enabled: bool,
     /// Sparse data plane: per-round control-plane work proportional to
     /// what changed rather than fleet size. State Syncer rounds walk only
-    /// the attention set plus the Job Store changelog delta, invariant
+    /// the attention set plus the Job Store's changes, invariant
     /// checks walk only dirty scopes, and load reports skip containers
     /// whose loads cannot have moved. Observably identical to the dense
     /// paths (periodic audits compare them); off forces full scans.
@@ -228,8 +228,9 @@ pub struct PlatformFingerprint {
 #[derive(Debug, Default)]
 pub(crate) struct PendingDirty {
     /// Jobs whose checker-visible state (pause/stop marks, quarantine
-    /// membership, store rows) may have changed. The jobs whose engine
-    /// tasks changed join at the check, from [`Engine::take_reshaped`].
+    /// membership) may have changed. The jobs whose engine tasks or store
+    /// rows changed join at the check, from the checker's readers of the
+    /// two change feeds.
     pub(crate) jobs: BTreeSet<JobId>,
     /// Task-manager ownership or the live-container set may have changed.
     pub(crate) distributed: bool,
@@ -341,17 +342,16 @@ pub struct Turbine {
     /// Continuous invariant checking (enabled for chaos runs).
     pub(crate) invariants: Option<InvariantChecker>,
     /// Change scopes accumulated since the last invariant check (sparse
-    /// data plane). The engine keeps its own: the jobs it reshaped.
+    /// data plane). The engine and the Job Store feed the checker their
+    /// own.
     pub(crate) pending_dirty: PendingDirty,
     /// Containers whose ownership or task set changed since the last
     /// load-report round.
     pub(crate) load_dirty_containers: BTreeSet<ContainerId>,
-    /// Per-job resiliency tier, maintained from the Job Store changelog
-    /// delta so per-round consumers (standby coverage) never re-decode
-    /// every job config in the fleet.
+    /// Per-job resiliency tier, maintained from the Job Store's changes
+    /// so per-round consumers (standby coverage) never re-decode every job
+    /// config in the fleet.
     pub(crate) resiliency_cache: BTreeMap<JobId, ResiliencyClass>,
-    /// How much of the changelog the resiliency cache has consumed.
-    pub(crate) resiliency_cursor: u64,
     /// Task Managers that reconciled in a refresh round (the rest were
     /// handed the snapshot they already held). This and
     /// `standbys_examined` count work, not state: the first refresh after
@@ -429,7 +429,6 @@ impl Turbine {
             pending_dirty: PendingDirty::all([]),
             load_dirty_containers: BTreeSet::new(),
             resiliency_cache: BTreeMap::new(),
-            resiliency_cursor: 0,
             tm_managers_reconciled: 0,
             standbys_examined: 0,
             heartbeat_filtered: 0,
@@ -836,45 +835,20 @@ impl Turbine {
         // A fresh checker has seen nothing, so its first sparse check
         // must treat the whole current world as dirty.
         self.pending_dirty = PendingDirty::all(self.engine.job_ids());
-        self.pending_dirty
-            .jobs
-            .extend(self.jobs.store().expected_jobs());
-        self.pending_dirty
-            .jobs
-            .extend(self.jobs.store().running_jobs());
+        self.jobs.store_mut().refeed(StoreReader::Checker);
     }
 
-    /// Bring the per-job resiliency cache up to date with the Job Store
-    /// changelog: only jobs whose rows changed since the last call are
-    /// re-decoded. A cursor past the changelog end (store swapped out
-    /// from under us, e.g. by a test harness) forces a full rebuild.
+    /// Bring the per-job resiliency cache up to date with the Job Store:
+    /// only jobs whose rows changed since the last call are re-decoded.
     pub(crate) fn refresh_resiliency_cache(&mut self) {
-        let log_len = self.jobs.store().changelog_len();
-        if self.resiliency_cursor > log_len {
-            self.resiliency_cache.clear();
-            self.resiliency_cursor = 0;
-        }
-        if self.resiliency_cursor == 0 {
-            for job in self.jobs.store().expected_jobs() {
+        for job in self.jobs.store_mut().drain_changes(StoreReader::Standbys) {
+            if self.jobs.store().has_job(job) {
                 let tier = self.job_resiliency(job);
                 self.resiliency_cache.insert(job, tier);
-            }
-        } else {
-            let changed: Vec<JobId> = self
-                .jobs
-                .store()
-                .changed_since(self.resiliency_cursor)
-                .to_vec();
-            for job in changed {
-                if self.jobs.store().has_job(job) {
-                    let tier = self.job_resiliency(job);
-                    self.resiliency_cache.insert(job, tier);
-                } else {
-                    self.resiliency_cache.remove(&job);
-                }
+            } else {
+                self.resiliency_cache.remove(&job);
             }
         }
-        self.resiliency_cursor = log_len;
     }
 
     /// Violations recorded so far (empty when checking is disabled).
@@ -1059,8 +1033,8 @@ turbine_stream! {
     scaler, capacity, checkpoints, engine, paused, capacity_stopped, state_moves, crash_mtbf,
     rng, releases, lag_since, last_diagnosis, severed, categories, shadow,
     outages, container_down_since, fresh_promotions, fresh_revivals, faults, trace,
-    invariants, pending_dirty, load_dirty_containers, resiliency_cache, resiliency_cursor,
-    sched, last_scaler_drain, ods;
+    invariants, pending_dirty, load_dirty_containers, resiliency_cache, sched,
+    last_scaler_drain, ods;
     // Caches and cost counters: rebuilt or restarted, never stored.
     derived {
         container_cpu: None,

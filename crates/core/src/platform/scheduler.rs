@@ -38,8 +38,10 @@
 //!   stream) or any fault is active.
 
 use super::{Turbine, TurbineConfig, RESTART_DELAY};
+use crate::engine::EngineReader;
 use crate::invariants::InvariantView;
 use std::collections::BTreeSet;
+use turbine_jobstore::StoreReader;
 use turbine_sim::{EventQueue, Fault, Periodic};
 use turbine_trace::{Component as TraceComponent, TraceData};
 use turbine_types::{Duration, JobId, SimTime};
@@ -565,16 +567,16 @@ impl Turbine {
     /// Evaluate the continuous invariants over the current state (no-op
     /// unless enabled). Runs at every executed instant in both modes.
     fn check_invariants(&mut self) {
-        // Taken with checking off too, so the engine's set stays bounded.
-        let reshaped = self.engine.take_reshaped();
+        // One job set: what both change feeds hold for the checker (drained
+        // with checking off too, so they stay bounded) and what the control
+        // loops marked. The sparse check walks only these, the full check
+        // ignores them.
+        let mut dirty_jobs = self.engine.drain_changes(EngineReader::Checker);
+        dirty_jobs.append(&mut self.jobs.store_mut().drain_changes(StoreReader::Checker));
         let Some(mut checker) = self.invariants.take() else {
             return;
         };
-        // Drain the accumulated change scopes before borrowing the world:
-        // the sparse check walks only these, the full check ignores them
-        // (either way they are consumed, so the set stays bounded).
-        let mut dirty_jobs = std::mem::take(&mut self.pending_dirty.jobs);
-        dirty_jobs.extend(reshaped);
+        dirty_jobs.append(&mut self.pending_dirty.jobs);
         let dirty = crate::invariants::DirtyInput {
             jobs: &dirty_jobs,
             distributed_changed: std::mem::take(&mut self.pending_dirty.distributed),

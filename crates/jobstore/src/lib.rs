@@ -13,11 +13,15 @@
 //! logged before it is applied, and [`store::JobStore::recover`] rebuilds
 //! the exact tables from the log. The [`service::JobService`] wraps the
 //! store with the retrying read-modify-write loop components actually use.
+//!
+//! Every row change also feeds the job to the store's named readers
+//! ([`store::StoreFeed`]): each reader drains the jobs changed since it
+//! last looked instead of rescanning both tables.
 
 pub mod service;
 pub mod store;
 pub mod wal;
 
 pub use service::JobService;
-pub use store::{JobStore, JobStoreError, WalSalvage};
+pub use store::{JobStore, JobStoreError, StoreReader, WalSalvage};
 pub use wal::{FileWal, MemWal, WalError, WalStorage};

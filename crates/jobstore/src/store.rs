@@ -1,7 +1,7 @@
 //! The Job Store tables (paper Table I) with WAL-backed durability.
 
 use crate::wal::{WalError, WalStorage};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use turbine_config::{layer_all, parse, to_text, ConfigLevel, ConfigValue};
 use turbine_types::JobId;
@@ -102,11 +102,10 @@ pub struct JobStore<W: WalStorage> {
     /// Change counters for running rows (bumped on commit/clear), letting
     /// callers cache derived views of the running config.
     running_tokens: BTreeMap<JobId, u64>,
-    /// Append-only log of jobs whose expected or running row changed, in
-    /// commit order. Readers keep a cursor into it and ask
-    /// [`JobStore::changed_since`] for the jobs touched since their last
-    /// visit instead of rescanning both tables.
-    changelog: Vec<JobId>,
+    /// What each reader visits instead of rescanning both tables.
+    changes: StoreFeed,
+    /// Row changes since the store was created or recovered.
+    row_changes: u64,
     wal: W,
     /// Set when the last recovery had to discard a corrupt tail.
     salvage: Option<WalSalvage>,
@@ -124,7 +123,8 @@ impl<W: WalStorage> JobStore<W> {
             expected: BTreeMap::new(),
             running: BTreeMap::new(),
             running_tokens: BTreeMap::new(),
-            changelog: Vec::new(),
+            changes: StoreFeed::default(),
+            row_changes: 0,
             wal,
             salvage: None,
         }
@@ -143,7 +143,8 @@ impl<W: WalStorage> JobStore<W> {
             expected: BTreeMap::new(),
             running: BTreeMap::new(),
             running_tokens: BTreeMap::new(),
-            changelog: Vec::new(),
+            changes: StoreFeed::default(),
+            row_changes: 0,
             wal,
             salvage: None,
         };
@@ -190,7 +191,7 @@ impl<W: WalStorage> JobStore<W> {
                 row.versions[0] = 1;
                 row.recompute_merged();
                 self.expected.insert(job, row);
-                self.changelog.push(job);
+                self.changed(job);
             }
             "level" => {
                 let [_, job, level, version, payload] = fields[..] else {
@@ -211,7 +212,7 @@ impl<W: WalStorage> JobStore<W> {
                 row.levels[level.index()] = config;
                 row.versions[level.index()] = version;
                 row.recompute_merged();
-                self.changelog.push(job);
+                self.changed(job);
             }
             "running" => {
                 let [_, job, payload] = fields[..] else {
@@ -221,7 +222,7 @@ impl<W: WalStorage> JobStore<W> {
                 self.running
                     .insert(job, parse(payload).map_err(|e| e.to_string())?);
                 *self.running_tokens.entry(job).or_insert(0) += 1;
-                self.changelog.push(job);
+                self.changed(job);
             }
             "clear_running" => {
                 let [_, job] = fields[..] else {
@@ -230,7 +231,7 @@ impl<W: WalStorage> JobStore<W> {
                 let job = parse_job(job)?;
                 self.running.remove(&job);
                 *self.running_tokens.entry(job).or_insert(0) += 1;
-                self.changelog.push(job);
+                self.changed(job);
             }
             "delete" => {
                 let [_, job] = fields[..] else {
@@ -238,7 +239,7 @@ impl<W: WalStorage> JobStore<W> {
                 };
                 let job = parse_job(job)?;
                 self.expected.remove(&job);
-                self.changelog.push(job);
+                self.changed(job);
             }
             other => return Err(format!("unknown op '{other}'")),
         }
@@ -257,7 +258,7 @@ impl<W: WalStorage> JobStore<W> {
         row.versions[0] = 1;
         row.recompute_merged();
         self.expected.insert(job, row);
-        self.changelog.push(job);
+        self.changed(job);
         Ok(())
     }
 
@@ -318,7 +319,7 @@ impl<W: WalStorage> JobStore<W> {
         row.levels[level.index()] = config;
         row.versions[level.index()] = new_version;
         row.recompute_merged();
-        self.changelog.push(job);
+        self.changed(job);
         Ok(new_version)
     }
 
@@ -384,7 +385,7 @@ impl<W: WalStorage> JobStore<W> {
             .append(&format!("running\t{}\t{}", job.raw(), to_text(&config)))?;
         self.running.insert(job, config);
         *self.running_tokens.entry(job).or_insert(0) += 1;
-        self.changelog.push(job);
+        self.changed(job);
         Ok(())
     }
 
@@ -393,7 +394,7 @@ impl<W: WalStorage> JobStore<W> {
         self.wal.append(&format!("clear_running\t{}", job.raw()))?;
         self.running.remove(&job);
         *self.running_tokens.entry(job).or_insert(0) += 1;
-        self.changelog.push(job);
+        self.changed(job);
         Ok(())
     }
 
@@ -405,7 +406,7 @@ impl<W: WalStorage> JobStore<W> {
         }
         self.wal.append(&format!("delete\t{}", job.raw()))?;
         self.expected.remove(&job);
-        self.changelog.push(job);
+        self.changed(job);
         Ok(())
     }
 
@@ -446,21 +447,31 @@ impl<W: WalStorage> JobStore<W> {
         Ok(())
     }
 
-    /// Current length of the change log — the cursor value a reader should
-    /// hold after consuming everything up to now.
-    pub fn changelog_len(&self) -> u64 {
-        self.changelog.len() as u64
+    /// A table mutation touched `job`'s rows.
+    fn changed(&mut self, job: JobId) {
+        self.changes.mark(job);
+        self.row_changes += 1;
     }
 
-    /// Jobs whose expected or running row changed since `cursor` (a value
-    /// previously returned by [`JobStore::changelog_len`]), in commit order.
-    /// A job appears once per change, so callers should dedup. A cursor
-    /// from the future (e.g. after a store swap) yields the whole log —
-    /// callers detect that via [`JobStore::changelog_len`] going backwards
-    /// and fall back to a full rescan.
-    pub fn changed_since(&self, cursor: u64) -> &[JobId] {
-        let start = (cursor as usize).min(self.changelog.len());
-        &self.changelog[start..]
+    /// Row changes (creates, level writes, commits, clears, deletes) since
+    /// the store was created or recovered. A failed write counts nothing.
+    pub fn changelog_len(&self) -> u64 {
+        self.row_changes
+    }
+
+    /// Feed every job in either table to `reader` alone, as if each had
+    /// just changed: for a reader that knows nothing yet or lost what it
+    /// knew (a fresh invariant checker, a restarted State Syncer).
+    pub fn refeed(&mut self, reader: StoreReader) {
+        for &job in self.expected.keys().chain(self.running.keys()) {
+            self.changes.mark_for(reader, job);
+        }
+    }
+
+    /// Take the jobs whose expected or running row changed since
+    /// `reader`'s last drain, each once. Each reader drains at one place.
+    pub fn drain_changes(&mut self, reader: StoreReader) -> BTreeSet<JobId> {
+        self.changes.drain(reader)
     }
 
     /// Number of records currently in the WAL.
@@ -499,8 +510,22 @@ turbine_types::snap_struct!(WalSalvage {
     message
 });
 
+turbine_types::change_feed! {
+    /// The jobs whose expected or running row changed, per reader.
+    pub struct StoreFeed<JobId> for StoreReader {
+        /// The State Syncer's rounds.
+        Syncer => syncer,
+        /// The Task Service's change-following fetch.
+        TaskService => task_service,
+        /// The invariant checker.
+        Checker => checker,
+        /// The resiliency-tier cache behind standby upkeep.
+        Standbys => standbys,
+    }
+}
+
 turbine_types::snap_struct!(JobStore<W: WalStorage> {
-    expected, running, running_tokens, changelog, wal, salvage
+    expected, running, running_tokens, changes, row_changes, wal, salvage
 });
 
 #[cfg(test)]
@@ -771,9 +796,16 @@ mod tests {
     #[test]
     fn changelog_records_every_table_mutation() {
         let mut store = store_with_job();
-        let cursor = store.changelog_len();
-        assert_eq!(store.changed_since(0), &[JOB], "create is logged");
-        assert!(store.changed_since(cursor).is_empty());
+        let drain = |store: &mut JobStore<MemWal>, reader| {
+            store.drain_changes(reader).into_iter().collect::<Vec<_>>()
+        };
+        assert_eq!(store.changelog_len(), 1);
+        assert_eq!(
+            drain(&mut store, StoreReader::Syncer),
+            [JOB],
+            "create is fed"
+        );
+        assert!(drain(&mut store, StoreReader::Syncer).is_empty());
 
         let mut cfg = ConfigValue::empty_map();
         cfg.insert("task_count", 8u32.into());
@@ -789,22 +821,25 @@ mod tests {
             .expect("create");
         store.delete_job(job2).expect("delete");
         store.clear_running(JOB).expect("clear");
-        assert_eq!(store.changed_since(cursor), &[JOB, JOB, job2, job2, JOB]);
+        assert_eq!(store.changelog_len(), 6, "every row change counts");
+        assert_eq!(drain(&mut store, StoreReader::Syncer), [JOB, job2]);
+        // A reader that has not drained yet still holds the create.
+        assert_eq!(drain(&mut store, StoreReader::Checker), [JOB, job2]);
 
-        // A failed write logs nothing.
-        let cursor = store.changelog_len();
+        // A failed write feeds nothing.
         assert!(store
             .write_level(JOB, ConfigLevel::Scaler, None, 99)
             .is_err());
-        assert!(store.changed_since(cursor).is_empty());
-        // A future cursor yields the whole log rather than panicking.
-        assert_eq!(store.changed_since(cursor + 10), &[] as &[JobId]);
+        assert_eq!(store.changelog_len(), 6);
+        assert!(drain(&mut store, StoreReader::Syncer).is_empty());
 
-        // Recovery replays the same mutations, so the changelog covers
-        // every job a reader could be stale on.
-        let recovered = JobStore::recover(store.wal.clone()).expect("recover");
+        // Recovery replays the same mutations, so every job a reader could
+        // be stale on is pending for every reader.
+        let mut recovered = JobStore::recover(store.wal.clone()).expect("recover");
         assert_eq!(recovered.changelog_len(), store.changelog_len());
-        assert_eq!(recovered.changed_since(0), store.changed_since(0));
+        for reader in [StoreReader::Syncer, StoreReader::Standbys] {
+            assert_eq!(drain(&mut recovered, reader), [JOB, job2]);
+        }
     }
 
     #[test]

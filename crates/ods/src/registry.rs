@@ -110,7 +110,7 @@ impl MetricId {
 /// 13.4–20.6 KB busy, against 15.4–22.6 KB before. A 12k-job fleet at
 /// seven series a job saturates near 1.2 GB settled and 1.7 GB busy
 /// (1.9 GB before), so the head is what a long run pays for (ROADMAP
-/// item 3).
+/// item 4).
 pub const REGISTRY_SERIES_CAPACITY: usize = 512;
 
 /// The uniform time-series registry every layer publishes into.

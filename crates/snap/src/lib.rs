@@ -43,8 +43,11 @@ pub const SNAP_MAGIC: [u8; 8] = *b"TRBNSNAP";
 /// itself); version 7 drops the configuration values that became
 /// constants and the root-causer's (stateless) entry; version 8 drops
 /// `PlatformMetrics`' copies of the registry's series (all but two), its
-/// watched-job maps and its per-tier downtime totals.
-pub const SNAP_VERSION: u32 = 8;
+/// watched-job maps and its per-tier downtime totals; version 9 stores the
+/// Job Store's and the engine's change feeds (one set per reader) in place
+/// of the store's change log, the engine's dirty set and the four cursors
+/// into the log.
+pub const SNAP_VERSION: u32 = 9;
 
 /// Chunk size of the manifest: one digest per 4 KiB of stream, verified
 /// on every restore and compared across snapshots. Small enough that an

@@ -3,7 +3,7 @@
 use crate::plan::{build_delete_plan, build_plan, classify, SyncAction, SyncKind};
 use std::collections::{BTreeMap, BTreeSet};
 use turbine_config::JobConfig;
-use turbine_jobstore::{JobService, WalStorage};
+use turbine_jobstore::{JobService, StoreReader, WalStorage};
 use turbine_sim::SimRng;
 use turbine_types::JobId;
 
@@ -138,8 +138,6 @@ pub struct StateSyncer {
     /// Jobs that must be revisited next round regardless of store
     /// changes: mid-flight plans, failures awaiting retry, backoffs.
     attention: BTreeSet<JobId>,
-    /// How much of the Job Store changelog the sparse round has consumed.
-    changelog_cursor: u64,
 }
 
 impl StateSyncer {
@@ -159,7 +157,6 @@ impl StateSyncer {
             rng: SimRng::seeded(BACKOFF_SEED),
             warm_handoffs: BTreeSet::new(),
             attention: BTreeSet::new(),
-            changelog_cursor: 0,
         }
     }
 
@@ -224,11 +221,10 @@ impl StateSyncer {
         let mut jobs: BTreeSet<JobId> = service.store().expected_jobs().into_iter().collect();
         jobs.extend(service.store().running_jobs());
         report.jobs_examined = jobs.len();
-        // A full round re-derives everything, so any sparse bookkeeping is
-        // both stale and unnecessary afterwards: the changelog is caught up
-        // and unfinished business re-enters attention below.
-        self.changelog_cursor = service.store().changelog_len();
-        self.attention.clear();
+        // A full round re-derives everything, so what the sparse round
+        // would have visited is consumed unread; unfinished business
+        // re-enters attention below.
+        self.take_candidates(service);
 
         for job in jobs {
             if self.quarantined.contains(&job) {
@@ -264,7 +260,7 @@ impl StateSyncer {
     }
 
     /// Run one synchronization round over only the jobs that can have
-    /// changed: the Job Store changelog since the last round plus the
+    /// changed: the Job Store's changes since the last round plus the
     /// syncer's own attention set (mid-flight plans, retry backoffs, fresh
     /// warm-handoff grants, just-unquarantined jobs).
     ///
@@ -274,25 +270,13 @@ impl StateSyncer {
     /// it while quarantined) — no report entry, no store write, no RNG
     /// draw. Candidates are processed in ascending job order, the same
     /// relative order the full round visits them in, so the backoff jitter
-    /// stream is drawn identically in both modes. If the changelog
-    /// regressed (store rebuilt underneath us), the round falls back to a
-    /// full rescan — the safe direction.
+    /// stream is drawn identically in both modes.
     pub fn run_round_sparse<W: WalStorage>(
         &mut self,
         service: &mut JobService<W>,
         env: &mut dyn SyncEnvironment,
     ) -> SyncReport {
-        let log_len = service.store().changelog_len();
-        if self.changelog_cursor > log_len {
-            return self.run_round(service, env);
-        }
-        let mut candidates = std::mem::take(&mut self.attention);
-        candidates.extend(service.store().changed_since(self.changelog_cursor));
-        // Entries our own commits append *during* this round are
-        // deliberately left beyond the cursor: the next round re-verifies
-        // those jobs on the hot no-op path, exactly as a full round would.
-        self.changelog_cursor = log_len;
-
+        let candidates = self.take_candidates(service);
         let mut report = SyncReport {
             jobs_examined: candidates.len(),
             ..SyncReport::default()
@@ -327,6 +311,15 @@ impl StateSyncer {
         }
         self.refresh_attention(&report);
         report
+    }
+
+    /// Take the attention set and the store's changes since the last round.
+    /// A round's own commits are fed to the next, which re-verifies those
+    /// jobs on the hot no-op path, exactly as a full round would.
+    fn take_candidates<W: WalStorage>(&mut self, service: &mut JobService<W>) -> BTreeSet<JobId> {
+        let mut candidates = std::mem::take(&mut self.attention);
+        candidates.extend(service.store_mut().drain_changes(StoreReader::Syncer));
+        candidates
     }
 
     /// Re-arm the attention set from a round's outcome: jobs with
@@ -518,8 +511,7 @@ turbine_types::snap_struct!(StateSyncer {
     resume_round,
     rng,
     warm_handoffs,
-    attention,
-    changelog_cursor
+    attention
 });
 
 #[cfg(test)]
@@ -1057,7 +1049,7 @@ mod tests {
             &mut env_s,
         );
         assert_eq!(rf.started.len(), 6);
-        // The commits from round 1 leave changelog entries the sparse side
+        // The commits from round 1 feed the jobs the sparse side
         // re-verifies on the hot path next round; after that it is quiet.
         let (_, rs) = step(
             &mut round,
@@ -1216,7 +1208,7 @@ mod tests {
     }
 
     #[test]
-    fn changelog_regression_falls_back_to_a_full_rescan() {
+    fn a_fresh_store_feeds_the_syncer_only_its_own_jobs() {
         let mut svc = JobService::new(JobStore::new(MemWal::new()));
         for i in 0..4u64 {
             svc.provision(JobId(i), &JobConfig::stateless(&format!("job{i}"), 2, 8))
@@ -1225,9 +1217,8 @@ mod tests {
         let mut env = MockEnv::default();
         let mut syncer = StateSyncer::default();
         assert_eq!(syncer.run_round_sparse(&mut svc, &mut env).started.len(), 4);
-        // The syncer fails over to a freshly-rebuilt Job Store whose
-        // (shorter) changelog no longer matches the cursor: the next round
-        // must rescan everything rather than trust stale bookkeeping.
+        // The syncer is pointed at a freshly built Job Store: its syncer
+        // reader holds that store's jobs and nothing of the old one's.
         let mut fresh = JobService::new(JobStore::new(MemWal::new()));
         fresh
             .provision(JobId(9), &JobConfig::stateless("late", 2, 8))

@@ -2,15 +2,14 @@
 //! task specs and serves cached, indexed snapshots of the full list.
 //!
 //! A fetch (cache expiry or [`TaskService::invalidate`]) does work in
-//! proportion to what changed since the fetch before it. The service
-//! remembers the change-log position, the exclusion set and the per-job
-//! running tokens its cached snapshot was built from, and renders again
-//! only the jobs that differ; every other job keeps its `Arc<TaskSpec>`s.
-//! When nothing differs it hands out the *same* `Arc<TaskSnapshot>`, which
-//! is what lets a Task Manager skip its reconcile by identity. One full
-//! build remains as the fallback: the first fetch, a fetch after a restore
-//! or [`TaskService::restart`], and a change-log cursor that cannot bound a
-//! delta.
+//! proportion to what changed since the fetch before it. The service takes
+//! the jobs the Job Store fed it since that fetch, and remembers the
+//! exclusion set and the per-job running tokens its cached snapshot was
+//! built from; it renders again only the jobs that differ, and every other
+//! job keeps its `Arc<TaskSpec>`s. When nothing differs it hands out the
+//! *same* `Arc<TaskSnapshot>`, which is what lets a Task Manager skip its
+//! reconcile by identity. One full build remains: the first fetch, and a
+//! fetch after a restore or [`TaskService::restart`].
 
 use crate::snapshot::{SnapshotTable, TaskSnapshot};
 use crate::spec::TaskSpec;
@@ -25,11 +24,9 @@ use turbine_types::{Duration, JobId, ShardId, SimTime, TaskId};
 /// dependency direction clean), together with the jobs that must not run
 /// although they have a running configuration.
 pub trait RunningJobs {
-    /// Length of the table's change log now: the cursor a reader holds
-    /// once it has consumed everything so far.
-    fn changelog_len(&self) -> u64;
-    /// Jobs whose rows changed since `cursor`; a job may repeat.
-    fn changed_since(&self, cursor: u64) -> &[JobId];
+    /// Take the jobs whose rows changed since the last call, each once. A
+    /// job whose running row did not move may be among them.
+    fn take_changed(&mut self) -> BTreeSet<JobId>;
     /// Every job with a running configuration, ascending.
     fn running_jobs(&self) -> Vec<JobId>;
     /// Change token of a job's running row: moves on every commit or
@@ -48,8 +45,6 @@ pub trait RunningJobs {
 /// without it the next fetch is a full build.
 #[derive(Debug)]
 struct Basis {
-    /// Change-log position the cached snapshot is current to.
-    cursor: u64,
     /// The exclusion set it was built with.
     excluded: BTreeSet<JobId>,
     /// Per job with specs in it: the running token they were rendered
@@ -102,7 +97,7 @@ impl TaskService {
     /// cache has expired, so a change made between two fetches stays
     /// invisible until the next one. A fetch that finds nothing changed
     /// returns the `Arc` it returned before.
-    pub fn snapshot(&mut self, now: SimTime, jobs: &impl RunningJobs) -> Arc<TaskSnapshot> {
+    pub fn snapshot(&mut self, now: SimTime, jobs: &mut impl RunningJobs) -> Arc<TaskSnapshot> {
         let stale = match self.cached_at {
             None => true,
             Some(at) => now.since(at) >= self.ttl,
@@ -116,7 +111,7 @@ impl TaskService {
 
     /// Drop the cache so the next snapshot refetches (used after State
     /// Syncer commits and capacity decisions). The refetch itself still
-    /// follows the change log.
+    /// follows the changes.
     pub fn invalidate(&mut self) {
         self.cached_at = None;
     }
@@ -142,24 +137,15 @@ impl TaskService {
         self.basis = None;
     }
 
-    fn refetch(&mut self, jobs: &impl RunningJobs) {
-        let cursor = jobs.changelog_len();
+    fn refetch(&mut self, jobs: &mut impl RunningJobs) {
+        // Taken on a full build too, which covers it.
+        let changed = jobs.take_changed();
         let excluded = jobs.excluded();
-        // A cursor of zero has consumed nothing and one past the end
-        // belongs to another log: neither bounds a delta.
-        let basis = self
-            .basis
-            .take()
-            .filter(|b| b.cursor != 0 && b.cursor <= cursor);
-        let rendered = match basis {
-            Some(basis) => self.follow(jobs, basis, &excluded),
-            None => self.build_full(jobs, &excluded),
+        let rendered = match self.basis.take() {
+            Some(basis) => self.follow(&*jobs, basis, changed, &excluded),
+            None => self.build_full(&*jobs, &excluded),
         };
-        self.basis = Some(Basis {
-            cursor,
-            excluded,
-            rendered,
-        });
+        self.basis = Some(Basis { excluded, rendered });
     }
 
     /// Render every running job that is not excluded and index the lot.
@@ -189,20 +175,19 @@ impl TaskService {
         rendered
     }
 
-    /// Bring the cached snapshot up to date from `basis`: only jobs named
-    /// by the change log since its cursor, or that entered or left the
-    /// exclusion set, are looked at, and only those whose running token
-    /// moved (or that appear or disappear) are rendered. `cached` is
-    /// replaced only if some task changed.
+    /// Bring the cached snapshot up to date from `basis`: only the
+    /// `changed` jobs, and those that entered or left the exclusion set,
+    /// are looked at, and only those whose running token moved (or that
+    /// appear or disappear) are rendered. `cached` is replaced only if some
+    /// task changed.
     fn follow(
         &mut self,
         jobs: &impl RunningJobs,
         basis: Basis,
+        mut candidates: BTreeSet<JobId>,
         excluded: &BTreeSet<JobId>,
     ) -> HashMap<JobId, (u64, u32)> {
         let mut rendered = basis.rendered;
-        let mut candidates: BTreeSet<JobId> =
-            jobs.changed_since(basis.cursor).iter().copied().collect();
         candidates.extend(excluded.symmetric_difference(&basis.excluded));
         let mut dropped = Vec::new();
         let mut specs = Vec::new();
@@ -210,7 +195,7 @@ impl TaskService {
             let shown = !excluded.contains(&job);
             let token = jobs.running_token(job);
             let held = rendered.get(&job).copied();
-            // An expected-level write logs the job without touching its
+            // An expected-level write feeds the job without touching its
             // running row: same token, same specs.
             if shown && held.is_some_and(|(t, _)| t == token) {
                 continue;
@@ -352,7 +337,7 @@ mod tests {
             (150, false),
         ] {
             let before = table.fetches.get();
-            let snap = svc.snapshot(t(now), &table);
+            let snap = svc.snapshot(t(now), &mut table);
             assert_eq!(snap.len(), 2);
             assert_eq!(
                 table.fetches.get() > before,
@@ -367,11 +352,15 @@ mod tests {
         let mut svc = TaskService::new(16);
         let mut table = FakeTable::default();
         table.commit(JobId(1), JobConfig::stateless("tailer", 1, 2));
-        assert_eq!(svc.snapshot(t(0), &table).len(), 1);
+        assert_eq!(svc.snapshot(t(0), &mut table).len(), 1);
         table.clear(JobId(1));
-        assert_eq!(svc.snapshot(t(1), &table).len(), 1, "cached until expiry");
+        assert_eq!(
+            svc.snapshot(t(1), &mut table).len(),
+            1,
+            "cached until expiry"
+        );
         svc.invalidate();
-        assert!(svc.snapshot(t(2), &table).is_empty());
+        assert!(svc.snapshot(t(2), &mut table).is_empty());
     }
 
     #[test]
@@ -381,11 +370,11 @@ mod tests {
         for j in 1..=3 {
             table.commit(JobId(j), JobConfig::stateless("tailer", 2, 8));
         }
-        let first = svc.snapshot(t(0), &table);
+        let first = svc.snapshot(t(0), &mut table);
         assert_eq!(svc.jobs_rendered(), 3);
-        // An expected-level write logs the job; its running row is as it was.
+        // An expected-level write feeds the job; its running row is as it was.
         table.touch(JobId(2));
-        let second = svc.snapshot(t(90), &table);
+        let second = svc.snapshot(t(90), &mut table);
         assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(svc.jobs_rendered(), 3);
 
@@ -393,7 +382,7 @@ mod tests {
         let mut released = JobConfig::stateless("tailer", 2, 8);
         released.package.version = 2;
         table.commit(JobId(2), released);
-        let third = svc.snapshot(t(180), &table);
+        let third = svc.snapshot(t(180), &mut table);
         assert!(!Arc::ptr_eq(&second, &third));
         assert_eq!(svc.jobs_rendered(), 4);
         let kept = TaskId::new(JobId(1), 0);
@@ -411,10 +400,10 @@ mod tests {
 
         // The process restarts: one full build, then deltas again.
         svc.restart();
-        let fourth = svc.snapshot(t(181), &table);
+        let fourth = svc.snapshot(t(181), &mut table);
         assert!(!Arc::ptr_eq(&third, &fourth));
         assert_eq!(svc.jobs_rendered(), 7);
-        assert!(Arc::ptr_eq(&fourth, &svc.snapshot(t(271), &table)));
+        assert!(Arc::ptr_eq(&fourth, &svc.snapshot(t(271), &mut table)));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The change-following fetch of [`TaskService`] against its oracle: the
 //! same service made (through `forget_basis`) to build in full on every
 //! fetch, which is what every fetch did before the service followed the
-//! change log.
+//! Job Store's changes.
 
 use super::*;
 use proptest::prelude::*;
@@ -13,14 +13,15 @@ const JOBS: u64 = 6;
 const SHARDS: u64 = 8;
 const TTL: Duration = Duration::from_secs(90);
 
-/// A running job table with the Job Store's change-log and token rules.
+/// A running job table with the Job Store's change-feed and token rules:
+/// one reader's set of the jobs whose rows changed.
 #[derive(Default)]
 pub(crate) struct FakeTable {
     running: BTreeMap<JobId, JobConfig>,
     tokens: BTreeMap<JobId, u64>,
-    log: Vec<JobId>,
+    changed: BTreeSet<JobId>,
     excluded: BTreeSet<JobId>,
-    /// Fetches served (every fetch asks for the log length once).
+    /// Fetches served (every fetch takes the changed set once).
     pub(crate) fetches: Cell<u32>,
 }
 
@@ -29,19 +30,19 @@ impl FakeTable {
     pub(crate) fn commit(&mut self, job: JobId, config: JobConfig) {
         self.running.insert(job, config);
         *self.tokens.entry(job).or_insert(0) += 1;
-        self.log.push(job);
+        self.changed.insert(job);
     }
 
     /// The running row goes away (job wound down).
     pub(crate) fn clear(&mut self, job: JobId) {
         self.running.remove(&job);
         *self.tokens.entry(job).or_insert(0) += 1;
-        self.log.push(job);
+        self.changed.insert(job);
     }
 
-    /// An expected-level write: logged, running row untouched.
+    /// An expected-level write: fed, running row untouched.
     pub(crate) fn touch(&mut self, job: JobId) {
-        self.log.push(job);
+        self.changed.insert(job);
     }
 
     /// What a snapshot built now must show: every running job that is not
@@ -56,13 +57,9 @@ impl FakeTable {
 }
 
 impl RunningJobs for FakeTable {
-    fn changelog_len(&self) -> u64 {
+    fn take_changed(&mut self) -> BTreeSet<JobId> {
         self.fetches.set(self.fetches.get() + 1);
-        self.log.len() as u64
-    }
-
-    fn changed_since(&self, cursor: u64) -> &[JobId] {
-        &self.log[(cursor as usize).min(self.log.len())..]
+        std::mem::take(&mut self.changed)
     }
 
     fn running_jobs(&self) -> Vec<JobId> {
@@ -117,8 +114,6 @@ struct Pair {
     now: SimTime,
     /// The snapshot `follow` returned last, and what it had to show.
     last: Option<(Arc<TaskSnapshot>, BTreeMap<JobId, u64>)>,
-    /// Log length at the last refetch: the cursor `follow` holds.
-    cursor: u64,
     /// Both services restarted since the last refetch.
     restarted: bool,
 }
@@ -131,7 +126,6 @@ impl Pair {
             full: TaskService::with_ttl(TTL, SHARDS),
             now: SimTime::ZERO,
             last: None,
-            cursor: 0,
             restarted: false,
         }
     }
@@ -154,15 +148,6 @@ impl Pair {
             }
             6 | 7 => self.now += TTL,
             8 => self.now += Duration::from_secs(30),
-            9 if b < 3 && self.cursor > 0 => {
-                // The table is swapped for one whose log ends before the
-                // cursor `follow` holds (a longer one it could not tell
-                // from its own). The swap refetches before anything is
-                // written to the new table.
-                self.table.log.truncate(a as usize % self.cursor as usize);
-                self.follow.invalidate();
-                self.full.invalidate();
-            }
             9 if b < 5 => {
                 self.follow.restart();
                 self.full.restart();
@@ -176,10 +161,10 @@ impl Pair {
     /// same `Arc` exactly when it had nothing new to show.
     fn fetch(&mut self) -> Result<(), TestCaseError> {
         let fetches = self.table.fetches.get();
-        let snap = self.follow.snapshot(self.now, &self.table);
+        let snap = self.follow.snapshot(self.now, &mut self.table);
         let refetched = self.table.fetches.get() > fetches;
         self.full.forget_basis();
-        let oracle = self.full.snapshot(self.now, &self.table);
+        let oracle = self.full.snapshot(self.now, &mut self.table);
         prop_assert!(
             encoded(snap.as_ref()) == encoded(oracle.as_ref()),
             "snapshots diverged at {}",
@@ -196,11 +181,8 @@ impl Pair {
             return Ok(());
         }
         let visible = self.table.visible();
-        let log_len = self.table.log.len() as u64;
-        // No basis, a cursor of zero or one past the end: a full build,
-        // which always makes a new `Arc`.
-        let full_build = self.restarted || self.cursor == 0 || self.cursor > log_len;
-        if let Some((last, shown)) = self.last.take().filter(|_| !full_build) {
+        // No basis: a full build, which always makes a new `Arc`.
+        if let Some((last, shown)) = self.last.take().filter(|_| !self.restarted) {
             prop_assert_eq!(
                 Arc::ptr_eq(&last, &snap),
                 shown == visible,
@@ -208,7 +190,6 @@ impl Pair {
                 self.now
             );
         }
-        self.cursor = log_len;
         self.restarted = false;
         self.last = Some((snap, visible));
         Ok(())
@@ -220,7 +201,7 @@ proptest! {
 
     /// Any interleaving of commits (parallelism, version and argument
     /// edits), clears, expected-only writes, exclusion toggles, expiries,
-    /// early fetches, invalidations, restarts and store swaps: fetch by
+    /// early fetches, invalidations and restarts: fetch by
     /// fetch, the change-following service and the full-build one encode
     /// to the same bytes, and the former hands out a new `Arc` only when
     /// what it shows changed.

@@ -392,6 +392,53 @@ macro_rules! snap_enum {
     };
 }
 
+/// Declare a change feed: one key type, a fixed list of named readers and
+/// one set per reader. `mark(k)` adds `k` for every reader, `mark_for` for
+/// one, and `drain(reader)` takes that reader's set: what was marked since
+/// its last drain, each key once. Each reader drains at one call site. The
+/// sets are ordinary [`Snap`] state, so a restored feed owes each reader
+/// what the uninterrupted one does. See the `change_feed` unit test below.
+#[macro_export]
+macro_rules! change_feed {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $feed:ident<$key:ty> for $reader:ident {
+            $($(#[$rmeta:meta])* $variant:ident => $set:ident),+ $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Default, Clone, PartialEq, Eq)]
+        $vis struct $feed {
+            $($set: ::std::collections::BTreeSet<$key>,)+
+        }
+
+        #[doc = concat!("The readers of [`", stringify!($feed), "`].")]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        $vis enum $reader {
+            $($(#[$rmeta])* $variant,)+
+        }
+
+        impl $feed {
+            /// `key` changed for every reader.
+            $vis fn mark(&mut self, key: $key) {
+                $(self.$set.insert(key);)+
+            }
+
+            /// `key` changed in a way only `reader` reads.
+            $vis fn mark_for(&mut self, reader: $reader, key: $key) {
+                match reader { $($reader::$variant => self.$set.insert(key),)+ };
+            }
+
+            /// Take what was marked for `reader` since its last drain.
+            $vis fn drain(&mut self, reader: $reader) -> ::std::collections::BTreeSet<$key> {
+                ::std::mem::take(match reader { $($reader::$variant => &mut self.$set,)+ })
+            }
+        }
+
+        $crate::snap_struct!($feed { $($set),+ });
+    };
+}
+
 impl Snap for u8 {
     fn snap(&self, w: &mut SnapWriter) {
         w.u8(*self);
@@ -740,6 +787,39 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
         assert!(matches!(Vec::<u64>::unsnap(&mut r), Err(SnapError::Eof(_))));
+    }
+
+    crate::change_feed! {
+        /// Rows that changed.
+        struct Rows<u64> for RowReader {
+            /// The first reader.
+            Sync => sync,
+            /// The second.
+            Audit => audit,
+        }
+    }
+
+    #[test]
+    fn change_feed() {
+        let mut rows = Rows::default();
+        rows.mark(7);
+        rows.mark(3);
+        rows.mark(7);
+        let drain = |rows: &mut Rows, reader| rows.drain(reader).into_iter().collect::<Vec<_>>();
+        assert_eq!(drain(&mut rows, RowReader::Sync), [3, 7], "each key once");
+        assert!(drain(&mut rows, RowReader::Sync).is_empty());
+        rows.mark_for(RowReader::Sync, 9);
+        let mut w = SnapWriter::new();
+        w.put(&rows);
+        let bytes = w.into_bytes();
+        let mut back: Rows = SnapReader::new(&bytes).get().expect("decode");
+        assert_eq!(back, rows, "stored, not rebuilt");
+        assert_eq!(
+            drain(&mut back, RowReader::Audit),
+            [3, 7],
+            "one reader's drain"
+        );
+        assert_eq!(drain(&mut back, RowReader::Sync), [9]);
     }
 
     #[test]

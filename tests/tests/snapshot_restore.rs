@@ -196,7 +196,7 @@ fn restore_mid_quiescence_then_wake_matches_uninterrupted() {
 /// What the Task Service's cached snapshot was built from is derived and
 /// left out of the capture: a restore taken between two refresh rounds
 /// builds in full and reconciles every manager once, to no effect, and
-/// from then on follows the change log exactly as the uninterrupted run
+/// from then on follows the store's changes exactly as the uninterrupted run
 /// does — through a release and a host flap.
 #[test]
 fn restore_between_refresh_rounds_then_release_and_flap_matches_uninterrupted() {
@@ -259,6 +259,47 @@ fn restore_between_refresh_rounds_then_release_and_flap_matches_uninterrupted() 
             "mode {mode:?}: every manager once more"
         );
     }
+}
+
+/// The change feeds are stored, so a restored platform owes each of their
+/// readers what the uninterrupted one does: over the window after the
+/// capture, with an oncall write in it, the invariant checker, the State
+/// Syncer and the load reports do the same work in both runs — neither
+/// rescans a job the uninterrupted run would have left alone.
+#[test]
+fn a_restored_run_does_the_uninterrupted_runs_work() {
+    let work = |t: &Turbine| {
+        (
+            t.invariant_checker().expect("enabled").jobs_examined(),
+            t.metrics.sync_jobs_examined.get(),
+            t.metrics.load_reports_sent.get(),
+        )
+    };
+    let mut original = build();
+    drive_to(&mut original, 20, DriveMode::EventDriven);
+    let mut restored = Snapshot::capture(&original).restore().expect("restore");
+    let (_, synced, reported) = work(&restored);
+    let from = [work(&original), (0, synced, reported)];
+    for t in [&mut original, &mut restored] {
+        drive_to(t, 22, DriveMode::EventDriven);
+        t.oncall_set(JobId(1), "task_count", turbine_config::ConfigValue::Int(6))
+            .expect("store up");
+        drive_to(t, 30, DriveMode::EventDriven);
+    }
+    let grew = |t: &Turbine, (checked, synced, reported): (u64, u64, u64)| {
+        let (c, s, r) = work(t);
+        (c - checked, s - synced, r - reported)
+    };
+    let (uninterrupted, resumed) = (grew(&original, from[0]), grew(&restored, from[1]));
+    assert!(
+        uninterrupted.0 > 0 && uninterrupted.1 > 0,
+        "the write is work"
+    );
+    assert_eq!(
+        uninterrupted, resumed,
+        "(checker jobs, syncer jobs, load reports) after the capture"
+    );
+    assert_eq!(observe(&original), observe(&restored));
 }
 
 /// Distinct task snapshots held across the fleet's Task Managers.

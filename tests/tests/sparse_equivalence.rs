@@ -1,8 +1,9 @@
 //! Sparse-data-plane equivalence: with `sparse_data_plane` on, syncer
-//! rounds walk only the attention set plus the Job Store changelog delta,
-//! invariant checks walk only dirty scopes (per job: the jobs the engine
-//! reshaped plus those the control loops marked, never those a tick only
-//! moved backlog or usage in), and load reports skip unchanged
+//! rounds walk only the attention set plus the jobs the Job Store fed the
+//! syncer, invariant checks walk only dirty scopes (per job: the jobs the
+//! engine's and the store's change feeds hold for the checker plus those
+//! the control loops marked, never those a tick only moved backlog or
+//! usage in), and load reports skip unchanged
 //! containers — yet every observable outcome (fingerprints, violations,
 //! SLO records) must match the full-scan paths bit for bit. The checker's
 //! built-in audit re-runs a full scan every N sparse checks and counts
@@ -78,7 +79,7 @@ fn drive(sparse: bool, plan: &[FaultPlan], flap_minute: Option<u64>, scale_to: u
     }
     t.run_for(Duration::from_mins(20));
     // Mid-run interventions: an oncall scale (drives a redistribution and
-    // a changelog burst) and optionally a host flap (fail-over + standby
+    // a burst of store changes) and optionally a host flap (fail-over + standby
     // churn + cluster-scope dirt).
     // May land inside a JobStoreDown window — both modes hit the same
     // deterministic refusal, so the outcome stays comparable either way.
@@ -288,7 +289,7 @@ fn busy_window(jobs: u64) -> WindowWork {
 
 /// The checker's work is a function of what changed, not of fleet size:
 /// on a converged fleet whose every job moves backlog at every tick but
-/// none is reshaped, four times the jobs cost at most 10 % more checker
+/// no mutation touches, four times the jobs cost at most 10 % more checker
 /// work, and less than one job per check. A checker fed the tick's dirt
 /// would examine every busy job at every check (4×).
 #[test]
