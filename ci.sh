@@ -98,6 +98,13 @@ crit=$(./target/release/turbinesim metrics scenarios/tiered_outage_drill.json --
     || { echo "expected exactly 1 critical incident from the drill, got $crit"; exit 1; }
 echo "drill fired exactly one deduplicated critical incident"
 
+echo "== trace export: the drill's decision trace matches results/ byte for byte =="
+# The JSONL line of every record kind is generated from the one TraceData
+# list in crates/trace/src/event.rs; the drill writes 12 of its 17 kinds.
+./target/release/turbinesim trace scenarios/tiered_outage_drill.json --jsonl \
+    | diff results/trace_tiered_outage_drill.jsonl - \
+    || { echo "drill trace export moved (left: results/, right: this build)"; exit 1; }
+
 echo "== snap_smoke: mid-soak snapshot/restore of the chaos drill reproduces the run =="
 # Capture the tiered outage drill 30 minutes in (mid heartbeat-loss
 # recovery), restore the blob, drive to the horizon, and require the

@@ -5,7 +5,7 @@
 //! same deterministic parse/print semantics as job configurations.
 
 use std::fmt;
-use turbine::AlertRule;
+use turbine::{AlertRule, Fault};
 use turbine_config::{ConfigValue, ResiliencyClass};
 
 /// A job described by a scenario.
@@ -128,15 +128,6 @@ impl ScenarioEvent {
     }
 }
 
-/// Fault names scenarios may use with `inject_fault`/`clear_fault`.
-pub const FAULT_NAMES: [&str; 5] = [
-    "task_service_down",
-    "job_store_down",
-    "heartbeat_loss",
-    "syncer_crash",
-    "scribe_stall",
-];
-
 /// A complete scenario.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
@@ -195,6 +186,11 @@ fn get_u64(v: &ConfigValue, path: &str, default: Option<u64>) -> Result<u64, Sce
     }
 }
 
+fn get_u32(v: &ConfigValue, path: &str, default: u32) -> Result<u32, ScenarioError> {
+    let n = get_u64(v, path, Some(u64::from(default)))?;
+    u32::try_from(n).map_err(|_| err(format!("field '{path}' exceeds {}", u32::MAX)))
+}
+
 fn get_str(v: &ConfigValue, path: &str) -> Result<String, ScenarioError> {
     v.get_path(path)
         .and_then(|x| x.as_str())
@@ -244,22 +240,6 @@ const EVENT_KEYS: [&str; 9] = [
     "fault",
 ];
 
-/// Reject unknown keys in a scenario object so misspellings fail loudly.
-fn reject_unknown_keys(v: &ConfigValue, what: &str, allowed: &[&str]) -> Result<(), ScenarioError> {
-    let Some(map) = v.as_map() else {
-        return Err(err(format!("{what} must be an object")));
-    };
-    for key in map.keys() {
-        if !allowed.contains(&key.as_str()) {
-            return Err(err(format!(
-                "{what}: unknown key '{key}' (one of: {})",
-                allowed.join(", ")
-            )));
-        }
-    }
-    Ok(())
-}
-
 impl Scenario {
     /// Parse a scenario from JSON text.
     pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
@@ -274,9 +254,10 @@ impl Scenario {
 
     /// Decode a scenario from an already-parsed config value.
     pub fn from_value(root: &ConfigValue) -> Result<Scenario, ScenarioError> {
-        reject_unknown_keys(root, "scenario", &ROOT_KEYS)?;
+        root.check_keys("scenario", &ROOT_KEYS).map_err(err)?;
         if let Some(host) = root.get_path("host") {
-            reject_unknown_keys(host, "host", &["cpu", "memory_gb"])?;
+            host.check_keys("host", &["cpu", "memory_gb"])
+                .map_err(err)?;
         }
         let jobs_value = root
             .get_path("jobs")
@@ -287,10 +268,10 @@ impl Scenario {
         }
         let mut jobs = Vec::with_capacity(jobs_value.len());
         for (i, jv) in jobs_value.iter().enumerate() {
-            reject_unknown_keys(jv, &format!("job {i}"), &JOB_KEYS)?;
+            jv.check_keys(&format!("job {i}"), &JOB_KEYS).map_err(err)?;
             let name = get_str(jv, "name")?;
-            let tasks = get_u64(jv, "tasks", Some(1))? as u32;
-            let partitions = get_u64(jv, "partitions", Some(64))? as u32;
+            let tasks = get_u32(jv, "tasks", 1)?;
+            let partitions = get_u32(jv, "partitions", 64)?;
             if tasks == 0 || partitions < tasks {
                 return Err(err(format!(
                     "job '{name}': need 1 <= tasks <= partitions (got {tasks}/{partitions})"
@@ -311,7 +292,7 @@ impl Scenario {
                 partitions,
                 rate_mbps: get_f64(jv, "rate_mbps", Some(1.0))?,
                 diurnal: get_f64(jv, "diurnal", Some(0.0))?,
-                max_tasks: get_u64(jv, "max_tasks", Some(64))? as u32,
+                max_tasks: get_u32(jv, "max_tasks", 64)?,
                 stateful_keys: get_f64(jv, "stateful_keys", Some(0.0))?,
                 seed: get_u64(jv, "seed", Some(i as u64))?,
                 resiliency,
@@ -321,7 +302,8 @@ impl Scenario {
         let mut events = Vec::new();
         if let Some(list) = root.get_path("events").and_then(|v| v.as_array()) {
             for (i, ev) in list.iter().enumerate() {
-                reject_unknown_keys(ev, &format!("event {i}"), &EVENT_KEYS)?;
+                ev.check_keys(&format!("event {i}"), &EVENT_KEYS)
+                    .map_err(err)?;
                 let action = get_str(ev, "action")?;
                 let at_mins = get_u64(ev, "at_mins", None)?;
                 let event = match action.as_str() {
@@ -453,10 +435,10 @@ impl Scenario {
                 | ScenarioEvent::ClearFault {
                     fault, host, job, ..
                 } => {
-                    if !FAULT_NAMES.contains(&fault.as_str()) {
+                    if !Fault::KINDS.contains(&fault.as_str()) {
                         return Err(err(format!(
                             "unknown fault '{fault}' (one of: {})",
-                            FAULT_NAMES.join(", ")
+                            Fault::KINDS.join(", ")
                         )));
                     }
                     if fault == "heartbeat_loss" {
@@ -643,6 +625,18 @@ mod tests {
             "unknown action"
         );
         assert!(Scenario::parse("not json").is_err());
+    }
+
+    #[test]
+    fn counts_past_u32_are_refused_not_truncated() {
+        // 2^32 + 64 would wrap to 64 partitions.
+        let e = Scenario::parse(r#"{"jobs": [{"name": "j", "partitions": 4294967360}]}"#)
+            .expect_err("partitions past u32");
+        assert!(e.to_string().contains("'partitions'"), "{e}");
+        for key in ["tasks", "max_tasks"] {
+            let text = format!(r#"{{"jobs": [{{"name": "j", "{key}": 4294967297}}]}}"#);
+            assert!(Scenario::parse(&text).is_err(), "{key} past u32");
+        }
     }
 
     #[test]

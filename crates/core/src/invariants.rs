@@ -861,7 +861,7 @@ fn describe_divergence(view: &InvariantView<'_>, job: JobId) -> String {
     )
 }
 
-use turbine_types::{snap_struct, Snap, SnapError, SnapReader, SnapWriter};
+use turbine_types::snap_struct;
 
 /// Every invariant name a [`Violation`] can carry; decode re-interns the
 /// stored string into this table so the restored record keeps the same
@@ -881,30 +881,11 @@ const INVARIANT_NAMES: [&str; 10] = [
 
 snap_struct!(InvariantConfig { audit_interval });
 
-// By hand: `invariant` is a `&'static str`, written as text and interned
-// back against `INVARIANT_NAMES`.
-impl Snap for Violation {
-    fn snap(&self, w: &mut SnapWriter) {
-        w.put(&self.at);
-        w.put(&self.invariant.to_string());
-        w.put(&self.detail);
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let at = r.get()?;
-        let name: String = r.get()?;
-        let invariant = INVARIANT_NAMES
-            .iter()
-            .copied()
-            .find(|n| *n == name)
-            .ok_or(SnapError::Value("Violation.invariant unknown"))?;
-        Ok(Violation {
-            at,
-            invariant,
-            detail: r.get()?,
-        })
-    }
-}
+snap_struct!(Violation {
+    at,
+    invariant in INVARIANT_NAMES,
+    detail
+});
 
 snap_struct!(ScopedKeys {
     partition,

@@ -15,20 +15,11 @@
 //! oracle applicable to every generated scenario.
 
 use turbine_config::{parse, to_text, ConfigValue, ResiliencyClass};
-use turbine_sim::SimRng;
+use turbine_sim::{Fault, SimRng};
 
 /// Traffic-event kinds a scenario can attach to a job, mirroring
 /// `turbine_workloads::TrafficEventKind` in serializable form.
 pub const EVENT_KINDS: [&str; 4] = ["multiplier", "ramp", "consumer_disabled", "input_outage"];
-
-/// Fault kinds a scenario can schedule, mirroring `turbine::Fault`.
-pub const FAULT_KINDS: [&str; 5] = [
-    "task_service_down",
-    "job_store_down",
-    "syncer_crash",
-    "heartbeat_loss",
-    "scribe_stall",
-];
 
 /// One traffic event on one job.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,7 +74,7 @@ pub struct FuzzJob {
 /// One scheduled fault window.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FuzzFault {
-    /// One of [`FAULT_KINDS`].
+    /// One of [`Fault::KINDS`].
     pub kind: String,
     /// Host index (heartbeat_loss) or job index (scribe_stall); unused
     /// otherwise.
@@ -239,7 +230,7 @@ pub fn generate(seed: u64) -> FuzzScenario {
     // horizon so the convergence clock gets a fair run.
     let mut faults = Vec::new();
     for _ in 0..rng.uniform_usize(0, 5) {
-        let kind = FAULT_KINDS[rng.uniform_usize(0, FAULT_KINDS.len())].to_string();
+        let kind = Fault::KINDS[rng.uniform_usize(0, Fault::KINDS.len())].to_string();
         let from_min = rng.uniform_usize(2, (horizon_mins as usize * 7 / 10).max(3)) as u32;
         let len_min = rng.uniform_usize(1, (horizon_mins as usize / 8).max(2)) as u32;
         let target = match kind.as_str() {
@@ -397,13 +388,8 @@ impl FuzzScenario {
     }
 
     fn from_value(value: &ConfigValue) -> Result<FuzzScenario, String> {
-        reject_unknown_keys(value, "scenario", &ROOT_KEYS)?;
-        let int = |key: &str| -> Result<i64, String> {
-            value
-                .get(key)
-                .and_then(ConfigValue::as_int)
-                .ok_or_else(|| format!("missing integer field '{key}'"))
-        };
+        value.check_keys("scenario", &ROOT_KEYS)?;
+        let count = |key: &str| int_field::<u32>(value, "scenario", key, None);
         let float = |key: &str| -> Result<f64, String> {
             value
                 .get(key)
@@ -432,10 +418,11 @@ impl FuzzScenario {
             .map(parse_flap)
             .collect::<Result<Vec<_>, _>>()?;
         let scenario = FuzzScenario {
-            seed: int("seed")? as u64,
-            horizon_mins: int("horizon_mins")? as u32,
-            tick_secs: int("tick_secs")? as u32,
-            hosts: int("hosts")? as u32,
+            // The seed is a bit pattern: `to_value` wrote it `as i64`.
+            seed: int_field::<i64>(value, "scenario", "seed", None)? as u64,
+            horizon_mins: count("horizon_mins")?,
+            tick_secs: count("tick_secs")?,
+            hosts: count("hosts")?,
             host_cpu: float("host_cpu")?,
             host_memory_mb: float("host_memory_mb")?,
             headroom: float("headroom")?,
@@ -507,7 +494,7 @@ impl FuzzScenario {
             }
         }
         for fault in &self.faults {
-            if !FAULT_KINDS.contains(&fault.kind.as_str()) {
+            if !Fault::KINDS.contains(&fault.kind.as_str()) {
                 return Err(format!("unknown fault kind '{}'", fault.kind));
             }
             if fault.kind == "heartbeat_loss" && fault.target >= self.hosts {
@@ -566,29 +553,24 @@ const TRAFFIC_EVENT_KEYS: [&str; 5] = ["kind", "start_min", "end_min", "magnitud
 const FAULT_KEYS: [&str; 4] = ["kind", "target", "from_min", "len_min"];
 const FLAP_KEYS: [&str; 3] = ["host", "fail_min", "recover_min"];
 
-fn reject_unknown_keys(value: &ConfigValue, what: &str, allowed: &[&str]) -> Result<(), String> {
-    let Some(map) = value.as_map() else {
-        return Err(format!("{what} must be an object"));
-    };
-    for key in map.keys() {
-        if !allowed.contains(&key.as_str()) {
-            return Err(format!(
-                "{what}: unknown key '{key}' (one of: {})",
-                allowed.join(", ")
-            ));
-        }
+/// An integer field of a repro object, or `default` when it is absent. A
+/// value `T` cannot hold (a negative count, a minute past `u32::MAX`) is an
+/// error rather than a wrapped number.
+fn int_field<T: TryFrom<i64>>(
+    value: &ConfigValue,
+    what: &str,
+    key: &str,
+    default: Option<T>,
+) -> Result<T, String> {
+    match value.get(key).and_then(ConfigValue::as_int) {
+        Some(n) => T::try_from(n).map_err(|_| format!("{what} field '{key}' out of range: {n}")),
+        None => default.ok_or_else(|| format!("{what} missing integer field '{key}'")),
     }
-    Ok(())
 }
 
 fn parse_job(value: &ConfigValue) -> Result<FuzzJob, String> {
-    reject_unknown_keys(value, "job", &JOB_KEYS)?;
-    let int = |key: &str| -> Result<i64, String> {
-        value
-            .get(key)
-            .and_then(ConfigValue::as_int)
-            .ok_or_else(|| format!("job missing integer field '{key}'"))
-    };
+    value.check_keys("job", &JOB_KEYS)?;
+    let count = |key: &str| int_field::<u32>(value, "job", key, None);
     let float = |key: &str| -> Result<f64, String> {
         value
             .get(key)
@@ -612,13 +594,13 @@ fn parse_job(value: &ConfigValue) -> Result<FuzzJob, String> {
             .get("stateful")
             .and_then(ConfigValue::as_bool)
             .unwrap_or(false),
-        tasks: int("tasks")? as u32,
-        threads: int("threads")? as u32,
-        partitions: int("partitions")? as u32,
-        max_tasks: int("max_tasks")? as u32,
+        tasks: count("tasks")?,
+        threads: count("threads")?,
+        partitions: count("partitions")?,
+        max_tasks: count("max_tasks")?,
         rate: float("rate")?,
         diurnal: float("diurnal").unwrap_or(0.0),
-        traffic_seed: int("traffic_seed").unwrap_or(0) as u64,
+        traffic_seed: int_field::<i64>(value, "job", "traffic_seed", Some(0))? as u64,
         per_thread_rate: float("per_thread_rate")?,
         message_bytes: float("message_bytes").unwrap_or(256.0),
         key_cardinality: float("key_cardinality").unwrap_or(0.0),
@@ -632,61 +614,46 @@ fn parse_job(value: &ConfigValue) -> Result<FuzzJob, String> {
 }
 
 fn parse_event(value: &ConfigValue) -> Result<FuzzTrafficEvent, String> {
-    reject_unknown_keys(value, "traffic event", &TRAFFIC_EVENT_KEYS)?;
-    let int = |key: &str| -> Result<i64, String> {
-        value
-            .get(key)
-            .and_then(ConfigValue::as_int)
-            .ok_or_else(|| format!("event missing integer field '{key}'"))
-    };
+    value.check_keys("traffic event", &TRAFFIC_EVENT_KEYS)?;
+    let count = |key: &str, default| int_field::<u32>(value, "event", key, default);
     Ok(FuzzTrafficEvent {
         kind: value
             .get("kind")
             .and_then(ConfigValue::as_str)
             .ok_or("event missing 'kind'")?
             .to_string(),
-        start_min: int("start_min")? as u32,
-        end_min: int("end_min")? as u32,
+        start_min: count("start_min", None)?,
+        end_min: count("end_min", None)?,
         magnitude: value
             .get("magnitude")
             .and_then(ConfigValue::as_float)
             .unwrap_or(1.0),
-        ramp_mins: int("ramp_mins").unwrap_or(1) as u32,
+        ramp_mins: count("ramp_mins", Some(1))?,
     })
 }
 
 fn parse_fault(value: &ConfigValue) -> Result<FuzzFault, String> {
-    reject_unknown_keys(value, "fault", &FAULT_KEYS)?;
-    let int = |key: &str| -> Result<i64, String> {
-        value
-            .get(key)
-            .and_then(ConfigValue::as_int)
-            .ok_or_else(|| format!("fault missing integer field '{key}'"))
-    };
+    value.check_keys("fault", &FAULT_KEYS)?;
+    let count = |key: &str, default| int_field::<u32>(value, "fault", key, default);
     Ok(FuzzFault {
         kind: value
             .get("kind")
             .and_then(ConfigValue::as_str)
             .ok_or("fault missing 'kind'")?
             .to_string(),
-        target: int("target").unwrap_or(0) as u32,
-        from_min: int("from_min")? as u32,
-        len_min: int("len_min")? as u32,
+        target: count("target", Some(0))?,
+        from_min: count("from_min", None)?,
+        len_min: count("len_min", None)?,
     })
 }
 
 fn parse_flap(value: &ConfigValue) -> Result<FuzzFlap, String> {
-    reject_unknown_keys(value, "flap", &FLAP_KEYS)?;
-    let int = |key: &str| -> Result<i64, String> {
-        value
-            .get(key)
-            .and_then(ConfigValue::as_int)
-            .ok_or_else(|| format!("flap missing integer field '{key}'"))
-    };
+    value.check_keys("flap", &FLAP_KEYS)?;
+    let count = |key: &str| int_field::<u32>(value, "flap", key, None);
     Ok(FuzzFlap {
-        host: int("host")? as u32,
-        fail_min: int("fail_min")? as u32,
-        recover_min: int("recover_min")? as u32,
+        host: count("host")?,
+        fail_min: count("fail_min")?,
+        recover_min: count("recover_min")?,
     })
 }
 
@@ -783,6 +750,22 @@ mod tests {
         let mut s = generate(1);
         s.jobs[0].resiliency = "gold_plated".to_string();
         assert!(FuzzScenario::from_json(&s.to_json()).is_err());
+    }
+
+    #[test]
+    fn negative_counts_are_refused_not_wrapped() {
+        // `-1 as u32` is 4294967295: a repro that provisions four billion
+        // partitions would still pass `validate`.
+        let mut v = parse(&generate(1).to_json()).expect("parses");
+        v.insert("horizon_mins", ConfigValue::Int(-1));
+        let Some(ConfigValue::Array(jobs)) = v.as_map_mut().expect("map").get_mut("jobs") else {
+            panic!("jobs not an array");
+        };
+        for key in ["tasks", "max_tasks", "partitions"] {
+            jobs[0].insert(key, ConfigValue::Int(-1));
+        }
+        let err = FuzzScenario::from_json(&to_text(&v)).expect_err("negative counts");
+        assert!(err.contains("out of range"), "{err}");
     }
 
     #[test]

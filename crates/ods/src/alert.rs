@@ -383,18 +383,6 @@ const RULE_KEYS: [&str; 17] = [
     "suppress_mins",
 ];
 
-fn reject_unknown_keys(rv: &ConfigValue) -> Result<(), String> {
-    let map = rv
-        .as_map()
-        .ok_or_else(|| perr("each rule must be an object"))?;
-    for key in map.keys() {
-        if !RULE_KEYS.contains(&key.as_str()) {
-            return Err(perr(format!("unknown key '{key}'")));
-        }
-    }
-    Ok(())
-}
-
 fn opt_f64(v: &ConfigValue, path: &str) -> Option<f64> {
     v.get_path(path).and_then(|x| x.as_float())
 }
@@ -428,7 +416,7 @@ pub fn parse_rules(
 ) -> Result<Vec<AlertRule>, String> {
     let mut rules = Vec::with_capacity(list.len());
     for rv in list {
-        reject_unknown_keys(rv)?;
+        rv.check_keys("rule", &RULE_KEYS).map_err(perr)?;
         let name = rv
             .get_path("name")
             .and_then(|x| x.as_str())

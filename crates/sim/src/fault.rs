@@ -40,6 +40,17 @@ pub enum Fault {
 }
 
 impl Fault {
+    /// Every fault kind, named as scenarios and fuzz repro files spell it.
+    /// The fuzz generator draws an index into this list, so its order is
+    /// part of every generated scenario.
+    pub const KINDS: [&'static str; 5] = [
+        "task_service_down",
+        "job_store_down",
+        "syncer_crash",
+        "heartbeat_loss",
+        "scribe_stall",
+    ];
+
     /// Stable human-readable label (used in the event log and digests).
     pub fn label(&self) -> String {
         match self {

@@ -1,8 +1,17 @@
 //! The trace record taxonomy: components, event data, and the stable
 //! serializations (digest bytes, JSON) every record carries.
+//!
+//! Each record kind is declared once, in the [`TraceData`] list below: its
+//! snapshot tag, kind string, decision class and fields. The enum, `kind`,
+//! `job`, `is_decision`, the digest bytes, the JSON line and the snapshot
+//! codec are generated from that list; only [`TraceData::summary`], which
+//! is prose, is written per kind.
 
-use std::fmt;
-use turbine_types::{json_escape, ContainerId, JobId, ShardId, SimTime, TaskId};
+use std::fmt::{self, Write as _};
+use turbine_types::{
+    json_escape_into, snap_enum, snap_struct, ContainerId, JobId, ShardId, SimTime, Snap,
+    SnapError, SnapReader, SnapWriter, TaskId,
+};
 
 /// Stable identifier of one trace record. Ids are a monotone sequence per
 /// buffer; an id stays valid as a cause link even after the ring buffer
@@ -98,218 +107,368 @@ impl fmt::Display for Component {
     }
 }
 
-/// The typed payload of one trace record.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceData {
-    /// A control-component dispatch span. Only committed to the buffer
-    /// once something consequential happens inside the round; empty
-    /// rounds leave no record.
-    RoundStart {
-        /// The dispatched component.
-        component: Component,
-    },
-    /// A chaos-engine fault window edge (activation or clearance). The
-    /// clearance's cause link points at the matching activation.
-    FaultEdge {
-        /// The fault's stable label (e.g. `scribe_stall(clicks)`).
-        fault: String,
-        /// `true` on activation, `false` on clearance.
-        activated: bool,
-    },
-    /// A symptom the Auto Scaler observed on a job, recorded as the
-    /// intermediate hop between a root cause (e.g. a fault edge) and the
-    /// decision taken in response.
-    Symptom {
-        /// The symptomatic job.
-        job: JobId,
-        /// Short description, e.g. `lagging 400s (SLO 90s)`.
-        description: String,
-    },
-    /// A scaling decision written to the Job Store's scaler level.
-    ScalingAction {
-        /// The scaled job.
-        job: JobId,
-        /// Action summary, e.g. `horizontal(tasks=8)`.
-        action: String,
-    },
-    /// The Shard Manager failed over dead containers' shards.
-    Failover {
-        /// Number of shard movements in the fail-over batch.
-        moves: usize,
-    },
-    /// A periodic load-balancing rebalance moved shards.
-    RebalancePlan {
-        /// Number of shard movements in the plan.
-        moves: usize,
-    },
-    /// A targeted shard move (root-causer mitigation).
-    ShardMove {
-        /// The moved shard.
-        shard: ShardId,
-        /// Destination container.
-        to: ContainerId,
-    },
-    /// A State Syncer round changed a job's lifecycle state.
-    SyncOutcome {
-        /// The synchronized job.
-        job: JobId,
-        /// `started`, `simple`, `complex_completed`, or `deleted`.
-        outcome: &'static str,
-    },
-    /// The State Syncer quarantined a job after repeated failures.
-    Quarantine {
-        /// The quarantined job.
-        job: JobId,
-    },
-    /// A task was OOM-killed and scheduled for restart.
-    OomRestart {
-        /// The killed task.
-        task: TaskId,
-        /// The container it ran in.
-        container: ContainerId,
-    },
-    /// A recovered checkpoint sat beyond the Scribe tail (e.g. the WAL
-    /// lost a torn tail the checkpoint had already covered) and was
-    /// clamped back so readers can resume instead of erroring forever.
-    CheckpointClamp {
-        /// The job whose checkpoint was clamped.
-        job: JobId,
-        /// The affected partition.
-        partition: u64,
-        /// The recovered (beyond-tail) offset.
-        from: u64,
-        /// The tail offset it was clamped to.
-        to: u64,
-    },
-    /// A heartbeat arrived from a container the Shard Manager had already
-    /// declared dead and failed over — the container came back and was
-    /// silently revived into the fleet.
-    ContainerRevived {
-        /// The revived container.
-        container: ContainerId,
-        /// Shards still mapped to the container at revival time. Must be
-        /// zero: fail-over reassigned them before the revival, and the
-        /// invariant checker flags any leftovers.
-        stale_shards: usize,
-    },
-    /// The Shard Manager placed a warm standby for a critical job.
-    StandbyPlaced {
-        /// The protected job.
-        job: JobId,
-        /// The container hosting the standby.
-        container: ContainerId,
-    },
-    /// A warm standby was promoted to primary on the fast fail-over path.
-    StandbyPromoted {
-        /// The recovered job.
-        job: JobId,
-        /// The standby container that took ownership.
-        to: ContainerId,
-        /// Number of shard movements in the promotion batch.
-        moves: usize,
-    },
-    /// A job recovered from a fault-attributed outage; the record carries
-    /// the per-tier SLO accounting sample.
-    SloRecovery {
-        /// The recovered job.
-        job: JobId,
-        /// The job's resiliency tier (`best_effort`/`standard`/`critical`).
-        tier: &'static str,
-        /// Outage duration in milliseconds (fault onset to recovery).
-        ms: u64,
-        /// True when the recovery went through the warm-standby fast path.
-        fast: bool,
-    },
-    /// The ODS alerting engine opened an incident. The cause link (when
-    /// the alert condition is fault-attributable) points at the fault
-    /// edge that ultimately produced the breach, so `--explain` walks
-    /// from the page back to the root cause.
-    Incident {
-        /// The firing rule's name.
-        rule: String,
-        /// Severity name (`info`/`warning`/`critical`).
-        severity: &'static str,
-        /// The alerted job, when the rule is job-scoped.
-        job: Option<JobId>,
-        /// One-line incident description.
-        message: String,
-    },
-    /// The auto root-causer classified an untriaged problem.
-    Diagnosis {
-        /// The diagnosed job.
-        job: JobId,
-        /// Classified cause label, e.g. `dependency_failure`.
-        cause: String,
-        /// Mitigation label, e.g. `alert_and_wait`.
-        mitigation: String,
-        /// One-line rationale for the runbook.
-        rationale: String,
-    },
+/// How one field type of a trace record digests and prints, and whether it
+/// is the record's job. `digest` passes each of its values to `field`,
+/// which puts the boundary byte in front; `json` appends `,"key":value`.
+trait TraceField {
+    fn digest(&self, field: &mut impl FnMut(&[u8]));
+    fn json(&self, key: &str, out: &mut String);
+    fn job(&self) -> Option<JobId> {
+        None
+    }
+}
+
+/// The record's job: the JSON line prints it once, as `"job"`, up front.
+impl TraceField for JobId {
+    fn digest(&self, field: &mut impl FnMut(&[u8])) {
+        field(&self.raw().to_le_bytes());
+    }
+    fn json(&self, _: &str, _: &mut String) {}
+    fn job(&self) -> Option<JobId> {
+        Some(*self)
+    }
+}
+
+/// An optional job; none digests as `u64::MAX`.
+impl TraceField for Option<JobId> {
+    fn digest(&self, field: &mut impl FnMut(&[u8])) {
+        field(&self.map_or(u64::MAX, JobId::raw).to_le_bytes());
+    }
+    fn json(&self, _: &str, _: &mut String) {}
+    fn job(&self) -> Option<JobId> {
+        *self
+    }
+}
+
+/// A task carries its job: it digests as two fields, job then index, and
+/// prints its index.
+impl TraceField for TaskId {
+    fn digest(&self, field: &mut impl FnMut(&[u8])) {
+        self.job.digest(field);
+        field(&self.index.to_le_bytes());
+    }
+    fn json(&self, key: &str, out: &mut String) {
+        let _ = write!(out, ",\"{key}\":{}", self.index);
+    }
+    fn job(&self) -> Option<JobId> {
+        Some(self.job)
+    }
+}
+
+impl TraceField for Component {
+    fn digest(&self, field: &mut impl FnMut(&[u8])) {
+        field(self.name().as_bytes());
+    }
+    fn json(&self, key: &str, out: &mut String) {
+        let _ = write!(out, ",\"{key}\":\"{self}\"");
+    }
+}
+
+/// Free text and vocabulary words alike.
+impl TraceField for str {
+    fn digest(&self, field: &mut impl FnMut(&[u8])) {
+        field(self.as_bytes());
+    }
+    fn json(&self, key: &str, out: &mut String) {
+        let _ = write!(out, ",\"{key}\":\"");
+        json_escape_into(self, out);
+        out.push('"');
+    }
+}
+
+impl TraceField for bool {
+    fn digest(&self, field: &mut impl FnMut(&[u8])) {
+        field(&[*self as u8]);
+    }
+    fn json(&self, key: &str, out: &mut String) {
+        let _ = write!(out, ",\"{key}\":{self}");
+    }
+}
+
+/// Counts and ids: a little-endian `u64` and a bare JSON number.
+macro_rules! number_field {
+    ($($ty:ty => |$v:ident| $n:expr),+ $(,)?) => {$(
+        impl TraceField for $ty {
+            fn digest(&self, field: &mut impl FnMut(&[u8])) {
+                let $v = self;
+                field(&u64::to_le_bytes($n));
+            }
+            fn json(&self, key: &str, out: &mut String) {
+                let $v = self;
+                let _ = write!(out, ",\"{key}\":{}", $n);
+            }
+        }
+    )+};
+}
+
+number_field!(
+    u64 => |v| *v,
+    usize => |v| *v as u64,
+    ShardId => |v| v.raw(),
+    ContainerId => |v| v.raw(),
+);
+
+/// Declare [`TraceData`] from one list. An entry is
+/// `tag => Variant("kind", decision | link) { fields }`: the snapshot tag
+/// byte, the stable kind string, whether the record is a decision, and the
+/// documented fields in digest, JSON and snapshot order. A field is
+/// `name: Type`, digested and printed by its type's [`TraceField`], or
+/// `name in TABLE`, a `&'static str` word from that vocabulary; either may
+/// end in `as "key"` to print under another JSON key. As in `snap_enum!`,
+/// two entries with one tag do not compile.
+macro_rules! trace_records {
+    (
+        $(#[$meta:meta])*
+        pub enum $ty:ident {$(
+            $(#[$doc:meta])*
+            $tag:literal => $variant:ident($kind:literal, $class:ident) {$(
+                $(#[$fdoc:meta])*
+                $field:ident $(in $vocab:path)? $(: $fty:ty)? $(as $key:literal)?
+            ),+ $(,)?}
+        ),+ $(,)?}
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum $ty {$(
+            $(#[$doc])*
+            $variant {$(
+                $(#[$fdoc])*
+                $field: trace_records!(@type $($fty)? $(in $vocab)?),
+            )+},
+        )+}
+
+        impl $ty {
+            /// Stable snake_case kind tag (JSON, digests, CLI output).
+            pub fn kind(&self) -> &'static str {
+                match self {$($ty::$variant { .. } => $kind,)+}
+            }
+
+            /// The job this record is about, if it is job-scoped.
+            pub fn job(&self) -> Option<JobId> {
+                match self {$(
+                    $ty::$variant { $($field),+ } => None$(.or($field.job()))+,
+                )+}
+            }
+
+            /// True for records that represent a consequential platform
+            /// decision (the records `--explain` anchors a causal chain on).
+            /// Spans, fault edges, symptoms and the other `link` records are
+            /// chain *links*, not decisions.
+            pub fn is_decision(&self) -> bool {
+                match self {$($ty::$variant { .. } => trace_records!(@decision $class),)+}
+            }
+
+            /// Feed the payload's stable byte encoding into a digest
+            /// function: the kind, then each field behind a `0xFE` byte.
+            /// Strings are length-free (terminated by the field boundary
+            /// byte) but the kind tag plus field order make the encoding
+            /// unambiguous for the payloads we produce.
+            pub(crate) fn digest_into(&self, eat: &mut impl FnMut(&[u8])) {
+                eat(self.kind().as_bytes());
+                let mut field = |bytes: &[u8]| {
+                    eat(&[0xFE]);
+                    eat(bytes);
+                };
+                match self {$(
+                    $ty::$variant { $($field),+ } => {$($field.digest(&mut field);)+}
+                )+}
+            }
+
+            /// Append the payload's JSON fields (all but the job).
+            fn json_fields(&self, out: &mut String) {
+                match self {$(
+                    $ty::$variant { $($field),+ } => {$(
+                        $field.json(trace_records!(@key $field $($key)?), out);
+                    )+}
+                )+}
+            }
+        }
+
+        impl Snap for $ty {
+            fn snap(&self, w: &mut SnapWriter) {
+                match self {$(
+                    $ty::$variant { $($field),+ } => {
+                        w.u8($tag);
+                        $(snap_struct!(@put w, $field $(in $vocab)?);)+
+                    }
+                )+}
+            }
+
+            #[deny(unreachable_patterns)]
+            fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+                match r.u8(concat!(stringify!($ty), ".tag"))? {
+                    $($tag => Ok($ty::$variant {$(
+                        $field: snap_struct!(@get r,
+                            concat!(stringify!($ty), ".", $kind) $(, in $vocab)?),
+                    )+}),)+
+                    tag => Err(SnapError::Tag(stringify!($ty), u64::from(tag))),
+                }
+            }
+        }
+    };
+    (@type in $vocab:path) => { &'static str };
+    (@type $fty:ty) => { $fty };
+    (@decision decision) => { true };
+    (@decision link) => { false };
+    (@key $field:ident $key:literal) => { $key };
+    (@key $field:ident) => { stringify!($field) };
+}
+
+const SYNC_OUTCOMES: [&str; 4] = ["started", "simple", "complex_completed", "deleted"];
+const SLO_TIERS: [&str; 3] = ["best_effort", "standard", "critical"];
+const SEVERITIES: [&str; 3] = ["info", "warning", "critical"];
+
+trace_records! {
+    /// The typed payload of one trace record.
+    pub enum TraceData {
+        /// A control-component dispatch span. Only committed to the buffer
+        /// once something consequential happens inside the round; empty
+        /// rounds leave no record.
+        0 => RoundStart("round", link) {
+            /// The dispatched component.
+            component: Component,
+        },
+        /// A chaos-engine fault window edge (activation or clearance). The
+        /// clearance's cause link points at the matching activation.
+        1 => FaultEdge("fault_edge", link) {
+            /// The fault's stable label (e.g. `scribe_stall(clicks)`).
+            fault: String,
+            /// `true` on activation, `false` on clearance.
+            activated: bool,
+        },
+        /// A symptom the Auto Scaler observed on a job, recorded as the
+        /// intermediate hop between a root cause (e.g. a fault edge) and the
+        /// decision taken in response.
+        2 => Symptom("symptom", link) {
+            /// The symptomatic job.
+            job: JobId,
+            /// Short description, e.g. `lagging 400s (SLO 90s)`.
+            description: String as "symptom",
+        },
+        /// A scaling decision written to the Job Store's scaler level.
+        3 => ScalingAction("scaling_action", decision) {
+            /// The scaled job.
+            job: JobId,
+            /// Action summary, e.g. `horizontal(tasks=8)`.
+            action: String,
+        },
+        /// The Shard Manager failed over dead containers' shards.
+        4 => Failover("failover", decision) {
+            /// Number of shard movements in the fail-over batch.
+            moves: usize,
+        },
+        /// A periodic load-balancing rebalance moved shards.
+        5 => RebalancePlan("rebalance_plan", decision) {
+            /// Number of shard movements in the plan.
+            moves: usize,
+        },
+        /// A targeted shard move (root-causer mitigation).
+        6 => ShardMove("shard_move", decision) {
+            /// The moved shard.
+            shard: ShardId,
+            /// Destination container.
+            to: ContainerId,
+        },
+        /// A State Syncer round changed a job's lifecycle state.
+        7 => SyncOutcome("sync_outcome", decision) {
+            /// The synchronized job.
+            job: JobId,
+            /// `started`, `simple`, `complex_completed`, or `deleted`.
+            outcome in SYNC_OUTCOMES,
+        },
+        /// The State Syncer quarantined a job after repeated failures.
+        8 => Quarantine("quarantine", decision) {
+            /// The quarantined job.
+            job: JobId,
+        },
+        /// A task was OOM-killed and scheduled for restart.
+        9 => OomRestart("oom_restart", decision) {
+            /// The killed task.
+            task: TaskId,
+            /// The container it ran in.
+            container: ContainerId,
+        },
+        /// A recovered checkpoint sat beyond the Scribe tail (e.g. the WAL
+        /// lost a torn tail the checkpoint had already covered) and was
+        /// clamped back so readers can resume instead of erroring forever.
+        10 => CheckpointClamp("checkpoint_clamp", decision) {
+            /// The job whose checkpoint was clamped.
+            job: JobId,
+            /// The affected partition.
+            partition: u64,
+            /// The recovered (beyond-tail) offset.
+            from: u64,
+            /// The tail offset it was clamped to.
+            to: u64,
+        },
+        /// A heartbeat arrived from a container the Shard Manager had already
+        /// declared dead and failed over — the container came back and was
+        /// silently revived into the fleet.
+        11 => ContainerRevived("container_revived", link) {
+            /// The revived container.
+            container: ContainerId,
+            /// Shards still mapped to the container at revival time. Must be
+            /// zero: fail-over reassigned them before the revival, and the
+            /// invariant checker flags any leftovers.
+            stale_shards: usize,
+        },
+        /// The Shard Manager placed a warm standby for a critical job.
+        12 => StandbyPlaced("standby_placed", decision) {
+            /// The protected job.
+            job: JobId,
+            /// The container hosting the standby.
+            container: ContainerId,
+        },
+        /// A warm standby was promoted to primary on the fast fail-over path.
+        13 => StandbyPromoted("standby_promoted", decision) {
+            /// The recovered job.
+            job: JobId,
+            /// The standby container that took ownership.
+            to: ContainerId,
+            /// Number of shard movements in the promotion batch.
+            moves: usize,
+        },
+        /// A job recovered from a fault-attributed outage; the record carries
+        /// the per-tier SLO accounting sample.
+        14 => SloRecovery("slo_recovery", link) {
+            /// The recovered job.
+            job: JobId,
+            /// The job's resiliency tier (`best_effort`/`standard`/`critical`).
+            tier in SLO_TIERS,
+            /// Outage duration in milliseconds (fault onset to recovery).
+            ms: u64,
+            /// True when the recovery went through the warm-standby fast path.
+            fast: bool,
+        },
+        /// The ODS alerting engine opened an incident. The cause link (when
+        /// the alert condition is fault-attributable) points at the fault
+        /// edge that ultimately produced the breach, so `--explain` walks
+        /// from the page back to the root cause.
+        15 => Incident("incident", decision) {
+            /// The firing rule's name.
+            rule: String,
+            /// Severity name (`info`/`warning`/`critical`).
+            severity in SEVERITIES,
+            /// The alerted job, when the rule is job-scoped.
+            job: Option<JobId>,
+            /// One-line incident description.
+            message: String,
+        },
+        /// The auto root-causer classified an untriaged problem.
+        16 => Diagnosis("diagnosis", decision) {
+            /// The diagnosed job.
+            job: JobId,
+            /// Classified cause label, e.g. `dependency_failure`.
+            cause: String as "cause_class",
+            /// Mitigation label, e.g. `alert_and_wait`.
+            mitigation: String,
+            /// One-line rationale for the runbook.
+            rationale: String,
+        },
+    }
 }
 
 impl TraceData {
-    /// Stable snake_case kind tag (JSON, digests, CLI output).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TraceData::RoundStart { .. } => "round",
-            TraceData::FaultEdge { .. } => "fault_edge",
-            TraceData::Symptom { .. } => "symptom",
-            TraceData::ScalingAction { .. } => "scaling_action",
-            TraceData::Failover { .. } => "failover",
-            TraceData::RebalancePlan { .. } => "rebalance_plan",
-            TraceData::ShardMove { .. } => "shard_move",
-            TraceData::SyncOutcome { .. } => "sync_outcome",
-            TraceData::Quarantine { .. } => "quarantine",
-            TraceData::OomRestart { .. } => "oom_restart",
-            TraceData::CheckpointClamp { .. } => "checkpoint_clamp",
-            TraceData::ContainerRevived { .. } => "container_revived",
-            TraceData::StandbyPlaced { .. } => "standby_placed",
-            TraceData::StandbyPromoted { .. } => "standby_promoted",
-            TraceData::SloRecovery { .. } => "slo_recovery",
-            TraceData::Incident { .. } => "incident",
-            TraceData::Diagnosis { .. } => "diagnosis",
-        }
-    }
-
-    /// The job this record is about, if it is job-scoped.
-    pub fn job(&self) -> Option<JobId> {
-        match self {
-            TraceData::Symptom { job, .. }
-            | TraceData::ScalingAction { job, .. }
-            | TraceData::SyncOutcome { job, .. }
-            | TraceData::Quarantine { job }
-            | TraceData::CheckpointClamp { job, .. }
-            | TraceData::StandbyPlaced { job, .. }
-            | TraceData::StandbyPromoted { job, .. }
-            | TraceData::SloRecovery { job, .. }
-            | TraceData::Diagnosis { job, .. } => Some(*job),
-            TraceData::OomRestart { task, .. } => Some(task.job),
-            TraceData::Incident { job, .. } => *job,
-            _ => None,
-        }
-    }
-
-    /// True for records that represent a consequential platform decision
-    /// (the records `--explain` anchors a causal chain on). Spans, fault
-    /// edges, and symptoms are chain *links*, not decisions.
-    pub fn is_decision(&self) -> bool {
-        matches!(
-            self,
-            TraceData::ScalingAction { .. }
-                | TraceData::Failover { .. }
-                | TraceData::RebalancePlan { .. }
-                | TraceData::ShardMove { .. }
-                | TraceData::SyncOutcome { .. }
-                | TraceData::Quarantine { .. }
-                | TraceData::OomRestart { .. }
-                | TraceData::CheckpointClamp { .. }
-                | TraceData::StandbyPlaced { .. }
-                | TraceData::StandbyPromoted { .. }
-                | TraceData::Incident { .. }
-                | TraceData::Diagnosis { .. }
-        )
-    }
-
     /// One-line human summary (dashboards, `--explain` chains).
     pub fn summary(&self) -> String {
         match self {
@@ -369,110 +528,6 @@ impl TraceData {
             } => format!("{job} diagnosed {cause} (mitigation: {mitigation}) — {rationale}"),
         }
     }
-
-    /// Feed the payload's stable byte encoding into a digest function.
-    /// Strings are length-free (terminated by the field boundary byte) but
-    /// the kind tag plus field order make the encoding unambiguous for the
-    /// payloads we produce.
-    pub(crate) fn digest_into(&self, eat: &mut impl FnMut(&[u8])) {
-        eat(self.kind().as_bytes());
-        let mut field = |bytes: &[u8]| {
-            eat(&[0xFE]);
-            eat(bytes);
-        };
-        match self {
-            TraceData::RoundStart { component } => field(component.name().as_bytes()),
-            TraceData::FaultEdge { fault, activated } => {
-                field(fault.as_bytes());
-                field(&[*activated as u8]);
-            }
-            TraceData::Symptom { job, description } => {
-                field(&job.raw().to_le_bytes());
-                field(description.as_bytes());
-            }
-            TraceData::ScalingAction { job, action } => {
-                field(&job.raw().to_le_bytes());
-                field(action.as_bytes());
-            }
-            TraceData::Failover { moves } | TraceData::RebalancePlan { moves } => {
-                field(&(*moves as u64).to_le_bytes());
-            }
-            TraceData::ShardMove { shard, to } => {
-                field(&shard.raw().to_le_bytes());
-                field(&to.raw().to_le_bytes());
-            }
-            TraceData::SyncOutcome { job, outcome } => {
-                field(&job.raw().to_le_bytes());
-                field(outcome.as_bytes());
-            }
-            TraceData::Quarantine { job } => field(&job.raw().to_le_bytes()),
-            TraceData::OomRestart { task, container } => {
-                field(&task.job.raw().to_le_bytes());
-                field(&task.index.to_le_bytes());
-                field(&container.raw().to_le_bytes());
-            }
-            TraceData::CheckpointClamp {
-                job,
-                partition,
-                from,
-                to,
-            } => {
-                field(&job.raw().to_le_bytes());
-                field(&partition.to_le_bytes());
-                field(&from.to_le_bytes());
-                field(&to.to_le_bytes());
-            }
-            TraceData::ContainerRevived {
-                container,
-                stale_shards,
-            } => {
-                field(&container.raw().to_le_bytes());
-                field(&(*stale_shards as u64).to_le_bytes());
-            }
-            TraceData::StandbyPlaced { job, container } => {
-                field(&job.raw().to_le_bytes());
-                field(&container.raw().to_le_bytes());
-            }
-            TraceData::StandbyPromoted { job, to, moves } => {
-                field(&job.raw().to_le_bytes());
-                field(&to.raw().to_le_bytes());
-                field(&(*moves as u64).to_le_bytes());
-            }
-            TraceData::SloRecovery {
-                job,
-                tier,
-                ms,
-                fast,
-            } => {
-                field(&job.raw().to_le_bytes());
-                field(tier.as_bytes());
-                field(&ms.to_le_bytes());
-                field(&[*fast as u8]);
-            }
-            TraceData::Incident {
-                rule,
-                severity,
-                job,
-                message,
-            } => {
-                field(rule.as_bytes());
-                field(severity.as_bytes());
-                field(&job.map_or(u64::MAX, |j| j.raw()).to_le_bytes());
-                field(message.as_bytes());
-            }
-            TraceData::Diagnosis {
-                job,
-                cause,
-                mitigation,
-                rationale,
-            } => {
-                field(&job.raw().to_le_bytes());
-                field(cause.as_bytes());
-                field(mitigation.as_bytes());
-                field(rationale.as_bytes());
-            }
-        }
-    }
 }
 
 /// One trace record: when, why (the cause link), and what.
@@ -490,114 +545,27 @@ pub struct TraceEvent {
 
 impl TraceEvent {
     /// Render the record as one JSON line (the JSONL export format). All
-    /// fields are stable; free-text goes through [`json_escape`].
+    /// fields are stable; free-text is JSON-escaped.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(96);
-        out.push_str(&format!(
+        let _ = write!(
+            out,
             "{{\"id\":{},\"t_ms\":{},\"kind\":\"{}\"",
             self.id.0,
             self.at.as_millis(),
             self.data.kind()
-        ));
+        );
         if let Some(cause) = self.cause {
-            out.push_str(&format!(",\"cause\":{}", cause.0));
+            let _ = write!(out, ",\"cause\":{}", cause.0);
         }
         if let Some(job) = self.data.job() {
-            out.push_str(&format!(",\"job\":{}", job.raw()));
+            let _ = write!(out, ",\"job\":{}", job.raw());
         }
-        match &self.data {
-            TraceData::RoundStart { component } => {
-                out.push_str(&format!(",\"component\":\"{component}\""));
-            }
-            TraceData::FaultEdge { fault, activated } => {
-                out.push_str(&format!(
-                    ",\"fault\":\"{}\",\"activated\":{activated}",
-                    json_escape(fault)
-                ));
-            }
-            TraceData::Symptom { description, .. } => {
-                out.push_str(&format!(",\"symptom\":\"{}\"", json_escape(description)));
-            }
-            TraceData::ScalingAction { action, .. } => {
-                out.push_str(&format!(",\"action\":\"{}\"", json_escape(action)));
-            }
-            TraceData::Failover { moves } | TraceData::RebalancePlan { moves } => {
-                out.push_str(&format!(",\"moves\":{moves}"));
-            }
-            TraceData::ShardMove { shard, to } => {
-                out.push_str(&format!(",\"shard\":{},\"to\":{}", shard.raw(), to.raw()));
-            }
-            TraceData::SyncOutcome { outcome, .. } => {
-                out.push_str(&format!(",\"outcome\":\"{outcome}\""));
-            }
-            TraceData::Quarantine { .. } => {}
-            TraceData::OomRestart { task, container } => {
-                out.push_str(&format!(
-                    ",\"task\":{},\"container\":{}",
-                    task.index,
-                    container.raw()
-                ));
-            }
-            TraceData::CheckpointClamp {
-                partition,
-                from,
-                to,
-                ..
-            } => {
-                out.push_str(&format!(
-                    ",\"partition\":{partition},\"from\":{from},\"to\":{to}"
-                ));
-            }
-            TraceData::ContainerRevived {
-                container,
-                stale_shards,
-            } => {
-                out.push_str(&format!(
-                    ",\"container\":{},\"stale_shards\":{stale_shards}",
-                    container.raw()
-                ));
-            }
-            TraceData::StandbyPlaced { container, .. } => {
-                out.push_str(&format!(",\"container\":{}", container.raw()));
-            }
-            TraceData::StandbyPromoted { to, moves, .. } => {
-                out.push_str(&format!(",\"to\":{},\"moves\":{moves}", to.raw()));
-            }
-            TraceData::SloRecovery { tier, ms, fast, .. } => {
-                out.push_str(&format!(",\"tier\":\"{tier}\",\"ms\":{ms},\"fast\":{fast}"));
-            }
-            TraceData::Incident {
-                rule,
-                severity,
-                message,
-                ..
-            } => {
-                out.push_str(&format!(
-                    ",\"rule\":\"{}\",\"severity\":\"{severity}\",\"message\":\"{}\"",
-                    json_escape(rule),
-                    json_escape(message)
-                ));
-            }
-            TraceData::Diagnosis {
-                cause,
-                mitigation,
-                rationale,
-                ..
-            } => {
-                out.push_str(&format!(
-                    ",\"cause_class\":\"{}\",\"mitigation\":\"{}\",\"rationale\":\"{}\"",
-                    json_escape(cause),
-                    json_escape(mitigation),
-                    json_escape(rationale)
-                ));
-            }
-        }
+        self.data.json_fields(&mut out);
         out.push('}');
         out
     }
 }
-
-use turbine_types::{snap_enum, snap_struct, Snap, SnapError, SnapReader, SnapWriter};
 
 snap_struct!(TraceId(raw));
 
@@ -606,227 +574,6 @@ snap_enum!(Component {
     5 => Rebalance, 6 => CapacityManager, 7 => Checkpoint, 8 => Metrics, 9 => DataPlane,
     10 => ChaosEngine,
 });
-
-/// Intern a decoded string back to the `&'static str` vocabulary a trace
-/// field draws from. Restore must reproduce pointer-free static strings, so
-/// any value outside the table is a corrupt blob, not a new vocabulary word.
-fn intern_static(
-    what: &'static str,
-    table: &[&'static str],
-    value: &str,
-) -> Result<&'static str, SnapError> {
-    table
-        .iter()
-        .copied()
-        .find(|s| *s == value)
-        .ok_or(SnapError::Value(what))
-}
-
-const SYNC_OUTCOMES: [&str; 4] = ["started", "simple", "complex_completed", "deleted"];
-const SLO_TIERS: [&str; 3] = ["best_effort", "standard", "critical"];
-const SEVERITIES: [&str; 3] = ["info", "warning", "critical"];
-
-// By hand: three variants carry a `&'static str` drawn from a per-field
-// vocabulary (`SYNC_OUTCOMES`, `SLO_TIERS`, `SEVERITIES`). They are written
-// as text and interned back against their own table, which `snap_enum!`'s
-// type-directed `get` cannot do without changing the public field types or
-// accepting one field's words in another. `snap_tags.rs` pins every tag.
-impl Snap for TraceData {
-    fn snap(&self, w: &mut SnapWriter) {
-        match self {
-            TraceData::RoundStart { component } => {
-                w.u8(0);
-                w.put(component);
-            }
-            TraceData::FaultEdge { fault, activated } => {
-                w.u8(1);
-                w.put(fault);
-                w.put(activated);
-            }
-            TraceData::Symptom { job, description } => {
-                w.u8(2);
-                w.put(job);
-                w.put(description);
-            }
-            TraceData::ScalingAction { job, action } => {
-                w.u8(3);
-                w.put(job);
-                w.put(action);
-            }
-            TraceData::Failover { moves } => {
-                w.u8(4);
-                w.put(moves);
-            }
-            TraceData::RebalancePlan { moves } => {
-                w.u8(5);
-                w.put(moves);
-            }
-            TraceData::ShardMove { shard, to } => {
-                w.u8(6);
-                w.put(shard);
-                w.put(to);
-            }
-            TraceData::SyncOutcome { job, outcome } => {
-                w.u8(7);
-                w.put(job);
-                w.put(&outcome.to_string());
-            }
-            TraceData::Quarantine { job } => {
-                w.u8(8);
-                w.put(job);
-            }
-            TraceData::OomRestart { task, container } => {
-                w.u8(9);
-                w.put(task);
-                w.put(container);
-            }
-            TraceData::CheckpointClamp {
-                job,
-                partition,
-                from,
-                to,
-            } => {
-                w.u8(10);
-                w.put(job);
-                w.u64(*partition);
-                w.u64(*from);
-                w.u64(*to);
-            }
-            TraceData::ContainerRevived {
-                container,
-                stale_shards,
-            } => {
-                w.u8(11);
-                w.put(container);
-                w.put(stale_shards);
-            }
-            TraceData::StandbyPlaced { job, container } => {
-                w.u8(12);
-                w.put(job);
-                w.put(container);
-            }
-            TraceData::StandbyPromoted { job, to, moves } => {
-                w.u8(13);
-                w.put(job);
-                w.put(to);
-                w.put(moves);
-            }
-            TraceData::SloRecovery {
-                job,
-                tier,
-                ms,
-                fast,
-            } => {
-                w.u8(14);
-                w.put(job);
-                w.put(&tier.to_string());
-                w.u64(*ms);
-                w.put(fast);
-            }
-            TraceData::Incident {
-                rule,
-                severity,
-                job,
-                message,
-            } => {
-                w.u8(15);
-                w.put(rule);
-                w.put(&severity.to_string());
-                w.put(job);
-                w.put(message);
-            }
-            TraceData::Diagnosis {
-                job,
-                cause,
-                mitigation,
-                rationale,
-            } => {
-                w.u8(16);
-                w.put(job);
-                w.put(cause);
-                w.put(mitigation);
-                w.put(rationale);
-            }
-        }
-    }
-
-    fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.u8("TraceData.tag")? {
-            0 => Ok(TraceData::RoundStart {
-                component: r.get()?,
-            }),
-            1 => Ok(TraceData::FaultEdge {
-                fault: r.get()?,
-                activated: r.get()?,
-            }),
-            2 => Ok(TraceData::Symptom {
-                job: r.get()?,
-                description: r.get()?,
-            }),
-            3 => Ok(TraceData::ScalingAction {
-                job: r.get()?,
-                action: r.get()?,
-            }),
-            4 => Ok(TraceData::Failover { moves: r.get()? }),
-            5 => Ok(TraceData::RebalancePlan { moves: r.get()? }),
-            6 => Ok(TraceData::ShardMove {
-                shard: r.get()?,
-                to: r.get()?,
-            }),
-            7 => Ok(TraceData::SyncOutcome {
-                job: r.get()?,
-                outcome: intern_static(
-                    "TraceData.sync_outcome",
-                    &SYNC_OUTCOMES,
-                    &r.get::<String>()?,
-                )?,
-            }),
-            8 => Ok(TraceData::Quarantine { job: r.get()? }),
-            9 => Ok(TraceData::OomRestart {
-                task: r.get()?,
-                container: r.get()?,
-            }),
-            10 => Ok(TraceData::CheckpointClamp {
-                job: r.get()?,
-                partition: r.u64("TraceData.partition")?,
-                from: r.u64("TraceData.from")?,
-                to: r.u64("TraceData.to")?,
-            }),
-            11 => Ok(TraceData::ContainerRevived {
-                container: r.get()?,
-                stale_shards: r.get()?,
-            }),
-            12 => Ok(TraceData::StandbyPlaced {
-                job: r.get()?,
-                container: r.get()?,
-            }),
-            13 => Ok(TraceData::StandbyPromoted {
-                job: r.get()?,
-                to: r.get()?,
-                moves: r.get()?,
-            }),
-            14 => Ok(TraceData::SloRecovery {
-                job: r.get()?,
-                tier: intern_static("TraceData.slo_tier", &SLO_TIERS, &r.get::<String>()?)?,
-                ms: r.u64("TraceData.ms")?,
-                fast: r.get()?,
-            }),
-            15 => Ok(TraceData::Incident {
-                rule: r.get()?,
-                severity: intern_static("TraceData.severity", &SEVERITIES, &r.get::<String>()?)?,
-                job: r.get()?,
-                message: r.get()?,
-            }),
-            16 => Ok(TraceData::Diagnosis {
-                job: r.get()?,
-                cause: r.get()?,
-                mitigation: r.get()?,
-                rationale: r.get()?,
-            }),
-            tag => Err(SnapError::Tag("TraceData", tag as u64)),
-        }
-    }
-}
 
 snap_struct!(TraceEvent {
     id,
@@ -838,7 +585,7 @@ snap_struct!(TraceEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use turbine_types::Duration;
+    use turbine_types::{json_escape, Duration};
 
     #[test]
     fn component_names_roundtrip() {
@@ -925,6 +672,215 @@ mod tests {
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"cause\":2"));
         assert!(json.contains("\\\"clicks\\\""), "{json}");
+    }
+
+    /// One record of every kind (tag order).
+    fn one_of_each() -> Vec<TraceData> {
+        let job = JobId(5);
+        let container = ContainerId(6);
+        vec![
+            TraceData::RoundStart {
+                component: Component::Rebalance,
+            },
+            TraceData::FaultEdge {
+                fault: "scribe_stall(\"c\")".into(),
+                activated: true,
+            },
+            TraceData::Symptom {
+                job,
+                description: "lagging 400s (SLO 90s)".into(),
+            },
+            TraceData::ScalingAction {
+                job,
+                action: "horizontal(tasks=8)".into(),
+            },
+            TraceData::Failover { moves: 3 },
+            TraceData::RebalancePlan { moves: 4 },
+            TraceData::ShardMove {
+                shard: ShardId(11),
+                to: container,
+            },
+            TraceData::SyncOutcome {
+                job,
+                outcome: "complex_completed",
+            },
+            TraceData::Quarantine { job },
+            TraceData::OomRestart {
+                task: TaskId::new(job, 2),
+                container,
+            },
+            TraceData::CheckpointClamp {
+                job,
+                partition: 2,
+                from: 900,
+                to: 800,
+            },
+            TraceData::ContainerRevived {
+                container,
+                stale_shards: 1,
+            },
+            TraceData::StandbyPlaced { job, container },
+            TraceData::StandbyPromoted {
+                job,
+                to: container,
+                moves: 7,
+            },
+            TraceData::SloRecovery {
+                job,
+                tier: "critical",
+                ms: 20_000,
+                fast: true,
+            },
+            TraceData::Incident {
+                rule: "lag_high".into(),
+                severity: "warning",
+                job: None,
+                message: "lag \"90s\"".into(),
+            },
+            TraceData::Diagnosis {
+                job,
+                cause: "dependency_failure".into(),
+                mitigation: "alert_and_wait".into(),
+                rationale: "input stalled".into(),
+            },
+        ]
+    }
+
+    fn line(data: TraceData) -> String {
+        TraceEvent {
+            id: TraceId(9),
+            at: SimTime::from_millis(1500),
+            cause: Some(TraceId(8)),
+            data,
+        }
+        .to_json()
+    }
+
+    fn digest_bytes(data: &TraceData) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        data.digest_into(&mut |b| bytes.extend_from_slice(b));
+        bytes
+    }
+
+    /// [`one_of_each`]'s JSON lines and digest bytes, written out: the trace
+    /// format is a replay contract, so these never change for a refactor.
+    const PINS: [(&str, &[u8]); 17] = [
+        (
+            r#"{"id":9,"t_ms":1500,"kind":"round","cause":8,"component":"rebalance"}"#,
+            b"round\xFErebalance",
+        ),
+        (
+            r#"{"id":9,"t_ms":1500,"kind":"fault_edge","cause":8,"fault":"scribe_stall(\"c\")","activated":true}"#,
+            b"fault_edge\xFEscribe_stall(\"c\")\xFE\x01",
+        ),
+        (
+            r#"{"id":9,"t_ms":1500,"kind":"symptom","cause":8,"job":5,"symptom":"lagging 400s (SLO 90s)"}"#,
+            b"symptom\xFE\x05\x00\x00\x00\x00\x00\x00\x00\xFElagging 400s (SLO 90s)",
+        ),
+        (
+            r#"{"id":9,"t_ms":1500,"kind":"scaling_action","cause":8,"job":5,"action":"horizontal(tasks=8)"}"#,
+            b"scaling_action\xFE\x05\x00\x00\x00\x00\x00\x00\x00\xFEhorizontal(tasks=8)",
+        ),
+        (
+            r#"{"id":9,"t_ms":1500,"kind":"failover","cause":8,"moves":3}"#,
+            b"failover\xFE\x03\x00\x00\x00\x00\x00\x00\x00",
+        ),
+        (
+            r#"{"id":9,"t_ms":1500,"kind":"rebalance_plan","cause":8,"moves":4}"#,
+            b"rebalance_plan\xFE\x04\x00\x00\x00\x00\x00\x00\x00",
+        ),
+        (
+            r#"{"id":9,"t_ms":1500,"kind":"shard_move","cause":8,"shard":11,"to":6}"#,
+            b"shard_move\xFE\x0B\x00\x00\x00\x00\x00\x00\x00\xFE\x06\x00\x00\x00\x00\x00\x00\x00",
+        ),
+        (
+            r#"{"id":9,"t_ms":1500,"kind":"sync_outcome","cause":8,"job":5,"outcome":"complex_completed"}"#,
+            b"sync_outcome\xFE\x05\x00\x00\x00\x00\x00\x00\x00\xFEcomplex_completed",
+        ),
+        (
+            r#"{"id":9,"t_ms":1500,"kind":"quarantine","cause":8,"job":5}"#,
+            b"quarantine\xFE\x05\x00\x00\x00\x00\x00\x00\x00",
+        ),
+        (
+            r#"{"id":9,"t_ms":1500,"kind":"oom_restart","cause":8,"job":5,"task":2,"container":6}"#,
+            b"oom_restart\xFE\x05\x00\x00\x00\x00\x00\x00\x00\xFE\x02\x00\x00\x00\xFE\x06\x00\x00\x00\x00\x00\x00\x00",
+        ),
+        (
+            r#"{"id":9,"t_ms":1500,"kind":"checkpoint_clamp","cause":8,"job":5,"partition":2,"from":900,"to":800}"#,
+            b"checkpoint_clamp\xFE\x05\x00\x00\x00\x00\x00\x00\x00\xFE\x02\x00\x00\x00\x00\x00\x00\x00\xFE\x84\x03\x00\x00\x00\x00\x00\x00\xFE \x03\x00\x00\x00\x00\x00\x00",
+        ),
+        (
+            r#"{"id":9,"t_ms":1500,"kind":"container_revived","cause":8,"container":6,"stale_shards":1}"#,
+            b"container_revived\xFE\x06\x00\x00\x00\x00\x00\x00\x00\xFE\x01\x00\x00\x00\x00\x00\x00\x00",
+        ),
+        (
+            r#"{"id":9,"t_ms":1500,"kind":"standby_placed","cause":8,"job":5,"container":6}"#,
+            b"standby_placed\xFE\x05\x00\x00\x00\x00\x00\x00\x00\xFE\x06\x00\x00\x00\x00\x00\x00\x00",
+        ),
+        (
+            r#"{"id":9,"t_ms":1500,"kind":"standby_promoted","cause":8,"job":5,"to":6,"moves":7}"#,
+            b"standby_promoted\xFE\x05\x00\x00\x00\x00\x00\x00\x00\xFE\x06\x00\x00\x00\x00\x00\x00\x00\xFE\x07\x00\x00\x00\x00\x00\x00\x00",
+        ),
+        (
+            r#"{"id":9,"t_ms":1500,"kind":"slo_recovery","cause":8,"job":5,"tier":"critical","ms":20000,"fast":true}"#,
+            b"slo_recovery\xFE\x05\x00\x00\x00\x00\x00\x00\x00\xFEcritical\xFE N\x00\x00\x00\x00\x00\x00\xFE\x01",
+        ),
+        (
+            r#"{"id":9,"t_ms":1500,"kind":"incident","cause":8,"rule":"lag_high","severity":"warning","message":"lag \"90s\""}"#,
+            b"incident\xFElag_high\xFEwarning\xFE\xFF\xFF\xFF\xFF\xFF\xFF\xFF\xFF\xFElag \"90s\"",
+        ),
+        (
+            r#"{"id":9,"t_ms":1500,"kind":"diagnosis","cause":8,"job":5,"cause_class":"dependency_failure","mitigation":"alert_and_wait","rationale":"input stalled"}"#,
+            b"diagnosis\xFE\x05\x00\x00\x00\x00\x00\x00\x00\xFEdependency_failure\xFEalert_and_wait\xFEinput stalled",
+        ),
+    ];
+
+    #[test]
+    fn every_kind_pins_its_json_line_and_digest_bytes() {
+        for (data, (json, digest)) in one_of_each().into_iter().zip(PINS) {
+            assert_eq!(digest_bytes(&data), digest, "{}", data.kind());
+            assert_eq!(line(data), json);
+        }
+        // A job-scoped incident: the job digests in place and prints once.
+        let incident = TraceData::Incident {
+            rule: "r".into(),
+            severity: "critical",
+            job: Some(JobId(5)),
+            message: "m".into(),
+        };
+        assert_eq!(
+            digest_bytes(&incident),
+            b"incident\xFEr\xFEcritical\xFE\x05\x00\x00\x00\x00\x00\x00\x00\xFEm"
+        );
+        assert_eq!(
+            line(incident),
+            r#"{"id":9,"t_ms":1500,"kind":"incident","cause":8,"job":5,"rule":"r","severity":"critical","message":"m"}"#
+        );
+    }
+
+    #[test]
+    fn kinds_are_unique_and_tags_dense() {
+        let records = one_of_each();
+        assert_eq!(records.len(), 17);
+        let kinds: std::collections::BTreeSet<&str> = records.iter().map(TraceData::kind).collect();
+        assert_eq!(kinds.len(), records.len(), "a kind string is reused");
+        for (tag, data) in records.iter().enumerate() {
+            let mut w = SnapWriter::new();
+            w.put(data);
+            let bytes = w.into_bytes();
+            assert_eq!(usize::from(bytes[0]), tag, "{}", data.kind());
+            assert_eq!(
+                SnapReader::new(&bytes).get::<TraceData>().as_ref(),
+                Ok(data)
+            );
+        }
+        // No variant sits past the table, so the table is every variant.
+        for tag in 17..=u8::MAX {
+            assert_eq!(
+                SnapReader::new(&[tag]).get::<TraceData>(),
+                Err(SnapError::Tag("TraceData", u64::from(tag)))
+            );
+        }
     }
 
     #[test]

@@ -25,8 +25,7 @@
 //! primitives, tuples and collections below; decoders that need context
 //! or rebuild an index from what they read (`TimeSeries`, `Registry`,
 //! `Engine`, `EventQueue`, the shared task-snapshot table, …); and values
-//! whose stream form is not their fields (`&'static str` vocabularies,
-//! flat maps).
+//! whose stream form is not their fields (flat maps).
 //!
 //! Decoding is total: every read is bounds-checked, every tag is matched
 //! exhaustively and every length is bounded by the bytes that remain
@@ -139,6 +138,11 @@ impl SnapWriter {
     pub fn put<T: Snap>(&mut self, v: &T) {
         v.snap(self);
     }
+
+    /// Write a vocabulary word as text; [`SnapReader::word`] reads it back.
+    pub fn word(&mut self, word: &str) {
+        self.bytes(word.as_bytes());
+    }
 }
 
 /// Bounds-checked cursor over an encoded blob.
@@ -229,6 +233,23 @@ impl<'a> SnapReader<'a> {
     pub fn get<T: Snap>(&mut self) -> Result<T, SnapError> {
         T::unsnap(self)
     }
+
+    /// Read a word [`SnapWriter::word`] wrote and intern it back into the
+    /// `&'static str` of `vocabulary` it names. A restored value must be
+    /// one of the vocabulary's own strings, so any other text is a corrupt
+    /// blob: [`SnapError::Value`]`(what)`, never a new word.
+    pub fn word(
+        &mut self,
+        vocabulary: &[&'static str],
+        what: &'static str,
+    ) -> Result<&'static str, SnapError> {
+        let text: String = self.get()?;
+        vocabulary
+            .iter()
+            .copied()
+            .find(|word| *word == text)
+            .ok_or(SnapError::Value(what))
+    }
 }
 
 /// Complete, deterministic (de)serialization of one piece of simulation
@@ -246,7 +267,11 @@ pub trait Snap: Sized {
 ///
 /// `snap` binds `self` by exhaustive destructuring, so a field of the
 /// struct that the invocation names nowhere does not compile — a snapshot
-/// cannot silently omit it. The clauses after the list are optional:
+/// cannot silently omit it. A `&'static str` field drawn from a fixed
+/// vocabulary is listed as `field in TABLE`: it is written as text and
+/// interned back into `TABLE` on decode ([`SnapReader::word`]), and a word
+/// outside it is [`SnapError::Value`]`("Type.field unknown")`. The clauses
+/// after the list are optional:
 ///
 /// * `derived { field: expr, .. }` names the fields deliberately *not* in
 ///   the stream and how each is rebuilt. The decoder binds every listed
@@ -299,17 +324,19 @@ pub trait Snap: Sized {
 #[macro_export]
 macro_rules! snap_struct {
     (
-        $ty:ident $(<$($g:ident: $bound:path),+>)? { $($field:ident $(: $fty:ty)?),* $(,)? }
+        $ty:ident $(<$($g:ident: $bound:path),+>)?
+        { $($field:ident $(in $vocab:path)? $(: $fty:ty)?),* $(,)? }
         $(derived { $($derived:ident : $rebuild:expr),* $(,)? })?
         $(check |$v:ident| $ok:expr => $what:literal)*
     ) => {
         impl $(<$($g: $bound + $crate::Snap),+>)? $crate::Snap for $ty $(<$($g),+>)? {
             fn snap(&self, w: &mut $crate::SnapWriter) {
                 let $ty { $($field,)* $($($derived: _,)*)? } = self;
-                $(w.put($field);)*
+                $($crate::snap_struct!(@put w, $field $(in $vocab)?);)*
             }
             fn unsnap(r: &mut $crate::SnapReader<'_>) -> Result<Self, $crate::SnapError> {
-                $(let $field $(: $fty)? = r.get()?;)*
+                $(let $field $(: $fty)? = $crate::snap_struct!(@get r,
+                    concat!(stringify!($ty), ".", stringify!($field), " unknown") $(, in $vocab)?);)*
                 $($(let $derived = $rebuild;)*)?
                 let value = $ty { $($field,)* $($($derived,)*)? };
                 $(
@@ -335,6 +362,12 @@ macro_rules! snap_struct {
             }
         }
     };
+    // One field's encode and decode; `in TABLE` marks a vocabulary word.
+    // `trace_records!` in `turbine-trace` uses these too.
+    (@put $w:ident, $field:ident) => { $w.put($field) };
+    (@put $w:ident, $field:ident in $vocab:path) => { $w.word($field) };
+    (@get $r:ident, $what:expr) => { $r.get()? };
+    (@get $r:ident, $what:expr, in $vocab:path) => { $r.word(&$vocab, $what)? };
 }
 
 /// Implement [`Snap`] for an enum from **one** `tag => Variant` table: one
