@@ -105,6 +105,17 @@ echo "== trace export: the drill's decision trace matches results/ byte for byte
     | diff results/trace_tiered_outage_drill.jsonl - \
     || { echo "drill trace export moved (left: results/, right: this build)"; exit 1; }
 
+echo "== refused interventions: each repro runs to its horizon and reports the refusal =="
+# An oncall write that would repartition a running job's input, and one
+# inside a job_store_down window, are both refused by the platform; the
+# runner prints the refusal on stderr and carries on to exit 0.
+for repro in oncall_repartition oncall_during_store_outage; do
+    ./target/release/turbinesim run tests/scenarios/"$repro".json > /dev/null 2> /tmp/"$repro".err \
+        || { echo "$repro: turbinesim run failed: $(cat /tmp/"$repro".err)"; exit 1; }
+    grep -E '^minute [0-9]+: oncall_set .* refused: ' /tmp/"$repro".err \
+        || { echo "$repro: no refusal line on stderr"; exit 1; }
+done
+
 echo "== snap_smoke: mid-soak snapshot/restore of the chaos drill reproduces the run =="
 # Capture the tiered outage drill 30 minutes in (mid heartbeat-loss
 # recovery), restore the blob, drive to the horizon, and require the

@@ -306,15 +306,16 @@ pub fn drive_scenario_minutes(
                 ScenarioEvent::OncallSet {
                     job, path, value, ..
                 } => {
-                    turbine
-                        .oncall_set(ids[job], path, ConfigValue::Int(*value))
-                        .expect("valid job");
+                    let done = turbine.oncall_set(ids[job], path, ConfigValue::Int(*value));
+                    report_refusal(minute, &format!("oncall_set {job} {path}={value}"), done);
                 }
                 ScenarioEvent::OncallClear { job, .. } => {
-                    turbine.oncall_clear(ids[job]).expect("valid job");
+                    let done = turbine.oncall_clear(ids[job]);
+                    report_refusal(minute, &format!("oncall_clear {job}"), done);
                 }
                 ScenarioEvent::DeleteJob { job, .. } => {
-                    turbine.delete_job(ids[job]).expect("valid job");
+                    let done = turbine.delete_job(ids[job]);
+                    report_refusal(minute, &format!("delete_job {job}"), done);
                 }
                 ScenarioEvent::InjectFault {
                     fault,
@@ -337,6 +338,15 @@ pub fn drive_scenario_minutes(
             pending.remove(0);
         }
         observer(turbine, minute);
+    }
+}
+
+/// An operator intervention the platform refused (say, a write while the
+/// Job Store is down) is the platform working, not a broken scenario: it
+/// is reported on stderr and the run carries on.
+fn report_refusal(minute: u64, what: &str, done: Result<(), String>) {
+    if let Err(reason) = done {
+        eprintln!("minute {minute}: {what} refused: {reason}");
     }
 }
 

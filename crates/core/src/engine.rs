@@ -9,10 +9,20 @@
 //! that, deterministically, against the workload models of
 //! [`turbine_workloads`].
 //!
-//! Storage is arena-backed: task bodies live in stable slots addressed by
-//! u32 indices, with an ordered id → slot index on the side. Iteration
-//! order (and therefore every floating-point reduction order in the tick)
-//! is identical to the previous `BTreeMap<TaskId, ActiveTask>` layout.
+//! The hot state lies in a few contiguous, id-ordered blocks, so a tick
+//! streams memory instead of chasing one heap object per job or task. Job
+//! runtimes sit in a vector ascending by `JobId`, and every job's partition
+//! columns (appended, consumed, synced, weight: 32 B each) in one slab, the
+//! job holding its run of it. Task bodies sit in an arena whose slots
+//! follow `TaskId` order, with an ordered id → slot index on the side, and
+//! every task's partition slice in a second slab. Each task's bytes for the
+//! scaler window are an accumulator in its own slot. Holes left by removals
+//! and runs laid out of id order are reclaimed by re-laying a block in id
+//! order once they outnumber the entries in place (`Layout`), so the
+//! blocks stay ordered at an amortised O(1) per mutation. Iteration order
+//! (and therefore every floating-point reduction order in the tick) is
+//! `TaskId` order, as it has always been.
+//!
 //! The engine also keeps sparse-space bookkeeping — a change feed with one
 //! reader per consumer ([`EngineFeed`]), a fleet-wide down-task counter,
 //! per-job undrained-partition counters, and per-job durability epochs — so
@@ -35,34 +45,161 @@
 //! [`Engine::is_quiescent_through`] holds for every job at once.
 //!
 //! A busy job cannot be skipped, so what it pays per tick is kept to a few
-//! memory reads. The tick never looks a job or a task up: runtimes, active
-//! set, task index and collected work all ascend by id and are walked in
-//! step (see [`Engine::tick`]). What repeats is remembered beside the
+//! memory reads. The tick never looks a job or a task up: runtimes, task
+//! index and collected work all ascend by id and are walked in step (see
+//! [`Engine::tick`]), and the buffers it fills are kept between ticks, so a
+//! steady tick allocates nothing. What repeats is remembered beside the
 //! runtime as derived state that no snapshot holds and any restore may
-//! forget: a hint that the job is already marked for load reports, and the
-//! current minute's noise factor of its traffic model.
+//! forget: whether the job is settled, a hint that it is already marked for
+//! load reports, and the current minute's noise factor of its traffic model.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{BuildHasher, BuildHasherDefault};
+use std::ops::{Deref, Range};
 use turbine_config::MemoryEnforcement;
 use turbine_scribe::{CheckpointStore, Scribe};
 use turbine_taskmgr::TaskSpec;
 use turbine_types::{ContainerId, Duration, JobId, PartitionId, Resources, SimTime, TaskId};
 use turbine_workloads::{fleet::task_usage, NoiseMemo, TrafficModel};
 
-/// Per-partition byte accounting (kept compact: the hot loop touches every
-/// partition of every job each tick).
+/// One input partition's columns, side by side: the arrival pass reads the
+/// weight and writes `appended`, the processing pass reads both counters
+/// and writes `consumed`.
 #[derive(Debug, Clone, Copy, Default)]
-struct PartitionState {
+struct PartitionCol {
     /// Total bytes ever arrived.
     appended: f64,
     /// Total bytes ever consumed (the checkpoint offset).
     consumed: f64,
     /// Bytes already mirrored into the Scribe substrate.
     scribe_synced: f64,
+    /// Arrival weight (normalized); skewing the weights simulates
+    /// imbalanced input, and the scaler's `RebalanceInput` resets them.
+    weight: f64,
 }
 
-/// Runtime state of one job's data plane.
+/// Where one owner's run lies in a [`Slab`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Span {
+    start: u32,
+    len: u32,
+}
+
+impl Span {
+    fn range(self) -> Range<usize> {
+        self.start as usize..self.start as usize + self.len as usize
+    }
+}
+
+/// How far a block of entries has drifted from id order. Entries are laid
+/// at the end; one laid for an id below some live owner's is a *stray*,
+/// and one no live owner holds any more is *dead*. Once the two together
+/// outnumber the entries in place, the block is re-laid in id order. A
+/// re-lay moves fewer entries than twice those laid or freed since the one
+/// before, so the cost is amortised O(1) per mutation.
+#[derive(Debug, Default)]
+struct Layout {
+    dead: usize,
+    /// Laid out of order since the last re-lay (some may since be dead).
+    strays: usize,
+    /// Entries moved by re-lays, ever: what the amortisation test reads.
+    #[cfg(test)]
+    relaid: u64,
+}
+
+impl Layout {
+    fn laid(&mut self, entries: usize, in_order: bool) {
+        if !in_order {
+            self.strays += entries;
+        }
+    }
+
+    fn freed(&mut self, entries: usize) {
+        self.dead += entries;
+    }
+
+    /// Whether a block of `len` entries is due a re-lay.
+    fn crowded(&self, len: usize) -> bool {
+        let misplaced = self.dead + self.strays;
+        misplaced > len.saturating_sub(misplaced)
+    }
+
+    /// The block was just re-laid, moving `moved` entries.
+    fn relay_done(&mut self, moved: usize) {
+        self.dead = 0;
+        self.strays = 0;
+        #[cfg(test)]
+        {
+            self.relaid += moved as u64;
+        }
+        #[cfg(not(test))]
+        let _ = moved;
+    }
+}
+
+/// Runs of `T`, one per owner, laid end to end in one vector; each owner
+/// holds the [`Span`] of its run.
+#[derive(Debug)]
+struct Slab<T> {
+    items: Vec<T>,
+    layout: Layout,
+}
+
+impl<T> Default for Slab<T> {
+    fn default() -> Self {
+        Slab {
+            items: Vec::new(),
+            layout: Layout::default(),
+        }
+    }
+}
+
+impl<T: Copy> Slab<T> {
+    fn get(&self, span: Span) -> &[T] {
+        &self.items[span.range()]
+    }
+
+    fn get_mut(&mut self, span: Span) -> &mut [T] {
+        &mut self.items[span.range()]
+    }
+
+    /// Lay a run at the end. `in_order`: no live owner's id is above the
+    /// new owner's.
+    fn push(&mut self, run: impl IntoIterator<Item = T>, in_order: bool) -> Span {
+        let start = self.items.len();
+        self.items.extend(run);
+        let len = self.items.len() - start;
+        self.layout.laid(len, in_order);
+        Span {
+            start: start as u32,
+            len: len as u32,
+        }
+    }
+
+    fn free(&mut self, span: Span) {
+        self.layout.freed(span.len as usize);
+    }
+
+    fn crowded(&self) -> bool {
+        self.layout.crowded(self.items.len())
+    }
+
+    /// Re-lay the slab: `spans` yields every live owner's span in id
+    /// order, and each is pointed at its run's new place.
+    fn relay<'a>(&mut self, spans: impl Iterator<Item = &'a mut Span>) {
+        let mut laid = Vec::with_capacity(self.items.len() - self.layout.dead);
+        for span in spans {
+            let start = laid.len() as u32;
+            laid.extend_from_slice(&self.items[span.range()]);
+            span.start = start;
+        }
+        self.layout.relay_done(laid.len());
+        self.items = laid;
+    }
+}
+
+/// Runtime state of one job's data plane. Its partition columns live in
+/// the engine's column slab; [`Engine::job`] reads the two together.
 #[derive(Debug)]
 pub struct JobRuntime {
     /// Input arrival model.
@@ -76,10 +213,8 @@ pub struct JobRuntime {
     pub stateful: bool,
     /// State key cardinality (stateful jobs).
     pub key_cardinality: f64,
-    /// Arrival weight per partition (normalized); skewing this simulates
-    /// imbalanced input, and the scaler's `RebalanceInput` resets it.
-    pub partition_weights: Vec<f64>,
-    partitions: Vec<PartitionState>,
+    /// The job's run of partition columns.
+    cols: Span,
     /// Partitions with `appended != consumed` (maintained exactly at every
     /// mutation via before/after equality — never inferred from deltas,
     /// since `x + tiny == x` is possible in f64).
@@ -95,10 +230,12 @@ pub struct JobRuntime {
     /// sync (`None` = category was absent). A mismatch forces a full sync:
     /// the durable tail moved underneath us.
     last_category_appended: Option<u64>,
-    // Scaler-window accumulators.
+    // Scaler-window accumulators. A running task's bytes are in its slot.
     window_arrived: f64,
     window_processed: f64,
-    window_per_task: BTreeMap<TaskId, f64>,
+    /// Window bytes of tasks that stopped mid-window, ascending by id. A
+    /// task that starts again under the same id takes its bytes back.
+    window_departed: Vec<(TaskId, f64)>,
     window_ooms: u32,
     /// Hint that saves [`Engine::tick`] a set insert: above the engine's
     /// count of load-report drains exactly when the tick has marked this
@@ -115,19 +252,6 @@ pub struct JobRuntime {
 }
 
 impl JobRuntime {
-    /// Total unconsumed bytes (`total_bytes_lagged`).
-    pub fn backlog(&self) -> f64 {
-        self.partitions
-            .iter()
-            .map(|p| p.appended - p.consumed)
-            .sum()
-    }
-
-    /// Total bytes ever arrived.
-    pub fn total_arrived(&self) -> f64 {
-        self.partitions.iter().map(|p| p.appended).sum()
-    }
-
     /// The arrival rate of the job's input at `now`, bytes/sec:
     /// `traffic.arrival_rate(now)`, without a fresh noise draw when the
     /// tick has already made this minute's.
@@ -138,19 +262,107 @@ impl JobRuntime {
 
     /// Number of input partitions the job reads.
     pub fn partition_count(&self) -> usize {
-        self.partitions.len()
+        self.cols.len as usize
     }
 
-    /// Unconsumed bytes across a task's partition slice, summed in slice
-    /// order.
-    fn slice_backlog(&self, slice: &[PartitionId]) -> f64 {
-        slice
-            .iter()
-            .map(|p| {
-                let ps = &self.partitions[p.raw() as usize];
-                ps.appended - ps.consumed
-            })
-            .sum()
+    /// Keep a departing task's window bytes until the window drains.
+    fn keep_window(&mut self, task: TaskId, bytes: f64) {
+        let at = self.window_departed.partition_point(|&(id, _)| id < task);
+        self.window_departed.insert(at, (task, bytes));
+    }
+
+    /// A departed task's window bytes, if it left some this window.
+    fn resume_window(&mut self, task: TaskId) -> Option<f64> {
+        let at = self
+            .window_departed
+            .binary_search_by_key(&task, |&(id, _)| id)
+            .ok()?;
+        Some(self.window_departed.remove(at).1)
+    }
+}
+
+/// A job's runtime read together with its partition columns.
+#[derive(Debug, Clone, Copy)]
+pub struct JobView<'a> {
+    runtime: &'a JobRuntime,
+    cols: &'a [PartitionCol],
+}
+
+impl Deref for JobView<'_> {
+    type Target = JobRuntime;
+
+    fn deref(&self) -> &JobRuntime {
+        self.runtime
+    }
+}
+
+impl JobView<'_> {
+    /// Total unconsumed bytes (`total_bytes_lagged`).
+    pub fn backlog(&self) -> f64 {
+        self.cols.iter().map(|p| p.appended - p.consumed).sum()
+    }
+
+    /// Total bytes ever arrived.
+    pub fn total_arrived(&self) -> f64 {
+        self.cols.iter().map(|p| p.appended).sum()
+    }
+
+    /// Each partition's arrival weight, in partition order.
+    pub fn partition_weights(&self) -> impl Iterator<Item = f64> + '_ {
+        self.cols.iter().map(|p| p.weight)
+    }
+}
+
+/// Unconsumed bytes across a task's partition slice, summed in slice order.
+fn slice_backlog(cols: &[PartitionCol], slice: &[PartitionId]) -> f64 {
+    slice
+        .iter()
+        .map(|p| {
+            let ps = &cols[p.raw() as usize];
+            ps.appended - ps.consumed
+        })
+        .sum()
+}
+
+/// The registered jobs, ascending by id: ids and runtimes side by side,
+/// their partition columns in one slab. A job added above every id is
+/// pushed; the rare one added below shifts the runtimes after it, and so
+/// does a removal.
+#[derive(Debug, Default)]
+struct JobTable {
+    ids: Vec<JobId>,
+    runtimes: Vec<JobRuntime>,
+    cols: Slab<PartitionCol>,
+}
+
+impl JobTable {
+    fn get(&self, job: JobId) -> Option<&JobRuntime> {
+        let at = self.ids.binary_search(&job).ok()?;
+        Some(&self.runtimes[at])
+    }
+
+    fn get_mut(&mut self, job: JobId) -> Option<&mut JobRuntime> {
+        let at = self.ids.binary_search(&job).ok()?;
+        Some(&mut self.runtimes[at])
+    }
+
+    fn view(&self, at: usize) -> JobView<'_> {
+        let runtime = &self.runtimes[at];
+        JobView {
+            runtime,
+            cols: self.cols.get(runtime.cols),
+        }
+    }
+
+    fn relay_if_crowded(&mut self) {
+        if self.cols.crowded() {
+            self.relay();
+        }
+    }
+
+    fn relay(&mut self) {
+        self.cols
+            .relay(self.runtimes.iter_mut().map(|rt| &mut rt.cols));
     }
 }
 
@@ -163,8 +375,9 @@ pub struct ActiveTask {
     pub threads: u32,
     /// Reserved resources (OOM ceiling under cgroup enforcement).
     pub reserved: Resources,
-    /// Partition slice owned.
-    pub partitions: Vec<PartitionId>,
+    /// The task's run of the slice slab: its partition slice, read through
+    /// [`Engine::partitions_of`].
+    slice: Span,
     /// Memory enforcement mode.
     pub enforcement: MemoryEnforcement,
     /// When the task was (re)started on this container.
@@ -178,6 +391,8 @@ pub struct ActiveTask {
     pub memory_usage_mb: f64,
     /// CPU used at the last tick, cores.
     pub cpu_usage: f64,
+    /// Bytes processed this scaler window (`None`: nothing yet).
+    window: Option<f64>,
 }
 
 impl ActiveTask {
@@ -188,7 +403,7 @@ impl ActiveTask {
         let mut usage = task_usage(rate, rt.avg_message_bytes, rt.true_per_thread_rate).memory_mb;
         if rt.stateful {
             let tasks_of_job =
-                self.partitions.len().max(1) as f64 / rt.partitions.len().max(1) as f64;
+                (self.slice.len as usize).max(1) as f64 / rt.partition_count().max(1) as f64;
             usage += rt.key_cardinality * tasks_of_job * 1.0e-3;
         }
         usage
@@ -227,16 +442,17 @@ enum Restart {
     Up { cleared: bool },
 }
 
-/// Arena storage for active tasks: bodies live in stable u32-addressed
-/// slots, the ordered `index` maps ids to slots (so iteration order — and
-/// every floating-point reduction order derived from it — matches the
-/// former `BTreeMap<TaskId, ActiveTask>` exactly), and freed slots are
-/// recycled through the free list.
+/// Arena storage for active tasks: bodies live in u32-addressed slots that
+/// follow `TaskId` order once re-laid, the ordered `index` maps ids to
+/// slots (so iteration order — and every floating-point reduction order
+/// derived from it — is `TaskId` order), and partition slices live in one
+/// slab. A new task takes a slot at the end; a removed one leaves a hole.
 #[derive(Debug, Default)]
 struct TaskArena {
     slots: Vec<Option<ActiveTask>>,
     index: BTreeMap<TaskId, u32>,
-    free: Vec<u32>,
+    layout: Layout,
+    slices: Slab<PartitionId>,
 }
 
 /// Every possible task id of `job`: its range in the ordered index.
@@ -245,28 +461,72 @@ fn job_range(job: JobId) -> std::ops::RangeInclusive<TaskId> {
 }
 
 impl TaskArena {
-    fn insert(&mut self, id: TaskId, task: ActiveTask) -> Option<ActiveTask> {
+    /// Start `id` (or replace its body) with `partitions` as its slice. A
+    /// replacement keeps its slot, and its slice's run when the length
+    /// holds.
+    fn insert(
+        &mut self,
+        id: TaskId,
+        mut task: ActiveTask,
+        partitions: &[PartitionId],
+    ) -> Option<ActiveTask> {
+        let in_order = self
+            .index
+            .last_key_value()
+            .is_none_or(|(&last, _)| id >= last);
         if let Some(&slot) = self.index.get(&id) {
-            return self.slots[slot as usize].replace(task);
+            let old = self.slots[slot as usize].as_ref().expect("indexed slot");
+            task.slice = if old.slice.len as usize == partitions.len() {
+                let kept = old.slice;
+                self.slices.get_mut(kept).copy_from_slice(partitions);
+                kept
+            } else {
+                let freed = old.slice;
+                self.slices.free(freed);
+                self.slices.push(partitions.iter().copied(), in_order)
+            };
+            let replaced = self.slots[slot as usize].replace(task);
+            self.relay_if_crowded();
+            return replaced;
         }
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.slots[s as usize] = Some(task);
-                s
-            }
-            None => {
-                self.slots.push(Some(task));
-                (self.slots.len() - 1) as u32
-            }
-        };
-        self.index.insert(id, slot);
+        task.slice = self.slices.push(partitions.iter().copied(), in_order);
+        self.slots.push(Some(task));
+        self.layout.laid(1, in_order);
+        self.index.insert(id, (self.slots.len() - 1) as u32);
+        self.relay_if_crowded();
         None
     }
 
     fn remove(&mut self, id: TaskId) -> Option<ActiveTask> {
         let slot = self.index.remove(&id)?;
-        self.free.push(slot);
-        self.slots[slot as usize].take()
+        let task = self.slots[slot as usize].take().expect("indexed slot");
+        self.layout.freed(1);
+        self.slices.free(task.slice);
+        self.relay_if_crowded();
+        Some(task)
+    }
+
+    /// Re-lay slots and slices once either has drifted.
+    fn relay_if_crowded(&mut self) {
+        if self.layout.crowded(self.slots.len()) || self.slices.crowded() {
+            self.relay();
+        }
+    }
+
+    /// Re-lay slots and slices in id order.
+    fn relay(&mut self) {
+        let mut laid = Vec::with_capacity(self.index.len());
+        for slot in self.index.values_mut() {
+            laid.push(self.slots[*slot as usize].take());
+            *slot = (laid.len() - 1) as u32;
+        }
+        self.layout.relay_done(laid.len());
+        self.slots = laid;
+        self.slices.relay(
+            self.slots
+                .iter_mut()
+                .map(|task| &mut task.as_mut().expect("laid slot").slice),
+        );
     }
 
     fn get(&self, id: TaskId) -> Option<&ActiveTask> {
@@ -299,6 +559,16 @@ impl TaskArena {
                 self.slots[slot as usize].as_ref().expect("indexed slot"),
             )
         })
+    }
+
+    /// Forget the window bytes of every running task of `job`.
+    fn clear_windows(&mut self, job: JobId) {
+        for (_, &slot) in self.index.range(job_range(job)) {
+            self.slots[slot as usize]
+                .as_mut()
+                .expect("indexed slot")
+                .window = None;
+        }
     }
 }
 
@@ -423,30 +693,33 @@ impl std::hash::Hasher for IdHasher {
 /// A container gets a dense index the first time a task on it is walked
 /// (the only probe of the caller's map for it), and tasks carry that index
 /// into the second pass. Nothing reads the table in iteration order. The
-/// index starts with room for every healthy container, so a tick does not
-/// grow it probe by probe.
-struct ContainerLoads<'a> {
-    /// The caller's capacity map, `None` for a container not in it.
-    container_cpu: &'a dyn Fn(ContainerId) -> Option<f64>,
+/// index keeps room for every healthy container, so a tick does not grow
+/// it probe by probe.
+#[derive(Debug, Default)]
+struct ContainerLoads {
     /// `None`: seen, and not a healthy container.
     index: ContainerMap<Option<u32>>,
     /// `(capacity, demand or factor)` per healthy container seen.
     loads: Vec<(f64, f64)>,
 }
 
-impl<'a> ContainerLoads<'a> {
-    fn new(container_cpu: &'a dyn Fn(ContainerId) -> Option<f64>, healthy: usize) -> Self {
-        ContainerLoads {
-            container_cpu,
-            index: container_map(healthy),
-            loads: Vec::new(),
-        }
+impl ContainerLoads {
+    /// Empty the table for a tick over `healthy` containers.
+    fn reset(&mut self, healthy: usize) {
+        self.index.clear();
+        self.index.reserve(healthy);
+        self.loads.clear();
     }
 
-    /// The container's index, if it is healthy.
-    fn index_of(&mut self, container: ContainerId) -> Option<u32> {
+    /// The container's index, if `container_cpu` (the caller's capacity
+    /// map) has it, i.e. it is healthy.
+    fn index_of(
+        &mut self,
+        container: ContainerId,
+        container_cpu: &dyn Fn(ContainerId) -> Option<f64>,
+    ) -> Option<u32> {
         *self.index.entry(container).or_insert_with(|| {
-            let capacity = (self.container_cpu)(container)?;
+            let capacity = container_cpu(container)?;
             self.loads.push((capacity, 0.0));
             Some((self.loads.len() - 1) as u32)
         })
@@ -474,10 +747,48 @@ impl<'a> ContainerLoads<'a> {
     }
 }
 
+/// A task's desired work, collected by the tick's first pass.
+#[derive(Debug, Clone, Copy)]
+struct Work {
+    id: TaskId,
+    slot: u32,
+    /// Index of the task's runtime.
+    runtime: u32,
+    /// Index of the task's job in `walked`.
+    walk: u32,
+    /// Index of the task's container in the loads.
+    load: u32,
+    /// Bytes the task wants to process this tick.
+    desired: f64,
+}
+
+/// A job the tick walked.
+#[derive(Debug, Clone, Copy)]
+struct Walked {
+    job: JobId,
+    /// Index of its runtime; `None` for an orphan.
+    runtime: Option<u32>,
+    /// Did every task take the normal processing path with nothing changed
+    /// (so far)?
+    quiet: bool,
+}
+
+/// What [`Engine::tick`] fills and empties every tick, kept between ticks
+/// so a steady tick allocates nothing. Derived — not part of the snapshot.
+#[derive(Debug, Default)]
+struct TickScratch {
+    works: Vec<Work>,
+    walked: Vec<Walked>,
+    /// Settled jobs this tick's inputs re-activate; they join `active`
+    /// once it is no longer being iterated.
+    woken: Vec<JobId>,
+    loads: ContainerLoads,
+}
+
 /// The data-plane engine.
 #[derive(Debug, Default)]
 pub struct Engine {
-    jobs: BTreeMap<JobId, JobRuntime>,
+    jobs: JobTable,
     tasks: TaskArena,
     /// Tasks currently holding a `down_until` marker (exact counter).
     down_count: usize,
@@ -496,6 +807,7 @@ pub struct Engine {
     /// engine starts with every job active and re-settles on its first
     /// tick.
     active: BTreeSet<JobId>,
+    scratch: TickScratch,
 }
 
 impl Engine {
@@ -511,7 +823,8 @@ impl Engine {
         self.active.insert(job);
     }
 
-    /// Register a job's data plane.
+    /// Register a job's data plane. Registering an id again starts it
+    /// afresh: new columns, an empty window.
     #[allow(clippy::too_many_arguments)] // one call site, each arg distinct
     pub fn add_job(
         &mut self,
@@ -525,34 +838,60 @@ impl Engine {
     ) {
         assert!(partitions > 0);
         assert!(true_per_thread_rate > 0.0);
-        self.jobs.insert(
-            job,
-            JobRuntime {
-                traffic,
-                true_per_thread_rate,
-                avg_message_bytes,
-                stateful,
-                key_cardinality,
-                partition_weights: vec![1.0 / partitions as f64; partitions as usize],
-                partitions: vec![PartitionState::default(); partitions as usize],
-                undrained: 0,
-                durable_epoch: 0,
-                last_durable_epoch: u64::MAX,
-                last_category_appended: None,
-                window_arrived: 0.0,
-                window_processed: 0.0,
-                window_per_task: BTreeMap::new(),
-                window_ooms: 0,
-                dirty_mark: 0,
-                noise: NoiseMemo::default(),
-            },
-        );
+        let col = PartitionCol {
+            weight: 1.0 / partitions as f64,
+            ..PartitionCol::default()
+        };
+        let jobs = &mut self.jobs;
+        let at = jobs.ids.binary_search(&job);
+        let in_order = match at {
+            Ok(at) => at + 1 == jobs.ids.len(),
+            Err(at) => at == jobs.ids.len(),
+        };
+        let cols = jobs
+            .cols
+            .push(std::iter::repeat_n(col, partitions as usize), in_order);
+        let runtime = JobRuntime {
+            traffic,
+            true_per_thread_rate,
+            avg_message_bytes,
+            stateful,
+            key_cardinality,
+            cols,
+            undrained: 0,
+            durable_epoch: 0,
+            last_durable_epoch: u64::MAX,
+            last_category_appended: None,
+            window_arrived: 0.0,
+            window_processed: 0.0,
+            window_departed: Vec::new(),
+            window_ooms: 0,
+            dirty_mark: 0,
+            noise: NoiseMemo::default(),
+        };
+        match at {
+            Ok(at) => {
+                let old = std::mem::replace(&mut jobs.runtimes[at], runtime);
+                jobs.cols.free(old.cols);
+                self.tasks.clear_windows(job);
+            }
+            Err(at) => {
+                jobs.ids.insert(at, job);
+                jobs.runtimes.insert(at, runtime);
+            }
+        }
+        self.jobs.relay_if_crowded();
         self.touch(job);
     }
 
     /// Remove a job's data plane entirely.
     pub fn remove_job(&mut self, job: JobId) {
-        self.jobs.remove(&job);
+        if let Ok(at) = self.jobs.ids.binary_search(&job) {
+            self.jobs.ids.remove(at);
+            let runtime = self.jobs.runtimes.remove(at);
+            self.jobs.cols.free(runtime.cols);
+            self.jobs.relay_if_crowded();
+        }
         let ids: Vec<TaskId> = self
             .tasks
             .index
@@ -569,29 +908,52 @@ impl Engine {
         self.touch(job);
     }
 
-    /// Access a job's runtime (e.g. to mutate its traffic model or skew
-    /// its partition weights mid-experiment).
+    /// Access a job's runtime (e.g. to mutate its traffic model
+    /// mid-experiment).
     pub fn job_mut(&mut self, job: JobId) -> Option<&mut JobRuntime> {
         self.touch(job);
-        self.jobs.get_mut(&job)
+        self.jobs.get_mut(job)
     }
 
-    /// Read access to a job's runtime.
-    pub fn job(&self, job: JobId) -> Option<&JobRuntime> {
-        self.jobs.get(&job)
+    /// Set a job's per-partition arrival weights (imbalance injection, or
+    /// the scaler's `RebalanceInput`). Panics unless there is one weight
+    /// per partition.
+    pub fn set_partition_weights(&mut self, job: JobId, weights: &[f64]) {
+        self.touch(job);
+        let Some(&JobRuntime { cols, .. }) = self.jobs.get(job) else {
+            return;
+        };
+        let cols = self.jobs.cols.get_mut(cols);
+        assert_eq!(
+            weights.len(),
+            cols.len(),
+            "{job}: {} weights for {} partitions",
+            weights.len(),
+            cols.len()
+        );
+        for (col, &weight) in cols.iter_mut().zip(weights) {
+            col.weight = weight;
+        }
+    }
+
+    /// Read access to a job's runtime and partitions.
+    pub fn job(&self, job: JobId) -> Option<JobView<'_>> {
+        let at = self.jobs.ids.binary_search(&job).ok()?;
+        Some(self.jobs.view(at))
     }
 
     /// All jobs registered.
     pub fn job_ids(&self) -> Vec<JobId> {
-        self.jobs.keys().copied().collect()
+        self.jobs.ids.clone()
     }
 
     /// Every registered job with its runtime, ascending by id.
-    pub fn jobs(&self) -> impl Iterator<Item = (JobId, &JobRuntime)> {
-        self.jobs.iter().map(|(&job, rt)| (job, rt))
+    pub fn jobs(&self) -> impl Iterator<Item = (JobId, JobView<'_>)> {
+        (0..self.jobs.ids.len()).map(|at| (self.jobs.ids[at], self.jobs.view(at)))
     }
 
-    /// A task started (or restarted) on a container.
+    /// A task started (or restarted) on a container. When its job is
+    /// registered, the task's slice must lie inside the job's partitions.
     pub fn task_started(
         &mut self,
         spec: &TaskSpec,
@@ -599,25 +961,44 @@ impl Engine {
         now: SimTime,
         restart_delay: Duration,
     ) {
-        let replaced = self.tasks.insert(
-            spec.id,
-            ActiveTask {
-                container,
-                threads: spec.threads,
-                reserved: spec.reserved,
-                partitions: spec.partitions.clone(),
-                enforcement: spec.memory_enforcement,
-                started_at: now,
-                down_until: Some(now + restart_delay),
-                degradation: 1.0,
-                memory_usage_mb: 0.0,
-                cpu_usage: 0.0,
-            },
-        );
+        let job = spec.id.job;
+        if let Some(rt) = self.jobs.get(job) {
+            let count = rt.partition_count();
+            let needed = spec.partitions.iter().map(|p| p.raw() + 1).max();
+            assert!(
+                needed.is_none_or(|needed| needed <= count as u64),
+                "{job}: task {}'s slice needs {} partitions, the job has {count}",
+                spec.id.index,
+                needed.unwrap_or(0),
+            );
+        }
+        // A restarted task keeps its window bytes, and one that left this
+        // window takes back what it had.
+        let window = match self.tasks.get(spec.id) {
+            Some(running) => running.window,
+            None => self
+                .jobs
+                .get_mut(job)
+                .and_then(|rt| rt.resume_window(spec.id)),
+        };
+        let task = ActiveTask {
+            container,
+            threads: spec.threads,
+            reserved: spec.reserved,
+            slice: Span::default(),
+            enforcement: spec.memory_enforcement,
+            started_at: now,
+            down_until: Some(now + restart_delay),
+            degradation: 1.0,
+            memory_usage_mb: 0.0,
+            cpu_usage: 0.0,
+            window,
+        };
+        let replaced = self.tasks.insert(spec.id, task, &spec.partitions);
         if replaced.is_none_or(|t| t.down_until.is_none()) {
             self.down_count += 1;
         }
-        self.touch(spec.id.job);
+        self.touch(job);
     }
 
     /// Degrade (or restore) one task's throughput — models a sick host
@@ -634,7 +1015,8 @@ impl Engine {
     /// A task stopped on `container`. The container must match the entry:
     /// a stale stop acknowledgement from a previous owner (e.g. a
     /// recovering container whose shards were already failed over) must
-    /// not remove the task now running elsewhere.
+    /// not remove the task now running elsewhere. Its window bytes stay
+    /// with its job until the window drains.
     pub fn task_stopped(&mut self, task: TaskId, container: ContainerId) {
         if self
             .tasks
@@ -644,6 +1026,9 @@ impl Engine {
             if let Some(removed) = self.tasks.remove(task) {
                 if removed.down_until.is_some() {
                     self.down_count -= 1;
+                }
+                if let (Some(bytes), Some(rt)) = (removed.window, self.jobs.get_mut(task.job)) {
+                    rt.keep_window(task, bytes);
                 }
             }
             self.touch(task.job);
@@ -676,6 +1061,11 @@ impl Engine {
         self.tasks.get(id)
     }
 
+    /// The partition slice of one of this engine's active tasks.
+    pub fn partitions_of(&self, task: &ActiveTask) -> &[PartitionId] {
+        self.tasks.slices.get(task.slice)
+    }
+
     /// The `k`-th active task in deterministic (ordered-index) iteration
     /// order, with its container — a single lookup for uniform victim
     /// selection during crash injection.
@@ -702,7 +1092,8 @@ impl Engine {
         self.down_count == 0
             && self
                 .jobs
-                .values()
+                .runtimes
+                .iter()
                 .all(|rt| rt.undrained == 0 && rt.traffic.idle_through(after, through))
     }
 
@@ -724,12 +1115,11 @@ impl Engine {
         self.active.len()
     }
 
-    /// Every job id the engine knows: registered runtimes plus the jobs of
-    /// tasks that have none.
-    fn all_job_ids(&self) -> BTreeSet<JobId> {
-        let mut ids: BTreeSet<JobId> = self.jobs.keys().copied().collect();
-        ids.extend(self.tasks.index.keys().map(|id| id.job));
-        ids
+    /// Mark every job the engine knows active: registered runtimes plus
+    /// the jobs of tasks that have none.
+    fn activate_all(&mut self) {
+        self.active = self.jobs.ids.iter().copied().collect();
+        self.active.extend(self.tasks.index.keys().map(|id| id.job));
     }
 
     /// Forget everything derived — settlements, dirty hints, noise memos —
@@ -738,8 +1128,8 @@ impl Engine {
     /// tested against.
     #[cfg(test)]
     fn forget_derived(&mut self) {
-        self.active = self.all_job_ids();
-        for rt in self.jobs.values_mut() {
+        self.activate_all();
+        for rt in &mut self.jobs.runtimes {
             rt.dirty_mark = 0;
             rt.noise = NoiseMemo::default();
         }
@@ -769,17 +1159,17 @@ impl Engine {
     /// zeroes a `cpu_usage` that is already zero.
     ///
     /// Two ordered passes, no per-job look-up. The first walks the
-    /// runtimes in step with the active set, both ascending by `JobId`: a
-    /// job takes its arrivals and, if it is active or its own inputs hold
+    /// runtimes in step with the active set, both ascending by `JobId`:
+    /// a job takes its arrivals and, if it is active or its own inputs hold
     /// it (traffic arriving, or processing halted), has its tasks walked by
     /// index range, i.e. in `TaskId` order. An active id with no runtime
     /// (orphan tasks) is walked where the runtimes step over it, so it
     /// keeps its place in that order. One job's
     /// arrivals touch nothing another job's walk reads, so doing them job
     /// by job instead of fleet-wide first changes no value. The second pass
-    /// takes the collected work, still ascending by job, against a second
-    /// cursor over the runtimes. Every f64 reduction (per-container demand,
-    /// per-task backlog) therefore sees its terms in the order of a full
+    /// takes the collected work, still ascending by job, each item naming
+    /// its runtime. Every f64 reduction (per-container demand, per-task
+    /// backlog) therefore sees its terms in the order of a full
     /// `TaskId`-ordered walk.
     ///
     /// A job is marked for load reports only where the tick rewrites a
@@ -816,7 +1206,28 @@ impl Engine {
             changes,
             dirty_drains,
             active,
+            scratch,
         } = self;
+        let JobTable {
+            ids,
+            runtimes,
+            cols,
+        } = jobs;
+        let TaskArena {
+            slots,
+            index,
+            slices,
+            ..
+        } = tasks;
+        let TickScratch {
+            works,
+            walked,
+            woken,
+            loads,
+        } = scratch;
+        works.clear();
+        walked.clear();
+        loads.reset(healthy);
         let mut dirty = DirtyJobs {
             feed: changes,
             drains: *dirty_drains,
@@ -824,49 +1235,32 @@ impl Engine {
 
         // Pass 1: arrivals, then per-task desired work and per-container
         // CPU demand.
-        struct Work {
-            id: TaskId,
-            slot: u32,
-            /// Index of the task's job in `walked`.
-            walk: u32,
-            /// Index of the task's container in `loads`.
-            load: u32,
-            desired: f64, // bytes the task wants to process this tick
-        }
-        // Per walked job: did every task take the normal processing path
-        // with nothing changed (so far)?
-        let mut walked: Vec<(JobId, bool)> = Vec::with_capacity(active.len());
-        let mut works: Vec<Work> = Vec::new();
-        let mut loads = ContainerLoads::new(container_cpu, healthy);
-        // Settled jobs this tick's inputs re-activate; they join `active`
-        // once it is no longer being iterated.
-        let mut woken: Vec<JobId> = Vec::new();
         let mut listed = active.iter().copied().peekable();
-        let TaskArena { slots, index, .. } = tasks;
         // One cursor over the task index serves every walked job: while
         // consecutive jobs are walked it runs straight on, and only tasks
         // of settled jobs in between cost a new descent.
         let mut cursor = index.range(..).peekable();
-        for (&job, rt) in jobs.iter_mut() {
+        for (runtime, (&job, rt)) in ids.iter().zip(runtimes.iter_mut()).enumerate() {
             // Active ids the runtimes step over are orphans.
-            while let Some(&orphan) = listed.peek().filter(|&&id| id < job) {
+            while let Some(orphan) = listed.next_if(|&id| id < job) {
                 let quiet = walk_orphan(index, slots, orphan, now, down_count, dirty.feed);
-                walked.push((orphan, quiet));
-                listed.next();
+                walked.push(Walked {
+                    job: orphan,
+                    runtime: None,
+                    quiet,
+                });
             }
-            let was_active = listed.peek() == Some(&job);
-            if was_active {
-                listed.next();
-            }
+            let was_active = listed.next_if_eq(&job).is_some();
+            let job_cols = cols.get_mut(rt.cols);
             let rate = rt.traffic.arrival_rate_memo(now, &mut rt.noise);
             // Did a task's usage reading move in this pass?
             let mut dirtied = false;
             if rate > 0.0 {
                 let amount = rate * dt_secs;
                 rt.window_arrived += amount;
-                for (p, w) in rt.partitions.iter_mut().zip(&rt.partition_weights) {
+                for p in job_cols.iter_mut() {
                     let was_drained = p.appended == p.consumed;
-                    p.appended += amount * w;
+                    p.appended += amount * p.weight;
                     if was_drained && p.appended != p.consumed {
                         rt.undrained += 1;
                     }
@@ -909,7 +1303,7 @@ impl Engine {
                     }
                     continue;
                 }
-                let Some(load) = loads.index_of(task.container) else {
+                let Some(load) = loads.index_of(task.container, container_cpu) else {
                     // Host dead: task is effectively down. Hosts return
                     // without an engine call, so the task is at rest only
                     // if the normal path would then find nothing to
@@ -926,11 +1320,12 @@ impl Engine {
                 };
                 let capacity =
                     rt.true_per_thread_rate * task.threads as f64 * dt_secs * task.degradation;
-                let desired = rt.slice_backlog(&task.partitions).min(capacity);
+                let desired = slice_backlog(job_cols, slices.get(task.slice)).min(capacity);
                 loads.demand(load, desired / (rt.true_per_thread_rate * dt_secs));
                 works.push(Work {
                     id,
                     slot,
+                    runtime: runtime as u32,
                     walk: walked.len() as u32,
                     load,
                     desired,
@@ -939,13 +1334,21 @@ impl Engine {
             if dirtied {
                 dirty.mark(job, &mut rt.dirty_mark);
             }
-            walked.push((job, quiet));
+            walked.push(Walked {
+                job,
+                runtime: Some(runtime as u32),
+                quiet,
+            });
         }
         for orphan in listed {
             let quiet = walk_orphan(index, slots, orphan, now, down_count, dirty.feed);
-            walked.push((orphan, quiet));
+            walked.push(Walked {
+                job: orphan,
+                runtime: None,
+                quiet,
+            });
         }
-        active.extend(woken);
+        active.extend(woken.drain(..));
 
         // Contention factors per container.
         loads.demand_to_factor();
@@ -953,15 +1356,11 @@ impl Engine {
         // Pass 2: processing + memory + OOM. `works` ascends by job, and
         // every job in it has a runtime.
         let mut outcome = TickOutcome::default();
-        let mut runtimes = jobs.iter_mut();
-        let mut current = runtimes.next();
-        for work in works {
-            let job = work.id.job;
-            while current.as_ref().is_some_and(|entry| *entry.0 != job) {
-                current = runtimes.next();
-            }
-            let rt = &mut *current.as_mut().expect("collected above").1;
+        for work in works.iter() {
+            let rt = &mut runtimes[work.runtime as usize];
+            let job_cols = cols.get_mut(rt.cols);
             let task = slots[work.slot as usize].as_mut().expect("collected above");
+            let slice = slices.get(task.slice);
             let mut to_process = work.desired * loads.factor(work.load);
             let cpu_usage = to_process / (rt.true_per_thread_rate * dt_secs);
             // `usage_moved` dirties the job; `consumed` only keeps it
@@ -978,12 +1377,12 @@ impl Engine {
                 // 1: an earlier task of the job may have consumed from a
                 // shared partition since (overlap is reported by the
                 // invariant checker, not prevented).
-                let slice_backlog = rt.slice_backlog(&task.partitions);
+                let slice_backlog = slice_backlog(job_cols, slice);
                 if slice_backlog > 0.0 {
                     to_process = to_process.min(slice_backlog);
                     let share = to_process / slice_backlog;
-                    for p in &task.partitions {
-                        let ps = &mut rt.partitions[p.raw() as usize];
+                    for p in slice {
+                        let ps = &mut job_cols[p.raw() as usize];
                         let was_drained = ps.appended == ps.consumed;
                         ps.consumed += (ps.appended - ps.consumed) * share;
                         if !was_drained && ps.appended == ps.consumed {
@@ -991,7 +1390,7 @@ impl Engine {
                         }
                     }
                     rt.window_processed += to_process;
-                    *rt.window_per_task.entry(work.id).or_default() += to_process;
+                    *task.window.get_or_insert(0.0) += to_process;
                     rt.durable_epoch += 1;
                     consumed = true;
                 }
@@ -1002,7 +1401,7 @@ impl Engine {
                 usage_moved = true;
             }
             if usage_moved {
-                dirty.mark(job, &mut rt.dirty_mark);
+                dirty.mark(work.id.job, &mut rt.dirty_mark);
             }
             let oom = task.over_limit(usage);
             if oom {
@@ -1010,34 +1409,59 @@ impl Engine {
                 rt.window_ooms += 1;
             }
             if usage_moved || consumed || oom {
-                walked[work.walk as usize].1 = false;
+                walked[work.walk as usize].quiet = false;
             }
         }
 
         // Settle every walked job that came through untouched and has
         // nothing left to drain.
-        for (job, quiet) in walked {
-            if quiet && jobs.get(&job).is_none_or(|rt| rt.undrained == 0) {
-                active.remove(&job);
+        for walk in walked.iter().filter(|walk| walk.quiet) {
+            if walk
+                .runtime
+                .is_none_or(|runtime| runtimes[runtime as usize].undrained == 0)
+            {
+                active.remove(&walk.job);
             }
         }
         outcome
     }
 
+    /// A job's window entries, ascending by task id: its running tasks'
+    /// and those of tasks that left mid-window.
+    fn window_entries<'a>(
+        &'a self,
+        job: JobId,
+        rt: &'a JobRuntime,
+    ) -> impl Iterator<Item = (TaskId, f64)> + 'a {
+        let mut running = self
+            .tasks
+            .range_of_job(job)
+            .filter_map(|(&id, task)| Some((id, task.window?)))
+            .peekable();
+        let mut departed = rt.window_departed.iter().copied().peekable();
+        std::iter::from_fn(move || match (running.peek(), departed.peek()) {
+            (Some(a), Some(b)) if b.0 < a.0 => departed.next(),
+            (Some(_), _) => running.next(),
+            (None, _) => departed.next(),
+        })
+    }
+
     /// Drain and reset the scaler-window accumulators for one job.
     pub fn drain_window(&mut self, job: JobId) -> WindowStats {
-        let Some(rt) = self.jobs.get_mut(&job) else {
+        let Some(rt) = self.jobs.get(job) else {
             return WindowStats::default();
         };
         let stats = WindowStats {
             arrived: rt.window_arrived,
             processed: rt.window_processed,
-            per_task: rt.window_per_task.iter().map(|(&t, &v)| (t, v)).collect(),
+            per_task: self.window_entries(job, rt).collect(),
             ooms: rt.window_ooms,
         };
+        self.tasks.clear_windows(job);
+        let rt = self.jobs.get_mut(job).expect("registered");
         rt.window_arrived = 0.0;
         rt.window_processed = 0.0;
-        rt.window_per_task.clear();
+        rt.window_departed.clear();
         rt.window_ooms = 0;
         stats
     }
@@ -1064,7 +1488,12 @@ impl Engine {
         checkpoints: &mut CheckpointStore,
         category_of: &dyn Fn(JobId) -> &'c str,
     ) {
-        for (&job, rt) in &mut self.jobs {
+        let JobTable {
+            ids,
+            runtimes,
+            cols,
+        } = &mut self.jobs;
+        for (&job, rt) in ids.iter().zip(runtimes.iter_mut()) {
             let epoch_clean = rt.last_durable_epoch == rt.durable_epoch;
             match scribe.category_view(category_of(job)) {
                 Ok(mut view) => {
@@ -1072,7 +1501,7 @@ impl Engine {
                         continue;
                     }
                     let mut offsets = checkpoints.job_mut(job);
-                    for (i, p) in rt.partitions.iter_mut().enumerate() {
+                    for (i, p) in cols.get_mut(rt.cols).iter_mut().enumerate() {
                         let partition = PartitionId(i as u64);
                         let delta = p.appended - p.scribe_synced;
                         if delta >= 1.0 {
@@ -1103,7 +1532,7 @@ impl Engine {
                         continue;
                     }
                     let mut offsets = checkpoints.job_mut(job);
-                    for (i, p) in rt.partitions.iter_mut().enumerate() {
+                    for (i, p) in cols.get_mut(rt.cols).iter_mut().enumerate() {
                         let partition = PartitionId(i as u64);
                         let delta = p.appended - p.scribe_synced;
                         if delta >= 1.0 {
@@ -1121,509 +1550,218 @@ impl Engine {
     }
 }
 
-use turbine_types::{snap_struct, Snap, SnapError, SnapReader, SnapWriter};
+use turbine_types::{Snap, SnapError, SnapReader, SnapWriter};
 
-snap_struct!(PartitionState {
-    appended,
-    consumed,
-    scribe_synced
-});
-
-snap_struct!(JobRuntime {
-    traffic, true_per_thread_rate, avg_message_bytes, stateful, key_cardinality,
-    partition_weights, partitions: Vec<PartitionState>, durable_epoch, last_durable_epoch,
-    last_category_appended, window_arrived, window_processed, window_per_task, window_ooms
-} derived {
-    // The exact count of partitions with `appended != consumed`; f64
-    // round-trips are bit-exact, so recomputing it reproduces the
-    // maintained counter.
-    undrained: partitions.iter().filter(|p| p.appended != p.consumed).count(),
-    dirty_mark: 0,
-    noise: NoiseMemo::default(),
-}
-check |rt| !rt.partitions.is_empty() && rt.partition_weights.len() == rt.partitions.len()
-    => "JobRuntime partition shape mismatch"
-check |rt| rt.true_per_thread_rate.is_finite() && rt.true_per_thread_rate > 0.0
-    => "JobRuntime per-thread rate not positive");
-
-snap_struct!(ActiveTask {
-    container,
-    threads,
-    reserved,
-    partitions,
-    enforcement,
-    started_at,
-    down_until,
-    degradation,
-    memory_usage_mb,
-    cpu_usage
-});
-
-// By hand: the task arena is written as ordered (id, task) pairs and
-// rebuilt densely, and the down count and active set are recounted.
+// By hand, in the stream the engine had when each job and task was a heap
+// object of its own: the jobs as an ordered map of runtimes (each field in
+// turn, its weights and partition states as two vectors, its window as an
+// ordered map of task bytes), then the tasks as ordered (id, task) pairs
+// with their slices inline, then the feed. Decoding lays every block in id
+// order and recounts what is derived.
 impl Snap for Engine {
     fn snap(&self, w: &mut SnapWriter) {
-        w.put(&self.jobs);
+        w.u64(self.jobs.ids.len() as u64);
+        for (job, view) in self.jobs() {
+            let rt = view.runtime;
+            w.put(&job);
+            w.put(&rt.traffic);
+            w.put(&rt.true_per_thread_rate);
+            w.put(&rt.avg_message_bytes);
+            w.put(&rt.stateful);
+            w.put(&rt.key_cardinality);
+            w.u64(view.cols.len() as u64);
+            for col in view.cols {
+                w.put(&col.weight);
+            }
+            w.u64(view.cols.len() as u64);
+            for col in view.cols {
+                w.put(&col.appended);
+                w.put(&col.consumed);
+                w.put(&col.scribe_synced);
+            }
+            w.put(&rt.durable_epoch);
+            w.put(&rt.last_durable_epoch);
+            w.put(&rt.last_category_appended);
+            w.put(&rt.window_arrived);
+            w.put(&rt.window_processed);
+            w.u64(self.window_entries(job, rt).count() as u64);
+            for (task, bytes) in self.window_entries(job, rt) {
+                w.put(&task);
+                w.put(&bytes);
+            }
+            w.put(&rt.window_ooms);
+        }
         w.u64(self.tasks.len() as u64);
         for (id, task) in self.tasks.iter() {
             w.put(id);
-            w.put(task);
+            w.put(&task.container);
+            w.put(&task.threads);
+            w.put(&task.reserved);
+            let slice = self.partitions_of(task);
+            w.u64(slice.len() as u64);
+            for partition in slice {
+                w.put(partition);
+            }
+            w.put(&task.enforcement);
+            w.put(&task.started_at);
+            w.put(&task.down_until);
+            w.put(&task.degradation);
+            w.put(&task.memory_usage_mb);
+            w.put(&task.cpu_usage);
         }
         w.put(&self.changes);
     }
 
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let jobs: BTreeMap<JobId, JobRuntime> = r.get()?;
+        let mut engine = Engine::default();
+        // (runtime index, task, bytes), placed once the tasks are known.
+        let mut windows: Vec<(usize, TaskId, f64)> = Vec::new();
+        let jobs = r.len_prefix("map length")?;
+        for at in 0..jobs {
+            let job: JobId = r.get()?;
+            if engine.jobs.ids.last().is_some_and(|&last| last >= job) {
+                return Err(SnapError::Value("Engine jobs out of order"));
+            }
+            let traffic = r.get()?;
+            let true_per_thread_rate: f64 = r.get()?;
+            let avg_message_bytes = r.get()?;
+            let stateful = r.get()?;
+            let key_cardinality = r.get()?;
+            let cols = &mut engine.jobs.cols;
+            let start = cols.items.len();
+            let weights = r.len_prefix("vec length")?;
+            for _ in 0..weights {
+                let weight = r.get()?;
+                cols.items.push(PartitionCol {
+                    weight,
+                    ..PartitionCol::default()
+                });
+            }
+            let partitions = r.len_prefix("vec length")?;
+            for i in 0..partitions {
+                let (appended, consumed, scribe_synced) = (r.get()?, r.get()?, r.get()?);
+                if let Some(col) = cols.items[start..].get_mut(i) {
+                    col.appended = appended;
+                    col.consumed = consumed;
+                    col.scribe_synced = scribe_synced;
+                }
+            }
+            let durable_epoch = r.get()?;
+            let last_durable_epoch = r.get()?;
+            let last_category_appended = r.get()?;
+            let window_arrived = r.get()?;
+            let window_processed = r.get()?;
+            let entries = r.len_prefix("map length")?;
+            for _ in 0..entries {
+                let task: TaskId = r.get()?;
+                let bytes = r.get()?;
+                if task.job != job {
+                    return Err(SnapError::Value("Engine window entry of another job"));
+                }
+                if windows
+                    .last()
+                    .is_some_and(|&(last_at, last, _)| last_at == at && last >= task)
+                {
+                    return Err(SnapError::Value("Engine window entries out of order"));
+                }
+                windows.push((at, task, bytes));
+            }
+            let window_ooms = r.get()?;
+            if partitions == 0 || partitions != weights {
+                return Err(SnapError::Value("JobRuntime partition shape mismatch"));
+            }
+            if !(true_per_thread_rate.is_finite() && true_per_thread_rate > 0.0) {
+                return Err(SnapError::Value("JobRuntime per-thread rate not positive"));
+            }
+            let cols = Span {
+                start: start as u32,
+                len: partitions as u32,
+            };
+            let undrained = engine
+                .jobs
+                .cols
+                .get(cols)
+                .iter()
+                .filter(|p| p.appended != p.consumed)
+                .count();
+            engine.jobs.ids.push(job);
+            engine.jobs.runtimes.push(JobRuntime {
+                traffic,
+                true_per_thread_rate,
+                avg_message_bytes,
+                stateful,
+                key_cardinality,
+                cols,
+                undrained,
+                durable_epoch,
+                last_durable_epoch,
+                last_category_appended,
+                window_arrived,
+                window_processed,
+                window_departed: Vec::new(),
+                window_ooms,
+                dirty_mark: 0,
+                noise: NoiseMemo::default(),
+            });
+        }
         let count = r.len_prefix("Engine.tasks")?;
-        let mut tasks = TaskArena::default();
-        let mut down_count = 0;
+        let mut slice: Vec<PartitionId> = Vec::new();
         for _ in 0..count {
             let id: TaskId = r.get()?;
-            let task: ActiveTask = r.get()?;
-            if task.down_until.is_some() {
-                down_count += 1;
+            let container = r.get()?;
+            let threads = r.get()?;
+            let reserved = r.get()?;
+            let len = r.len_prefix("vec length")?;
+            slice.clear();
+            for _ in 0..len {
+                slice.push(r.get()?);
             }
-            if tasks.insert(id, task).is_some() {
+            let task = ActiveTask {
+                container,
+                threads,
+                reserved,
+                slice: Span::default(),
+                enforcement: r.get()?,
+                started_at: r.get()?,
+                down_until: r.get()?,
+                degradation: r.get()?,
+                memory_usage_mb: r.get()?,
+                cpu_usage: r.get()?,
+                window: None,
+            };
+            if task.down_until.is_some() {
+                engine.down_count += 1;
+            }
+            if engine.tasks.insert(id, task, &slice).is_some() {
                 return Err(SnapError::Value("Engine duplicate task id"));
             }
         }
-        let mut engine = Engine {
-            jobs,
-            tasks,
-            down_count,
-            changes: r.get()?,
-            dirty_drains: 0,
-            active: BTreeSet::new(),
-        };
+        for (at, task, bytes) in windows {
+            match engine.tasks.get_mut(task) {
+                Some(running) => running.window = Some(bytes),
+                None => engine.jobs.runtimes[at].window_departed.push((task, bytes)),
+            }
+        }
+        engine.changes = r.get()?;
+        // Decoding grows each block by doubling. Give back the spare room:
+        // a restore is when two platforms are alive at once.
+        engine.jobs.ids.shrink_to_fit();
+        engine.jobs.runtimes.shrink_to_fit();
+        engine.jobs.cols.items.shrink_to_fit();
+        engine.tasks.slots.shrink_to_fit();
+        engine.tasks.slices.items.shrink_to_fit();
         // Settlements are not captured: walk everything once and let the
         // first tick re-derive them.
-        engine.active = engine.all_job_ids();
+        engine.activate_all();
         Ok(engine)
     }
 }
 
 #[cfg(test)]
+mod layout_tests;
+
+#[cfg(test)]
 mod settle_tests;
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use turbine_config::JobConfig;
-    use turbine_taskmgr::TaskService;
-
-    const JOB: JobId = JobId(1);
-    const C0: ContainerId = ContainerId(0);
-
-    fn engine_with_job(rate: f64, task_count: u32) -> (Engine, Vec<TaskSpec>) {
-        let mut engine = Engine::new();
-        engine.add_job(JOB, TrafficModel::flat(rate), 1.0e6, 256.0, 16, false, 0.0);
-        let config = JobConfig::stateless("t", task_count, 16);
-        let specs = TaskService::generate_specs(JOB, &config);
-        for spec in &specs {
-            engine.task_started(spec, C0, SimTime::ZERO, Duration::ZERO);
-        }
-        (engine, specs)
-    }
-
-    fn caps(cpu: f64) -> HashMap<ContainerId, f64> {
-        HashMap::from([(C0, cpu)])
-    }
-
-    fn run_ticks(engine: &mut Engine, ticks: u64, cpu: f64) -> SimTime {
-        let dt = Duration::from_secs(10);
-        let mut now = SimTime::ZERO;
-        for _ in 0..ticks {
-            now += dt;
-            engine.tick(now, dt, &caps(cpu), &|_| false);
-        }
-        now
-    }
-
-    #[test]
-    fn sufficient_capacity_keeps_up() {
-        let (mut engine, _) = engine_with_job(1.0e6, 2);
-        run_ticks(&mut engine, 30, 64.0);
-        let backlog = engine.job(JOB).expect("job").backlog();
-        // 2 tasks × 1 MB/s can absorb 1 MB/s: backlog stays ~one tick.
-        assert!(backlog < 1.1e7, "backlog {backlog}");
-        let stats = engine.drain_window(JOB);
-        assert!((stats.processed / stats.arrived) > 0.95);
-        assert_eq!(stats.per_task.len(), 2);
-    }
-
-    #[test]
-    fn undersized_job_builds_backlog() {
-        let (mut engine, _) = engine_with_job(4.0e6, 2); // capacity 2 MB/s
-        run_ticks(&mut engine, 30, 64.0);
-        let backlog = engine.job(JOB).expect("job").backlog();
-        // Deficit 2 MB/s over 300 s = 600 MB.
-        assert!(backlog > 5.5e8, "backlog {backlog}");
-        let stats = engine.drain_window(JOB);
-        assert!(stats.processed < stats.arrived * 0.6);
-    }
-
-    #[test]
-    fn container_contention_slows_all_tenants() {
-        let (mut engine, _) = engine_with_job(4.0e6, 4); // wants 4 cores
-        run_ticks(&mut engine, 10, 1.0); // container only has 1 core
-        let stats = engine.drain_window(JOB);
-        let ratio = stats.processed / stats.arrived;
-        assert!(ratio < 0.35, "contention should cap throughput: {ratio}");
-    }
-
-    #[test]
-    fn paused_jobs_accumulate_without_processing() {
-        let (mut engine, _) = engine_with_job(1.0e6, 2);
-        let dt = Duration::from_secs(10);
-        let mut now = SimTime::ZERO;
-        for _ in 0..10 {
-            now += dt;
-            engine.tick(now, dt, &caps(64.0), &|_| true);
-        }
-        let stats = engine.drain_window(JOB);
-        assert_eq!(stats.processed, 0.0);
-        assert!(engine.job(JOB).expect("job").backlog() >= 1.0e7 * 0.99);
-    }
-
-    #[test]
-    fn dead_container_stops_processing() {
-        let (mut engine, _) = engine_with_job(1.0e6, 2);
-        let dt = Duration::from_secs(10);
-        engine.tick(SimTime::ZERO + dt, dt, &HashMap::new(), &|_| false);
-        let stats = engine.drain_window(JOB);
-        assert_eq!(stats.processed, 0.0);
-    }
-
-    #[test]
-    fn skewed_partitions_create_imbalanced_per_task_rates() {
-        let (mut engine, _) = engine_with_job(2.0e6, 2);
-        {
-            let rt = engine.job_mut(JOB).expect("job");
-            // All traffic into the first task's slice (partitions 0..8).
-            let mut weights = vec![0.0; 16];
-            for w in weights.iter_mut().take(8) {
-                *w = 1.0 / 8.0;
-            }
-            rt.partition_weights = weights;
-        }
-        run_ticks(&mut engine, 10, 64.0);
-        let stats = engine.drain_window(JOB);
-        let rates: Vec<f64> = stats.per_task.iter().map(|&(_, v)| v).collect();
-        assert!(rates[0] > 0.0);
-        // Task 1 (partitions 8..16) sees nothing.
-        assert!(stats.per_task.len() == 1 || rates[1] == 0.0, "{stats:?}");
-    }
-
-    #[test]
-    fn cgroup_task_ooms_when_over_reserved() {
-        let mut engine = Engine::new();
-        engine.add_job(JOB, TrafficModel::flat(4.0e6), 1.0e6, 4096.0, 4, false, 0.0);
-        let mut config = JobConfig::stateless("t", 1, 4);
-        config.memory_enforcement = turbine_config::MemoryEnforcement::Cgroup;
-        config.task_resources = Resources::cpu_mem(8.0, 410.0); // tight memory
-        let specs = TaskService::generate_specs(JOB, &config);
-        engine.task_started(&specs[0], C0, SimTime::ZERO, Duration::ZERO);
-        let dt = Duration::from_secs(10);
-        let outcome = engine.tick(SimTime::ZERO + dt, dt, &caps(64.0), &|_| false);
-        assert_eq!(outcome.oom_kills, vec![specs[0].id]);
-        assert_eq!(engine.drain_window(JOB).ooms, 1);
-    }
-
-    #[test]
-    fn soft_limit_task_never_oom_kills() {
-        let mut engine = Engine::new();
-        engine.add_job(JOB, TrafficModel::flat(4.0e6), 1.0e6, 4096.0, 4, false, 0.0);
-        let mut config = JobConfig::stateless("t", 1, 4);
-        config.task_resources = Resources::cpu_mem(8.0, 410.0);
-        let specs = TaskService::generate_specs(JOB, &config);
-        engine.task_started(&specs[0], C0, SimTime::ZERO, Duration::ZERO);
-        let dt = Duration::from_secs(10);
-        let outcome = engine.tick(SimTime::ZERO + dt, dt, &caps(64.0), &|_| false);
-        assert!(outcome.oom_kills.is_empty());
-    }
-
-    #[test]
-    fn restart_delay_suppresses_processing() {
-        let mut engine = Engine::new();
-        engine.add_job(JOB, TrafficModel::flat(1.0e6), 1.0e6, 256.0, 4, false, 0.0);
-        let specs = TaskService::generate_specs(JOB, &JobConfig::stateless("t", 1, 4));
-        engine.task_started(&specs[0], C0, SimTime::ZERO, Duration::from_secs(60));
-        let dt = Duration::from_secs(10);
-        let mut now = SimTime::ZERO;
-        for _ in 0..5 {
-            now += dt;
-            engine.tick(now, dt, &caps(64.0), &|_| false);
-        }
-        assert_eq!(engine.drain_window(JOB).processed, 0.0, "still restarting");
-        for _ in 0..5 {
-            now += dt;
-            engine.tick(now, dt, &caps(64.0), &|_| false);
-        }
-        assert!(engine.drain_window(JOB).processed > 0.0, "restarted");
-    }
-
-    #[test]
-    fn durable_sync_mirrors_scribe_and_checkpoints() {
-        let (mut engine, specs) = engine_with_job(1.0e6, 2);
-        let now = run_ticks(&mut engine, 6, 64.0);
-        let mut scribe = Scribe::new();
-        scribe.create_category("cat", 16).expect("create");
-        let mut checkpoints = CheckpointStore::new();
-        engine.sync_durable(now, &mut scribe, &mut checkpoints, &|_| "cat");
-        let total: u64 = (0..16)
-            .map(|p| scribe.tail_offset("cat", PartitionId(p)).expect("tail"))
-            .sum();
-        // 60 s at 1 MB/s = 60 MB arrived.
-        assert!((total as f64 - 6.0e7).abs() < 1.0e6, "total {total}");
-        assert!(checkpoints.job_total_ingested(JOB) > 0);
-        let _ = specs;
-    }
-
-    #[test]
-    fn repeated_syncs_on_a_quiet_job_are_skipped_and_exact() {
-        let (mut engine, _) = engine_with_job(1.0e6, 2);
-        let now = run_ticks(&mut engine, 6, 64.0);
-        let mut scribe = Scribe::new();
-        scribe.create_category("cat", 16).expect("create");
-        let mut checkpoints = CheckpointStore::new();
-        let cat = |_| "cat";
-        engine.sync_durable(now, &mut scribe, &mut checkpoints, &cat);
-        let tails: Vec<u64> = (0..16)
-            .map(|p| scribe.tail_offset("cat", PartitionId(p)).expect("tail"))
-            .collect();
-        let offsets: Vec<u64> = (0..16)
-            .map(|p| checkpoints.get(JOB, PartitionId(p)))
-            .collect();
-        let entries = checkpoints.len();
-        // No ticks in between: the second sync must change nothing (it is
-        // skipped via the epoch, but a full replay would also be a no-op).
-        engine.sync_durable(now, &mut scribe, &mut checkpoints, &cat);
-        let tails2: Vec<u64> = (0..16)
-            .map(|p| scribe.tail_offset("cat", PartitionId(p)).expect("tail"))
-            .collect();
-        let offsets2: Vec<u64> = (0..16)
-            .map(|p| checkpoints.get(JOB, PartitionId(p)))
-            .collect();
-        assert_eq!(tails, tails2);
-        assert_eq!(offsets, offsets2);
-        assert_eq!(entries, checkpoints.len());
-        // New arrivals re-arm the sync.
-        let dt = Duration::from_secs(10);
-        engine.tick(now + dt, dt, &caps(64.0), &|_| false);
-        engine.sync_durable(now + dt, &mut scribe, &mut checkpoints, &cat);
-        let total: u64 = (0..16)
-            .map(|p| scribe.tail_offset("cat", PartitionId(p)).expect("tail"))
-            .sum();
-        assert!(total > tails.iter().sum::<u64>(), "sync resumed after tick");
-    }
-
-    #[test]
-    fn dirty_set_tracks_mutations_and_settles_when_quiet() {
-        let (mut engine, specs) = engine_with_job(0.0, 2);
-        assert_eq!(
-            engine
-                .drain_changes(EngineReader::LoadReport)
-                .into_iter()
-                .collect::<Vec<_>>(),
-            [JOB]
-        );
-        assert!(engine.drain_changes(EngineReader::LoadReport).is_empty());
-        let dt = Duration::from_secs(10);
-        let mut now = SimTime::ZERO;
-        now += dt;
-        // First tick: the restarted tasks' memory readings rise from zero
-        // to the idle footprint — dirty.
-        engine.tick(now, dt, &caps(64.0), &|_| false);
-        assert!(engine
-            .drain_changes(EngineReader::LoadReport)
-            .contains(&JOB));
-        // Zero-rate traffic, settled usage: subsequent ticks are clean.
-        now += dt;
-        engine.tick(now, dt, &caps(64.0), &|_| false);
-        assert!(engine.drain_changes(EngineReader::LoadReport).is_empty());
-        // Explicit mutations mark again.
-        engine.knock_down_task(specs[0].id, now + dt);
-        assert!(engine
-            .drain_changes(EngineReader::LoadReport)
-            .contains(&JOB));
-    }
-
-    #[test]
-    fn backlog_alone_leaves_the_dirty_set_empty() {
-        // 4 MB/s into two 1 MB/s tasks: the backlog grows every tick.
-        let (mut engine, specs) = engine_with_job(4.0e6, 2);
-        let dirty = |engine: &mut Engine| {
-            engine
-                .drain_changes(EngineReader::LoadReport)
-                .into_iter()
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(dirty(&mut engine), [JOB], "the task starts");
-        let dt = Duration::from_secs(10);
-        let mut now = SimTime::ZERO;
-        let mut tick = |engine: &mut Engine, cpu: f64| {
-            now += dt;
-            engine.tick(now, dt, &caps(cpu), &|_| false);
-        };
-        tick(&mut engine, 64.0);
-        assert_eq!(dirty(&mut engine), [JOB], "both tasks start processing");
-        for _ in 0..3 {
-            let backlog = engine.job(JOB).expect("job").backlog();
-            tick(&mut engine, 64.0);
-            assert!(engine.job(JOB).expect("job").backlog() > backlog);
-            assert!(dirty(&mut engine).is_empty(), "usage held: not dirty");
-            assert_eq!(engine.active_jobs(), 1, "yet still walked");
-        }
-        // One core for two busy tasks halves each one's usage: no mutation,
-        // and the job is dirty once, then holds again.
-        tick(&mut engine, 1.0);
-        assert_eq!(dirty(&mut engine), [JOB], "contention moved usage");
-        tick(&mut engine, 1.0);
-        assert!(dirty(&mut engine).is_empty());
-        engine.degrade_task(specs[0].id, 0.5);
-        assert_eq!(dirty(&mut engine), [JOB], "a mutation marks it");
-    }
-
-    #[test]
-    fn only_mutations_reshape_a_job() {
-        // 4 MB/s into two 1 MB/s tasks: the backlog grows every tick, and
-        // usage moves on the first tick only (the tasks start processing at
-        // capacity and stay there). The dirty set follows usage, not
-        // backlog, so it holds the job after the first tick and not after
-        // the others; the checker's reader never does.
-        let (mut engine, specs) = engine_with_job(4.0e6, 2);
-        let for_checker = |engine: &mut Engine| {
-            engine
-                .drain_changes(EngineReader::Checker)
-                .into_iter()
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(for_checker(&mut engine), [JOB]);
-        let dt = Duration::from_secs(10);
-        let mut now = SimTime::ZERO;
-        for i in 0..5 {
-            now += dt;
-            engine.tick(now, dt, &caps(64.0), &|_| false);
-            assert_eq!(
-                engine
-                    .drain_changes(EngineReader::LoadReport)
-                    .contains(&JOB),
-                i == 0,
-                "dirty exactly when usage moved (tick {i})"
-            );
-            assert!(
-                for_checker(&mut engine).is_empty(),
-                "a tick reshapes nothing"
-            );
-        }
-        let other = JobId(2);
-        engine.add_job(
-            other,
-            TrafficModel::flat(1.0e6),
-            1.0e6,
-            256.0,
-            4,
-            false,
-            0.0,
-        );
-        assert_eq!(for_checker(&mut engine), [other]);
-        engine.job_mut(JOB).expect("job").partition_weights[0] = 0.0;
-        assert_eq!(for_checker(&mut engine), [JOB]);
-        engine.degrade_task(specs[0].id, 0.5);
-        assert_eq!(for_checker(&mut engine), [JOB]);
-        engine.knock_down_task(specs[0].id, now + dt);
-        assert_eq!(for_checker(&mut engine), [JOB]);
-        // A stale stop from a container that does not own the task is no
-        // mutation.
-        engine.task_stopped(specs[1].id, ContainerId(9));
-        assert!(for_checker(&mut engine).is_empty());
-        engine.task_stopped(specs[1].id, C0);
-        assert_eq!(for_checker(&mut engine), [JOB]);
-        engine.task_started(&specs[1], ContainerId(3), now, dt);
-        assert_eq!(for_checker(&mut engine), [JOB]);
-        engine.remove_job(other);
-        assert_eq!(for_checker(&mut engine), [other]);
-        now += dt;
-        engine.tick(now, dt, &caps(64.0), &|_| false);
-        assert!(for_checker(&mut engine).is_empty());
-    }
-
-    #[test]
-    fn quiescence_requires_drained_partitions_and_idle_traffic() {
-        let (mut engine, specs) = engine_with_job(0.0, 2);
-        let t0 = SimTime::ZERO;
-        let later = t0 + Duration::from_mins(10);
-        // Fresh tasks are mid-restart (down_until set): not quiescent.
-        assert!(!engine.is_quiescent_through(t0, later));
-        let dt = Duration::from_secs(10);
-        engine.tick(t0 + dt, dt, &caps(64.0), &|_| false);
-        // Zero-rate traffic, nothing appended, restarts cleared: quiescent.
-        assert!(engine.is_quiescent_through(t0 + dt, later));
-        // Direct lookups agree with iteration order.
-        assert_eq!(engine.task(specs[0].id).map(|t| t.container), Some(C0));
-        assert_eq!(engine.nth_task(0).map(|(id, _)| id), Some(specs[0].id));
-        assert_eq!(engine.nth_task(2), None);
-    }
-
-    #[test]
-    fn backlog_blocks_quiescence_until_fully_drained() {
-        // 4 MB/s into 2 × 1 MB/s tasks: backlog builds every tick.
-        let (mut engine, _) = engine_with_job(4.0e6, 2);
-        let dt = Duration::from_secs(10);
-        let mut now = SimTime::ZERO;
-        // Build backlog, then cut arrivals via an input outage and drain.
-        now += dt;
-        engine.tick(now, dt, &caps(64.0), &|_| false);
-        engine.job_mut(JOB).expect("job").traffic =
-            TrafficModel::flat(4.0e6).with_event(turbine_workloads::TrafficEvent {
-                start: now,
-                end: SimTime::ZERO + Duration::from_hours(2),
-                kind: turbine_workloads::TrafficEventKind::InputOutage,
-            });
-        let horizon = now + Duration::from_mins(5);
-        assert!(
-            !engine.is_quiescent_through(now, horizon),
-            "undrained backlog must block quiescence"
-        );
-        for _ in 0..6 {
-            now += dt;
-            engine.tick(now, dt, &caps(64.0), &|_| false);
-        }
-        assert!(
-            engine.job(JOB).expect("job").backlog() == 0.0,
-            "full drain must hit the exact share == 1.0 path"
-        );
-        assert!(engine.is_quiescent_through(now, now + Duration::from_mins(5)));
-    }
-
-    #[test]
-    fn arena_slots_are_recycled_across_restarts() {
-        let (mut engine, specs) = engine_with_job(1.0e6, 2);
-        assert_eq!(engine.total_tasks(), 2);
-        engine.task_stopped(specs[0].id, C0);
-        assert_eq!(engine.total_tasks(), 1);
-        // Stale stop from a non-owning container is ignored.
-        engine.task_stopped(specs[1].id, ContainerId(9));
-        assert_eq!(engine.total_tasks(), 1);
-        engine.task_started(&specs[0], ContainerId(3), SimTime::ZERO, Duration::ZERO);
-        assert_eq!(engine.total_tasks(), 2);
-        assert_eq!(
-            engine.task(specs[0].id).map(|t| t.container),
-            Some(ContainerId(3))
-        );
-        // Iteration order stays id-ordered regardless of slot recycling.
-        let ids: Vec<TaskId> = engine.tasks().map(|(&id, _)| id).collect();
-        let mut sorted = ids.clone();
-        sorted.sort();
-        assert_eq!(ids, sorted);
-    }
-
-    #[test]
-    fn remove_job_clears_tasks() {
-        let (mut engine, _) = engine_with_job(1.0e6, 2);
-        assert_eq!(engine.total_tasks(), 2);
-        engine.remove_job(JOB);
-        assert_eq!(engine.total_tasks(), 0);
-        assert!(engine.job(JOB).is_none());
-    }
-}
+mod tests;

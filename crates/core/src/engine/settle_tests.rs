@@ -129,11 +129,9 @@ impl Pair {
             2 => self.both(|e| e.knock_down_task(task, now + DT.mul(b as u64 + 1))),
             3 => self.both(|e| e.degrade_task(task, 0.25 * (b as f64 + 1.0))),
             4 => self.both(|e| {
-                if let Some(rt) = e.job_mut(job) {
-                    let mut weights = vec![0.0; PARTITIONS as usize];
-                    weights[b as usize % PARTITIONS as usize] = 1.0;
-                    rt.partition_weights = weights;
-                }
+                let mut weights = vec![0.0; PARTITIONS as usize];
+                weights[b as usize % PARTITIONS as usize] = 1.0;
+                e.set_partition_weights(job, &weights);
             }),
             5 => {
                 if let Some(container) = self.skip.task(task).map(|t| t.container) {

@@ -603,7 +603,7 @@ fn scan_partition_ownership(
 ) {
     let mut owner: BTreeMap<PartitionId, TaskId> = BTreeMap::new();
     for (&task, active) in view.engine.tasks_of_job(job) {
-        for &p in &active.partitions {
+        for &p in view.engine.partitions_of(active) {
             if let Some(&other) = owner.get(&p) {
                 let key = format!("partition:{job:?}:{p:?}");
                 seen.insert(key.clone());

@@ -887,10 +887,9 @@ impl Turbine {
         );
         match action {
             ScalingAction::RebalanceInput => {
-                if let Some(rt) = self.engine.job_mut(job) {
-                    let n = rt.partition_weights.len();
-                    rt.partition_weights = vec![1.0 / n as f64; n];
-                }
+                let n = self.engine.job(job).map_or(0, |rt| rt.partition_count());
+                self.engine
+                    .set_partition_weights(job, &vec![1.0 / n as f64; n]);
             }
             ScalingAction::Vertical {
                 threads_per_task,

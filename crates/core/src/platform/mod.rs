@@ -702,10 +702,7 @@ impl Turbine {
 
     /// Skew a job's partition arrival weights (imbalance injection).
     pub fn skew_job_input(&mut self, job: JobId, weights: Vec<f64>) {
-        if let Some(rt) = self.engine.job_mut(job) {
-            assert_eq!(weights.len(), rt.partition_weights.len());
-            rt.partition_weights = weights;
-        }
+        self.engine.set_partition_weights(job, &weights);
     }
 
     /// Enable/disable the load balancer (fail-over stays active).
@@ -718,10 +715,22 @@ impl Turbine {
         self.config.scaler_enabled = enabled;
     }
 
-    /// Oncall intervention: pin a field at the Oncall level.
+    /// Oncall intervention: pin a field at the Oncall level. A write that
+    /// changes `input.partitions` is refused: the job's Scribe category and
+    /// data plane are sized once, at provision.
     pub fn oncall_set(&mut self, job: JobId, path: &str, value: ConfigValue) -> Result<(), String> {
         if self.job_store_down() {
             return Err("job store unavailable".to_string());
+        }
+        if path == "input.partitions" {
+            if let Some(rt) = self.engine.job(job) {
+                let provisioned = rt.partition_count();
+                if value != ConfigValue::Int(provisioned as i64) {
+                    return Err(format!(
+                        "{job}: input.partitions is fixed at provision ({provisioned})"
+                    ));
+                }
+            }
         }
         self.jobs
             .set_level_field(job, ConfigLevel::Oncall, path, value)

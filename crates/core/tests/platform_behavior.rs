@@ -106,6 +106,33 @@ fn package_release_propagates_as_simple_sync() {
 }
 
 #[test]
+fn an_oncall_write_that_repartitions_the_input_is_refused() {
+    // The Scribe category and the data plane are sized at provision, so a
+    // changed partition count would reach tasks neither can serve.
+    let mut t = small_platform();
+    let job = JobId(1);
+    t.provision_job(
+        job,
+        JobConfig::stateless("views", 4, 32),
+        TrafficModel::flat(1.0e6),
+        1.0e6,
+        256.0,
+    )
+    .expect("provision");
+    t.run_for(Duration::from_mins(10));
+    let err = t
+        .oncall_set(job, "input.partitions", ConfigValue::Int(64))
+        .expect_err("a new partition count");
+    assert!(err.contains("input.partitions"), "{err}");
+    t.oncall_set(job, "input.partitions", ConfigValue::Int(32))
+        .expect("the provisioned count is no change");
+    t.run_for(Duration::from_mins(10));
+    let status = t.job_status(job).expect("status");
+    assert_eq!((status.running_tasks, status.paused), (4, false));
+    assert_eq!(t.engine().job(job).expect("job").partition_count(), 32);
+}
+
+#[test]
 fn parallelism_change_runs_complex_sync_with_bounded_downtime() {
     let mut t = small_platform();
     let job = JobId(1);

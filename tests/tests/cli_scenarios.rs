@@ -1,11 +1,15 @@
 //! The curated scenario files under `scenarios/` stay runnable: they parse,
-//! execute end to end, and leave the fleet healthy.
+//! execute end to end, and leave the fleet healthy. So do the ones under
+//! `tests/scenarios/`, whose interventions the platform refuses.
 
 use turbine_cli::{run_scenario, Scenario};
 
 fn run_file(name: &str) -> turbine_cli::RunSummary {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/..").to_string() + "/scenarios/" + name;
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+    run_path(&(concat!(env!("CARGO_MANIFEST_DIR"), "/..").to_string() + "/scenarios/" + name))
+}
+
+fn run_path(path: &str) -> turbine_cli::RunSummary {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
     let scenario = Scenario::parse(&text).expect("scenario parses");
     run_scenario(&scenario)
 }
@@ -58,4 +62,29 @@ fn storm_and_rollback_scenario_stays_healthy() {
     for (name, tasks, _) in &summary.jobs {
         assert!(*tasks > 0, "{name} lost its tasks");
     }
+}
+
+fn run_refused(name: &str) -> turbine_cli::RunSummary {
+    run_path(&(env!("CARGO_MANIFEST_DIR").to_string() + "/scenarios/" + name))
+}
+
+#[test]
+fn an_oncall_repartition_is_refused_and_the_run_carries_on() {
+    // `input.partitions` 32 → 64 on a running job: the category and the
+    // data plane were sized at provision, so the write is refused.
+    let summary = run_refused("oncall_repartition.json");
+    assert_eq!(summary.jobs.len(), 1);
+    let (name, tasks, _) = &summary.jobs[0];
+    assert_eq!((name.as_str(), *tasks), ("views", 4));
+    let &(_, _, _, slo, _) = summary.rows.last().expect("rows");
+    assert!(slo > 0.99, "final slo {slo}");
+}
+
+#[test]
+fn an_oncall_write_during_a_job_store_outage_is_refused_and_the_run_carries_on() {
+    // The write lands inside the `job_store_down` window: the fault working.
+    let summary = run_refused("oncall_during_store_outage.json");
+    let (_, tasks, _) = &summary.jobs[0];
+    assert_eq!(*tasks, 4, "the refused resize never applied");
+    assert_eq!(summary.fault_log.len(), 2, "{:?}", summary.fault_log);
 }
