@@ -116,6 +116,20 @@ for repro in oncall_repartition oncall_during_store_outage; do
         || { echo "$repro: no refusal line on stderr"; exit 1; }
 done
 
+echo "== hostile scenarios: each is refused with a typed error, never a panic =="
+# Each tests/scenarios/hostile_*.json carries one number that used to
+# panic a run or be wrapped or clamped into another value; the
+# hostile_repro_* files are fuzz repro files and go through `repro`.
+for hostile in tests/scenarios/hostile_*.json; do
+    verb=run want='invalid scenario:'
+    case "$hostile" in *hostile_repro_*) verb=repro want='invalid repro file' ;; esac
+    status=0
+    ./target/release/turbinesim "$verb" "$hostile" > /dev/null 2> /tmp/hostile.err || status=$?
+    [ "$status" = "1" ] && grep -q "$want" /tmp/hostile.err && ! grep -q panicked /tmp/hostile.err \
+        || { echo "$hostile: exit $status: $(cat /tmp/hostile.err)"; exit 1; }
+done
+echo "every hostile scenario refused with exit 1 and no panic"
+
 echo "== snap_smoke: mid-soak snapshot/restore of the chaos drill reproduces the run =="
 # Capture the tiered outage drill 30 minutes in (mid heartbeat-loss
 # recovery), restore the blob, drive to the horizon, and require the

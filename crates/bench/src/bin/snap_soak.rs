@@ -60,7 +60,7 @@ fn chaos_scenario(horizon_mins: u32, seed: u64) -> FuzzScenario {
                 per_thread_rate: 1.0,
                 message_bytes: 256.0,
                 key_cardinality: 0.0,
-                resiliency: "standard".into(),
+                resiliency: turbine_config::ResiliencyClass::Standard,
                 events: vec![FuzzTrafficEvent {
                     kind: "multiplier".into(),
                     start_min: storm_start,
@@ -82,7 +82,7 @@ fn chaos_scenario(horizon_mins: u32, seed: u64) -> FuzzScenario {
                 per_thread_rate: 1.0,
                 message_bytes: 512.0,
                 key_cardinality: 1.0e4,
-                resiliency: "critical".into(),
+                resiliency: turbine_config::ResiliencyClass::Critical,
                 events: vec![],
             },
         ],

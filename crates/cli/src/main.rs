@@ -62,25 +62,29 @@ fault names:
 optional: \"duration_mins\": M auto-clears the fault M minutes later;
 without it the fault stays active until a matching clear_fault event.";
 
-/// Load `demo` or a scenario file, exiting with a message on failure.
-fn load_scenario(target: &str) -> Scenario {
-    if target == "demo" {
-        return Scenario::demo();
+/// The contents of `path`, exiting with a message if it cannot be read.
+fn read_file(path: &str) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("cannot read {path}: {e}");
+        std::process::exit(1);
+    })
+}
+
+/// The text of `demo` or of a scenario file.
+fn scenario_text(target: &str) -> String {
+    match target {
+        "demo" => turbine_cli::scenario::DEMO_SCENARIO.to_string(),
+        path => read_file(path),
     }
-    let text = match std::fs::read_to_string(target) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {target}: {e}");
-            std::process::exit(1);
-        }
-    };
-    match Scenario::parse(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-    }
+}
+
+/// Parse a scenario, exiting with the refusal (`invalid scenario: ...`) if
+/// it does not parse.
+fn load_scenario(text: &str) -> Scenario {
+    Scenario::parse(text).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(1);
+    })
 }
 
 fn main() {
@@ -106,21 +110,10 @@ fn main() {
                 eprintln!("{usage}");
                 std::process::exit(2);
             };
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("cannot read {path}: {e}");
-                    std::process::exit(1);
-                }
-            };
-            let scenario = match Scenario::parse(&text) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("{e}");
-                    std::process::exit(1);
-                }
-            };
-            print!("{}", run_scenario(&scenario).render());
+            print!(
+                "{}",
+                run_scenario(&load_scenario(&scenario_text(path))).render()
+            );
         }
         Some("trace") => {
             let Some(target) = args.get(2) else {
@@ -131,7 +124,7 @@ fn main() {
                 println!("{TRACE_HELP}");
                 return;
             }
-            let scenario = load_scenario(target);
+            let scenario = load_scenario(&scenario_text(target));
             let query = match TraceQuery::parse(&args[3..]) {
                 Ok(q) => q,
                 Err(e) => {
@@ -153,7 +146,7 @@ fn main() {
                 eprintln!("usage: turbinesim metrics <demo | scenario.json> [--jsonl | --prom]");
                 std::process::exit(2);
             };
-            let scenario = load_scenario(target);
+            let scenario = load_scenario(&scenario_text(target));
             let format = match MetricsFormat::parse(&args[3..]) {
                 Ok(f) => f,
                 Err(e) => {
@@ -168,7 +161,7 @@ fn main() {
                 eprintln!("usage: turbinesim top <demo | scenario.json> [--refresh-mins N]");
                 std::process::exit(2);
             };
-            let scenario = load_scenario(target);
+            let scenario = load_scenario(&scenario_text(target));
             let mut refresh_mins = scenario.report_every_mins;
             let mut rest = args[3..].iter();
             while let Some(flag) = rest.next() {
@@ -206,14 +199,7 @@ fn main() {
                 eprintln!("{usage}");
                 std::process::exit(2);
             };
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("cannot read {path}: {e}");
-                    std::process::exit(1);
-                }
-            };
-            match repro_report(&text) {
+            match repro_report(&read_file(path)) {
                 Ok((report, passed)) => {
                     print!("{report}");
                     if !passed {
@@ -233,24 +219,8 @@ fn main() {
                 );
                 std::process::exit(2);
             };
-            let text = if target == "demo" {
-                turbine_cli::scenario::DEMO_SCENARIO.to_string()
-            } else {
-                match std::fs::read_to_string(target) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        eprintln!("cannot read {target}: {e}");
-                        std::process::exit(1);
-                    }
-                }
-            };
-            let scenario = match Scenario::parse(&text) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("{e}");
-                    std::process::exit(1);
-                }
-            };
+            let text = scenario_text(target);
+            let scenario = load_scenario(&text);
             let mut at_mins = None;
             let mut out = None;
             let mut rest = args[3..].iter();

@@ -227,7 +227,8 @@ pub fn provision_scenario(scenario: &Scenario) -> (Turbine, BTreeMap<String, Job
         let mut jc = JobConfig::stateless(&job.name, job.tasks, job.partitions);
         jc.max_task_count = job.max_tasks.max(job.tasks);
         jc.resiliency = job.resiliency;
-        let traffic = TrafficModel::diurnal(job.rate_mbps * 1.0e6, job.diurnal, job.seed);
+        let seed = job.seed.unwrap_or(i as u64);
+        let traffic = TrafficModel::diurnal(job.rate_mbps * 1.0e6, job.diurnal, seed);
         if job.stateful_keys > 0.0 {
             turbine
                 .provision_stateful_job(id, jc, traffic, 1.0e6, 256.0, job.stateful_keys)

@@ -6,7 +6,9 @@
 
 use std::fmt;
 use turbine::{AlertRule, Fault};
-use turbine_config::{ConfigValue, ResiliencyClass};
+use turbine_config::record::{self, Fields};
+use turbine_config::{config_record, ConfigField, ConfigValue, FieldError, ResiliencyClass};
+use turbine_types::Duration;
 
 /// A job described by a scenario.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,8 +27,9 @@ pub struct ScenarioJob {
     pub max_tasks: u32,
     /// State key cardinality; 0 means stateless.
     pub stateful_keys: f64,
-    /// Seed for the job's traffic noise.
-    pub seed: u64,
+    /// Seed for the job's traffic noise; absent means the job's index in
+    /// the scenario.
+    pub seed: Option<u64>,
     /// Resiliency class (`best_effort`/`standard`/`critical`); critical
     /// jobs get a warm standby and the fast fail-over path.
     pub resiliency: ResiliencyClass,
@@ -147,13 +150,50 @@ pub struct Scenario {
     pub load_balancing: bool,
     /// The jobs to provision at time zero.
     pub jobs: Vec<ScenarioJob>,
-    /// Timeline events, sorted by firing time.
+    /// The scenario's `"events"` array as written.
+    pub timeline: Vec<ConfigValue>,
+    /// `timeline` decoded, sorted by firing time.
     pub events: Vec<ScenarioEvent>,
-    /// Declarative alert rules from the scenario's `"alerts"` array,
-    /// already resolved against the scenario's job names. Installed on
-    /// top of the platform's default per-critical-job lag rules.
+    /// The scenario's `"alerts"` array as written.
+    pub alerts: Vec<ConfigValue>,
+    /// `alerts` as rules, resolved against the scenario's job names.
+    /// Installed on top of the platform's default per-critical-job lag
+    /// rules.
     pub alert_rules: Vec<AlertRule>,
 }
+
+config_record!(Scenario closed {
+    hosts = 4,
+    host_cpu as "host.cpu" = 56.0,
+    host_memory_gb as "host.memory_gb" = 256.0,
+    duration_hours = 2.0,
+    report_every_mins = 30,
+    scaler_enabled = true,
+    load_balancing = true,
+    jobs: Vec<ScenarioJob>,
+    timeline as "events": Vec<ConfigValue> = Vec::new(),
+    alerts = Vec::new(),
+} derived {
+    events: ScenarioEvent::timeline(&timeline)?,
+    // Alert rules resolve job names against the provisioning order the
+    // runner uses: the i-th scenario job becomes `JobId(i + 1)`.
+    alert_rules: turbine::parse_rules(&alerts, |name| {
+        jobs.iter().position(|j| j.name == name).map(|i| i as u64 + 1)
+    })
+    .map_err(|e| FieldError::object(e).at("alerts"))?,
+});
+
+config_record!(ScenarioJob closed {
+    name,
+    tasks = 1,
+    partitions = 64,
+    rate_mbps = 1.0,
+    diurnal = 0.0,
+    max_tasks = 64,
+    stateful_keys = 0.0,
+    seed,
+    resiliency = ResiliencyClass::Standard,
+});
 
 /// Error describing why a scenario failed to parse or validate.
 #[derive(Debug, Clone, PartialEq)]
@@ -171,74 +211,70 @@ fn err(msg: impl Into<String>) -> ScenarioError {
     ScenarioError(msg.into())
 }
 
-fn get_f64(v: &ConfigValue, path: &str, default: Option<f64>) -> Result<f64, ScenarioError> {
-    match v.get_path(path).and_then(|x| x.as_float()) {
-        Some(f) => Ok(f),
-        None => default.ok_or_else(|| err(format!("missing numeric field '{path}'"))),
+impl ScenarioEvent {
+    /// Decode one timeline entry: the action names the fields it reads.
+    fn from_value(ev: &ConfigValue) -> Result<Self, FieldError> {
+        let mut ev = Fields::of(ev)?;
+        let at_mins = ev.get::<Duration>("at_mins")?.as_mins();
+        let action: String = ev.get("action")?;
+        let event = match action.as_str() {
+            "fail_host" => ScenarioEvent::FailHost {
+                at_mins,
+                host: ev.get("host")?,
+            },
+            "recover_host" => ScenarioEvent::RecoverHost {
+                at_mins,
+                host: ev.get("host")?,
+            },
+            "storm" => ScenarioEvent::Storm {
+                at_mins,
+                multiplier: ev.get("multiplier")?,
+                duration_mins: ev.get::<Duration>("duration_mins")?.as_mins(),
+            },
+            "oncall_set" => ScenarioEvent::OncallSet {
+                at_mins,
+                job: ev.get("job")?,
+                path: ev.get("path")?,
+                value: ev.get("int")?,
+            },
+            "oncall_clear" => ScenarioEvent::OncallClear {
+                at_mins,
+                job: ev.get("job")?,
+            },
+            "delete_job" => ScenarioEvent::DeleteJob {
+                at_mins,
+                job: ev.get("job")?,
+            },
+            "inject_fault" => ScenarioEvent::InjectFault {
+                at_mins,
+                fault: ev.get("fault")?,
+                host: ev.get("host")?,
+                job: ev.get("job")?,
+                duration_mins: ev
+                    .get::<Option<Duration>>("duration_mins")?
+                    .map(Duration::as_mins),
+            },
+            "clear_fault" => ScenarioEvent::ClearFault {
+                at_mins,
+                fault: ev.get("fault")?,
+                host: ev.get("host")?,
+                job: ev.get("job")?,
+            },
+            other => {
+                return Err(FieldError::value(format!("has unknown value '{other}'")).at("action"))
+            }
+        };
+        ev.done()?;
+        Ok(event)
+    }
+
+    /// The `"events"` array as timeline events, sorted by firing time.
+    fn timeline(list: &[ConfigValue]) -> Result<Vec<ScenarioEvent>, FieldError> {
+        let mut events = record::each(list, Self::from_value).map_err(|e| e.at("events"))?;
+        events.sort_by_key(Self::at_mins);
+        Ok(events)
     }
 }
-
-fn get_u64(v: &ConfigValue, path: &str, default: Option<u64>) -> Result<u64, ScenarioError> {
-    match v.get_path(path).and_then(|x| x.as_int()) {
-        Some(i) if i >= 0 => Ok(i as u64),
-        Some(_) => Err(err(format!("field '{path}' must be non-negative"))),
-        None => default.ok_or_else(|| err(format!("missing integer field '{path}'"))),
-    }
-}
-
-fn get_u32(v: &ConfigValue, path: &str, default: u32) -> Result<u32, ScenarioError> {
-    let n = get_u64(v, path, Some(u64::from(default)))?;
-    u32::try_from(n).map_err(|_| err(format!("field '{path}' exceeds {}", u32::MAX)))
-}
-
-fn get_str(v: &ConfigValue, path: &str) -> Result<String, ScenarioError> {
-    v.get_path(path)
-        .and_then(|x| x.as_str())
-        .map(str::to_string)
-        .ok_or_else(|| err(format!("missing string field '{path}'")))
-}
-
-/// Every key the scenario root object understands. Anything else is a
-/// typo (e.g. `duration_hour`) and fails loudly instead of silently
-/// falling back to a default.
-const ROOT_KEYS: [&str; 9] = [
-    "hosts",
-    "host",
-    "duration_hours",
-    "report_every_mins",
-    "scaler_enabled",
-    "load_balancing",
-    "jobs",
-    "events",
-    "alerts",
-];
-
-/// Keys a job object understands.
-const JOB_KEYS: [&str; 9] = [
-    "name",
-    "tasks",
-    "partitions",
-    "rate_mbps",
-    "diurnal",
-    "max_tasks",
-    "stateful_keys",
-    "seed",
-    "resiliency",
-];
-
-/// Keys a timeline event understands (the union across actions; each
-/// action validates its required fields separately).
-const EVENT_KEYS: [&str; 9] = [
-    "action",
-    "at_mins",
-    "host",
-    "job",
-    "path",
-    "int",
-    "multiplier",
-    "duration_mins",
-    "fault",
-];
 
 impl Scenario {
     /// Parse a scenario from JSON text.
@@ -254,166 +290,48 @@ impl Scenario {
 
     /// Decode a scenario from an already-parsed config value.
     pub fn from_value(root: &ConfigValue) -> Result<Scenario, ScenarioError> {
-        root.check_keys("scenario", &ROOT_KEYS).map_err(err)?;
-        if let Some(host) = root.get_path("host") {
-            host.check_keys("host", &["cpu", "memory_gb"])
-                .map_err(err)?;
-        }
-        let jobs_value = root
-            .get_path("jobs")
-            .and_then(|v| v.as_array())
-            .ok_or_else(|| err("missing 'jobs' array"))?;
-        if jobs_value.is_empty() {
+        let scenario = Scenario::decode(root).map_err(|e| err(e.to_string()))?;
+        scenario.validate()?;
+        Ok(scenario)
+    }
+
+    /// The checks that span fields: every count positive, every event's
+    /// host and job exist, and every window ends inside the simulated
+    /// clock's range.
+    fn validate(&self) -> Result<(), ScenarioError> {
+        if self.jobs.is_empty() {
             return Err(err("scenario needs at least one job"));
         }
-        let mut jobs = Vec::with_capacity(jobs_value.len());
-        for (i, jv) in jobs_value.iter().enumerate() {
-            jv.check_keys(&format!("job {i}"), &JOB_KEYS).map_err(err)?;
-            let name = get_str(jv, "name")?;
-            let tasks = get_u32(jv, "tasks", 1)?;
-            let partitions = get_u32(jv, "partitions", 64)?;
-            if tasks == 0 || partitions < tasks {
+        for job in &self.jobs {
+            if job.tasks == 0 || job.partitions < job.tasks {
                 return Err(err(format!(
-                    "job '{name}': need 1 <= tasks <= partitions (got {tasks}/{partitions})"
+                    "job '{}': need 1 <= tasks <= partitions (got {}/{})",
+                    job.name, job.tasks, job.partitions
                 )));
             }
-            let resiliency = match jv.get_path("resiliency").and_then(|x| x.as_str()) {
-                None => ResiliencyClass::Standard,
-                Some(s) => ResiliencyClass::from_str(s).ok_or_else(|| {
-                    err(format!(
-                        "job '{name}': unknown resiliency class '{s}' \
-                         (one of: best_effort, standard, critical)"
-                    ))
-                })?,
-            };
-            jobs.push(ScenarioJob {
-                name,
-                tasks,
-                partitions,
-                rate_mbps: get_f64(jv, "rate_mbps", Some(1.0))?,
-                diurnal: get_f64(jv, "diurnal", Some(0.0))?,
-                max_tasks: get_u32(jv, "max_tasks", 64)?,
-                stateful_keys: get_f64(jv, "stateful_keys", Some(0.0))?,
-                seed: get_u64(jv, "seed", Some(i as u64))?,
-                resiliency,
-            });
         }
-
-        let mut events = Vec::new();
-        if let Some(list) = root.get_path("events").and_then(|v| v.as_array()) {
-            for (i, ev) in list.iter().enumerate() {
-                ev.check_keys(&format!("event {i}"), &EVENT_KEYS)
-                    .map_err(err)?;
-                let action = get_str(ev, "action")?;
-                let at_mins = get_u64(ev, "at_mins", None)?;
-                let event = match action.as_str() {
-                    "fail_host" => ScenarioEvent::FailHost {
-                        at_mins,
-                        host: get_u64(ev, "host", None)? as usize,
-                    },
-                    "recover_host" => ScenarioEvent::RecoverHost {
-                        at_mins,
-                        host: get_u64(ev, "host", None)? as usize,
-                    },
-                    "storm" => ScenarioEvent::Storm {
-                        at_mins,
-                        multiplier: get_f64(ev, "multiplier", None)?,
-                        duration_mins: get_u64(ev, "duration_mins", None)?,
-                    },
-                    "oncall_set" => ScenarioEvent::OncallSet {
-                        at_mins,
-                        job: get_str(ev, "job")?,
-                        path: get_str(ev, "path")?,
-                        value: ev
-                            .get_path("int")
-                            .and_then(|x| x.as_int())
-                            .ok_or_else(|| err("oncall_set needs an 'int' value"))?,
-                    },
-                    "oncall_clear" => ScenarioEvent::OncallClear {
-                        at_mins,
-                        job: get_str(ev, "job")?,
-                    },
-                    "delete_job" => ScenarioEvent::DeleteJob {
-                        at_mins,
-                        job: get_str(ev, "job")?,
-                    },
-                    "inject_fault" => ScenarioEvent::InjectFault {
-                        at_mins,
-                        fault: get_str(ev, "fault")?,
-                        host: ev
-                            .get_path("host")
-                            .and_then(|x| x.as_int())
-                            .map(|h| h as usize),
-                        job: ev
-                            .get_path("job")
-                            .and_then(|x| x.as_str())
-                            .map(str::to_string),
-                        duration_mins: ev
-                            .get_path("duration_mins")
-                            .and_then(|x| x.as_int())
-                            .map(|d| d as u64),
-                    },
-                    "clear_fault" => ScenarioEvent::ClearFault {
-                        at_mins,
-                        fault: get_str(ev, "fault")?,
-                        host: ev
-                            .get_path("host")
-                            .and_then(|x| x.as_int())
-                            .map(|h| h as usize),
-                        job: ev
-                            .get_path("job")
-                            .and_then(|x| x.as_str())
-                            .map(str::to_string),
-                    },
-                    other => return Err(err(format!("unknown action '{other}'"))),
-                };
-                events.push(event);
-            }
-        }
-        events.sort_by_key(ScenarioEvent::at_mins);
-
-        // Alert rules resolve job names against the provisioning order the
-        // runner uses: the i-th scenario job becomes `JobId(i + 1)`.
-        let mut alert_rules = Vec::new();
-        if let Some(list) = root.get_path("alerts").and_then(|v| v.as_array()) {
-            let resolve = |name: &str| {
-                jobs.iter()
-                    .position(|j| j.name == name)
-                    .map(|i| i as u64 + 1)
-            };
-            alert_rules =
-                turbine::parse_rules(list, resolve).map_err(|e| err(format!("alerts: {e}")))?;
-        }
-
-        let scenario = Scenario {
-            hosts: get_u64(root, "hosts", Some(4))? as usize,
-            host_cpu: get_f64(root, "host.cpu", Some(56.0))?,
-            host_memory_gb: get_f64(root, "host.memory_gb", Some(256.0))?,
-            duration_hours: get_f64(root, "duration_hours", Some(2.0))?,
-            report_every_mins: get_u64(root, "report_every_mins", Some(30))?,
-            scaler_enabled: root
-                .get_path("scaler_enabled")
-                .and_then(|v| v.as_bool())
-                .unwrap_or(true),
-            load_balancing: root
-                .get_path("load_balancing")
-                .and_then(|v| v.as_bool())
-                .unwrap_or(true),
-            jobs,
-            events,
-            alert_rules,
-        };
-        if scenario.hosts == 0 {
+        if self.hosts == 0 {
             return Err(err("scenario needs at least one host"));
         }
-        for e in &scenario.events {
-            let known = |job: &str| scenario.jobs.iter().any(|j| j.name == job);
+        for (key, size) in [
+            ("host.cpu", self.host_cpu),
+            ("host.memory_gb", self.host_memory_gb),
+        ] {
+            if size <= 0.0 {
+                return Err(err(format!("{key} must be positive")));
+            }
+        }
+        if self.report_every_mins == 0 {
+            return Err(err("report_every_mins must be positive"));
+        }
+        for e in &self.events {
+            let known = |job: &str| self.jobs.iter().any(|j| j.name == job);
             match e {
                 ScenarioEvent::FailHost { host, .. } | ScenarioEvent::RecoverHost { host, .. } => {
-                    if *host >= scenario.hosts {
+                    if *host >= self.hosts {
                         return Err(err(format!(
                             "event references host {host} of {}",
-                            scenario.hosts
+                            self.hosts
                         )));
                     }
                 }
@@ -443,11 +361,11 @@ impl Scenario {
                     }
                     if fault == "heartbeat_loss" {
                         match host {
-                            Some(h) if *h < scenario.hosts => {}
+                            Some(h) if *h < self.hosts => {}
                             Some(h) => {
                                 return Err(err(format!(
                                     "fault event references host {h} of {}",
-                                    scenario.hosts
+                                    self.hosts
                                 )))
                             }
                             None => return Err(err("heartbeat_loss needs a 'host' index")),
@@ -466,8 +384,22 @@ impl Scenario {
                     }
                 }
             }
+            // An event fires at a minute no earlier than 1; its window's
+            // end, in milliseconds, must fit the clock. Both counts decoded
+            // below `u64::MAX / 60_000`, so the sum cannot overflow.
+            let window = match e {
+                ScenarioEvent::Storm { duration_mins, .. } => Some(*duration_mins),
+                ScenarioEvent::InjectFault { duration_mins, .. } => *duration_mins,
+                _ => None,
+            };
+            if window.is_some_and(|mins| e.at_mins().max(1) + mins > u64::MAX / 60_000) {
+                return Err(err(format!(
+                    "event at minute {}: duration_mins ends past the simulated clock",
+                    e.at_mins()
+                )));
+            }
         }
-        Ok(scenario)
+        Ok(())
     }
 
     /// The built-in demo scenario: a small diurnal fleet with a host
@@ -732,5 +664,70 @@ mod tests {
             .is_err(),
             "scribe_stall with unknown job"
         );
+    }
+
+    /// The error `Scenario::parse` gives for a one-job scenario with
+    /// `extra` root keys.
+    fn refusal(extra: &str) -> String {
+        Scenario::parse(&format!(r#"{{"jobs": [{{"name": "j"}}], {extra}}}"#))
+            .expect_err(extra)
+            .to_string()
+    }
+
+    #[test]
+    fn a_zero_report_interval_is_refused() {
+        // Every report row is taken at `minute % report_every_mins`: a zero
+        // panicked the runner with "remainder with a divisor of zero".
+        let e = refusal(r#""report_every_mins": 0"#);
+        assert!(e.contains("report_every_mins"), "{e}");
+    }
+
+    #[test]
+    fn hostile_fault_numbers_are_refused_not_wrapped() {
+        // `-5 as u64` cleared the fault a minute later (or overflowed
+        // `Duration::from_mins`), and host -1 was "host
+        // 18446744073709551615 of 4".
+        for (event, key) in [
+            (
+                r#""fault": "task_service_down", "duration_mins": -5"#,
+                "'duration_mins'",
+            ),
+            (r#""fault": "heartbeat_loss", "host": -1"#, "'host'"),
+            (
+                r#""fault": "task_service_down", "duration_mins": 307445734561826"#,
+                "'duration_mins'",
+            ),
+        ] {
+            let e = refusal(&format!(
+                r#""events": [{{"action": "inject_fault", "at_mins": 10, {event}}}]"#
+            ));
+            assert!(
+                e.contains("out of range") && e.contains(key),
+                "{event}: {e}"
+            );
+        }
+        // The largest count decodes, but a window that ends past the
+        // clock's range is refused too.
+        let e = refusal(
+            r#""events": [{"action": "inject_fault", "at_mins": 10,
+                          "fault": "task_service_down", "duration_mins": 307445734561825}]"#,
+        );
+        assert!(e.contains("duration_mins ends past"), "{e}");
+    }
+
+    #[test]
+    fn hostile_host_shapes_are_refused() {
+        // Each of these panicked `Turbine::add_hosts` ("fresh host has
+        // capacity").
+        for (host, key) in [
+            (r#""cpu": 0.0"#, "host.cpu"),
+            (r#""cpu": -4.0"#, "host.cpu"),
+            (r#""memory_gb": 0"#, "host.memory_gb"),
+            (r#""memory_gb": 1e999"#, "host.memory_gb"),
+            (r#""cpu": 1e999"#, "host.cpu"),
+        ] {
+            let e = refusal(&format!(r#""host": {{{host}}}"#));
+            assert!(e.contains(key), "{host}: {e}");
+        }
     }
 }

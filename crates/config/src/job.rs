@@ -6,7 +6,9 @@
 //! lossless conversion to/from the [`ConfigValue`] JSON model, plus the
 //! validation checks a query must pass before provisioning.
 
+use crate::record::{ConfigField, ConfigWord};
 use crate::value::ConfigValue;
+use crate::{config_record, config_words};
 use std::fmt;
 use turbine_types::{Priority, Resources};
 
@@ -32,25 +34,6 @@ pub enum MemoryEnforcement {
     SoftLimit,
 }
 
-impl MemoryEnforcement {
-    fn as_str(self) -> &'static str {
-        match self {
-            MemoryEnforcement::Cgroup => "cgroup",
-            MemoryEnforcement::Jvm => "jvm",
-            MemoryEnforcement::SoftLimit => "soft_limit",
-        }
-    }
-
-    fn from_str(s: &str) -> Option<Self> {
-        match s {
-            "cgroup" => Some(MemoryEnforcement::Cgroup),
-            "jvm" => Some(MemoryEnforcement::Jvm),
-            "soft_limit" => Some(MemoryEnforcement::SoftLimit),
-            _ => None,
-        }
-    }
-}
-
 /// Per-job resiliency class: how aggressively the platform defends the
 /// job's availability when containers fail. Tiers trade standby capacity
 /// for recovery speed — `Critical` jobs keep a warm standby on a distinct
@@ -71,11 +54,7 @@ pub enum ResiliencyClass {
 impl ResiliencyClass {
     /// Canonical serialized name of the class.
     pub fn as_str(self) -> &'static str {
-        match self {
-            ResiliencyClass::BestEffort => "best_effort",
-            ResiliencyClass::Standard => "standard",
-            ResiliencyClass::Critical => "critical",
-        }
+        self.word()
     }
 
     /// Parse a canonical class name; `None` for unknown strings (the
@@ -83,12 +62,7 @@ impl ResiliencyClass {
     /// `FromStr` error type).
     #[allow(clippy::should_implement_trait)]
     pub fn from_str(s: &str) -> Option<Self> {
-        match s {
-            "best_effort" => Some(ResiliencyClass::BestEffort),
-            "standard" => Some(ResiliencyClass::Standard),
-            "critical" => Some(ResiliencyClass::Critical),
-            _ => None,
-        }
+        Self::from_word(s)
     }
 
     /// All classes, in tier order (for dashboards and SLO reports).
@@ -207,152 +181,51 @@ impl JobConfig {
 
     /// Serialize to the JSON model. The inverse of [`JobConfig::from_value`].
     pub fn to_value(&self) -> ConfigValue {
-        let mut v = ConfigValue::empty_map();
-        v.insert_path("package.name", self.package.name.as_str().into());
-        v.insert_path(
-            "package.version",
-            ConfigValue::Int(self.package.version as i64),
-        );
-        v.insert(
-            "args",
-            ConfigValue::Array(self.args.iter().map(|a| a.as_str().into()).collect()),
-        );
-        v.insert("task_count", self.task_count.into());
-        v.insert("threads_per_task", self.threads_per_task.into());
-        v.insert_path("resources.cpu", self.task_resources.cpu.into());
-        v.insert_path("resources.memory_mb", self.task_resources.memory_mb.into());
-        v.insert_path("resources.disk_mb", self.task_resources.disk_mb.into());
-        v.insert_path(
-            "resources.network_mbps",
-            self.task_resources.network_mbps.into(),
-        );
-        v.insert("checkpoint_dir", self.checkpoint_dir.as_str().into());
-        v.insert_path("input.category", self.input_category.as_str().into());
-        v.insert_path("input.partitions", self.input_partitions.into());
-        v.insert("stateful", self.stateful.into());
-        v.insert("priority", priority_to_str(self.priority).into());
-        v.insert("slo_lag_secs", self.slo_lag_secs.into());
-        v.insert(
-            "memory_enforcement",
-            self.memory_enforcement.as_str().into(),
-        );
-        v.insert("max_task_count", self.max_task_count.into());
-        v.insert("resiliency", self.resiliency.as_str().into());
-        v
+        self.encode()
     }
 
     /// Decode a merged configuration back into the typed schema. Fails if a
     /// required field is missing or has the wrong type — the JSON layering
-    /// is schemaless, so this is where type errors surface.
+    /// is schemaless, so this is where type errors surface. Keys the schema
+    /// does not name are ignored: an Oncall layer may carry them.
     pub fn from_value(v: &ConfigValue) -> Result<JobConfig, ValidationError> {
-        let get_str = |path: &str| -> Result<String, ValidationError> {
-            v.get_path(path)
-                .and_then(|x| x.as_str())
-                .map(str::to_string)
-                .ok_or_else(|| {
-                    ValidationError::new(&format!("missing or non-string field '{path}'"))
-                })
-        };
-        let get_u32 = |path: &str| -> Result<u32, ValidationError> {
-            v.get_path(path)
-                .and_then(|x| x.as_int())
-                .and_then(|i| u32::try_from(i).ok())
-                .ok_or_else(|| {
-                    ValidationError::new(&format!("missing or invalid integer field '{path}'"))
-                })
-        };
-        let get_f64 = |path: &str| -> Result<f64, ValidationError> {
-            v.get_path(path).and_then(|x| x.as_float()).ok_or_else(|| {
-                ValidationError::new(&format!("missing or non-numeric field '{path}'"))
-            })
-        };
-
-        let priority_str = get_str("priority")?;
-        let priority = priority_from_str(&priority_str)
-            .ok_or_else(|| ValidationError::new(&format!("unknown priority '{priority_str}'")))?;
-        let enforcement_str = get_str("memory_enforcement")?;
-        let memory_enforcement =
-            MemoryEnforcement::from_str(&enforcement_str).ok_or_else(|| {
-                ValidationError::new(&format!("unknown memory_enforcement '{enforcement_str}'"))
-            })?;
-        // Absent means Standard (configs written before resiliency tiers
-        // existed stay decodable); a present-but-unknown string is a type
-        // error like any other enum field.
-        let resiliency = match v.get_path("resiliency") {
-            None => ResiliencyClass::Standard,
-            Some(x) => {
-                let s = x
-                    .as_str()
-                    .ok_or_else(|| ValidationError::new("field 'resiliency' must be a string"))?;
-                ResiliencyClass::from_str(s).ok_or_else(|| {
-                    ValidationError::new(&format!("unknown resiliency class '{s}'"))
-                })?
-            }
-        };
-
-        let config = JobConfig {
-            package: PackageSpec {
-                name: get_str("package.name")?,
-                version: v
-                    .get_path("package.version")
-                    .and_then(|x| x.as_int())
-                    .and_then(|i| u64::try_from(i).ok())
-                    .ok_or_else(|| ValidationError::new("missing or invalid 'package.version'"))?,
-            },
-            args: v
-                .get_path("args")
-                .and_then(|x| x.as_array())
-                .ok_or_else(|| ValidationError::new("missing or non-array field 'args'"))?
-                .iter()
-                .map(|a| {
-                    a.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| ValidationError::new("'args' entries must be strings"))
-                })
-                .collect::<Result<Vec<String>, ValidationError>>()?,
-            task_count: get_u32("task_count")?,
-            threads_per_task: get_u32("threads_per_task")?,
-            task_resources: Resources::new(
-                get_f64("resources.cpu")?,
-                get_f64("resources.memory_mb")?,
-                get_f64("resources.disk_mb")?,
-                get_f64("resources.network_mbps")?,
-            ),
-            checkpoint_dir: get_str("checkpoint_dir")?,
-            input_category: get_str("input.category")?,
-            input_partitions: get_u32("input.partitions")?,
-            stateful: v
-                .get_path("stateful")
-                .and_then(|x| x.as_bool())
-                .ok_or_else(|| ValidationError::new("missing or non-boolean field 'stateful'"))?,
-            priority,
-            slo_lag_secs: get_f64("slo_lag_secs")?,
-            memory_enforcement,
-            max_task_count: get_u32("max_task_count")?,
-            resiliency,
-        };
-        Ok(config)
+        Self::decode(v).map_err(|e| ValidationError::new(&e.to_string()))
     }
 }
 
-fn priority_to_str(p: Priority) -> &'static str {
-    match p {
-        Priority::Low => "low",
-        Priority::Normal => "normal",
-        Priority::High => "high",
-        Priority::Privileged => "privileged",
-    }
-}
+config_record!(JobConfig open {
+    package,
+    args,
+    task_count,
+    threads_per_task,
+    task_resources as "resources",
+    checkpoint_dir,
+    input_category as "input.category",
+    input_partitions as "input.partitions",
+    stateful,
+    priority,
+    slo_lag_secs,
+    memory_enforcement,
+    max_task_count,
+    // Absent in configs written before resiliency tiers existed.
+    resiliency = ResiliencyClass::Standard,
+});
 
-fn priority_from_str(s: &str) -> Option<Priority> {
-    match s {
-        "low" => Some(Priority::Low),
-        "normal" => Some(Priority::Normal),
-        "high" => Some(Priority::High),
-        "privileged" => Some(Priority::Privileged),
-        _ => None,
-    }
-}
+config_record!(PackageSpec open { name, version });
+
+config_record!(Resources open { cpu, memory_mb, disk_mb, network_mbps });
+
+config_words!(MemoryEnforcement {
+    Cgroup => "cgroup",
+    Jvm => "jvm",
+    SoftLimit => "soft_limit",
+});
+
+config_words!(ResiliencyClass {
+    BestEffort => "best_effort",
+    Standard => "standard",
+    Critical => "critical",
+});
 
 /// A failed schema validation or typed decode.
 #[derive(Debug, Clone, PartialEq, Eq)]

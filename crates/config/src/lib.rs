@@ -10,16 +10,19 @@
 //!
 //! The heart of the crate is [`merge::layer_configs`] — the paper's
 //! Algorithm 1 — which recursively merges nested maps while letting the top
-//! layer override the bottom one.
+//! layer override the bottom one. Each typed record's JSON form is declared
+//! once, as a field list given to [`config_record!`].
 
 pub mod job;
 pub mod level;
 pub mod merge;
+pub mod record;
 pub mod text;
 pub mod value;
 
 pub use job::{JobConfig, MemoryEnforcement, PackageSpec, ResiliencyClass, ValidationError};
 pub use level::ConfigLevel;
 pub use merge::{layer_all, layer_configs};
+pub use record::{Bits, ConfigField, ConfigWord, FieldError};
 pub use text::{parse, to_text, ParseError};
 pub use value::{ConfigMap, ConfigValue};

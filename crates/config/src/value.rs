@@ -322,23 +322,6 @@ impl ConfigValue {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Check that this is an object whose keys are all in `allowed`, so a
-    /// misspelled key in a hand-written file fails loudly instead of
-    /// silently falling back to a default. The error names the object as
-    /// `what`.
-    pub fn check_keys(&self, what: &str, allowed: &[&str]) -> Result<(), String> {
-        let map = self
-            .as_map()
-            .ok_or_else(|| format!("{what} must be an object"))?;
-        match map.keys().find(|key| !allowed.contains(&key.as_str())) {
-            None => Ok(()),
-            Some(key) => Err(format!(
-                "{what}: unknown key '{key}' (one of: {})",
-                allowed.join(", ")
-            )),
-        }
-    }
 }
 
 impl From<bool> for ConfigValue {

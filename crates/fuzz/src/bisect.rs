@@ -187,7 +187,7 @@ mod tests {
                 per_thread_rate: 1.0,
                 message_bytes: 256.0,
                 key_cardinality: 0.0,
-                resiliency: "standard".into(),
+                resiliency: turbine_config::ResiliencyClass::Standard,
                 events: vec![],
             }],
             faults: vec![],

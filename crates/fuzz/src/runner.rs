@@ -22,7 +22,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use turbine::{
     DriveMode, Fault, FaultPlan, InvariantConfig, PlatformFingerprint, Turbine, TurbineConfig,
 };
-use turbine_config::{JobConfig, ResiliencyClass};
+use turbine_config::JobConfig;
 use turbine_snap::Snapshot;
 use turbine_types::{Duration, HostId, JobId, Resources, SimTime};
 use turbine_workloads::{TrafficEvent, TrafficEventKind, TrafficModel};
@@ -137,8 +137,7 @@ pub fn build_platform(s: &FuzzScenario) -> Result<(Turbine, Vec<HostId>), String
         let mut jc = JobConfig::stateless(&job.name, job.tasks, job.partitions);
         jc.threads_per_task = job.threads;
         jc.max_task_count = job.max_tasks;
-        jc.resiliency = ResiliencyClass::from_str(&job.resiliency)
-            .ok_or_else(|| format!("job '{}': bad resiliency '{}'", job.name, job.resiliency))?;
+        jc.resiliency = job.resiliency;
         let mut traffic = if job.diurnal > 0.0 {
             TrafficModel::diurnal(job.rate, job.diurnal, job.traffic_seed)
         } else {

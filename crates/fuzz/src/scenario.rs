@@ -14,7 +14,7 @@
 //! (tick-divisible) default, which keeps the dense-vs-event equivalence
 //! oracle applicable to every generated scenario.
 
-use turbine_config::{parse, to_text, ConfigValue, ResiliencyClass};
+use turbine_config::{config_record, parse, to_text, Bits, ConfigField, ResiliencyClass};
 use turbine_sim::{Fault, SimRng};
 
 /// Traffic-event kinds a scenario can attach to a job, mirroring
@@ -64,9 +64,9 @@ pub struct FuzzJob {
     pub message_bytes: f64,
     /// State key cardinality (stateful jobs only).
     pub key_cardinality: f64,
-    /// Resiliency class name (`best_effort`/`standard`/`critical`);
-    /// critical jobs get warm standbys and the fast fail-over path.
-    pub resiliency: String,
+    /// Resiliency class; critical jobs get warm standbys and the fast
+    /// fail-over path.
+    pub resiliency: ResiliencyClass,
     /// Traffic events in this job's input.
     pub events: Vec<FuzzTrafficEvent>,
 }
@@ -215,13 +215,12 @@ pub fn generate(seed: u64) -> FuzzScenario {
             // Critical often enough that the standby machinery gets a real
             // workout across a campaign.
             resiliency: if rng.chance(0.35) {
-                "critical"
+                ResiliencyClass::Critical
             } else if rng.chance(0.25) {
-                "best_effort"
+                ResiliencyClass::BestEffort
             } else {
-                "standard"
-            }
-            .to_string(),
+                ResiliencyClass::Standard
+            },
             events,
         });
     }
@@ -249,7 +248,9 @@ pub fn generate(seed: u64) -> FuzzScenario {
     // A critical job makes a sustained heartbeat loss — the trigger for a
     // warm-standby promotion — much more likely, so campaigns hammer the
     // fast fail-over path instead of finding it by accident.
-    let has_critical = jobs.iter().any(|j| j.resiliency == "critical");
+    let has_critical = jobs
+        .iter()
+        .any(|j| j.resiliency == ResiliencyClass::Critical);
     if has_critical && rng.chance(0.6) {
         let from_min = rng.uniform_usize(2, (horizon_mins as usize * 6 / 10).max(3)) as u32;
         faults.push(FuzzFault {
@@ -303,138 +304,13 @@ impl FuzzScenario {
     /// Serialize to the compact-JSON repro format (deterministic: equal
     /// scenarios produce equal strings).
     pub fn to_json(&self) -> String {
-        to_text(&self.to_value())
-    }
-
-    fn to_value(&self) -> ConfigValue {
-        let mut root = ConfigValue::empty_map();
-        root.insert("seed", ConfigValue::Int(self.seed as i64));
-        root.insert("horizon_mins", ConfigValue::Int(self.horizon_mins as i64));
-        root.insert("tick_secs", ConfigValue::Int(self.tick_secs as i64));
-        root.insert("hosts", ConfigValue::Int(self.hosts as i64));
-        root.insert("host_cpu", ConfigValue::Float(self.host_cpu));
-        root.insert("host_memory_mb", ConfigValue::Float(self.host_memory_mb));
-        root.insert("headroom", ConfigValue::Float(self.headroom));
-        root.insert("band", ConfigValue::Float(self.band));
-        root.insert("scaler_enabled", ConfigValue::Bool(self.scaler_enabled));
-        let jobs = self
-            .jobs
-            .iter()
-            .map(|j| {
-                let mut m = ConfigValue::empty_map();
-                m.insert("name", ConfigValue::Str(j.name.clone()));
-                m.insert("stateful", ConfigValue::Bool(j.stateful));
-                m.insert("tasks", ConfigValue::Int(j.tasks as i64));
-                m.insert("threads", ConfigValue::Int(j.threads as i64));
-                m.insert("partitions", ConfigValue::Int(j.partitions as i64));
-                m.insert("max_tasks", ConfigValue::Int(j.max_tasks as i64));
-                m.insert("rate", ConfigValue::Float(j.rate));
-                m.insert("diurnal", ConfigValue::Float(j.diurnal));
-                m.insert("traffic_seed", ConfigValue::Int(j.traffic_seed as i64));
-                m.insert("per_thread_rate", ConfigValue::Float(j.per_thread_rate));
-                m.insert("message_bytes", ConfigValue::Float(j.message_bytes));
-                m.insert("key_cardinality", ConfigValue::Float(j.key_cardinality));
-                m.insert("resiliency", ConfigValue::Str(j.resiliency.clone()));
-                let events = j
-                    .events
-                    .iter()
-                    .map(|e| {
-                        let mut em = ConfigValue::empty_map();
-                        em.insert("kind", ConfigValue::Str(e.kind.clone()));
-                        em.insert("start_min", ConfigValue::Int(e.start_min as i64));
-                        em.insert("end_min", ConfigValue::Int(e.end_min as i64));
-                        em.insert("magnitude", ConfigValue::Float(e.magnitude));
-                        em.insert("ramp_mins", ConfigValue::Int(e.ramp_mins as i64));
-                        em
-                    })
-                    .collect();
-                m.insert("events", ConfigValue::Array(events));
-                m
-            })
-            .collect();
-        root.insert("jobs", ConfigValue::Array(jobs));
-        let faults = self
-            .faults
-            .iter()
-            .map(|f| {
-                let mut m = ConfigValue::empty_map();
-                m.insert("kind", ConfigValue::Str(f.kind.clone()));
-                m.insert("target", ConfigValue::Int(f.target as i64));
-                m.insert("from_min", ConfigValue::Int(f.from_min as i64));
-                m.insert("len_min", ConfigValue::Int(f.len_min as i64));
-                m
-            })
-            .collect();
-        root.insert("faults", ConfigValue::Array(faults));
-        let flaps = self
-            .flaps
-            .iter()
-            .map(|f| {
-                let mut m = ConfigValue::empty_map();
-                m.insert("host", ConfigValue::Int(f.host as i64));
-                m.insert("fail_min", ConfigValue::Int(f.fail_min as i64));
-                m.insert("recover_min", ConfigValue::Int(f.recover_min as i64));
-                m
-            })
-            .collect();
-        root.insert("flaps", ConfigValue::Array(flaps));
-        root
+        to_text(&self.encode())
     }
 
     /// Parse a repro file produced by [`FuzzScenario::to_json`].
     pub fn from_json(input: &str) -> Result<FuzzScenario, String> {
         let value = parse(input).map_err(|e| e.to_string())?;
-        Self::from_value(&value)
-    }
-
-    fn from_value(value: &ConfigValue) -> Result<FuzzScenario, String> {
-        value.check_keys("scenario", &ROOT_KEYS)?;
-        let count = |key: &str| int_field::<u32>(value, "scenario", key, None);
-        let float = |key: &str| -> Result<f64, String> {
-            value
-                .get(key)
-                .and_then(ConfigValue::as_float)
-                .ok_or_else(|| format!("missing float field '{key}'"))
-        };
-        let jobs = value
-            .get("jobs")
-            .and_then(ConfigValue::as_array)
-            .ok_or("missing 'jobs' array")?
-            .iter()
-            .map(parse_job)
-            .collect::<Result<Vec<_>, _>>()?;
-        let faults = value
-            .get("faults")
-            .and_then(ConfigValue::as_array)
-            .unwrap_or(&[])
-            .iter()
-            .map(parse_fault)
-            .collect::<Result<Vec<_>, _>>()?;
-        let flaps = value
-            .get("flaps")
-            .and_then(ConfigValue::as_array)
-            .unwrap_or(&[])
-            .iter()
-            .map(parse_flap)
-            .collect::<Result<Vec<_>, _>>()?;
-        let scenario = FuzzScenario {
-            // The seed is a bit pattern: `to_value` wrote it `as i64`.
-            seed: int_field::<i64>(value, "scenario", "seed", None)? as u64,
-            horizon_mins: count("horizon_mins")?,
-            tick_secs: count("tick_secs")?,
-            hosts: count("hosts")?,
-            host_cpu: float("host_cpu")?,
-            host_memory_mb: float("host_memory_mb")?,
-            headroom: float("headroom")?,
-            band: float("band")?,
-            scaler_enabled: value
-                .get("scaler_enabled")
-                .and_then(ConfigValue::as_bool)
-                .unwrap_or(true),
-            jobs,
-            faults,
-            flaps,
-        };
+        let scenario = Self::decode(&value).map_err(|e| e.to_string())?;
         scenario.validate()?;
         Ok(scenario)
     }
@@ -452,6 +328,9 @@ impl FuzzScenario {
         }
         if !(self.host_cpu.is_finite() && self.host_cpu > 0.0) {
             return Err("host_cpu must be positive and finite".into());
+        }
+        if !(self.host_memory_mb.is_finite() && self.host_memory_mb > 0.0) {
+            return Err("host_memory_mb must be positive and finite".into());
         }
         if !(0.0..1.0).contains(&self.headroom) {
             return Err("headroom must be in [0, 1)".into());
@@ -479,12 +358,6 @@ impl FuzzScenario {
                 return Err(format!(
                     "job '{}': per_thread_rate must be positive",
                     job.name
-                ));
-            }
-            if ResiliencyClass::from_str(&job.resiliency).is_none() {
-                return Err(format!(
-                    "job '{}': unknown resiliency class '{}'",
-                    job.name, job.resiliency
                 ));
             }
             for event in &job.events {
@@ -516,150 +389,52 @@ impl FuzzScenario {
     }
 }
 
-/// Repro files are hand-edited during shrinking and triage; a silently
-/// ignored misspelled key (`"len_mins"` for `"len_min"`) would change what
-/// the repro reproduces. Every object in the file rejects unknown keys.
-const ROOT_KEYS: [&str; 12] = [
-    "seed",
-    "horizon_mins",
-    "tick_secs",
-    "hosts",
-    "host_cpu",
-    "host_memory_mb",
-    "headroom",
-    "band",
-    "scaler_enabled",
-    "jobs",
-    "faults",
-    "flaps",
-];
-const JOB_KEYS: [&str; 14] = [
-    "name",
-    "stateful",
-    "tasks",
-    "threads",
-    "partitions",
-    "max_tasks",
-    "rate",
-    "diurnal",
-    "traffic_seed",
-    "per_thread_rate",
-    "message_bytes",
-    "key_cardinality",
-    "resiliency",
-    "events",
-];
-const TRAFFIC_EVENT_KEYS: [&str; 5] = ["kind", "start_min", "end_min", "magnitude", "ramp_mins"];
-const FAULT_KEYS: [&str; 4] = ["kind", "target", "from_min", "len_min"];
-const FLAP_KEYS: [&str; 3] = ["host", "fail_min", "recover_min"];
+// Repro files are hand-edited during shrinking and triage; a silently
+// ignored misspelled key (`"len_mins"` for `"len_min"`) would change what
+// the repro reproduces, so every record is closed. Numbers decode finite
+// and integers in range, or the file is refused.
+config_record!(FuzzScenario closed {
+    seed via Bits,
+    horizon_mins,
+    tick_secs,
+    hosts,
+    host_cpu,
+    host_memory_mb,
+    headroom,
+    band,
+    scaler_enabled = true,
+    jobs,
+    faults = Vec::new(),
+    flaps = Vec::new(),
+});
 
-/// An integer field of a repro object, or `default` when it is absent. A
-/// value `T` cannot hold (a negative count, a minute past `u32::MAX`) is an
-/// error rather than a wrapped number.
-fn int_field<T: TryFrom<i64>>(
-    value: &ConfigValue,
-    what: &str,
-    key: &str,
-    default: Option<T>,
-) -> Result<T, String> {
-    match value.get(key).and_then(ConfigValue::as_int) {
-        Some(n) => T::try_from(n).map_err(|_| format!("{what} field '{key}' out of range: {n}")),
-        None => default.ok_or_else(|| format!("{what} missing integer field '{key}'")),
-    }
-}
+config_record!(FuzzJob closed {
+    name,
+    stateful = false,
+    tasks,
+    threads,
+    partitions,
+    max_tasks,
+    rate,
+    diurnal = 0.0,
+    traffic_seed via Bits = 0,
+    per_thread_rate,
+    message_bytes = 256.0,
+    key_cardinality = 0.0,
+    resiliency = ResiliencyClass::Standard,
+    events = Vec::new(),
+});
 
-fn parse_job(value: &ConfigValue) -> Result<FuzzJob, String> {
-    value.check_keys("job", &JOB_KEYS)?;
-    let count = |key: &str| int_field::<u32>(value, "job", key, None);
-    let float = |key: &str| -> Result<f64, String> {
-        value
-            .get(key)
-            .and_then(ConfigValue::as_float)
-            .ok_or_else(|| format!("job missing float field '{key}'"))
-    };
-    let events = value
-        .get("events")
-        .and_then(ConfigValue::as_array)
-        .unwrap_or(&[])
-        .iter()
-        .map(parse_event)
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(FuzzJob {
-        name: value
-            .get("name")
-            .and_then(ConfigValue::as_str)
-            .ok_or("job missing 'name'")?
-            .to_string(),
-        stateful: value
-            .get("stateful")
-            .and_then(ConfigValue::as_bool)
-            .unwrap_or(false),
-        tasks: count("tasks")?,
-        threads: count("threads")?,
-        partitions: count("partitions")?,
-        max_tasks: count("max_tasks")?,
-        rate: float("rate")?,
-        diurnal: float("diurnal").unwrap_or(0.0),
-        traffic_seed: int_field::<i64>(value, "job", "traffic_seed", Some(0))? as u64,
-        per_thread_rate: float("per_thread_rate")?,
-        message_bytes: float("message_bytes").unwrap_or(256.0),
-        key_cardinality: float("key_cardinality").unwrap_or(0.0),
-        resiliency: value
-            .get("resiliency")
-            .and_then(ConfigValue::as_str)
-            .unwrap_or("standard")
-            .to_string(),
-        events,
-    })
-}
+config_record!(FuzzTrafficEvent closed { kind, start_min, end_min, magnitude = 1.0, ramp_mins = 1 });
 
-fn parse_event(value: &ConfigValue) -> Result<FuzzTrafficEvent, String> {
-    value.check_keys("traffic event", &TRAFFIC_EVENT_KEYS)?;
-    let count = |key: &str, default| int_field::<u32>(value, "event", key, default);
-    Ok(FuzzTrafficEvent {
-        kind: value
-            .get("kind")
-            .and_then(ConfigValue::as_str)
-            .ok_or("event missing 'kind'")?
-            .to_string(),
-        start_min: count("start_min", None)?,
-        end_min: count("end_min", None)?,
-        magnitude: value
-            .get("magnitude")
-            .and_then(ConfigValue::as_float)
-            .unwrap_or(1.0),
-        ramp_mins: count("ramp_mins", Some(1))?,
-    })
-}
+config_record!(FuzzFault closed { kind, target = 0, from_min, len_min });
 
-fn parse_fault(value: &ConfigValue) -> Result<FuzzFault, String> {
-    value.check_keys("fault", &FAULT_KEYS)?;
-    let count = |key: &str, default| int_field::<u32>(value, "fault", key, default);
-    Ok(FuzzFault {
-        kind: value
-            .get("kind")
-            .and_then(ConfigValue::as_str)
-            .ok_or("fault missing 'kind'")?
-            .to_string(),
-        target: count("target", Some(0))?,
-        from_min: count("from_min", None)?,
-        len_min: count("len_min", None)?,
-    })
-}
-
-fn parse_flap(value: &ConfigValue) -> Result<FuzzFlap, String> {
-    value.check_keys("flap", &FLAP_KEYS)?;
-    let count = |key: &str| int_field::<u32>(value, "flap", key, None);
-    Ok(FuzzFlap {
-        host: count("host")?,
-        fail_min: count("fail_min")?,
-        recover_min: count("recover_min")?,
-    })
-}
+config_record!(FuzzFlap closed { host, fail_min, recover_min });
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use turbine_config::ConfigValue;
 
     #[test]
     fn generation_is_deterministic() {
@@ -722,9 +497,15 @@ mod tests {
             high_headroom |= s.headroom >= 0.9;
             near_zero_rate |= s.jobs.iter().any(|j| j.rate < 1.0e4);
             stateful |= s.jobs.iter().any(|j| j.stateful);
-            let has_critical = s.jobs.iter().any(|j| j.resiliency == "critical");
+            let has_critical = s
+                .jobs
+                .iter()
+                .any(|j| j.resiliency == ResiliencyClass::Critical);
             critical |= has_critical;
-            best_effort |= s.jobs.iter().any(|j| j.resiliency == "best_effort");
+            best_effort |= s
+                .jobs
+                .iter()
+                .any(|j| j.resiliency == ResiliencyClass::BestEffort);
             critical_with_heartbeat_loss |=
                 has_critical && s.faults.iter().any(|f| f.kind == "heartbeat_loss");
         }
@@ -747,9 +528,11 @@ mod tests {
         let mut s = generate(1);
         s.tick_secs = 7; // does not divide 60
         assert!(FuzzScenario::from_json(&s.to_json()).is_err());
-        let mut s = generate(1);
-        s.jobs[0].resiliency = "gold_plated".to_string();
-        assert!(FuzzScenario::from_json(&s.to_json()).is_err());
+        let gold =
+            generate(1)
+                .to_json()
+                .replacen("\"resiliency\":\"", "\"resiliency\":\"gold_plated_", 1);
+        assert!(FuzzScenario::from_json(&gold).is_err());
     }
 
     #[test]
@@ -768,6 +551,31 @@ mod tests {
         assert!(err.contains("out of range"), "{err}");
     }
 
+    /// `json` with the number stored at `key` replaced by `number`.
+    fn with_number(json: &str, key: &str, number: &str) -> String {
+        let at = json.find(&format!("\"{key}\":")).expect("key") + key.len() + 3;
+        let len = json[at..].find([',', '}']).expect("number ends");
+        format!("{}{number}{}", &json[..at], &json[at + len..])
+    }
+
+    #[test]
+    fn hostile_host_shapes_are_refused_not_provisioned() {
+        // `turbinesim repro` panicked in `add_hosts` ("fresh host has
+        // capacity") on a host with no memory; `validate` never looked.
+        let canonical = generate(1).to_json();
+        for (key, number) in [
+            ("host_memory_mb", "-1.0"),
+            ("host_memory_mb", "0.0"),
+            ("host_memory_mb", "1e999"),
+            ("host_cpu", "1e999"),
+            ("band", "1e999"),
+        ] {
+            let hostile = with_number(&canonical, key, number);
+            let err = FuzzScenario::from_json(&hostile).expect_err(&hostile);
+            assert!(err.contains(key), "{key} = {number}: {err}");
+        }
+    }
+
     #[test]
     fn resiliency_defaults_to_standard_when_absent() {
         let mut v = parse(&generate(2).to_json()).expect("parses");
@@ -779,6 +587,9 @@ mod tests {
             job.as_map_mut().expect("map").remove("resiliency");
         }
         let s = FuzzScenario::from_json(&to_text(&v)).expect("parses without resiliency");
-        assert!(s.jobs.iter().all(|j| j.resiliency == "standard"));
+        assert!(s
+            .jobs
+            .iter()
+            .all(|j| j.resiliency == ResiliencyClass::Standard));
     }
 }

@@ -11,7 +11,7 @@
 
 use crate::registry::{MetricId, MetricKey, Registry, Scope};
 use std::fmt;
-use turbine_config::ConfigValue;
+use turbine_config::{record, ConfigValue};
 use turbine_types::{Duration, SimTime, TimeSeries};
 
 /// How urgent a firing rule is.
@@ -387,10 +387,10 @@ fn opt_f64(v: &ConfigValue, path: &str) -> Option<f64> {
     v.get_path(path).and_then(|x| x.as_float())
 }
 
-fn opt_mins(v: &ConfigValue, path: &str) -> Option<Duration> {
-    v.get_path(path)
-        .and_then(|x| x.as_int())
-        .map(|m| Duration::from_mins(m.max(0) as u64))
+/// A whole-minute field, decoded range-checked: a negative count or one
+/// whose milliseconds overflow is an error naming the rule and the key.
+fn opt_mins(v: &ConfigValue, name: &str, key: &str) -> Result<Option<Duration>, String> {
+    record::field(v, key).map_err(|e| perr(format!("'{name}': {e}")))
 }
 
 /// Parse an `alerts` array (JSON, via the workspace config parser) into
@@ -416,7 +416,7 @@ pub fn parse_rules(
 ) -> Result<Vec<AlertRule>, String> {
     let mut rules = Vec::with_capacity(list.len());
     for rv in list {
-        rv.check_keys("rule", &RULE_KEYS).map_err(perr)?;
+        record::check_closed(rv, &RULE_KEYS).map_err(|e| perr(e.to_string()))?;
         let name = rv
             .get_path("name")
             .and_then(|x| x.as_str())
@@ -448,11 +448,11 @@ pub fn parse_rules(
                 Scope::Job(id)
             }
             "host" => {
-                let host = rv
-                    .get_path("host")
-                    .and_then(|x| x.as_int())
-                    .ok_or_else(|| perr(format!("'{name}': host scope needs a 'host' index")))?;
-                Scope::Host(host.max(0) as u64)
+                let host: Option<u64> =
+                    record::field(rv, "host").map_err(|e| perr(format!("'{name}': {e}")))?;
+                Scope::Host(
+                    host.ok_or_else(|| perr(format!("'{name}': host scope needs a 'host' index")))?,
+                )
             }
             "tier" => {
                 let tier = rv
@@ -495,11 +495,11 @@ pub fn parse_rules(
                 }
             },
             "absence" => RuleKind::Absence {
-                stale_for: opt_mins(rv, "stale_for_mins")
+                stale_for: opt_mins(rv, &name, "stale_for_mins")?
                     .ok_or_else(|| perr(format!("'{name}': absence needs 'stale_for_mins'")))?,
             },
             "rate_of_change" => RuleKind::RateOfChange {
-                window: opt_mins(rv, "window_mins")
+                window: opt_mins(rv, &name, "window_mins")?
                     .ok_or_else(|| perr(format!("'{name}': rate_of_change needs 'window_mins'")))?,
                 per_sec: opt_f64(rv, "per_sec")
                     .ok_or_else(|| perr(format!("'{name}': rate_of_change needs 'per_sec'")))?,
@@ -511,20 +511,22 @@ pub fn parse_rules(
                     return Err(perr(format!("'{name}': budget_ms must be positive")));
                 }
                 RuleKind::BurnRate {
-                    window: opt_mins(rv, "window_mins")
+                    window: opt_mins(rv, &name, "window_mins")?
                         .ok_or_else(|| perr(format!("'{name}': burn_rate needs 'window_mins'")))?,
                     budget_ms,
                 }
             }
             other => return Err(perr(format!("'{name}': unknown kind '{other}'"))),
         };
+        let for_duration = opt_mins(rv, &name, "for_mins")?.unwrap_or(Duration::ZERO);
+        let suppress_for = opt_mins(rv, &name, "suppress_mins")?.unwrap_or(Duration::from_mins(30));
         rules.push(AlertRule {
             name,
             metric: MetricKey::new(scope, metric_name),
             kind,
-            for_duration: opt_mins(rv, "for_mins").unwrap_or(Duration::from_mins(0)),
+            for_duration,
             severity,
-            suppress_for: opt_mins(rv, "suppress_mins").unwrap_or(Duration::from_mins(30)),
+            suppress_for,
         });
     }
     Ok(rules)
@@ -810,5 +812,52 @@ mod tests {
             .expect("array");
         let err = parse_rules(list, |_| None).expect_err("must reject");
         assert!(err.contains("unknown key 'sevrity'"), "{err}");
+    }
+
+    #[test]
+    fn hostile_minutes_and_hosts_are_refused_not_clamped() {
+        // A negative count used to clamp to 0, `host: -1` to host 0, and a
+        // count past `u64::MAX / 60_000` minutes overflowed the millisecond
+        // conversion.
+        let threshold = r#""metric": "m", "kind": "threshold", "above": 1.0"#;
+        for (rule, key) in [
+            (
+                format!(r#"{{"name": "r", {threshold}, "for_mins": -5}}"#),
+                "'for_mins'",
+            ),
+            (
+                format!(r#"{{"name": "r", {threshold}, "suppress_mins": -1}}"#),
+                "'suppress_mins'",
+            ),
+            (
+                format!(r#"{{"name": "r", {threshold}, "for_mins": 307445734561826}}"#),
+                "'for_mins'",
+            ),
+            (
+                r#"{"name": "r", "metric": "m", "kind": "absence", "stale_for_mins": -2}"#.into(),
+                "'stale_for_mins'",
+            ),
+            (
+                format!(r#"{{"name": "r", {threshold}, "scope": "host", "host": -1}}"#),
+                "'host'",
+            ),
+        ] {
+            let root = turbine_config::parse(&format!("[{rule}]")).expect("parse");
+            let list = root.as_array().expect("array");
+            let err = parse_rules(list, |_| None).expect_err(&rule);
+            assert!(
+                err.contains("out of range") && err.contains(key),
+                "{rule}: {err}"
+            );
+        }
+        let root = turbine_config::parse(&format!(
+            r#"[{{"name": "r", {threshold}, "for_mins": 307445734561825}}]"#
+        ))
+        .expect("parse");
+        let rules = parse_rules(root.as_array().expect("array"), |_| None).expect("largest count");
+        assert_eq!(
+            rules[0].for_duration,
+            Duration::from_mins(307_445_734_561_825)
+        );
     }
 }

@@ -55,6 +55,11 @@ impl Duration {
         self.0
     }
 
+    /// Length in whole minutes, rounded down.
+    pub const fn as_mins(self) -> u64 {
+        self.0 / 60_000
+    }
+
     /// Length in fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000.0

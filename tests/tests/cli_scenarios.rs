@@ -88,3 +88,38 @@ fn an_oncall_write_during_a_job_store_outage_is_refused_and_the_run_carries_on()
     assert_eq!(*tasks, 4, "the refused resize never applied");
     assert_eq!(summary.fault_log.len(), 2, "{:?}", summary.fault_log);
 }
+
+#[test]
+fn every_hostile_file_is_refused_with_a_typed_error() {
+    // Each `hostile_*.json` once panicked a run or ran with a wrapped or
+    // clamped number; `hostile_repro_*` files are fuzz repros.
+    let dir = env!("CARGO_MANIFEST_DIR").to_string() + "/scenarios/";
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .expect("tests/scenarios")
+        .map(|entry| {
+            entry
+                .expect("entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .filter(|name| name.starts_with("hostile_"))
+        .collect();
+    names.sort();
+    assert!(names.len() >= 10, "{names:?}");
+    for name in names {
+        let text = std::fs::read_to_string(dir.clone() + &name).expect("read");
+        let refusal = if name.starts_with("hostile_repro_") {
+            turbine_fuzz::FuzzScenario::from_json(&text).map(|_| ())
+        } else {
+            Scenario::parse(&text)
+                .map(|_| ())
+                .map_err(|e| e.to_string())
+        };
+        let err = refusal.expect_err(&name);
+        assert!(
+            err.contains("out of range") || err.contains("must be"),
+            "{name}: {err}"
+        );
+    }
+}
