@@ -35,11 +35,19 @@ digest_b=$(grep -o '"slo_digest": "[^"]*"' /tmp/BENCH_slo_repeat.json)
     || { echo "slo_soak digest not deterministic: '$digest_a' vs '$digest_b'"; exit 1; }
 echo "slo_soak digest reproducible: $digest_a"
 
+echo "== seam: the full-scan reference is a drive mode, not a config field =="
+# DriveMode::FullScan hands the one body of each change-driven round
+# everything; the `sparse_data_plane` selector it replaced stays gone.
+! grep -rn sparse_data_plane crates tests \
+    || { echo "sparse_data_plane is back under crates/ or tests/"; exit 1; }
+
 echo "== scale_smoke: sparse data plane at 1k hosts / 10k tasks (13 simulated hours) =="
-# scale_soak runs the identical scenario under the sparse and full-scan
-# data planes and exits non-zero unless the fingerprints are bit-equal,
-# the sparse syncer does >= 5x less per-job work, and the sparse run
-# lands inside the wall-clock budget. The sparse leg goes through a
+# scale_soak runs the identical scenario under DriveMode::EventDriven and
+# DriveMode::FullScan and exits non-zero unless the fingerprints are
+# bit-equal, the full-scan leg examined every job at every sync round
+# (780 000 here) and sent a report from every container at every
+# load-report round (156 000), the sparse syncer does >= 5x less per-job
+# work, and the sparse run lands inside the wall-clock budget. The sparse leg goes through a
 # snapshot blob at hour 12 and finishes on the restored platform, so the
 # fingerprint gate is also restore == uninterrupted at 1000 hosts; the
 # blob must stay under 100 MB and the round trip under 2 s (the smoke

@@ -38,6 +38,7 @@
 
 use turbine::{tier_slo_table, DriveMode, Incident, PlatformFingerprint, TierSlo};
 use turbine_bench::soak::{run_soak, SoakParams};
+use turbine_bench::{Args, MAX_HOURS, MAX_MINS};
 use turbine_config::ResiliencyClass;
 use turbine_types::{Duration, SimTime};
 
@@ -116,28 +117,14 @@ fn slo_json(total: Duration, seed: u64, tiers: &[TierSlo], slo_digest: u64) -> S
 }
 
 fn main() {
-    let mut hours = 48u64;
-    let mut mins: Option<u64> = None;
-    let mut seed = 0xC4A05u64;
-    let mut slo_path: Option<String> = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let value = args.get(i + 1).and_then(|v| v.parse::<u64>().ok());
-        match (args[i].as_str(), value) {
-            ("--hours", Some(v)) => hours = v,
-            ("--mins", Some(v)) => mins = Some(v),
-            ("--seed", Some(v)) => seed = v,
-            ("--slo", _) if args.get(i + 1).is_some() => {
-                slo_path = Some(args[i + 1].clone());
-            }
-            _ => {
-                eprintln!("usage: chaos_soak [--hours H] [--mins M] [--seed S] [--slo PATH]");
-                std::process::exit(2);
-            }
-        }
-        i += 2;
-    }
+    let args = Args::from_env(
+        "usage: chaos_soak [--hours H] [--mins M] [--seed S] [--slo PATH]",
+        &["--hours", "--mins", "--seed", "--slo"],
+    );
+    let hours = args.value("--hours", 0, MAX_HOURS).unwrap_or(48);
+    let mins = args.value("--mins", 0, MAX_MINS);
+    let seed = args.value("--seed", 0, u64::MAX).unwrap_or(0xC4A05);
+    let slo_path = args.text("--slo");
     let total = mins.map_or_else(|| Duration::from_hours(hours), Duration::from_mins);
 
     eprintln!(
@@ -342,7 +329,7 @@ fn main() {
             }
         }
     }
-    if let Some(path) = &slo_path {
+    if let Some(path) = slo_path {
         let json = slo_json(total, seed, &first.tier_slo, first.fingerprint.slo_digest);
         if let Err(e) = std::fs::write(path, &json) {
             failed = true;

@@ -9,17 +9,21 @@
 //! simulated hours: an oncall scale-up wave at hour 6 and a host flap at
 //! hour 12.
 //!
-//! Both modes run the identical scenario from the same seed and must
-//! produce bit-for-bit identical platform fingerprints — the work
-//! reduction is only reported if the sparse plane changed nothing
-//! observable. The sparse leg also goes through a snapshot blob at hour
-//! 12, right before the flap, and finishes on the restored platform; the
-//! full-scan leg does not, so gate 1 covers restore == uninterrupted at
-//! fleet scale too. The round trip is timed on its own, outside the sparse
-//! leg's wall clock. Gates:
+//! The sparse leg drives `DriveMode::EventDriven`, the full-scan leg
+//! `DriveMode::FullScan`: the same round bodies, handed every job and
+//! every container at each executed instant. Both run the identical
+//! scenario from the same seed and must produce bit-for-bit identical
+//! platform fingerprints — the work reduction is only reported if the
+//! sparse plane changed nothing observable. The sparse leg also goes
+//! through a snapshot blob at hour 12, right before the flap, and finishes
+//! on the restored platform; the full-scan leg does not, so gate 1 covers
+//! restore == uninterrupted at fleet scale too. The round trip is timed on
+//! its own, outside the sparse leg's wall clock. Gates:
 //!   1. fingerprint(full) == fingerprint(sparse, restored at hour 12)
-//!   2. full/sparse `sync_jobs_examined` ratio >= 5x
-//!   3. sparse wall clock <= --max-wall-secs
+//!   2. the full-scan leg examined every job at every sync round and
+//!      sent a report from every container at every load-report round
+//!   3. full/sparse `sync_jobs_examined` ratio >= 5x
+//!   4. sparse wall clock <= --max-wall-secs
 //!
 //! Results go to stdout and `BENCH_scale.json`; `ci.sh` bounds the blob
 //! size and round-trip time it reads from there.
@@ -32,7 +36,7 @@
 
 use std::time::Instant;
 use turbine::{DriveMode, PlatformFingerprint, Turbine, TurbineConfig};
-use turbine_bench::scuba_host;
+use turbine_bench::{scuba_host, Args, MAX_HOURS};
 use turbine_config::{ConfigValue, JobConfig};
 use turbine_snap::Snapshot;
 use turbine_types::{Duration, JobId};
@@ -59,6 +63,10 @@ struct RunResult {
     wall_secs: f64,
     sync_jobs_examined: u64,
     load_reports_sent: u64,
+    /// What a full scan examines: jobs × sync rounds run.
+    all_jobs_every_round: u64,
+    /// What a full scan reports: containers × load-report rounds run.
+    all_containers_every_round: u64,
     /// The hour-12 round trip (sparse leg).
     snapshot: Option<RoundTrip>,
 }
@@ -81,9 +89,8 @@ fn peak_rss_mb() -> Option<f64> {
     Some(kb / 1024.0)
 }
 
-fn build_platform(p: &Params, sparse: bool) -> Turbine {
+fn build_platform(p: &Params) -> Turbine {
     let mut config = TurbineConfig::default();
-    config.sparse_data_plane = sparse;
     // Fleet-shaped control cadences: shard space sized to the host count,
     // and the loops that are O(fleet) even when idle (heartbeat walks
     // containers, TM refresh rebuilds the task snapshot, metrics walks
@@ -121,11 +128,11 @@ fn build_platform(p: &Params, sparse: bool) -> Turbine {
     turbine
 }
 
-fn run(p: &Params, sparse: bool) -> RunResult {
+fn run(p: &Params, mode: DriveMode) -> RunResult {
     let started = Instant::now();
-    let mut t = build_platform(p, sparse);
+    let mut t = build_platform(p);
     // Hours 0-6: converge, then sit quiet.
-    t.drive_for(Duration::from_hours(6), DriveMode::EventDriven);
+    t.drive_for(Duration::from_hours(6), mode);
     // Hour 6: an oncall scale-up wave across a handful of live jobs — a
     // burst of store changes the sparse syncer must pick up from its feed.
     for wave in 0..5u64 {
@@ -137,10 +144,10 @@ fn run(p: &Params, sparse: bool) -> RunResult {
         )
         .expect("oncall scale");
     }
-    t.drive_for(Duration::from_hours(6), DriveMode::EventDriven);
+    t.drive_for(Duration::from_hours(6), mode);
     // Hour 12, sparse leg: through a blob and back, then on with the copy.
     let mut snapshot = None;
-    if sparse {
+    if mode == DriveMode::EventDriven {
         let steady_rss_mb = peak_rss_mb();
         let round_trip = Instant::now();
         let blob = Snapshot::capture(&t).to_bytes();
@@ -157,18 +164,25 @@ fn run(p: &Params, sparse: bool) -> RunResult {
     // dirt, then 11.5 quiet hours of tail.
     let victim = t.cluster.hosts()[(p.seed % p.hosts) as usize];
     t.fail_host(victim).expect("fail host");
-    t.drive_for(Duration::from_mins(30), DriveMode::EventDriven);
+    t.drive_for(Duration::from_mins(30), mode);
     t.recover_host(victim).expect("recover host");
     t.drive_for(
         Duration::from_hours(p.hours.saturating_sub(12)) - Duration::from_mins(30),
-        DriveMode::EventDriven,
+        mode,
     );
     let round_trip_secs = snapshot.map_or(0.0, |trip| trip.wall_secs);
+    // No fault gates a sync or load-report round here, so each ran at
+    // every multiple of its cadence (phase = cadence).
+    let now_ms = t.now().as_millis();
+    let rounds = |cadence: Duration| now_ms / cadence.as_millis();
     RunResult {
         fingerprint: t.fingerprint(),
         wall_secs: started.elapsed().as_secs_f64() - round_trip_secs,
         sync_jobs_examined: t.metrics.sync_jobs_examined.get(),
         load_reports_sent: t.metrics.load_reports_sent.get(),
+        all_jobs_every_round: p.jobs * rounds(t.config().sync_interval),
+        all_containers_every_round: t.task_managers().len() as u64
+            * rounds(t.config().load_report_interval),
         snapshot,
     }
 }
@@ -186,26 +200,18 @@ fn main() {
         // scale; pass --max-wall-secs to tighten on faster hardware.
         max_wall_secs: 900.0,
     };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let value = args.get(i + 1);
-        match (args[i].as_str(), value.and_then(|v| v.parse::<u64>().ok())) {
-            ("--hosts", Some(v)) if v > 0 => p.hosts = v,
-            ("--jobs", Some(v)) if v > 0 => p.jobs = v,
-            ("--hours", Some(v)) if v >= 13 => p.hours = v,
-            ("--seed", Some(v)) => p.seed = v,
-            ("--max-wall-secs", Some(v)) if v > 0 => p.max_wall_secs = v as f64,
-            _ => {
-                eprintln!(
-                    "usage: scale_soak [--hosts N] [--jobs N] [--hours H>=13] [--seed S] \
-                     [--max-wall-secs W]"
-                );
-                std::process::exit(2);
-            }
-        }
-        i += 2;
-    }
+    let args = Args::from_env(
+        "usage: scale_soak [--hosts N] [--jobs N] [--hours H>=13] [--seed S] [--max-wall-secs W]",
+        &["--hosts", "--jobs", "--hours", "--seed", "--max-wall-secs"],
+    );
+    let count = |flag| args.value::<u32>(flag, 1, u32::MAX).map(u64::from);
+    p.hosts = count("--hosts").unwrap_or(p.hosts);
+    p.jobs = count("--jobs").unwrap_or(p.jobs);
+    p.hours = args.value("--hours", 13, MAX_HOURS).unwrap_or(p.hours);
+    p.seed = args.value("--seed", 0, u64::MAX).unwrap_or(p.seed);
+    p.max_wall_secs = args
+        .value("--max-wall-secs", f64::MIN_POSITIVE, f64::INFINITY)
+        .unwrap_or(p.max_wall_secs);
     let tasks = p.jobs * TASKS_PER_JOB as u64;
     eprintln!(
         "scale soak: {} hosts, {} jobs ({tasks} tasks), {} simulated hours, seed {}",
@@ -213,7 +219,7 @@ fn main() {
     );
 
     eprintln!("sparse data plane...");
-    let sparse = run(&p, true);
+    let sparse = run(&p, DriveMode::EventDriven);
     eprintln!(
         "  {:.1}s wall, {} jobs examined, {} load reports",
         sparse.wall_secs, sparse.sync_jobs_examined, sparse.load_reports_sent
@@ -222,7 +228,7 @@ fn main() {
     let snapshot_roundtrip_s = trip.wall_secs;
     let snapshot_mb = trip.blob_bytes as f64 / (1024.0 * 1024.0);
     eprintln!("full-scan reference...");
-    let full = run(&p, false);
+    let full = run(&p, DriveMode::FullScan);
     eprintln!(
         "  {:.1}s wall, {} jobs examined, {} load reports",
         full.wall_secs, full.sync_jobs_examined, full.load_reports_sent
@@ -299,6 +305,19 @@ fn main() {
         eprintln!(
             "SPARSE DIVERGENCE: full fingerprint {:?} vs sparse {:?}",
             full.fingerprint, sparse.fingerprint
+        );
+        std::process::exit(1);
+    }
+    if full.sync_jobs_examined != full.all_jobs_every_round
+        || full.load_reports_sent != full.all_containers_every_round
+    {
+        eprintln!(
+            "FULL SCAN SHORT: the reference examined {} jobs (every job at every sync round \
+             is {}) and sent {} load reports (every container at every round is {})",
+            full.sync_jobs_examined,
+            full.all_jobs_every_round,
+            full.load_reports_sent,
+            full.all_containers_every_round
         );
         std::process::exit(1);
     }

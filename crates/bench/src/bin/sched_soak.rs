@@ -25,7 +25,7 @@
 
 use std::time::Instant;
 use turbine::{DriveMode, PlatformFingerprint, Turbine, TurbineConfig};
-use turbine_bench::scuba_host;
+use turbine_bench::{scuba_host, Args, MAX_HOURS};
 use turbine_config::JobConfig;
 use turbine_types::{Duration, JobId, SimTime};
 use turbine_workloads::{TrafficEvent, TrafficEventKind, TrafficModel};
@@ -100,22 +100,8 @@ fn run(total: Duration, mode: DriveMode) -> (PlatformFingerprint, f64, u64) {
 }
 
 fn main() {
-    let mut hours = 48u64;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match (
-            args[i].as_str(),
-            args.get(i + 1).and_then(|v| v.parse::<u64>().ok()),
-        ) {
-            ("--hours", Some(v)) => hours = v,
-            _ => {
-                eprintln!("usage: sched_soak [--hours H]");
-                std::process::exit(2);
-            }
-        }
-        i += 2;
-    }
+    let args = Args::from_env("usage: sched_soak [--hours H]", &["--hours"]);
+    let hours = args.value("--hours", 0, MAX_HOURS).unwrap_or(48);
     let total = Duration::from_hours(hours);
 
     eprintln!("sched soak: {hours} simulated hours, dense-tick reference...");

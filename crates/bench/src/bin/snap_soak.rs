@@ -23,6 +23,7 @@
 //! ```
 
 use turbine::DriveMode;
+use turbine_bench::Args;
 use turbine_fuzz::{
     auto_snap_interval, bisect_recorded, drive_recorded, resume_to_horizon, FuzzFault, FuzzFlap,
     FuzzJob, FuzzScenario, FuzzTrafficEvent, Perturbation,
@@ -111,26 +112,12 @@ fn chaos_scenario(horizon_mins: u32, seed: u64) -> FuzzScenario {
 }
 
 fn main() {
-    let mut mins = 120u32;
-    let mut seed = 0x5AA9u64;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let value = args.get(i + 1).and_then(|v| v.parse::<u64>().ok());
-        match (args[i].as_str(), value) {
-            ("--mins", Some(v)) => mins = v as u32,
-            ("--seed", Some(v)) => seed = v,
-            _ => {
-                eprintln!("usage: snap_soak [--mins M] [--seed S]");
-                std::process::exit(2);
-            }
-        }
-        i += 2;
-    }
-    if mins < 30 {
-        eprintln!("snap_soak needs at least 30 simulated minutes");
-        std::process::exit(2);
-    }
+    let args = Args::from_env(
+        "usage: snap_soak [--mins M>=30] [--seed S]",
+        &["--mins", "--seed"],
+    );
+    let mins = args.value("--mins", 30, u32::MAX).unwrap_or(120);
+    let seed = args.value("--seed", 0, u64::MAX).unwrap_or(0x5AA9);
     let s = chaos_scenario(mins, seed);
     let every = auto_snap_interval(mins);
     eprintln!(
@@ -142,11 +129,10 @@ fn main() {
     let mut divergences: Vec<String> = Vec::new();
     let mut restores_checked = 0usize;
     let mut checkpoints = 0usize;
-    for mode in [DriveMode::EventDriven, DriveMode::DenseTick] {
-        let mode_name = match mode {
-            DriveMode::EventDriven => "event",
-            DriveMode::DenseTick => "dense",
-        };
+    for (mode, mode_name) in [
+        (DriveMode::EventDriven, "event"),
+        (DriveMode::DenseTick, "dense"),
+    ] {
         let run = drive_recorded(&s, mode, Some(every), None);
         checkpoints = run.checkpoints.len();
         for index in 0..run.checkpoints.len() {

@@ -8,7 +8,10 @@
 //! diverged. Per-layer timings are the repo benchmark's probes
 //! (`benchmark/`).
 
+pub mod args;
 pub mod soak;
+
+pub use args::{Args, MAX_HOURS, MAX_MINS};
 
 use std::process::ExitCode;
 use turbine::{MetricKey, Turbine, TurbineConfig};

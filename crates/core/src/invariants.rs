@@ -40,11 +40,11 @@
 //!
 //! # Sparse checking
 //!
-//! [`InvariantChecker::check_sparse`] evaluates the same invariants but
-//! scopes each scan to the inputs that actually changed since the last
-//! tick, described by a [`DirtyInput`] the platform assembles: one job
-//! set — the jobs the control loops marked plus what the engine's and the
-//! Job Store's change feeds hold for the checker — and change flags for
+//! [`InvariantChecker::check`] scopes each scan to the inputs that
+//! actually changed since the last tick, described by a [`DirtyInput`]
+//! the platform assembles: one job set — the jobs the control loops
+//! marked plus what the engine's and the Job Store's change feeds hold
+//! for the checker — and change flags for
 //! the cluster / distributed / quarantine / standby state. A tick that
 //! only moves a job's backlog and usage changes nothing the checker reads,
 //! so a busy job costs no per-job work
@@ -53,8 +53,10 @@
 //! functions of those inputs, the skipped result is exactly what a full
 //! scan would have produced, and scanning a job that did not change costs
 //! work, never correctness. The convergence universe (expected ∪ running
-//! jobs) is maintained incrementally off the same job set. Every
-//! `audit_interval` sparse ticks a full recomputation cross-checks the
+//! jobs) is maintained incrementally off the same job set. A full scan is
+//! this check handed every job and every scope, which is what the
+//! platform's `DriveMode::FullScan` reference does. Every
+//! `audit_interval` checks a full recomputation cross-checks the
 //! incrementally maintained state and counts any disagreement in
 //! [`InvariantChecker::audit_mismatches`] — the equivalence oracle for the
 //! sparse path.
@@ -81,7 +83,7 @@ const MAX_RECORDED: usize = 64;
 /// Invariant-checker tunables.
 #[derive(Debug, Clone, Copy)]
 pub struct InvariantConfig {
-    /// Every this many sparse checks, a full-scan audit cross-checks the
+    /// Every this many checks, a full-scan audit cross-checks the
     /// incrementally maintained state (0 disables the audit).
     pub audit_interval: u64,
 }
@@ -211,20 +213,22 @@ pub struct InvariantChecker {
     /// violation (so a persisting condition records once, not per tick).
     active: ScopedKeys,
     /// The expected ∪ running job universe, maintained incrementally off
-    /// the sparse check's job set (rebuilt only by a full check).
+    /// the check's job set.
     convergence_jobs: BTreeSet<JobId>,
     /// Start of each job's current divergence episode.
     diverged_since: BTreeMap<JobId, SimTime>,
     /// Jobs already reported for their current divergence episode.
     convergence_flagged: BTreeSet<JobId>,
     ticks_checked: u64,
-    sparse_checks: u64,
     audit_rounds: u64,
     audit_mismatches: u64,
     /// Per-job partition scans plus divergence updates, audits aside. A
     /// cost counter, not state: a restored checker starts from zero.
     /// Derived — not part of the snapshot.
     jobs_examined: u64,
+    /// Fleet-wide scope scans (invariants 2–4, 6, 7), audits aside. A
+    /// cost counter like `jobs_examined`.
+    scopes_scanned: u64,
 }
 
 impl InvariantChecker {
@@ -251,7 +255,7 @@ impl InvariantChecker {
         self.ticks_checked
     }
 
-    /// Full-scan audits performed on the sparse path.
+    /// Full-scan audits performed.
     pub fn audit_rounds(&self) -> u64 {
         self.audit_rounds
     }
@@ -272,48 +276,27 @@ impl InvariantChecker {
         self.jobs_examined
     }
 
+    /// Fleet-wide scans of the four flagged scopes — task and shard
+    /// ownership, host overcommit, quarantine, standby isolation — since
+    /// construction or restore; the audit is not counted. A check scans a
+    /// scope only when its change flag says its inputs may have moved.
+    pub fn scopes_scanned(&self) -> u64 {
+        self.scopes_scanned
+    }
+
     /// Start of `job`'s current divergence episode, if it is in one.
     #[cfg(test)]
     pub(crate) fn diverged_since(&self, job: JobId) -> Option<SimTime> {
         self.diverged_since.get(&job).copied()
     }
 
-    /// Evaluate every invariant against one tick's state (full scan).
-    pub fn check(&mut self, view: &InvariantView<'_>) {
-        self.ticks_checked += 1;
-        let mut rising: Vec<(&'static str, String)> = Vec::new();
-
-        // Invariant 1, every job.
-        let examined: Vec<JobId> = view.engine.job_ids();
-        let examined_set: BTreeSet<JobId> = examined.iter().copied().collect();
-        self.active
-            .partition
-            .retain(|j, _| examined_set.contains(j));
-        for job in examined {
-            self.settle_partition_scope(view, job, &mut rising);
-        }
-        // Invariants 2–4, 6–10.
-        self.settle_distributed_scope(view, &mut rising);
-        self.settle_overcommit_scope(view, &mut rising);
-        self.settle_quarantine_scope(view, &mut rising);
-        self.settle_standby_scope(view, &mut rising);
-        self.settle_edge_scopes(view, &mut rising);
-
-        let now = view.now;
-        for (invariant, detail) in rising {
-            self.record(now, invariant, detail);
-        }
-
-        self.check_convergence(view, None);
-    }
-
     /// Evaluate the invariants touching only what `dirty` says changed.
     /// Scopes with unchanged inputs keep their previous violating-key
     /// sets — the scans are pure, so the result is identical to a full
-    /// scan. Periodically runs the full-scan audit.
-    pub fn check_sparse(&mut self, view: &InvariantView<'_>, dirty: &DirtyInput<'_>) {
+    /// scan, which is this check handed every job and every scope.
+    /// Periodically runs the full-scan audit.
+    pub fn check(&mut self, view: &InvariantView<'_>, dirty: &DirtyInput<'_>) {
         self.ticks_checked += 1;
-        self.sparse_checks += 1;
         let mut rising: Vec<(&'static str, String)> = Vec::new();
 
         // Invariant 1: only jobs whose task/partition state may have
@@ -352,11 +335,11 @@ impl InvariantChecker {
             self.record(now, invariant, detail);
         }
 
-        self.check_convergence(view, Some(dirty.jobs));
+        self.check_convergence(view, dirty.jobs);
 
         if self.config.audit_interval > 0
             && self
-                .sparse_checks
+                .ticks_checked
                 .is_multiple_of(self.config.audit_interval)
         {
             self.audit(view);
@@ -386,6 +369,7 @@ impl InvariantChecker {
         view: &InvariantView<'_>,
         rising: &mut Vec<(&'static str, String)>,
     ) {
+        self.scopes_scanned += 1;
         let mut seen = BTreeSet::new();
         let mut fresh = Vec::new();
         scan_task_and_shard_ownership(view, &mut fresh, &mut seen);
@@ -397,6 +381,7 @@ impl InvariantChecker {
         view: &InvariantView<'_>,
         rising: &mut Vec<(&'static str, String)>,
     ) {
+        self.scopes_scanned += 1;
         let mut seen = BTreeSet::new();
         let mut fresh = Vec::new();
         scan_host_overcommit(view, &mut fresh, &mut seen);
@@ -408,6 +393,7 @@ impl InvariantChecker {
         view: &InvariantView<'_>,
         rising: &mut Vec<(&'static str, String)>,
     ) {
+        self.scopes_scanned += 1;
         let mut seen = BTreeSet::new();
         let mut fresh = Vec::new();
         scan_quarantine_justified(view, &mut fresh, &mut seen);
@@ -419,6 +405,7 @@ impl InvariantChecker {
         view: &InvariantView<'_>,
         rising: &mut Vec<(&'static str, String)>,
     ) {
+        self.scopes_scanned += 1;
         let mut seen = BTreeSet::new();
         let mut fresh = Vec::new();
         scan_standby_isolation(view, &mut fresh, &mut seen);
@@ -455,31 +442,14 @@ impl InvariantChecker {
     /// invariant only when it outlives the convergence window after both
     /// the divergence started and the last fault cleared.
     ///
-    /// With `candidates: Some(..)`, only the given jobs are re-evaluated:
-    /// every input of the divergence predicate (store rows,
-    /// pause/quarantine/capacity membership, engine task counts) marks the
-    /// job in that set, so untouched jobs keep their status and their
-    /// place in the universe. With `None`, every job in the store and
-    /// every job that left the universe is. The window-expiry pass always
-    /// walks the (small) diverged set: it is time-dependent.
-    fn check_convergence(
-        &mut self,
-        view: &InvariantView<'_>,
-        candidates: Option<&BTreeSet<JobId>>,
-    ) {
+    /// Only `candidates` are re-evaluated: every input of the divergence
+    /// predicate (store rows, pause/quarantine/capacity membership, engine
+    /// task counts) marks the job in that set, so untouched jobs keep
+    /// their status and their place in the universe. The window-expiry
+    /// pass always walks the (small) diverged set: it is time-dependent.
+    fn check_convergence(&mut self, view: &InvariantView<'_>, candidates: &BTreeSet<JobId>) {
         let now = view.now;
         let store = view.jobs.store();
-        let everything: BTreeSet<JobId>;
-        let candidates = match candidates {
-            Some(candidates) => candidates,
-            None => {
-                everything = (self.convergence_jobs.iter().copied())
-                    .chain(store.expected_jobs())
-                    .chain(store.running_jobs())
-                    .collect();
-                &everything
-            }
-        };
         for &job in candidates {
             if store.running(job).is_some() || store.has_job(job) {
                 self.convergence_jobs.insert(job);
@@ -907,9 +877,9 @@ snap_struct!(InvariantChecker {
     diverged_since,
     convergence_flagged,
     ticks_checked,
-    sparse_checks,
     audit_rounds,
     audit_mismatches
 } derived {
     jobs_examined: 0,
+    scopes_scanned: 0,
 });

@@ -580,11 +580,7 @@ impl Turbine {
             now: self.now,
             state_move_bandwidth: self.config.state_move_bandwidth,
         };
-        let report = if self.config.sparse_data_plane {
-            self.syncer.run_round_sparse(&mut self.jobs, &mut env)
-        } else {
-            self.syncer.run_round(&mut self.jobs, &mut env)
-        };
+        let report = self.syncer.run_round_sparse(&mut self.jobs, &mut env);
         self.metrics
             .sync_jobs_examined
             .add(report.jobs_examined as u64);
@@ -926,16 +922,16 @@ impl Turbine {
         }
     }
 
-    /// Task Manager load reports to the Shard Manager. In sparse mode only
-    /// containers whose reports could have moved re-report: those whose
-    /// ownership or task set changed, plus every container hosting a task
-    /// of a job the engine marked for load reports — a job whose task set
-    /// changed or one of whose tasks' `cpu_usage` or `memory_usage_mb`
-    /// moved, the only engine state a report reads. A job whose backlog
-    /// alone moved is not marked. A skipped container's previous report is
-    /// still current (`report_load` is a pure overwrite), so the Shard
-    /// Manager sees the same load map either way. The reader is drained in
-    /// both modes, so it stays bounded.
+    /// Task Manager load reports to the Shard Manager. Only containers
+    /// whose reports could have moved re-report: those whose ownership or
+    /// task set changed, plus every container hosting a task of a job the
+    /// engine marked for load reports — a job whose task set changed or one
+    /// of whose tasks' `cpu_usage` or `memory_usage_mb` moved, the only
+    /// engine state a report reads. A job whose backlog alone moved is not
+    /// marked. A skipped container's previous report is still current
+    /// (`report_load` is a pure overwrite), so the Shard Manager sees the
+    /// same load map as when every container reports, which is what the
+    /// `DriveMode::FullScan` reference has them do.
     pub(crate) fn load_report_round(&mut self) {
         let jobs = self.engine.drain_changes(EngineReader::LoadReport);
         let engine = &self.engine;
@@ -944,30 +940,19 @@ impl Turbine {
                 .task(id)
                 .map(|t| Resources::cpu_mem(t.cpu_usage, t.memory_usage_mb))
         };
-        if self.config.sparse_data_plane {
-            let mut containers = std::mem::take(&mut self.load_dirty_containers);
-            for job in jobs {
-                for (_, task) in engine.tasks_of_job(job) {
-                    containers.insert(task.container);
-                }
+        let mut containers = std::mem::take(&mut self.load_dirty_containers);
+        for job in jobs {
+            for (_, task) in engine.tasks_of_job(job) {
+                containers.insert(task.container);
             }
-            self.metrics.load_reports_sent.add(containers.len() as u64);
-            for container in containers {
-                let Some(tm) = self.task_managers.get(&container) else {
-                    continue;
-                };
-                for (shard, load) in tm.aggregate_shard_loads(usage) {
-                    self.shard_manager.report_load(shard, load);
-                }
-            }
-        } else {
-            self.metrics
-                .load_reports_sent
-                .add(self.task_managers.len() as u64);
-            for tm in self.task_managers.values() {
-                for (shard, load) in tm.aggregate_shard_loads(usage) {
-                    self.shard_manager.report_load(shard, load);
-                }
+        }
+        self.metrics.load_reports_sent.add(containers.len() as u64);
+        for container in containers {
+            let Some(tm) = self.task_managers.get(&container) else {
+                continue;
+            };
+            for (shard, load) in tm.aggregate_shard_loads(usage) {
+                self.shard_manager.report_load(shard, load);
             }
         }
     }

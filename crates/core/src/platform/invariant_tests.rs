@@ -1,18 +1,17 @@
 //! Engine mutations reach the sparse invariant check. A violation or a
 //! divergence planted through the engine alone — no Task Manager, no Job
 //! Store write, no control-loop mark — must be caught at the very next
-//! executed instant, in both data-plane modes and on a copy restored from
-//! the stream in between, with the full-scan audit run at every check and
-//! agreeing.
+//! executed instant, on the production path and under the
+//! `DriveMode::FullScan` reference, and on a copy restored from the stream
+//! in between, with the full-scan audit run at every check and agreeing.
 
 use super::*;
 use turbine_types::TaskId;
 
 /// Two flat stateless jobs of two tasks over eight partitions each,
 /// converged, the scaler off so nothing but the test reshapes them.
-fn converged(sparse: bool) -> Turbine {
+fn converged(mode: DriveMode) -> Turbine {
     let mut t = Turbine::new(TurbineConfig {
-        sparse_data_plane: sparse,
         scaler_enabled: false,
         ..TurbineConfig::default()
     });
@@ -22,7 +21,7 @@ fn converged(sparse: bool) -> Turbine {
             .expect("provision");
     }
     t.enable_invariant_checks(InvariantConfig { audit_interval: 1 });
-    t.run_for(Duration::from_mins(10));
+    t.drive_for(Duration::from_mins(10), mode);
     for j in 1..=2 {
         assert_eq!(t.engine.running_tasks_of(JobId(j)), 2, "converged");
     }
@@ -46,16 +45,16 @@ fn restored(t: &Turbine) -> Turbine {
 }
 
 /// Run one executed instant; the violations it recorded.
-fn step(t: &mut Turbine) -> Vec<Violation> {
+fn step(t: &mut Turbine, mode: DriveMode) -> Vec<Violation> {
     let before = t.invariant_violations().len();
-    t.run_for(t.config.tick);
+    t.drive_for(t.config.tick, mode);
     t.invariant_violations()[before..].to_vec()
 }
 
 #[test]
 fn a_violation_planted_through_the_engine_is_caught_at_its_instant() {
-    for sparse in [true, false] {
-        let mut t = converged(sparse);
+    for mode in [DriveMode::EventDriven, DriveMode::FullScan] {
+        let mut t = converged(mode);
         let job = JobId(1);
         // A third task of job 1 on task 0's partition slice and container.
         let specs = TaskService::generate_specs(job, &config(1));
@@ -68,16 +67,16 @@ fn a_violation_planted_through_the_engine_is_caught_at_its_instant() {
         let mut copy = restored(&t);
         for p in [&mut t, &mut copy] {
             let at = p.now + p.config.tick;
-            let fresh = step(p);
+            let fresh = step(p, mode);
             assert!(
                 fresh
                     .iter()
                     .any(|v| v.invariant == "single-partition-ownership" && v.at == at),
-                "sparse {sparse}: overlap not caught at {at}: {fresh:?}"
+                "{mode:?}: overlap not caught at {at}: {fresh:?}"
             );
             let checker = p.invariant_checker().expect("enabled");
-            assert_eq!(checker.audit_rounds() > 0, sparse);
-            assert_eq!(checker.audit_mismatches(), 0, "sparse {sparse}");
+            assert!(checker.audit_rounds() > 0);
+            assert_eq!(checker.audit_mismatches(), 0, "{mode:?}");
         }
         assert_eq!(t.invariant_violations(), copy.invariant_violations());
 
@@ -88,14 +87,10 @@ fn a_violation_planted_through_the_engine_is_caught_at_its_instant() {
         for p in [&mut t, &mut copy] {
             p.engine.task_stopped(victim, container);
             let at = p.now + p.config.tick;
-            step(p);
+            step(p, mode);
             let checker = p.invariant_checker().expect("enabled");
-            assert_eq!(
-                checker.diverged_since(JobId(2)),
-                Some(at),
-                "sparse {sparse}"
-            );
-            assert_eq!(checker.audit_mismatches(), 0, "sparse {sparse}");
+            assert_eq!(checker.diverged_since(JobId(2)), Some(at), "{mode:?}");
+            assert_eq!(checker.audit_mismatches(), 0, "{mode:?}");
         }
     }
 }

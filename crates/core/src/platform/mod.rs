@@ -115,17 +115,6 @@ pub struct TurbineConfig {
     /// Master switch for load-balancing rebalances (ablations; fail-over
     /// stays on).
     pub load_balancing_enabled: bool,
-    /// Sparse data plane: per-round control-plane work proportional to
-    /// what changed rather than fleet size. State Syncer rounds walk only
-    /// the attention set plus the Job Store's changes, invariant
-    /// checks walk only dirty scopes, and load reports skip containers
-    /// whose loads cannot have moved. Observably identical to the dense
-    /// paths (periodic audits compare them); off forces full scans.
-    ///
-    /// A reference selector, not a deployment option: `false` runs the
-    /// full-scan implementations that the equivalence tests, `scale_soak`
-    /// and the fuzz harness compare the sparse path against.
-    pub sparse_data_plane: bool,
 }
 
 impl Default for TurbineConfig {
@@ -148,7 +137,6 @@ impl Default for TurbineConfig {
             shardmgr: ShardManagerConfig::default(),
             scaler_enabled: true,
             load_balancing_enabled: true,
-            sparse_data_plane: true,
         }
     }
 }
@@ -940,7 +928,7 @@ snap_struct!(TurbineConfig {
     tick, shard_count, sync_interval, tm_refresh_interval, heartbeat_interval,
     load_report_interval, rebalance_interval, scaler_interval, capacity_interval,
     metrics_interval, checkpoint_interval, state_move_bandwidth, syncer, scaler, shardmgr,
-    scaler_enabled, load_balancing_enabled, sparse_data_plane
+    scaler_enabled, load_balancing_enabled
 }
 // The tick-vs-cadence rules enforced at construction apply to decoded
 // configs too: a corrupt blob must not yield a platform that silently

@@ -92,6 +92,14 @@ pub enum DriveMode {
     /// and scheduler benchmarks: a reference selector, not a deployment
     /// option.
     DenseTick,
+    /// The event-driven schedule with every job, invariant scope and Task
+    /// Manager container marked changed at each executed instant, so each
+    /// change-driven round — State Syncer, load reports, invariant check —
+    /// does the full scan through its one body. A reference selector, not
+    /// stored in a snapshot: `tests/tests/sparse_equivalence.rs`, the
+    /// platform's `invariant_tests` and `scale_soak`'s reference leg drive
+    /// it, and compare it with [`DriveMode::EventDriven`].
+    FullScan,
 }
 
 /// One periodic control-plane component: its event tag, cadence, phase,
@@ -287,14 +295,29 @@ fn grid_ceil(at: SimTime, tick: Duration) -> SimTime {
 
 impl Turbine {
     /// Advance the simulation to absolute time `end` under an explicit
-    /// drive mode. Both modes execute work only at multiples of
-    /// `config.tick` and finish at the first grid instant ≥ `end` (the
+    /// drive mode. Every mode executes work only at multiples of
+    /// `config.tick` and finishes at the first grid instant ≥ `end` (the
     /// dense loop has always overshot a non-aligned `end` to the grid).
     pub fn drive_until(&mut self, end: SimTime, mode: DriveMode) {
         match mode {
             DriveMode::DenseTick => self.drive_dense(end),
-            DriveMode::EventDriven => self.drive_event(end),
+            DriveMode::EventDriven => self.drive_event(end, false),
+            DriveMode::FullScan => self.drive_event(end, true),
         }
+    }
+
+    /// The full-scan reference's input, as if everything had changed:
+    /// every expected ∪ running job for every reader of the Job Store's
+    /// feed, every invariant scope, every Task Manager's container for a
+    /// load report. Nothing else: every engine job has a store row, and a
+    /// cluster change rescans standby isolation too.
+    fn mark_everything_changed(&mut self) {
+        self.jobs.store_mut().refeed_all();
+        self.pending_dirty.distributed = true;
+        self.pending_dirty.cluster = true;
+        self.pending_dirty.quarantine = true;
+        self.load_dirty_containers
+            .extend(self.task_managers.keys().copied());
     }
 
     /// The pre-refactor dense stepper: every component polled via
@@ -310,8 +333,9 @@ impl Turbine {
     }
 
     /// Event-driven drive: hop from control event to control event,
-    /// advancing the data plane densely or sparsely in between.
-    fn drive_event(&mut self, end: SimTime) {
+    /// advancing the data plane densely or sparsely in between; with
+    /// `full_scan`, mark everything changed at each executed instant.
+    fn drive_event(&mut self, end: SimTime, full_scan: bool) {
         let tick = self.config.tick;
         let final_instant = grid_ceil(end, tick);
         self.arm_components();
@@ -327,6 +351,9 @@ impl Turbine {
                 "events at or before now are always drained"
             );
             self.advance_data_plane(target);
+            if full_scan {
+                self.mark_everything_changed();
+            }
             let mut popped: Vec<(SimTime, ControlEvent)> = Vec::new();
             while let Some(entry) = self.sched.queue.pop_until(self.now) {
                 popped.push(entry);
@@ -569,8 +596,7 @@ impl Turbine {
     fn check_invariants(&mut self) {
         // One job set: what both change feeds hold for the checker (drained
         // with checking off too, so they stay bounded) and what the control
-        // loops marked. The sparse check walks only these, the full check
-        // ignores them.
+        // loops marked. The check walks only these.
         let mut dirty_jobs = self.engine.drain_changes(EngineReader::Checker);
         dirty_jobs.append(&mut self.jobs.store_mut().drain_changes(StoreReader::Checker));
         let Some(mut checker) = self.invariants.take() else {
@@ -607,11 +633,7 @@ impl Turbine {
             fresh_promotions: &self.fresh_promotions,
             fresh_revivals: &self.fresh_revivals,
         };
-        if self.config.sparse_data_plane {
-            checker.check_sparse(&view, &dirty);
-        } else {
-            checker.check(&view);
-        }
+        checker.check(&view, &dirty);
         self.fresh_promotions.clear();
         self.fresh_revivals.clear();
         self.invariants = Some(checker);

@@ -5,8 +5,8 @@
 //! equivalence, and the deterministic trace digest. This crate turns those
 //! oracles into a *search tool*: a seeded generator composes whole-platform
 //! scenarios (jobs, traffic, fault plans, host churn, config corner
-//! values), a runner drives each scenario in both [`turbine::DriveMode`]s
-//! under `catch_unwind`, and every oracle violation is greedily shrunk to a
+//! values), a runner drives each scenario in the dense-tick and the
+//! event-driven [`turbine::DriveMode`] under `catch_unwind`, and every oracle violation is greedily shrunk to a
 //! minimal scenario that serializes to a JSON repro file `turbinesim repro`
 //! replays bit-for-bit.
 //!

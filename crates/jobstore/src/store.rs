@@ -468,6 +468,14 @@ impl<W: WalStorage> JobStore<W> {
         }
     }
 
+    /// Feed every job in either table to every reader, as if each had
+    /// just changed: what the full-scan reference hands the readers.
+    pub fn refeed_all(&mut self) {
+        for &job in self.expected.keys().chain(self.running.keys()) {
+            self.changes.mark(job);
+        }
+    }
+
     /// Take the jobs whose expected or running row changed since
     /// `reader`'s last drain, each once. Each reader drains at one place.
     pub fn drain_changes(&mut self, reader: StoreReader) -> BTreeSet<JobId> {

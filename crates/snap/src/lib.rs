@@ -46,8 +46,10 @@ pub const SNAP_MAGIC: [u8; 8] = *b"TRBNSNAP";
 /// watched-job maps and its per-tier downtime totals; version 9 stores the
 /// Job Store's and the engine's change feeds (one set per reader) in place
 /// of the store's change log, the engine's dirty set and the four cursors
-/// into the log.
-pub const SNAP_VERSION: u32 = 9;
+/// into the log; version 10 drops the configuration's full-scan selector
+/// (the reference is a drive mode now, `DriveMode::FullScan`) and the
+/// invariant checker's count of sparse checks (every check is one).
+pub const SNAP_VERSION: u32 = 10;
 
 /// Chunk size of the manifest: one digest per 4 KiB of stream, verified
 /// on every restore and compared across snapshots. Small enough that an

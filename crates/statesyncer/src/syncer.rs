@@ -208,55 +208,20 @@ impl StateSyncer {
     }
 
     /// Run one synchronization round (production cadence: every 30 s) over
-    /// every job in the union of the expected and running tables. This is
-    /// the full-scan reference [`Self::run_round_sparse`] is compared
-    /// against (and the benchmark times), not a deployment option.
+    /// every job in the union of the expected and running tables: the
+    /// paper's full comparison, which the benchmark times beside
+    /// [`Self::run_round_sparse`]. What the sparse round would have
+    /// visited is consumed unread; unfinished business re-enters attention
+    /// from the round's report.
     pub fn run_round<W: WalStorage>(
         &mut self,
         service: &mut JobService<W>,
         env: &mut dyn SyncEnvironment,
     ) -> SyncReport {
-        let mut report = SyncReport::default();
-        self.round += 1;
+        self.take_candidates(service);
         let mut jobs: BTreeSet<JobId> = service.store().expected_jobs().into_iter().collect();
         jobs.extend(service.store().running_jobs());
-        report.jobs_examined = jobs.len();
-        // A full round re-derives everything, so what the sparse round
-        // would have visited is consumed unread; unfinished business
-        // re-enters attention below.
-        self.take_candidates(service);
-
-        for job in jobs {
-            if self.quarantined.contains(&job) {
-                continue;
-            }
-            // Repeatedly-failing jobs back off (1/2/4 rounds plus jitter)
-            // so a flapping dependency isn't hammered every 30 s, and the
-            // failure counter climbs toward quarantine more slowly than
-            // the round cadence.
-            if let Some(&resume) = self.resume_round.get(&job) {
-                if self.round < resume {
-                    report.backed_off.push(job);
-                    continue;
-                }
-                self.resume_round.remove(&job);
-            }
-            if service.store().has_job(job) {
-                self.sync_existing(job, service, env, &mut report);
-            } else {
-                // Deleted job still running: wind it down.
-                self.run_actions(
-                    job,
-                    &build_delete_plan(job),
-                    None,
-                    service,
-                    env,
-                    &mut report,
-                );
-            }
-        }
-        self.refresh_attention(&report);
-        report
+        self.round(jobs, service, env)
     }
 
     /// Run one synchronization round over only the jobs that can have
@@ -268,24 +233,38 @@ impl StateSyncer {
     /// expected/running row change since it was last seen in sync, so the
     /// full round would take the hot no-op path for it (or `continue` past
     /// it while quarantined) — no report entry, no store write, no RNG
-    /// draw. Candidates are processed in ascending job order, the same
-    /// relative order the full round visits them in, so the backoff jitter
-    /// stream is drawn identically in both modes.
+    /// draw. Both rounds visit their jobs in ascending order, so the
+    /// backoff jitter stream is drawn identically either way.
     pub fn run_round_sparse<W: WalStorage>(
         &mut self,
         service: &mut JobService<W>,
         env: &mut dyn SyncEnvironment,
     ) -> SyncReport {
         let candidates = self.take_candidates(service);
+        self.round(candidates, service, env)
+    }
+
+    /// The one round loop: compare expected and running for each of
+    /// `jobs`, in ascending order.
+    fn round<W: WalStorage>(
+        &mut self,
+        jobs: BTreeSet<JobId>,
+        service: &mut JobService<W>,
+        env: &mut dyn SyncEnvironment,
+    ) -> SyncReport {
         let mut report = SyncReport {
-            jobs_examined: candidates.len(),
+            jobs_examined: jobs.len(),
             ..SyncReport::default()
         };
         self.round += 1;
-        for job in candidates {
+        for job in jobs {
             if self.quarantined.contains(&job) {
                 continue;
             }
+            // Repeatedly-failing jobs back off (1/2/4 rounds plus jitter)
+            // so a flapping dependency isn't hammered every 30 s, and the
+            // failure counter climbs toward quarantine more slowly than
+            // the round cadence.
             if let Some(&resume) = self.resume_round.get(&job) {
                 if self.round < resume {
                     report.backed_off.push(job);
@@ -306,8 +285,7 @@ impl StateSyncer {
                     &mut report,
                 );
             }
-            // Neither expected nor running: fully gone. The full round's
-            // universe would not contain it either.
+            // Neither expected nor running: fully gone.
         }
         self.refresh_attention(&report);
         report

@@ -1,17 +1,19 @@
-//! Sparse-data-plane equivalence: with `sparse_data_plane` on, syncer
-//! rounds walk only the attention set plus the jobs the Job Store fed the
+//! Sparse-data-plane equivalence: on the production path syncer rounds
+//! walk only the attention set plus the jobs the Job Store fed the
 //! syncer, invariant checks walk only dirty scopes (per job: the jobs the
 //! engine's and the store's change feeds hold for the checker plus those
 //! the control loops marked, never those a tick only moved backlog or
 //! usage in), and load reports skip unchanged
 //! containers — yet every observable outcome (fingerprints, violations,
-//! SLO records) must match the full-scan paths bit for bit. The checker's
-//! built-in audit re-runs a full scan every N sparse checks and counts
-//! disagreements; any mismatch means a dirty-marking site is missing.
-//! Work counters, not clocks, show the sparse paths' cost follows change.
+//! SLO records) must match `DriveMode::FullScan`, which hands the same
+//! round bodies every job, scope and container at each instant, bit for
+//! bit. The checker's built-in audit re-runs a full scan every N checks
+//! and counts disagreements; any mismatch means a dirty-marking site is
+//! missing. Work counters, not clocks, show the sparse paths' cost
+//! follows change, and that the reference really scans everything.
 
 use proptest::prelude::*;
-use turbine::{Fault, FaultPlan, InvariantConfig, Turbine, TurbineConfig, Violation};
+use turbine::{DriveMode, Fault, FaultPlan, InvariantConfig, Turbine, TurbineConfig, Violation};
 use turbine_config::{ConfigValue, JobConfig};
 use turbine_types::{ContainerId, Duration, JobId, Resources, SimTime, SnapWriter};
 use turbine_workloads::TrafficModel;
@@ -23,12 +25,8 @@ fn host() -> Resources {
 /// A platform with enough variety to exercise every sparse path: a
 /// diurnal stateless job, a flat stateless job, and a stateful critical
 /// job (warm standby + complex syncs + shadow cursors).
-fn build(sparse: bool) -> Turbine {
-    let config = TurbineConfig {
-        sparse_data_plane: sparse,
-        ..TurbineConfig::default()
-    };
-    let mut t = Turbine::new(config);
+fn build() -> Turbine {
+    let mut t = Turbine::new(TurbineConfig::default());
     t.add_hosts(5, host());
     t.provision_job(
         JobId(1),
@@ -72,12 +70,12 @@ struct Observed {
     violations: Vec<Violation>,
 }
 
-fn drive(sparse: bool, plan: &[FaultPlan], flap_minute: Option<u64>, scale_to: u32) -> Observed {
-    let mut t = build(sparse);
+fn drive(mode: DriveMode, plan: &[FaultPlan], flap_minute: Option<u64>, scale_to: u32) -> Observed {
+    let mut t = build();
     for p in plan {
         t.schedule_fault(p.clone());
     }
-    t.run_for(Duration::from_mins(20));
+    t.drive_for(Duration::from_mins(20), mode);
     // Mid-run interventions: an oncall scale (drives a redistribution and
     // a burst of store changes) and optionally a host flap (fail-over + standby
     // churn + cluster-scope dirt).
@@ -85,18 +83,18 @@ fn drive(sparse: bool, plan: &[FaultPlan], flap_minute: Option<u64>, scale_to: u
     // deterministic refusal, so the outcome stays comparable either way.
     let _ = t.oncall_set(JobId(1), "task_count", ConfigValue::Int(scale_to as i64));
     if let Some(minute) = flap_minute {
-        t.run_for(Duration::from_mins(minute));
+        t.drive_for(Duration::from_mins(minute), mode);
         let victim = t.cluster.hosts()[4];
         t.fail_host(victim).expect("fail");
-        t.run_for(Duration::from_mins(25));
+        t.drive_for(Duration::from_mins(25), mode);
         t.recover_host(victim).expect("recover");
     }
     let end = SimTime::ZERO + Duration::from_hours(3);
     while t.now() < end {
-        t.run_for(Duration::from_mins(9));
+        t.drive_for(Duration::from_mins(9), mode);
     }
     let checker = t.invariant_checker().expect("enabled");
-    if sparse {
+    if mode == DriveMode::EventDriven {
         assert!(
             checker.audit_rounds() > 0,
             "the soak must be long enough for at least one full-scan audit"
@@ -141,8 +139,8 @@ proptest! {
             from,
             until: Some(from + Duration::from_mins(fault_len_mins)),
         }];
-        let full = drive(false, &plan, flap_minute, scale_to);
-        let sparse = drive(true, &plan, flap_minute, scale_to);
+        let full = drive(DriveMode::FullScan, &plan, flap_minute, scale_to);
+        let sparse = drive(DriveMode::EventDriven, &plan, flap_minute, scale_to);
         prop_assert_eq!(full, sparse);
     }
 }
@@ -154,9 +152,12 @@ proptest! {
 /// connection.
 #[test]
 fn sparse_and_full_load_reports_leave_byte_equal_shard_managers() {
-    let mut twins = [build(false), build(true)];
+    let mut twins = [
+        (build(), DriveMode::FullScan),
+        (build(), DriveMode::EventDriven),
+    ];
     let from = SimTime::ZERO + Duration::from_mins(65);
-    for t in &mut twins {
+    for (t, _) in &mut twins {
         t.schedule_fault(FaultPlan {
             fault: Fault::HeartbeatLoss(ContainerId(2)),
             from,
@@ -168,10 +169,10 @@ fn sparse_and_full_load_reports_leave_byte_equal_shard_managers() {
         w.put(t.shard_manager());
         w.into_bytes()
     };
-    let victim = twins[0].cluster.hosts()[4];
+    let victim = twins[0].0.cluster.hosts()[4];
     // Ten-minute steps land on every load report (cadence 10 minutes).
     for step in 1..=18u64 {
-        for t in &mut twins {
+        for (t, mode) in &mut twins {
             match step {
                 3 => t
                     .oncall_set(JobId(1), "task_count", ConfigValue::Int(6))
@@ -180,15 +181,15 @@ fn sparse_and_full_load_reports_leave_byte_equal_shard_managers() {
                 8 => t.recover_host(victim).expect("recover"),
                 _ => {}
             }
-            t.run_for(Duration::from_mins(10));
+            t.drive_for(Duration::from_mins(10), *mode);
         }
         assert!(
-            encoded(&twins[0]) == encoded(&twins[1]),
+            encoded(&twins[0].0) == encoded(&twins[1].0),
             "shard managers diverged at minute {}",
             step * 10
         );
     }
-    let [full, sparse] = &twins;
+    let [(full, _), (sparse, _)] = &twins;
     assert_eq!(full.fingerprint(), sparse.fingerprint());
     let sent = |t: &Turbine| t.metrics.load_reports_sent.get();
     assert!(
@@ -204,17 +205,17 @@ fn sparse_and_full_load_reports_leave_byte_equal_shard_managers() {
 /// the work reduction the scale gate measures, asserted at test scale.
 #[test]
 fn quiescent_sparse_rounds_do_no_per_job_work() {
-    let mut sparse = build(true);
-    let mut full = build(false);
+    let mut sparse = build();
+    let mut full = build();
     sparse.run_for(Duration::from_hours(1));
-    full.run_for(Duration::from_hours(1));
+    full.drive_for(Duration::from_hours(1), DriveMode::FullScan);
     let s0 = sparse.metrics.sync_jobs_examined.get();
     let f0 = full.metrics.sync_jobs_examined.get();
     // Second hour: all jobs converged, traffic flat-ish — the sparse
     // syncer should examine almost nothing while full re-walks 3 jobs
     // every 30 s round.
     sparse.run_for(Duration::from_hours(1));
-    full.run_for(Duration::from_hours(1));
+    full.drive_for(Duration::from_hours(1), DriveMode::FullScan);
     let s_delta = sparse.metrics.sync_jobs_examined.get() - s0;
     let f_delta = full.metrics.sync_jobs_examined.get() - f0;
     assert!(
@@ -335,4 +336,68 @@ fn per_container_rounds_grow_with_change_not_with_the_fleet() {
             "{name}: a quiet window costs nothing"
         );
     }
+}
+
+/// The reference is not vacuous: under `DriveMode::FullScan` every sync
+/// round examines every job in the expected ∪ running tables (here the
+/// three provisioned jobs, none of which is deleted), every load-report
+/// round sends one report per Task Manager, and every invariant check
+/// examines every engine job and scans every flagged scope — through an
+/// oncall scale and a host flap as well as the quiet spans in between.
+/// Were the reference to stop handing the rounds everything, it would do
+/// the production path's work and every equivalence test above would
+/// pass without comparing anything.
+#[test]
+fn the_full_scan_reference_hands_every_round_everything() {
+    let mut t = build();
+    let step = t.config().sync_interval;
+    let report_every = t.config().load_report_interval;
+    let victim = t.cluster.hosts()[4];
+    let jobs = t.job_ids().len() as u64;
+    let containers = t.task_managers().len() as u64;
+    assert_eq!((jobs, containers), (3, 5));
+    let work = |t: &Turbine| {
+        let checker = t.invariant_checker().expect("enabled");
+        [
+            t.metrics.sync_jobs_examined.get(),
+            t.metrics.load_reports_sent.get(),
+            checker.ticks_checked(),
+            checker.jobs_examined(),
+            checker.scopes_scanned(),
+        ]
+    };
+    let mut reports_due = 0;
+    for i in 1..=240u64 {
+        match i {
+            40 => t
+                .oncall_set(JobId(1), "task_count", ConfigValue::Int(6))
+                .expect("store up"),
+            120 => t.fail_host(victim).expect("fail"),
+            170 => t.recover_host(victim).expect("recover"),
+            _ => {}
+        }
+        let before = work(&t);
+        t.drive_for(step, DriveMode::FullScan);
+        let after = work(&t);
+        let [synced, reported, checks, examined, scopes] =
+            std::array::from_fn(|k| after[k] - before[k]);
+        let at = t.now();
+        assert_eq!(synced, jobs, "{at}: one sync round over every job");
+        let report_round = at.as_millis().is_multiple_of(report_every.as_millis());
+        reports_due += u64::from(report_round);
+        assert_eq!(
+            reported,
+            if report_round { containers } else { 0 },
+            "{at}: one report per Task Manager at a load-report round"
+        );
+        assert!(checks > 0, "{at}: checked");
+        assert!(
+            examined >= checks * t.engine().job_ids().len() as u64,
+            "{at}: {examined} jobs examined over {checks} checks"
+        );
+        assert_eq!(scopes, 4 * checks, "{at}: every scope at every check");
+    }
+    assert_eq!(reports_due, 12, "two hours of ten-minute load reports");
+    let checker = t.invariant_checker().expect("enabled");
+    assert_eq!(checker.audit_mismatches(), 0);
 }
