@@ -41,6 +41,12 @@ echo "== seam: the full-scan reference is a drive mode, not a config field =="
 ! grep -rn sparse_data_plane crates tests \
     || { echo "sparse_data_plane is back under crates/ or tests/"; exit 1; }
 
+echo "== the invariant checker owns its inbox =="
+# What the control loops tell the checker is one record inside the
+# checker; the platform-side copy and the per-check hand-over type stay gone.
+! grep -rnE 'PendingDirty|DirtyInput' crates tests \
+    || { echo "PendingDirty or DirtyInput is back under crates/ or tests/"; exit 1; }
+
 echo "== scale_smoke: sparse data plane at 1k hosts / 10k tasks (13 simulated hours) =="
 # scale_soak runs the identical scenario under DriveMode::EventDriven and
 # DriveMode::FullScan and exits non-zero unless the fingerprints are

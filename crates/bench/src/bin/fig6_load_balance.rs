@@ -19,24 +19,19 @@ use std::process::ExitCode;
 use turbine::Turbine;
 use turbine_bench::{
     exit_code, experiment_config, platform_latest, platform_rows, print_table, provision_fleet,
-    scuba_host, verdict,
+    scuba_host, verdict, Args, MAX_HOURS,
 };
 use turbine_types::{ContainerId, Duration};
 use turbine_workloads::{synthesize_fleet, FleetConfig};
 
-fn arg(name: &str, default: u64) -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 fn main() -> ExitCode {
+    let args = Args::from_env(
+        "usage: fig6_load_balance [--hosts N] [--days D]",
+        &["--hosts", "--days"],
+    );
+    let hosts = args.value::<u32>("--hosts", 1, u32::MAX).unwrap_or(36) as usize;
+    let days = args.value("--days", 1, MAX_HOURS / 24).unwrap_or(2);
     let mut holds = true;
-    let hosts = arg("--hosts", 36) as usize;
-    let days = arg("--days", 2);
     // ~180 tasks per host, mostly single-task jobs (Fig. 5 shape).
     let jobs = hosts * 130;
 

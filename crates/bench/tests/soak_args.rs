@@ -1,6 +1,6 @@
-//! The soak binaries refuse an out-of-range flag value with exit 2 and
-//! their usage line before simulating anything, instead of truncating or
-//! wrapping it into a different run.
+//! The soak binaries and `fig6_load_balance` refuse an out-of-range flag
+//! value with exit 2 and their usage line before simulating anything,
+//! instead of truncating, wrapping or ignoring it into a different run.
 
 use std::process::Command;
 use turbine_bench::{MAX_HOURS, MAX_MINS};
@@ -28,4 +28,9 @@ fn out_of_range_soak_flags_exit_2() {
     refused(env!("CARGO_BIN_EXE_scale_soak"), &["--max-wall-secs", "0"]);
     refused(env!("CARGO_BIN_EXE_scale_soak"), &["--hours", "12"]);
     refused(env!("CARGO_BIN_EXE_scale_soak"), &["--days", "1"]);
+    // Not a number, and a zero-host (zero-shard) platform.
+    refused(env!("CARGO_BIN_EXE_fig6_load_balance"), &["--hosts", "abc"]);
+    refused(env!("CARGO_BIN_EXE_fig6_load_balance"), &["--hosts", "0"]);
+    let days = (MAX_HOURS / 24 + 1).to_string();
+    refused(env!("CARGO_BIN_EXE_fig6_load_balance"), &["--days", &days]);
 }

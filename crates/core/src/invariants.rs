@@ -4,8 +4,8 @@
 //! *every* tick, not just at the end of a scenario — a checkpoint partition
 //! briefly owned by two tasks corrupts state even if the system later
 //! converges. The [`InvariantChecker`] evaluates a fixed set of
-//! cross-component invariants against a read-only [`InvariantView`] the
-//! platform assembles each tick:
+//! cross-component invariants against a read-only view the platform
+//! assembles each tick:
 //!
 //! 1. **Single partition ownership** — no input partition of a job is
 //!    claimed by two active tasks (checkpoint safety, §III-B).
@@ -40,24 +40,28 @@
 //!
 //! # Sparse checking
 //!
-//! [`InvariantChecker::check`] scopes each scan to the inputs that
-//! actually changed since the last tick, described by a [`DirtyInput`]
-//! the platform assembles: one job set — the jobs the control loops
-//! marked plus what the engine's and the Job Store's change feeds hold
-//! for the checker — and change flags for
-//! the cluster / distributed / quarantine / standby state. A tick that
-//! only moves a job's backlog and usage changes nothing the checker reads,
-//! so a busy job costs no per-job work
-//! ([`InvariantChecker::jobs_examined`]). A scope whose inputs did not
-//! change keeps its previous violating-key set — since the scans are pure
-//! functions of those inputs, the skipped result is exactly what a full
-//! scan would have produced, and scanning a job that did not change costs
-//! work, never correctness. The convergence universe (expected ∪ running
-//! jobs) is maintained incrementally off the same job set. A full scan is
-//! this check handed every job and every scope, which is what the
-//! platform's `DriveMode::FullScan` reference does. Every
-//! `audit_interval` checks a full recomputation cross-checks the
-//! incrementally maintained state and counts any disagreement in
+//! The checker owns its inbox: one record of what changed since the last
+//! check, marked by the control loops through the platform's
+//! `tell_checker` (a no-op while checking is off) — a job set, four scope
+//! flags (distributed / cluster / quarantine / standby) and the promotion
+//! and revival edge lists. At each check the platform adds what the
+//! engine's and the Job Store's change feeds hold for the checker, and
+//! the checker's `check` drains the record. A tick that only moves a
+//! job's backlog and usage changes nothing the checker reads, so a busy
+//! job costs no per-job work ([`InvariantChecker::jobs_examined`]). The
+//! partition scope is scanned per marked job; the fleet-wide scopes are
+//! one table, each row naming its scan, where its violating keys live,
+//! the trigger that rescans it and whether the audit recomputes it. A
+//! scope whose trigger did not fire keeps its previous violating-key set —
+//! since the scans are pure functions of their inputs, the skipped result
+//! is exactly what a full scan would have produced, and scanning a job
+//! that did not change costs work, never correctness. The convergence
+//! universe (expected ∪ running jobs) is maintained incrementally off the
+//! same job set. A new checker starts with every scope pending; a full
+//! scan is this check handed every job and every scope, which is what the
+//! platform's `DriveMode::FullScan` reference does. Every `audit_interval`
+//! checks a full recomputation cross-checks the incrementally maintained
+//! state and counts any disagreement in
 //! [`InvariantChecker::audit_mismatches`] — the equivalence oracle for the
 //! sparse path.
 
@@ -107,27 +111,44 @@ pub struct Violation {
     pub detail: String,
 }
 
-/// What changed since the last check — the platform assembles this from
-/// the change feeds, component change flags, and set diffs. Every
-/// flag must be *conservatively* complete: claiming something unchanged
-/// when it changed breaks the sparse/full equivalence (the audit exists
-/// to catch exactly that).
-pub struct DirtyInput<'a> {
+/// What changed since the last check: the checker's inbox, marked by the
+/// control loops and drained by [`InvariantChecker::check`]. Every mark
+/// must be *conservatively* complete: a set flag only means "may have
+/// changed", and claiming something unchanged when it changed breaks the
+/// sparse/full equivalence (the audit exists to catch exactly that).
+#[derive(Debug, Default)]
+pub(crate) struct Inbox {
     /// Jobs whose engine task set, pause/quarantine/capacity membership,
-    /// or store rows changed since the last check.
-    pub jobs: &'a BTreeSet<JobId>,
-    /// Task-manager ownership or the live-container set changed.
-    pub distributed_changed: bool,
-    /// Cluster topology or capacity changed.
-    pub cluster_changed: bool,
-    /// The syncer's quarantine state changed.
-    pub quarantine_changed: bool,
-    /// Standby registrations changed.
-    pub standby_changed: bool,
+    /// or store rows may have changed.
+    pub(crate) jobs: BTreeSet<JobId>,
+    /// Task-manager ownership or the live-container set may have changed.
+    pub(crate) distributed: bool,
+    /// Cluster hosts or capacities may have changed.
+    pub(crate) cluster: bool,
+    /// The quarantine set or its failure counts may have changed.
+    pub(crate) quarantine: bool,
+    /// Standby registrations may have changed.
+    pub(crate) standby: bool,
+    /// Standby promotions: (job, promoted container).
+    pub(crate) promotions: Vec<(JobId, ContainerId)>,
+    /// Container revivals: (container, shards still mapped to it at
+    /// revival time).
+    pub(crate) revivals: Vec<(ContainerId, usize)>,
+}
+
+impl Inbox {
+    /// Every fleet-wide scope pending: where a new checker starts, and what
+    /// the full-scan reference hands the check at every instant.
+    pub(crate) fn mark_all_scopes(&mut self) {
+        self.distributed = true;
+        self.cluster = true;
+        self.quarantine = true;
+        self.standby = true;
+    }
 }
 
 /// The read-only world the checker evaluates, assembled by the platform.
-pub struct InvariantView<'a> {
+pub(crate) struct InvariantView<'a> {
     /// Current simulated time.
     pub now: SimTime,
     /// The cluster substrate.
@@ -157,11 +178,6 @@ pub struct InvariantView<'a> {
     pub quiet_since: Option<SimTime>,
     /// The shadow cursors of warm standbys (illegal-commit counter).
     pub shadow: &'a ShadowCursor,
-    /// Standby promotions since the last check: (job, promoted container).
-    pub fresh_promotions: &'a [(JobId, ContainerId)],
-    /// Container revivals since the last check: (container, shards still
-    /// mapped to it at revival time).
-    pub fresh_revivals: &'a [(ContainerId, usize)],
 }
 
 /// Rising-edge key sets, partitioned by scope so a scope whose inputs did
@@ -186,17 +202,98 @@ struct ScopedKeys {
     revival: BTreeSet<String>,
 }
 
+/// One violation a scan found: its rising-edge key, the invariant, and
+/// the human-readable specifics.
+type Finding = (String, &'static str, String);
+
+/// One fleet-wide scope of the check.
+struct Scope {
+    /// Every violation the scope's inputs show now.
+    scan: fn(&InvariantView<'_>, &Inbox, &mut Vec<Finding>),
+    /// Where the scope's violating keys live between checks.
+    slot: fn(&mut ScopedKeys) -> &mut BTreeSet<String>,
+    /// When a check rescans the scope (each rescan counts in
+    /// `scopes_scanned`). `None`: at every check, uncounted — its inputs
+    /// are O(changes) already.
+    trigger: Option<fn(&Inbox, &InvariantView<'_>) -> bool>,
+    /// Whether the audit recomputes the scope. The audit reads the world,
+    /// not the inbox, so it cannot recompute a scope that reads the edge
+    /// lists.
+    audited: bool,
+}
+
+/// The fleet-wide scopes, in the order a check records their violations.
+const SCOPES: [Scope; 7] = [
+    Scope {
+        scan: scan_task_and_shard_ownership,
+        slot: |keys| &mut keys.distributed,
+        trigger: Some(|inbox, _| inbox.distributed),
+        audited: true,
+    },
+    Scope {
+        scan: scan_host_overcommit,
+        slot: |keys| &mut keys.overcommit,
+        trigger: Some(|inbox, _| inbox.cluster),
+        audited: true,
+    },
+    Scope {
+        scan: scan_quarantine_justified,
+        slot: |keys| &mut keys.quarantine,
+        trigger: Some(|inbox, _| inbox.quarantine),
+        audited: true,
+    },
+    // Standby isolation reads standby registrations, the engine tasks of
+    // standby jobs, and host placement: rescan when a registration or a
+    // standby job's tasks moved. Placement never does: a container keeps
+    // its host for life.
+    Scope {
+        scan: scan_standby_isolation,
+        slot: |keys| &mut keys.standby,
+        trigger: Some(|inbox, view| {
+            inbox.standby
+                || view
+                    .shard_manager
+                    .standbys()
+                    .any(|(job, _)| inbox.jobs.contains(&job))
+        }),
+        audited: true,
+    },
+    Scope {
+        scan: scan_standby_never_commits,
+        slot: |keys| &mut keys.shadow,
+        trigger: None,
+        audited: true,
+    },
+    Scope {
+        scan: scan_promotion_single_owner,
+        slot: |keys| &mut keys.promotion,
+        trigger: None,
+        audited: false,
+    },
+    Scope {
+        scan: scan_revival_clean,
+        slot: |keys| &mut keys.revival,
+        trigger: None,
+        audited: false,
+    },
+];
+
+/// The violating keys of `found`.
+fn keys_of(found: &[Finding]) -> BTreeSet<String> {
+    found.iter().map(|(key, ..)| key.clone()).collect()
+}
+
 /// Retain-and-insert bookkeeping for one scope: keys whose condition
 /// cleared are forgotten, keys newly in violation are queued for
 /// recording.
 fn settle_scope(
     active: &mut BTreeSet<String>,
-    seen: &BTreeSet<String>,
-    fresh: Vec<(String, &'static str, String)>,
+    found: Vec<Finding>,
     rising: &mut Vec<(&'static str, String)>,
 ) {
+    let seen = keys_of(&found);
     active.retain(|k| seen.contains(k));
-    for (key, invariant, detail) in fresh {
+    for (key, invariant, detail) in found {
         if active.insert(key) {
             rising.push((invariant, detail));
         }
@@ -207,6 +304,8 @@ fn settle_scope(
 #[derive(Debug, Default)]
 pub struct InvariantChecker {
     config: InvariantConfig,
+    /// What changed since the last check.
+    inbox: Inbox,
     violations: Vec<Violation>,
     total: u64,
     /// Rising-edge tracking for safety invariants: keys currently in
@@ -232,12 +331,20 @@ pub struct InvariantChecker {
 }
 
 impl InvariantChecker {
-    /// A checker with the given tunables.
+    /// A checker with the given tunables. It has seen nothing, so every
+    /// scope starts pending.
     pub fn new(config: InvariantConfig) -> Self {
-        InvariantChecker {
+        let mut checker = InvariantChecker {
             config,
             ..Default::default()
-        }
+        };
+        checker.inbox.mark_all_scopes();
+        checker
+    }
+
+    /// The record of what changed since the last check.
+    pub(crate) fn inbox(&mut self) -> &mut Inbox {
+        &mut self.inbox
     }
 
     /// Recorded violations (capped at 64).
@@ -290,52 +397,48 @@ impl InvariantChecker {
         self.diverged_since.get(&job).copied()
     }
 
-    /// Evaluate the invariants touching only what `dirty` says changed.
-    /// Scopes with unchanged inputs keep their previous violating-key
-    /// sets — the scans are pure, so the result is identical to a full
-    /// scan, which is this check handed every job and every scope.
-    /// Periodically runs the full-scan audit.
-    pub fn check(&mut self, view: &InvariantView<'_>, dirty: &DirtyInput<'_>) {
+    /// Evaluate the invariants touching only what the inbox says changed,
+    /// and empty it. Scopes with unchanged inputs keep their previous
+    /// violating-key sets — the scans are pure, so the result is identical
+    /// to a full scan, which is this check handed every job and every
+    /// scope. Periodically runs the full-scan audit.
+    pub(crate) fn check(&mut self, view: &InvariantView<'_>) {
         self.ticks_checked += 1;
+        let inbox = std::mem::take(&mut self.inbox);
         let mut rising: Vec<(&'static str, String)> = Vec::new();
 
         // Invariant 1: only jobs whose task/partition state may have
         // changed. A removed job is marked by the engine, scans to an
         // empty key set, and drops its entry.
-        for &job in dirty.jobs {
-            self.settle_partition_scope(view, job, &mut rising);
+        for &job in &inbox.jobs {
+            self.jobs_examined += 1;
+            let mut found = Vec::new();
+            scan_partition_ownership(view, job, &mut found);
+            if found.is_empty() {
+                self.active.partition.remove(&job);
+            } else {
+                let active = self.active.partition.entry(job).or_default();
+                settle_scope(active, found, &mut rising);
+            }
         }
-        if dirty.distributed_changed {
-            self.settle_distributed_scope(view, &mut rising);
+        for scope in &SCOPES {
+            if let Some(trigger) = scope.trigger {
+                if !trigger(&inbox, view) {
+                    continue;
+                }
+                self.scopes_scanned += 1;
+            }
+            let mut found = Vec::new();
+            (scope.scan)(view, &inbox, &mut found);
+            settle_scope((scope.slot)(&mut self.active), found, &mut rising);
         }
-        if dirty.cluster_changed {
-            self.settle_overcommit_scope(view, &mut rising);
-        }
-        if dirty.quarantine_changed {
-            self.settle_quarantine_scope(view, &mut rising);
-        }
-        // Standby isolation reads standby registrations, the engine tasks
-        // of standby jobs, and host placement: rescan when any of those
-        // moved.
-        let standby_inputs_changed = dirty.standby_changed
-            || dirty.cluster_changed
-            || view
-                .shard_manager
-                .standbys()
-                .any(|(job, _)| dirty.jobs.contains(&job));
-        if standby_inputs_changed {
-            self.settle_standby_scope(view, &mut rising);
-        }
-        // Shadow-commit counter and the fresh promotion/revival edge lists
-        // are O(changes) already: always evaluated.
-        self.settle_edge_scopes(view, &mut rising);
 
         let now = view.now;
         for (invariant, detail) in rising {
             self.record(now, invariant, detail);
         }
 
-        self.check_convergence(view, dirty.jobs);
+        self.check_convergence(view, &inbox.jobs);
 
         if self.config.audit_interval > 0
             && self
@@ -344,94 +447,6 @@ impl InvariantChecker {
         {
             self.audit(view);
         }
-    }
-
-    fn settle_partition_scope(
-        &mut self,
-        view: &InvariantView<'_>,
-        job: JobId,
-        rising: &mut Vec<(&'static str, String)>,
-    ) {
-        self.jobs_examined += 1;
-        let mut seen = BTreeSet::new();
-        let mut fresh = Vec::new();
-        scan_partition_ownership(view, job, &mut fresh, &mut seen);
-        if seen.is_empty() {
-            self.active.partition.remove(&job);
-            return;
-        }
-        let active = self.active.partition.entry(job).or_default();
-        settle_scope(active, &seen, fresh, rising);
-    }
-
-    fn settle_distributed_scope(
-        &mut self,
-        view: &InvariantView<'_>,
-        rising: &mut Vec<(&'static str, String)>,
-    ) {
-        self.scopes_scanned += 1;
-        let mut seen = BTreeSet::new();
-        let mut fresh = Vec::new();
-        scan_task_and_shard_ownership(view, &mut fresh, &mut seen);
-        settle_scope(&mut self.active.distributed, &seen, fresh, rising);
-    }
-
-    fn settle_overcommit_scope(
-        &mut self,
-        view: &InvariantView<'_>,
-        rising: &mut Vec<(&'static str, String)>,
-    ) {
-        self.scopes_scanned += 1;
-        let mut seen = BTreeSet::new();
-        let mut fresh = Vec::new();
-        scan_host_overcommit(view, &mut fresh, &mut seen);
-        settle_scope(&mut self.active.overcommit, &seen, fresh, rising);
-    }
-
-    fn settle_quarantine_scope(
-        &mut self,
-        view: &InvariantView<'_>,
-        rising: &mut Vec<(&'static str, String)>,
-    ) {
-        self.scopes_scanned += 1;
-        let mut seen = BTreeSet::new();
-        let mut fresh = Vec::new();
-        scan_quarantine_justified(view, &mut fresh, &mut seen);
-        settle_scope(&mut self.active.quarantine, &seen, fresh, rising);
-    }
-
-    fn settle_standby_scope(
-        &mut self,
-        view: &InvariantView<'_>,
-        rising: &mut Vec<(&'static str, String)>,
-    ) {
-        self.scopes_scanned += 1;
-        let mut seen = BTreeSet::new();
-        let mut fresh = Vec::new();
-        scan_standby_isolation(view, &mut fresh, &mut seen);
-        settle_scope(&mut self.active.standby, &seen, fresh, rising);
-    }
-
-    /// Invariants 8–10: cheap counter + edge-list driven, always scanned.
-    fn settle_edge_scopes(
-        &mut self,
-        view: &InvariantView<'_>,
-        rising: &mut Vec<(&'static str, String)>,
-    ) {
-        let mut seen = BTreeSet::new();
-        let mut fresh = Vec::new();
-        scan_standby_never_commits(view, &mut fresh, &mut seen);
-        settle_scope(&mut self.active.shadow, &seen, fresh, rising);
-
-        let mut seen = BTreeSet::new();
-        let mut fresh = Vec::new();
-        scan_promotion_single_owner(view, &mut fresh, &mut seen);
-        settle_scope(&mut self.active.promotion, &seen, fresh, rising);
-
-        let mut seen = BTreeSet::new();
-        let mut fresh = Vec::new();
-        scan_revival_clean(view, &mut fresh, &mut seen);
-        settle_scope(&mut self.active.revival, &seen, fresh, rising);
     }
 
     /// Invariant 5: bounded post-fault convergence. A job is *diverged*
@@ -500,31 +515,20 @@ impl InvariantChecker {
 
         let mut partition: BTreeMap<JobId, BTreeSet<String>> = BTreeMap::new();
         for job in view.engine.job_ids() {
-            let mut seen = BTreeSet::new();
-            let mut fresh = Vec::new();
-            scan_partition_ownership(view, job, &mut fresh, &mut seen);
-            if !seen.is_empty() {
-                partition.insert(job, seen);
+            let mut found = Vec::new();
+            scan_partition_ownership(view, job, &mut found);
+            if !found.is_empty() {
+                partition.insert(job, keys_of(&found));
             }
         }
         if partition != self.active.partition {
             mismatches += 1;
         }
 
-        for (scan, active) in [
-            (
-                scan_task_and_shard_ownership as fn(&InvariantView<'_>, &mut _, &mut _),
-                &self.active.distributed,
-            ),
-            (scan_host_overcommit, &self.active.overcommit),
-            (scan_quarantine_justified, &self.active.quarantine),
-            (scan_standby_isolation, &self.active.standby),
-            (scan_standby_never_commits, &self.active.shadow),
-        ] {
-            let mut seen = BTreeSet::new();
-            let mut fresh = Vec::new();
-            scan(view, &mut fresh, &mut seen);
-            if &seen != active {
+        for scope in SCOPES.iter().filter(|scope| scope.audited) {
+            let mut found = Vec::new();
+            (scope.scan)(view, &Inbox::default(), &mut found);
+            if keys_of(&found) != *(scope.slot)(&mut self.active) {
                 mismatches += 1;
             }
         }
@@ -565,20 +569,13 @@ impl InvariantChecker {
 
 /// Invariant 1: each input partition of `job` is owned by at most one
 /// active task.
-fn scan_partition_ownership(
-    view: &InvariantView<'_>,
-    job: JobId,
-    fresh: &mut Vec<(String, &'static str, String)>,
-    seen: &mut BTreeSet<String>,
-) {
+fn scan_partition_ownership(view: &InvariantView<'_>, job: JobId, found: &mut Vec<Finding>) {
     let mut owner: BTreeMap<PartitionId, TaskId> = BTreeMap::new();
     for (&task, active) in view.engine.tasks_of_job(job) {
         for &p in view.engine.partitions_of(active) {
             if let Some(&other) = owner.get(&p) {
-                let key = format!("partition:{job:?}:{p:?}");
-                seen.insert(key.clone());
-                fresh.push((
-                    key,
+                found.push((
+                    format!("partition:{job:?}:{p:?}"),
                     "single-partition-ownership",
                     format!("{job} partition {p:?} owned by both {other:?} and {task:?}"),
                 ));
@@ -591,11 +588,7 @@ fn scan_partition_ownership(
 
 /// Invariants 2 + 3: across live Task Managers, every task and every
 /// shard has at most one owner.
-fn scan_task_and_shard_ownership(
-    view: &InvariantView<'_>,
-    fresh: &mut Vec<(String, &'static str, String)>,
-    seen: &mut BTreeSet<String>,
-) {
+fn scan_task_and_shard_ownership(view: &InvariantView<'_>, _: &Inbox, found: &mut Vec<Finding>) {
     let mut task_owner: BTreeMap<TaskId, ContainerId> = BTreeMap::new();
     let mut shard_owner: BTreeMap<ShardId, ContainerId> = BTreeMap::new();
     for (&container, tm) in view.task_managers {
@@ -604,10 +597,8 @@ fn scan_task_and_shard_ownership(
         }
         for (&task, _) in tm.running_tasks() {
             if let Some(&other) = task_owner.get(&task) {
-                let key = format!("task:{task:?}");
-                seen.insert(key.clone());
-                fresh.push((
-                    key,
+                found.push((
+                    format!("task:{task:?}"),
                     "single-task-ownership",
                     format!("{task:?} running in both {other} and {container}"),
                 ));
@@ -617,10 +608,8 @@ fn scan_task_and_shard_ownership(
         }
         for shard in tm.owned_shards() {
             if let Some(&other) = shard_owner.get(&shard) {
-                let key = format!("shard:{shard:?}");
-                seen.insert(key.clone());
-                fresh.push((
-                    key,
+                found.push((
+                    format!("shard:{shard:?}"),
                     "single-shard-ownership",
                     format!("{shard} owned by both {other} and {container}"),
                 ));
@@ -633,11 +622,7 @@ fn scan_task_and_shard_ownership(
 
 /// Invariant 4: per host, allocated container capacity never exceeds
 /// the host's capacity.
-fn scan_host_overcommit(
-    view: &InvariantView<'_>,
-    fresh: &mut Vec<(String, &'static str, String)>,
-    seen: &mut BTreeSet<String>,
-) {
+fn scan_host_overcommit(view: &InvariantView<'_>, _: &Inbox, found: &mut Vec<Finding>) {
     for host in view.cluster.hosts() {
         let (Ok(capacity), Ok(containers)) = (
             view.cluster.host_capacity(host),
@@ -655,10 +640,8 @@ fn scan_host_overcommit(
             || allocated.disk_mb > capacity.disk_mb * (1.0 + 1e-9)
             || allocated.network_mbps > capacity.network_mbps * (1.0 + 1e-9);
         if over {
-            let key = format!("overcommit:{host:?}");
-            seen.insert(key.clone());
-            fresh.push((
-                key,
+            found.push((
+                format!("overcommit:{host:?}"),
                 "no-host-overcommit",
                 format!("{host} allocated {allocated:?} exceeds capacity {capacity:?}"),
             ));
@@ -667,19 +650,13 @@ fn scan_host_overcommit(
 }
 
 /// Invariant 6: quarantine only after `max_failures` sync failures.
-fn scan_quarantine_justified(
-    view: &InvariantView<'_>,
-    fresh: &mut Vec<(String, &'static str, String)>,
-    seen: &mut BTreeSet<String>,
-) {
+fn scan_quarantine_justified(view: &InvariantView<'_>, _: &Inbox, found: &mut Vec<Finding>) {
     let max = view.syncer.config().max_failures;
     for job in view.syncer.quarantined_jobs() {
         let count = view.syncer.failure_count(job);
         if count < max {
-            let key = format!("quarantine:{job:?}");
-            seen.insert(key.clone());
-            fresh.push((
-                key,
+            found.push((
+                format!("quarantine:{job:?}"),
                 "quarantine-after-max-failures",
                 format!("{job} quarantined after only {count}/{max} failures"),
             ));
@@ -690,11 +667,7 @@ fn scan_quarantine_justified(
 /// Invariant 7: a warm standby never shares a host with one of its
 /// job's primary tasks, and never runs the job's tasks itself before
 /// promotion.
-fn scan_standby_isolation(
-    view: &InvariantView<'_>,
-    fresh: &mut Vec<(String, &'static str, String)>,
-    seen: &mut BTreeSet<String>,
-) {
+fn scan_standby_isolation(view: &InvariantView<'_>, _: &Inbox, found: &mut Vec<Finding>) {
     for (job, standby) in view.shard_manager.standbys() {
         let standby_host = view.cluster.host_of(standby).ok();
         for (&task, active) in view.engine.tasks_of_job(job) {
@@ -702,10 +675,8 @@ fn scan_standby_isolation(
                 || (standby_host.is_some()
                     && view.cluster.host_of(active.container).ok() == standby_host);
             if conflict {
-                let key = format!("standby:{job:?}");
-                seen.insert(key.clone());
-                fresh.push((
-                    key,
+                found.push((
+                    format!("standby:{job:?}"),
                     "standby-isolated",
                     format!(
                         "{job} standby {standby} shares a host with primary {task:?} on {}",
@@ -719,17 +690,11 @@ fn scan_standby_isolation(
 }
 
 /// Invariant 8: the shadow-consumption path never commits checkpoints.
-fn scan_standby_never_commits(
-    view: &InvariantView<'_>,
-    fresh: &mut Vec<(String, &'static str, String)>,
-    seen: &mut BTreeSet<String>,
-) {
+fn scan_standby_never_commits(view: &InvariantView<'_>, _: &Inbox, found: &mut Vec<Finding>) {
     let illegal = view.shadow.illegal_commits();
     if illegal > 0 {
-        let key = "shadow-commit".to_string();
-        seen.insert(key.clone());
-        fresh.push((
-            key,
+        found.push((
+            "shadow-commit".to_string(),
             "standby-never-commits",
             format!("{illegal} checkpoint commit(s) attempted through the shadow path"),
         ));
@@ -739,12 +704,8 @@ fn scan_standby_never_commits(
 /// Invariant 9: right after a promotion, the promoted job's tasks run
 /// only on the promoted container — no other live Task Manager still
 /// claims them.
-fn scan_promotion_single_owner(
-    view: &InvariantView<'_>,
-    fresh: &mut Vec<(String, &'static str, String)>,
-    seen: &mut BTreeSet<String>,
-) {
-    for &(job, to) in view.fresh_promotions {
+fn scan_promotion_single_owner(view: &InvariantView<'_>, inbox: &Inbox, found: &mut Vec<Finding>) {
+    for &(job, to) in &inbox.promotions {
         let Some(tm) = view.task_managers.get(&to) else {
             continue;
         };
@@ -759,10 +720,8 @@ fn scan_promotion_single_owner(
             }
             for (&task, _) in other.running_tasks() {
                 if promoted.contains(&task) {
-                    let key = format!("promotion:{task:?}");
-                    seen.insert(key.clone());
-                    fresh.push((
-                        key,
+                    found.push((
+                        format!("promotion:{task:?}"),
                         "promotion-single-owner",
                         format!("{job} promoted to {to} but {task:?} still runs in {container}"),
                     ));
@@ -774,17 +733,11 @@ fn scan_promotion_single_owner(
 
 /// Invariant 10: a revived container's shards were already reassigned
 /// by the fail-over — it must rejoin empty.
-fn scan_revival_clean(
-    view: &InvariantView<'_>,
-    fresh: &mut Vec<(String, &'static str, String)>,
-    seen: &mut BTreeSet<String>,
-) {
-    for &(container, stale_shards) in view.fresh_revivals {
+fn scan_revival_clean(view: &InvariantView<'_>, inbox: &Inbox, found: &mut Vec<Finding>) {
+    for &(container, stale_shards) in &inbox.revivals {
         if stale_shards > 0 {
-            let key = format!("revival:{container:?}:{}", view.now.as_millis());
-            seen.insert(key.clone());
-            fresh.push((
-                key,
+            found.push((
+                format!("revival:{container:?}:{}", view.now.as_millis()),
                 "container-revival-clean",
                 format!("{container} revived with {stale_shards} shard(s) still mapped to it"),
             ));
@@ -868,8 +821,19 @@ snap_struct!(ScopedKeys {
     revival
 });
 
+snap_struct!(Inbox {
+    jobs,
+    distributed,
+    cluster,
+    quarantine,
+    standby,
+    promotions,
+    revivals
+});
+
 snap_struct!(InvariantChecker {
     config,
+    inbox,
     violations,
     total,
     active,

@@ -45,7 +45,7 @@ pub mod metrics;
 pub mod platform;
 
 pub use dashboard::{fleet_health, tier_slo_table, FleetHealth, HealthIssue, TierSlo};
-pub use invariants::{InvariantChecker, InvariantConfig, InvariantView, Violation};
+pub use invariants::{InvariantChecker, InvariantConfig, Violation};
 pub use metrics::{recovery_budget, DiagnosisRecord, PlatformMetrics, RecoveryRecord};
 pub use platform::{
     ControlEvent, DriveMode, JobStatus, PlatformFingerprint, Turbine, TurbineConfig,

@@ -7,6 +7,7 @@
 
 use super::{OutageState, Turbine, CONNECTION_TIMEOUT, RESTART_DELAY};
 use crate::engine::{ActiveTask, Engine, EngineReader};
+use crate::invariants::{Inbox, InvariantChecker};
 use crate::metrics::DiagnosisRecord;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -81,8 +82,7 @@ impl Turbine {
             }
             // The reboot dropped every owned shard regardless of whether
             // tasks were running on them.
-            self.pending_dirty.distributed = true;
-            self.load_dirty_containers.insert(container);
+            self.container_changed(container);
             self.handle_task_events(container, &all_events);
         }
         self.refresh_live_containers();
@@ -102,9 +102,7 @@ impl Turbine {
                     stale_shards,
                 },
             );
-            if self.invariants.is_some() {
-                self.fresh_revivals.push((container, stale_shards));
-            }
+            self.tell_checker(|inbox| inbox.revivals.push((container, stale_shards)));
         }
     }
 
@@ -203,9 +201,7 @@ impl Turbine {
                 || self.severed.contains_key(&standby)
                 || !self.cluster.is_container_healthy(standby)
             {
-                self.shard_manager.clear_standby(job);
-                self.shadow.remove_job(job);
-                self.pending_dirty.standby = true;
+                self.drop_standby(job);
                 continue;
             }
             let mut suspect_shards = Vec::new();
@@ -246,11 +242,8 @@ impl Turbine {
                 // redistribution free: no state move, no pause.
                 self.syncer.grant_warm_handoff(job);
             }
-            self.shadow.remove_job(job);
-            self.pending_dirty.standby = true;
-            if self.invariants.is_some() {
-                self.fresh_promotions.push((job, to));
-            }
+            self.standby_released(job);
+            self.tell_checker(|inbox| inbox.promotions.push((job, to)));
             let since = onset.unwrap_or(now);
             self.outages
                 .entry(job)
@@ -316,9 +309,7 @@ impl Turbine {
                 }
             }
             if !valid {
-                self.shard_manager.clear_standby(job);
-                self.shadow.remove_job(job);
-                self.pending_dirty.standby = true;
+                self.drop_standby(job);
             }
         }
         for job in critical {
@@ -342,7 +333,7 @@ impl Turbine {
             self.standbys_examined += 1;
             if let Some(container) = self.pick_standby(job, &load_on) {
                 self.shard_manager.set_standby(job, container);
-                self.pending_dirty.standby = true;
+                self.tell_checker(|inbox| inbox.standby = true);
                 self.trace
                     .emit(now, TraceData::StandbyPlaced { job, container });
             }
@@ -524,7 +515,7 @@ impl Turbine {
             task_managers: &'a BTreeMap<ContainerId, LocalTaskManager>,
             engine: &'a Engine,
             state_moves: &'a mut HashMap<JobId, SimTime>,
-            dirty_jobs: &'a mut BTreeSet<JobId>,
+            inbox: Option<&'a mut Inbox>,
             now: SimTime,
             state_move_bandwidth: f64,
         }
@@ -532,7 +523,9 @@ impl Turbine {
             fn request_stop(&mut self, job: JobId) {
                 if self.paused.insert(job) {
                     self.task_service.invalidate();
-                    self.dirty_jobs.insert(job);
+                    if let Some(inbox) = &mut self.inbox {
+                        inbox.jobs.insert(job);
+                    }
                 }
             }
             fn all_stopped(&mut self, job: JobId) -> bool {
@@ -576,7 +569,7 @@ impl Turbine {
             task_managers: &self.task_managers,
             engine: &self.engine,
             state_moves: &mut self.state_moves,
-            dirty_jobs: &mut self.pending_dirty.jobs,
+            inbox: self.invariants.as_mut().map(InvariantChecker::inbox),
             now: self.now,
             state_move_bandwidth: self.config.state_move_bandwidth,
         };
@@ -587,20 +580,19 @@ impl Turbine {
         // Everything the round touched is dirty for the next invariant
         // check: pause marks moved, quarantine membership or failure
         // counts changed, store rows advanced.
-        for &job in report
-            .started
-            .iter()
-            .chain(&report.simple)
-            .chain(&report.complex_completed)
-            .chain(&report.deleted)
-            .chain(&report.quarantined)
-            .chain(report.failed.iter().map(|(job, _)| job))
-        {
-            self.pending_dirty.jobs.insert(job);
-        }
-        if !report.quarantined.is_empty() || !report.failed.is_empty() {
-            self.pending_dirty.quarantine = true;
-        }
+        self.tell_checker(|inbox| {
+            inbox.jobs.extend(
+                report
+                    .started
+                    .iter()
+                    .chain(&report.simple)
+                    .chain(&report.complex_completed)
+                    .chain(&report.deleted)
+                    .chain(&report.quarantined)
+                    .chain(report.failed.iter().map(|(job, _)| job)),
+            );
+            inbox.quarantine |= !report.quarantined.is_empty() || !report.failed.is_empty();
+        });
         let now = self.now;
         for (jobs, outcome) in [
             (&report.started, "started"),
@@ -632,11 +624,13 @@ impl Turbine {
             self.engine.remove_job(job);
             self.checkpoints.remove_job(job);
             self.categories.remove(&job);
-            self.shard_manager.clear_standby(job);
-            self.shadow.remove_job(job);
+            self.drop_standby(job);
             self.outages.remove(&job);
             self.scaler.forget(job);
-            self.pending_dirty.standby = true;
+            self.releases.remove(&job);
+            self.lag_since.remove(&job);
+            self.last_diagnosis.remove(&job);
+            self.state_moves.remove(&job);
             invalidate = true;
         }
         if invalidate {
@@ -984,19 +978,17 @@ impl Turbine {
         let directive = self.capacity.evaluate("primary", total_reserved, &job_list);
         self.scaler.set_priority_floor(directive.priority_floor);
         if !directive.jobs_to_stop.is_empty() {
-            for job in directive.jobs_to_stop {
+            for &job in &directive.jobs_to_stop {
                 if self.capacity_stopped.insert(job) {
                     self.metrics.alerts.incr();
                 }
-                self.pending_dirty.jobs.insert(job);
             }
+            self.tell_checker(|inbox| inbox.jobs.extend(directive.jobs_to_stop));
             self.task_service.invalidate();
         } else if directive.priority_floor.is_none() && !self.capacity_stopped.is_empty() {
             // Pressure cleared: resume capacity-stopped jobs.
-            self.pending_dirty
-                .jobs
-                .extend(self.capacity_stopped.iter().copied());
-            self.capacity_stopped.clear();
+            let resumed = std::mem::take(&mut self.capacity_stopped);
+            self.tell_checker(|inbox| inbox.jobs.extend(resumed));
             self.task_service.invalidate();
         }
     }
@@ -1149,11 +1141,10 @@ impl Turbine {
             // Ownership changes even when no tasks move (empty shards):
             // both endpoints must re-report loads, and the distributed
             // invariant scope must re-scan.
-            self.pending_dirty.distributed = true;
             if let Some(from) = m.from {
-                self.load_dirty_containers.insert(from);
+                self.container_changed(from);
             }
-            self.load_dirty_containers.insert(m.to);
+            self.container_changed(m.to);
             if let Some(from) = m.from {
                 let events = self
                     .task_managers
@@ -1187,8 +1178,7 @@ impl Turbine {
             // Task starts/stops move the distributed-state picture and
             // this container's shard loads (the engine marks the affected
             // jobs itself).
-            self.pending_dirty.distributed = true;
-            self.load_dirty_containers.insert(container);
+            self.container_changed(container);
         }
         for event in events {
             match event {
@@ -1226,9 +1216,20 @@ impl Turbine {
                 (Ok(a), Ok(b)) if a == b
             );
         if same_host {
-            self.shard_manager.clear_standby(job);
-            self.shadow.remove_job(job);
-            self.pending_dirty.standby = true;
+            self.drop_standby(job);
         }
+    }
+
+    /// Drop `job`'s warm-standby registration.
+    fn drop_standby(&mut self, job: JobId) {
+        self.shard_manager.clear_standby(job);
+        self.standby_released(job);
+    }
+
+    /// `job` no longer has a warm standby (dropped, or promoted to
+    /// primary): its shadow cursors go, and standby isolation is rescanned.
+    fn standby_released(&mut self, job: JobId) {
+        self.shadow.remove_job(job);
+        self.tell_checker(|inbox| inbox.standby = true);
     }
 }

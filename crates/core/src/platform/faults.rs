@@ -20,8 +20,7 @@ impl Turbine {
             .or_insert(self.now);
         // Severing shrinks the live-container set the distributed
         // invariant scope checks against, and the set that heartbeats.
-        self.pending_dirty.distributed = true;
-        self.live_containers = None;
+        self.connection_changed();
         self.severed.entry(container).or_insert(SeveredState {
             at: self.now,
             rebooted: false,
@@ -36,9 +35,8 @@ impl Turbine {
         let Some(state) = self.severed.remove(&container) else {
             return;
         };
-        self.pending_dirty.distributed = true;
-        self.live_containers = None;
-        self.load_dirty_containers.insert(container);
+        self.connection_changed();
+        self.container_changed(container);
         if state.rebooted {
             use turbine_shardmgr::ContainerStatus;
             let status = self.shard_manager.status(container);
@@ -121,11 +119,12 @@ impl Turbine {
                 // formerly quarantined job must be re-examined, and the
                 // fresh syncer knows nothing: its first sparse round visits
                 // every job in the store.
-                self.pending_dirty.quarantine = true;
-                self.pending_dirty
-                    .jobs
-                    .extend(self.syncer.quarantined_jobs());
-                self.syncer = StateSyncer::new(self.config.syncer);
+                let crashed =
+                    std::mem::replace(&mut self.syncer, StateSyncer::new(self.config.syncer));
+                self.tell_checker(|inbox| {
+                    inbox.quarantine = true;
+                    inbox.jobs.extend(crashed.quarantined_jobs());
+                });
                 self.jobs.store_mut().refeed(StoreReader::Syncer);
                 self.clamp_recovered_checkpoints();
             }
@@ -194,8 +193,7 @@ impl Turbine {
                     .or_insert(self.now);
             }
         }
-        self.pending_dirty.cluster = true;
-        self.pending_dirty.distributed = true;
+        self.cluster_changed();
         self.cluster.fail_host(host).map_err(|e| e.to_string())
     }
 
@@ -211,11 +209,10 @@ impl Turbine {
             .containers_on(host)
             .map_err(|e| e.to_string())?;
         self.cluster.recover_host(host).map_err(|e| e.to_string())?;
-        self.pending_dirty.cluster = true;
-        self.pending_dirty.distributed = true;
+        self.cluster_changed();
         for container in containers {
             self.container_down_since.remove(&container);
-            self.load_dirty_containers.insert(container);
+            self.container_changed(container);
             if self.shard_manager.status(container) == Some(ContainerStatus::Alive) {
                 // Recovered before fail-over: ownership is unchanged and
                 // the local state is still valid.

@@ -4,13 +4,14 @@
 //! executed instant, on the production path and under the
 //! `DriveMode::FullScan` reference, and on a copy restored from the stream
 //! in between, with the full-scan audit run at every check and agreeing.
+//! So must what was planted before checking was turned on.
 
 use super::*;
 use turbine_types::TaskId;
 
-/// Two flat stateless jobs of two tasks over eight partitions each,
-/// converged, the scaler off so nothing but the test reshapes them.
-fn converged(mode: DriveMode) -> Turbine {
+/// Two flat stateless jobs of two tasks over eight partitions each on
+/// three hosts, the scaler off so nothing but the test reshapes them.
+fn fleet() -> Turbine {
     let mut t = Turbine::new(TurbineConfig {
         scaler_enabled: false,
         ..TurbineConfig::default()
@@ -20,6 +21,13 @@ fn converged(mode: DriveMode) -> Turbine {
         t.provision_job(JobId(j), config(j), TrafficModel::flat(1.0e6), 1.0e6, 256.0)
             .expect("provision");
     }
+    t
+}
+
+/// [`fleet`] converged, checked at every instant with an audit at every
+/// check.
+fn converged(mode: DriveMode) -> Turbine {
+    let mut t = fleet();
     t.enable_invariant_checks(InvariantConfig { audit_interval: 1 });
     t.drive_for(Duration::from_mins(10), mode);
     for j in 1..=2 {
@@ -44,6 +52,18 @@ fn restored(t: &Turbine) -> Turbine {
     copy
 }
 
+/// A third task of `job` on task 0's partition slice and container, started
+/// through the engine alone.
+fn plant_overlap(t: &mut Turbine, job: JobId) {
+    let specs = TaskService::generate_specs(job, &config(job.0));
+    let sibling = t.engine.task(specs[0].id).expect("running").container;
+    let mut planted = specs[1].clone();
+    planted.id = TaskId::new(job, 7);
+    planted.partitions = specs[0].partitions.clone();
+    t.engine
+        .task_started(&planted, sibling, t.now, RESTART_DELAY);
+}
+
 /// Run one executed instant; the violations it recorded.
 fn step(t: &mut Turbine, mode: DriveMode) -> Vec<Violation> {
     let before = t.invariant_violations().len();
@@ -55,15 +75,7 @@ fn step(t: &mut Turbine, mode: DriveMode) -> Vec<Violation> {
 fn a_violation_planted_through_the_engine_is_caught_at_its_instant() {
     for mode in [DriveMode::EventDriven, DriveMode::FullScan] {
         let mut t = converged(mode);
-        let job = JobId(1);
-        // A third task of job 1 on task 0's partition slice and container.
-        let specs = TaskService::generate_specs(job, &config(1));
-        let sibling = t.engine.task(specs[0].id).expect("running").container;
-        let mut planted = specs[1].clone();
-        planted.id = TaskId::new(job, 7);
-        planted.partitions = specs[0].partitions.clone();
-        t.engine
-            .task_started(&planted, sibling, t.now, RESTART_DELAY);
+        plant_overlap(&mut t, JobId(1));
         let mut copy = restored(&t);
         for p in [&mut t, &mut copy] {
             let at = p.now + p.config.tick;
@@ -92,5 +104,98 @@ fn a_violation_planted_through_the_engine_is_caught_at_its_instant() {
             assert_eq!(checker.diverged_since(JobId(2)), Some(at), "{mode:?}");
             assert_eq!(checker.audit_mismatches(), 0, "{mode:?}");
         }
+    }
+}
+
+/// A checker turned on mid-run has seen nothing, so its first check covers
+/// every job and every scope. Planted while checking is off and left for
+/// an instant, so that no change feed still holds them: an overlap in job
+/// 1 and a shard that a second Task Manager runs behind the Shard
+/// Manager's back. Planted right after checking is turned on: an overlap
+/// in job 2. All three are caught at the next instant.
+#[test]
+fn checks_enabled_mid_run_catch_what_was_planted_before_and_after() {
+    for mode in [DriveMode::EventDriven, DriveMode::FullScan] {
+        let mut t = fleet();
+        t.drive_for(Duration::from_mins(10), mode);
+        assert!(t.invariant_checker().is_none());
+        plant_overlap(&mut t, JobId(1));
+        let task = TaskService::generate_specs(JobId(1), &config(1))[0].id;
+        let owner = t.engine.task(task).expect("running").container;
+        let intruder = *t
+            .task_managers
+            .keys()
+            .find(|&&c| c != owner)
+            .expect("3 hosts");
+        let shard = turbine_taskmgr::shard_of_task(task, t.config.shard_count);
+        let started = t
+            .task_managers
+            .get_mut(&intruder)
+            .expect("listed")
+            .add_shard(shard);
+        assert!(!started.is_empty(), "the intruder runs the shard's tasks");
+        assert!(step(&mut t, mode).is_empty(), "checking is off");
+
+        t.enable_invariant_checks(InvariantConfig { audit_interval: 1 });
+        plant_overlap(&mut t, JobId(2));
+        let at = t.now + t.config.tick;
+        let fresh = step(&mut t, mode);
+        for (invariant, needle) in [
+            ("single-partition-ownership", "job-1 "),
+            ("single-partition-ownership", "job-2 "),
+            ("single-shard-ownership", ""),
+            ("single-task-ownership", ""),
+        ] {
+            assert!(
+                fresh
+                    .iter()
+                    .any(|v| v.invariant == invariant && v.detail.contains(needle) && v.at == at),
+                "{mode:?}: {invariant} {needle:?} not caught at {at}: {fresh:?}"
+            );
+        }
+        let checker = t.invariant_checker().expect("enabled");
+        assert_eq!(checker.audit_rounds(), 1);
+        assert_eq!(checker.audit_mismatches(), 0, "{mode:?}");
+    }
+}
+
+/// A primary task planted through the engine on a critical job's warm
+/// standby is caught at its instant, and cleared at the next heartbeat
+/// round, whose fail-over check drops the registration. Heartbeats every
+/// minute leave the instants between for the check to see the conflict
+/// first; the audit agrees at every check.
+#[test]
+fn a_primary_on_its_standby_is_caught_then_cleared_with_the_registration() {
+    for mode in [DriveMode::EventDriven, DriveMode::DenseTick] {
+        let mut t = Turbine::new(TurbineConfig {
+            scaler_enabled: false,
+            heartbeat_interval: Duration::from_mins(1),
+            ..TurbineConfig::default()
+        });
+        t.add_hosts(4, Resources::new(56.0, 256.0 * 1024.0, 1.0e6, 1000.0));
+        let mut critical = config(1);
+        critical.resiliency = ResiliencyClass::Critical;
+        t.provision_job(JobId(1), critical, TrafficModel::flat(1.0e6), 1.0e6, 256.0)
+            .expect("provision");
+        t.enable_invariant_checks(InvariantConfig { audit_interval: 1 });
+        t.drive_for(Duration::from_mins(10), mode);
+        let standby = t.standby_of(JobId(1)).expect("placed");
+
+        let mut planted = TaskService::generate_specs(JobId(1), &config(1))[0].clone();
+        planted.id = TaskId::new(JobId(1), 7);
+        t.engine
+            .task_started(&planted, standby, t.now, RESTART_DELAY);
+        let at = t.now + t.config.tick;
+        let fresh = step(&mut t, mode);
+        assert!(
+            fresh
+                .iter()
+                .any(|v| v.invariant == "standby-isolated" && v.at == at),
+            "{mode:?}: conflict not caught at {at}: {fresh:?}"
+        );
+        t.drive_for(t.config.heartbeat_interval, mode);
+        assert_ne!(t.standby_of(JobId(1)), Some(standby), "dropped");
+        let checker = t.invariant_checker().expect("enabled");
+        assert_eq!(checker.audit_mismatches(), 0, "{mode:?}");
     }
 }

@@ -41,7 +41,7 @@ mod scheduler;
 pub use scheduler::{ControlEvent, DriveMode};
 
 use crate::engine::{ContainerMap, Engine};
-use crate::invariants::{InvariantChecker, InvariantConfig, Violation};
+use crate::invariants::{Inbox, InvariantChecker, InvariantConfig, Violation};
 use crate::metrics::PlatformMetrics;
 use scheduler::ControlSchedule;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -207,44 +207,6 @@ pub struct PlatformFingerprint {
     pub recoveries: usize,
 }
 
-/// Accumulated change knowledge between invariant checks. Every control
-/// loop that mutates checker-visible state marks the scope it touched;
-/// the sparse invariant check drains this into a
-/// [`crate::invariants::DirtyInput`]. Flags are conservative: a set flag
-/// only means "may have changed", and anything uncertain must set its
-/// flag (the safe direction is a wasted rescan, never a missed one).
-#[derive(Debug, Default)]
-pub(crate) struct PendingDirty {
-    /// Jobs whose checker-visible state (pause/stop marks, quarantine
-    /// membership) may have changed. The jobs whose engine tasks or store
-    /// rows changed join at the check, from the checker's readers of the
-    /// two change feeds.
-    pub(crate) jobs: BTreeSet<JobId>,
-    /// Task-manager ownership or the live-container set may have changed.
-    pub(crate) distributed: bool,
-    /// Cluster hosts or capacities may have changed.
-    pub(crate) cluster: bool,
-    /// The quarantine set or its failure counts may have changed.
-    pub(crate) quarantine: bool,
-    /// Standby registrations or standby-relevant placement may have
-    /// changed.
-    pub(crate) standby: bool,
-}
-
-impl PendingDirty {
-    /// Everything dirty: the state a fresh (or freshly re-enabled)
-    /// checker starts from, so its first sparse pass covers the world.
-    pub(crate) fn all(jobs: impl IntoIterator<Item = JobId>) -> Self {
-        PendingDirty {
-            jobs: jobs.into_iter().collect(),
-            distributed: true,
-            cluster: true,
-            quarantine: true,
-            standby: true,
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SeveredState {
     pub(crate) at: SimTime,
@@ -317,22 +279,14 @@ pub struct Turbine {
     /// When each container's current connectivity loss began — fault onset
     /// for backdating outage starts. Cleared on restore/recovery.
     pub(crate) container_down_since: BTreeMap<ContainerId, SimTime>,
-    /// Promotions since the last invariant check (recorded only while
-    /// invariant checking is enabled; drained every checked instant).
-    pub(crate) fresh_promotions: Vec<(JobId, ContainerId)>,
-    /// Revived containers since the last invariant check, with the number
-    /// of shards still mapped to them at revival time (invariants only).
-    pub(crate) fresh_revivals: Vec<(ContainerId, usize)>,
     /// The chaos engine: scheduled/active cross-component faults.
     pub(crate) faults: FaultInjector,
     /// The causal decision trace.
     pub(crate) trace: TraceBuffer,
-    /// Continuous invariant checking (enabled for chaos runs).
+    /// Continuous invariant checking (enabled for chaos runs). The
+    /// control loops tell it what they change through
+    /// [`Turbine::tell_checker`].
     pub(crate) invariants: Option<InvariantChecker>,
-    /// Change scopes accumulated since the last invariant check (sparse
-    /// data plane). The engine and the Job Store feed the checker their
-    /// own.
-    pub(crate) pending_dirty: PendingDirty,
     /// Containers whose ownership or task set changed since the last
     /// load-report round.
     pub(crate) load_dirty_containers: BTreeSet<ContainerId>,
@@ -409,12 +363,9 @@ impl Turbine {
             shadow: ShadowCursor::new(),
             outages: BTreeMap::new(),
             container_down_since: BTreeMap::new(),
-            fresh_promotions: Vec::new(),
-            fresh_revivals: Vec::new(),
             faults: FaultInjector::new(),
             trace: TraceBuffer::default(),
             invariants: None,
-            pending_dirty: PendingDirty::all([]),
             load_dirty_containers: BTreeSet::new(),
             resiliency_cache: BTreeMap::new(),
             tm_managers_reconciled: 0,
@@ -515,10 +466,9 @@ impl Turbine {
                 container,
                 LocalTaskManager::new(container, self.config.shard_count),
             );
-            self.load_dirty_containers.insert(container);
+            self.container_changed(container);
         }
-        self.pending_dirty.cluster = true;
-        self.pending_dirty.distributed = true;
+        self.cluster_changed();
         self.capacity
             .register_cluster("primary", self.cluster.total_healthy_capacity());
         // Fast initial scheduling: place shards on the new containers now
@@ -828,11 +778,43 @@ impl Turbine {
     /// now on is evaluated against the platform's safety and convergence
     /// invariants.
     pub fn enable_invariant_checks(&mut self, config: InvariantConfig) {
-        self.invariants = Some(InvariantChecker::new(config));
-        // A fresh checker has seen nothing, so its first sparse check
-        // must treat the whole current world as dirty.
-        self.pending_dirty = PendingDirty::all(self.engine.job_ids());
+        // A fresh checker has seen nothing: its first check covers every
+        // scope and every job.
+        let mut checker = InvariantChecker::new(config);
+        checker.inbox().jobs.extend(self.engine.job_ids());
+        self.invariants = Some(checker);
         self.jobs.store_mut().refeed(StoreReader::Checker);
+    }
+
+    /// Tell the invariant checker what changed; a no-op while checking is
+    /// off. Marks are conservative: the safe direction is a wasted rescan,
+    /// never a missed one.
+    pub(crate) fn tell_checker(&mut self, mark: impl FnOnce(&mut Inbox)) {
+        if let Some(checker) = &mut self.invariants {
+            mark(checker.inbox());
+        }
+    }
+
+    /// `container`'s ownership or task set changed: it re-reports its
+    /// loads, and the distributed scope is rescanned.
+    pub(crate) fn container_changed(&mut self, container: ContainerId) {
+        self.load_dirty_containers.insert(container);
+        self.tell_checker(|inbox| inbox.distributed = true);
+    }
+
+    /// Hosts were added, failed or recovered.
+    pub(crate) fn cluster_changed(&mut self) {
+        self.tell_checker(|inbox| {
+            inbox.cluster = true;
+            inbox.distributed = true;
+        });
+    }
+
+    /// A Shard Manager connection was severed or restored: the set of
+    /// containers that heartbeat, and that the checker trusts, moved.
+    pub(crate) fn connection_changed(&mut self) {
+        self.live_containers = None;
+        self.tell_checker(|inbox| inbox.distributed = true);
     }
 
     /// Bring the per-job resiliency cache up to date with the Job Store:
@@ -935,14 +917,6 @@ snap_struct!(TurbineConfig {
 // skips control rounds.
 check |c| c.validate().is_ok() => "TurbineConfig failed validation");
 
-snap_struct!(PendingDirty {
-    jobs,
-    distributed,
-    cluster,
-    quarantine,
-    standby
-});
-
 snap_struct!(SeveredState { at, rebooted });
 
 snap_struct!(OutageState { since, fast });
@@ -1029,9 +1003,8 @@ turbine_stream! {
     task_managers via (snap_managers, unsnap_managers),
     scaler, capacity, checkpoints, engine, paused, capacity_stopped, state_moves, crash_mtbf,
     rng, releases, lag_since, last_diagnosis, severed, categories, shadow,
-    outages, container_down_since, fresh_promotions, fresh_revivals, faults, trace,
-    invariants, pending_dirty, load_dirty_containers, resiliency_cache, sched,
-    last_scaler_drain, ods;
+    outages, container_down_since, faults, trace, invariants, load_dirty_containers,
+    resiliency_cache, sched, last_scaler_drain, ods;
     // Caches and cost counters: rebuilt or restarted, never stored.
     derived {
         container_cpu: None,

@@ -39,7 +39,7 @@
 
 use super::{Turbine, TurbineConfig, RESTART_DELAY};
 use crate::engine::EngineReader;
-use crate::invariants::InvariantView;
+use crate::invariants::{Inbox, InvariantView};
 use std::collections::BTreeSet;
 use turbine_jobstore::StoreReader;
 use turbine_sim::{EventQueue, Fault, Periodic};
@@ -309,13 +309,10 @@ impl Turbine {
     /// The full-scan reference's input, as if everything had changed:
     /// every expected ∪ running job for every reader of the Job Store's
     /// feed, every invariant scope, every Task Manager's container for a
-    /// load report. Nothing else: every engine job has a store row, and a
-    /// cluster change rescans standby isolation too.
+    /// load report. Nothing else: every engine job has a store row.
     fn mark_everything_changed(&mut self) {
         self.jobs.store_mut().refeed_all();
-        self.pending_dirty.distributed = true;
-        self.pending_dirty.cluster = true;
-        self.pending_dirty.quarantine = true;
+        self.tell_checker(Inbox::mark_all_scopes);
         self.load_dirty_containers
             .extend(self.task_managers.keys().copied());
     }
@@ -594,22 +591,15 @@ impl Turbine {
     /// Evaluate the continuous invariants over the current state (no-op
     /// unless enabled). Runs at every executed instant in both modes.
     fn check_invariants(&mut self) {
-        // One job set: what both change feeds hold for the checker (drained
-        // with checking off too, so they stay bounded) and what the control
-        // loops marked. The check walks only these.
-        let mut dirty_jobs = self.engine.drain_changes(EngineReader::Checker);
-        dirty_jobs.append(&mut self.jobs.store_mut().drain_changes(StoreReader::Checker));
+        // What both change feeds hold for the checker joins what the
+        // control loops marked. The feeds are drained with checking off
+        // too, so they stay bounded.
+        let mut changed = self.engine.drain_changes(EngineReader::Checker);
+        changed.append(&mut self.jobs.store_mut().drain_changes(StoreReader::Checker));
         let Some(mut checker) = self.invariants.take() else {
             return;
         };
-        dirty_jobs.append(&mut self.pending_dirty.jobs);
-        let dirty = crate::invariants::DirtyInput {
-            jobs: &dirty_jobs,
-            distributed_changed: std::mem::take(&mut self.pending_dirty.distributed),
-            cluster_changed: std::mem::take(&mut self.pending_dirty.cluster),
-            quarantine_changed: std::mem::take(&mut self.pending_dirty.quarantine),
-            standby_changed: std::mem::take(&mut self.pending_dirty.standby),
-        };
+        checker.inbox().jobs.append(&mut changed);
         // Containers whose local state is authoritative: healthy host
         // and an intact Shard Manager connection. A dead or partitioned
         // container legitimately holds stale state until it rejoins.
@@ -617,7 +607,7 @@ impl Turbine {
         let live_containers = &self.live_containers.as_ref().expect("refreshed").1;
         let quiet_since = (!self.faults.any_active())
             .then(|| self.faults.last_transition().unwrap_or(SimTime::ZERO));
-        let view = InvariantView {
+        checker.check(&InvariantView {
             now: self.now,
             cluster: &self.cluster,
             engine: &self.engine,
@@ -630,12 +620,7 @@ impl Turbine {
             live_containers,
             quiet_since,
             shadow: &self.shadow,
-            fresh_promotions: &self.fresh_promotions,
-            fresh_revivals: &self.fresh_revivals,
-        };
-        checker.check(&view, &dirty);
-        self.fresh_promotions.clear();
-        self.fresh_revivals.clear();
+        });
         self.invariants = Some(checker);
     }
 }

@@ -48,8 +48,11 @@ pub const SNAP_MAGIC: [u8; 8] = *b"TRBNSNAP";
 /// of the store's change log, the engine's dirty set and the four cursors
 /// into the log; version 10 drops the configuration's full-scan selector
 /// (the reference is a drive mode now, `DriveMode::FullScan`) and the
-/// invariant checker's count of sparse checks (every check is one).
-pub const SNAP_VERSION: u32 = 10;
+/// invariant checker's count of sparse checks (every check is one);
+/// version 11 stores what the checker is told (its job set, scope flags and
+/// promotion and revival edges) inside the checker, not as three platform
+/// fields, and not at all while checking is off.
+pub const SNAP_VERSION: u32 = 11;
 
 /// Chunk size of the manifest: one digest per 4 KiB of stream, verified
 /// on every restore and compared across snapshots. Small enough that an
@@ -486,16 +489,26 @@ mod tests {
     fn a_lying_trace_ring_length_runs_off_the_end() {
         let t = small_platform();
         let stream = Snapshot::capture(&t).stream.into_owned();
-        // The trace ring's length follows its capacity and next id. Claim
-        // one event per byte left, the most `len_prefix` lets through:
-        // events are ~120 B in memory, so reserving that many would ask
-        // for 120x the stream.
-        let at = offset_of(&t, "trace") + 16;
-        let mut lying = stream.clone();
-        lying[at..at + 8].copy_from_slice(&((stream.len() - at - 8) as u64).to_le_bytes());
-        let restored =
-            Snapshot::from_stream(SnapshotMeta::default(), Cow::Borrowed(&lying)).restore();
-        assert!(matches!(restored.err(), Some(SnapError::Eof(_))));
+        // The trace field alone, decoded as the ring it is: honest, it
+        // decodes to its last byte, so only the lie below can fail it.
+        let field = &stream[offset_of(&t, "trace")..offset_of(&t, "invariants")];
+        let decode = |bytes: &[u8]| {
+            let mut r = SnapReader::new(bytes);
+            r.get::<turbine::TraceBuffer>()?;
+            r.expect_end()
+        };
+        assert_eq!(decode(field), Ok(()));
+        // The ring's length follows its capacity and next id. Claim one
+        // event per byte left, the most `len_prefix` lets through: events
+        // are ~120 B in memory, so reserving that many would ask for 120x
+        // the stream.
+        let mut lying = field.to_vec();
+        lying[16..24].copy_from_slice(&((field.len() - 24) as u64).to_le_bytes());
+        assert!(
+            matches!(decode(&lying), Err(SnapError::Eof(_))),
+            "{:?}",
+            decode(&lying)
+        );
     }
 
     #[test]

@@ -362,28 +362,34 @@ fn restore_while_a_down_container_holds_an_older_snapshot_matches_uninterrupted(
 }
 
 /// A deleted job leaves the Auto Scaler with the rest of its state: its
-/// throughput estimate and workload history are neither resident nor in
-/// any later snapshot.
+/// throughput estimate, workload history and release row are neither
+/// resident nor in any later snapshot.
 #[test]
 fn a_deleted_job_leaves_the_scaler_and_the_next_capture() {
-    let scaler_bytes = |t: &Turbine| {
+    let bytes_of = |t: &Turbine, field: &str| {
         let fields = turbine_snap::field_bytes(t);
-        fields.iter().find(|f| f.0 == "scaler").expect("field").1
+        fields.iter().find(|f| f.0 == field).expect("field").1
     };
     let mut t = build();
     drive_to(&mut t, 15, DriveMode::EventDriven);
     assert!(t.auto_scaler().throughput_estimate(JobId(2)).is_some());
-    let before = scaler_bytes(&t);
+    let before = bytes_of(&t, "scaler");
+    let releases_before = bytes_of(&t, "releases");
     t.delete_job(JobId(2)).expect("delete");
     drive_to(&mut t, 25, DriveMode::EventDriven);
     assert!(t.engine().job(JobId(2)).is_none(), "wound down");
     assert_eq!(t.auto_scaler().throughput_estimate(JobId(2)), None);
     assert!(t.auto_scaler().throughput_estimate(JobId(1)).is_some());
-    let after = scaler_bytes(&t);
+    let after = bytes_of(&t, "scaler");
     assert!(
         after < before,
         "scaler state {before} B -> {after} B: ten more minutes of history for \
          two jobs weigh less than all of the third's"
+    );
+    let releases_after = bytes_of(&t, "releases");
+    assert!(
+        releases_after < releases_before,
+        "release rows {releases_before} B -> {releases_after} B: the deleted job's row stays"
     );
     let restored = Snapshot::capture(&t).restore().expect("restore");
     assert_eq!(restored.auto_scaler().throughput_estimate(JobId(2)), None);
