@@ -47,6 +47,15 @@ echo "== the invariant checker owns its inbox =="
 ! grep -rnE 'PendingDirty|DirtyInput' crates tests \
     || { echo "PendingDirty or DirtyInput is back under crates/ or tests/"; exit 1; }
 
+echo "== per-job tables are id-hashed; each scaler window is drained once =="
+# A table keyed by a platform-assigned job id is an `IdMap` (one multiply
+# per probe, not a SipHash round), and the scaler round reads each job's
+# running tasks from its one window drain, not from a second engine walk.
+! grep -rn 'HashMap<JobId,' crates/core/src crates/autoscaler/src crates/jobstore/src crates/ods/src \
+    || { echo "HashMap<JobId, ...> under crates/{core,autoscaler,jobstore,ods}/src: use IdMap"; exit 1; }
+! grep -rn tasks_with_window crates tests \
+    || { echo "tasks_with_window is back under crates/ or tests/"; exit 1; }
+
 echo "== scale_smoke: sparse data plane at 1k hosts / 10k tasks (13 simulated hours) =="
 # scale_soak runs the identical scenario under DriveMode::EventDriven and
 # DriveMode::FullScan and exits non-zero unless the fingerprints are

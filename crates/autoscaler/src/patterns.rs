@@ -20,8 +20,8 @@
 //! holds a few dozen entries per job where the ring it replaces held
 //! 2 016 slots from the first round on, resident and in every snapshot.
 
-use std::collections::{HashMap, VecDeque};
-use turbine_types::{Duration, JobId, SimTime};
+use std::collections::VecDeque;
+use turbine_types::{Duration, IdMap, JobId, SimTime};
 
 /// Adaptive estimate of `P`, the maximum stable processing rate of a
 /// single thread (bytes/sec). Bootstrapped during the job's staging period
@@ -211,7 +211,7 @@ impl JobHistory {
 #[derive(Debug)]
 pub struct PatternAnalyzer {
     config: PatternConfig,
-    history: HashMap<JobId, JobHistory>,
+    history: IdMap<JobId, JobHistory>,
 }
 
 fn abs_bucket(at: SimTime) -> u64 {
@@ -223,7 +223,7 @@ impl PatternAnalyzer {
     pub fn new(config: PatternConfig) -> Self {
         PatternAnalyzer {
             config,
-            history: HashMap::new(),
+            history: IdMap::default(),
         }
     }
 

@@ -19,9 +19,9 @@
 use crate::estimator::{estimate_resources, required_task_count, BASE_MEMORY_MB, RECOVERY_TIME};
 use crate::patterns::{PatternAnalyzer, PatternConfig, ThroughputModel};
 use crate::symptoms::{detect, JobMetrics, Symptom};
-use std::collections::HashMap;
+use std::borrow::Cow;
 use turbine_config::JobConfig;
-use turbine_types::{Duration, JobId, Priority, Resources, SimTime};
+use turbine_types::{Duration, IdMap, JobId, Priority, Resources, SimTime};
 
 /// Which generation of the scaler to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,8 +143,9 @@ pub struct ScalingDecision {
     pub untriaged: Option<String>,
     /// Symptoms observed this round.
     pub symptoms: Vec<Symptom>,
-    /// Human-readable rationale (for logs/runbooks).
-    pub reason: String,
+    /// Human-readable rationale (for logs/runbooks). Borrowed when it is a
+    /// fixed phrase, so a round allocates only for the reasons it formats.
+    pub reason: Cow<'static, str>,
 }
 
 /// Per-job persistent scaler state.
@@ -164,7 +165,7 @@ struct JobState {
 pub struct AutoScaler {
     config: ScalerConfig,
     patterns: PatternAnalyzer,
-    states: HashMap<JobId, JobState>,
+    states: IdMap<JobId, JobState>,
     /// When set by the Capacity Manager, only jobs at or above this
     /// priority may scale *up* (cluster under pressure, §V-F).
     priority_floor: Option<Priority>,
@@ -176,7 +177,7 @@ impl AutoScaler {
         AutoScaler {
             patterns: PatternAnalyzer::new(config.patterns),
             config,
-            states: HashMap::new(),
+            states: IdMap::default(),
             priority_floor: None,
         }
     }
@@ -494,7 +495,7 @@ impl AutoScaler {
                     action: Some(action),
                     untriaged: None,
                     symptoms,
-                    reason,
+                    reason: reason.into(),
                 };
             }
             return ScalingDecision {
@@ -582,7 +583,7 @@ impl AutoScaler {
                     action: Some(action),
                     untriaged: None,
                     symptoms,
-                    reason,
+                    reason: reason.into(),
                 };
             }
         }
@@ -671,7 +672,8 @@ impl AutoScaler {
                         symptoms,
                         reason: format!(
                             "stable -> downscale {n} -> {target} tasks ({verdict_note})"
-                        ),
+                        )
+                        .into(),
                     };
                 }
             }

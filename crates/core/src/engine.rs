@@ -54,12 +54,14 @@
 //! load reports, and the current minute's noise factor of its traffic model.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::hash::{BuildHasher, BuildHasherDefault};
+use std::hash::BuildHasher;
 use std::ops::{Deref, Range};
 use turbine_config::MemoryEnforcement;
-use turbine_scribe::{CheckpointStore, Scribe};
+use turbine_scribe::{CategoryId, CategoryView, CheckpointStore, Scribe};
 use turbine_taskmgr::TaskSpec;
-use turbine_types::{ContainerId, Duration, JobId, PartitionId, Resources, SimTime, TaskId};
+use turbine_types::{
+    id_map, ContainerId, Duration, IdMap, JobId, PartitionId, Resources, SimTime, TaskId,
+};
 use turbine_workloads::{fleet::task_usage, NoiseMemo, TrafficModel};
 
 /// One input partition's columns, side by side: the arrival pass reads the
@@ -230,6 +232,11 @@ pub struct JobRuntime {
     /// sync (`None` = category was absent). A mismatch forces a full sync:
     /// the durable tail moved underneath us.
     last_category_appended: Option<u64>,
+    /// The job's input category in the bus [`Engine::sync_durable`] is
+    /// handed, resolved through its name the first time the sync finds it
+    /// there (`None`: not yet). Derived — not part of the snapshot, so an
+    /// id never outlives the bus it came from.
+    category: Option<CategoryId>,
     // Scaler-window accumulators. A running task's bytes are in its slot.
     window_arrived: f64,
     window_processed: f64,
@@ -605,17 +612,35 @@ fn walk_orphan(
     quiet
 }
 
-/// Stats drained by the scaler each round.
+/// One job's scaler window as [`Engine::drain_window`] hands it over: the
+/// caller keeps it between rounds and the drain refills it, so a steady
+/// round allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct WindowStats {
     /// Bytes arrived during the window.
     pub arrived: f64,
     /// Bytes processed during the window.
     pub processed: f64,
-    /// Bytes processed per task.
+    /// Bytes processed per task, ascending by id: the running tasks' and
+    /// those of tasks that left mid-window.
     pub per_task: Vec<(TaskId, f64)>,
+    /// The job's running tasks, ascending by id.
+    pub running: Vec<RunningTask>,
     /// OOM kills during the window.
     pub ooms: u32,
+}
+
+/// A running task as a drained window reports it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RunningTask {
+    /// The task.
+    pub id: TaskId,
+    /// Bytes it processed this window (zero when the window lists none).
+    pub processed: f64,
+    /// Its memory usage at the last tick, MB.
+    pub memory_mb: f64,
+    /// When it was (re)started on its container.
+    pub started_at: SimTime,
 }
 
 /// Result of one engine tick.
@@ -658,34 +683,12 @@ impl DirtyJobs<'_> {
     }
 }
 
-/// Hasher for container-keyed tables. Container ids are dense integers the
-/// platform itself hands out, never outside input, so a multiplicative
-/// hash is safe and a SipHash round on every probe is not worth paying.
-#[derive(Default)]
-pub(crate) struct IdHasher(u64);
-
-/// A container-keyed table hashed with [`IdHasher`].
-pub(crate) type ContainerMap<V> = HashMap<ContainerId, V, BuildHasherDefault<IdHasher>>;
+/// A container-keyed table.
+pub(crate) type ContainerMap<V> = IdMap<ContainerId, V>;
 
 /// An empty [`ContainerMap`] with room for `containers` entries.
 pub(crate) fn container_map<V>(containers: usize) -> ContainerMap<V> {
-    HashMap::with_capacity_and_hasher(containers, BuildHasherDefault::default())
-}
-
-impl std::hash::Hasher for IdHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(self.0 ^ b as u64);
-        }
-    }
-
-    fn write_u64(&mut self, id: u64) {
-        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
+    id_map(containers)
 }
 
 /// Per-container state of one tick: capacity, and the CPU demand of the
@@ -862,6 +865,7 @@ impl Engine {
             durable_epoch: 0,
             last_durable_epoch: u64::MAX,
             last_category_appended: None,
+            category: None,
             window_arrived: 0.0,
             window_processed: 0.0,
             window_departed: Vec::new(),
@@ -1446,24 +1450,42 @@ impl Engine {
         })
     }
 
-    /// Drain and reset the scaler-window accumulators for one job.
-    pub fn drain_window(&mut self, job: JobId) -> WindowStats {
-        let Some(rt) = self.jobs.get(job) else {
-            return WindowStats::default();
+    /// Drain and reset the scaler-window accumulators for one job into
+    /// `into`, in one walk of the job's task range, and hand back the
+    /// job's runtime so the caller need not look it up again. An
+    /// unregistered job drains nothing (and its tasks keep their bytes):
+    /// `into` is left empty and the answer is `None`.
+    pub fn drain_window(&mut self, job: JobId, into: &mut WindowStats) -> Option<JobView<'_>> {
+        into.per_task.clear();
+        into.running.clear();
+        let Ok(at) = self.jobs.ids.binary_search(&job) else {
+            (into.arrived, into.processed, into.ooms) = (0.0, 0.0, 0);
+            return None;
         };
-        let stats = WindowStats {
-            arrived: rt.window_arrived,
-            processed: rt.window_processed,
-            per_task: self.window_entries(job, rt).collect(),
-            ooms: rt.window_ooms,
-        };
-        self.tasks.clear_windows(job);
-        let rt = self.jobs.get_mut(job).expect("registered");
-        rt.window_arrived = 0.0;
-        rt.window_processed = 0.0;
-        rt.window_departed.clear();
-        rt.window_ooms = 0;
-        stats
+        let rt = &mut self.jobs.runtimes[at];
+        into.arrived = std::mem::take(&mut rt.window_arrived);
+        into.processed = std::mem::take(&mut rt.window_processed);
+        into.ooms = std::mem::take(&mut rt.window_ooms);
+        let mut departed = rt.window_departed.drain(..).peekable();
+        let TaskArena { index, slots, .. } = &mut self.tasks;
+        for (&id, &slot) in index.range(job_range(job)) {
+            let task = slots[slot as usize].as_mut().expect("indexed slot");
+            into.per_task.extend(std::iter::from_fn(|| {
+                departed.next_if(|&(left, _)| left < id)
+            }));
+            let window = task.window.take();
+            if let Some(bytes) = window {
+                into.per_task.push((id, bytes));
+            }
+            into.running.push(RunningTask {
+                id,
+                processed: window.unwrap_or(0.0),
+                memory_mb: task.memory_usage_mb,
+                started_at: task.started_at,
+            });
+        }
+        into.per_task.extend(departed);
+        Some(self.jobs.view(at))
     }
 
     /// Mirror accumulated arrivals into the Scribe substrate and commit
@@ -1481,6 +1503,14 @@ impl Engine {
     /// only lowers the tail, which lowers the commit target below the
     /// persisted checkpoint — also a no-op. The full per-partition path
     /// remains the crash-recovery oracle and runs whenever in doubt.
+    ///
+    /// One pass, no search per job: the checkpoint rows ascend by job like
+    /// the runtimes and are walked in step; each job finds its category by
+    /// the id it remembers (resolved through `category_of` the first time
+    /// the bus has the name); and each partition is one step that indexes
+    /// its column, its category partition and its checkpoint pair. The ids
+    /// are the bus's, so an engine is synced against one bus for as long
+    /// as it lives (a restored engine has resolved none yet).
     pub fn sync_durable<'c>(
         &mut self,
         now: SimTime,
@@ -1493,58 +1523,41 @@ impl Engine {
             runtimes,
             cols,
         } = &mut self.jobs;
+        // The rows ascend by job like the runtimes: one cursor finds them.
+        let mut rows = checkpoints.rows();
         for (&job, rt) in ids.iter().zip(runtimes.iter_mut()) {
-            let epoch_clean = rt.last_durable_epoch == rt.durable_epoch;
-            match scribe.category_view(category_of(job)) {
-                Ok(mut view) => {
-                    if epoch_clean && rt.last_category_appended == Some(view.total_appended()) {
-                        continue;
-                    }
-                    let mut offsets = checkpoints.job_mut(job);
-                    for (i, p) in cols.get_mut(rt.cols).iter_mut().enumerate() {
-                        let partition = PartitionId(i as u64);
-                        let delta = p.appended - p.scribe_synced;
-                        if delta >= 1.0 {
-                            let _ = view.append_bytes(partition, delta as u64, now);
-                            p.scribe_synced += delta.floor();
-                        }
-                        // Commit the consumed offset, capped at the durable
-                        // tail: a checkpoint must name a readable position.
-                        // After a WAL torn-tail salvage the tail can sit
-                        // *below* both the engine's consumed counter and
-                        // the last persisted checkpoint — never move the
-                        // checkpoint backwards here (recovery clamps it
-                        // explicitly, with a trace event) and never
-                        // re-advance it past the tail.
-                        let tail = view.tail_offset(partition).unwrap_or(0);
-                        let target = (p.consumed as u64).min(tail);
-                        if target >= offsets.get(partition) {
-                            offsets.commit(partition, target);
-                        }
-                    }
-                    rt.last_category_appended = Some(view.total_appended());
-                }
-                Err(_) => {
-                    // No such category: appends are dropped but the mirror
-                    // cursor still advances, and checkpoints commit against
-                    // an implicit zero tail — exactly the legacy behavior.
-                    if epoch_clean && rt.last_category_appended.is_none() {
-                        continue;
-                    }
-                    let mut offsets = checkpoints.job_mut(job);
-                    for (i, p) in cols.get_mut(rt.cols).iter_mut().enumerate() {
-                        let partition = PartitionId(i as u64);
-                        let delta = p.appended - p.scribe_synced;
-                        if delta >= 1.0 {
-                            p.scribe_synced += delta.floor();
-                        }
-                        if offsets.get(partition) == 0 {
-                            offsets.commit(partition, 0);
-                        }
-                    }
-                    rt.last_category_appended = None;
-                }
+            if rt.category.is_none() {
+                rt.category = scribe.category_id(category_of(job));
             }
+            let mut category = rt.category.map(|id| scribe.view(id));
+            let appended = category.as_ref().map(CategoryView::total_appended);
+            if rt.last_durable_epoch == rt.durable_epoch && rt.last_category_appended == appended {
+                continue;
+            }
+            let mut offsets = rows.job(job);
+            for (i, p) in cols.get_mut(rt.cols).iter_mut().enumerate() {
+                let delta = p.appended - p.scribe_synced;
+                let mut bytes = 0;
+                if delta >= 1.0 {
+                    bytes = delta as u64;
+                    p.scribe_synced += delta.floor();
+                }
+                // With no category, or no such partition in it, appends are
+                // dropped but the mirror cursor still advances, and the
+                // checkpoint commits against a tail of 0.
+                let tail = category
+                    .as_mut()
+                    .map_or(0, |view| view.append_then_tail(i, bytes, now));
+                // Commit the consumed offset, capped at the durable tail: a
+                // checkpoint must name a readable position. After a WAL
+                // torn-tail salvage the tail can sit *below* both the
+                // engine's consumed counter and the last persisted
+                // checkpoint — never move the checkpoint backwards here
+                // (recovery clamps it explicitly, with a trace event) and
+                // never re-advance it past the tail.
+                offsets.raise_next(i, (p.consumed as u64).min(tail));
+            }
+            rt.last_category_appended = category.map(|view| view.total_appended());
             rt.last_durable_epoch = rt.durable_epoch;
         }
     }
@@ -1696,6 +1709,7 @@ impl Snap for Engine {
                 durable_epoch,
                 last_durable_epoch,
                 last_category_appended,
+                category: None,
                 window_arrived,
                 window_processed,
                 window_departed: Vec::new(),
@@ -1756,6 +1770,19 @@ impl Snap for Engine {
         Ok(engine)
     }
 }
+
+#[cfg(test)]
+impl Engine {
+    /// [`Engine::drain_window`] into fresh buffers.
+    fn drained(&mut self, job: JobId) -> WindowStats {
+        let mut stats = WindowStats::default();
+        self.drain_window(job, &mut stats);
+        stats
+    }
+}
+
+#[cfg(test)]
+mod durable_tests;
 
 #[cfg(test)]
 mod layout_tests;

@@ -179,7 +179,7 @@ impl Pair {
                 });
             }
             9 => {
-                let (drifted, relaid) = self.both(|e| e.drain_window(job));
+                let (drifted, relaid) = self.both(|e| e.drained(job));
                 prop_assert_eq!(drifted.arrived.to_bits(), relaid.arrived.to_bits());
                 prop_assert_eq!(drifted.processed.to_bits(), relaid.processed.to_bits());
                 prop_assert_eq!(drifted.ooms, relaid.ooms);
@@ -351,7 +351,7 @@ fn departed_window_bytes_are_kept_and_resumed() {
     // Task 0 stops mid-window: its bytes stay listed.
     engine.task_stopped(specs[0].id, ContainerId(0));
     let now = tick(&mut engine);
-    let stats = engine.drain_window(job);
+    let stats = engine.drained(job);
     let listed: Vec<TaskId> = stats.per_task.iter().map(|&(id, _)| id).collect();
     assert_eq!(listed, [specs[0].id, specs[1].id]);
     assert_eq!(stats.per_task[0].1, 1.0e7, "one tick at one thread");
@@ -362,6 +362,6 @@ fn departed_window_bytes_are_kept_and_resumed() {
     engine.task_stopped(specs[0].id, ContainerId(0));
     engine.task_started(&specs[0], ContainerId(0), now, Duration::ZERO);
     tick(&mut engine);
-    let stats = engine.drain_window(job);
+    let stats = engine.drained(job);
     assert_eq!(stats.per_task, [(specs[0].id, 2.0e7), (specs[1].id, 2.0e7)]);
 }

@@ -149,7 +149,7 @@ impl Pair {
             }),
             8 if b == 0 => self.both(|e| e.remove_job(job)),
             9 => self.both(|e| {
-                e.drain_window(job);
+                e.drained(job);
             }),
             _ => {}
         }
@@ -396,9 +396,9 @@ fn orphans_keep_their_place_and_a_woken_job_is_walked_in_the_tick_that_wakes_it(
     assert_eq!(woken.total_arrived(), 1.5e7, "one tick of arrivals");
     // One thread at 1 MB/s for 10 s, processed on the tick that woke it.
     assert!((woken.backlog() - 0.5e7).abs() < 1.0, "{}", woken.backlog());
-    let stats = engine.drain_window(windowed);
+    let stats = engine.drained(windowed);
     assert_eq!(stats.per_task.len(), 1);
     assert!((stats.processed - 1.0e7).abs() < 1.0);
     // And the busy job's every tick was counted.
-    assert_eq!(engine.drain_window(busy).ooms, 4);
+    assert_eq!(engine.drained(busy).ooms, 4);
 }

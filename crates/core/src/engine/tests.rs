@@ -39,7 +39,7 @@ fn sufficient_capacity_keeps_up() {
     let backlog = engine.job(JOB).expect("job").backlog();
     // 2 tasks × 1 MB/s can absorb 1 MB/s: backlog stays ~one tick.
     assert!(backlog < 1.1e7, "backlog {backlog}");
-    let stats = engine.drain_window(JOB);
+    let stats = engine.drained(JOB);
     assert!((stats.processed / stats.arrived) > 0.95);
     assert_eq!(stats.per_task.len(), 2);
 }
@@ -51,7 +51,7 @@ fn undersized_job_builds_backlog() {
     let backlog = engine.job(JOB).expect("job").backlog();
     // Deficit 2 MB/s over 300 s = 600 MB.
     assert!(backlog > 5.5e8, "backlog {backlog}");
-    let stats = engine.drain_window(JOB);
+    let stats = engine.drained(JOB);
     assert!(stats.processed < stats.arrived * 0.6);
 }
 
@@ -59,7 +59,7 @@ fn undersized_job_builds_backlog() {
 fn container_contention_slows_all_tenants() {
     let (mut engine, _) = engine_with_job(4.0e6, 4); // wants 4 cores
     run_ticks(&mut engine, 10, 1.0); // container only has 1 core
-    let stats = engine.drain_window(JOB);
+    let stats = engine.drained(JOB);
     let ratio = stats.processed / stats.arrived;
     assert!(ratio < 0.35, "contention should cap throughput: {ratio}");
 }
@@ -73,7 +73,7 @@ fn paused_jobs_accumulate_without_processing() {
         now += dt;
         engine.tick(now, dt, &caps(64.0), &|_| true);
     }
-    let stats = engine.drain_window(JOB);
+    let stats = engine.drained(JOB);
     assert_eq!(stats.processed, 0.0);
     assert!(engine.job(JOB).expect("job").backlog() >= 1.0e7 * 0.99);
 }
@@ -83,7 +83,7 @@ fn dead_container_stops_processing() {
     let (mut engine, _) = engine_with_job(1.0e6, 2);
     let dt = Duration::from_secs(10);
     engine.tick(SimTime::ZERO + dt, dt, &HashMap::new(), &|_| false);
-    let stats = engine.drain_window(JOB);
+    let stats = engine.drained(JOB);
     assert_eq!(stats.processed, 0.0);
 }
 
@@ -97,7 +97,7 @@ fn skewed_partitions_create_imbalanced_per_task_rates() {
     }
     engine.set_partition_weights(JOB, &weights);
     run_ticks(&mut engine, 10, 64.0);
-    let stats = engine.drain_window(JOB);
+    let stats = engine.drained(JOB);
     let rates: Vec<f64> = stats.per_task.iter().map(|&(_, v)| v).collect();
     assert!(rates[0] > 0.0);
     // Task 1 (partitions 8..16) sees nothing.
@@ -116,7 +116,7 @@ fn cgroup_task_ooms_when_over_reserved() {
     let dt = Duration::from_secs(10);
     let outcome = engine.tick(SimTime::ZERO + dt, dt, &caps(64.0), &|_| false);
     assert_eq!(outcome.oom_kills, vec![specs[0].id]);
-    assert_eq!(engine.drain_window(JOB).ooms, 1);
+    assert_eq!(engine.drained(JOB).ooms, 1);
 }
 
 #[test]
@@ -144,12 +144,12 @@ fn restart_delay_suppresses_processing() {
         now += dt;
         engine.tick(now, dt, &caps(64.0), &|_| false);
     }
-    assert_eq!(engine.drain_window(JOB).processed, 0.0, "still restarting");
+    assert_eq!(engine.drained(JOB).processed, 0.0, "still restarting");
     for _ in 0..5 {
         now += dt;
         engine.tick(now, dt, &caps(64.0), &|_| false);
     }
-    assert!(engine.drain_window(JOB).processed > 0.0, "restarted");
+    assert!(engine.drained(JOB).processed > 0.0, "restarted");
 }
 
 #[test]
@@ -441,5 +441,5 @@ fn a_tasks_backlog_is_summed_in_slice_order() {
     engine.task_started(&spec, C0, SimTime::ZERO, Duration::ZERO);
     let dt = Duration::from_secs(1);
     engine.tick(SimTime::ZERO + dt, dt, &caps(64.0), &|_| false);
-    assert_eq!(engine.drain_window(JOB).processed, 1.0e16 + 2.0);
+    assert_eq!(engine.drained(JOB).processed, 1.0e16 + 2.0);
 }

@@ -5,11 +5,12 @@
 //! component table — these bodies only do the round's work at the instant
 //! they are invoked.
 
-use super::{OutageState, Turbine, CONNECTION_TIMEOUT, RESTART_DELAY};
-use crate::engine::{ActiveTask, Engine, EngineReader};
+use super::{OutageState, ScalerScratch, Turbine, CONNECTION_TIMEOUT, RESTART_DELAY};
+use crate::engine::{Engine, EngineReader};
 use crate::invariants::{Inbox, InvariantChecker};
 use crate::metrics::DiagnosisRecord;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use turbine_autoscaler::{DiagnosisInput, JobMetrics, Mitigation, ScalingAction};
 use turbine_config::{ConfigLevel, JobConfig, ResiliencyClass};
@@ -18,26 +19,7 @@ use turbine_shardmgr::{ContainerStatus, ShardMovement};
 use turbine_statesyncer::{Redistribute, SyncEnvironment};
 use turbine_taskmgr::{LocalTaskManager, RunningJobs, TaskEvent, TaskService};
 use turbine_trace::TraceData;
-use turbine_types::{ContainerId, Duration, JobId, PartitionId, Resources, SimTime, TaskId};
-
-/// The running tasks of `job` in `TaskId` order, each with the bytes it
-/// processed over a drained scaler window (zero for a task the window does
-/// not list). `per_task_window` ascends by `TaskId` as well
-/// ([`Engine::drain_window`]), so the two are walked in step.
-fn tasks_with_window<'a>(
-    engine: &'a Engine,
-    job: JobId,
-    per_task_window: &'a [(TaskId, f64)],
-) -> impl Iterator<Item = (TaskId, &'a ActiveTask, f64)> {
-    let mut window = per_task_window.iter().peekable();
-    engine.tasks_of_job(job).map(move |(&id, task)| {
-        while window.next_if(|(listed, _)| *listed < id).is_some() {}
-        let processed = window
-            .next_if(|(listed, _)| *listed == id)
-            .map_or(0.0, |&(_, bytes)| bytes);
-        (id, task, processed)
-    })
-}
+use turbine_types::{ContainerId, Duration, IdMap, JobId, PartitionId, Resources, SimTime, TaskId};
 
 impl Turbine {
     /// Heartbeats + proactive reboot of disconnected containers. The live
@@ -514,7 +496,7 @@ impl Turbine {
             task_service: &'a mut TaskService,
             task_managers: &'a BTreeMap<ContainerId, LocalTaskManager>,
             engine: &'a Engine,
-            state_moves: &'a mut HashMap<JobId, SimTime>,
+            state_moves: &'a mut IdMap<JobId, SimTime>,
             inbox: Option<&'a mut Inbox>,
             now: SimTime,
             state_move_bandwidth: f64,
@@ -644,162 +626,178 @@ impl Turbine {
         let now = self.now;
         let window = now.since(self.last_scaler_drain).as_secs_f64().max(1.0);
         self.last_scaler_drain = now;
-        if !self.config.scaler_enabled {
-            // Still drain windows so a later enable starts fresh.
-            for job in self.engine.job_ids() {
-                let _ = self.engine.drain_window(job);
-            }
+        let mut scratch = std::mem::take(&mut self.scaler_scratch);
+        for job in self.engine.job_ids() {
+            self.scale_job(job, now, window, &mut scratch);
+        }
+        self.scaler_scratch = scratch;
+    }
+
+    /// The scaler round's body for one job, over `window` seconds since
+    /// the last round. Its window is drained into `scratch`, whose buffers
+    /// every job of every round reuses.
+    fn scale_job(&mut self, job: JobId, now: SimTime, window: f64, scratch: &mut ScalerScratch) {
+        let ScalerScratch {
+            drained,
+            metrics,
+            rates,
+        } = scratch;
+        // A disabled scaler still drains windows so a later enable starts
+        // fresh.
+        if !self.config.scaler_enabled
+            || self.paused.contains(&job)
+            || self.capacity_stopped.contains(&job)
+            || self.syncer.is_quarantined(job)
+        {
+            self.engine.drain_window(job, drained);
             return;
         }
-        for job in self.engine.job_ids() {
-            if self.paused.contains(&job)
-                || self.capacity_stopped.contains(&job)
-                || self.syncer.is_quarantined(job)
-            {
-                let _ = self.engine.drain_window(job);
-                continue;
+        let Ok(config) = self.jobs.expected_typed(job) else {
+            return;
+        };
+        if self.jobs.running_typed(job).is_none() {
+            self.engine.drain_window(job, drained);
+            return; // not started yet
+        }
+        let runtime = self
+            .engine
+            .drain_window(job, drained)
+            .expect("the round walks registered jobs");
+        let backlog = runtime.backlog();
+        let key_cardinality = runtime.stateful.then_some(runtime.key_cardinality);
+        let mut per_task_rates = std::mem::take(&mut metrics.per_task_rates);
+        let mut per_task_memory_mb = std::mem::take(&mut metrics.per_task_memory_mb);
+        per_task_rates.clear();
+        per_task_memory_mb.clear();
+        for task in &drained.running {
+            per_task_rates.push(task.processed / window);
+            per_task_memory_mb.push(task.memory_mb);
+        }
+        // Symptom inputs flow through the ODS registry: publish, then
+        // read the identical `f64`s back — every scaler decision is
+        // driven by the same uniform metrics plane the operator
+        // console reads.
+        let (input_rate, processing_rate, total_bytes_lagged) = self.ods_scaler_roundtrip(
+            job,
+            now,
+            drained.arrived / window,
+            drained.processed / window,
+            backlog,
+        );
+        *metrics = JobMetrics {
+            input_rate,
+            processing_rate,
+            total_bytes_lagged,
+            per_task_rates,
+            per_task_memory_mb,
+            oom_events: drained.ooms,
+            task_count: config.task_count,
+            threads_per_task: config.threads_per_task,
+            reserved: config.task_resources,
+            key_cardinality,
+        };
+        // Track releases (for the root-causer's bad-update rule).
+        let version = config.package.version;
+        match self.releases.entry(job) {
+            Entry::Occupied(mut release) => {
+                let current = release.get().0;
+                if current != version {
+                    release.insert((version, current, now));
+                }
             }
-            let Ok(config) = self.jobs.expected_typed(job) else {
-                continue;
-            };
-            if self.jobs.running_typed(job).is_none() {
-                let _ = self.engine.drain_window(job);
-                continue; // not started yet
+            Entry::Vacant(release) => {
+                release.insert((version, version, now));
             }
-            let stats = self.engine.drain_window(job);
-            let runtime = self.engine.job(job).expect("registered");
-            let backlog = runtime.backlog();
-            let key_cardinality = runtime.stateful.then_some(runtime.key_cardinality);
-            let mut per_task_rates = Vec::new();
-            let mut per_task_memory = Vec::new();
-            for (_, task, processed) in tasks_with_window(&self.engine, job, &stats.per_task) {
-                per_task_rates.push(processed / window);
-                per_task_memory.push(task.memory_usage_mb);
-            }
-            // Symptom inputs flow through the ODS registry: publish, then
-            // read the identical `f64`s back — every scaler decision is
-            // driven by the same uniform metrics plane the operator
-            // console reads.
-            let (input_rate, processing_rate, total_bytes_lagged) = self.ods_scaler_roundtrip(
-                job,
-                now,
-                stats.arrived / window,
-                stats.processed / window,
-                backlog,
+        }
+        let decision = self.scaler.evaluate(job, metrics, &config, now);
+        // Track lag episodes.
+        let lagging = decision
+            .symptoms
+            .iter()
+            .any(|s| matches!(s, turbine_autoscaler::Symptom::Lagging { .. }));
+        if lagging {
+            self.lag_since.entry(job).or_insert(now);
+        } else {
+            self.lag_since.remove(&job);
+        }
+        // The root-causer watches every lagging job independently of
+        // the scaler: a single-task hardware anomaly must be moved,
+        // not scaled around — scaling would both waste capacity and
+        // accidentally mask the sick host.
+        let mut action = decision.action;
+        let mut diagnose = false;
+        if lagging {
+            // Per-task rates over the scaler interval, for the hardware
+            // check and the root-causer.
+            let interval = self.config.scaler_interval.as_secs_f64();
+            rates.clear();
+            rates.extend(
+                drained
+                    .running
+                    .iter()
+                    .map(|task| (task.id, task.processed / interval)),
             );
-            let metrics = JobMetrics {
-                input_rate,
-                processing_rate,
-                total_bytes_lagged,
-                per_task_rates,
-                per_task_memory_mb: per_task_memory,
-                oom_events: stats.ooms,
-                task_count: config.task_count,
-                threads_per_task: config.threads_per_task,
-                reserved: config.task_resources,
-                key_cardinality,
-            };
-            // Track releases (for the root-causer's bad-update rule).
-            match self.releases.get(&job) {
-                Some(&(current, _, _)) if current != config.package.version => {
-                    self.releases
-                        .insert(job, (config.package.version, current, now));
-                }
-                None => {
-                    self.releases
-                        .insert(job, (config.package.version, config.package.version, now));
-                }
-                _ => {}
-            }
-            let decision = self.scaler.evaluate(job, &metrics, &config, now);
-            // Track lag episodes.
-            let lagging = decision
-                .symptoms
+            // Hardware diagnosis needs a *stable* measurement window:
+            // a task (re)started mid-window shows a near-zero rate and
+            // would be misdiagnosed as a sick host.
+            let window_start = now - self.config.scaler_interval;
+            let stable_window = drained
+                .running
                 .iter()
-                .any(|s| matches!(s, turbine_autoscaler::Symptom::Lagging { .. }));
-            if lagging {
-                self.lag_since.entry(job).or_insert(now);
-            } else {
-                self.lag_since.remove(&job);
-            }
-            // The root-causer watches every lagging job independently of
-            // the scaler: a single-task hardware anomaly must be moved,
-            // not scaled around — scaling would both waste capacity and
-            // accidentally mask the sick host.
-            let mut action = decision.action;
-            let mut diagnose = false;
-            if lagging {
-                // Hardware diagnosis needs a *stable* measurement window:
-                // a task (re)started mid-window shows a near-zero rate and
-                // would be misdiagnosed as a sick host.
-                let window_start = now - self.config.scaler_interval;
-                let stable_window = self
-                    .engine
-                    .tasks_of_job(job)
-                    .all(|(_, t)| t.started_at <= window_start);
-                let hardware = if stable_window {
-                    let per_task_rates = self.per_task_rates(job, &stats.per_task);
-                    turbine_autoscaler::hardware_anomaly(&metrics, &per_task_rates)
-                } else {
-                    None
-                };
-                let recently_diagnosed = self
-                    .last_diagnosis
-                    .get(&job)
-                    .is_some_and(|&at| now.since(at) < Duration::from_mins(10));
-                if (hardware.is_some() || decision.untriaged.is_some()) && !recently_diagnosed {
-                    self.last_diagnosis.insert(job, now);
-                    diagnose = true;
-                    if hardware.is_some() {
-                        // The move is the mitigation; do not also scale.
-                        action = None;
-                    }
-                }
-            }
-            // Trace the symptom hop only when it is consequential (an
-            // action or diagnosis follows): its cause is the activation
-            // edge of a stall on the job's input category if one is
-            // active, the scaler round's span otherwise.
-            let symptom_id = if (action.is_some() || diagnose) && !decision.symptoms.is_empty() {
-                let description = decision.symptoms[0].describe();
-                let data = TraceData::Symptom { job, description };
-                Some(
-                    match self
-                        .categories
-                        .get(&job)
-                        .and_then(|cat| self.trace.fault_cause(&format!("scribe_stall({cat})")))
-                    {
-                        Some(root) => self.trace.emit_caused(now, data, Some(root)),
-                        None => self.trace.emit(now, data),
-                    },
-                )
+                .all(|task| task.started_at <= window_start);
+            let hardware = if stable_window {
+                turbine_autoscaler::hardware_anomaly(metrics, rates)
             } else {
                 None
             };
-            if let Some(id) = symptom_id {
-                self.trace.push_cause(id);
-            }
-            if diagnose {
-                self.diagnose_untriaged(job, &metrics, &stats.per_task, now);
-            }
-            if decision.untriaged.is_some() {
-                self.metrics.alerts.incr();
-            }
-            if let Some(action) = action {
-                self.apply_scaling_action(job, &config, action);
-            }
-            if symptom_id.is_some() {
-                self.trace.pop_cause();
+            let recently_diagnosed = self
+                .last_diagnosis
+                .get(&job)
+                .is_some_and(|&at| now.since(at) < Duration::from_mins(10));
+            if (hardware.is_some() || decision.untriaged.is_some()) && !recently_diagnosed {
+                self.last_diagnosis.insert(job, now);
+                diagnose = true;
+                if hardware.is_some() {
+                    // The move is the mitigation; do not also scale.
+                    action = None;
+                }
             }
         }
-    }
-
-    /// Per-task processing rates over the last scaler window.
-    fn per_task_rates(&self, job: JobId, per_task_window: &[(TaskId, f64)]) -> Vec<(TaskId, f64)> {
-        let window = self.config.scaler_interval.as_secs_f64();
-        tasks_with_window(&self.engine, job, per_task_window)
-            .map(|(id, _, processed)| (id, processed / window))
-            .collect()
+        // Trace the symptom hop only when it is consequential (an
+        // action or diagnosis follows): its cause is the activation
+        // edge of a stall on the job's input category if one is
+        // active, the scaler round's span otherwise.
+        let symptom_id = if (action.is_some() || diagnose) && !decision.symptoms.is_empty() {
+            let description = decision.symptoms[0].describe();
+            let data = TraceData::Symptom { job, description };
+            Some(
+                match self
+                    .categories
+                    .get(&job)
+                    .and_then(|cat| self.trace.fault_cause(&format!("scribe_stall({cat})")))
+                {
+                    Some(root) => self.trace.emit_caused(now, data, Some(root)),
+                    None => self.trace.emit(now, data),
+                },
+            )
+        } else {
+            None
+        };
+        if let Some(id) = symptom_id {
+            self.trace.push_cause(id);
+        }
+        if diagnose {
+            self.diagnose_untriaged(job, metrics, rates, now);
+        }
+        if decision.untriaged.is_some() {
+            self.metrics.alerts.incr();
+        }
+        if let Some(action) = action {
+            self.apply_scaling_action(job, &config, action);
+        }
+        if symptom_id.is_some() {
+            self.trace.pop_cause();
+        }
     }
 
     /// Run the auto root-causer on an untriaged problem, record the
@@ -809,13 +807,12 @@ impl Turbine {
         &mut self,
         job: JobId,
         metrics: &JobMetrics,
-        per_task_window: &[(TaskId, f64)],
+        per_task_rates: &[(TaskId, f64)],
         now: SimTime,
     ) {
-        let per_task_rates = self.per_task_rates(job, per_task_window);
         let diagnosis = turbine_autoscaler::diagnose(&DiagnosisInput {
             metrics,
-            per_task_rates: &per_task_rates,
+            per_task_rates,
             expected_per_thread: self.scaler.throughput_estimate(job).unwrap_or(0.0),
             last_release: self.releases.get(&job).copied(),
             lag_since: self.lag_since.get(&job).copied(),
@@ -1011,7 +1008,12 @@ impl Turbine {
         engine.sync_durable(*now, scribe, checkpoints, &lookup);
         let shadowed: Vec<JobId> = self.shard_manager.standbys().map(|(job, _)| job).collect();
         for job in shadowed {
-            let Some(category) = self.categories.get(&job) else {
+            // One name search per job; the tails are then read in order.
+            let Some(category) = self
+                .categories
+                .get(&job)
+                .and_then(|name| self.scribe.category_id(name))
+            else {
                 continue;
             };
             let partitions = self
@@ -1019,11 +1021,8 @@ impl Turbine {
                 .job(job)
                 .map(|rt| rt.partition_count())
                 .unwrap_or(0);
-            for i in 0..partitions {
-                let partition = PartitionId(i as u64);
-                if let Ok(tail) = self.scribe.tail_offset(category, partition) {
-                    self.shadow.observe(job, partition, tail);
-                }
+            for (i, tail) in self.scribe.tails(category).take(partitions).enumerate() {
+                self.shadow.observe(job, PartitionId(i as u64), tail);
             }
         }
     }

@@ -40,22 +40,24 @@ mod scheduler;
 
 pub use scheduler::{ControlEvent, DriveMode};
 
-use crate::engine::{ContainerMap, Engine};
+use crate::engine::{ContainerMap, Engine, WindowStats};
 use crate::invariants::{Inbox, InvariantChecker, InvariantConfig, Violation};
 use crate::metrics::PlatformMetrics;
 use scheduler::ControlSchedule;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use turbine_autoscaler::{AutoScaler, CapacityManager, ScalerConfig};
+use turbine_autoscaler::{AutoScaler, CapacityManager, JobMetrics, ScalerConfig};
 use turbine_cluster::Cluster;
 use turbine_config::{ConfigLevel, ConfigValue, JobConfig, ResiliencyClass};
 use turbine_jobstore::{JobService, JobStore, MemWal, StoreReader};
-use turbine_scribe::{CheckpointStore, Scribe, ShadowCursor};
+use turbine_scribe::{CheckpointStore, Scribe, ScribeError, ShadowCursor};
 use turbine_shardmgr::{ShardManager, ShardManagerConfig, FAILOVER_INTERVAL};
 use turbine_sim::{FaultInjector, SimRng};
 use turbine_statesyncer::{StateSyncer, SyncerConfig};
 use turbine_taskmgr::{LocalTaskManager, SnapshotTable, TaskService};
 use turbine_trace::TraceBuffer;
-use turbine_types::{ContainerId, Duration, Fnv1a, HostId, JobId, Resources, SimTime};
+use turbine_types::{
+    ContainerId, Duration, Fnv1a, HostId, IdMap, JobId, Resources, SimTime, TaskId,
+};
 use turbine_workloads::TrafficModel;
 
 /// Fraction of each host handed to its Turbine container.
@@ -259,17 +261,17 @@ pub struct Turbine {
     pub(crate) capacity_stopped: BTreeSet<JobId>,
     /// In-flight state moves for stateful complex syncs: job → completion
     /// time.
-    pub(crate) state_moves: HashMap<JobId, SimTime>,
+    pub(crate) state_moves: IdMap<JobId, SimTime>,
     /// Mean time between random task crashes; `None` disables injection.
     pub(crate) crash_mtbf: Option<Duration>,
     pub(crate) rng: SimRng,
     /// Per-job release tracking for the root-causer:
     /// (current version, previous version, changed at).
-    pub(crate) releases: HashMap<JobId, (u64, u64, SimTime)>,
+    pub(crate) releases: IdMap<JobId, (u64, u64, SimTime)>,
     /// Start of the ongoing lag episode per job.
-    pub(crate) lag_since: HashMap<JobId, SimTime>,
+    pub(crate) lag_since: IdMap<JobId, SimTime>,
     /// Last diagnosis time per job (debounce).
-    pub(crate) last_diagnosis: HashMap<JobId, SimTime>,
+    pub(crate) last_diagnosis: IdMap<JobId, SimTime>,
     pub(crate) severed: HashMap<ContainerId, SeveredState>,
     pub(crate) categories: BTreeMap<JobId, String>,
     /// Shadow read positions of warm standbys (critical jobs only).
@@ -312,8 +314,20 @@ pub struct Turbine {
     /// queue the event-driven drive loop runs on.
     pub(crate) sched: ControlSchedule,
     pub(crate) last_scaler_drain: SimTime,
+    /// What the scaler round refills for every job, kept between rounds.
+    pub(crate) scaler_scratch: ScalerScratch,
     /// The ODS metrics plane: registry, alert engine, and id caches.
     pub(crate) ods: ods::OdsState,
+}
+
+/// The buffers the scaler round fills for each job in turn — its drained
+/// window, its metrics and its per-task rates — kept between rounds so a
+/// steady round allocates nothing. Derived — not part of the snapshot.
+#[derive(Debug, Default)]
+pub(crate) struct ScalerScratch {
+    pub(crate) drained: WindowStats,
+    pub(crate) metrics: JobMetrics,
+    pub(crate) rates: Vec<(TaskId, f64)>,
 }
 
 impl Turbine {
@@ -352,12 +366,12 @@ impl Turbine {
             live_containers: None,
             paused: BTreeSet::new(),
             capacity_stopped: BTreeSet::new(),
-            state_moves: HashMap::new(),
+            state_moves: IdMap::default(),
             crash_mtbf: None,
             rng: SimRng::seeded(0x0C2A_54E5),
-            releases: HashMap::new(),
-            lag_since: HashMap::new(),
-            last_diagnosis: HashMap::new(),
+            releases: IdMap::default(),
+            lag_since: IdMap::default(),
+            last_diagnosis: IdMap::default(),
             severed: HashMap::new(),
             categories: BTreeMap::new(),
             shadow: ShadowCursor::new(),
@@ -373,6 +387,7 @@ impl Turbine {
             heartbeat_filtered: 0,
             sched: ControlSchedule::new(&config),
             last_scaler_drain: SimTime::ZERO,
+            scaler_scratch: ScalerScratch::default(),
             ods: ods::OdsState::default(),
             config,
         })
@@ -535,15 +550,22 @@ impl Turbine {
         if self.job_store_down() {
             return Err("job store unavailable".to_string());
         }
-        self.scribe
-            .create_category(&config.input_category, config.input_partitions)
-            .map_err(|e| e.to_string())?;
-        self.categories.insert(job, config.input_category.clone());
-        let stateful = config.stateful;
-        let partitions = config.input_partitions;
+        // Nothing is created until the Job Store has accepted the job, so a
+        // refused provision leaves no category behind and re-points no
+        // live job's name.
+        let category = &config.input_category;
+        if self.scribe.has_category(category) {
+            return Err(ScribeError::CategoryExists(category.clone()).to_string());
+        }
         self.jobs
             .provision(job, &config)
             .map_err(|e| e.to_string())?;
+        self.scribe
+            .create_category(category, config.input_partitions)
+            .expect("the name is free and the partition count validated");
+        self.categories.insert(job, category.clone());
+        let stateful = config.stateful;
+        let partitions = config.input_partitions;
         self.engine.add_job(
             job,
             traffic,
@@ -1012,6 +1034,7 @@ turbine_stream! {
         tm_managers_reconciled: 0,
         standbys_examined: 0,
         heartbeat_filtered: 0,
+        scaler_scratch: ScalerScratch::default(),
     }
 }
 

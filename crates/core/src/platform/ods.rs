@@ -16,7 +16,7 @@ use turbine_ods::{
     AlertEngine, AlertRule, MetricId, MetricKey, Registry, RuleKind, Scope, Severity, ThresholdOp,
 };
 use turbine_trace::TraceData;
-use turbine_types::{Duration, JobId, Percentiles, Resources, SimTime};
+use turbine_types::{Duration, IdMap, JobId, Percentiles, Resources, SimTime};
 
 /// Cached per-job series ids for the metrics round (lag/backlog/tasks).
 #[derive(Debug, Clone, Copy)]
@@ -48,8 +48,8 @@ struct TierSeries {
 pub(crate) struct OdsState {
     pub(crate) registry: Registry,
     pub(crate) alerts: AlertEngine,
-    job_series: BTreeMap<JobId, JobSeries>,
-    scaler_series: BTreeMap<JobId, ScalerSeries>,
+    job_series: IdMap<JobId, JobSeries>,
+    scaler_series: IdMap<JobId, ScalerSeries>,
     tier_series: BTreeMap<ResiliencyClass, TierSeries>,
     /// Per category: append-rate series id and the last observed
     /// cumulative append count (for rate deltas).
@@ -423,8 +423,8 @@ impl turbine_types::Snap for OdsState {
         Ok(OdsState {
             registry,
             alerts,
-            job_series: BTreeMap::new(),
-            scaler_series: BTreeMap::new(),
+            job_series: IdMap::default(),
+            scaler_series: IdMap::default(),
             tier_series: BTreeMap::new(),
             scribe_series,
         })

@@ -10,10 +10,9 @@
 use crate::store::{JobStore, JobStoreError};
 use crate::wal::WalStorage;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::Arc;
 use turbine_config::{ConfigLevel, ConfigValue, JobConfig};
-use turbine_types::JobId;
+use turbine_types::{IdMap, JobId};
 
 /// Maximum read-modify-write retries before giving up. Conflicts are rare
 /// (two writers to the *same* level in the same instant), so a handful of
@@ -22,7 +21,7 @@ use turbine_types::JobId;
 const MAX_RMW_RETRIES: usize = 8;
 
 /// Per job: the change token a typed view was decoded at, and the view.
-type TypedCache<T> = RefCell<HashMap<JobId, (u64, T)>>;
+type TypedCache<T> = RefCell<IdMap<JobId, (u64, T)>>;
 
 /// The Job Service, owning the Job Store.
 pub struct JobService<W: WalStorage> {
@@ -41,8 +40,8 @@ impl<W: WalStorage> JobService<W> {
     pub fn new(store: JobStore<W>) -> Self {
         JobService {
             store,
-            typed_cache: RefCell::new(HashMap::new()),
-            running_cache: RefCell::new(HashMap::new()),
+            typed_cache: RefCell::default(),
+            running_cache: RefCell::default(),
         }
     }
 

@@ -93,11 +93,30 @@ pub struct CategoryStats {
     pub last_append_at: SimTime,
 }
 
+/// A category's dense id within its [`Scribe`]: its place in creation
+/// order. Categories are never removed, so an id stays valid for as long
+/// as the bus that handed it out. A decoded bus numbers its categories in
+/// name order, so an id is not kept across a snapshot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct CategoryId(u32);
+
+impl CategoryId {
+    fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
 /// The message bus. One instance models the Scribe deployment a Turbine
 /// cluster reads from and writes to.
 #[derive(Debug, Default)]
 pub struct Scribe {
-    categories: BTreeMap<String, Category>,
+    /// In creation order: a category's index is its [`CategoryId`].
+    categories: Vec<Category>,
+    /// Each category's name, by id: the one copy of it.
+    names: Vec<String>,
+    /// The ids in name order: the name index, and the order of
+    /// [`Scribe::categories`] and of the snapshot stream.
+    by_name: Vec<CategoryId>,
 }
 
 impl Scribe {
@@ -129,24 +148,37 @@ impl Scribe {
         retain_payloads: bool,
     ) -> Result<(), ScribeError> {
         assert!(partitions > 0, "a category needs at least one partition");
-        if self.categories.contains_key(name) {
+        let Err(at) = self.find(name) else {
             return Err(ScribeError::CategoryExists(name.to_string()));
-        }
-        self.categories.insert(
-            name.to_string(),
-            Category {
-                partitions: (0..partitions).map(|_| Partition::default()).collect(),
-                retain_payloads,
-                total_appended: 0,
-                last_append_at: SimTime::ZERO,
-            },
-        );
+        };
+        let id = CategoryId(u32::try_from(self.categories.len()).expect("under 2^32 categories"));
+        self.categories.push(Category {
+            partitions: (0..partitions).map(|_| Partition::default()).collect(),
+            retain_payloads,
+            total_appended: 0,
+            last_append_at: SimTime::ZERO,
+        });
+        self.names.push(name.to_string());
+        self.by_name.insert(at, id);
         Ok(())
+    }
+
+    /// Where `name` sits in the name index (`Ok`), or where it would be
+    /// inserted (`Err`).
+    fn find(&self, name: &str) -> Result<usize, usize> {
+        self.by_name
+            .binary_search_by(|id| self.names[id.index()].as_str().cmp(name))
+    }
+
+    /// The id of the named category, if it exists: the one name search a
+    /// caller that keeps the id pays.
+    pub fn category_id(&self, name: &str) -> Option<CategoryId> {
+        self.find(name).ok().map(|at| self.by_name[at])
     }
 
     /// True if the category exists.
     pub fn has_category(&self, name: &str) -> bool {
-        self.categories.contains_key(name)
+        self.find(name).is_ok()
     }
 
     /// Number of partitions in a category.
@@ -155,8 +187,8 @@ impl Scribe {
     }
 
     fn category(&self, name: &str) -> Result<&Category, ScribeError> {
-        self.categories
-            .get(name)
+        self.category_id(name)
+            .map(|id| &self.categories[id.index()])
             .ok_or_else(|| ScribeError::UnknownCategory(name.to_string()))
     }
 
@@ -165,10 +197,10 @@ impl Scribe {
         category: &str,
         partition: PartitionId,
     ) -> Result<(&mut Category, usize), ScribeError> {
-        let cat = self
-            .categories
-            .get_mut(category)
+        let id = self
+            .category_id(category)
             .ok_or_else(|| ScribeError::UnknownCategory(category.to_string()))?;
+        let cat = &mut self.categories[id.index()];
         let idx = partition_index(category, &cat.partitions, partition)?;
         Ok((cat, idx))
     }
@@ -340,14 +372,22 @@ impl Scribe {
         Ok(total)
     }
 
-    /// Mutable single-category view: one name lookup amortized across the
-    /// many per-partition operations of a durable-sync pass.
-    pub fn category_view<'a>(&'a mut self, name: &'a str) -> Result<CategoryView<'a>, ScribeError> {
-        let cat = self
-            .categories
-            .get_mut(name)
-            .ok_or_else(|| ScribeError::UnknownCategory(name.to_string()))?;
-        Ok(CategoryView { name, cat })
+    /// Mutable view of the category `id` names, with no name search: the
+    /// durable-sync pass's access to a category. Panics on an id this bus
+    /// did not hand out.
+    pub fn view(&mut self, id: CategoryId) -> CategoryView<'_> {
+        CategoryView {
+            cat: &mut self.categories[id.index()],
+        }
+    }
+
+    /// Every partition's tail offset of the category `id` names, in
+    /// partition order.
+    pub fn tails(&self, id: CategoryId) -> impl Iterator<Item = u64> + '_ {
+        self.categories[id.index()]
+            .partitions
+            .iter()
+            .map(|part| part.appended)
     }
 
     /// Aggregate statistics of a category.
@@ -357,28 +397,22 @@ impl Scribe {
 
     /// Every category with its aggregate statistics, in name order.
     pub fn categories(&self) -> impl Iterator<Item = (&str, CategoryStats)> {
-        self.categories
-            .iter()
-            .map(|(name, cat)| (name.as_str(), cat.stats()))
+        self.by_name.iter().map(|id| {
+            (
+                self.names[id.index()].as_str(),
+                self.categories[id.index()].stats(),
+            )
+        })
     }
 }
 
-/// A borrowed mutable view of one category (see [`Scribe::category_view`]).
-/// Every operation behaves exactly like its [`Scribe`] counterpart on the
-/// viewed category, minus the repeated name lookup.
+/// A borrowed mutable view of one category (see [`Scribe::view`]).
 #[derive(Debug)]
 pub struct CategoryView<'a> {
-    /// Only ever copied into an error.
-    name: &'a str,
     cat: &'a mut Category,
 }
 
 impl CategoryView<'_> {
-    /// Number of partitions in the viewed category.
-    pub fn partition_count(&self) -> u32 {
-        self.cat.partitions.len() as u32
-    }
-
     /// Total bytes ever appended to the category (monotone except for
     /// torn-tail salvage, which subtracts the lost range) — a cheap
     /// change detector for the category's durable tails.
@@ -386,24 +420,21 @@ impl CategoryView<'_> {
         self.cat.total_appended
     }
 
-    /// Tail offset of a partition (see [`Scribe::tail_offset`]).
-    pub fn tail_offset(&self, partition: PartitionId) -> Result<u64, ScribeError> {
-        let idx = partition_index(self.name, &self.cat.partitions, partition)?;
-        Ok(self.cat.partitions[idx].appended)
-    }
-
-    /// Append offset-only traffic (see [`Scribe::append_bytes`]).
-    pub fn append_bytes(
-        &mut self,
-        partition: PartitionId,
-        bytes: u64,
-        at: SimTime,
-    ) -> Result<(), ScribeError> {
-        let idx = partition_index(self.name, &self.cat.partitions, partition)?;
-        self.cat.partitions[idx].appended += bytes;
-        self.cat.total_appended += bytes;
-        self.cat.last_append_at = self.cat.last_append_at.max(at);
-        Ok(())
+    /// Partition `index`'s tail after `bytes` more are appended to it, as
+    /// [`Scribe::append_bytes`] would (`bytes == 0` appends nothing and
+    /// leaves the append time alone). A partition the category does
+    /// not have takes nothing and reads a tail of 0. The durable-sync
+    /// pass's one access per partition.
+    pub fn append_then_tail(&mut self, index: usize, bytes: u64, at: SimTime) -> u64 {
+        let Some(part) = self.cat.partitions.get_mut(index) else {
+            return 0;
+        };
+        if bytes > 0 {
+            part.appended += bytes;
+            self.cat.total_appended += bytes;
+            self.cat.last_append_at = self.cat.last_append_at.max(at);
+        }
+        part.appended
     }
 }
 
@@ -437,7 +468,32 @@ turbine_types::snap_struct!(Category {
     last_append_at
 });
 
-turbine_types::snap_struct!(Scribe { categories });
+// By hand: the stream is the name-ordered map of categories the bus once
+// was, byte for byte. Decoding goes through that map, so its tolerance of
+// unsorted or repeated names is kept, and numbers the categories in name
+// order.
+impl turbine_types::Snap for Scribe {
+    fn snap(&self, w: &mut turbine_types::SnapWriter) {
+        w.u64(self.by_name.len() as u64);
+        for id in &self.by_name {
+            w.put(&self.names[id.index()]);
+            w.put(&self.categories[id.index()]);
+        }
+    }
+
+    fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
+        let map: BTreeMap<String, Category> = r.get()?;
+        let mut bus = Scribe::new();
+        for (at, (name, category)) in map.into_iter().enumerate() {
+            let id = u32::try_from(at)
+                .map_err(|_| turbine_types::SnapError::Value("Scribe category count"))?;
+            bus.categories.push(category);
+            bus.names.push(name);
+            bus.by_name.push(CategoryId(id));
+        }
+        Ok(bus)
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -646,23 +702,60 @@ mod tests {
     fn category_view_mirrors_bus_operations() {
         let mut bus = Scribe::new();
         bus.create_category("c", 2).expect("create");
+        let id = bus.category_id("c").expect("exists");
         let at = SimTime::from_millis(7000);
         {
-            let mut view = bus.category_view("c").expect("view");
-            assert_eq!(view.partition_count(), 2);
-            view.append_bytes(p(0), 123, at).expect("append");
-            assert_eq!(view.tail_offset(p(0)), Ok(123));
-            assert!(matches!(
-                view.append_bytes(p(5), 1, at),
-                Err(ScribeError::UnknownPartition(_, _))
-            ));
-            assert!(view.tail_offset(p(5)).is_err());
+            let mut view = bus.view(id);
+            assert_eq!(view.append_then_tail(0, 123, at), 123);
+            assert_eq!(view.append_then_tail(0, 0, SimTime::from_millis(9000)), 123);
+            // A partition the category lacks takes nothing and reads 0.
+            assert_eq!(view.append_then_tail(5, 1, at), 0);
+            assert_eq!(view.total_appended(), 123);
         }
         assert_eq!(bus.tail_offset("c", p(0)), Ok(123));
+        assert_eq!(bus.tails(id).collect::<Vec<_>>(), [123, 0]);
         let stats = bus.stats("c").expect("stats");
         assert_eq!(stats.total_appended, 123);
         assert_eq!(stats.last_append_at, at);
-        assert!(bus.category_view("nope").is_err());
+        assert_eq!(bus.category_id("nope"), None);
+    }
+
+    #[test]
+    fn ids_follow_creation_and_the_stream_follows_names() {
+        use turbine_types::{SnapReader, SnapWriter};
+        let mut bus = Scribe::new();
+        for (name, partitions) in [("job_9_input", 2), ("job_10_input", 3), ("a", 1)] {
+            bus.create_category(name, partitions).expect("create");
+        }
+        let id = |bus: &Scribe, name| bus.category_id(name).expect("exists");
+        assert!(id(&bus, "job_9_input") < id(&bus, "job_10_input"));
+        assert!(id(&bus, "job_10_input") < id(&bus, "a"));
+        assert_eq!(bus.category_id("nope"), None);
+        let names: Vec<String> = bus.categories().map(|(name, _)| name.into()).collect();
+        assert_eq!(names, ["a", "job_10_input", "job_9_input"]);
+        bus.append_bytes("job_9_input", p(1), 5, SimTime::ZERO)
+            .expect("append");
+
+        // The stream is the name-ordered map's: count, then (name, category).
+        let mut w = SnapWriter::new();
+        w.put(&bus);
+        let bytes = w.into_bytes();
+        let mut map = SnapWriter::new();
+        map.u64(3);
+        for name in &names {
+            map.put(name);
+            map.put(&bus.categories[id(&bus, name).index()]);
+        }
+        assert!(bytes == map.into_bytes(), "the name-ordered map's stream");
+
+        // A decoded bus numbers its categories in name order.
+        let decoded: Scribe = SnapReader::new(&bytes).get().expect("decode");
+        assert!(id(&decoded, "a") < id(&decoded, "job_10_input"));
+        assert!(id(&decoded, "job_10_input") < id(&decoded, "job_9_input"));
+        assert_eq!(decoded.tail_offset("job_9_input", p(1)), Ok(5));
+        let mut again = SnapWriter::new();
+        again.put(&decoded);
+        assert!(again.into_bytes() == bytes, "decode lost something");
     }
 
     #[test]

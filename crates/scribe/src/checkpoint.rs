@@ -11,18 +11,19 @@
 //! property the complex-sync protocol enforces).
 //!
 //! Layout: one row per job holding that job's `(partition, offset)` pairs
-//! in partition order. A checkpoint round resolves a job's row once
-//! ([`CheckpointStore::job_mut`]) and then reads and commits against it;
-//! a job that has committed every partition from 0 up — every job the
-//! platform runs — keeps partition `p` at index `p`, so each access is one
-//! indexed load. Only committed partitions have a pair ("never committed"
-//! is not "committed 0"), and a stray partition id costs one pair, not a
-//! vector as long as the id is large. The layout is invisible outside this
-//! module: every method means what it meant over one flat
-//! `(job, partition) → offset` map, and the [`Snap`](turbine_types::Snap)
-//! encoding is that map's, byte for byte.
+//! in partition order, the rows in one vector ascending by job. A
+//! checkpoint round walks the rows with one cursor ([`CheckpointRows`]) in
+//! step with the engine's jobs, which ascend by id as well, so no job is
+//! searched for; elsewhere a job's row is one binary search away
+//! ([`CheckpointStore::job_mut`]). A job that has committed every
+//! partition from 0 up — every job the platform runs — keeps partition `p`
+//! at index `p`, so each access is one indexed load. Only committed
+//! partitions have a pair ("never committed" is not "committed 0"), and a
+//! stray partition id costs one pair, not a vector as long as the id is
+//! large. The layout is invisible outside this module: every method means
+//! what it meant over one flat `(job, partition) → offset` map, and the
+//! [`Snap`](turbine_types::Snap) encoding is that map's, byte for byte.
 
-use std::collections::BTreeMap;
 use turbine_types::{JobId, PartitionId};
 
 /// One job's `(partition, offset)` pairs, ascending by partition.
@@ -43,9 +44,9 @@ fn position(row: &[(PartitionId, u64)], partition: PartitionId) -> Result<usize,
 /// Durable per-(job, partition) read offsets.
 #[derive(Debug, Default, Clone)]
 pub struct CheckpointStore {
-    /// A row may be empty (resolved, nothing committed yet); it then
-    /// counts for nothing anywhere.
-    rows: BTreeMap<JobId, Row>,
+    /// Ascending by job. A row may be empty (resolved, nothing committed
+    /// yet); it then counts for nothing anywhere.
+    rows: Vec<(JobId, Row)>,
 }
 
 /// One job's checkpoints, resolved once (see [`CheckpointStore::job_mut`]).
@@ -80,6 +81,61 @@ impl JobCheckpoints<'_> {
             Err(i) => self.row.insert(i, (partition, offset)),
         }
     }
+
+    /// The durable-sync pass's step for partition `index`, taken after the
+    /// pass has stepped through partitions `0..index` of this row: raise
+    /// the offset to `offset` if it is higher, or insert the pair where it
+    /// belongs if the partition was never committed. Exactly `if offset >=
+    /// get(p) { commit(p, offset) }`, without a search: the earlier steps
+    /// left partitions `0..index` at indices `0..index`, so partition
+    /// `index` is at `index` or missing.
+    pub fn raise_next(&mut self, index: usize, offset: u64) {
+        debug_assert!(
+            index == 0 || self.row.get(index - 1).map(|&(p, _)| p.raw()) == Some(index as u64 - 1),
+            "{}: partition {index} stepped out of order",
+            self.job
+        );
+        match self.row.get_mut(index) {
+            Some((partition, slot)) if partition.raw() == index as u64 => {
+                if offset > *slot {
+                    *slot = offset;
+                }
+            }
+            _ => self.row.insert(index, (PartitionId(index as u64), offset)),
+        }
+    }
+}
+
+/// A cursor over the store's rows for callers that visit jobs in
+/// ascending order (see [`CheckpointStore::rows`]): each job's row is
+/// found by stepping forward from the previous one's, so a pass over the
+/// fleet costs one walk of the rows, not a search per job.
+#[derive(Debug)]
+pub struct CheckpointRows<'a> {
+    rows: &'a mut Vec<(JobId, Row)>,
+    /// Rows before this index belong to jobs below the last one visited.
+    at: usize,
+}
+
+impl CheckpointRows<'_> {
+    /// `job`'s checkpoints, its row created empty if it has none. A job
+    /// below the previous one visited is found by a search instead.
+    pub fn job(&mut self, job: JobId) -> JobCheckpoints<'_> {
+        if self.at > 0 && self.rows[self.at - 1].0 >= job {
+            self.at = self.rows.partition_point(|&(j, _)| j < job);
+        }
+        while self.rows.get(self.at).is_some_and(|&(j, _)| j < job) {
+            self.at += 1;
+        }
+        if self.rows.get(self.at).is_none_or(|&(j, _)| j != job) {
+            self.rows.insert(self.at, (job, Row::new()));
+        }
+        self.at += 1;
+        JobCheckpoints {
+            job,
+            row: &mut self.rows[self.at - 1].1,
+        }
+    }
 }
 
 impl CheckpointStore {
@@ -91,14 +147,30 @@ impl CheckpointStore {
     /// The job's checkpoints behind one lookup, for callers that touch
     /// many partitions of one job in a row.
     pub fn job_mut(&mut self, job: JobId) -> JobCheckpoints<'_> {
+        let at = self.find(job).unwrap_or_else(|at| {
+            self.rows.insert(at, (job, Row::new()));
+            at
+        });
         JobCheckpoints {
             job,
-            row: self.rows.entry(job).or_default(),
+            row: &mut self.rows[at].1,
         }
     }
 
+    /// A cursor for visiting many jobs in ascending order.
+    pub fn rows(&mut self) -> CheckpointRows<'_> {
+        CheckpointRows {
+            rows: &mut self.rows,
+            at: 0,
+        }
+    }
+
+    fn find(&self, job: JobId) -> Result<usize, usize> {
+        self.rows.binary_search_by_key(&job, |&(j, _)| j)
+    }
+
     fn row(&self, job: JobId) -> &[(PartitionId, u64)] {
-        self.rows.get(&job).map_or(&[], Vec::as_slice)
+        self.find(job).map_or(&[], |at| self.rows[at].1.as_slice())
     }
 
     /// Offset for `(job, partition)`; zero if never committed.
@@ -131,7 +203,8 @@ impl CheckpointStore {
         partition: PartitionId,
         max_offset: u64,
     ) -> Option<(u64, u64)> {
-        let row = self.rows.get_mut(&job)?;
+        let at = self.find(job).ok()?;
+        let row = &mut self.rows[at].1;
         let index = position(row, partition).ok()?;
         let slot = &mut row[index].1;
         if *slot > max_offset {
@@ -155,17 +228,19 @@ impl CheckpointStore {
 
     /// Drop all checkpoints of a job (when the job is deleted).
     pub fn remove_job(&mut self, job: JobId) {
-        self.rows.remove(&job);
+        if let Ok(at) = self.find(job) {
+            self.rows.remove(at);
+        }
     }
 
     /// Number of stored offsets.
     pub fn len(&self) -> usize {
-        self.rows.values().map(Vec::len).sum()
+        self.rows.iter().map(|(_, row)| row.len()).sum()
     }
 
     /// True if no offsets are stored.
     pub fn is_empty(&self) -> bool {
-        self.rows.values().all(Vec::is_empty)
+        self.rows.iter().all(|(_, row)| row.is_empty())
     }
 }
 
@@ -190,11 +265,12 @@ impl turbine_types::Snap for CheckpointStore {
     /// win.
     fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
         let mut store = CheckpointStore::new();
+        let mut rows = store.rows();
         for _ in 0..r.len_prefix("CheckpointStore.offsets")? {
             let job: JobId = r.get()?;
             let partition: PartitionId = r.get()?;
             let offset = r.u64("CheckpointStore.offset")?;
-            let row = store.rows.entry(job).or_default();
+            let row = rows.job(job).row;
             match position(row, partition) {
                 Ok(i) => row[i].1 = offset,
                 Err(i) => row.insert(i, (partition, offset)),
@@ -207,6 +283,7 @@ impl turbine_types::Snap for CheckpointStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     const JOB_A: JobId = JobId(1);
     const JOB_B: JobId = JobId(2);
@@ -323,9 +400,9 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(256))]
 
             /// Any sequence of commits (forward only, as `commit` demands),
-            /// clamps, row-handle commits, job removals and reads: every
-            /// answer equals the flat map's, and so does the `Snap`
-            /// encoding after every step — which the new layout also
+            /// clamps, row-handle commits, job removals, cursor passes and
+            /// reads: every answer equals the flat map's, and so does the
+            /// `Snap` encoding after every step — which the new layout also
             /// decodes back to the same encoding.
             #[test]
             fn rows_behave_as_the_flat_map_did(
@@ -366,6 +443,21 @@ mod tests {
                         6 if amount % 4 == 0 => {
                             store.remove_job(job);
                             flat.0.retain(|&(j, _), _| j != job);
+                        }
+                        7 => {
+                            // The cursor over jobs `0..=job` in order, each
+                            // row stepped through partitions `0..=raw` as
+                            // the durable-sync pass steps it.
+                            let mut rows = store.rows();
+                            for j in 0..=job.raw() {
+                                let mut row = rows.job(JobId(j));
+                                for index in 0..=(raw as usize).min(11) {
+                                    let p = PartitionId(index as u64);
+                                    row.raise_next(index, amount);
+                                    let slot = flat.0.entry((JobId(j), p)).or_insert(amount);
+                                    *slot = amount.max(*slot);
+                                }
+                            }
                         }
                         _ => {}
                     }

@@ -5,7 +5,9 @@
 //! Newtype wrappers keep those ID spaces from being mixed up at compile
 //! time.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident, $inner:ty, $prefix:literal) => {
@@ -92,6 +94,37 @@ impl fmt::Display for TaskId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}/task-{}", self.job, self.index)
     }
+}
+
+/// The hasher for tables keyed by ids the platform hands out itself (jobs,
+/// containers, tasks). Those are dense integers, never outside input, so a
+/// multiplicative hash is safe and a SipHash round on every probe is not
+/// worth paying. Nothing may read such a table in iteration order.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A table keyed by platform-assigned ids, hashed with [`IdHasher`].
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// An empty [`IdMap`] with room for `capacity` entries.
+pub fn id_map<K, V>(capacity: usize) -> IdMap<K, V> {
+    HashMap::with_capacity_and_hasher(capacity, BuildHasherDefault::default())
 }
 
 #[cfg(test)]

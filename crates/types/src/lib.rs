@@ -16,7 +16,7 @@ pub mod snap;
 pub mod time;
 
 pub use fnv::Fnv1a;
-pub use ids::{ContainerId, HostId, JobId, PartitionId, ShardId, TaskId};
+pub use ids::{id_map, ContainerId, HostId, IdHasher, IdMap, JobId, PartitionId, ShardId, TaskId};
 pub use json::{json_escape, json_escape_into};
 pub use metrics::{
     nearest_rank, nearest_rank_index, nearest_rank_u64, Cdf, Counter, Percentiles, SeriesBucket,

@@ -1,15 +1,17 @@
 //! The engine's layout gate: live heap allocations per one-task,
 //! 16-partition job after ten ticks, at 1 000 and at 4 000 jobs, and
-//! allocation calls per steady tick. Allocation counts have no spread, so
-//! a layout regression fails on its first run. This is a test binary of
+//! allocation calls per steady tick, per steady drain of every job's
+//! scaler window and per steady durable sync. Allocation counts have no
+//! spread, so a layout regression fails on its first run. This is a test binary of
 //! its own because it counts through a global allocator; the counts are
 //! per thread, so other tests' threads cannot disturb them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::HashMap;
-use turbine::engine::{Engine, EngineReader};
+use turbine::engine::{Engine, EngineReader, WindowStats};
 use turbine_config::JobConfig;
+use turbine_scribe::{CheckpointStore, Scribe};
 use turbine_taskmgr::TaskService;
 use turbine_types::{ContainerId, Duration, JobId, SimTime};
 use turbine_workloads::TrafficModel;
@@ -116,5 +118,80 @@ fn under_half_a_live_allocation_per_job_and_none_per_steady_tick() {
         );
         assert_eq!(engine.total_tasks(), jobs as usize);
         assert_eq!(engine.active_jobs(), jobs as usize, "every job busy");
+    }
+}
+
+#[test]
+fn no_allocation_per_steady_window_drain_or_durable_sync() {
+    const PARTITIONS: u32 = 16;
+    let dt = Duration::from_secs(10);
+    for jobs in [1_000u64, 4_000] {
+        let containers = jobs / 4;
+        let container_cpu: HashMap<ContainerId, f64> =
+            (0..containers).map(|c| (ContainerId(c), 44.8)).collect();
+        let mut engine = Engine::new();
+        let mut scribe = Scribe::new();
+        let names: Vec<String> = (0..jobs).map(|j| format!("job_{j}_input")).collect();
+        for j in 0..jobs {
+            let job = JobId(j);
+            engine.add_job(
+                job,
+                TrafficModel::flat(1.0e6),
+                1.0e6,
+                256.0,
+                PARTITIONS,
+                false,
+                0.0,
+            );
+            scribe
+                .create_category(&names[j as usize], PARTITIONS)
+                .expect("fresh name");
+            let config = JobConfig::stateless("layout", 1, PARTITIONS);
+            for spec in TaskService::generate_specs(job, &config) {
+                let container = ContainerId(j % containers);
+                engine.task_started(&spec, container, SimTime::ZERO, Duration::ZERO);
+            }
+        }
+        let category_of = |job: JobId| names[job.raw() as usize].as_str();
+        let mut checkpoints = CheckpointStore::new();
+        let mut drained = WindowStats::default();
+        let mut now = SimTime::ZERO;
+        // Warm up: the first drain grows the kept buffers, the first sync
+        // creates every row and resolves every category.
+        for _ in 0..2 {
+            now += dt;
+            engine.tick(now, dt, &container_cpu, &|_| false);
+            for job in engine.job_ids() {
+                engine.drain_window(job, &mut drained);
+            }
+            engine.sync_durable(now, &mut scribe, &mut checkpoints, &category_of);
+        }
+        let ids = engine.job_ids();
+        for _ in 0..3 {
+            now += dt;
+            engine.tick(now, dt, &container_cpu, &|_| false);
+            let (before, _) = counts();
+            for &job in &ids {
+                let runtime = engine.drain_window(job, &mut drained).expect("registered");
+                assert!(runtime.backlog() >= 0.0);
+                assert_eq!(drained.running.len(), 1);
+                assert!(drained.running[0].processed > 0.0, "{job}: a busy window");
+            }
+            let (after_drain, _) = counts();
+            assert_eq!(
+                after_drain - before,
+                0,
+                "{jobs} jobs: allocation calls in a steady drain of every window"
+            );
+            engine.sync_durable(now, &mut scribe, &mut checkpoints, &category_of);
+            let (after_sync, _) = counts();
+            assert_eq!(
+                after_sync - after_drain,
+                0,
+                "{jobs} jobs: allocation calls in a steady durable sync"
+            );
+        }
+        assert_eq!(checkpoints.len(), (jobs * PARTITIONS as u64) as usize);
+        assert!(checkpoints.job_total_ingested(JobId(jobs - 1)) > 0);
     }
 }

@@ -174,3 +174,67 @@ fn scribe_and_checkpoints_account_for_every_byte() {
     );
     assert!(status.backlog_bytes < 2.0e6 * 30.0, "{status:?}");
 }
+
+#[test]
+fn a_refused_invalid_config_leaves_no_category_behind() {
+    let mut t = Turbine::new(TurbineConfig::default());
+    t.add_hosts(2, hosts());
+    let job = JobId(1);
+    let invalid = JobConfig::stateless("c", 0, 4);
+    assert!(t
+        .provision_job(job, invalid, TrafficModel::flat(1.0e6), 1.0e6, 256.0)
+        .is_err());
+    assert_eq!(t.job_category(job), None, "no job, so no category of it");
+    assert!(!t.scribe.has_category("c_input"));
+    // The name is still free: a valid retry under it is accepted and runs.
+    t.provision_job(
+        job,
+        JobConfig::stateless("c", 2, 4),
+        TrafficModel::flat(1.0e6),
+        1.0e6,
+        256.0,
+    )
+    .expect("the retry under the same name");
+    t.run_for(Duration::from_mins(10));
+    assert_eq!(t.job_category(job), Some("c_input"));
+    assert_eq!(t.job_status(job).expect("status").running_tasks, 2);
+    assert!(t.checkpoints().job_total_ingested(job) > 0);
+}
+
+#[test]
+fn a_refused_duplicate_job_id_does_not_repoint_the_live_job() {
+    let mut t = Turbine::new(TurbineConfig::default());
+    t.add_hosts(2, hosts());
+    let job = JobId(1);
+    let rate = 1.5e6;
+    t.provision_job(
+        job,
+        JobConfig::stateless("live", 2, 4),
+        TrafficModel::flat(rate),
+        1.0e6,
+        256.0,
+    )
+    .expect("provision");
+    t.run_for(Duration::from_mins(10));
+    let before = t.checkpoints().job_total_ingested(job);
+    assert!(before > 0);
+    assert!(t
+        .provision_job(
+            job,
+            JobConfig::stateless("other", 2, 4),
+            TrafficModel::flat(rate),
+            1.0e6,
+            256.0,
+        )
+        .is_err());
+    assert_eq!(t.job_category(job), Some("live_input"));
+    assert!(!t.scribe.has_category("other_input"));
+    // The live job's checkpoints keep following its own input.
+    t.run_for(Duration::from_mins(10));
+    let gained = t.checkpoints().job_total_ingested(job) - before;
+    let expected = rate * 600.0;
+    assert!(
+        (gained as f64 - expected).abs() < rate * 90.0,
+        "ingested {gained} B in 10 minutes of {rate} B/s"
+    );
+}

@@ -498,3 +498,57 @@ fn blob_bytes_match_the_golden_for_this_format_version() {
          regenerate without a bump and say in CHANGES.md what moved."
     );
 }
+
+/// The bus numbers its categories in creation order and a decoded bus in
+/// name order, so `job_9_input` (created first) and `job_10_input` trade
+/// ids across a restore. The restored engine resolves each job's category
+/// afresh: both runs go on to commit the same offsets against the same
+/// tails.
+#[test]
+fn categories_created_out_of_name_order_restore_to_the_same_checkpoints() {
+    let build = || {
+        let mut t = Turbine::new(TurbineConfig::default());
+        t.add_hosts(4, host_shape());
+        t.provision_job(
+            JobId(9),
+            JobConfig::stateless("job_9", 2, 8),
+            TrafficModel::flat(2.0e6),
+            1.0e6,
+            256.0,
+        )
+        .expect("provision");
+        t.provision_job(
+            JobId(10),
+            JobConfig::stateless("job_10", 2, 16),
+            TrafficModel::flat(5.0e5),
+            1.0e6,
+            256.0,
+        )
+        .expect("provision");
+        t
+    };
+    let durable = |t: &Turbine| {
+        [(JobId(9), 8), (JobId(10), 16)].map(|(job, partitions)| {
+            let name = t.job_category(job).expect("provisioned");
+            let tails: Vec<u64> = (0..partitions)
+                .map(|p| {
+                    t.scribe
+                        .tail_offset(name, turbine_types::PartitionId(p))
+                        .expect("tail")
+                })
+                .collect();
+            (t.checkpoints().job_checkpoints(job), tails)
+        })
+    };
+    let mut original = build();
+    original.run_for(Duration::from_mins(30));
+    let mut restored = Snapshot::capture(&original).restore().expect("restore");
+    assert_eq!(durable(&original), durable(&restored));
+    for t in [&mut original, &mut restored] {
+        t.run_for(Duration::from_mins(30));
+    }
+    assert_eq!(durable(&original), durable(&restored));
+    assert_eq!(original.fingerprint(), restored.fingerprint());
+    let ingested = |t: &Turbine, job| t.checkpoints().job_total_ingested(job);
+    assert!(ingested(&restored, JobId(9)) > ingested(&restored, JobId(10)));
+}
