@@ -56,6 +56,16 @@ echo "== per-job tables are id-hashed; each scaler window is drained once =="
 ! grep -rn tasks_with_window crates tests \
     || { echo "tasks_with_window is back under crates/ or tests/"; exit 1; }
 
+echo "== the Auto Scaler owns the root-causer's state; platform tables are ordered =="
+# The release row, the lag episode and the last diagnosis are one per-job
+# record inside the Auto Scaler, not platform fields. A std `HashMap`
+# iterates in an order of its own per instance, so none sits in the
+# platform, where an iteration order reaches decisions.
+! grep -nwE '(releases|lag_since|last_diagnosis):' crates/core/src/platform/mod.rs \
+    || { echo "a root-cause field is back on Turbine: it lives in the Auto Scaler"; exit 1; }
+! grep -rnw HashMap crates/core/src/platform/ \
+    || { echo "HashMap under crates/core/src/platform/: use a BTreeMap or an IdMap"; exit 1; }
+
 echo "== scale_smoke: sparse data plane at 1k hosts / 10k tasks (13 simulated hours) =="
 # scale_soak runs the identical scenario under DriveMode::EventDriven and
 # DriveMode::FullScan and exits non-zero unless the fingerprints are

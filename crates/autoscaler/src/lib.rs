@@ -34,6 +34,10 @@ pub use estimator::{
     MAX_ESTIMATED_TASKS,
 };
 pub use patterns::{PatternAnalyzer, PatternConfig, PatternVerdict, ThroughputModel};
-pub use rootcause::{diagnose, hardware_anomaly, Diagnosis, DiagnosisInput, Mitigation, RootCause};
-pub use scaler::{AutoScaler, ScalerConfig, ScalerMode, ScalingAction, ScalingDecision};
-pub use symptoms::{detect, JobMetrics, Symptom};
+pub use rootcause::{
+    diagnose, hardware_anomaly, Diagnosis, DiagnosisInput, Mitigation, RootCause, Triage,
+};
+pub use scaler::{
+    AutoScaler, LagEpisode, ScalerConfig, ScalerMode, ScalingAction, ScalingDecision,
+};
+pub use symptoms::{detect, JobMetrics, RunningTask, Symptom};

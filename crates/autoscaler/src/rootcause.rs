@@ -90,16 +90,29 @@ const COLLAPSE_RATIO: f64 = 0.5;
 pub struct DiagnosisInput<'a> {
     /// The job's metrics this round.
     pub metrics: &'a JobMetrics,
-    /// Per-task processing rates (bytes/sec), aligned with task ids.
-    pub per_task_rates: &'a [(TaskId, f64)],
+    /// The anomalous task [`hardware_anomaly`] found this round, if any.
+    pub hardware: Option<TaskId>,
     /// The scaler's current per-thread max-throughput estimate `P`.
     pub expected_per_thread: f64,
-    /// Current package version and when it last changed (if known).
-    pub last_release: Option<(u64, u64, SimTime)>,
-    /// When the ongoing lag episode began (if known).
-    pub lag_since: Option<SimTime>,
+    /// The job's release row: current version, previous version, and when
+    /// the version last changed (a job never released shows its first
+    /// round's version twice).
+    pub last_release: (u64, u64, SimTime),
+    /// When the ongoing lag episode began.
+    pub lag_since: SimTime,
     /// Now.
     pub now: SimTime,
+}
+
+/// What the root-causer makes of one job's scaler round
+/// ([`AutoScaler::triage`](crate::AutoScaler::triage)).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Triage {
+    /// Withhold the scaler's action: the diagnosis moves a task, and
+    /// scaling around a sick host would both waste capacity and mask it.
+    pub suppress_action: bool,
+    /// The diagnosis to record and apply, when the root-causer ran.
+    pub diagnosis: Option<Diagnosis>,
 }
 
 /// A diagnosis: cause, mitigation, human-readable rationale.
@@ -113,14 +126,13 @@ pub struct Diagnosis {
     pub rationale: String,
 }
 
-/// Rule 1 in isolation — exposed so the platform can check for a hardware
-/// anomaly on *every* lagging job (the paper's root-causer is an
-/// independent service watching symptoms, not a fallback of the scaler):
-/// exactly one task far below the median of its siblings, with the siblings
-/// healthy. A single dead task itself raises the rate CV somewhat, so the
-/// gate is generous (0.8); truly imbalanced *input* (one task receiving
-/// most of the data) produces a much higher CV and stays the scaler's
-/// RebalanceInput territory.
+/// Rule 1's test, which the scaler's triage runs once per round on *every*
+/// lagging job (the paper's root-causer is an independent service watching
+/// symptoms, not a fallback of the scaler): exactly one task far below the
+/// median of its siblings, with the siblings healthy. A single dead task
+/// itself raises the rate CV somewhat, so the gate is generous (0.8); truly
+/// imbalanced *input* (one task receiving most of the data) produces a
+/// much higher CV and stays the scaler's RebalanceInput territory.
 pub fn hardware_anomaly(metrics: &JobMetrics, per_task_rates: &[(TaskId, f64)]) -> Option<TaskId> {
     if per_task_rates.len() < 3 || metrics.imbalance_cv() >= 0.8 {
         return None;
@@ -142,7 +154,7 @@ pub fn hardware_anomaly(metrics: &JobMetrics, per_task_rates: &[(TaskId, f64)]) 
 /// Classify one untriaged lag.
 pub fn diagnose(input: &DiagnosisInput<'_>) -> Diagnosis {
     // Rule 1 — hardware issue.
-    if let Some(task) = hardware_anomaly(input.metrics, input.per_task_rates) {
+    if let Some(task) = input.hardware {
         return Diagnosis {
             cause: RootCause::HardwareIssue { task },
             mitigation: Mitigation::MoveTask(task),
@@ -155,22 +167,19 @@ pub fn diagnose(input: &DiagnosisInput<'_>) -> Diagnosis {
 
     // Rule 2 — bad user update: the lag began within the window after a
     // release.
-    if let (Some((version, previous, released_at)), Some(lag_since)) =
-        (input.last_release, input.lag_since)
-    {
-        if lag_since >= released_at && lag_since.since(released_at) <= UPDATE_WINDOW {
-            return Diagnosis {
-                cause: RootCause::BadUserUpdate {
-                    suspect_version: version,
-                    previous_version: previous,
-                },
-                mitigation: Mitigation::RecommendRollback(previous),
-                rationale: format!(
-                    "lag began {} after the v{version} release: suspect the update; more resources may help temporarily, rollback to v{previous} if not",
-                    lag_since.since(released_at)
-                ),
-            };
-        }
+    let ((version, previous, released_at), lag_since) = (input.last_release, input.lag_since);
+    if lag_since >= released_at && lag_since.since(released_at) <= UPDATE_WINDOW {
+        return Diagnosis {
+            cause: RootCause::BadUserUpdate {
+                suspect_version: version,
+                previous_version: previous,
+            },
+            mitigation: Mitigation::RecommendRollback(previous),
+            rationale: format!(
+                "lag began {} after the v{version} release: suspect the update; more resources may help temporarily, rollback to v{previous} if not",
+                lag_since.since(released_at)
+            ),
+        };
     }
 
     // Rule 3 — dependency failure: everyone is slow relative to the known
@@ -240,6 +249,10 @@ mod tests {
         SimTime::ZERO + Duration::from_mins(mins)
     }
 
+    /// The row of a job still on the version its first round saw, well
+    /// before any lag below.
+    const NEVER_RELEASED: (u64, u64, SimTime) = (6, 6, SimTime::ZERO);
+
     #[test]
     fn single_slow_task_is_a_hardware_issue() {
         let mut metrics = base_metrics(4);
@@ -252,10 +265,10 @@ mod tests {
             .collect();
         let d = diagnose(&DiagnosisInput {
             metrics: &metrics,
-            per_task_rates: &rates,
+            hardware: hardware_anomaly(&metrics, &rates),
             expected_per_thread: 1.0e6,
-            last_release: None,
-            lag_since: Some(t(100)),
+            last_release: NEVER_RELEASED,
+            lag_since: t(100),
             now: t(110),
         });
         assert_eq!(d.cause, RootCause::HardwareIssue { task: task(2) });
@@ -268,10 +281,10 @@ mod tests {
         let rates: Vec<(TaskId, f64)> = (0..4).map(|i| (task(i), 0.75e6)).collect();
         let d = diagnose(&DiagnosisInput {
             metrics: &metrics,
-            per_task_rates: &rates,
+            hardware: hardware_anomaly(&metrics, &rates),
             expected_per_thread: 1.0e6,
-            last_release: Some((7, 6, t(100))),
-            lag_since: Some(t(110)),
+            last_release: (7, 6, t(100)),
+            lag_since: t(110),
             now: t(120),
         });
         assert_eq!(
@@ -291,10 +304,10 @@ mod tests {
         let rates: Vec<(TaskId, f64)> = (0..4).map(|i| (task(i), 0.25e6)).collect();
         let d = diagnose(&DiagnosisInput {
             metrics: &metrics,
-            per_task_rates: &rates,
+            hardware: hardware_anomaly(&metrics, &rates),
             expected_per_thread: 1.0e6,
-            last_release: Some((7, 6, t(10))),
-            lag_since: Some(t(300)), // hours later
+            last_release: (7, 6, t(10)),
+            lag_since: t(300), // hours later
             now: t(310),
         });
         assert_eq!(d.cause, RootCause::DependencyFailure);
@@ -308,10 +321,10 @@ mod tests {
         let rates: Vec<(TaskId, f64)> = (0..8).map(|i| (task(i), 0.2e6)).collect();
         let d = diagnose(&DiagnosisInput {
             metrics: &metrics,
-            per_task_rates: &rates,
+            hardware: hardware_anomaly(&metrics, &rates),
             expected_per_thread: 1.0e6,
-            last_release: None,
-            lag_since: Some(t(50)),
+            last_release: NEVER_RELEASED,
+            lag_since: t(50),
             now: t(60),
         });
         assert_eq!(d.cause, RootCause::DependencyFailure);
@@ -326,10 +339,10 @@ mod tests {
         let rates: Vec<(TaskId, f64)> = (0..4).map(|i| (task(i), 0.0)).collect();
         let d = diagnose(&DiagnosisInput {
             metrics: &metrics,
-            per_task_rates: &rates,
+            hardware: hardware_anomaly(&metrics, &rates),
             expected_per_thread: 1.0e6,
-            last_release: None,
-            lag_since: Some(t(50)),
+            last_release: NEVER_RELEASED,
+            lag_since: t(50),
             now: t(60),
         });
         assert_eq!(d.cause, RootCause::DependencyFailure);
@@ -342,10 +355,10 @@ mod tests {
         let rates: Vec<(TaskId, f64)> = (0..4).map(|i| (task(i), 0.75e6)).collect();
         let d = diagnose(&DiagnosisInput {
             metrics: &metrics,
-            per_task_rates: &rates,
+            hardware: hardware_anomaly(&metrics, &rates),
             expected_per_thread: 1.0e6,
-            last_release: None,
-            lag_since: None,
+            last_release: NEVER_RELEASED,
+            lag_since: t(50),
             now: t(60),
         });
         assert_eq!(d.cause, RootCause::Unknown);
@@ -365,11 +378,11 @@ mod tests {
             .collect();
         let d = diagnose(&DiagnosisInput {
             metrics: &metrics,
-            per_task_rates: &rates,
+            hardware: hardware_anomaly(&metrics, &rates),
             expected_per_thread: 1.0e6,
-            last_release: None,
-            lag_since: Some(t(10)),
-            now: t(20),
+            last_release: NEVER_RELEASED,
+            lag_since: t(40),
+            now: t(50),
         });
         assert!(!matches!(d.cause, RootCause::HardwareIssue { .. }), "{d:?}");
     }
@@ -387,11 +400,11 @@ mod tests {
             .collect();
         let d = diagnose(&DiagnosisInput {
             metrics: &metrics,
-            per_task_rates: &rates,
+            hardware: hardware_anomaly(&metrics, &rates),
             expected_per_thread: 1.0e6,
-            last_release: None,
-            lag_since: Some(t(10)),
-            now: t(20),
+            last_release: NEVER_RELEASED,
+            lag_since: t(40),
+            now: t(50),
         });
         assert!(!matches!(d.cause, RootCause::HardwareIssue { .. }), "{d:?}");
     }

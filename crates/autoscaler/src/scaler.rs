@@ -18,10 +18,11 @@
 
 use crate::estimator::{estimate_resources, required_task_count, BASE_MEMORY_MB, RECOVERY_TIME};
 use crate::patterns::{PatternAnalyzer, PatternConfig, ThroughputModel};
-use crate::symptoms::{detect, JobMetrics, Symptom};
+use crate::rootcause::{diagnose, hardware_anomaly, DiagnosisInput, Triage};
+use crate::symptoms::{detect, JobMetrics, RunningTask, Symptom};
 use std::borrow::Cow;
 use turbine_config::JobConfig;
-use turbine_types::{Duration, IdMap, JobId, Priority, Resources, SimTime};
+use turbine_types::{Duration, IdMap, JobId, Priority, Resources, SimTime, TaskId};
 
 /// Which generation of the scaler to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,16 +149,32 @@ pub struct ScalingDecision {
     pub reason: Cow<'static, str>,
 }
 
-/// Per-job persistent scaler state.
+/// One lag episode of a job: when it began and how many consecutive
+/// rounds have shown it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LagEpisode {
+    /// The first lagging round.
+    pub since: SimTime,
+    /// Consecutive lagging rounds so far; untriaged alerts only fire once
+    /// lag persists (start-up catch-up is not an incident).
+    pub rounds: u32,
+}
+
+/// Per-job persistent scaler state: the scaling bookkeeping and the
+/// root-causer's inputs, one record per job.
 #[derive(Debug)]
 struct JobState {
     throughput: ThroughputModel,
     healthy_since: Option<SimTime>,
     last_action_at: Option<SimTime>,
     last_downscale_at: Option<SimTime>,
-    /// Consecutive rounds the job has shown lag; untriaged alerts only
-    /// fire once lag persists (start-up catch-up is not an incident).
-    lag_rounds: u32,
+    /// The ongoing lag episode; `None` while the job keeps up.
+    lag: Option<LagEpisode>,
+    /// The release row for the bad-update rule: (current version, previous
+    /// version, changed at); the first round records (v, v, then).
+    release: (u64, u64, SimTime),
+    /// When the root-causer last diagnosed the job (its debounce).
+    last_diagnosis: Option<SimTime>,
 }
 
 /// The Auto Scaler.
@@ -192,14 +209,20 @@ impl AutoScaler {
         self.states.get(&job).map(|s| s.throughput.p())
     }
 
+    /// The job's ongoing lag episode, if it is lagging.
+    pub fn lag_episode(&self, job: JobId) -> Option<LagEpisode> {
+        self.states.get(&job)?.lag
+    }
+
     /// Set/clear the Capacity Manager's priority floor for scale-ups.
     pub fn set_priority_floor(&mut self, floor: Option<Priority>) {
         self.priority_floor = floor;
     }
 
-    /// Drop everything kept for `job`: its scaling state and its workload
-    /// history. For deleted jobs; ids are never reused, so nothing the
-    /// scaler decides later depends on what is dropped.
+    /// Drop everything kept for `job`: its scaling state, its root-cause
+    /// record and its workload history. For deleted jobs; ids are never
+    /// reused, so nothing the scaler decides later depends on what is
+    /// dropped.
     pub fn forget(&mut self, job: JobId) {
         self.states.remove(&job);
         self.patterns.forget(job);
@@ -214,13 +237,19 @@ impl AutoScaler {
         now: SimTime,
     ) -> ScalingDecision {
         self.patterns.record(job, now, metrics.input_rate);
+        let version = config.package.version;
         let state = self.states.entry(job).or_insert_with(|| JobState {
             throughput: ThroughputModel::new(BOOTSTRAP_P),
             healthy_since: Some(now),
             last_action_at: None,
             last_downscale_at: None,
-            lag_rounds: 0,
+            lag: None,
+            release: (version, version, now),
+            last_diagnosis: None,
         });
+        if state.release.0 != version {
+            state.release = (version, state.release.0, now);
+        }
 
         // Continuously refine P upward from observation: a task observed
         // processing faster than P proves P was too small.
@@ -245,13 +274,13 @@ impl AutoScaler {
             )
         });
 
-        // Health bookkeeping for the downscale stability window and the
-        // untriaged-alert debounce.
-        if lagging {
-            state.lag_rounds += 1;
-        } else {
-            state.lag_rounds = 0;
-        }
+        // Health bookkeeping for the downscale stability window, the
+        // untriaged-alert debounce and the root-causer's lag onset.
+        let (since, rounds) = state.lag.map_or((now, 0), |lag| (lag.since, lag.rounds));
+        state.lag = lagging.then_some(LagEpisode {
+            since,
+            rounds: rounds + 1,
+        });
         if lagging || oom {
             state.healthy_since = None;
         } else if state.healthy_since.is_none() {
@@ -466,7 +495,7 @@ impl AutoScaler {
                 // and may amplify it (dependency failure, app bug, ...).
                 // Alert only once the lag persists: a job catching up
                 // right after starting is not an incident.
-                let persistent = self.states[&job].lag_rounds >= 3;
+                let persistent = self.states[&job].lag.is_some_and(|lag| lag.rounds >= 3);
                 return ScalingDecision {
                     job,
                     action: None,
@@ -707,6 +736,54 @@ impl AutoScaler {
         }
     }
 
+    /// The auto root-causer's view of `job`'s round, called after
+    /// [`Self::evaluate`] with the window's running tasks. A lagging job is
+    /// diagnosed, at most once per 10 minutes, when the decision left it
+    /// untriaged or a stable window (no task (re)started in the last
+    /// `interval`, which would look like a sick host) shows a single-task
+    /// hardware anomaly; the move is then the mitigation and the action is
+    /// withheld. An untriaged diagnosis still sees an unstable window's
+    /// anomaly (rule 1 of [`diagnose`]).
+    pub fn triage(
+        &mut self,
+        job: JobId,
+        decision: &ScalingDecision,
+        metrics: &JobMetrics,
+        running: &[RunningTask],
+        interval: Duration,
+        now: SimTime,
+    ) -> Triage {
+        let Some((Some(lag), state)) = self.states.get_mut(&job).map(|s| (s.lag, s)) else {
+            return Triage::default();
+        };
+        let rates: Vec<(TaskId, f64)> = running
+            .iter()
+            .map(|task| (task.id, task.processed / interval.as_secs_f64()))
+            .collect();
+        let stable = running.iter().all(|task| task.started_at <= now - interval);
+        let anomaly = hardware_anomaly(metrics, &rates);
+        let hardware = anomaly.filter(|_| stable);
+        if (hardware.is_none() && decision.untriaged.is_none())
+            || state
+                .last_diagnosis
+                .is_some_and(|at| now.since(at) < Duration::from_mins(10))
+        {
+            return Triage::default();
+        }
+        state.last_diagnosis = Some(now);
+        Triage {
+            suppress_action: hardware.is_some(),
+            diagnosis: Some(diagnose(&DiagnosisInput {
+                metrics,
+                hardware: anomaly,
+                expected_per_thread: state.throughput.p(),
+                last_release: state.release,
+                lag_since: lag.since,
+                now,
+            })),
+        }
+    }
+
     fn blocked_by_priority_floor(&self, config: &JobConfig) -> bool {
         self.priority_floor
             .is_some_and(|floor| config.priority < floor)
@@ -780,12 +857,16 @@ turbine_types::snap_struct!(ScalerConfig {
     target_units
 });
 
+turbine_types::snap_struct!(LagEpisode { since, rounds });
+
 turbine_types::snap_struct!(JobState {
     throughput,
     healthy_since,
     last_action_at,
     last_downscale_at,
-    lag_rounds
+    lag,
+    release,
+    last_diagnosis
 });
 
 turbine_types::snap_struct!(AutoScaler {
@@ -1023,6 +1104,160 @@ mod tests {
         assert_eq!(d2.reason, "cooldown");
         let d3 = s.evaluate(JOB, &m, &job_config(1), t(6));
         assert!(d3.action.is_some());
+    }
+
+    /// Lag with plenty of capacity: a dependency failure, say.
+    fn stalled_metrics() -> JobMetrics {
+        let mut m = healthy_metrics(4, 1.0e6);
+        m.processing_rate = 0.1e6;
+        m.total_bytes_lagged = 0.1e6 * 1000.0;
+        m
+    }
+
+    /// Four running tasks over a 2-minute window, each started at the
+    /// given minute; with `slow`, the third is far below its siblings.
+    fn window(started: [u64; 4], slow: bool) -> Vec<RunningTask> {
+        started
+            .iter()
+            .enumerate()
+            .map(|(i, &at)| RunningTask {
+                id: TaskId::new(JOB, i as u32),
+                processed: if slow && i == 2 { 1.0e6 } else { 120.0e6 },
+                memory_mb: 500.0,
+                started_at: t(at),
+            })
+            .collect()
+    }
+
+    const INTERVAL: Duration = Duration::from_mins(2);
+
+    #[test]
+    fn the_root_cause_record_follows_the_job_until_forgotten() {
+        let mut cfg = ScalerConfig::default();
+        cfg.min_action_gap = Duration::from_mins(5);
+        let mut s = AutoScaler::new(cfg);
+        let mut config = job_config(1);
+        config.package.version = 7;
+        // Under-provisioned and lagging: the first round scales, the next
+        // ones cool down, and the episode counts every one of them.
+        let mut lagging = healthy_metrics(1, 64.0e6);
+        lagging.processing_rate = 1.0e6;
+        lagging.total_bytes_lagged = 1.0e6 * 300.0;
+        assert!(s.evaluate(JOB, &lagging, &config, t(0)).action.is_some());
+        assert_eq!(
+            s.states[&JOB].release,
+            (7, 7, t(0)),
+            "first round: (v, v, then)"
+        );
+        for round in 1..3 {
+            let d = s.evaluate(JOB, &lagging, &config, t(round));
+            assert_eq!(d.reason, "cooldown");
+            assert_eq!(
+                s.lag_episode(JOB),
+                Some(LagEpisode {
+                    since: t(0),
+                    rounds: round as u32 + 1
+                })
+            );
+        }
+        // A release moves the row once; an unchanged version leaves it.
+        config.package.version = 8;
+        s.evaluate(JOB, &lagging, &config, t(3));
+        s.evaluate(JOB, &lagging, &config, t(4));
+        assert_eq!(s.states[&JOB].release, (8, 7, t(3)));
+        // Recovery ends the episode; the next lag starts a new one.
+        s.evaluate(JOB, &healthy_metrics(1, 0.5e6), &config, t(5));
+        assert_eq!(s.lag_episode(JOB), None);
+        s.evaluate(JOB, &lagging, &config, t(6));
+        assert_eq!(
+            s.lag_episode(JOB),
+            Some(LagEpisode {
+                since: t(6),
+                rounds: 1
+            })
+        );
+
+        // An untriaged lag is diagnosed once per debounce window.
+        let stalled = stalled_metrics();
+        let config = job_config(4);
+        let running = window([0; 4], false);
+        let mut diagnosed = Vec::new();
+        for minute in (20..40).step_by(2) {
+            let d = s.evaluate(JobId(2), &stalled, &config, t(minute));
+            let triage = s.triage(JobId(2), &d, &stalled, &running, INTERVAL, t(minute));
+            if triage.diagnosis.is_some() {
+                diagnosed.push(minute);
+            }
+        }
+        assert_eq!(
+            diagnosed,
+            [24, 34],
+            "persistent from the third round, then every 10 min"
+        );
+        assert_eq!(s.states[&JobId(2)].last_diagnosis, Some(t(34)));
+
+        for job in [JOB, JobId(2)] {
+            s.forget(job);
+            assert!(!s.states.contains_key(&job));
+            assert_eq!(s.lag_episode(job), None);
+            assert_eq!(s.throughput_estimate(job), None);
+        }
+    }
+
+    #[test]
+    fn only_a_stable_window_moves_a_task_in_place_of_scaling() {
+        let mut s = scaler();
+        let stalled = stalled_metrics();
+        let config = job_config(4);
+        // Stable window, one slow task: moved, and the action withheld.
+        let d = s.evaluate(JOB, &stalled, &config, t(10));
+        assert!(d.untriaged.is_none(), "first lagging round: {d:?}");
+        let triage = s.triage(JOB, &d, &stalled, &window([0; 4], true), INTERVAL, t(10));
+        assert!(triage.suppress_action);
+        let diagnosis = triage.diagnosis.expect("diagnosed");
+        let slow = TaskId::new(JOB, 2);
+        assert_eq!(
+            diagnosis.cause,
+            crate::RootCause::HardwareIssue { task: slow }
+        );
+        // A task restarted mid-window looks just as slow, but triggers
+        // nothing by itself.
+        let job = JobId(2);
+        let unstable = |minute| window([0, 0, minute - 1, 0], true);
+        for minute in [10, 11] {
+            let d = s.evaluate(job, &stalled, &config, t(minute));
+            let triage = s.triage(job, &d, &stalled, &unstable(minute), INTERVAL, t(minute));
+            assert_eq!(
+                triage,
+                Triage {
+                    suppress_action: false,
+                    diagnosis: None
+                }
+            );
+        }
+        // Once the lag is untriaged it is diagnosed, and rule 1 still sees
+        // the unstable window's anomaly; the action is not withheld.
+        let d = s.evaluate(job, &stalled, &config, t(12));
+        assert!(d.untriaged.is_some());
+        let triage = s.triage(job, &d, &stalled, &unstable(12), INTERVAL, t(12));
+        assert!(!triage.suppress_action);
+        assert_eq!(
+            triage.diagnosis.expect("diagnosed").cause,
+            crate::RootCause::HardwareIssue {
+                task: TaskId::new(JOB, 2)
+            }
+        );
+        // A job keeping up is never triaged.
+        let d = s.evaluate(JobId(3), &healthy_metrics(4, 1.0e6), &config, t(10));
+        let triage = s.triage(
+            JobId(3),
+            &d,
+            &stalled,
+            &window([0; 4], true),
+            INTERVAL,
+            t(10),
+        );
+        assert_eq!(triage.diagnosis, None);
     }
 
     #[test]

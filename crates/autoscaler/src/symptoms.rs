@@ -5,7 +5,7 @@
 //! memory. Those detectors live on in the second generation as the trigger
 //! side of the Plan Generator.
 
-use turbine_types::Resources;
+use turbine_types::{Resources, SimTime, TaskId};
 
 /// Per-job metrics sampled by the platform each scaler round.
 #[derive(Debug, Clone, Default)]
@@ -31,6 +31,19 @@ pub struct JobMetrics {
     pub reserved: Resources,
     /// Key cardinality of in-memory state (stateful jobs only).
     pub key_cardinality: Option<f64>,
+}
+
+/// A running task as its job's drained scaler window reports it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RunningTask {
+    /// The task.
+    pub id: TaskId,
+    /// Bytes it processed this window (zero when the window lists none).
+    pub processed: f64,
+    /// Its memory usage at the last tick, MB.
+    pub memory_mb: f64,
+    /// When it was (re)started on its container.
+    pub started_at: SimTime,
 }
 
 impl JobMetrics {

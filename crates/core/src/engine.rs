@@ -56,6 +56,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::BuildHasher;
 use std::ops::{Deref, Range};
+pub use turbine_autoscaler::RunningTask;
 use turbine_config::MemoryEnforcement;
 use turbine_scribe::{CategoryId, CategoryView, CheckpointStore, Scribe};
 use turbine_taskmgr::TaskSpec;
@@ -628,19 +629,6 @@ pub struct WindowStats {
     pub running: Vec<RunningTask>,
     /// OOM kills during the window.
     pub ooms: u32,
-}
-
-/// A running task as a drained window reports it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RunningTask {
-    /// The task.
-    pub id: TaskId,
-    /// Bytes it processed this window (zero when the window lists none).
-    pub processed: f64,
-    /// Its memory usage at the last tick, MB.
-    pub memory_mb: f64,
-    /// When it was (re)started on its container.
-    pub started_at: SimTime,
 }
 
 /// Result of one engine tick.

@@ -9,10 +9,9 @@ use super::{OutageState, ScalerScratch, Turbine, CONNECTION_TIMEOUT, RESTART_DEL
 use crate::engine::{Engine, EngineReader};
 use crate::invariants::{Inbox, InvariantChecker};
 use crate::metrics::DiagnosisRecord;
-use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-use turbine_autoscaler::{DiagnosisInput, JobMetrics, Mitigation, ScalingAction};
+use turbine_autoscaler::{Diagnosis, JobMetrics, Mitigation, ScalingAction};
 use turbine_config::{ConfigLevel, JobConfig, ResiliencyClass};
 use turbine_jobstore::{JobService, MemWal, StoreReader};
 use turbine_shardmgr::{ContainerStatus, ShardMovement};
@@ -28,13 +27,18 @@ impl Turbine {
     /// changed.
     pub(crate) fn heartbeat_round(&mut self) {
         let now = self.now;
-        // Proactive reboots first.
+        // Proactive reboots first, in container order.
         let due_reboot: Vec<ContainerId> = self
             .severed
             .iter()
             .filter(|(_, s)| !s.rebooted && now.since(s.at) >= CONNECTION_TIMEOUT)
             .map(|(&c, _)| c)
             .collect();
+        // A reboot takes the container's tasks down: a fault-attributed
+        // outage for every affected job, measured from the connectivity
+        // loss (not the reboot) — the earliest one among this beat's
+        // reboots that hit the job.
+        let mut affected: BTreeMap<JobId, SimTime> = BTreeMap::new();
         for container in due_reboot {
             self.severed.get_mut(&container).expect("present").rebooted = true;
             let mut all_events = Vec::new();
@@ -44,28 +48,20 @@ impl Turbine {
                     all_events.extend(tm.drop_shard(shard));
                 }
             }
-            // The reboot takes the container's tasks down: this is a
-            // fault-attributed outage for every affected job, measured
-            // from the connectivity loss (not the reboot).
-            let since = self
-                .container_down_since
-                .get(&container)
-                .copied()
-                .unwrap_or(now);
-            let affected: BTreeSet<JobId> = all_events
-                .iter()
-                .filter_map(|e| match e {
-                    TaskEvent::Stopped(id) => Some(id.job),
-                    _ => None,
-                })
-                .collect();
-            for job in affected {
-                self.open_outage(job, since);
+            let since = self.onset(container);
+            for event in &all_events {
+                if let TaskEvent::Stopped(id) = event {
+                    let onset = affected.entry(id.job).or_insert(since);
+                    *onset = (*onset).min(since);
+                }
             }
             // The reboot dropped every owned shard regardless of whether
             // tasks were running on them.
             self.container_changed(container);
             self.handle_task_events(container, &all_events);
+        }
+        for (job, since) in affected {
+            self.open_outage(job, since);
         }
         self.refresh_live_containers();
         let live = &self.live_containers.as_ref().expect("refreshed").1;
@@ -130,17 +126,10 @@ impl Turbine {
                 .collect();
             let mut affected: BTreeMap<JobId, SimTime> = BTreeMap::new();
             for (id, task) in self.engine.tasks() {
-                if !newly_dead.contains(&task.container) {
-                    continue;
-                }
-                let since = self
-                    .container_down_since
-                    .get(&task.container)
-                    .copied()
-                    .unwrap_or(self.now);
-                let slot = affected.entry(id.job).or_insert(since);
-                if since < *slot {
-                    *slot = since;
+                if newly_dead.contains(&task.container) {
+                    let since = self.onset(task.container);
+                    let onset = affected.entry(id.job).or_insert(since);
+                    *onset = (*onset).min(since);
                 }
             }
             for (job, since) in affected {
@@ -157,6 +146,15 @@ impl Turbine {
         }
         self.ensure_standbys();
         self.slo_check();
+    }
+
+    /// When `container`'s current connectivity loss began: the onset an
+    /// outage it causes is measured from (now, when none is recorded).
+    fn onset(&self, container: ContainerId) -> SimTime {
+        self.container_down_since
+            .get(&container)
+            .copied()
+            .unwrap_or(self.now)
     }
 
     /// Open a fault-attributed outage for a job (idempotent: an already
@@ -193,14 +191,8 @@ impl Turbine {
                     continue;
                 }
                 suspect_shards.push(turbine_taskmgr::shard_of_task(id, self.config.shard_count));
-                let since = self
-                    .container_down_since
-                    .get(&task.container)
-                    .copied()
-                    .unwrap_or(now);
-                if onset.is_none_or(|o| since < o) {
-                    onset = Some(since);
-                }
+                let since = self.onset(task.container);
+                onset = Some(onset.map_or(since, |o| o.min(since)));
             }
             if suspect_shards.is_empty() {
                 continue;
@@ -609,9 +601,6 @@ impl Turbine {
             self.drop_standby(job);
             self.outages.remove(&job);
             self.scaler.forget(job);
-            self.releases.remove(&job);
-            self.lag_since.remove(&job);
-            self.last_diagnosis.remove(&job);
             self.state_moves.remove(&job);
             invalidate = true;
         }
@@ -634,35 +623,28 @@ impl Turbine {
     }
 
     /// The scaler round's body for one job, over `window` seconds since
-    /// the last round. Its window is drained into `scratch`, whose buffers
-    /// every job of every round reuses.
+    /// the last round: drain, gate, evaluate, triage, apply. Every job's
+    /// window is drained into `scratch`, whose buffers every job of every
+    /// round reuses, whether or not it passes the gates: a disabled scaler
+    /// still drains, so a later enable starts fresh.
     fn scale_job(&mut self, job: JobId, now: SimTime, window: f64, scratch: &mut ScalerScratch) {
-        let ScalerScratch {
-            drained,
-            metrics,
-            rates,
-        } = scratch;
-        // A disabled scaler still drains windows so a later enable starts
-        // fresh.
+        let ScalerScratch { drained, metrics } = scratch;
+        let Some(runtime) = self.engine.drain_window(job, drained) else {
+            return;
+        };
         if !self.config.scaler_enabled
             || self.paused.contains(&job)
             || self.capacity_stopped.contains(&job)
             || self.syncer.is_quarantined(job)
         {
-            self.engine.drain_window(job, drained);
             return;
         }
         let Ok(config) = self.jobs.expected_typed(job) else {
             return;
         };
         if self.jobs.running_typed(job).is_none() {
-            self.engine.drain_window(job, drained);
             return; // not started yet
         }
-        let runtime = self
-            .engine
-            .drain_window(job, drained)
-            .expect("the round walks registered jobs");
         let backlog = runtime.backlog();
         let key_cardinality = runtime.stateful.then_some(runtime.key_cardinality);
         let mut per_task_rates = std::mem::take(&mut metrics.per_task_rates);
@@ -696,98 +678,42 @@ impl Turbine {
             reserved: config.task_resources,
             key_cardinality,
         };
-        // Track releases (for the root-causer's bad-update rule).
-        let version = config.package.version;
-        match self.releases.entry(job) {
-            Entry::Occupied(mut release) => {
-                let current = release.get().0;
-                if current != version {
-                    release.insert((version, current, now));
-                }
-            }
-            Entry::Vacant(release) => {
-                release.insert((version, version, now));
-            }
-        }
         let decision = self.scaler.evaluate(job, metrics, &config, now);
-        // Track lag episodes.
-        let lagging = decision
-            .symptoms
-            .iter()
-            .any(|s| matches!(s, turbine_autoscaler::Symptom::Lagging { .. }));
-        if lagging {
-            self.lag_since.entry(job).or_insert(now);
-        } else {
-            self.lag_since.remove(&job);
-        }
-        // The root-causer watches every lagging job independently of
-        // the scaler: a single-task hardware anomaly must be moved,
-        // not scaled around — scaling would both waste capacity and
-        // accidentally mask the sick host.
-        let mut action = decision.action;
-        let mut diagnose = false;
-        if lagging {
-            // Per-task rates over the scaler interval, for the hardware
-            // check and the root-causer.
-            let interval = self.config.scaler_interval.as_secs_f64();
-            rates.clear();
-            rates.extend(
-                drained
-                    .running
-                    .iter()
-                    .map(|task| (task.id, task.processed / interval)),
-            );
-            // Hardware diagnosis needs a *stable* measurement window:
-            // a task (re)started mid-window shows a near-zero rate and
-            // would be misdiagnosed as a sick host.
-            let window_start = now - self.config.scaler_interval;
-            let stable_window = drained
-                .running
-                .iter()
-                .all(|task| task.started_at <= window_start);
-            let hardware = if stable_window {
-                turbine_autoscaler::hardware_anomaly(metrics, rates)
-            } else {
-                None
-            };
-            let recently_diagnosed = self
-                .last_diagnosis
-                .get(&job)
-                .is_some_and(|&at| now.since(at) < Duration::from_mins(10));
-            if (hardware.is_some() || decision.untriaged.is_some()) && !recently_diagnosed {
-                self.last_diagnosis.insert(job, now);
-                diagnose = true;
-                if hardware.is_some() {
-                    // The move is the mitigation; do not also scale.
-                    action = None;
-                }
-            }
-        }
+        let triage = self.scaler.triage(
+            job,
+            &decision,
+            metrics,
+            &drained.running,
+            self.config.scaler_interval,
+            now,
+        );
+        let action = decision.action.filter(|_| !triage.suppress_action);
         // Trace the symptom hop only when it is consequential (an
         // action or diagnosis follows): its cause is the activation
         // edge of a stall on the job's input category if one is
         // active, the scaler round's span otherwise.
-        let symptom_id = if (action.is_some() || diagnose) && !decision.symptoms.is_empty() {
-            let description = decision.symptoms[0].describe();
-            let data = TraceData::Symptom { job, description };
-            Some(
-                match self
-                    .categories
-                    .get(&job)
-                    .and_then(|cat| self.trace.fault_cause(&format!("scribe_stall({cat})")))
-                {
-                    Some(root) => self.trace.emit_caused(now, data, Some(root)),
-                    None => self.trace.emit(now, data),
-                },
-            )
-        } else {
-            None
-        };
+        let symptom_id =
+            if (action.is_some() || triage.diagnosis.is_some()) && !decision.symptoms.is_empty() {
+                let description = decision.symptoms[0].describe();
+                let data = TraceData::Symptom { job, description };
+                Some(
+                    match self
+                        .categories
+                        .get(&job)
+                        .and_then(|cat| self.trace.fault_cause(&format!("scribe_stall({cat})")))
+                    {
+                        Some(root) => self.trace.emit_caused(now, data, Some(root)),
+                        None => self.trace.emit(now, data),
+                    },
+                )
+            } else {
+                None
+            };
         if let Some(id) = symptom_id {
             self.trace.push_cause(id);
         }
-        if diagnose {
-            self.diagnose_untriaged(job, metrics, rates, now);
+        if let Some(diagnosis) = triage.diagnosis {
+            self.apply_diagnosis(job, diagnosis, now);
         }
         if decision.untriaged.is_some() {
             self.metrics.alerts.incr();
@@ -800,24 +726,10 @@ impl Turbine {
         }
     }
 
-    /// Run the auto root-causer on an untriaged problem, record the
-    /// diagnosis, and apply the safe automated mitigation (task moves for
-    /// hardware issues; everything else stays a recommendation).
-    fn diagnose_untriaged(
-        &mut self,
-        job: JobId,
-        metrics: &JobMetrics,
-        per_task_rates: &[(TaskId, f64)],
-        now: SimTime,
-    ) {
-        let diagnosis = turbine_autoscaler::diagnose(&DiagnosisInput {
-            metrics,
-            per_task_rates,
-            expected_per_thread: self.scaler.throughput_estimate(job).unwrap_or(0.0),
-            last_release: self.releases.get(&job).copied(),
-            lag_since: self.lag_since.get(&job).copied(),
-            now,
-        });
+    /// Record the root-causer's diagnosis of an untriaged problem and
+    /// apply the safe automated mitigation (task moves for hardware
+    /// issues; everything else stays a recommendation).
+    fn apply_diagnosis(&mut self, job: JobId, diagnosis: Diagnosis, now: SimTime) {
         let trace_id = self.trace.emit(
             now,
             TraceData::Diagnosis {

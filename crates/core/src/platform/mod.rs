@@ -44,7 +44,7 @@ use crate::engine::{ContainerMap, Engine, WindowStats};
 use crate::invariants::{Inbox, InvariantChecker, InvariantConfig, Violation};
 use crate::metrics::PlatformMetrics;
 use scheduler::ControlSchedule;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use turbine_autoscaler::{AutoScaler, CapacityManager, JobMetrics, ScalerConfig};
 use turbine_cluster::Cluster;
 use turbine_config::{ConfigLevel, ConfigValue, JobConfig, ResiliencyClass};
@@ -55,9 +55,7 @@ use turbine_sim::{FaultInjector, SimRng};
 use turbine_statesyncer::{StateSyncer, SyncerConfig};
 use turbine_taskmgr::{LocalTaskManager, SnapshotTable, TaskService};
 use turbine_trace::TraceBuffer;
-use turbine_types::{
-    ContainerId, Duration, Fnv1a, HostId, IdMap, JobId, Resources, SimTime, TaskId,
-};
+use turbine_types::{ContainerId, Duration, Fnv1a, HostId, IdMap, JobId, Resources, SimTime};
 use turbine_workloads::TrafficModel;
 
 /// Fraction of each host handed to its Turbine container.
@@ -265,14 +263,7 @@ pub struct Turbine {
     /// Mean time between random task crashes; `None` disables injection.
     pub(crate) crash_mtbf: Option<Duration>,
     pub(crate) rng: SimRng,
-    /// Per-job release tracking for the root-causer:
-    /// (current version, previous version, changed at).
-    pub(crate) releases: IdMap<JobId, (u64, u64, SimTime)>,
-    /// Start of the ongoing lag episode per job.
-    pub(crate) lag_since: IdMap<JobId, SimTime>,
-    /// Last diagnosis time per job (debounce).
-    pub(crate) last_diagnosis: IdMap<JobId, SimTime>,
-    pub(crate) severed: HashMap<ContainerId, SeveredState>,
+    pub(crate) severed: BTreeMap<ContainerId, SeveredState>,
     pub(crate) categories: BTreeMap<JobId, String>,
     /// Shadow read positions of warm standbys (critical jobs only).
     pub(crate) shadow: ShadowCursor,
@@ -321,13 +312,12 @@ pub struct Turbine {
 }
 
 /// The buffers the scaler round fills for each job in turn — its drained
-/// window, its metrics and its per-task rates — kept between rounds so a
-/// steady round allocates nothing. Derived — not part of the snapshot.
+/// window and its metrics — kept between rounds so a steady round
+/// allocates nothing. Derived — not part of the snapshot.
 #[derive(Debug, Default)]
 pub(crate) struct ScalerScratch {
     pub(crate) drained: WindowStats,
     pub(crate) metrics: JobMetrics,
-    pub(crate) rates: Vec<(TaskId, f64)>,
 }
 
 impl Turbine {
@@ -369,10 +359,7 @@ impl Turbine {
             state_moves: IdMap::default(),
             crash_mtbf: None,
             rng: SimRng::seeded(0x0C2A_54E5),
-            releases: IdMap::default(),
-            lag_since: IdMap::default(),
-            last_diagnosis: IdMap::default(),
-            severed: HashMap::new(),
+            severed: BTreeMap::new(),
             categories: BTreeMap::new(),
             shadow: ShadowCursor::new(),
             outages: BTreeMap::new(),
@@ -801,10 +788,8 @@ impl Turbine {
     /// invariants.
     pub fn enable_invariant_checks(&mut self, config: InvariantConfig) {
         // A fresh checker has seen nothing: its first check covers every
-        // scope and every job.
-        let mut checker = InvariantChecker::new(config);
-        checker.inbox().jobs.extend(self.engine.job_ids());
-        self.invariants = Some(checker);
+        // scope, and the Job Store's refeed hands it every job.
+        self.invariants = Some(InvariantChecker::new(config));
         self.jobs.store_mut().refeed(StoreReader::Checker);
     }
 
@@ -1024,7 +1009,7 @@ turbine_stream! {
     shard_manager,
     task_managers via (snap_managers, unsnap_managers),
     scaler, capacity, checkpoints, engine, paused, capacity_stopped, state_moves, crash_mtbf,
-    rng, releases, lag_since, last_diagnosis, severed, categories, shadow,
+    rng, severed, categories, shadow,
     outages, container_down_since, faults, trace, invariants, load_dirty_containers,
     resiliency_cache, sched, last_scaler_drain, ods;
     // Caches and cost counters: rebuilt or restarted, never stored.

@@ -51,8 +51,12 @@ pub const SNAP_MAGIC: [u8; 8] = *b"TRBNSNAP";
 /// invariant checker's count of sparse checks (every check is one);
 /// version 11 stores what the checker is told (its job set, scope flags and
 /// promotion and revival edges) inside the checker, not as three platform
-/// fields, and not at all while checking is off.
-pub const SNAP_VERSION: u32 = 11;
+/// fields, and not at all while checking is off; version 12 stores the
+/// root-causer's per-job record (release row, lag episode, last diagnosis)
+/// inside the Auto Scaler's job state, not as three platform maps, and
+/// one lag episode where the scaler's round count and the platform's onset
+/// were two.
+pub const SNAP_VERSION: u32 = 12;
 
 /// Chunk size of the manifest: one digest per 4 KiB of stream, verified
 /// on every restore and compared across snapshots. Small enough that an

@@ -260,3 +260,37 @@ fn double_fault_is_mode_equivalent() {
     assert_clean(&dense);
     assert_clean(&event);
 }
+
+/// Two containers whose connections dropped 10 s apart reboot at the same
+/// beat, and one job runs tasks on both. Its outage is measured from the
+/// earlier loss on every platform: the reboots are handled in container
+/// order and the job's onset is the earliest of theirs, whatever order a
+/// platform would have met them in.
+#[test]
+fn containers_rebooting_at_one_beat_date_the_outage_from_the_earliest_loss() {
+    let recovery_ms = || {
+        let mut config = TurbineConfig::default();
+        config.heartbeat_interval = Duration::from_secs(20);
+        let mut t = Turbine::new(config);
+        let hosts = t.add_hosts(3, host_shape());
+        let mut jc = JobConfig::stateless("twelve", 12, 32);
+        jc.max_task_count = 64;
+        t.provision_job(JobId(1), jc, TrafficModel::flat(1.0e6), 1.0e6, 256.0)
+            .expect("provision");
+        let container = |t: &Turbine, host| t.cluster.containers_on(host).expect("host")[0];
+        for (host, at_secs) in [(hosts[0], 310), (hosts[1], 320)] {
+            t.run_until(turbine_types::SimTime::ZERO + Duration::from_secs(at_secs));
+            let c = container(&t, host);
+            assert!(
+                t.task_managers()[&c].runs_job(JobId(1)),
+                "{c} runs a task of the job"
+            );
+            t.sever_connection(c);
+        }
+        t.run_for(Duration::from_mins(5));
+        first_recovery(&t, JobId(1)).expect("recovered").ms
+    };
+    for _ in 0..16 {
+        assert_eq!(recovery_ms(), 90_000, "310 s loss to the 400 s recovery");
+    }
+}

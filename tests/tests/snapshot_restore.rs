@@ -362,8 +362,9 @@ fn restore_while_a_down_container_holds_an_older_snapshot_matches_uninterrupted(
 }
 
 /// A deleted job leaves the Auto Scaler with the rest of its state: its
-/// throughput estimate, workload history and release row are neither
-/// resident nor in any later snapshot.
+/// throughput estimate, workload history and root-cause record (release
+/// row, lag episode, last diagnosis) are neither resident nor in any later
+/// snapshot.
 #[test]
 fn a_deleted_job_leaves_the_scaler_and_the_next_capture() {
     let bytes_of = |t: &Turbine, field: &str| {
@@ -374,7 +375,6 @@ fn a_deleted_job_leaves_the_scaler_and_the_next_capture() {
     drive_to(&mut t, 15, DriveMode::EventDriven);
     assert!(t.auto_scaler().throughput_estimate(JobId(2)).is_some());
     let before = bytes_of(&t, "scaler");
-    let releases_before = bytes_of(&t, "releases");
     t.delete_job(JobId(2)).expect("delete");
     drive_to(&mut t, 25, DriveMode::EventDriven);
     assert!(t.engine().job(JobId(2)).is_none(), "wound down");
@@ -385,11 +385,6 @@ fn a_deleted_job_leaves_the_scaler_and_the_next_capture() {
         after < before,
         "scaler state {before} B -> {after} B: ten more minutes of history for \
          two jobs weigh less than all of the third's"
-    );
-    let releases_after = bytes_of(&t, "releases");
-    assert!(
-        releases_after < releases_before,
-        "release rows {releases_before} B -> {releases_after} B: the deleted job's row stays"
     );
     let restored = Snapshot::capture(&t).restore().expect("restore");
     assert_eq!(restored.auto_scaler().throughput_estimate(JobId(2)), None);
@@ -551,4 +546,49 @@ fn categories_created_out_of_name_order_restore_to_the_same_checkpoints() {
     assert_eq!(original.fingerprint(), restored.fingerprint());
     let ingested = |t: &Turbine, job| t.checkpoints().job_total_ingested(job);
     assert!(ingested(&restored, JobId(9)) > ingested(&restored, JobId(10)));
+}
+
+/// The root-causer's record travels inside the Auto Scaler's state: a
+/// restore taken mid-lag-episode, four minutes after a diagnosis (inside
+/// its 10-minute debounce), starts no new episode, re-diagnoses on the
+/// uninterrupted run's schedule and matches it bit for bit.
+#[test]
+fn restore_mid_lag_episode_inside_the_debounce_matches_uninterrupted() {
+    let diagnoses = |t: &Turbine| {
+        t.diagnoses()
+            .iter()
+            .map(|d| (d.at, d.job, d.cause.label(), d.rationale.clone()))
+            .collect::<Vec<_>>()
+    };
+    let minute = |m| SimTime::ZERO + Duration::from_mins(m);
+    for mode in [DriveMode::EventDriven, DriveMode::DenseTick] {
+        let mut original = build();
+        drive_to(&mut original, 15, mode);
+        // A dependency slows job 2 to a tenth: lag with capacity to spare.
+        original.with_job_true_rate(JobId(2), 0.1e6);
+        drive_to(&mut original, 26, mode);
+        let episode = original
+            .auto_scaler()
+            .lag_episode(JobId(2))
+            .expect("mid lag episode");
+        assert!(episode.rounds >= 3, "{episode:?}");
+        let last = original.diagnoses().last().expect("diagnosed").at;
+        assert!(
+            minute(26).since(last) < Duration::from_mins(10),
+            "inside the debounce"
+        );
+
+        let mut restored = Snapshot::capture(&original).restore().expect("restore");
+        assert_eq!(restored.auto_scaler().lag_episode(JobId(2)), Some(episode));
+        for t in [&mut original, &mut restored] {
+            drive_to(t, 50, mode);
+        }
+        assert!(
+            diagnoses(&original).len() >= 3,
+            "re-diagnosed after the debounce: {:?}",
+            diagnoses(&original)
+        );
+        assert_eq!(diagnoses(&original), diagnoses(&restored), "mode {mode:?}");
+        assert_eq!(observe(&original), observe(&restored), "mode {mode:?}");
+    }
 }
