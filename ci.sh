@@ -66,6 +66,16 @@ echo "== the Auto Scaler owns the root-causer's state; platform tables are order
 ! grep -rnw HashMap crates/core/src/platform/ \
     || { echo "HashMap under crates/core/src/platform/: use a BTreeMap or an IdMap"; exit 1; }
 
+echo "== the metrics round finds each job by position =="
+# Each job's lag SLO, reserved footprint, running tasks and series ids are
+# its row of one job-ordered table, walked in step with the engine's jobs;
+# the per-job probes and the id-keyed series caches stay gone.
+! sed -n '/fn metrics_round/,/^    }$/p' crates/core/src/platform/control_loops.rs \
+    | grep -nE 'expected_typed\(|running_typed_jobs\(|running_tasks_of\(' \
+    || { echo "metrics_round probes a job by id: read its row"; exit 1; }
+! grep -nE '(job_series|scaler_series):' crates/core/src/platform/ods.rs \
+    || { echo "an id-keyed per-job series cache is back in platform/ods.rs"; exit 1; }
+
 echo "== scale_smoke: sparse data plane at 1k hosts / 10k tasks (13 simulated hours) =="
 # scale_soak runs the identical scenario under DriveMode::EventDriven and
 # DriveMode::FullScan and exits non-zero unless the fingerprints are

@@ -231,11 +231,20 @@ impl Cluster {
 
     /// All containers on healthy hosts, sorted by id.
     pub fn healthy_containers(&self) -> Vec<ContainerId> {
+        self.healthy_container_capacities()
+            .map(|(id, _)| id)
+            .collect()
+    }
+
+    /// Every container on a healthy host with its capacity, sorted by id,
+    /// without collecting them.
+    pub fn healthy_container_capacities(
+        &self,
+    ) -> impl Iterator<Item = (ContainerId, Resources)> + '_ {
         self.containers
             .iter()
             .filter(|(_, c)| self.hosts.get(&c.host).is_some_and(|h| h.healthy))
-            .map(|(&id, _)| id)
-            .collect()
+            .map(|(&id, c)| (id, c.capacity))
     }
 
     /// All containers (healthy or not), sorted by id.

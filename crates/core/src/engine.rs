@@ -28,14 +28,17 @@
 //! per-job undrained-partition counters, and per-job durability epochs — so
 //! quiescence checks, durability syncs, load reports and invariant checks
 //! cost O(jobs touched) instead of O(fleet). Every mutation marks a job for
-//! both readers. The tick marks the *load-report* reader alone, and only
-//! where it rewrote a task's `cpu_usage` or `memory_usage_mb`: load reports
-//! read nothing else of a job. The *checker* reader (task set, placement or
-//! partition slices moved) is marked by mutations only, since the invariant
-//! checker reads nothing a tick writes. Arrivals and consumption mark
-//! neither: they move backlog, which neither consumer reads. The feed is
-//! stored in a snapshot like the rest of the engine, so a restored engine
-//! owes each consumer what the uninterrupted one does.
+//! every reader. The tick marks the *load-report* reader only where it
+//! rewrote a task's `cpu_usage` or `memory_usage_mb`: load reports read
+//! nothing else of a job. It marks the *scaler* reader for a job it
+//! settles with something in its scaler window: the tick writes only the
+//! windows of jobs it walks, and the scaler round finds the walked jobs in
+//! the active set and the settled ones in its reader. The *checker*
+//! reader (task set, placement or partition slices moved) is marked by
+//! mutations only, since the invariant checker reads nothing a tick
+//! writes. The feed is stored in a snapshot like the rest of the engine,
+//! so a restored engine owes each consumer what the uninterrupted one
+//! does.
 //!
 //! Idle time is skipped at two granularities. Per job, [`Engine::tick`]
 //! walks only the tasks of *active* jobs: a job whose walk changed nothing
@@ -271,6 +274,12 @@ impl JobRuntime {
     /// Number of input partitions the job reads.
     pub fn partition_count(&self) -> usize {
         self.cols.len as usize
+    }
+
+    /// The job's input category in the bus the last
+    /// [`Engine::sync_durable`] was handed (`None`: not found there yet).
+    pub fn category(&self) -> Option<CategoryId> {
+        self.category
     }
 
     /// Keep a departing task's window bytes until the window drains.
@@ -613,6 +622,27 @@ fn walk_orphan(
     quiet
 }
 
+/// Whether `job`'s scaler window holds anything: bytes or OOM kills of the
+/// job, bytes of a task that left, or bytes of one of its running tasks.
+fn holds_window(
+    rt: &JobRuntime,
+    index: &BTreeMap<TaskId, u32>,
+    slots: &[Option<ActiveTask>],
+    job: JobId,
+) -> bool {
+    rt.window_arrived != 0.0
+        || rt.window_processed != 0.0
+        || rt.window_ooms != 0
+        || !rt.window_departed.is_empty()
+        || index.range(job_range(job)).any(|(_, &slot)| {
+            slots[slot as usize]
+                .as_ref()
+                .expect("indexed slot")
+                .window
+                .is_some()
+        })
+}
+
 /// One job's scaler window as [`Engine::drain_window`] hands it over: the
 /// caller keeps it between rounds and the drain refills it, so a steady
 /// round allocates nothing.
@@ -649,6 +679,13 @@ turbine_types::change_feed! {
         /// The invariant checker: the job's task set, task containers or
         /// partition slices moved, which only mutation APIs do.
         Checker => checker,
+        /// The scaler round, beside the jobs the tick still walks: the
+        /// job's scaler window may hold something. A mutation may have
+        /// written it, or ticks that walked the job before it settled; a
+        /// tick writes only the windows of jobs it walks. A job neither
+        /// marked nor walked has an empty window, so a round that only
+        /// discards windows drains those two kinds of job alone.
+        Scaler => scaler,
     }
 }
 
@@ -783,7 +820,8 @@ pub struct Engine {
     tasks: TaskArena,
     /// Tasks currently holding a `down_until` marker (exact counter).
     down_count: usize,
-    /// What changed, per consumer: load reports and the invariant checker.
+    /// What changed, per consumer: load reports, the invariant checker and
+    /// the scaler round.
     changes: EngineFeed,
     /// How many times [`Engine::drain_changes`] has drained the load-report
     /// reader: what the runtimes' `dirty_mark` hints are compared with, so
@@ -1107,6 +1145,13 @@ impl Engine {
         self.active.len()
     }
 
+    /// The jobs [`Engine::tick`] currently walks, ascending: with the
+    /// jobs marked for [`EngineReader::Scaler`], every job whose scaler
+    /// window may hold something.
+    pub fn walked_jobs(&self) -> &BTreeSet<JobId> {
+        &self.active
+    }
+
     /// Mark every job the engine knows active: registered runtimes plus
     /// the jobs of tasks that have none.
     fn activate_all(&mut self) {
@@ -1134,6 +1179,14 @@ impl Engine {
             self.dirty_drains += 1;
         }
         self.changes.drain(reader)
+    }
+
+    /// Mark every registered job for `reader` alone, as if each had just
+    /// changed: what the full-scan reference hands it.
+    pub fn refeed(&mut self, reader: EngineReader) {
+        for &job in &self.jobs.ids {
+            self.changes.mark_for(reader, job);
+        }
     }
 
     /// Advance the data plane by `dt` (positive). `container_cpu` supplies
@@ -1406,13 +1459,18 @@ impl Engine {
         }
 
         // Settle every walked job that came through untouched and has
-        // nothing left to drain.
+        // nothing left to drain. If earlier walks left something in its
+        // scaler window, the scaler round, which no longer finds the job
+        // among the walked ones, is told. An empty window is not: a restored
+        // engine re-settles every settled job, and marking those would make
+        // its feed differ from the uninterrupted one's.
         for walk in walked.iter().filter(|walk| walk.quiet) {
-            if walk
-                .runtime
-                .is_none_or(|runtime| runtimes[runtime as usize].undrained == 0)
-            {
+            let runtime = walk.runtime.map(|runtime| &runtimes[runtime as usize]);
+            if runtime.is_none_or(|rt| rt.undrained == 0) {
                 active.remove(&walk.job);
+                if runtime.is_some_and(|rt| holds_window(rt, index, slots, walk.job)) {
+                    dirty.feed.mark_for(EngineReader::Scaler, walk.job);
+                }
             }
         }
         outcome

@@ -610,30 +610,61 @@ impl Turbine {
         self.metrics.alerts.add(report.alerts.len() as u64);
     }
 
-    /// One Auto Scaler evaluation round.
+    /// One Auto Scaler evaluation round. Every round drains the engine's
+    /// scaler reader. A disabled scaler only discards windows, so that a
+    /// later enable starts fresh, and only the jobs the reader marked and
+    /// the jobs the tick still walks can have one. An enabled scaler visits
+    /// every engine job: a settled job's Pattern Analyzer history is
+    /// written too.
     pub(crate) fn scaler_round(&mut self) {
         let now = self.now;
         let window = now.since(self.last_scaler_drain).as_secs_f64().max(1.0);
         self.last_scaler_drain = now;
+        let marked = self.engine.drain_changes(EngineReader::Scaler);
         let mut scratch = std::mem::take(&mut self.scaler_scratch);
-        for job in self.engine.job_ids() {
-            self.scale_job(job, now, window, &mut scratch);
+        if self.config.scaler_enabled {
+            self.align_job_rows();
+            for (at, job) in self.engine.job_ids().into_iter().enumerate() {
+                self.scale_job(at, job, now, window, &mut scratch);
+            }
+        } else {
+            scratch.jobs.clear();
+            scratch
+                .jobs
+                .extend(marked.union(self.engine.walked_jobs()).copied());
+            for &job in &scratch.jobs {
+                if self
+                    .engine
+                    .drain_window(job, &mut scratch.drained)
+                    .is_some()
+                {
+                    self.scaler_windows_drained += 1;
+                }
+            }
         }
         self.scaler_scratch = scratch;
     }
 
-    /// The scaler round's body for one job, over `window` seconds since
-    /// the last round: drain, gate, evaluate, triage, apply. Every job's
-    /// window is drained into `scratch`, whose buffers every job of every
-    /// round reuses, whether or not it passes the gates: a disabled scaler
-    /// still drains, so a later enable starts fresh.
-    fn scale_job(&mut self, job: JobId, now: SimTime, window: f64, scratch: &mut ScalerScratch) {
-        let ScalerScratch { drained, metrics } = scratch;
+    /// The scaler round's body for the `at`-th engine job, over `window`
+    /// seconds since the last round: drain, gate, evaluate, triage, apply.
+    /// The job's window is drained into `scratch`, whose buffers every job
+    /// of every round reuses, whether or not it passes the gates.
+    fn scale_job(
+        &mut self,
+        at: usize,
+        job: JobId,
+        now: SimTime,
+        window: f64,
+        scratch: &mut ScalerScratch,
+    ) {
+        let ScalerScratch {
+            drained, metrics, ..
+        } = scratch;
         let Some(runtime) = self.engine.drain_window(job, drained) else {
             return;
         };
-        if !self.config.scaler_enabled
-            || self.paused.contains(&job)
+        self.scaler_windows_drained += 1;
+        if self.paused.contains(&job)
             || self.capacity_stopped.contains(&job)
             || self.syncer.is_quarantined(job)
         {
@@ -660,7 +691,7 @@ impl Turbine {
         // driven by the same uniform metrics plane the operator
         // console reads.
         let (input_rate, processing_rate, total_bytes_lagged) = self.ods_scaler_roundtrip(
-            job,
+            at,
             now,
             drained.arrived / window,
             drained.processed / window,
@@ -920,65 +951,83 @@ impl Turbine {
         engine.sync_durable(*now, scribe, checkpoints, &lookup);
         let shadowed: Vec<JobId> = self.shard_manager.standbys().map(|(job, _)| job).collect();
         for job in shadowed {
-            // One name search per job; the tails are then read in order.
-            let Some(category) = self
-                .categories
-                .get(&job)
-                .and_then(|name| self.scribe.category_id(name))
+            // The sync above resolved every engine job's category it could
+            // find; the tails are then read in order.
+            let Some((category, partitions)) = self
+                .engine
+                .job(job)
+                .and_then(|rt| Some((rt.category()?, rt.partition_count())))
             else {
                 continue;
             };
-            let partitions = self
-                .engine
-                .job(job)
-                .map(|rt| rt.partition_count())
-                .unwrap_or(0);
             for (i, tail) in self.scribe.tails(category).take(partitions).enumerate() {
                 self.shadow.observe(job, PartitionId(i as u64), tail);
             }
         }
     }
 
-    /// One metric-sampling round.
+    /// One metric-sampling round. Each engine job is found by position:
+    /// its row of [`OdsState::rows`](super::ods::OdsState) (lag SLO,
+    /// reserved footprint, series ids) is walked in step with the engine's
+    /// jobs, and only the rows of jobs whose store rows changed are re-read.
+    /// Every buffer the round fills is kept between rounds.
     pub(crate) fn metrics_round(&mut self) {
         let now = self.now;
+        self.refresh_job_rows();
+        let Turbine {
+            engine,
+            cluster,
+            metrics,
+            ods,
+            ..
+        } = self;
+        let rows = &mut ods.rows;
+        let scratch = &mut ods.scratch;
         // Each job's arrival rate, evaluated once: summed here into the
         // cluster traffic, and the denominator of the job's lag below.
-        let rates: Vec<f64> = self
-            .engine
-            .jobs()
-            .map(|(_, rt)| rt.arrival_rate(now))
-            .collect();
-        let traffic: f64 = rates.iter().sum();
-        self.metrics
-            .task_count
-            .record(now, self.engine.total_tasks() as f64);
+        scratch.rates.clear();
+        scratch
+            .rates
+            .extend(engine.jobs().map(|(_, rt)| rt.arrival_rate(now)));
+        let traffic: f64 = scratch.rates.iter().sum();
+        metrics.task_count.record(now, engine.total_tasks() as f64);
 
-        // Host utilization bands. Each container's sum is read by key, never
-        // in table order.
-        let mut per_container = crate::engine::container_map(self.cluster.container_count());
-        for (_, task) in self.engine.tasks() {
-            *per_container
+        // One walk of the tasks, in `TaskId` order and so in step with the
+        // rows: each container's usage for the host bands (read by key,
+        // never in table order), and each job's running tasks.
+        scratch.per_container.clear();
+        for row in rows.iter_mut() {
+            row.running_tasks = 0;
+        }
+        let mut at = 0;
+        for (id, task) in engine.tasks() {
+            *scratch
+                .per_container
                 .entry(task.container)
                 .or_insert(Resources::ZERO) +=
                 Resources::cpu_mem(task.cpu_usage, task.memory_usage_mb);
+            while rows.get(at).is_some_and(|row| row.job < id.job) {
+                at += 1;
+            }
+            if let Some(row) = rows.get_mut(at).filter(|row| row.job == id.job) {
+                row.running_tasks += 1;
+            }
         }
-        let mut cpu_samples = Vec::new();
-        let mut mem_samples = Vec::new();
-        for container in self.cluster.healthy_containers() {
-            let cap = self
-                .cluster
-                .container_capacity(container)
-                .expect("healthy container");
-            let used = per_container
+        scratch.cpu_samples.clear();
+        scratch.mem_samples.clear();
+        for (container, cap) in cluster.healthy_container_capacities() {
+            let used = scratch
+                .per_container
                 .get(&container)
                 .copied()
                 .unwrap_or(Resources::ZERO);
             if cap.cpu > 0.0 {
-                cpu_samples.push((used.cpu / cap.cpu).min(1.0));
+                scratch.cpu_samples.push((used.cpu / cap.cpu).min(1.0));
             }
             if cap.memory_mb > 0.0 {
-                mem_samples.push((used.memory_mb / cap.memory_mb).min(1.0));
+                scratch
+                    .mem_samples
+                    .push((used.memory_mb / cap.memory_mb).min(1.0));
             }
         }
 
@@ -986,38 +1035,34 @@ impl Turbine {
         let mut ok = 0usize;
         let mut total = 0usize;
         let mut total_backlog = 0.0;
-        let mut ods_jobs: Vec<super::ods::JobSample> = Vec::new();
-        for ((job, rt), rate) in self.engine.jobs().zip(rates) {
+        scratch.jobs.clear();
+        for (at, ((_, rt), row)) in engine.jobs().zip(rows.iter()).enumerate() {
             let backlog = rt.backlog();
             total_backlog += backlog;
-            let Ok(config) = self.jobs.expected_typed(job) else {
+            let Some(slo_lag_secs) = row.slo_lag_secs else {
                 continue;
             };
             // Lag relative to sustained processing capability: use the
             // arrival rate as the denominator when the job keeps up.
-            let lag_secs = backlog / rate.max(1.0);
+            let lag_secs = backlog / scratch.rates[at].max(1.0);
             total += 1;
-            if lag_secs <= config.slo_lag_secs {
+            if lag_secs <= slo_lag_secs {
                 ok += 1;
             }
-            ods_jobs.push(super::ods::JobSample {
-                job,
+            scratch.jobs.push(super::ods::JobSample {
+                row: at,
                 lag_secs,
                 backlog_bytes: backlog,
-                running_tasks: self.engine.running_tasks_of(job),
             });
         }
         let slo_frac = (total > 0).then(|| ok as f64 / total as f64);
         if let Some(frac) = slo_frac {
-            self.metrics.slo_ok_fraction.record(now, frac);
+            metrics.slo_ok_fraction.record(now, frac);
         }
 
-        // Reserved footprint (Fig. 10).
-        let reserved: Resources = self
-            .jobs
-            .running_typed_jobs()
-            .map(|(_, c)| c.task_resources.scale(c.task_count as f64))
-            .sum();
+        // Reserved footprint (Fig. 10), summed in job order over the jobs
+        // with a running config.
+        let reserved: Resources = rows.iter().filter_map(|row| row.footprint).sum();
 
         // ODS publication + alert evaluation last: the registry sees this
         // round's observations, then rules are evaluated against them on
@@ -1026,9 +1071,6 @@ impl Turbine {
             now,
             super::ods::MetricsRoundSample {
                 traffic,
-                cpu_samples: &cpu_samples,
-                mem_samples: &mem_samples,
-                jobs: &ods_jobs,
                 total_backlog,
                 slo_ok_fraction: slo_frac,
                 reserved,

@@ -31,6 +31,8 @@
 //!   refresh, sync rounds, scaling, metrics, ...);
 //! * `faults` — chaos-engine fault scheduling and transition side effects.
 
+#[cfg(test)]
+mod alloc_tests;
 mod control_loops;
 mod faults;
 #[cfg(test)]
@@ -301,6 +303,10 @@ pub struct Turbine {
     /// Containers the heartbeat filter examined while rebuilding
     /// `live_containers`.
     pub(crate) heartbeat_filtered: u64,
+    /// Scaler windows the scaler round drained: every engine job's while
+    /// the scaler is enabled, the marked and the walked jobs' while it is
+    /// disabled.
+    pub(crate) scaler_windows_drained: u64,
     /// The control-plane schedule: per-component cadences plus the event
     /// queue the event-driven drive loop runs on.
     pub(crate) sched: ControlSchedule,
@@ -312,12 +318,14 @@ pub struct Turbine {
 }
 
 /// The buffers the scaler round fills for each job in turn — its drained
-/// window and its metrics — kept between rounds so a steady round
-/// allocates nothing. Derived — not part of the snapshot.
+/// window and its metrics — and the jobs a disabled round drains, kept
+/// between rounds so a steady round allocates nothing. Derived — not part
+/// of the snapshot.
 #[derive(Debug, Default)]
 pub(crate) struct ScalerScratch {
     pub(crate) drained: WindowStats,
     pub(crate) metrics: JobMetrics,
+    pub(crate) jobs: Vec<JobId>,
 }
 
 impl Turbine {
@@ -372,6 +380,7 @@ impl Turbine {
             tm_managers_reconciled: 0,
             standbys_examined: 0,
             heartbeat_filtered: 0,
+            scaler_windows_drained: 0,
             sched: ControlSchedule::new(&config),
             last_scaler_drain: SimTime::ZERO,
             scaler_scratch: ScalerScratch::default(),
@@ -417,7 +426,7 @@ impl Turbine {
 
     /// Task Managers that had to reconcile in a refresh round, summed
     /// since construction or restore. A converged fleet adds nothing: every
-    /// manager is handed the snapshot it already holds. This and the two
+    /// manager is handed the snapshot it already holds. This and the
     /// counters below measure work done, so a restored run and an
     /// uninterrupted one disagree on them; they are in neither the
     /// snapshot, the fingerprint nor the ODS registry.
@@ -444,6 +453,14 @@ impl Turbine {
     /// severed or restored connection, and not otherwise.
     pub fn heartbeat_containers_filtered(&self) -> u64 {
         self.heartbeat_filtered
+    }
+
+    /// Scaler windows the scaler round drained, summed since construction
+    /// or restore. An enabled scaler drains every engine job's window each
+    /// round; a disabled one only those of the jobs the engine marked for
+    /// it or still walks, which on a converged fleet are the busy jobs.
+    pub fn scaler_windows_drained(&self) -> u64 {
+        self.scaler_windows_drained
     }
 
     /// Jobs currently paused for a complex synchronization.
@@ -1019,6 +1036,7 @@ turbine_stream! {
         tm_managers_reconciled: 0,
         standbys_examined: 0,
         heartbeat_filtered: 0,
+        scaler_windows_drained: 0,
         scaler_scratch: ScalerScratch::default(),
     }
 }

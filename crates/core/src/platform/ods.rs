@@ -10,15 +10,18 @@
 //! an `f64` stored and re-read from a series is the identical value.
 
 use super::Turbine;
+use crate::engine::ContainerMap;
 use std::collections::BTreeMap;
 use turbine_config::ResiliencyClass;
+use turbine_jobstore::{JobService, MemWal, StoreReader};
 use turbine_ods::{
     AlertEngine, AlertRule, MetricId, MetricKey, Registry, RuleKind, Scope, Severity, ThresholdOp,
 };
+use turbine_scribe::CategoryId;
 use turbine_trace::TraceData;
-use turbine_types::{Duration, IdMap, JobId, Percentiles, Resources, SimTime};
+use turbine_types::{Duration, JobId, Percentiles, Resources, SimTime};
 
-/// Cached per-job series ids for the metrics round (lag/backlog/tasks).
+/// Per-job series ids of the metrics round (lag/backlog/tasks).
 #[derive(Debug, Clone, Copy)]
 struct JobSeries {
     lag: MetricId,
@@ -26,12 +29,32 @@ struct JobSeries {
     tasks: MetricId,
 }
 
-/// Cached per-job series ids for the scaler round.
+impl JobSeries {
+    fn intern(registry: &mut Registry, job: JobId) -> Self {
+        JobSeries {
+            lag: registry.series_id(MetricKey::job(job.raw(), "lag_secs")),
+            backlog: registry.series_id(MetricKey::job(job.raw(), "backlog_bytes")),
+            tasks: registry.series_id(MetricKey::job(job.raw(), "running_tasks")),
+        }
+    }
+}
+
+/// Per-job series ids of the scaler round.
 #[derive(Debug, Clone, Copy)]
 struct ScalerSeries {
     input_rate: MetricId,
     processing_rate: MetricId,
     backlog: MetricId,
+}
+
+impl ScalerSeries {
+    fn intern(registry: &mut Registry, job: JobId) -> Self {
+        ScalerSeries {
+            input_rate: registry.series_id(MetricKey::job(job.raw(), "input_rate_bps")),
+            processing_rate: registry.series_id(MetricKey::job(job.raw(), "processing_rate_bps")),
+            backlog: registry.series_id(MetricKey::job(job.raw(), "scaler_backlog_bytes")),
+        }
+    }
 }
 
 /// Cached per-tier series ids (SLO accounting).
@@ -42,57 +65,137 @@ struct TierSeries {
     p99: MetricId,
 }
 
-/// Per-platform ODS state: the registry, the alert engine, and the id
-/// caches that keep steady-state publication free of string formatting.
+/// One category's append-rate series and the cumulative append count it
+/// last observed (for rate deltas).
+#[derive(Debug, Clone, Copy)]
+struct ScribeSeries {
+    id: MetricId,
+    last: u64,
+}
+
+/// One engine job's row of the metrics plane: what the metrics and scaler
+/// rounds read of the job besides the engine. The rows ascend by job like
+/// the engine's runtimes, and the rounds walk them in step.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct JobRow {
+    pub(crate) job: JobId,
+    /// The expected config's lag SLO (`None`: no decodable expected
+    /// config).
+    pub(crate) slo_lag_secs: Option<f64>,
+    /// The running config's reserved footprint (`None`: no decodable
+    /// running config).
+    pub(crate) footprint: Option<Resources>,
+    /// The job's running tasks, as the metrics round's task walk counted
+    /// them.
+    pub(crate) running_tasks: usize,
+    /// Series ids, interned at the job's first publication in each round.
+    series: Option<JobSeries>,
+    scaler: Option<ScalerSeries>,
+}
+
+impl JobRow {
+    /// A fresh row for `job`, its configs read from the Job Service.
+    fn read(jobs: &JobService<MemWal>, job: JobId) -> Self {
+        let mut row = JobRow {
+            job,
+            slo_lag_secs: None,
+            footprint: None,
+            running_tasks: 0,
+            series: None,
+            scaler: None,
+        };
+        row.reread(jobs);
+        row
+    }
+
+    /// Re-read the job's configs: its store rows changed.
+    fn reread(&mut self, jobs: &JobService<MemWal>) {
+        self.slo_lag_secs = jobs.expected_typed(self.job).ok().map(|c| c.slo_lag_secs);
+        self.footprint = jobs
+            .running_typed(self.job)
+            .map(|c| c.task_resources.scale(c.task_count as f64));
+    }
+}
+
+/// The platform-scope series the metrics round publishes, in publication
+/// order: the fleet gauges, the SLO fraction, then each host band's three
+/// ranks. A series is interned when first published, so ids follow this
+/// order as they did when every name was interned at each publication.
+const PLATFORM_SERIES: [&str; 15] = [
+    "cluster_traffic_bps",
+    "task_count",
+    "engine_active_jobs",
+    "total_backlog_bytes",
+    "control_queue_depth",
+    "sync_jobs_examined",
+    "reserved_cpu_cores",
+    "reserved_memory_mb",
+    "slo_ok_fraction",
+    "host_cpu_p5",
+    "host_cpu_p50",
+    "host_cpu_p95",
+    "host_memory_p5",
+    "host_memory_p50",
+    "host_memory_p95",
+];
+
+/// Where the SLO fraction and the two host bands sit in
+/// [`PLATFORM_SERIES`].
+const SLO_OK_FRACTION: usize = 8;
+const HOST_CPU: usize = 9;
+const HOST_MEMORY: usize = 12;
+
+/// What the metrics round fills and empties every round, kept between
+/// rounds so a steady round allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct MetricsScratch {
+    /// Each engine job's arrival rate, in job order.
+    pub(crate) rates: Vec<f64>,
+    /// Each container's summed task usage, read by key.
+    pub(crate) per_container: ContainerMap<Resources>,
+    pub(crate) cpu_samples: Vec<f64>,
+    pub(crate) mem_samples: Vec<f64>,
+    /// The jobs published this round.
+    pub(crate) jobs: Vec<JobSample>,
+}
+
+/// Per-platform ODS state: the registry, the alert engine, the per-job
+/// rows and the id caches that keep steady-state publication free of
+/// string formatting and searches. Only the registry, the alerts and the
+/// Scribe watermarks are stored; the rest is rebuilt.
 #[derive(Debug, Default)]
 pub(crate) struct OdsState {
     pub(crate) registry: Registry,
     pub(crate) alerts: AlertEngine,
-    job_series: IdMap<JobId, JobSeries>,
-    scaler_series: IdMap<JobId, ScalerSeries>,
+    /// One row per engine job, ascending; see [`Turbine::align_job_rows`].
+    pub(crate) rows: Vec<JobRow>,
+    /// [`PLATFORM_SERIES`]' ids, by place.
+    platform_series: [Option<MetricId>; PLATFORM_SERIES.len()],
     tier_series: BTreeMap<ResiliencyClass, TierSeries>,
-    /// Per category: append-rate series id and the last observed
-    /// cumulative append count (for rate deltas).
-    scribe_series: BTreeMap<String, (MetricId, u64)>,
+    /// Per category, by [`CategoryId`].
+    scribe_series: Vec<Option<ScribeSeries>>,
+    /// Watermarks a restore decoded by name; the first metrics round
+    /// files them under their categories' ids.
+    restored_watermarks: Vec<(String, ScribeSeries)>,
+    pub(crate) scratch: MetricsScratch,
 }
 
 impl OdsState {
-    fn job_series(&mut self, job: JobId) -> JobSeries {
-        if let Some(&ids) = self.job_series.get(&job) {
-            return ids;
-        }
-        let ids = JobSeries {
-            lag: self
-                .registry
-                .series_id(MetricKey::job(job.raw(), "lag_secs")),
-            backlog: self
-                .registry
-                .series_id(MetricKey::job(job.raw(), "backlog_bytes")),
-            tasks: self
-                .registry
-                .series_id(MetricKey::job(job.raw(), "running_tasks")),
-        };
-        self.job_series.insert(job, ids);
-        ids
+    /// Publish `value` to the `slot`-th of [`PLATFORM_SERIES`].
+    fn publish_platform(&mut self, slot: usize, now: SimTime, value: f64) {
+        let registry = &mut self.registry;
+        let id = *self.platform_series[slot]
+            .get_or_insert_with(|| registry.series_id(MetricKey::platform(PLATFORM_SERIES[slot])));
+        registry.publish(id, now, value);
     }
 
-    fn scaler_series(&mut self, job: JobId) -> ScalerSeries {
-        if let Some(&ids) = self.scaler_series.get(&job) {
-            return ids;
+    /// File `series` under `category`'s id.
+    fn file_scribe_series(&mut self, category: CategoryId, series: ScribeSeries) {
+        let at = category.index();
+        if self.scribe_series.len() <= at {
+            self.scribe_series.resize(at + 1, None);
         }
-        let ids = ScalerSeries {
-            input_rate: self
-                .registry
-                .series_id(MetricKey::job(job.raw(), "input_rate_bps")),
-            processing_rate: self
-                .registry
-                .series_id(MetricKey::job(job.raw(), "processing_rate_bps")),
-            backlog: self
-                .registry
-                .series_id(MetricKey::job(job.raw(), "scaler_backlog_bytes")),
-        };
-        self.scaler_series.insert(job, ids);
-        ids
+        self.scribe_series[at] = Some(series);
     }
 
     fn tier_series(&mut self, tier: ResiliencyClass) -> TierSeries {
@@ -116,34 +219,69 @@ impl OdsState {
     }
 }
 
+/// The scope of the Scribe append-rate series.
+fn scribe_scope() -> Scope {
+    Scope::Component("scribe".to_string())
+}
+
+/// What follows a category's name in its append-rate series' name.
+const APPENDS_SUFFIX: &str = "_appends_per_sec";
+
 /// The key of a category's append-rate series.
 fn scribe_series_key(category: &str) -> MetricKey {
-    MetricKey::new(
-        Scope::Component("scribe".to_string()),
-        format!("{category}_appends_per_sec"),
-    )
+    MetricKey::new(scribe_scope(), format!("{category}{APPENDS_SUFFIX}"))
 }
 
 /// One job's sample for the metrics-round publication.
+#[derive(Debug)]
 pub(crate) struct JobSample {
-    pub(crate) job: JobId,
+    /// The job's place in [`OdsState::rows`].
+    pub(crate) row: usize,
     pub(crate) lag_secs: f64,
     pub(crate) backlog_bytes: f64,
-    pub(crate) running_tasks: usize,
 }
 
-/// Everything one metrics round hands the registry in a single publish.
-pub(crate) struct MetricsRoundSample<'a> {
+/// The metrics round's fleet aggregates; the host bands and the job
+/// samples are in [`OdsState::scratch`].
+pub(crate) struct MetricsRoundSample {
     pub(crate) traffic: f64,
-    pub(crate) cpu_samples: &'a [f64],
-    pub(crate) mem_samples: &'a [f64],
-    pub(crate) jobs: &'a [JobSample],
     pub(crate) total_backlog: f64,
     pub(crate) slo_ok_fraction: Option<f64>,
     pub(crate) reserved: Resources,
 }
 
 impl Turbine {
+    /// Put [`OdsState::rows`] in step with the engine's jobs: a job the
+    /// engine gained gets a fresh row, and a job it lost loses its row.
+    /// Costs one walk of the ids while the jobs stay the same.
+    pub(crate) fn align_job_rows(&mut self) {
+        let ods = &mut self.ods;
+        let engine_jobs = || self.engine.jobs().map(|(job, _)| job);
+        if ods.rows.iter().map(|row| row.job).eq(engine_jobs()) {
+            return;
+        }
+        let mut old = std::mem::take(&mut ods.rows).into_iter().peekable();
+        ods.rows = engine_jobs()
+            .map(|job| {
+                while old.next_if(|row| row.job < job).is_some() {}
+                old.next_if(|row| row.job == job)
+                    .unwrap_or_else(|| JobRow::read(&self.jobs, job))
+            })
+            .collect();
+    }
+
+    /// [`Turbine::align_job_rows`], then re-read the configs of every job
+    /// whose store rows changed since the last metrics round.
+    pub(crate) fn refresh_job_rows(&mut self) {
+        self.align_job_rows();
+        let rows = &mut self.ods.rows;
+        for job in self.jobs.store_mut().drain_changes(StoreReader::Metrics) {
+            if let Ok(at) = rows.binary_search_by_key(&job, |row| row.job) {
+                rows[at].reread(&self.jobs);
+            }
+        }
+    }
+
     /// Publish the metrics round's observations into the registry, the
     /// platform's one store of series: fleet aggregates, host utilization
     /// percentiles, the reserved footprint, per-job series, per-tier SLO
@@ -152,12 +290,9 @@ impl Turbine {
     /// the registry is snapshotted, so host time (the control rounds'
     /// wall-clock latencies, which live in [`Turbine::trace`]'s histograms)
     /// stays out of it.
-    pub(crate) fn ods_metrics_publish(&mut self, now: SimTime, sample: MetricsRoundSample<'_>) {
+    pub(crate) fn ods_metrics_publish(&mut self, now: SimTime, sample: MetricsRoundSample) {
         let MetricsRoundSample {
             traffic,
-            cpu_samples,
-            mem_samples,
-            jobs,
             total_backlog,
             slo_ok_fraction,
             reserved,
@@ -168,41 +303,47 @@ impl Turbine {
         // instant's tick, so a restored run (which restarts with every job
         // active) has re-settled by now.
         let gauges = [
-            ("cluster_traffic_bps", traffic),
-            ("task_count", self.engine.total_tasks() as f64),
-            ("engine_active_jobs", self.engine.active_jobs() as f64),
-            ("total_backlog_bytes", total_backlog),
-            ("control_queue_depth", self.sched.queue_depth() as f64),
-            (
-                "sync_jobs_examined",
-                self.metrics.sync_jobs_examined.get() as f64,
-            ),
-            ("reserved_cpu_cores", reserved.cpu),
-            ("reserved_memory_mb", reserved.memory_mb),
+            traffic,
+            self.engine.total_tasks() as f64,
+            self.engine.active_jobs() as f64,
+            total_backlog,
+            self.sched.queue_depth() as f64,
+            self.metrics.sync_jobs_examined.get() as f64,
+            reserved.cpu,
+            reserved.memory_mb,
         ];
-        let slo = slo_ok_fraction.map(|frac| ("slo_ok_fraction", frac));
-        for (name, value) in gauges.into_iter().chain(slo) {
-            ods.registry
-                .publish_key(MetricKey::platform(name), now, value);
+        for (slot, value) in gauges.into_iter().enumerate() {
+            ods.publish_platform(slot, now, value);
+        }
+        if let Some(frac) = slo_ok_fraction {
+            ods.publish_platform(SLO_OK_FRACTION, now, frac);
         }
         // Each band from its own samples: there is no percentile of zero
         // hosts, and a placeholder would record a dip no host reported.
-        for (band, samples) in [("host_cpu", cpu_samples), ("host_memory", mem_samples)] {
-            if samples.is_empty() {
-                continue;
-            }
-            let p = Percentiles::from_samples(samples);
-            for (rank, value) in [("p5", p.p5), ("p50", p.p50), ("p95", p.p95)] {
-                ods.registry
-                    .publish_key(MetricKey::platform(format!("{band}_{rank}")), now, value);
+        let bands = [
+            (HOST_CPU, &mut ods.scratch.cpu_samples),
+            (HOST_MEMORY, &mut ods.scratch.mem_samples),
+        ]
+        .map(|(band, samples)| {
+            (
+                band,
+                (!samples.is_empty()).then(|| Percentiles::ranks(samples)),
+            )
+        });
+        for (band, ranks) in bands {
+            for (rank, value) in ranks.into_iter().flatten().enumerate() {
+                ods.publish_platform(band + rank, now, value);
             }
         }
-        for sample in jobs {
-            let ids = ods.job_series(sample.job);
-            ods.registry.publish(ids.lag, now, sample.lag_secs);
-            ods.registry.publish(ids.backlog, now, sample.backlog_bytes);
-            ods.registry
-                .publish(ids.tasks, now, sample.running_tasks as f64);
+        for sample in &ods.scratch.jobs {
+            let row = &mut ods.rows[sample.row];
+            let registry = &mut ods.registry;
+            let ids = *row
+                .series
+                .get_or_insert_with(|| JobSeries::intern(registry, row.job));
+            registry.publish(ids.lag, now, sample.lag_secs);
+            registry.publish(ids.backlog, now, sample.backlog_bytes);
+            registry.publish(ids.tasks, now, row.running_tasks as f64);
         }
         for tier in [
             ResiliencyClass::BestEffort,
@@ -223,31 +364,41 @@ impl Turbine {
             ods.registry.publish(ids.p99, now, p99 as f64);
         }
         // Scribe append rates: delta of each category's cumulative append
-        // count over the sampling interval. The bus and the series cache
-        // are both in name order, so they are walked in step; a category
-        // seen for the first time gets its series after the walk, still in
-        // name order (series ids follow registration order).
-        let interval_secs = self.config.metrics_interval.as_secs_f64().max(1.0);
-        let mut known = ods.scribe_series.iter_mut().peekable();
-        let mut fresh: Vec<(&str, u64)> = Vec::new();
-        for (category, stats) in self.scribe.categories() {
-            while known
-                .next_if(|(name, _)| name.as_str() < category)
-                .is_some()
-            {}
-            match known.next_if(|(name, _)| name.as_str() == category) {
-                Some((_, (id, last))) => {
-                    let delta = stats.total_appended.saturating_sub(*last);
-                    *last = stats.total_appended;
-                    ods.registry.publish(*id, now, delta as f64 / interval_secs);
-                }
-                None => fresh.push((category, stats.total_appended)),
+        // count over the sampling interval, its series found by category
+        // id. The bus is walked in name order; a category seen for the
+        // first time gets its series after the walk, still in name order
+        // (series ids follow registration order).
+        for (name, series) in std::mem::take(&mut ods.restored_watermarks) {
+            if let Some(category) = self.scribe.category_id(&name) {
+                ods.file_scribe_series(category, series);
             }
         }
-        for (category, total_appended) in fresh {
-            let id = ods.registry.series_id(scribe_series_key(category));
-            ods.scribe_series
-                .insert(category.to_string(), (id, total_appended));
+        let interval_secs = self.config.metrics_interval.as_secs_f64().max(1.0);
+        let mut fresh: Vec<(CategoryId, &str, u64)> = Vec::new();
+        for (category, name, stats) in self.scribe.categories() {
+            match ods
+                .scribe_series
+                .get_mut(category.index())
+                .and_then(Option::as_mut)
+            {
+                Some(series) => {
+                    let delta = stats.total_appended.saturating_sub(series.last);
+                    series.last = stats.total_appended;
+                    ods.registry
+                        .publish(series.id, now, delta as f64 / interval_secs);
+                }
+                None => fresh.push((category, name, stats.total_appended)),
+            }
+        }
+        for (category, name, total_appended) in fresh {
+            let id = ods.registry.series_id(scribe_series_key(name));
+            ods.file_scribe_series(
+                category,
+                ScribeSeries {
+                    id,
+                    last: total_appended,
+                },
+            );
             ods.registry
                 .publish(id, now, total_appended as f64 / interval_secs);
         }
@@ -257,34 +408,35 @@ impl Turbine {
     /// the registry — the Auto Scaler's symptom inputs flow through the
     /// uniform metrics plane like every other consumer's. The round-trip
     /// is bit-exact (`f64` in, identical `f64` out), so scaling decisions
-    /// are unchanged from reading the engine directly.
+    /// are unchanged from reading the engine directly. `at` is the job's
+    /// place among the engine's jobs, and so in [`OdsState::rows`].
     pub(crate) fn ods_scaler_roundtrip(
         &mut self,
-        job: JobId,
+        at: usize,
         now: SimTime,
         input_rate: f64,
         processing_rate: f64,
         backlog: f64,
     ) -> (f64, f64, f64) {
         let ods = &mut self.ods;
-        let ids = ods.scaler_series(job);
-        ods.registry.publish(ids.input_rate, now, input_rate);
-        ods.registry
-            .publish(ids.processing_rate, now, processing_rate);
-        ods.registry.publish(ids.backlog, now, backlog);
+        let row = &mut ods.rows[at];
+        let registry = &mut ods.registry;
+        let ids = *row
+            .scaler
+            .get_or_insert_with(|| ScalerSeries::intern(registry, row.job));
+        registry.publish(ids.input_rate, now, input_rate);
+        registry.publish(ids.processing_rate, now, processing_rate);
+        registry.publish(ids.backlog, now, backlog);
         (
-            ods.registry
+            registry
                 .series(ids.input_rate)
                 .last()
                 .expect("just published"),
-            ods.registry
+            registry
                 .series(ids.processing_rate)
                 .last()
                 .expect("just published"),
-            ods.registry
-                .series(ids.backlog)
-                .last()
-                .expect("just published"),
+            registry.series(ids.backlog).last().expect("just published"),
         )
     }
 
@@ -388,23 +540,31 @@ impl Turbine {
     }
 }
 
-// By hand: only the Scribe watermarks of the id caches are stored, and
-// their series ids are re-interned from the registry decoded before them.
+// By hand: of the id caches only the Scribe watermarks are stored, by
+// category name in name order, and their series ids are re-interned from
+// the registry decoded before them.
 impl turbine_types::Snap for OdsState {
     fn snap(&self, w: &mut turbine_types::SnapWriter) {
         w.put(&self.registry);
         w.put(&self.alerts);
-        // Scribe watermarks are real state (rate deltas); the id halves are
-        // re-interned from the restored registry. The per-job/per-tier id
-        // caches refill lazily to the same dense ids, so they are omitted.
-        let watermarks: BTreeMap<&String, u64> = self
+        // A watermark's category name is in its series' key.
+        let last: BTreeMap<MetricId, u64> = self
             .scribe_series
             .iter()
-            .map(|(category, &(_, last))| (category, last))
+            .flatten()
+            .chain(self.restored_watermarks.iter().map(|(_, series)| series))
+            .map(|series| (series.id, series.last))
             .collect();
+        let scope = scribe_scope();
+        let mut watermarks: Vec<(&str, u64)> = self
+            .registry
+            .scope_series(&scope)
+            .filter_map(|(name, id)| Some((name.strip_suffix(APPENDS_SUFFIX)?, *last.get(&id)?)))
+            .collect();
+        watermarks.sort_unstable();
         w.put(&watermarks.len());
         for (category, last) in watermarks {
-            w.put(category);
+            w.put(&category.to_string());
             w.u64(last);
         }
     }
@@ -413,20 +573,18 @@ impl turbine_types::Snap for OdsState {
         let mut registry: Registry = r.get()?;
         let alerts = r.get()?;
         let count: usize = r.get()?;
-        let mut scribe_series = BTreeMap::new();
+        let mut restored_watermarks = Vec::new();
         for _ in 0..count {
             let category: String = r.get()?;
             let last = r.u64("OdsState.scribe_watermark")?;
             let id = registry.series_id(scribe_series_key(&category));
-            scribe_series.insert(category, (id, last));
+            restored_watermarks.push((category, ScribeSeries { id, last }));
         }
         Ok(OdsState {
             registry,
             alerts,
-            job_series: IdMap::default(),
-            scaler_series: IdMap::default(),
-            tier_series: BTreeMap::new(),
-            scribe_series,
+            restored_watermarks,
+            ..OdsState::default()
         })
     }
 }

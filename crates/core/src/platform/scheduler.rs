@@ -308,10 +308,12 @@ impl Turbine {
 
     /// The full-scan reference's input, as if everything had changed:
     /// every expected ∪ running job for every reader of the Job Store's
-    /// feed, every invariant scope, every Task Manager's container for a
-    /// load report. Nothing else: every engine job has a store row.
+    /// feed, every engine job for the scaler round, every invariant scope,
+    /// every Task Manager's container for a load report. Nothing else:
+    /// every engine job has a store row.
     fn mark_everything_changed(&mut self) {
         self.jobs.store_mut().refeed_all();
+        self.engine.refeed(EngineReader::Scaler);
         self.tell_checker(Inbox::mark_all_scopes);
         self.load_dirty_containers
             .extend(self.task_managers.keys().copied());

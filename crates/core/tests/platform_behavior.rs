@@ -318,6 +318,75 @@ fn deleted_job_winds_down_completely() {
     assert_eq!(latest(&t, "task_count"), Some(0.0), "no tasks left running");
 }
 
+/// The metrics round re-reads a job's configs when its store rows change:
+/// an oncall resize moves the reserved footprint once the syncer commits
+/// it, and an oncall SLO moves the SLO fraction at the next round.
+#[test]
+fn the_metrics_round_follows_config_writes() {
+    let mut t = small_platform();
+    t.set_scaler_enabled(false);
+    let job = JobId(1);
+    // Undersized: two one-thread tasks for 3 MB/s, so the lag grows past
+    // its one-second SLO.
+    let mut config = JobConfig::stateless("followed", 2, 16);
+    config.slo_lag_secs = 1.0;
+    t.provision_job(job, config, TrafficModel::flat(3.0e6), 1.0e6, 256.0)
+        .expect("provision");
+    t.run_for(Duration::from_mins(5));
+    assert_eq!(latest(&t, "reserved_cpu_cores"), Some(2.0));
+    assert_eq!(latest(&t, "slo_ok_fraction"), Some(0.0), "lag over 1 s");
+
+    t.oncall_set(job, "slo_lag_secs", ConfigValue::Float(1.0e6))
+        .expect("store up");
+    t.run_for(Duration::from_mins(1));
+    assert_eq!(latest(&t, "slo_ok_fraction"), Some(1.0), "lag under 1e6 s");
+
+    t.oncall_set(job, "task_count", ConfigValue::Int(6))
+        .expect("store up");
+    t.run_for(Duration::from_mins(5));
+    assert_eq!(t.job_status(job).expect("status").running_config_tasks, 6);
+    assert_eq!(latest(&t, "reserved_cpu_cores"), Some(6.0));
+}
+
+/// A job id provisioned again after its job was deleted and wound down
+/// reads the new job's config everywhere: the expected config the scaler
+/// and the metrics round read is not the deleted job's.
+#[test]
+fn a_reprovisioned_job_id_reads_the_new_config() {
+    let mut t = small_platform();
+    t.set_scaler_enabled(false);
+    let job = JobId(7);
+    let provision = |t: &mut Turbine, name: &str, tasks: u32| {
+        t.provision_job(
+            job,
+            JobConfig::stateless(name, tasks, 16),
+            TrafficModel::flat(1.0e6),
+            1.0e6,
+            256.0,
+        )
+        .expect("provision");
+        t.run_for(Duration::from_mins(3));
+    };
+    provision(&mut t, "first_life", 4);
+    assert_eq!(t.job_status(job).expect("status").expected_tasks, 4);
+    t.delete_job(job).expect("delete");
+    t.run_for(Duration::from_mins(5));
+    assert!(t.job_status(job).is_none(), "wound down");
+
+    provision(&mut t, "second_life", 9);
+    let status = t.job_status(job).expect("status");
+    assert_eq!(
+        (
+            status.expected_tasks,
+            status.running_config_tasks,
+            status.running_tasks
+        ),
+        (9, 9, 9),
+        "{status:?}"
+    );
+    assert_eq!(latest(&t, "reserved_cpu_cores"), Some(9.0));
+}
+
 #[test]
 fn imbalanced_input_is_rebalanced_by_the_scaler() {
     let mut config = TurbineConfig::default();

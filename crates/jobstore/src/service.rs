@@ -383,4 +383,18 @@ mod tests {
         assert!(svc.running_typed(JOB).is_none());
         assert_eq!(svc.running_typed_jobs().count(), 0);
     }
+
+    /// A job deleted and provisioned again under its id reads its new
+    /// config, not the decode cached for the deleted one: the new row's
+    /// token is not one the old row had.
+    #[test]
+    fn a_reprovisioned_id_reads_its_new_config() {
+        let mut svc = service_with_job();
+        assert_eq!(svc.expected_typed(JOB).expect("typed").task_count, 4);
+        svc.store_mut().delete_job(JOB).expect("delete");
+        assert!(svc.expected_typed(JOB).is_err());
+        svc.provision(JOB, &JobConfig::stateless("tailer", 9, 64))
+            .expect("provision again");
+        assert_eq!(svc.expected_typed(JOB).expect("typed").task_count, 9);
+    }
 }

@@ -66,16 +66,19 @@ struct ExpectedRow {
     versions: [u64; 4],
     /// `layer_all` of the present levels, maintained on every write.
     merged: ConfigValue,
-    /// Monotonic token bumped on every write to any level; callers use it
-    /// to invalidate their own derived caches (e.g. typed decodes).
+    /// The store's change count at the row's last write. Callers use it to
+    /// invalidate their own derived caches (e.g. typed decodes). It is
+    /// store-wide rather than per row, so it never repeats for an id: a
+    /// job deleted and provisioned again does not take up the old row's
+    /// count.
     token: u64,
 }
 
 impl ExpectedRow {
-    fn recompute_merged(&mut self) {
+    fn recompute_merged(&mut self, token: u64) {
         let layers: Vec<&ConfigValue> = self.levels.iter().flatten().collect();
         self.merged = layer_all(&layers);
-        self.token += 1;
+        self.token = token;
     }
 }
 
@@ -189,7 +192,7 @@ impl<W: WalStorage> JobStore<W> {
                 let mut row = ExpectedRow::default();
                 row.levels[0] = Some(base);
                 row.versions[0] = 1;
-                row.recompute_merged();
+                row.recompute_merged(self.row_changes + 1);
                 self.expected.insert(job, row);
                 self.changed(job);
             }
@@ -211,7 +214,7 @@ impl<W: WalStorage> JobStore<W> {
                     .ok_or_else(|| format!("level write for unknown {job}"))?;
                 row.levels[level.index()] = config;
                 row.versions[level.index()] = version;
-                row.recompute_merged();
+                row.recompute_merged(self.row_changes + 1);
                 self.changed(job);
             }
             "running" => {
@@ -256,7 +259,7 @@ impl<W: WalStorage> JobStore<W> {
         let mut row = ExpectedRow::default();
         row.levels[0] = Some(base);
         row.versions[0] = 1;
-        row.recompute_merged();
+        row.recompute_merged(self.row_changes + 1);
         self.expected.insert(job, row);
         self.changed(job);
         Ok(())
@@ -318,7 +321,7 @@ impl<W: WalStorage> JobStore<W> {
         let row = self.expected.get_mut(&job).expect("checked above");
         row.levels[level.index()] = config;
         row.versions[level.index()] = new_version;
-        row.recompute_merged();
+        row.recompute_merged(self.row_changes + 1);
         self.changed(job);
         Ok(new_version)
     }
@@ -339,8 +342,9 @@ impl<W: WalStorage> JobStore<W> {
         Ok(&row.merged)
     }
 
-    /// Monotonic change token for a job's expected configuration; bumps on
-    /// every level write. Lets callers cache derived values (e.g. typed
+    /// Change token for a job's expected configuration: it moves on every
+    /// level write, and an id deleted and created again never sees a token
+    /// it had before. Lets callers cache derived values (e.g. typed
     /// decodes) without re-merging each read.
     pub fn expected_token(&self, job: JobId) -> Result<u64, JobStoreError> {
         let row = self
@@ -529,6 +533,8 @@ turbine_types::change_feed! {
         Checker => checker,
         /// The resiliency-tier cache behind standby upkeep.
         Standbys => standbys,
+        /// The metrics round's per-job rows (lag SLO, reserved footprint).
+        Metrics => metrics,
     }
 }
 

@@ -180,6 +180,17 @@ impl Registry {
         self.lookup(key).map(|id| self.series(id))
     }
 
+    /// Every registered series of `scope`, in name order, with its id.
+    pub fn scope_series<'a>(
+        &'a self,
+        scope: &'a Scope,
+    ) -> impl Iterator<Item = (&'a str, MetricId)> + 'a {
+        self.index
+            .range(MetricKey::new(scope.clone(), "")..)
+            .take_while(move |(key, _)| key.scope == *scope)
+            .map(|(key, &id)| (key.name.as_str(), id))
+    }
+
     /// Number of registered series.
     pub fn len(&self) -> usize {
         self.series.len()

@@ -101,7 +101,9 @@ pub struct CategoryStats {
 pub struct CategoryId(u32);
 
 impl CategoryId {
-    fn index(self) -> usize {
+    /// The id's place in creation order: a dense index for a caller's own
+    /// per-category table.
+    pub fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -395,10 +397,11 @@ impl Scribe {
         Ok(self.category(category)?.stats())
     }
 
-    /// Every category with its aggregate statistics, in name order.
-    pub fn categories(&self) -> impl Iterator<Item = (&str, CategoryStats)> {
-        self.by_name.iter().map(|id| {
+    /// Every category with its id and aggregate statistics, in name order.
+    pub fn categories(&self) -> impl Iterator<Item = (CategoryId, &str, CategoryStats)> {
+        self.by_name.iter().map(|&id| {
             (
+                id,
                 self.names[id.index()].as_str(),
                 self.categories[id.index()].stats(),
             )
@@ -731,7 +734,7 @@ mod tests {
         assert!(id(&bus, "job_9_input") < id(&bus, "job_10_input"));
         assert!(id(&bus, "job_10_input") < id(&bus, "a"));
         assert_eq!(bus.category_id("nope"), None);
-        let names: Vec<String> = bus.categories().map(|(name, _)| name.into()).collect();
+        let names: Vec<String> = bus.categories().map(|(_, name, _)| name.into()).collect();
         assert_eq!(names, ["a", "job_10_input", "job_9_input"]);
         bus.append_bytes("job_9_input", p(1), 5, SimTime::ZERO)
             .expect("append");

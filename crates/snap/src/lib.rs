@@ -55,8 +55,10 @@ pub const SNAP_MAGIC: [u8; 8] = *b"TRBNSNAP";
 /// root-causer's per-job record (release row, lag episode, last diagnosis)
 /// inside the Auto Scaler's job state, not as three platform maps, and
 /// one lag episode where the scaler's round count and the platform's onset
-/// were two.
-pub const SNAP_VERSION: u32 = 12;
+/// were two; version 13 stores a reader more in each change feed (the
+/// engine's scaler reader, the Job Store's metrics reader), and an
+/// expected row's token is the store's change count at its last write.
+pub const SNAP_VERSION: u32 = 13;
 
 /// Chunk size of the manifest: one digest per 4 KiB of stream, verified
 /// on every restore and compared across snapshots. Small enough that an

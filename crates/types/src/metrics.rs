@@ -547,18 +547,27 @@ impl Percentiles {
             };
         }
         let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-        let mut scratch: Vec<f64> = samples.to_vec();
-        let n = scratch.len();
+        let [p5, p50, p95] = Percentiles::ranks(&mut samples.to_vec());
+        Percentiles { p5, p50, p95, mean }
+    }
+
+    /// The nearest-rank p5, p50 and p95 of `samples`, selected in place:
+    /// the slice is reordered and nothing is allocated, for a caller that
+    /// keeps its sample buffer between rounds. Each is the unique order
+    /// statistic [`Percentiles::from_samples`] reports. Panics on an empty
+    /// slice.
+    pub fn ranks(samples: &mut [f64]) -> [f64; 3] {
+        let n = samples.len();
         let cmp = |a: &f64, b: &f64| a.partial_cmp(b).expect("metric samples must not be NaN");
         // Select the highest rank first; each later selection works on the
         // "everything <= previous pivot" prefix the partition left behind.
         let i95 = nearest_rank_index(n, 0.95);
         let i50 = nearest_rank_index(n, 0.50);
         let i5 = nearest_rank_index(n, 0.05);
-        let (_, &mut p95, _) = scratch.select_nth_unstable_by(i95, cmp);
-        let (_, &mut p50, _) = scratch[..i95].select_nth_unstable_by(i50, cmp);
-        let (_, &mut p5, _) = scratch[..i50.max(1)].select_nth_unstable_by(i5, cmp);
-        Percentiles { p5, p50, p95, mean }
+        let (_, &mut p95, _) = samples.select_nth_unstable_by(i95, cmp);
+        let (_, &mut p50, _) = samples[..=i95].select_nth_unstable_by(i50, cmp);
+        let (_, &mut p5, _) = samples[..=i50].select_nth_unstable_by(i5, cmp);
+        [p5, p50, p95]
     }
 }
 
@@ -1021,6 +1030,10 @@ mod tests {
         // Deterministic pseudo-random snapshot well past SELECT_THRESHOLD,
         // with duplicates, plus a couple of boundary sizes.
         for n in [
+            1,
+            2,
+            3,
+            20,
             SELECT_THRESHOLD - 1,
             SELECT_THRESHOLD,
             SELECT_THRESHOLD + 1,
@@ -1037,6 +1050,12 @@ mod tests {
                 .collect();
             let fast = Percentiles::from_samples(&samples);
             let slow = reference(&samples);
+            // In place, at every size: the same three order statistics.
+            assert_eq!(
+                Percentiles::ranks(&mut samples.clone()),
+                [slow.p5, slow.p50, slow.p95],
+                "ranks at n={n}"
+            );
             // The percentile ranks are unique order statistics: exact.
             assert_eq!(fast.p5, slow.p5, "p5 at n={n}");
             assert_eq!(fast.p50, slow.p50, "p50 at n={n}");

@@ -97,8 +97,12 @@ fn under_half_a_live_allocation_per_job_and_none_per_steady_tick() {
             tick(&mut engine);
         }
         // The change feed holds what its readers have yet to take, not
-        // layout: the platform drains both readers every round.
-        for reader in [EngineReader::LoadReport, EngineReader::Checker] {
+        // layout: the platform drains every reader every round.
+        for reader in [
+            EngineReader::LoadReport,
+            EngineReader::Checker,
+            EngineReader::Scaler,
+        ] {
             assert_eq!(engine.drain_changes(reader).len(), jobs as usize);
         }
         let (calls_before, live_after) = counts();

@@ -592,3 +592,83 @@ fn restore_mid_lag_episode_inside_the_debounce_matches_uninterrupted() {
         assert_eq!(observe(&original), observe(&restored), "mode {mode:?}");
     }
 }
+
+/// A disabled scaler drains only the windows the engine marked for it, so
+/// what a capture holds of the others must be nothing, and what it holds
+/// of a marked job must be all of it. Job 1 is scaled down at minute 16
+/// and its tasks stop at minute 17's refresh, mid-window: their bytes wait
+/// in the job's window for the next scaler round. A capture there and a
+/// restore: half a minute on, in which the restored engine re-settles the
+/// idle job 4, both blobs are the same; then the scaler switched on: the
+/// next two scaler rounds read the same windows (the scaler's registry
+/// series are equal) and decide the same, and the blob's every field is
+/// the same size, as in the uninterrupted run.
+#[test]
+fn a_restored_disabled_scaler_switched_on_reads_the_uninterrupted_windows() {
+    let scaler_series = |t: &Turbine| {
+        let registry = t.ods_registry();
+        (1..=3u64)
+            .flat_map(|job| {
+                [
+                    "input_rate_bps",
+                    "processing_rate_bps",
+                    "scaler_backlog_bytes",
+                ]
+                .map(|name| {
+                    registry
+                        .series_by_key(&turbine::MetricKey::job(job, name))
+                        .map(|series| series.points().collect::<Vec<_>>())
+                })
+            })
+            .collect::<Vec<_>>()
+    };
+    for mode in [DriveMode::EventDriven, DriveMode::DenseTick] {
+        let mut original = build();
+        original.set_scaler_enabled(false);
+        original
+            .provision_job(
+                JobId(4),
+                JobConfig::stateless("snap_idle", 1, 4),
+                TrafficModel::flat(0.0),
+                1.0e6,
+                256.0,
+            )
+            .expect("provision");
+        drive_to(&mut original, 16, mode);
+        original
+            .oncall_set(JobId(1), "task_count", turbine_config::ConfigValue::Int(2))
+            .expect("store up");
+        drive_to(&mut original, 17, mode);
+        let status = original.job_status(JobId(1)).expect("provisioned");
+        assert_eq!(status.running_tasks, 0, "stopped mid-window: {status:?}");
+
+        let mut restored = Snapshot::capture(&original).restore().expect("restore");
+        for t in [&mut original, &mut restored] {
+            t.drive_for(Duration::from_secs(30), mode);
+        }
+        assert_eq!(
+            Snapshot::capture(&original).to_bytes(),
+            Snapshot::capture(&restored).to_bytes(),
+            "mode {mode:?}"
+        );
+        for t in [&mut original, &mut restored] {
+            t.set_scaler_enabled(true);
+            drive_to(t, 21, mode);
+        }
+        assert!(
+            scaler_series(&original).iter().all(Option::is_some),
+            "two enabled scaler rounds published every job's inputs"
+        );
+        assert_eq!(
+            scaler_series(&original),
+            scaler_series(&restored),
+            "mode {mode:?}"
+        );
+        assert_eq!(observe(&original), observe(&restored), "mode {mode:?}");
+        assert_eq!(
+            original.snap_field_bytes(),
+            restored.snap_field_bytes(),
+            "mode {mode:?}"
+        );
+    }
+}

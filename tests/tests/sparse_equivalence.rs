@@ -338,12 +338,102 @@ fn per_container_rounds_grow_with_change_not_with_the_fleet() {
     }
 }
 
+/// Scaler windows a disabled scaler drains over 30 quiet minutes, and the
+/// scaler rounds in them, on a converged fleet of two busy jobs beside
+/// `idle` jobs that receive nothing.
+fn quiet_scaler_windows(idle: u64) -> (u64, u64) {
+    let mut t = Turbine::new(TurbineConfig {
+        scaler_enabled: false,
+        ..TurbineConfig::default()
+    });
+    t.add_hosts(4, host());
+    for j in 1..=2 + idle {
+        let rate = if j <= 2 { 1.5e6 } else { 0.0 };
+        t.provision_job(
+            JobId(j),
+            JobConfig::stateless(&format!("quiet_{j}"), 1, 4),
+            TrafficModel::flat(rate),
+            1.0e6,
+            256.0,
+        )
+        .expect("provision");
+    }
+    t.run_for(Duration::from_mins(30));
+    assert_eq!(t.engine().active_jobs(), 2, "the idle jobs settled");
+    let before = t.scaler_windows_drained();
+    t.run_for(Duration::from_mins(30));
+    let rounds = Duration::from_mins(30).as_millis() / t.config().scaler_interval.as_millis();
+    (t.scaler_windows_drained() - before, rounds)
+}
+
+/// A disabled scaler's round costs the jobs whose windows can hold
+/// something, not the fleet: with four times the idle jobs it drains the
+/// same windows, exactly the two busy jobs' at each round. A round that
+/// drained every job's window would grow with the idle jobs.
+#[test]
+fn a_disabled_scaler_drains_the_busy_jobs_windows_alone() {
+    let (small, rounds) = quiet_scaler_windows(8);
+    let (large, _) = quiet_scaler_windows(32);
+    assert_eq!(rounds, 15);
+    assert_eq!((small, large), (2 * rounds, 2 * rounds));
+}
+
+/// A job that settles between two rounds of a disabled scaler leaves its
+/// window behind: earlier ticks wrote it, and the round no longer finds the
+/// job among those the tick walks. Its input stops at minute 20:30, it
+/// settles, and the scaler is switched on at minute 23. The first enabled
+/// rounds must read the windows the full-scan reference, which drains
+/// every job's window at every round, reads.
+#[test]
+fn a_disabled_scaler_discards_the_window_of_a_job_that_settled() {
+    let run = |mode: DriveMode| {
+        let mut t = Turbine::new(TurbineConfig {
+            scaler_enabled: false,
+            ..TurbineConfig::default()
+        });
+        t.add_hosts(2, host());
+        let outage = turbine_workloads::TrafficEvent {
+            start: SimTime::ZERO + Duration::from_secs(20 * 60 + 30),
+            end: SimTime::ZERO + Duration::from_hours(2),
+            kind: turbine_workloads::TrafficEventKind::InputOutage,
+        };
+        for (j, traffic) in [
+            (1, TrafficModel::flat(1.5e6).with_event(outage)),
+            (2, TrafficModel::flat(1.5e6)),
+        ] {
+            t.provision_job(
+                JobId(j),
+                JobConfig::stateless(&format!("settling_{j}"), 2, 8),
+                traffic,
+                1.0e6,
+                256.0,
+            )
+            .expect("provision");
+        }
+        t.drive_for(Duration::from_mins(23), mode);
+        assert_eq!(t.engine().active_jobs(), 1, "job 1 settled");
+        t.set_scaler_enabled(true);
+        t.drive_for(Duration::from_mins(5), mode);
+        let rates = ["input_rate_bps", "processing_rate_bps"].map(|name| {
+            t.ods_registry()
+                .series_by_key(&turbine::MetricKey::job(1, name))
+                .expect("published")
+                .points()
+                .collect::<Vec<_>>()
+        });
+        (t.fingerprint(), rates)
+    };
+    assert_eq!(run(DriveMode::EventDriven), run(DriveMode::FullScan));
+}
+
 /// The reference is not vacuous: under `DriveMode::FullScan` every sync
 /// round examines every job in the expected ∪ running tables (here the
 /// three provisioned jobs, none of which is deleted), every load-report
 /// round sends one report per Task Manager, and every invariant check
-/// examines every engine job and scans every flagged scope — through an
-/// oncall scale and a host flap as well as the quiet spans in between.
+/// examines every engine job and scans every flagged scope, and every
+/// scaler round drains every engine job's window, the scaler enabled or
+/// not — through an oncall scale and a host flap as well as the quiet
+/// spans in between.
 /// Were the reference to stop handing the rounds everything, it would do
 /// the production path's work and every equivalence test above would
 /// pass without comparing anything.
@@ -352,6 +442,7 @@ fn the_full_scan_reference_hands_every_round_everything() {
     let mut t = build();
     let step = t.config().sync_interval;
     let report_every = t.config().load_report_interval;
+    let scale_every = t.config().scaler_interval;
     let victim = t.cluster.hosts()[4];
     let jobs = t.job_ids().len() as u64;
     let containers = t.task_managers().len() as u64;
@@ -364,6 +455,7 @@ fn the_full_scan_reference_hands_every_round_everything() {
             checker.ticks_checked(),
             checker.jobs_examined(),
             checker.scopes_scanned(),
+            t.scaler_windows_drained(),
         ]
     };
     let mut reports_due = 0;
@@ -374,15 +466,22 @@ fn the_full_scan_reference_hands_every_round_everything() {
                 .expect("store up"),
             120 => t.fail_host(victim).expect("fail"),
             170 => t.recover_host(victim).expect("recover"),
+            200 => t.set_scaler_enabled(false),
             _ => {}
         }
         let before = work(&t);
         t.drive_for(step, DriveMode::FullScan);
         let after = work(&t);
-        let [synced, reported, checks, examined, scopes] =
+        let [synced, reported, checks, examined, scopes, drained] =
             std::array::from_fn(|k| after[k] - before[k]);
         let at = t.now();
         assert_eq!(synced, jobs, "{at}: one sync round over every job");
+        let scaler_round = at.as_millis().is_multiple_of(scale_every.as_millis());
+        assert_eq!(
+            drained,
+            if scaler_round { jobs } else { 0 },
+            "{at}: every job's window at a scaler round"
+        );
         let report_round = at.as_millis().is_multiple_of(report_every.as_millis());
         reports_due += u64::from(report_round);
         assert_eq!(
