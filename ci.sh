@@ -76,6 +76,16 @@ echo "== the metrics round finds each job by position =="
 ! grep -nE '(job_series|scaler_series):' crates/core/src/platform/ods.rs \
     || { echo "an id-keyed per-job series cache is back in platform/ods.rs"; exit 1; }
 
+echo "== a job's input category is one id on its engine row =="
+# A decoded bus keeps creation order, so a category id survives a restore:
+# each engine row holds its job's id and the bus holds the name. The
+# platform's per-job name map, the sync's name resolver and the by-name
+# Scribe watermarks stay gone.
+! grep -nw 'categories:' crates/core/src/platform/mod.rs \
+    || { echo "a per-job category map is back on Turbine: the engine row holds the id"; exit 1; }
+! grep -rnwE 'category_of|restored_watermarks|scope_series' crates \
+    || { echo "category_of, restored_watermarks or scope_series is back under crates/"; exit 1; }
+
 echo "== scale_smoke: sparse data plane at 1k hosts / 10k tasks (13 simulated hours) =="
 # scale_soak runs the identical scenario under DriveMode::EventDriven and
 # DriveMode::FullScan and exits non-zero unless the fingerprints are

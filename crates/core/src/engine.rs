@@ -237,9 +237,7 @@ pub struct JobRuntime {
     /// the durable tail moved underneath us.
     last_category_appended: Option<u64>,
     /// The job's input category in the bus [`Engine::sync_durable`] is
-    /// handed, resolved through its name the first time the sync finds it
-    /// there (`None`: not yet). Derived — not part of the snapshot, so an
-    /// id never outlives the bus it came from.
+    /// handed, as [`Engine::bind_category`] bound it (`None`: unbound).
     category: Option<CategoryId>,
     // Scaler-window accumulators. A running task's bytes are in its slot.
     window_arrived: f64,
@@ -276,8 +274,8 @@ impl JobRuntime {
         self.cols.len as usize
     }
 
-    /// The job's input category in the bus the last
-    /// [`Engine::sync_durable`] was handed (`None`: not found there yet).
+    /// The job's input category, as [`Engine::bind_category`] bound it
+    /// (`None`: unbound).
     pub fn category(&self) -> Option<CategoryId> {
         self.category
     }
@@ -912,6 +910,16 @@ impl Engine {
         }
         self.jobs.relay_if_crowded();
         self.touch(job);
+    }
+
+    /// Bind a registered job to its input category in the bus
+    /// [`Engine::sync_durable`] is handed: the category its arrivals are
+    /// mirrored into and its checkpoints are capped by. An unregistered
+    /// job binds nothing.
+    pub fn bind_category(&mut self, job: JobId, category: CategoryId) {
+        if let Some(rt) = self.jobs.get_mut(job) {
+            rt.category = Some(category);
+        }
     }
 
     /// Remove a job's data plane entirely.
@@ -1552,17 +1560,15 @@ impl Engine {
     ///
     /// One pass, no search per job: the checkpoint rows ascend by job like
     /// the runtimes and are walked in step; each job finds its category by
-    /// the id it remembers (resolved through `category_of` the first time
-    /// the bus has the name); and each partition is one step that indexes
+    /// the id it is bound to; and each partition is one step that indexes
     /// its column, its category partition and its checkpoint pair. The ids
-    /// are the bus's, so an engine is synced against one bus for as long
-    /// as it lives (a restored engine has resolved none yet).
-    pub fn sync_durable<'c>(
+    /// are the bus's, so an engine is synced against the bus its ids came
+    /// from (or one restored from it).
+    pub fn sync_durable(
         &mut self,
         now: SimTime,
         scribe: &mut Scribe,
         checkpoints: &mut CheckpointStore,
-        category_of: &dyn Fn(JobId) -> &'c str,
     ) {
         let JobTable {
             ids,
@@ -1572,9 +1578,6 @@ impl Engine {
         // The rows ascend by job like the runtimes: one cursor finds them.
         let mut rows = checkpoints.rows();
         for (&job, rt) in ids.iter().zip(runtimes.iter_mut()) {
-            if rt.category.is_none() {
-                rt.category = scribe.category_id(category_of(job));
-            }
             let mut category = rt.category.map(|id| scribe.view(id));
             let appended = category.as_ref().map(CategoryView::total_appended);
             if rt.last_durable_epoch == rt.durable_epoch && rt.last_category_appended == appended {
@@ -1641,6 +1644,7 @@ impl Snap for Engine {
             w.put(&rt.durable_epoch);
             w.put(&rt.last_durable_epoch);
             w.put(&rt.last_category_appended);
+            w.put(&rt.category);
             w.put(&rt.window_arrived);
             w.put(&rt.window_processed);
             w.u64(self.window_entries(job, rt).count() as u64);
@@ -1708,6 +1712,7 @@ impl Snap for Engine {
             let durable_epoch = r.get()?;
             let last_durable_epoch = r.get()?;
             let last_category_appended = r.get()?;
+            let category = r.get()?;
             let window_arrived = r.get()?;
             let window_processed = r.get()?;
             let entries = r.len_prefix("map length")?;
@@ -1755,7 +1760,7 @@ impl Snap for Engine {
                 durable_epoch,
                 last_durable_epoch,
                 last_category_appended,
-                category: None,
+                category,
                 window_arrived,
                 window_processed,
                 window_departed: Vec::new(),

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 const JOBS: usize = 5;
 const NAMES: [&str; JOBS] = ["c0", "c1", "c2", "c3", "c4"];
 
-fn category_of(job: JobId) -> &'static str {
+fn name_of(job: JobId) -> &'static str {
     NAMES[job.raw() as usize]
 }
 
@@ -32,7 +32,7 @@ fn sync_by_name(
     } = &mut engine.jobs;
     for (&job, rt) in ids.iter().zip(runtimes.iter_mut()) {
         let epoch_clean = rt.last_durable_epoch == rt.durable_epoch;
-        let name = category_of(job);
+        let name = name_of(job);
         match scribe.stats(name) {
             Ok(stats) => {
                 if epoch_clean && rt.last_category_appended == Some(stats.total_appended) {
@@ -131,7 +131,8 @@ proptest! {
                 // Missing, fewer partitions, as many, more.
                 let count = [0, partitions.saturating_sub(1), partitions, partitions + 2][kind as usize];
                 if count > 0 {
-                    side.scribe.create_category(NAMES[j], count).expect("fresh name");
+                    let id = side.scribe.create_category(NAMES[j], count).expect("fresh name");
+                    side.engine.bind_category(JobId(j as u64), id);
                 }
             }
         }
@@ -140,7 +141,7 @@ proptest! {
             now += Duration::from_secs(10);
             let job = JobId(job);
             let partitions = shape[job.raw() as usize].0 as u64;
-            let name = category_of(job);
+            let name = name_of(job);
             for side in [&mut pass, &mut oracle] {
                 match kind {
                     0..=2 => {
@@ -165,13 +166,14 @@ proptest! {
                         let _ = side.scribe.append_bytes(name, PartitionId(raw), amount, now);
                     }
                     6 if !side.scribe.has_category(name) => {
-                        side.scribe.create_category(name, raw as u32 + 1).expect("fresh name");
+                        let id = side.scribe.create_category(name, raw as u32 + 1).expect("fresh name");
+                        side.engine.bind_category(job, id);
                     }
                     _ => {}
                 }
             }
             if kind >= 7 {
-                pass.engine.sync_durable(now, &mut pass.scribe, &mut pass.checkpoints, &category_of);
+                pass.engine.sync_durable(now, &mut pass.scribe, &mut pass.checkpoints);
                 sync_by_name(&mut oracle.engine, now, &mut oracle.scribe, &mut oracle.checkpoints);
             }
             prop_assert!(encoded(&pass.checkpoints) == encoded(&oracle.checkpoints), "rows");

@@ -157,9 +157,10 @@ fn durable_sync_mirrors_scribe_and_checkpoints() {
     let (mut engine, specs) = engine_with_job(1.0e6, 2);
     let now = run_ticks(&mut engine, 6, 64.0);
     let mut scribe = Scribe::new();
-    scribe.create_category("cat", 16).expect("create");
+    let category = scribe.create_category("cat", 16).expect("create");
+    engine.bind_category(JOB, category);
     let mut checkpoints = CheckpointStore::new();
-    engine.sync_durable(now, &mut scribe, &mut checkpoints, &|_| "cat");
+    engine.sync_durable(now, &mut scribe, &mut checkpoints);
     let total: u64 = (0..16)
         .map(|p| scribe.tail_offset("cat", PartitionId(p)).expect("tail"))
         .sum();
@@ -174,10 +175,10 @@ fn repeated_syncs_on_a_quiet_job_are_skipped_and_exact() {
     let (mut engine, _) = engine_with_job(1.0e6, 2);
     let now = run_ticks(&mut engine, 6, 64.0);
     let mut scribe = Scribe::new();
-    scribe.create_category("cat", 16).expect("create");
+    let category = scribe.create_category("cat", 16).expect("create");
+    engine.bind_category(JOB, category);
     let mut checkpoints = CheckpointStore::new();
-    let cat = |_| "cat";
-    engine.sync_durable(now, &mut scribe, &mut checkpoints, &cat);
+    engine.sync_durable(now, &mut scribe, &mut checkpoints);
     let tails: Vec<u64> = (0..16)
         .map(|p| scribe.tail_offset("cat", PartitionId(p)).expect("tail"))
         .collect();
@@ -187,7 +188,7 @@ fn repeated_syncs_on_a_quiet_job_are_skipped_and_exact() {
     let entries = checkpoints.len();
     // No ticks in between: the second sync must change nothing (it is
     // skipped via the epoch, but a full replay would also be a no-op).
-    engine.sync_durable(now, &mut scribe, &mut checkpoints, &cat);
+    engine.sync_durable(now, &mut scribe, &mut checkpoints);
     let tails2: Vec<u64> = (0..16)
         .map(|p| scribe.tail_offset("cat", PartitionId(p)).expect("tail"))
         .collect();
@@ -200,7 +201,7 @@ fn repeated_syncs_on_a_quiet_job_are_skipped_and_exact() {
     // New arrivals re-arm the sync.
     let dt = Duration::from_secs(10);
     engine.tick(now + dt, dt, &caps(64.0), &|_| false);
-    engine.sync_durable(now + dt, &mut scribe, &mut checkpoints, &cat);
+    engine.sync_durable(now + dt, &mut scribe, &mut checkpoints);
     let total: u64 = (0..16)
         .map(|p| scribe.tail_offset("cat", PartitionId(p)).expect("tail"))
         .sum();

@@ -597,7 +597,6 @@ impl Turbine {
             self.capacity_stopped.remove(&job);
             self.engine.remove_job(job);
             self.checkpoints.remove_job(job);
-            self.categories.remove(&job);
             self.drop_standby(job);
             self.outages.remove(&job);
             self.scaler.forget(job);
@@ -729,8 +728,7 @@ impl Turbine {
                 let data = TraceData::Symptom { job, description };
                 Some(
                     match self
-                        .categories
-                        .get(&job)
+                        .job_category(job)
                         .and_then(|cat| self.trace.fault_cause(&format!("scribe_stall({cat})")))
                     {
                         Some(root) => self.trace.emit_caused(now, data, Some(root)),
@@ -938,21 +936,11 @@ impl Turbine {
     /// job's input alongside the primary but never write the checkpoint
     /// store.
     pub(crate) fn checkpoint_round(&mut self) {
-        // Destructure so the category lookup borrows the names in place.
-        let Turbine {
-            engine,
-            scribe,
-            checkpoints,
-            categories,
-            now,
-            ..
-        } = self;
-        let lookup = |job: JobId| categories.get(&job).map_or("", String::as_str);
-        engine.sync_durable(*now, scribe, checkpoints, &lookup);
+        self.engine
+            .sync_durable(self.now, &mut self.scribe, &mut self.checkpoints);
         let shadowed: Vec<JobId> = self.shard_manager.standbys().map(|(job, _)| job).collect();
         for job in shadowed {
-            // The sync above resolved every engine job's category it could
-            // find; the tails are then read in order.
+            // Each job's tails, read by its category id in partition order.
             let Some((category, partitions)) = self
                 .engine
                 .job(job)

@@ -29,9 +29,12 @@ impl Turbine {
 
     /// Restore a severed connection. If the Shard Manager already failed
     /// the container over, it rejoins as an empty container; otherwise its
-    /// shards resume where they were.
+    /// shards resume where they were. A container whose host is still
+    /// down stays lost, and keeps its onset.
     pub fn restore_connection(&mut self, container: ContainerId) {
-        self.container_down_since.remove(&container);
+        if self.cluster.is_container_healthy(container) {
+            self.container_down_since.remove(&container);
+        }
         let Some(state) = self.severed.remove(&container) else {
             return;
         };
@@ -153,20 +156,14 @@ impl Turbine {
     pub(crate) fn clamp_recovered_checkpoints(&mut self) {
         use turbine_trace::TraceData;
         use turbine_types::PartitionId;
-        for job in self.engine.job_ids() {
-            let Some(category) = self.categories.get(&job).cloned() else {
+        for (job, rt) in self.engine.jobs() {
+            let Some(category) = rt.category() else {
                 continue;
             };
-            let n_partitions = self
-                .engine
-                .job(job)
-                .map(|rt| rt.partition_count())
-                .unwrap_or(0);
-            for i in 0..n_partitions {
+            // Partitions past the category's are skipped.
+            let tails = self.scribe.tails(category).take(rt.partition_count());
+            for (i, tail) in tails.enumerate() {
                 let partition = PartitionId(i as u64);
-                let Ok(tail) = self.scribe.tail_offset(&category, partition) else {
-                    continue;
-                };
                 if let Some((from, to)) = self.checkpoints.clamp_to(job, partition, tail) {
                     self.trace.emit(
                         self.now,
@@ -201,7 +198,8 @@ impl Turbine {
     /// over rejoin empty (stale local state is discarded) and receive
     /// shards at the next rebalance; containers that recovered before the
     /// fail-over interval elapsed keep their shards and their tasks simply
-    /// resume (§IV-C).
+    /// resume (§IV-C). A container whose connection is still severed
+    /// stays lost, and keeps its onset.
     pub fn recover_host(&mut self, host: HostId) -> Result<(), String> {
         use turbine_shardmgr::ContainerStatus;
         let containers = self
@@ -211,7 +209,9 @@ impl Turbine {
         self.cluster.recover_host(host).map_err(|e| e.to_string())?;
         self.cluster_changed();
         for container in containers {
-            self.container_down_since.remove(&container);
+            if !self.severed.contains_key(&container) {
+                self.container_down_since.remove(&container);
+            }
             self.container_changed(container);
             if self.shard_manager.status(container) == Some(ContainerStatus::Alive) {
                 // Recovered before fail-over: ownership is unchanged and

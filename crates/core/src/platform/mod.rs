@@ -266,13 +266,13 @@ pub struct Turbine {
     pub(crate) crash_mtbf: Option<Duration>,
     pub(crate) rng: SimRng,
     pub(crate) severed: BTreeMap<ContainerId, SeveredState>,
-    pub(crate) categories: BTreeMap<JobId, String>,
     /// Shadow read positions of warm standbys (critical jobs only).
     pub(crate) shadow: ShadowCursor,
     /// Open fault-attributed outages per job (SLO accounting).
     pub(crate) outages: BTreeMap<JobId, OutageState>,
     /// When each container's current connectivity loss began — fault onset
-    /// for backdating outage starts. Cleared on restore/recovery.
+    /// for backdating outage starts. Cleared once the container is back on
+    /// both counts: its connection restored and its host healthy.
     pub(crate) container_down_since: BTreeMap<ContainerId, SimTime>,
     /// The chaos engine: scheduled/active cross-component faults.
     pub(crate) faults: FaultInjector,
@@ -368,7 +368,6 @@ impl Turbine {
             crash_mtbf: None,
             rng: SimRng::seeded(0x0C2A_54E5),
             severed: BTreeMap::new(),
-            categories: BTreeMap::new(),
             shadow: ShadowCursor::new(),
             outages: BTreeMap::new(),
             container_down_since: BTreeMap::new(),
@@ -564,21 +563,20 @@ impl Turbine {
         self.jobs
             .provision(job, &config)
             .map_err(|e| e.to_string())?;
-        self.scribe
+        let category = self
+            .scribe
             .create_category(category, config.input_partitions)
             .expect("the name is free and the partition count validated");
-        self.categories.insert(job, category.clone());
-        let stateful = config.stateful;
-        let partitions = config.input_partitions;
         self.engine.add_job(
             job,
             traffic,
             true_per_thread_rate,
             avg_message_bytes,
-            partitions,
-            stateful,
+            config.input_partitions,
+            config.stateful,
             key_cardinality,
         );
+        self.engine.bind_category(job, category);
         self.task_service.invalidate();
         Ok(())
     }
@@ -740,7 +738,7 @@ impl Turbine {
 
     /// The Scribe input category a job consumes, if provisioned.
     pub fn job_category(&self, job: JobId) -> Option<&str> {
-        self.categories.get(&job).map(String::as_str)
+        self.scribe.name(self.engine.job(job)?.category()?)
     }
 
     /// A job's resiliency tier from its expected configuration; `Standard`
@@ -780,23 +778,21 @@ impl Turbine {
     /// condition [`clamp_recovered_checkpoints`](Self) repairs after a
     /// syncer restart.
     pub fn durable_backlog(&self, job: JobId) -> Result<u64, String> {
-        let Some(category) = self.categories.get(&job) else {
-            return Ok(0);
-        };
-        let n_partitions = self
+        let Some((category, partitions)) = self
             .engine
             .job(job)
-            .map(|rt| rt.partition_count())
-            .unwrap_or(0);
-        // One category lookup for the whole job; partitions Scribe has
-        // never seen an append for have no durable bytes yet and are
-        // skipped inside the batched read.
-        let cursors = (0..n_partitions).map(|i| {
+            .and_then(|rt| Some((rt.category()?, rt.partition_count())))
+        else {
+            return Ok(0);
+        };
+        // Partitions Scribe has never seen an append for have no durable
+        // bytes yet and are skipped inside the batched read.
+        let cursors = (0..partitions).map(|i| {
             let partition = turbine_types::PartitionId(i as u64);
             (partition, self.checkpoints.get(job, partition))
         });
         self.scribe
-            .category_backlog(category, cursors)
+            .backlog(category, cursors)
             .map_err(|(p, e)| format!("{job}/p{}: {e}", p.raw()))
     }
 
@@ -972,13 +968,15 @@ macro_rules! get_field {
 /// name, and the Task Service and the Task Managers share task snapshots,
 /// so the blob's [`SnapshotTable`] is written once at `table`, ahead of its
 /// holders, and a `via (encode, decode)` field goes through functions that
-/// take it (the holders write indices into it).
+/// take it (the holders write indices into it). A `check` holds between
+/// fields of the decoded platform, as `snap_struct!`'s does within one.
 macro_rules! turbine_stream {
     (
         $($head:ident),* ;
         table $table_name:ident ;
         $($tail:ident $(via ($put:path, $get:path))?),* ;
         derived { $($derived:ident : $rebuild:expr),* $(,)? }
+        $(check |$v:ident| $ok:expr => $what:literal;)*
     ) => {
         impl Turbine {
             /// Encode every snapshotted field in stream order, telling
@@ -1013,7 +1011,14 @@ macro_rules! turbine_stream {
                 let table: SnapshotTable = r.get()?;
                 $(let $tail = get_field!(r, table $(, $get)?);)*
                 $(let $derived = $rebuild;)*
-                Ok(Turbine { $($head,)* $($tail,)* $($derived,)* })
+                let platform = Turbine { $($head,)* $($tail,)* $($derived,)* };
+                $(
+                    let $v = &platform;
+                    if !($ok) {
+                        return Err(SnapError::Value($what));
+                    }
+                )*
+                Ok(platform)
             }
         }
     };
@@ -1026,7 +1031,7 @@ turbine_stream! {
     shard_manager,
     task_managers via (snap_managers, unsnap_managers),
     scaler, capacity, checkpoints, engine, paused, capacity_stopped, state_moves, crash_mtbf,
-    rng, severed, categories, shadow,
+    rng, severed, shadow,
     outages, container_down_since, faults, trace, invariants, load_dirty_containers,
     resiliency_cache, sched, last_scaler_drain, ods;
     // Caches and cost counters: rebuilt or restarted, never stored.
@@ -1039,6 +1044,8 @@ turbine_stream! {
         scaler_windows_drained: 0,
         scaler_scratch: ScalerScratch::default(),
     }
+    check |t| t.engine.jobs().all(|(_, rt)| rt.category().is_none_or(|id| t.scribe.name(id).is_some()))
+        => "Engine job bound to a category the bus lacks";
 }
 
 type TaskManagers = BTreeMap<ContainerId, LocalTaskManager>;

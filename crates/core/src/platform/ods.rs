@@ -73,6 +73,8 @@ struct ScribeSeries {
     last: u64,
 }
 
+turbine_types::snap_struct!(ScribeSeries { id, last });
+
 /// One engine job's row of the metrics plane: what the metrics and scaler
 /// rounds read of the job besides the engine. The rows ascend by job like
 /// the engine's runtimes, and the rounds walk them in step.
@@ -174,9 +176,6 @@ pub(crate) struct OdsState {
     tier_series: BTreeMap<ResiliencyClass, TierSeries>,
     /// Per category, by [`CategoryId`].
     scribe_series: Vec<Option<ScribeSeries>>,
-    /// Watermarks a restore decoded by name; the first metrics round
-    /// files them under their categories' ids.
-    restored_watermarks: Vec<(String, ScribeSeries)>,
     pub(crate) scratch: MetricsScratch,
 }
 
@@ -219,17 +218,12 @@ impl OdsState {
     }
 }
 
-/// The scope of the Scribe append-rate series.
-fn scribe_scope() -> Scope {
-    Scope::Component("scribe".to_string())
-}
-
-/// What follows a category's name in its append-rate series' name.
-const APPENDS_SUFFIX: &str = "_appends_per_sec";
-
 /// The key of a category's append-rate series.
 fn scribe_series_key(category: &str) -> MetricKey {
-    MetricKey::new(scribe_scope(), format!("{category}{APPENDS_SUFFIX}"))
+    MetricKey::new(
+        Scope::Component("scribe".to_string()),
+        format!("{category}_appends_per_sec"),
+    )
 }
 
 /// One job's sample for the metrics-round publication.
@@ -368,11 +362,6 @@ impl Turbine {
         // id. The bus is walked in name order; a category seen for the
         // first time gets its series after the walk, still in name order
         // (series ids follow registration order).
-        for (name, series) in std::mem::take(&mut ods.restored_watermarks) {
-            if let Some(category) = self.scribe.category_id(&name) {
-                ods.file_scribe_series(category, series);
-            }
-        }
         let interval_secs = self.config.metrics_interval.as_secs_f64().max(1.0);
         let mut fresh: Vec<(CategoryId, &str, u64)> = Vec::new();
         for (category, name, stats) in self.scribe.categories() {
@@ -462,7 +451,7 @@ impl Turbine {
                 message: incident.message.clone(),
             };
             let cause = job
-                .and_then(|j| self.categories.get(&j))
+                .and_then(|j| self.job_category(j))
                 .and_then(|cat| self.trace.fault_cause(&format!("scribe_stall({cat})")));
             match cause {
                 Some(root) => {
@@ -541,49 +530,31 @@ impl Turbine {
 }
 
 // By hand: of the id caches only the Scribe watermarks are stored, by
-// category name in name order, and their series ids are re-interned from
-// the registry decoded before them.
+// category id, each with its series id in the registry decoded before them.
 impl turbine_types::Snap for OdsState {
     fn snap(&self, w: &mut turbine_types::SnapWriter) {
         w.put(&self.registry);
         w.put(&self.alerts);
-        // A watermark's category name is in its series' key.
-        let last: BTreeMap<MetricId, u64> = self
-            .scribe_series
-            .iter()
-            .flatten()
-            .chain(self.restored_watermarks.iter().map(|(_, series)| series))
-            .map(|series| (series.id, series.last))
-            .collect();
-        let scope = scribe_scope();
-        let mut watermarks: Vec<(&str, u64)> = self
-            .registry
-            .scope_series(&scope)
-            .filter_map(|(name, id)| Some((name.strip_suffix(APPENDS_SUFFIX)?, *last.get(&id)?)))
-            .collect();
-        watermarks.sort_unstable();
-        w.put(&watermarks.len());
-        for (category, last) in watermarks {
-            w.put(&category.to_string());
-            w.u64(last);
-        }
+        w.put(&self.scribe_series);
     }
 
     fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        let mut registry: Registry = r.get()?;
+        let registry: Registry = r.get()?;
         let alerts = r.get()?;
-        let count: usize = r.get()?;
-        let mut restored_watermarks = Vec::new();
-        for _ in 0..count {
-            let category: String = r.get()?;
-            let last = r.u64("OdsState.scribe_watermark")?;
-            let id = registry.series_id(scribe_series_key(&category));
-            restored_watermarks.push((category, ScribeSeries { id, last }));
+        let scribe_series: Vec<Option<ScribeSeries>> = r.get()?;
+        if scribe_series
+            .iter()
+            .flatten()
+            .any(|s| s.id.index() >= registry.len())
+        {
+            return Err(turbine_types::SnapError::Value(
+                "OdsState watermark series unknown",
+            ));
         }
         Ok(OdsState {
             registry,
             alerts,
-            restored_watermarks,
+            scribe_series,
             ..OdsState::default()
         })
     }

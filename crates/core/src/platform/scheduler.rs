@@ -42,6 +42,7 @@ use crate::engine::EngineReader;
 use crate::invariants::{Inbox, InvariantView};
 use std::collections::BTreeSet;
 use turbine_jobstore::StoreReader;
+use turbine_scribe::CategoryId;
 use turbine_sim::{EventQueue, Fault, Periodic};
 use turbine_trace::{Component as TraceComponent, TraceData};
 use turbine_types::{Duration, JobId, SimTime};
@@ -512,21 +513,21 @@ impl Turbine {
         // arrivals but process nothing — the dependency-failure shape the
         // root-causer must recognize. Built from the active stalls, so it
         // costs nothing while no fault is active.
-        let stalled_categories: Vec<&str> = self
+        let stalls: Vec<CategoryId> = self
             .faults
             .active()
             .filter_map(|fault| match fault {
-                Fault::ScribeStall(category) => Some(category.as_str()),
+                Fault::ScribeStall(category) => self.scribe.category_id(category),
                 _ => None,
             })
             .collect();
-        let stalled: BTreeSet<JobId> = if stalled_categories.is_empty() {
+        let stalled: BTreeSet<JobId> = if stalls.is_empty() {
             BTreeSet::new()
         } else {
-            self.categories
-                .iter()
-                .filter(|(_, category)| stalled_categories.contains(&category.as_str()))
-                .map(|(&job, _)| job)
+            self.engine
+                .jobs()
+                .filter(|(_, rt)| rt.category().is_some_and(|id| stalls.contains(&id)))
+                .map(|(job, _)| job)
                 .collect()
         };
         let generation = self.cluster.generation();

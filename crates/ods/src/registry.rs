@@ -180,17 +180,6 @@ impl Registry {
         self.lookup(key).map(|id| self.series(id))
     }
 
-    /// Every registered series of `scope`, in name order, with its id.
-    pub fn scope_series<'a>(
-        &'a self,
-        scope: &'a Scope,
-    ) -> impl Iterator<Item = (&'a str, MetricId)> + 'a {
-        self.index
-            .range(MetricKey::new(scope.clone(), "")..)
-            .take_while(move |(key, _)| key.scope == *scope)
-            .map(|(key, &id)| (key.name.as_str(), id))
-    }
-
     /// Number of registered series.
     pub fn len(&self) -> usize {
         self.series.len()
@@ -211,6 +200,8 @@ impl Registry {
 turbine_types::snap_enum!(Scope { 0 => Platform, 1 => Component(name), 2 => Job(id), 3 => Host(id), 4 => Tier(name) });
 
 turbine_types::snap_struct!(MetricKey { scope, name });
+
+turbine_types::snap_struct!(MetricId(index));
 
 // By hand: the key index is written inverted (keys in dense-id order) and
 // rebuilt by re-interning, which also checks the keys are distinct.

@@ -1,6 +1,5 @@
 //! The message bus: categories, partitions, offsets.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use turbine_types::{PartitionId, SimTime};
 
@@ -94,9 +93,9 @@ pub struct CategoryStats {
 }
 
 /// A category's dense id within its [`Scribe`]: its place in creation
-/// order. Categories are never removed, so an id stays valid for as long
-/// as the bus that handed it out. A decoded bus numbers its categories in
-/// name order, so an id is not kept across a snapshot.
+/// order. Categories are never removed, and a decoded bus keeps creation
+/// order, so an id stays valid for as long as the bus that handed it out
+/// and every bus restored from it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CategoryId(u32);
 
@@ -117,7 +116,7 @@ pub struct Scribe {
     /// Each category's name, by id: the one copy of it.
     names: Vec<String>,
     /// The ids in name order: the name index, and the order of
-    /// [`Scribe::categories`] and of the snapshot stream.
+    /// [`Scribe::categories`].
     by_name: Vec<CategoryId>,
 }
 
@@ -128,18 +127,22 @@ impl Scribe {
     }
 
     /// Create a category with `partitions` partitions that only tracks byte
-    /// offsets (the cluster-scale fast path).
-    pub fn create_category(&mut self, name: &str, partitions: u32) -> Result<(), ScribeError> {
+    /// offsets (the cluster-scale fast path); returns its id.
+    pub fn create_category(
+        &mut self,
+        name: &str,
+        partitions: u32,
+    ) -> Result<CategoryId, ScribeError> {
         self.create_category_inner(name, partitions, false)
     }
 
     /// Create a category that additionally retains payloads so they can be
-    /// read back with [`Scribe::read_records`].
+    /// read back with [`Scribe::read_records`]; returns its id.
     pub fn create_category_with_payloads(
         &mut self,
         name: &str,
         partitions: u32,
-    ) -> Result<(), ScribeError> {
+    ) -> Result<CategoryId, ScribeError> {
         self.create_category_inner(name, partitions, true)
     }
 
@@ -148,7 +151,7 @@ impl Scribe {
         name: &str,
         partitions: u32,
         retain_payloads: bool,
-    ) -> Result<(), ScribeError> {
+    ) -> Result<CategoryId, ScribeError> {
         assert!(partitions > 0, "a category needs at least one partition");
         let Err(at) = self.find(name) else {
             return Err(ScribeError::CategoryExists(name.to_string()));
@@ -162,7 +165,7 @@ impl Scribe {
         });
         self.names.push(name.to_string());
         self.by_name.insert(at, id);
-        Ok(())
+        Ok(id)
     }
 
     /// Where `name` sits in the name index (`Ok`), or where it would be
@@ -176,6 +179,11 @@ impl Scribe {
     /// caller that keeps the id pays.
     pub fn category_id(&self, name: &str) -> Option<CategoryId> {
         self.find(name).ok().map(|at| self.by_name[at])
+    }
+
+    /// The name of the category `id` names, if this bus has it.
+    pub fn name(&self, id: CategoryId) -> Option<&str> {
+        self.names.get(id.index()).map(String::as_str)
     }
 
     /// True if the category exists.
@@ -336,27 +344,21 @@ impl Scribe {
     }
 
     /// Batched per-category backlog: the sum of [`Scribe::bytes_available`]
-    /// across many partitions of one category, with a single category
-    /// lookup instead of two name probes per partition. `cursors` supplies
-    /// each partition's read offset in the order the caller wants them
-    /// evaluated; partitions the category does not have (yet) contribute
-    /// nothing, matching the per-stream path that skips partitions Scribe
-    /// has never seen. The first beyond-tail cursor aborts the sum, tagged
-    /// with its partition.
-    pub fn category_backlog<I>(
-        &self,
-        category: &str,
-        cursors: I,
-    ) -> Result<u64, (PartitionId, ScribeError)>
+    /// across many partitions of the category `id` names, with no name
+    /// search. `cursors` supplies each partition's read offset in the order
+    /// the caller wants them evaluated; partitions the category does not
+    /// have (yet) contribute nothing, matching the per-stream path that
+    /// skips partitions Scribe has never seen. The first beyond-tail cursor
+    /// aborts the sum, tagged with its partition. Panics on an id this bus
+    /// did not hand out.
+    pub fn backlog<I>(&self, id: CategoryId, cursors: I) -> Result<u64, (PartitionId, ScribeError)>
     where
         I: IntoIterator<Item = (PartitionId, u64)>,
     {
-        let Ok(cat) = self.category(category) else {
-            return Ok(0);
-        };
+        let (name, cat) = (&self.names[id.index()], &self.categories[id.index()]);
         let mut total = 0u64;
         for (partition, from_offset) in cursors {
-            let Ok(idx) = partition_index(category, &cat.partitions, partition) else {
+            let Ok(idx) = partition_index(name, &cat.partitions, partition) else {
                 continue;
             };
             let part = &cat.partitions[idx];
@@ -372,6 +374,21 @@ impl Scribe {
             total += part.appended - from_offset.max(part.trimmed);
         }
         Ok(total)
+    }
+
+    /// [`Scribe::backlog`] of the named category, after one name search;
+    /// an unknown category sums to zero (as when no data was ever
+    /// written).
+    pub fn category_backlog<I>(
+        &self,
+        category: &str,
+        cursors: I,
+    ) -> Result<u64, (PartitionId, ScribeError)>
+    where
+        I: IntoIterator<Item = (PartitionId, u64)>,
+    {
+        self.category_id(category)
+            .map_or(Ok(0), |id| self.backlog(id, cursors))
     }
 
     /// Mutable view of the category `id` names, with no name search: the
@@ -456,6 +473,8 @@ fn partition_index(
         .ok_or_else(|| ScribeError::UnknownPartition(category.to_string(), partition))
 }
 
+turbine_types::snap_struct!(CategoryId(index));
+
 turbine_types::snap_struct!(Record { offset, payload });
 
 turbine_types::snap_struct!(Partition {
@@ -471,28 +490,36 @@ turbine_types::snap_struct!(Category {
     last_append_at
 });
 
-// By hand: the stream is the name-ordered map of categories the bus once
-// was, byte for byte. Decoding goes through that map, so its tolerance of
-// unsorted or repeated names is kept, and numbers the categories in name
-// order.
+// By hand: the stream is the count, then each category's name and body
+// in creation order, so a decoded bus hands out the ids the encoded one
+// did. Decoding rebuilds the name index and refuses a repeated name.
 impl turbine_types::Snap for Scribe {
     fn snap(&self, w: &mut turbine_types::SnapWriter) {
-        w.u64(self.by_name.len() as u64);
-        for id in &self.by_name {
-            w.put(&self.names[id.index()]);
-            w.put(&self.categories[id.index()]);
+        w.u64(self.categories.len() as u64);
+        for (name, category) in self.names.iter().zip(&self.categories) {
+            w.put(name);
+            w.put(category);
         }
     }
 
     fn unsnap(r: &mut turbine_types::SnapReader<'_>) -> Result<Self, turbine_types::SnapError> {
-        let map: BTreeMap<String, Category> = r.get()?;
+        let count = r.len_prefix("Scribe categories")?;
         let mut bus = Scribe::new();
-        for (at, (name, category)) in map.into_iter().enumerate() {
+        for at in 0..count {
             let id = u32::try_from(at)
                 .map_err(|_| turbine_types::SnapError::Value("Scribe category count"))?;
-            bus.categories.push(category);
-            bus.names.push(name);
+            bus.names.push(r.get()?);
+            bus.categories.push(r.get()?);
             bus.by_name.push(CategoryId(id));
+        }
+        let names = &bus.names;
+        bus.by_name
+            .sort_unstable_by_key(|id| names[id.index()].as_str());
+        bus.by_name.dedup_by_key(|id| names[id.index()].as_str());
+        if bus.by_name.len() != count {
+            return Err(turbine_types::SnapError::Value(
+                "Scribe category name repeated",
+            ));
         }
         Ok(bus)
     }
@@ -683,6 +710,8 @@ mod tests {
             .map(|&(part, from)| bus.bytes_available("c", part, from).expect("avail"))
             .sum();
         assert_eq!(bus.category_backlog("c", cursors), Ok(expected));
+        let id = bus.category_id("c").expect("exists");
+        assert_eq!(bus.backlog(id, cursors), Ok(expected));
         // Partitions the category lacks are skipped; unknown categories sum
         // to zero (as when no data was ever written).
         assert_eq!(bus.category_backlog("c", [(p(9), 0)]), Ok(0));
@@ -724,41 +753,71 @@ mod tests {
     }
 
     #[test]
-    fn ids_follow_creation_and_the_stream_follows_names() {
+    fn ids_follow_creation_and_survive_a_decode() {
         use turbine_types::{SnapReader, SnapWriter};
         let mut bus = Scribe::new();
+        let mut ids = Vec::new();
         for (name, partitions) in [("job_9_input", 2), ("job_10_input", 3), ("a", 1)] {
-            bus.create_category(name, partitions).expect("create");
+            ids.push(bus.create_category(name, partitions).expect("create"));
         }
-        let id = |bus: &Scribe, name| bus.category_id(name).expect("exists");
-        assert!(id(&bus, "job_9_input") < id(&bus, "job_10_input"));
-        assert!(id(&bus, "job_10_input") < id(&bus, "a"));
+        assert_eq!(
+            ids.iter().map(|id| id.index()).collect::<Vec<_>>(),
+            [0, 1, 2]
+        );
+        assert_eq!(bus.category_id("job_10_input"), Some(ids[1]));
+        assert_eq!(bus.name(ids[2]), Some("a"));
         assert_eq!(bus.category_id("nope"), None);
         let names: Vec<String> = bus.categories().map(|(_, name, _)| name.into()).collect();
         assert_eq!(names, ["a", "job_10_input", "job_9_input"]);
         bus.append_bytes("job_9_input", p(1), 5, SimTime::ZERO)
             .expect("append");
 
-        // The stream is the name-ordered map's: count, then (name, category).
+        // The stream is the count, then (name, category) in creation order.
         let mut w = SnapWriter::new();
         w.put(&bus);
         let bytes = w.into_bytes();
-        let mut map = SnapWriter::new();
-        map.u64(3);
-        for name in &names {
-            map.put(name);
-            map.put(&bus.categories[id(&bus, name).index()]);
+        let mut expected = SnapWriter::new();
+        expected.u64(3);
+        for &id in &ids {
+            expected.put(&bus.names[id.index()]);
+            expected.put(&bus.categories[id.index()]);
         }
-        assert!(bytes == map.into_bytes(), "the name-ordered map's stream");
+        assert!(
+            bytes == expected.into_bytes(),
+            "the creation-ordered stream"
+        );
 
-        // A decoded bus numbers its categories in name order.
+        // A decoded bus hands out the same ids and keeps the name index.
         let decoded: Scribe = SnapReader::new(&bytes).get().expect("decode");
-        assert!(id(&decoded, "a") < id(&decoded, "job_10_input"));
-        assert!(id(&decoded, "job_10_input") < id(&decoded, "job_9_input"));
+        for (&id, name) in ids.iter().zip(["job_9_input", "job_10_input", "a"]) {
+            assert_eq!(decoded.category_id(name), Some(id));
+            assert_eq!(decoded.name(id), Some(name));
+        }
+        let decoded_names: Vec<&str> = decoded.categories().map(|(_, name, _)| name).collect();
+        assert_eq!(decoded_names, names);
         assert_eq!(decoded.tail_offset("job_9_input", p(1)), Ok(5));
         let mut again = SnapWriter::new();
         again.put(&decoded);
         assert!(again.into_bytes() == bytes, "decode lost something");
+    }
+
+    #[test]
+    fn a_stream_that_repeats_a_name_is_refused() {
+        use turbine_types::{SnapError, SnapReader, SnapWriter};
+        let mut bus = Scribe::new();
+        bus.create_category("b", 1).expect("create");
+        let body = &bus.categories[0];
+        let mut w = SnapWriter::new();
+        w.u64(3);
+        for name in ["b", "a", "b"] {
+            w.put(&name.to_string());
+            w.put(body);
+        }
+        let bytes = w.into_bytes();
+        assert_eq!(
+            SnapReader::new(&bytes).get::<Scribe>().err(),
+            Some(SnapError::Value("Scribe category name repeated"))
+        );
     }
 
     #[test]

@@ -57,8 +57,12 @@ pub const SNAP_MAGIC: [u8; 8] = *b"TRBNSNAP";
 /// one lag episode where the scaler's round count and the platform's onset
 /// were two; version 13 stores a reader more in each change feed (the
 /// engine's scaler reader, the Job Store's metrics reader), and an
-/// expected row's token is the store's change count at its last write.
-pub const SNAP_VERSION: u32 = 13;
+/// expected row's token is the store's change count at its last write;
+/// version 14 writes the Scribe bus in creation order so a category id
+/// survives a restore, stores each engine job's category id in place of
+/// the platform's per-job category names, and stores the Scribe
+/// watermarks by category id rather than by name.
+pub const SNAP_VERSION: u32 = 14;
 
 /// Chunk size of the manifest: one digest per 4 KiB of stream, verified
 /// on every restore and compared across snapshots. Small enough that an
@@ -514,6 +518,52 @@ mod tests {
             matches!(decode(&lying), Err(SnapError::Eof(_))),
             "{:?}",
             decode(&lying)
+        );
+    }
+
+    /// Ids that cross fields are checked against the field that hands them
+    /// out: an engine row bound to a category the bus does not have, and a
+    /// Scribe watermark naming a series the registry does not have.
+    #[test]
+    fn hostile_category_and_series_ids_are_typed_errors() {
+        let t = small_platform();
+        let stream = Snapshot::capture(&t).stream.into_owned();
+        let restore = |stream: &[u8]| {
+            Snapshot::from_stream(SnapshotMeta::default(), Cow::Borrowed(stream))
+                .restore()
+                .err()
+        };
+        assert_eq!(restore(&stream), None);
+
+        // The one job re-bound to category 1 of a one-category bus.
+        let at = offset_of(&t, "engine");
+        let fields = t.snap_field_bytes();
+        let len = fields.iter().find(|f| f.0 == "engine").expect("a field").1;
+        let mut engine: turbine::engine::Engine = SnapReader::new(&stream[at..at + len])
+            .get()
+            .expect("decode");
+        let past_the_bus = SnapReader::new(&1u32.to_le_bytes()).get().expect("an id");
+        engine.bind_category(JobId(1), past_the_bus);
+        let mut w = SnapWriter::new();
+        w.put(&engine);
+        let mut rebound = stream.clone();
+        rebound[at..at + len].copy_from_slice(&w.into_bytes());
+        assert_eq!(
+            restore(&rebound),
+            Some(SnapError::Value(
+                "Engine job bound to a category the bus lacks"
+            ))
+        );
+
+        // The stream ends with the one watermark: `Some`, its series id
+        // and its append count.
+        let id_at = stream.len() - 12;
+        assert_eq!(stream[id_at - 1], 1, "Some");
+        let mut past = stream.clone();
+        past[id_at..id_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(
+            restore(&past),
+            Some(SnapError::Value("OdsState watermark series unknown"))
         );
     }
 

@@ -135,7 +135,6 @@ fn no_allocation_per_steady_window_drain_or_durable_sync() {
             (0..containers).map(|c| (ContainerId(c), 44.8)).collect();
         let mut engine = Engine::new();
         let mut scribe = Scribe::new();
-        let names: Vec<String> = (0..jobs).map(|j| format!("job_{j}_input")).collect();
         for j in 0..jobs {
             let job = JobId(j);
             engine.add_job(
@@ -147,28 +146,28 @@ fn no_allocation_per_steady_window_drain_or_durable_sync() {
                 false,
                 0.0,
             );
-            scribe
-                .create_category(&names[j as usize], PARTITIONS)
+            let category = scribe
+                .create_category(&format!("job_{j}_input"), PARTITIONS)
                 .expect("fresh name");
+            engine.bind_category(job, category);
             let config = JobConfig::stateless("layout", 1, PARTITIONS);
             for spec in TaskService::generate_specs(job, &config) {
                 let container = ContainerId(j % containers);
                 engine.task_started(&spec, container, SimTime::ZERO, Duration::ZERO);
             }
         }
-        let category_of = |job: JobId| names[job.raw() as usize].as_str();
         let mut checkpoints = CheckpointStore::new();
         let mut drained = WindowStats::default();
         let mut now = SimTime::ZERO;
         // Warm up: the first drain grows the kept buffers, the first sync
-        // creates every row and resolves every category.
+        // creates every row.
         for _ in 0..2 {
             now += dt;
             engine.tick(now, dt, &container_cpu, &|_| false);
             for job in engine.job_ids() {
                 engine.drain_window(job, &mut drained);
             }
-            engine.sync_durable(now, &mut scribe, &mut checkpoints, &category_of);
+            engine.sync_durable(now, &mut scribe, &mut checkpoints);
         }
         let ids = engine.job_ids();
         for _ in 0..3 {
@@ -187,7 +186,7 @@ fn no_allocation_per_steady_window_drain_or_durable_sync() {
                 0,
                 "{jobs} jobs: allocation calls in a steady drain of every window"
             );
-            engine.sync_durable(now, &mut scribe, &mut checkpoints, &category_of);
+            engine.sync_durable(now, &mut scribe, &mut checkpoints);
             let (after_sync, _) = counts();
             assert_eq!(
                 after_sync - after_drain,

@@ -294,3 +294,45 @@ fn containers_rebooting_at_one_beat_date_the_outage_from_the_earliest_loss() {
         assert_eq!(recovery_ms(), 90_000, "310 s loss to the 400 s recovery");
     }
 }
+
+/// Drop a container's connection and fail its host 10 s apart, in the
+/// order given, then clear the first cause 10 s later. The container is
+/// still lost to the other cause, so the outage its fail-over opens is
+/// dated from the first loss at 300 s; returns that onset in ms.
+fn onset_of_a_loss_with_two_causes(host_first: bool) -> u64 {
+    let at = |secs| turbine_types::SimTime::ZERO + Duration::from_secs(secs);
+    let mut t = Turbine::new(TurbineConfig::default());
+    t.add_hosts(3, host_shape());
+    provision(&mut t, 1, "two_causes", ResiliencyClass::Standard);
+    t.run_until(at(300));
+    let c = t
+        .task_container(TaskId::new(JobId(1), 0))
+        .expect("task placed");
+    let host = t.cluster.host_of(c).expect("container has a host");
+    if host_first {
+        t.fail_host(host).expect("fail host");
+        t.run_until(at(310));
+        t.sever_connection(c);
+        t.run_until(at(320));
+        t.recover_host(host).expect("recover host");
+    } else {
+        t.sever_connection(c);
+        t.run_until(at(310));
+        t.fail_host(host).expect("fail host");
+        t.run_until(at(320));
+        t.restore_connection(c);
+    }
+    t.run_for(Duration::from_mins(5));
+    let rec = first_recovery(&t, JobId(1)).expect("job recovered");
+    rec.at.as_millis() - rec.ms
+}
+
+#[test]
+fn a_restored_connection_keeps_the_onset_while_the_host_is_down() {
+    assert_eq!(onset_of_a_loss_with_two_causes(false), 300_000);
+}
+
+#[test]
+fn a_recovered_host_keeps_the_onset_while_the_connection_is_severed() {
+    assert_eq!(onset_of_a_loss_with_two_causes(true), 300_000);
+}

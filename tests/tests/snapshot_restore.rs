@@ -494,11 +494,11 @@ fn blob_bytes_match_the_golden_for_this_format_version() {
     );
 }
 
-/// The bus numbers its categories in creation order and a decoded bus in
-/// name order, so `job_9_input` (created first) and `job_10_input` trade
-/// ids across a restore. The restored engine resolves each job's category
-/// afresh: both runs go on to commit the same offsets against the same
-/// tails.
+/// The bus numbers its categories in creation order, and a decoded bus
+/// keeps it: `job_9_input` (created first) keeps the lower id though its
+/// name sorts after `job_10_input`, and each engine row keeps the id it
+/// was bound to. Both runs go on to commit the same offsets against the
+/// same tails.
 #[test]
 fn categories_created_out_of_name_order_restore_to_the_same_checkpoints() {
     let build = || {
@@ -539,6 +539,18 @@ fn categories_created_out_of_name_order_restore_to_the_same_checkpoints() {
     original.run_for(Duration::from_mins(30));
     let mut restored = Snapshot::capture(&original).restore().expect("restore");
     assert_eq!(durable(&original), durable(&restored));
+    let ids = |t: &Turbine| {
+        [JobId(9), JobId(10)].map(|job| {
+            let bound = t.engine().job(job).expect("registered").category();
+            let named = t
+                .scribe
+                .category_id(t.job_category(job).expect("provisioned"));
+            assert_eq!(bound, named, "{job}: the row's id names its category");
+            bound.expect("bound").index()
+        })
+    };
+    assert_eq!(ids(&original), [0, 1]);
+    assert_eq!(ids(&restored), [0, 1]);
     for t in [&mut original, &mut restored] {
         t.run_for(Duration::from_mins(30));
     }
@@ -546,6 +558,66 @@ fn categories_created_out_of_name_order_restore_to_the_same_checkpoints() {
     assert_eq!(original.fingerprint(), restored.fingerprint());
     let ingested = |t: &Turbine, job| t.checkpoints().job_total_ingested(job);
     assert!(ingested(&restored, JobId(9)) > ingested(&restored, JobId(10)));
+}
+
+/// A Scribe stall on a critical job's input is active across the capture,
+/// with the default alert rules installed. The stalled-job set, the
+/// symptom's cause and the incident's cause each find the job's category
+/// through its engine row's id, so the restored run stalls the same job and
+/// links the same causes as the uninterrupted one, in both drive modes.
+#[test]
+fn restore_mid_scribe_stall_matches_uninterrupted() {
+    for mode in [DriveMode::EventDriven, DriveMode::DenseTick] {
+        let mut original = Turbine::new(TurbineConfig::default());
+        original.add_hosts(4, host_shape());
+        for (id, name) in [(1, "stalled_crit"), (2, "flowing_crit")] {
+            let mut jc = JobConfig::stateless(name, 4, 64);
+            jc.max_task_count = 64;
+            jc.resiliency = turbine_config::ResiliencyClass::Critical;
+            original
+                .provision_job(
+                    JobId(id),
+                    jc,
+                    TrafficModel::diurnal(3.0e6, 0.2, id),
+                    1.0e6,
+                    256.0,
+                )
+                .expect("provision");
+        }
+        original.install_default_alert_rules();
+        let category = original.job_category(JobId(1)).expect("provisioned");
+        original.schedule_fault(FaultPlan {
+            fault: Fault::ScribeStall(category.to_string()),
+            from: SimTime::ZERO + Duration::from_mins(10),
+            until: Some(SimTime::ZERO + Duration::from_mins(18)),
+        });
+        drive_to(&mut original, 14, mode);
+        let mut restored = Snapshot::capture(&original).restore().expect("restore");
+        assert_eq!(
+            observe(&original),
+            observe(&restored),
+            "{mode:?}: at capture"
+        );
+        drive_to(&mut original, 60, mode);
+        drive_to(&mut restored, 60, mode);
+        assert_eq!(
+            observe(&original),
+            observe(&restored),
+            "{mode:?}: at the horizon"
+        );
+        let incidents = restored.incidents();
+        assert!(
+            incidents
+                .iter()
+                .any(|i| i.metric.scope == turbine_ods::Scope::Job(1)),
+            "{mode:?}: the stall pages: {incidents:?}"
+        );
+        let caused = restored
+            .trace()
+            .events()
+            .any(|e| e.data.kind() == "incident" && e.cause.is_some());
+        assert!(caused, "{mode:?}: an incident links to the stall");
+    }
 }
 
 /// The root-causer's record travels inside the Auto Scaler's state: a
