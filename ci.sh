@@ -86,6 +86,14 @@ echo "== a job's input category is one id on its engine row =="
 ! grep -rnwE 'category_of|restored_watermarks|scope_series' crates \
     || { echo "category_of, restored_watermarks or scope_series is back under crates/"; exit 1; }
 
+echo "== one record per lost container; the critical jobs are one set =="
+# A container lost to a severed connection, a failed host or both is one
+# `Loss` record (its onset and its severance), and the standby round reads
+# the set of critical jobs. The two per-cause tables and the per-job tier
+# map stay gone.
+! grep -rnwE 'container_down_since|SeveredState|resiliency_cache' crates \
+    || { echo "container_down_since, SeveredState or resiliency_cache is back under crates/"; exit 1; }
+
 echo "== scale_smoke: sparse data plane at 1k hosts / 10k tasks (13 simulated hours) =="
 # scale_soak runs the identical scenario under DriveMode::EventDriven and
 # DriveMode::FullScan and exits non-zero unless the fingerprints are

@@ -742,8 +742,8 @@ impl AutoScaler {
     /// untriaged or a stable window (no task (re)started in the last
     /// `interval`, which would look like a sick host) shows a single-task
     /// hardware anomaly; the move is then the mitigation and the action is
-    /// withheld. An untriaged diagnosis still sees an unstable window's
-    /// anomaly (rule 1 of [`diagnose`]).
+    /// withheld. An unstable window's anomaly reaches no rule of
+    /// [`diagnose`]: a task restarted mid-window is not a bad host.
     pub fn triage(
         &mut self,
         job: JobId,
@@ -761,8 +761,7 @@ impl AutoScaler {
             .map(|task| (task.id, task.processed / interval.as_secs_f64()))
             .collect();
         let stable = running.iter().all(|task| task.started_at <= now - interval);
-        let anomaly = hardware_anomaly(metrics, &rates);
-        let hardware = anomaly.filter(|_| stable);
+        let hardware = hardware_anomaly(metrics, &rates).filter(|_| stable);
         if (hardware.is_none() && decision.untriaged.is_none())
             || state
                 .last_diagnosis
@@ -775,7 +774,7 @@ impl AutoScaler {
             suppress_action: hardware.is_some(),
             diagnosis: Some(diagnose(&DiagnosisInput {
                 metrics,
-                hardware: anomaly,
+                hardware,
                 expected_per_thread: state.throughput.p(),
                 last_release: state.release,
                 lag_since: lag.since,
@@ -1235,17 +1234,17 @@ mod tests {
                 }
             );
         }
-        // Once the lag is untriaged it is diagnosed, and rule 1 still sees
-        // the unstable window's anomaly; the action is not withheld.
+        // Once the lag is untriaged it is diagnosed, but not as a bad
+        // host: rule 1 never sees the unstable window's anomaly, and the
+        // action is not withheld.
         let d = s.evaluate(job, &stalled, &config, t(12));
         assert!(d.untriaged.is_some());
         let triage = s.triage(job, &d, &stalled, &unstable(12), INTERVAL, t(12));
         assert!(!triage.suppress_action);
-        assert_eq!(
-            triage.diagnosis.expect("diagnosed").cause,
-            crate::RootCause::HardwareIssue {
-                task: TaskId::new(JOB, 2)
-            }
+        let cause = triage.diagnosis.expect("diagnosed").cause;
+        assert!(
+            !matches!(cause, crate::RootCause::HardwareIssue { .. }),
+            "{cause:?}"
         );
         // A job keeping up is never triaged.
         let d = s.evaluate(JobId(3), &healthy_metrics(4, 1.0e6), &config, t(10));

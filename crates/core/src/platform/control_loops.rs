@@ -28,19 +28,21 @@ impl Turbine {
     pub(crate) fn heartbeat_round(&mut self) {
         let now = self.now;
         // Proactive reboots first, in container order.
-        let due_reboot: Vec<ContainerId> = self
-            .severed
-            .iter()
-            .filter(|(_, s)| !s.rebooted && now.since(s.at) >= CONNECTION_TIMEOUT)
-            .map(|(&c, _)| c)
-            .collect();
+        let mut due_reboot: Vec<(ContainerId, SimTime)> = Vec::new();
+        for (&container, loss) in &mut self.lost {
+            if let Some(severance) = loss.severed.as_mut() {
+                if !severance.rebooted && now.since(severance.at) >= CONNECTION_TIMEOUT {
+                    severance.rebooted = true;
+                    due_reboot.push((container, loss.since));
+                }
+            }
+        }
         // A reboot takes the container's tasks down: a fault-attributed
         // outage for every affected job, measured from the connectivity
         // loss (not the reboot) — the earliest one among this beat's
         // reboots that hit the job.
         let mut affected: BTreeMap<JobId, SimTime> = BTreeMap::new();
-        for container in due_reboot {
-            self.severed.get_mut(&container).expect("present").rebooted = true;
+        for (container, since) in due_reboot {
             let mut all_events = Vec::new();
             if let Some(tm) = self.task_managers.get_mut(&container) {
                 let owned: Vec<_> = tm.owned_shards().collect();
@@ -48,7 +50,6 @@ impl Turbine {
                     all_events.extend(tm.drop_shard(shard));
                 }
             }
-            let since = self.onset(container);
             for event in &all_events {
                 if let TaskEvent::Stopped(id) = event {
                     let onset = affected.entry(id.job).or_insert(since);
@@ -101,7 +102,7 @@ impl Turbine {
             .task_managers
             .keys()
             .copied()
-            .filter(|&c| self.cluster.is_container_healthy(c) && !self.severed.contains_key(&c))
+            .filter(|&c| self.reachable(c))
             .collect();
         self.live_containers = Some((generation, live));
     }
@@ -113,9 +114,10 @@ impl Turbine {
     /// their shards, standbys are (re)placed, and the SLO check closes any
     /// outage whose job is back at full strength.
     pub(crate) fn failover_check(&mut self) {
+        let now = self.now;
         self.promote_suspect_primaries();
         let alive_before = self.shard_manager.alive_containers();
-        let failover_moves = self.shard_manager.check_failover(self.now);
+        let failover_moves = self.shard_manager.check_failover(now);
         if !failover_moves.is_empty() {
             // Outages are attributed before the movements execute: every
             // job with a task on a newly dead container went down when
@@ -127,7 +129,7 @@ impl Turbine {
             let mut affected: BTreeMap<JobId, SimTime> = BTreeMap::new();
             for (id, task) in self.engine.tasks() {
                 if newly_dead.contains(&task.container) {
-                    let since = self.onset(task.container);
+                    let since = self.lost.get(&task.container).map_or(now, |l| l.since);
                     let onset = affected.entry(id.job).or_insert(since);
                     *onset = (*onset).min(since);
                 }
@@ -137,7 +139,7 @@ impl Turbine {
             }
             self.metrics.failovers.incr();
             self.trace.emit(
-                self.now,
+                now,
                 TraceData::Failover {
                     moves: failover_moves.len(),
                 },
@@ -146,15 +148,6 @@ impl Turbine {
         }
         self.ensure_standbys();
         self.slo_check();
-    }
-
-    /// When `container`'s current connectivity loss began: the onset an
-    /// outage it causes is measured from (now, when none is recorded).
-    fn onset(&self, container: ContainerId) -> SimTime {
-        self.container_down_since
-            .get(&container)
-            .copied()
-            .unwrap_or(self.now)
     }
 
     /// Open a fault-attributed outage for a job (idempotent: an already
@@ -177,22 +170,18 @@ impl Turbine {
         let now = self.now;
         let registrations: Vec<(JobId, ContainerId)> = self.shard_manager.standbys().collect();
         for (job, standby) in registrations {
-            if self.shard_manager.is_suspect(standby, now)
-                || self.severed.contains_key(&standby)
-                || !self.cluster.is_container_healthy(standby)
-            {
+            if self.shard_manager.is_suspect(standby, now) || !self.reachable(standby) {
                 self.drop_standby(job);
                 continue;
             }
             let mut suspect_shards = Vec::new();
-            let mut onset: Option<SimTime> = None;
+            let mut since = now;
             for (&id, task) in self.engine.tasks_of_job(job) {
                 if !self.shard_manager.is_suspect(task.container, now) {
                     continue;
                 }
                 suspect_shards.push(turbine_taskmgr::shard_of_task(id, self.config.shard_count));
-                let since = self.onset(task.container);
-                onset = Some(onset.map_or(since, |o| o.min(since)));
+                since = since.min(self.lost.get(&task.container).map_or(now, |l| l.since));
             }
             if suspect_shards.is_empty() {
                 continue;
@@ -218,7 +207,6 @@ impl Turbine {
             }
             self.standby_released(job);
             self.tell_checker(|inbox| inbox.promotions.push((job, to)));
-            let since = onset.unwrap_or(now);
             self.outages
                 .entry(job)
                 .and_modify(|o| o.fast = true)
@@ -233,19 +221,21 @@ impl Turbine {
     /// a standby for any critical job lacking one.
     fn ensure_standbys(&mut self) {
         let now = self.now;
-        // Critical jobs come from the feed-maintained resiliency cache:
-        // the round costs O(critical + jobs changed), not a re-decode of
-        // every job config in the fleet.
-        self.refresh_resiliency_cache();
+        // The critical jobs are a set kept up to date from the Job
+        // Store's changes: the round costs O(critical + jobs changed), not
+        // a re-decode of every job config in the fleet.
+        for job in self.jobs.store_mut().drain_changes(StoreReader::Standbys) {
+            if self.job_resiliency(job) == ResiliencyClass::Critical {
+                self.critical_jobs.insert(job);
+            } else {
+                self.critical_jobs.remove(&job);
+            }
+        }
         let critical: Vec<JobId> = self
-            .resiliency_cache
+            .critical_jobs
             .iter()
-            .filter(|&(&j, &tier)| {
-                tier == ResiliencyClass::Critical
-                    && self.jobs.store().running(j).is_some()
-                    && self.engine.job(j).is_some()
-            })
-            .map(|(&j, _)| j)
+            .copied()
+            .filter(|&j| self.jobs.store().running(j).is_some() && self.engine.job(j).is_some())
             .collect();
         let registrations: Vec<(JobId, ContainerId)> = self.shard_manager.standbys().collect();
         if registrations.is_empty() && critical.is_empty() {
@@ -265,11 +255,10 @@ impl Turbine {
         let tasks_on = |c: ContainerId| load_on.get(&c).map_or(0, |&(tasks, _)| tasks);
         for (job, standby) in registrations {
             self.standbys_examined += 1;
-            // `critical` is in job order (it was read off an ordered map).
+            // `critical` is in job order (it was read off an ordered set).
             let mut valid = critical.binary_search(&job).is_ok()
                 && self.shard_manager.status(standby) == Some(ContainerStatus::Alive)
-                && self.cluster.is_container_healthy(standby)
-                && !self.severed.contains_key(&standby)
+                && self.reachable(standby)
                 && !self.standby_conflicts(job, standby);
             // Migrate a standby off a container that runs primary tasks
             // once an idle container is available: co-residency couples
@@ -297,9 +286,7 @@ impl Turbine {
             // standby once its outage closes.
             if self.outages.contains_key(&job)
                 || self.engine.tasks_of_job(job).any(|(_, t)| {
-                    self.shard_manager.is_suspect(t.container, now)
-                        || self.severed.contains_key(&t.container)
-                        || !self.cluster.is_container_healthy(t.container)
+                    self.shard_manager.is_suspect(t.container, now) || !self.reachable(t.container)
                 })
             {
                 continue;
@@ -344,8 +331,7 @@ impl Turbine {
         }
         let mut best: Option<((usize, usize), ContainerId)> = None;
         for &container in self.task_managers.keys() {
-            if !self.cluster.is_container_healthy(container)
-                || self.severed.contains_key(&container)
+            if !self.reachable(container)
                 || self.shard_manager.status(container) != Some(ContainerStatus::Alive)
             {
                 continue;
@@ -397,9 +383,7 @@ impl Turbine {
                 .engine
                 .tasks_of_job(job)
                 .filter(|(_, t)| {
-                    self.cluster.is_container_healthy(t.container)
-                        && !self.severed.contains_key(&t.container)
-                        && t.down_until.is_none_or(|u| now >= u)
+                    self.reachable(t.container) && t.down_until.is_none_or(|u| now >= u)
                 })
                 .count();
             if want == 0 || up < want {

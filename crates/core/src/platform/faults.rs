@@ -4,7 +4,7 @@
 //! [`FaultEdge`](super::ControlEvent::FaultEdge) wake events so the
 //! event-driven loop executes the grid instants where the edges land.
 
-use super::{SeveredState, Turbine};
+use super::{Loss, Severance, Turbine};
 use turbine_jobstore::StoreReader;
 use turbine_sim::{Fault, FaultInjector, FaultPlan, FaultTransition};
 use turbine_statesyncer::StateSyncer;
@@ -15,14 +15,16 @@ impl Turbine {
     /// failure injection). Heartbeats stop; after the proactive timeout
     /// the container reboots itself (§IV-C).
     pub fn sever_connection(&mut self, container: ContainerId) {
-        self.container_down_since
-            .entry(container)
-            .or_insert(self.now);
         // Severing shrinks the live-container set the distributed
         // invariant scope checks against, and the set that heartbeats.
         self.connection_changed();
-        self.severed.entry(container).or_insert(SeveredState {
-            at: self.now,
+        let now = self.now;
+        let loss = self.lost.entry(container).or_insert(Loss {
+            since: now,
+            severed: None,
+        });
+        loss.severed.get_or_insert(Severance {
+            at: now,
             rebooted: false,
         });
     }
@@ -32,15 +34,16 @@ impl Turbine {
     /// shards resume where they were. A container whose host is still
     /// down stays lost, and keeps its onset.
     pub fn restore_connection(&mut self, container: ContainerId) {
-        if self.cluster.is_container_healthy(container) {
-            self.container_down_since.remove(&container);
+        let severed = self.lost.get_mut(&container).and_then(|l| l.severed.take());
+        if self.reachable(container) {
+            self.lost.remove(&container);
         }
-        let Some(state) = self.severed.remove(&container) else {
+        let Some(severance) = severed else {
             return;
         };
         self.connection_changed();
         self.container_changed(container);
-        if state.rebooted {
+        if severance.rebooted {
             use turbine_shardmgr::ContainerStatus;
             let status = self.shard_manager.status(container);
             if status == Some(ContainerStatus::Alive) {
@@ -185,9 +188,10 @@ impl Turbine {
     pub fn fail_host(&mut self, host: HostId) -> Result<(), String> {
         if let Ok(containers) = self.cluster.containers_on(host) {
             for container in containers {
-                self.container_down_since
-                    .entry(container)
-                    .or_insert(self.now);
+                self.lost.entry(container).or_insert(Loss {
+                    since: self.now,
+                    severed: None,
+                });
             }
         }
         self.cluster_changed();
@@ -209,8 +213,8 @@ impl Turbine {
         self.cluster.recover_host(host).map_err(|e| e.to_string())?;
         self.cluster_changed();
         for container in containers {
-            if !self.severed.contains_key(&container) {
-                self.container_down_since.remove(&container);
+            if self.reachable(container) {
+                self.lost.remove(&container);
             }
             self.container_changed(container);
             if self.shard_manager.status(container) == Some(ContainerStatus::Alive) {

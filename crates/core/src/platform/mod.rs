@@ -209,9 +209,24 @@ pub struct PlatformFingerprint {
     pub recoveries: usize,
 }
 
+/// A container lost to the platform: its Shard Manager connection is
+/// severed, its host is down, or both. Its entry in [`Turbine::lost`]
+/// lasts from the first cause until it is [reachable](Turbine::reachable)
+/// again, so an outage is dated from the first cause (§IV-C).
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct SeveredState {
+pub(crate) struct Loss {
+    /// When the first cause began: the onset of the outages it causes.
+    pub(crate) since: SimTime,
+    /// The severed connection, while it is one of the causes.
+    pub(crate) severed: Option<Severance>,
+}
+
+/// A severed Shard Manager connection.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Severance {
+    /// When it was severed: the proactive timeout runs from here.
     pub(crate) at: SimTime,
+    /// Whether the container already rebooted itself after the timeout.
     pub(crate) rebooted: bool,
 }
 
@@ -265,15 +280,12 @@ pub struct Turbine {
     /// Mean time between random task crashes; `None` disables injection.
     pub(crate) crash_mtbf: Option<Duration>,
     pub(crate) rng: SimRng,
-    pub(crate) severed: BTreeMap<ContainerId, SeveredState>,
+    /// Every container lost to a severed connection or a failed host.
+    pub(crate) lost: BTreeMap<ContainerId, Loss>,
     /// Shadow read positions of warm standbys (critical jobs only).
     pub(crate) shadow: ShadowCursor,
     /// Open fault-attributed outages per job (SLO accounting).
     pub(crate) outages: BTreeMap<JobId, OutageState>,
-    /// When each container's current connectivity loss began — fault onset
-    /// for backdating outage starts. Cleared once the container is back on
-    /// both counts: its connection restored and its host healthy.
-    pub(crate) container_down_since: BTreeMap<ContainerId, SimTime>,
     /// The chaos engine: scheduled/active cross-component faults.
     pub(crate) faults: FaultInjector,
     /// The causal decision trace.
@@ -285,10 +297,10 @@ pub struct Turbine {
     /// Containers whose ownership or task set changed since the last
     /// load-report round.
     pub(crate) load_dirty_containers: BTreeSet<ContainerId>,
-    /// Per-job resiliency tier, maintained from the Job Store's changes
-    /// so per-round consumers (standby coverage) never re-decode every job
+    /// The jobs whose resiliency tier is critical, maintained from the
+    /// Job Store's changes so standby coverage never re-decodes every job
     /// config in the fleet.
-    pub(crate) resiliency_cache: BTreeMap<JobId, ResiliencyClass>,
+    pub(crate) critical_jobs: BTreeSet<JobId>,
     /// Task Managers that reconciled in a refresh round (the rest were
     /// handed the snapshot they already held). This and
     /// `standbys_examined` count work, not state: the first refresh after
@@ -367,15 +379,14 @@ impl Turbine {
             state_moves: IdMap::default(),
             crash_mtbf: None,
             rng: SimRng::seeded(0x0C2A_54E5),
-            severed: BTreeMap::new(),
+            lost: BTreeMap::new(),
             shadow: ShadowCursor::new(),
             outages: BTreeMap::new(),
-            container_down_since: BTreeMap::new(),
             faults: FaultInjector::new(),
             trace: TraceBuffer::default(),
             invariants: None,
             load_dirty_containers: BTreeSet::new(),
-            resiliency_cache: BTreeMap::new(),
+            critical_jobs: BTreeSet::new(),
             tm_managers_reconciled: 0,
             standbys_examined: 0,
             heartbeat_filtered: 0,
@@ -837,17 +848,14 @@ impl Turbine {
         self.tell_checker(|inbox| inbox.distributed = true);
     }
 
-    /// Bring the per-job resiliency cache up to date with the Job Store:
-    /// only jobs whose rows changed since the last call are re-decoded.
-    pub(crate) fn refresh_resiliency_cache(&mut self) {
-        for job in self.jobs.store_mut().drain_changes(StoreReader::Standbys) {
-            if self.jobs.store().has_job(job) {
-                let tier = self.job_resiliency(job);
-                self.resiliency_cache.insert(job, tier);
-            } else {
-                self.resiliency_cache.remove(&job);
-            }
-        }
+    /// Whether `container` is reachable: its host is healthy and its Shard
+    /// Manager connection is not severed.
+    pub(crate) fn reachable(&self, container: ContainerId) -> bool {
+        let severed = self
+            .lost
+            .get(&container)
+            .is_some_and(|l| l.severed.is_some());
+        self.cluster.is_container_healthy(container) && !severed
     }
 
     /// Violations recorded so far (empty when checking is disabled).
@@ -937,7 +945,10 @@ snap_struct!(TurbineConfig {
 // skips control rounds.
 check |c| c.validate().is_ok() => "TurbineConfig failed validation");
 
-snap_struct!(SeveredState { at, rebooted });
+snap_struct!(Loss { since, severed }
+check |l| l.severed.is_none_or(|s| l.since <= s.at) => "Loss dated after its severance");
+
+snap_struct!(Severance { at, rebooted });
 
 snap_struct!(OutageState { since, fast });
 
@@ -1031,9 +1042,9 @@ turbine_stream! {
     shard_manager,
     task_managers via (snap_managers, unsnap_managers),
     scaler, capacity, checkpoints, engine, paused, capacity_stopped, state_moves, crash_mtbf,
-    rng, severed, shadow,
-    outages, container_down_since, faults, trace, invariants, load_dirty_containers,
-    resiliency_cache, sched, last_scaler_drain, ods;
+    rng, lost, shadow,
+    outages, faults, trace, invariants, load_dirty_containers,
+    critical_jobs, sched, last_scaler_drain, ods;
     // Caches and cost counters: rebuilt or restarted, never stored.
     derived {
         container_cpu: None,

@@ -61,8 +61,11 @@ pub const SNAP_MAGIC: [u8; 8] = *b"TRBNSNAP";
 /// version 14 writes the Scribe bus in creation order so a category id
 /// survives a restore, stores each engine job's category id in place of
 /// the platform's per-job category names, and stores the Scribe
-/// watermarks by category id rather than by name.
-pub const SNAP_VERSION: u32 = 14;
+/// watermarks by category id rather than by name; version 15 stores one
+/// record per lost container (its onset and, while it lasts, its severed
+/// connection) in place of the severed-connection table and the onset
+/// table, and the set of critical jobs in place of every job's tier.
+pub const SNAP_VERSION: u32 = 15;
 
 /// Chunk size of the manifest: one digest per 4 KiB of stream, verified
 /// on every restore and compared across snapshots. Small enough that an
@@ -564,6 +567,40 @@ mod tests {
         assert_eq!(
             restore(&past),
             Some(SnapError::Value("OdsState watermark series unknown"))
+        );
+    }
+
+    /// A lost container's record is dated from its first cause, so it can
+    /// never postdate its own severance: a blob that says otherwise is a
+    /// typed error, not a platform whose outage onsets run backwards.
+    #[test]
+    fn a_loss_dated_after_its_severance_is_a_typed_error() {
+        let mut t = small_platform();
+        let container = t
+            .cluster
+            .containers_on(t.cluster.hosts()[0])
+            .expect("a host")[0];
+        t.sever_connection(container);
+        let stream = Snapshot::capture(&t).stream.into_owned();
+        let restore = |stream: &[u8]| {
+            Snapshot::from_stream(SnapshotMeta::default(), Cow::Borrowed(stream))
+                .restore()
+                .err()
+        };
+        assert_eq!(restore(&stream), None);
+
+        // The field ends with the one record: its onset, `Some`, the
+        // severance time (both now) and the reboot flag.
+        let end = offset_of(&t, "shadow");
+        let (since_at, at_at) = (end - 18, end - 9);
+        assert_eq!(stream[end - 10], 1, "Some");
+        assert_eq!(stream[since_at..since_at + 8], stream[at_at..at_at + 8]);
+        let since = u64::from_le_bytes(stream[since_at..since_at + 8].try_into().expect("8 bytes"));
+        let mut later = stream.clone();
+        later[since_at..since_at + 8].copy_from_slice(&(since + 1).to_le_bytes());
+        assert_eq!(
+            restore(&later),
+            Some(SnapError::Value("Loss dated after its severance"))
         );
     }
 

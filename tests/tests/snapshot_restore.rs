@@ -744,3 +744,83 @@ fn a_restored_disabled_scaler_switched_on_reads_the_uninterrupted_windows() {
         );
     }
 }
+
+/// A container lost for two causes at once: its connection is severed at
+/// 300 s and its host fails at 310 s. The capture at 350 s falls after the
+/// proactive reboot (40 s after the severance), so the blob holds one lost
+/// container, dated 300 s, whose severance has rebooted. Both platforms
+/// then restore the connection and later the host: the restored run
+/// matches the uninterrupted one, and the outage is dated from the first
+/// cause.
+#[test]
+fn restore_mid_two_cause_loss_matches_uninterrupted() {
+    let secs = |s| SimTime::ZERO + Duration::from_secs(s);
+    for mode in [DriveMode::EventDriven, DriveMode::DenseTick] {
+        let mut original = Turbine::new(TurbineConfig::default());
+        original.add_hosts(3, host_shape());
+        original
+            .provision_job(
+                JobId(1),
+                JobConfig::stateless("two_causes", 2, 32),
+                TrafficModel::flat(1.0e6),
+                1.0e6,
+                256.0,
+            )
+            .expect("provision");
+        drive_to(&mut original, 5, mode);
+        let c = original
+            .task_container(turbine_types::TaskId::new(JobId(1), 0))
+            .expect("task placed");
+        let host = original.cluster.host_of(c).expect("container has a host");
+        original.sever_connection(c);
+        original.drive_for(Duration::from_secs(10), mode);
+        original.fail_host(host).expect("fail host");
+        original.drive_for(Duration::from_secs(40), mode);
+        assert_eq!(original.now(), secs(350));
+
+        let snapshot = Snapshot::capture(&original);
+        // The `lost` field is one record (a host runs one container): its
+        // onset, then `Some` severance, its time and its reboot flag.
+        let fields = original.snap_field_bytes();
+        let end: usize = fields
+            .iter()
+            .take_while(|f| f.0 != "shadow")
+            .map(|f| f.1)
+            .sum();
+        let stream = &snapshot.to_bytes()[..];
+        let stream = &stream[stream.len() - snapshot.stream_len() as usize..];
+        let record = &stream[end - 18..end];
+        assert_eq!(record[..8], 300_000u64.to_le_bytes(), "{mode:?}: onset");
+        assert_eq!(
+            (record[8], record[17]),
+            (1, 1),
+            "{mode:?}: severed, rebooted"
+        );
+
+        let mut restored = snapshot.restore().expect("restore");
+        assert_eq!(
+            observe(&original),
+            observe(&restored),
+            "{mode:?}: at capture"
+        );
+        for t in [&mut original, &mut restored] {
+            t.drive_for(Duration::from_secs(30), mode);
+            t.restore_connection(c);
+            t.drive_for(Duration::from_secs(40), mode);
+            t.recover_host(host).expect("recover host");
+            drive_to(t, 20, mode);
+        }
+        assert_eq!(
+            observe(&original),
+            observe(&restored),
+            "{mode:?}: at the horizon"
+        );
+        let first = restored
+            .metrics
+            .recoveries
+            .iter()
+            .find(|r| r.job == JobId(1))
+            .expect("job recovered");
+        assert_eq!(first.at.as_millis() - first.ms, 300_000, "{mode:?}: onset");
+    }
+}
