@@ -86,13 +86,25 @@ echo "== a job's input category is one id on its engine row =="
 ! grep -rnwE 'category_of|restored_watermarks|scope_series' crates \
     || { echo "category_of, restored_watermarks or scope_series is back under crates/"; exit 1; }
 
-echo "== one record per lost container; the critical jobs are one set =="
+echo "== one record per lost container; the critical jobs are one table =="
 # A container lost to a severed connection, a failed host or both is one
-# `Loss` record (its onset and its severance), and the standby round reads
-# the set of critical jobs. The two per-cause tables and the per-job tier
-# map stay gone.
+# `Loss` record (its onset and its severance), and the critical jobs are
+# one Shard Manager table of each job and its standby, kept from the Job
+# Store's tier changes. The two per-cause tables and the per-job tier map
+# stay gone.
 ! grep -rnwE 'container_down_since|SeveredState|resiliency_cache' crates \
     || { echo "container_down_since, SeveredState or resiliency_cache is back under crates/"; exit 1; }
+
+echo "== the Shard Manager owns the standbys =="
+# The standby ranking is written once, as the Shard Manager's
+# `StandbyOrder`; the host-isolation rule is kept where a primary starts
+# (and checked by invariant 7), not re-tested every beat; the shadow path
+# keeps no read positions, since nothing read them. The platform keeps no
+# copy of the critical jobs.
+! grep -rnwE 'standby_conflicts|load_on|job_observed_total' crates \
+    || { echo "standby_conflicts, load_on or job_observed_total is back under crates/"; exit 1; }
+! grep -rnw critical_jobs crates/core/src \
+    || { echo "critical_jobs is back under crates/core/src: the Shard Manager holds the table"; exit 1; }
 
 echo "== scale_smoke: sparse data plane at 1k hosts / 10k tasks (13 simulated hours) =="
 # scale_soak runs the identical scenario under DriveMode::EventDriven and

@@ -94,10 +94,9 @@ pub struct DiagnosisInput<'a> {
     pub hardware: Option<TaskId>,
     /// The scaler's current per-thread max-throughput estimate `P`.
     pub expected_per_thread: f64,
-    /// The job's release row: current version, previous version, and when
-    /// the version last changed (a job never released shows its first
-    /// round's version twice).
-    pub last_release: (u64, u64, SimTime),
+    /// The job's last release: current version, previous version, and
+    /// when the version changed; `None` for a job never released.
+    pub last_release: Option<(u64, u64, SimTime)>,
     /// When the ongoing lag episode began.
     pub lag_since: SimTime,
     /// Now.
@@ -167,8 +166,11 @@ pub fn diagnose(input: &DiagnosisInput<'_>) -> Diagnosis {
 
     // Rule 2 — bad user update: the lag began within the window after a
     // release.
-    let ((version, previous, released_at), lag_since) = (input.last_release, input.lag_since);
-    if lag_since >= released_at && lag_since.since(released_at) <= UPDATE_WINDOW {
+    let lag_since = input.lag_since;
+    if let Some((version, previous, released_at)) = input
+        .last_release
+        .filter(|&(_, _, at)| lag_since >= at && lag_since.since(at) <= UPDATE_WINDOW)
+    {
         return Diagnosis {
             cause: RootCause::BadUserUpdate {
                 suspect_version: version,
@@ -249,9 +251,8 @@ mod tests {
         SimTime::ZERO + Duration::from_mins(mins)
     }
 
-    /// The row of a job still on the version its first round saw, well
-    /// before any lag below.
-    const NEVER_RELEASED: (u64, u64, SimTime) = (6, 6, SimTime::ZERO);
+    /// A job still on the version its first round saw has no release row.
+    const NEVER_RELEASED: Option<(u64, u64, SimTime)> = None;
 
     #[test]
     fn single_slow_task_is_a_hardware_issue() {
@@ -283,7 +284,7 @@ mod tests {
             metrics: &metrics,
             hardware: hardware_anomaly(&metrics, &rates),
             expected_per_thread: 1.0e6,
-            last_release: (7, 6, t(100)),
+            last_release: Some((7, 6, t(100))),
             lag_since: t(110),
             now: t(120),
         });
@@ -306,7 +307,7 @@ mod tests {
             metrics: &metrics,
             hardware: hardware_anomaly(&metrics, &rates),
             expected_per_thread: 1.0e6,
-            last_release: (7, 6, t(10)),
+            last_release: Some((7, 6, t(10))),
             lag_since: t(300), // hours later
             now: t(310),
         });

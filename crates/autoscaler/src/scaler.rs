@@ -170,9 +170,12 @@ struct JobState {
     last_downscale_at: Option<SimTime>,
     /// The ongoing lag episode; `None` while the job keeps up.
     lag: Option<LagEpisode>,
-    /// The release row for the bad-update rule: (current version, previous
-    /// version, changed at); the first round records (v, v, then).
-    release: (u64, u64, SimTime),
+    /// The package version the job ran at its last round.
+    version: u64,
+    /// The release row for the bad-update rule: (previous version, changed
+    /// at), set only when the version changes — the version a job first
+    /// ran is not a release.
+    release: Option<(u64, SimTime)>,
     /// When the root-causer last diagnosed the job (its debounce).
     last_diagnosis: Option<SimTime>,
 }
@@ -244,11 +247,13 @@ impl AutoScaler {
             last_action_at: None,
             last_downscale_at: None,
             lag: None,
-            release: (version, version, now),
+            version,
+            release: None,
             last_diagnosis: None,
         });
-        if state.release.0 != version {
-            state.release = (version, state.release.0, now);
+        if state.version != version {
+            state.release = Some((state.version, now));
+            state.version = version;
         }
 
         // Continuously refine P upward from observation: a task observed
@@ -776,7 +781,9 @@ impl AutoScaler {
                 metrics,
                 hardware,
                 expected_per_thread: state.throughput.p(),
-                last_release: state.release,
+                last_release: state
+                    .release
+                    .map(|(previous, at)| (state.version, previous, at)),
                 lag_since: lag.since,
                 now,
             })),
@@ -864,6 +871,7 @@ turbine_types::snap_struct!(JobState {
     last_action_at,
     last_downscale_at,
     lag,
+    version,
     release,
     last_diagnosis
 });
@@ -878,6 +886,7 @@ turbine_types::snap_struct!(AutoScaler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::ops::Range;
 
     const JOB: JobId = JobId(1);
 
@@ -1144,9 +1153,8 @@ mod tests {
         lagging.total_bytes_lagged = 1.0e6 * 300.0;
         assert!(s.evaluate(JOB, &lagging, &config, t(0)).action.is_some());
         assert_eq!(
-            s.states[&JOB].release,
-            (7, 7, t(0)),
-            "first round: (v, v, then)"
+            s.states[&JOB].release, None,
+            "the first version is no release"
         );
         for round in 1..3 {
             let d = s.evaluate(JOB, &lagging, &config, t(round));
@@ -1163,7 +1171,8 @@ mod tests {
         config.package.version = 8;
         s.evaluate(JOB, &lagging, &config, t(3));
         s.evaluate(JOB, &lagging, &config, t(4));
-        assert_eq!(s.states[&JOB].release, (8, 7, t(3)));
+        assert_eq!(s.states[&JOB].version, 8);
+        assert_eq!(s.states[&JOB].release, Some((7, t(3))));
         // Recovery ends the episode; the next lag starts a new one.
         s.evaluate(JOB, &healthy_metrics(1, 0.5e6), &config, t(5));
         assert_eq!(s.lag_episode(JOB), None);
@@ -1236,16 +1245,14 @@ mod tests {
         }
         // Once the lag is untriaged it is diagnosed, but not as a bad
         // host: rule 1 never sees the unstable window's anomaly, and the
-        // action is not withheld.
+        // action is not withheld. Nor as a bad update: the job has run one
+        // version since the scaler first saw it.
         let d = s.evaluate(job, &stalled, &config, t(12));
         assert!(d.untriaged.is_some());
         let triage = s.triage(job, &d, &stalled, &unstable(12), INTERVAL, t(12));
         assert!(!triage.suppress_action);
         let cause = triage.diagnosis.expect("diagnosed").cause;
-        assert!(
-            !matches!(cause, crate::RootCause::HardwareIssue { .. }),
-            "{cause:?}"
-        );
+        assert_eq!(cause, crate::RootCause::DependencyFailure);
         // A job keeping up is never triaged.
         let d = s.evaluate(JobId(3), &healthy_metrics(4, 1.0e6), &config, t(10));
         let triage = s.triage(
@@ -1257,6 +1264,43 @@ mod tests {
             t(10),
         );
         assert_eq!(triage.diagnosis, None);
+    }
+
+    /// The version a job first runs is not a release: a lag from its first
+    /// round is not blamed on an update, and one that begins right after a
+    /// real release is.
+    #[test]
+    fn a_job_never_released_is_not_blamed_on_an_update() {
+        let mut s = scaler();
+        let mut config = job_config(4);
+        let diagnose = |s: &mut AutoScaler, config: &JobConfig, minutes: Range<u64>| {
+            let stalled = stalled_metrics();
+            minutes
+                .filter_map(|m| {
+                    let d = s.evaluate(JOB, &stalled, config, t(m));
+                    let steady = window([0; 4], false);
+                    s.triage(JOB, &d, &stalled, &steady, INTERVAL, t(m))
+                        .diagnosis
+                })
+                .last()
+                .expect("diagnosed")
+                .cause
+        };
+        assert_eq!(
+            diagnose(&mut s, &config, 10..13),
+            crate::RootCause::DependencyFailure
+        );
+        // Recovered, then released: the next lag is the update's.
+        s.evaluate(JOB, &healthy_metrics(4, 1.0e6), &config, t(20));
+        config.package.version += 1;
+        s.evaluate(JOB, &healthy_metrics(4, 1.0e6), &config, t(30));
+        assert_eq!(
+            diagnose(&mut s, &config, 31..34),
+            crate::RootCause::BadUserUpdate {
+                suspect_version: 2,
+                previous_version: 1
+            }
+        );
     }
 
     #[test]

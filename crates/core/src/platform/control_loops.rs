@@ -18,7 +18,7 @@ use turbine_shardmgr::{ContainerStatus, ShardMovement};
 use turbine_statesyncer::{Redistribute, SyncEnvironment};
 use turbine_taskmgr::{LocalTaskManager, RunningJobs, TaskEvent, TaskService};
 use turbine_trace::TraceData;
-use turbine_types::{ContainerId, Duration, IdMap, JobId, PartitionId, Resources, SimTime, TaskId};
+use turbine_types::{ContainerId, Duration, HostId, IdMap, JobId, Resources, SimTime, TaskId};
 
 impl Turbine {
     /// Heartbeats + proactive reboot of disconnected containers. The live
@@ -205,8 +205,10 @@ impl Turbine {
                 // redistribution free: no state move, no pause.
                 self.syncer.grant_warm_handoff(job);
             }
-            self.standby_released(job);
-            self.tell_checker(|inbox| inbox.promotions.push((job, to)));
+            self.tell_checker(|inbox| {
+                inbox.standby = true;
+                inbox.promotions.push((job, to));
+            });
             self.outages
                 .entry(job)
                 .and_modify(|o| o.fast = true)
@@ -216,75 +218,61 @@ impl Turbine {
     }
 
     /// Keep every critical running job covered by a valid warm standby:
-    /// drop registrations that are no longer valid (job deleted or
-    /// demoted, standby unhealthy or co-hosted with a primary), then place
-    /// a standby for any critical job lacking one.
+    /// follow the Job Store's tier changes into the Shard Manager's
+    /// critical table, drop registrations that are no longer valid (job
+    /// not running, standby unhealthy, or busy while an idle container is
+    /// free), then place a standby for any critical job lacking one. The
+    /// Shard Manager ranks the containers once for the whole round.
     fn ensure_standbys(&mut self) {
         let now = self.now;
-        // The critical jobs are a set kept up to date from the Job
-        // Store's changes: the round costs O(critical + jobs changed), not
-        // a re-decode of every job config in the fleet.
         for job in self.jobs.store_mut().drain_changes(StoreReader::Standbys) {
-            if self.job_resiliency(job) == ResiliencyClass::Critical {
-                self.critical_jobs.insert(job);
-            } else {
-                self.critical_jobs.remove(&job);
+            let critical = self.job_resiliency(job) == ResiliencyClass::Critical;
+            if self.shard_manager.set_critical(job, critical).is_some() {
+                self.standbys_examined += 1;
+                self.tell_checker(|inbox| inbox.standby = true);
             }
         }
-        let critical: Vec<JobId> = self
-            .critical_jobs
-            .iter()
-            .copied()
-            .filter(|&j| self.jobs.store().running(j).is_some() && self.engine.job(j).is_some())
+        let critical: Vec<(JobId, Option<ContainerId>, bool)> = self
+            .shard_manager
+            .critical()
+            .map(|(job, standby)| {
+                let running =
+                    self.jobs.store().running(job).is_some() && self.engine.job(job).is_some();
+                (job, standby, running)
+            })
+            .filter(|&(_, standby, running)| running || standby.is_some())
             .collect();
-        let registrations: Vec<(JobId, ContainerId)> = self.shard_manager.standbys().collect();
-        if registrations.is_empty() && critical.is_empty() {
+        if critical.is_empty() {
             return;
         }
-        // Primary tasks and owned shards per container. Neither the
-        // engine's tasks nor the shard map move inside this round (it only
-        // edits standby registrations), so one walk of each serves every
-        // job examined below.
-        let mut load_on: BTreeMap<ContainerId, (usize, usize)> = BTreeMap::new();
+        // Neither the engine's tasks nor the shard map move inside this
+        // round (it only edits standby registrations), so one order serves
+        // every job examined below.
+        let mut primaries: BTreeMap<ContainerId, usize> = BTreeMap::new();
         for (_, task) in self.engine.tasks() {
-            load_on.entry(task.container).or_default().0 += 1;
+            *primaries.entry(task.container).or_default() += 1;
         }
-        for &container in self.shard_manager.assignment().values() {
-            load_on.entry(container).or_default().1 += 1;
-        }
-        let tasks_on = |c: ContainerId| load_on.get(&c).map_or(0, |&(tasks, _)| tasks);
-        for (job, standby) in registrations {
-            self.standbys_examined += 1;
-            // `critical` is in job order (it was read off an ordered set).
-            let mut valid = critical.binary_search(&job).is_ok()
-                && self.shard_manager.status(standby) == Some(ContainerStatus::Alive)
-                && self.reachable(standby)
-                && !self.standby_conflicts(job, standby);
-            // Migrate a standby off a container that runs primary tasks
-            // once an idle container is available: co-residency couples
-            // the standby's fate to other jobs' faults. With no idle
-            // candidate the busy placement stands — better than none.
-            if valid && tasks_on(standby) > 0 {
-                if let Some(better) = self.pick_standby(job, &load_on) {
-                    if tasks_on(better) == 0 {
-                        valid = false;
-                    }
+        let order = self
+            .shard_manager
+            .standby_order(self.task_managers.keys().map(|&c| {
+                let tasks = primaries.get(&c).copied().unwrap_or(0);
+                (c, self.cluster.host_of(c).ok(), tasks, self.reachable(c))
+            }));
+        for (job, standby, running) in critical {
+            if let Some(standby) = standby {
+                self.standbys_examined += 1;
+                if running && order.keeps(standby, || self.primary_hosts(job)) {
+                    continue;
                 }
-            }
-            if !valid {
                 self.drop_standby(job);
-            }
-        }
-        for job in critical {
-            if self.shard_manager.standby_of(job).is_some() {
-                continue;
             }
             // Never place a standby while the job is mid-fault: a replica
             // registered this instant has shadow-consumed nothing, so
             // promoting it would be a cold start masquerading as the fast
             // path. The job rides the standard fail-over and gets a fresh
             // standby once its outage closes.
-            if self.outages.contains_key(&job)
+            if !running
+                || self.outages.contains_key(&job)
                 || self.engine.tasks_of_job(job).any(|(_, t)| {
                     self.shard_manager.is_suspect(t.container, now) || !self.reachable(t.container)
                 })
@@ -292,7 +280,7 @@ impl Turbine {
                 continue;
             }
             self.standbys_examined += 1;
-            if let Some(container) = self.pick_standby(job, &load_on) {
+            if let Some(container) = order.pick(&self.primary_hosts(job)) {
                 self.shard_manager.set_standby(job, container);
                 self.tell_checker(|inbox| inbox.standby = true);
                 self.trace
@@ -301,59 +289,12 @@ impl Turbine {
         }
     }
 
-    /// True when a standby shares a host with one of the job's primary
-    /// tasks (a single host failure would take out both).
-    fn standby_conflicts(&self, job: JobId, standby: ContainerId) -> bool {
-        let Ok(standby_host) = self.cluster.host_of(standby) else {
-            return true;
-        };
-        self.engine.tasks_of_job(job).any(|(_, t)| {
-            t.container == standby || self.cluster.host_of(t.container) == Ok(standby_host)
-        })
-    }
-
-    /// Choose a standby container for a critical job: healthy, alive, not
-    /// severed, on a host running none of the job's primaries. Containers
-    /// running the fewest primary tasks (across all jobs) win — an idle
-    /// container keeps the standby's failure domain decoupled from other
-    /// jobs' faults — then fewest owned shards, then the lowest id.
-    /// `load_on` holds both counts per container.
-    fn pick_standby(
-        &self,
-        job: JobId,
-        load_on: &BTreeMap<ContainerId, (usize, usize)>,
-    ) -> Option<ContainerId> {
-        let mut primary_hosts = BTreeSet::new();
-        for (_, task) in self.engine.tasks_of_job(job) {
-            if let Ok(host) = self.cluster.host_of(task.container) {
-                primary_hosts.insert(host);
-            }
-        }
-        let mut best: Option<((usize, usize), ContainerId)> = None;
-        for &container in self.task_managers.keys() {
-            if !self.reachable(container)
-                || self.shard_manager.status(container) != Some(ContainerStatus::Alive)
-            {
-                continue;
-            }
-            let Ok(host) = self.cluster.host_of(container) else {
-                continue;
-            };
-            if primary_hosts.contains(&host) {
-                continue;
-            }
-            let load = load_on.get(&container).copied().unwrap_or_default();
-            let better = match best {
-                None => true,
-                Some((best_load, best_id)) => {
-                    load < best_load || (load == best_load && container < best_id)
-                }
-            };
-            if better {
-                best = Some((load, container));
-            }
-        }
-        best.map(|(_, container)| container)
+    /// The hosts that run a primary task of `job`.
+    fn primary_hosts(&self, job: JobId) -> BTreeSet<HostId> {
+        self.engine
+            .tasks_of_job(job)
+            .filter_map(|(_, task)| self.cluster.host_of(task.container).ok())
+            .collect()
     }
 
     /// Close every open outage whose job is back at full strength: all
@@ -915,27 +856,12 @@ impl Turbine {
         }
     }
 
-    /// Durability sync: flush processed offsets to the checkpoint store,
-    /// then advance the shadow cursors of warm standbys — they tail their
-    /// job's input alongside the primary but never write the checkpoint
-    /// store.
+    /// Durability sync: flush processed offsets to the checkpoint store.
+    /// Warm standbys tail their job's input alongside the primary but
+    /// never write the checkpoint store.
     pub(crate) fn checkpoint_round(&mut self) {
         self.engine
             .sync_durable(self.now, &mut self.scribe, &mut self.checkpoints);
-        let shadowed: Vec<JobId> = self.shard_manager.standbys().map(|(job, _)| job).collect();
-        for job in shadowed {
-            // Each job's tails, read by its category id in partition order.
-            let Some((category, partitions)) = self
-                .engine
-                .job(job)
-                .and_then(|rt| Some((rt.category()?, rt.partition_count())))
-            else {
-                continue;
-            };
-            for (i, tail) in self.scribe.tails(category).take(partitions).enumerate() {
-                self.shadow.observe(job, PartitionId(i as u64), tail);
-            }
-        }
     }
 
     /// One metric-sampling round. Each engine job is found by position:
@@ -1148,13 +1074,6 @@ impl Turbine {
     /// Drop `job`'s warm-standby registration.
     fn drop_standby(&mut self, job: JobId) {
         self.shard_manager.clear_standby(job);
-        self.standby_released(job);
-    }
-
-    /// `job` no longer has a warm standby (dropped, or promoted to
-    /// primary): its shadow cursors go, and standby isolation is rescanned.
-    fn standby_released(&mut self, job: JobId) {
-        self.shadow.remove_job(job);
         self.tell_checker(|inbox| inbox.standby = true);
     }
 }

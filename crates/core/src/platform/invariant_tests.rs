@@ -160,10 +160,12 @@ fn checks_enabled_mid_run_catch_what_was_planted_before_and_after() {
 }
 
 /// A primary task planted through the engine on a critical job's warm
-/// standby is caught at its instant, and cleared at the next heartbeat
-/// round, whose fail-over check drops the registration. Heartbeats every
-/// minute leave the instants between for the check to see the conflict
-/// first; the audit agrees at every check.
+/// standby is caught at its instant. It bypasses the eviction a started
+/// task triggers, so the registration goes at the next heartbeat round:
+/// the planted task makes the standby busy while another host's container
+/// is idle, and the fail-over check moves the standby there.
+/// Heartbeats every minute leave the instants between for the check to
+/// see the conflict first; the audit agrees at every check.
 #[test]
 fn a_primary_on_its_standby_is_caught_then_cleared_with_the_registration() {
     for mode in [DriveMode::EventDriven, DriveMode::DenseTick] {

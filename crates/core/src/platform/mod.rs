@@ -39,6 +39,8 @@ mod faults;
 mod invariant_tests;
 mod ods;
 mod scheduler;
+#[cfg(test)]
+mod standby_tests;
 
 pub use scheduler::{ControlEvent, DriveMode};
 
@@ -282,7 +284,7 @@ pub struct Turbine {
     pub(crate) rng: SimRng,
     /// Every container lost to a severed connection or a failed host.
     pub(crate) lost: BTreeMap<ContainerId, Loss>,
-    /// Shadow read positions of warm standbys (critical jobs only).
+    /// The warm standbys' shadow read path, which never commits.
     pub(crate) shadow: ShadowCursor,
     /// Open fault-attributed outages per job (SLO accounting).
     pub(crate) outages: BTreeMap<JobId, OutageState>,
@@ -297,10 +299,6 @@ pub struct Turbine {
     /// Containers whose ownership or task set changed since the last
     /// load-report round.
     pub(crate) load_dirty_containers: BTreeSet<ContainerId>,
-    /// The jobs whose resiliency tier is critical, maintained from the
-    /// Job Store's changes so standby coverage never re-decodes every job
-    /// config in the fleet.
-    pub(crate) critical_jobs: BTreeSet<JobId>,
     /// Task Managers that reconciled in a refresh round (the rest were
     /// handed the snapshot they already held). This and
     /// `standbys_examined` count work, not state: the first refresh after
@@ -386,7 +384,6 @@ impl Turbine {
             trace: TraceBuffer::default(),
             invariants: None,
             load_dirty_containers: BTreeSet::new(),
-            critical_jobs: BTreeSet::new(),
             tm_managers_reconciled: 0,
             standbys_examined: 0,
             heartbeat_filtered: 0,
@@ -1044,7 +1041,7 @@ turbine_stream! {
     scaler, capacity, checkpoints, engine, paused, capacity_stopped, state_moves, crash_mtbf,
     rng, lost, shadow,
     outages, faults, trace, invariants, load_dirty_containers,
-    critical_jobs, sched, last_scaler_drain, ods;
+    sched, last_scaler_drain, ods;
     // Caches and cost counters: rebuilt or restarted, never stored.
     derived {
         container_cpu: None,

@@ -14,12 +14,17 @@
 //! * fails shards over from containers whose heartbeat stops for a full
 //!   fail-over interval (60 s), pairing with the container-side proactive
 //!   connection timeout (40 s) so lost connectivity cannot yield duplicate
-//!   shards (§IV-C).
+//!   shards (§IV-C);
+//! * keeps each critical job's warm standby — the fail-over fast path — in
+//!   one table of critical jobs, and ranks the containers a standby may go
+//!   to ([`StandbyOrder`]).
 
 pub mod manager;
 pub mod movement;
 pub mod placement;
+pub mod standby;
 
 pub use manager::{ContainerStatus, ShardManager, ShardManagerConfig, FAILOVER_INTERVAL};
 pub use movement::ShardMovement;
 pub use placement::{compute_placement, PlacementConfig, PlacementInput, PlacementResult};
+pub use standby::StandbyOrder;

@@ -1,12 +1,13 @@
-//! The Shard Manager service: membership, heartbeats, fail-over, and
-//! rebalance rounds (paper §IV-A2, §IV-B, §IV-C).
+//! The Shard Manager service: membership, heartbeats, fail-over, warm
+//! standbys and rebalance rounds (paper §IV-A2, §IV-B, §IV-C).
 
 use crate::movement::ShardMovement;
 use crate::placement::{
     compute_placement_with, PlacementConfig, PlacementInput, PlacementResult, PlacementScratch,
 };
+use crate::standby::StandbyOrder;
 use std::collections::{BTreeMap, HashMap};
-use turbine_types::{ContainerId, Duration, JobId, Resources, ShardId, SimTime};
+use turbine_types::{ContainerId, Duration, HostId, JobId, Resources, ShardId, SimTime};
 
 /// Missing heartbeats for this long ⇒ the container is declared dead and
 /// its shards fail over (paper: 60 s).
@@ -63,10 +64,11 @@ pub struct ShardManager {
     shard_loads: BTreeMap<ShardId, Resources>,
     containers: BTreeMap<ContainerId, ContainerEntry>,
     assignment: HashMap<ShardId, ContainerId>,
-    /// Warm-standby container per critical job. The standby shadow-
-    /// consumes the job's input but owns no shards; promotion hands it the
-    /// job's shards through the fast path.
-    standbys: BTreeMap<JobId, ContainerId>,
+    /// Every critical job and its warm standby, if it has one. The standby
+    /// shadow-consumes the job's input but owns no shards; promotion hands
+    /// it the job's shards through the fast path. A job that is not
+    /// critical has no row, so it cannot have a standby.
+    critical: BTreeMap<JobId, Option<ContainerId>>,
     /// Placement working memory, reused across rounds (the per-round
     /// allocations show up at 10k hosts).
     scratch: PlacementScratch,
@@ -83,7 +85,7 @@ impl ShardManager {
             shard_loads: BTreeMap::new(),
             containers: BTreeMap::new(),
             assignment: HashMap::new(),
-            standbys: BTreeMap::new(),
+            critical: BTreeMap::new(),
             scratch: PlacementScratch::default(),
             shard_input: Vec::new(),
             container_input: Vec::new(),
@@ -210,27 +212,73 @@ impl ShardManager {
             .collect()
     }
 
-    /// Designate `container` as the warm standby of a critical `job`.
-    /// The standby owns no shards; it shadow-consumes the job's input so a
-    /// promotion starts from warm state.
+    /// Record whether `job` is critical. A demotion drops its standby
+    /// registration and hands the standby back for the caller to release.
+    pub fn set_critical(&mut self, job: JobId, critical: bool) -> Option<ContainerId> {
+        if critical {
+            self.critical.entry(job).or_default();
+            None
+        } else {
+            self.critical.remove(&job).flatten()
+        }
+    }
+
+    /// Every critical job and its standby, if any, in job order.
+    pub fn critical(&self) -> impl Iterator<Item = (JobId, Option<ContainerId>)> + '_ {
+        self.critical.iter().map(|(&j, &c)| (j, c))
+    }
+
+    /// Designate `container` as the warm standby of a critical `job` (a
+    /// job that is not critical keeps none). The standby owns no shards;
+    /// it shadow-consumes the job's input so a promotion starts from warm
+    /// state.
     pub fn set_standby(&mut self, job: JobId, container: ContainerId) {
-        self.standbys.insert(job, container);
+        if let Some(standby) = self.critical.get_mut(&job) {
+            *standby = Some(container);
+        }
     }
 
     /// The registered standby container of a job, if any.
     pub fn standby_of(&self, job: JobId) -> Option<ContainerId> {
-        self.standbys.get(&job).copied()
+        self.critical.get(&job).copied().flatten()
     }
 
     /// Drop a job's standby registration (job deleted, standby unhealthy,
     /// or the standby's host now runs a primary task of the job).
     pub fn clear_standby(&mut self, job: JobId) -> Option<ContainerId> {
-        self.standbys.remove(&job)
+        self.critical.get_mut(&job)?.take()
     }
 
     /// All standby registrations, in job order.
     pub fn standbys(&self) -> impl Iterator<Item = (JobId, ContainerId)> + '_ {
-        self.standbys.iter().map(|(&j, &c)| (j, c))
+        self.critical.iter().filter_map(|(&j, &c)| Some((j, c?)))
+    }
+
+    /// The standby placement order of one fail-over check, from one
+    /// `(container, host, primary tasks, reachable)` row per Task Manager
+    /// container: the rows that are reachable, alive here and on a host,
+    /// ranked with the shards each owns.
+    pub fn standby_order(
+        &self,
+        rows: impl IntoIterator<Item = (ContainerId, Option<HostId>, usize, bool)>,
+    ) -> StandbyOrder {
+        let mut shards: BTreeMap<ContainerId, usize> = BTreeMap::new();
+        for &container in self.assignment.values() {
+            *shards.entry(container).or_default() += 1;
+        }
+        let mut order = StandbyOrder::default();
+        for (container, host, tasks, reachable) in rows {
+            let alive = self.status(container) == Some(ContainerStatus::Alive);
+            let Some(host) = host.filter(|_| reachable && alive) else {
+                continue;
+            };
+            let owned = shards.get(&container).copied().unwrap_or(0);
+            order.ranked.push((tasks, owned, container, host));
+            order.by_id.push((container, tasks));
+        }
+        order.ranked.sort_unstable();
+        order.by_id.sort_unstable();
+        order
     }
 
     /// Fast-path promotion: hand every one of `shards` to the job's
@@ -244,12 +292,10 @@ impl ShardManager {
         job: JobId,
         shards: &[ShardId],
     ) -> Option<(ContainerId, Vec<ShardMovement>)> {
-        let standby = self.standby_of(job)?;
+        let standby = self.clear_standby(job)?;
         if self.status(standby) != Some(ContainerStatus::Alive) {
-            self.standbys.remove(&job);
             return None;
         }
-        self.standbys.remove(&job);
         let mut moves = Vec::new();
         for &shard in shards {
             if !self.shard_loads.contains_key(&shard) {
@@ -303,7 +349,11 @@ impl ShardManager {
         self.assignment.retain(|_, c| !dead.contains(c));
         // A dead standby is useless — drop the registration so the control
         // plane places a fresh one instead of promoting onto a corpse.
-        self.standbys.retain(|_, c| !dead.contains(c));
+        for standby in self.critical.values_mut() {
+            if standby.is_some_and(|c| dead.contains(&c)) {
+                *standby = None;
+            }
+        }
         self.run_placement().moves
     }
 
@@ -372,13 +422,15 @@ turbine_types::snap_struct!(ContainerEntry {
     status
 });
 
-turbine_types::snap_struct!(ShardManager { config, shard_loads, containers, assignment, standbys }
+turbine_types::snap_struct!(ShardManager { config, shard_loads, containers, assignment, critical }
 // Placement scratch and input buffers carry no state between rounds.
 derived {
     scratch: PlacementScratch::default(),
     shard_input: Vec::new(),
     container_input: Vec::new(),
-});
+}
+check |m| m.standbys().all(|(_, c)| m.containers.contains_key(&c))
+    => "ShardManager standby unregistered");
 
 #[cfg(test)]
 mod tests {
@@ -595,6 +647,7 @@ mod tests {
         let mut mgr = manager_with(3, 12);
         mgr.rebalance();
         let job = JobId(7);
+        mgr.set_critical(job, true);
         mgr.set_standby(job, ContainerId(2));
         assert_eq!(mgr.standby_of(job), Some(ContainerId(2)));
         let shards = mgr.shards_of(ContainerId(0));
@@ -618,6 +671,7 @@ mod tests {
         let mut mgr = manager_with(3, 12);
         mgr.rebalance();
         let job = JobId(1);
+        mgr.set_critical(job, true);
         mgr.set_standby(job, ContainerId(2));
         // Standby goes silent and dies.
         for s in (10..70).step_by(10) {

@@ -1,11 +1,12 @@
 //! Content-addressed whole-simulation snapshots.
 //!
 //! A [`Snapshot`] captures the complete [`Turbine`] platform — engine
-//! arenas and dirty sets, Scribe partitions/checkpoints/shadow cursors,
-//! Job Store and WAL, shard map and standby registry, the control event
-//! queue, fault injector, RNG streams, trace ring, and the ODS registry —
-//! as one deterministic byte stream, held whole, plus a manifest of the
-//! FNV-1a digests of its fixed-size chunks in stream order. A captured
+//! arenas and dirty sets, Scribe partitions/checkpoints, the shadow path's
+//! illegal-commit count, Job Store and WAL, shard map and the critical
+//! jobs with their standbys, the control event queue, fault injector, RNG
+//! streams, trace ring, and the ODS registry — as one deterministic byte
+//! stream, held whole, plus a manifest of the FNV-1a digests of its
+//! fixed-size chunks in stream order. A captured
 //! snapshot owns its stream; one read back with [`Snapshot::from_bytes`]
 //! borrows it from the blob, so a restore decodes the bytes where they
 //! lie. Every restore re-verifies each chunk against its digest, so a
@@ -64,8 +65,12 @@ pub const SNAP_MAGIC: [u8; 8] = *b"TRBNSNAP";
 /// watermarks by category id rather than by name; version 15 stores one
 /// record per lost container (its onset and, while it lasts, its severed
 /// connection) in place of the severed-connection table and the onset
-/// table, and the set of critical jobs in place of every job's tier.
-pub const SNAP_VERSION: u32 = 15;
+/// table, and the set of critical jobs in place of every job's tier;
+/// version 16 stores the critical jobs and their standbys as one Shard
+/// Manager table in place of the platform's set and the manager's standby
+/// map, no shadow read positions, and a release row only for a job whose
+/// version changed.
+pub const SNAP_VERSION: u32 = 16;
 
 /// Chunk size of the manifest: one digest per 4 KiB of stream, verified
 /// on every restore and compared across snapshots. Small enough that an
@@ -601,6 +606,41 @@ mod tests {
         assert_eq!(
             restore(&later),
             Some(SnapError::Value("Loss dated after its severance"))
+        );
+    }
+
+    /// A standby is one of the Shard Manager's own containers: a blob whose
+    /// critical table names a container the manager does not register is
+    /// a typed error, not a promotion onto a container nobody runs.
+    #[test]
+    fn a_standby_the_manager_does_not_register_is_a_typed_error() {
+        let mut t = Turbine::new(TurbineConfig::default());
+        t.add_hosts(4, Resources::new(56.0, 256.0 * 1024.0, 1.0e6, 1000.0));
+        let mut critical = turbine_config::JobConfig::stateless("critical", 2, 8);
+        critical.resiliency = turbine_config::ResiliencyClass::Critical;
+        let traffic = turbine_workloads::TrafficModel::flat(1.0e6);
+        t.provision_job(JobId(1), critical, traffic, 1.0e6, 256.0)
+            .expect("provision");
+        t.run_for(Duration::from_mins(5));
+        let standby = t.standby_of(JobId(1)).expect("a standby");
+        let stream = Snapshot::capture(&t).stream.into_owned();
+        let restore = |stream: &[u8]| {
+            Snapshot::from_stream(SnapshotMeta::default(), Cow::Borrowed(stream))
+                .restore()
+                .err()
+        };
+        assert_eq!(restore(&stream), None);
+
+        // The manager ends with its one critical job: the job, `Some` and
+        // the standby's container id.
+        let end = offset_of(&t, "task_managers");
+        assert_eq!(stream[end - 9], 1, "Some");
+        assert_eq!(stream[end - 8..end], standby.raw().to_le_bytes());
+        let mut unknown = stream.clone();
+        unknown[end - 8..end].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(
+            restore(&unknown),
+            Some(SnapError::Value("ShardManager standby unregistered"))
         );
     }
 

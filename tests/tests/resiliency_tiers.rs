@@ -15,8 +15,8 @@ use turbine::{
     recovery_budget, DriveMode, Fault, FaultPlan, InvariantConfig, RecoveryRecord, Turbine,
     TurbineConfig,
 };
-use turbine_config::{JobConfig, ResiliencyClass};
-use turbine_types::{Duration, JobId, Resources, TaskId};
+use turbine_config::{ConfigValue, JobConfig, ResiliencyClass};
+use turbine_types::{ContainerId, Duration, JobId, Resources, TaskId};
 use turbine_workloads::TrafficModel;
 
 fn host_shape() -> Resources {
@@ -335,4 +335,92 @@ fn a_restored_connection_keeps_the_onset_while_the_host_is_down() {
 #[test]
 fn a_recovered_host_keeps_the_onset_while_the_connection_is_severed() {
     assert_eq!(onset_of_a_loss_with_two_causes(true), 300_000);
+}
+
+/// Whether any task runs in `container`.
+fn busy(t: &Turbine, container: ContainerId) -> bool {
+    t.task_placements().iter().any(|&(_, c)| c == container)
+}
+
+/// A critical job of two tasks beside a filler job whose tasks keep each
+/// of the three containers busy, converged: the standby had no idle
+/// container to go to.
+fn standby_on_a_busy_fleet() -> Turbine {
+    let mut config = TurbineConfig::default();
+    config.scaler_enabled = false;
+    let mut t = Turbine::new(config);
+    t.add_hosts(3, host_shape());
+    t.enable_invariant_checks(InvariantConfig::default());
+    provision(&mut t, 1, "crit_busy", ResiliencyClass::Critical);
+    provision(&mut t, 2, "filler", ResiliencyClass::Standard);
+    t.oncall_set(JobId(2), "task_count", ConfigValue::Int(24))
+        .expect("oncall");
+    t.drive_for(Duration::from_mins(5), DriveMode::EventDriven);
+    let standby = t.standby_of(JobId(1)).expect("standby placed");
+    assert!(busy(&t, standby), "the filler leaves no container idle");
+    t
+}
+
+/// A standby that shares a container with other jobs' primaries moves at
+/// the next fail-over check once an idle container off the job's hosts
+/// appears.
+#[test]
+fn a_busy_standby_moves_to_an_idle_container_at_the_next_failover_check() {
+    let mut t = standby_on_a_busy_fleet();
+    let standby = t.standby_of(JobId(1));
+    let host = t.add_hosts(1, host_shape())[0];
+    let idle = t.cluster.containers_on(host).expect("a host")[0];
+    assert!(!busy(&t, idle), "the new container runs nothing yet");
+    assert_eq!(
+        t.standby_of(JobId(1)),
+        standby,
+        "nothing moves before the check"
+    );
+    let beat = t.config().heartbeat_interval;
+    t.drive_for(beat, DriveMode::EventDriven);
+    assert!(!busy(&t, idle));
+    assert_eq!(t.standby_of(JobId(1)), Some(idle));
+    assert_clean(&t);
+}
+
+/// A primary task that starts on the host of its job's standby drops the
+/// registration at that instant: the invariant checker, which checks
+/// every executed instant, never sees a standby share a host with a
+/// primary. Beats a minute apart leave the instants between them to the
+/// eviction alone.
+#[test]
+fn a_primary_starting_on_its_standby_host_drops_the_registration_at_that_instant() {
+    let mut config = TurbineConfig::default();
+    config.scaler_enabled = false;
+    config.heartbeat_interval = Duration::from_mins(1);
+    let mut t = Turbine::new(config);
+    t.add_hosts(4, host_shape());
+    t.enable_invariant_checks(InvariantConfig::default());
+    provision(&mut t, 1, "crit_grow", ResiliencyClass::Critical);
+    t.drive_for(Duration::from_mins(5), DriveMode::EventDriven);
+    let standby = t.standby_of(JobId(1)).expect("standby placed");
+    let host = t.cluster.host_of(standby).expect("standby has a host");
+    let on_its_host = |t: &Turbine| {
+        t.task_placements()
+            .iter()
+            .any(|&(id, c)| id.job == JobId(1) && t.cluster.host_of(c) == Ok(host))
+    };
+    assert!(!on_its_host(&t));
+
+    // Grow the job until a primary lands on the standby's host.
+    t.oncall_set(JobId(1), "task_count", ConfigValue::Int(32))
+        .expect("oncall");
+    let tick = t.config().tick;
+    let mut landed = None;
+    for _ in 0..60 {
+        t.drive_for(tick, DriveMode::EventDriven);
+        if on_its_host(&t) {
+            landed = Some(t.now());
+            break;
+        }
+    }
+    let at = landed.expect("a primary reached the standby's host");
+    assert_ne!(t.standby_of(JobId(1)), Some(standby), "dropped at {at}");
+    t.drive_for(Duration::from_mins(2), DriveMode::EventDriven);
+    assert_clean(&t);
 }
