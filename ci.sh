@@ -106,6 +106,14 @@ echo "== the Shard Manager owns the standbys =="
 ! grep -rnw critical_jobs crates/core/src \
     || { echo "critical_jobs is back under crates/core/src: the Shard Manager holds the table"; exit 1; }
 
+echo "== bytes are integers =="
+# The engine counts Scribe's bytes as Scribe does: each partition's
+# appended, consumed and mirrored bytes and the scaler window are u64, so
+# any span of ticks sums exactly and a steady job advances in closed form.
+! grep -nE '(appended|consumed|scribe_synced|window_arrived|window_processed): f64' \
+    crates/core/src/engine.rs \
+    || { echo "an engine byte counter is an f64 again: bytes are integers"; exit 1; }
+
 echo "== scale_smoke: sparse data plane at 1k hosts / 10k tasks (13 simulated hours) =="
 # scale_soak runs the identical scenario under DriveMode::EventDriven and
 # DriveMode::FullScan and exits non-zero unless the fingerprints are

@@ -9,19 +9,31 @@
 //! that, deterministically, against the workload models of
 //! [`turbine_workloads`].
 //!
+//! Bytes are integers, as Scribe counts them (the control plane observes
+//! Scribe only through byte counts): each partition's appended, consumed
+//! and mirrored bytes and the scaler window are `u64`. A tick's arrivals
+//! are `⌊rate·dt⌋`, split over the partitions by prefix floors of the
+//! cumulative weights, so the parts sum to the tick exactly and a flat rate
+//! splits the same way every tick; a drain of a whole slice sets `consumed`
+//! to `appended`, and a partial one floors each partition's share and hands
+//! out the remainder a byte at a time. CPU and memory gauges, contention
+//! factors and the scaler's [`WindowStats`] stay `f64`, read from the
+//! integers. N ticks of the same amounts therefore equal one step of N
+//! times them, which is what lets a steady job advance in closed form.
+//!
 //! The hot state lies in a few contiguous, id-ordered blocks, so a tick
 //! streams memory instead of chasing one heap object per job or task. Job
 //! runtimes sit in a vector ascending by `JobId`, and every job's partition
-//! columns (appended, consumed, synced, weight: 32 B each) in one slab, the
-//! job holding its run of it. Task bodies sit in an arena whose slots
+//! columns (appended, consumed, synced, running weight: 32 B each) in one
+//! slab, the job holding its run of it. Task bodies sit in an arena whose slots
 //! follow `TaskId` order, with an ordered id → slot index on the side, and
 //! every task's partition slice in a second slab. Each task's bytes for the
 //! scaler window are an accumulator in its own slot. Holes left by removals
 //! and runs laid out of id order are reclaimed by re-laying a block in id
 //! order once they outnumber the entries in place (`Layout`), so the
 //! blocks stay ordered at an amortised O(1) per mutation. Iteration order
-//! (and therefore every floating-point reduction order in the tick) is
-//! `TaskId` order, as it has always been.
+//! (and therefore the order of the one floating-point sum in the tick, each
+//! container's CPU demand) is `TaskId` order, as it has always been.
 //!
 //! The engine also keeps sparse-space bookkeeping — a change feed with one
 //! reader per consumer ([`EngineFeed`]), a fleet-wide down-task counter,
@@ -32,29 +44,36 @@
 //! rewrote a task's `cpu_usage` or `memory_usage_mb`: load reports read
 //! nothing else of a job. It marks the *scaler* reader for a job it
 //! settles with something in its scaler window: the tick writes only the
-//! windows of jobs it walks, and the scaler round finds the walked jobs in
-//! the active set and the settled ones in its reader. The *checker*
-//! reader (task set, placement or partition slices moved) is marked by
-//! mutations only, since the invariant checker reads nothing a tick
-//! writes. The feed is stored in a snapshot like the rest of the engine,
-//! so a restored engine owes each consumer what the uninterrupted one
-//! does.
+//! windows of jobs it walks or skips as lazy, and the scaler round finds
+//! those in [`Engine::walked_jobs`] and the settled ones in its reader. The
+//! *checker* reader (task set, placement or partition slices moved) is
+//! marked by mutations only, since the invariant checker reads nothing a
+//! tick writes. The feed is stored in a snapshot like the rest of the
+//! engine, so a restored engine owes each consumer what the uninterrupted
+//! one does.
 //!
-//! Idle time is skipped at two granularities. Per job, [`Engine::tick`]
-//! walks only the tasks of *active* jobs: a job whose walk changed nothing
-//! settles and is left out until a mutation or its own inputs can change it
-//! again, so a tick costs O(jobs + tasks of busy jobs). Fleet-wide, the
-//! drive loop may jump the clock over a whole window when
-//! [`Engine::is_quiescent_through`] holds for every job at once.
+//! Work is proportional to change at three granularities. Per job,
+//! [`Engine::tick`] visits only *active* jobs. A job whose walk changed
+//! nothing *settles*; a job whose walk changed only its byte counters, and
+//! whose next walk would change them by the same amounts, goes *lazy*: it
+//! keeps an anchor tick, and every reader adds the skipped ticks' amounts.
+//! Both are walked again when something they depend on may move — a
+//! mutation, a change to whether they are halted, a cluster change, or
+//! their traffic's next event edge, which a wake queue holds — so a tick
+//! costs O(jobs it walks + wakes due). Fleet-wide, the drive loop may jump
+//! the clock over a whole window when [`Engine::is_quiescent_through`]
+//! holds for every job at once.
 //!
-//! A busy job cannot be skipped, so what it pays per tick is kept to a few
-//! memory reads. The tick never looks a job or a task up: runtimes, task
-//! index and collected work all ascend by id and are walked in step (see
-//! [`Engine::tick`]), and the buffers it fills are kept between ticks, so a
-//! steady tick allocates nothing. What repeats is remembered beside the
-//! runtime as derived state that no snapshot holds and any restore may
-//! forget: whether the job is settled, a hint that it is already marked for
-//! load reports, and the current minute's noise factor of its traffic model.
+//! A busy job that is not steady cannot be skipped, so what it pays per
+//! tick is kept to a few memory reads. The tick never looks a task up:
+//! the active jobs, task index and collected work all ascend by id and are
+//! walked in step (see [`Engine::tick`]), and the buffers it fills are kept
+//! between ticks, so a steady tick allocates nothing. What repeats is
+//! remembered as derived state that no snapshot holds and any restore may
+//! forget: whether the job is settled or lazy and when it wakes (in the
+//! engine's sets and maps), and beside the runtime a hint that it is
+//! already marked for load reports and the current minute's noise factor
+//! of its traffic model.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::BuildHasher;
@@ -69,19 +88,32 @@ use turbine_types::{
 use turbine_workloads::{fleet::task_usage, NoiseMemo, TrafficModel};
 
 /// One input partition's columns, side by side: the arrival pass reads the
-/// weight and writes `appended`, the processing pass reads both counters
-/// and writes `consumed`.
+/// cumulative weight and writes `appended`, the processing pass reads both
+/// counters and writes `consumed`. Bytes are integers, as Scribe counts
+/// them.
 #[derive(Debug, Clone, Copy, Default)]
 struct PartitionCol {
     /// Total bytes ever arrived.
-    appended: f64,
+    appended: u64,
     /// Total bytes ever consumed (the checkpoint offset).
-    consumed: f64,
+    consumed: u64,
     /// Bytes already mirrored into the Scribe substrate.
-    scribe_synced: f64,
-    /// Arrival weight (normalized); skewing the weights simulates
-    /// imbalanced input, and the scaler's `RebalanceInput` resets them.
-    weight: f64,
+    scribe_synced: u64,
+    /// The arrival weights (normalized) of the job's partitions up to and
+    /// including this one, summed in partition order: where the tick's
+    /// [`Split`] cuts. Skewing the weights simulates imbalanced input, and
+    /// the scaler's `RebalanceInput` resets them. Kept summed, so the split
+    /// of a tick's arrivals has no chain of additions to wait on.
+    cum: f64,
+}
+
+/// Lay `weights` into `cols` as their running sums.
+fn set_weights(cols: &mut [PartitionCol], weights: impl IntoIterator<Item = f64>) {
+    let mut cum = 0.0;
+    for (col, weight) in cols.iter_mut().zip(weights) {
+        cum += weight;
+        col.cum = cum;
+    }
 }
 
 /// Where one owner's run lies in a [`Slab`].
@@ -221,9 +253,7 @@ pub struct JobRuntime {
     pub key_cardinality: f64,
     /// The job's run of partition columns.
     cols: Span,
-    /// Partitions with `appended != consumed` (maintained exactly at every
-    /// mutation via before/after equality — never inferred from deltas,
-    /// since `x + tiny == x` is possible in f64).
+    /// Partitions with `appended != consumed`.
     undrained: usize,
     /// Bumped whenever `appended` or `consumed` may have changed; the
     /// durability sync skips jobs whose epoch it has already flushed.
@@ -240,11 +270,11 @@ pub struct JobRuntime {
     /// handed, as [`Engine::bind_category`] bound it (`None`: unbound).
     category: Option<CategoryId>,
     // Scaler-window accumulators. A running task's bytes are in its slot.
-    window_arrived: f64,
-    window_processed: f64,
+    window_arrived: u64,
+    window_processed: u64,
     /// Window bytes of tasks that stopped mid-window, ascending by id. A
     /// task that starts again under the same id takes its bytes back.
-    window_departed: Vec<(TaskId, f64)>,
+    window_departed: Vec<(TaskId, u64)>,
     window_ooms: u32,
     /// Hint that saves [`Engine::tick`] a set insert: above the engine's
     /// count of load-report drains exactly when the tick has marked this
@@ -258,6 +288,22 @@ pub struct JobRuntime {
     /// edit through [`Engine::job_mut`] cannot read a stale factor.
     /// Derived — not part of the snapshot.
     noise: NoiseMemo,
+}
+
+/// A job the tick skips because each tick would only add the same bytes
+/// to its counters (see [`Engine::tick`]). Its stored counters are current
+/// at tick `anchor`; `n` ticks later each reader adds `n` times the
+/// per-tick amounts.
+#[derive(Debug, Clone, Copy)]
+struct Lazy {
+    /// The engine's tick count at which the stored counters are current.
+    anchor: u64,
+    /// Bytes arriving per tick, split over the partitions as the tick
+    /// splits them. The job consumes them in the same tick: every partition
+    /// is drained again, and each task adds its `step` to its window.
+    arrived: u64,
+    /// Durability epochs per tick.
+    epochs: u64,
 }
 
 impl JobRuntime {
@@ -281,13 +327,13 @@ impl JobRuntime {
     }
 
     /// Keep a departing task's window bytes until the window drains.
-    fn keep_window(&mut self, task: TaskId, bytes: f64) {
+    fn keep_window(&mut self, task: TaskId, bytes: u64) {
         let at = self.window_departed.partition_point(|&(id, _)| id < task);
         self.window_departed.insert(at, (task, bytes));
     }
 
     /// A departed task's window bytes, if it left some this window.
-    fn resume_window(&mut self, task: TaskId) -> Option<f64> {
+    fn resume_window(&mut self, task: TaskId) -> Option<u64> {
         let at = self
             .window_departed
             .binary_search_by_key(&task, |&(id, _)| id)
@@ -301,6 +347,9 @@ impl JobRuntime {
 pub struct JobView<'a> {
     runtime: &'a JobRuntime,
     cols: &'a [PartitionCol],
+    /// Bytes arrived in the ticks that skipped a lazy job since its
+    /// anchor. It consumed them as they came, so its backlog holds.
+    lazy_arrived: u64,
 }
 
 impl Deref for JobView<'_> {
@@ -314,22 +363,31 @@ impl Deref for JobView<'_> {
 impl JobView<'_> {
     /// Total unconsumed bytes (`total_bytes_lagged`).
     pub fn backlog(&self) -> f64 {
-        self.cols.iter().map(|p| p.appended - p.consumed).sum()
+        self.cols
+            .iter()
+            .map(|p| p.appended - p.consumed)
+            .sum::<u64>() as f64
     }
 
     /// Total bytes ever arrived.
     pub fn total_arrived(&self) -> f64 {
-        self.cols.iter().map(|p| p.appended).sum()
+        (self.cols.iter().map(|p| p.appended).sum::<u64>() + self.lazy_arrived) as f64
     }
 
-    /// Each partition's arrival weight, in partition order.
+    /// Each partition's arrival weight, in partition order, as the
+    /// difference of its running sum and the one before it.
     pub fn partition_weights(&self) -> impl Iterator<Item = f64> + '_ {
-        self.cols.iter().map(|p| p.weight)
+        let mut before = 0.0;
+        self.cols.iter().map(move |p| {
+            let weight = p.cum - before;
+            before = p.cum;
+            weight
+        })
     }
 }
 
-/// Unconsumed bytes across a task's partition slice, summed in slice order.
-fn slice_backlog(cols: &[PartitionCol], slice: &[PartitionId]) -> f64 {
+/// Unconsumed bytes across a task's partition slice.
+fn slice_backlog(cols: &[PartitionCol], slice: &[PartitionId]) -> u64 {
     slice
         .iter()
         .map(|p| {
@@ -337,6 +395,113 @@ fn slice_backlog(cols: &[PartitionCol], slice: &[PartitionId]) -> f64 {
             ps.appended - ps.consumed
         })
         .sum()
+}
+
+/// `bytes` as an `f64`. Through `i64`, which is one instruction where the
+/// unsigned conversion is several; the two agree below 2⁶³ bytes.
+fn real(bytes: u64) -> f64 {
+    bytes as i64 as f64
+}
+
+/// `⌊x⌋` bytes, saturating at 0 for a negative or NaN `x`: `x as u64`
+/// below 2⁶³ bytes, through `i64` for the reason [`real`] gives.
+fn floor_bytes(x: f64) -> u64 {
+    (x as i64).max(0) as u64
+}
+
+/// A tick's `bytes` of arrivals split over a job's partitions by prefix
+/// floors of the cumulative weights: partition `p` takes
+/// `⌊bytes·W_p⌋ − ⌊bytes·W_{p−1}⌋`, where `W_p` sums the weights through
+/// `p` (the column's `cum`) and the last `W` is 1. The parts sum to
+/// `bytes` exactly, without a sort, and the same weights split the same
+/// bytes the same way every tick. Fed the partitions in order, one call
+/// each.
+struct Split {
+    bytes: u64,
+    /// `bytes`, as the multiplier of the cumulative weight.
+    scale: f64,
+    /// `⌊bytes·W⌋` so far.
+    cut: u64,
+}
+
+impl Split {
+    fn new(bytes: u64) -> Split {
+        Split {
+            bytes,
+            scale: real(bytes),
+            cut: 0,
+        }
+    }
+
+    /// The part of the partition whose cumulative weight is `cum`; `last`
+    /// for the job's last partition.
+    fn next(&mut self, cum: f64, last: bool) -> u64 {
+        let cut = if last {
+            self.bytes
+        } else {
+            // A negative or NaN prefix cuts nothing, and one past 1 cuts
+            // everything.
+            floor_bytes(self.scale * cum).min(self.bytes).max(self.cut)
+        };
+        let part = cut - self.cut;
+        self.cut = cut;
+        part
+    }
+}
+
+/// Consume `bytes` of a slice whose backlog is `backlog` (`bytes <=
+/// backlog`), keeping `undrained` exact. All of it: every partition is
+/// drained. Part of it: each partition gives the floor of its share, and
+/// the remainder is handed out one byte at a time, in slice order.
+fn consume(
+    cols: &mut [PartitionCol],
+    slice: &[PartitionId],
+    bytes: u64,
+    backlog: u64,
+    undrained: &mut usize,
+) {
+    if bytes == backlog {
+        for p in slice {
+            let ps = &mut cols[p.raw() as usize];
+            if ps.appended != ps.consumed {
+                ps.consumed = ps.appended;
+                *undrained -= 1;
+            }
+        }
+        return;
+    }
+    // `share < 1`, so no floor exceeds its partition's backlog.
+    let share = real(bytes) / real(backlog);
+    let mut left = bytes;
+    for p in slice {
+        let ps = &mut cols[p.raw() as usize];
+        let held = ps.appended - ps.consumed;
+        let give = floor_bytes(real(held) * share).min(left);
+        ps.consumed += give;
+        left -= give;
+        if give == held && held > 0 {
+            *undrained -= 1;
+        }
+    }
+    while left > 0 {
+        let before = left;
+        for p in slice {
+            if left == 0 {
+                break;
+            }
+            let ps = &mut cols[p.raw() as usize];
+            if ps.appended != ps.consumed {
+                ps.consumed += 1;
+                left -= 1;
+                if ps.appended == ps.consumed {
+                    *undrained -= 1;
+                }
+            }
+        }
+        if left == before {
+            break; // a slice that lists a partition twice overstates its backlog
+        }
+    }
 }
 
 /// The registered jobs, ascending by id: ids and runtimes side by side,
@@ -361,11 +526,14 @@ impl JobTable {
         Some(&mut self.runtimes[at])
     }
 
-    fn view(&self, at: usize) -> JobView<'_> {
+    /// The `at`-th job as a reader sees it: `lazy_arrived` is what it
+    /// took in the ticks that skipped it.
+    fn view(&self, at: usize, lazy_arrived: u64) -> JobView<'_> {
         let runtime = &self.runtimes[at];
         JobView {
             runtime,
             cols: self.cols.get(runtime.cols),
+            lazy_arrived,
         }
     }
 
@@ -406,8 +574,13 @@ pub struct ActiveTask {
     pub memory_usage_mb: f64,
     /// CPU used at the last tick, cores.
     pub cpu_usage: f64,
-    /// Bytes processed this scaler window (`None`: nothing yet).
-    window: Option<f64>,
+    /// Bytes processed this scaler window (0: nothing yet; a tick adds
+    /// only what it processed, never 0).
+    window: u64,
+    /// Bytes consumed on the task's last walk through the processing path:
+    /// what each tick that skips its lazy job adds to `window`. Derived —
+    /// not part of the snapshot.
+    step: u64,
 }
 
 impl ActiveTask {
@@ -582,7 +755,7 @@ impl TaskArena {
             self.slots[slot as usize]
                 .as_mut()
                 .expect("indexed slot")
-                .window = None;
+                .window = 0;
         }
     }
 }
@@ -599,9 +772,11 @@ fn walk_orphan(
     now: SimTime,
     down_count: &mut usize,
     feed: &mut EngineFeed,
+    work: &mut TickWork,
 ) -> bool {
     let mut quiet = true;
     for &slot in index.range(job_range(job)).map(|(_, slot)| slot) {
+        work.tasks += 1;
         let task = slots[slot as usize].as_mut().expect("indexed slot");
         match task.restart(now) {
             Restart::Down { zeroed } => {
@@ -628,17 +803,35 @@ fn holds_window(
     slots: &[Option<ActiveTask>],
     job: JobId,
 ) -> bool {
-    rt.window_arrived != 0.0
-        || rt.window_processed != 0.0
+    rt.window_arrived != 0
+        || rt.window_processed != 0
         || rt.window_ooms != 0
         || !rt.window_departed.is_empty()
-        || index.range(job_range(job)).any(|(_, &slot)| {
-            slots[slot as usize]
-                .as_ref()
-                .expect("indexed slot")
-                .window
-                .is_some()
+        || index
+            .range(job_range(job))
+            .any(|(_, &slot)| slots[slot as usize].as_ref().expect("indexed slot").window > 0)
+}
+
+/// Whether no container that one of `job`'s tasks runs on can contend,
+/// judged against the capacities of this tick's `loads`.
+fn uncontendable(
+    job: JobId,
+    index: &BTreeMap<TaskId, u32>,
+    slots: &[Option<ActiveTask>],
+    loads: &ContainerLoads,
+    shares: &ContainerMap<ContainerShare>,
+) -> bool {
+    index.range(job_range(job)).all(|(_, &slot)| {
+        let container = slots[slot as usize]
+            .as_ref()
+            .expect("indexed slot")
+            .container;
+        loads.capacity_of(container).is_some_and(|capacity| {
+            shares
+                .get(&container)
+                .is_some_and(|share| share.uncontendable(capacity))
         })
+    })
 }
 
 /// One job's scaler window as [`Engine::drain_window`] hands it over: the
@@ -771,12 +964,19 @@ impl ContainerLoads {
     fn factor(&self, load: u32) -> f64 {
         self.loads[load as usize].1
     }
+
+    /// The capacity of a healthy container this tick has seen.
+    fn capacity_of(&self, container: ContainerId) -> Option<f64> {
+        let load = (*self.index.get(&container)?)?;
+        Some(self.loads[load as usize].0)
+    }
 }
 
 /// A task's desired work, collected by the tick's first pass.
 #[derive(Debug, Clone, Copy)]
 struct Work {
-    id: TaskId,
+    /// The task's index within its job.
+    index: u32,
     slot: u32,
     /// Index of the task's runtime.
     runtime: u32,
@@ -785,7 +985,7 @@ struct Work {
     /// Index of the task's container in the loads.
     load: u32,
     /// Bytes the task wants to process this tick.
-    desired: f64,
+    desired: u64,
 }
 
 /// A job the tick walked.
@@ -797,6 +997,15 @@ struct Walked {
     /// Did every task take the normal processing path with nothing changed
     /// (so far)?
     quiet: bool,
+    /// Did the walk change nothing but byte counters (so far): every task
+    /// up, none on a dead container, no usage reading moved, no OOM?
+    steady: bool,
+    /// Was every partition drained before its arrivals?
+    drained: bool,
+    /// Did its traffic have a rate (which bumps its durability epoch)?
+    rated: bool,
+    /// Was its processing halted (so its tasks took no processing path)?
+    halted: bool,
 }
 
 /// What [`Engine::tick`] fills and empties every tick, kept between ticks
@@ -805,10 +1014,79 @@ struct Walked {
 struct TickScratch {
     works: Vec<Work>,
     walked: Vec<Walked>,
-    /// Settled jobs this tick's inputs re-activate; they join `active`
-    /// once it is no longer being iterated.
-    woken: Vec<JobId>,
     loads: ContainerLoads,
+}
+
+/// What one [`Engine::tick`] visited: exact counts, not timings.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TickWork {
+    /// Registered jobs whose runtime it visited.
+    pub runtimes: usize,
+    /// Tasks it walked (orphans' included).
+    pub tasks: usize,
+}
+
+/// Units of [`ContainerShare::threads`]: 2⁻¹⁶ of a core.
+const SHARE_UNITS: f64 = 65_536.0;
+
+/// A task's `threads × degradation` in [`SHARE_UNITS`], rounded up: no
+/// less than any CPU demand the tick computes for it.
+fn share_units(threads: u32, degradation: f64) -> u64 {
+    (threads as f64 * degradation * SHARE_UNITS).ceil() as u64
+}
+
+/// One container's tasks, kept at every mutation, as the lazy-span
+/// predicate reads them.
+#[derive(Debug, Clone, Copy, Default)]
+struct ContainerShare {
+    /// Tasks on it.
+    tasks: u32,
+    /// The sum of their [`share_units`].
+    threads: u64,
+    /// Tasks of lazy jobs that consume on it.
+    lazy: u32,
+    /// Its CPU capacity when a lazy job's task last went on it.
+    capacity: f64,
+}
+
+impl ContainerShare {
+    /// Whether its tasks cannot contend on `capacity` cores, whatever each
+    /// one demands: the sum of their `threads × degradation` fits, with a
+    /// margin that absorbs the rounding of the tick's demand sum.
+    fn uncontendable(&self, capacity: f64) -> bool {
+        self.threads as f64 / SHARE_UNITS * (1.0 + 1.0e-9) <= capacity
+    }
+}
+
+/// Bring a lazy job's stored counters up to tick `ticks`: each tick
+/// skipped since its anchor adds its per-tick amounts once.
+fn catch_up(
+    ticks: u64,
+    job: JobId,
+    lazy: &mut Lazy,
+    rt: &mut JobRuntime,
+    cols: &mut Slab<PartitionCol>,
+    tasks: &mut TaskArena,
+) {
+    let n = ticks - lazy.anchor;
+    lazy.anchor = ticks;
+    rt.durable_epoch += n * lazy.epochs;
+    if n == 0 || lazy.arrived == 0 {
+        return;
+    }
+    let job_cols = cols.get_mut(rt.cols);
+    let mut split = Split::new(lazy.arrived);
+    let last = job_cols.len() - 1;
+    for (i, p) in job_cols.iter_mut().enumerate() {
+        p.appended += n * split.next(p.cum, i == last);
+        p.consumed = p.appended;
+    }
+    rt.window_arrived += n * lazy.arrived;
+    rt.window_processed += n * lazy.arrived;
+    for (_, &slot) in tasks.index.range(job_range(job)) {
+        let task = tasks.slots[slot as usize].as_mut().expect("indexed slot");
+        task.window += n * task.step;
+    }
 }
 
 /// The data-plane engine.
@@ -834,7 +1112,30 @@ pub struct Engine {
     /// engine starts with every job active and re-settles on its first
     /// tick.
     active: BTreeSet<JobId>,
+    /// Jobs the tick skips as *lazy*: a walk changed only their byte
+    /// counters, and the next would change them by the same amounts (see
+    /// [`Engine::tick`]). Derived, like `active`.
+    lazy: BTreeMap<JobId, Lazy>,
+    /// The tick length the lazy jobs' per-tick amounts were taken at.
+    lazy_dt: Duration,
+    /// When settled and lazy jobs are due to be walked again: at their
+    /// traffic's next edge, or at the next tick for a job
+    /// [`Engine::wake`] was called for. Derived.
+    wakes: BTreeSet<(SimTime, JobId)>,
+    /// Each queued job's entry in `wakes`.
+    queued: BTreeMap<JobId, SimTime>,
+    /// Ticks run: the clock of the lazy jobs' anchors. Derived.
+    ticks: u64,
+    /// Each container's tasks, for the lazy-span predicate. Derived, and
+    /// recounted on restore.
+    shares: ContainerMap<ContainerShare>,
+    /// What the last tick visited.
+    last_tick: TickWork,
     scratch: TickScratch,
+    /// Forget everything derived before every tick: the reference a
+    /// platform-level test drives beside the engine it checks.
+    #[cfg(test)]
+    pub(crate) walk_every_job: bool,
 }
 
 impl Engine {
@@ -843,11 +1144,109 @@ impl Engine {
         Self::default()
     }
 
-    /// A mutation touched `job`: its observable state changed, and its
-    /// next tick may no longer be a no-op, so it is walked again.
+    /// A mutation is about to touch `job`: its observable state changes,
+    /// and its next tick may no longer be a no-op, so it is walked again.
+    /// Called before the mutation, so a lazy job's counters are brought up
+    /// to date under the amounts it was skipped with.
     fn touch(&mut self, job: JobId) {
         self.changes.mark(job);
+        self.walk_again(job);
+    }
+
+    /// Put `job` in the walk now: out of the wake queue, and a lazy job's
+    /// counters brought up to date.
+    fn walk_again(&mut self, job: JobId) {
+        if let Some(wake) = self.queued.remove(&job) {
+            self.wakes.remove(&(wake, job));
+        }
+        self.end_lazy(job);
         self.active.insert(job);
+    }
+
+    /// Stop skipping `job`, if it is lazy.
+    fn end_lazy(&mut self, job: JobId) {
+        let Some(mut lazy) = self.lazy.remove(&job) else {
+            return;
+        };
+        let at = self
+            .jobs
+            .ids
+            .binary_search(&job)
+            .expect("a lazy job is registered");
+        let rt = &mut self.jobs.runtimes[at];
+        catch_up(
+            self.ticks,
+            job,
+            &mut lazy,
+            rt,
+            &mut self.jobs.cols,
+            &mut self.tasks,
+        );
+        if lazy.arrived > 0 {
+            for (_, task) in self.tasks.range_of_job(job) {
+                if let Some(share) = self.shares.get_mut(&task.container) {
+                    share.lazy -= 1;
+                }
+            }
+        }
+    }
+
+    /// Walk every lazy job again.
+    fn wake_lazy(&mut self) {
+        while let Some((&job, _)) = self.lazy.first_key_value() {
+            self.walk_again(job);
+        }
+    }
+
+    /// Something [`Engine::tick`] reads about `job` besides its own state
+    /// may have changed: whether its processing is halted (paused, stopped
+    /// for capacity, its input category stalled), or the category itself.
+    /// A settled or lazy job is walked again at the next tick; one the tick
+    /// walks anyway needs nothing.
+    pub fn wake(&mut self, job: JobId) {
+        if self.active.contains(&job) {
+            return;
+        }
+        if self.jobs.ids.binary_search(&job).is_ok() {
+            if let Some(queued) = self.queued.insert(job, SimTime::ZERO) {
+                self.wakes.remove(&(queued, job));
+            }
+            self.wakes.insert((SimTime::ZERO, job));
+        }
+    }
+
+    /// The capacities handed to [`Engine::tick`] may have changed (a
+    /// cluster change): every lazy job is walked again, since whether its
+    /// containers can contend was judged against the old ones.
+    pub fn containers_changed(&mut self) {
+        self.wake_lazy();
+    }
+
+    /// `task` joins its container's share. A container that can now
+    /// contend wakes every lazy job: one of them may run on it.
+    fn share_join(&mut self, task: &ActiveTask) {
+        let share = self.shares.entry(task.container).or_default();
+        share.tasks += 1;
+        share.threads += share_units(task.threads, task.degradation);
+        if share.lazy > 0 && !share.uncontendable(share.capacity) {
+            self.wake_lazy();
+        }
+    }
+
+    /// `task` leaves its container's share.
+    fn share_leave(&mut self, task: &ActiveTask) {
+        if let Some(share) = self.shares.get_mut(&task.container) {
+            share.tasks -= 1;
+            share.threads -= share_units(task.threads, task.degradation);
+            if share.tasks == 0 {
+                self.shares.remove(&task.container);
+            }
+        }
+    }
+
+    /// What the last [`Engine::tick`] visited.
+    pub fn last_tick_work(&self) -> TickWork {
+        self.last_tick
     }
 
     /// Register a job's data plane. Registering an id again starts it
@@ -865,19 +1264,22 @@ impl Engine {
     ) {
         assert!(partitions > 0);
         assert!(true_per_thread_rate > 0.0);
-        let col = PartitionCol {
-            weight: 1.0 / partitions as f64,
-            ..PartitionCol::default()
-        };
+        self.touch(job);
+        let weight = 1.0 / partitions as f64;
         let jobs = &mut self.jobs;
         let at = jobs.ids.binary_search(&job);
         let in_order = match at {
             Ok(at) => at + 1 == jobs.ids.len(),
             Err(at) => at == jobs.ids.len(),
         };
-        let cols = jobs
-            .cols
-            .push(std::iter::repeat_n(col, partitions as usize), in_order);
+        let cols = jobs.cols.push(
+            std::iter::repeat_n(PartitionCol::default(), partitions as usize),
+            in_order,
+        );
+        set_weights(
+            jobs.cols.get_mut(cols),
+            std::iter::repeat_n(weight, partitions as usize),
+        );
         let runtime = JobRuntime {
             traffic,
             true_per_thread_rate,
@@ -890,8 +1292,8 @@ impl Engine {
             last_durable_epoch: u64::MAX,
             last_category_appended: None,
             category: None,
-            window_arrived: 0.0,
-            window_processed: 0.0,
+            window_arrived: 0,
+            window_processed: 0,
             window_departed: Vec::new(),
             window_ooms: 0,
             dirty_mark: 0,
@@ -909,7 +1311,6 @@ impl Engine {
             }
         }
         self.jobs.relay_if_crowded();
-        self.touch(job);
     }
 
     /// Bind a registered job to its input category in the bus
@@ -919,11 +1320,13 @@ impl Engine {
     pub fn bind_category(&mut self, job: JobId, category: CategoryId) {
         if let Some(rt) = self.jobs.get_mut(job) {
             rt.category = Some(category);
+            self.wake(job);
         }
     }
 
     /// Remove a job's data plane entirely.
     pub fn remove_job(&mut self, job: JobId) {
+        self.touch(job);
         if let Ok(at) = self.jobs.ids.binary_search(&job) {
             self.jobs.ids.remove(at);
             let runtime = self.jobs.runtimes.remove(at);
@@ -941,9 +1344,9 @@ impl Engine {
                 if task.down_until.is_some() {
                     self.down_count -= 1;
                 }
+                self.share_leave(&task);
             }
         }
-        self.touch(job);
     }
 
     /// Access a job's runtime (e.g. to mutate its traffic model
@@ -969,15 +1372,13 @@ impl Engine {
             weights.len(),
             cols.len()
         );
-        for (col, &weight) in cols.iter_mut().zip(weights) {
-            col.weight = weight;
-        }
+        set_weights(cols, weights.iter().copied());
     }
 
     /// Read access to a job's runtime and partitions.
     pub fn job(&self, job: JobId) -> Option<JobView<'_>> {
         let at = self.jobs.ids.binary_search(&job).ok()?;
-        Some(self.jobs.view(at))
+        Some(self.view(at))
     }
 
     /// All jobs registered.
@@ -987,7 +1388,16 @@ impl Engine {
 
     /// Every registered job with its runtime, ascending by id.
     pub fn jobs(&self) -> impl Iterator<Item = (JobId, JobView<'_>)> {
-        (0..self.jobs.ids.len()).map(|at| (self.jobs.ids[at], self.jobs.view(at)))
+        // The lazy jobs ascend by id too: one cursor finds them.
+        let mut lazy = self.lazy.iter().peekable();
+        (0..self.jobs.ids.len()).map(move |at| {
+            let job = self.jobs.ids[at];
+            while lazy.next_if(|&(&id, _)| id < job).is_some() {}
+            let arrived = lazy
+                .next_if(|&(&id, _)| id == job)
+                .map_or(0, |(_, lazy)| (self.ticks - lazy.anchor) * lazy.arrived);
+            (job, self.jobs.view(at, arrived))
+        })
     }
 
     /// A task started (or restarted) on a container. When its job is
@@ -1010,6 +1420,7 @@ impl Engine {
                 needed.unwrap_or(0),
             );
         }
+        self.touch(job);
         // A restarted task keeps its window bytes, and one that left this
         // window takes back what it had.
         let window = match self.tasks.get(spec.id) {
@@ -1017,7 +1428,8 @@ impl Engine {
             None => self
                 .jobs
                 .get_mut(job)
-                .and_then(|rt| rt.resume_window(spec.id)),
+                .and_then(|rt| rt.resume_window(spec.id))
+                .unwrap_or(0),
         };
         let task = ActiveTask {
             container,
@@ -1031,12 +1443,16 @@ impl Engine {
             memory_usage_mb: 0.0,
             cpu_usage: 0.0,
             window,
+            step: 0,
         };
+        if let Some(running) = self.tasks.get(spec.id).cloned() {
+            self.share_leave(&running);
+        }
+        self.share_join(&task);
         let replaced = self.tasks.insert(spec.id, task, &spec.partitions);
         if replaced.is_none_or(|t| t.down_until.is_none()) {
             self.down_count += 1;
         }
-        self.touch(job);
     }
 
     /// Degrade (or restore) one task's throughput — models a sick host
@@ -1044,10 +1460,15 @@ impl Engine {
     /// cleared when the task restarts on a(nother) container.
     pub fn degrade_task(&mut self, task: TaskId, factor: f64) {
         assert!(factor > 0.0);
-        if let Some(t) = self.tasks.get_mut(task) {
-            t.degradation = factor;
-            self.touch(task.job);
-        }
+        let Some(old) = self.tasks.get(task).cloned() else {
+            return;
+        };
+        self.touch(task.job);
+        self.share_leave(&old);
+        let t = self.tasks.get_mut(task).expect("looked up above");
+        t.degradation = factor;
+        let degraded = t.clone();
+        self.share_join(&degraded);
     }
 
     /// A task stopped on `container`. The container must match the entry:
@@ -1061,15 +1482,16 @@ impl Engine {
             .get(task)
             .is_some_and(|t| t.container == container)
         {
+            self.touch(task.job);
             if let Some(removed) = self.tasks.remove(task) {
                 if removed.down_until.is_some() {
                     self.down_count -= 1;
                 }
-                if let (Some(bytes), Some(rt)) = (removed.window, self.jobs.get_mut(task.job)) {
+                self.share_leave(&removed);
+                if let (bytes @ 1.., Some(rt)) = (removed.window, self.jobs.get_mut(task.job)) {
                     rt.keep_window(task, bytes);
                 }
             }
-            self.touch(task.job);
         }
     }
 
@@ -1137,42 +1559,54 @@ impl Engine {
 
     /// Force a task into restart (crash injection, container reboot).
     pub fn knock_down_task(&mut self, task: TaskId, until: SimTime) {
-        if let Some(t) = self.tasks.get_mut(task) {
+        if self.tasks.get(task).is_some() {
+            self.touch(task.job);
+            let t = self.tasks.get_mut(task).expect("looked up above");
             if t.down_until.is_none() {
                 self.down_count += 1;
             }
             t.down_until = Some(until);
-            self.touch(task.job);
         }
     }
 
-    /// Number of jobs [`Engine::tick`] currently walks (the rest are
-    /// settled). Meaningful after a tick: mutations and a restore only
-    /// ever add to it, and the next tick settles whatever it can.
+    /// Number of jobs that are not settled: those [`Engine::tick`] walks
+    /// and the lazy ones, whose every tick it derives. Meaningful after a
+    /// tick: mutations and a restore only ever add to it, and the next
+    /// tick settles whatever it can.
     pub fn active_jobs(&self) -> usize {
-        self.active.len()
+        self.active.len() + self.lazy.len()
     }
 
-    /// The jobs [`Engine::tick`] currently walks, ascending: with the
-    /// jobs marked for [`EngineReader::Scaler`], every job whose scaler
-    /// window may hold something.
-    pub fn walked_jobs(&self) -> &BTreeSet<JobId> {
-        &self.active
+    /// The jobs that are not settled, ascending: with the jobs marked for
+    /// [`EngineReader::Scaler`], every job whose scaler window may hold
+    /// something.
+    pub fn walked_jobs(&self) -> impl Iterator<Item = JobId> + '_ {
+        let mut active = self.active.iter().copied().peekable();
+        let mut lazy = self.lazy.keys().copied().peekable();
+        std::iter::from_fn(move || match (active.peek(), lazy.peek()) {
+            (Some(a), Some(l)) if l < a => lazy.next(),
+            (Some(_), _) => active.next(),
+            (None, _) => lazy.next(),
+        })
     }
 
-    /// Mark every job the engine knows active: registered runtimes plus
-    /// the jobs of tasks that have none.
+    /// Mark every job the engine knows active (registered runtimes plus
+    /// the jobs of tasks that have none), with nothing lazy and nothing
+    /// queued.
     fn activate_all(&mut self) {
+        self.wake_lazy();
+        self.wakes.clear();
+        self.queued.clear();
         self.active = self.jobs.ids.iter().copied().collect();
         self.active.extend(self.tasks.index.keys().map(|id| id.job));
     }
 
-    /// Forget everything derived — settlements, dirty hints, noise memos —
-    /// forcing the next tick to walk the whole fleet, insert every job it
-    /// dirties and draw every noise factor: the oracle the short cuts are
-    /// tested against.
+    /// Forget everything derived — settlements, lazy spans, dirty hints,
+    /// noise memos — forcing the next tick to walk the whole fleet, insert
+    /// every job it dirties and draw every noise factor: the oracle the
+    /// short cuts are tested against.
     #[cfg(test)]
-    fn forget_derived(&mut self) {
+    pub(crate) fn forget_derived(&mut self) {
         self.activate_all();
         for rt in &mut self.jobs.runtimes {
             rt.dirty_mark = 0;
@@ -1202,28 +1636,52 @@ impl Engine {
     /// containers do not run); `paused` jobs receive arrivals but process
     /// nothing.
     ///
-    /// Only the tasks of active jobs are walked. Skipping a settled job is
-    /// exact: it has no arrivals, no backlog, and no task mid-restart, so
-    /// each of its tasks would add `+ 0.0` to its container's demand (the
-    /// sum's bits do not move) and recompute the `cpu_usage` and
-    /// `memory_usage_mb` it already holds — both are functions of task and
-    /// job fields only a mutation API can change, and those re-activate the
-    /// job. A dead container cannot disturb it either: that path only
-    /// zeroes a `cpu_usage` that is already zero.
+    /// Only the tasks of active jobs are walked, and only active jobs are
+    /// visited at all. Two kinds of job are skipped, each exactly:
     ///
-    /// Two ordered passes, no per-job look-up. The first walks the
-    /// runtimes in step with the active set, both ascending by `JobId`:
-    /// a job takes its arrivals and, if it is active or its own inputs hold
-    /// it (traffic arriving, or processing halted), has its tasks walked by
-    /// index range, i.e. in `TaskId` order. An active id with no runtime
-    /// (orphan tasks) is walked where the runtimes step over it, so it
-    /// keeps its place in that order. One job's
-    /// arrivals touch nothing another job's walk reads, so doing them job
-    /// by job instead of fleet-wide first changes no value. The second pass
-    /// takes the collected work, still ascending by job, each item naming
-    /// its runtime. Every f64 reduction (per-container demand, per-task
-    /// backlog) therefore sees its terms in the order of a full
-    /// `TaskId`-ordered walk.
+    /// - A *settled* job has no arrivals, no backlog, no task mid-restart
+    ///   and is not halted, so each of its tasks would add `+ 0.0` to its
+    ///   container's demand (the sum's bits do not move) and recompute the
+    ///   `cpu_usage` and `memory_usage_mb` it already holds — both are
+    ///   functions of task and job fields only a mutation API can change,
+    ///   and those walk the job again. A dead container cannot disturb it
+    ///   either: that path only zeroes a `cpu_usage` that is already zero.
+    /// - A *lazy* job's last walk changed only its byte counters: its
+    ///   traffic is steady until its next event edge, every task is up and
+    ///   on a live container, every partition was drained before the
+    ///   arrivals and after the processing, no usage reading moved, nothing
+    ///   was OOM-killed, and (if anything arrived) each of its containers is
+    ///   *uncontendable* — the `threads × degradation` of every task on it
+    ///   fits its CPU, so every task there runs at a contention factor of
+    ///   exactly 1 whether or not the job's demand is summed. Every later
+    ///   tick would therefore repeat that walk's arrivals, consumption,
+    ///   window bytes and durability epochs and change nothing else. The
+    ///   job keeps `(anchor tick, counters at anchor)`, and every reader
+    ///   ([`Engine::job`], [`Engine::drain_window`], [`Engine::sync_durable`],
+    ///   the snapshot) adds `n` times the per-tick amounts for the `n` ticks
+    ///   since its anchor.
+    ///
+    /// Such a job is walked again when something it depends on may move:
+    /// a mutation API (through `touch`, which brings a lazy job's counters
+    /// up to date first), a change to whether it is halted
+    /// ([`Engine::wake`]), a cluster change ([`Engine::containers_changed`])
+    /// or another tick length, a task joining a container of a lazy job
+    /// that then could contend, and its traffic model's next event edge, kept
+    /// in the wake queue. A tick visits the jobs it walks and the wakes that
+    /// are due, nothing else.
+    ///
+    /// Two ordered passes, no per-job look-up. The first walks the active
+    /// jobs ascending by `JobId`, each finding its runtime by a forward
+    /// search: a job takes its arrivals and has its tasks walked by index
+    /// range, i.e. in `TaskId` order. An active id with no runtime (orphan
+    /// tasks) is walked where it falls, so it keeps its place in that
+    /// order. One job's arrivals touch nothing another job's walk reads, so
+    /// doing them job by job instead of fleet-wide first changes no value.
+    /// The second pass takes the collected work, still ascending by job,
+    /// each item naming its runtime. Bytes are integers, so the only sum
+    /// with an order is each container's f64 CPU demand, and it sees its
+    /// terms in the order of a full `TaskId`-ordered walk (a lazy job's
+    /// tasks sit only on containers whose factor is 1 either way).
     ///
     /// A job is marked for load reports only where the tick rewrites a
     /// task's `cpu_usage` or `memory_usage_mb` with a different value (the
@@ -1251,6 +1709,21 @@ impl Engine {
         healthy: usize,
         paused: &dyn Fn(JobId) -> bool,
     ) -> TickOutcome {
+        #[cfg(test)]
+        if self.walk_every_job {
+            self.forget_derived();
+        }
+        if dt != self.lazy_dt {
+            // The lazy jobs' per-tick amounts were taken at another length.
+            self.wake_lazy();
+            self.lazy_dt = dt;
+        }
+        while self.wakes.first().is_some_and(|&(wake, _)| wake <= now) {
+            let (_, job) = self.wakes.pop_first().expect("a due wake");
+            self.queued.remove(&job);
+            self.walk_again(job);
+        }
+        self.ticks += 1;
         let dt_secs = dt.as_secs_f64();
         let Engine {
             jobs,
@@ -1259,7 +1732,14 @@ impl Engine {
             changes,
             dirty_drains,
             active,
+            lazy,
+            wakes,
+            queued,
+            ticks,
+            shares,
+            last_tick,
             scratch,
+            ..
         } = self;
         let JobTable {
             ids,
@@ -1275,7 +1755,6 @@ impl Engine {
         let TickScratch {
             works,
             walked,
-            woken,
             loads,
         } = scratch;
         works.clear();
@@ -1285,37 +1764,54 @@ impl Engine {
             feed: changes,
             drains: *dirty_drains,
         };
+        let mut work = TickWork::default();
 
         // Pass 1: arrivals, then per-task desired work and per-container
         // CPU demand.
-        let mut listed = active.iter().copied().peekable();
         // One cursor over the task index serves every walked job: while
         // consecutive jobs are walked it runs straight on, and only tasks
-        // of settled jobs in between cost a new descent.
+        // of skipped jobs in between cost a new descent.
         let mut cursor = index.range(..).peekable();
-        for (runtime, (&job, rt)) in ids.iter().zip(runtimes.iter_mut()).enumerate() {
-            // Active ids the runtimes step over are orphans.
-            while let Some(orphan) = listed.next_if(|&id| id < job) {
-                let quiet = walk_orphan(index, slots, orphan, now, down_count, dirty.feed);
+        // Every runtime below `from` belongs to a job already passed.
+        let mut from = 0;
+        for &job in active.iter() {
+            if ids.get(from) != Some(&job) {
+                from += ids[from..].partition_point(|&id| id < job);
+            }
+            if ids.get(from) != Some(&job) {
+                let quiet = walk_orphan(index, slots, job, now, down_count, dirty.feed, &mut work);
                 walked.push(Walked {
-                    job: orphan,
+                    job,
                     runtime: None,
                     quiet,
+                    steady: false,
+                    drained: true,
+                    rated: false,
+                    halted: false,
                 });
+                continue;
             }
-            let was_active = listed.next_if_eq(&job).is_some();
+            let runtime = from;
+            from += 1;
+            work.runtimes += 1;
+            let rt = &mut runtimes[runtime];
             let job_cols = cols.get_mut(rt.cols);
+            let drained = rt.undrained == 0;
             let rate = rt.traffic.arrival_rate_memo(now, &mut rt.noise);
             // Did a task's usage reading move in this pass?
             let mut dirtied = false;
             if rate > 0.0 {
-                let amount = rate * dt_secs;
-                rt.window_arrived += amount;
-                for p in job_cols.iter_mut() {
-                    let was_drained = p.appended == p.consumed;
-                    p.appended += amount * p.weight;
-                    if was_drained && p.appended != p.consumed {
-                        rt.undrained += 1;
+                let arrived = floor_bytes(rate * dt_secs);
+                rt.window_arrived += arrived;
+                let mut split = Split::new(arrived);
+                let last = job_cols.len() - 1;
+                for (i, p) in job_cols.iter_mut().enumerate() {
+                    let part = split.next(p.cum, i == last);
+                    if part > 0 {
+                        if p.appended == p.consumed {
+                            rt.undrained += 1;
+                        }
+                        p.appended += part;
                     }
                 }
                 rt.durable_epoch += 1;
@@ -1324,26 +1820,24 @@ impl Engine {
             // the idle floor, so it holds the job as arrivals do.
             let halted = paused(job) || rt.traffic.consumer_disabled(now);
             let mut quiet = !(rate > 0.0 || halted);
-            if !was_active {
-                if quiet {
-                    continue; // settled, and nothing of its own wakes it
-                }
-                woken.push(job);
-            }
+            let mut steady = true;
             if cursor.peek().is_some_and(|(id, _)| id.job < job) {
                 cursor = index.range(TaskId::new(job, 0)..).peekable();
             }
             while let Some((&id, &slot)) = cursor.next_if(|(id, _)| id.job == job) {
+                work.tasks += 1;
                 let task = slots[slot as usize].as_mut().expect("indexed slot");
                 match task.restart(now) {
                     Restart::Down { zeroed } => {
                         dirtied |= zeroed;
                         quiet = false;
+                        steady = false;
                         continue;
                     }
                     Restart::Up { cleared: true } => {
                         *down_count -= 1;
                         quiet = false;
+                        steady = false;
                     }
                     Restart::Up { cleared: false } => {}
                 }
@@ -1361,6 +1855,7 @@ impl Engine {
                     // without an engine call, so the task is at rest only
                     // if the normal path would then find nothing to
                     // rewrite and nothing to kill.
+                    steady = false;
                     if task.cpu_usage != 0.0 {
                         task.cpu_usage = 0.0;
                         dirtied = true;
@@ -1373,10 +1868,11 @@ impl Engine {
                 };
                 let capacity =
                     rt.true_per_thread_rate * task.threads as f64 * dt_secs * task.degradation;
-                let desired = slice_backlog(job_cols, slices.get(task.slice)).min(capacity);
-                loads.demand(load, desired / (rt.true_per_thread_rate * dt_secs));
+                let desired =
+                    slice_backlog(job_cols, slices.get(task.slice)).min(floor_bytes(capacity));
+                loads.demand(load, real(desired) / (rt.true_per_thread_rate * dt_secs));
                 works.push(Work {
-                    id,
+                    index: id.index,
                     slot,
                     runtime: runtime as u32,
                     walk: walked.len() as u32,
@@ -1391,17 +1887,12 @@ impl Engine {
                 job,
                 runtime: Some(runtime as u32),
                 quiet,
+                steady: steady && !dirtied,
+                drained,
+                rated: rate > 0.0,
+                halted,
             });
         }
-        for orphan in listed {
-            let quiet = walk_orphan(index, slots, orphan, now, down_count, dirty.feed);
-            walked.push(Walked {
-                job: orphan,
-                runtime: None,
-                quiet,
-            });
-        }
-        active.extend(woken.drain(..));
 
         // Contention factors per container.
         loads.demand_to_factor();
@@ -1414,8 +1905,8 @@ impl Engine {
             let job_cols = cols.get_mut(rt.cols);
             let task = slots[work.slot as usize].as_mut().expect("collected above");
             let slice = slices.get(task.slice);
-            let mut to_process = work.desired * loads.factor(work.load);
-            let cpu_usage = to_process / (rt.true_per_thread_rate * dt_secs);
+            let mut to_process = floor_bytes(real(work.desired) * loads.factor(work.load));
+            let cpu_usage = real(to_process) / (rt.true_per_thread_rate * dt_secs);
             // `usage_moved` dirties the job; `consumed` only keeps it
             // awake.
             let mut usage_moved = false;
@@ -1424,26 +1915,26 @@ impl Engine {
                 task.cpu_usage = cpu_usage;
                 usage_moved = true;
             }
-            if to_process > 0.0 {
+            task.step = 0;
+            if to_process > 0 {
                 // Consume proportionally to per-partition backlog. The
                 // slice is summed again rather than carried over from pass
                 // 1: an earlier task of the job may have consumed from a
                 // shared partition since (overlap is reported by the
                 // invariant checker, not prevented).
                 let slice_backlog = slice_backlog(job_cols, slice);
-                if slice_backlog > 0.0 {
+                if slice_backlog > 0 {
                     to_process = to_process.min(slice_backlog);
-                    let share = to_process / slice_backlog;
-                    for p in slice {
-                        let ps = &mut job_cols[p.raw() as usize];
-                        let was_drained = ps.appended == ps.consumed;
-                        ps.consumed += (ps.appended - ps.consumed) * share;
-                        if !was_drained && ps.appended == ps.consumed {
-                            rt.undrained -= 1;
-                        }
-                    }
+                    consume(
+                        job_cols,
+                        slice,
+                        to_process,
+                        slice_backlog,
+                        &mut rt.undrained,
+                    );
                     rt.window_processed += to_process;
-                    *task.window.get_or_insert(0.0) += to_process;
+                    task.window += to_process;
+                    task.step = to_process;
                     rt.durable_epoch += 1;
                     consumed = true;
                 }
@@ -1454,47 +1945,144 @@ impl Engine {
                 usage_moved = true;
             }
             if usage_moved {
-                dirty.mark(work.id.job, &mut rt.dirty_mark);
+                dirty.mark(ids[work.runtime as usize], &mut rt.dirty_mark);
             }
             let oom = task.over_limit(usage);
             if oom {
-                outcome.oom_kills.push(work.id);
+                outcome
+                    .oom_kills
+                    .push(TaskId::new(ids[work.runtime as usize], work.index));
                 rt.window_ooms += 1;
             }
             if usage_moved || consumed || oom {
-                walked[work.walk as usize].quiet = false;
+                let walk = &mut walked[work.walk as usize];
+                walk.quiet = false;
+                walk.steady &= !(usage_moved || oom);
             }
         }
 
         // Settle every walked job that came through untouched and has
-        // nothing left to drain. If earlier walks left something in its
-        // scaler window, the scaler round, which no longer finds the job
-        // among the walked ones, is told. An empty window is not: a restored
-        // engine re-settles every settled job, and marking those would make
-        // its feed differ from the uninterrupted one's.
-        for walk in walked.iter().filter(|walk| walk.quiet) {
-            let runtime = walk.runtime.map(|runtime| &runtimes[runtime as usize]);
-            if runtime.is_none_or(|rt| rt.undrained == 0) {
-                active.remove(&walk.job);
-                if runtime.is_some_and(|rt| holds_window(rt, index, slots, walk.job)) {
+        // nothing left to drain, and leave every steady one lazy. If earlier
+        // walks left something in a settling job's scaler window, the scaler
+        // round, which no longer finds the job among the walked ones, is
+        // told. An empty window is not: a restored engine re-settles every
+        // settled job, and marking those would make its feed differ from
+        // the uninterrupted one's.
+        for walk in walked.iter() {
+            let Some(runtime) = walk.runtime else {
+                if walk.quiet {
+                    active.remove(&walk.job);
+                }
+                continue;
+            };
+            if !(walk.quiet || walk.steady && walk.drained) {
+                continue;
+            }
+            let rt = &mut runtimes[runtime as usize];
+            if rt.undrained != 0 {
+                continue;
+            }
+            let wake = if walk.quiet {
+                if holds_window(rt, index, slots, walk.job) {
                     dirty.feed.mark_for(EngineReader::Scaler, walk.job);
                 }
+                // Nothing of its own wakes it before its traffic may move.
+                if rt.traffic.steady_at(now) {
+                    rt.traffic.next_edge(now)
+                } else {
+                    Some(now + Duration::from_millis(1))
+                }
+            } else if rt.traffic.steady_at(now) {
+                // What each of its tasks consumed, and so what arrived: a
+                // steady job that is not halted walked every task through
+                // the processing path.
+                let steps = index
+                    .range(job_range(walk.job))
+                    .map(|(_, &slot)| slots[slot as usize].as_ref().expect("indexed slot").step)
+                    .filter(|_| !walk.halted);
+                let arrived: u64 = steps.clone().sum();
+                if arrived > 0 && !uncontendable(walk.job, index, slots, loads, shares) {
+                    continue;
+                }
+                if arrived > 0 {
+                    for (_, &slot) in index.range(job_range(walk.job)) {
+                        let container = slots[slot as usize]
+                            .as_ref()
+                            .expect("indexed slot")
+                            .container;
+                        let share = shares
+                            .get_mut(&container)
+                            .expect("a walked task's container");
+                        share.lazy += 1;
+                        share.capacity = loads.capacity_of(container).expect("a live container");
+                    }
+                }
+                let consuming = steps.clone().filter(|&step| step > 0).count() as u64;
+                lazy.insert(
+                    walk.job,
+                    Lazy {
+                        anchor: *ticks,
+                        arrived,
+                        epochs: walk.rated as u64 + consuming,
+                    },
+                );
+                rt.traffic.next_edge(now)
+            } else {
+                continue;
+            };
+            active.remove(&walk.job);
+            if let Some(wake) = wake {
+                queued.insert(walk.job, wake);
+                wakes.insert((wake, walk.job));
             }
         }
+        // A walk of the whole fleet (the first tick, or the first after a
+        // restore) sizes the scratch for every task. Once the walks are
+        // down to a fraction of that, give the room back: it would
+        // otherwise be held for the engine's lifetime.
+        if works.capacity() > 4 * works.len().max(1024) {
+            works.shrink_to(2 * works.len());
+        }
+        if walked.capacity() > 4 * walked.len().max(1024) {
+            walked.shrink_to(2 * walked.len());
+        }
+        *last_tick = work;
         outcome
     }
 
+    /// The ticks `job` has been skipped as lazy since its anchor, with its
+    /// lazy record (`(0, None)` for any other job).
+    fn skipped(&self, job: JobId) -> (u64, Option<&Lazy>) {
+        self.lazy
+            .get(&job)
+            .map_or((0, None), |lazy| (self.ticks - lazy.anchor, Some(lazy)))
+    }
+
+    /// The `at`-th job as its readers see it.
+    fn view(&self, at: usize) -> JobView<'_> {
+        let (n, lazy) = self.skipped(self.jobs.ids[at]);
+        self.jobs.view(at, n * lazy.map_or(0, |lazy| lazy.arrived))
+    }
+
     /// A job's window entries, ascending by task id: its running tasks'
-    /// and those of tasks that left mid-window.
+    /// and those of tasks that left mid-window. A running task of a lazy
+    /// job adds its step for each tick skipped.
     fn window_entries<'a>(
         &'a self,
         job: JobId,
         rt: &'a JobRuntime,
-    ) -> impl Iterator<Item = (TaskId, f64)> + 'a {
+    ) -> impl Iterator<Item = (TaskId, u64)> + 'a {
+        let n = match self.skipped(job) {
+            (n, Some(lazy)) if lazy.arrived > 0 => n,
+            _ => 0,
+        };
         let mut running = self
             .tasks
             .range_of_job(job)
-            .filter_map(|(&id, task)| Some((id, task.window?)))
+            .filter_map(move |(&id, task)| {
+                let window = task.window + n * task.step;
+                (window > 0).then_some((id, window))
+            })
             .peekable();
         let mut departed = rt.window_departed.iter().copied().peekable();
         std::iter::from_fn(move || match (running.peek(), departed.peek()) {
@@ -1517,43 +2105,59 @@ impl Engine {
             return None;
         };
         let rt = &mut self.jobs.runtimes[at];
-        into.arrived = std::mem::take(&mut rt.window_arrived);
-        into.processed = std::mem::take(&mut rt.window_processed);
+        if let Some(lazy) = self.lazy.get_mut(&job) {
+            catch_up(
+                self.ticks,
+                job,
+                lazy,
+                rt,
+                &mut self.jobs.cols,
+                &mut self.tasks,
+            );
+        }
+        into.arrived = std::mem::take(&mut rt.window_arrived) as f64;
+        into.processed = std::mem::take(&mut rt.window_processed) as f64;
         into.ooms = std::mem::take(&mut rt.window_ooms);
         let mut departed = rt.window_departed.drain(..).peekable();
         let TaskArena { index, slots, .. } = &mut self.tasks;
         for (&id, &slot) in index.range(job_range(job)) {
             let task = slots[slot as usize].as_mut().expect("indexed slot");
             into.per_task.extend(std::iter::from_fn(|| {
-                departed.next_if(|&(left, _)| left < id)
+                departed
+                    .next_if(|&(left, _)| left < id)
+                    .map(|(left, bytes)| (left, bytes as f64))
             }));
-            let window = task.window.take();
-            if let Some(bytes) = window {
-                into.per_task.push((id, bytes));
+            let window = std::mem::take(&mut task.window);
+            if window > 0 {
+                into.per_task.push((id, window as f64));
             }
             into.running.push(RunningTask {
                 id,
-                processed: window.unwrap_or(0.0),
+                processed: window as f64,
                 memory_mb: task.memory_usage_mb,
                 started_at: task.started_at,
             });
         }
-        into.per_task.extend(departed);
-        Some(self.jobs.view(at))
+        into.per_task
+            .extend(departed.map(|(left, bytes)| (left, bytes as f64)));
+        Some(self.view(at))
     }
 
     /// Mirror accumulated arrivals into the Scribe substrate and commit
     /// consumed offsets to the checkpoint store. Called on the checkpoint
     /// cadence — tasks checkpoint periodically, not per record.
     ///
+    /// Each partition is an exact integer copy: the bytes arrived since the
+    /// last sync are mirrored, and the consumed offset, capped at the
+    /// durable tail, is committed.
+    ///
     /// Incremental: a job is skipped when its durability epoch has not
     /// moved since the last flush *and* its category's total-appended
     /// counter is unchanged (no other writer touched the durable tail).
-    /// Skipping is exact: with both unchanged, every partition's mirror
-    /// delta is a sub-byte fraction (no append) and the checkpoint commit
-    /// would either not fire or rewrite its current value (a no-op — the
-    /// first-ever sync, which creates the checkpoint entries, is forced by
-    /// the `u64::MAX` epoch sentinel). A torn-tail salvage between rounds
+    /// Skipping is exact: with both unchanged, no partition has a byte to
+    /// mirror and the checkpoint commit would either not fire or rewrite
+    /// its current value (a no-op — the first-ever sync, which creates the
+    /// checkpoint entries, is forced by the `u64::MAX` epoch sentinel). A torn-tail salvage between rounds
     /// only lowers the tail, which lowers the commit target below the
     /// persisted checkpoint — also a no-op. The full per-partition path
     /// remains the crash-recovery oracle and runs whenever in doubt.
@@ -1575,6 +2179,17 @@ impl Engine {
             runtimes,
             cols,
         } = &mut self.jobs;
+        for (&job, lazy) in &mut self.lazy {
+            let at = ids.binary_search(&job).expect("a lazy job is registered");
+            catch_up(
+                self.ticks,
+                job,
+                lazy,
+                &mut runtimes[at],
+                cols,
+                &mut self.tasks,
+            );
+        }
         // The rows ascend by job like the runtimes: one cursor finds them.
         let mut rows = checkpoints.rows();
         for (&job, rt) in ids.iter().zip(runtimes.iter_mut()) {
@@ -1585,12 +2200,8 @@ impl Engine {
             }
             let mut offsets = rows.job(job);
             for (i, p) in cols.get_mut(rt.cols).iter_mut().enumerate() {
-                let delta = p.appended - p.scribe_synced;
-                let mut bytes = 0;
-                if delta >= 1.0 {
-                    bytes = delta as u64;
-                    p.scribe_synced += delta.floor();
-                }
+                let bytes = p.appended - p.scribe_synced;
+                p.scribe_synced = p.appended;
                 // With no category, or no such partition in it, appends are
                 // dropped but the mirror cursor still advances, and the
                 // checkpoint commits against a tail of 0.
@@ -1604,7 +2215,7 @@ impl Engine {
                 // checkpoint — never move the checkpoint backwards here
                 // (recovery clamps it explicitly, with a trace event) and
                 // never re-advance it past the tail.
-                offsets.raise_next(i, (p.consumed as u64).min(tail));
+                offsets.raise_next(i, p.consumed.min(tail));
             }
             rt.last_category_appended = category.map(|view| view.total_appended());
             rt.last_durable_epoch = rt.durable_epoch;
@@ -1616,10 +2227,13 @@ use turbine_types::{Snap, SnapError, SnapReader, SnapWriter};
 
 // By hand, in the stream the engine had when each job and task was a heap
 // object of its own: the jobs as an ordered map of runtimes (each field in
-// turn, its weights and partition states as two vectors, its window as an
-// ordered map of task bytes), then the tasks as ordered (id, task) pairs
-// with their slices inline, then the feed. Decoding lays every block in id
-// order and recounts what is derived.
+// turn, its weights (as running sums) and partition states as two
+// vectors, its window as an ordered map of task bytes), then the tasks as
+// ordered (id, task) pairs with their slices inline, then the feed. A
+// lazy job's counters are
+// written as its readers derive them, so the stream is the one a walk of
+// every tick leaves. Decoding lays every block in id order and recounts
+// what is derived.
 impl Snap for Engine {
     fn snap(&self, w: &mut SnapWriter) {
         w.u64(self.jobs.ids.len() as u64);
@@ -1633,20 +2247,32 @@ impl Snap for Engine {
             w.put(&rt.key_cardinality);
             w.u64(view.cols.len() as u64);
             for col in view.cols {
-                w.put(&col.weight);
+                w.put(&col.cum);
             }
+            let (n, lazy) = self.skipped(job);
+            let (arrived, epochs) = lazy.map_or((0, 0), |lazy| (lazy.arrived, lazy.epochs));
             w.u64(view.cols.len() as u64);
-            for col in view.cols {
-                w.put(&col.appended);
-                w.put(&col.consumed);
+            let mut split = Split::new(arrived);
+            let last = view.cols.len() - 1;
+            for (i, col) in view.cols.iter().enumerate() {
+                let part = split.next(col.cum, i == last);
+                // Skipped ticks drained what they brought.
+                let appended = col.appended + n * part;
+                let consumed = if n * arrived > 0 {
+                    appended
+                } else {
+                    col.consumed
+                };
+                w.put(&appended);
+                w.put(&consumed);
                 w.put(&col.scribe_synced);
             }
-            w.put(&rt.durable_epoch);
+            w.put(&(rt.durable_epoch + n * epochs));
             w.put(&rt.last_durable_epoch);
             w.put(&rt.last_category_appended);
             w.put(&rt.category);
-            w.put(&rt.window_arrived);
-            w.put(&rt.window_processed);
+            w.put(&(rt.window_arrived + n * arrived));
+            w.put(&(rt.window_processed + n * arrived));
             w.u64(self.window_entries(job, rt).count() as u64);
             for (task, bytes) in self.window_entries(job, rt) {
                 w.put(&task);
@@ -1678,7 +2304,7 @@ impl Snap for Engine {
     fn unsnap(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let mut engine = Engine::default();
         // (runtime index, task, bytes), placed once the tasks are known.
-        let mut windows: Vec<(usize, TaskId, f64)> = Vec::new();
+        let mut windows: Vec<(usize, TaskId, u64)> = Vec::new();
         let jobs = r.len_prefix("map length")?;
         for at in 0..jobs {
             let job: JobId = r.get()?;
@@ -1694,9 +2320,9 @@ impl Snap for Engine {
             let start = cols.items.len();
             let weights = r.len_prefix("vec length")?;
             for _ in 0..weights {
-                let weight = r.get()?;
+                let cum = r.get()?;
                 cols.items.push(PartitionCol {
-                    weight,
+                    cum,
                     ..PartitionCol::default()
                 });
             }
@@ -1792,7 +2418,8 @@ impl Snap for Engine {
                 degradation: r.get()?,
                 memory_usage_mb: r.get()?,
                 cpu_usage: r.get()?,
-                window: None,
+                window: 0,
+                step: 0,
             };
             if task.down_until.is_some() {
                 engine.down_count += 1;
@@ -1803,7 +2430,7 @@ impl Snap for Engine {
         }
         for (at, task, bytes) in windows {
             match engine.tasks.get_mut(task) {
-                Some(running) => running.window = Some(bytes),
+                Some(running) => running.window = bytes,
                 None => engine.jobs.runtimes[at].window_departed.push((task, bytes)),
             }
         }
@@ -1815,8 +2442,13 @@ impl Snap for Engine {
         engine.jobs.cols.items.shrink_to_fit();
         engine.tasks.slots.shrink_to_fit();
         engine.tasks.slices.items.shrink_to_fit();
-        // Settlements are not captured: walk everything once and let the
-        // first tick re-derive them.
+        for (_, task) in engine.tasks.iter() {
+            let share = engine.shares.entry(task.container).or_default();
+            share.tasks += 1;
+            share.threads += share_units(task.threads, task.degradation);
+        }
+        // Settlements and lazy spans are not captured: walk everything once
+        // and let the first tick re-derive them.
         engine.activate_all();
         Ok(engine)
     }
@@ -1824,6 +2456,12 @@ impl Snap for Engine {
 
 #[cfg(test)]
 impl Engine {
+    /// Whether the next tick walks `job` as things stand (it is neither
+    /// settled nor lazy).
+    pub(crate) fn walks(&self, job: JobId) -> bool {
+        self.active.contains(&job)
+    }
+
     /// [`Engine::drain_window`] into fresh buffers.
     fn drained(&mut self, job: JobId) -> WindowStats {
         let mut stats = WindowStats::default();

@@ -1,7 +1,8 @@
 //! The checkpoint pass against its oracle: a copy of the body
 //! `Engine::sync_durable` had before it became one pass in step with the
 //! checkpoint rows, which looked each job's category up by name and each
-//! checkpoint pair up by partition. Two identically driven engines, buses
+//! checkpoint pair up by partition (its byte arithmetic now integer, as
+//! the engine's is). Two identically driven engines, buses
 //! and stores, one synced each way, hold the same bytes after every step:
 //! every checkpoint row, every tail, each category's total and last append
 //! time, and every column's `scribe_synced`.
@@ -41,13 +42,13 @@ fn sync_by_name(
                 let mut offsets = checkpoints.job_mut(job);
                 for (i, p) in cols.get_mut(rt.cols).iter_mut().enumerate() {
                     let partition = PartitionId(i as u64);
-                    let delta = p.appended - p.scribe_synced;
-                    if delta >= 1.0 {
-                        let _ = scribe.append_bytes(name, partition, delta as u64, now);
-                        p.scribe_synced += delta.floor();
+                    let bytes = p.appended - p.scribe_synced;
+                    if bytes > 0 {
+                        let _ = scribe.append_bytes(name, partition, bytes, now);
                     }
+                    p.scribe_synced = p.appended;
                     let tail = scribe.tail_offset(name, partition).unwrap_or(0);
-                    let target = (p.consumed as u64).min(tail);
+                    let target = p.consumed.min(tail);
                     if target >= offsets.get(partition) {
                         offsets.commit(partition, target);
                     }
@@ -62,10 +63,7 @@ fn sync_by_name(
                 let mut offsets = checkpoints.job_mut(job);
                 for (i, p) in cols.get_mut(rt.cols).iter_mut().enumerate() {
                     let partition = PartitionId(i as u64);
-                    let delta = p.appended - p.scribe_synced;
-                    if delta >= 1.0 {
-                        p.scribe_synced += delta.floor();
-                    }
+                    p.scribe_synced = p.appended;
                     if offsets.get(partition) == 0 {
                         offsets.commit(partition, 0);
                     }
@@ -106,7 +104,7 @@ proptest! {
 
     /// Jobs of one to five partitions, whose categories are missing, have
     /// fewer partitions than the job, as many, or more. Steps: arrivals
-    /// and consumption (fractional, so sub-byte deltas carry over), a
+    /// and consumption, a
     /// torn-tail salvage that leaves a checkpoint above the tail, a stray
     /// pair for a partition the job does not have, another writer's
     /// append, a late-created category, and syncs — the first one over
@@ -146,8 +144,8 @@ proptest! {
                 match kind {
                     0..=2 => {
                         let col = &mut side.cols(job)[(raw % partitions) as usize];
-                        col.appended += amount as f64 * 0.37;
-                        col.consumed = col.appended.min(col.consumed + amount as f64 * 0.29);
+                        col.appended += amount * 37 / 100;
+                        col.consumed = col.appended.min(col.consumed + amount * 29 / 100);
                     }
                     3 => {
                         let p = PartitionId(raw);

@@ -1,8 +1,8 @@
-//! The short cuts of [`Engine::tick`] (the settled-job skip, the dirty
-//! hint, the noise memo) against their oracle: the same engine made to
-//! forget all three (through `forget_derived`) before every tick, so that
-//! it walks every task, inserts every job it dirties and draws every noise
-//! factor, which is what the tick did before it had them.
+//! The short cuts of [`Engine::tick`] (the settled-job skip, the lazy
+//! spans, the dirty hint, the noise memo) against their oracle: the same
+//! engine made to forget all four (through `forget_derived`) before every
+//! tick, so that it walks every task, inserts every job it dirties and
+//! draws every noise factor, which is what the tick did before it had them.
 
 use super::*;
 use proptest::prelude::*;
@@ -29,25 +29,26 @@ fn specs_of(job: JobId) -> Vec<TaskSpec> {
 
 /// One of the traffic shapes a job can be switched to at `now`. The
 /// windowed ones open and close between ticks with no engine call at
-/// either edge, so only the per-tick input check can catch them.
+/// either edge, so only the wake queue can catch them.
 fn traffic(shape: u8, now: SimTime) -> TrafficModel {
     let window = |kind| TrafficEvent {
         start: now + DT.mul(2),
         end: now + DT.mul(9),
         kind,
     };
-    match shape % 5 {
+    match shape % 6 {
         0 => TrafficModel::flat(0.0),
         1 => TrafficModel::flat(1.5e6),
         2 => TrafficModel::diurnal(1.0e6, 0.4, 7),
         3 => TrafficModel::flat(1.5e6).with_event(window(TrafficEventKind::InputOutage)),
-        _ => TrafficModel::flat(0.0).with_event(window(TrafficEventKind::ConsumerDisabled)),
+        4 => TrafficModel::flat(0.0).with_event(window(TrafficEventKind::ConsumerDisabled)),
+        _ => TrafficModel::flat(7.5e5).with_event(window(TrafficEventKind::ConsumerDisabled)),
     }
 }
 
-fn encoded(engine: &Engine) -> Vec<u8> {
+fn encoded(value: &impl Snap) -> Vec<u8> {
     let mut w = SnapWriter::new();
-    w.put(engine);
+    w.put(value);
     w.into_bytes()
 }
 
@@ -57,18 +58,22 @@ struct Pair {
     full: Engine,
     now: SimTime,
     paused: BTreeSet<JobId>,
+    /// Each container's cores while it is up.
+    cores: f64,
     container_cpu: HashMap<ContainerId, f64>,
 }
 
 impl Pair {
-    fn new(shapes: &[u8]) -> Pair {
+    /// `cores` per container: at two a few busy tasks contend, at eight
+    /// none do, and flat jobs that keep up go lazy.
+    fn new(shapes: &[u8], cores: f64) -> Pair {
         let mut pair = Pair {
             skip: Engine::new(),
             full: Engine::new(),
             now: SimTime::ZERO,
             paused: BTreeSet::new(),
-            // Two cores per container: a few busy tasks contend.
-            container_cpu: (0..CONTAINERS).map(|c| (ContainerId(c), 2.0)).collect(),
+            cores,
+            container_cpu: (0..CONTAINERS).map(|c| (ContainerId(c), cores)).collect(),
         };
         for j in 0..JOBS {
             let model = traffic(shapes[j as usize], SimTime::ZERO);
@@ -107,7 +112,11 @@ impl Pair {
         specs[b as usize % specs.len()].clone()
     }
 
-    fn apply(&mut self, (kind, a, b): (u8, u8, u8)) {
+    /// Apply one step. Each edit of what the tick is handed (a pause, a
+    /// container's capacity) is announced to both engines, as the platform
+    /// announces it. Returns the windows a drain step drained, skipping
+    /// engine first.
+    fn apply(&mut self, (kind, a, b): (u8, u8, u8)) -> Option<(WindowStats, WindowStats)> {
         let now = self.now;
         let job = JobId(a as u64 % JOBS);
         let spec = Pair::spec(a, b);
@@ -118,12 +127,24 @@ impl Pair {
                 if !was_paused {
                     self.paused.insert(job);
                 }
+                self.both(|e| e.wake(job));
             }
             1 => {
                 let container = ContainerId(a as u64 % CONTAINERS);
                 let was_alive = self.container_cpu.remove(&container).is_some();
                 if !was_alive {
-                    self.container_cpu.insert(container, 2.0);
+                    self.container_cpu.insert(container, self.cores);
+                }
+                self.both(Engine::containers_changed);
+            }
+            10 => {
+                // Shrink a live container below its tasks' threads, or give
+                // it back its cores.
+                let container = ContainerId(a as u64 % CONTAINERS);
+                let cores = self.cores;
+                if let Some(cpu) = self.container_cpu.get_mut(&container) {
+                    *cpu = if *cpu == cores { 0.5 } else { cores };
+                    self.both(Engine::containers_changed);
                 }
             }
             2 => self.both(|e| e.knock_down_task(task, now + DT.mul(b as u64 + 1))),
@@ -148,11 +169,10 @@ impl Pair {
                 }
             }),
             8 if b == 0 => self.both(|e| e.remove_job(job)),
-            9 => self.both(|e| {
-                e.drained(job);
-            }),
+            9 => return Some((self.skip.drained(job), self.full.drained(job))),
             _ => {}
         }
+        None
     }
 
     /// Tick both engines and hold every observable output equal. The
@@ -199,18 +219,48 @@ proptest! {
     /// and encode to the same bytes.
     #[test]
     fn skipping_settled_jobs_equals_walking_everything(
-        shapes in prop::collection::vec(0u8..5, JOBS as usize..JOBS as usize + 1),
+        shapes in prop::collection::vec(0u8..6, JOBS as usize..JOBS as usize + 1),
         // Two thirds of the steps only tick, so jobs get to settle between
         // disturbances.
         steps in prop::collection::vec((0u8..30, 0u8..10, 0u8..10), 60..160),
     ) {
-        let mut pair = Pair::new(&shapes);
+        let mut pair = Pair::new(&shapes, 2.0);
         for step in steps {
-            pair.apply(step);
-            // A quarter of the ticks drain: runs of 1 to 20 without.
-            pair.tick((step.1 + 2 * step.2) % 4 == 0)?;
+            pair.step(step)?;
         }
         pair.tick(true)?;
+    }
+
+    /// The same interleavings on containers with room for every task, so
+    /// that flat jobs which keep up spend spans lazy, broken by pauses,
+    /// capacity cuts, container loss, weight edits and the rest: the
+    /// engines encode the same, and every window drained mid-span or at the
+    /// end holds the same bytes.
+    #[test]
+    fn lazy_spans_equal_walking_every_job(
+        shapes in prop::collection::vec(0u8..6, JOBS as usize..JOBS as usize + 1),
+        steps in prop::collection::vec((0u8..40, 0u8..10, 0u8..10), 60..160),
+    ) {
+        let mut pair = Pair::new(&shapes, 8.0);
+        for step in steps {
+            pair.step(step)?;
+        }
+        pair.tick(true)?;
+        for job in 0..JOBS {
+            let (skip, full) = (pair.skip.drained(JobId(job)), pair.full.drained(JobId(job)));
+            prop_assert_eq!(format!("{skip:?}"), format!("{full:?}"));
+        }
+    }
+}
+
+impl Pair {
+    /// Apply `step`, then tick; a drain step's windows must agree.
+    fn step(&mut self, step: (u8, u8, u8)) -> Result<(), TestCaseError> {
+        if let Some((skip, full)) = self.apply(step) {
+            prop_assert_eq!(format!("{skip:?}"), format!("{full:?}"));
+        }
+        // A quarter of the ticks drain: runs of 1 to 20 without.
+        self.tick((step.1 + 2 * step.2).is_multiple_of(4))
     }
 }
 
@@ -260,8 +310,8 @@ fn quiet_job_settles_until_a_mutation_or_its_own_traffic_wakes_it() {
     assert_eq!(engine.active_jobs(), 1);
     quiet_tick(&mut engine, &mut now);
     assert_eq!(engine.active_jobs(), 0);
-    // The outage ends between two ticks with no engine call: the per-tick
-    // rate check alone must wake the job.
+    // The outage ends between two ticks with no engine call: the job's
+    // wake at its traffic's next edge alone must walk it again.
     while now < outage.end {
         assert_eq!(engine.active_jobs(), 0);
         quiet_tick(&mut engine, &mut now);
@@ -401,4 +451,206 @@ fn orphans_keep_their_place_and_a_woken_job_is_walked_in_the_tick_that_wakes_it(
     assert!((stats.processed - 1.0e7).abs() < 1.0);
     // And the busy job's every tick was counted.
     assert_eq!(engine.drained(busy).ooms, 4);
+}
+
+/// A lazy engine and its walk-everything reference, one job of two tasks on
+/// `C` with room to spare, ticked in lockstep.
+struct Lockstep {
+    lazy: Engine,
+    full: Engine,
+    now: SimTime,
+    caps: HashMap<ContainerId, f64>,
+    paused: bool,
+}
+
+const C: ContainerId = ContainerId(0);
+const FLAT: JobId = JobId(1);
+
+impl Lockstep {
+    fn new(traffic: TrafficModel) -> Lockstep {
+        let mut pair = Lockstep {
+            lazy: Engine::new(),
+            full: Engine::new(),
+            now: SimTime::ZERO,
+            caps: HashMap::from([(C, 8.0)]),
+            paused: false,
+        };
+        let specs = TaskService::generate_specs(FLAT, &JobConfig::stateless("flat", 2, PARTITIONS));
+        for engine in [&mut pair.lazy, &mut pair.full] {
+            engine.add_job(FLAT, traffic.clone(), 1.0e6, 256.0, PARTITIONS, false, 0.0);
+            for spec in &specs {
+                engine.task_started(spec, C, SimTime::ZERO, Duration::ZERO);
+            }
+        }
+        pair
+    }
+
+    fn both(&mut self, f: impl Fn(&mut Engine)) {
+        f(&mut self.lazy);
+        f(&mut self.full);
+    }
+
+    /// One tick of each: what the lazy engine visited. The two encode the
+    /// same after it.
+    fn tick(&mut self) -> TickWork {
+        self.now += DT;
+        let paused = self.paused;
+        self.full.forget_derived();
+        let lazy = self.lazy.tick(self.now, DT, &self.caps, &|_| paused);
+        let full = self.full.tick(self.now, DT, &self.caps, &|_| paused);
+        assert_eq!(lazy.oom_kills, full.oom_kills);
+        assert!(
+            encoded(&self.lazy) == encoded(&self.full),
+            "diverged at {}",
+            self.now
+        );
+        self.lazy.last_tick_work()
+    }
+
+    /// Tick until the job goes lazy, then once more: nothing visited.
+    fn settle(&mut self) {
+        for _ in 0..3 {
+            self.tick();
+        }
+        assert_eq!(self.tick(), TickWork::default(), "lazy: not visited");
+        assert_eq!(self.lazy.active_jobs(), 1, "lazy is not settled");
+    }
+}
+
+const WALKED: TickWork = TickWork {
+    runtimes: 1,
+    tasks: 2,
+};
+
+#[test]
+fn a_flat_job_that_keeps_up_is_skipped_and_every_reader_derives_its_bytes() {
+    let mut pair = Lockstep::new(TrafficModel::flat(1.5e6));
+    let mut synced = [Scribe::new(), Scribe::new()].map(|mut scribe| {
+        let category = scribe.create_category("flat", PARTITIONS).expect("fresh");
+        (scribe, category, CheckpointStore::new())
+    });
+    for (engine, (_, category, _)) in [&mut pair.lazy, &mut pair.full].into_iter().zip(&synced) {
+        engine.bind_category(FLAT, *category);
+    }
+    pair.settle();
+    for _ in 0..20 {
+        assert_eq!(pair.tick(), TickWork::default());
+    }
+    // 24 ticks of 15 MB, all of it consumed by the two tasks.
+    let view = pair.lazy.job(FLAT).expect("job");
+    assert_eq!((view.total_arrived(), view.backlog()), (24.0 * 1.5e7, 0.0));
+    for (engine, (scribe, _, checkpoints)) in [&mut pair.lazy, &mut pair.full]
+        .into_iter()
+        .zip(&mut synced)
+    {
+        engine.sync_durable(pair.now, scribe, checkpoints);
+        assert_eq!(checkpoints.job_total_ingested(FLAT), 24 * 15_000_000);
+    }
+    assert!(encoded(&synced[0].2) == encoded(&synced[1].2));
+    assert!(encoded(&synced[0].0) == encoded(&synced[1].0));
+    let (lazy, full) = (pair.lazy.drained(FLAT), pair.full.drained(FLAT));
+    assert_eq!(format!("{lazy:?}"), format!("{full:?}"));
+    assert_eq!(lazy.processed, 24.0 * 1.5e7);
+    // Neither read woke it.
+    assert_eq!(pair.tick(), TickWork::default());
+}
+
+#[test]
+fn a_mutation_walks_a_lazy_job_again() {
+    let mut pair = Lockstep::new(TrafficModel::flat(1.5e6));
+    pair.settle();
+    // A quarter of the throughput: the job falls behind.
+    let task = TaskId::new(FLAT, 0);
+    pair.both(|e| e.degrade_task(task, 0.25));
+    assert_eq!(pair.tick(), WALKED);
+    assert_eq!(pair.tick(), WALKED, "a backlog keeps it walked");
+}
+
+#[test]
+fn a_halted_status_change_walks_a_lazy_job_again() {
+    let mut pair = Lockstep::new(TrafficModel::flat(1.5e6));
+    pair.settle();
+    pair.paused = true;
+    pair.both(|e| e.wake(FLAT));
+    assert_eq!(pair.tick(), WALKED);
+    let cpu: Vec<f64> = pair.lazy.tasks().map(|(_, t)| t.cpu_usage).collect();
+    assert_eq!(cpu, [0.0, 0.0], "halted");
+    pair.paused = false;
+    pair.both(|e| e.wake(FLAT));
+    assert_eq!(pair.tick(), WALKED);
+}
+
+#[test]
+fn a_halted_job_with_nothing_arriving_is_skipped_until_it_resumes() {
+    // Idle input, paused: nothing moves, yet the job is not settled, so it
+    // is lazy with nothing to add. Its readings stay pinned at the idle
+    // floor until it resumes.
+    let mut pair = Lockstep::new(TrafficModel::flat(0.0));
+    pair.paused = true;
+    pair.both(|e| e.wake(FLAT));
+    pair.settle();
+    pair.paused = false;
+    pair.both(|e| e.wake(FLAT));
+    assert_eq!(pair.tick(), WALKED);
+    assert_eq!(pair.tick(), TickWork::default(), "settled");
+    assert_eq!(pair.lazy.active_jobs(), 0);
+}
+
+#[test]
+fn a_capacity_change_walks_a_lazy_job_again() {
+    let mut pair = Lockstep::new(TrafficModel::flat(1.5e6));
+    pair.settle();
+    // Half a core for two busy tasks: they contend.
+    pair.caps.insert(C, 0.5);
+    pair.both(Engine::containers_changed);
+    assert_eq!(pair.tick(), WALKED);
+    // A lost container.
+    let mut pair = Lockstep::new(TrafficModel::flat(1.5e6));
+    pair.settle();
+    pair.caps.clear();
+    pair.both(Engine::containers_changed);
+    assert_eq!(pair.tick(), WALKED);
+}
+
+#[test]
+fn a_task_that_makes_its_container_contend_walks_a_lazy_job_again() {
+    let mut pair = Lockstep::new(TrafficModel::flat(1.5e6));
+    pair.settle();
+    // Another job's seven threads on the same eight cores: the two lazy
+    // tasks' two threads no longer fit beside them.
+    let mut wide = JobConfig::stateless("wide", 1, PARTITIONS);
+    wide.threads_per_task = 7;
+    let spec = TaskService::generate_specs(JobId(2), &wide).remove(0);
+    let now = pair.now;
+    pair.both(|e| e.task_started(&spec, C, now, DT.mul(100)));
+    assert_eq!(
+        pair.tick().runtimes,
+        1,
+        "only the orphan's tasks and the lazy job's"
+    );
+    assert_eq!(pair.lazy.active_jobs(), 2);
+}
+
+#[test]
+fn a_traffic_edge_or_another_tick_length_walks_a_lazy_job_again() {
+    let storm = TrafficEvent {
+        start: SimTime::ZERO + DT.mul(8) + Duration::from_secs(3),
+        end: SimTime::ZERO + Duration::from_hours(1),
+        kind: TrafficEventKind::Multiplier(1.2),
+    };
+    let mut pair = Lockstep::new(TrafficModel::flat(1.5e6).with_event(storm));
+    pair.settle();
+    while pair.now + DT < storm.start {
+        assert_eq!(pair.tick(), TickWork::default());
+    }
+    assert_eq!(pair.tick(), WALKED, "the first tick inside the storm");
+    pair.settle();
+    // Another tick length: the per-tick amounts no longer hold.
+    pair.now += Duration::from_secs(5);
+    let dt = Duration::from_secs(5);
+    pair.full.forget_derived();
+    pair.lazy.tick(pair.now, dt, &pair.caps, &|_| false);
+    pair.full.tick(pair.now, dt, &pair.caps, &|_| false);
+    assert_eq!(pair.lazy.last_tick_work(), WALKED);
+    assert!(encoded(&pair.lazy) == encoded(&pair.full));
 }

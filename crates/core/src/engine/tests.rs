@@ -430,17 +430,44 @@ fn a_slice_past_the_jobs_partitions_does_not_start() {
 }
 
 #[test]
-fn a_tasks_backlog_is_summed_in_slice_order() {
-    // Backlogs 1e16, 1 and 1 on partitions 0, 1 and 2. In the slice's
-    // order (1, 2, 0) they sum to 1e16 + 2; in reverse, or in partition
-    // order, each 1 is rounded away and the sum is 1e16.
+fn a_ticks_arrivals_split_by_prefix_floors_sum_to_the_tick_and_repeat() {
+    // Thirds, sevenths and the rest: weights whose products with the tick's
+    // bytes are never whole, and whose floating-point sum is not exactly 1.
+    let weights = [1.0 / 3.0, 1.0 / 7.0, 1.0 / 3.0, 0.0, 1.0 / 7.0, 0.05];
     let mut engine = Engine::new();
-    engine.add_job(JOB, TrafficModel::flat(1.0), 1.0e17, 256.0, 3, false, 0.0);
-    engine.set_partition_weights(JOB, &[1.0e16, 1.0, 1.0]);
-    let mut spec = TaskService::generate_specs(JOB, &JobConfig::stateless("t", 1, 3)).remove(0);
-    spec.partitions = vec![PartitionId(1), PartitionId(2), PartitionId(0)];
-    engine.task_started(&spec, C0, SimTime::ZERO, Duration::ZERO);
-    let dt = Duration::from_secs(1);
-    engine.tick(SimTime::ZERO + dt, dt, &caps(64.0), &|_| false);
-    assert_eq!(engine.drained(JOB).processed, 1.0e16 + 2.0);
+    engine.add_job(
+        JOB,
+        TrafficModel::flat(1_234_567.89),
+        1.0e6,
+        256.0,
+        6,
+        false,
+        0.0,
+    );
+    engine.set_partition_weights(JOB, &weights);
+    let dt = Duration::from_secs(10);
+    let appended = |engine: &Engine| -> Vec<u64> {
+        let rt = engine.jobs.get(JOB).expect("job");
+        engine
+            .jobs
+            .cols
+            .get(rt.cols)
+            .iter()
+            .map(|p| p.appended)
+            .collect()
+    };
+    let mut now = SimTime::ZERO;
+    let mut before = appended(&engine);
+    let mut first: Option<Vec<u64>> = None;
+    for _ in 0..5 {
+        now += dt;
+        engine.tick(now, dt, &caps(64.0), &|_| false);
+        let after = appended(&engine);
+        let parts: Vec<u64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
+        assert_eq!(parts.iter().sum::<u64>(), 12_345_678, "⌊rate·dt⌋, exactly");
+        assert_eq!(parts[3], 0, "a zero weight takes nothing");
+        assert_eq!(*first.get_or_insert_with(|| parts.clone()), parts);
+        before = after;
+    }
+    assert_eq!(engine.drained(JOB).arrived, 5.0 * 12_345_678.0);
 }

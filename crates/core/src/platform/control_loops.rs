@@ -412,7 +412,7 @@ impl Turbine {
             paused: &'a mut BTreeSet<JobId>,
             task_service: &'a mut TaskService,
             task_managers: &'a BTreeMap<ContainerId, LocalTaskManager>,
-            engine: &'a Engine,
+            engine: &'a mut Engine,
             state_moves: &'a mut IdMap<JobId, SimTime>,
             inbox: Option<&'a mut Inbox>,
             now: SimTime,
@@ -421,6 +421,7 @@ impl Turbine {
         impl SyncEnvironment for Env<'_> {
             fn request_stop(&mut self, job: JobId) {
                 if self.paused.insert(job) {
+                    self.engine.wake(job);
                     self.task_service.invalidate();
                     if let Some(inbox) = &mut self.inbox {
                         inbox.jobs.insert(job);
@@ -466,7 +467,7 @@ impl Turbine {
             paused: &mut self.paused,
             task_service: &mut self.task_service,
             task_managers: &self.task_managers,
-            engine: &self.engine,
+            engine: &mut self.engine,
             state_moves: &mut self.state_moves,
             inbox: self.invariants.as_mut().map(InvariantChecker::inbox),
             now: self.now,
@@ -514,7 +515,9 @@ impl Turbine {
             .chain(&report.simple)
             .chain(&report.complex_completed)
         {
-            self.paused.remove(&job);
+            if self.paused.remove(&job) {
+                self.engine.wake(job);
+            }
             invalidate = true;
         }
         for &job in &report.deleted {
@@ -537,7 +540,8 @@ impl Turbine {
     /// One Auto Scaler evaluation round. Every round drains the engine's
     /// scaler reader. A disabled scaler only discards windows, so that a
     /// later enable starts fresh, and only the jobs the reader marked and
-    /// the jobs the tick still walks can have one. An enabled scaler visits
+    /// the jobs the tick still walks or skips as lazy can have one. An
+    /// enabled scaler visits
     /// every engine job: a settled job's Pattern Analyzer history is
     /// written too.
     pub(crate) fn scaler_round(&mut self) {
@@ -553,9 +557,10 @@ impl Turbine {
             }
         } else {
             scratch.jobs.clear();
-            scratch
-                .jobs
-                .extend(marked.union(self.engine.walked_jobs()).copied());
+            scratch.jobs.extend(self.engine.walked_jobs());
+            scratch.jobs.extend(marked);
+            scratch.jobs.sort_unstable();
+            scratch.jobs.dedup();
             for &job in &scratch.jobs {
                 if self
                     .engine
@@ -843,6 +848,7 @@ impl Turbine {
         if !directive.jobs_to_stop.is_empty() {
             for &job in &directive.jobs_to_stop {
                 if self.capacity_stopped.insert(job) {
+                    self.engine.wake(job);
                     self.metrics.alerts.incr();
                 }
             }
@@ -851,6 +857,9 @@ impl Turbine {
         } else if directive.priority_floor.is_none() && !self.capacity_stopped.is_empty() {
             // Pressure cleared: resume capacity-stopped jobs.
             let resumed = std::mem::take(&mut self.capacity_stopped);
+            for &job in &resumed {
+                self.engine.wake(job);
+            }
             self.tell_checker(|inbox| inbox.jobs.extend(resumed));
             self.task_service.invalidate();
         }

@@ -8,7 +8,7 @@ use super::{Loss, Severance, Turbine};
 use turbine_jobstore::StoreReader;
 use turbine_sim::{Fault, FaultInjector, FaultPlan, FaultTransition};
 use turbine_statesyncer::StateSyncer;
-use turbine_types::{ContainerId, Duration, HostId};
+use turbine_types::{ContainerId, Duration, HostId, JobId};
 
 impl Turbine {
     /// Sever a container's connection to the Shard Manager (network
@@ -133,6 +133,22 @@ impl Turbine {
                 });
                 self.jobs.store_mut().refeed(StoreReader::Syncer);
                 self.clamp_recovered_checkpoints();
+            }
+            FaultTransition::Activated(Fault::ScribeStall(category))
+            | FaultTransition::Cleared(Fault::ScribeStall(category)) => {
+                // Whether the stalled category's jobs process moves: the
+                // data plane walks each of them again.
+                if let Some(id) = self.scribe.category_id(&category) {
+                    let stalled: Vec<JobId> = self
+                        .engine
+                        .jobs()
+                        .filter(|(_, rt)| rt.category() == Some(id))
+                        .map(|(job, _)| job)
+                        .collect();
+                    for job in stalled {
+                        self.engine.wake(job);
+                    }
+                }
             }
             FaultTransition::Cleared(Fault::TaskServiceDown)
             | FaultTransition::Cleared(Fault::JobStoreDown) => {

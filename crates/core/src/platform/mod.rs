@@ -37,6 +37,8 @@ mod control_loops;
 mod faults;
 #[cfg(test)]
 mod invariant_tests;
+#[cfg(test)]
+mod lazy_tests;
 mod ods;
 mod scheduler;
 #[cfg(test)]

@@ -535,6 +535,9 @@ impl Turbine {
             match &mut self.container_cpu {
                 Some((built_at, map)) if *built_at == generation => &*map,
                 cache => {
+                    // The capacities the engine's lazy jobs were judged
+                    // against may have moved.
+                    self.engine.containers_changed();
                     let cluster = &self.cluster;
                     let healthy = cluster.healthy_containers();
                     let mut map = crate::engine::container_map(healthy.len());

@@ -69,8 +69,10 @@ pub const SNAP_MAGIC: [u8; 8] = *b"TRBNSNAP";
 /// version 16 stores the critical jobs and their standbys as one Shard
 /// Manager table in place of the platform's set and the manager's standby
 /// map, no shadow read positions, and a release row only for a job whose
-/// version changed.
-pub const SNAP_VERSION: u32 = 16;
+/// version changed; version 17 stores the engine's byte counters (each
+/// partition's appended, consumed and mirrored bytes, and the scaler
+/// window's) as integers.
+pub const SNAP_VERSION: u32 = 17;
 
 /// Chunk size of the manifest: one digest per 4 KiB of stream, verified
 /// on every restore and compared across snapshots. Small enough that an

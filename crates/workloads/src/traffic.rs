@@ -205,6 +205,39 @@ impl TrafficModel {
             .any(|e| e.kind == TrafficEventKind::InputOutage && e.start <= first && through < e.end)
     }
 
+    /// True if neither the arrival rate nor the consumer's status can
+    /// differ from their values at `at` before the next event edge after
+    /// it: the base rate is zero (nothing can resurrect it), an input
+    /// outage is open (it holds the rate at zero until it closes), or the
+    /// rate has no diurnal swing, noise or growth and no ramp is open.
+    pub fn steady_at(&self, at: SimTime) -> bool {
+        let open = |e: &&TrafficEvent| e.start <= at && at < e.end;
+        self.base_rate == 0.0
+            || self
+                .events
+                .iter()
+                .filter(open)
+                .any(|e| e.kind == TrafficEventKind::InputOutage)
+            || (self.diurnal_fraction <= 0.0
+                && self.noise_sigma <= 0.0
+                && self.growth_per_day == 0.0
+                && !self
+                    .events
+                    .iter()
+                    .filter(open)
+                    .any(|e| matches!(e.kind, TrafficEventKind::RampedMultiplier { .. })))
+    }
+
+    /// The first event edge (an event's start or its end) after `at`, if
+    /// any: the set of open events holds from `at` until then.
+    pub fn next_edge(&self, at: SimTime) -> Option<SimTime> {
+        self.events
+            .iter()
+            .flat_map(|e| [e.start, e.end])
+            .filter(|&edge| edge > at)
+            .min()
+    }
+
     /// True if the job's consumer is disabled at `at` (the application
     /// outage of Fig. 8: input accrues, nothing processes).
     pub fn consumer_disabled(&self, at: SimTime) -> bool {
@@ -361,6 +394,51 @@ mod tests {
         assert!(!m.idle_through(t(9), t(19)));
         // No outage at all.
         assert!(!m.idle_through(t(0), t(5)));
+    }
+
+    #[test]
+    fn a_steady_model_holds_its_rate_until_the_next_edge() {
+        let storm = TrafficEvent {
+            start: t(10),
+            end: t(12),
+            kind: TrafficEventKind::Multiplier(1.16),
+        };
+        let m = TrafficModel::flat(1000.0).with_event(storm);
+        assert!(m.steady_at(t(1)) && m.steady_at(t(11)));
+        assert_eq!(m.next_edge(t(1)), Some(t(10)));
+        assert_eq!(m.next_edge(t(10)), Some(t(12)));
+        assert_eq!(m.next_edge(t(12)), None);
+        // Between two edges the rate is the one at the first.
+        for (from, to) in [(t(1), t(10)), (t(10), t(12)), (t(12), t(40))] {
+            let rate = m.arrival_rate(from);
+            let mut at = from;
+            while at < to {
+                assert_eq!(m.arrival_rate(at).to_bits(), rate.to_bits());
+                at += Duration::from_mins(7);
+            }
+        }
+        // A swinging rate is steady only where it is held at zero.
+        let outage = TrafficEvent {
+            start: t(3),
+            end: t(5),
+            kind: TrafficEventKind::InputOutage,
+        };
+        let swing = TrafficModel::diurnal(1000.0, 0.4, 1).with_event(outage);
+        assert!(!swing.steady_at(t(1)));
+        assert!(swing.steady_at(t(4)));
+        assert!(TrafficModel::diurnal(0.0, 0.4, 1).steady_at(t(1)));
+        assert!(!TrafficModel::flat(1000.0)
+            .with_growth(0.001)
+            .steady_at(t(1)));
+        let ramp = TrafficModel::flat(1000.0).with_event(TrafficEvent {
+            start: t(3),
+            end: t(5),
+            kind: TrafficEventKind::RampedMultiplier {
+                peak: 2.0,
+                ramp_mins: 30,
+            },
+        });
+        assert!(ramp.steady_at(t(1)) && !ramp.steady_at(t(4)) && ramp.steady_at(t(5)));
     }
 
     #[test]

@@ -193,6 +193,43 @@ fn restore_mid_quiescence_then_wake_matches_uninterrupted() {
     }
 }
 
+/// A lazy span is derived state too: a capture taken 40 minutes in, while
+/// the flat jobs are skipped and their counters are derived from their
+/// anchors, encodes what a walk of every tick would hold. The restore walks
+/// every job once, leaves the steady ones lazy again, and from then on
+/// follows the uninterrupted run through a traffic edit that ends one span
+/// and starts another.
+#[test]
+fn restore_mid_lazy_span_matches_uninterrupted() {
+    let flat = JobId(2);
+    for mode in [DriveMode::EventDriven, DriveMode::DenseTick] {
+        let mut original = build();
+        drive_to(&mut original, 40, mode);
+        let work = original.engine().last_tick_work();
+        assert!(
+            work.runtimes < original.engine().job_ids().len(),
+            "a lazy job is skipped: {work:?}"
+        );
+        let snapshot = Snapshot::capture(&original);
+        let mut restored = snapshot.restore().expect("restore");
+        assert_eq!(observe(&original), observe(&restored), "mode {mode:?}");
+        assert!(
+            Snapshot::capture(&restored).to_bytes() == snapshot.to_bytes(),
+            "a restored engine encodes as the lazy one did (mode {mode:?})"
+        );
+        for t in [&mut original, &mut restored] {
+            drive_to(t, 60, mode);
+            t.with_job_traffic(flat, |traffic| *traffic = TrafficModel::flat(1.5e6));
+            drive_to(t, 90, mode);
+        }
+        assert_eq!(observe(&original), observe(&restored), "mode {mode:?}");
+        assert_eq!(
+            original.engine().job(flat).expect("job").total_arrived(),
+            restored.engine().job(flat).expect("job").total_arrived()
+        );
+    }
+}
+
 /// What the Task Service's cached snapshot was built from is derived and
 /// left out of the capture: a restore taken between two refresh rounds
 /// builds in full and reconciles every manager once, to no effect, and

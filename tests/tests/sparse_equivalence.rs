@@ -13,6 +13,7 @@
 //! follows change, and that the reference really scans everything.
 
 use proptest::prelude::*;
+use turbine::engine::TickWork;
 use turbine::{DriveMode, Fault, FaultPlan, InvariantConfig, Turbine, TurbineConfig, Violation};
 use turbine_config::{ConfigValue, JobConfig};
 use turbine_types::{ContainerId, Duration, JobId, Resources, SimTime, SnapWriter};
@@ -335,6 +336,53 @@ fn per_container_rounds_grow_with_change_not_with_the_fleet() {
             (0, 0),
             "{name}: a quiet window costs nothing"
         );
+    }
+}
+
+/// The work gate of the data plane on `quiet_fleet`'s mix: one job at a
+/// flat 1 MB/s for every 19 idle ones, ten tasks and 32 partitions each.
+/// Once the fleet has converged, the live jobs are lazy and the idle ones
+/// settled, so a tick visits no runtime and walks no task, at `jobs` = 20
+/// and at four times that. Counted exactly by the engine, not timed.
+fn quiet_fleet_tick_work(jobs: u64) -> Vec<TickWork> {
+    let mut t = Turbine::new(TurbineConfig {
+        scaler_enabled: false,
+        ..TurbineConfig::default()
+    });
+    // Twenty tasks to a host on average: room to spare, as on
+    // `quiet_fleet`'s one host per job.
+    t.add_hosts((jobs / 2) as usize, host());
+    for j in 1..=jobs {
+        let rate = if j % 20 == 0 { 1.0e6 } else { 0.0 };
+        t.provision_job(
+            JobId(j),
+            JobConfig::stateless(&format!("quiet_mix_{j}"), 10, 32),
+            TrafficModel::flat(rate),
+            1.0e6,
+            256.0,
+        )
+        .expect("provision");
+    }
+    t.run_for(Duration::from_mins(30));
+    assert_eq!(
+        t.engine().active_jobs() as u64,
+        jobs / 20,
+        "the live jobs lazy, the idle ones settled"
+    );
+    let tick = t.config().tick;
+    (0..30)
+        .map(|_| {
+            t.run_for(tick);
+            t.engine().last_tick_work()
+        })
+        .collect()
+}
+
+#[test]
+fn a_converged_quiet_fleet_tick_visits_no_job_at_any_size() {
+    for jobs in [20, 80] {
+        let work = quiet_fleet_tick_work(jobs);
+        assert_eq!(work, vec![TickWork::default(); 30], "{jobs} jobs");
     }
 }
 
