@@ -106,6 +106,15 @@ echo "== the Shard Manager owns the standbys =="
 ! grep -rnw critical_jobs crates/core/src \
     || { echo "critical_jobs is back under crates/core/src: the Shard Manager holds the table"; exit 1; }
 
+echo "== liveness is exceptions; lost is the only reachability table =="
+# The Shard Manager records only the containers that miss a beat (its
+# `silent` table) beside the instant of the last beat, and the platform's
+# `lost` table is the one answer to "is this container reachable": no
+# timestamp per container per beat, no derived live-container list or its
+# cost counter, and no shadow-path commit counter nothing could move.
+! grep -rnwE 'live_containers|heartbeat_filtered|heartbeat_all|last_heartbeat|ShadowCursor' crates \
+    || { echo "live_containers, heartbeat_filtered, heartbeat_all, last_heartbeat or ShadowCursor is back under crates/"; exit 1; }
+
 echo "== bytes are integers =="
 # The engine counts Scribe's bytes as Scribe does: each partition's
 # appended, consumed and mirrored bytes and the scaler window are u64, so

@@ -25,8 +25,10 @@
 //! 7. **Standby isolation** — a critical job's warm standby never shares
 //!    a host with one of the job's primary tasks (a single host failure
 //!    must not take out both).
-//! 8. **Standby never commits** — the shadow-consumption path never
-//!    writes the checkpoint store (single-writer checkpoint safety).
+//! 8. **Standby never commits** — a registered standby's Task Manager
+//!    runs no task of its own job. Only running tasks commit checkpoints,
+//!    so the shadow-consuming standby never writes the checkpoint store
+//!    (single-writer checkpoint safety).
 //! 9. **Single owner after promotion** — a promoted job's tasks run only
 //!    on the promoted container, never also on another live Task Manager.
 //! 10. **Clean revival** — a container revived after being declared dead
@@ -66,10 +68,10 @@
 //! sparse path.
 
 use crate::engine::Engine;
+use crate::platform::Loss;
 use std::collections::{BTreeMap, BTreeSet};
 use turbine_cluster::Cluster;
 use turbine_jobstore::{JobService, MemWal};
-use turbine_scribe::ShadowCursor;
 use turbine_shardmgr::ShardManager;
 use turbine_statesyncer::StateSyncer;
 use turbine_taskmgr::LocalTaskManager;
@@ -167,17 +169,15 @@ pub(crate) struct InvariantView<'a> {
     pub paused: &'a BTreeSet<JobId>,
     /// Jobs stopped by the Capacity Manager.
     pub capacity_stopped: &'a BTreeSet<JobId>,
-    /// Containers whose local state is authoritative, ascending: a Task
-    /// Manager on a healthy host, not severed from the Shard Manager — the
-    /// containers that heartbeat. Distributed-state invariants (2, 3) only
-    /// consider these — a crashed host's Task Manager legitimately holds
-    /// stale state until it rejoins.
-    pub live_containers: &'a [ContainerId],
+    /// The containers lost to a severed connection or a failed host: the
+    /// ones that do not heartbeat. Every other Task Manager's local state
+    /// is authoritative; the distributed-state invariants (2, 3, 9) skip
+    /// the lost ones, since a crashed host's Task Manager legitimately
+    /// holds stale state until it rejoins.
+    pub lost: &'a BTreeMap<ContainerId, Loss>,
     /// When the system last became fault-free (`None` while any fault is
     /// active). `Some(SimTime::ZERO)` if no fault was ever injected.
     pub quiet_since: Option<SimTime>,
-    /// The shadow cursors of warm standbys (illegal-commit counter).
-    pub shadow: &'a ShadowCursor,
 }
 
 /// Rising-edge key sets, partitioned by scope so a scope whose inputs did
@@ -195,7 +195,7 @@ struct ScopedKeys {
     /// Invariant 7.
     standby: BTreeSet<String>,
     /// Invariant 8.
-    shadow: BTreeSet<String>,
+    commits: BTreeSet<String>,
     /// Invariant 9.
     promotion: BTreeSet<String>,
     /// Invariant 10.
@@ -242,26 +242,16 @@ const SCOPES: [Scope; 7] = [
         trigger: Some(|inbox, _| inbox.quarantine),
         audited: true,
     },
-    // Standby isolation reads standby registrations, the engine tasks of
-    // standby jobs, and host placement: rescan when a registration or a
-    // standby job's tasks moved. Placement never does: a container keeps
-    // its host for life.
     Scope {
         scan: scan_standby_isolation,
         slot: |keys| &mut keys.standby,
-        trigger: Some(|inbox, view| {
-            inbox.standby
-                || view
-                    .shard_manager
-                    .standbys()
-                    .any(|(job, _)| inbox.jobs.contains(&job))
-        }),
+        trigger: Some(standby_moved),
         audited: true,
     },
     Scope {
         scan: scan_standby_never_commits,
-        slot: |keys| &mut keys.shadow,
-        trigger: None,
+        slot: |keys| &mut keys.commits,
+        trigger: Some(standby_moved),
         audited: true,
     },
     Scope {
@@ -277,6 +267,18 @@ const SCOPES: [Scope; 7] = [
         audited: false,
     },
 ];
+
+/// The trigger of both standby scopes (7, 8). They read standby
+/// registrations, the tasks of standby jobs, and host placement: rescan
+/// when a registration or a standby job's tasks moved. Placement never
+/// does: a container keeps its host for life.
+fn standby_moved(inbox: &Inbox, view: &InvariantView<'_>) -> bool {
+    inbox.standby
+        || view
+            .shard_manager
+            .standbys()
+            .any(|(job, _)| inbox.jobs.contains(&job))
+}
 
 /// The violating keys of `found`.
 fn keys_of(found: &[Finding]) -> BTreeSet<String> {
@@ -325,7 +327,7 @@ pub struct InvariantChecker {
     /// cost counter, not state: a restored checker starts from zero.
     /// Derived — not part of the snapshot.
     jobs_examined: u64,
-    /// Fleet-wide scope scans (invariants 2–4, 6, 7), audits aside. A
+    /// Fleet-wide scope scans (invariants 2–4, 6–8), audits aside. A
     /// cost counter like `jobs_examined`.
     scopes_scanned: u64,
 }
@@ -383,8 +385,9 @@ impl InvariantChecker {
         self.jobs_examined
     }
 
-    /// Fleet-wide scans of the four flagged scopes — task and shard
-    /// ownership, host overcommit, quarantine, standby isolation — since
+    /// Fleet-wide scans of the five flagged scopes — task and shard
+    /// ownership, host overcommit, quarantine, standby isolation, standby
+    /// commits — since
     /// construction or restore; the audit is not counted. A check scans a
     /// scope only when its change flag says its inputs may have moved.
     pub fn scopes_scanned(&self) -> u64 {
@@ -592,7 +595,7 @@ fn scan_task_and_shard_ownership(view: &InvariantView<'_>, _: &Inbox, found: &mu
     let mut task_owner: BTreeMap<TaskId, ContainerId> = BTreeMap::new();
     let mut shard_owner: BTreeMap<ShardId, ContainerId> = BTreeMap::new();
     for (&container, tm) in view.task_managers {
-        if view.live_containers.binary_search(&container).is_err() {
+        if view.lost.contains_key(&container) {
             continue;
         }
         for (&task, _) in tm.running_tasks() {
@@ -689,15 +692,20 @@ fn scan_standby_isolation(view: &InvariantView<'_>, _: &Inbox, found: &mut Vec<F
     }
 }
 
-/// Invariant 8: the shadow-consumption path never commits checkpoints.
+/// Invariant 8: a registered standby's Task Manager runs no task of its
+/// own job, so the standby commits none of the job's checkpoints.
 fn scan_standby_never_commits(view: &InvariantView<'_>, _: &Inbox, found: &mut Vec<Finding>) {
-    let illegal = view.shadow.illegal_commits();
-    if illegal > 0 {
-        found.push((
-            "shadow-commit".to_string(),
-            "standby-never-commits",
-            format!("{illegal} checkpoint commit(s) attempted through the shadow path"),
-        ));
+    for (job, standby) in view.shard_manager.standbys() {
+        let Some(tm) = view.task_managers.get(&standby) else {
+            continue;
+        };
+        if let Some((task, _)) = tm.running_tasks().find(|(t, _)| t.job == job) {
+            found.push((
+                format!("standby-commit:{job:?}"),
+                "standby-never-commits",
+                format!("{job} standby {standby} runs {task:?}, which commits checkpoints"),
+            ));
+        }
     }
 }
 
@@ -715,7 +723,7 @@ fn scan_promotion_single_owner(view: &InvariantView<'_>, inbox: &Inbox, found: &
             .filter(|t| t.job == job)
             .collect();
         for (&container, other) in view.task_managers {
-            if container == to || view.live_containers.binary_search(&container).is_err() {
+            if container == to || view.lost.contains_key(&container) {
                 continue;
             }
             for (&task, _) in other.running_tasks() {
@@ -816,7 +824,7 @@ snap_struct!(ScopedKeys {
     overcommit,
     quarantine,
     standby,
-    shadow,
+    commits,
     promotion,
     revival
 });

@@ -14,17 +14,17 @@ use std::sync::Arc;
 use turbine_autoscaler::{Diagnosis, JobMetrics, Mitigation, ScalingAction};
 use turbine_config::{ConfigLevel, JobConfig, ResiliencyClass};
 use turbine_jobstore::{JobService, MemWal, StoreReader};
-use turbine_shardmgr::{ContainerStatus, ShardMovement};
+use turbine_shardmgr::ShardMovement;
 use turbine_statesyncer::{Redistribute, SyncEnvironment};
 use turbine_taskmgr::{LocalTaskManager, RunningJobs, TaskEvent, TaskService};
 use turbine_trace::TraceData;
 use turbine_types::{ContainerId, Duration, HostId, IdMap, JobId, Resources, SimTime, TaskId};
 
 impl Turbine {
-    /// Heartbeats + proactive reboot of disconnected containers. The live
-    /// containers beat in one ordered walk of the Shard Manager's table;
-    /// the list itself is re-derived only when the cluster or a connection
-    /// changed.
+    /// Heartbeats + proactive reboot of disconnected containers. Every
+    /// container beats but the lost ones, which the Shard Manager records
+    /// as silent: the round visits the lost containers and those that were
+    /// silent, never the whole fleet.
     pub(crate) fn heartbeat_round(&mut self) {
         let now = self.now;
         // Proactive reboots first, in container order.
@@ -64,9 +64,7 @@ impl Turbine {
         for (job, since) in affected {
             self.open_outage(job, since);
         }
-        self.refresh_live_containers();
-        let live = &self.live_containers.as_ref().expect("refreshed").1;
-        for container in self.shard_manager.heartbeat_all(live, now) {
+        for container in self.shard_manager.beat(now, self.lost.keys().copied()) {
             // A container we declared dead (and failed over) came back.
             // Its shards must already live elsewhere — the revival is
             // surfaced rather than silently absorbed. A beat moves no
@@ -85,28 +83,6 @@ impl Turbine {
         }
     }
 
-    /// Bring `live_containers` up to date: re-derived only when the
-    /// cluster's generation moved or a connection was severed or restored
-    /// since it was built.
-    pub(crate) fn refresh_live_containers(&mut self) {
-        let generation = self.cluster.generation();
-        if self
-            .live_containers
-            .as_ref()
-            .is_some_and(|&(built_at, _)| built_at == generation)
-        {
-            return;
-        }
-        self.heartbeat_filtered += self.task_managers.len() as u64;
-        let live = self
-            .task_managers
-            .keys()
-            .copied()
-            .filter(|&c| self.reachable(c))
-            .collect();
-        self.live_containers = Some((generation, live));
-    }
-
     /// Shard Manager fail-over check (piggybacks the heartbeat cadence).
     /// The warm-standby fast path runs first: a critical job whose primary
     /// went suspect is promoted without waiting for the full fail-over
@@ -116,19 +92,14 @@ impl Turbine {
     pub(crate) fn failover_check(&mut self) {
         let now = self.now;
         self.promote_suspect_primaries();
-        let alive_before = self.shard_manager.alive_containers();
-        let failover_moves = self.shard_manager.check_failover(now);
+        let (newly_dead, failover_moves) = self.shard_manager.check_failover(now);
         if !failover_moves.is_empty() {
             // Outages are attributed before the movements execute: every
             // job with a task on a newly dead container went down when
             // that container lost connectivity, not when we noticed.
-            let newly_dead: BTreeSet<ContainerId> = alive_before
-                .into_iter()
-                .filter(|&c| self.shard_manager.status(c) == Some(ContainerStatus::Dead))
-                .collect();
             let mut affected: BTreeMap<JobId, SimTime> = BTreeMap::new();
             for (id, task) in self.engine.tasks() {
-                if newly_dead.contains(&task.container) {
+                if newly_dead.binary_search(&task.container).is_ok() {
                     let since = self.lost.get(&task.container).map_or(now, |l| l.since);
                     let onset = affected.entry(id.job).or_insert(since);
                     *onset = (*onset).min(since);
@@ -163,14 +134,16 @@ impl Turbine {
     /// the standby grace period, but not yet long enough for the standard
     /// path to declare it dead). The promotion hands the suspect shards to
     /// the standby, which starts their tasks without the cold restart
-    /// delay — it was already shadow-consuming the input. A suspect,
-    /// severed, or host-dead standby is dropped instead of promoted: the
-    /// job then degrades to the standard fail-over path (double fault).
+    /// delay — it was already shadow-consuming the input. An unreachable
+    /// standby (severed or on a dead host: a suspect standby is one of
+    /// these, since the check runs at the beat's own instant) is dropped
+    /// instead of promoted: the job then degrades to the standard
+    /// fail-over path (double fault).
     fn promote_suspect_primaries(&mut self) {
         let now = self.now;
         let registrations: Vec<(JobId, ContainerId)> = self.shard_manager.standbys().collect();
         for (job, standby) in registrations {
-            if self.shard_manager.is_suspect(standby, now) || !self.reachable(standby) {
+            if !self.reachable(standby) {
                 self.drop_standby(job);
                 continue;
             }
@@ -273,9 +246,10 @@ impl Turbine {
             // standby once its outage closes.
             if !running
                 || self.outages.contains_key(&job)
-                || self.engine.tasks_of_job(job).any(|(_, t)| {
-                    self.shard_manager.is_suspect(t.container, now) || !self.reachable(t.container)
-                })
+                || self
+                    .engine
+                    .tasks_of_job(job)
+                    .any(|(_, t)| !self.reachable(t.container))
             {
                 continue;
             }
@@ -722,7 +696,6 @@ impl Turbine {
         let target = self
             .shard_manager
             .alive_containers()
-            .into_iter()
             .find(|&c| Some(c) != from);
         if let Some(to) = target {
             if let Some(movement) = self.shard_manager.move_shard(shard, to) {

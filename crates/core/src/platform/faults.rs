@@ -15,9 +15,9 @@ impl Turbine {
     /// failure injection). Heartbeats stop; after the proactive timeout
     /// the container reboots itself (§IV-C).
     pub fn sever_connection(&mut self, container: ContainerId) {
-        // Severing shrinks the live-container set the distributed
-        // invariant scope checks against, and the set that heartbeats.
-        self.connection_changed();
+        // The container stops heart-beating, and the distributed invariant
+        // scope stops trusting its local state.
+        self.tell_checker(|inbox| inbox.distributed = true);
         let now = self.now;
         let loss = self.lost.entry(container).or_insert(Loss {
             since: now,
@@ -35,13 +35,12 @@ impl Turbine {
     /// down stays lost, and keeps its onset.
     pub fn restore_connection(&mut self, container: ContainerId) {
         let severed = self.lost.get_mut(&container).and_then(|l| l.severed.take());
-        if self.reachable(container) {
+        if self.cluster.is_container_healthy(container) {
             self.lost.remove(&container);
         }
         let Some(severance) = severed else {
             return;
         };
-        self.connection_changed();
         self.container_changed(container);
         if severance.rebooted {
             use turbine_shardmgr::ContainerStatus;
@@ -229,7 +228,11 @@ impl Turbine {
         self.cluster.recover_host(host).map_err(|e| e.to_string())?;
         self.cluster_changed();
         for container in containers {
-            if self.reachable(container) {
+            if self
+                .lost
+                .get(&container)
+                .is_some_and(|l| l.severed.is_none())
+            {
                 self.lost.remove(&container);
             }
             self.container_changed(container);

@@ -55,7 +55,7 @@ use turbine_autoscaler::{AutoScaler, CapacityManager, JobMetrics, ScalerConfig};
 use turbine_cluster::Cluster;
 use turbine_config::{ConfigLevel, ConfigValue, JobConfig, ResiliencyClass};
 use turbine_jobstore::{JobService, JobStore, MemWal, StoreReader};
-use turbine_scribe::{CheckpointStore, Scribe, ScribeError, ShadowCursor};
+use turbine_scribe::{CheckpointStore, Scribe, ScribeError};
 use turbine_shardmgr::{ShardManager, ShardManagerConfig, FAILOVER_INTERVAL};
 use turbine_sim::{FaultInjector, SimRng};
 use turbine_statesyncer::{StateSyncer, SyncerConfig};
@@ -215,8 +215,11 @@ pub struct PlatformFingerprint {
 
 /// A container lost to the platform: its Shard Manager connection is
 /// severed, its host is down, or both. Its entry in [`Turbine::lost`]
-/// lasts from the first cause until it is [reachable](Turbine::reachable)
-/// again, so an outage is dated from the first cause (§IV-C).
+/// lasts from the first cause until neither holds, so an outage is dated
+/// from the first cause (§IV-C). A container is
+/// [reachable](Turbine::reachable) exactly when it has no entry: every
+/// severance and every host failure or recovery goes through the
+/// platform, which keeps the table.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Loss {
     /// When the first cause began: the onset of the outages it causes.
@@ -269,13 +272,6 @@ pub struct Turbine {
     /// it, with the [`Cluster::generation`] it was built at. A derived
     /// cache (not in the snapshot): rebuilt when the generation moves.
     pub(crate) container_cpu: Option<(u64, ContainerMap<f64>)>,
-    /// The containers that heartbeat and whose local state the invariant
-    /// checker trusts, ascending: a Task Manager, a healthy host, no
-    /// severed connection. Built at the [`Cluster::generation`] it carries
-    /// and dropped whenever a connection is severed or restored; a derived
-    /// cache (not in the snapshot). Task Managers are only ever added in
-    /// [`Turbine::add_hosts`], which moves the generation.
-    pub(crate) live_containers: Option<(u64, Vec<ContainerId>)>,
     pub(crate) paused: BTreeSet<JobId>,
     pub(crate) capacity_stopped: BTreeSet<JobId>,
     /// In-flight state moves for stateful complex syncs: job → completion
@@ -284,10 +280,10 @@ pub struct Turbine {
     /// Mean time between random task crashes; `None` disables injection.
     pub(crate) crash_mtbf: Option<Duration>,
     pub(crate) rng: SimRng,
-    /// Every container lost to a severed connection or a failed host.
+    /// Every container lost to a severed connection or a failed host: the
+    /// containers that do not heartbeat, and whose local state the
+    /// invariant checker does not trust.
     pub(crate) lost: BTreeMap<ContainerId, Loss>,
-    /// The warm standbys' shadow read path, which never commits.
-    pub(crate) shadow: ShadowCursor,
     /// Open fault-attributed outages per job (SLO accounting).
     pub(crate) outages: BTreeMap<JobId, OutageState>,
     /// The chaos engine: scheduled/active cross-component faults.
@@ -312,9 +308,6 @@ pub struct Turbine {
     /// Standby registrations checked plus placements attempted by the
     /// fail-over check's standby upkeep.
     pub(crate) standbys_examined: u64,
-    /// Containers the heartbeat filter examined while rebuilding
-    /// `live_containers`.
-    pub(crate) heartbeat_filtered: u64,
     /// Scaler windows the scaler round drained: every engine job's while
     /// the scaler is enabled, the marked and the walked jobs' while it is
     /// disabled.
@@ -373,14 +366,12 @@ impl Turbine {
             checkpoints: CheckpointStore::new(),
             engine: Engine::new(),
             container_cpu: None,
-            live_containers: None,
             paused: BTreeSet::new(),
             capacity_stopped: BTreeSet::new(),
             state_moves: IdMap::default(),
             crash_mtbf: None,
             rng: SimRng::seeded(0x0C2A_54E5),
             lost: BTreeMap::new(),
-            shadow: ShadowCursor::new(),
             outages: BTreeMap::new(),
             faults: FaultInjector::new(),
             trace: TraceBuffer::default(),
@@ -388,7 +379,6 @@ impl Turbine {
             load_dirty_containers: BTreeSet::new(),
             tm_managers_reconciled: 0,
             standbys_examined: 0,
-            heartbeat_filtered: 0,
             scaler_windows_drained: 0,
             sched: ControlSchedule::new(&config),
             last_scaler_drain: SimTime::ZERO,
@@ -453,15 +443,6 @@ impl Turbine {
     /// fail-over check.
     pub fn standbys_examined(&self) -> u64 {
         self.standbys_examined
-    }
-
-    /// Containers the heartbeat filter (Task Manager, healthy host,
-    /// connection intact) examined, summed since construction or restore.
-    /// The heartbeat round and the invariant checker share its list, which
-    /// is re-derived over the whole fleet after a cluster mutation or a
-    /// severed or restored connection, and not otherwise.
-    pub fn heartbeat_containers_filtered(&self) -> u64 {
-        self.heartbeat_filtered
     }
 
     /// Scaler windows the scaler round drained, summed since construction
@@ -770,11 +751,6 @@ impl Turbine {
         &self.checkpoints
     }
 
-    /// The shadow cursors of warm standbys (tests, invariant checks).
-    pub fn shadow_cursor(&self) -> &ShadowCursor {
-        &self.shadow
-    }
-
     /// The warm-standby container registered for a job, if any (critical
     /// jobs only; placed by the Shard Manager once the job is running).
     pub fn standby_of(&self, job: JobId) -> Option<ContainerId> {
@@ -840,21 +816,10 @@ impl Turbine {
         });
     }
 
-    /// A Shard Manager connection was severed or restored: the set of
-    /// containers that heartbeat, and that the checker trusts, moved.
-    pub(crate) fn connection_changed(&mut self) {
-        self.live_containers = None;
-        self.tell_checker(|inbox| inbox.distributed = true);
-    }
-
     /// Whether `container` is reachable: its host is healthy and its Shard
     /// Manager connection is not severed.
     pub(crate) fn reachable(&self, container: ContainerId) -> bool {
-        let severed = self
-            .lost
-            .get(&container)
-            .is_some_and(|l| l.severed.is_some());
-        self.cluster.is_container_healthy(container) && !severed
+        !self.lost.contains_key(&container)
     }
 
     /// Violations recorded so far (empty when checking is disabled).
@@ -1041,21 +1006,23 @@ turbine_stream! {
     shard_manager,
     task_managers via (snap_managers, unsnap_managers),
     scaler, capacity, checkpoints, engine, paused, capacity_stopped, state_moves, crash_mtbf,
-    rng, lost, shadow,
+    rng, lost,
     outages, faults, trace, invariants, load_dirty_containers,
     sched, last_scaler_drain, ods;
     // Caches and cost counters: rebuilt or restarted, never stored.
     derived {
         container_cpu: None,
-        live_containers: None,
         tm_managers_reconciled: 0,
         standbys_examined: 0,
-        heartbeat_filtered: 0,
         scaler_windows_drained: 0,
         scaler_scratch: ScalerScratch::default(),
     }
     check |t| t.engine.jobs().all(|(_, rt)| rt.category().is_none_or(|id| t.scribe.name(id).is_some()))
         => "Engine job bound to a category the bus lacks";
+    // A container is lost exactly when it is unreachable.
+    check |t| t.task_managers.keys().all(|&c| t.cluster.is_container_healthy(c) || t.lost.contains_key(&c))
+        && t.lost.iter().all(|(&c, l)| l.severed.is_some() || !t.cluster.is_container_healthy(c))
+        => "Turbine lost table disagrees with the cluster";
 }
 
 type TaskManagers = BTreeMap<ContainerId, LocalTaskManager>;

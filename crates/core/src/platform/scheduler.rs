@@ -606,11 +606,6 @@ impl Turbine {
             return;
         };
         checker.inbox().jobs.append(&mut changed);
-        // Containers whose local state is authoritative: healthy host
-        // and an intact Shard Manager connection. A dead or partitioned
-        // container legitimately holds stale state until it rejoins.
-        self.refresh_live_containers();
-        let live_containers = &self.live_containers.as_ref().expect("refreshed").1;
         let quiet_since = (!self.faults.any_active())
             .then(|| self.faults.last_transition().unwrap_or(SimTime::ZERO));
         checker.check(&InvariantView {
@@ -623,9 +618,8 @@ impl Turbine {
             syncer: &self.syncer,
             paused: &self.paused,
             capacity_stopped: &self.capacity_stopped,
-            live_containers,
+            lost: &self.lost,
             quiet_since,
-            shadow: &self.shadow,
         });
         self.invariants = Some(checker);
     }

@@ -16,8 +16,6 @@
 
 pub mod bus;
 pub mod checkpoint;
-pub mod shadow;
 
 pub use bus::{CategoryId, CategoryStats, CategoryView, Record, Scribe, ScribeError};
 pub use checkpoint::{CheckpointRows, CheckpointStore, JobCheckpoints};
-pub use shadow::ShadowCursor;

@@ -14,7 +14,10 @@
 //! * fails shards over from containers whose heartbeat stops for a full
 //!   fail-over interval (60 s), pairing with the container-side proactive
 //!   connection timeout (40 s) so lost connectivity cannot yield duplicate
-//!   shards (§IV-C);
+//!   shards (§IV-C). Liveness is kept as exceptions: the manager records
+//!   the instant of the last beat and, for each container that missed a
+//!   beat, when it was last heard, so a beat, a suspicion test and a
+//!   fail-over check visit the silent containers only;
 //! * keeps each critical job's warm standby — the fail-over fast path — in
 //!   one table of critical jobs, and ranks the containers a standby may go
 //!   to ([`StandbyOrder`]).

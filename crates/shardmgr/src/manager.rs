@@ -41,18 +41,7 @@ pub enum ContainerStatus {
 #[derive(Debug, Clone)]
 struct ContainerEntry {
     capacity: Resources,
-    last_heartbeat: SimTime,
     status: ContainerStatus,
-}
-
-impl ContainerEntry {
-    /// Record a heartbeat; `true` if it revived a dead container.
-    fn beat(&mut self, now: SimTime) -> bool {
-        let revived = self.status == ContainerStatus::Dead;
-        self.last_heartbeat = now;
-        self.status = ContainerStatus::Alive;
-        revived
-    }
 }
 
 /// The Shard Manager.
@@ -63,6 +52,13 @@ pub struct ShardManager {
     /// Task Managers' load aggregator threads).
     shard_loads: BTreeMap<ShardId, Resources>,
     containers: BTreeMap<ContainerId, ContainerEntry>,
+    /// The instant of the last beat. Every registered container that is
+    /// not in `silent` was heard then.
+    last_beat: SimTime,
+    /// The exceptions: when each container that missed a beat was last
+    /// heard (a container not heard since it registered keeps its
+    /// registration instant). A dead container is always here.
+    silent: BTreeMap<ContainerId, SimTime>,
     assignment: HashMap<ShardId, ContainerId>,
     /// Every critical job and its warm standby, if it has one. The standby
     /// shadow-consumes the job's input but owns no shards; promotion hands
@@ -84,6 +80,8 @@ impl ShardManager {
             config,
             shard_loads: BTreeMap::new(),
             containers: BTreeMap::new(),
+            last_beat: SimTime::ZERO,
+            silent: BTreeMap::new(),
             assignment: HashMap::new(),
             critical: BTreeMap::new(),
             scratch: PlacementScratch::default(),
@@ -113,49 +111,63 @@ impl ShardManager {
         self.shard_loads.len()
     }
 
-    /// Register a container (it begins heart-beating immediately).
+    /// Register a container. It counts as heard at `now` until its first
+    /// beat.
     pub fn register_container(&mut self, id: ContainerId, capacity: Resources, now: SimTime) {
         self.containers.insert(
             id,
             ContainerEntry {
                 capacity,
-                last_heartbeat: now,
                 status: ContainerStatus::Alive,
             },
         );
+        self.silent.insert(id, now);
     }
 
     /// Remove a container entirely (host decommission). Its shards remain
     /// in the assignment until the next fail-over check or rebalance.
     pub fn unregister_container(&mut self, id: ContainerId) {
         self.containers.remove(&id);
+        self.silent.remove(&id);
     }
 
-    /// Record a heartbeat. A container that was declared dead and comes
-    /// back is treated as a newly added empty container (paper §IV-C): it
-    /// is alive again but owns no shards until a rebalance hands it some.
-    /// Returns `true` when the beat revived a dead container — the caller
-    /// must surface the revival (trace event, invariant check) rather than
-    /// let stale ownership resurrect silently.
-    pub fn heartbeat(&mut self, id: ContainerId, now: SimTime) -> bool {
-        self.containers
-            .get_mut(&id)
-            .is_some_and(|entry| entry.beat(now))
-    }
-
-    /// [`Self::heartbeat`] for every container of `ids` (ascending), in
-    /// one ordered walk of the container table. Returns the containers the
-    /// round revived, ascending; unregistered ids are ignored.
-    pub fn heartbeat_all(&mut self, ids: &[ContainerId], now: SimTime) -> Vec<ContainerId> {
-        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids ascend");
+    /// One heartbeat round at `now`: every registered container beats
+    /// except `silent_ids` (ascending; unregistered ids are ignored). The
+    /// walk visits only the containers that were silent or are silent now.
+    /// A container that was declared dead and beats again is treated as a
+    /// newly added empty container (paper §IV-C): it is alive again but
+    /// owns no shards until a rebalance hands it some. Returns the
+    /// containers the round revived, ascending — the caller must surface
+    /// each revival (trace event, invariant check) rather than let stale
+    /// ownership resurrect silently.
+    pub fn beat(
+        &mut self,
+        now: SimTime,
+        silent_ids: impl IntoIterator<Item = ContainerId>,
+    ) -> Vec<ContainerId> {
+        let heard = std::mem::replace(&mut self.last_beat, now);
+        let silent_ids: Vec<ContainerId> = silent_ids.into_iter().collect();
+        debug_assert!(silent_ids.is_sorted(), "silent ids ascend");
         let mut revived = Vec::new();
-        let mut entries = self.containers.iter_mut().peekable();
-        for &id in ids {
-            while entries.next_if(|(&c, _)| c < id).is_some() {}
-            if let Some((_, entry)) = entries.next_if(|(&c, _)| c == id) {
-                if entry.beat(now) {
-                    revived.push(id);
-                }
+        let containers = &mut self.containers;
+        // Heard again: out of the table, and alive if it was dead.
+        self.silent.retain(|id, _| {
+            if silent_ids.binary_search(id).is_ok() {
+                return true;
+            }
+            let dead = containers
+                .get_mut(id)
+                .filter(|e| e.status == ContainerStatus::Dead);
+            if let Some(entry) = dead {
+                entry.status = ContainerStatus::Alive;
+                revived.push(*id);
+            }
+            false
+        });
+        // Newly silent: last heard at the previous beat.
+        for id in silent_ids {
+            if self.containers.contains_key(&id) {
+                self.silent.entry(id).or_insert(heard);
             }
         }
         revived
@@ -166,9 +178,14 @@ impl ShardManager {
     /// critical job's warm standby takes over. Covers both a severed
     /// connection and a dead host (heartbeats stop either way).
     pub fn is_suspect(&self, id: ContainerId, now: SimTime) -> bool {
-        self.containers.get(&id).is_some_and(|e| {
-            e.status == ContainerStatus::Alive && now.since(e.last_heartbeat) >= STANDBY_GRACE
-        })
+        let heard = self.silent.get(&id).copied().unwrap_or(self.last_beat);
+        self.status(id) == Some(ContainerStatus::Alive) && now.since(heard) >= STANDBY_GRACE
+    }
+
+    /// The containers that missed a beat and when each was last heard,
+    /// ascending. A converged fleet has none.
+    pub fn silent(&self) -> impl Iterator<Item = (ContainerId, SimTime)> + '_ {
+        self.silent.iter().map(|(&c, &at)| (c, at))
     }
 
     /// Liveness of a container, if registered.
@@ -203,13 +220,12 @@ impl ShardManager {
         shards
     }
 
-    /// Alive containers, sorted by id.
-    pub fn alive_containers(&self) -> Vec<ContainerId> {
+    /// Alive containers, ascending.
+    pub fn alive_containers(&self) -> impl Iterator<Item = ContainerId> + '_ {
         self.containers
             .iter()
             .filter(|(_, e)| e.status == ContainerStatus::Alive)
             .map(|(&id, _)| id)
-            .collect()
     }
 
     /// Record whether `job` is critical. A demotion drops its standby
@@ -315,46 +331,53 @@ impl ShardManager {
         Some((standby, moves))
     }
 
-    /// Declare dead every container whose heartbeat is older than the
-    /// fail-over interval, and fail its shards over to survivors. Returns
-    /// the movements to execute. Moves of orphaned shards carry
-    /// `from: None` (there is nothing to drop on a dead container), but
-    /// the re-placement may also rebalance shards *between survivors* —
-    /// those moves keep their live source so the executor revokes
-    /// ownership before granting it. Does nothing (and returns no moves)
-    /// when no container newly died.
-    pub fn check_failover(&mut self, now: SimTime) -> Vec<ShardMovement> {
-        let mut newly_dead = false;
-        for entry in self.containers.values_mut() {
-            if entry.status == ContainerStatus::Alive
-                && now.since(entry.last_heartbeat) >= FAILOVER_INTERVAL
-            {
+    /// Declare dead every silent container last heard at least the
+    /// fail-over interval before `now`, and fail its shards over to
+    /// survivors. The check walks only the silent containers, so it runs
+    /// within a fail-over interval of the last beat (the platform runs it
+    /// at the beat's own instant). Returns the containers it newly
+    /// declared dead, ascending, and the movements to execute. Moves of
+    /// orphaned shards carry `from: None` (there is nothing to drop on a
+    /// dead container), but the re-placement may also rebalance shards
+    /// *between survivors* — those moves keep their live source so the
+    /// executor revokes ownership before granting it. Moves nothing when
+    /// no container newly died.
+    pub fn check_failover(&mut self, now: SimTime) -> (Vec<ContainerId>, Vec<ShardMovement>) {
+        debug_assert!(
+            self.silent.len() == self.containers.len()
+                || now.since(self.last_beat) < FAILOVER_INTERVAL,
+            "a fail-over check a whole fail-over interval after the last beat"
+        );
+        let (mut newly_dead, mut dead) = (Vec::new(), Vec::new());
+        for (&id, &heard) in &self.silent {
+            let Some(entry) = self.containers.get_mut(&id) else {
+                continue;
+            };
+            if entry.status == ContainerStatus::Alive && now.since(heard) >= FAILOVER_INTERVAL {
                 entry.status = ContainerStatus::Dead;
-                newly_dead = true;
+                newly_dead.push(id);
+            }
+            if entry.status == ContainerStatus::Dead {
+                dead.push(id);
             }
         }
-        if !newly_dead {
-            return Vec::new();
+        if newly_dead.is_empty() {
+            return (newly_dead, Vec::new());
         }
         // Strip assignments pointing at dead containers, then re-place.
         // Placement derives `from` from the stripped assignment, so a dead
         // container's shards come back with `from: None` while survivor
         // rebalancing moves keep their (live) source.
-        let dead: Vec<ContainerId> = self
-            .containers
-            .iter()
-            .filter(|(_, e)| e.status == ContainerStatus::Dead)
-            .map(|(&id, _)| id)
-            .collect();
-        self.assignment.retain(|_, c| !dead.contains(c));
+        self.assignment
+            .retain(|_, c| dead.binary_search(c).is_err());
         // A dead standby is useless — drop the registration so the control
         // plane places a fresh one instead of promoting onto a corpse.
         for standby in self.critical.values_mut() {
-            if standby.is_some_and(|c| dead.contains(&c)) {
+            if standby.is_some_and(|c| dead.binary_search(&c).is_ok()) {
                 *standby = None;
             }
         }
-        self.run_placement().moves
+        (newly_dead, self.run_placement().moves)
     }
 
     /// Manually relocate one shard to a specific alive container (operator
@@ -416,13 +439,11 @@ turbine_types::snap_struct!(ShardManagerConfig { placement });
 
 turbine_types::snap_enum!(ContainerStatus { 0 => Alive, 1 => Dead });
 
-turbine_types::snap_struct!(ContainerEntry {
-    capacity,
-    last_heartbeat,
-    status
-});
+turbine_types::snap_struct!(ContainerEntry { capacity, status });
 
-turbine_types::snap_struct!(ShardManager { config, shard_loads, containers, assignment, critical }
+turbine_types::snap_struct!(ShardManager {
+    config, shard_loads, containers, last_beat, silent, assignment, critical
+}
 // Placement scratch and input buffers carry no state between rounds.
 derived {
     scratch: PlacementScratch::default(),
@@ -430,11 +451,21 @@ derived {
     container_input: Vec::new(),
 }
 check |m| m.standbys().all(|(_, c)| m.containers.contains_key(&c))
-    => "ShardManager standby unregistered");
+    => "ShardManager standby unregistered"
+check |m| m.silent.keys().all(|c| m.containers.contains_key(c))
+    => "ShardManager silent container unregistered"
+check |m| m.containers.iter().all(|(c, e)| e.status == ContainerStatus::Alive || m.silent.contains_key(c))
+    => "ShardManager dead container not silent"
+// A container registered since the last beat is heard later than it; a
+// dead one was silent a whole fail-over interval before a check that
+// followed a beat.
+check |m| m.silent.iter().all(|(c, &at)| at <= m.last_beat || m.status(*c) == Some(ContainerStatus::Alive))
+    => "ShardManager dead container heard after the last beat");
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn t(s: u64) -> SimTime {
         SimTime::ZERO + Duration::from_secs(s)
@@ -469,9 +500,13 @@ mod tests {
     fn heartbeat_keeps_containers_alive() {
         let mut mgr = manager_with(2, 10);
         mgr.rebalance();
-        mgr.heartbeat(ContainerId(0), t(30));
-        mgr.heartbeat(ContainerId(1), t(30));
-        assert!(mgr.check_failover(t(59)).is_empty());
+        assert!(mgr.beat(t(30), []).is_empty());
+        assert_eq!(
+            mgr.silent().count(),
+            0,
+            "a beat everyone made records nothing"
+        );
+        assert_eq!(mgr.check_failover(t(59)), (vec![], vec![]));
         assert_eq!(mgr.status(ContainerId(0)), Some(ContainerStatus::Alive));
     }
 
@@ -484,10 +519,10 @@ mod tests {
         assert!(!victim_shards.is_empty());
         // Only the survivors heartbeat.
         for s in (10..70).step_by(10) {
-            mgr.heartbeat(ContainerId(1), t(s));
-            mgr.heartbeat(ContainerId(2), t(s));
+            mgr.beat(t(s), [victim]);
         }
-        let moves = mgr.check_failover(t(61));
+        let (dead, moves) = mgr.check_failover(t(61));
+        assert_eq!(dead, [victim]);
         assert_eq!(mgr.status(victim), Some(ContainerStatus::Dead));
         // Every shard of the victim moved, none to the dead container.
         // Orphaned shards carry no source; any survivor-rebalancing move
@@ -515,14 +550,13 @@ mod tests {
         let mut mgr = manager_with(3, 12);
         mgr.rebalance();
         for s in [20u64, 40] {
-            mgr.heartbeat(ContainerId(1), t(s));
-            mgr.heartbeat(ContainerId(2), t(s));
+            mgr.beat(t(s), [ContainerId(0)]);
         }
-        let first = mgr.check_failover(t(65));
+        let (dead, first) = mgr.check_failover(t(65));
+        assert_eq!(dead, [ContainerId(0)]);
         assert!(!first.is_empty());
         // Nothing newly dead: second check is a no-op.
-        let second = mgr.check_failover(t(70));
-        assert!(second.is_empty());
+        assert_eq!(mgr.check_failover(t(70)), (vec![], vec![]));
     }
 
     #[test]
@@ -531,12 +565,12 @@ mod tests {
         mgr.rebalance();
         // Container 0 goes silent and is failed over.
         for s in (10..70).step_by(10) {
-            mgr.heartbeat(ContainerId(1), t(s));
+            mgr.beat(t(s), [ContainerId(0)]);
         }
         mgr.check_failover(t(61));
         assert!(mgr.shards_of(ContainerId(0)).is_empty());
         // It reboots and reconnects: alive again, still empty.
-        mgr.heartbeat(ContainerId(0), t(90));
+        mgr.beat(t(90), []);
         assert_eq!(mgr.status(ContainerId(0)), Some(ContainerStatus::Alive));
         assert!(mgr.shards_of(ContainerId(0)).is_empty());
         // While the survivor stays under the band threshold nothing moves
@@ -590,41 +624,56 @@ mod tests {
         let mut mgr = manager_with(2, 10);
         mgr.rebalance();
         for s in (10..70).step_by(10) {
-            assert!(!mgr.heartbeat(ContainerId(1), t(s)), "alive beat");
+            assert!(mgr.beat(t(s), [ContainerId(0)]).is_empty(), "alive beat");
         }
         mgr.check_failover(t(61));
         assert_eq!(mgr.status(ContainerId(0)), Some(ContainerStatus::Dead));
-        assert!(
-            mgr.heartbeat(ContainerId(0), t(90)),
-            "beat from a dead container is a revival"
+        assert_eq!(
+            mgr.beat(t(90), [ContainerId(99)]),
+            [ContainerId(0)],
+            "beat from a dead container is a revival; an unregistered id is ignored"
         );
-        assert!(!mgr.heartbeat(ContainerId(0), t(100)), "now ordinary");
-        assert!(!mgr.heartbeat(ContainerId(99), t(100)), "unregistered");
+        assert!(mgr.beat(t(100), []).is_empty(), "now ordinary");
     }
 
     #[test]
-    fn heartbeat_all_beats_each_listed_container_and_reports_revivals() {
+    fn beat_records_only_the_silent_and_revives_the_dead() {
         let mut mgr = manager_with(4, 8);
         mgr.rebalance();
-        // Containers 1 and 3 go silent and die.
-        let (live, silent) = ([ContainerId(0), ContainerId(2)], [1, 3].map(ContainerId));
+        // Containers 1 and 3 go silent and die; each keeps the instant it
+        // was last heard, here its registration.
+        let silent = [1, 3].map(ContainerId);
         for s in (10..70).step_by(10) {
-            assert!(mgr.heartbeat_all(&live, t(s)).is_empty(), "alive beats");
+            assert!(mgr.beat(t(s), silent).is_empty(), "alive beats");
         }
-        mgr.check_failover(t(61));
-        assert!(silent
-            .iter()
-            .all(|&c| mgr.status(c) == Some(ContainerStatus::Dead)));
-        // One round over everyone plus an unregistered id: both dead ones
-        // revive, in ascending order, and every listed container is fresh.
-        let all = [0, 1, 2, 3, 99].map(ContainerId);
-        assert_eq!(mgr.heartbeat_all(&all, t(90)), silent);
-        assert!(mgr.heartbeat_all(&all, t(100)).is_empty(), "now ordinary");
+        let heard: Vec<_> = mgr.silent().collect();
+        assert_eq!(heard, [(ContainerId(1), t(0)), (ContainerId(3), t(0))]);
+        assert_eq!(mgr.check_failover(t(61)).0, silent);
+        // One round in which only an unregistered id is silent: both dead
+        // ones revive, in ascending order, and the table empties.
+        assert_eq!(mgr.beat(t(90), [ContainerId(99)]), silent);
+        assert_eq!(mgr.silent().count(), 0);
+        assert!(mgr.beat(t(100), []).is_empty(), "now ordinary");
         assert!((0..4).all(|c| !mgr.is_suspect(ContainerId(c), t(110))));
-        // A container left out of the list misses its beat.
-        mgr.heartbeat_all(&all[1..], t(120));
+        // A container that misses a beat was last heard at the one before.
+        mgr.beat(t(120), [ContainerId(0)]);
+        assert_eq!(mgr.silent().collect::<Vec<_>>(), [(ContainerId(0), t(100))]);
         assert!(mgr.is_suspect(ContainerId(0), t(120)));
         assert!(!mgr.is_suspect(ContainerId(1), t(120)));
+    }
+
+    #[test]
+    fn a_container_lost_before_its_first_beat_keeps_its_registration_instant() {
+        let mut mgr = manager_with(2, 4);
+        mgr.beat(t(10), []);
+        let late = ContainerId(2);
+        mgr.register_container(late, Resources::cpu_mem(32.0, 64_000.0), t(15));
+        mgr.beat(t(20), [late]);
+        assert_eq!(mgr.silent().collect::<Vec<_>>(), [(late, t(15))]);
+        assert!(!mgr.is_suspect(late, t(34)));
+        assert!(mgr.is_suspect(late, t(35)));
+        mgr.unregister_container(late);
+        assert_eq!(mgr.silent().count(), 0);
     }
 
     #[test]
@@ -632,7 +681,8 @@ mod tests {
         let mut mgr = manager_with(2, 10);
         mgr.rebalance();
         // Fresh beat at t=10, then silence.
-        mgr.heartbeat(ContainerId(0), t(10));
+        mgr.beat(t(10), [ContainerId(1)]);
+        mgr.beat(t(20), [0, 1].map(ContainerId));
         assert!(!mgr.is_suspect(ContainerId(0), t(20)));
         assert!(mgr.is_suspect(ContainerId(0), t(30)), "20 s of silence");
         // Still alive — standard fail-over has not fired yet.
@@ -675,8 +725,7 @@ mod tests {
         mgr.set_standby(job, ContainerId(2));
         // Standby goes silent and dies.
         for s in (10..70).step_by(10) {
-            mgr.heartbeat(ContainerId(0), t(s));
-            mgr.heartbeat(ContainerId(1), t(s));
+            mgr.beat(t(s), [ContainerId(2)]);
         }
         mgr.check_failover(t(61));
         assert_eq!(mgr.status(ContainerId(2)), Some(ContainerStatus::Dead));
@@ -692,5 +741,194 @@ mod tests {
         assert_eq!(mgr.shard_count(), 5);
         mgr.ensure_shards(8);
         assert_eq!(mgr.shard_count(), 8);
+    }
+
+    /// The liveness model exception-based liveness replaced: one
+    /// last-heard instant per container, stamped at every beat, and a
+    /// fail-over check over every container. It keeps its own assignment
+    /// and standbys so its moves are its own.
+    #[derive(Default)]
+    struct Reference {
+        heard: BTreeMap<ContainerId, (SimTime, ContainerStatus, Resources)>,
+        loads: Vec<(ShardId, Resources)>,
+        assignment: HashMap<ShardId, ContainerId>,
+        standby: BTreeMap<JobId, ContainerId>,
+    }
+
+    impl Reference {
+        fn status(&self, id: ContainerId) -> Option<ContainerStatus> {
+            self.heard.get(&id).map(|e| e.1)
+        }
+
+        fn beat(&mut self, now: SimTime, silent: &[ContainerId]) -> Vec<ContainerId> {
+            let mut revived = Vec::new();
+            for (&id, (heard, status, _)) in &mut self.heard {
+                if silent.contains(&id) {
+                    continue;
+                }
+                if *status == ContainerStatus::Dead {
+                    revived.push(id);
+                }
+                (*heard, *status) = (now, ContainerStatus::Alive);
+            }
+            revived
+        }
+
+        fn is_suspect(&self, id: ContainerId, now: SimTime) -> bool {
+            self.heard.get(&id).is_some_and(|&(heard, status, _)| {
+                status == ContainerStatus::Alive && now.since(heard) >= STANDBY_GRACE
+            })
+        }
+
+        fn check_failover(&mut self, now: SimTime) -> (Vec<ContainerId>, Vec<ShardMovement>) {
+            let mut newly_dead = Vec::new();
+            for (&id, (heard, status, _)) in &mut self.heard {
+                if *status == ContainerStatus::Alive && now.since(*heard) >= FAILOVER_INTERVAL {
+                    *status = ContainerStatus::Dead;
+                    newly_dead.push(id);
+                }
+            }
+            if newly_dead.is_empty() {
+                return (newly_dead, Vec::new());
+            }
+            let alive: Vec<(ContainerId, Resources)> = self
+                .heard
+                .iter()
+                .filter(|(_, e)| e.1 == ContainerStatus::Alive)
+                .map(|(&id, e)| (id, e.2))
+                .collect();
+            let is_alive = |c: &ContainerId| alive.iter().any(|a| a.0 == *c);
+            self.assignment.retain(|_, c| is_alive(c));
+            self.standby.retain(|_, c| is_alive(c));
+            let result = crate::placement::compute_placement(
+                PlacementInput {
+                    shards: &self.loads,
+                    containers: &alive,
+                    current: &self.assignment,
+                },
+                PlacementConfig::default(),
+            );
+            self.assignment = result.assignment;
+            (newly_dead, result.moves)
+        }
+
+        fn promote_standby(
+            &mut self,
+            job: JobId,
+            shards: &[ShardId],
+        ) -> Option<(ContainerId, Vec<ShardMovement>)> {
+            let to = self.standby.remove(&job)?;
+            if self.status(to) != Some(ContainerStatus::Alive) {
+                return None;
+            }
+            let mut moves = Vec::new();
+            for &shard in shards {
+                let from = self.assignment.insert(shard, to);
+                if from != Some(to) {
+                    moves.push(ShardMovement { shard, from, to });
+                }
+            }
+            Some((to, moves))
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// Register the next container.
+        Register,
+        /// Let simulated seconds pass without a beat.
+        Wait(u64),
+        /// A beat in which the containers whose bit is set stay silent.
+        Beat(u8),
+        /// A fail-over check, within a fail-over interval of the last beat
+        /// (the platform checks at each beat's own instant).
+        Check,
+        /// Make a container the standby of a job, then promote it onto
+        /// the shards whose bit is set.
+        Promote(u64, u8, u16),
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        (0u8..12, any::<u16>(), any::<u16>()).prop_map(|(kind, x, shards)| match kind {
+            0 => Step::Register,
+            1..=3 => Step::Wait(1 + u64::from(x) % 24),
+            4..=7 => Step::Beat(x as u8),
+            8..=10 => Step::Check,
+            _ => Step::Promote(u64::from(x % 2), (x / 2 % 8) as u8, shards),
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Recording only the containers that miss a beat decides exactly
+        /// what stamping every container at every beat decides: the same
+        /// status and suspicion for every container after every step, the
+        /// same revivals, the same deaths and moves at every fail-over
+        /// check, the same promotions.
+        #[test]
+        fn exception_based_liveness_matches_a_stamp_per_container(
+            steps in prop::collection::vec(step(), 1..60),
+        ) {
+            const SHARDS: u64 = 12;
+            let capacity = Resources::cpu_mem(32.0, 64_000.0);
+            let mut mgr = manager_with(2, SHARDS);
+            let mut reference = Reference::default();
+            for i in 0..2 {
+                reference.heard.insert(ContainerId(i), (t(0), ContainerStatus::Alive, capacity));
+            }
+            for i in 0..SHARDS {
+                reference.loads.push((ShardId(i), Resources::cpu_mem(0.5, 512.0)));
+            }
+            mgr.rebalance();
+            reference.assignment = mgr.assignment().clone();
+            let (mut now, mut last_beat, mut next) = (t(0), t(0), 2u64);
+            for step in steps {
+                match step {
+                    Step::Register => {
+                        let id = ContainerId(next);
+                        next += 1;
+                        mgr.register_container(id, capacity, now);
+                        reference.heard.insert(id, (now, ContainerStatus::Alive, capacity));
+                    }
+                    Step::Wait(secs) => now += Duration::from_secs(secs),
+                    Step::Beat(mask) => {
+                        // Bit 7 names a container nobody registered.
+                        let silent: Vec<ContainerId> = (0..8)
+                            .filter(|b| mask & (1 << b) != 0)
+                            .map(|b| ContainerId(if b == 7 { 99 } else { b }))
+                            .collect();
+                        prop_assert_eq!(
+                            mgr.beat(now, silent.iter().copied()),
+                            reference.beat(now, &silent)
+                        );
+                        last_beat = now;
+                    }
+                    Step::Check => {
+                        if now.since(last_beat) < FAILOVER_INTERVAL {
+                            prop_assert_eq!(mgr.check_failover(now), reference.check_failover(now));
+                        }
+                    }
+                    Step::Promote(job, container, mask) => {
+                        let (job, container) = (JobId(job), ContainerId(u64::from(container)));
+                        mgr.set_critical(job, true);
+                        if mgr.containers.contains_key(&container) {
+                            mgr.set_standby(job, container);
+                            reference.standby.insert(job, container);
+                        }
+                        let shards: Vec<ShardId> =
+                            (0..SHARDS).filter(|b| mask & (1 << b) != 0).map(ShardId).collect();
+                        prop_assert_eq!(
+                            mgr.promote_standby(job, &shards),
+                            reference.promote_standby(job, &shards)
+                        );
+                    }
+                }
+                for id in (0..next).chain([99]).map(ContainerId) {
+                    prop_assert_eq!(mgr.status(id), reference.status(id), "{:?}", id);
+                    prop_assert_eq!(mgr.is_suspect(id, now), reference.is_suspect(id, now), "{:?}", id);
+                }
+            }
+        }
     }
 }

@@ -82,13 +82,11 @@ mod tests {
             let at = |s| SimTime::ZERO + Duration::from_secs(s);
             let mut mgr = ShardManager::new(ShardManagerConfig::default());
             mgr.ensure_shards(owners.len() as u64);
-            for (i, &(_, _, alive, _)) in rows.iter().enumerate() {
-                let id = ContainerId(i as u64);
-                mgr.register_container(id, Resources::cpu_mem(32.0, 64_000.0), at(0));
-                if alive {
-                    mgr.heartbeat(id, at(60));
-                }
+            for i in 0..rows.len() {
+                mgr.register_container(ContainerId(i as u64), Resources::cpu_mem(32.0, 64_000.0), at(0));
             }
+            let silent = (0..rows.len()).filter(|&i| !rows[i].2).map(|i| ContainerId(i as u64));
+            mgr.beat(at(60), silent);
             mgr.check_failover(at(60));
             for (s, &owner) in owners.iter().enumerate() {
                 mgr.move_shard(ShardId(s as u64), ContainerId(owner as u64));

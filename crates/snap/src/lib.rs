@@ -1,9 +1,9 @@
 //! Content-addressed whole-simulation snapshots.
 //!
 //! A [`Snapshot`] captures the complete [`Turbine`] platform — engine
-//! arenas and dirty sets, Scribe partitions/checkpoints, the shadow path's
-//! illegal-commit count, Job Store and WAL, shard map and the critical
-//! jobs with their standbys, the control event queue, fault injector, RNG
+//! arenas and dirty sets, Scribe partitions/checkpoints, Job Store and
+//! WAL, shard map, the silent containers and the critical jobs with their
+//! standbys, the control event queue, fault injector, RNG
 //! streams, trace ring, and the ODS registry — as one deterministic byte
 //! stream, held whole, plus a manifest of the FNV-1a digests of its
 //! fixed-size chunks in stream order. A captured
@@ -71,8 +71,11 @@ pub const SNAP_MAGIC: [u8; 8] = *b"TRBNSNAP";
 /// map, no shadow read positions, and a release row only for a job whose
 /// version changed; version 17 stores the engine's byte counters (each
 /// partition's appended, consumed and mirrored bytes, and the scaler
-/// window's) as integers.
-pub const SNAP_VERSION: u32 = 17;
+/// window's) as integers; version 18 stores the Shard Manager's last beat
+/// and its silent containers (each with the instant it was last heard) in
+/// place of a heartbeat timestamp on every container, and no shadow-path
+/// commit counter.
+pub const SNAP_VERSION: u32 = 18;
 
 /// Chunk size of the manifest: one digest per 4 KiB of stream, verified
 /// on every restore and compared across snapshots. Small enough that an
@@ -598,7 +601,7 @@ mod tests {
 
         // The field ends with the one record: its onset, `Some`, the
         // severance time (both now) and the reboot flag.
-        let end = offset_of(&t, "shadow");
+        let end = offset_of(&t, "outages");
         let (since_at, at_at) = (end - 18, end - 9);
         assert_eq!(stream[end - 10], 1, "Some");
         assert_eq!(stream[since_at..since_at + 8], stream[at_at..at_at + 8]);
@@ -643,6 +646,80 @@ mod tests {
         assert_eq!(
             restore(&unknown),
             Some(SnapError::Value("ShardManager standby unregistered"))
+        );
+    }
+
+    /// The Shard Manager's silent table is checked against its own
+    /// containers: a silent entry naming a container it does not register,
+    /// a dead container missing from the table, and a dead container heard
+    /// after the last beat are each a typed error, not a fail-over that
+    /// never comes.
+    #[test]
+    fn a_hostile_silent_table_is_a_typed_error() {
+        let mut t = small_platform();
+        let container = t
+            .cluster
+            .containers_on(t.cluster.hosts()[0])
+            .expect("a host")[0];
+        t.sever_connection(container);
+        t.run_for(Duration::from_mins(2));
+        assert_eq!(
+            t.shard_manager().status(container),
+            Some(turbine_shardmgr::ContainerStatus::Dead)
+        );
+        let stream = Snapshot::capture(&t).stream.into_owned();
+        let restore = |stream: &[u8]| {
+            Snapshot::from_stream(SnapshotMeta::default(), Cow::Borrowed(stream))
+                .restore()
+                .err()
+        };
+        assert_eq!(restore(&stream), None);
+
+        // After the configuration come the shard loads (each: id and
+        // load), the containers (each: id, capacity and a status tag), the
+        // last beat and the silent table: here one entry, the dead
+        // container and when it was last heard.
+        let loads_at = offset_of(&t, "shard_manager") + {
+            let mut w = SnapWriter::new();
+            w.put(&t.config().shardmgr);
+            w.into_bytes().len()
+        };
+        let containers = t.task_managers().len();
+        let shards = t.config().shard_count as usize;
+        let table_at = loads_at + 8 + shards * (8 + 32) + 8 + containers * (8 + 32 + 1) + 8;
+        assert_eq!(stream[table_at..table_at + 8], 1u64.to_le_bytes());
+        let id_at = table_at + 8;
+        assert_eq!(stream[id_at..id_at + 8], container.raw().to_le_bytes());
+        let (beat_at, heard_at) = (table_at - 8, id_at + 8);
+        let last_beat = u64::from_le_bytes(stream[beat_at..table_at].try_into().expect("8 bytes"));
+
+        let mut unknown = stream.clone();
+        unknown[id_at..id_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(
+            restore(&unknown),
+            Some(SnapError::Value(
+                "ShardManager silent container unregistered"
+            ))
+        );
+        // Renamed to a live container: the dead one is no longer silent.
+        let mut heard = stream.clone();
+        let live = t
+            .task_managers()
+            .keys()
+            .find(|&&c| c != container)
+            .expect("another");
+        heard[id_at..id_at + 8].copy_from_slice(&live.raw().to_le_bytes());
+        assert_eq!(
+            restore(&heard),
+            Some(SnapError::Value("ShardManager dead container not silent"))
+        );
+        let mut later = stream.clone();
+        later[heard_at..heard_at + 8].copy_from_slice(&(last_beat + 1).to_le_bytes());
+        assert_eq!(
+            restore(&later),
+            Some(SnapError::Value(
+                "ShardManager dead container heard after the last beat"
+            ))
         );
     }
 

@@ -821,7 +821,7 @@ fn restore_mid_two_cause_loss_matches_uninterrupted() {
         let fields = original.snap_field_bytes();
         let end: usize = fields
             .iter()
-            .take_while(|f| f.0 != "shadow")
+            .take_while(|f| f.0 != "outages")
             .map(|f| f.1)
             .sum();
         let stream = &snapshot.to_bytes()[..];
@@ -859,5 +859,90 @@ fn restore_mid_two_cause_loss_matches_uninterrupted() {
             .find(|r| r.job == JobId(1))
             .expect("job recovered");
         assert_eq!(first.at.as_millis() - first.ms, 300_000, "{mode:?}: onset");
+    }
+}
+
+/// A capture while a container is suspect but not yet dead: its connection
+/// is severed at 305 s, so it misses the beats from 310 s on and the Shard
+/// Manager records it as silent, last heard at 300 s. The capture at 335 s
+/// falls after the standby grace and before the reboot (345 s) and the
+/// fail-over (360 s), so the blob holds the one silent entry. Both
+/// platforms then ride the reboot and the fail-over, get the connection
+/// back and reach the horizon alike, and date the outage from the
+/// severance.
+#[test]
+fn restore_mid_silence_matches_uninterrupted() {
+    let secs = |s| SimTime::ZERO + Duration::from_secs(s);
+    for mode in [DriveMode::EventDriven, DriveMode::DenseTick] {
+        // A 5 s tick puts the severance between two beats.
+        let mut original = Turbine::new(TurbineConfig {
+            tick: Duration::from_secs(5),
+            ..TurbineConfig::default()
+        });
+        original.add_hosts(3, host_shape());
+        original
+            .provision_job(
+                JobId(1),
+                JobConfig::stateless("silence", 2, 32),
+                TrafficModel::flat(1.0e6),
+                1.0e6,
+                256.0,
+            )
+            .expect("provision");
+        drive_to(&mut original, 5, mode);
+        original.drive_for(Duration::from_secs(5), mode);
+        let c = original
+            .task_container(turbine_types::TaskId::new(JobId(1), 0))
+            .expect("task placed");
+        original.sever_connection(c);
+        original.drive_for(Duration::from_secs(30), mode);
+        assert_eq!(original.now(), secs(335));
+        let manager = original.shard_manager();
+        assert_eq!(
+            manager.silent().collect::<Vec<_>>(),
+            [(c, secs(300))],
+            "{mode:?}: the one silent container"
+        );
+        assert!(manager.is_suspect(c, secs(335)), "{mode:?}: suspect");
+
+        let mut restored = Snapshot::capture(&original).restore().expect("restore");
+        assert_eq!(
+            observe(&original),
+            observe(&restored),
+            "{mode:?}: at capture"
+        );
+        for t in [&mut original, &mut restored] {
+            t.drive_for(Duration::from_secs(45), mode);
+            assert_eq!(
+                t.shard_manager().status(c),
+                Some(turbine_shardmgr::ContainerStatus::Dead),
+                "{mode:?}: failed over at 360 s"
+            );
+            t.restore_connection(c);
+            drive_to(t, 20, mode);
+            assert_eq!(
+                t.shard_manager().silent().count(),
+                0,
+                "{mode:?}: heard again"
+            );
+        }
+        assert_eq!(
+            observe(&original),
+            observe(&restored),
+            "{mode:?}: at the horizon"
+        );
+        let onsets = |t: &Turbine| {
+            t.metrics
+                .recoveries
+                .iter()
+                .map(|r| (r.job, r.at.as_millis() - r.ms))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(onsets(&original), onsets(&restored), "{mode:?}: onsets");
+        assert_eq!(
+            onsets(&original).first(),
+            Some(&(JobId(1), 305_000)),
+            "{mode:?}: dated from the severance"
+        );
     }
 }

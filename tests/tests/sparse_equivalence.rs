@@ -235,13 +235,16 @@ struct WindowWork {
     checks: u64,
     /// Containers that sent a load report.
     load_reports: u64,
-    /// Containers the heartbeat filter re-derived.
-    heartbeat_filtered: u64,
+    /// Containers in the Shard Manager's silent table after the window.
+    silent: usize,
+    /// The same after severing one container and beating twice more.
+    silent_after_sever: usize,
 }
 
 /// `jobs` flat-traffic jobs, each busy at every tick, on one host per
 /// job, the scaler off; converged. Returns the work counters' growth over
-/// the next 30 minutes, in which nothing intervenes.
+/// the next 30 minutes, in which nothing intervenes, and the size of the
+/// Shard Manager's silent table then and after one container is severed.
 fn busy_window(jobs: u64) -> WindowWork {
     let mut t = Turbine::new(TurbineConfig {
         scaler_enabled: false,
@@ -271,7 +274,8 @@ fn busy_window(jobs: u64) -> WindowWork {
             checker_jobs: checker.jobs_examined(),
             checks: checker.ticks_checked(),
             load_reports: t.metrics.load_reports_sent.get(),
-            heartbeat_filtered: t.heartbeat_containers_filtered(),
+            silent: t.shard_manager().silent().count(),
+            silent_after_sever: 0,
         }
     };
     let before = counters(&t);
@@ -281,11 +285,15 @@ fn busy_window(jobs: u64) -> WindowWork {
         0
     );
     let after = counters(&t);
+    let severed = *t.task_managers().keys().next().expect("a container");
+    t.sever_connection(severed);
+    t.run_for(Duration::from_secs(20));
     WindowWork {
         checker_jobs: after.checker_jobs - before.checker_jobs,
         checks: after.checks - before.checks,
         load_reports: after.load_reports - before.load_reports,
-        heartbeat_filtered: after.heartbeat_filtered - before.heartbeat_filtered,
+        silent: after.silent,
+        silent_after_sever: t.shard_manager().silent().count(),
     }
 }
 
@@ -311,32 +319,29 @@ fn invariant_work_grows_with_change_not_with_the_fleet() {
 
 /// The per-container rounds cost what changed, not the fleet: on the same
 /// converged busy fleet, whose tasks' usage holds while their backlog
-/// moves, four times the containers send no more load reports and
-/// re-derive no more heartbeat targets — none at either size. Load reports
-/// that followed backlog would grow 4× (every busy job's containers at
-/// every round); a heartbeat filter re-run each round would cost the
-/// whole fleet every 10 s.
+/// moves, four times the containers send no more load reports — none at
+/// either size — and leave nothing in the Shard Manager's silent table,
+/// which is all a beat walks. Load reports that followed backlog would
+/// grow 4× (every busy job's containers at every round). One severed
+/// container is one silent entry at either size.
 #[test]
 fn per_container_rounds_grow_with_change_not_with_the_fleet() {
     let (small, large) = (busy_window(4), busy_window(16));
-    for (name, small, large) in [
-        ("load reports", small.load_reports, large.load_reports),
-        (
-            "heartbeat filter",
-            small.heartbeat_filtered,
-            large.heartbeat_filtered,
-        ),
-    ] {
-        assert!(
-            large * 10 <= small * 11,
-            "{name}: 4x the fleet cost {large} vs {small}"
-        );
-        assert_eq!(
-            (small, large),
-            (0, 0),
-            "{name}: a quiet window costs nothing"
-        );
-    }
+    assert_eq!(
+        (small.load_reports, large.load_reports),
+        (0, 0),
+        "load reports: a quiet window costs nothing"
+    );
+    assert_eq!(
+        (small.silent, large.silent),
+        (0, 0),
+        "a converged fleet is heard"
+    );
+    assert_eq!(
+        (small.silent_after_sever, large.silent_after_sever),
+        (1, 1),
+        "one severed container is the one silent entry"
+    );
 }
 
 /// The work gate of the data plane on `quiet_fleet`'s mix: one job at a
@@ -542,7 +547,7 @@ fn the_full_scan_reference_hands_every_round_everything() {
             examined >= checks * t.engine().job_ids().len() as u64,
             "{at}: {examined} jobs examined over {checks} checks"
         );
-        assert_eq!(scopes, 4 * checks, "{at}: every scope at every check");
+        assert_eq!(scopes, 5 * checks, "{at}: every scope at every check");
     }
     assert_eq!(reports_due, 12, "two hours of ten-minute load reports");
     let checker = t.invariant_checker().expect("enabled");

@@ -136,10 +136,9 @@ fn failover_moves_every_shard_of_the_dead_container() {
     // removing its TM.
     tier.tms.remove(&dead);
     for sec in (10..=70).step_by(10) {
-        tier.sm.heartbeat(ContainerId(1), t(sec));
-        tier.sm.heartbeat(ContainerId(2), t(sec));
+        tier.sm.beat(t(sec), [dead]);
     }
-    let moves = tier.sm.check_failover(t(70));
+    let (_, moves) = tier.sm.check_failover(t(70));
     assert!(!moves.is_empty());
     assert!(
         moves.iter().all(|m| m.from.is_none()),
