@@ -123,6 +123,17 @@ echo "== bytes are integers =="
     crates/core/src/engine.rs \
     || { echo "an engine byte counter is an f64 again: bytes are integers"; exit 1; }
 
+echo "== one record per halted job =="
+# Whether a job is halted, and why (paused mid-sync with its state move,
+# stopped by the Capacity Manager, its input category stalled), is one
+# `Halt` record in the platform's `halts` table, written through one setter
+# that wakes the engine. No paused or stopped set beside it, no state-move
+# map outside a pause, and no stall set rebuilt at every tick.
+! grep -rnwE 'capacity_stopped|state_moves|paused_jobs' crates \
+    || { echo "capacity_stopped, state_moves or paused_jobs is back under crates/"; exit 1; }
+! grep -nE 'stalled.*(BTreeSet|HashSet)' crates/core/src/platform/scheduler.rs \
+    || { echo "scheduler.rs builds a stalled set again: a stall is a halt cause"; exit 1; }
+
 echo "== scale_smoke: sparse data plane at 1k hosts / 10k tasks (13 simulated hours) =="
 # scale_soak runs the identical scenario under DriveMode::EventDriven and
 # DriveMode::FullScan and exits non-zero unless the fingerprints are

@@ -1199,11 +1199,11 @@ impl Engine {
     }
 
     /// Something [`Engine::tick`] reads about `job` besides its own state
-    /// may have changed: whether its processing is halted (paused, stopped
-    /// for capacity, its input category stalled), or the category itself.
-    /// A settled or lazy job is walked again at the next tick; one the tick
-    /// walks anyway needs nothing.
-    pub fn wake(&mut self, job: JobId) {
+    /// may have changed: whether it is halted (paused, stopped for capacity,
+    /// its input stalled: the platform's halt setter calls this), or its
+    /// category. A settled or lazy job is walked again at the next tick;
+    /// one the tick walks anyway needs nothing.
+    pub(crate) fn wake(&mut self, job: JobId) {
         if self.active.contains(&job) {
             return;
         }
@@ -1633,8 +1633,8 @@ impl Engine {
 
     /// Advance the data plane by `dt` (positive). `container_cpu` supplies
     /// the CPU capacity of each healthy container (tasks on missing
-    /// containers do not run); `paused` jobs receive arrivals but process
-    /// nothing.
+    /// containers do not run); `is_halted` jobs (paused mid-sync, stopped
+    /// for capacity, or stalled) receive arrivals but process nothing.
     ///
     /// Only the tasks of active jobs are walked, and only active jobs are
     /// visited at all. Two kinds of job are skipped, each exactly:
@@ -1663,12 +1663,12 @@ impl Engine {
     ///
     /// Such a job is walked again when something it depends on may move:
     /// a mutation API (through `touch`, which brings a lazy job's counters
-    /// up to date first), a change to whether it is halted
-    /// ([`Engine::wake`]), a cluster change ([`Engine::containers_changed`])
-    /// or another tick length, a task joining a container of a lazy job
-    /// that then could contend, and its traffic model's next event edge, kept
-    /// in the wake queue. A tick visits the jobs it walks and the wakes that
-    /// are due, nothing else.
+    /// up to date first), a change to whether it is halted (`wake`), a
+    /// cluster change ([`Engine::containers_changed`]) or another tick
+    /// length, a task joining a container of a lazy job that then could
+    /// contend, and its traffic model's next event edge, kept in the wake
+    /// queue. A tick visits the jobs it walks and the wakes that are due,
+    /// nothing else.
     ///
     /// Two ordered passes, no per-job look-up. The first walks the active
     /// jobs ascending by `JobId`, each finding its runtime by a forward
@@ -1692,10 +1692,10 @@ impl Engine {
         now: SimTime,
         dt: Duration,
         container_cpu: &HashMap<ContainerId, f64, S>,
-        paused: &dyn Fn(JobId) -> bool,
+        is_halted: &dyn Fn(JobId) -> bool,
     ) -> TickOutcome {
         let capacity = |container| container_cpu.get(&container).copied();
-        self.tick_with(now, dt, &capacity, container_cpu.len(), paused)
+        self.tick_with(now, dt, &capacity, container_cpu.len(), is_halted)
     }
 
     /// [`Engine::tick`] against a capacity lookup over `healthy`
@@ -1707,7 +1707,7 @@ impl Engine {
         dt: Duration,
         container_cpu: &dyn Fn(ContainerId) -> Option<f64>,
         healthy: usize,
-        paused: &dyn Fn(JobId) -> bool,
+        is_halted: &dyn Fn(JobId) -> bool,
     ) -> TickOutcome {
         #[cfg(test)]
         if self.walk_every_job {
@@ -1816,9 +1816,9 @@ impl Engine {
                 }
                 rt.durable_epoch += 1;
             }
-            // Processing halted (paused / consumer disabled) pins memory at
-            // the idle floor, so it holds the job as arrivals do.
-            let halted = paused(job) || rt.traffic.consumer_disabled(now);
+            // Processing halted (by the platform or its consumer) pins memory
+            // at the idle floor, so it holds the job as arrivals do.
+            let halted = is_halted(job) || rt.traffic.consumer_disabled(now);
             let mut quiet = !(rate > 0.0 || halted);
             let mut steady = true;
             if cursor.peek().is_some_and(|(id, _)| id.job < job) {

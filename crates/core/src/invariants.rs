@@ -68,7 +68,7 @@
 //! sparse path.
 
 use crate::engine::Engine;
-use crate::platform::Loss;
+use crate::platform::{Halt, Loss};
 use std::collections::{BTreeMap, BTreeSet};
 use turbine_cluster::Cluster;
 use turbine_jobstore::{JobService, MemWal};
@@ -165,10 +165,9 @@ pub(crate) struct InvariantView<'a> {
     pub jobs: &'a JobService<MemWal>,
     /// The State Syncer (quarantine state).
     pub syncer: &'a StateSyncer,
-    /// Jobs paused for a complex synchronization.
-    pub paused: &'a BTreeSet<JobId>,
-    /// Jobs stopped by the Capacity Manager.
-    pub capacity_stopped: &'a BTreeSet<JobId>,
+    /// Every halted job, with why: paused mid-sync, stopped by the
+    /// Capacity Manager, or stalled.
+    pub halts: &'a BTreeMap<JobId, Halt>,
     /// The containers lost to a severed connection or a failed host: the
     /// ones that do not heartbeat. Every other Task Manager's local state
     /// is authoritative; the distributed-state invariants (2, 3, 9) skip
@@ -461,7 +460,7 @@ impl InvariantChecker {
     /// the divergence started and the last fault cleared.
     ///
     /// Only `candidates` are re-evaluated: every input of the divergence
-    /// predicate (store rows, pause/quarantine/capacity membership, engine
+    /// predicate (store rows, halt records, quarantine membership, engine
     /// task counts) marks the job in that set, so untouched jobs keep
     /// their status and their place in the universe. The window-expiry
     /// pass always walks the (small) diverged set: it is time-dependent.
@@ -497,10 +496,7 @@ impl InvariantChecker {
     /// Bring one job's divergence-episode bookkeeping up to date.
     fn update_divergence(&mut self, view: &InvariantView<'_>, job: JobId, now: SimTime) {
         self.jobs_examined += 1;
-        let eligible = self.convergence_jobs.contains(&job)
-            && !view.syncer.is_quarantined(job)
-            && !view.capacity_stopped.contains(&job);
-        if eligible && is_diverged(view, job) {
+        if self.convergence_jobs.contains(&job) && is_diverged(view, job) {
             self.diverged_since.entry(job).or_insert(now);
         } else {
             self.diverged_since.remove(&job);
@@ -545,9 +541,6 @@ impl InvariantChecker {
         let diverged: BTreeSet<JobId> = universe
             .iter()
             .copied()
-            .filter(|&job| {
-                !view.syncer.is_quarantined(job) && !view.capacity_stopped.contains(&job)
-            })
             .filter(|&job| is_diverged(view, job))
             .collect();
         let tracked: BTreeSet<JobId> = self.diverged_since.keys().copied().collect();
@@ -753,43 +746,46 @@ fn scan_revival_clean(view: &InvariantView<'_>, inbox: &Inbox, found: &mut Vec<F
     }
 }
 
+/// Whether `job` is diverged (invariant 5); a quarantined or
+/// capacity-stopped job never is.
 fn is_diverged(view: &InvariantView<'_>, job: JobId) -> bool {
-    if view.paused.contains(&job) {
+    let halt = view.halts.get(&job);
+    if view.syncer.is_quarantined(job) || halt.is_some_and(|h| h.stopped) {
+        return false;
+    }
+    if halt.is_some_and(|h| h.paused) {
         return true;
     }
     let store = view.jobs.store();
     match (store.expected_merged_ref(job).ok(), store.running(job)) {
-        (Some(expected), Some(running)) if expected != running => return true,
-        (Some(_), None) | (None, Some(_)) => return true,
         (None, None) => return false,
+        (expected, running) if expected != running => return true,
         _ => {}
     }
     // Config tables agree: do the tasks actually run?
-    let configured = view
-        .jobs
-        .running_typed(job)
-        .map(|c| c.task_count as usize)
-        .unwrap_or(0);
-    view.engine.running_tasks_of(job) < configured
+    view.engine.running_tasks_of(job) < configured_tasks(view, job)
+}
+
+/// The task count of `job`'s running configuration (0 without one).
+fn configured_tasks(view: &InvariantView<'_>, job: JobId) -> usize {
+    let config = view.jobs.running_typed(job);
+    config.map_or(0, |c| c.task_count as usize)
 }
 
 fn describe_divergence(view: &InvariantView<'_>, job: JobId) -> String {
     let store = view.jobs.store();
-    if view.paused.contains(&job) {
-        return format!("{job} still paused mid-sync after the convergence window");
-    }
-    if store.expected_merged_ref(job).ok() != store.running(job) {
-        return format!("{job} expected/running configs still differ after the convergence window");
-    }
-    let configured = view
-        .jobs
-        .running_typed(job)
-        .map(|c| c.task_count as usize)
-        .unwrap_or(0);
-    format!(
-        "{job} running {}/{configured} configured tasks after the convergence window",
-        view.engine.running_tasks_of(job)
-    )
+    let what = if view.halts.get(&job).is_some_and(|h| h.paused) {
+        "still paused mid-sync".to_string()
+    } else if store.expected_merged_ref(job).ok() != store.running(job) {
+        "expected/running configs still differ".to_string()
+    } else {
+        let running = view.engine.running_tasks_of(job);
+        format!(
+            "running {running}/{} configured tasks",
+            configured_tasks(view, job)
+        )
+    };
+    format!("{job} {what} after the convergence window")
 }
 
 use turbine_types::snap_struct;

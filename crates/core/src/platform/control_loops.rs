@@ -5,7 +5,9 @@
 //! component table — these bodies only do the round's work at the instant
 //! they are invoked.
 
-use super::{OutageState, ScalerScratch, Turbine, CONNECTION_TIMEOUT, RESTART_DELAY};
+use super::{
+    set_halt, Halt, OutageState, ScalerScratch, Turbine, CONNECTION_TIMEOUT, RESTART_DELAY,
+};
 use crate::engine::{Engine, EngineReader};
 use crate::invariants::{Inbox, InvariantChecker};
 use crate::metrics::DiagnosisRecord;
@@ -18,7 +20,7 @@ use turbine_shardmgr::ShardMovement;
 use turbine_statesyncer::{Redistribute, SyncEnvironment};
 use turbine_taskmgr::{LocalTaskManager, RunningJobs, TaskEvent, TaskService};
 use turbine_trace::TraceData;
-use turbine_types::{ContainerId, Duration, HostId, IdMap, JobId, Resources, SimTime, TaskId};
+use turbine_types::{ContainerId, Duration, HostId, JobId, Resources, SimTime, TaskId};
 
 impl Turbine {
     /// Heartbeats + proactive reboot of disconnected containers. Every
@@ -43,13 +45,7 @@ impl Turbine {
         // reboots that hit the job.
         let mut affected: BTreeMap<JobId, SimTime> = BTreeMap::new();
         for (container, since) in due_reboot {
-            let mut all_events = Vec::new();
-            if let Some(tm) = self.task_managers.get_mut(&container) {
-                let owned: Vec<_> = tm.owned_shards().collect();
-                for shard in owned {
-                    all_events.extend(tm.drop_shard(shard));
-                }
-            }
+            let all_events = self.drop_owned_shards(container);
             for event in &all_events {
                 if let TaskEvent::Stopped(id) = event {
                     let onset = affected.entry(id.job).or_insert(since);
@@ -287,7 +283,7 @@ impl Turbine {
                 self.outages.remove(&job);
                 continue;
             }
-            if self.paused.contains(&job) || self.capacity_stopped.contains(&job) {
+            if self.halts.get(&job).is_some_and(Halt::stops_tasks) {
                 continue;
             }
             let Some(config) = self.jobs.running_typed(job) else {
@@ -330,8 +326,7 @@ impl Turbine {
         /// The Job Store's running table as the Task Service reads it.
         struct Running<'a> {
             jobs: &'a mut JobService<MemWal>,
-            paused: &'a BTreeSet<JobId>,
-            stopped: &'a BTreeSet<JobId>,
+            halts: &'a BTreeMap<JobId, Halt>,
         }
         impl RunningJobs for Running<'_> {
             fn take_changed(&mut self) -> BTreeSet<JobId> {
@@ -349,7 +344,8 @@ impl Turbine {
                 self.jobs.running_typed(job)
             }
             fn excluded(&self) -> BTreeSet<JobId> {
-                self.paused.union(self.stopped).copied().collect()
+                let stops = |(&job, h): (&JobId, &Halt)| h.stops_tasks().then_some(job);
+                self.halts.iter().filter_map(stops).collect()
             }
         }
         // Snapshot (cached and indexed inside the Task Service for its
@@ -358,8 +354,7 @@ impl Turbine {
             self.now,
             &mut Running {
                 jobs: &mut self.jobs,
-                paused: &self.paused,
-                stopped: &self.capacity_stopped,
+                halts: &self.halts,
             },
         );
         // In container-id order, as ever: the order of the task events.
@@ -383,19 +378,17 @@ impl Turbine {
     /// One State Syncer reconciliation round.
     pub(crate) fn syncer_round(&mut self) {
         struct Env<'a> {
-            paused: &'a mut BTreeSet<JobId>,
+            halts: &'a mut BTreeMap<JobId, Halt>,
             task_service: &'a mut TaskService,
             task_managers: &'a BTreeMap<ContainerId, LocalTaskManager>,
             engine: &'a mut Engine,
-            state_moves: &'a mut IdMap<JobId, SimTime>,
             inbox: Option<&'a mut Inbox>,
             now: SimTime,
             state_move_bandwidth: f64,
         }
         impl SyncEnvironment for Env<'_> {
             fn request_stop(&mut self, job: JobId) {
-                if self.paused.insert(job) {
-                    self.engine.wake(job);
+                if !set_halt(self.halts, self.engine, job, |h| h.paused = true).paused {
                     self.task_service.invalidate();
                     if let Some(inbox) = &mut self.inbox {
                         inbox.jobs.insert(job);
@@ -426,23 +419,24 @@ impl Turbine {
                 if stateful_bytes <= 0.0 {
                     return Ok(Redistribute::Done);
                 }
-                let done_at = *self.state_moves.entry(job).or_insert_with(|| {
-                    self.now + Duration::from_secs_f64(stateful_bytes / self.state_move_bandwidth)
+                let now = self.now;
+                let moving = Duration::from_secs_f64(stateful_bytes / self.state_move_bandwidth);
+                let mut done = false;
+                set_halt(self.halts, self.engine, job, |h| {
+                    done = now >= *h.state_move.get_or_insert(now + moving);
+                    h.state_move = h.state_move.filter(|_| !done);
                 });
-                if self.now >= done_at {
-                    self.state_moves.remove(&job);
-                    Ok(Redistribute::Done)
-                } else {
-                    Ok(Redistribute::InProgress)
+                if !done {
+                    return Ok(Redistribute::InProgress);
                 }
+                Ok(Redistribute::Done)
             }
         }
         let mut env = Env {
-            paused: &mut self.paused,
+            halts: &mut self.halts,
             task_service: &mut self.task_service,
             task_managers: &self.task_managers,
             engine: &mut self.engine,
-            state_moves: &mut self.state_moves,
             inbox: self.invariants.as_mut().map(InvariantChecker::inbox),
             now: self.now,
             state_move_bandwidth: self.config.state_move_bandwidth,
@@ -483,28 +477,29 @@ impl Turbine {
             self.trace.emit(now, TraceData::Quarantine { job });
         }
         let mut invalidate = report.total_changed() > 0;
-        for &job in report
-            .started
-            .iter()
-            .chain(&report.simple)
-            .chain(&report.complex_completed)
-        {
-            if self.paused.remove(&job) {
-                self.engine.wake(job);
-            }
-            invalidate = true;
-        }
         for &job in &report.deleted {
-            self.paused.remove(&job);
-            self.capacity_stopped.remove(&job);
             self.engine.remove_job(job);
+            set_halt(&mut self.halts, &mut self.engine, job, |h| {
+                *h = Halt::default()
+            });
             self.checkpoints.remove_job(job);
             self.drop_standby(job);
             self.outages.remove(&job);
             self.scaler.forget(job);
-            self.state_moves.remove(&job);
+        }
+        // A pause lasts while expected differs from running: it ends at the
+        // commit, or when the sync is reverted mid-move and nothing commits.
+        let store = self.jobs.store();
+        let in_sync = |job| store.expected_merged_ref(job).ok() == store.running(job);
+        let halts = self.halts.iter();
+        let lifted: Vec<JobId> = halts
+            .filter_map(|(&job, h)| (h.paused && in_sync(job)).then_some(job))
+            .collect();
+        for &job in &lifted {
+            set_halt(&mut self.halts, &mut self.engine, job, |h| h.paused = false);
             invalidate = true;
         }
+        self.tell_checker(|inbox| inbox.jobs.extend(lifted));
         if invalidate {
             self.task_service.invalidate();
         }
@@ -567,10 +562,7 @@ impl Turbine {
             return;
         };
         self.scaler_windows_drained += 1;
-        if self.paused.contains(&job)
-            || self.capacity_stopped.contains(&job)
-            || self.syncer.is_quarantined(job)
-        {
+        if self.halts.get(&job).is_some_and(Halt::stops_tasks) || self.syncer.is_quarantined(job) {
             return;
         }
         let Ok(config) = self.jobs.expected_typed(job) else {
@@ -716,45 +708,34 @@ impl Turbine {
                 action: action.describe(),
             },
         );
-        match action {
+        let partitions = config.input_partitions;
+        let (field, value, per_task) = match action {
             ScalingAction::RebalanceInput => {
                 let n = self.engine.job(job).map_or(0, |rt| rt.partition_count());
                 self.engine
                     .set_partition_weights(job, &vec![1.0 / n as f64; n]);
+                return;
             }
             ScalingAction::Vertical {
                 threads_per_task,
                 per_task,
-            } => {
-                let result = self
-                    .jobs
-                    .update_level(job, ConfigLevel::Scaler, move |cfg| {
-                        cfg.insert("threads_per_task", threads_per_task.into());
-                        cfg.insert_path("resources.cpu", per_task.cpu.into());
-                        cfg.insert_path("resources.memory_mb", per_task.memory_mb.into());
-                        cfg.insert_path("resources.disk_mb", per_task.disk_mb.into());
-                        cfg.insert_path("resources.network_mbps", per_task.network_mbps.into());
-                    });
-                debug_assert!(result.is_ok());
-            }
+            } => ("threads_per_task", threads_per_task, per_task),
+            // Parallelism can never exceed the input partition count.
             ScalingAction::Horizontal {
                 task_count,
                 per_task,
-            } => {
-                // Parallelism can never exceed the input partition count.
-                let count = task_count.clamp(1, config.input_partitions);
-                let result = self
-                    .jobs
-                    .update_level(job, ConfigLevel::Scaler, move |cfg| {
-                        cfg.insert("task_count", count.into());
-                        cfg.insert_path("resources.cpu", per_task.cpu.into());
-                        cfg.insert_path("resources.memory_mb", per_task.memory_mb.into());
-                        cfg.insert_path("resources.disk_mb", per_task.disk_mb.into());
-                        cfg.insert_path("resources.network_mbps", per_task.network_mbps.into());
-                    });
-                debug_assert!(result.is_ok());
-            }
-        }
+            } => ("task_count", task_count.clamp(1, partitions), per_task),
+        };
+        let result = self
+            .jobs
+            .update_level(job, ConfigLevel::Scaler, move |cfg| {
+                cfg.insert(field, value.into());
+                cfg.insert_path("resources.cpu", per_task.cpu.into());
+                cfg.insert_path("resources.memory_mb", per_task.memory_mb.into());
+                cfg.insert_path("resources.disk_mb", per_task.disk_mb.into());
+                cfg.insert_path("resources.network_mbps", per_task.network_mbps.into());
+            });
+        debug_assert!(result.is_ok());
     }
 
     /// Task Manager load reports to the Shard Manager. Only containers
@@ -820,18 +801,20 @@ impl Turbine {
         self.scaler.set_priority_floor(directive.priority_floor);
         if !directive.jobs_to_stop.is_empty() {
             for &job in &directive.jobs_to_stop {
-                if self.capacity_stopped.insert(job) {
-                    self.engine.wake(job);
+                if !set_halt(&mut self.halts, &mut self.engine, job, |h| h.stopped = true).stopped {
                     self.metrics.alerts.incr();
                 }
             }
             self.tell_checker(|inbox| inbox.jobs.extend(directive.jobs_to_stop));
             self.task_service.invalidate();
-        } else if directive.priority_floor.is_none() && !self.capacity_stopped.is_empty() {
+        } else if directive.priority_floor.is_none() && self.halts.values().any(|h| h.stopped) {
             // Pressure cleared: resume capacity-stopped jobs.
-            let resumed = std::mem::take(&mut self.capacity_stopped);
+            let halts = self.halts.iter();
+            let resumed: Vec<JobId> = halts.filter_map(|(&j, h)| h.stopped.then_some(j)).collect();
             for &job in &resumed {
-                self.engine.wake(job);
+                set_halt(&mut self.halts, &mut self.engine, job, |h| {
+                    h.stopped = false
+                });
             }
             self.tell_checker(|inbox| inbox.jobs.extend(resumed));
             self.task_service.invalidate();
@@ -974,11 +957,9 @@ impl Turbine {
             // Ownership changes even when no tasks move (empty shards):
             // both endpoints must re-report loads, and the distributed
             // invariant scope must re-scan.
-            if let Some(from) = m.from {
-                self.container_changed(from);
-            }
             self.container_changed(m.to);
             if let Some(from) = m.from {
+                self.container_changed(from);
                 let events = self
                     .task_managers
                     .get_mut(&from)
@@ -993,6 +974,15 @@ impl Turbine {
                 .unwrap_or_default();
             self.handle_task_events_delayed(m.to, &events, restart_delay);
         }
+    }
+
+    /// Drop every shard `container`'s Task Manager owns; returns the task events.
+    pub(crate) fn drop_owned_shards(&mut self, container: ContainerId) -> Vec<TaskEvent> {
+        let Some(tm) = self.task_managers.get_mut(&container) else {
+            return Vec::new();
+        };
+        let owned: Vec<_> = tm.owned_shards().collect();
+        owned.into_iter().flat_map(|s| tm.drop_shard(s)).collect()
     }
 
     /// Record task lifecycle events from a Task Manager into the engine

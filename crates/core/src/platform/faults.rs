@@ -4,7 +4,7 @@
 //! [`FaultEdge`](super::ControlEvent::FaultEdge) wake events so the
 //! event-driven loop executes the grid instants where the edges land.
 
-use super::{Loss, Severance, Turbine};
+use super::{set_halt, Loss, Severance, Turbine};
 use turbine_jobstore::StoreReader;
 use turbine_sim::{Fault, FaultInjector, FaultPlan, FaultTransition};
 use turbine_statesyncer::StateSyncer;
@@ -135,17 +135,13 @@ impl Turbine {
             }
             FaultTransition::Activated(Fault::ScribeStall(category))
             | FaultTransition::Cleared(Fault::ScribeStall(category)) => {
-                // Whether the stalled category's jobs process moves: the
-                // data plane walks each of them again.
+                // The category's job is halted while the stall lasts.
                 if let Some(id) = self.scribe.category_id(&category) {
-                    let stalled: Vec<JobId> = self
-                        .engine
-                        .jobs()
-                        .filter(|(_, rt)| rt.category() == Some(id))
-                        .map(|(job, _)| job)
-                        .collect();
-                    for job in stalled {
-                        self.engine.wake(job);
+                    let owner = self.engine.jobs().find(|(_, rt)| rt.category() == Some(id));
+                    if let Some((job, _)) = owner {
+                        set_halt(&mut self.halts, &mut self.engine, job, |h| {
+                            h.stalled = activated
+                        });
                     }
                 }
             }
@@ -158,6 +154,13 @@ impl Turbine {
             }
             _ => {}
         }
+    }
+
+    /// Whether a `ScribeStall` of `job`'s input category is active.
+    pub(crate) fn input_stalled(&self, job: JobId) -> bool {
+        let name = self.job_category(job);
+        let stall = |f: &Fault| matches!(f, Fault::ScribeStall(c) if Some(c.as_str()) == name);
+        self.faults.active().any(stall)
     }
 
     /// True while the Job Store is unavailable to writers.
@@ -244,13 +247,7 @@ impl Turbine {
             // Failed over while down: clear stale local state. The stop
             // events only affect tasks the engine still places here —
             // tasks that already moved belong to their new containers.
-            let mut all_events = Vec::new();
-            if let Some(tm) = self.task_managers.get_mut(&container) {
-                let owned: Vec<_> = tm.owned_shards().collect();
-                for shard in owned {
-                    all_events.extend(tm.drop_shard(shard));
-                }
-            }
+            let all_events = self.drop_owned_shards(container);
             self.handle_task_events(container, &all_events);
         }
         Ok(())

@@ -113,7 +113,7 @@ fn a_capacity_stop_walks_a_lazy_job_again() {
             .expect("store up")
     });
     twins.run(Duration::from_mins(15), JOB);
-    assert!(twins.lazy.capacity_stopped.contains(&JOB), "stopped");
+    assert!(twins.lazy.halts[&JOB].stopped, "stopped");
 }
 
 #[test]
@@ -133,6 +133,34 @@ fn a_stalled_input_walks_a_lazy_job_again() {
         .collect();
     assert_eq!(cpu, [0.0, 0.0], "halted by the stall");
     twins.run(Duration::from_mins(10), JOB);
+}
+
+#[test]
+fn a_stall_that_predates_the_job_halts_it_from_the_start() {
+    // The category is stalled before the job that owns it exists: the
+    // job is halted from its provision, not from the stall's edge.
+    let mut twins = Twins::new(2, |t| {
+        t.inject_fault(
+            Fault::ScribeStall("flat_1_input".to_string()),
+            Some(Duration::from_mins(15)),
+        );
+        flat(t, JOB, Priority::Normal);
+    });
+    twins.run(Duration::from_mins(5), JOB);
+    let backlog = twins.lazy.job_status(JOB).expect("status").backlog_bytes;
+    twins.run(Duration::from_mins(5), JOB);
+    let cpu: Vec<f64> = twins
+        .lazy
+        .engine
+        .tasks()
+        .map(|(_, t)| t.cpu_usage)
+        .collect();
+    assert_eq!(cpu, [0.0, 0.0], "halted by the stall");
+    let status = twins.lazy.job_status(JOB).expect("status");
+    assert!(status.backlog_bytes > backlog, "{status:?}");
+    // The stall ends at minute 15: the job processes again.
+    twins.run(Duration::from_mins(10), JOB);
+    assert!(twins.lazy.engine.tasks().all(|(_, t)| t.cpu_usage > 0.0));
 }
 
 #[test]

@@ -61,7 +61,7 @@ use turbine_sim::{FaultInjector, SimRng};
 use turbine_statesyncer::{StateSyncer, SyncerConfig};
 use turbine_taskmgr::{LocalTaskManager, SnapshotTable, TaskService};
 use turbine_trace::TraceBuffer;
-use turbine_types::{ContainerId, Duration, Fnv1a, HostId, IdMap, JobId, Resources, SimTime};
+use turbine_types::{ContainerId, Duration, Fnv1a, HostId, JobId, Resources, SimTime};
 use turbine_workloads::TrafficModel;
 
 /// Fraction of each host handed to its Turbine container.
@@ -237,6 +237,50 @@ pub(crate) struct Severance {
     pub(crate) rebooted: bool,
 }
 
+/// Why a job is halted: it takes arrivals but processes nothing. Written
+/// only through [`set_halt`].
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct Halt {
+    /// The State Syncer paused the job for a complex synchronization.
+    pub(crate) paused: bool,
+    /// When the paused job's state move completes, once one has started.
+    pub(crate) state_move: Option<SimTime>,
+    /// The Capacity Manager stopped the job.
+    pub(crate) stopped: bool,
+    /// A `ScribeStall` of the job's input category is active.
+    pub(crate) stalled: bool,
+}
+
+impl Halt {
+    /// Whether the job's tasks are taken out of the Task Service snapshot:
+    /// a pause or a stop ends them, a stall leaves them running.
+    pub(crate) fn stops_tasks(&self) -> bool {
+        self.paused || self.stopped
+    }
+}
+
+/// Edit `job`'s halt record and return it as it was. The state move goes
+/// with its pause and the entry with its last cause; the engine walks the
+/// job again when whether it is halted at all flips.
+pub(crate) fn set_halt(
+    halts: &mut BTreeMap<JobId, Halt>,
+    engine: &mut Engine,
+    job: JobId,
+    edit: impl FnOnce(&mut Halt),
+) -> Halt {
+    let was = halts.remove(&job);
+    let mut halt = was.unwrap_or_default();
+    edit(&mut halt);
+    halt.state_move = halt.state_move.filter(|_| halt.paused);
+    if halt.stops_tasks() || halt.stalled {
+        halts.insert(job, halt);
+    }
+    if was.is_some() != halts.contains_key(&job) {
+        engine.wake(job);
+    }
+    was.unwrap_or_default()
+}
+
 /// One open fault-attributed outage of a job. Opened only at the three
 /// causal sites (proactive reboot drop, standard fail-over, standby
 /// promotion); closed by the SLO check once the job is back at its running
@@ -272,11 +316,8 @@ pub struct Turbine {
     /// it, with the [`Cluster::generation`] it was built at. A derived
     /// cache (not in the snapshot): rebuilt when the generation moves.
     pub(crate) container_cpu: Option<(u64, ContainerMap<f64>)>,
-    pub(crate) paused: BTreeSet<JobId>,
-    pub(crate) capacity_stopped: BTreeSet<JobId>,
-    /// In-flight state moves for stateful complex syncs: job → completion
-    /// time.
-    pub(crate) state_moves: IdMap<JobId, SimTime>,
+    /// Every halted job, with why.
+    pub(crate) halts: BTreeMap<JobId, Halt>,
     /// Mean time between random task crashes; `None` disables injection.
     pub(crate) crash_mtbf: Option<Duration>,
     pub(crate) rng: SimRng,
@@ -366,9 +407,7 @@ impl Turbine {
             checkpoints: CheckpointStore::new(),
             engine: Engine::new(),
             container_cpu: None,
-            paused: BTreeSet::new(),
-            capacity_stopped: BTreeSet::new(),
-            state_moves: IdMap::default(),
+            halts: BTreeMap::new(),
             crash_mtbf: None,
             rng: SimRng::seeded(0x0C2A_54E5),
             lost: BTreeMap::new(),
@@ -451,11 +490,6 @@ impl Turbine {
     /// it or still walks, which on a converged fleet are the busy jobs.
     pub fn scaler_windows_drained(&self) -> u64 {
         self.scaler_windows_drained
-    }
-
-    /// Jobs currently paused for a complex synchronization.
-    pub fn paused_jobs(&self) -> &BTreeSet<JobId> {
-        &self.paused
     }
 
     /// Add `n` hosts, allocate one Turbine container on each, register the
@@ -568,6 +602,11 @@ impl Turbine {
             key_cardinality,
         );
         self.engine.bind_category(job, category);
+        // The category may be stalled already.
+        let stalled = self.input_stalled(job);
+        set_halt(&mut self.halts, &mut self.engine, job, |h| {
+            h.stalled = stalled
+        });
         self.task_service.invalidate();
         Ok(())
     }
@@ -601,7 +640,7 @@ impl Turbine {
             running_config_tasks,
             running_tasks: self.engine.running_tasks_of(job),
             backlog_bytes: runtime.backlog(),
-            paused: self.paused.contains(&job),
+            paused: self.halts.get(&job).is_some_and(|h| h.paused),
             quarantined: self.syncer.is_quarantined(job),
         })
     }
@@ -914,6 +953,10 @@ check |l| l.severed.is_none_or(|s| l.since <= s.at) => "Loss dated after its sev
 
 snap_struct!(Severance { at, rebooted });
 
+snap_struct!(Halt { paused, state_move, stopped, stalled }
+check |h| h.stops_tasks() || h.stalled => "Halt with no cause"
+check |h| h.paused || h.state_move.is_none() => "Halt state move outside a pause");
+
 snap_struct!(OutageState { since, fast });
 
 /// Write one field of the platform stream: itself, or through the
@@ -1005,7 +1048,7 @@ turbine_stream! {
     task_service via (TaskService::snap_shared, TaskService::unsnap_shared),
     shard_manager,
     task_managers via (snap_managers, unsnap_managers),
-    scaler, capacity, checkpoints, engine, paused, capacity_stopped, state_moves, crash_mtbf,
+    scaler, capacity, checkpoints, engine, halts, crash_mtbf,
     rng, lost,
     outages, faults, trace, invariants, load_dirty_containers,
     sched, last_scaler_drain, ods;
@@ -1023,6 +1066,10 @@ turbine_stream! {
     check |t| t.task_managers.keys().all(|&c| t.cluster.is_container_healthy(c) || t.lost.contains_key(&c))
         && t.lost.iter().all(|(&c, l)| l.severed.is_some() || !t.cluster.is_container_healthy(c))
         => "Turbine lost table disagrees with the cluster";
+    // A job has the stall cause exactly while its input category is stalled.
+    check |t| t.halts.iter().all(|(&job, h)| !h.stalled || t.engine.job(job).is_some())
+        && t.engine.jobs().all(|(job, _)| t.input_stalled(job) == t.halts.get(&job).is_some_and(|h| h.stalled))
+        => "Turbine halts disagree with the active stalls";
 }
 
 type TaskManagers = BTreeMap<ContainerId, LocalTaskManager>;
@@ -1055,5 +1102,38 @@ impl Turbine {
             table.push((name, bytes))
         });
         table
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A job has a record exactly while a cause holds, and a state move
+    /// only while its pause does, whatever other cause outlives the pause.
+    #[test]
+    fn a_halt_record_lasts_as_long_as_its_causes() {
+        let (mut halts, mut engine) = (BTreeMap::new(), Engine::new());
+        let job = JobId(1);
+        let at = SimTime::ZERO + Duration::from_mins(7);
+        set_halt(&mut halts, &mut engine, job, |h| h.paused = true);
+        set_halt(&mut halts, &mut engine, job, |h| h.state_move = Some(at));
+        let was = set_halt(&mut halts, &mut engine, job, |h| h.stalled = true);
+        assert_eq!(
+            (was.paused, was.state_move, was.stalled),
+            (true, Some(at), false)
+        );
+        // The pause ends under the stall: its state move goes with it.
+        set_halt(&mut halts, &mut engine, job, |h| h.paused = false);
+        let stalled = Halt {
+            stalled: true,
+            ..Halt::default()
+        };
+        assert_eq!(halts[&job], stalled);
+        // A move without a pause cannot be written down.
+        set_halt(&mut halts, &mut engine, job, |h| h.state_move = Some(at));
+        assert_eq!(halts[&job], stalled);
+        set_halt(&mut halts, &mut engine, job, |h| h.stalled = false);
+        assert!(halts.is_empty());
     }
 }

@@ -40,12 +40,10 @@
 use super::{Turbine, TurbineConfig, RESTART_DELAY};
 use crate::engine::EngineReader;
 use crate::invariants::{Inbox, InvariantView};
-use std::collections::BTreeSet;
 use turbine_jobstore::StoreReader;
-use turbine_scribe::CategoryId;
 use turbine_sim::{EventQueue, Fault, Periodic};
 use turbine_trace::{Component as TraceComponent, TraceData};
-use turbine_types::{Duration, JobId, SimTime};
+use turbine_types::{Duration, SimTime};
 
 /// A typed control-plane event. Periodic component rounds carry no
 /// payload — the component table maps each variant to its handler —
@@ -509,27 +507,6 @@ impl Turbine {
             self.apply_fault_transition(t);
         }
 
-        // Data plane. Jobs whose input category is stalled receive
-        // arrivals but process nothing — the dependency-failure shape the
-        // root-causer must recognize. Built from the active stalls, so it
-        // costs nothing while no fault is active.
-        let stalls: Vec<CategoryId> = self
-            .faults
-            .active()
-            .filter_map(|fault| match fault {
-                Fault::ScribeStall(category) => self.scribe.category_id(category),
-                _ => None,
-            })
-            .collect();
-        let stalled: BTreeSet<JobId> = if stalls.is_empty() {
-            BTreeSet::new()
-        } else {
-            self.engine
-                .jobs()
-                .filter(|(_, rt)| rt.category().is_some_and(|id| stalls.contains(&id)))
-                .map(|(job, _)| job)
-                .collect()
-        };
         let generation = self.cluster.generation();
         let container_cpu =
             match &mut self.container_cpu {
@@ -547,13 +524,11 @@ impl Turbine {
                     &cache.insert((generation, map)).1
                 }
             };
-        let paused = &self.paused;
-        let stopped = &self.capacity_stopped;
+        // Data plane: a halted job receives arrivals but processes nothing.
+        let halted = |job| self.halts.contains_key(&job);
         let outcome = self
             .engine
-            .tick(now, self.config.tick, container_cpu, &|job| {
-                paused.contains(&job) || stopped.contains(&job) || stalled.contains(&job)
-            });
+            .tick(now, self.config.tick, container_cpu, &halted);
         for task in outcome.oom_kills {
             self.metrics.oom_kills.incr();
             self.metrics.task_restarts.incr();
@@ -616,8 +591,7 @@ impl Turbine {
             shard_manager: &self.shard_manager,
             jobs: &self.jobs,
             syncer: &self.syncer,
-            paused: &self.paused,
-            capacity_stopped: &self.capacity_stopped,
+            halts: &self.halts,
             lost: &self.lost,
             quiet_since,
         });

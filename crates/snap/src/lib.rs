@@ -74,8 +74,11 @@ pub const SNAP_MAGIC: [u8; 8] = *b"TRBNSNAP";
 /// window's) as integers; version 18 stores the Shard Manager's last beat
 /// and its silent containers (each with the instant it was last heard) in
 /// place of a heartbeat timestamp on every container, and no shadow-path
-/// commit counter.
-pub const SNAP_VERSION: u32 = 18;
+/// commit counter; version 19 stores one halt record per halted job (its
+/// pause with the pause's state move, its capacity stop and its input
+/// stall) in place of the paused set, the capacity-stopped set and the
+/// state-move map.
+pub const SNAP_VERSION: u32 = 19;
 
 /// Chunk size of the manifest: one digest per 4 KiB of stream, verified
 /// on every restore and compared across snapshots. Small enough that an
@@ -612,6 +615,80 @@ mod tests {
             restore(&later),
             Some(SnapError::Value("Loss dated after its severance"))
         );
+    }
+
+    /// A halted job is halted for a reason the blob can name: a record with
+    /// no cause, a state move outside a pause, and a stall cause that
+    /// disagrees with the active stalls are each a typed error, not a job
+    /// that never processes again.
+    #[test]
+    fn a_hostile_halt_table_is_a_typed_error() {
+        use turbine::Fault;
+        use turbine_types::SimTime;
+        let restore = |stream: &[u8]| {
+            Snapshot::from_stream(SnapshotMeta::default(), Cow::Borrowed(stream))
+                .restore()
+                .err()
+        };
+        // The halt table as the stream writes it: its length, then each
+        // job with its pause, state move, stop and stall.
+        type Record = (bool, Option<SimTime>, bool, bool);
+        let table = |records: &[Record]| {
+            let mut w = SnapWriter::new();
+            w.u64(records.len() as u64);
+            for &(paused, state_move, stopped, stalled) in records {
+                w.put(&JobId(1));
+                w.put(&paused);
+                w.put(&state_move);
+                w.put(&stopped);
+                w.put(&stalled);
+            }
+            w.into_bytes()
+        };
+        let with_table = |t: &Turbine, records: &[Record]| {
+            let stream = Snapshot::capture(t).stream.into_owned();
+            let (at, end) = (offset_of(t, "halts"), offset_of(t, "crash_mtbf"));
+            let mut hostile = stream[..at].to_vec();
+            hostile.extend(table(records));
+            hostile.extend(&stream[end..]);
+            restore(&hostile)
+        };
+        let disagree = Some(SnapError::Value(
+            "Turbine halts disagree with the active stalls",
+        ));
+
+        // The one job's category is stalled: the table is its stall.
+        let mut stalled = small_platform();
+        let category = stalled.job_category(JobId(1)).expect("provisioned");
+        stalled.inject_fault(Fault::ScribeStall(category.to_string()), None);
+        let stream = Snapshot::capture(&stalled).stream.into_owned();
+        let (at, end) = (
+            offset_of(&stalled, "halts"),
+            offset_of(&stalled, "crash_mtbf"),
+        );
+        assert_eq!(stream[at..end], table(&[(false, None, false, true)]));
+        assert_eq!(restore(&stream), None);
+
+        assert_eq!(
+            with_table(&stalled, &[(false, None, false, false)]),
+            Some(SnapError::Value("Halt with no cause"))
+        );
+        let moving = Some(SimTime::from_millis(1));
+        assert_eq!(
+            with_table(&stalled, &[(false, moving, false, true)]),
+            Some(SnapError::Value("Halt state move outside a pause"))
+        );
+        assert_eq!(with_table(&stalled, &[(true, moving, false, true)]), None);
+        // The stalled category's job without the cause.
+        assert_eq!(
+            with_table(&stalled, &[(false, None, true, false)]),
+            disagree
+        );
+        assert_eq!(with_table(&stalled, &[]), disagree);
+        // A stall cause with no stall.
+        let calm = small_platform();
+        assert_eq!(with_table(&calm, &[]), None);
+        assert_eq!(with_table(&calm, &[(false, None, false, true)]), disagree);
     }
 
     /// A standby is one of the Shard Manager's own containers: a blob whose

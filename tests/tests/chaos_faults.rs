@@ -241,6 +241,92 @@ fn syncer_crash_mid_complex_sync_resumes_after_restart() {
     assert_clean(&t);
 }
 
+/// A 4-task stateful job with 1e8 keys (≈ 390 s of state to move), run
+/// until it is up, with the invariant checker on.
+fn stateful_job_up() -> Turbine {
+    let mut config = TurbineConfig::default();
+    config.scaler_enabled = false;
+    let mut t = Turbine::new(config);
+    t.add_hosts(4, host_shape());
+    t.enable_invariant_checks(InvariantConfig::default());
+    let mut jc = JobConfig::stateless("stateful", 4, 32);
+    jc.max_task_count = 16;
+    t.provision_stateful_job(JobId(1), jc, TrafficModel::flat(2.0e6), 1.0e6, 256.0, 1.0e8)
+        .expect("provision");
+    t.run_for(Duration::from_mins(30));
+    assert_eq!(t.job_status(JobId(1)).expect("status").running_tasks, 4);
+    t
+}
+
+/// Resize the job to 8 tasks and run 3 minutes into the state move.
+fn resize_to_8_mid_move(t: &mut Turbine) {
+    t.oncall_set(JobId(1), "task_count", ConfigValue::Int(8))
+        .expect("resize");
+    t.run_for(Duration::from_mins(3));
+    let mid = t.job_status(JobId(1)).expect("status");
+    assert!(mid.paused, "the state move should be in flight: {mid:?}");
+}
+
+#[test]
+fn a_complex_sync_reverted_mid_move_resumes_the_job() {
+    let mut t = stateful_job_up();
+    resize_to_8_mid_move(&mut t);
+    // The oncall reverts the resize: expected is back at running, so no
+    // sync commits, yet the job must not stay paused.
+    t.oncall_clear(JobId(1)).expect("revert");
+    t.run_for(Duration::from_mins(5));
+    let after = t.job_status(JobId(1)).expect("status");
+    assert!(!after.paused, "{after:?}");
+    assert_eq!(after.running_tasks, 4, "{after:?}");
+    // Past the convergence window, the backlog of the pause drained.
+    t.run_for(Duration::from_mins(150));
+    let settled = t.job_status(JobId(1)).expect("status");
+    assert_eq!(settled.running_tasks, 4, "{settled:?}");
+    assert!(settled.backlog_bytes < 2.0e6 * 120.0, "{settled:?}");
+    assert_clean(&t);
+}
+
+#[test]
+fn a_pause_lifted_mid_move_leaves_no_state_move() {
+    let mut t = stateful_job_up();
+    resize_to_8_mid_move(&mut t);
+    // The revert comes with a simple edit: that sync commits and lifts
+    // the pause before the move is done.
+    t.oncall_clear(JobId(1)).expect("revert");
+    t.oncall_set(JobId(1), "slo_lag_secs", ConfigValue::Float(120.0))
+        .expect("edit");
+    t.run_for(Duration::from_mins(30));
+    let between = t.job_status(JobId(1)).expect("status");
+    assert_eq!(
+        (between.paused, between.running_tasks),
+        (false, 4),
+        "{between:?}"
+    );
+    // The next resize moves the state afresh: the job stays paused for
+    // the whole move, as the first resize does.
+    t.oncall_set(JobId(1), "task_count", ConfigValue::Int(8))
+        .expect("resize");
+    let tick = t.config().tick;
+    let mut paused_ms = 0;
+    let mut done = false;
+    for _ in 0..120 {
+        t.run_for(tick);
+        let status = t.job_status(JobId(1)).expect("status");
+        if status.paused {
+            paused_ms += tick.as_millis();
+        } else if status.running_tasks == 8 {
+            done = true;
+            break;
+        }
+    }
+    assert!(done, "the resize never completed");
+    assert!(
+        paused_ms >= 390_000,
+        "paused only {paused_ms} ms for a 390 s state move"
+    );
+    assert_clean(&t);
+}
+
 #[test]
 fn scribe_stall_is_diagnosed_as_dependency_failure_and_drains_after() {
     // Scaler on: the root-causer triages the lag the scaler refuses to
