@@ -134,6 +134,47 @@ echo "== one record per halted job =="
 ! grep -nE 'stalled.*(BTreeSet|HashSet)' crates/core/src/platform/scheduler.rs \
     || { echo "scheduler.rs builds a stalled set again: a stall is a halt cause"; exit 1; }
 
+echo "== a public function has an outside caller or a named test =="
+# One pass over the non-test sources: every `pub fn` under crates/*/src
+# whose name no other non-test file of crates/, benchmark/src or examples/
+# names (comments, string literals and `#[cfg(test)]` items and modules
+# aside; a `$crate` path in a macro body calls for every crate that expands
+# it). Each must be in tests/test_driven_pub_fns.txt with the test that
+# drives it, and each name there must still be such a function.
+find crates/*/src benchmark/src examples -name '*.rs' ! -name '*_tests.rs' ! -name tests.rs \
+    | sort | xargs awk '
+    FNR == 1 { skip = 0; prev = "" }
+    skip { next }
+    /^#\[cfg\(test\)\]$/ { cfg = 1; next }
+    cfg && /^mod [a-z_]+ \{/ { skip = 1; next }
+    { cfg = 0; line = $0; sub(/\/\/.*/, "", line); gsub(/"[^"]*"/, "\"\"", line) }
+    FILENAME ~ /^crates\/[^\/]+\/src\// && prev !~ /#\[cfg\(test\)\]/ && match(line, /^ *pub fn [a-z_][a-z0-9_]*/) {
+        name = substr(line, RSTART, RLENGTH); sub(/^ *pub fn /, "", name)
+        if (!((name, FILENAME) in declared)) { declared[name, FILENAME] = 1; decls[name]++ }
+    }
+    {
+        prev = $0
+        where = line ~ /\$crate/ ? "expansions" : FILENAME
+        n = split(line, words, /[^A-Za-z0-9_]+/)
+        for (i = 1; i <= n; i++) if (words[i] != "" && !((words[i], where) in seen)) {
+            seen[words[i], where] = 1; files[words[i]]++
+        }
+    }
+    END { for (name in decls) if (files[name] <= decls[name]) print name }' \
+    | sort > /tmp/uncalled_pub_fns.txt
+grep -v '^#' tests/test_driven_pub_fns.txt | awk '{ print $1 }' | sort \
+    | diff - /tmp/uncalled_pub_fns.txt \
+    || { echo "pub fns without an outside caller (>) or allow-listed but called or gone (<): see tests/test_driven_pub_fns.txt"; exit 1; }
+echo "$(wc -l < /tmp/uncalled_pub_fns.txt) test-driven pub fns, each named in tests/test_driven_pub_fns.txt"
+
+echo "== state nothing reads stays deleted =="
+# Scribe stores each partition's append count and their total, nothing
+# else: no payload records, retention mark or last-append time. The
+# Capacity Manager is a pure function of the cluster's total, with no
+# cluster table; the Pattern Analyzer has one downscale verdict.
+! grep -rnwE 'retain_payloads|read_records|last_append_at|register_cluster|downscale_is_safe' crates \
+    || { echo "a deleted Scribe, Capacity Manager or Pattern Analyzer path is back under crates/"; exit 1; }
+
 echo "== scale_smoke: sparse data plane at 1k hosts / 10k tasks (13 simulated hours) =="
 # scale_soak runs the identical scenario under DriveMode::EventDriven and
 # DriveMode::FullScan and exits non-zero unless the fingerprints are

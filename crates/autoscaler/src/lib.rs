@@ -28,7 +28,7 @@ pub mod rootcause;
 pub mod scaler;
 pub mod symptoms;
 
-pub use capacity::{CapacityDirective, CapacityManager};
+pub use capacity::CapacityDirective;
 pub use estimator::{
     cpu_units_needed, estimate_resources, required_task_count, ResourceEstimate, MAX_CPU_UNITS,
     MAX_ESTIMATED_TASKS,

@@ -276,34 +276,14 @@ impl PatternAnalyzer {
             Some(true) => return PatternVerdict::Anomalous,
             Some(false) => {}
         }
-        match self.downscale_is_safe_inner(job, now, sustainable_rate) {
+        match self.prior_days_fit(job, now, sustainable_rate) {
             None => PatternVerdict::InsufficientHistory,
             Some(true) => PatternVerdict::Safe,
             Some(false) => PatternVerdict::Unsafe,
         }
     }
 
-    /// Backwards-compatible boolean view of [`Self::check_downscale`]:
-    /// `None` when history is insufficient or the workload anomalous.
-    pub fn downscale_is_safe(
-        &self,
-        job: JobId,
-        now: SimTime,
-        sustainable_rate: f64,
-    ) -> Option<bool> {
-        match self.check_downscale(job, now, sustainable_rate) {
-            PatternVerdict::Safe => Some(true),
-            PatternVerdict::Unsafe => Some(false),
-            PatternVerdict::InsufficientHistory | PatternVerdict::Anomalous => None,
-        }
-    }
-
-    fn downscale_is_safe_inner(
-        &self,
-        job: JobId,
-        now: SimTime,
-        sustainable_rate: f64,
-    ) -> Option<bool> {
+    fn prior_days_fit(&self, job: JobId, now: SimTime, sustainable_rate: f64) -> Option<bool> {
         let history = self.history.get(&job)?;
         let start = abs_bucket(now);
         let horizon = (self.config.lookahead.as_millis() / BUCKET.as_millis()).max(1);
@@ -327,7 +307,7 @@ impl PatternAnalyzer {
 
     /// Is the recent workload significantly different from the same
     /// time-of-day in prior days? `None` with insufficient history.
-    pub fn is_anomalous(&self, job: JobId, now: SimTime) -> Option<bool> {
+    fn is_anomalous(&self, job: JobId, now: SimTime) -> Option<bool> {
         if self.days_recorded(job, now) < self.config.min_history_days {
             return None;
         }
@@ -442,9 +422,15 @@ mod tests {
     #[test]
     fn insufficient_history_returns_none() {
         let pa = analyzer_with_days(1);
-        assert_eq!(pa.downscale_is_safe(JOB, t(1, 0, 0), 1000.0), None);
+        assert_eq!(
+            pa.check_downscale(JOB, t(1, 0, 0), 1000.0),
+            PatternVerdict::InsufficientHistory
+        );
         let empty = PatternAnalyzer::new(PatternConfig::default());
-        assert_eq!(empty.downscale_is_safe(JobId(9), t(5, 0, 0), 1000.0), None);
+        assert_eq!(
+            empty.check_downscale(JobId(9), t(5, 0, 0), 1000.0),
+            PatternVerdict::InsufficientHistory
+        );
     }
 
     #[test]
@@ -452,9 +438,9 @@ mod tests {
         let pa = analyzer_with_days(5);
         let now = t(5, 0, 0);
         // Peak of the diurnal curve is 150: capacity 200 clears it.
-        assert_eq!(pa.downscale_is_safe(JOB, now, 200.0), Some(true));
+        assert_eq!(pa.check_downscale(JOB, now, 200.0), PatternVerdict::Safe);
         // Capacity 60 is below even the trough at some hours.
-        assert_eq!(pa.downscale_is_safe(JOB, now, 60.0), Some(false));
+        assert_eq!(pa.check_downscale(JOB, now, 60.0), PatternVerdict::Unsafe);
     }
 
     #[test]
@@ -465,7 +451,7 @@ mod tests {
         // peak (150) within the 4h lookahead window reaching 04:00 where
         // rate = 100+50·sin(2π·4/24) ≈ 143.3.
         let now = t(5, 0, 0);
-        assert_eq!(pa.downscale_is_safe(JOB, now, 120.0), Some(false));
+        assert_eq!(pa.check_downscale(JOB, now, 120.0), PatternVerdict::Unsafe);
     }
 
     #[test]
@@ -477,7 +463,10 @@ mod tests {
             pa.record(JOB, t(5, 1, 30 + m * 10), diurnal_rate(now) * 2.5);
         }
         assert_eq!(pa.is_anomalous(JOB, now), Some(true));
-        assert_eq!(pa.downscale_is_safe(JOB, now, 1.0e9), None);
+        assert_eq!(
+            pa.check_downscale(JOB, now, 1.0e9),
+            PatternVerdict::Anomalous
+        );
     }
 
     #[test]
@@ -512,8 +501,8 @@ mod tests {
         // the 500-rate days, not the stale 100-rate ones.
         let now = t(2 * HISTORY_DAYS, 0, 0);
         assert_eq!(pa.is_anomalous(JOB, now), Some(false));
-        assert_eq!(pa.downscale_is_safe(JOB, now, 200.0), Some(false));
-        assert_eq!(pa.downscale_is_safe(JOB, now, 600.0), Some(true));
+        assert_eq!(pa.check_downscale(JOB, now, 200.0), PatternVerdict::Unsafe);
+        assert_eq!(pa.check_downscale(JOB, now, 600.0), PatternVerdict::Safe);
     }
 
     #[test]

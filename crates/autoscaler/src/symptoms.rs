@@ -51,7 +51,7 @@ impl JobMetrics {
     /// is, in seconds. When nothing is being processed but a backlog
     /// exists, the lag is effectively unbounded; we surface infinity and
     /// let the caller treat it as a (severe) lag symptom.
-    pub fn time_lagged_secs(&self) -> f64 {
+    fn time_lagged_secs(&self) -> f64 {
         if self.total_bytes_lagged <= 0.0 {
             return 0.0;
         }

@@ -16,7 +16,7 @@ pub const MAX_MINS: u64 = u64::MAX / 60_000;
 
 /// A parsed command line. [`Args::from_env`] and [`Args::value`] print the
 /// usage line and exit 2 on a bad command line; [`Args::parse`] and
-/// [`Args::try_value`] say what was wrong instead.
+/// `Args::try_value` say what was wrong instead.
 #[derive(Debug)]
 pub struct Args {
     usage: &'static str,
@@ -52,7 +52,7 @@ impl Args {
     }
 
     /// `flag`'s value as a `T` in `min..=max`, if it was given.
-    pub fn try_value<T>(&self, flag: &str, min: T, max: T) -> Result<Option<T>, String>
+    fn try_value<T>(&self, flag: &str, min: T, max: T) -> Result<Option<T>, String>
     where
         T: FromStr + PartialOrd + Display,
     {
@@ -68,7 +68,7 @@ impl Args {
         }
     }
 
-    /// [`Args::try_value`], exiting 2 with the usage line on a bad value.
+    /// `Args::try_value`, exiting 2 with the usage line on a bad value.
     pub fn value<T>(&self, flag: &str, min: T, max: T) -> Option<T>
     where
         T: FromStr + PartialOrd + Display,

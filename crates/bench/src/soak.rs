@@ -9,17 +9,6 @@ use turbine_sim::SimRng;
 use turbine_types::{Duration, HostId, JobId, SimTime, TaskId};
 use turbine_workloads::TrafficModel;
 
-/// One host flap derived from the seed: fail at `fail_at`, recover at
-/// `recover_at`.
-pub struct HostFlap {
-    /// Index into the soak platform's host list.
-    pub host: usize,
-    /// When the host fails.
-    pub fail_at: SimTime,
-    /// When the host recovers.
-    pub recover_at: SimTime,
-}
-
 /// Sparse checks between two full-scan audits: a 30-minute smoke checks
 /// 180 instants, so it audits 11 times. The audit is pure, so its cadence
 /// moves no digest.
@@ -153,8 +142,9 @@ pub fn schedule_faults(turbine: &mut Turbine, total: Duration) {
 
 /// Derive the host-flap schedule from the seed: one flap roughly every
 /// 6 hours (at least one per run), each 10–30 minutes, all on hosts 2+,
-/// all recovered by 85 % of the run.
-pub fn flap_schedule(total: Duration, hosts: usize, rng: &mut SimRng) -> Vec<HostFlap> {
+/// all recovered by 85 % of the run. Returns each flap's failure and its
+/// recovery, as an instant and an index into the soak platform's hosts.
+fn flap_schedule(total: Duration, hosts: usize, rng: &mut SimRng) -> (Flaps, Flaps) {
     let flaps = ((total.as_secs_f64() / 21_600.0).ceil() as usize).max(1);
     (0..flaps)
         .map(|i| {
@@ -162,14 +152,14 @@ pub fn flap_schedule(total: Duration, hosts: usize, rng: &mut SimRng) -> Vec<Hos
                 total.as_secs_f64() * 0.80 * (i as f64 + rng.uniform(0.2, 0.8)) / flaps as f64;
             let fail_at = SimTime::ZERO + Duration::from_secs_f64(slot);
             let len = rng.uniform(600.0, 1800.0).min(total.as_secs_f64() * 0.05);
-            HostFlap {
-                host: 2 + rng.uniform_usize(0, hosts - 2),
-                fail_at,
-                recover_at: fail_at + Duration::from_secs_f64(len),
-            }
+            let recover_at = fail_at + Duration::from_secs_f64(len);
+            let host = 2 + rng.uniform_usize(0, hosts - 2);
+            ((fail_at, host), (recover_at, host))
         })
-        .collect()
+        .unzip()
 }
+
+type Flaps = Vec<(SimTime, usize)>;
 
 /// Run the full soak scenario and return the driven platform; callers
 /// pull whatever they assert on (fingerprint, fault log, trace digest,
@@ -184,12 +174,9 @@ pub fn run_soak(params: &SoakParams) -> Turbine {
     // Settle before chaos.
     turbine.drive_for(Duration::from_mins(5).min(params.total), params.mode);
     schedule_faults(&mut turbine, params.total);
-    let flaps = flap_schedule(params.total, hosts.len(), &mut rng);
+    let (mut fail_queue, mut recover_queue) = flap_schedule(params.total, hosts.len(), &mut rng);
 
     let end = SimTime::ZERO + params.total;
-    let mut fail_queue: Vec<(SimTime, usize)> = flaps.iter().map(|f| (f.fail_at, f.host)).collect();
-    let mut recover_queue: Vec<(SimTime, usize)> =
-        flaps.iter().map(|f| (f.recover_at, f.host)).collect();
     while turbine.now() < end {
         let now = turbine.now();
         // Recoveries first so a host is never failed while already down.

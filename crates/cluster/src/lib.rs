@@ -84,7 +84,7 @@ impl Cluster {
     }
 
     /// Add one healthy host with the given capacity.
-    pub fn add_host(&mut self, capacity: Resources) -> HostId {
+    fn add_host(&mut self, capacity: Resources) -> HostId {
         let id = HostId(self.next_host);
         self.next_host += 1;
         self.generation += 1;
@@ -127,27 +127,6 @@ impl Cluster {
         Ok(id)
     }
 
-    /// Allocate one container per host covering `fraction` of each host's
-    /// capacity — the standard Turbine deployment shape (one parent
-    /// container managing the host's streaming pool, with headroom left
-    /// for other tenants and spikes).
-    pub fn allocate_fleet(&mut self, fraction: f64) -> Vec<ContainerId> {
-        assert!((0.0..=1.0).contains(&fraction), "fraction must be in [0,1]");
-        let hosts: Vec<(HostId, Resources)> = self
-            .hosts
-            .iter()
-            .filter(|(_, h)| h.healthy)
-            .map(|(&id, h)| (id, (h.capacity - h.allocated).scale(fraction)))
-            .collect();
-        hosts
-            .into_iter()
-            .map(|(host, cap)| {
-                self.allocate_container(host, cap)
-                    .expect("capacity fraction of remaining always fits")
-            })
-            .collect()
-    }
-
     /// Release a container's resources back to its host.
     pub fn release_container(&mut self, container: ContainerId) -> Result<(), ClusterError> {
         let c = self
@@ -181,20 +160,6 @@ impl Cluster {
         h.healthy = healthy;
         self.generation += 1;
         Ok(())
-    }
-
-    /// Permanently remove a host and all containers on it. Returns the
-    /// removed container ids.
-    pub fn remove_host(&mut self, host: HostId) -> Result<Vec<ContainerId>, ClusterError> {
-        let h = self
-            .hosts
-            .remove(&host)
-            .ok_or(ClusterError::UnknownHost(host))?;
-        self.generation += 1;
-        for c in &h.containers {
-            self.containers.remove(c);
-        }
-        Ok(h.containers)
     }
 
     /// Host a container lives on.
@@ -245,11 +210,6 @@ impl Cluster {
             .iter()
             .filter(|(_, c)| self.hosts.get(&c.host).is_some_and(|h| h.healthy))
             .map(|(&id, c)| (id, c.capacity))
-    }
-
-    /// All containers (healthy or not), sorted by id.
-    pub fn all_containers(&self) -> Vec<ContainerId> {
-        self.containers.keys().copied().collect()
     }
 
     /// All hosts, sorted by id.
@@ -335,45 +295,23 @@ mod tests {
     }
 
     #[test]
-    fn fleet_allocation_covers_every_healthy_host() {
-        let mut cluster = Cluster::new();
-        cluster.add_hosts(10, scuba_host());
-        let sick = cluster.hosts()[3];
-        cluster.fail_host(sick).expect("fail");
-        let fleet = cluster.allocate_fleet(0.8);
-        assert_eq!(fleet.len(), 9);
-        for &c in &fleet {
-            let cap = cluster.container_capacity(c).expect("cap");
-            assert!((cap.cpu - 56.0 * 0.8).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn host_failure_marks_containers_unhealthy() {
         let mut cluster = Cluster::new();
         let hosts = cluster.add_hosts(2, scuba_host());
-        let fleet = cluster.allocate_fleet(0.5);
+        let fleet: Vec<ContainerId> = hosts
+            .iter()
+            .map(|&h| {
+                cluster
+                    .allocate_container(h, scuba_host().scale(0.5))
+                    .expect("fits")
+            })
+            .collect();
         assert_eq!(cluster.healthy_containers().len(), 2);
         cluster.fail_host(hosts[0]).expect("fail");
         assert_eq!(cluster.healthy_containers().len(), 1);
         assert!(!cluster.is_container_healthy(fleet[0]));
         cluster.recover_host(hosts[0]).expect("recover");
         assert_eq!(cluster.healthy_containers().len(), 2);
-    }
-
-    #[test]
-    fn remove_host_drops_its_containers() {
-        let mut cluster = Cluster::new();
-        let hosts = cluster.add_hosts(2, scuba_host());
-        cluster.allocate_fleet(0.5);
-        let dropped = cluster.remove_host(hosts[1]).expect("remove");
-        assert_eq!(dropped.len(), 1);
-        assert_eq!(cluster.container_count(), 1);
-        assert!(!cluster.is_container_healthy(dropped[0]));
-        assert!(matches!(
-            cluster.host_of(dropped[0]),
-            Err(ClusterError::UnknownContainer(_))
-        ));
     }
 
     #[test]
@@ -410,11 +348,8 @@ mod tests {
         let _ = cluster.healthy_containers();
         assert!(cluster.fail_host(HostId(9)).is_err());
         assert!(cluster.release_container(ContainerId(9)).is_err());
-        assert!(cluster.remove_host(HostId(9)).is_err());
         assert!(!moved(&cluster));
         cluster.release_container(c).expect("release");
-        assert!(moved(&cluster));
-        cluster.remove_host(h).expect("remove");
         assert!(moved(&cluster));
     }
 

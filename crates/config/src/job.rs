@@ -57,14 +57,6 @@ impl ResiliencyClass {
         self.word()
     }
 
-    /// Parse a canonical class name; `None` for unknown strings (the
-    /// `Option` return is the point — callers branch, they don't want a
-    /// `FromStr` error type).
-    #[allow(clippy::should_implement_trait)]
-    pub fn from_str(s: &str) -> Option<Self> {
-        Self::from_word(s)
-    }
-
     /// All classes, in tier order (for dashboards and SLO reports).
     pub const ALL: [ResiliencyClass; 3] = [
         ResiliencyClass::BestEffort,
@@ -308,9 +300,9 @@ mod tests {
     #[test]
     fn resiliency_names_roundtrip_and_reject_unknowns() {
         for class in ResiliencyClass::ALL {
-            assert_eq!(ResiliencyClass::from_str(class.as_str()), Some(class));
+            assert_eq!(ResiliencyClass::from_word(class.as_str()), Some(class));
         }
-        assert_eq!(ResiliencyClass::from_str("platinum"), None);
+        assert_eq!(ResiliencyClass::from_word("platinum"), None);
         let mut v = JobConfig::stateless("t", 1, 1).to_value();
         v.insert("resiliency", "platinum".into());
         assert!(JobConfig::from_value(&v).is_err());

@@ -110,11 +110,6 @@ pub struct FleetHealth {
 }
 
 impl FleetHealth {
-    /// True when every task runs and every job is within SLO.
-    pub fn all_green(&self) -> bool {
-        self.unhealthy.is_empty()
-    }
-
     /// Render the operator dashboard as text.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -331,7 +326,7 @@ mod tests {
         .expect("provision");
         t.run_for(Duration::from_mins(10));
         let health = fleet_health(&t);
-        assert!(health.all_green(), "{}", health.render());
+        assert!(health.unhealthy.is_empty(), "{}", health.render());
         assert_eq!(health.total_jobs, 1);
         assert_eq!(health.running_tasks, 4);
         assert!((health.tasks_running_fraction - 1.0).abs() < 1e-12);
@@ -359,7 +354,7 @@ mod tests {
         }
         t.run_for(Duration::from_mins(10));
         let health = fleet_health(&t);
-        assert!(!health.all_green());
+        assert!(!health.unhealthy.is_empty());
         let (_, issues) = &health.unhealthy[0];
         assert!(
             issues
@@ -375,7 +370,7 @@ mod tests {
     fn empty_fleet_is_vacuously_green() {
         let t = platform();
         let health = fleet_health(&t);
-        assert!(health.all_green());
+        assert!(health.unhealthy.is_empty());
         assert_eq!(health.total_jobs, 0);
         assert_eq!(health.tasks_running_fraction, 1.0);
     }
@@ -494,7 +489,7 @@ mod tests {
         }
         t.run_for(Duration::from_mins(10));
         let health = fleet_health(&t);
-        assert!(!health.all_green());
+        assert!(!health.unhealthy.is_empty());
         // With tracing on (default), decision lines either exist for the
         // unhealthy job or the job genuinely saw no decision yet — but the
         // panel must never list a job with zero lines.

@@ -373,17 +373,6 @@ impl JobView<'_> {
     pub fn total_arrived(&self) -> f64 {
         (self.cols.iter().map(|p| p.appended).sum::<u64>() + self.lazy_arrived) as f64
     }
-
-    /// Each partition's arrival weight, in partition order, as the
-    /// difference of its running sum and the one before it.
-    pub fn partition_weights(&self) -> impl Iterator<Item = f64> + '_ {
-        let mut before = 0.0;
-        self.cols.iter().map(move |p| {
-            let weight = p.cum - before;
-            before = p.cum;
-            weight
-        })
-    }
 }
 
 /// Unconsumed bytes across a task's partition slice.
@@ -2168,12 +2157,7 @@ impl Engine {
     /// its column, its category partition and its checkpoint pair. The ids
     /// are the bus's, so an engine is synced against the bus its ids came
     /// from (or one restored from it).
-    pub fn sync_durable(
-        &mut self,
-        now: SimTime,
-        scribe: &mut Scribe,
-        checkpoints: &mut CheckpointStore,
-    ) {
+    pub fn sync_durable(&mut self, scribe: &mut Scribe, checkpoints: &mut CheckpointStore) {
         let JobTable {
             ids,
             runtimes,
@@ -2207,7 +2191,7 @@ impl Engine {
                 // checkpoint commits against a tail of 0.
                 let tail = category
                     .as_mut()
-                    .map_or(0, |view| view.append_then_tail(i, bytes, now));
+                    .map_or(0, |view| view.append_then_tail(i, bytes));
                 // Commit the consumed offset, capped at the durable tail: a
                 // checkpoint must name a readable position. After a WAL
                 // torn-tail salvage the tail can sit *below* both the

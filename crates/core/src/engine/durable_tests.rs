@@ -34,9 +34,9 @@ fn sync_by_name(
     for (&job, rt) in ids.iter().zip(runtimes.iter_mut()) {
         let epoch_clean = rt.last_durable_epoch == rt.durable_epoch;
         let name = name_of(job);
-        match scribe.stats(name) {
-            Ok(stats) => {
-                if epoch_clean && rt.last_category_appended == Some(stats.total_appended) {
+        match scribe.category_id(name) {
+            Some(id) => {
+                if epoch_clean && rt.last_category_appended == Some(scribe.tails(id).sum()) {
                     continue;
                 }
                 let mut offsets = checkpoints.job_mut(job);
@@ -47,16 +47,15 @@ fn sync_by_name(
                         let _ = scribe.append_bytes(name, partition, bytes, now);
                     }
                     p.scribe_synced = p.appended;
-                    let tail = scribe.tail_offset(name, partition).unwrap_or(0);
+                    let tail = scribe.tails(id).nth(i).unwrap_or(0);
                     let target = p.consumed.min(tail);
                     if target >= offsets.get(partition) {
                         offsets.commit(partition, target);
                     }
                 }
-                let stats = scribe.stats(name).expect("the category exists");
-                rt.last_category_appended = Some(stats.total_appended);
+                rt.last_category_appended = Some(scribe.tails(id).sum());
             }
-            Err(_) => {
+            None => {
                 if epoch_clean && rt.last_category_appended.is_none() {
                     continue;
                 }
@@ -148,10 +147,10 @@ proptest! {
                         col.consumed = col.appended.min(col.consumed + amount * 29 / 100);
                     }
                     3 => {
-                        let p = PartitionId(raw);
-                        if let Ok(tail) = side.scribe.tail_offset(name, p) {
+                        let id = side.scribe.category_id(name);
+                        if let Some(tail) = id.and_then(|id| side.scribe.tails(id).nth(raw as usize)) {
                             side.scribe
-                                .salvage_tail(name, p, tail.saturating_sub(amount))
+                                .salvage_tail(name, PartitionId(raw), tail.saturating_sub(amount))
                                 .expect("existing partition");
                         }
                     }
@@ -171,7 +170,7 @@ proptest! {
                 }
             }
             if kind >= 7 {
-                pass.engine.sync_durable(now, &mut pass.scribe, &mut pass.checkpoints);
+                pass.engine.sync_durable(&mut pass.scribe, &mut pass.checkpoints);
                 sync_by_name(&mut oracle.engine, now, &mut oracle.scribe, &mut oracle.checkpoints);
             }
             prop_assert!(encoded(&pass.checkpoints) == encoded(&oracle.checkpoints), "rows");

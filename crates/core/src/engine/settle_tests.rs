@@ -543,7 +543,7 @@ fn a_flat_job_that_keeps_up_is_skipped_and_every_reader_derives_its_bytes() {
         .into_iter()
         .zip(&mut synced)
     {
-        engine.sync_durable(pair.now, scribe, checkpoints);
+        engine.sync_durable(scribe, checkpoints);
         assert_eq!(checkpoints.job_total_ingested(FLAT), 24 * 15_000_000);
     }
     assert!(encoded(&synced[0].2) == encoded(&synced[1].2));

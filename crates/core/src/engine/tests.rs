@@ -155,15 +155,13 @@ fn restart_delay_suppresses_processing() {
 #[test]
 fn durable_sync_mirrors_scribe_and_checkpoints() {
     let (mut engine, specs) = engine_with_job(1.0e6, 2);
-    let now = run_ticks(&mut engine, 6, 64.0);
+    run_ticks(&mut engine, 6, 64.0);
     let mut scribe = Scribe::new();
     let category = scribe.create_category("cat", 16).expect("create");
     engine.bind_category(JOB, category);
     let mut checkpoints = CheckpointStore::new();
-    engine.sync_durable(now, &mut scribe, &mut checkpoints);
-    let total: u64 = (0..16)
-        .map(|p| scribe.tail_offset("cat", PartitionId(p)).expect("tail"))
-        .sum();
+    engine.sync_durable(&mut scribe, &mut checkpoints);
+    let total: u64 = scribe.tails(category).sum();
     // 60 s at 1 MB/s = 60 MB arrived.
     assert!((total as f64 - 6.0e7).abs() < 1.0e6, "total {total}");
     assert!(checkpoints.job_total_ingested(JOB) > 0);
@@ -178,20 +176,16 @@ fn repeated_syncs_on_a_quiet_job_are_skipped_and_exact() {
     let category = scribe.create_category("cat", 16).expect("create");
     engine.bind_category(JOB, category);
     let mut checkpoints = CheckpointStore::new();
-    engine.sync_durable(now, &mut scribe, &mut checkpoints);
-    let tails: Vec<u64> = (0..16)
-        .map(|p| scribe.tail_offset("cat", PartitionId(p)).expect("tail"))
-        .collect();
+    engine.sync_durable(&mut scribe, &mut checkpoints);
+    let tails: Vec<u64> = scribe.tails(category).collect();
     let offsets: Vec<u64> = (0..16)
         .map(|p| checkpoints.get(JOB, PartitionId(p)))
         .collect();
     let entries = checkpoints.len();
     // No ticks in between: the second sync must change nothing (it is
     // skipped via the epoch, but a full replay would also be a no-op).
-    engine.sync_durable(now, &mut scribe, &mut checkpoints);
-    let tails2: Vec<u64> = (0..16)
-        .map(|p| scribe.tail_offset("cat", PartitionId(p)).expect("tail"))
-        .collect();
+    engine.sync_durable(&mut scribe, &mut checkpoints);
+    let tails2: Vec<u64> = scribe.tails(category).collect();
     let offsets2: Vec<u64> = (0..16)
         .map(|p| checkpoints.get(JOB, PartitionId(p)))
         .collect();
@@ -201,10 +195,8 @@ fn repeated_syncs_on_a_quiet_job_are_skipped_and_exact() {
     // New arrivals re-arm the sync.
     let dt = Duration::from_secs(10);
     engine.tick(now + dt, dt, &caps(64.0), &|_| false);
-    engine.sync_durable(now + dt, &mut scribe, &mut checkpoints);
-    let total: u64 = (0..16)
-        .map(|p| scribe.tail_offset("cat", PartitionId(p)).expect("tail"))
-        .sum();
+    engine.sync_durable(&mut scribe, &mut checkpoints);
+    let total: u64 = scribe.tails(category).sum();
     assert!(total > tails.iter().sum::<u64>(), "sync resumed after tick");
 }
 
@@ -318,7 +310,7 @@ fn only_mutations_reshape_a_job() {
         0.0,
     );
     assert_eq!(for_checker(&mut engine), [other]);
-    let mut weights: Vec<f64> = engine.job(JOB).expect("job").partition_weights().collect();
+    let mut weights = vec![1.0; engine.job(JOB).expect("job").cols.len()];
     weights[0] = 0.0;
     engine.set_partition_weights(JOB, &weights);
     assert_eq!(for_checker(&mut engine), [JOB]);

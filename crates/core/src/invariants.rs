@@ -28,7 +28,9 @@
 //! 8. **Standby never commits** — a registered standby's Task Manager
 //!    runs no task of its own job. Only running tasks commit checkpoints,
 //!    so the shadow-consuming standby never writes the checkpoint store
-//!    (single-writer checkpoint safety).
+//!    (single-writer checkpoint safety). Invariant 7's scan checks it,
+//!    and reports it as `standby-isolated`: a standby running its job's
+//!    task shares a host with that primary.
 //! 9. **Single owner after promotion** — a promoted job's tasks run only
 //!    on the promoted container, never also on another live Task Manager.
 //! 10. **Clean revival** — a container revived after being declared dead
@@ -191,10 +193,8 @@ struct ScopedKeys {
     overcommit: BTreeSet<String>,
     /// Invariant 6.
     quarantine: BTreeSet<String>,
-    /// Invariant 7.
+    /// Invariants 7 + 8.
     standby: BTreeSet<String>,
-    /// Invariant 8.
-    commits: BTreeSet<String>,
     /// Invariant 9.
     promotion: BTreeSet<String>,
     /// Invariant 10.
@@ -222,7 +222,7 @@ struct Scope {
 }
 
 /// The fleet-wide scopes, in the order a check records their violations.
-const SCOPES: [Scope; 7] = [
+const SCOPES: [Scope; 6] = [
     Scope {
         scan: scan_task_and_shard_ownership,
         slot: |keys| &mut keys.distributed,
@@ -248,12 +248,6 @@ const SCOPES: [Scope; 7] = [
         audited: true,
     },
     Scope {
-        scan: scan_standby_never_commits,
-        slot: |keys| &mut keys.commits,
-        trigger: Some(standby_moved),
-        audited: true,
-    },
-    Scope {
         scan: scan_promotion_single_owner,
         slot: |keys| &mut keys.promotion,
         trigger: None,
@@ -267,7 +261,7 @@ const SCOPES: [Scope; 7] = [
     },
 ];
 
-/// The trigger of both standby scopes (7, 8). They read standby
+/// The trigger of the standby scope (7, 8). It reads standby
 /// registrations, the tasks of standby jobs, and host placement: rescan
 /// when a registration or a standby job's tasks moved. Placement never
 /// does: a container keeps its host for life.
@@ -384,9 +378,8 @@ impl InvariantChecker {
         self.jobs_examined
     }
 
-    /// Fleet-wide scans of the five flagged scopes — task and shard
-    /// ownership, host overcommit, quarantine, standby isolation, standby
-    /// commits — since
+    /// Fleet-wide scans of the four flagged scopes — task and shard
+    /// ownership, host overcommit, quarantine, standby isolation — since
     /// construction or restore; the audit is not counted. A check scans a
     /// scope only when its change flag says its inputs may have moved.
     pub fn scopes_scanned(&self) -> u64 {
@@ -660,45 +653,30 @@ fn scan_quarantine_justified(view: &InvariantView<'_>, _: &Inbox, found: &mut Ve
     }
 }
 
-/// Invariant 7: a warm standby never shares a host with one of its
-/// job's primary tasks, and never runs the job's tasks itself before
-/// promotion.
+/// Invariants 7 and 8: a warm standby never shares a host with one of
+/// its job's primary tasks, as the engine places them, and its own Task
+/// Manager runs none of the job's tasks, so it commits none of the job's
+/// checkpoints.
 fn scan_standby_isolation(view: &InvariantView<'_>, _: &Inbox, found: &mut Vec<Finding>) {
     for (job, standby) in view.shard_manager.standbys() {
         let standby_host = view.cluster.host_of(standby).ok();
-        for (&task, active) in view.engine.tasks_of_job(job) {
-            let conflict = active.container == standby
+        let placed = view.engine.tasks_of_job(job).find(|(_, active)| {
+            active.container == standby
                 || (standby_host.is_some()
-                    && view.cluster.host_of(active.container).ok() == standby_host);
-            if conflict {
-                found.push((
-                    format!("standby:{job:?}"),
-                    "standby-isolated",
-                    format!(
-                        "{job} standby {standby} shares a host with primary {task:?} on {}",
-                        active.container
-                    ),
-                ));
-                break;
-            }
-        }
-    }
-}
-
-/// Invariant 8: a registered standby's Task Manager runs no task of its
-/// own job, so the standby commits none of the job's checkpoints.
-fn scan_standby_never_commits(view: &InvariantView<'_>, _: &Inbox, found: &mut Vec<Finding>) {
-    for (job, standby) in view.shard_manager.standbys() {
-        let Some(tm) = view.task_managers.get(&standby) else {
-            continue;
+                    && view.cluster.host_of(active.container).ok() == standby_host)
+        });
+        let run = (view.task_managers.get(&standby))
+            .and_then(|tm| tm.running_tasks().find(|(task, _)| task.job == job));
+        let primary = match (placed, run) {
+            (Some((task, active)), _) => format!("{task:?} on {}", active.container),
+            (None, Some((task, _))) => format!("{task:?} in its own Task Manager"),
+            (None, None) => continue,
         };
-        if let Some((task, _)) = tm.running_tasks().find(|(t, _)| t.job == job) {
-            found.push((
-                format!("standby-commit:{job:?}"),
-                "standby-never-commits",
-                format!("{job} standby {standby} runs {task:?}, which commits checkpoints"),
-            ));
-        }
+        found.push((
+            format!("standby:{job:?}"),
+            "standby-isolated",
+            format!("{job} standby {standby} shares a host with primary {primary}"),
+        ));
     }
 }
 
@@ -793,14 +771,13 @@ use turbine_types::snap_struct;
 /// Every invariant name a [`Violation`] can carry; decode re-interns the
 /// stored string into this table so the restored record keeps the same
 /// `&'static str` identity the checker emits.
-const INVARIANT_NAMES: [&str; 10] = [
+const INVARIANT_NAMES: [&str; 9] = [
     "single-partition-ownership",
     "single-task-ownership",
     "single-shard-ownership",
     "no-host-overcommit",
     "quarantine-after-max-failures",
     "standby-isolated",
-    "standby-never-commits",
     "promotion-single-owner",
     "container-revival-clean",
     "post-fault-convergence",
@@ -820,7 +797,6 @@ snap_struct!(ScopedKeys {
     overcommit,
     quarantine,
     standby,
-    commits,
     promotion,
     revival
 });

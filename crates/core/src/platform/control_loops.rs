@@ -13,7 +13,7 @@ use crate::invariants::{Inbox, InvariantChecker};
 use crate::metrics::DiagnosisRecord;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-use turbine_autoscaler::{Diagnosis, JobMetrics, Mitigation, ScalingAction};
+use turbine_autoscaler::{capacity, Diagnosis, JobMetrics, Mitigation, ScalingAction};
 use turbine_config::{ConfigLevel, JobConfig, ResiliencyClass};
 use turbine_jobstore::{JobService, MemWal, StoreReader};
 use turbine_shardmgr::ShardMovement;
@@ -795,9 +795,8 @@ impl Turbine {
             .map(|(j, c)| (j, c.priority, c.task_resources.scale(c.task_count as f64)))
             .collect();
         let total_reserved: Resources = job_list.iter().map(|&(_, _, reserved)| reserved).sum();
-        self.capacity
-            .register_cluster("primary", self.cluster.total_healthy_capacity());
-        let directive = self.capacity.evaluate("primary", total_reserved, &job_list);
+        let total = self.cluster.total_healthy_capacity();
+        let directive = capacity::evaluate(total, total_reserved, &job_list);
         self.scaler.set_priority_floor(directive.priority_floor);
         if !directive.jobs_to_stop.is_empty() {
             for &job in &directive.jobs_to_stop {
@@ -826,7 +825,7 @@ impl Turbine {
     /// never write the checkpoint store.
     pub(crate) fn checkpoint_round(&mut self) {
         self.engine
-            .sync_durable(self.now, &mut self.scribe, &mut self.checkpoints);
+            .sync_durable(&mut self.scribe, &mut self.checkpoints);
     }
 
     /// One metric-sampling round. Each engine job is found by position:
@@ -1028,16 +1027,16 @@ impl Turbine {
     /// A primary task just landed on `container`: if the job's standby
     /// lives on the same host (e.g. a scale-up placed a shard there), the
     /// registration is no longer isolated and is dropped eagerly — the
-    /// next fail-over check places a fresh standby elsewhere.
+    /// next fail-over check places a fresh standby elsewhere. A promotion
+    /// consumes its registration itself, so its tasks find none here.
     fn evict_conflicting_standby(&mut self, job: JobId, container: ContainerId) {
         let Some(standby) = self.shard_manager.standby_of(job) else {
             return;
         };
-        let same_host = standby == container
-            || matches!(
-                (self.cluster.host_of(standby), self.cluster.host_of(container)),
-                (Ok(a), Ok(b)) if a == b
-            );
+        let same_host = matches!(
+            (self.cluster.host_of(standby), self.cluster.host_of(container)),
+            (Ok(a), Ok(b)) if a == b
+        );
         if same_host {
             self.drop_standby(job);
         }

@@ -172,7 +172,7 @@ impl Turbine {
     /// State Syncer restart. While the syncer was down the Scribe WAL may
     /// have salvaged a torn tail, legitimately moving a partition's tail
     /// *backwards* past an already-persisted checkpoint; left alone, such
-    /// a checkpoint makes every `bytes_available` read error forever. Each
+    /// a checkpoint makes every `Scribe::backlog` read error forever. Each
     /// clamp is surfaced as a `checkpoint_clamp` trace event.
     pub(crate) fn clamp_recovered_checkpoints(&mut self) {
         use turbine_trace::TraceData;

@@ -51,7 +51,7 @@ use crate::invariants::{Inbox, InvariantChecker, InvariantConfig, Violation};
 use crate::metrics::PlatformMetrics;
 use scheduler::ControlSchedule;
 use std::collections::{BTreeMap, BTreeSet};
-use turbine_autoscaler::{AutoScaler, CapacityManager, JobMetrics, ScalerConfig};
+use turbine_autoscaler::{AutoScaler, JobMetrics, ScalerConfig};
 use turbine_cluster::Cluster;
 use turbine_config::{ConfigLevel, ConfigValue, JobConfig, ResiliencyClass};
 use turbine_jobstore::{JobService, JobStore, MemWal, StoreReader};
@@ -309,7 +309,6 @@ pub struct Turbine {
     pub(crate) shard_manager: ShardManager,
     pub(crate) task_managers: BTreeMap<ContainerId, LocalTaskManager>,
     pub(crate) scaler: AutoScaler,
-    pub(crate) capacity: CapacityManager,
     pub(crate) checkpoints: CheckpointStore,
     pub(crate) engine: Engine,
     /// CPU capacity of every healthy container, as the engine tick takes
@@ -390,8 +389,6 @@ impl Turbine {
         task_service.invalidate();
         let mut shard_manager = ShardManager::new(config.shardmgr);
         shard_manager.ensure_shards(config.shard_count);
-        let mut capacity = CapacityManager::default();
-        capacity.register_cluster("primary", Resources::ZERO);
         Ok(Turbine {
             now: SimTime::ZERO,
             cluster: Cluster::new(),
@@ -403,7 +400,6 @@ impl Turbine {
             shard_manager,
             task_managers: BTreeMap::new(),
             scaler: AutoScaler::new(config.scaler),
-            capacity,
             checkpoints: CheckpointStore::new(),
             engine: Engine::new(),
             container_cpu: None,
@@ -512,8 +508,6 @@ impl Turbine {
             self.container_changed(container);
         }
         self.cluster_changed();
-        self.capacity
-            .register_cluster("primary", self.cluster.total_healthy_capacity());
         // Fast initial scheduling: place shards on the new containers now
         // rather than waiting for the next periodic rebalance.
         let result = self.shard_manager.rebalance();
@@ -1048,7 +1042,7 @@ turbine_stream! {
     task_service via (TaskService::snap_shared, TaskService::unsnap_shared),
     shard_manager,
     task_managers via (snap_managers, unsnap_managers),
-    scaler, capacity, checkpoints, engine, halts, crash_mtbf,
+    scaler, checkpoints, engine, halts, crash_mtbf,
     rng, lost,
     outages, faults, trace, invariants, load_dirty_containers,
     sched, last_scaler_drain, ods;

@@ -364,19 +364,19 @@ impl Turbine {
         // (series ids follow registration order).
         let interval_secs = self.config.metrics_interval.as_secs_f64().max(1.0);
         let mut fresh: Vec<(CategoryId, &str, u64)> = Vec::new();
-        for (category, name, stats) in self.scribe.categories() {
+        for (category, name, total_appended) in self.scribe.categories() {
             match ods
                 .scribe_series
                 .get_mut(category.index())
                 .and_then(Option::as_mut)
             {
                 Some(series) => {
-                    let delta = stats.total_appended.saturating_sub(series.last);
-                    series.last = stats.total_appended;
+                    let delta = total_appended.saturating_sub(series.last);
+                    series.last = total_appended;
                     ods.registry
                         .publish(series.id, now, delta as f64 / interval_secs);
                 }
-                None => fresh.push((category, name, stats.total_appended)),
+                None => fresh.push((category, name, total_appended)),
             }
         }
         for (category, name, total_appended) in fresh {

@@ -38,7 +38,7 @@ impl Severity {
     /// Parse a canonical name (the `Option` return is the point — callers
     /// branch, they don't want a `FromStr` error type).
     #[allow(clippy::should_implement_trait)]
-    pub fn from_str(s: &str) -> Option<Self> {
+    fn from_str(s: &str) -> Option<Self> {
         match s {
             "info" => Some(Severity::Info),
             "warning" => Some(Severity::Warning),

@@ -131,13 +131,17 @@ mod tests {
 
     fn sample_registry() -> Registry {
         let mut r = Registry::new();
-        r.publish_key(MetricKey::platform("task_count"), t(60), 42.0);
-        r.publish_key(MetricKey::job(3, "lag_secs"), t(60), 1.5);
-        r.publish_key(
-            MetricKey::new(Scope::Tier("critical".into()), "downtime_ms"),
-            t(60),
-            0.0,
-        );
+        for (key, value) in [
+            (MetricKey::platform("task_count"), 42.0),
+            (MetricKey::job(3, "lag_secs"), 1.5),
+            (
+                MetricKey::new(Scope::Tier("critical".into()), "downtime_ms"),
+                0.0,
+            ),
+        ] {
+            let id = r.series_id(key);
+            r.publish(id, t(60), value);
+        }
         r
     }
 

@@ -158,13 +158,6 @@ impl Registry {
         self.series[id.index()].record(at, value);
     }
 
-    /// Intern-and-publish in one call, for cold paths where caching the id
-    /// is not worth the bookkeeping.
-    pub fn publish_key(&mut self, key: MetricKey, at: SimTime, value: f64) {
-        let id = self.series_id(key);
-        self.publish(id, at, value);
-    }
-
     /// Look up a series id without registering.
     pub fn lookup(&self, key: &MetricKey) -> Option<MetricId> {
         self.index.get(key).copied()

@@ -39,57 +39,13 @@ impl fmt::Display for ScribeError {
 
 impl std::error::Error for ScribeError {}
 
-/// A stored message: payload plus the byte offset at which it begins.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Record {
-    /// Byte offset of the first payload byte within the partition.
-    pub offset: u64,
-    /// Message payload.
-    pub payload: Vec<u8>,
-}
-
-/// One partition of a category.
-#[derive(Debug, Default)]
-struct Partition {
-    /// Total bytes ever appended — the tail offset.
-    appended: u64,
-    /// Bytes trimmed by retention; reads below this offset fail over to
-    /// the trim point (data loss is visible to the reader, as in real
-    /// Scribe when a lagging reader falls off retention).
-    trimmed: u64,
-    /// Stored payloads, only when the category retains them.
-    records: Vec<Record>,
-}
-
-/// One category (topic) with a fixed number of partitions.
+/// One category (topic) with a fixed number of partitions: each
+/// partition's total bytes ever appended (its tail offset), and their sum.
 #[derive(Debug)]
 struct Category {
-    partitions: Vec<Partition>,
-    retain_payloads: bool,
+    partitions: Vec<u64>,
     /// Total bytes appended across partitions, for rate accounting.
     total_appended: u64,
-    last_append_at: SimTime,
-}
-
-impl Category {
-    fn stats(&self) -> CategoryStats {
-        CategoryStats {
-            partitions: self.partitions.len(),
-            total_appended: self.total_appended,
-            last_append_at: self.last_append_at,
-        }
-    }
-}
-
-/// Aggregate statistics of one category.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CategoryStats {
-    /// Number of partitions.
-    pub partitions: usize,
-    /// Total bytes appended across all partitions since creation.
-    pub total_appended: u64,
-    /// Time of the most recent append.
-    pub last_append_at: SimTime,
 }
 
 /// A category's dense id within its [`Scribe`]: its place in creation
@@ -126,31 +82,11 @@ impl Scribe {
         Self::default()
     }
 
-    /// Create a category with `partitions` partitions that only tracks byte
-    /// offsets (the cluster-scale fast path); returns its id.
+    /// Create a category with `partitions` partitions; returns its id.
     pub fn create_category(
         &mut self,
         name: &str,
         partitions: u32,
-    ) -> Result<CategoryId, ScribeError> {
-        self.create_category_inner(name, partitions, false)
-    }
-
-    /// Create a category that additionally retains payloads so they can be
-    /// read back with [`Scribe::read_records`]; returns its id.
-    pub fn create_category_with_payloads(
-        &mut self,
-        name: &str,
-        partitions: u32,
-    ) -> Result<CategoryId, ScribeError> {
-        self.create_category_inner(name, partitions, true)
-    }
-
-    fn create_category_inner(
-        &mut self,
-        name: &str,
-        partitions: u32,
-        retain_payloads: bool,
     ) -> Result<CategoryId, ScribeError> {
         assert!(partitions > 0, "a category needs at least one partition");
         let Err(at) = self.find(name) else {
@@ -158,10 +94,8 @@ impl Scribe {
         };
         let id = CategoryId(u32::try_from(self.categories.len()).expect("under 2^32 categories"));
         self.categories.push(Category {
-            partitions: (0..partitions).map(|_| Partition::default()).collect(),
-            retain_payloads,
+            partitions: vec![0; partitions as usize],
             total_appended: 0,
-            last_append_at: SimTime::ZERO,
         });
         self.names.push(name.to_string());
         self.by_name.insert(at, id);
@@ -191,17 +125,6 @@ impl Scribe {
         self.find(name).is_ok()
     }
 
-    /// Number of partitions in a category.
-    pub fn partition_count(&self, category: &str) -> Result<u32, ScribeError> {
-        Ok(self.category(category)?.partitions.len() as u32)
-    }
-
-    fn category(&self, name: &str) -> Result<&Category, ScribeError> {
-        self.category_id(name)
-            .map(|id| &self.categories[id.index()])
-            .ok_or_else(|| ScribeError::UnknownCategory(name.to_string()))
-    }
-
     fn partition_mut(
         &mut self,
         category: &str,
@@ -215,74 +138,20 @@ impl Scribe {
         Ok((cat, idx))
     }
 
-    fn partition(&self, category: &str, partition: PartitionId) -> Result<&Partition, ScribeError> {
-        let cat = self.category(category)?;
-        let idx = partition_index(category, &cat.partitions, partition)?;
-        Ok(&cat.partitions[idx])
-    }
-
-    /// Append `bytes` of traffic to a partition without retaining payloads.
+    /// Append `bytes` of traffic to a partition. `_at`, the append's
+    /// simulated time, is read by nothing; the benchmark harness still
+    /// passes it.
     pub fn append_bytes(
         &mut self,
         category: &str,
         partition: PartitionId,
         bytes: u64,
-        at: SimTime,
+        _at: SimTime,
     ) -> Result<(), ScribeError> {
         let (cat, idx) = self.partition_mut(category, partition)?;
-        cat.partitions[idx].appended += bytes;
+        cat.partitions[idx] += bytes;
         cat.total_appended += bytes;
-        cat.last_append_at = cat.last_append_at.max(at);
         Ok(())
-    }
-
-    /// Append a payload-carrying record; returns its starting offset.
-    pub fn append_record(
-        &mut self,
-        category: &str,
-        partition: PartitionId,
-        payload: &[u8],
-        at: SimTime,
-    ) -> Result<u64, ScribeError> {
-        let (cat, idx) = self.partition_mut(category, partition)?;
-        let retain = cat.retain_payloads;
-        let part = &mut cat.partitions[idx];
-        let offset = part.appended;
-        part.appended += payload.len() as u64;
-        if retain {
-            part.records.push(Record {
-                offset,
-                payload: payload.to_vec(),
-            });
-        }
-        cat.total_appended += payload.len() as u64;
-        cat.last_append_at = cat.last_append_at.max(at);
-        Ok(offset)
-    }
-
-    /// Tail offset (total bytes appended) of a partition.
-    pub fn tail_offset(&self, category: &str, partition: PartitionId) -> Result<u64, ScribeError> {
-        Ok(self.partition(category, partition)?.appended)
-    }
-
-    /// Bytes available for reading between `from_offset` and the tail —
-    /// per-partition `total_bytes_lagged` in the paper's Eq. 1. An offset
-    /// below the trim point reads from the trim point (the reader lost
-    /// data to retention). An offset beyond the tail is an error.
-    pub fn bytes_available(
-        &self,
-        category: &str,
-        partition: PartitionId,
-        from_offset: u64,
-    ) -> Result<u64, ScribeError> {
-        let part = self.partition(category, partition)?;
-        if from_offset > part.appended {
-            return Err(ScribeError::OffsetBeyondTail {
-                requested: from_offset,
-                tail: part.appended,
-            });
-        }
-        Ok(part.appended - from_offset.max(part.trimmed))
     }
 
     /// Model a WAL torn-tail salvage: the partition's durable tail moves
@@ -301,56 +170,25 @@ impl Scribe {
         new_tail: u64,
     ) -> Result<u64, ScribeError> {
         let (cat, idx) = self.partition_mut(category, partition)?;
-        let part = &mut cat.partitions[idx];
-        if new_tail >= part.appended {
+        let tail = &mut cat.partitions[idx];
+        if new_tail >= *tail {
             return Ok(0);
         }
-        let lost = part.appended - new_tail;
-        part.appended = new_tail;
-        part.trimmed = part.trimmed.min(new_tail);
-        part.records.retain(|r| r.offset < new_tail);
-        cat.total_appended = cat.total_appended.saturating_sub(lost);
+        let lost = *tail - new_tail;
+        *tail = new_tail;
+        cat.total_appended -= lost;
         Ok(lost)
     }
 
-    /// Read retained records starting at `from_offset`, at most `max`.
-    /// Categories created without payload retention always return an empty
-    /// vector.
-    pub fn read_records(
-        &self,
-        category: &str,
-        partition: PartitionId,
-        from_offset: u64,
-        max: usize,
-    ) -> Result<Vec<Record>, ScribeError> {
-        let part = self.partition(category, partition)?;
-        let start = part.records.partition_point(|r| r.offset < from_offset);
-        Ok(part.records[start..].iter().take(max).cloned().collect())
-    }
-
-    /// Trim a partition up to `offset`: readers below it lose data.
-    pub fn trim(
-        &mut self,
-        category: &str,
-        partition: PartitionId,
-        offset: u64,
-    ) -> Result<(), ScribeError> {
-        let (cat, idx) = self.partition_mut(category, partition)?;
-        let part = &mut cat.partitions[idx];
-        let offset = offset.min(part.appended);
-        part.trimmed = part.trimmed.max(offset);
-        part.records.retain(|r| r.offset >= offset);
-        Ok(())
-    }
-
-    /// Batched per-category backlog: the sum of [`Scribe::bytes_available`]
-    /// across many partitions of the category `id` names, with no name
-    /// search. `cursors` supplies each partition's read offset in the order
-    /// the caller wants them evaluated; partitions the category does not
-    /// have (yet) contribute nothing, matching the per-stream path that
-    /// skips partitions Scribe has never seen. The first beyond-tail cursor
-    /// aborts the sum, tagged with its partition. Panics on an id this bus
-    /// did not hand out.
+    /// Batched per-category backlog: the bytes between each cursor and its
+    /// partition's tail — per-partition `total_bytes_lagged` in the paper's
+    /// Eq. 1 — summed across many partitions of the category `id` names,
+    /// with no name search. `cursors` supplies each partition's read offset
+    /// in the order the caller wants them evaluated; partitions the category
+    /// does not have (yet) contribute nothing, matching the per-stream path
+    /// that skips partitions Scribe has never seen. The first beyond-tail
+    /// cursor aborts the sum, tagged with its partition. Panics on an id
+    /// this bus did not hand out.
     pub fn backlog<I>(&self, id: CategoryId, cursors: I) -> Result<u64, (PartitionId, ScribeError)>
     where
         I: IntoIterator<Item = (PartitionId, u64)>,
@@ -361,17 +199,17 @@ impl Scribe {
             let Ok(idx) = partition_index(name, &cat.partitions, partition) else {
                 continue;
             };
-            let part = &cat.partitions[idx];
-            if from_offset > part.appended {
+            let tail = cat.partitions[idx];
+            if from_offset > tail {
                 return Err((
                     partition,
                     ScribeError::OffsetBeyondTail {
                         requested: from_offset,
-                        tail: part.appended,
+                        tail,
                     },
                 ));
             }
-            total += part.appended - from_offset.max(part.trimmed);
+            total += tail - from_offset;
         }
         Ok(total)
     }
@@ -403,24 +241,16 @@ impl Scribe {
     /// Every partition's tail offset of the category `id` names, in
     /// partition order.
     pub fn tails(&self, id: CategoryId) -> impl Iterator<Item = u64> + '_ {
-        self.categories[id.index()]
-            .partitions
-            .iter()
-            .map(|part| part.appended)
+        self.categories[id.index()].partitions.iter().copied()
     }
 
-    /// Aggregate statistics of a category.
-    pub fn stats(&self, category: &str) -> Result<CategoryStats, ScribeError> {
-        Ok(self.category(category)?.stats())
-    }
-
-    /// Every category with its id and aggregate statistics, in name order.
-    pub fn categories(&self) -> impl Iterator<Item = (CategoryId, &str, CategoryStats)> {
+    /// Every category with its id and total bytes appended, in name order.
+    pub fn categories(&self) -> impl Iterator<Item = (CategoryId, &str, u64)> {
         self.by_name.iter().map(|&id| {
             (
                 id,
                 self.names[id.index()].as_str(),
-                self.categories[id.index()].stats(),
+                self.categories[id.index()].total_appended,
             )
         })
     }
@@ -441,20 +271,16 @@ impl CategoryView<'_> {
     }
 
     /// Partition `index`'s tail after `bytes` more are appended to it, as
-    /// [`Scribe::append_bytes`] would (`bytes == 0` appends nothing and
-    /// leaves the append time alone). A partition the category does
-    /// not have takes nothing and reads a tail of 0. The durable-sync
-    /// pass's one access per partition.
-    pub fn append_then_tail(&mut self, index: usize, bytes: u64, at: SimTime) -> u64 {
-        let Some(part) = self.cat.partitions.get_mut(index) else {
+    /// [`Scribe::append_bytes`] would. A partition the category does not
+    /// have takes nothing and reads a tail of 0. The durable-sync pass's one
+    /// access per partition.
+    pub fn append_then_tail(&mut self, index: usize, bytes: u64) -> u64 {
+        let Some(tail) = self.cat.partitions.get_mut(index) else {
             return 0;
         };
-        if bytes > 0 {
-            part.appended += bytes;
-            self.cat.total_appended += bytes;
-            self.cat.last_append_at = self.cat.last_append_at.max(at);
-        }
-        part.appended
+        *tail += bytes;
+        self.cat.total_appended += bytes;
+        *tail
     }
 }
 
@@ -464,7 +290,7 @@ impl CategoryView<'_> {
 /// corrupt 64-bit id could otherwise truncate into a valid-looking index.
 fn partition_index(
     category: &str,
-    partitions: &[Partition],
+    partitions: &[u64],
     partition: PartitionId,
 ) -> Result<usize, ScribeError> {
     usize::try_from(partition.raw())
@@ -475,20 +301,9 @@ fn partition_index(
 
 turbine_types::snap_struct!(CategoryId(index));
 
-turbine_types::snap_struct!(Record { offset, payload });
-
-turbine_types::snap_struct!(Partition {
-    appended,
-    trimmed,
-    records
-});
-
-turbine_types::snap_struct!(Category {
-    partitions,
-    retain_payloads,
-    total_appended,
-    last_append_at
-});
+turbine_types::snap_struct!(Category { partitions, total_appended }
+    check |c| c.partitions.iter().try_fold(0u64, |sum, &tail| sum.checked_add(tail)) == Some(c.total_appended)
+        => "Scribe category total is not the sum of its partitions");
 
 // By hand: the stream is the count, then each category's name and body
 // in creation order, so a decoded bus hands out the ids the encoded one
@@ -528,6 +343,7 @@ impl turbine_types::Snap for Scribe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use turbine_types::{SnapError, SnapReader, SnapWriter};
 
     fn p(i: u64) -> PartitionId {
         PartitionId(i)
@@ -536,19 +352,15 @@ mod tests {
     #[test]
     fn create_and_append_tracks_offsets() {
         let mut bus = Scribe::new();
-        bus.create_category("events", 4).expect("create");
+        let id = bus.create_category("events", 4).expect("create");
         bus.append_bytes("events", p(0), 100, SimTime::ZERO)
             .expect("append");
         bus.append_bytes("events", p(0), 50, SimTime::ZERO)
             .expect("append");
         bus.append_bytes("events", p(1), 7, SimTime::ZERO)
             .expect("append");
-        assert_eq!(bus.tail_offset("events", p(0)).expect("tail"), 150);
-        assert_eq!(bus.tail_offset("events", p(1)).expect("tail"), 7);
-        assert_eq!(bus.tail_offset("events", p(2)).expect("tail"), 0);
-        let stats = bus.stats("events").expect("stats");
-        assert_eq!(stats.total_appended, 157);
-        assert_eq!(stats.partitions, 4);
+        assert_eq!(bus.tails(id).collect::<Vec<_>>(), [150, 7, 0, 0]);
+        assert_eq!(bus.categories[id.index()].total_appended, 157);
     }
 
     #[test]
@@ -578,121 +390,71 @@ mod tests {
     #[test]
     fn salvage_tail_moves_tail_backwards_and_drops_records() {
         let mut bus = Scribe::new();
-        bus.create_category_with_payloads("clicks", 1)
+        let id = bus
+            .create_category("clicks", 1)
             .expect("fresh bus must accept a new category");
-        bus.append_record("clicks", PartitionId(0), b"aaaa", SimTime::ZERO)
-            .expect("append to an existing partition must succeed");
-        bus.append_record("clicks", PartitionId(0), b"bbbb", SimTime::ZERO)
-            .expect("append to an existing partition must succeed");
-        assert_eq!(
-            bus.tail_offset("clicks", PartitionId(0))
-                .expect("tail of an existing partition must be readable"),
-            8
-        );
+        for _ in 0..2 {
+            bus.append_bytes("clicks", p(0), 4, SimTime::ZERO)
+                .expect("append to an existing partition must succeed");
+        }
+        assert_eq!(bus.tails(id).collect::<Vec<_>>(), [8]);
         // Torn tail: the last record was half-written and dropped.
         assert_eq!(
-            bus.salvage_tail("clicks", PartitionId(0), 4)
+            bus.salvage_tail("clicks", p(0), 4)
                 .expect("salvage of an existing partition must succeed"),
             4
         );
-        assert_eq!(
-            bus.tail_offset("clicks", PartitionId(0))
-                .expect("tail of an existing partition must be readable"),
-            4
-        );
-        assert_eq!(
-            bus.read_records("clicks", PartitionId(0), 0, 10)
-                .expect("read below the tail must succeed")
-                .len(),
-            1
-        );
+        assert_eq!(bus.tails(id).collect::<Vec<_>>(), [4]);
+        assert_eq!(bus.categories[id.index()].total_appended, 4);
         // A reader checkpointed at 8 now reads beyond the tail.
-        assert!(matches!(
-            bus.bytes_available("clicks", PartitionId(0), 8),
-            Err(ScribeError::OffsetBeyondTail {
-                requested: 8,
-                tail: 4
-            })
-        ));
+        assert_eq!(
+            bus.backlog(id, [(p(0), 8)]),
+            Err((
+                p(0),
+                ScribeError::OffsetBeyondTail {
+                    requested: 8,
+                    tail: 4
+                }
+            ))
+        );
         // Salvage at/above the tail is a no-op.
         assert_eq!(
-            bus.salvage_tail("clicks", PartitionId(0), 9)
+            bus.salvage_tail("clicks", p(0), 9)
                 .expect("salvage of an existing partition must succeed"),
             0
         );
-        assert_eq!(
-            bus.tail_offset("clicks", PartitionId(0))
-                .expect("tail of an existing partition must be readable"),
-            4
-        );
+        assert_eq!(bus.tails(id).collect::<Vec<_>>(), [4]);
     }
 
     #[test]
     fn bytes_available_is_backlog() {
         let mut bus = Scribe::new();
-        bus.create_category("c", 1).expect("create");
+        let id = bus.create_category("c", 1).expect("create");
         bus.append_bytes("c", p(0), 1000, SimTime::ZERO)
             .expect("append");
-        assert_eq!(bus.bytes_available("c", p(0), 0).expect("avail"), 1000);
-        assert_eq!(bus.bytes_available("c", p(0), 400).expect("avail"), 600);
-        assert_eq!(bus.bytes_available("c", p(0), 1000).expect("avail"), 0);
+        assert_eq!(bus.backlog(id, [(p(0), 0)]), Ok(1000));
+        assert_eq!(bus.backlog(id, [(p(0), 400)]), Ok(600));
+        assert_eq!(bus.backlog(id, [(p(0), 1000)]), Ok(0));
         assert!(matches!(
-            bus.bytes_available("c", p(0), 1001),
-            Err(ScribeError::OffsetBeyondTail { .. })
+            bus.backlog(id, [(p(0), 1001)]),
+            Err((_, ScribeError::OffsetBeyondTail { .. }))
         ));
     }
 
     #[test]
-    fn records_roundtrip_when_retained() {
-        let mut bus = Scribe::new();
-        bus.create_category_with_payloads("c", 1).expect("create");
-        let o1 = bus
-            .append_record("c", p(0), b"hello", SimTime::ZERO)
-            .expect("append");
-        let o2 = bus
-            .append_record("c", p(0), b"world!", SimTime::ZERO)
-            .expect("append");
-        assert_eq!((o1, o2), (0, 5));
-        let recs = bus.read_records("c", p(0), 0, 10).expect("read");
-        assert_eq!(recs.len(), 2);
-        assert_eq!(recs[0].payload, b"hello");
-        // Reading from an offset skips earlier records.
-        let recs = bus.read_records("c", p(0), 5, 10).expect("read");
-        assert_eq!(recs.len(), 1);
-        assert_eq!(recs[0].payload, b"world!");
-        // `max` bounds the read.
-        assert_eq!(bus.read_records("c", p(0), 0, 1).expect("read").len(), 1);
-    }
-
-    #[test]
     fn fast_path_does_not_retain_payloads() {
+        // A category is its partitions' append counts and their total:
+        // its stream holds nothing else.
         let mut bus = Scribe::new();
-        bus.create_category("c", 1).expect("create");
-        bus.append_record("c", p(0), b"hello", SimTime::ZERO)
+        let id = bus.create_category("c", 2).expect("create");
+        bus.append_bytes("c", p(1), 5, SimTime::ZERO)
             .expect("append");
-        assert!(bus.read_records("c", p(0), 0, 10).expect("read").is_empty());
-        // But offsets still advance.
-        assert_eq!(bus.tail_offset("c", p(0)).expect("tail"), 5);
-    }
-
-    #[test]
-    fn trim_drops_old_data_and_clamps_reads() {
-        let mut bus = Scribe::new();
-        bus.create_category_with_payloads("c", 1).expect("create");
-        bus.append_record("c", p(0), b"aaaa", SimTime::ZERO)
-            .expect("append");
-        bus.append_record("c", p(0), b"bbbb", SimTime::ZERO)
-            .expect("append");
-        bus.trim("c", p(0), 4).expect("trim");
-        // A reader checkpointed at 0 lost the first record: available data
-        // is only what remains past the trim point.
-        assert_eq!(bus.bytes_available("c", p(0), 0).expect("avail"), 4);
-        let recs = bus.read_records("c", p(0), 0, 10).expect("read");
-        assert_eq!(recs.len(), 1);
-        assert_eq!(recs[0].payload, b"bbbb");
-        // Trimming beyond the tail clamps.
-        bus.trim("c", p(0), 1_000_000).expect("trim");
-        assert_eq!(bus.bytes_available("c", p(0), 8).expect("avail"), 0);
+        let mut w = SnapWriter::new();
+        w.put(&bus.categories[id.index()]);
+        let mut expected = SnapWriter::new();
+        expected.put(&vec![0u64, 5]);
+        expected.u64(5);
+        assert!(w.into_bytes() == expected.into_bytes(), "counts only");
     }
 
     #[test]
@@ -703,12 +465,8 @@ mod tests {
             .expect("append");
         bus.append_bytes("c", p(1), 500, SimTime::ZERO)
             .expect("append");
-        bus.trim("c", p(0), 100).expect("trim");
         let cursors = [(p(0), 50u64), (p(1), 200), (p(2), 0)];
-        let expected: u64 = cursors
-            .iter()
-            .map(|&(part, from)| bus.bytes_available("c", part, from).expect("avail"))
-            .sum();
+        let expected = 950 + 300;
         assert_eq!(bus.category_backlog("c", cursors), Ok(expected));
         let id = bus.category_id("c").expect("exists");
         assert_eq!(bus.backlog(id, cursors), Ok(expected));
@@ -735,26 +493,21 @@ mod tests {
         let mut bus = Scribe::new();
         bus.create_category("c", 2).expect("create");
         let id = bus.category_id("c").expect("exists");
-        let at = SimTime::from_millis(7000);
         {
             let mut view = bus.view(id);
-            assert_eq!(view.append_then_tail(0, 123, at), 123);
-            assert_eq!(view.append_then_tail(0, 0, SimTime::from_millis(9000)), 123);
+            assert_eq!(view.append_then_tail(0, 123), 123);
+            assert_eq!(view.append_then_tail(0, 0), 123);
             // A partition the category lacks takes nothing and reads 0.
-            assert_eq!(view.append_then_tail(5, 1, at), 0);
+            assert_eq!(view.append_then_tail(5, 1), 0);
             assert_eq!(view.total_appended(), 123);
         }
-        assert_eq!(bus.tail_offset("c", p(0)), Ok(123));
         assert_eq!(bus.tails(id).collect::<Vec<_>>(), [123, 0]);
-        let stats = bus.stats("c").expect("stats");
-        assert_eq!(stats.total_appended, 123);
-        assert_eq!(stats.last_append_at, at);
+        assert_eq!(bus.categories[id.index()].total_appended, 123);
         assert_eq!(bus.category_id("nope"), None);
     }
 
     #[test]
     fn ids_follow_creation_and_survive_a_decode() {
-        use turbine_types::{SnapReader, SnapWriter};
         let mut bus = Scribe::new();
         let mut ids = Vec::new();
         for (name, partitions) in [("job_9_input", 2), ("job_10_input", 3), ("a", 1)] {
@@ -795,7 +548,7 @@ mod tests {
         }
         let decoded_names: Vec<&str> = decoded.categories().map(|(_, name, _)| name).collect();
         assert_eq!(decoded_names, names);
-        assert_eq!(decoded.tail_offset("job_9_input", p(1)), Ok(5));
+        assert_eq!(decoded.tails(ids[0]).collect::<Vec<_>>(), [0, 5]);
         let mut again = SnapWriter::new();
         again.put(&decoded);
         assert!(again.into_bytes() == bytes, "decode lost something");
@@ -803,7 +556,6 @@ mod tests {
 
     #[test]
     fn a_stream_that_repeats_a_name_is_refused() {
-        use turbine_types::{SnapError, SnapReader, SnapWriter};
         let mut bus = Scribe::new();
         bus.create_category("b", 1).expect("create");
         let body = &bus.categories[0];
@@ -821,13 +573,28 @@ mod tests {
     }
 
     #[test]
-    fn last_append_time_is_monotonic() {
-        let mut bus = Scribe::new();
-        bus.create_category("c", 1).expect("create");
-        let later = SimTime::from_millis(5000);
-        bus.append_bytes("c", p(0), 1, later).expect("append");
-        bus.append_bytes("c", p(0), 1, SimTime::ZERO)
-            .expect("append");
-        assert_eq!(bus.stats("c").expect("stats").last_append_at, later);
+    fn a_category_whose_total_is_not_its_partitions_sum_is_refused() {
+        // The total is the rate series' input and the durable-sync pass's
+        // change detector, so a blob that disagrees with its own counts
+        // (short, long, or a sum that wraps u64) is a typed error.
+        for (partitions, total) in [
+            (vec![3u64, 4], 6u64),
+            (vec![3, 4], 8),
+            (vec![u64::MAX, 2], 1),
+        ] {
+            let mut w = SnapWriter::new();
+            w.u64(1);
+            w.put(&"c".to_string());
+            w.put(&partitions);
+            w.u64(total);
+            let bytes = w.into_bytes();
+            assert_eq!(
+                SnapReader::new(&bytes).get::<Scribe>().err(),
+                Some(SnapError::Value(
+                    "Scribe category total is not the sum of its partitions"
+                )),
+                "{partitions:?} with total {total}"
+            );
+        }
     }
 }

@@ -194,7 +194,7 @@ impl CheckpointStore {
     /// forward-only rule: after a WAL torn-tail salvage the Scribe tail can
     /// legitimately move *backwards* past an already-persisted checkpoint,
     /// and a checkpoint beyond the tail makes every subsequent
-    /// `bytes_available` call error forever. Moving the checkpoint back to
+    /// `Scribe::backlog` read error forever. Moving the checkpoint back to
     /// the tail re-reads the salvage-lost bytes (at-least-once delivery)
     /// instead of wedging the reader.
     pub fn clamp_to(

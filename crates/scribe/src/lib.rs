@@ -9,13 +9,10 @@
 //!
 //! This implementation models what the control plane observes: per-partition
 //! byte offsets (append totals), reader checkpoints, and therefore
-//! `total_bytes_lagged` — the numerator of the paper's Eq. 1. Small payloads
-//! can also be stored verbatim (`append_record`/`read_records`) so the
-//! examples can move real data end-to-end; byte-level accounting is the fast
-//! path used by cluster-scale simulations.
+//! `total_bytes_lagged` — the numerator of the paper's Eq. 1.
 
 pub mod bus;
 pub mod checkpoint;
 
-pub use bus::{CategoryId, CategoryStats, CategoryView, Record, Scribe, ScribeError};
+pub use bus::{CategoryId, CategoryView, Scribe, ScribeError};
 pub use checkpoint::{CheckpointRows, CheckpointStore, JobCheckpoints};

@@ -124,13 +124,6 @@ impl ShardManager {
         self.silent.insert(id, now);
     }
 
-    /// Remove a container entirely (host decommission). Its shards remain
-    /// in the assignment until the next fail-over check or rebalance.
-    pub fn unregister_container(&mut self, id: ContainerId) {
-        self.containers.remove(&id);
-        self.silent.remove(&id);
-    }
-
     /// One heartbeat round at `now`: every registered container beats
     /// except `silent_ids` (ascending; unregistered ids are ignored). The
     /// walk visits only the containers that were silent or are silent now.
@@ -610,16 +603,6 @@ mod tests {
     }
 
     #[test]
-    fn unregistered_container_loses_its_shards_on_rebalance() {
-        let mut mgr = manager_with(3, 12);
-        mgr.rebalance();
-        mgr.unregister_container(ContainerId(2));
-        let result = mgr.rebalance();
-        assert_eq!(result.assignment.len(), 12);
-        assert!(result.assignment.values().all(|&c| c != ContainerId(2)));
-    }
-
-    #[test]
     fn heartbeat_reports_revival_of_dead_containers() {
         let mut mgr = manager_with(2, 10);
         mgr.rebalance();
@@ -672,8 +655,6 @@ mod tests {
         assert_eq!(mgr.silent().collect::<Vec<_>>(), [(late, t(15))]);
         assert!(!mgr.is_suspect(late, t(34)));
         assert!(mgr.is_suspect(late, t(35)));
-        mgr.unregister_container(late);
-        assert_eq!(mgr.silent().count(), 0);
     }
 
     #[test]

@@ -123,7 +123,7 @@ impl SimRng {
     }
 
     /// Standard normal deviate via Box–Muller.
-    pub fn gaussian(&mut self) -> f64 {
+    fn gaussian(&mut self) -> f64 {
         if let Some(z) = self.gauss_spare.take() {
             return z;
         }
@@ -134,11 +134,6 @@ impl SimRng {
         let theta = 2.0 * std::f64::consts::PI * u2;
         self.gauss_spare = Some(r * theta.sin());
         r * theta.cos()
-    }
-
-    /// Normal deviate with the given mean and standard deviation.
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        mean + std_dev * self.gaussian()
     }
 
     /// Log-normal deviate: `exp(N(mu, sigma))`. Heavy-tailed; used for

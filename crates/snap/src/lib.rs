@@ -77,8 +77,12 @@ pub const SNAP_MAGIC: [u8; 8] = *b"TRBNSNAP";
 /// commit counter; version 19 stores one halt record per halted job (its
 /// pause with the pause's state move, its capacity stop and its input
 /// stall) in place of the paused set, the capacity-stopped set and the
-/// state-move map.
-pub const SNAP_VERSION: u32 = 19;
+/// state-move map; version 20 stores no Capacity Manager (it is a function
+/// of the cluster's total), a Scribe partition as its one append count
+/// (no payload records, retention mark or last-append time), and the
+/// invariant checker's standby keys as one set (invariant 8's scan is part
+/// of invariant 7's).
+pub const SNAP_VERSION: u32 = 20;
 
 /// Chunk size of the manifest: one digest per 4 KiB of stream, verified
 /// on every restore and compared across snapshots. Small enough that an
@@ -262,13 +266,6 @@ pub fn field_bytes(platform: &Turbine) -> Vec<(&'static str, usize)> {
     table
 }
 
-/// How many chunks two snapshots share — the cross-snapshot dedup a
-/// periodic capture cadence gets for free. Counts distinct digests
-/// present in both manifests.
-pub fn shared_chunks(a: &Snapshot<'_>, b: &Snapshot<'_>) -> usize {
-    a.digests().intersection(&b.digests()).count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -337,7 +334,7 @@ mod tests {
         t.run_for(Duration::from_secs(30));
         let b = Snapshot::capture(&t);
         // A 30 s step leaves that part of the platform stream untouched.
-        assert!(shared_chunks(&a, &b) > 0);
+        assert!(a.digests().intersection(&b.digests()).count() > 0);
     }
 
     #[test]

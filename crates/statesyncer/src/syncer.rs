@@ -171,11 +171,6 @@ impl StateSyncer {
         self.attention.insert(job);
     }
 
-    /// True while a warm-handoff grant is pending for the job.
-    pub fn has_warm_handoff(&self, job: JobId) -> bool {
-        self.warm_handoffs.contains(&job)
-    }
-
     /// The configuration in effect.
     pub fn config(&self) -> &SyncerConfig {
         &self.config
@@ -194,17 +189,6 @@ impl StateSyncer {
     /// Consecutive sync failures recorded for a job.
     pub fn failure_count(&self, job: JobId) -> u32 {
         self.failure_counts.get(&job).copied().unwrap_or(0)
-    }
-
-    /// Release a job from quarantine (the oncall fixed the root cause).
-    pub fn unquarantine(&mut self, job: JobId) {
-        self.quarantined.remove(&job);
-        self.failure_counts.remove(&job);
-        self.inflight_rounds.remove(&job);
-        self.resume_round.remove(&job);
-        // The job's store rows may not have changed while it sat in
-        // quarantine; put it back on the sparse round's radar explicitly.
-        self.attention.insert(job);
     }
 
     /// Run one synchronization round (production cadence: every 30 s) over
@@ -227,7 +211,7 @@ impl StateSyncer {
     /// Run one synchronization round over only the jobs that can have
     /// changed: the Job Store's changes since the last round plus the
     /// syncer's own attention set (mid-flight plans, retry backoffs, fresh
-    /// warm-handoff grants, just-unquarantined jobs).
+    /// warm-handoff grants).
     ///
     /// Equivalence with [`Self::run_round`]: a job outside both sets has had no
     /// expected/running row change since it was last seen in sync, so the
@@ -692,11 +676,6 @@ mod tests {
         // Quarantined jobs are skipped entirely.
         let r = syncer.run_round(&mut svc, &mut env);
         assert!(r.failed.is_empty());
-        // The oncall releases it once fixed.
-        env.redistribute_failures = 0;
-        syncer.unquarantine(JOB);
-        let r = syncer.run_round(&mut svc, &mut env);
-        assert_eq!(r.complex_completed, vec![JOB]);
     }
 
     #[test]
@@ -767,7 +746,7 @@ mod tests {
         svc.set_level_field(JOB, ConfigLevel::Scaler, "task_count", 8u32.into())
             .expect("scale");
         syncer.grant_warm_handoff(JOB);
-        assert!(syncer.has_warm_handoff(JOB));
+        assert!(syncer.warm_handoffs.contains(&JOB));
         // One round: the grant satisfies the redistribution instantly.
         let r = syncer.run_round(&mut svc, &mut env);
         assert_eq!(r.complex_completed, vec![JOB]);
@@ -776,7 +755,7 @@ mod tests {
             env.redistributions.is_empty(),
             "warm handoff must not move state"
         );
-        assert!(!syncer.has_warm_handoff(JOB), "grant is one-shot");
+        assert!(!syncer.warm_handoffs.contains(&JOB), "grant is one-shot");
         // The next redistribution takes the full path again.
         svc.set_level_field(JOB, ConfigLevel::Scaler, "task_count", 4u32.into())
             .expect("scale");
@@ -1077,7 +1056,7 @@ mod tests {
         assert_eq!(env_f.redistributions, env_s.redistributions);
 
         // A poisoned config never self-heals: the job fails its way into
-        // quarantine in both modes, then is released and repaired.
+        // quarantine in both modes.
         for svc in [&mut svc_f, &mut svc_s] {
             svc.set_level_field(JobId(4), ConfigLevel::Oncall, "task_count", "lots".into())
                 .expect("poison");
@@ -1095,12 +1074,6 @@ mod tests {
         }
         assert!(full.is_quarantined(JobId(4)));
         assert!(sparse.is_quarantined(JobId(4)));
-        for svc in [&mut svc_f, &mut svc_s] {
-            svc.set_level_field(JobId(4), ConfigLevel::Oncall, "task_count", 6u32.into())
-                .expect("repair");
-        }
-        full.unquarantine(JobId(4));
-        sparse.unquarantine(JobId(4));
 
         // A warm-handoff grant satisfies job 5's redistribution in both
         // modes, and a deletion winds job 2 down.

@@ -89,11 +89,6 @@ impl LocalTaskManager {
         self.running.len()
     }
 
-    /// True if this manager is running `task`.
-    pub fn has_task(&self, task: TaskId) -> bool {
-        self.running.contains_key(&task)
-    }
-
     /// True if any running task belongs to `job` — the check the State
     /// Syncer's stop barrier performs.
     pub fn runs_job(&self, job: turbine_types::JobId) -> bool {
@@ -378,7 +373,7 @@ mod tests {
         assert_eq!(stopped.len(), victims.len());
         for v in victims {
             assert!(stopped.contains(&v));
-            assert!(!tm.has_task(v));
+            assert!(!tm.running.contains_key(&v));
         }
     }
 

@@ -116,11 +116,6 @@ impl TaskSnapshot {
     pub fn is_empty(&self) -> bool {
         self.by_task.is_empty()
     }
-
-    /// Iterate all task ids.
-    pub fn task_ids(&self) -> impl Iterator<Item = &TaskId> {
-        self.by_task.keys()
-    }
 }
 
 /// The shard `id` hashes onto, computed once per task.
@@ -278,7 +273,7 @@ mod tests {
         let mut cache = HashMap::new();
         let snap1 = TaskSnapshot::build(specs.clone(), 16, &mut cache);
         let snap2 = TaskSnapshot::build(specs, 16, &mut cache);
-        for id in snap1.task_ids() {
+        for id in snap1.by_task.keys() {
             let s1 = (0..16)
                 .map(ShardId)
                 .find(|&s| snap1.tasks_of_shard(s).contains(id))

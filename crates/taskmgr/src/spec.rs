@@ -35,13 +35,6 @@ pub struct TaskSpec {
 }
 
 impl TaskSpec {
-    /// Stable string key of the task — the input to the MD5 task→shard
-    /// hash, so it must not depend on anything that changes across spec
-    /// regenerations (only job id and task index).
-    pub fn hash_key(&self) -> String {
-        format!("{}", self.id)
-    }
-
     /// True if replacing `old` with `self` requires restarting the task
     /// (any change in what the process would observe at startup).
     pub fn requires_restart(&self, old: &TaskSpec) -> bool {

@@ -46,29 +46,6 @@ impl LatencyHistogram {
         self.buckets[bucket] += 1;
     }
 
-    /// Mean latency in nanoseconds (0 when empty).
-    pub fn mean_ns(&self) -> u64 {
-        self.total_ns.checked_div(self.count).unwrap_or(0)
-    }
-
-    /// Approximate quantile: the upper bound of the bucket containing the
-    /// `q`-th sample (`None` when empty). Bucket resolution is a factor of
-    /// two, which is plenty for an overhead budget check.
-    pub fn quantile_ns(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let target = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= target {
-                return Some(1u64 << (i + 1));
-            }
-        }
-        Some(self.max_ns)
-    }
-
     /// The raw bucket counts (bucket `i` = `[2^i, 2^(i+1))` ns).
     pub fn buckets(&self) -> &[u64; LATENCY_BUCKETS] {
         &self.buckets
@@ -86,19 +63,18 @@ mod tests {
             h.record(ns);
         }
         assert_eq!(h.count, 5);
-        assert_eq!(h.mean_ns(), (100 + 200 + 400 + 800 + 100_000) / 5);
+        assert_eq!(h.total_ns, 100 + 200 + 400 + 800 + 100_000);
         assert_eq!(h.max_ns, 100_000);
-        // p50 = 3rd of 5 samples (400 ns), bucket [256, 512).
-        assert_eq!(h.quantile_ns(0.5), Some(512));
-        // p100 falls in the bucket holding 100 µs.
-        assert!(h.quantile_ns(1.0).expect("non-empty") >= 100_000);
+        // 400 ns lands in bucket [256, 512); 100 µs in [65 536, 131 072).
+        assert_eq!(h.buckets()[8], 1);
+        assert_eq!(h.buckets()[16], 1);
     }
 
     #[test]
     fn empty_histogram_is_quiet() {
         let h = LatencyHistogram::default();
-        assert_eq!(h.mean_ns(), 0);
-        assert_eq!(h.quantile_ns(0.5), None);
+        assert_eq!((h.count, h.total_ns, h.max_ns), (0, 0, 0));
+        assert!(h.buckets().iter().all(|&n| n == 0));
     }
 
     #[test]

@@ -156,12 +156,6 @@ impl SimTime {
     pub fn time_of_day(self) -> Duration {
         Duration(self.0 % 86_400_000)
     }
-
-    /// Minute-of-day index in `0..1440`, the granularity at which the
-    /// paper's historical workload patterns are recorded.
-    pub fn minute_of_day(self) -> usize {
-        ((self.0 / 60_000) % 1_440) as usize
-    }
 }
 
 impl Add<Duration> for SimTime {
@@ -220,7 +214,6 @@ mod tests {
     #[test]
     fn minute_of_day_wraps_across_days() {
         let t = SimTime::ZERO + Duration::from_days(2) + Duration::from_mins(61);
-        assert_eq!(t.minute_of_day(), 61);
         assert_eq!(t.time_of_day(), Duration::from_mins(61));
     }
 

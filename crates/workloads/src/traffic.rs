@@ -107,12 +107,6 @@ impl TrafficModel {
         self
     }
 
-    /// Add exponential growth (e.g. `0.0019` doubles over ~365 days).
-    pub fn with_growth(mut self, growth_per_day: f64) -> Self {
-        self.growth_per_day = growth_per_day;
-        self
-    }
-
     /// The *arrival* rate at `at`, bytes/sec. Zero during input outages;
     /// unaffected by `ConsumerDisabled` (data still arrives and backs up).
     pub fn arrival_rate(&self, at: SimTime) -> f64 {
@@ -291,7 +285,8 @@ mod tests {
 
     #[test]
     fn memoised_rate_equals_the_pure_one_across_minutes_and_model_edits() {
-        let mut model = TrafficModel::diurnal(1000.0, 0.4, 42).with_growth(0.002);
+        let mut model = TrafficModel::diurnal(1000.0, 0.4, 42);
+        model.growth_per_day = 0.002;
         let mut memo = NoiseMemo::default();
         let mut at = SimTime::ZERO;
         for step in 0..600 {
@@ -329,7 +324,8 @@ mod tests {
 
     #[test]
     fn growth_doubles_in_a_year() {
-        let m = TrafficModel::flat(1000.0).with_growth(2f64.ln() / 365.0);
+        let mut m = TrafficModel::flat(1000.0);
+        m.growth_per_day = 2f64.ln() / 365.0;
         let after_year = m.arrival_rate(SimTime::ZERO + Duration::from_days(365));
         assert!((after_year / 1000.0 - 2.0).abs() < 0.01, "{after_year}");
     }
@@ -427,9 +423,11 @@ mod tests {
         assert!(!swing.steady_at(t(1)));
         assert!(swing.steady_at(t(4)));
         assert!(TrafficModel::diurnal(0.0, 0.4, 1).steady_at(t(1)));
-        assert!(!TrafficModel::flat(1000.0)
-            .with_growth(0.001)
-            .steady_at(t(1)));
+        let growing = TrafficModel {
+            growth_per_day: 0.001,
+            ..TrafficModel::flat(1000.0)
+        };
+        assert!(!growing.steady_at(t(1)));
         let ramp = TrafficModel::flat(1000.0).with_event(TrafficEvent {
             start: t(3),
             end: t(5),

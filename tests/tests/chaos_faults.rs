@@ -439,7 +439,8 @@ fn torn_tail_salvage_clamps_recovered_checkpoints() {
 
     // WAL torn-tail salvage: every partition's durable tail rewinds to
     // zero, stranding the persisted checkpoints beyond the new tails.
-    let partitions = t.scribe.partition_count(&category).expect("category");
+    let id = t.scribe.category_id(&category).expect("category");
+    let partitions = t.scribe.tails(id).count();
     let mut lost = 0;
     for p in 0..partitions {
         lost += t

@@ -167,7 +167,7 @@ fn no_allocation_per_steady_window_drain_or_durable_sync() {
             for job in engine.job_ids() {
                 engine.drain_window(job, &mut drained);
             }
-            engine.sync_durable(now, &mut scribe, &mut checkpoints);
+            engine.sync_durable(&mut scribe, &mut checkpoints);
         }
         let ids = engine.job_ids();
         for _ in 0..3 {
@@ -186,7 +186,7 @@ fn no_allocation_per_steady_window_drain_or_durable_sync() {
                 0,
                 "{jobs} jobs: allocation calls in a steady drain of every window"
             );
-            engine.sync_durable(now, &mut scribe, &mut checkpoints);
+            engine.sync_durable(&mut scribe, &mut checkpoints);
             let (after_sync, _) = counts();
             assert_eq!(
                 after_sync - after_drain,

@@ -159,13 +159,8 @@ fn scribe_and_checkpoints_account_for_every_byte() {
 
     // Data conservation: bytes in Scribe == bytes processed + backlog
     // (within one durability-sync interval of slack).
-    let appended: u64 = (0..16)
-        .map(|p| {
-            t.scribe
-                .tail_offset("audited_input", turbine_types::PartitionId(p))
-                .expect("tail")
-        })
-        .sum();
+    let category = t.scribe.category_id("audited_input").expect("category");
+    let appended: u64 = t.scribe.tails(category).sum();
     let status = t.job_status(job).expect("status");
     let expected_total = 2.0e6 * t.now().as_secs_f64();
     assert!(

@@ -562,13 +562,9 @@ fn categories_created_out_of_name_order_restore_to_the_same_checkpoints() {
     let durable = |t: &Turbine| {
         [(JobId(9), 8), (JobId(10), 16)].map(|(job, partitions)| {
             let name = t.job_category(job).expect("provisioned");
-            let tails: Vec<u64> = (0..partitions)
-                .map(|p| {
-                    t.scribe
-                        .tail_offset(name, turbine_types::PartitionId(p))
-                        .expect("tail")
-                })
-                .collect();
+            let id = t.scribe.category_id(name).expect("category");
+            let tails: Vec<u64> = t.scribe.tails(id).collect();
+            assert_eq!(tails.len(), partitions);
             (t.checkpoints().job_checkpoints(job), tails)
         })
     };

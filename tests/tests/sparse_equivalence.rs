@@ -547,7 +547,7 @@ fn the_full_scan_reference_hands_every_round_everything() {
             examined >= checks * t.engine().job_ids().len() as u64,
             "{at}: {examined} jobs examined over {checks} checks"
         );
-        assert_eq!(scopes, 5 * checks, "{at}: every scope at every check");
+        assert_eq!(scopes, 4 * checks, "{at}: every scope at every check");
     }
     assert_eq!(reports_due, 12, "two hours of ten-minute load reports");
     let checker = t.invariant_checker().expect("enabled");
